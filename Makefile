@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r3 bench-r4 bench-r5 bench-gate telemetry-report forensics-report clean
+.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate telemetry-report forensics-report clean
 
 all: check
 
@@ -62,12 +62,6 @@ bench:
 telemetry-report:
 	dune exec bench/main.exe -- r2
 
-# Access-grant cache (software TLB) host-time benchmark; emits
-# BENCH_r3.json and fails if the hit rate on the kvcache workload
-# drops below 90%.
-bench-r3:
-	dune exec bench/main.exe -- r3
-
 # End-to-end recovery benchmark: goodput and p99 latency with retrying
 # clients under a ~1% fault rate; emits BENCH_r4.json and fails if any
 # operation runs out of retries or faulted goodput drops below 0.6x.
@@ -81,8 +75,8 @@ bench-r4:
 bench-r5:
 	dune exec bench/main.exe -- r5
 
-# Batched-gate switch benchmark: request-loop anatomy with elision
-# on/off and the kvcache YCSB overhead with batched gates; emits
+# Batched-gate switch benchmark: request-loop anatomy plain and inside
+# a batched gate, and the kvcache YCSB overhead with batched gates; emits
 # BENCH_gate.json and fails if the batched PKRU share is not below the
 # 30% floor or the overhead does not improve on -3.7%/-6.6% run/load.
 bench-gate:

@@ -1043,93 +1043,6 @@ let r2 () =
     exit 1
   end
 
-(* {1 R3 — access-grant cache: host time per simulated access, hit rate} *)
-
-(* The software TLB must be invisible in virtual time (the differential
-   property test proves that), so this experiment measures what it is
-   allowed to change: host wall-clock per simulated checked access. The
-   same kvcache YCSB workload runs with the cache off and on (best of
-   [reps] to damp scheduler noise); the access count comes from the
-   cached run's hit+miss counters and is identical across runs because
-   the simulation is deterministic. Emits BENCH_r3.json and fails when
-   the hit rate drops below 90%. *)
-let r3 () =
-  section
-    "R3 (grant cache) — host time per simulated access and hit rate, \
-     kvcache YCSB workload";
-  let records = mc_records () and operations = mc_operations () in
-  let workers = 4 and clients = 8 in
-  let reps = if !quick then 2 else 3 in
-  let run ~grant_cache =
-    let best = ref infinity and last = ref None in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r =
-        run_memcached ~grant_cache ~variant:Kvcache.Server.Sdrad ~workers
-          ~records ~operations ~clients ()
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      last := Some r
-    done;
-    (!best, Option.get !last)
-  in
-  let host_off, _ = run ~grant_cache:false in
-  let host_on, r_on = run ~grant_cache:true in
-  let space = r_on.mc_space in
-  let hits = Space.tlb_hits space and misses = Space.tlb_misses space in
-  let shootdowns = Space.tlb_shootdowns space in
-  let accesses = hits + misses in
-  let hit_rate = float_of_int hits /. float_of_int accesses in
-  let ns_per ~host = host *. 1e9 /. float_of_int accesses in
-  table
-    ~header:[ "config"; "host s"; "host ns/access"; "hits"; "misses"; "hit rate" ]
-    [
-      [
-        "cache off"; Printf.sprintf "%.3f" host_off;
-        Printf.sprintf "%.1f" (ns_per ~host:host_off); "-"; "-"; "-";
-      ];
-      [
-        "cache on"; Printf.sprintf "%.3f" host_on;
-        Printf.sprintf "%.1f" (ns_per ~host:host_on);
-        string_of_int hits; string_of_int misses;
-        Printf.sprintf "%.1f%%" (100.0 *. hit_rate);
-      ];
-    ];
-  Printf.printf
-    "grant cache: %.1f%% hit rate over %d checked accesses, %d shootdowns; \
-     host time %.3fs -> %.3fs (%.2fx)\n"
-    (100.0 *. hit_rate) accesses shootdowns host_off host_on
-    (host_off /. host_on);
-  let oc = open_out "BENCH_r3.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"r3\",\n\
-    \  \"workload\": { \"server\": \"kvcache\", \"variant\": \"sdrad\", \
-     \"workers\": %d, \"clients\": %d, \"records\": %d, \"operations\": %d \
-     },\n\
-    \  \"accesses\": %d,\n\
-    \  \"tlb_hits\": %d,\n\
-    \  \"tlb_misses\": %d,\n\
-    \  \"tlb_shootdowns\": %d,\n\
-    \  \"hit_rate\": %.4f,\n\
-    \  \"host_seconds_cache_off\": %.4f,\n\
-    \  \"host_seconds_cache_on\": %.4f,\n\
-    \  \"host_ns_per_access_cache_off\": %.2f,\n\
-    \  \"host_ns_per_access_cache_on\": %.2f,\n\
-    \  \"host_speedup\": %.3f\n\
-     }\n"
-    workers clients records operations accesses hits misses shootdowns
-    hit_rate host_off host_on (ns_per ~host:host_off) (ns_per ~host:host_on)
-    (host_off /. host_on);
-  close_out oc;
-  print_endline "wrote BENCH_r3.json";
-  if hit_rate < 0.90 then begin
-    Printf.eprintf "R3 FAIL: grant-cache hit rate %.1f%% is below 90%%\n"
-      (100.0 *. hit_rate);
-    exit 1
-  end
-
 (* {1 R4 — end-to-end recovery: goodput and tail latency under faults} *)
 
 (* Retrying YCSB clients carrying idempotency keys run against the sdrad
@@ -1476,25 +1389,24 @@ let r5 () =
     exit 1
   end
 
-(* {1 GATE — switch cost below the PKRU floor: elision + batched gates}
+(* {1 GATE — switch cost below the PKRU floor: batched gates}
 
    Two halves. (1) Anatomy: a server-shaped request loop — flight-recorder
-   admit, enter, exit — measured with the always-write slow path, with
-   value elision alone, and inside a batched gate; PKRU cycles are derived
-   from the actual write count, never a hardcoded multiplier. Elision
-   alone must change nothing (a plain request repeats no value, which is
-   why the R2 band still holds), while the batched gate drops the share
-   below the 30% floor the paper's anatomy bottoms out at. (2) The
-   kvcache YCSB overhead vs. baseline with batched gates on, which must
-   improve on the recorded -3.7%/-6.6% run/load sdrad overhead. Emits
-   BENCH_gate.json and fails when either gate is missed. *)
+   admit, enter, exit — measured plain and inside a batched gate; PKRU
+   cycles are derived from the actual write count, never a hardcoded
+   multiplier. A plain request repeats no PKRU value, so value elision
+   removes no write there (which is why the R2 band still holds), while
+   the batched gate drops the share below the 30% floor the paper's
+   anatomy bottoms out at. (2) The kvcache YCSB overhead vs. baseline with
+   batched gates on, which must improve on the recorded -3.7%/-6.6%
+   run/load sdrad overhead. Emits BENCH_gate.json and fails when either
+   gate is missed. *)
 let gate () =
-  section "GATE — elision + batched gates: PKRU share and kvcache overhead";
+  section "GATE — batched gates: PKRU share and kvcache overhead";
   let pairs = if !quick then 128 else 512 in
-  let anatomy ~elide ~batched =
+  let anatomy ~batched =
     simulate (fun space _ ->
         let sd = Api.create space in
-        if not elide then Space.set_pkru_elision space false;
         let udi = 0x7FFF_FD00 in
         let total = ref 0.0 and writes = ref 0 and elided = ref 0 in
         Api.run sd ~udi
@@ -1532,9 +1444,8 @@ let gate () =
           float_of_int !writes /. n,
           float_of_int !elided /. n ))
   in
-  let p_cycles, p_share, p_writes, _ = anatomy ~elide:false ~batched:false in
-  let e_cycles, e_share, e_writes, e_elided = anatomy ~elide:true ~batched:false in
-  let b_cycles, b_share, b_writes, b_elided = anatomy ~elide:true ~batched:true in
+  let p_cycles, p_share, p_writes, p_elided = anatomy ~batched:false in
+  let b_cycles, b_share, b_writes, b_elided = anatomy ~batched:true in
   let row name c share w el =
     [
       name;
@@ -1548,8 +1459,7 @@ let gate () =
     ~header:
       [ "config"; "cycles/request"; "writes/req"; "elided/req"; "PKRU share" ]
     [
-      row "always-write" p_cycles p_share p_writes 0.0;
-      row "elision only" e_cycles e_share e_writes e_elided;
+      row "plain" p_cycles p_share p_writes p_elided;
       row "batched gate" b_cycles b_share b_writes b_elided;
     ];
   Printf.printf
@@ -1601,10 +1511,8 @@ let gate () =
     \  \"experiment\": \"gate\",\n\
     \  \"anatomy_pairs\": %d,\n\
     \  \"cycles_per_request_plain\": %.2f,\n\
-    \  \"cycles_per_request_elided\": %.2f,\n\
     \  \"cycles_per_request_batched\": %.2f,\n\
     \  \"pkru_share_plain\": %.4f,\n\
-    \  \"pkru_share_elided\": %.4f,\n\
     \  \"pkru_share_batched\": %.4f,\n\
     \  \"writes_per_request_plain\": %.2f,\n\
     \  \"writes_per_request_batched\": %.2f,\n\
@@ -1617,7 +1525,7 @@ let gate () =
     \  \"baseline_run_overhead_pct\": -3.7,\n\
     \  \"baseline_load_overhead_pct\": -6.6\n\
      }\n"
-    pairs p_cycles e_cycles b_cycles p_share e_share b_share p_writes b_writes
+    pairs p_cycles b_cycles p_share b_share p_writes b_writes
     workers clients records operations run_plain load_plain run_gated
     load_gated;
   close_out oc;

@@ -40,14 +40,11 @@ type mc_run = {
   mc_utilization : float;  (* mean worker busy fraction *)
   mc_busy_cycles : float;
   mc_server : Kvcache.Server.t;
-  mc_space : Space.t;
 }
 
-let run_memcached ?base_config ?(grant_cache = true) ?(gate_batch_limit = 0)
-    ?(elide = true) ~variant ~workers ~records ~operations ~clients () =
+let run_memcached ?base_config ?(gate_batch_limit = 0) ~variant ~workers
+    ~records ~operations ~clients () =
   let space = Space.create ~size_mib:192 () in
-  Space.set_grant_cache space grant_cache;
-  if not elide then Space.set_pkru_elision space false;
   let sd =
     match variant with
     | Kvcache.Server.Sdrad -> Some (Api.create space)
@@ -91,7 +88,6 @@ let run_memcached ?base_config ?(grant_cache = true) ?(gate_batch_limit = 0)
       | us -> List.fold_left ( +. ) 0.0 us /. float_of_int (List.length us));
     mc_busy_cycles = Kvcache.Server.worker_busy_cycles (Option.get !srv);
     mc_server = Option.get !srv;
-    mc_space = space;
   }
 
 (* NGINX (E3/E4/E6): one ApacheBench-style run on a fresh simulation. *)

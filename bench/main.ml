@@ -26,7 +26,6 @@ let all : (string * (unit -> unit)) list =
     ("a3", Experiments.a3);
     ("r1", Experiments.r1);
     ("r2", Experiments.r2);
-    ("r3", Experiments.r3);
     ("r4", Experiments.r4);
     ("r5", Experiments.r5);
     ("gate", Experiments.gate);

@@ -318,15 +318,6 @@ let create ?(seed = 1) ?(monitor_size = 256 * 1024)
     (fun () -> Space.pkru_elided space);
   M.counter_fn metrics "vmem_faults_total" ~help:"Memory faults raised"
     (fun () -> Space.fault_count space);
-  M.counter_fn metrics "vmem_tlb_hits_total"
-    ~help:"Access-grant cache (software TLB) hits" (fun () ->
-      Space.tlb_hits space);
-  M.counter_fn metrics "vmem_tlb_misses_total"
-    ~help:"Access-grant cache fills via the slow path" (fun () ->
-      Space.tlb_misses space);
-  M.counter_fn metrics "vmem_tlb_shootdowns_total"
-    ~help:"Page-range grant-cache invalidations broadcast to all threads"
-    (fun () -> Space.tlb_shootdowns space);
   M.counter_fn metrics "sanitizer_poison_faults_total"
     ~help:"Checked accesses refused because they touched poisoned bytes"
     (fun () -> Space.poison_faults space);

@@ -37,29 +37,6 @@ let ps = 1 lsl page_shift
 (* flags byte per page *)
 let fl_mapped = 8
 
-(* Per-thread access-grant cache — the simulator's software TLB. Each
-   entry caches the access rights the slow path would derive for one page
-   under one PKRU value: a granted-{!Prot}-bits mask tagged with the
-   epoch current when the entry was filled (0 = invalid). A WRPKRU
-   switches [epoch] to the epoch associated with the new PKRU value —
-   previously seen values reuse their old epoch, so entries survive the
-   monitor's enter/exit PKRU brackets, exactly like a PCID-tagged
-   hardware TLB survives address-space switches. The cache is 2-way
-   set-associative per page (slots [2p] and [2p+1], MRU first): a page
-   touched alternately under two PKRU values — the monitor's and a
-   domain's, the common steady state — keeps both grants resident
-   instead of ping-ponging. *)
-let tlb_ways = 2
-
-type tlb = {
-  tags : int array;  (* slot -> epoch at fill time; 0 = invalid *)
-  masks : Bytes.t;  (* slot -> granted access bits ({!Prot} bits) *)
-  mutable epoch : int;  (* epoch of the thread's current PKRU value *)
-  mutable epoch_pkru : int;  (* the PKRU value [epoch] belongs to *)
-  mutable next_epoch : int;
-  epoch_of_pkru : (int, int) Hashtbl.t;
-}
-
 type t = {
   mem : Bytes.t;
   size : int;
@@ -78,20 +55,8 @@ type t = {
   allocs : (int, int * int) Hashtbl.t;  (* base addr -> (total_pages, usable_pages) *)
   mutable fault_count : int;
   mutable wrpkru_count : int;
-  mutable pkru_elide : bool;  (* skip WRPKRU when the value is current *)
   mutable pkru_elided_count : int;
   mutable syscall_hook : (string -> unit) option;
-  (* access-grant cache state *)
-  mutable tlb_enabled : bool;
-  tlbs : (int, tlb) Hashtbl.t;  (* tid -> its grant cache *)
-  mutable cached_tlb_tid : int;
-  mutable cached_tlb : tlb;
-  mutable tlb_hit_count : int;
-  mutable tlb_miss_count : int;
-  mutable tlb_shootdown_count : int;
-  mutable diff_period : int;  (* cross-check 1-in-N fast-path hits; 0 = off *)
-  mutable diff_tick : int;
-  mutable diff_check_count : int;
   (* heap-poison sanitizer state (ASan-style shadow memory) *)
   mutable san_enabled : bool;
   mutable san_map : Bytes.t;  (* 1 bit per byte of [mem]; empty until enabled *)
@@ -103,16 +68,6 @@ type t = {
      consulted after every protection and poison check has passed *)
   mutable access_hook : (int -> int -> access -> unit) option;
 }
-
-let fresh_tlb pages =
-  {
-    tags = Array.make (tlb_ways * pages) 0;
-    masks = Bytes.make (tlb_ways * pages) '\000';
-    epoch = 0;
-    epoch_pkru = Pkru.all_access;
-    next_epoch = 1;
-    epoch_of_pkru = Hashtbl.create 8;
-  }
 
 let create ?(size_mib = 64) ?(cost = Cost.default) () =
   let size = size_mib * 1024 * 1024 in
@@ -136,19 +91,8 @@ let create ?(size_mib = 64) ?(cost = Cost.default) () =
     allocs = Hashtbl.create 64;
     fault_count = 0;
     wrpkru_count = 0;
-    pkru_elide = true;
     pkru_elided_count = 0;
     syscall_hook = None;
-    tlb_enabled = true;
-    tlbs = Hashtbl.create 16;
-    cached_tlb_tid = min_int;
-    cached_tlb = fresh_tlb 0;
-    tlb_hit_count = 0;
-    tlb_miss_count = 0;
-    tlb_shootdown_count = 0;
-    diff_period = 0;
-    diff_tick = 0;
-    diff_check_count = 0;
     san_enabled = false;
     san_map = Bytes.empty;
     san_bypass = false;
@@ -183,116 +127,23 @@ let cur_pkru t =
     v
   end
 
-(* Point the grant cache at the epoch for this PKRU value, minting a new
-   epoch on first sight. Entries tagged with other epochs stay in the
-   arrays but stop matching — and become live again when their PKRU value
-   returns, which is what keeps the hit rate high across the two WRPKRUs
-   bracketing every monitor call. The value table is bounded: past the
-   cap we forget the associations (monotonic [next_epoch] guarantees a
-   recycled table can never resurrect a stale tag). *)
-let tlb_set_epoch tlb pkru =
-  match Hashtbl.find_opt tlb.epoch_of_pkru pkru with
-  | Some e ->
-      tlb.epoch <- e;
-      tlb.epoch_pkru <- pkru
-  | None ->
-      if Hashtbl.length tlb.epoch_of_pkru > 128 then begin
-        Hashtbl.reset tlb.epoch_of_pkru;
-        (* Re-seed the value we are switching *away from*: its entries
-           are the ones still hot in the arrays, and the usual reason to
-           overflow is a monitor bracket minting value #129 — without
-           this the bracketed thread comes back to a spurious full cold
-           miss. *)
-        Hashtbl.replace tlb.epoch_of_pkru tlb.epoch_pkru tlb.epoch
-      end;
-      let e = tlb.next_epoch in
-      tlb.next_epoch <- e + 1;
-      Hashtbl.replace tlb.epoch_of_pkru pkru e;
-      tlb.epoch <- e;
-      tlb.epoch_pkru <- pkru
-
-let cur_tlb t =
-  let tid = cur_tid () in
-  if tid = t.cached_tlb_tid then t.cached_tlb
-  else begin
-    let tlb =
-      match Hashtbl.find_opt t.tlbs tid with
-      | Some x -> x
-      | None ->
-          let x = fresh_tlb t.pages in
-          tlb_set_epoch x (cur_pkru t);
-          Hashtbl.replace t.tlbs tid x;
-          x
-    in
-    t.cached_tlb_tid <- tid;
-    t.cached_tlb <- tlb;
-    tlb
-  end
-
-(* Invalidate a page range in every thread's grant cache — the moral
-   equivalent of a TLB-shootdown IPI broadcast. Counted per event, not
-   per page or per thread. *)
-let tlb_shootdown t p1 p2 =
-  if t.tlb_enabled then begin
-    t.tlb_shootdown_count <- t.tlb_shootdown_count + 1;
-    Hashtbl.iter
-      (fun _ tlb ->
-        Array.fill tlb.tags (tlb_ways * p1) (tlb_ways * (p2 - p1 + 1)) 0)
-      t.tlbs
-  end
-
-let access_bits = function
-  | Read -> Prot.read
-  | Write -> Prot.write
-  | Exec -> Prot.exec
-
-(* Rights the current flags/pkey/PKRU grant on one page, as Prot bits. *)
-let grant_mask t p pkru =
-  let f = Char.code (Bytes.unsafe_get t.flags p) in
-  if f land fl_mapped = 0 then 0
-  else begin
-    let key = Char.code (Bytes.unsafe_get t.pkey_of p) in
-    (if Pkru.can_read pkru ~key then f land (Prot.read lor Prot.exec) else 0)
-    lor (if Pkru.can_write pkru ~key then f land Prot.write else 0)
-  end
-
-(* Pure slow-path classification of one page access: the fault it would
-   raise, or [None] when allowed. No charging, no RSS side effects. *)
-let page_verdict t p access pkru =
-  let f = Char.code (Bytes.unsafe_get t.flags p) in
-  if f land fl_mapped = 0 then Some (MAPERR, -1)
-  else begin
-    let key = Char.code (Bytes.unsafe_get t.pkey_of p) in
-    if f land access_bits access = 0 then Some (ACCERR, key)
-    else
-      let ok =
-        match access with
-        | Read | Exec -> Pkru.can_read pkru ~key
-        | Write -> Pkru.can_write pkru ~key
-      in
-      if ok then None else Some (PKUERR, key)
-  end
-
 let rdpkru t =
   charge t t.cost.rdpkru;
   cur_pkru t
 
 (* Checked install: writing the value already in the register is a
    no-op on real hardware too, so the elided path skips the pipeline
-   flush charge *and* the grant-cache epoch switch (the epoch already
-   belongs to this value). Elisions are counted separately so the
-   telemetry story stays honest. *)
+   flush charge. Elisions are counted separately so the telemetry story
+   stays honest. *)
 let wrpkru t v =
-  if t.pkru_elide && v = cur_pkru t then
-    t.pkru_elided_count <- t.pkru_elided_count + 1
+  if v = cur_pkru t then t.pkru_elided_count <- t.pkru_elided_count + 1
   else begin
     charge t t.cost.wrpkru;
     t.wrpkru_count <- t.wrpkru_count + 1;
     let tid = cur_tid () in
     Hashtbl.replace t.pkru_tbl tid v;
     t.cached_tid <- tid;
-    t.cached_pkru <- v;
-    if t.tlb_enabled then tlb_set_epoch (cur_tlb t) v
+    t.cached_pkru <- v
   end
 
 let pkey_alloc t =
@@ -351,96 +202,12 @@ let check_page t addr p access =
       if not (Pkru.can_write pkru ~key) then fault t addr access PKUERR key);
   touch t p
 
-(* First-touch accounting that defers the cycle charge into [pending] so
-   a page run costs one {!Sched.charge} call instead of one per page.
-   The deferred sum is flushed before any fault is raised, keeping the
-   virtual-time total identical to the per-page slow path. *)
-let touch_pending t p pending =
-  if Bytes.unsafe_get t.touched p = '\000' then begin
-    Bytes.unsafe_set t.touched p '\001';
-    t.rss_pages <- t.rss_pages + 1;
-    if t.rss_pages > t.max_rss_pages then t.max_rss_pages <- t.rss_pages;
-    pending := !pending +. t.cost.page_touch
-  end
-
-let diff_divergence p access pkru =
-  Format.asprintf
-    "Space: grant-cache divergence at page %d (%a granted by cache, slow \
-     path denies under pkru %#x)"
-    p pp_access access pkru
-
-(* A cache hit needs no [touch]: fills always touch, and every event
-   that can reset the touched bit (munmap, restore_image) also shoots
-   the page's tags down, so a live tag implies a resident page. *)
-let check_tlb t addr access p1 p2 =
-  let tlb = cur_tlb t in
-  let pkru = cur_pkru t in
-  let needed = access_bits access in
-  let epoch = tlb.epoch in
-  let pending = ref 0.0 in
-  for p = p1 to p2 do
-    let i = tlb_ways * p in
-    let hit =
-      if
-        Array.unsafe_get tlb.tags i = epoch
-        && Char.code (Bytes.unsafe_get tlb.masks i) land needed <> 0
-      then true
-      else if
-        Array.unsafe_get tlb.tags (i + 1) = epoch
-        && Char.code (Bytes.unsafe_get tlb.masks (i + 1)) land needed <> 0
-      then begin
-        (* promote the hit to the MRU slot *)
-        let tg = Array.unsafe_get tlb.tags i
-        and mk = Bytes.unsafe_get tlb.masks i in
-        Array.unsafe_set tlb.tags i (Array.unsafe_get tlb.tags (i + 1));
-        Bytes.unsafe_set tlb.masks i (Bytes.unsafe_get tlb.masks (i + 1));
-        Array.unsafe_set tlb.tags (i + 1) tg;
-        Bytes.unsafe_set tlb.masks (i + 1) mk;
-        true
-      end
-      else false
-    in
-    if hit then begin
-      t.tlb_hit_count <- t.tlb_hit_count + 1;
-      if t.diff_period > 0 then begin
-        t.diff_tick <- t.diff_tick + 1;
-        if t.diff_tick >= t.diff_period then begin
-          t.diff_tick <- 0;
-          t.diff_check_count <- t.diff_check_count + 1;
-          match page_verdict t p access pkru with
-          | None -> ()
-          | Some _ -> failwith (diff_divergence p access pkru)
-        end
-      end
-    end
-    else begin
-      t.tlb_miss_count <- t.tlb_miss_count + 1;
-      match page_verdict t p access pkru with
-      | Some (code, key) ->
-          if !pending > 0.0 then charge t !pending;
-          fault t (if p = p1 then addr else p lsl page_shift) access code key
-      | None ->
-          (* fill the MRU slot, demoting its previous occupant — unless
-             the MRU slot already belongs to this epoch (a grant widened
-             by a refill), in which case overwrite it in place *)
-          if Array.unsafe_get tlb.tags i <> epoch then begin
-            Array.unsafe_set tlb.tags (i + 1) (Array.unsafe_get tlb.tags i);
-            Bytes.unsafe_set tlb.masks (i + 1) (Bytes.unsafe_get tlb.masks i)
-          end;
-          Array.unsafe_set tlb.tags i epoch;
-          Bytes.unsafe_set tlb.masks i (Char.unsafe_chr (grant_mask t p pkru));
-          touch_pending t p pending
-    end
-  done;
-  if !pending > 0.0 then charge t !pending
-
 (* {1 Heap-poison sanitizer}
 
    Shadow state for the ASan-style sanitizer: one bit per byte of [mem],
    set while the byte is poisoned (redzone, freed block, discarded
    domain). The scan runs after the protection checks succeed, charges no
-   virtual time (shadow memory is a host-side artifact, like the grant
-   cache), and raises the simulator's SEGV with the [POISON] code so the
+   virtual time (shadow memory is a host-side artifact), and raises the simulator's SEGV with the [POISON] code so the
    ordinary rewind machinery treats a poisoned read exactly like a
    protection-key violation. Allocators flip [san_bypass] around their own
    metadata walks: headers and free-list links live inside poisoned
@@ -526,11 +293,9 @@ let check t addr len access =
   if len > 0 then begin
     if addr < 0 || addr + len > t.size then fault t addr access MAPERR (-1);
     let p1 = addr lsr page_shift and p2 = (addr + len - 1) lsr page_shift in
-    if t.tlb_enabled then check_tlb t addr access p1 p2
-    else
-      for p = p1 to p2 do
-        check_page t (if p = p1 then addr else p lsl page_shift) p access
-      done;
+    for p = p1 to p2 do
+      check_page t (if p = p1 then addr else p lsl page_shift) p access
+    done;
     (if t.san_enabled && not t.san_bypass then
        match san_find t.san_map addr len with
        | Some a ->
@@ -587,7 +352,6 @@ let mmap t ~len ~prot ~pkey =
   (* A fresh mapping carries no poison, whatever lived there before. *)
   if Bytes.length t.san_map > 0 then
     san_set_range t.san_map addr (npages lsl page_shift) false;
-  tlb_shootdown t base_page (base_page + npages - 1);
   charge t (t.cost.syscall +. (t.cost.mmap_per_page *. float_of_int total));
   addr
 
@@ -607,7 +371,6 @@ let munmap t addr =
       done;
       Hashtbl.remove t.allocs addr;
       t.free_list <- insert_region t.free_list (base_page - 1, total);
-      tlb_shootdown t base_page (base_page + npages - 1);
       charge t t.cost.syscall
 
 let page_range addr len =
@@ -636,7 +399,6 @@ let mprotect t ~addr ~len ~prot =
   for p = p1 to p2 do
     Bytes.unsafe_set t.flags p fbyte
   done;
-  tlb_shootdown t p1 p2;
   charge t t.cost.syscall
 
 let pkey_mprotect t ~addr ~len ~prot ~pkey =
@@ -648,7 +410,6 @@ let pkey_mprotect t ~addr ~len ~prot ~pkey =
     Bytes.unsafe_set t.flags p fbyte;
     Bytes.unsafe_set t.pkey_of p kbyte
   done;
-  tlb_shootdown t p1 p2;
   charge t t.cost.syscall
 
 let pkey_of_addr t addr = Char.code (Bytes.get t.pkey_of (addr lsr page_shift))
@@ -868,9 +629,7 @@ let restore_image t im =
     im.im_pages;
   (* images predate the poison state: a restored process starts clean *)
   if Bytes.length t.san_map > 0 then
-    Bytes.fill t.san_map 0 (Bytes.length t.san_map) '\000';
-  (* the image carries arbitrary flags/keys/touched state: full flush *)
-  if t.pages > 0 then tlb_shootdown t 0 (t.pages - 1)
+    Bytes.fill t.san_map 0 (Bytes.length t.san_map) '\000'
 
 let image_bytes im = List.length im.im_pages * ps
 
@@ -893,29 +652,4 @@ let rss_bytes t = t.rss_pages lsl page_shift
 let max_rss_bytes t = t.max_rss_pages lsl page_shift
 let fault_count t = t.fault_count
 let wrpkru_writes t = t.wrpkru_count
-
-(* {1 PKRU write elision} *)
-
-let set_pkru_elision t on = t.pkru_elide <- on
-let pkru_elision_enabled t = t.pkru_elide
 let pkru_elided t = t.pkru_elided_count
-
-(* {1 Grant-cache control and counters} *)
-
-let set_grant_cache t on =
-  if on <> t.tlb_enabled then begin
-    t.tlb_enabled <- on;
-    Hashtbl.reset t.tlbs;
-    t.cached_tlb_tid <- min_int
-  end
-
-let grant_cache_enabled t = t.tlb_enabled
-
-let set_differential t period =
-  t.diff_period <- (if period < 0 then 0 else period);
-  t.diff_tick <- 0
-
-let differential_checks t = t.diff_check_count
-let tlb_hits t = t.tlb_hit_count
-let tlb_misses t = t.tlb_miss_count
-let tlb_shootdowns t = t.tlb_shootdown_count

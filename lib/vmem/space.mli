@@ -57,10 +57,9 @@ val rdpkru : t -> int
 (** Current thread's PKRU value. Threads start with {!Pkru.all_access}. *)
 
 val wrpkru : t -> int -> unit
-(** Set the current thread's PKRU. A {e checked} install: when write
-    elision is on (the default) and the value is already current, the
-    write is skipped entirely — no pipeline-flush charge, no write
-    count, no grant-cache epoch switch — and {!pkru_elided} is bumped
+(** Set the current thread's PKRU. A {e checked} install: when the value
+    is already current, the write is skipped entirely — no
+    pipeline-flush charge, no write count — and {!pkru_elided} is bumped
     instead. Otherwise charges the pipeline-flush cost. *)
 
 val set_syscall_hook : t -> (string -> unit) option -> unit
@@ -131,40 +130,6 @@ val memchr : t -> addr:int -> len:int -> char -> int option
     bytes actually examined (plus the access base). *)
 
 val memcmp : t -> int -> int -> int -> int
-
-(** {1 Access-grant cache (software TLB)}
-
-    Every checked access consults a per-thread page → granted-rights
-    cache filled lazily from flags/pkey/PKRU, so a hit costs one array
-    read and one bitmask test instead of re-deriving rights. Invalidation
-    mirrors hardware: {!wrpkru} switches the cache to an epoch tagged by
-    the PKRU value (domain switches flush naturally, returning values
-    re-enable their old entries, as with PCID tags), and
-    [mmap]/[munmap]/[mprotect]/[pkey_mprotect] shoot down the affected
-    page range in every thread's cache. Enabled by default; the cache is
-    invisible in virtual time and fault behaviour — only host time
-    changes. *)
-
-val set_grant_cache : t -> bool -> unit
-(** Enable/disable the grant cache. Toggling drops all cached state. *)
-
-val grant_cache_enabled : t -> bool
-
-val set_differential : t -> int -> unit
-(** [set_differential t n] (with [n > 0]) cross-checks one in every [n]
-    fast-path hits against the slow-path rights derivation and raises
-    [Failure] on divergence; [0] disables (the default). Debug aid. *)
-
-val differential_checks : t -> int
-(** Cross-checks performed since creation. *)
-
-val tlb_hits : t -> int
-val tlb_misses : t -> int
-
-val tlb_shootdowns : t -> int
-(** Range invalidations broadcast to all thread caches (one per
-    [mmap]/[munmap]/[mprotect]/[pkey_mprotect]/[restore_image] event,
-    not per page). *)
 
 (** {1 Heap-poison sanitizer}
 
@@ -247,19 +212,6 @@ val wrpkru_writes : t -> int
     the raw material for the switch-cost anatomy. Elided installs (see
     {!wrpkru}) are {e not} counted here; a plain enter/exit pair
     performs two, batched gates amortize further. *)
-
-(** {1 PKRU write elision}
-
-    ERIM-style gate thinning: installing the PKRU value that is already
-    current is skipped at the {!wrpkru} layer. On by default; the bench
-    harness turns it off to measure the always-write baseline, and the
-    gate differential test proves the two modes behaviourally
-    identical. *)
-
-val set_pkru_elision : t -> bool -> unit
-(** Enable/disable elision of redundant WRPKRU installs. *)
-
-val pkru_elision_enabled : t -> bool
 
 val pkru_elided : t -> int
 (** WRPKRU installs skipped because the value was already current. *)

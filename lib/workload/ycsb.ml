@@ -182,15 +182,18 @@ let launch sched net cfg ~on_done () =
   let run_start = ref 0.0 in
   let run_client i () =
     let rng = Rng.create (cfg.seed + (1000 * i) + 7) in
-    let zipf = Zipf.create rng ~n:cfg.records ~theta:cfg.zipf_theta in
+    (* Built on first use: its set-up is O(records), and uniform clients
+       never draw from it. Creation draws no random numbers, so forcing
+       it late leaves the key sequence unchanged. *)
+    let zipf = lazy (Zipf.create rng ~n:cfg.records ~theta:cfg.zipf_theta) in
     let pick () =
       match cfg.distribution with
-      | Zipfian -> Zipf.next zipf
+      | Zipfian -> Zipf.next (Lazy.force zipf)
       | Uniform -> Rng.int rng cfg.records
       | Latest ->
           (* The most popular record is the most recent one. *)
           let n = !key_count in
-          max 0 (n - 1 - Zipf.next zipf)
+          max 0 (n - 1 - Zipf.next (Lazy.force zipf))
     in
     let fresh_key () =
       Sched.Mutex.with_lock key_lock (fun () ->

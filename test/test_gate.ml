@@ -1,13 +1,12 @@
 (* Tests for PKRU write elision and batched call gates: the checked
-   WRPKRU install (skip + count when the value is already current), the
-   epoch-table overflow re-seed, write counts across nested monitor
-   sections and open gates, the per-(caller, callee) marshalling-buffer
-   cache with its cross-thread invalidation regression, and a 5-seed
-   differential property test pitting the elided/batched fast path
-   against the always-write slow path over a full kvcache server run. *)
+   WRPKRU install (skip + count when the value is already current), write
+   counts across nested monitor sections and open gates, the
+   per-(caller, callee) marshalling-buffer cache with its cross-thread
+   invalidation regression, and a 5-seed differential property test
+   pitting batched gates against the unbatched path over a full kvcache
+   server run. *)
 
 module Space = Vmem.Space
-module Prot = Vmem.Prot
 module Pkru = Vmem.Pkru
 module Sched = Simkern.Sched
 module Rng = Simkern.Rng
@@ -20,7 +19,6 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 let check_float msg = Alcotest.check (Alcotest.float 1e-9) msg
-let ps = 4096
 
 let in_thread f =
   let sched = Sched.create () in
@@ -35,7 +33,6 @@ let in_thread f =
 
 let test_elision_counts () =
   let s = Space.create ~size_mib:8 () in
-  check bool "elision on by default" true (Space.pkru_elision_enabled s);
   let key = Option.get (Space.pkey_alloc s) in
   let v = Pkru.deny Pkru.all_access ~key in
   in_thread (fun () ->
@@ -46,56 +43,7 @@ let test_elision_counts () =
       Space.wrpkru s v;
       check int "redundant install elided" (w0 + 1) (Space.wrpkru_writes s);
       check int "elision counted" (e0 + 1) (Space.pkru_elided s);
-      check_float "elided install is free" 0.0 (Sched.now () -. t0);
-      (* The slow path still performs (and charges) every write. *)
-      Space.set_pkru_elision s false;
-      let t1 = Sched.now () in
-      Space.wrpkru s v;
-      check int "disabled: redundant write performed" (w0 + 2)
-        (Space.wrpkru_writes s);
-      check bool "disabled: write charged" true (Sched.now () -. t1 > 0.0);
-      Space.set_pkru_elision s true)
-
-let test_elision_keeps_tlb_epoch () =
-  let s = Space.create ~size_mib:8 () in
-  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
-      Space.wrpkru s (Pkru.allow_read Pkru.all_access ~key:0);
-      ignore (Space.load8 s a);
-      let m = Space.tlb_misses s in
-      (* An elided install must not touch the grant-cache epoch: the next
-         access is still a hit. *)
-      Space.wrpkru s (Pkru.allow_read Pkru.all_access ~key:0);
-      ignore (Space.load8 s a);
-      check int "no new miss after elided install" m (Space.tlb_misses s))
-
-(* {1 Epoch-table overflow re-seeds the resident value}
-
-   Drive the PKRU→epoch table past its reset threshold with throwaway
-   values, ending on the table reset itself; the value that was current
-   when the reset fired must keep its epoch, so the grants cached under
-   it are still hits afterwards. *)
-
-let test_tlb_epoch_overflow_reseed () =
-  let s = Space.create ~size_mib:8 () in
-  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
-      let home = Pkru.all_access in
-      ignore (Space.load8 s a);
-      (* 128 distinct junk values, returning home between each so no
-         install is ever value-elided. *)
-      for i = 0 to 127 do
-        Space.wrpkru s ((i + 1) lsl 2);
-        Space.wrpkru s home
-      done;
-      let m = Space.tlb_misses s in
-      (* One more fresh value overflows the table while [home] is
-         current; the reset must re-seed [home]'s epoch... *)
-      Space.wrpkru s (129 lsl 2);
-      Space.wrpkru s home;
-      (* ...so home's cached grant survives the overflow. *)
-      ignore (Space.load8 s a);
-      check int "hit survives epoch-table overflow" m (Space.tlb_misses s))
+      check_float "elided install is free" 0.0 (Sched.now () -. t0))
 
 (* {1 Monitor sections and gates: write counts} *)
 
@@ -246,8 +194,8 @@ let test_gate_buffer_cross_thread_invalidation () =
 
    Two kvcache servers run the same seeded single-client request mix —
    sets, gets, deletes, pipelined bursts and CVE attacks that rewind the
-   event domain — one with value elision and batched gates, one with
-   elision disabled and batching off. Everything observable must be
+   event domain — one with batched gates, one with batching off.
+   Everything observable must be
    bytewise identical: every reply, the rewind and request counts, the
    store's integrity walk, incident records (cause, address, udi),
    per-trace flight-recorder dumps (timestamps stripped) and the final
@@ -284,7 +232,6 @@ let cause_name = function
 let run_kv_scenario ~fast seed =
   let space = Space.create ~size_mib:128 () in
   let sd = Api.create space in
-  if not fast then Space.set_pkru_elision space false;
   let sched = Sched.create () in
   let net = Netsim.create (Space.cost space) in
   let cfg =
@@ -431,10 +378,6 @@ let () =
       ( "elision",
         [
           Alcotest.test_case "checked install" `Quick test_elision_counts;
-          Alcotest.test_case "epoch preserved" `Quick
-            test_elision_keeps_tlb_epoch;
-          Alcotest.test_case "overflow re-seed" `Quick
-            test_tlb_epoch_overflow_reseed;
         ] );
       ( "monitor",
         [

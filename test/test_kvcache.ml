@@ -873,6 +873,36 @@ let test_workload_d_inserts_grow_keyspace () =
   (* ~200 inserts on top of the 100 loaded records. *)
   check bool "keyspace grew" true (Store.count (Server.store (Option.get !srv)) > 150)
 
+(* Uniform clients never draw a Zipfian key, so a single-record keyspace
+   (below the Zipf generator's n >= 2 floor) must still run. *)
+let test_uniform_single_record () =
+  let space = Space.create ~size_mib:32 () in
+  let sched = Sched.create () in
+  let net = Netsim.create (Space.cost space) in
+  let cfg = { Server.default_config with variant = Server.Baseline; workers = 1 } in
+  let ycfg =
+    {
+      Workload.Ycsb.default_config with
+      records = 1;
+      operations = 20;
+      clients = 2;
+      distribution = Workload.Ycsb.Uniform;
+    }
+  in
+  let results = ref (fun () -> failwith "unset") in
+  let _ =
+    Sched.spawn sched ~name:"harness" (fun () ->
+        let s = Server.start sched space net cfg in
+        results :=
+          Workload.Ycsb.launch sched net ycfg
+            ~on_done:(fun () -> Server.stop s)
+            ())
+  in
+  Sched.run sched;
+  let r = !results () in
+  check int "no failures" 0 r.Workload.Ycsb.failures;
+  check int "every op completed" 20 (List.length r.Workload.Ycsb.run_latencies)
+
 (* {1 Zipf} *)
 
 let test_zipf_skew () =
@@ -953,6 +983,7 @@ let () =
           Alcotest.test_case "overhead bounded" `Quick test_sdrad_slower_than_baseline;
           Alcotest.test_case "stats command" `Quick test_stats_command;
           Alcotest.test_case "workload d inserts" `Quick test_workload_d_inserts_grow_keyspace;
+          Alcotest.test_case "uniform single record" `Quick test_uniform_single_record;
           Alcotest.test_case "multi-get" `Quick test_multi_get;
           Alcotest.test_case "incr/decr" `Quick test_incr_decr;
           Alcotest.test_case "add/replace" `Quick test_add_replace_semantics;

@@ -1,17 +1,24 @@
 (* Tests for the simulated address space: mapping lifecycle, guard pages,
    load/store round trips, protection bits, protection-key enforcement
-   against per-thread PKRU values, RSS accounting. *)
+   against per-thread PKRU values, rights changes taking effect on the
+   next access, RSS accounting, and regression tests for the mprotect
+   range validation, the bounded memchr, the negative/zero-length
+   handling of the bulk entry points, and the pkey_mprotect syscall-gate
+   name. *)
 
 module Space = Vmem.Space
 module Prot = Vmem.Prot
 module Pkru = Vmem.Pkru
 module Sched = Simkern.Sched
+module Cost = Simkern.Cost
 
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
+let check_float msg = Alcotest.check (Alcotest.float 1e-9) msg
 
 let mk () = Space.create ~size_mib:8 ()
+let ps = 4096
 
 (* Run a function inside a single simulated thread and propagate failure. *)
 let in_thread f =
@@ -29,6 +36,11 @@ let expect_fault ?code ?access f =
   | exception Space.Fault fa ->
       Option.iter (fun c -> check bool "si_code" true (fa.code = c)) code;
       Option.iter (fun a -> check bool "access" true (fa.access = a)) access
+
+let expect_invalid msg f =
+  match f () with
+  | _ -> Alcotest.fail ("expected Invalid_argument: " ^ msg)
+  | exception Invalid_argument m -> check Alcotest.string "message" msg m
 
 (* {1 Mapping} *)
 
@@ -238,6 +250,213 @@ let test_fault_reports_tid () =
   Sched.run sched;
   check int "fault carries offending tid" t1 !seen_tid
 
+(* {1 Rights changes take effect on the next access}
+
+   Every access is checked against the current flags, key and PKRU, so
+   no earlier successful access may carry its rights past a change. *)
+
+let test_pkru_roundtrip () =
+  let s = mk () in
+  let key = Option.get (Space.pkey_alloc s) in
+  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:key in
+  in_thread (fun () ->
+      ignore (Space.load8 s a);
+      Space.wrpkru s (Pkru.deny Pkru.all_access ~key);
+      expect_fault ~code:Space.PKUERR (fun () -> ignore (Space.load8 s a));
+      Space.wrpkru s Pkru.all_access;
+      ignore (Space.load8 s a))
+
+let test_mprotect_revokes_write () =
+  let s = mk () in
+  let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
+  in_thread (fun () ->
+      Space.store8 s a 1;
+      Space.mprotect s ~addr:a ~len:(2 * ps) ~prot:Prot.read;
+      expect_fault ~code:Space.ACCERR ~access:Space.Write (fun () ->
+          Space.store8 s a 1);
+      ignore (Space.load8 s a))
+
+let test_pkey_mprotect_revokes () =
+  let s = mk () in
+  let key = Option.get (Space.pkey_alloc s) in
+  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+  in_thread (fun () ->
+      Space.wrpkru s (Pkru.deny Pkru.all_access ~key);
+      ignore (Space.load8 s a);
+      Space.pkey_mprotect s ~addr:a ~len:ps ~prot:Prot.rw ~pkey:key;
+      expect_fault ~code:Space.PKUERR (fun () -> ignore (Space.load8 s a)))
+
+let test_munmap_revokes () =
+  let s = mk () in
+  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+  in_thread (fun () ->
+      ignore (Space.load8 s a);
+      Space.munmap s a;
+      expect_fault ~code:Space.MAPERR (fun () -> ignore (Space.load8 s a));
+      let b = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+      ignore (Space.load8 s b))
+
+let test_rights_per_thread () =
+  let s = mk () in
+  let key = Option.get (Space.pkey_alloc s) in
+  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:key in
+  let sched = Sched.create () in
+  let t1 =
+    Sched.spawn sched ~name:"t1" (fun () -> ignore (Space.load8 s a))
+  in
+  let t2 =
+    Sched.spawn sched ~name:"t2" (fun () ->
+        Space.wrpkru s (Pkru.deny Pkru.all_access ~key);
+        match Space.load8 s a with
+        | _ -> Alcotest.fail "t2 must not inherit t1's rights"
+        | exception Space.Fault { code = Space.PKUERR; _ } -> ())
+  in
+  Sched.run sched;
+  List.iter
+    (fun tid ->
+      match Sched.outcome sched tid with
+      | Some Sched.Completed -> ()
+      | Some (Sched.Failed e) -> raise e
+      | None -> Alcotest.fail "thread did not finish")
+    [ t1; t2 ]
+
+let test_restore_image_flags () =
+  let s = mk () in
+  let a = Space.mmap s ~len:ps ~prot:Prot.read ~pkey:0 in
+  let im = Space.checkpoint s in
+  in_thread (fun () ->
+      Space.mprotect s ~addr:a ~len:ps ~prot:Prot.rw;
+      Space.store8 s a 7;
+      (* the image carries the read-only flags *)
+      Space.restore_image s im;
+      expect_fault ~code:Space.ACCERR ~access:Space.Write (fun () ->
+          Space.store8 s a 7))
+
+(* {1 Regression: mprotect/pkey_mprotect range validation} *)
+
+let test_mprotect_range_validated () =
+  let s = mk () in
+  let size = Space.size s in
+  let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
+  expect_invalid "mprotect: out of range" (fun () ->
+      Space.mprotect s ~addr:size ~len:ps ~prot:Prot.read);
+  expect_invalid "mprotect: out of range" (fun () ->
+      Space.mprotect s ~addr:(size - ps) ~len:(3 * ps) ~prot:Prot.read);
+  expect_invalid "mprotect: out of range" (fun () ->
+      Space.mprotect s ~addr:(-ps) ~len:ps ~prot:Prot.read);
+  expect_invalid "mprotect: bad length" (fun () ->
+      Space.mprotect s ~addr:a ~len:0 ~prot:Prot.read);
+  expect_invalid "mprotect: bad length" (fun () ->
+      Space.mprotect s ~addr:a ~len:(-ps) ~prot:Prot.read);
+  expect_invalid "pkey_mprotect: out of range" (fun () ->
+      Space.pkey_mprotect s ~addr:size ~len:ps ~prot:Prot.read ~pkey:0);
+  expect_invalid "pkey_mprotect: bad length" (fun () ->
+      Space.pkey_mprotect s ~addr:a ~len:0 ~prot:Prot.read ~pkey:0);
+  check int "prot untouched by rejected calls" Prot.rw (Space.prot_of_addr s a)
+
+let test_mprotect_no_partial_mutation () =
+  let s = mk () in
+  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+  (* the range runs off the end of the mapping into the next guard page:
+     the call must reject without having already downgraded the first
+     page *)
+  expect_invalid "mprotect: unmapped page" (fun () ->
+      Space.mprotect s ~addr:a ~len:(2 * ps) ~prot:Prot.read);
+  check int "no partial application" Prot.rw (Space.prot_of_addr s a)
+
+(* {1 Regression: memchr stays inside the checked window} *)
+
+let test_memchr_window_bounded () =
+  let s = mk () in
+  let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
+  in_thread (fun () ->
+      Space.store8 s (a + 100) (Char.code 'Z');
+      check
+        (Alcotest.option int)
+        "found inside window"
+        (Some (a + 100))
+        (Space.memchr s ~addr:a ~len:128 'Z');
+      check
+        (Alcotest.option int)
+        "byte past the window is invisible" None
+        (Space.memchr s ~addr:a ~len:100 'Z');
+      (* a window leaking into the guard page still faults *)
+      expect_fault ~code:Space.MAPERR (fun () ->
+          Space.memchr s ~addr:a ~len:(3 * ps) 'Z'))
+
+let test_memchr_charges_examined_bytes () =
+  let s = mk () in
+  let c = Space.cost s in
+  let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
+  in_thread (fun () ->
+      Space.store8 s (a + 2) (Char.code 'X');
+      let t0 = Sched.now () in
+      let r = Space.memchr s ~addr:a ~len:64 'X' in
+      let dt = Sched.now () -. t0 in
+      check (Alcotest.option int) "found" (Some (a + 2)) r;
+      (* the match is the third byte examined: the cost must reflect
+         that, with the same access base as the other bulk operations,
+         not a flat per-window-byte charge *)
+      check_float "charged for three examined bytes"
+        (c.Cost.mem_access +. (3.0 *. c.Cost.mem_byte))
+        dt;
+      let t1 = Sched.now () in
+      ignore (Space.memchr s ~addr:a ~len:64 '\255');
+      check_float "miss charges the whole window"
+        (c.Cost.mem_access +. (64.0 *. c.Cost.mem_byte))
+        (Sched.now () -. t1))
+
+(* {1 Regression: negative/zero lengths never reach Sched.charge} *)
+
+let test_negative_len_never_charges () =
+  let s = mk () in
+  let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
+  in_thread (fun () ->
+      ignore (Space.load8 s a);
+      let t0 = Sched.now () in
+      let inv f =
+        match f () with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument _ -> ()
+      in
+      inv (fun () -> Space.load_bytes s a (-5));
+      inv (fun () -> Space.read_string s a (-3));
+      inv (fun () -> Space.memcmp s a (a + 64) (-1));
+      inv (fun () -> Space.blit s ~src:a ~dst:(a + 64) ~len:(-2));
+      inv (fun () -> Space.fill s ~addr:a ~len:(-4) 'x');
+      inv (fun () -> Space.memchr s ~addr:a ~len:(-1) 'x');
+      check_float "no virtual time charged" 0.0 (Sched.now () -. t0))
+
+let test_zero_len_ops_are_free () =
+  let s = mk () in
+  let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
+  in_thread (fun () ->
+      ignore (Space.load8 s a);
+      let t0 = Sched.now () in
+      check int "load_bytes 0" 0 (Bytes.length (Space.load_bytes s a 0));
+      check Alcotest.string "read_string 0" "" (Space.read_string s a 0);
+      check int "memcmp 0" 0 (Space.memcmp s a (a + 1) 0);
+      Space.blit s ~src:a ~dst:(a + 64) ~len:0;
+      Space.fill s ~addr:a ~len:0 'x';
+      Space.store_bytes s a Bytes.empty;
+      Space.store_string s a "";
+      check (Alcotest.option int) "memchr 0" None
+        (Space.memchr s ~addr:a ~len:0 'x');
+      check_float "all free" 0.0 (Sched.now () -. t0))
+
+(* {1 Regression: the syscall oracle sees pkey_mprotect by name} *)
+
+let test_hook_sees_pkey_mprotect () =
+  let s = mk () in
+  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+  let ops = ref [] in
+  Space.set_syscall_hook s (Some (fun op -> ops := op :: !ops));
+  Space.pkey_mprotect s ~addr:a ~len:ps ~prot:Prot.rw ~pkey:0;
+  Space.set_syscall_hook s None;
+  check
+    (Alcotest.list Alcotest.string)
+    "gated under its own name" [ "pkey_mprotect" ] !ops
+
 (* {1 Accounting} *)
 
 let test_rss_counts_touched_pages () =
@@ -291,6 +510,35 @@ let () =
           Alcotest.test_case "pkru per thread" `Quick test_pkru_is_per_thread;
           Alcotest.test_case "pkey_mprotect" `Quick test_pkey_mprotect_rekeys;
           Alcotest.test_case "fault tid" `Quick test_fault_reports_tid;
+        ] );
+      ( "rights",
+        [
+          Alcotest.test_case "pkru round trip" `Quick test_pkru_roundtrip;
+          Alcotest.test_case "mprotect revokes write" `Quick
+            test_mprotect_revokes_write;
+          Alcotest.test_case "pkey_mprotect revokes" `Quick
+            test_pkey_mprotect_revokes;
+          Alcotest.test_case "munmap revokes" `Quick test_munmap_revokes;
+          Alcotest.test_case "per-thread rights" `Quick test_rights_per_thread;
+          Alcotest.test_case "restore_image flags" `Quick
+            test_restore_image_flags;
+        ] );
+      ( "regressions",
+        [
+          Alcotest.test_case "mprotect range validated" `Quick
+            test_mprotect_range_validated;
+          Alcotest.test_case "mprotect no partial mutation" `Quick
+            test_mprotect_no_partial_mutation;
+          Alcotest.test_case "memchr window bounded" `Quick
+            test_memchr_window_bounded;
+          Alcotest.test_case "memchr examined-bytes cost" `Quick
+            test_memchr_charges_examined_bytes;
+          Alcotest.test_case "negative len never charges" `Quick
+            test_negative_len_never_charges;
+          Alcotest.test_case "zero len ops free" `Quick
+            test_zero_len_ops_are_free;
+          Alcotest.test_case "hook sees pkey_mprotect" `Quick
+            test_hook_sees_pkey_mprotect;
         ] );
       ( "accounting",
         [
