@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate telemetry-report forensics-report clean
+.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate perf perf-smoke telemetry-report forensics-report clean
 
 all: check
 
@@ -81,6 +81,18 @@ bench-r5:
 # 30% floor or the overhead does not improve on -3.7%/-6.6% run/load.
 bench-gate:
 	dune exec bench/main.exe -- gate
+
+# The repo's benchmark (perfsuite/, declared in BENCHMARK.json): every
+# workload on seed 1, untraced, one process each; the last output line
+# is a JSON object with each workload's end-to-end metrics, among them
+# host_alloc_words_per_op.
+perf:
+	python3 perfsuite/run.py --seed 1 --seconds 5 --trace 0
+
+# Benchmark smoke test (~1 min): the layer map, output checks on every
+# workload, and seed-42 determinism of every simulated metric.
+perf-smoke:
+	python3 perfsuite/smoke.py
 
 clean:
 	dune clean

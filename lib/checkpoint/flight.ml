@@ -122,7 +122,7 @@ let create space ~heap ?(cap = 32) ?(max_domains = 64) () =
     m_bytes = 0;
   }
 
-let w t a = Space.store64 t.space a
+let w t a v = Space.store64 t.space a v
 let r t a = Space.load64 t.space a
 
 let ring_size t = ring_hdr + (t.cap * event_size)
@@ -166,13 +166,17 @@ let alloc_ring t udi =
 
 (* Event (de)serialization against a raw space address — shared with
    {!Rewind_log}, which embeds event excerpts in its audit blocks. *)
+let store_words space addr ~at ~kind ~tid ~trace ~arg ~udi =
+  Space.store64 space addr (int_of_float at);
+  Space.store64 space (addr + 8) (kind_code kind);
+  Space.store64 space (addr + 16) (tid + 1);
+  Space.store64 space (addr + 24) (Int64.to_int trace);
+  Space.store64 space (addr + 32) arg;
+  Space.store64 space (addr + 40) udi
+
 let store space addr ev =
-  Space.store64 space addr (int_of_float ev.e_at);
-  Space.store64 space (addr + 8) (kind_code ev.e_kind);
-  Space.store64 space (addr + 16) (ev.e_tid + 1);
-  Space.store64 space (addr + 24) (Int64.to_int ev.e_trace);
-  Space.store64 space (addr + 32) ev.e_arg;
-  Space.store64 space (addr + 40) ev.e_udi
+  store_words space addr ~at:ev.e_at ~kind:ev.e_kind ~tid:ev.e_tid
+    ~trace:ev.e_trace ~arg:ev.e_arg ~udi:ev.e_udi
 
 let load space addr =
   {
@@ -184,28 +188,30 @@ let load space addr =
     e_udi = Space.load64 space (addr + 40);
   }
 
-let store_event t = store t.space
 let load_event t = load t.space
 
+(* Runs on every domain switch: the six words go straight to the ring,
+   with no [event] record and no option in between (address 0 is never a
+   ring — page 0 is unmapped). *)
 let record t ~udi ~tid ~at ?(trace = 0L) ?(arg = 0) kind =
-  let ring =
-    match Hashtbl.find_opt t.rings udi with
-    | Some a -> Some a
-    | None -> alloc_ring t udi
+  let addr =
+    match Hashtbl.find t.rings udi with
+    | a -> a
+    | exception Not_found -> (
+        match alloc_ring t udi with Some a -> a | None -> 0)
   in
-  match ring with
-  | None -> t.m_dropped <- t.m_dropped + 1
-  | Some addr ->
-      let head = r t (addr + 24) in
-      let total = r t (addr + 32) in
-      if total >= t.cap then t.m_dropped <- t.m_dropped + 1;
-      store_event t
-        (addr + ring_hdr + (head * event_size))
-        { e_at = at; e_tid = tid; e_kind = kind; e_udi = udi;
-          e_trace = trace; e_arg = arg };
-      w t (addr + 24) ((head + 1) mod t.cap);
-      w t (addr + 32) (total + 1);
-      t.m_recorded <- t.m_recorded + 1
+  if addr = 0 then t.m_dropped <- t.m_dropped + 1
+  else begin
+    let head = r t (addr + 24) in
+    let total = r t (addr + 32) in
+    if total >= t.cap then t.m_dropped <- t.m_dropped + 1;
+    store_words t.space
+      (addr + ring_hdr + (head * event_size))
+      ~at ~kind ~tid ~trace ~arg ~udi;
+    w t (addr + 24) ((head + 1) mod t.cap);
+    w t (addr + 32) (total + 1);
+    t.m_recorded <- t.m_recorded + 1
+  end
 
 let events t ~udi =
   match Hashtbl.find_opt t.rings udi with

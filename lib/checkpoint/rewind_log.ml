@@ -100,7 +100,7 @@ type t = {
   mutable m_bytes : int;  (* bytes currently held by record blocks *)
 }
 
-let w t a = Space.store64 t.space a
+let w t a v = Space.store64 t.space a v
 let r t a = Space.load64 t.space a
 
 let create space ~heap ~cap =

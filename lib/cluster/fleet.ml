@@ -115,15 +115,9 @@ type t = {
 
    The router parses just enough of the kvcache text protocol to route:
    the verb and first key of the request line. Trailing [id=]/[trace=]
-   tokens are the same grammar {!Kvcache.Proto} uses. *)
-
-let first_line s =
-  match String.index_opt s '\r' with
-  | Some i -> String.sub s 0 i
-  | None -> (
-      match String.index_opt s '\n' with
-      | Some i -> String.sub s 0 i
-      | None -> s)
+   tokens are the same grammar {!Kvcache.Proto} uses. The line is split
+   once per request, on arrival; everything the router decides reads the
+   result. *)
 
 let words line =
   String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
@@ -131,29 +125,46 @@ let words line =
 let keyed_verbs = [ "get"; "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
 let mutation_verbs = [ "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
 
-let route_key req =
-  match words (first_line req) with
-  | verb :: key :: _ when List.mem verb keyed_verbs -> Some key
-  | _ -> None  (* stats/version/unknown: any serving shard will do *)
+type request = {
+  verb : string;  (* first word; "" for an empty line *)
+  key : string option;
+      (* first key of a keyed verb; [None] for stats/version/unknown, which
+         any serving shard will do *)
+  rid : string option;  (* last [id=] token of a mutation *)
+  trace : int64;  (* [trace=] context; 0 = none *)
+}
 
-let is_mutation req =
-  match words (first_line req) with
-  | verb :: _ -> List.mem verb mutation_verbs
-  | [] -> false
-
-let is_quit req =
-  match words (first_line req) with "quit" :: _ -> true | _ -> false
-
-let rid_of_request req =
-  if not (is_mutation req) then None
-  else
-    List.fold_left
-      (fun acc w ->
-        if String.length w > 3 && String.sub w 0 3 = "id=" then
-          Some (String.sub w 3 (String.length w - 3))
-        else acc)
-      None
-      (words (first_line req))
+let parse_request msg =
+  let line, has_cr =
+    match String.index_opt msg '\r' with
+    | Some i -> (String.sub msg 0 i, true)
+    | None -> (
+        match String.index_opt msg '\n' with
+        | Some i -> (String.sub msg 0 i, false)
+        | None -> (msg, false))
+  in
+  let ws = words line in
+  let verb = match ws with v :: _ -> v | [] -> "" in
+  let rid =
+    if not (List.mem verb mutation_verbs) then None
+    else
+      List.fold_left
+        (fun acc w ->
+          if String.length w > 3 && String.sub w 0 3 = "id=" then
+            Some (String.sub w 3 (String.length w - 3))
+          else acc)
+        None ws
+  in
+  {
+    verb;
+    key =
+      (match ws with
+      | v :: k :: _ when List.mem v keyed_verbs -> Some k
+      | _ -> None);
+    rid;
+    (* As {!Proto.trace_of_string}: only a CR-terminated line carries one. *)
+    trace = (if has_cr then Proto.trace_of_words ws else 0L);
+  }
 
 (* A reply the client will treat as a definitive outcome (so the write
    must survive failover). Busy/error replies are retried or surfaced;
@@ -278,7 +289,7 @@ let do_failover t s =
 
 (* {2 Router data path} *)
 
-let handle_request t backends c msg =
+let handle_request t backends c msg req =
   Metrics.inc t.c_requests;
   (* Admission: park while a failover is in progress or the owning shard
      is mid-drain; give up only when the ring is empty. *)
@@ -291,7 +302,7 @@ let handle_request t backends c msg =
     else if Hash_ring.size t.ring = 0 then None
     else
       let idx =
-        match route_key msg with
+        match req.key with
         | Some k -> Hash_ring.route t.ring k
         | None -> List.hd (Hash_ring.members t.ring)
       in
@@ -305,7 +316,7 @@ let handle_request t backends c msg =
   match pick () with
   | None -> Netsim.send c Proto.server_error_busy
   | Some s ->
-      let trace = Proto.trace_of_string msg in
+      let trace = req.trace in
       (* The hop lands in the shard's flight recorder under the
          client's trace id: sdrad_cli incident sees router → shard. *)
       Api.with_trace s.s_sd trace (fun () ->
@@ -354,7 +365,7 @@ let handle_request t backends c msg =
       s.s_inflight <- s.s_inflight - 1;
       (match reply with
       | Some r ->
-          (match (rid_of_request msg, route_key msg) with
+          (match (req.rid, req.key) with
           | Some _, Some key when acked r ->
               oplog_push t s { o_key = key; o_trace = trace; o_req = msg }
           | _ -> ());
@@ -372,7 +383,8 @@ let worker t widx () =
     | Some c ->
         (match Netsim.recv_with_arrival c with
         | Some (msg, arrival) ->
-            if is_quit msg then begin
+            let req = parse_request msg in
+            if req.verb = "quit" then begin
               Netsim.Waitset.remove ws c;
               Netsim.close c
             end
@@ -390,7 +402,7 @@ let worker t widx () =
               Metrics.inc t.c_shed;
               Netsim.send c Proto.server_error_busy
             end
-            else handle_request t backends c msg
+            else handle_request t backends c msg req
         | None ->
             if Netsim.peer_closed c then begin
               Netsim.Waitset.remove ws c;

@@ -124,9 +124,18 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 let err e = raise (Error e)
 
 (* API calls are usable outside a simulated thread (setup code in tests);
-   time is only charged when a thread clock exists. *)
-let charge c = if Sched.in_thread () then Sched.charge c
-let now () = if Sched.in_thread () then Sched.now () else 0.0
+   time is only charged when a thread clock exists. Both work on the
+   thread's clock cell in place: a float passed to [Sched.charge] or
+   returned by [Sched.now] is boxed (libraries are compiled -opaque), and
+   every gate charges and reads the clock several times. *)
+let[@inline] charge c =
+  if Sched.in_thread () then begin
+    let k = Sched.clock_cell () in
+    k.clock <- k.clock +. c
+  end
+
+let[@inline] now () =
+  if Sched.in_thread () then (Sched.clock_cell ()).clock else 0.0
 
 let set_race_observer t o = t.race_observer <- o
 
@@ -355,62 +364,67 @@ let current_inst ts = match ts.entered with [] -> None | i :: _ -> Some i
 let current_udi_of ts =
   match ts.entered with [] -> root_udi | i :: _ -> i.udi
 
+(* Runs on every switch: the policy is folded straight into the result
+   (no ref cell, no option for the current domain). *)
 let compute_pkru t ts =
-  let cur = current_inst ts in
   let cur_udi = current_udi_of ts in
-  let v = ref (Pkru.deny Pkru.all_access ~key:t.monitor_pkey) in
+  let v = Pkru.deny Pkru.all_access ~key:t.monitor_pkey in
   (* The root domain is read-only from nested domains (global data). *)
-  (match cur with
-  | None -> ()
-  | Some _ -> v := Pkru.allow_read !v ~key:t.root_pkey);
-  Hashtbl.iter
-    (fun _ inst ->
-      if inst.pkey >= 0 then
-      let rights =
-        match cur with
-        | Some c when c == inst -> `Rw
-        | _ ->
-            if
-              inst.tid = ts.t_tid && inst.parent = cur_udi
-              && inst.opts.access = Accessible
-              && inst.state <> Entered
-            then `Rw
-            else
-              (* Direct parent, when the current domain opted in. *)
-              let parent_readable =
-                match cur with
-                | Some c ->
-                    c.opts.parent_readable && c.parent = inst.udi
-                    && inst.tid = ts.t_tid
-                | None -> false
-              in
-              if parent_readable then `Ro else `No
-      in
-      v :=
-        (match rights with
-        | `Rw -> Pkru.allow !v ~key:inst.pkey
-        | `Ro -> Pkru.allow_read !v ~key:inst.pkey
-        | `No -> Pkru.deny !v ~key:inst.pkey))
-    t.exec_insts;
-  Hashtbl.iter
-    (fun _ dd ->
+  let v =
+    match ts.entered with
+    | [] -> v
+    | _ :: _ -> Pkru.allow_read v ~key:t.root_pkey
+  in
+  let v =
+    Hashtbl.fold
+      (fun _ inst v ->
+        if inst.pkey < 0 then v
+        else
+          let rights =
+            match ts.entered with
+            | c :: _ when c == inst -> `Rw
+            | cur ->
+                if
+                  inst.tid = ts.t_tid && inst.parent = cur_udi
+                  && inst.opts.access = Accessible
+                  && inst.state <> Entered
+                then `Rw
+                else
+                  (* Direct parent, when the current domain opted in. *)
+                  let parent_readable =
+                    match cur with
+                    | c :: _ ->
+                        c.opts.parent_readable && c.parent = inst.udi
+                        && inst.tid = ts.t_tid
+                    | [] -> false
+                  in
+                  if parent_readable then `Ro else `No
+          in
+          match rights with
+          | `Rw -> Pkru.allow v ~key:inst.pkey
+          | `Ro -> Pkru.allow_read v ~key:inst.pkey
+          | `No -> Pkru.deny v ~key:inst.pkey)
+      t.exec_insts v
+  in
+  Hashtbl.fold
+    (fun _ dd v ->
       let p =
-        match Hashtbl.find_opt dd.d_perms cur_udi with Some p -> p | None -> 0
+        match Hashtbl.find dd.d_perms cur_udi with
+        | p -> p
+        | exception Not_found -> 0
       in
-      v :=
-        (if Prot.has p Prot.write then Pkru.allow !v ~key:dd.d_pkey
-         else if Prot.has p Prot.read then Pkru.allow_read !v ~key:dd.d_pkey
-         else Pkru.deny !v ~key:dd.d_pkey))
-    t.data_insts;
-  !v
+      if Prot.has p Prot.write then Pkru.allow v ~key:dd.d_pkey
+      else if Prot.has p Prot.read then Pkru.allow_read v ~key:dd.d_pkey
+      else Pkru.deny v ~key:dd.d_pkey)
+    t.data_insts v
 
 (* {1 Thread registration} *)
 
 let thread_state t =
   let tid = cur_tid () in
-  match Hashtbl.find_opt t.threads tid with
-  | Some ts -> ts
-  | None ->
+  match Hashtbl.find t.threads tid with
+  | ts -> ts
+  | exception Not_found ->
       (* Thread constructor (§IV-B): set up a per-thread root stack and the
          initial access policy. *)
       let len = t.default_stack_size in
@@ -441,14 +455,22 @@ let thread_state t =
 let sanctioned t f =
   let was = t.in_monitor in
   t.in_monitor <- true;
-  Fun.protect ~finally:(fun () -> t.in_monitor <- was) f
+  match f () with
+  | v ->
+      t.in_monitor <- was;
+      v
+  | exception e ->
+      t.in_monitor <- was;
+      raise e
 
 let monitor_view t ts = Pkru.allow ts.cur_pkru ~key:t.monitor_pkey
 let in_root ts = match ts.entered with [] -> true | _ -> false
 
 let install_pkru t v =
-  Telemetry.Trace.with_span t.tracer "switch.pkru_write" (fun () ->
-      Space.wrpkru t.space v)
+  if Telemetry.Trace.enabled t.tracer then
+    Telemetry.Trace.with_span t.tracer "switch.pkru_write" (fun () ->
+        Space.wrpkru t.space v)
+  else Space.wrpkru t.space v
 
 (* Gate elision. A per-thread depth counter makes nested [with_monitor]
    re-entry free: only the outermost bracket installs the raised view on
@@ -460,21 +482,32 @@ let install_pkru t v =
    {e raised} view instead of dropping it, so every monitor section of
    the batch after the first is write-free; compartment entry/exit
    still installs the compartment's own policy, keeping isolation
-   byte-for-byte identical to the unbatched path. *)
-let with_monitor t ts f =
+   byte-for-byte identical to the unbatched path. The bracket restores
+   its state on every exit, exceptional ones included (faults, rewinds,
+   [Sched.Killed]), without building a finalizer closure. *)
+let leave_monitor t ts was =
+  t.in_monitor <- was;
+  ts.monitor_depth <- ts.monitor_depth - 1;
+  if ts.monitor_depth = 0 then
+    if ts.gate_depth > 0 && in_root ts then install_pkru t (monitor_view t ts)
+    else install_pkru t ts.cur_pkru
+
+let enter_monitor t ts =
   ts.monitor_depth <- ts.monitor_depth + 1;
   if ts.monitor_depth = 1 then install_pkru t (monitor_view t ts);
   let was = t.in_monitor in
   t.in_monitor <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      t.in_monitor <- was;
-      ts.monitor_depth <- ts.monitor_depth - 1;
-      if ts.monitor_depth = 0 then
-        if ts.gate_depth > 0 && in_root ts then
-          install_pkru t (monitor_view t ts)
-        else install_pkru t ts.cur_pkru)
-    f
+  was
+
+let with_monitor t ts f =
+  let was = enter_monitor t ts in
+  match f () with
+  | v ->
+      leave_monitor t ts was;
+      v
+  | exception e ->
+      leave_monitor t ts was;
+      raise e
 
 (* {1 Causal trace context}
 
@@ -486,9 +519,9 @@ let with_monitor t ts f =
    the monitor's execution, not compartment-reachable memory. *)
 
 let current_trace t =
-  match Hashtbl.find_opt t.trace_ctx (cur_tid ()) with
-  | Some id -> id
-  | None -> 0L
+  match Hashtbl.find t.trace_ctx (cur_tid ()) with
+  | id -> id
+  | exception Not_found -> 0L
 
 let set_trace t id =
   let tid = cur_tid () in
@@ -499,12 +532,18 @@ let with_trace t id f =
   let tid = cur_tid () in
   let prev = Hashtbl.find_opt t.trace_ctx tid in
   set_trace t id;
-  Fun.protect
-    ~finally:(fun () ->
-      match prev with
-      | Some p -> Hashtbl.replace t.trace_ctx tid p
-      | None -> Hashtbl.remove t.trace_ctx tid)
-    f
+  let restore () =
+    match prev with
+    | Some p -> Hashtbl.replace t.trace_ctx tid p
+    | None -> Hashtbl.remove t.trace_ctx tid
+  in
+  match f () with
+  | v ->
+      restore ();
+      v
+  | exception e ->
+      restore ();
+      raise e
 
 (* Record one flight-recorder event for [udi] (default: the thread's
    current domain), stamped with the active trace context. Raises
@@ -693,9 +732,10 @@ let heap_malloc t ~heap ~pkey ~pool_size ~grow size =
 let find_exec t ts udi = Hashtbl.find_opt t.exec_insts (ts.t_tid, udi)
 
 let get_exec t ts udi =
-  match find_exec t ts udi with
-  | Some inst -> inst
-  | None -> err (if Hashtbl.mem t.data_insts udi then Wrong_kind else Unknown_domain)
+  match Hashtbl.find t.exec_insts (ts.t_tid, udi) with
+  | inst -> inst
+  | exception Not_found ->
+      err (if Hashtbl.mem t.data_insts udi then Wrong_kind else Unknown_domain)
 
 (* {1 Core life cycle} *)
 
@@ -905,6 +945,58 @@ let trigger_of_cause = function
 let journal_replays t =
   List.fold_left (fun acc probe -> acc + probe ()) 0 t.journal_probes
 
+(* The two accounted steps of every switch, in and out. The spans — and
+   their closures — exist only while the tracer is on; the charges are
+   the same either way. *)
+let switch_steps t ts =
+  if Telemetry.Trace.enabled t.tracer then begin
+    Telemetry.Trace.with_span t.tracer "switch.stack_swap" (fun () ->
+        charge t.cost.stack_switch);
+    Telemetry.Trace.with_span t.tracer "switch.bookkeeping" (fun () ->
+        charge t.cost.switch_work;
+        ts.cur_pkru <- compute_pkru t ts)
+  end
+  else begin
+    charge t.cost.stack_switch;
+    charge t.cost.switch_work;
+    ts.cur_pkru <- compute_pkru t ts
+  end
+
+(* The gates below open-code the [with_monitor] bracket (same restore on
+   every exit) so that a switch builds no closure. *)
+let switch_in t ts inst udi =
+  let was = enter_monitor t ts in
+  (match
+     inst.state <- Entered;
+     inst.sp <- inst.stack_base + inst.stack_len;
+     ts.entered <- inst :: ts.entered;
+     switch_steps t ts;
+     Flight.record t.flight ~udi ~tid:ts.t_tid ~at:(now ())
+       ~trace:(current_trace t) Flight.Switch_in
+   with
+  | () -> leave_monitor t ts was
+  | exception e ->
+      leave_monitor t ts was;
+      raise e);
+  (* Push the return address of the call gate onto the new stack — done
+     after the policy switch, with the domain's own rights. *)
+  inst.sp <- inst.sp - 16;
+  Space.store64 t.space inst.sp inst.frame
+
+let switch_out t ts inst rest =
+  let was = enter_monitor t ts in
+  match
+    ts.entered <- rest;
+    inst.state <- Ready;
+    switch_steps t ts;
+    Flight.record t.flight ~udi:inst.udi ~tid:ts.t_tid ~at:(now ())
+      ~trace:(current_trace t) Flight.Switch_out
+  with
+  | () -> leave_monitor t ts was
+  | exception e ->
+      leave_monitor t ts was;
+      raise e
+
 let enter t udi =
   let ts = thread_state t in
   let inst = get_exec t ts udi in
@@ -916,24 +1008,11 @@ let enter t udi =
   if inst.frame = 0 then err Not_initialized;
   touch_key t inst;
   let t0 = now () in
-  Telemetry.Trace.with_span t.tracer "switch.enter"
-    ~args:[ ("udi", string_of_int udi) ]
-    (fun () ->
-      with_monitor t ts (fun () ->
-          inst.state <- Entered;
-          inst.sp <- inst.stack_base + inst.stack_len;
-          ts.entered <- inst :: ts.entered;
-          Telemetry.Trace.with_span t.tracer "switch.stack_swap" (fun () ->
-              charge t.cost.stack_switch);
-          Telemetry.Trace.with_span t.tracer "switch.bookkeeping" (fun () ->
-              charge t.cost.switch_work;
-              ts.cur_pkru <- compute_pkru t ts);
-          Flight.record t.flight ~udi ~tid:ts.t_tid ~at:(now ())
-            ~trace:(current_trace t) Flight.Switch_in);
-      (* Push the return address of the call gate onto the new stack — done
-         after the policy switch, with the domain's own rights. *)
-      inst.sp <- inst.sp - 16;
-      Space.store64 t.space inst.sp inst.frame);
+  if Telemetry.Trace.enabled t.tracer then
+    Telemetry.Trace.with_span t.tracer "switch.enter"
+      ~args:[ ("udi", string_of_int udi) ]
+      (fun () -> switch_in t ts inst udi)
+  else switch_in t ts inst udi;
   (match t.race_observer with
   | Some f -> f (Types.Rv_domain { tid = ts.t_tid; udi; enter = true })
   | None -> ());
@@ -947,20 +1026,11 @@ let exit_domain t =
   | [] -> err Not_entered
   | inst :: rest ->
       let t0 = now () in
-      Telemetry.Trace.with_span t.tracer "switch.exit"
-        ~args:[ ("udi", string_of_int inst.udi) ]
-        (fun () ->
-          with_monitor t ts (fun () ->
-              ts.entered <- rest;
-              inst.state <- Ready;
-              Telemetry.Trace.with_span t.tracer "switch.stack_swap"
-                (fun () -> charge t.cost.stack_switch);
-              Telemetry.Trace.with_span t.tracer "switch.bookkeeping"
-                (fun () ->
-                  charge t.cost.switch_work;
-                  ts.cur_pkru <- compute_pkru t ts);
-              Flight.record t.flight ~udi:inst.udi ~tid:ts.t_tid
-                ~at:(now ()) ~trace:(current_trace t) Flight.Switch_out));
+      if Telemetry.Trace.enabled t.tracer then
+        Telemetry.Trace.with_span t.tracer "switch.exit"
+          ~args:[ ("udi", string_of_int inst.udi) ]
+          (fun () -> switch_out t ts inst rest)
+      else switch_out t ts inst rest;
       (match t.race_observer with
       | Some f ->
           f (Types.Rv_domain { tid = ts.t_tid; udi = inst.udi; enter = false })
@@ -1238,7 +1308,13 @@ let close_gate t =
 
 let with_gate t f =
   open_gate t;
-  Fun.protect ~finally:(fun () -> close_gate t) f
+  match f () with
+  | v ->
+      close_gate t;
+      v
+  | exception e ->
+      close_gate t;
+      raise e
 
 let gate_open t = (thread_state t).gate_depth > 0
 
@@ -1390,7 +1466,10 @@ let abnormal_exit ?(record = true) t ts inst fault =
   if record then Telemetry.Metrics.inc t.c_rewinds;
   let t0 = now () in
   Telemetry.Trace.with_span t.tracer "rewind"
-    ~args:[ ("udi", string_of_int inst.udi) ]
+    ?args:
+      (if Telemetry.Trace.enabled t.tracer then
+         Some [ ("udi", string_of_int inst.udi) ]
+       else None)
     (fun () ->
       Telemetry.Trace.with_span t.tracer "rewind.context_restore" (fun () ->
           charge t.cost.context_restore);
@@ -1511,14 +1590,14 @@ let run t ~udi ?(opts = default_options) ~on_rewind body =
      [trace_aborted_spans_total]), so rewound requests are
      distinguishable from clean returns in Chrome exports. *)
   let body () =
-    Telemetry.Trace.with_span t.tracer "domain.body"
-      ~args:
-        (let tr = current_trace t in
-         ("udi", string_of_int udi)
-         ::
-         (if tr = 0L then []
-          else [ ("trace", Printf.sprintf "%016Lx" tr) ]))
-      body
+    if not (Telemetry.Trace.enabled t.tracer) then body ()
+    else
+      let tr = current_trace t in
+      Telemetry.Trace.with_span t.tracer "domain.body"
+        ~args:
+          (("udi", string_of_int udi)
+          :: (if tr = 0L then [] else [ ("trace", Printf.sprintf "%016Lx" tr) ]))
+        body
   in
   match body () with
   | v ->

@@ -62,10 +62,12 @@ let parse_trace space ~addr ~len =
 
 (* Same extraction from raw wire bytes — for decisions taken before the
    request is admitted into simulated memory (load shedding). *)
+let trace_of_words words = snd (strip_trace words)
+
 let trace_of_string msg =
   match String.index_opt msg '\r' with
   | None -> 0L
-  | Some cr -> snd (strip_trace (split_words (String.sub msg 0 cr)))
+  | Some cr -> trace_of_words (split_words (String.sub msg 0 cr))
 
 let parse space ~addr ~len =
   match Space.memchr space ~addr ~len '\r' with
@@ -128,6 +130,45 @@ let error = "ERROR\r\n"
 
 let value_header ~key ~flags ~len =
   Printf.sprintf "VALUE %s %d %d\r\n" key flags len
+
+(* Width of [n] rendered by [%d]. Digits are taken from the non-positive
+   value, which cannot overflow (unlike [-min_int]). *)
+let dec_width n =
+  let rec go m w = if m > -10 then w else go (m / 10) (w + 1) in
+  if n < 0 then go n 2 else go (-n) 1
+
+(* Render [n] as [%d] into [b], ending just before [stop]. *)
+let put_dec b ~stop n =
+  let rec go i m =
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
+    if m <= -10 then go (i - 1) (m / 10)
+  in
+  go (stop - 1) (if n < 0 then n else -n);
+  if n < 0 then Bytes.unsafe_set b (stop - dec_width n) '-'
+
+(* The single-hit text reply — [value_header ^ value ^ "\r\n" ^ end_] —
+   written into one buffer: it carries a whole stored value, and the
+   concatenation chain would copy that value three times. *)
+let value_reply ~key ~flags ~value =
+  let klen = String.length key and vlen = String.length value in
+  let fw = dec_width flags and lw = dec_width vlen in
+  let n = 6 + klen + 1 + fw + 1 + lw + 2 + vlen + 2 + String.length end_ in
+  let b = Bytes.create n in
+  Bytes.blit_string "VALUE " 0 b 0 6;
+  Bytes.blit_string key 0 b 6 klen;
+  let p = 6 + klen in
+  Bytes.unsafe_set b p ' ';
+  put_dec b ~stop:(p + 1 + fw) flags;
+  let p = p + 1 + fw in
+  Bytes.unsafe_set b p ' ';
+  put_dec b ~stop:(p + 1 + lw) vlen;
+  let p = p + 1 + lw in
+  Bytes.blit_string "\r\n" 0 b p 2;
+  Bytes.blit_string value 0 b (p + 2) vlen;
+  let p = p + 2 + vlen in
+  Bytes.blit_string "\r\n" 0 b p 2;
+  Bytes.blit_string end_ 0 b (p + 2) (String.length end_);
+  Bytes.unsafe_to_string b
 
 let rid_suffix = function None -> "" | Some r -> " id=" ^ r
 
@@ -210,23 +251,44 @@ let parse_stats s =
       | _ -> None)
     lines
 
+(* Whether [s] can be a number reply: after the whitespace [String.trim]
+   drops, [int_of_string] needs a sign or a digit first. Checked before
+   anything is copied — a value reply carries a whole stored value. *)
+let rec number_prefix s i =
+  i < String.length s
+  &&
+  match String.unsafe_get s i with
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> number_prefix s (i + 1)
+  | '0' .. '9' | '-' | '+' -> true
+  | _ -> false
+
+(* [lit] occurs in [s] at [off] — compared in place, without a substring. *)
+let rec has_at_from s off lit i =
+  i = String.length lit
+  || (String.unsafe_get s (off + i) = String.unsafe_get lit i
+     && has_at_from s off lit (i + 1))
+
+let has_at s off lit =
+  off >= 0 && String.length s - off >= String.length lit
+  && has_at_from s off lit 0
+
 let parse_reply s =
   if s = not_stored then NotFound
-  else if String.length s >= 3
-     && (match int_of_string_opt (String.trim s) with Some _ -> true | None -> false)
+  else if
+    String.length s >= 3 && number_prefix s 0
+    && Option.is_some (int_of_string_opt (String.trim s))
   then Number (int_of_string (String.trim s))
-  else if String.length s >= 5 && String.sub s 0 5 = "STAT " then
+  else if has_at s 0 "STAT " then
     StatsReply (parse_stats s)
   else if s = stored then Stored
   else if s = deleted then Deleted
   else if s = not_found then NotFound
   else if s = end_ then Miss
-  else if String.length s > 6 && String.sub s 0 6 = "VALUE " then begin
+  else if String.length s > 6 && has_at s 0 "VALUE " then begin
     (* One or more [VALUE <key> <flags> <len>\r\n<data>\r\n] blocks, END. *)
     let rec blocks off acc =
       if off >= String.length s then Some (List.rev acc)
-      else if String.length s - off >= 5 && String.sub s off 5 = "END\r\n" then
-        Some (List.rev acc)
+      else if has_at s off end_ then Some (List.rev acc)
       else
         match String.index_from_opt s off '\r' with
         | None -> None

@@ -48,6 +48,11 @@ val trace_of_string : string -> int64
 (** {!parse_trace} over raw wire bytes — for decisions taken before the
     request reaches simulated memory (load shedding). *)
 
+val trace_of_words : string list -> int64
+(** The same extraction from a request line already split into its
+    non-empty space-separated words (for a router that parses the line
+    once). *)
+
 val max_key_len : int
 
 (** {1 Response formatting (server side)} *)
@@ -65,6 +70,11 @@ val not_found : string
 val end_ : string
 val error : string
 val value_header : key:string -> flags:int -> len:int -> string
+
+val value_reply : key:string -> flags:int -> value:string -> string
+(** The complete single-hit GET reply, byte-for-byte
+    [value_header ~key ~flags ~len:(String.length value) ^ value ^ "\r\n"
+    ^ end_], built in one allocation (the value is copied once). *)
 
 (** {1 Request formatting (client side)} *)
 

@@ -219,10 +219,7 @@ let text_wire =
     w_not_found = Proto.not_found;
     w_miss = Proto.end_;
     w_error = Proto.error;
-    w_value =
-      (fun ~key ~flags ~value ->
-        Proto.value_header ~key ~flags ~len:(String.length value)
-        ^ value ^ "\r\n" ^ Proto.end_);
+    w_value = Proto.value_reply;
     w_values =
       (fun hits ->
         String.concat ""

@@ -21,7 +21,8 @@ type endpoint = {
 }
 
 and waitset = {
-  mutable watched : endpoint list;  (* kept in insertion order *)
+  mutable watched : endpoint array;  (* [0, count) in insertion order *)
+  mutable count : int;
   mutable cursor : int;
   mutable ws_waiter : Sched.wake option;
   mutable ws_closed : bool;
@@ -263,7 +264,7 @@ module Waitset = struct
   let ready c = (not (Queue.is_empty c.inbox)) || c.peer.closed || c.closed
 
   let create () =
-    { watched = []; cursor = 0; ws_waiter = None; ws_closed = false }
+    { watched = [||]; count = 0; cursor = 0; ws_waiter = None; ws_closed = false }
 
   let wake_ws ws =
     match ws.ws_waiter with
@@ -274,7 +275,13 @@ module Waitset = struct
 
   let add ws c =
     c.ws <- Some ws;
-    ws.watched <- ws.watched @ [ c ];
+    if ws.count = Array.length ws.watched then begin
+      let grown = Array.make (max 8 (2 * ws.count)) c in
+      Array.blit ws.watched 0 grown 0 ws.count;
+      ws.watched <- grown
+    end;
+    ws.watched.(ws.count) <- c;
+    ws.count <- ws.count + 1;
     if ready c then wake_ws ws
 
   let close ws =
@@ -283,9 +290,26 @@ module Waitset = struct
 
   let remove ws c =
     c.ws <- None;
-    ws.watched <- List.filter (fun e -> not (e == c)) ws.watched
+    let kept = ref 0 in
+    for i = 0 to ws.count - 1 do
+      let e = ws.watched.(i) in
+      if not (e == c) then begin
+        ws.watched.(!kept) <- e;
+        incr kept
+      end
+    done;
+    (* Vacated slots keep a live entry, not the removed connection. *)
+    for i = !kept to ws.count - 1 do
+      ws.watched.(i) <- ws.watched.(0)
+    done;
+    ws.count <- !kept
 
-  let size ws = List.length ws.watched
+  let size ws = ws.count
+
+  (* Delivery time of the head-of-line message; a closed peer with
+     nothing queued is reportable now. *)
+  let head_arrival c =
+    if Queue.is_empty c.inbox then neg_infinity else fst (Queue.peek c.inbox)
 
   (* Among ready connections, serve the one whose head-of-line message
      has the earliest delivery time (a closed peer reports immediately).
@@ -295,50 +319,46 @@ module Waitset = struct
      phantom queueing delay they never actually suffered — an idle
      server would appear to answer old requests late. Arrival order is
      FIFO across the whole set; the cursor breaks ties so same-time
-     events still rotate fairly. *)
+     events still rotate fairly: scanning from the cursor, a later
+     connection wins only with a strictly earlier arrival. Runs on every
+     wait, over every watched connection, so it allocates nothing: the
+     winner comes back as its slot, or -1 when none is ready. *)
   let pick_earliest ws =
-    match ws.watched with
-    | [] -> None
-    | watched ->
-        let n = List.length watched in
-        let arr = Array.of_list watched in
-        let best = ref None in
-        for i = 0 to n - 1 do
-          let idx = (ws.cursor + i) mod n in
-          let c = arr.(idx) in
-          if ready c then begin
-            let key =
-              match Queue.peek_opt c.inbox with
-              | Some (arrival, _) -> arrival
-              | None -> neg_infinity (* closed peer: reportable now *)
-            in
-            match !best with
-            | Some (bkey, _, _) when bkey <= key -> ()
-            | _ -> best := Some (key, idx, c)
-          end
-        done;
-        (match !best with
-        | Some (_, idx, _) -> ws.cursor <- (idx + 1) mod n
-        | None -> ());
-        !best
+    let n = ws.count in
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      let idx = (ws.cursor + i) mod n in
+      let c = ws.watched.(idx) in
+      if
+        ready c
+        && (!best < 0 || head_arrival c < head_arrival ws.watched.(!best))
+      then best := idx
+    done;
+    if !best >= 0 then ws.cursor <- (!best + 1) mod n;
+    !best
 
   let rec wait ws =
     if ws.ws_closed then None
     else
       match pick_earliest ws with
-      | Some (_, _, c) ->
+      | idx when idx >= 0 ->
+          let c = ws.watched.(idx) in
           (* If the message arrives in the future, wait for it so the
              caller's recv does not under-account time. *)
           (match deliverable c with
           | Some arrival -> Sched.wait_until arrival
           | None -> ());
           Some c
-      | None ->
+      | _ ->
           Sched.suspend (fun wake -> ws.ws_waiter <- Some wake);
           wait ws
 
   let backlog ws =
-    List.fold_left (fun acc c -> acc + Queue.length c.inbox) 0 ws.watched
+    let n = ref 0 in
+    for i = 0 to ws.count - 1 do
+      n := !n + Queue.length ws.watched.(i).inbox
+    done;
+    !n
 
   (* Timed [wait], built like [recv_deadline]: a timer thread provides
      the deadline wake; readiness picks the same earliest-arrival winner
@@ -348,7 +368,8 @@ module Waitset = struct
     if ws.ws_closed then None
     else
       match pick_earliest ws with
-      | Some (_, _, c) -> (
+      | idx when idx >= 0 -> (
+          let c = ws.watched.(idx) in
           match deliverable c with
           | Some arrival when arrival <= deadline ->
               Sched.wait_until arrival;
@@ -357,7 +378,7 @@ module Waitset = struct
               Sched.wait_until deadline;
               None
           | None -> Some c (* closed peer: reportable immediately *))
-      | None ->
+      | _ ->
           if Sched.now () >= deadline then None
           else begin
             let wake_ref = ref None in

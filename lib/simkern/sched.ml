@@ -15,11 +15,16 @@ exception Killed
 
 type status = Ready | Running | Blocked | Done of outcome
 
+(* A float-only record is stored flat, so [c.clock <- c.clock +. x]
+   updates it in place without boxing — even from another module, which
+   under separate compilation would otherwise have to box every float
+   argument of a [charge] call (see [clock_cell] in the interface). *)
+type cell = { mutable clock : float; mutable waited : float }
+
 type thread = {
   tid : int;
   name : string;
-  mutable clock : float;
-  mutable waited : float;  (* virtual time spent blocked or waiting *)
+  cell : cell;  (* [waited]: virtual time spent blocked or waiting *)
   mutable status : status;
   mutable entry : (unit -> unit) option;
   mutable cont : (unit, unit) continuation option;
@@ -29,67 +34,96 @@ type thread = {
 }
 
 (* Binary min-heap of (clock, tid) with lazy deletion: a popped entry is
-   valid only if the thread is still Ready at exactly that clock. *)
+   valid only if the thread is still Ready at exactly that clock. Keys
+   and ids live in parallel arrays (the keys unboxed), and [push] reads
+   the key from the thread's clock cell, so no float is boxed on the way
+   in or out: a push or pop allocates nothing. *)
 module Heap = struct
-  type entry = { key : float; id : int }
-  type t = { mutable a : entry array; mutable n : int }
+  type t = {
+    mutable keys : Float.Array.t;
+    mutable ids : int array;
+    mutable n : int;
+  }
 
-  let dummy = { key = 0.0; id = -1 }
-  let create () = { a = Array.make 64 dummy; n = 0 }
+  let create () = { keys = Float.Array.make 64 0.0; ids = Array.make 64 (-1); n = 0 }
 
-  let less x y = x.key < y.key || (x.key = y.key && x.id < y.id)
+  let less h i j =
+    let ki = Float.Array.get h.keys i and kj = Float.Array.get h.keys j in
+    ki < kj || (ki = kj && h.ids.(i) < h.ids.(j))
 
-  let push h e =
-    if h.n = Array.length h.a then begin
-      let a' = Array.make (2 * h.n) dummy in
-      Array.blit h.a 0 a' 0 h.n;
-      h.a <- a'
+  let swap h i j =
+    let k = Float.Array.get h.keys i and id = h.ids.(i) in
+    Float.Array.set h.keys i (Float.Array.get h.keys j);
+    h.ids.(i) <- h.ids.(j);
+    Float.Array.set h.keys j k;
+    h.ids.(j) <- id
+
+  let push h (c : cell) id =
+    if h.n = Array.length h.ids then begin
+      let keys' = Float.Array.make (2 * h.n) 0.0 in
+      Float.Array.blit h.keys 0 keys' 0 h.n;
+      let ids' = Array.make (2 * h.n) (-1) in
+      Array.blit h.ids 0 ids' 0 h.n;
+      h.keys <- keys';
+      h.ids <- ids'
     end;
-    h.a.(h.n) <- e;
+    Float.Array.set h.keys h.n c.clock;
+    h.ids.(h.n) <- id;
     h.n <- h.n + 1;
     let i = ref (h.n - 1) in
-    while !i > 0 && less h.a.(!i) h.a.((!i - 1) / 2) do
+    while !i > 0 && less h !i ((!i - 1) / 2) do
       let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
+      swap h p !i;
       i := p
     done
 
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      h.a.(h.n) <- dummy;
-      let i = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < h.n && less h.a.(l) h.a.(!m) then m := l;
-        if r < h.n && less h.a.(r) h.a.(!m) then m := r;
-        if !m = !i then continue_ := false
-        else begin
-          let tmp = h.a.(!m) in
-          h.a.(!m) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !m
-        end
-      done;
-      Some top
-    end
+  let is_empty h = h.n = 0
+  let top_key h = Float.Array.get h.keys 0
+  let top_id h = h.ids.(0)
+
+  let remove_top h =
+    h.n <- h.n - 1;
+    Float.Array.set h.keys 0 (Float.Array.get h.keys h.n);
+    h.ids.(0) <- h.ids.(h.n);
+    let i = ref 0 in
+    let continue_ = ref true in
+    while !continue_ do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let m = ref !i in
+      if l < h.n && less h l !m then m := l;
+      if r < h.n && less h r !m then m := r;
+      if !m = !i then continue_ := false
+      else begin
+        swap h !m !i;
+        i := !m
+      end
+    done
 end
 
 type t = {
   mutable next_tid : int;
   threads : (int, thread) Hashtbl.t;
   ready : Heap.t;
-  mutable current : thread option;
+  mutable current : thread;  (* [no_thread] between resumptions *)
   mutable running : bool;
   mutable horizon : float;
 }
+
+(* The scheduler's "no thread running" marker, compared by physical
+   equality (an option would allocate a [Some] per resumption). Never
+   mutated: every mutating path first checks it is not current. *)
+let no_thread =
+  {
+    tid = -1;
+    name = "";
+    cell = { clock = 0.0; waited = 0.0 };
+    status = Done Completed;
+    entry = None;
+    cont = None;
+    susp_serial = 0;
+    joiners = [];
+    killed = false;
+  }
 
 type _ Effect.t +=
   | Yield_eff : unit Effect.t
@@ -129,21 +163,20 @@ let create () =
     next_tid = 0;
     threads = Hashtbl.create 64;
     ready = Heap.create ();
-    current = None;
+    current = no_thread;
     running = false;
     horizon = 0.0;
   }
 
 let current_thread () =
   match !active with
-  | Some t -> (
-      match t.current with
-      | Some th -> th
-      | None -> failwith "Sched: no current thread")
+  | Some t ->
+      if t.current == no_thread then failwith "Sched: no current thread"
+      else t.current
   | None -> failwith "Sched: not inside a simulation"
 
 let in_thread () =
-  match !active with Some t -> t.current <> None | None -> false
+  match !active with Some t -> t.current != no_thread | None -> false
 
 let current () =
   match !active with
@@ -152,29 +185,29 @@ let current () =
 
 let self () = (current_thread ()).tid
 let self_name () = (current_thread ()).name
-let now () = (current_thread ()).clock
+let clock_cell () = (current_thread ()).cell
+let now () = (current_thread ()).cell.clock
 
 let charge c =
-  let th = current_thread () in
-  th.clock <- th.clock +. c
+  let k = (current_thread ()).cell in
+  k.clock <- k.clock +. c
 
 let make_ready t th =
   th.status <- Ready;
-  Heap.push t.ready { Heap.key = th.clock; id = th.tid }
+  Heap.push t.ready th.cell th.tid
 
 let spawn t ?name f =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
   let name = match name with Some n -> n | None -> Printf.sprintf "t%d" tid in
   let clock =
-    match t.current with Some parent -> parent.clock | None -> 0.0
+    if t.current == no_thread then 0.0 else t.current.cell.clock
   in
   let th =
     {
       tid;
       name;
-      clock;
-      waited = 0.0;
+      cell = { clock; waited = 0.0 };
       status = Ready;
       entry = Some f;
       cont = None;
@@ -184,30 +217,27 @@ let spawn t ?name f =
     }
   in
   Hashtbl.replace t.threads tid th;
-  Heap.push t.ready { Heap.key = clock; id = tid };
-  trace
-    (Spawned
-       {
-         parent = (match t.current with Some p -> p.tid | None -> -1);
-         child = tid;
-       });
+  Heap.push t.ready th.cell tid;
+  (* [no_thread.tid] is -1: spawned from outside the simulation. *)
+  trace (Spawned { parent = t.current.tid; child = tid });
   tid
 
 let wake_fn t th serial : wake =
  fun ~at ->
   if th.susp_serial = serial && th.status = Blocked then begin
-    if at > th.clock then th.waited <- th.waited +. (at -. th.clock);
-    th.clock <- Float.max th.clock at;
+    let k = th.cell in
+    if at > k.clock then k.waited <- k.waited +. (at -. k.clock);
+    k.clock <- Float.max k.clock at;
     make_ready t th
   end
 
 let finish t th oc =
   th.status <- Done oc;
   th.cont <- None;
-  if th.clock > t.horizon then t.horizon <- th.clock;
+  if th.cell.clock > t.horizon then t.horizon <- th.cell.clock;
   let joiners = th.joiners in
   th.joiners <- [];
-  List.iter (fun w -> w ~at:th.clock) joiners
+  List.iter (fun w -> w ~at:th.cell.clock) joiners
 
 let handler t th =
   {
@@ -233,7 +263,7 @@ let handler t th =
 
 let resume t th =
   th.status <- Running;
-  t.current <- Some th;
+  t.current <- th;
   (if th.killed then begin
      th.entry <- None;
      match th.cont with
@@ -253,7 +283,7 @@ let resume t th =
              th.cont <- None;
              continue k ()
          | None -> failwith "Sched: resuming thread without continuation"));
-  t.current <- None
+  t.current <- no_thread
 
 let blocked_threads t =
   Hashtbl.fold
@@ -271,14 +301,14 @@ let run t =
   in
   (try
      let rec loop () =
-       match Heap.pop t.ready with
-       | None -> ()
-       | Some { Heap.key; id } -> (
-           match Hashtbl.find_opt t.threads id with
-           | Some th when th.status = Ready && th.clock = key ->
-               resume t th;
-               loop ()
-           | _ -> loop () (* stale heap entry *))
+       if not (Heap.is_empty t.ready) then begin
+         let key = Heap.top_key t.ready and id = Heap.top_id t.ready in
+         Heap.remove_top t.ready;
+         (match Hashtbl.find t.threads id with
+         | th when th.status = Ready && th.cell.clock = key -> resume t th
+         | _ | (exception Not_found) -> () (* stale heap entry *));
+         loop ()
+       end
      in
      loop ()
    with e ->
@@ -308,7 +338,7 @@ let outcomes t =
   List.sort (fun (a, _, _) (b, _, _) -> compare a b) finished
 
 let horizon t =
-  Hashtbl.fold (fun _ th acc -> Float.max acc th.clock) t.threads t.horizon
+  Hashtbl.fold (fun _ th acc -> Float.max acc th.cell.clock) t.threads t.horizon
 
 (* Advancing virtual time is a scheduling point: the thread re-queues at
    the target clock so every runnable thread at an earlier virtual time
@@ -319,18 +349,18 @@ let horizon t =
    already in flight. Once no runnable thread sits below [at], nothing
    can create an earlier event, so resuming is safe. *)
 let wait_until at =
-  let th = current_thread () in
-  if at > th.clock then begin
-    th.waited <- th.waited +. (at -. th.clock);
-    th.clock <- at;
+  let k = (current_thread ()).cell in
+  if at > k.clock then begin
+    k.waited <- k.waited +. (at -. k.clock);
+    k.clock <- at;
     perform Yield_eff
   end
 
 let thread_clock t tid =
-  Option.map (fun th -> th.clock) (Hashtbl.find_opt t.threads tid)
+  Option.map (fun th -> th.cell.clock) (Hashtbl.find_opt t.threads tid)
 
 let thread_waited t tid =
-  Option.map (fun th -> th.waited) (Hashtbl.find_opt t.threads tid)
+  Option.map (fun th -> th.cell.waited) (Hashtbl.find_opt t.threads tid)
 
 let busy_fraction t tid =
   match Hashtbl.find_opt t.threads tid with
@@ -338,7 +368,7 @@ let busy_fraction t tid =
   | Some th ->
       let span = horizon t in
       if span <= 0.0 then None
-      else Some ((th.clock -. th.waited) /. span)
+      else Some ((th.cell.clock -. th.cell.waited) /. span)
 
 let yield () = perform Yield_eff
 let suspend register = perform (Suspend_eff register)
@@ -358,10 +388,13 @@ let kill t tid =
   | Some ({ status = Done _; _ }) -> ()
   | Some th ->
       th.killed <- true;
-      let at = match t.current with Some cur -> cur.clock | None -> th.clock in
-      if at > th.clock then begin
-        th.waited <- th.waited +. (at -. th.clock);
-        th.clock <- at
+      let k = th.cell in
+      let at =
+        if t.current == no_thread then k.clock else t.current.cell.clock
+      in
+      if at > k.clock then begin
+        k.waited <- k.waited +. (at -. k.clock);
+        k.clock <- at
       end;
       if th.status = Blocked then begin
         th.susp_serial <- th.susp_serial + 1;
@@ -370,7 +403,7 @@ let kill t tid =
       else if th.status = Ready then
         (* Re-queue at the (possibly advanced) clock; the stale heap entry
            is skipped by the clock check in [run]. *)
-        Heap.push t.ready { Heap.key = th.clock; id = th.tid }
+        Heap.push t.ready k th.tid
 
 let join tid =
   let t = current () in

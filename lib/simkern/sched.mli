@@ -60,6 +60,19 @@ val now : unit -> float
 val charge : float -> unit
 (** Advance the current thread's clock by the given number of cycles. *)
 
+type cell = { mutable clock : float; mutable waited : float }
+(** A thread's virtual clock, stored unboxed: a float-only record is laid
+    out flat. [waited] belongs to the scheduler; other modules only read
+    [clock] or add cycles to it. *)
+
+val clock_cell : unit -> cell
+(** The current thread's clock cell. Libraries are compiled separately
+    ([-opaque]), so every float passed across a module boundary — the
+    argument of {!charge}, the result of {!now} — is boxed on the minor
+    heap. A per-access path instead adds into the cell itself,
+    [let k = clock_cell () in k.clock <- k.clock +. c], which allocates
+    nothing; it is the same float addition {!charge} performs. *)
+
 val yield : unit -> unit
 (** Reschedule; another thread with a smaller clock may run first. *)
 

@@ -9,10 +9,14 @@ module Metrics = struct
   type counter = { mutable c : int }
   type gauge = { mutable g : float }
 
+  (* Float-only, so [observe] adds into it in place; a mutable float field
+     of [histogram] would box a fresh sum on every observation. *)
+  type total = { mutable total : float }
+
   type histogram = {
     bounds : float array;  (* ascending upper bounds, +Inf implicit *)
     buckets : int array;  (* cumulative at exposition, raw here *)
-    mutable sum : float;
+    sum : total;
     mutable hcount : int;
     ex_id : string array;  (* per-bucket exemplar id (incl. +Inf); "" = none *)
     ex_v : float array;  (* value the exemplar was observed with *)
@@ -105,7 +109,7 @@ module Metrics = struct
             {
               bounds = Array.copy buckets;
               buckets = Array.make (Array.length buckets) 0;
-              sum = 0.0;
+              sum = { total = 0.0 };
               hcount = 0;
               ex_id = Array.make (Array.length buckets + 1) "";
               ex_v = Array.make (Array.length buckets + 1) 0.0;
@@ -117,9 +121,12 @@ module Metrics = struct
   (* Index of the bucket [v] lands in; [length bounds] is the implicit
      +Inf bucket. *)
   let bucket_index h v =
-    let n = Array.length h.bounds in
-    let rec place i = if i < n && v > h.bounds.(i) then place (i + 1) else i in
-    place 0
+    (* A loop, not a recursive helper: [v] would be re-boxed per call. *)
+    let i = ref 0 in
+    while !i < Array.length h.bounds && v > h.bounds.(!i) do
+      incr i
+    done;
+    !i
 
   let observe_exemplar h v ~exemplar =
     let i = bucket_index h v in
@@ -129,12 +136,12 @@ module Metrics = struct
       h.ex_id.(i) <- exemplar;
       h.ex_v.(i) <- v
     end;
-    h.sum <- h.sum +. v;
+    h.sum.total <- h.sum.total +. v;
     h.hcount <- h.hcount + 1
 
   let observe h v = observe_exemplar h v ~exemplar:""
   let hist_count h = h.hcount
-  let hist_sum h = h.sum
+  let hist_sum h = h.sum.total
 
   (* Raw (non-cumulative) per-bucket counts with their finite upper
      bounds; the implicit +Inf bucket is [hist_count] minus their sum. *)
@@ -211,7 +218,7 @@ module Metrics = struct
                         {
                           bounds = Array.copy h.bounds;
                           buckets = Array.make (Array.length h.bounds) 0;
-                          sum = 0.0;
+                          sum = { total = 0.0 };
                           hcount = 0;
                           ex_id = Array.make (Array.length h.bounds + 1) "";
                           ex_v = Array.make (Array.length h.bounds + 1) 0.0;
@@ -221,7 +228,7 @@ module Metrics = struct
                     Array.iteri
                       (fun i v -> dh.buckets.(i) <- dh.buckets.(i) + v)
                       h.buckets;
-                    dh.sum <- dh.sum +. h.sum;
+                    dh.sum.total <- dh.sum.total +. h.sum.total;
                     dh.hcount <- dh.hcount + h.hcount;
                     Array.iteri
                       (fun i id ->
@@ -327,7 +334,7 @@ module Metrics = struct
                      (exemplar (Array.length h.bounds)));
                 Buffer.add_string b
                   (Printf.sprintf "%s_sum%s %s\n" f.f_name (fmt_labels labels)
-                     (fmt_value h.sum));
+                     (fmt_value h.sum.total));
                 Buffer.add_string b
                   (Printf.sprintf "%s_count%s %d\n" f.f_name (fmt_labels labels)
                      h.hcount))

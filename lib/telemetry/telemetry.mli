@@ -195,7 +195,13 @@ end
 (** Nested spans over virtual time, recorded into a bounded ring.
 
     When disabled (the default) {!Trace.with_span} costs one branch and
-    runs the body directly — instrumentation can stay in hot paths.
+    runs the body directly — instrumentation can stay in hot paths. The
+    branch is all it saves, though: a caller's arguments are evaluated
+    before the call. On a per-request or per-switch path, do not build
+    [~args] eagerly (a list, a [string_of_int], a [Printf.sprintf]) —
+    pass [?args] only under {!Trace.enabled}, or branch on it and call
+    the body directly when tracing is off, which also saves the body's
+    closure.
     When enabled, each span captures the virtual-clock interval of its
     body, its thread, and its nesting depth. The ring keeps the most
     recent [capacity] spans; older ones are dropped (counted). *)

@@ -110,18 +110,21 @@ let fls n =
 let ffs n = fls (n land -n)
 let round_up n = (n + align - 1) land lnot (align - 1)
 
+(* A size class (fl, sl) travels packed in one int, [fl lsl sl_log2 lor
+   sl], so the class lookups of every malloc and free build no tuple. *)
+let class_fl c = c lsr sl_log2
+let class_sl c = c land (sl_count - 1)
+
 let mapping_insert size =
-  if size < small then (0, size lsr 3)
+  if size < small then size lsr 3 (* first level 0 *)
   else
     let f = fls size in
     let sl = (size lsr (f - sl_log2)) land (sl_count - 1) in
-    (f - fl_shift + 1, sl)
+    ((f - fl_shift + 1) lsl sl_log2) lor sl
 
 let mapping_search size =
-  if size < small then (size, mapping_insert size)
-  else
-    let rounded = size + (1 lsl (fls size - sl_log2)) - 1 in
-    (size, mapping_insert rounded)
+  if size < small then mapping_insert size
+  else mapping_insert (size + (1 lsl (fls size - sl_log2)) - 1)
 
 (* Header accessors — every one is a checked simulated-memory access. *)
 let hdr t b = Vmem.Space.load64 t.space (b + 8)
@@ -139,7 +142,8 @@ let set_prev_free_link t b v = Vmem.Space.store64 t.space (b + header + 8) v
 let next_phys b size = b + header + size
 
 let insert_free t b size =
-  let fl, sl = mapping_insert size in
+  let c = mapping_insert size in
+  let fl = class_fl c and sl = class_sl c in
   let head = t.heads.(fl).(sl) in
   set_next_free t b head;
   set_prev_free_link t b 0;
@@ -149,7 +153,8 @@ let insert_free t b size =
   t.fl_bitmap <- t.fl_bitmap lor (1 lsl fl)
 
 let remove_free t b size =
-  let fl, sl = mapping_insert size in
+  let c = mapping_insert size in
+  let fl = class_fl c and sl = class_sl c in
   let next = next_free t b and prev = prev_free_link t b in
   if next <> 0 then set_prev_free_link t next prev;
   if prev <> 0 then set_next_free t prev next
@@ -183,28 +188,30 @@ let add_region t ~addr ~len =
      out) is poisoned too. *)
   if t.sanitize then Vmem.Space.poison t.space ~addr ~len:full_len
 
+(* The class of the first non-empty list at or above (fl, sl); -1 when
+   there is none. *)
 let find_suitable t fl sl =
   let sl_map = t.sl_bitmap.(fl) land (-1 lsl sl) in
-  if sl_map <> 0 then Some (fl, ffs sl_map)
+  if sl_map <> 0 then (fl lsl sl_log2) lor ffs sl_map
   else
     let fl_map = t.fl_bitmap land (-1 lsl (fl + 1)) in
-    if fl_map = 0 then None
+    if fl_map = 0 then -1
     else
       let fl' = ffs fl_map in
-      Some (fl', ffs t.sl_bitmap.(fl'))
+      (fl' lsl sl_log2) lor ffs t.sl_bitmap.(fl')
 
 let malloc_opt_raw t request =
   let injected =
     match t.inject_failure with Some f -> f request | None -> false
   in
   let adjust = max min_payload (round_up (max request 1)) in
-  let _, (fl, sl) = mapping_search adjust in
-  if injected || fl >= fl_count then None
+  let c = mapping_search adjust in
+  if injected || class_fl c >= fl_count then None
   else
-    match find_suitable t fl sl with
-    | None -> None
-    | Some (fl, sl) ->
-        let b = t.heads.(fl).(sl) in
+    match find_suitable t (class_fl c) (class_sl c) with
+    | -1 -> None
+    | c ->
+        let b = t.heads.(class_fl c).(class_sl c) in
         let word = hdr t b in
         let block_size = size_of word in
         remove_free t b block_size;
@@ -515,8 +522,8 @@ let check t =
                        not be dereferenced: it can point anywhere. *)
                     err "free list (%d,%d) links to foreign 0x%x" fl sl b
                 | Some size ->
-                    let fl', sl' = mapping_insert size in
-                    if (fl', sl') <> (fl, sl) then
+                    let c = mapping_insert size in
+                    if class_fl c <> fl || class_sl c <> sl then
                       err "block 0x%x (size %d) in wrong class (%d,%d)" b size
                         fl sl;
                     if prev_free_link t b <> prev then

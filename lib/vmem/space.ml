@@ -110,7 +110,15 @@ let syscall_gate t name =
   match t.syscall_hook with Some h -> h name | None -> ()
 let page_size _ = ps
 let size t = t.size
-let charge t c = if Sched.in_thread () then Sched.charge c else ignore t
+(* Adds into the thread's clock cell directly: a call to [Sched.charge]
+   would box [c] (libraries are compiled with -opaque), once per checked
+   access. [@inline] keeps [c] unboxed at the call sites in this module. *)
+let[@inline] charge t c =
+  if Sched.in_thread () then begin
+    let k = Sched.clock_cell () in
+    k.clock <- k.clock +. c
+  end
+  else ignore t
 let cur_tid () = if Sched.in_thread () then Sched.self () else -1
 
 let cur_pkru t =
@@ -236,21 +244,20 @@ let san_set_range map addr len v =
     incr i
   done
 
-(* First poisoned address in [addr, addr+len), skipping zero shadow bytes
-   eight data bytes at a time. *)
-let san_find map addr len =
-  let stop = addr + len in
-  let rec scan i =
-    if i >= stop then None
-    else
-      let b = i lsr 3 in
-      if i land 7 = 0 && stop - i >= 8 && Bytes.unsafe_get map b = '\000' then
-        scan (i + 8)
-      else if Char.code (Bytes.unsafe_get map b) land (1 lsl (i land 7)) <> 0
-      then Some i
-      else scan (i + 1)
-  in
-  scan addr
+(* First poisoned address in [i, stop), skipping zero shadow bytes eight
+   data bytes at a time. Top-level rather than a local closure: it runs
+   on every checked access while the sanitizer is on. *)
+let rec san_scan map i stop =
+  if i >= stop then None
+  else
+    let b = i lsr 3 in
+    if i land 7 = 0 && stop - i >= 8 && Bytes.unsafe_get map b = '\000' then
+      san_scan map (i + 8) stop
+    else if Char.code (Bytes.unsafe_get map b) land (1 lsl (i land 7)) <> 0
+    then Some i
+    else san_scan map (i + 1) stop
+
+let san_find map addr len = san_scan map addr (addr + len)
 
 let set_sanitizer t on =
   if on && Bytes.length t.san_map = 0 then
@@ -262,7 +269,13 @@ let sanitizer_enabled t = t.san_enabled
 let sanitizer_bypass t f =
   let was = t.san_bypass in
   t.san_bypass <- true;
-  Fun.protect ~finally:(fun () -> t.san_bypass <- was) f
+  match f () with
+  | v ->
+      t.san_bypass <- was;
+      v
+  | exception e ->
+      t.san_bypass <- was;
+      raise e
 
 let san_range_arg op t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then

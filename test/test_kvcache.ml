@@ -197,6 +197,63 @@ let test_proto_reply_roundtrip () =
   let resp = Proto.value_header ~key:"k" ~flags:0 ~len:5 ^ "hello" ^ "\r\n" ^ Proto.end_ in
   check bool "value" true (Proto.parse_reply resp = Proto.Value "hello")
 
+(* Client-side reply classification, one row per reply shape. Number
+   replies keep [int_of_string]'s grammar over the trimmed reply; a value
+   whose data starts with digits is still a value. *)
+let test_proto_parse_reply_table () =
+  let open Proto in
+  List.iter
+    (fun (wire, expected) ->
+      check bool (Printf.sprintf "parse_reply %S" wire) true
+        (parse_reply wire = expected))
+    [
+      ("42\r\n", Number 42);
+      ("  7\r\n", Number 7);
+      ("\t12 \r\n", Number 12);
+      ("-3\r\n", Number (-3));
+      ("+5\r\n", Number 5);
+      ("12", Failed "12");
+      ("-\r\n", Failed "-\r\n");
+      ("STAT pid 1\r\nSTAT uptime 5\r\nEND\r\n",
+       StatsReply [ ("pid", "1"); ("uptime", "5") ]);
+      ("VALUE k 0 5\r\nhello\r\nEND\r\n", Value "hello");
+      ("VALUE k 0 3\r\n123\r\nEND\r\n", Value "123");
+      ("VALUE k 0 0\r\n\r\nEND\r\n", Value "");
+      ("VALUE a 0 1\r\nx\r\nVALUE b 3 2\r\nyz\r\nEND\r\n",
+       Values [ ("a", "x"); ("b", "yz") ]);
+      ("END\r\n", Miss);
+      ("VALUE k 0 9\r\nhello\r\nEND\r\n", Failed "malformed VALUE block");
+      ("VALUE k 0\r\nhello\r\nEND\r\n", Failed "malformed VALUE block");
+      ("VALUE k 0 5 hello", Failed "malformed VALUE block");
+      (stored, Stored);
+      (not_stored, NotFound);
+      (deleted, Deleted);
+      (not_found, NotFound);
+      (error, Failed error);
+      (server_error_busy, Failed server_error_busy);
+      ("CLIENT_ERROR bad data chunk\r\n",
+       Failed "CLIENT_ERROR bad data chunk\r\n");
+    ]
+
+(* The one-copy GET reply is the old concatenation, byte for byte. *)
+let test_proto_value_reply_bytes () =
+  List.iter
+    (fun (key, flags, value) ->
+      check string
+        (Printf.sprintf "value_reply %s %d" key flags)
+        (Proto.value_header ~key ~flags ~len:(String.length value)
+        ^ value ^ "\r\n" ^ Proto.end_)
+        (Proto.value_reply ~key ~flags ~value))
+    [
+      ("k", 0, "hello");
+      ("key", 7, "");
+      ("user:0001", 12345, String.make 1024 'v');
+      ("neg", -1, "x\r\ny");
+      ("big", max_int, "9");
+      ("small", min_int, "END\r\n");
+      ("ten", 10, String.make 10 'z');
+    ]
+
 (* {1 Server} *)
 
 let client_request net port reqs =
@@ -942,6 +999,10 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_proto_parse;
           Alcotest.test_case "reply roundtrip" `Quick test_proto_reply_roundtrip;
+          Alcotest.test_case "parse_reply table" `Quick
+            test_proto_parse_reply_table;
+          Alcotest.test_case "value reply bytes" `Quick
+            test_proto_value_reply_bytes;
           Alcotest.test_case "trace token" `Quick test_proto_trace_token;
         ] );
       ( "binproto",

@@ -186,6 +186,56 @@ let test_waitset_multiplexes () =
       Sched.run sched;
       check int "all three served" 3 !served)
 
+(* The waitset serves the earliest head-of-line arrival; equal arrivals
+   go to the first ready connection in rotation order from the cursor
+   (which sits one past the previous winner), wrapping at the end of the
+   set. Each message is sent by its own fiber at a chosen virtual time,
+   so equal send times give exactly equal arrivals. *)
+let test_waitset_pick_order () =
+  let winners = ref [] in
+  run_sim (fun sched ->
+      let net = Netsim.create Cost.default in
+      let l = Netsim.listen net ~port:80 in
+      let _ =
+        Sched.spawn sched ~name:"server" (fun () ->
+            let clients = Array.init 4 (fun _ -> Netsim.connect net ~port:80) in
+            let servers = Array.init 4 (fun _ -> Option.get (Netsim.accept l)) in
+            let ws = Netsim.Waitset.create () in
+            Array.iter (Netsim.Waitset.add ws) servers;
+            let round sends =
+              let t0 = Sched.now () in
+              List.iter
+                (fun (i, dt) ->
+                  ignore
+                    (Sched.spawn sched (fun () ->
+                         Sched.wait_until (t0 +. 10_000.0 +. dt);
+                         Netsim.send clients.(i) "x")))
+                sends;
+              List.iter
+                (fun _ ->
+                  match Netsim.Waitset.wait ws with
+                  | None -> Alcotest.fail "waitset closed"
+                  | Some c ->
+                      ignore (Netsim.recv c);
+                      let rec slot i = if servers.(i) == c then i else slot (i + 1) in
+                      winners := slot 0 :: !winners)
+                sends
+            in
+            (* Ties from cursor 0: rotation order. *)
+            round [ (3, 0.0); (1, 0.0); (2, 0.0) ];
+            (* Cursor back at 0; slot 2 arrives first, then a tie on 0, 1
+               and 3 resolves from cursor 3 and wraps: 3, 0, 1. *)
+            round [ (0, 1_000.0); (1, 1_000.0); (2, 0.0); (3, 1_000.0) ];
+            (* Cursor at 2: an earlier arrival on slot 1 beats slot 2,
+               although slot 2 comes first in rotation. *)
+            round [ (2, 1_000.0); (1, 0.0) ];
+            Array.iter Netsim.close clients)
+      in
+      ());
+  check (Alcotest.list int) "winner order"
+    [ 1; 2; 3; 2; 3; 0; 1; 1; 2 ]
+    (List.rev !winners)
+
 let test_send_after_close_is_noop () =
   run_sim (fun sched ->
       let net = Netsim.create Cost.default in
@@ -218,5 +268,9 @@ let () =
           Alcotest.test_case "pending before close" `Quick test_pending_messages_before_close;
           Alcotest.test_case "send after close" `Quick test_send_after_close_is_noop;
         ] );
-      ("waitset", [ Alcotest.test_case "multiplex" `Quick test_waitset_multiplexes ]);
+      ( "waitset",
+        [
+          Alcotest.test_case "multiplex" `Quick test_waitset_multiplexes;
+          Alcotest.test_case "pick order" `Quick test_waitset_pick_order;
+        ] );
     ]

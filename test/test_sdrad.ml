@@ -698,6 +698,41 @@ let random_events_prop =
             events);
       !ok)
 
+(* {1 Host allocation budget}
+
+   A domain switch is on every request's path. The budget is what an
+   enter/exit pair allocated on the host (OCaml minor words) when the
+   gate lost its per-switch boxed floats, finalizer closures and
+   eagerly built span arguments, plus 10%: a change that brings them
+   back fails here. Tracing off, as in every benchmark run. *)
+
+let enter_exit_words_budget = 66.0 (* 60 measured, + 10% *)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_enter_exit_alloc_budget () =
+  with_sdrad (fun _ sd ->
+      Api.run sd ~udi:d1
+        ~on_rewind:(fun _ -> Alcotest.fail "unexpected rewind")
+        (fun () ->
+          let pairs n () =
+            for _ = 1 to n do
+              Api.enter sd d1;
+              Api.exit_domain sd
+            done
+          in
+          pairs 8 ();
+          let base = minor_words_of (fun () -> ()) in
+          let per_pair = (minor_words_of (pairs 100) -. base) /. 100.0 in
+          check bool
+            (Printf.sprintf "enter/exit pair allocates %.1f words (budget %.0f)"
+               per_pair enter_exit_words_budget)
+            true
+            (per_pair <= enter_exit_words_budget)))
+
 let () =
   Alcotest.run "sdrad"
     [
@@ -761,6 +796,8 @@ let () =
         [
           Alcotest.test_case "monitor bytes" `Quick test_monitor_bytes_track_domains;
           Alcotest.test_case "switch profile" `Quick test_switch_profile_shape;
+          Alcotest.test_case "enter/exit host allocation" `Quick
+            test_enter_exit_alloc_budget;
           QCheck_alcotest.to_alcotest random_events_prop;
         ] );
     ]

@@ -476,6 +476,37 @@ let test_fault_count () =
   (try ignore (Space.load8 s 0) with Space.Fault _ -> ());
   check int "two faults" 2 (Space.fault_count s)
 
+(* {1 Host allocation budget}
+
+   The checked access path runs on every simulated load and store, so it
+   must not allocate on the host: no boxed float per charge, no closure
+   per check. Measured with [Gc.minor_words] inside a simulated thread
+   (so time is really charged), net of the measurement's own cost. *)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let access_loop s a n () =
+  for i = 0 to n - 1 do
+    let addr = a + (8 * (i land 511)) in
+    Space.store64 s addr i;
+    ignore (Space.load64 s addr)
+  done
+
+let check_access_alloc_free ~sanitize () =
+  let s = mk () in
+  if sanitize then Space.set_sanitizer s true;
+  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+  in_thread (fun () ->
+      access_loop s a 64 ();
+      let t0 = Sched.now () in
+      let base = minor_words_of (fun () -> ()) in
+      let words = minor_words_of (access_loop s a 5_000) -. base in
+      check_float "10,000 accesses charged" 10_000.0 (Sched.now () -. t0);
+      check_float "10,000 load64/store64 allocate nothing" 0.0 words)
+
 let () =
   Alcotest.run "vmem"
     [
@@ -544,5 +575,12 @@ let () =
         [
           Alcotest.test_case "rss" `Quick test_rss_counts_touched_pages;
           Alcotest.test_case "fault count" `Quick test_fault_count;
+        ] );
+      ( "host-alloc",
+        [
+          Alcotest.test_case "load64/store64 allocate nothing" `Quick
+            (check_access_alloc_free ~sanitize:false);
+          Alcotest.test_case "sanitized load64/store64 allocate nothing" `Quick
+            (check_access_alloc_free ~sanitize:true);
         ] );
     ]
