@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate perf perf-smoke telemetry-report forensics-report clean
+.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json perf perf-smoke telemetry-report forensics-report clean
 
 all: check
 
@@ -81,6 +81,15 @@ bench-r5:
 # 30% floor or the overhead does not improve on -3.7%/-6.6% run/load.
 bench-gate:
 	dune exec bench/main.exe -- gate
+
+# Regenerate the committed bench JSON (gate, r4, r5; ~7 s) and fail if
+# any of it changed: a refactor that must keep every number the same is
+# checked by this target passing.
+bench-json:
+	dune exec bench/main.exe -- gate
+	dune exec bench/main.exe -- r4
+	dune exec bench/main.exe -- r5
+	git diff --exit-code BENCH_gate.json BENCH_r4.json BENCH_r5.json
 
 # The repo's benchmark (perfsuite/, declared in BENCHMARK.json): every
 # workload on seed 1, untraced, one process each; the last output line

@@ -112,8 +112,8 @@ exception Rejected of finding list
 
 val assert_ok : model -> unit
 (** @raise Rejected when {!check} reports at least one [Error]-severity
-    finding (warnings alone pass). This is what servers run behind their
-    [verify_policy] flag at setup. *)
+    finding (warnings alone pass). [assert_ok (of_api sd)] checks a live
+    setup, e.g. once a server's data domains exist. *)
 
 val of_api : ?gates:gate list -> Sdrad.Api.t -> model
 (** Snapshot a live monitor: domains from {!Sdrad.Api.domains_info},

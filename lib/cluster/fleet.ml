@@ -174,17 +174,6 @@ let acked reply =
 
 (* {2 Shard-side helpers} *)
 
-let worst_breaker sup =
-  let rank = function
-    | Supervisor.Closed -> 0
-    | Supervisor.Half_open -> 1
-    | Supervisor.Backoff -> 2
-    | Supervisor.Quarantined -> 3
-  in
-  List.fold_left
-    (fun acc (_, b) -> if rank b > rank acc then b else acc)
-    Supervisor.Closed (Supervisor.states sup)
-
 let link_up s = (not s.s_crashed) && Sched.now () >= s.s_partitioned_until
 
 let crash_shard s =
@@ -455,7 +444,7 @@ let reporter t s conn () =
       if t.running && link_up s then
         Netsim.send conn
           (Printf.sprintf "hb %d %s" s.s_idx
-             (Supervisor.breaker_to_string (worst_breaker s.s_sup)));
+             (Supervisor.breaker_to_string (Supervisor.worst_breaker s.s_sup)));
       loop ()
     end
   in
@@ -472,12 +461,6 @@ let hb_accept t () =
   in
   loop ()
 
-let breaker_of_string = function
-  | "backoff" -> Supervisor.Backoff
-  | "quarantined" -> Supervisor.Quarantined
-  | "half-open" -> Supervisor.Half_open
-  | _ -> Supervisor.Closed
-
 let hb_reader t () =
   let rec loop () =
     match Netsim.Waitset.wait t.hb_set with
@@ -491,7 +474,7 @@ let hb_reader t () =
                 | Some i when i >= 0 && i < Array.length t.shards ->
                     let s = t.shards.(i) in
                     s.s_hb_last <- Sched.now ();
-                    s.s_hb_breaker <- breaker_of_string st;
+                    s.s_hb_breaker <- Supervisor.breaker_of_string st;
                     Metrics.inc t.c_heartbeats
                 | _ -> ())
             | _ -> ())
@@ -688,8 +671,6 @@ let drain_shard t i = do_failover t t.shards.(i)
 let shard_count t = Array.length t.shards
 let shard_server t i = t.shards.(i).s_server
 let shard_sd t i = t.shards.(i).s_sd
-let shard_supervisor t i = t.shards.(i).s_sup
-let shard_metrics t i = Api.metrics t.shards.(i).s_sd
 
 let shard_state t i =
   match t.shards.(i).s_state with

@@ -111,10 +111,6 @@ val drain_shard : t -> int -> unit
 val shard_count : t -> int
 val shard_server : t -> int -> Kvcache.Server.t
 val shard_sd : t -> int -> Sdrad.Api.t
-val shard_supervisor : t -> int -> Resilience.Supervisor.t
-
-val shard_metrics : t -> int -> Telemetry.Metrics.t
-(** The shard's own registry (monitor + supervisor + server series). *)
 
 val shard_state : t -> int -> string
 (** Failover state machine position: ["serving"], ["draining"] or

@@ -1,18 +1,14 @@
 module Sched = Simkern.Sched
-module Cost = Simkern.Cost
 module Space = Vmem.Space
 module Prot = Vmem.Prot
 module Api = Sdrad.Api
-module Types = Sdrad.Types
-module Supervisor = Resilience.Supervisor
 module Fault_inject = Resilience.Fault_inject
-module Journal = Resilience.Journal
 
 let log_src = Logs.Src.create "sdrad.httpd" ~doc:"web server"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type variant = Baseline | Tlsf_alloc | Sdrad
+type variant = Serve.variant = Baseline | Tlsf_alloc | Sdrad
 
 type config = {
   variant : variant;
@@ -21,21 +17,10 @@ type config = {
   vulnerable : bool;
   verify_certs : bool;
   parser_udi : int;
-  cert_udi : int;
-  pool_udi : int;
-  proc_cycles : float;
-  conn_buf_size : int;
-  max_restarts : int;
-  image_bytes : int;
   rewind_limit : int option;
   per_worker_domains : bool;
-  journal_cap : int;
   shed_queue_limit : int;
-  shed_wait_limit : float;
-  nonblocking_admit : bool;
-  verify_policy : bool;
   race_detector : bool;  (* attach the dynamic race detector at start *)
-  gate_batch_limit : int;  (* requests coalesced per batched gate; 0 = off *)
 }
 
 let default_config =
@@ -46,23 +31,18 @@ let default_config =
     vulnerable = false;
     verify_certs = false;
     parser_udi = 1;
-    cert_udi = 2;
-    pool_udi = 13;
-    proc_cycles = 11_000.0;
-    conn_buf_size = 16 * 1024;
-    max_restarts = 1_000;
-    image_bytes = 2 * 1024 * 1024;
     rewind_limit = None;
     per_worker_domains = false;
-    journal_cap = 256;
     shed_queue_limit = 0;
-    shed_wait_limit = 0.0;
-    nonblocking_admit = false;
-    verify_policy = false;
     race_detector = false;
-    gate_batch_limit = 0;
   }
 
+let cert_udi = 2
+let pool_udi = 13  (* data domain for request pools under SDRaD *)
+let proc_cycles = 11_000.0  (* per-request base processing cost *)
+let max_restarts = 1_000
+let image_bytes = 2 * 1024 * 1024
+let journal_cap = 256
 let uri_dst_cap = 2048
 let worker_restart_cost = 2.1e6 (* ~1 ms: fork + exec + init *)
 
@@ -80,98 +60,23 @@ type t = {
   sched : Sched.t;
   space : Space.t;
   cfg : config;
+  core : Serve.t;
   sd : Api.t option;
-  sup : Supervisor.t option;
   faults : Fault_inject.t option;
   fs : Fs.t;
   listener : Netsim.listener;
   slots : worker_slot array;
-  mutable master_tid : Sched.tid;
-  mutable all_tids : Sched.tid list;
-  conns : (int, int) Hashtbl.t;  (* conn id -> conn buffer *)
   deaths : (int * float) Queue.t;
   death_lock : Sched.Mutex.mutex;
   death_cond : Sched.Cond.cond;
   mutable stopping : bool;
-  buf_alloc : int -> int;
-  buf_free : int -> unit;
   pool_alloc : int -> int;
-  metrics : Telemetry.Metrics.t;
-  journal : Journal.t;  (* master-process state: survives domain discards *)
   mutable post_count : int;  (* the mutable state behind POST /count *)
-  c_served : Telemetry.Metrics.counter;
-  c_rewinds : Telemetry.Metrics.counter;
   c_restarts : Telemetry.Metrics.counter;
   c_dropped : Telemetry.Metrics.counter;
   c_proactive : Telemetry.Metrics.counter;
-  c_busy_503 : Telemetry.Metrics.counter;
-  c_shed : Telemetry.Metrics.counter;
-  h_rewind_cycles : Telemetry.Metrics.histogram;
-  mutable rewind_lat : float list;
   mutable restart_lat : float list;
-  mutable race : Analysis.Race.t option;
 }
-
-let glibc_allocator space =
-  (* Bump arena with per-size free lists: freed chunks are recycled, as
-     glibc's bins would, so the model neither leaks RSS nor charges real
-     allocator work (that is what the constants are for). *)
-  let arena = ref 0 and off = ref 0 and arena_len = 256 * 1024 in
-  let bins : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let bin n =
-    match Hashtbl.find_opt bins n with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace bins n l;
-        l
-  in
-  let sizes : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let alloc n =
-    Sched.charge 80.0;
-    let n = (n + 15) land lnot 15 in
-    let p =
-      match !(bin n) with
-      | p :: rest ->
-          (bin n) := rest;
-          p
-      | [] ->
-          if !arena = 0 || !off + n > arena_len then begin
-            arena := Space.mmap space ~len:(max arena_len n) ~prot:Prot.rw ~pkey:0;
-            off := 0
-          end;
-          let p = !arena + !off in
-          off := !off + n;
-          p
-    in
-    Hashtbl.replace sizes p n;
-    p
-  in
-  let free p =
-    Sched.charge 50.0;
-    match Hashtbl.find_opt sizes p with
-    | Some n ->
-        Hashtbl.remove sizes p;
-        (bin n) := p :: !(bin n)
-    | None -> ()
-  in
-  (alloc, free)
-
-let tlsf_allocator space =
-  let heap = Tlsf.create space ~name:"httpd-bufs" in
-  let grow len =
-    let len = max len (1024 * 1024) in
-    let region = Space.mmap space ~len ~prot:Prot.rw ~pkey:0 in
-    Tlsf.add_region heap ~addr:region ~len
-  in
-  let alloc n =
-    match Tlsf.malloc_opt heap n with
-    | Some p -> p
-    | None ->
-        grow (n + 64);
-        Tlsf.malloc heap n
-  in
-  (alloc, (fun p -> Tlsf.free heap p), heap)
 
 let conn_token keep_alive = if keep_alive then "keep-alive" else "close"
 
@@ -242,19 +147,16 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
               (* §V-C: the X.509 verification API isolated in its own
                  nested domain; the punycode overflow is caught by the
                  stack canary and triggers a rewind. *)
-              Api.run sd ~udi:t.cfg.cert_udi
+              Api.run sd ~udi:cert_udi
                 ~on_rewind:(fun f ->
-                  Telemetry.Metrics.inc t.c_rewinds;
+                  Serve.rewound t.core f;
                   slot.slot_rewinds <- slot.slot_rewinds + 1;
-                  let lat = Sched.now () -. f.Types.at in
-                  t.rewind_lat <- lat :: t.rewind_lat;
-                  Telemetry.Metrics.observe t.h_rewind_cycles lat;
                   `Faulted)
                 (fun () ->
-                  Api.enter sd t.cfg.cert_udi;
+                  Api.enter sd cert_udi;
                   let ok = Crypto.X509.verify sd cert in
                   Api.exit_domain sd;
-                  Api.destroy sd t.cfg.cert_udi ~heap:`Discard;
+                  Api.destroy sd cert_udi ~heap:`Discard;
                   if ok then `Ok else `Bad)
           | _, Some sd ->
               (* Unprotected build: verification in the root domain; a
@@ -272,7 +174,7 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
       | "GET" when path = "/metrics" ->
           (* Prometheus scrape endpoint: the registry's text exposition. *)
           Netsim.send c
-            (http_200 ~keep_alive (Telemetry.Metrics.expose t.metrics))
+            (http_200 ~keep_alive (Telemetry.Metrics.expose (Serve.metrics t.core)))
       | "GET" -> (
           match Fs.lookup t.fs path with
           | Some _ -> Netsim.send c (http_200 ~keep_alive (Fs.read_body t.fs path))
@@ -315,56 +217,66 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
             end
             else http_405
           in
-          let reply =
-            match Http_parse.find_header headers "x-request-id" with
-            | None -> compute ()
-            | Some rid -> (
-                match Journal.find t.journal rid with
-                | Some r ->
-                    (* Journal hit: a consequence of the original op's
-                       earlier attempt — record it under the retry's
-                       (already installed) trace id. *)
-                    (match t.sd with
-                    | Some sd ->
-                        Api.flight_event sd Checkpoint.Flight.Replay
-                    | None -> ());
-                    r
-                | None ->
-                    let r = compute () in
-                    Journal.record t.journal rid r;
-                    r)
-          in
-          Netsim.send c reply
+          Netsim.send c
+            (Serve.replay_or t.core
+               (Http_parse.find_header headers "x-request-id")
+               compute)
       | _ -> Netsim.send c http_405);
       if keep_alive then `Keep else `Close_graceful
+
+(* The parser's three phases — request line, complex URI, headers — over
+   a request in [buf], with the normalized URI written to [dst] and the
+   body returned relative to [buf]. [enter]/[exit] bracket every phase:
+   no-ops for the plain variants, one domain transition each under
+   SDRaD. A memory fault inside a phase must reach the rewind machinery
+   with the domain still entered (a signal, not a return), so only a
+   normal return or a parse error exits it.
+   @raise Http_parse.Bad_request *)
+let parse t ~enter ~exit ~buf ~len ~dst =
+  let phase f =
+    enter ();
+    match f () with
+    | v ->
+        exit ();
+        v
+    | exception (Http_parse.Bad_request _ as e) ->
+        exit ();
+        raise e
+  in
+  let rl, hdr_off =
+    phase (fun () -> Http_parse.parse_request_line t.space ~addr:buf ~len)
+  in
+  let norm =
+    phase (fun () ->
+        Http_parse.parse_complex_uri t.space ~src:rl.Http_parse.raw_uri_off
+          ~len:rl.Http_parse.raw_uri_len ~dst ~dst_cap:uri_dst_cap
+          ~vulnerable:t.cfg.vulnerable)
+  in
+  let headers, body_rel, body_len =
+    phase (fun () ->
+        let headers, hdr_len =
+          Http_parse.parse_headers t.space ~addr:hdr_off
+            ~len:(len - (hdr_off - buf))
+        in
+        let body_off = hdr_off + hdr_len in
+        ( headers,
+          body_off - buf,
+          Http_parse.validate_body headers ~avail:(buf + len - body_off) ))
+  in
+  ( rl.Http_parse.meth,
+    rl.Http_parse.version,
+    Space.read_string t.space dst norm,
+    headers,
+    (body_rel, body_len) )
 
 (* Baseline parsing: directly in the connection buffer; the normalized
    URI goes to the head of the worker's request pool (so the CVE's
    backward scan falls off the pool's guard page). *)
 let handle_plain t slot c ~cbuf ~len =
-  match
-    let rl, hdr_off = Http_parse.parse_request_line t.space ~addr:cbuf ~len in
-    let dst = slot.pool in
-    let norm =
-      Http_parse.parse_complex_uri t.space ~src:rl.Http_parse.raw_uri_off
-        ~len:rl.Http_parse.raw_uri_len ~dst ~dst_cap:uri_dst_cap
-        ~vulnerable:t.cfg.vulnerable
-    in
-    let headers, hdr_len =
-      Http_parse.parse_headers t.space ~addr:hdr_off ~len:(len - (hdr_off - cbuf))
-    in
-    let body_off = hdr_off + hdr_len in
-    let body =
-      Http_parse.validate_body headers ~avail:(cbuf + len - body_off)
-    in
-    ( rl.Http_parse.meth,
-      rl.Http_parse.version,
-      Space.read_string t.space dst norm,
-      headers,
-      (body_off, body) )
-  with
-  | meth, version, path, headers, (body_off, body_len) ->
-      respond t slot c ~meth ~version ~path ~headers ~body:(body_off, body_len)
+  match parse t ~enter:ignore ~exit:ignore ~buf:cbuf ~len ~dst:slot.pool with
+  | meth, version, path, headers, (body_rel, body_len) ->
+      respond t slot c ~meth ~version ~path ~headers
+        ~body:(cbuf + body_rel, body_len)
   | exception Http_parse.Bad_request _ ->
       Netsim.send c http_400;
       `Keep
@@ -379,15 +291,11 @@ let slot_udi t slot =
 (* SDRaD parsing (§V-B): request bytes are copied into the persistent
    parser domain, each parse phase is its own domain transition, and the
    normalized URI is copied back out on success. *)
-let handle_sdrad t slot sd c ~cbuf ~len =
+let handle_sdrad t slot sd c msg ~cbuf ~len =
   let udi = slot_udi t slot in
-  let opts = { Types.default_options with heap_size = 64 * 1024 } in
   let on_rewind f =
-    Telemetry.Metrics.inc t.c_rewinds;
+    Serve.rewound t.core f;
     slot.slot_rewinds <- slot.slot_rewinds + 1;
-    let lat = Sched.now () -. f.Types.at in
-    t.rewind_lat <- lat :: t.rewind_lat;
-    Telemetry.Metrics.observe t.h_rewind_cycles lat;
     `Close_faulted
   in
   let body () =
@@ -397,84 +305,35 @@ let handle_sdrad t slot sd c ~cbuf ~len =
          persistent parser domain keeps them across requests, so steady
          state pays no malloc/free pair per request. *)
       let dst = Api.gate_buffer sd ~slot:0 ~udi uri_dst_cap in
-      let copy = Api.gate_buffer sd ~slot:1 ~udi (t.cfg.conn_buf_size + 8) in
+      let copy = Api.gate_buffer sd ~slot:1 ~udi (Serve.conn_buf_size + 8) in
       Space.blit t.space ~src:cbuf ~dst:copy ~len;
-      (* One domain transition per parser phase. A memory fault inside a
-         phase must propagate to the rewind machinery with the domain
-         still entered (a signal, not a return), so the domain is exited
-         only on a phase's normal completion; parse errors are ordinary
-         return values. *)
-      let phase f =
+      let enter () =
         Api.enter sd udi;
-        (match t.faults with
+        match t.faults with
         | Some fi ->
             ignore
               (Fault_inject.fire_in_domain fi ~site:"httpd.parse" ~sd ~buf:copy
                  ~len)
-        | None -> ());
-        let r =
-          match f () with
-          | v -> Ok v
-          | exception Http_parse.Bad_request m -> Error m
-        in
-        Api.exit_domain sd;
-        r
+        | None -> ()
       in
       let parsed =
         match
-          phase (fun () -> Http_parse.parse_request_line t.space ~addr:copy ~len)
+          parse t ~enter ~exit:(fun () -> Api.exit_domain sd) ~buf:copy ~len
+            ~dst
         with
-        | Error _ -> `Bad_request
-        | Ok (rl, hdr_off) -> (
-            match
-              phase (fun () ->
-                  Http_parse.parse_complex_uri t.space
-                    ~src:rl.Http_parse.raw_uri_off
-                    ~len:rl.Http_parse.raw_uri_len ~dst ~dst_cap:uri_dst_cap
-                    ~vulnerable:t.cfg.vulnerable)
-            with
-            | Error _ -> `Bad_request
-            | Ok norm -> (
-                match
-                  phase (fun () ->
-                      let headers, hdr_len =
-                        Http_parse.parse_headers t.space ~addr:hdr_off
-                          ~len:(len - (hdr_off - copy))
-                      in
-                      let body_off = hdr_off + hdr_len in
-                      let body_len =
-                        Http_parse.validate_body headers
-                          ~avail:(copy + len - body_off)
-                      in
-                      (headers, body_off - copy, body_len))
-                with
-                | Error _ -> `Bad_request
-                | Ok (headers, body_rel, body_len) ->
-                    `Parsed
-                      ( rl.Http_parse.meth,
-                        rl.Http_parse.version,
-                        Space.read_string t.space dst norm,
-                        headers,
-                        (body_rel, body_len) )))
+        | request -> `Parsed request
+        | exception Http_parse.Bad_request _ -> `Bad_request
       in
       Api.deinit sd udi;
       parsed
   in
-  let result =
-    match t.sup with
-    | Some sup ->
-        let run =
-          if t.cfg.nonblocking_admit then Supervisor.run_nb else Supervisor.run
-        in
-        run sup ~udi ~opts ~on_rewind ~on_busy:(fun ~until:_ -> `Busy) body
-    | None -> Api.run sd ~udi ~opts ~on_rewind body
-  in
-  match result with
+  (* The request's trace covers its whole handling, [respond] included:
+     parse-phase switches, faults, replays and audit records inherit it. *)
+  match Serve.run t.core sd ~trace:(trace_of_msg msg) ~udi ~on_rewind body with
   | `Busy ->
       (* Quarantined parser domain: degrade instead of serving — the
          client gets a retryable 503 and keeps its connection. *)
-      Telemetry.Metrics.inc t.c_busy_503;
-      Netsim.send c http_503;
+      Serve.busy t.core c http_503;
       `Keep
   | `Close_faulted -> `Close
   | `Bad_request ->
@@ -485,64 +344,67 @@ let handle_sdrad t slot sd c ~cbuf ~len =
       respond t slot c ~meth ~version ~path ~headers
         ~body:(cbuf + body_rel, body_len)
 
+
 let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
   let sd = sdrad in
-  (match (cfg.variant, sd) with
-  | Sdrad, None -> invalid_arg "Httpd.Server.start: Sdrad variant needs ~sdrad"
-  | _ -> ());
-  if cfg.image_bytes > 0 then begin
-    let img = Space.mmap space ~len:cfg.image_bytes ~prot:Prot.rw ~pkey:0 in
-    Space.fill space ~addr:img ~len:cfg.image_bytes '\x90'
-  end;
-  let buf_alloc, buf_free =
-    match cfg.variant with
-    | Baseline -> glibc_allocator space
-    | Tlsf_alloc | Sdrad ->
-        let alloc, free, heap = tlsf_allocator space in
-        (match faults with
-        | Some fi -> Fault_inject.arm_tlsf fi heap ~site:"httpd.alloc"
-        | None -> ());
-        (alloc, free)
-  in
+  Serve.boot ~name:"httpd" cfg.variant ?sdrad space ~image_bytes;
   let pool_alloc =
     match (cfg.variant, sd) with
     | Sdrad, Some sd ->
         (* Request pools live in a dedicated data domain (§V-B). Every
            parser udi a slot may use needs write access to it. *)
-        Api.init_data sd ~udi:cfg.pool_udi ~heap_size:(256 * 1024) ();
+        Api.init_data sd ~udi:pool_udi ~heap_size:(256 * 1024) ();
         let parser_udis =
           if cfg.per_worker_domains then
             List.init cfg.workers (fun i -> cfg.parser_udi + i)
           else [ cfg.parser_udi ]
         in
         List.iter
-          (fun udi -> Api.dprotect sd ~udi ~tddi:cfg.pool_udi Prot.rw)
+          (fun udi -> Api.dprotect sd ~udi ~tddi:pool_udi Prot.rw)
           parser_udis;
-        fun len -> Api.malloc sd ~udi:cfg.pool_udi len
+        fun len -> Api.malloc sd ~udi:pool_udi len
     | _ ->
         (* One pool region per worker; a fresh mapping, so the guard page
            sits right below the URI buffer. *)
         fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0
   in
-  let listener = Netsim.listen net ~port:cfg.port in
-  (* Share the monitor's registry when there is one, so `GET /metrics`
-     scrapes core + supervisor + server series together. *)
-  let metrics =
-    match sd with
-    | Some sd -> Api.metrics sd
-    | None -> Telemetry.Metrics.create ()
-  in
   let module M = Telemetry.Metrics in
+  let core =
+    Serve.create space cfg.variant ?sdrad ?supervisor ?faults ~name:"httpd"
+      ~alloc_site:"httpd.alloc"
+      ~malloc_region:(fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
+      ~journal_cap ~proc_cycles ~shed_queue_limit:cfg.shed_queue_limit
+      ~gate_batch_limit:0 ~race_detector:cfg.race_detector
+      ~counters:(fun m ->
+        {
+          Serve.served =
+            M.counter m "httpd_requests_total" ~help:"Requests handled";
+          rewinds =
+            M.counter m "httpd_rewinds_total"
+              ~help:"Requests discarded by a domain rewind";
+          busy =
+            M.counter m "httpd_busy_503_total"
+              ~help:"Requests answered 503 while quarantined";
+          shed =
+            M.counter m "httpd_shed_total"
+              ~help:"Requests shed by overload admission control";
+          rewind_cycles =
+            M.histogram m "httpd_rewind_cycles"
+              ~help:"Cycles from fault to request discarded";
+        })
+      ()
+  in
+  let metrics = Serve.metrics core in
   let t =
     {
       sched;
       space;
       cfg;
+      core;
       sd;
-      sup = supervisor;
       faults;
       fs;
-      listener;
+      listener = Netsim.listen net ~port:cfg.port;
       slots =
         Array.init cfg.workers (fun idx ->
             {
@@ -554,24 +416,12 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
               slot_rewinds = 0;
               alive = false;
             });
-      master_tid = -1;
-      all_tids = [];
-      conns = Hashtbl.create 64;
       deaths = Queue.create ();
       death_lock = Sched.Mutex.create ();
       death_cond = Sched.Cond.create ();
       stopping = false;
-      buf_alloc;
-      buf_free;
       pool_alloc;
-      metrics;
-      journal = Journal.create ~metrics ~name:"httpd" ~capacity:cfg.journal_cap ();
       post_count = 0;
-      c_served =
-        M.counter metrics "httpd_requests_total" ~help:"Requests handled";
-      c_rewinds =
-        M.counter metrics "httpd_rewinds_total"
-          ~help:"Requests discarded by a domain rewind";
       c_restarts =
         M.counter metrics "httpd_worker_restarts_total"
           ~help:"Worker processes respawned by the master";
@@ -581,40 +431,12 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
       c_proactive =
         M.counter metrics "httpd_proactive_restarts_total"
           ~help:"Voluntary re-execs after the rewind limit";
-      c_busy_503 =
-        M.counter metrics "httpd_busy_503_total"
-          ~help:"Requests answered 503 while quarantined";
-      c_shed =
-        M.counter metrics "httpd_shed_total"
-          ~help:"Requests shed by overload admission control";
-      h_rewind_cycles =
-        M.histogram metrics "httpd_rewind_cycles"
-          ~help:"Cycles from fault to request discarded";
-      rewind_lat = [];
       restart_lat = [];
-      race = None;
     }
   in
-  (* Static policy check over the compartments set up above; raises
-     [Analysis.Policy.Rejected] on any error-severity finding. *)
-  (match (cfg.verify_policy, sd) with
-  | true, Some sd ->
-      Analysis.Policy.assert_ok (Analysis.Policy.of_api sd)
-  | _ -> ());
-  (* Dynamic race detection over shared (data-domain) memory. Host-side
-     only: attaching never perturbs the simulated run. *)
-  (match (cfg.race_detector, sd) with
-  | true, Some sd -> t.race <- Some (Analysis.Race.attach sd)
-  | _ -> ());
-  (* Rewind audit records sample the journal's cumulative replay hits at
-     incident-commit time. *)
-  (match sd with
-  | Some sd -> Api.add_journal_probe sd (fun () -> Journal.hits t.journal)
-  | None -> ());
   Array.iter (fun slot -> spawn_worker t slot) t.slots;
-  t.master_tid <- Sched.spawn sched ~name:"nginx-master" (fun () -> master t);
-  let acceptor = Sched.spawn sched ~name:"nginx-accept" (fun () -> acceptor t) in
-  t.all_tids <- t.master_tid :: acceptor :: t.all_tids;
+  ignore (Sched.spawn sched ~name:"nginx-master" (fun () -> master t));
+  ignore (Sched.spawn sched ~name:"nginx-accept" (fun () -> acceptor t));
   t
 
 and spawn_worker t slot =
@@ -624,8 +446,7 @@ and spawn_worker t slot =
   slot.tid <-
     Sched.spawn t.sched
       ~name:(Printf.sprintf "nginx-worker%d" slot.idx)
-      (fun () -> worker t slot);
-  t.all_tids <- slot.tid :: t.all_tids
+      (fun () -> worker t slot)
 
 and acceptor t =
   let next = ref 0 in
@@ -651,130 +472,74 @@ and acceptor t =
             (* No worker alive right now: connection refused. *)
             Netsim.close c
         | Some slot ->
-            let cbuf = t.buf_alloc t.cfg.conn_buf_size in
-            Hashtbl.replace t.conns (Netsim.id c) cbuf;
+            Serve.accept t.core c;
             slot.live_conns <- c :: slot.live_conns;
             Netsim.Waitset.add slot.ws c);
         loop ()
   in
   loop ()
 
-and should_shed t slot ~arrival =
-  (t.cfg.shed_queue_limit > 0
-  && Netsim.Waitset.backlog slot.ws > t.cfg.shed_queue_limit)
-  || (t.cfg.shed_wait_limit > 0.0
-     && Sched.now () -. arrival > t.cfg.shed_wait_limit)
-
 and worker t slot =
-  let batching = t.cfg.gate_batch_limit > 0 && t.cfg.variant = Sdrad in
   let drop c =
-    Netsim.Waitset.remove slot.ws c;
-    Netsim.close c;
+    Serve.drop t.core slot.ws c;
     slot.live_conns <- List.filter (fun x -> not (x == c)) slot.live_conns
   in
-  let serve c msg arrival =
-    if should_shed t slot ~arrival then begin
-      (* Overload: answer the retryable 503 before any parsing or
-         domain switch is spent on this request. *)
-      Sched.charge (Space.cost t.space).Cost.syscall;
-      Telemetry.Metrics.inc t.c_shed;
-      (match t.sd with
-      | Some sd ->
-          Api.with_trace sd (trace_of_msg msg) (fun () ->
-              Api.flight_event sd ~udi:(slot_udi t slot)
-                Checkpoint.Flight.Shed)
-      | None -> ());
-      Netsim.send c http_503
-    end
-    else begin
-      Sched.charge (Space.cost t.space).Cost.syscall;
-      Sched.charge t.cfg.proc_cycles;
-      Telemetry.Metrics.inc t.c_served;
-      let cbuf = Hashtbl.find t.conns (Netsim.id c) in
-      let len = min (String.length msg) (t.cfg.conn_buf_size - 2) in
-      Space.store_string t.space cbuf (String.sub msg 0 len);
-      (* Install the request's trace context for its whole
-         handling: parse-phase switches, faults, replays and audit
-         records all inherit it. *)
-      (match (t.cfg.variant, t.sd) with
-      | Sdrad, Some sd ->
-          Api.set_trace sd (trace_of_msg msg);
-          Api.flight_event sd ~udi:(slot_udi t slot)
-            Checkpoint.Flight.Admit
-      | _ -> ());
-      let verdict =
-        match (t.cfg.variant, t.sd) with
-        | Sdrad, Some sd -> handle_sdrad t slot sd c ~cbuf ~len
-        | _ -> handle_plain t slot c ~cbuf ~len
-      in
-      (match t.sd with
-      | Some sd -> Api.set_trace sd 0L
-      | None -> ());
-      (match verdict with
-      | `Keep -> ()
-      | (`Close | `Close_graceful) as v ->
-          drop c;
-          if v = `Close then Telemetry.Metrics.inc t.c_dropped);
-      (* Scheduler-level chaos: lose this worker "process" between
-         requests; the master observes the death and respawns. *)
-      match t.faults with
-      | Some fi ->
-          ignore
-            (Fault_inject.maybe_kill fi ~site:"httpd.worker"
-               ~sched:t.sched ~tid:slot.tid)
-      | None -> ()
-    end
+  (* Overload: answer the retryable 503 before any parsing or domain
+     switch is spent on this request. *)
+  let shed c msg =
+    Serve.shed t.core c ~trace:(trace_of_msg msg) ~udi:(slot_udi t slot)
+      http_503
   in
-  (* Coalesce whatever is already deliverable into the same open gate
-     (a zero-deadline wait is a poll), up to the batch limit. *)
-  let rec drain n =
-    if n < t.cfg.gate_batch_limit then
-      match Netsim.Waitset.wait_deadline slot.ws ~deadline:(Sched.now ()) with
-      | None -> ()
-      | Some c -> (
-          match Netsim.recv_with_arrival c with
-          | None ->
-              drop c;
-              drain n
-          | Some (msg, arrival) ->
-              serve c msg arrival;
-              drain (n + 1))
-  in
-  let rec loop () =
-    match Netsim.Waitset.wait slot.ws with
+  let handle c msg =
+    let { Serve.addr = cbuf; len } = Serve.copy_in t.core c msg in
+    let verdict =
+      match (t.cfg.variant, t.sd) with
+      | Sdrad, Some sd -> handle_sdrad t slot sd c msg ~cbuf ~len
+      | _ -> handle_plain t slot c ~cbuf ~len
+    in
+    Serve.clear_trace t.core;
+    (match verdict with
+    | `Keep -> ()
+    | (`Close | `Close_graceful) as v ->
+        drop c;
+        if v = `Close then Telemetry.Metrics.inc t.c_dropped);
+    (* Scheduler-level chaos: lose this worker "process" between
+       requests; the master observes the death and respawns. *)
+    match t.faults with
+    | Some fi ->
+        ignore
+          (Fault_inject.maybe_kill fi ~site:"httpd.worker" ~sched:t.sched
+             ~tid:slot.tid)
     | None -> ()
-    | Some c ->
-        (match Netsim.recv_with_arrival c with
-        | None -> drop c
-        | Some (msg, arrival) ->
-            if batching then
-              Api.with_gate (Option.get t.sd) (fun () ->
-                  serve c msg arrival;
-                  drain 1)
-            else serve c msg arrival);
-        (* §VI mitigation: after too many rewinds, re-exec voluntarily to
-           re-randomize the address space. *)
-        match t.cfg.rewind_limit with
-        | Some limit when slot.slot_rewinds >= limit ->
-            Log.info (fun m ->
-                m "worker %d reached its rewind limit (%d); re-exec" slot.idx limit);
-            Telemetry.Metrics.inc t.c_proactive;
-            raise Exit
-        | Some _ | None -> loop ()
   in
-  try loop ()
+  (* §VI mitigation: after too many rewinds, re-exec voluntarily to
+     re-randomize the address space. *)
+  let after () =
+    match t.cfg.rewind_limit with
+    | Some limit when slot.slot_rewinds >= limit ->
+        Log.info (fun m ->
+            m "worker %d reached its rewind limit (%d); re-exec" slot.idx limit);
+        Telemetry.Metrics.inc t.c_proactive;
+        raise Exit
+    | Some _ | None -> ()
+  in
+  try Serve.worker t.core ~after slot.ws ~drop ~shed ~handle
   with _e ->
     (* The worker process dies: its connections are torn down by the
        kernel and the master is notified via SIGCHLD. *)
     slot.alive <- false;
     let at = Sched.now () in
-    Telemetry.Metrics.add t.c_dropped (List.length slot.live_conns);
-    List.iter Netsim.close slot.live_conns;
+    let conns = slot.live_conns in
+    Telemetry.Metrics.add t.c_dropped (List.length conns);
+    List.iter Netsim.close conns;
     slot.live_conns <- [];
     Netsim.Waitset.close slot.ws;
     Sched.Mutex.with_lock t.death_lock (fun () ->
         Queue.add (slot.idx, at) t.deaths;
-        Sched.Cond.signal t.death_cond)
+        Sched.Cond.signal t.death_cond);
+    (* Their buffers go back only after the death notice is queued, so a
+       failing free cannot lose the respawn. *)
+    List.iter (Serve.forget t.core) conns
 
 and master t =
   let rec loop () =
@@ -789,7 +554,7 @@ and master t =
     | Some (idx, died_at) ->
         if
           (not t.stopping)
-          && Telemetry.Metrics.counter_value t.c_restarts < t.cfg.max_restarts
+          && Telemetry.Metrics.counter_value t.c_restarts < max_restarts
         then begin
           Log.warn (fun m -> m "worker %d died; respawning" idx);
           Telemetry.Metrics.inc t.c_restarts;
@@ -811,22 +576,17 @@ let stop t =
   (* Wake the master so it observes [stopping]. *)
   Sched.Mutex.with_lock t.death_lock (fun () -> Sched.Cond.signal t.death_cond)
 
-let join t = List.iter Sched.join t.all_tids
-let requests_served t = Telemetry.Metrics.counter_value t.c_served
-let rewinds t = Telemetry.Metrics.counter_value t.c_rewinds
-let rewind_latencies t = t.rewind_lat
+let requests_served t = Serve.requests_served t.core
+let rewinds t = Serve.rewinds t.core
+let rewind_latencies t = Serve.rewind_latencies t.core
 let worker_restarts t = Telemetry.Metrics.counter_value t.c_restarts
 let proactive_restarts t = Telemetry.Metrics.counter_value t.c_proactive
 let restart_latencies t = t.restart_lat
 let dropped_connections t = Telemetry.Metrics.counter_value t.c_dropped
-let busy_rejections t = Telemetry.Metrics.counter_value t.c_busy_503
-let shed_count t = Telemetry.Metrics.counter_value t.c_shed
-let replay_hits t = Journal.hits t.journal
-let journal t = t.journal
+let shed_count t = Serve.shed_count t.core
+let replay_hits t = Serve.replay_hits t.core
 let post_count t = t.post_count
-let supervisor t = t.sup
-let metrics t = t.metrics
-let race_detector t = t.race
+let race_detector t = Serve.race_detector t.core
 
 let alive t =
   Array.exists

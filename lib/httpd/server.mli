@@ -19,7 +19,7 @@
     {!Crypto.X509} — whose punycode overflow (CVE-2022-3786) is caught by
     the stack canary — inside its own domain under SDRaD (§V-C). *)
 
-type variant = Baseline | Tlsf_alloc | Sdrad
+type variant = Serve.variant = Baseline | Tlsf_alloc | Sdrad
 
 type config = {
   variant : variant;
@@ -28,14 +28,6 @@ type config = {
   vulnerable : bool;
   verify_certs : bool;
   parser_udi : int;
-  cert_udi : int;
-  pool_udi : int;  (** data domain for request pools under SDRaD *)
-  proc_cycles : float;  (** per-request base processing cost *)
-  conn_buf_size : int;
-  max_restarts : int;
-  image_bytes : int;
-      (** resident process image (text, libraries, page cache) touched at
-          startup, so RSS comparisons have a realistic denominator *)
   rewind_limit : int option;
       (** §VI side-channel mitigation: "force an application restart after
           a configurable number of rewindings" — a worker that has rewound
@@ -47,34 +39,13 @@ type config = {
           so the supervisor can quarantine one worker's parser without
           fencing the others. [parser_udi] must leave [workers]
           consecutive udis free of other uses. Off by default. *)
-  journal_cap : int;
-      (** capacity of the replay journal keyed by [X-Request-Id]; the
-          journal is master-process state, so it survives parser-domain
-          discards and worker deaths alike *)
   shed_queue_limit : int;
       (** shed (answer 503) when a worker's waitset backlog exceeds this
-          many queued messages; 0 disables queue-depth shedding *)
-  shed_wait_limit : float;
-      (** shed when a request waited longer than this many cycles in the
-          worker's queue; 0 disables deadline-based shedding *)
-  nonblocking_admit : bool;
-      (** use {!Resilience.Supervisor.admit_nb}: a supervisor backoff
-          delay becomes a 503 instead of parking the worker *)
-  verify_policy : bool;
-      (** {!Sdrad} variant only: after the pool data domain is set up,
-          run the {!Analysis.Policy} verifier over a snapshot of the
-          monitor and raise {!Analysis.Policy.Rejected} on any
-          error-severity finding. Off by default. *)
+          many queued messages; 0 disables shedding *)
   race_detector : bool;
       (** {!Sdrad} variant only: attach an {!Analysis.Race} detector at
           start. Detection is host-side — it never perturbs the
           simulated run. Off by default. *)
-  gate_batch_limit : int;
-      (** {!Sdrad} variant only: coalesce up to this many consecutive
-          ready requests into one {!Core.Api.open_gate} batched-gate
-          section per worker wakeup, eliding per-request monitor
-          call-gate WRPKRU writes (supervision, flight events and fault
-          isolation are unchanged). 0 disables batching (the default). *)
 }
 
 val default_config : config
@@ -100,7 +71,6 @@ val start :
     between requests). *)
 
 val stop : t -> unit
-val join : t -> unit
 
 (** {1 Introspection} *)
 
@@ -117,10 +87,6 @@ val restart_latencies : t -> float list
 
 val dropped_connections : t -> int
 
-val busy_rejections : t -> int
-(** Requests answered with 503 because the supervisor had the parser
-    domain quarantined. *)
-
 val shed_count : t -> int
 (** Requests answered 503 by overload admission control — before any
     parsing or domain switch was spent on them. *)
@@ -129,19 +95,11 @@ val replay_hits : t -> int
 (** Retried POSTs answered from the replay journal instead of being
     applied a second time. *)
 
-val journal : t -> Resilience.Journal.t
-
 val post_count : t -> int
 (** Value of the [POST /count] counter — the observable non-idempotent
     state the replay journal protects. *)
 
-val supervisor : t -> Resilience.Supervisor.t option
 val alive : t -> bool
-
-val metrics : t -> Telemetry.Metrics.t
-(** The registry behind [GET /metrics]: the monitor's registry for the
-    {!Sdrad} variant (core + supervisor + server series in one scrape),
-    a private one otherwise. *)
 
 val race_detector : t -> Analysis.Race.t option
 (** The race detector attached at start when [config.race_detector] was

@@ -20,23 +20,19 @@
     whose length field is negative drives an unchecked copy loop that
     overruns the item allocation. *)
 
-type variant = Baseline | Tlsf_alloc | Sdrad
+type variant = Serve.variant = Baseline | Tlsf_alloc | Sdrad
 
 type config = {
   variant : variant;
   workers : int;
   port : int;
-  buckets : int;
   vulnerable : bool;
-  nested_udi : int;  (** udi for per-worker event domains *)
   db_udi : int;  (** data domain holding slabs + hash table *)
-  lock_udi : int;  (** data domain holding the shared lock word *)
   proc_cycles : float;
       (** fixed per-request processing cost standing in for the event
           loop, state machine and libevent work our lean reimplementation
           does not perform; calibrated so baseline per-op cost matches
           Memcached's (~10 µs/op) *)
-  conn_buf_size : int;
   image_bytes : int;
       (** resident process image (text, libraries, static data) touched at
           startup, so RSS comparisons have a realistic denominator *)
@@ -45,31 +41,16 @@ type config = {
           least-recently-used items when it is reached *)
   per_client_domains : bool;
       (** {!Sdrad} variant only: key the event domain by the connection's
-          source address instead of sharing one [nested_udi], so a
+          source address (udis from 100 up) instead of sharing udi 1, so a
           client's supervision history (rewind budget, quarantine)
           survives reconnects. Off by default. *)
-  client_udi_base : int;
-      (** first udi handed out for per-client domains (must not collide
-          with [db_udi]/[lock_udi]) *)
   journal_cap : int;
       (** capacity of the replay journal (idempotency keys) backing
           at-most-once retries; lives in root-domain memory, so it
           survives nested-domain discards *)
   shed_queue_limit : int;
       (** shed (answer busy) when a worker's waitset backlog exceeds this
-          many queued messages; 0 disables queue-depth shedding *)
-  shed_wait_limit : float;
-      (** shed when a request waited longer than this many cycles in the
-          worker's queue; 0 disables deadline-based shedding *)
-  nonblocking_admit : bool;
-      (** use {!Resilience.Supervisor.admit_nb}: a supervisor backoff
-          delay becomes a busy reply instead of parking the worker *)
-  verify_policy : bool;
-      (** {!Sdrad} variant only: after the data domains are set up, run
-          the {!Analysis.Policy} verifier over a snapshot of the monitor
-          and raise {!Analysis.Policy.Rejected} if any error-severity
-          finding (overlapping keys, unintended cross-domain visibility,
-          unreadable gate buffers) is present. Off by default. *)
+          many queued messages; 0 disables shedding *)
   race_detector : bool;
       (** {!Sdrad} variant only: attach an {!Analysis.Race} detector at
           start. Detection is host-side — it never perturbs the
@@ -138,10 +119,6 @@ val replay_hits : t -> int
 val journal : t -> Resilience.Journal.t
 (** The server's replay journal (root-domain state). *)
 
-val client_domains : t -> int
-(** Per-client domains allocated so far (0 unless [per_client_domains]). *)
-
-val supervisor : t -> Resilience.Supervisor.t option
 val worker_busy_cycles : t -> float
 (** Total CPU (non-waiting) cycles consumed by this server's threads —
     the resource cost a replicated deployment multiplies. *)
@@ -154,11 +131,6 @@ val worker_utilization : t -> float list
 val db_bytes : t -> int
 val db_check : t -> string list
 val evictions : t -> int
-
-val metrics : t -> Telemetry.Metrics.t
-(** The registry behind the [stats telemetry] verb: the monitor's registry
-    for the {!Sdrad} variant (core + supervisor + server series in one
-    scrape), a private one otherwise. *)
 
 val race_detector : t -> Analysis.Race.t option
 (** The race detector attached at start when [config.race_detector] was

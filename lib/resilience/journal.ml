@@ -88,6 +88,5 @@ let record t rid reply =
   end
 
 let size t = Hashtbl.length t.entries
-let capacity t = t.capacity
 let hits t = t.n_hits
 let evictions t = t.n_evictions

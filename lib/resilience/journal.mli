@@ -34,6 +34,5 @@ val record : t -> string -> string -> unit
     is a no-op (first write wins — the op committed only once). *)
 
 val size : t -> int
-val capacity : t -> int
 val hits : t -> int
 val evictions : t -> int

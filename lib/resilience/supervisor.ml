@@ -32,11 +32,19 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type breaker = Closed | Backoff | Quarantined | Half_open
 
+(* The breaker's wire name: metric labels, trace arguments and the
+   fleet's heartbeat lines all carry it. *)
 let breaker_to_string = function
   | Closed -> "closed"
   | Backoff -> "backoff"
   | Quarantined -> "quarantined"
   | Half_open -> "half-open"
+
+let breaker_of_string = function
+  | "backoff" -> Backoff
+  | "quarantined" -> Quarantined
+  | "half-open" -> Half_open
+  | _ -> Closed
 
 type policy = {
   budget_max : int;  (* rewinds within [budget_window] that trip the breaker *)
@@ -248,21 +256,6 @@ let admit t ~udi =
         Busy { until = release }
       end
 
-(* Non-blocking admission for servers that would rather shed than sleep:
-   where [admit] parks the caller until the backoff retry point,
-   [admit_nb] reports [Busy { until = retry_at }] and lets the caller
-   turn the wait into a busy reply. Every other state behaves exactly as
-   [admit]. *)
-let admit_nb t ~udi =
-  let d = dstate t udi in
-  match d.breaker with
-  | Backoff when Sched.in_thread () && Sched.now () < d.retry_at ->
-      d.d_rejections <- d.d_rejections + 1;
-      M.inc t.c_rejections;
-      Busy { until = d.retry_at }
-  | Backoff -> Admitted
-  | Closed | Half_open | Quarantined -> admit t ~udi
-
 let succeed t ~udi =
   let d = dstate t udi in
   d.strikes <- 0;
@@ -283,18 +276,6 @@ let succeed t ~udi =
    path needs no bookkeeping here — the incident handler already saw it. *)
 let run t ~udi ?opts ~on_rewind ~on_busy body =
   match admit t ~udi with
-  | Busy { until } -> on_busy ~until
-  | Admitted | Probe ->
-      Api.run t.sd ~udi ?opts ~on_rewind (fun () ->
-          let v = body () in
-          succeed t ~udi;
-          v)
-
-(* [run] with non-blocking admission: a Backoff delay becomes an
-   [on_busy] rejection instead of a sleep, so an overloaded server sheds
-   the request before burning a domain switch. *)
-let run_nb t ~udi ?opts ~on_rewind ~on_busy body =
-  match admit_nb t ~udi with
   | Busy { until } -> on_busy ~until
   | Admitted | Probe ->
       Api.run t.sd ~udi ?opts ~on_rewind (fun () ->
@@ -326,11 +307,20 @@ let breaker_state t ~udi =
   | Some d -> d.breaker
   | None -> Closed
 
-let forget t ~udi = Hashtbl.remove t.domains udi
-
 let states t =
   Hashtbl.fold (fun udi d acc -> (udi, d.breaker) :: acc) t.domains []
   |> List.sort compare
+
+let worst_breaker t =
+  let rank = function
+    | Closed -> 0
+    | Half_open -> 1
+    | Backoff -> 2
+    | Quarantined -> 3
+  in
+  List.fold_left
+    (fun acc (_, b) -> if rank b > rank acc then b else acc)
+    Closed (states t)
 
 let domain_counters t ~udi =
   let d = dstate t udi in
@@ -358,5 +348,3 @@ let transition_count t ~from ~target =
        ~labels:
          [ ("from", breaker_to_string from); ("to", breaker_to_string target) ])
 
-let sdrad t = t.sd
-let policy t = t.policy

@@ -15,6 +15,12 @@
 type breaker = Closed | Backoff | Quarantined | Half_open
 
 val breaker_to_string : breaker -> string
+(** ["closed"], ["backoff"], ["quarantined"] or ["half-open"]: the name
+    in metric labels, trace arguments and fleet heartbeats. *)
+
+val breaker_of_string : string -> breaker
+(** Inverse of {!breaker_to_string}; any other string reads as
+    [Closed]. *)
 
 type policy = {
   budget_max : int;
@@ -47,12 +53,6 @@ val admit : t -> udi:Sdrad.Types.udi -> verdict
     the policy); in [Quarantined] it returns [Busy] without touching any
     domain state, so the caller can degrade (serve busy / 503). *)
 
-val admit_nb : t -> udi:Sdrad.Types.udi -> verdict
-(** Non-blocking {!admit}: in [Backoff] before the retry point it returns
-    [Busy { until = retry_at }] (counted as a rejection) instead of
-    sleeping, so an overload-shedding server can convert the wait into a
-    busy reply. All other states behave exactly as {!admit}. *)
-
 val succeed : t -> udi:Sdrad.Types.udi -> unit
 (** Report a normal completion: resets the strike counter, and closes the
     breaker after a successful half-open probe. *)
@@ -67,17 +67,6 @@ val run :
   'a
 (** Supervised {!Sdrad.Api.run}: [admit] first (rejecting with [on_busy]
     when quarantined), count a normal completion as a success. *)
-
-val run_nb :
-  t ->
-  udi:Sdrad.Types.udi ->
-  ?opts:Sdrad.Types.options ->
-  on_rewind:(Sdrad.Types.fault -> 'a) ->
-  on_busy:(until:float -> 'a) ->
-  (unit -> 'a) ->
-  'a
-(** {!run} built on {!admit_nb}: a [Backoff] delay surfaces as [on_busy]
-    instead of blocking the worker. *)
 
 type 'a outcome =
   | Ok of 'a
@@ -102,9 +91,10 @@ val breaker_state : t -> udi:Sdrad.Types.udi -> breaker
 val states : t -> (Sdrad.Types.udi * breaker) list
 (** All tracked domains, sorted by udi. *)
 
-val forget : t -> udi:Sdrad.Types.udi -> unit
-(** Drop all supervision state for a udi (e.g. after the domain is
-    destroyed for good). *)
+val worst_breaker : t -> breaker
+(** The most severe state over all tracked domains, in the order
+    [Closed < Half_open < Backoff < Quarantined]; [Closed] when none is
+    tracked. A fleet shard reports it in its heartbeat. *)
 
 val stats : t -> (string * int) list
 (** Global counters as an assoc list: supervised domains, rewinds seen,
@@ -118,6 +108,3 @@ val transition_count : t -> from:breaker -> target:breaker -> int
 (** Edges taken over the breaker graph, read from the
     [supervisor_transitions_total{from,to}] counter family in the
     monitor's metrics registry. 0 for edges never taken. *)
-
-val sdrad : t -> Sdrad.Api.t
-val policy : t -> policy

@@ -287,6 +287,37 @@ let test_rewind_limit_forces_restart () =
   check int "counted as worker restart" 1 (Server.worker_restarts s)
 
 
+(* Connection churn must not grow the server: a closed connection's
+   buffer goes back to the allocator. 200 sequential connect, GET, close
+   cycles leave RSS where it stood after the 20th. *)
+let test_connection_churn_rss_flat () =
+  List.iter
+    (fun variant ->
+      let space = Space.create ~size_mib:128 () in
+      let sd =
+        match variant with Server.Sdrad -> Some (Api.create space) | _ -> None
+      in
+      let sched = Sched.create () in
+      let net = Netsim.create (Space.cost space) in
+      let cfg = { Server.default_config with variant; workers = 1 } in
+      let rss = Array.make 2 0 in
+      let _ =
+        Sched.spawn sched ~name:"harness" (fun () ->
+            let s = Server.start sched space ?sdrad:sd net ~fs:(mk_fs space) cfg in
+            for i = 1 to 200 do
+              (match get net 8080 "/index.html" with
+              | Some r -> check bool "200" true (Load.is_200 r)
+              | None -> Alcotest.fail "no reply");
+              if i = 20 then rss.(0) <- Space.rss_bytes space;
+              if i = 200 then rss.(1) <- Space.rss_bytes space
+            done;
+            Server.stop s)
+      in
+      Sched.run sched;
+      check int "RSS flat from the 20th to the 200th connection" rss.(0)
+        rss.(1))
+    [ Server.Baseline; Server.Sdrad ]
+
 let test_connection_close_honored () =
   let _ =
     run_server_test ~variant:Server.Baseline (fun _ net _ ->
@@ -549,6 +580,8 @@ let () =
             test_cve_sdrad_rewinds_connection_scoped;
           Alcotest.test_case "sdrad benign parsing" `Quick test_sdrad_normal_parsing_unaffected;
           Alcotest.test_case "rewind limit restart" `Quick test_rewind_limit_forces_restart;
+          Alcotest.test_case "connection churn keeps RSS flat" `Quick
+            test_connection_churn_rss_flat;
         ] );
       ( "client-certs",
         [

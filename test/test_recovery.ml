@@ -1,15 +1,13 @@
 (* End-to-end recovery correctness: deadline-aware receives, client
    retry/timeout/backoff with a retry budget, the rewind-safe replay
-   journal (at-most-once retried mutations), non-blocking supervisor
-   admission, and overload shedding in both servers. *)
+   journal (at-most-once retried mutations), the admission edges of the
+   shared serving core, and overload shedding in both servers. *)
 
 module Space = Vmem.Space
 module Sched = Simkern.Sched
 module Rng = Simkern.Rng
 module Cost = Simkern.Cost
 module Api = Sdrad.Api
-module Supervisor = Resilience.Supervisor
-module Fault_inject = Resilience.Fault_inject
 module Retry = Resilience.Retry
 module Journal = Resilience.Journal
 module KServer = Kvcache.Server
@@ -361,62 +359,165 @@ let test_journal_eviction_in_server () =
           Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
     (Sched.outcomes sched)
 
-(* {1 Non-blocking supervisor admission} *)
+let mk_fs space =
+  let fs = Fs.create space in
+  Fs.add fs ~path:"/index.html" ~size:256;
+  fs
 
-let test_admit_nb_does_not_park () =
-  let space = Space.create ~size_mib:32 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let policy =
-    {
-      Supervisor.default_policy with
-      budget_max = 3;
-      budget_window = 1.0e9;
-      backoff_base = 50_000.0;
-      backoff_max = 500_000.0;
-    }
-  in
-  let sup = Supervisor.attach ~policy sd in
-  let udi = 5 in
-  let _ =
-    Sched.spawn sched ~name:"main" (fun () ->
-        (* One crash inside the domain trips the breaker into Backoff. *)
-        (match
-           Supervisor.run sup ~udi
-             ~on_rewind:(fun _ -> `Rewound)
-             ~on_busy:(fun ~until:_ -> `Busy)
-             (fun () ->
-               Api.enter sd udi;
-               Fault_inject.wild_write space;
-               Api.exit_domain sd;
-               `Ok)
-         with
-        | `Rewound -> ()
-        | _ -> Alcotest.fail "fault must rewind");
-        let t0 = Sched.now () in
-        (match Supervisor.admit_nb sup ~udi with
-        | Supervisor.Busy { until } ->
-            check bool "busy names a future retry point" true (until > t0)
-        | _ -> Alcotest.fail "admit_nb must refuse during backoff");
-        check bool "admit_nb did not advance the clock" true (Sched.now () = t0);
-        (* The blocking variant parks the caller until the retry point. *)
-        (match Supervisor.admit sup ~udi with
-        | Supervisor.Admitted | Supervisor.Probe -> ()
-        | Supervisor.Busy _ -> Alcotest.fail "blocking admit must wait, not refuse");
-        check bool "blocking admit slept through the backoff" true
-          (Sched.now () > t0);
-        (* Once past the retry point, admit_nb admits again. *)
-        check bool "admit_nb admits after the backoff" true
-          (Supervisor.admit_nb sup ~udi = Supervisor.Admitted))
-  in
-  Sched.run sched;
+(* {1 Admission edges} *)
+
+(* Trace ids of every flight event of [kind], domain by domain, oldest
+   first. *)
+let flight_traces sd kind =
+  List.concat_map
+    (fun udi ->
+      List.filter_map
+        (fun (e : Checkpoint.Flight.event) ->
+          if e.e_kind = kind then Some e.e_trace else None)
+        (Api.flight_events sd ~udi))
+    (Api.flight_domains sd)
+
+let burst n =
+  List.init n (fun i -> Telemetry.Context.root (Printf.sprintf "burst-%d" i))
+
+(* A pipelined burst of [n] requests on one connection: the worker serves
+   request [i] (from 1) with [n - i] requests queued behind it. A request
+   is shed when that backlog exceeds the limit, so with limit [l] > 0 the
+   first [n - l - 1] are shed and the last [l + 1] served; a limit of 0
+   never sheds. Each shed request leaves exactly one [Shed] flight event
+   under its own trace id. *)
+let check_shed_boundary ~limit ~n ~shed traces sd s_shed_count =
+  let expect = List.init n (fun i -> limit > 0 && n - (i + 1) > limit) in
+  check (Alcotest.list bool)
+    (Printf.sprintf "limit %d: shed exactly past the limit" limit)
+    expect shed;
+  check int "shed counter" (List.length (List.filter Fun.id expect))
+    s_shed_count;
+  (* With shedding on, the burst is short enough for the flight ring to
+     keep every event, so a missing Shed event cannot hide behind an
+     eviction. *)
+  if limit > 0 then
+    check int "flight rings kept every event" 0 (Api.flight_dropped sd);
+  check (Alcotest.list Alcotest.int64) "one Shed event per shed request"
+    (List.filteri (fun i _ -> List.nth expect i) traces)
+    (flight_traces sd Checkpoint.Flight.Shed)
+
+let test_kvcache_shed_boundary () =
   List.iter
-    (fun (_, name, oc) ->
-      match oc with
-      | Sched.Completed -> ()
-      | Sched.Failed e ->
-          Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
-    (Sched.outcomes sched)
+    (fun limit ->
+      let space = Space.create ~size_mib:64 () in
+      let sd = Api.create space in
+      let net = Netsim.create (Space.cost space) in
+      let cfg =
+        {
+          KServer.default_config with
+          variant = KServer.Sdrad;
+          workers = 1;
+          shed_queue_limit = limit;
+        }
+      in
+      let n = 6 in
+      let traces = List.map Telemetry.Context.trace (burst n) in
+      run_sim (fun sched ->
+          ignore
+            (Sched.spawn sched ~name:"main" (fun () ->
+                 let s = KServer.start sched space ~sdrad:sd net cfg in
+                 let c = Netsim.connect net ~port:11211 in
+                 List.iter
+                   (fun tr -> Netsim.send c (Proto.fmt_get ~trace:tr "k"))
+                   traces;
+                 let shed =
+                   List.map
+                     (fun _ -> Netsim.recv c = Some Proto.server_error_busy)
+                     traces
+                 in
+                 Netsim.close c;
+                 KServer.stop s;
+                 check_shed_boundary ~limit ~n ~shed traces sd
+                   (KServer.shed_count s)))))
+    [ 0; 2 ]
+
+let traced_get tr =
+  Workload.Http_load.request_with_headers ~path:"/index.html"
+    [ ("traceparent", Telemetry.Context.to_traceparent tr) ]
+
+let test_httpd_shed_boundary () =
+  List.iter
+    (fun limit ->
+      let space = Space.create ~size_mib:64 () in
+      let sd = Api.create space in
+      let net = Netsim.create (Space.cost space) in
+      let cfg =
+        {
+          HServer.default_config with
+          variant = HServer.Sdrad;
+          workers = 1;
+          shed_queue_limit = limit;
+        }
+      in
+      let n = 6 in
+      let ctxs = burst n in
+      run_sim (fun sched ->
+          ignore
+            (Sched.spawn sched ~name:"main" (fun () ->
+                 let s =
+                   HServer.start sched space ~sdrad:sd net
+                     ~fs:(mk_fs space) cfg
+                 in
+                 let c = Netsim.connect net ~port:8080 in
+                 List.iter (fun tr -> Netsim.send c (traced_get tr)) ctxs;
+                 let shed =
+                   List.map
+                     (fun _ ->
+                       let r = Option.get (Netsim.recv c) in
+                       String.sub r 9 3 = "503")
+                     ctxs
+                 in
+                 Netsim.close c;
+                 HServer.stop s;
+                 check_shed_boundary ~limit ~n ~shed
+                   (List.map Telemetry.Context.trace ctxs)
+                   sd (HServer.shed_count s)))))
+    [ 0; 2 ]
+
+(* A retried POST whose first attempt committed is answered from the
+   journal without running again, and the hit is one [Replay] flight
+   event under the retry's trace id. *)
+let test_httpd_replay_under_retry_trace () =
+  let space = Space.create ~size_mib:64 () in
+  let sd = Api.create space in
+  let net = Netsim.create (Space.cost space) in
+  let cfg =
+    { HServer.default_config with variant = HServer.Sdrad; workers = 1 }
+  in
+  (* Distinct trace ids, so the event's id tells the attempts apart. *)
+  let first = Telemetry.Context.root "count-op" in
+  let retry = Telemetry.Context.root "count-op-retry" in
+  let post c tr =
+    Netsim.send c
+      (Printf.sprintf
+         "POST /count HTTP/1.1\r\nHost: x\r\nX-Request-Id: op-1\r\n\
+          traceparent: %s\r\nContent-Length: 0\r\n\r\n"
+         (Telemetry.Context.to_traceparent tr));
+    Option.get (Netsim.recv c)
+  in
+  run_sim (fun sched ->
+      ignore
+        (Sched.spawn sched ~name:"main" (fun () ->
+             let s =
+               HServer.start sched space ~sdrad:sd net ~fs:(mk_fs space) cfg
+             in
+             let c = Netsim.connect net ~port:8080 in
+             let r1 = post c first in
+             let r2 = post c retry in
+             check string "retry answered with the first reply" r1 r2;
+             check int "POST ran once" 1 (HServer.post_count s);
+             check int "one replay hit" 1 (HServer.replay_hits s);
+             Netsim.close c;
+             HServer.stop s)));
+  check (Alcotest.list Alcotest.int64) "one Replay event, under the retry's trace"
+    [ Telemetry.Context.trace retry ]
+    (flight_traces sd Checkpoint.Flight.Replay)
 
 (* {1 Overload shedding} *)
 
@@ -474,11 +575,6 @@ let test_kvcache_sheds_under_burst () =
           Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
     (Sched.outcomes sched);
   check bool "server survived the burst" false (KServer.crashed (Option.get !srv))
-
-let mk_fs space =
-  let fs = Fs.create space in
-  Fs.add fs ~path:"/index.html" ~size:256;
-  fs
 
 let test_httpd_sheds_and_replays () =
   let space = Space.create ~size_mib:64 () in
@@ -740,8 +836,12 @@ let () =
         ] );
       ( "admission",
         [
-          Alcotest.test_case "admit_nb does not park" `Quick
-            test_admit_nb_does_not_park;
+          Alcotest.test_case "kvcache shed boundary" `Quick
+            test_kvcache_shed_boundary;
+          Alcotest.test_case "httpd shed boundary" `Quick
+            test_httpd_shed_boundary;
+          Alcotest.test_case "httpd replay under the retry's trace" `Quick
+            test_httpd_replay_under_retry_trace;
         ] );
       ( "shedding",
         [

@@ -172,6 +172,36 @@ let test_composes_with_existing_handler () =
       check int "supervisor saw it too" 1
         (List.assoc "rewinds_seen" (Supervisor.stats sup)))
 
+(* The heartbeat wire format: a fleet shard writes its worst breaker with
+   [breaker_to_string] and the router reads it back with
+   [breaker_of_string]. *)
+let test_breaker_wire_roundtrip () =
+  let all =
+    Supervisor.[ Closed; Backoff; Quarantined; Half_open ]
+  in
+  List.iter
+    (fun b ->
+      check bool
+        (Supervisor.breaker_to_string b ^ " round-trips")
+        true
+        (Supervisor.breaker_of_string (Supervisor.breaker_to_string b) = b))
+    all;
+  check int "four distinct names" 4
+    (List.length
+       (List.sort_uniq compare (List.map Supervisor.breaker_to_string all)));
+  check bool "unknown reads as closed" true
+    (Supervisor.breaker_of_string "bogus" = Supervisor.Closed);
+  with_sdrad (fun space sd ->
+      let sup = Supervisor.attach ~policy:test_policy sd in
+      check bool "worst of nothing is closed" true
+        (Supervisor.worst_breaker sup = Supervisor.Closed);
+      ignore (attempt sup sd space ~udi:6 ~crash:false);
+      for _ = 1 to 3 do
+        ignore (attempt sup sd space ~udi:5 ~crash:true)
+      done;
+      check bool "worst is the quarantined udi's" true
+        (Supervisor.worst_breaker sup = Supervisor.Quarantined))
+
 (* {1 Fault-injection engine} *)
 
 let test_decide_deterministic () =
@@ -550,6 +580,8 @@ let () =
             test_supervision_is_per_udi;
           Alcotest.test_case "protect_call rejection" `Quick
             test_protect_call_rejection;
+          Alcotest.test_case "breaker wire round-trip" `Quick
+            test_breaker_wire_roundtrip;
           Alcotest.test_case "composes with app handler" `Quick
             test_composes_with_existing_handler;
         ] );
