@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json perf perf-smoke telemetry-report forensics-report clean
+.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json perf perf-smoke perf-compare telemetry-report forensics-report clean
 
 all: check
 
@@ -102,6 +102,16 @@ perf:
 # workload, and seed-42 determinism of every simulated metric.
 perf-smoke:
 	python3 perfsuite/smoke.py
+
+# Interleaved benchmark pairs against another commit, e.g.
+# `make perf-compare REV=HEAD~1 [PAIRS=10]`: every workload on seed 1,
+# alternating which side runs first. Prints each end-to-end metric's
+# medians and quartiles, pair wins and a verdict, and fails if a metric is
+# worse than its BENCHMARK.json bound (see bench/perf_compare.py).
+PAIRS ?= 10
+perf-compare:
+	@test -n "$(REV)" || { echo "usage: make perf-compare REV=<commit> [PAIRS=10]"; exit 2; }
+	python3 bench/perf_compare.py "$(REV)" --pairs $(PAIRS)
 
 clean:
 	dune clean

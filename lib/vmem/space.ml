@@ -24,21 +24,20 @@ let pp_si_code ppf = function
   | PKUERR -> Format.pp_print_string ppf "SEGV_PKUERR"
   | POISON -> Format.pp_print_string ppf "SEGV_POISON"
 
-let fault_to_string = function
-  | Fault { addr; access; code; pkey; tid } ->
-      Some
-        (Format.asprintf "SEGV at 0x%x (%a, %a, pkey %d, tid %d)" addr
-           pp_access access pp_si_code code pkey tid)
-  | _ -> None
-
 let page_shift = 12
 let ps = 1 lsl page_shift
+let page_mask = ps - 1
+
+(* The frame every page shares until its first write (see [wframe]), so
+   the host heap follows the pages a simulated process writes, not the
+   size of its address space. Never written. *)
+let zero_page = Bytes.make ps '\000'
 
 (* flags byte per page *)
 let fl_mapped = 8
 
 type t = {
-  mem : Bytes.t;
+  frames : Bytes.t array;  (* one per page; [zero_page] until written *)
   size : int;
   pages : int;
   flags : Bytes.t;
@@ -59,7 +58,7 @@ type t = {
   mutable syscall_hook : (string -> unit) option;
   (* heap-poison sanitizer state (ASan-style shadow memory) *)
   mutable san_enabled : bool;
-  mutable san_map : Bytes.t;  (* 1 bit per byte of [mem]; empty until enabled *)
+  mutable san_map : Bytes.t;  (* 1 bit per byte; empty until enabled *)
   mutable san_bypass : bool;  (* allocator metadata accesses skip the scan *)
   mutable san_fault_count : int;
   mutable san_poisoned_count : int;
@@ -73,7 +72,7 @@ let create ?(size_mib = 64) ?(cost = Cost.default) () =
   let size = size_mib * 1024 * 1024 in
   let pages = size / ps in
   {
-    mem = Bytes.make size '\000';
+    frames = Array.make pages zero_page;
     size;
     pages;
     flags = Bytes.make pages '\000';
@@ -212,7 +211,7 @@ let check_page t addr p access =
 
 (* {1 Heap-poison sanitizer}
 
-   Shadow state for the ASan-style sanitizer: one bit per byte of [mem],
+   Shadow state for the ASan-style sanitizer: one bit per byte of the space,
    set while the byte is poisoned (redzone, freed block, discarded
    domain). The scan runs after the protection checks succeed, charges no
    virtual time (shadow memory is a host-side artifact), and raises the simulator's SEGV with the [POISON] code so the
@@ -295,9 +294,6 @@ let unpoison t ~addr ~len =
     t.san_unpoisoned_count <- t.san_unpoisoned_count + 1
   end
 
-let first_poisoned t ~addr ~len =
-  if (not t.san_enabled) || len <= 0 then None else san_find t.san_map addr len
-
 let poison_faults t = t.san_fault_count
 let poisoned_ranges t = t.san_poisoned_count
 let unpoisoned_ranges t = t.san_unpoisoned_count
@@ -359,7 +355,9 @@ let mmap t ~len ~prot ~pkey =
     Bytes.unsafe_set t.pkey_of p kbyte;
     Bytes.unsafe_set t.touched p '\000'
   done;
-  Bytes.fill t.mem (base_page lsl page_shift) (npages lsl page_shift) '\000';
+  (* Fresh pages read as zero: they share [zero_page] again, and the
+     range's old frames are released. *)
+  Array.fill t.frames base_page npages zero_page;
   let addr = base_page lsl page_shift in
   Hashtbl.replace t.allocs addr (total, npages);
   (* A fresh mapping carries no poison, whatever lived there before. *)
@@ -382,6 +380,8 @@ let munmap t addr =
           t.rss_pages <- t.rss_pages - 1
         end
       done;
+      (* The frames stay: like physical pages after munmap, they keep
+         their residue until a mapping is made over them. *)
       Hashtbl.remove t.allocs addr;
       t.free_list <- insert_region t.free_list (base_page - 1, total);
       charge t t.cost.syscall
@@ -439,47 +439,112 @@ let alloc_len t addr =
   | Some (_, npages) -> Some (npages lsl page_shift)
   | None -> None
 
+(* {1 Frames}
+
+   Reads index [frames] directly; every write goes through [wframe],
+   which first gives a page still on [zero_page] a frame of its own, so
+   the shared page is never written. Callers run [check] before either:
+   an access that faults reads nothing and materialises no frame. A
+   frame is larger than the largest minor-heap block, so it is allocated
+   on the major heap and a materialising store allocates no minor
+   words. *)
+
+let[@inline] frame t addr = Array.unsafe_get t.frames (addr lsr page_shift)
+
+let[@inline] wframe t addr =
+  let p = addr lsr page_shift in
+  let f = Array.unsafe_get t.frames p in
+  if f != zero_page then f
+  else begin
+    let f = Bytes.make ps '\000' in
+    Array.unsafe_set t.frames p f;
+    f
+  end
+
+(* Bytes from [addr] to the end of its page, or to [stop] if sooner. *)
+let[@inline] chunk addr stop =
+  Int.min (stop - addr) (ps - (addr land page_mask))
+
+(* Bytes from the start of the page holding [addr - 1] up to [addr]. *)
+let[@inline] below addr = ((addr - 1) land page_mask) + 1
+
+let[@inline] get_byte t addr =
+  Char.code (Bytes.unsafe_get (frame t addr) (addr land page_mask))
+
+let[@inline] set_byte t addr v =
+  Bytes.unsafe_set (wframe t addr) (addr land page_mask) (Char.unsafe_chr v)
+
+(* A little-endian value of [n] bytes that crosses a page boundary, one
+   byte at a time. The result is unsigned for n < 8 and keeps the low 63
+   bits for n = 8, as the single-frame loads below do. *)
+let load_straddle t addr n =
+  let v = ref 0 in
+  for i = n - 1 downto 0 do
+    v := (!v lsl 8) lor get_byte t (addr + i)
+  done;
+  !v
+
+(* [asr] gives the top byte of an 8-byte store the sign bit, as
+   [Int64.of_int] does. *)
+let store_straddle t addr n v =
+  for i = 0 to n - 1 do
+    set_byte t (addr + i) ((v asr (8 * i)) land 0xFF)
+  done
+
 (* {1 Checked access} *)
 
 let load8 t addr =
   charge t t.cost.mem_access;
   check t addr 1 Read;
-  Char.code (Bytes.unsafe_get t.mem addr)
+  get_byte t addr
 
 let load16 t addr =
   charge t t.cost.mem_access;
   check t addr 2 Read;
-  Bytes.get_uint16_le t.mem addr
+  let off = addr land page_mask in
+  if off <= ps - 2 then Bytes.get_uint16_le (frame t addr) off
+  else load_straddle t addr 2
 
 let load32 t addr =
   charge t t.cost.mem_access;
   check t addr 4 Read;
-  Int32.to_int (Bytes.get_int32_le t.mem addr) land 0xFFFFFFFF
+  let off = addr land page_mask in
+  if off <= ps - 4 then
+    Int32.to_int (Bytes.get_int32_le (frame t addr) off) land 0xFFFFFFFF
+  else load_straddle t addr 4
 
 let load64 t addr =
   charge t t.cost.mem_access;
   check t addr 8 Read;
-  Int64.to_int (Bytes.get_int64_le t.mem addr)
+  let off = addr land page_mask in
+  if off <= ps - 8 then Int64.to_int (Bytes.get_int64_le (frame t addr) off)
+  else load_straddle t addr 8
 
 let store8 t addr v =
   charge t t.cost.mem_access;
   check t addr 1 Write;
-  Bytes.unsafe_set t.mem addr (Char.unsafe_chr (v land 0xFF))
+  set_byte t addr (v land 0xFF)
 
 let store16 t addr v =
   charge t t.cost.mem_access;
   check t addr 2 Write;
-  Bytes.set_uint16_le t.mem addr (v land 0xFFFF)
+  let off = addr land page_mask in
+  if off <= ps - 2 then Bytes.set_uint16_le (wframe t addr) off (v land 0xFFFF)
+  else store_straddle t addr 2 v
 
 let store32 t addr v =
   charge t t.cost.mem_access;
   check t addr 4 Write;
-  Bytes.set_int32_le t.mem addr (Int32.of_int v)
+  let off = addr land page_mask in
+  if off <= ps - 4 then Bytes.set_int32_le (wframe t addr) off (Int32.of_int v)
+  else store_straddle t addr 4 v
 
 let store64 t addr v =
   charge t t.cost.mem_access;
   check t addr 8 Write;
-  Bytes.set_int64_le t.mem addr (Int64.of_int v)
+  let off = addr land page_mask in
+  if off <= ps - 8 then Bytes.set_int64_le (wframe t addr) off (Int64.of_int v)
+  else store_straddle t addr 8 v
 
 (* Single-event upset: flip one bit of a mapped byte, bypassing the
    protection checks — a soft error is not a CPU access, so neither PKRU
@@ -491,8 +556,7 @@ let flip_bit t ~addr ~bit =
      && Char.code (Bytes.unsafe_get t.flags (addr lsr page_shift)) land fl_mapped
         <> 0
   then begin
-    let b = Char.code (Bytes.get t.mem addr) in
-    Bytes.set t.mem addr (Char.unsafe_chr (b lxor (1 lsl (bit land 7))));
+    set_byte t addr (get_byte t addr lxor (1 lsl (bit land 7)));
     true
   end
   else false
@@ -505,13 +569,37 @@ let bulk_charge t len =
    scheduler first, and a zero length is a free no-op. *)
 let check_len op len = if len < 0 then invalid_arg (op ^ ": bad length")
 
+(* The bulk copies below walk their range one page at a time; a range
+   inside one page is a single [Bytes] call. *)
+
+let copy_out t addr len =
+  let off = addr land page_mask in
+  if off + len <= ps then Bytes.sub (frame t addr) off len
+  else begin
+    let b = Bytes.create len and a = ref addr and stop = addr + len in
+    while !a < stop do
+      let n = chunk !a stop in
+      Bytes.blit (frame t !a) (!a land page_mask) b (!a - addr) n;
+      a := !a + n
+    done;
+    b
+  end
+
+let copy_in t addr s =
+  let a = ref addr and stop = addr + String.length s in
+  while !a < stop do
+    let n = chunk !a stop in
+    Bytes.blit_string s (!a - addr) (wframe t !a) (!a land page_mask) n;
+    a := !a + n
+  done
+
 let load_bytes t addr len =
   check_len "load_bytes" len;
   if len = 0 then Bytes.empty
   else begin
     bulk_charge t len;
     check t addr len Read;
-    Bytes.sub t.mem addr len
+    copy_out t addr len
   end
 
 let store_bytes t addr b =
@@ -519,7 +607,7 @@ let store_bytes t addr b =
   if len > 0 then begin
     bulk_charge t len;
     check t addr len Write;
-    Bytes.blit b 0 t.mem addr len
+    copy_in t addr (Bytes.unsafe_to_string b)
   end
 
 let store_string t addr s =
@@ -527,7 +615,7 @@ let store_string t addr s =
   if len > 0 then begin
     bulk_charge t len;
     check t addr len Write;
-    Bytes.blit_string s 0 t.mem addr len
+    copy_in t addr s
   end
 
 let read_string t addr len =
@@ -536,16 +624,42 @@ let read_string t addr len =
   else begin
     bulk_charge t len;
     check t addr len Read;
-    Bytes.sub_string t.mem addr len
+    Bytes.unsafe_to_string (copy_out t addr len)
   end
 
+(* memmove: when the destination overlaps the source from above, the
+   copy runs from the top down, so no source byte is overwritten before
+   it is read. Each step stays inside one source and one destination
+   page. *)
 let blit t ~src ~dst ~len =
   check_len "blit" len;
   if len > 0 then begin
     bulk_charge t (2 * len);
     check t src len Read;
     check t dst len Write;
-    Bytes.blit t.mem src t.mem dst len
+    let so = src land page_mask and d = dst land page_mask in
+    if so + len <= ps && d + len <= ps then
+      Bytes.blit (frame t src) so (wframe t dst) d len
+    else if dst > src && dst < src + len then begin
+      let a = ref (src + len) and b = ref (dst + len) in
+      while !a > src do
+        let n = Int.min (!a - src) (Int.min (below !a) (below !b)) in
+        a := !a - n;
+        b := !b - n;
+        Bytes.blit (frame t !a) (!a land page_mask) (wframe t !b)
+          (!b land page_mask) n
+      done
+    end
+    else begin
+      let a = ref src and b = ref dst and stop = src + len in
+      while !a < stop do
+        let n = Int.min (chunk !a stop) (ps - (!b land page_mask)) in
+        Bytes.blit (frame t !a) (!a land page_mask) (wframe t !b)
+          (!b land page_mask) n;
+        a := !a + n;
+        b := !b + n
+      done
+    end
   end
 
 let fill t ~addr ~len c =
@@ -553,7 +667,12 @@ let fill t ~addr ~len c =
   if len > 0 then begin
     bulk_charge t len;
     check t addr len Write;
-    Bytes.fill t.mem addr len c
+    let a = ref addr and stop = addr + len in
+    while !a < stop do
+      let n = chunk !a stop in
+      Bytes.fill (wframe t !a) (!a land page_mask) n c;
+      a := !a + n
+    done
   end
 
 let memchr t ~addr ~len c =
@@ -561,21 +680,22 @@ let memchr t ~addr ~len c =
   if len = 0 then None
   else begin
     check t addr len Read;
-    (* Bound the scan to the checked window — [Bytes.index_from_opt]
-       would walk the whole backing store, reading other domains' bytes
-       and turning a short line scan into O(space) — and charge only for
-       the bytes actually examined, with the same access base as
+    (* Bound the scan to the checked window and charge only for the
+       bytes actually examined, with the same access base as
        [bulk_charge]. *)
-    let limit = addr + len in
-    let rec scan i =
-      if i >= limit then None
-      else if Bytes.unsafe_get t.mem i = c then Some i
-      else scan (i + 1)
-    in
-    let r = scan addr in
-    let examined = match r with Some i -> i - addr + 1 | None -> len in
+    let a = ref addr and stop = addr + len and found = ref (-1) in
+    while !found < 0 && !a < stop do
+      let f = frame t !a and off = !a land page_mask in
+      let lim = off + chunk !a stop in
+      let i = ref off in
+      while !i < lim && Bytes.unsafe_get f !i <> c do
+        incr i
+      done;
+      if !i < lim then found := !a + (!i - off) else a := !a + (lim - off)
+    done;
+    let examined = if !found >= 0 then !found - addr + 1 else len in
     charge t (t.cost.mem_access +. (t.cost.mem_byte *. float_of_int examined));
-    r
+    if !found >= 0 then Some !found else None
   end
 
 let memcmp t a b len =
@@ -585,13 +705,15 @@ let memcmp t a b len =
     bulk_charge t (2 * len);
     check t a len Read;
     check t b len Read;
-    compare (Bytes.sub t.mem a len) (Bytes.sub t.mem b len)
+    compare (copy_out t a len) (copy_out t b len)
   end
 
 (* {1 Kernel-mode access} *)
 
-let unsafe_load_bytes t addr len = Bytes.sub t.mem addr len
-let unsafe_store_bytes t addr b = Bytes.blit b 0 t.mem addr (Bytes.length b)
+let unsafe_load_bytes t addr len =
+  if addr < 0 || len < 0 || addr + len > t.size then
+    invalid_arg "Space.unsafe_load_bytes: range out of bounds";
+  if len = 0 then Bytes.empty else copy_out t addr len
 
 let iter_mapped_pages t f =
   for p = 0 to t.pages - 1 do
@@ -613,8 +735,11 @@ type image = {
 let checkpoint t =
   let pages = ref [] in
   for p = t.pages - 1 downto 0 do
-    if Char.code (Bytes.unsafe_get t.flags p) land fl_mapped <> 0 then
-      pages := (p, Bytes.sub t.mem (p lsl page_shift) ps) :: !pages
+    if Char.code (Bytes.unsafe_get t.flags p) land fl_mapped <> 0 then begin
+      (* a never-written page is stored as [zero_page] itself *)
+      let f = t.frames.(p) in
+      pages := (p, if f == zero_page then f else Bytes.copy f) :: !pages
+    end
   done;
   {
     im_pages = !pages;
@@ -637,8 +762,11 @@ let restore_image t im =
   t.free_list <- im.im_free_list;
   Hashtbl.reset t.allocs;
   List.iter (fun (k, v) -> Hashtbl.replace t.allocs k v) im.im_allocs;
+  (* Frames are copied back, so an image never aliases live memory. *)
   List.iter
-    (fun (p, contents) -> Bytes.blit contents 0 t.mem (p lsl page_shift) ps)
+    (fun (p, contents) ->
+      if contents == zero_page then t.frames.(p) <- zero_page
+      else Bytes.blit contents 0 (wframe t (p lsl page_shift)) 0 ps)
     im.im_pages;
   (* images predate the poison state: a restored process starts clean *)
   if Bytes.length t.san_map > 0 then

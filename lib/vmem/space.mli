@@ -1,9 +1,11 @@
 (** Simulated virtual address space with MPK-style protection keys.
 
     This is the hardware substitute that makes domain isolation observable
-    from OCaml: all domain-resident application state lives in one flat
-    byte store, divided into 4 KiB pages, each carrying protection bits and
-    a 4-bit protection key. Every load, store and bulk copy is checked
+    from OCaml: all domain-resident application state lives in simulated
+    memory divided into 4 KiB pages, each carrying protection bits and a
+    4-bit protection key. Each page is backed by a 4 KiB frame of its own
+    from its first write on; until then it reads as zero from one shared
+    zero page. Every load, store and bulk copy is checked
     against the current thread's {!Pkru} value, and violations raise
     {!Fault} — the simulator's SEGV, complete with an [si_code]
     ([MAPERR]/[ACCERR]/[PKUERR]) as delivered by Linux to a signal handler.
@@ -36,10 +38,12 @@ exception
 
 val pp_access : Format.formatter -> access -> unit
 val pp_si_code : Format.formatter -> si_code -> unit
-val fault_to_string : exn -> string option
 
 val create : ?size_mib:int -> ?cost:Simkern.Cost.t -> unit -> t
-(** [create ()] makes a 64 MiB address space by default. *)
+(** [create ()] makes a 64 MiB address space by default. [size_mib] sets
+    the address range only: the host cost is the page tables (a few bytes
+    per page) plus one 4 KiB frame per page written, so an unused range
+    costs next to nothing. *)
 
 val cost : t -> Simkern.Cost.t
 val page_size : t -> int
@@ -90,7 +94,9 @@ val mmap : t -> len:int -> prot:Prot.t -> pkey:int -> int
     space is exhausted. *)
 
 val munmap : t -> int -> unit
-(** Unmap a whole previous [mmap] allocation by its base address. *)
+(** Unmap a whole previous [mmap] allocation by its base address. Like
+    physical pages, its pages keep their contents (the residue a
+    kernel-mode reader can see) until a new {!mmap} zeroes them. *)
 
 val mprotect : t -> addr:int -> len:int -> prot:Prot.t -> unit
 val pkey_mprotect : t -> addr:int -> len:int -> prot:Prot.t -> pkey:int -> unit
@@ -157,9 +163,6 @@ val poison : t -> addr:int -> len:int -> unit
 
 val unpoison : t -> addr:int -> len:int -> unit
 
-val first_poisoned : t -> addr:int -> len:int -> int option
-(** First poisoned address in the range, without faulting or charging. *)
-
 val sanitizer_bypass : t -> (unit -> 'a) -> 'a
 (** Run the body with poison scanning suspended on this space (protection
     checks still apply). Nests; restored on exception. *)
@@ -174,12 +177,14 @@ val unpoisoned_ranges : t -> int
 
 (** {1 Kernel-mode access}
 
-    Used by the checkpoint/restore baseline and by tests to inspect or
-    rebuild memory without tripping protection checks — the moral
-    equivalent of the kernel touching pages on a process's behalf. *)
+    Used by the checkpoint/restore baseline and by tests to inspect
+    memory without tripping protection checks — the moral equivalent of
+    the kernel touching pages on a process's behalf. *)
 
 val unsafe_load_bytes : t -> int -> int -> bytes
-val unsafe_store_bytes : t -> int -> bytes -> unit
+(** Reads any in-range bytes, mapped or not: an unmapped page still holds
+    its residue (see {!munmap}). *)
+
 val iter_mapped_pages : t -> (int -> unit) -> unit
 (** Iterate base addresses of mapped pages in increasing order. *)
 

@@ -4,7 +4,8 @@
    next access, RSS accounting, and regression tests for the mprotect
    range validation, the bounded memchr, the negative/zero-length
    handling of the bulk entry points, and the pkey_mprotect syscall-gate
-   name. *)
+   name; a differential run of the page-frame store against a flat byte
+   model; and the host cost of the access path and of a sparse space. *)
 
 module Space = Vmem.Space
 module Prot = Vmem.Prot
@@ -507,6 +508,327 @@ let check_access_alloc_free ~sanitize () =
       check_float "10,000 accesses charged" 10_000.0 (Sched.now () -. t0);
       check_float "10,000 load64/store64 allocate nothing" 0.0 words)
 
+let straddle_loop s a n () =
+  for i = 0 to n - 1 do
+    (* page offsets 4089..4095: every access spans two pages *)
+    let addr = a + ps - 7 + (i mod 7) in
+    Space.store64 s addr i;
+    ignore (Space.load64 s addr)
+  done
+
+let test_straddle_alloc_free () =
+  let s = mk () in
+  let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
+  in_thread (fun () ->
+      straddle_loop s a 64 ();
+      let base = minor_words_of (fun () -> ()) in
+      let words = minor_words_of (straddle_loop s a 5_000) -. base in
+      check_float "straddling load64/store64 allocate nothing" 0.0 words)
+
+let test_fresh_frame_alloc_free () =
+  let s = mk () in
+  let n = 64 in
+  let a = Space.mmap s ~len:(n * ps) ~prot:Prot.rw ~pkey:0 in
+  let first_writes () =
+    for i = 0 to n - 1 do
+      Space.store64 s (a + (i * ps)) i
+    done
+  in
+  in_thread (fun () ->
+      let b0 = Gc.allocated_bytes () in
+      let base = minor_words_of (fun () -> ()) in
+      let words = minor_words_of first_writes -. base in
+      check bool "each first write made a frame" true
+        (Gc.allocated_bytes () -. b0 >= float_of_int (n * ps));
+      check_float "a store that makes a frame allocates no minor words" 0.0
+        words)
+
+(* A 256 MiB space with 64 MiB mapped and three pages written costs its
+   page tables and three frames, not its address range. *)
+let test_sparse_space () =
+  let b0 = Gc.allocated_bytes () in
+  let s = Space.create ~size_mib:256 () in
+  let mib = 1024 * 1024 in
+  let a = Space.mmap s ~len:(64 * mib) ~prot:Prot.rw ~pkey:0 in
+  Space.store64 s a 1;
+  Space.store_string s (a + (32 * mib)) "middle";
+  Space.store8 s (a + (64 * mib) - 1) 3;
+  let used = Gc.allocated_bytes () -. b0 in
+  check int "three pages resident" (3 * ps) (Space.rss_bytes s);
+  check bool
+    (Printf.sprintf "%.0f host bytes allocated, under 4 MiB" used)
+    true
+    (used < float_of_int (4 * mib))
+
+(* {1 Differential: page frames against a flat byte model}
+
+   The store was once one flat [Bytes] of the whole address space. The
+   model below is that representation, with a mapped bit per page. A
+   seeded random program runs against both and compares every read,
+   every fault (address and access kind), the bytes a kernel-mode reader
+   sees in unmapped pages, and, every 64 operations, the whole address
+   space. Addresses favour the last seven bytes of a page and bulk
+   lengths favour two- and three-page spans. Mappings are read-write
+   with key 0, so the faults are the MAPERRs of holes and guard pages. *)
+
+type 'a outcome = Done of 'a | Segv of int * Space.access
+
+let outcome f =
+  match f () with
+  | v -> Done v
+  | exception Space.Fault { addr; access; code = Space.MAPERR; _ } ->
+      Segv (addr, access)
+
+type flat = {
+  mem : Bytes.t;
+  mapped : bool array;
+  mutable allocs : (int * int) list;  (* base, pages *)
+}
+
+(* The MAPERR [Space.check] raises for the range, if any. *)
+let flat_fault m addr len access =
+  if addr < 0 || addr + len > Bytes.length m.mem then Some (Segv (addr, access))
+  else
+    let p1 = addr / ps and p2 = (addr + len - 1) / ps in
+    let rec first p =
+      if p > p2 then None
+      else if not m.mapped.(p) then
+        Some (Segv ((if p = p1 then addr else p * ps), access))
+      else first (p + 1)
+    in
+    first p1
+
+let flat_read m addr len access f =
+  match flat_fault m addr len access with Some o -> o | None -> Done (f ())
+
+let flat_load m addr n () =
+  match n with
+  | 1 -> Char.code (Bytes.get m.mem addr)
+  | 2 -> Bytes.get_uint16_le m.mem addr
+  | 4 -> Int32.to_int (Bytes.get_int32_le m.mem addr) land 0xFFFFFFFF
+  | _ -> Int64.to_int (Bytes.get_int64_le m.mem addr)
+
+let flat_store m addr n v () =
+  match n with
+  | 1 -> Bytes.set m.mem addr (Char.unsafe_chr (v land 0xFF))
+  | 2 -> Bytes.set_uint16_le m.mem addr (v land 0xFFFF)
+  | 4 -> Bytes.set_int32_le m.mem addr (Int32.of_int v)
+  | _ -> Bytes.set_int64_le m.mem addr (Int64.of_int v)
+
+let space_load s addr n () =
+  match n with
+  | 1 -> Space.load8 s addr
+  | 2 -> Space.load16 s addr
+  | 4 -> Space.load32 s addr
+  | _ -> Space.load64 s addr
+
+let space_store s addr n v () =
+  match n with
+  | 1 -> Space.store8 s addr v
+  | 2 -> Space.store16 s addr v
+  | 4 -> Space.store32 s addr v
+  | _ -> Space.store64 s addr v
+
+let alphabet = "ab\r\n\000xyz"
+
+let run_differential seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let s = Space.create ~size_mib:1 () in
+  let size = Space.size s in
+  let m =
+    {
+      mem = Bytes.make size '\000';
+      mapped = Array.make (size / ps) false;
+      allocs = [];
+    }
+  in
+  let step = ref 0 and what = ref "" in
+  let same name a b =
+    if a <> b then
+      Alcotest.failf "seed %d, op %d (%s): %s differs" seed !step !what name
+  in
+  let page () =
+    match m.allocs with
+    | [] -> int (size / ps)
+    | l when int 8 > 0 ->
+        (* inside a mapping, or the guard page just past it *)
+        let base, n = List.nth l (int (List.length l)) in
+        (base / ps) + int (n + 1)
+    | _ -> int (size / ps)
+  in
+  let addr () =
+    let off = if int 2 = 0 then ps - 7 + int 7 else int ps in
+    (page () * ps) + off
+  in
+  let len () =
+    match int 4 with
+    | 0 -> 1 + int 16
+    | 1 -> ps + int ps
+    | 2 -> (2 * ps) + int ps
+    | _ -> 1 + int ps
+  in
+  let value () =
+    Random.State.bits rng lxor (Random.State.bits rng lsl 30)
+    lxor (Random.State.bits rng lsl 60)
+  in
+  let char () = alphabet.[int (String.length alphabet)] in
+  let str n = String.init n (fun _ -> char ()) in
+  let write a n access ~space ~flat =
+    match flat_fault m a n access with
+    | Some o -> same "fault" o (outcome space)
+    | None ->
+        same "fault" (Done ()) (outcome space);
+        flat ()
+  in
+  let image = ref None and restores = ref 0 and max_restores = ref 0 in
+  let whole () =
+    same "whole space" (Bytes.to_string m.mem)
+      (Bytes.to_string (Space.unsafe_load_bytes s 0 size));
+    Array.iteri
+      (fun p mp -> same "mapped bit" mp (Space.is_mapped s (p * ps)))
+      m.mapped
+  in
+  for i = 1 to 3_000 do
+    step := i;
+    match int 15 with
+    | 0 | 1 ->
+        let a = addr () and n = [| 1; 2; 4; 8 |].(int 4) in
+        what := Printf.sprintf "load%d 0x%x" (8 * n) a;
+        same "load"
+          (flat_read m a n Space.Read (flat_load m a n))
+          (outcome (space_load s a n))
+    | 2 | 3 ->
+        let a = addr () and n = [| 1; 2; 4; 8 |].(int 4) and v = value () in
+        what := Printf.sprintf "store%d 0x%x" (8 * n) a;
+        write a n Space.Write ~space:(space_store s a n v)
+          ~flat:(flat_store m a n v)
+    | 4 ->
+        let a = addr () and x = str (len ()) in
+        what := Printf.sprintf "store_string 0x%x+%d" a (String.length x);
+        let space () =
+          if int 2 = 0 then Space.store_string s a x
+          else Space.store_bytes s a (Bytes.of_string x)
+        in
+        write a (String.length x) Space.Write ~space ~flat:(fun () ->
+            Bytes.blit_string x 0 m.mem a (String.length x))
+    | 5 ->
+        let a = addr () and n = len () in
+        what := Printf.sprintf "read_string 0x%x+%d" a n;
+        let flat () = Bytes.sub_string m.mem a n in
+        if int 2 = 0 then
+          same "read" (flat_read m a n Space.Read flat)
+            (outcome (fun () -> Space.read_string s a n))
+        else
+          same "read" (flat_read m a n Space.Read flat)
+            (outcome (fun () -> Bytes.to_string (Space.load_bytes s a n)))
+    | 6 ->
+        let a = addr () and n = len () in
+        let c = if int 3 = 0 then '\000' else char () in
+        what := Printf.sprintf "fill 0x%x+%d %C" a n c;
+        write a n Space.Write
+          ~space:(fun () -> Space.fill s ~addr:a ~len:n c)
+          ~flat:(fun () -> Bytes.fill m.mem a n c)
+    | 7 ->
+        let a = addr () and n = len () in
+        (* half the time, the byte that starts the next page *)
+        let next = ((a / ps) + 1) * ps in
+        let c =
+          if int 2 = 0 && next < size then Bytes.get m.mem next else char ()
+        in
+        what := Printf.sprintf "memchr 0x%x+%d %C" a n c;
+        let flat () =
+          let rec scan j =
+            if j >= a + n then None
+            else if Bytes.get m.mem j = c then Some j
+            else scan (j + 1)
+          in
+          scan a
+        in
+        same "memchr" (flat_read m a n Space.Read flat)
+          (outcome (fun () -> Space.memchr s ~addr:a ~len:n c))
+    | 8 ->
+        let a = addr () and b = addr () and n = len () in
+        what := Printf.sprintf "memcmp 0x%x 0x%x %d" a b n;
+        let expect =
+          match flat_fault m a n Space.Read with
+          | Some o -> o
+          | None ->
+              flat_read m b n Space.Read (fun () ->
+                  compare (Bytes.sub m.mem a n) (Bytes.sub m.mem b n))
+        in
+        same "memcmp" expect (outcome (fun () -> Space.memcmp s a b n))
+    | 9 | 10 ->
+        (* blit, overlapping in either direction about half the time *)
+        let src = addr () and n = len () in
+        let dst = if int 2 = 0 then src - n + int (2 * n + 1) else addr () in
+        what := Printf.sprintf "blit 0x%x -> 0x%x %d" src dst n;
+        let expect =
+          match flat_fault m src n Space.Read with
+          | Some o -> o
+          | None -> (
+              match flat_fault m dst n Space.Write with
+              | Some o -> o
+              | None -> Done ())
+        in
+        let got = outcome (fun () -> Space.blit s ~src ~dst ~len:n) in
+        same "blit" expect got;
+        if got = Done () then Bytes.blit m.mem src m.mem dst n
+    | 11 ->
+        let live = List.length m.allocs in
+        if live >= 12 || (live > 0 && int 2 = 0) then begin
+          let ((base, n) as al) = List.nth m.allocs (int live) in
+          what := Printf.sprintf "munmap 0x%x" base;
+          Space.munmap s base;
+          for p = base / ps to (base / ps) + n - 1 do
+            m.mapped.(p) <- false
+          done;
+          m.allocs <- List.filter (fun x -> x <> al) m.allocs
+        end
+        else begin
+          let n = 1 + int 4 in
+          let len = (n * ps) - int 100 in
+          let base = Space.mmap s ~len ~prot:Prot.rw ~pkey:0 in
+          what := Printf.sprintf "mmap 0x%x" base;
+          for p = base / ps to (base / ps) + n - 1 do
+            m.mapped.(p) <- true
+          done;
+          Bytes.fill m.mem base (n * ps) '\000';
+          m.allocs <- (base, n) :: m.allocs
+        end
+    | 12 ->
+        (* kernel-mode read anywhere: unmapped pages show their residue *)
+        let a = int (size - (3 * ps)) and n = len () in
+        what := Printf.sprintf "unsafe_load_bytes 0x%x+%d" a n;
+        same "kernel read" (Bytes.sub_string m.mem a n)
+          (Bytes.to_string (Space.unsafe_load_bytes s a n))
+    | 13 ->
+        what := "checkpoint";
+        let im = Space.checkpoint s in
+        image := Some (im, Bytes.copy m.mem, Array.copy m.mapped, m.allocs);
+        restores := 0
+    | _ -> (
+        match !image with
+        | None -> ()
+        | Some (im, mem, mapped, allocs) ->
+            what := "restore_image";
+            Space.restore_image s im;
+            Array.iteri
+              (fun p mp -> if mp then Bytes.blit mem (p * ps) m.mem (p * ps) ps)
+              mapped;
+            Array.blit mapped 0 m.mapped 0 (Array.length mapped);
+            m.allocs <- allocs;
+            incr restores;
+            max_restores := max !max_restores !restores;
+            whole ())
+    ;
+    if i mod 64 = 0 then whole ()
+  done;
+  whole ();
+  check bool "an image was restored twice" true (!max_restores >= 2)
+
+let test_flat_differential () = List.iter run_differential [ 1; 2; 3; 4; 5 ]
+
 let () =
   Alcotest.run "vmem"
     [
@@ -528,6 +850,8 @@ let () =
           Alcotest.test_case "page crossing" `Quick test_page_crossing_access;
           Alcotest.test_case "memchr" `Quick test_memchr;
           QCheck_alcotest.to_alcotest roundtrip_prop;
+          Alcotest.test_case "flat-model differential, 5 seeds" `Quick
+            test_flat_differential;
         ] );
       ( "prot",
         [
@@ -582,5 +906,11 @@ let () =
             (check_access_alloc_free ~sanitize:false);
           Alcotest.test_case "sanitized load64/store64 allocate nothing" `Quick
             (check_access_alloc_free ~sanitize:true);
+          Alcotest.test_case "straddling load64/store64 allocate nothing"
+            `Quick test_straddle_alloc_free;
+          Alcotest.test_case "first write to a page allocates no minor words"
+            `Quick test_fresh_frame_alloc_free;
+          Alcotest.test_case "sparse space costs its written pages" `Quick
+            test_sparse_space;
         ] );
     ]
