@@ -106,8 +106,10 @@ perf-smoke:
 # Interleaved benchmark pairs against another commit, e.g.
 # `make perf-compare REV=HEAD~1 [PAIRS=10]`: every workload on seed 1,
 # alternating which side runs first. Prints each end-to-end metric's
-# medians and quartiles, pair wins and a verdict, and fails if a metric is
-# worse than its BENCHMARK.json bound (see bench/perf_compare.py).
+# medians and quartiles, pair wins and a verdict, then every per-layer
+# metric that differs by more than 1% in one traced run per side, and
+# fails if a metric is worse than its BENCHMARK.json bound (see
+# bench/perf_compare.py).
 PAIRS ?= 10
 perf-compare:
 	@test -n "$(REV)" || { echo "usage: make perf-compare REV=<commit> [PAIRS=10]"; exit 2; }

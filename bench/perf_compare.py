@@ -11,7 +11,10 @@ workload and BENCHMARK.json end-to-end metric it prints both medians
 (won at least 9 in 10 pairs, medians apart by more than REV's IQR), WORSE
 (median worse than REV's by more than the metric's bound), unresolved
 (REV's IQR is wider than the bound and the tree does not beat every REV
-run) or same. Exits non-zero if a run fails its checks or a metric is WORSE.
+run) or same. After a workload's pairs it runs each side once more with
+`--trace 1` and lists every per-layer metric whose value differs by more
+than 1% from REV's, so a claimed gain shows the layer it came from.
+Exits non-zero if a run fails its checks or a metric is WORSE.
 """
 
 import argparse
@@ -40,9 +43,9 @@ def checkout(rev):
     return dest
 
 
-def run(tree, workload, seed):
+def run(tree, workload, seed, trace=0):
     cmd = [sys.executable, "perfsuite/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", "5", "--trace", "0"]
+           "--seed", str(seed), "--seconds", "5", "--trace", str(trace)]
     p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if p.returncode != 0 or not p.stdout.strip():
         sys.exit("perf_compare: %s failed in %s:\n%s" % (workload, tree,
@@ -80,6 +83,21 @@ def verdict(old, new, better, bound):
     return won, lost, len(old) - won - lost, v
 
 
+def layer_deltas(old, new, rel=0.01):
+    """Per-layer metrics whose tree value differs from REV's by more than
+    [rel] of REV's value (a metric on one side only always differs)."""
+    rows = []
+    for name in list(old) + [n for n in new if n not in old]:
+        a, b = old.get(name), new.get(name)
+        if a is None or b is None or abs(b - a) > rel * abs(a):
+            rows.append((name, a, b))
+    return rows
+
+
+def num(x):
+    return "-" if x is None else "%.6g" % x
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev")
@@ -113,6 +131,20 @@ def main():
             print("  %-24s %-40s %-40s %-8s %s" % (
                 m["name"], cell(old), cell(new),
                 "%d/%d/%d" % (won, lost, tied), v), flush=True)
+        traced, bad = {}, False
+        for tree in (base, ROOT):
+            ok, traced[tree] = run(tree, w, args.seed, trace=1)
+            bad |= not ok
+        failed |= bad
+        rows = layer_deltas(traced[base], traced[ROOT])
+        print("  per-layer, --trace 1, one run each%s: %s" % (
+            " (A RUN FAILED ITS CHECKS)" if bad else "",
+            "%d differ by more than 1%%" % len(rows) if rows
+            else "none differs by more than 1%"))
+        if rows:
+            print("    %-40s %-16s %s" % ("metric", args.rev, "tree"))
+        for name, a, b in rows:
+            print("    %-40s %-16s %s" % (name, num(a), num(b)), flush=True)
     return 1 if failed else 0
 
 

@@ -205,11 +205,12 @@ let rec recv_with_arrival c =
         recv_with_arrival c
       end
 
-(* Timed [recv]: when nothing is queued, a helper timer thread wakes the
-   blocked receiver at [deadline]. Wake callbacks are idempotent, so
-   whichever of the two wake paths (message arrival, timer) loses the
-   race is a no-op; a stale waiter left behind by a timeout is likewise
-   harmless — the next wake clears it without effect. *)
+(* Timed [recv]: when nothing is queued, the receiver blocks with a
+   scheduler timer armed for [deadline] ([Sched.suspend_until]). Wake
+   callbacks are idempotent, so whichever of the two wake paths (message
+   arrival, timer) loses the race is a no-op; a stale waiter left behind
+   by a timeout is likewise harmless — the next wake clears it without
+   effect. *)
 let recv_deadline c ~deadline =
   let rec loop () =
     match Queue.peek_opt c.inbox with
@@ -226,22 +227,11 @@ let recv_deadline c ~deadline =
         if c.peer.closed || c.closed then None
         else if Sched.now () >= deadline then None
         else begin
-          let wake_ref = ref None in
-          let sched = Sched.current () in
-          let _timer =
-            Sched.spawn sched ~name:"net-timeout" (fun () ->
-                Sched.wait_until deadline;
-                match !wake_ref with Some w -> w ~at:deadline | None -> ())
-          in
-          Sched.suspend (fun wake ->
-              wake_ref := Some wake;
-              c.waiter <- Some wake);
+          Sched.suspend_until ~deadline (fun wake -> c.waiter <- Some wake);
           loop ()
         end
   in
   loop ()
-
-let queued c = Queue.length c.inbox
 
 let close c =
   if not c.closed then begin
@@ -304,8 +294,6 @@ module Waitset = struct
     done;
     ws.count <- !kept
 
-  let size ws = ws.count
-
   (* Delivery time of the head-of-line message; a closed peer with
      nothing queued is reportable now. *)
   let head_arrival c =
@@ -360,7 +348,7 @@ module Waitset = struct
     done;
     !n
 
-  (* Timed [wait], built like [recv_deadline]: a timer thread provides
+  (* Timed [wait], built like [recv_deadline]: a scheduler timer provides
      the deadline wake; readiness picks the same earliest-arrival winner
      as [wait], but a winner whose head-of-line message arrives after
      the deadline counts as a timeout. *)
@@ -381,15 +369,7 @@ module Waitset = struct
       | _ ->
           if Sched.now () >= deadline then None
           else begin
-            let wake_ref = ref None in
-            let sched = Sched.current () in
-            let _timer =
-              Sched.spawn sched ~name:"ws-timeout" (fun () ->
-                  Sched.wait_until deadline;
-                  match !wake_ref with Some w -> w ~at:deadline | None -> ())
-            in
-            Sched.suspend (fun wake ->
-                wake_ref := Some wake;
+            Sched.suspend_until ~deadline (fun wake ->
                 ws.ws_waiter <- Some wake);
             wait_deadline ws ~deadline
           end

@@ -51,15 +51,15 @@ val recv_deadline : conn -> deadline:float -> string option
     became deliverable by then (or the peer closed). This is what lets a
     client time out instead of blocking forever on a message the fault
     hook dropped. Timeout and peer-close both map to [None]; check
-    {!peer_closed} to tell them apart. *)
+    {!peer_closed} to tell them apart. A blocked receive arms a
+    {!Simkern.Sched.suspend_until} timer, not a thread: once it returns,
+    nothing of it is left in the scheduler but the timer's pending heap
+    entry. *)
 
 val recv_with_arrival : conn -> (string * float) option
 (** {!recv}, also reporting the message's delivery timestamp — the gap
     [Sched.now () -. arrival] is how long the message sat queued behind a
     busy receiver, the signal deadline-based load shedding keys on. *)
-
-val queued : conn -> int
-(** Messages sitting in this endpoint's inbox (deliverable or not). *)
 
 val close : conn -> unit
 (** Close both directions; pending messages to the peer remain readable
@@ -95,7 +95,6 @@ module Waitset : sig
   val create : unit -> ws
   val add : ws -> conn -> unit
   val remove : ws -> conn -> unit
-  val size : ws -> int
 
   val wait : ws -> conn option
   (** Block until some watched connection has input or a closed peer to
@@ -104,7 +103,8 @@ module Waitset : sig
 
   val wait_deadline : ws -> deadline:float -> conn option
   (** {!wait} with a timeout: [None] once [deadline] passes with nothing
-      reportable (and after {!close}). *)
+      reportable (and after {!close}). Like {!recv_deadline}, a blocked
+      wait arms a scheduler timer rather than spawning a thread. *)
 
   val backlog : ws -> int
   (** Total messages queued across all watched connections — the queue

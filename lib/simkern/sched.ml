@@ -33,71 +33,147 @@ type thread = {
   mutable killed : bool;
 }
 
-(* Binary min-heap of (clock, tid) with lazy deletion: a popped entry is
-   valid only if the thread is still Ready at exactly that clock. Keys
-   and ids live in parallel arrays (the keys unboxed), and [push] reads
-   the key from the thread's clock cell, so no float is boxed on the way
-   in or out: a push or pop allocates nothing. *)
+(* The wake stored in a thread's heap entry: only timer entries carry a
+   real one (see [suspend_until]). A closed function, so it is allocated
+   statically and storing it is no allocation. *)
+let no_wake : wake = fun ~at:_ -> ()
+
+(* Binary min-heap of (clock, id) with lazy deletion. A thread's entry is
+   valid only if the thread is still Ready at exactly that clock. A
+   timer's entry carries its own wake and deadline and is always valid.
+   Entries live in four parallel arrays (keys and deadlines unboxed), and
+   [push] reads the key from the thread's clock cell, so no float is
+   boxed on the way in or out: pushing or popping a thread allocates
+   nothing. Sifts move a hole rather than swap: each displaced entry is
+   written once and the sifted one once at the end, half the writes of a
+   swap per level across the four arrays. *)
 module Heap = struct
   type t = {
     mutable keys : Float.Array.t;
     mutable ids : int array;
+    mutable wakes : wake array;  (* [no_wake] in a thread's entry *)
+    mutable deadlines : Float.Array.t;  (* a timer's; unused by threads *)
     mutable n : int;
   }
 
-  let create () = { keys = Float.Array.make 64 0.0; ids = Array.make 64 (-1); n = 0 }
+  let create () =
+    {
+      keys = Float.Array.make 64 0.0;
+      ids = Array.make 64 (-1);
+      wakes = Array.make 64 no_wake;
+      deadlines = Float.Array.make 64 0.0;
+      n = 0;
+    }
 
-  let less h i j =
-    let ki = Float.Array.get h.keys i and kj = Float.Array.get h.keys j in
-    ki < kj || (ki = kj && h.ids.(i) < h.ids.(j))
+  let grow h =
+    let keys' = Float.Array.make (2 * h.n) 0.0 in
+    Float.Array.blit h.keys 0 keys' 0 h.n;
+    let ids' = Array.make (2 * h.n) (-1) in
+    Array.blit h.ids 0 ids' 0 h.n;
+    let wakes' = Array.make (2 * h.n) no_wake in
+    Array.blit h.wakes 0 wakes' 0 h.n;
+    let deadlines' = Float.Array.make (2 * h.n) 0.0 in
+    Float.Array.blit h.deadlines 0 deadlines' 0 h.n;
+    h.keys <- keys';
+    h.ids <- ids';
+    h.wakes <- wakes';
+    h.deadlines <- deadlines'
 
-  let swap h i j =
-    let k = Float.Array.get h.keys i and id = h.ids.(i) in
-    Float.Array.set h.keys i (Float.Array.get h.keys j);
-    h.ids.(i) <- h.ids.(j);
-    Float.Array.set h.keys j k;
-    h.ids.(j) <- id
+  (* Slot [dst] takes the entry in slot [src]. *)
+  let move h src dst =
+    Float.Array.set h.keys dst (Float.Array.get h.keys src);
+    h.ids.(dst) <- h.ids.(src);
+    let w = h.wakes.(src) in
+    if h.wakes.(dst) != w then h.wakes.(dst) <- w;
+    Float.Array.set h.deadlines dst (Float.Array.get h.deadlines src)
 
+  (* The entry in slot [i] moves up to its place: parents that sort
+     after it move down one level into the hole, and the entry is
+     written once, where the hole stops. *)
+  let sift_up h i =
+    let key = Float.Array.get h.keys i and id = h.ids.(i) in
+    let wake = h.wakes.(i) and deadline = Float.Array.get h.deadlines i in
+    let i = ref i in
+    let continue_ = ref true in
+    while !continue_ && !i > 0 do
+      let p = (!i - 1) / 2 in
+      let kp = Float.Array.get h.keys p in
+      if key < kp || (key = kp && id < h.ids.(p)) then begin
+        move h p !i;
+        i := p
+      end
+      else continue_ := false
+    done;
+    Float.Array.set h.keys !i key;
+    h.ids.(!i) <- id;
+    if h.wakes.(!i) != wake then h.wakes.(!i) <- wake;
+    Float.Array.set h.deadlines !i deadline
+
+  (* The entry in slot [src] moves into the hole at slot 0 and down to
+     its place. *)
+  let sift_down h src =
+    let key = Float.Array.get h.keys src and id = h.ids.(src) in
+    let wake = h.wakes.(src) and deadline = Float.Array.get h.deadlines src in
+    let i = ref 0 in
+    let continue_ = ref true in
+    while !continue_ do
+      let l = (2 * !i) + 1 in
+      if l >= h.n then continue_ := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < h.n then begin
+            let kr = Float.Array.get h.keys r
+            and kl = Float.Array.get h.keys l in
+            if kr < kl || (kr = kl && h.ids.(r) < h.ids.(l)) then r else l
+          end
+          else l
+        in
+        let kc = Float.Array.get h.keys c in
+        if kc < key || (kc = key && h.ids.(c) < id) then begin
+          move h c !i;
+          i := c
+        end
+        else continue_ := false
+      end
+    done;
+    Float.Array.set h.keys !i key;
+    h.ids.(!i) <- id;
+    if h.wakes.(!i) != wake then h.wakes.(!i) <- wake;
+    Float.Array.set h.deadlines !i deadline
+
+  (* A thread's entry at its current clock. Slots at [n] and beyond hold
+     [no_wake], so only the key and id need writing. *)
   let push h (c : cell) id =
-    if h.n = Array.length h.ids then begin
-      let keys' = Float.Array.make (2 * h.n) 0.0 in
-      Float.Array.blit h.keys 0 keys' 0 h.n;
-      let ids' = Array.make (2 * h.n) (-1) in
-      Array.blit h.ids 0 ids' 0 h.n;
-      h.keys <- keys';
-      h.ids <- ids'
-    end;
+    if h.n = Array.length h.ids then grow h;
     Float.Array.set h.keys h.n c.clock;
     h.ids.(h.n) <- id;
     h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while !i > 0 && less h !i ((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      swap h p !i;
-      i := p
-    done
+    sift_up h (h.n - 1)
+
+  (* A timer's entry, keyed at the arming thread's clock. *)
+  let push_timer h (c : cell) id wake deadline =
+    if h.n = Array.length h.ids then grow h;
+    h.wakes.(h.n) <- wake;
+    Float.Array.set h.deadlines h.n deadline;
+    push h c id
 
   let is_empty h = h.n = 0
   let top_key h = Float.Array.get h.keys 0
   let top_id h = h.ids.(0)
+  let top_wake h = h.wakes.(0)
+  let top_deadline h = Float.Array.get h.deadlines 0
+
+  (* Move the top entry, a timer's, to its deadline. *)
+  let rekey_top h =
+    Float.Array.set h.keys 0 (Float.Array.get h.deadlines 0);
+    sift_down h 0
 
   let remove_top h =
     h.n <- h.n - 1;
-    Float.Array.set h.keys 0 (Float.Array.get h.keys h.n);
-    h.ids.(0) <- h.ids.(h.n);
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < h.n && less h l !m then m := l;
-      if r < h.n && less h r !m then m := r;
-      if !m = !i then continue_ := false
-      else begin
-        swap h !m !i;
-        i := !m
-      end
-    done
+    if h.n > 0 then sift_down h h.n;
+    (* The vacated slot must not keep a fired timer's wake alive. *)
+    if h.wakes.(h.n) != no_wake then h.wakes.(h.n) <- no_wake
 end
 
 type t = {
@@ -128,6 +204,7 @@ let no_thread =
 type _ Effect.t +=
   | Yield_eff : unit Effect.t
   | Suspend_eff : (wake -> unit) -> unit Effect.t
+  | Suspend_until_eff : float * (wake -> unit) -> unit Effect.t
 
 let active : t option ref = ref None
 
@@ -184,7 +261,6 @@ let current () =
   | None -> failwith "Sched: not inside a simulation"
 
 let self () = (current_thread ()).tid
-let self_name () = (current_thread ()).name
 let clock_cell () = (current_thread ()).cell
 let now () = (current_thread ()).cell.clock
 
@@ -239,6 +315,12 @@ let finish t th oc =
   th.joiners <- [];
   List.iter (fun w -> w ~at:th.cell.clock) joiners
 
+let block t th k =
+  th.cont <- Some k;
+  th.status <- Blocked;
+  th.susp_serial <- th.susp_serial + 1;
+  wake_fn t th th.susp_serial
+
 let handler t th =
   {
     retc = (fun () -> finish t th Completed);
@@ -252,12 +334,17 @@ let handler t th =
                 th.cont <- Some k;
                 make_ready t th)
         | Suspend_eff register ->
+            Some (fun (k : (a, unit) continuation) -> register (block t th k))
+        | Suspend_until_eff (deadline, register) ->
             Some
               (fun (k : (a, unit) continuation) ->
-                th.cont <- Some k;
-                th.status <- Blocked;
-                th.susp_serial <- th.susp_serial + 1;
-                register (wake_fn t th th.susp_serial))
+                (* The id is drawn where a timer thread spawned here would
+                   have drawn its tid (see [suspend_until]). *)
+                let id = t.next_tid in
+                t.next_tid <- id + 1;
+                let wake = block t th k in
+                register wake;
+                Heap.push_timer t.ready th.cell id wake deadline)
         | _ -> None);
   }
 
@@ -302,11 +389,28 @@ let run t =
   (try
      let rec loop () =
        if not (Heap.is_empty t.ready) then begin
-         let key = Heap.top_key t.ready and id = Heap.top_id t.ready in
-         Heap.remove_top t.ready;
-         (match Hashtbl.find t.threads id with
-         | th when th.status = Ready && th.cell.clock = key -> resume t th
-         | _ | (exception Not_found) -> () (* stale heap entry *));
+         let h = t.ready in
+         let key = Heap.top_key h and id = Heap.top_id h in
+         let wake = Heap.top_wake h in
+         if wake == no_wake then begin
+           Heap.remove_top h;
+           match Hashtbl.find t.threads id with
+           | th when th.status = Ready && th.cell.clock = key -> resume t th
+           | _ | (exception Not_found) -> () (* stale heap entry *)
+         end
+         else begin
+           let deadline = Heap.top_deadline h in
+           if deadline > key then begin
+             (* The arming point: a timer thread's first step would move
+                its clock to the deadline here. *)
+             if deadline > t.horizon then t.horizon <- deadline;
+             Heap.rekey_top h
+           end
+           else begin
+             Heap.remove_top h;
+             wake ~at:deadline
+           end
+         end;
          loop ()
        end
      in
@@ -372,6 +476,20 @@ let busy_fraction t tid =
 
 let yield () = perform Yield_eff
 let suspend register = perform (Suspend_eff register)
+
+(* A timed wait needs no timer thread. A thread spawned at the call that
+   ran [wait_until deadline] and then the wake would have two heap
+   entries: its first step, at the caller's clock under a fresh tid, where
+   its clock jumps to the deadline and so counts in [horizon] from then on
+   (woken first or not); and its last step, at the deadline, which calls
+   the wake. A timer is those two entries and nothing else: the scheduler
+   raises the horizon at the first and re-keys it at the deadline, and
+   fires the wake at the second. A deadline already passed fires at the
+   first entry. Same keys, ids and horizon as that thread, so a run goes
+   the same way step for step, but no thread record, stack or outcome is
+   left behind. *)
+let suspend_until ~deadline register =
+  perform (Suspend_until_eff (deadline, register))
 
 let sleep c =
   charge c;

@@ -8,10 +8,10 @@
     run is reproducible.
 
     A thread advances its own clock with {!charge}; it never pre-empts.
-    Blocking primitives ({!suspend}, {!Mutex}, {!Cond}, {!join}) hand
-    control back to the scheduler; when woken at virtual time [at], the
-    thread's clock becomes [max clock at], which is how waiting time
-    manifests. *)
+    Blocking primitives ({!suspend}, {!suspend_until}, {!Mutex}, {!Cond},
+    {!join}) hand control back to the scheduler; when woken at virtual
+    time [at], the thread's clock becomes [max clock at], which is how
+    waiting time manifests. *)
 
 type t
 type tid = int
@@ -46,13 +46,13 @@ val outcomes : t -> (tid * string * outcome) list
 (** All finished threads, in tid order. *)
 
 val horizon : t -> float
-(** Largest clock reached by any thread — the makespan of the simulation,
-    used for throughput computations. *)
+(** Largest clock reached by any thread or armed timer (see
+    {!suspend_until}) — the makespan of the simulation, used for
+    throughput computations. *)
 
 (** The functions below may only be called from inside a running thread. *)
 
 val self : unit -> tid
-val self_name : unit -> string
 
 val now : unit -> float
 (** Current thread's clock, in cycles. *)
@@ -99,6 +99,26 @@ val suspend : (wake -> unit) -> unit
 (** Block the current thread. The registration function receives the wake
     callback and must arrange for it to be invoked later (e.g. stash it in
     a wait queue). *)
+
+val suspend_until : deadline:float -> (wake -> unit) -> unit
+(** [suspend_until ~deadline register] blocks like {!suspend} and also
+    arms a timer that calls the same wake [~at:deadline]. Whichever wake
+    comes first resumes the thread; the other is a no-op, so a timer is
+    never cancelled. A deadline at or before the current clock fires at
+    the current clock.
+
+    A timer is an entry in the ready heap, not a thread: it has no
+    thread record, stack, {!outcomes} row or [Spawned] trace event. It
+    runs exactly as a thread spawned at the call that did
+    [wait_until deadline] and then the wake would:
+    - its id comes from the thread-id counter, so a timer firing at the
+      same clock as a thread runs before it if it was armed before the
+      thread was spawned, after it otherwise;
+    - it fires at [max deadline (now ())];
+    - it raises {!horizon} to [deadline] when the scheduler reaches the
+      caller's clock at arming (in id order, where that thread would
+      have taken its first step), and keeps it there even when the
+      thread was woken first, as that thread's clock would have. *)
 
 val join : tid -> unit
 (** Block until the given thread finishes. Does not re-raise its

@@ -252,6 +252,115 @@ let test_send_after_close_is_noop () =
       in
       ())
 
+(* {1 Host cost of a timed wait}
+
+   A blocked timed wait arms a scheduler timer, not a thread. [Sched]
+   keeps every finished thread for [outcomes], so a thread per timed wait
+   would stay in host memory until the end of the run. *)
+
+let exchanges = 1_000
+
+(* Echo every message on the first connection accepted on [l]. *)
+let echo_server l () =
+  let c = Option.get (Netsim.accept l) in
+  let rec serve () =
+    match Netsim.recv c with
+    | Some m ->
+        Netsim.send c m;
+        serve ()
+    | None -> ()
+  in
+  serve ()
+
+let plain_roundtrip c =
+  Netsim.send c "ping";
+  match Netsim.recv c with Some _ -> () | None -> Alcotest.fail "no reply"
+
+let timed_roundtrip c =
+  Netsim.send c "ping";
+  match Netsim.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
+  | Some _ -> ()
+  | None -> Alcotest.fail "reply missed its deadline"
+
+(* Run [server] against a client thread that runs [client] on its
+   connection; returns the scheduler once the run is over. *)
+let exchange ~server ~client =
+  let sched = Sched.create () in
+  let net = Netsim.create Cost.default in
+  let l = Netsim.listen net ~port:80 in
+  ignore (Sched.spawn sched ~name:"server" (server l));
+  ignore
+    (Sched.spawn sched ~name:"client" (fun () ->
+         let c = Netsim.connect net ~port:80 in
+         client c;
+         Netsim.close c));
+  Sched.run sched;
+  sched
+
+let check_only_real_threads sched =
+  let finished = Sched.outcomes sched in
+  check int "threads the scheduler holds" 2 (List.length finished);
+  List.iter
+    (fun (_, name, oc) ->
+      match oc with
+      | Sched.Completed -> ()
+      | Failed e -> Alcotest.failf "%s failed: %s" name (Printexc.to_string e))
+    finished
+
+let test_timed_recv_leaves_no_threads () =
+  check_only_real_threads
+    (exchange ~server:echo_server ~client:(fun c ->
+         for _ = 1 to exchanges do
+           timed_roundtrip c
+         done))
+
+let test_timed_wait_leaves_no_threads () =
+  let waitset_server l () =
+    let ws = Netsim.Waitset.create () in
+    Netsim.Waitset.add ws (Option.get (Netsim.accept l));
+    let rec serve () =
+      match Netsim.Waitset.wait_deadline ws ~deadline:(Sched.now () +. 1.0e6) with
+      | None -> Alcotest.fail "request missed its deadline"
+      | Some c -> (
+          match Netsim.recv c with
+          | Some m ->
+              Netsim.send c m;
+              serve ()
+          | None -> ())
+    in
+    serve ()
+  in
+  check_only_real_threads
+    (exchange ~server:waitset_server ~client:(fun c ->
+         for _ = 1 to exchanges do
+           plain_roundtrip c
+         done))
+
+(* Minor words one exchange allocates, both threads and the scheduler
+   included, measured in the client thread after a warm-up. *)
+let words_per_exchange roundtrip =
+  let words = ref 0.0 in
+  ignore
+    (exchange ~server:echo_server ~client:(fun c ->
+         for _ = 1 to exchanges do
+           roundtrip c
+         done;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to exchanges do
+           roundtrip c
+         done;
+         words := (Gc.minor_words () -. w0) /. float_of_int exchanges));
+  !words
+
+let test_timed_recv_allocation () =
+  let plain = words_per_exchange plain_roundtrip in
+  let timed = words_per_exchange timed_roundtrip in
+  if timed -. plain > 32.0 then
+    Alcotest.failf
+      "a timed exchange allocates %.1f minor words, %.1f more than one \
+       through plain recv (%.1f); the budget is 32"
+      timed (timed -. plain) plain
+
 let () =
   Alcotest.run "netsim"
     [
@@ -272,5 +381,13 @@ let () =
         [
           Alcotest.test_case "multiplex" `Quick test_waitset_multiplexes;
           Alcotest.test_case "pick order" `Quick test_waitset_pick_order;
+        ] );
+      ( "timed wait",
+        [
+          Alcotest.test_case "recv_deadline leaves no threads" `Quick
+            test_timed_recv_leaves_no_threads;
+          Alcotest.test_case "wait_deadline leaves no threads" `Quick
+            test_timed_wait_leaves_no_threads;
+          Alcotest.test_case "host allocation" `Quick test_timed_recv_allocation;
         ] );
     ]

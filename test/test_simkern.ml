@@ -333,6 +333,222 @@ let test_rwlock_misuse_detected () =
   | Some (Sched.Failed (Invalid_argument _)) -> ()
   | _ -> Alcotest.fail "unbalanced rd_unlock not caught"
 
+(* {1 Timers ≡ timer fibers}
+
+   [Sched.suspend_until] must run every script exactly as a timed wait
+   built from a timer thread does: a fiber spawned at the call that moves
+   its clock to the deadline, then calls the wake. That fiber is the
+   reference below. Each seed runs the same random scripts against both
+   and compares every observable: the (tid, clock) at every step, each
+   real thread's final clock and waited time, the horizon read mid-run
+   and at the end, and the outcomes once the reference's timer threads
+   are filtered out. Clocks move on a 100-cycle grid, so timers, wakes
+   and other threads' steps often share a clock and the tie-break is
+   exercised. *)
+
+let fiber_suspend_until ~deadline register =
+  let wake_ref = ref None in
+  let _timer =
+    Sched.spawn (Sched.current ()) ~name:"timer" (fun () ->
+        Sched.wait_until deadline;
+        match !wake_ref with Some w -> w ~at:deadline | None -> ())
+  in
+  Sched.suspend (fun wake ->
+      wake_ref := Some wake;
+      register wake)
+
+(* Deadlines relative to the caller's clock, or to another thread's. *)
+type deadline = Past of int | Now | Ahead of int | Clock_of of int * int
+
+type when_ = Immediately | At_deadline | Later of int
+
+type op =
+  | Charge of int
+  | Yield
+  | Wait_until of int
+  | Timed_wait of deadline
+  | Send of int * when_  (* wake thread [j]'s pending timed wait *)
+  | Kill of int  (* kill thread [j] if it is blocked in a timed wait *)
+  | Horizon
+  | Spawn of op list
+
+let gen_script rng ~threads ~len =
+  let step k = 100 * (1 + Random.State.int rng k) in
+  let rec op ~spawn =
+    match Random.State.int rng 100 with
+    | n when n < 22 -> Charge (step 8)
+    | n when n < 30 -> Yield
+    | n when n < 38 -> Wait_until (step 6 - 100)
+    | n when n < 62 ->
+        Timed_wait
+          (match Random.State.int rng 8 with
+          | 0 -> Past (step 3)
+          | 1 -> Now
+          | 2 | 3 -> Clock_of (Random.State.int rng threads, step 3 - 100)
+          | _ -> Ahead (step 12))
+    | n when n < 80 ->
+        Send
+          ( Random.State.int rng threads,
+            match Random.State.int rng 3 with
+            | 0 -> Immediately
+            | 1 -> At_deadline
+            | _ -> Later (step 4) )
+    | n when n < 86 -> Kill (Random.State.int rng threads)
+    | n when n < 96 -> Horizon
+    | _ when spawn ->
+        Spawn
+          (List.init (2 + Random.State.int rng 4) (fun _ -> op ~spawn:false))
+    | _ -> Yield
+  in
+  List.init len (fun _ -> op ~spawn:true)
+
+type tally = {
+  mutable timeouts : int;
+  mutable early : int;  (* woken by a sender before the deadline *)
+  mutable exact : int;  (* woken by a sender exactly at the deadline *)
+  mutable past : int;  (* deadline at or before the caller's clock *)
+  mutable kills : int;
+}
+
+(* Run [scripts] with [timed] as the timed wait; returns everything the
+   two implementations must agree on. *)
+let run_scripts timed scripts tally =
+  let sched = Sched.create () in
+  let n = Array.length scripts in
+  let tids = Array.make n (-1) in
+  let pending = Array.make n None in
+  let real = ref [] and log = ref [] in
+  let children = ref 0 in
+  let note fmt =
+    Printf.ksprintf
+      (fun s ->
+        log := Printf.sprintf "%d@%h %s" (Sched.self ()) (Sched.now ()) s :: !log)
+      fmt
+  in
+  let rec step i = function
+    | Charge c ->
+        Sched.charge (float_of_int c);
+        note "charge"
+    | Yield ->
+        Sched.yield ();
+        note "yield"
+    | Wait_until d ->
+        Sched.wait_until (Sched.now () +. float_of_int d);
+        note "wait_until"
+    | Timed_wait d ->
+        let now = Sched.now () in
+        let deadline =
+          match d with
+          | Past k -> now -. float_of_int k
+          | Now -> now
+          | Ahead k -> now +. float_of_int k
+          | Clock_of (j, k) ->
+              Option.get (Sched.thread_clock sched tids.(j)) +. float_of_int k
+        in
+        if deadline <= now then tally.past <- tally.past + 1;
+        timed ~deadline (fun wake ->
+            if i >= 0 then pending.(i) <- Some (wake, deadline));
+        (if i < 0 || Option.is_some pending.(i) then begin
+           tally.timeouts <- tally.timeouts + 1;
+           if i >= 0 then pending.(i) <- None
+         end
+         else if Sched.now () < deadline then tally.early <- tally.early + 1
+         else if Sched.now () = deadline then tally.exact <- tally.exact + 1);
+        note "timed_wait"
+    | Send (j, w) ->
+        (match pending.(j) with
+        | Some (wake, deadline) ->
+            pending.(j) <- None;
+            wake
+              ~at:
+                (match w with
+                | Immediately -> Sched.now ()
+                | At_deadline -> deadline
+                | Later k -> Sched.now () +. float_of_int k)
+        | None -> ());
+        note "send %d" j
+    | Kill j ->
+        (match pending.(j) with
+        | Some _ ->
+            pending.(j) <- None;
+            tally.kills <- tally.kills + 1;
+            Sched.kill sched tids.(j)
+        | None -> ());
+        note "kill %d" j
+    | Horizon -> note "horizon %h" (Sched.horizon sched)
+    | Spawn ops ->
+        let name = Printf.sprintf "c%d" !children in
+        incr children;
+        real := Sched.spawn sched ~name (body (-1) ops) :: !real;
+        note "spawn"
+  and body i ops () =
+    match List.iter (step i) ops with
+    | () -> ()
+    | exception Sched.Killed ->
+        note "killed";
+        raise Sched.Killed
+  in
+  Array.iteri
+    (fun i ops ->
+      tids.(i) <- Sched.spawn sched ~name:(Printf.sprintf "w%d" i) (body i ops);
+      real := tids.(i) :: !real)
+    scripts;
+  Sched.run sched;
+  let finals =
+    List.map
+      (fun tid ->
+        Printf.sprintf "%d clock %h waited %h" tid
+          (Option.get (Sched.thread_clock sched tid))
+          (Option.get (Sched.thread_waited sched tid)))
+      (List.sort compare !real)
+  in
+  let outcomes =
+    List.filter_map
+      (fun (tid, name, oc) ->
+        if name = "timer" then None
+        else
+          Some
+            (Printf.sprintf "%d %s %s" tid name
+               (match oc with
+               | Sched.Completed -> "completed"
+               | Failed e -> Printexc.to_string e)))
+      (Sched.outcomes sched)
+  in
+  (List.rev !log, finals, Printf.sprintf "%h" (Sched.horizon sched), outcomes)
+
+let test_timers_match_fibers () =
+  let total = { timeouts = 0; early = 0; exact = 0; past = 0; kills = 0 } in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let threads = 6 + Random.State.int rng 5 in
+      let scripts =
+        Array.init threads (fun _ ->
+            gen_script rng ~threads ~len:(10 + Random.State.int rng 15))
+      in
+      let log', finals', horizon', outcomes' =
+        run_scripts fiber_suspend_until scripts total
+      in
+      let log, finals, horizon, outcomes =
+        run_scripts Sched.suspend_until scripts
+          { timeouts = 0; early = 0; exact = 0; past = 0; kills = 0 }
+      in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let strings = Alcotest.(list string) in
+      check strings (name "resumption log") log' log;
+      check strings (name "final clocks") finals' finals;
+      check Alcotest.string (name "horizon") horizon' horizon;
+      check strings (name "outcomes") outcomes' outcomes)
+    [ 1; 2; 3; 4; 5 ];
+  (* The scripts must reach every case the equivalence is about. *)
+  List.iter
+    (fun (what, n) -> check bool (what ^ " occur") true (n > 0))
+    [
+      ("timeouts", total.timeouts); ("early wakes", total.early);
+      ("wakes at the deadline", total.exact); ("past deadlines", total.past);
+      ("kills of blocked threads", total.kills);
+    ]
+
 (* {1 Cost} *)
 
 let test_cost_conversions () =
@@ -363,6 +579,8 @@ let () =
           Alcotest.test_case "deadlock detected" `Quick test_sched_deadlock_detected;
           Alcotest.test_case "spawn inherits clock" `Quick test_sched_spawn_inherits_clock;
           Alcotest.test_case "determinism" `Quick test_sched_determinism;
+          Alcotest.test_case "timers ≡ timer fibers, 5 seeds" `Quick
+            test_timers_match_fibers;
         ] );
       ( "sync",
         [
