@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json perf perf-smoke perf-compare telemetry-report forensics-report clean
+.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json perf perf-smoke perf-compare same telemetry-report forensics-report clean
 
 all: check
 
@@ -114,6 +114,15 @@ PAIRS ?= 10
 perf-compare:
 	@test -n "$(REV)" || { echo "usage: make perf-compare REV=<commit> [PAIRS=10]"; exit 2; }
 	python3 bench/perf_compare.py "$(REV)" --pairs $(PAIRS)
+
+# The soaks against another commit, e.g. `make same REV=HEAD~1`: builds
+# @chaos, @chaos-soak and @chaos-rewind-soak with --force in REV's tree
+# (the perf-compare checkout) and here, and fails on the first line of
+# output that differs. A refactor that must keep every simulated number
+# passes it.
+same:
+	@test -n "$(REV)" || { echo "usage: make same REV=<commit>"; exit 2; }
+	python3 bench/perf_compare.py "$(REV)" --same
 
 clean:
 	dune clean

@@ -15,9 +15,18 @@ run) or same. After a workload's pairs it runs each side once more with
 `--trace 1` and lists every per-layer metric whose value differs by more
 than 1% from REV's, so a claimed gain shows the layer it came from.
 Exits non-zero if a run fails its checks or a metric is WORSE.
+
+    python3 bench/perf_compare.py REV --same
+
+instead builds the @chaos, @chaos-soak and @chaos-rewind-soak aliases
+with --force in REV's tree and here and compares their output: a change
+that must keep every simulated number prints the same soaks. It prints
+the first differing lines of each alias that differs and exits non-zero
+if any differs or fails.
 """
 
 import argparse
+import difflib
 import json
 import os
 import statistics
@@ -98,16 +107,58 @@ def num(x):
     return "-" if x is None else "%.6g" % x
 
 
+SOAKS = ["@chaos", "@chaos-soak", "@chaos-rewind-soak"]
+
+
+def alias_output(tree, alias):
+    """Exit code and output lines of building [alias] in [tree], less
+    dune's directory banners (they name the tree). One job at a time:
+    an alias with several actions prints each one's output when it
+    finishes, so in parallel their order would follow their speed."""
+    p = subprocess.run(["dune", "build", "--root", tree, alias, "--force",
+                        "-j", "1"],
+                       cwd=tree, capture_output=True, text=True,
+                       env=dict(os.environ, DUNE_CACHE="disabled"))
+    lines = [l for l in (p.stdout + p.stderr).splitlines()
+             if not l.startswith(("Entering directory", "Leaving directory"))]
+    return p.returncode, lines
+
+
+def same(rev, base, context=20):
+    failed = False
+    for alias in SOAKS:
+        (rc_old, old), (rc_new, new) = (alias_output(base, alias),
+                                        alias_output(ROOT, alias))
+        if rc_old or rc_new:
+            print("%s: FAILED (exit %d in %s, %d here)" % (alias, rc_old, rev,
+                                                            rc_new))
+            failed = True
+        if old == new:
+            print("%s: same output (%d lines)" % (alias, len(old)), flush=True)
+            continue
+        failed = True
+        print("%s: OUTPUT DIFFERS, first differing lines:" % alias)
+        diff = difflib.unified_diff(old, new, rev, "working tree", n=1,
+                                    lineterm="")
+        for line in list(diff)[:context]:
+            print("  " + line)
+    return 1 if failed else 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workload", action="append")
+    ap.add_argument("--same", action="store_true",
+                    help="compare the soak aliases' output instead")
     args = ap.parse_args()
+    base = checkout(args.rev)
+    if args.same:
+        return same(args.rev, base)
     bench = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    base = checkout(args.rev)
     failed = False
     for w in workloads:
         sides, bad = {base: [], ROOT: []}, False

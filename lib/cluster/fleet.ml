@@ -113,64 +113,51 @@ type t = {
 
 (* {2 Request grammar (router's view)}
 
-   The router parses just enough of the kvcache text protocol to route:
-   the verb and first key of the request line. Trailing [id=]/[trace=]
-   tokens are the same grammar {!Kvcache.Proto} uses. The line is split
-   once per request, on arrival; everything the router decides reads the
-   result. *)
-
-let words line =
-  String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
+   The router reads just enough of the kvcache text protocol to route:
+   the verb and first key of the request line, scanned in place with
+   {!Kvcache.Proto}'s word rule. Its [id=] and [trace=] tokens are read
+   by the server's own rules. The line is read once per request, on
+   arrival; everything the router decides reads the result. *)
 
 let keyed_verbs = [ "get"; "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
 let mutation_verbs = [ "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
 
 type request = {
-  verb : string;  (* first word; "" for an empty line *)
+  verb : string;
   key : string option;
-      (* first key of a keyed verb; [None] for stats/version/unknown, which
-         any serving shard will do *)
-  rid : string option;  (* last [id=] token of a mutation *)
-  trace : int64;  (* [trace=] context; 0 = none *)
+  rid : string option;
+  trace : int64;
 }
 
 let parse_request msg =
-  let line, has_cr =
+  let stop =
     match String.index_opt msg '\r' with
-    | Some i -> (String.sub msg 0 i, true)
+    | Some i -> i
     | None -> (
         match String.index_opt msg '\n' with
-        | Some i -> (String.sub msg 0 i, false)
-        | None -> (msg, false))
+        | Some i -> i
+        | None -> String.length msg)
   in
-  let ws = words line in
-  let verb = match ws with v :: _ -> v | [] -> "" in
-  let rid =
-    if not (List.mem verb mutation_verbs) then None
-    else
-      List.fold_left
-        (fun acc w ->
-          if String.length w > 3 && String.sub w 0 3 = "id=" then
-            Some (String.sub w 3 (String.length w - 3))
-          else acc)
-        None ws
-  in
+  let v0 = Proto.word_start msg 0 stop in
+  let v1 = Proto.word_stop msg v0 stop in
+  let verb = String.sub msg v0 (v1 - v0) in
+  let k0 = Proto.word_start msg v1 stop in
   {
     verb;
     key =
-      (match ws with
-      | v :: k :: _ when List.mem v keyed_verbs -> Some k
-      | _ -> None);
-    rid;
-    (* As {!Proto.trace_of_string}: only a CR-terminated line carries one. *)
-    trace = (if has_cr then Proto.trace_of_words ws else 0L);
+      (if k0 < stop && List.mem verb keyed_verbs then
+         Some (String.sub msg k0 (Proto.word_stop msg k0 stop - k0))
+       else None);
+    rid =
+      (if List.mem verb mutation_verbs then Proto.line_rid msg stop else None);
+    (* Only a CR-terminated line carries one. *)
+    trace = Proto.trace_of_string msg;
   }
 
 (* A reply the client will treat as a definitive outcome (so the write
    must survive failover). Busy/error replies are retried or surfaced;
    they carry no durability promise. *)
-let acked reply =
-  match Proto.parse_reply reply with Proto.Failed _ -> false | _ -> true
+let acked = Proto.reply_ok
 
 (* {2 Shard-side helpers} *)
 
@@ -468,7 +455,8 @@ let hb_reader t () =
     | Some c ->
         (match Netsim.try_recv c with
         | Some msg -> (
-            match words msg with
+            (* Heartbeats are this module's own single-spaced lines. *)
+            match String.split_on_char ' ' msg with
             | [ "hb"; idx; st ] -> (
                 match int_of_string_opt idx with
                 | Some i when i >= 0 && i < Array.length t.shards ->

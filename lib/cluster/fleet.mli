@@ -106,6 +106,23 @@ val drain_shard : t -> int -> unit
     quarantine heartbeat triggers, without waiting for the health
     monitor to notice. No-op unless the shard is [Serving]. *)
 
+(** {1 Request grammar (router's view)} *)
+
+type request = {
+  verb : string;  (** first word of the line; [""] for an empty line *)
+  key : string option;
+      (** first key of a keyed verb; [None] for stats, unknown verbs and
+          a keyed verb with no key, which any serving shard will do *)
+  rid : string option;
+      (** a mutation's [id=] token, by {!Kvcache.Proto.parse}'s rule *)
+  trace : int64;  (** [trace=] context of a CR-terminated line; 0 = none *)
+}
+
+val parse_request : string -> request
+(** Scan a request's line — up to its first CR, else its first LF — in
+    place with {!Kvcache.Proto}'s word rule, copying out only the verb,
+    the key and the rid. *)
+
 (** {1 Introspection} *)
 
 val shard_count : t -> int

@@ -22,4 +22,7 @@ let add t ~path ~size =
 
 let lookup t path = Vfs.file_size t.fs path
 let read_body t path = Vfs.read_all t.fs path
+
+let read_body_into t path b pos =
+  Vfs.read_into_bytes t.fs ~path ~off:0 ~len:Vfs.max_file_size b pos
 let vfs t = t.fs

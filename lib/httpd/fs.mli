@@ -18,4 +18,9 @@ val lookup : t -> string -> int option
 val read_body : t -> string -> string
 (** Read a whole document out of the filesystem (charged access). *)
 
+val read_body_into : t -> string -> bytes -> int -> int
+(** {!read_body} written into a caller's buffer from the given position
+    ({!Vfs.read_into_bytes}), with the same charges; returns the
+    document's length. *)
+
 val vfs : t -> Vfs.t

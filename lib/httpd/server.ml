@@ -80,15 +80,33 @@ type t = {
 
 let conn_token keep_alive = if keep_alive then "keep-alive" else "close"
 
+let status_200 = "HTTP/1.1 200 OK\r\nServer: simginx\r\nContent-Length: "
+let connection_field = "\r\nConnection: "
+
+(* A 200 reply announcing [len] body bytes, in one buffer with room for
+   [body] of them after the header: [fill b off] writes the body at
+   [off]. *)
+let reply_200 ~keep_alive ~len ~body fill =
+  let conn = conn_token keep_alive in
+  let s = String.length status_200 and c = String.length connection_field in
+  let lw = Serve.dec_width len in
+  let h = s + lw + c + String.length conn + 4 in
+  let b = Bytes.create (h + body) in
+  Bytes.blit_string status_200 0 b 0 s;
+  Serve.put_dec b ~stop:(s + lw) len;
+  Bytes.blit_string connection_field 0 b (s + lw) c;
+  Bytes.blit_string conn 0 b (s + lw + c) (String.length conn);
+  Bytes.blit_string "\r\n\r\n" 0 b (h - 4) 4;
+  fill b h;
+  Bytes.unsafe_to_string b
+
 let http_200 ~keep_alive body =
-  Printf.sprintf
-    "HTTP/1.1 200 OK\r\nServer: simginx\r\nContent-Length: %d\r\nConnection: %s\r\n\r\n%s"
-    (String.length body) (conn_token keep_alive) body
+  let n = String.length body in
+  reply_200 ~keep_alive ~len:n ~body:n (fun b off ->
+      Bytes.blit_string body 0 b off n)
 
 let http_200_head ~keep_alive size =
-  Printf.sprintf
-    "HTTP/1.1 200 OK\r\nServer: simginx\r\nContent-Length: %d\r\nConnection: %s\r\n\r\n"
-    size (conn_token keep_alive)
+  reply_200 ~keep_alive ~len:size ~body:0 (fun _ _ -> ())
 
 let http_404 = "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
 
@@ -99,29 +117,31 @@ let http_400 = "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
 let http_403 = "HTTP/1.1 403 Forbidden\r\nContent-Length: 0\r\n\r\n"
 let http_405 = "HTTP/1.1 405 Method Not Allowed\r\nContent-Length: 0\r\n\r\n"
 
+let rec lower_prefix s off lit i =
+  i = String.length lit
+  || Char.lowercase_ascii s.[off + i] = lit.[i]
+     && lower_prefix s off lit (i + 1)
+
 (* Pre-parse scan of the raw request bytes for the [traceparent] header:
    admission decisions (shed, admit) are taken before the sandboxed
    header parse, but their flight-recorder events should still carry the
    client's causal trace id. The authoritative parse is the header
-   phase's. *)
+   phase's. Lines are trimmed as [String.trim] would and scanned in
+   place; only a traceparent value is copied out. *)
 let trace_of_msg msg =
   let rec scan off =
-    match String.index_from_opt msg off '\n' with
-    | None -> 0L
-    | Some nl ->
-        let line = String.trim (String.sub msg off (nl - off)) in
-        if line = "" then 0L (* end of headers: no traceparent *)
-        else if
-          String.length line > 12
-          && String.lowercase_ascii (String.sub line 0 12) = "traceparent:"
-        then
-          match
-            Telemetry.Context.of_traceparent
-              (String.trim (String.sub line 12 (String.length line - 12)))
-          with
-          | Some ctx -> Telemetry.Context.trace ctx
-          | None -> 0L
-        else scan (nl + 1)
+    let nl = Serve.index_from msg off '\n' in
+    if nl < 0 then 0L
+    else
+      let a = Serve.skip_blanks msg off nl in
+      let b = Serve.trim_blanks msg a nl in
+      if a = b then 0L (* end of headers: no traceparent *)
+      else if b - a > 12 && lower_prefix msg a "traceparent:" 0 then
+        let v = Serve.skip_blanks msg (a + 12) b in
+        match Telemetry.Context.of_traceparent (String.sub msg v (b - v)) with
+        | Some ctx -> Telemetry.Context.trace ctx
+        | None -> 0L
+      else scan (nl + 1)
   in
   scan 0
 
@@ -177,7 +197,12 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
             (http_200 ~keep_alive (Telemetry.Metrics.expose (Serve.metrics t.core)))
       | "GET" -> (
           match Fs.lookup t.fs path with
-          | Some _ -> Netsim.send c (http_200 ~keep_alive (Fs.read_body t.fs path))
+          | Some size ->
+              (* Header and file in one buffer; the file is read from
+                 simulated memory straight into it. *)
+              Netsim.send c
+                (reply_200 ~keep_alive ~len:size ~body:size (fun b off ->
+                     ignore (Fs.read_body_into t.fs path b off)))
           | None ->
               (* Autoindex for directories, as nginx with autoindex on. *)
               if Vfs.is_dir (Fs.vfs t.fs) path then begin

@@ -86,9 +86,10 @@ let put_be32 b off v =
   put_be16 b off ((v lsr 16) land 0xFFFF);
   put_be16 b (off + 2) (v land 0xFFFF)
 
-let frame ~magic ~opcode ~status ~extras ~key ~value =
-  let keylen = String.length key and extlen = String.length extras in
-  let body = extlen + keylen + String.length value in
+(* A zeroed frame with its header set and room for a body of
+   [extlen + keylen + vlen] bytes; the caller writes the body. *)
+let frame_bytes ~magic ~opcode ~status ~extlen ~keylen ~vlen =
+  let body = extlen + keylen + vlen in
   let b = Bytes.make (header_size + body) '\000' in
   Bytes.set b 0 (Char.chr magic);
   Bytes.set b 1 (Char.chr opcode);
@@ -96,17 +97,33 @@ let frame ~magic ~opcode ~status ~extras ~key ~value =
   Bytes.set b 4 (Char.chr extlen);
   put_be16 b 6 status;
   put_be32 b 8 body;
+  b
+
+let frame ~magic ~opcode ~status ~extras ~key ~value =
+  let extlen = String.length extras and keylen = String.length key in
+  let b =
+    frame_bytes ~magic ~opcode ~status ~extlen ~keylen
+      ~vlen:(String.length value)
+  in
   Bytes.blit_string extras 0 b header_size extlen;
   Bytes.blit_string key 0 b (header_size + extlen) keylen;
-  Bytes.blit_string value 0 b (header_size + extlen + keylen) (String.length value);
-  Bytes.to_string b
+  Bytes.blit_string value 0 b (header_size + extlen + keylen)
+    (String.length value);
+  Bytes.unsafe_to_string b
+
+(* The GET reply: 4 extras bytes of flags, then the value, read from
+   simulated memory straight into the frame. *)
+let res_value space ~flags ~addr ~len =
+  let b =
+    frame_bytes ~magic:magic_response ~opcode:op_get ~status:status_ok
+      ~extlen:4 ~keylen:0 ~vlen:len
+  in
+  put_be32 b header_size flags;
+  Space.read_into space addr b (header_size + 4) len;
+  Bytes.unsafe_to_string b
 
 let be32_string v =
   String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xFF))
-
-let res_value ~flags ~value =
-  frame ~magic:magic_response ~opcode:op_get ~status:status_ok
-    ~extras:(be32_string flags) ~key:"" ~value
 
 let res_stored =
   frame ~magic:magic_response ~opcode:op_set ~status:status_ok ~extras:"" ~key:""
@@ -149,23 +166,23 @@ let trace_of_string s =
     in
     Int64.logor (Int64.shift_left (be32 16) 32) (be32 20)
 
-(* Patch the trace id into an already-built request frame. *)
+(* Patch the trace id into a copy of an already-built request frame. *)
 let with_trace s trace =
   if trace = 0L then s
   else begin
     let b = Bytes.of_string s in
     put_be32 b 16 (Int64.to_int (Int64.shift_right_logical trace 32));
     put_be32 b 20 (Int64.to_int (Int64.logand trace 0xFFFFFFFFL));
-    Bytes.to_string b
+    Bytes.unsafe_to_string b
   end
 
-(* Patch the opaque field into an already-built frame. *)
+(* Patch the opaque field into a copy of an already-built frame. *)
 let with_opaque s opaque =
   if opaque = 0 then s
   else begin
     let b = Bytes.of_string s in
     put_be32 b 12 (opaque land 0xFFFFFFFF);
-    Bytes.to_string b
+    Bytes.unsafe_to_string b
   end
 
 let req_get key =
@@ -183,7 +200,7 @@ let req_set_lying ~key ~flags ~body_len ~value =
   let honest = req_set ~key ~flags ~value in
   let b = Bytes.of_string honest in
   put_be32 b 8 (body_len land 0xFFFFFFFF);
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
 let req_delete ?(opaque = 0) key =
   with_opaque
@@ -191,6 +208,9 @@ let req_delete ?(opaque = 0) key =
        ~value:"")
     opaque
 
+(* A GET reply's value is the body after its extras. The body must be
+   exactly as long as the header says: a frame cut short — inside its
+   extras or its value — is a failure, never a shorter value. *)
 let parse_reply s =
   if String.length s < header_size then Proto.Failed "short binary reply"
   else if Char.code s.[0] <> magic_response then Proto.Failed "bad magic"
@@ -198,11 +218,14 @@ let parse_reply s =
     let opcode = Char.code s.[1] in
     let status = be16 s 6 in
     let extlen = Char.code s.[4] in
+    let body = (be16 s 8 lsl 16) lor be16 s 10 in
     if status = status_not_found then
       if opcode = op_get then Proto.Miss else Proto.NotFound
     else if status <> status_ok then Proto.Failed (Printf.sprintf "status 0x%x" status)
     else if opcode = op_get then
-      Proto.Value (String.sub s (header_size + extlen) (String.length s - header_size - extlen))
+      if String.length s - header_size <> body || extlen > body then
+        Proto.Failed "truncated binary reply"
+      else Proto.Value (String.sub s (header_size + extlen) (body - extlen))
     else if opcode = op_set then Proto.Stored
     else if opcode = op_delete then Proto.Deleted
     else Proto.Failed "unexpected opcode"

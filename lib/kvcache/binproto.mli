@@ -19,12 +19,8 @@
 
 val header_size : int
 val magic_request : int
-val magic_response : int
 
 (** Response status codes. *)
-val status_ok : int
-
-val status_not_found : int
 val status_oom : int
 val status_einval : int
 
@@ -54,7 +50,12 @@ val with_trace : string -> int64 -> string
 
 (** {1 Response building (server side)} *)
 
-val res_value : flags:int -> value:string -> string
+val res_value : Vmem.Space.t -> flags:int -> addr:int -> len:int -> string
+(** The GET reply: [flags] in 4 extras bytes, then the [len]-byte value
+    at [addr], read from simulated memory with {!Vmem.Space.read_into}
+    straight into the frame — one copy, charged as
+    [Space.read_string addr len] is. *)
+
 val res_stored : string
 val res_deleted : string
 val res_not_found : string
@@ -81,3 +82,5 @@ val req_delete : ?opaque:int -> string -> string
 (** {1 Response parsing (client side)} *)
 
 val parse_reply : string -> Proto.reply
+(** A GET reply whose length disagrees with its body-length field — a
+    frame cut inside its extras or its value — is [Failed]. *)

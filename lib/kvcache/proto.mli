@@ -2,7 +2,14 @@
     [get], [set], [delete] plus response formatting. Requests are parsed
     in place from simulated memory — the connection buffer — so a
     malicious request is already inside the sandboxable data path when it
-    is interpreted. *)
+    is interpreted.
+
+    Text crosses between simulated memory and the OCaml heap once per
+    hop. {!parse} and {!parse_trace} each read the request line out once
+    (each read is charged) and scan it in place; {!value_reply} and
+    {!values_reply}'s server-side writer read stored values straight
+    into the reply. Every builder here computes its length first and
+    writes one buffer. *)
 
 type cmd =
   | Get of string
@@ -35,23 +42,40 @@ type cmd =
   | Bad of string
 
 val parse : Vmem.Space.t -> addr:int -> len:int -> cmd
-(** A trailing [trace=<16 hex>] token on the request line — the causal
-    trace context, valid on any command — is stripped before dispatch;
-    read it with {!parse_trace}. *)
+(** Reads the request line (up to the first CR) out of simulated memory
+    once and scans it in place. A word is a maximal run of bytes other
+    than [' ']; a tab is part of a word. A trailing
+    [trace=<16 lowercase hex>] token — the causal trace context, valid on
+    any command — is dropped before dispatch; read it with
+    {!parse_trace}. Only the key, the keys of a multi-get and the rid are
+    copied out of the line; numbers read as [int_of_string_opt] reads
+    them. *)
 
 val parse_trace : Vmem.Space.t -> addr:int -> len:int -> int64
 (** Trace id of the request's trailing [trace=] token ([0L] when absent
-    or malformed). Servers call this on arrival, before {!parse}, to
-    install the context for the request's whole handling. *)
+    or malformed): its 16 digits as a 64-bit number masked to 62 bits, as
+    [Telemetry.Context.trace_id_at] decodes them; a token whose id is 0
+    carries no context and is left on the line. Servers call this on
+    arrival, before {!parse}, to install the context for the request's
+    whole handling; it reads the line out of simulated memory itself. *)
 
 val trace_of_string : string -> int64
 (** {!parse_trace} over raw wire bytes — for decisions taken before the
-    request reaches simulated memory (load shedding). *)
+    request reaches simulated memory (load shedding, the router). *)
 
-val trace_of_words : string list -> int64
-(** The same extraction from a request line already split into its
-    non-empty space-separated words (for a router that parses the line
-    once). *)
+(** {2 The scanner, for a router that reads a raw line} *)
+
+val word_start : string -> int -> int -> int
+(** [word_start s i stop]: the first position in [i, stop) that is not a
+    space, or [stop]. *)
+
+val word_stop : string -> int -> int -> int
+(** [word_stop s i stop]: the end of the word that starts at [i]. *)
+
+val line_rid : string -> int -> string option
+(** [line_rid s stop]: the rid {!parse} finds on the line [s.[0, stop)]:
+    after a valid trailing trace token is dropped, the last word if it is
+    [id=<rid>] with a non-empty rid. *)
 
 val max_key_len : int
 
@@ -69,18 +93,31 @@ val deleted : string
 val not_found : string
 val end_ : string
 val error : string
-val value_header : key:string -> flags:int -> len:int -> string
 
-val value_reply : key:string -> flags:int -> value:string -> string
-(** The complete single-hit GET reply, byte-for-byte
-    [value_header ~key ~flags ~len:(String.length value) ^ value ^ "\r\n"
-    ^ end_], built in one allocation (the value is copied once). *)
+val value_reply :
+  Vmem.Space.t -> key:string -> flags:int -> addr:int -> len:int -> string
+(** The complete single-hit GET reply,
+    [VALUE <key> <flags> <len>\r\n<value>\r\nEND\r\n], in one buffer. The
+    value is read from simulated memory at [addr] with
+    {!Vmem.Space.read_into} straight into that buffer: the one copy it
+    makes, charged exactly as [Space.read_string addr len] is. *)
+
+val values_reply :
+  (string * int * int * 'a) list ->
+  write:('a -> bytes -> int -> int -> unit) ->
+  string
+(** The multi-get reply: one [VALUE] block per [(key, flags, len, src)]
+    hit, in order, then [END], in one buffer sized from the hits.
+    [write src b off len] writes each hit's value at [b.[off]] as its
+    block is reached, so a server reading values out of simulated memory
+    ({!Vmem.Space.read_into}) keeps its per-hit order of accesses. *)
 
 (** {1 Request formatting (client side)} *)
 
 val fmt_get : ?trace:int64 -> string -> string
 (** [?trace] (here and below) appends the causal-context token
-    [trace=<16 hex>] to the request line; [0L] appends nothing. *)
+    [trace=<16 hex>] to the request line; [0L] appends nothing. The
+    request formatters write the bytes [Printf] would, in one buffer. *)
 
 val fmt_multi_get : string list -> string
 
@@ -102,14 +139,8 @@ val fmt_replace : key:string -> flags:int -> value:string -> string
 
 val fmt_set_rid :
   rid:string -> key:string -> flags:int -> value:string -> string
-(** [_rid] variants emit the idempotency key as a trailing [id=<rid>]
-    token on the request line, keying the server's replay journal. *)
-
-val fmt_add_rid :
-  rid:string -> key:string -> flags:int -> value:string -> string
-
-val fmt_replace_rid :
-  rid:string -> key:string -> flags:int -> value:string -> string
+(** Emits the idempotency key as a trailing [id=<rid>] token on the
+    request line, keying the server's replay journal. *)
 
 val fmt_set_lying : key:string -> flags:int -> declared:int -> value:string -> string
 (** A [set] whose length field disagrees with the payload — the attack
@@ -144,3 +175,10 @@ type reply =
   | Failed of string
 
 val parse_reply : string -> reply
+(** Walks [VALUE] blocks in place and copies only what the result holds:
+    a single hit's value, or each hit's key and value. A block whose
+    length is negative or runs past the reply is [Failed]. *)
+
+val reply_ok : string -> bool
+(** [parse_reply s] is not [Failed], decided with the same walk and
+    without copying anything out of [s]. *)

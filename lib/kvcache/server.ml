@@ -105,7 +105,8 @@ let global_lock t f =
   | exception e -> finish (); raise e
 
 (* Response formatting differs between the text and binary protocols;
-   request handling is shared. *)
+   request handling is shared. A value reply reads the value out of
+   simulated memory straight into the reply. *)
 type wire = {
   w_stored : string;
   w_oom : string;
@@ -114,8 +115,8 @@ type wire = {
   w_not_found : string;
   w_miss : string;
   w_error : string;
-  w_value : key:string -> flags:int -> value:string -> string;
-  w_values : (string * int * string) list -> string;  (* (key, flags, value) *)
+  w_value : Space.t -> key:string -> flags:int -> addr:int -> len:int -> string;
+  w_values : string -> string;  (* the multi-get reply, from the text one *)
 }
 
 let text_wire =
@@ -128,15 +129,7 @@ let text_wire =
     w_miss = Proto.end_;
     w_error = Proto.error;
     w_value = Proto.value_reply;
-    w_values =
-      (fun hits ->
-        String.concat ""
-          (List.map
-             (fun (key, flags, value) ->
-               Proto.value_header ~key ~flags ~len:(String.length value)
-               ^ value ^ "\r\n")
-             hits)
-        ^ Proto.end_);
+    w_values = Fun.id;
   }
 
 let binary_wire =
@@ -148,8 +141,12 @@ let binary_wire =
     w_not_found = Binproto.res_not_found;
     w_miss = Binproto.res_not_found;
     w_error = Binproto.res_error Binproto.status_einval;
-    w_value = (fun ~key:_ ~flags ~value -> Binproto.res_value ~flags ~value);
-    (* The binary protocol has no multi-get frame in our subset. *)
+    w_value =
+      (fun space ~key:_ ~flags ~addr ~len ->
+        Binproto.res_value space ~flags ~addr ~len);
+    (* The binary protocol has no multi-get frame in our subset. A
+       binary request only reaches a multi-get when a fault rewrote its
+       domain copy into text; its hits are still read and released. *)
     w_values = (fun _ -> Binproto.res_error Binproto.status_einval);
   }
 
@@ -199,13 +196,14 @@ let stats_reply t =
 let telemetry_reply t = Telemetry.Metrics.expose (Serve.metrics t.core)
 
 (* Plain variants stage a value through a per-request buffer (exercising
-   the allocator variant) before it goes into the reply. *)
-let staged_value t ~vaddr ~vlen =
+   the allocator variant): [read] reads it from there, before the buffer
+   is freed. *)
+let staged t ~vaddr ~vlen read =
   let out = Serve.alloc t.core (vlen + 64) in
   Space.blit t.space ~src:vaddr ~dst:out ~len:vlen;
-  let value = Space.read_string t.space out vlen in
+  let r = read out in
   Serve.free t.core out;
-  value
+  r
 
 let parse_any space ~addr ~len =
   if Binproto.is_binary space ~addr ~len then
@@ -363,7 +361,8 @@ and handle_plain t ws c msg =
       match Store.get t.db key with
       | Some (vaddr, vlen, flags) ->
           Netsim.send c
-            (w.w_value ~key ~flags ~value:(staged_value t ~vaddr ~vlen))
+            (staged t ~vaddr ~vlen (fun addr ->
+                 w.w_value space ~key ~flags ~addr ~len:vlen))
       | None -> Netsim.send c w.w_miss)
   | Set { mode; key; flags; declared_len; data_off; data_len; rid } ->
       if t.cfg.vulnerable && declared_len < 0 then begin
@@ -399,16 +398,26 @@ and handle_plain t ws c msg =
   | Delete { key; rid } ->
       Option.iter (Netsim.send c) (apply_deferred t w rid (`Delete key))
   | Multi_get keys ->
+      (* Each hit's staging buffer is freed before the next key is looked
+         up, so the values are read out as strings first. *)
       let hits =
         List.filter_map
           (fun key ->
             match Store.get t.db key with
             | Some (vaddr, vlen, flags) ->
-                Some (key, flags, staged_value t ~vaddr ~vlen)
+                Some
+                  ( key,
+                    flags,
+                    vlen,
+                    staged t ~vaddr ~vlen (fun addr ->
+                        Space.read_string space addr vlen) )
             | None -> None)
           keys
       in
-      Netsim.send c (w.w_values hits)
+      Netsim.send c
+        (w.w_values
+           (Proto.values_reply hits ~write:(fun v b off len ->
+                Bytes.blit_string v 0 b off len)))
   | Arith { key; delta; negate; rid } ->
       Option.iter (Netsim.send c)
         (apply_deferred t w rid (`Arith (key, delta, negate)))
@@ -510,22 +519,20 @@ and handle_sdrad t ws c msg =
     let reply =
       match outcome with
       | `Value (addr, vlen, flags, key) ->
-          let value = Space.read_string space addr vlen in
+          let reply = w.w_value space ~key ~flags ~addr ~len:vlen in
           Api.free sd ~udi addr;
           (* Deferred LRU bump, applied with parent privileges. *)
           global_lock t (fun () -> Store.touch t.db key);
-          Some (w.w_value ~key ~flags ~value)
+          Some reply
       | `Multi_value hits ->
-          let materialized =
-            List.map
-              (fun (key, flags, addr, vlen) ->
-                let v = Space.read_string space addr vlen in
+          (* Per hit: read into the reply, free, bump. *)
+          let reply =
+            Proto.values_reply hits ~write:(fun (key, addr) b off len ->
+                Space.read_into space addr b off len;
                 Api.free sd ~udi addr;
-                global_lock t (fun () -> Store.touch t.db key);
-                (key, flags, v))
-              hits
+                global_lock t (fun () -> Store.touch t.db key))
           in
-          Some (w.w_values materialized)
+          Some (w.w_values reply)
       | `Miss -> Some w.w_miss
       | `Bad_cmd -> Some w.w_error
       | `Stats_cmd -> Some (stats_reply t)
@@ -590,7 +597,7 @@ and drive_machine_in_domain t sd ~udi ~dbuf ~len =
             | Some (vaddr, vlen, flags) ->
                 let out = Api.malloc sd ~udi (max 8 vlen) in
                 Space.blit space ~src:vaddr ~dst:out ~len:vlen;
-                Some (key, flags, out, vlen)
+                Some (key, flags, vlen, (key, out))
             | None -> None)
           keys
       in

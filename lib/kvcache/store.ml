@@ -94,6 +94,7 @@ let find_prev t key =
   in
   walk slot
 
+(* Fill a raw chunk with an item image (no linking). *)
 let write_item t ~item ~key ~flags ~value_src ~value_len =
   Space.store64 t.space item 0;
   set_lru_next t item 0;

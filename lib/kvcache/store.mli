@@ -64,11 +64,6 @@ val item_size : key:string -> value_len:int -> int
 (** Total item footprint for a key/value pair (used by the vulnerable
     code path in the server to size its undersized allocation). *)
 
-val write_item :
-  t -> item:int -> key:string -> flags:int -> value_src:int -> value_len:int -> unit
-(** Fill a raw chunk with an item image (no linking) — the building block
-    the server's vulnerable SET handler replicates with a wrong length. *)
-
 val check : t -> string list
 (** Walk every bucket chain and verify item headers are sane (lengths
     within slab bounds, chains acyclic). Returns discrepancies — used to

@@ -189,8 +189,10 @@ let accept t c =
 
 let copy_in t c msg =
   let b = Hashtbl.find t.conns (Netsim.id c) in
-  b.len <- min (String.length msg) (conn_buf_size - 2);
-  Space.store_string t.space b.addr (String.sub msg 0 b.len);
+  let n = String.length msg in
+  b.len <- min n (conn_buf_size - 2);
+  Space.store_string t.space b.addr
+    (if b.len = n then msg else String.sub msg 0 b.len);
   b
 
 let forget t c =
@@ -204,6 +206,39 @@ let drop t ws c =
   Netsim.Waitset.remove ws c;
   Netsim.close c;
   forget t c
+
+(* {1 Wire text} *)
+
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec index_from s i c =
+  if i >= String.length s then -1
+  else if String.unsafe_get s i = c then i
+  else index_from s (i + 1) c
+
+let rec skip_blanks s i stop =
+  if i < stop && is_blank (String.unsafe_get s i) then
+    skip_blanks s (i + 1) stop
+  else i
+
+let rec trim_blanks s start stop =
+  if stop > start && is_blank (String.unsafe_get s (stop - 1)) then
+    trim_blanks s start (stop - 1)
+  else stop
+
+(* Digits are taken from the non-positive value, which cannot overflow
+   (unlike [-min_int]). *)
+let dec_width n =
+  let rec go m w = if m > -10 then w else go (m / 10) (w + 1) in
+  if n < 0 then go n 2 else go (-n) 1
+
+let put_dec b ~stop n =
+  let rec go i m =
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
+    if m <= -10 then go (i - 1) (m / 10)
+  in
+  go (stop - 1) (if n < 0 then n else -n);
+  if n < 0 then Bytes.unsafe_set b (stop - dec_width n) '-'
 
 (* {1 Admission} *)
 

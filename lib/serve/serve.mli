@@ -80,6 +80,32 @@ val forget : t -> Netsim.conn -> unit
 val drop : t -> Netsim.Waitset.ws -> Netsim.conn -> unit
 (** Leave the waitset, close and {!forget}. *)
 
+(** {1 Wire text}
+
+    Both servers and their clients scan protocol text where it lies and
+    write numbers straight into the buffer that goes on the wire, with
+    no [Printf] and no intermediate string. Positions are ints, so a
+    scan allocates nothing. *)
+
+val index_from : string -> int -> char -> int
+(** [index_from s i c]: the first position of [c] at or after [i], or
+    -1. *)
+
+val skip_blanks : string -> int -> int -> int
+(** [skip_blanks s i stop]: the first position in [i, stop) that is not
+    a blank — one of the bytes [String.trim] drops — or [stop]. *)
+
+val trim_blanks : string -> int -> int -> int
+(** [trim_blanks s start stop]: [stop] less the blanks that end
+    [s.[start, stop)]. *)
+
+val dec_width : int -> int
+(** Bytes of [n] rendered by [%d]. *)
+
+val put_dec : bytes -> stop:int -> int -> unit
+(** [put_dec b ~stop n] writes [n] as [%d] into [b], ending just before
+    [stop]: it fills [stop - dec_width n, stop). *)
+
 (** {1 Admission} *)
 
 val shed : t -> Netsim.conn -> trace:int64 -> udi:int -> string -> unit

@@ -382,11 +382,25 @@ module Context = struct
          (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
          s
 
+  let hex_digit = function
+    | '0' .. '9' as c -> Char.code c - 48
+    | 'a' .. 'f' as c -> Char.code c - 87
+    | _ -> -1
+
+  (* The digits from [i] to [stop] as one 64-bit number, masked to 62
+     bits: the top bits an [int] drops are the ones the mask clears. *)
+  let rec hex_id s i stop id =
+    if i = stop then id land max_int
+    else
+      let d = hex_digit (String.unsafe_get s i) in
+      if d < 0 then 0 else hex_id s (i + 1) stop ((id lsl 4) lor d)
+
+  let trace_id_at s off =
+    if off < 0 || String.length s - off < 16 then 0
+    else hex_id s off (off + 16) 0
+
   let of_trace_hex s =
-    if String.length s = 16 && is_hex s then
-      match Int64.of_string_opt ("0x" ^ s) with
-      | None -> None
-      | Some id -> of_trace id
+    if String.length s = 16 then of_trace (Int64.of_int (trace_id_at s 0))
     else None
 
   (* W3C-traceparent-shaped: version 00, 16-hex trace id (the spec's low

@@ -185,6 +185,14 @@ module Context : sig
       (wire tokens, span args, flight-recorder dumps, exemplars). *)
 
   val of_trace_hex : string -> t option
+  (** The inverse of {!trace_hex}: 16 lowercase hex chars, the id masked
+      to 62 bits; [None] for anything else or the zero id. *)
+
+  val trace_id_at : string -> int -> int
+  (** [trace_id_at s off] decodes the 16 chars of [s] from [off] as
+      {!of_trace_hex} does, without allocating: the 62-bit id, or 0 when
+      they are not 16 lowercase hex chars (or [s] ends first) or the id
+      is 0 — "no context". *)
 
   val to_traceparent : t -> string
   (** [00-<trace 16 hex>-<span 8 hex>-01], the httpd header value. *)

@@ -139,25 +139,41 @@ let write_inode_data t i data =
   done;
   set_inode_size t i size
 
+(* Bytes of [off, off + len) that lie inside inode [i] ([off] >= 0). *)
+let clamp_len t i ~off ~len = max 0 (min len (inode_file_size t i - off))
+
+(* Copy [off, off + len) of inode [i], already clamped and non-empty,
+   into [b] at [pos]: each block's part straight from simulated memory. *)
+let copy_blocks t i ~off ~len b pos =
+  let blocks = Array.of_list (inode_blocks t i) in
+  let p = ref off in
+  while !p < off + len do
+    let j = !p / block_size in
+    let in_block = !p mod block_size in
+    let chunk = min (block_size - in_block) (off + len - !p) in
+    Space.read_into t.space
+      (block_addr t blocks.(j) + in_block)
+      b (pos + !p - off) chunk;
+    p := !p + chunk
+  done
+
 let read_inode_range t i ~off ~len =
-  let size = inode_file_size t i in
   let off = max 0 off in
-  let len = max 0 (min len (size - off)) in
+  let len = clamp_len t i ~off ~len in
   if len = 0 then ""
   else begin
-    let buf = Buffer.create len in
-    let blocks = Array.of_list (inode_blocks t i) in
-    let pos = ref off in
-    while !pos < off + len do
-      let j = !pos / block_size in
-      let in_block = !pos mod block_size in
-      let chunk = min (block_size - in_block) (off + len - !pos) in
-      Buffer.add_string buf
-        (Space.read_string t.space (block_addr t blocks.(j) + in_block) chunk);
-      pos := !pos + chunk
-    done;
-    Buffer.contents buf
+    let b = Bytes.create len in
+    copy_blocks t i ~off ~len b 0;
+    Bytes.unsafe_to_string b
   end
+
+let read_inode_into t i ~off ~len b pos =
+  let off = max 0 off in
+  let len = clamp_len t i ~off ~len in
+  if pos < 0 || pos > Bytes.length b - len then
+    invalid_arg "Vfs.read_into_bytes: range outside the buffer";
+  if len > 0 then copy_blocks t i ~off ~len b pos;
+  len
 
 (* {1 Directories} *)
 
@@ -345,11 +361,16 @@ let file_size t path =
   | Some ino when inode_kind t ino = k_file -> Some (inode_file_size t ino)
   | Some _ | None -> None
 
-let read t ~path ~off ~len =
+let file_inode t path =
   match lookup t path with
-  | Some ino when inode_kind t ino = k_file -> read_inode_range t ino ~off ~len
+  | Some ino when inode_kind t ino = k_file -> ino
   | Some _ -> err "%s: not a regular file" path
   | None -> err "%s: no such file" path
+
+let read t ~path ~off ~len = read_inode_range t (file_inode t path) ~off ~len
+
+let read_into_bytes t ~path ~off ~len b pos =
+  read_inode_into t (file_inode t path) ~off ~len b pos
 
 let read_all t path = read t ~path ~off:0 ~len:max_file_size
 

@@ -23,7 +23,6 @@ exception Fs_error of string
 
 val block_size : int
 val max_file_size : int
-val max_name_len : int
 
 val format : Vmem.Space.t -> ?pkey:int -> blocks:int -> unit -> t
 (** mkfs: map a fresh region of [blocks] 4-KiB blocks and initialize the
@@ -49,6 +48,17 @@ val read : t -> path:string -> off:int -> len:int -> string
 (** Read a byte range (clamped to the file size). *)
 
 val read_all : t -> string -> string
+
+val read_into_bytes :
+  t -> path:string -> off:int -> len:int -> bytes -> int -> int
+(** [read_into_bytes t ~path ~off ~len b pos] is {!read} written into
+    [b] from [pos] instead of a fresh string: each block's part is read
+    from simulated memory straight into [b], with the same accesses and
+    charges as {!read}. Returns the bytes copied (the range clamped to
+    the file size), so a caller that sized [b] from {!file_size} can put
+    a header and the file in one buffer.
+    @raise Invalid_argument if the clamped range does not fit in [b]
+    from [pos]. *)
 
 val read_into : t -> path:string -> off:int -> len:int -> dst:int -> int
 (** Read into a simulated-memory buffer (sendfile-style); returns bytes

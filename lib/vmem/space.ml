@@ -572,18 +572,18 @@ let check_len op len = if len < 0 then invalid_arg (op ^ ": bad length")
 (* The bulk copies below walk their range one page at a time; a range
    inside one page is a single [Bytes] call. *)
 
+let copy_to t addr b off len =
+  let a = ref addr and stop = addr + len in
+  while !a < stop do
+    let n = chunk !a stop in
+    Bytes.blit (frame t !a) (!a land page_mask) b (off + !a - addr) n;
+    a := !a + n
+  done
+
 let copy_out t addr len =
-  let off = addr land page_mask in
-  if off + len <= ps then Bytes.sub (frame t addr) off len
-  else begin
-    let b = Bytes.create len and a = ref addr and stop = addr + len in
-    while !a < stop do
-      let n = chunk !a stop in
-      Bytes.blit (frame t !a) (!a land page_mask) b (!a - addr) n;
-      a := !a + n
-    done;
-    b
-  end
+  let b = Bytes.create len in
+  copy_to t addr b 0 len;
+  b
 
 let copy_in t addr s =
   let a = ref addr and stop = addr + String.length s in
@@ -618,6 +618,8 @@ let store_string t addr s =
     copy_in t addr s
   end
 
+(* The buffer is made only after the range passed its check, so a
+   faulting read of any length allocates nothing. *)
 let read_string t addr len =
   check_len "read_string" len;
   if len = 0 then ""
@@ -625,6 +627,16 @@ let read_string t addr len =
     bulk_charge t len;
     check t addr len Read;
     Bytes.unsafe_to_string (copy_out t addr len)
+  end
+
+let read_into t addr b off len =
+  check_len "read_into" len;
+  if off < 0 || off > Bytes.length b - len then
+    invalid_arg "Space.read_into: range outside the buffer";
+  if len > 0 then begin
+    bulk_charge t len;
+    check t addr len Read;
+    copy_to t addr b off len
   end
 
 (* memmove: when the destination overlaps the source from above, the

@@ -120,6 +120,16 @@ val load_bytes : t -> int -> int -> bytes
 val store_bytes : t -> int -> bytes -> unit
 val store_string : t -> int -> string -> unit
 val read_string : t -> int -> int -> string
+
+val read_into : t -> int -> bytes -> int -> int -> unit
+(** [read_into t addr b off len] copies [len] bytes at [addr] into [b]
+    from [off], with {!read_string}'s check and charge: the same
+    [Invalid_argument] for a negative [len], the same virtual time, and
+    a faulting range raises {!Fault} having charged the same and copied
+    nothing. A zero [len] is free. It lets a reply be assembled straight
+    from simulated memory, with no intermediate string.
+    @raise Invalid_argument if [off, off + len) is not inside [b]. *)
+
 val blit : t -> src:int -> dst:int -> len:int -> unit
 val fill : t -> addr:int -> len:int -> char -> unit
 

@@ -27,8 +27,17 @@ let default_config =
 
 type results = { ok : int; failures : int; retries : int; cycles : float }
 
+let request_tail =
+  " HTTP/1.1\r\nHost: bench.local\r\nUser-Agent: simbench/1.0\r\n\r\n"
+
+(* [GET <path><request_tail>], written in one buffer. *)
 let request ~path =
-  Printf.sprintf "GET %s HTTP/1.1\r\nHost: bench.local\r\nUser-Agent: simbench/1.0\r\n\r\n" path
+  let p = String.length path and n = String.length request_tail in
+  let b = Bytes.create (4 + p + n) in
+  Bytes.blit_string "GET " 0 b 0 4;
+  Bytes.blit_string path 0 b 4 p;
+  Bytes.blit_string request_tail 0 b (4 + p) n;
+  Bytes.unsafe_to_string b
 
 let request_with_headers ~path headers =
   let hdrs =
@@ -37,8 +46,15 @@ let request_with_headers ~path headers =
   in
   Printf.sprintf "GET %s HTTP/1.1\r\nHost: bench.local\r\n%s\r\n" path hdrs
 
-let is_200 reply =
-  String.length reply >= 12 && String.sub reply 9 3 = "200"
+(* The three-digit status code of [HTTP/1.x <code> ...], compared in
+   place. *)
+let status_is reply code =
+  String.length reply >= 12
+  && reply.[9] = code.[0]
+  && reply.[10] = code.[1]
+  && reply.[11] = code.[2]
+
+let is_200 reply = status_is reply "200"
 
 let launch sched net cfg ~on_done () =
   let results = ref None in
@@ -85,10 +101,7 @@ let launch sched net cfg ~on_done () =
                        ("Traceparent", Telemetry.Context.to_traceparent ctx);
                      ]);
                 match Netsim.recv_deadline c ~deadline with
-                | Some reply
-                  when String.length reply >= 12
-                       && String.sub reply 9 3 = "503" ->
-                    Error (`Retry "503")
+                | Some reply when status_is reply "503" -> Error (`Retry "503")
                 | Some reply -> Ok reply
                 | None ->
                     (* Timed out: close so a late reply cannot be

@@ -54,14 +54,39 @@ type results = {
   run_latencies : float list;
 }
 
-let key_of i = Printf.sprintf "user%08d" i
+(* [i] as [%08d] at [off] of [b]; the width written. *)
+let put_08d b off i =
+  let w = Int.max 8 (Serve.dec_width i) in
+  Bytes.fill b off w '0';
+  Serve.put_dec b ~stop:(off + w) i;
+  if i < 0 then begin
+    (* The sign goes before the padding, not before the digits. *)
+    Bytes.set b (off + w - Serve.dec_width i) '0';
+    Bytes.set b off '-'
+  end;
+  w
+
+(* [user%08d], written in place. *)
+let key_of i =
+  let b = Bytes.create (4 + Int.max 8 (Serve.dec_width i)) in
+  Bytes.blit_string "user" 0 b 0 4;
+  ignore (put_08d b 4 i);
+  Bytes.unsafe_to_string b
 
 (* One deterministic value body per config; per-key uniqueness comes from
-   a stamped prefix, so we avoid generating megabytes of random data. *)
+   a stamped prefix ([<%08d>]), so we avoid generating megabytes of
+   random data. The value is written in one buffer. *)
 let value_for ~base ~value_size i =
-  let stamp = Printf.sprintf "<%08d>" i in
-  if value_size <= String.length stamp then String.sub stamp 0 value_size
-  else stamp ^ String.sub base 0 (value_size - String.length stamp)
+  let w = 2 + Int.max 8 (Serve.dec_width i) in
+  let b = Bytes.create (Int.max w value_size) in
+  Bytes.set b 0 '<';
+  ignore (put_08d b 1 i);
+  Bytes.set b (w - 1) '>';
+  if value_size <= w then Bytes.sub_string b 0 value_size
+  else begin
+    Bytes.blit_string base 0 b w (value_size - w);
+    Bytes.unsafe_to_string b
+  end
 
 let request c req =
   Netsim.send c req;
@@ -159,8 +184,7 @@ let launch sched net cfg ~on_done () =
             ~value ()
         in
         match issue req with
-        | Some r when Kvcache.Proto.parse_reply r = Kvcache.Proto.Stored ->
-            go (k + 1)
+        | Some r when r = Kvcache.Proto.stored -> go (k + 1)
         | Some _ | None ->
             bump_failures ();
             if retrying then go (k + 1)
@@ -236,12 +260,9 @@ let launch sched net cfg ~on_done () =
         in
         samples := (Sched.now () -. t0) :: !samples;
         match reply with
-        | Some r -> (
-            match Kvcache.Proto.parse_reply r with
-            | Kvcache.Proto.Failed _ ->
-                bump_failures ();
-                go (k + 1)
-            | _ -> go (k + 1))
+        | Some r ->
+            if not (Kvcache.Proto.reply_ok r) then bump_failures ();
+            go (k + 1)
         | None ->
             bump_failures ();
             if retrying then go (k + 1)

@@ -71,6 +71,13 @@ val workload_d : config
 (** YCSB core workload D: 95/5 read/insert, reads skewed to the latest
     records. *)
 
+val key_of : int -> string
+(** Record [i]'s key, [user%08d]. *)
+
+val value_for : base:string -> value_size:int -> int -> string
+(** Record [i]'s [value_size]-byte value: the stamp [<%08d>] of [i], then
+    the head of [base] (truncated stamp when [value_size] is smaller). *)
+
 type results = {
   load_ops : int;
   load_cycles : float;

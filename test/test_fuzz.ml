@@ -138,10 +138,154 @@ let bin_proto_total =
           match Bin.parse space ~addr:buf ~len:(String.length data) with
           | _ -> true))
 
-let reply_parsers_total =
-  QCheck.Test.make ~name:"client reply parsers never throw" ~count:300 fuzz_input
+(* Replies a client can receive: every strict prefix of a text value
+   reply (one hit and two) and of a binary one — what a truncating link
+   delivers — plus value blocks with negative and oversized lengths and
+   binary frames whose lengths disagree with their body. *)
+let bin_value_reply =
+  (* [res_value ~flags:7] of "hello": 4 extras bytes, then the value. *)
+  "\x81\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x09" ^ String.make 12 '\000'
+  ^ "\x00\x00\x00\x07hello"
+
+let strict_prefixes s = List.init (String.length s) (fun n -> String.sub s 0 n)
+
+let reply_corpus =
+  strict_prefixes "VALUE k 0 5\r\nhello\r\nEND\r\n"
+  @ strict_prefixes "VALUE a 0 1\r\nx\r\nVALUE b 3 2\r\nyz\r\nEND\r\n"
+  @ strict_prefixes bin_value_reply
+  @ [
+      "VALUE k 0 -3\r\nhello\r\nEND\r\n";
+      "VALUE k 0 -1\r\n\r\nEND\r\n";
+      "VALUE k 0 -12\r\nhello\r\nEND\r\n";
+      "VALUE a 0 1\r\nx\r\nVALUE b 0 -3\r\nyz\r\nEND\r\n";
+      "VALUE k 0 4611686018427387903\r\nhello\r\nEND\r\n";
+      "VALUE k 0 4611686018427387900\r\nhello\r\nEND\r\n";
+      "VALUE k 0 0x3fffffffffffffff\r\nhello\r\nEND\r\n";
+      "VALUE k 0 99999999999999999999\r\nhello\r\nEND\r\n";
+      "VALUE k 0 6\r\nhello\r\nEND\r\n";
+      String.sub bin_value_reply 0 8 ^ "\xff\xff\xff\xff"
+      ^ String.sub bin_value_reply 12 (String.length bin_value_reply - 12);
+      String.sub bin_value_reply 0 4 ^ "\xff"
+      ^ String.sub bin_value_reply 5 (String.length bin_value_reply - 5);
+      bin_value_reply ^ "!";
+    ]
+
+let reply_parsers_total () =
+  List.iter
     (fun data ->
-      match (Proto.parse_reply data, Bin.parse_reply data) with _ -> true)
+      match (Proto.parse_reply data, Bin.parse_reply data) with
+      | _ -> ()
+      | exception e ->
+          Alcotest.failf "%S raised %s" data (Printexc.to_string e))
+    reply_corpus;
+  List.iter
+    (fun data ->
+      match Bin.parse_reply data with
+      | Proto.Value v ->
+          Alcotest.failf "binary prefix %S parsed as Value %S" data v
+      | _ -> ())
+    (strict_prefixes bin_value_reply);
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 fuzz_input (fun data ->
+         match (Proto.parse_reply data, Bin.parse_reply data) with _ -> true))
+
+(* The text reply parser as it was before it walked VALUE blocks in
+   place: the new one returns the same for every input on which this one
+   returns. *)
+module Ref_reply = struct
+  let split_words s =
+    String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+
+  let parse_stats s =
+    List.filter_map
+      (fun line ->
+        match split_words (String.trim line) with
+        | [ "STAT"; k; v ] -> Some (k, v)
+        | _ -> None)
+      (String.split_on_char '\n' s)
+
+  let has_at s off lit =
+    off >= 0
+    && String.length s - off >= String.length lit
+    && String.sub s off (String.length lit) = lit
+
+  let number_prefix s =
+    let t = String.trim s in
+    t <> "" && match t.[0] with '0' .. '9' | '-' | '+' -> true | _ -> false
+
+  let parse_reply s =
+    let open Proto in
+    if s = not_stored then NotFound
+    else if
+      String.length s >= 3 && number_prefix s
+      && Option.is_some (int_of_string_opt (String.trim s))
+    then Number (int_of_string (String.trim s))
+    else if has_at s 0 "STAT " then StatsReply (parse_stats s)
+    else if s = stored then Stored
+    else if s = deleted then Deleted
+    else if s = not_found then NotFound
+    else if s = end_ then Miss
+    else if String.length s > 6 && has_at s 0 "VALUE " then begin
+      let rec blocks off acc =
+        if off >= String.length s then Some (List.rev acc)
+        else if has_at s off end_ then Some (List.rev acc)
+        else
+          match String.index_from_opt s off '\r' with
+          | None -> None
+          | Some cr -> (
+              match split_words (String.sub s off (cr - off)) with
+              | [ "VALUE"; key; _flags; len ] -> (
+                  match int_of_string_opt len with
+                  | Some n when cr + 2 + n + 2 <= String.length s ->
+                      blocks (cr + 2 + n + 2)
+                        ((key, String.sub s (cr + 2) n) :: acc)
+                  | _ -> None)
+              | _ -> None)
+      in
+      match blocks 0 [] with
+      | Some [ (_, v) ] -> Value v
+      | Some hits -> Values hits
+      | None -> Failed "malformed VALUE block"
+    end
+    else Failed s
+end
+
+let reply_samples =
+  reply_corpus
+  @ [
+      "42\r\n"; "  7\r\n"; "\t12 \r\n"; "-3\r\n"; "+5\r\n"; "12"; "-\r\n";
+      "STAT pid 1\r\nSTAT uptime 5\r\nEND\r\n"; " STAT a b\r\n";
+      "STAT a\tb c\r\n"; Proto.stored; Proto.not_stored; Proto.deleted;
+      Proto.not_found; Proto.end_; Proto.error; Proto.server_error_busy;
+      "VALUE k 0 5\r\nhello\r\nEND\r\ntrailing"; "VALUE  k  0  5 \r\nhello\r\n";
+      "VALUE k\t0 5\r\nhello\r\nEND\r\n"; "VALUE k 0 +5\r\nhello\r\nEND\r\n";
+      "VALUE k 0 0x5\r\nhello\r\nEND\r\n"; "VALUE k 0 0_5\r\nhello\r\nEND\r\n";
+    ]
+
+(* [reply_ok] is "[parse_reply] is not [Failed]", and [parse_reply] is
+   the old parser wherever the old one returned (it raised on negative
+   and oversized value lengths; those are [Failed] now). *)
+let reply_check_agrees () =
+  let agree data =
+    let r = Proto.parse_reply data in
+    (match r with
+    | Proto.Failed _ ->
+        if Proto.reply_ok data then Alcotest.failf "%S: reply_ok but Failed" data
+    | _ ->
+        if not (Proto.reply_ok data) then
+          Alcotest.failf "%S: not reply_ok but parsed" data);
+    match Ref_reply.parse_reply data with
+    | old -> if old <> r then Alcotest.failf "%S: differs from the old parser" data
+    | exception Invalid_argument _ -> (
+        match r with
+        | Proto.Failed _ -> ()
+        | _ -> Alcotest.failf "%S: old parser raised, new one parsed" data)
+  in
+  List.iter agree reply_samples;
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:1000 fuzz_input (fun data ->
+         agree data;
+         true))
 
 (* The patched HTTP parser may reject (Bad_request) but must not raise
    anything else or touch memory out of bounds. *)
@@ -275,7 +419,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest text_proto_total;
           QCheck_alcotest.to_alcotest bin_proto_total;
-          QCheck_alcotest.to_alcotest reply_parsers_total;
+          Alcotest.test_case "client reply parsers never throw" `Quick
+            reply_parsers_total;
+          Alcotest.test_case "reply check agrees with parse_reply" `Quick
+            reply_check_agrees;
           QCheck_alcotest.to_alcotest http_parser_total;
         ] );
       ( "truncation",

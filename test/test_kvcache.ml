@@ -31,6 +31,182 @@ let mk_slab space =
   Slab.create space ~alloc_page:(fun len ->
       Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
 
+(* {1 References}
+
+   The protocol code as it was before it scanned and wrote text in place:
+   the split-list request parser, the [Printf] formatters and the
+   concatenated replies. The differential tests below hold the new code
+   to them. The router's line grammar is kept with one deliberate change:
+   it takes the rid by the server's rule (the last word after the trace
+   token) instead of the last [id=] word anywhere on the line. *)
+module Ref = struct
+  let max_key_len = 250
+
+  let split_words s =
+    String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+
+  let strip_rid words =
+    match List.rev words with
+    | last :: rest when String.length last > 3 && String.sub last 0 3 = "id="
+      ->
+        (List.rev rest, Some (String.sub last 3 (String.length last - 3)))
+    | _ -> (words, None)
+
+  let strip_trace words =
+    match List.rev words with
+    | last :: rest
+      when String.length last > 6 && String.sub last 0 6 = "trace=" -> (
+        match
+          Telemetry.Context.of_trace_hex
+            (String.sub last 6 (String.length last - 6))
+        with
+        | Some ctx -> (List.rev rest, Telemetry.Context.trace ctx)
+        | None -> (words, 0L))
+    | _ -> (words, 0L)
+
+  let parse_trace space ~addr ~len =
+    match Space.memchr space ~addr ~len '\r' with
+    | None -> 0L
+    | Some cr ->
+        let line = Space.read_string space addr (cr - addr) in
+        snd (strip_trace (split_words line))
+
+  let trace_of_words words = snd (strip_trace words)
+
+  let trace_of_string msg =
+    match String.index_opt msg '\r' with
+    | None -> 0L
+    | Some cr -> trace_of_words (split_words (String.sub msg 0 cr))
+
+  let parse space ~addr ~len =
+    match Space.memchr space ~addr ~len '\r' with
+    | None -> Proto.Bad "no CRLF"
+    | Some cr -> (
+        let line = Space.read_string space addr (cr - addr) in
+        let data_off = cr - addr + 2 in
+        let words, _trace = strip_trace (split_words line) in
+        match words with
+        | [ "get"; key ] when String.length key <= max_key_len -> Proto.Get key
+        | "get" :: (_ :: _ :: _ as keys)
+          when List.for_all (fun k -> String.length k <= max_key_len) keys ->
+            Proto.Multi_get keys
+        | [ "quit" ] -> Proto.Quit
+        | [ "stats" ] -> Proto.Stats
+        | [ "stats"; "telemetry" ] -> Proto.Stats_telemetry
+        | _ -> (
+            let mwords, rid = strip_rid words in
+            match mwords with
+            | [ "delete"; key ] when String.length key <= max_key_len ->
+                Proto.Delete { key; rid }
+            | [ (("incr" | "decr") as op); key; delta ]
+              when String.length key <= max_key_len -> (
+                match int_of_string_opt delta with
+                | Some d when d >= 0 ->
+                    Proto.Arith { key; delta = d; negate = op = "decr"; rid }
+                | _ -> Proto.Bad "bad incr/decr delta")
+            | [ (("set" | "add" | "replace") as op); key; flags; _exptime; bytes ]
+              -> (
+                match (int_of_string_opt flags, int_of_string_opt bytes) with
+                | Some flags, Some declared_len ->
+                    if String.length key > max_key_len then Proto.Bad "key too long"
+                    else if data_off > len then Proto.Bad "missing data block"
+                    else
+                      Proto.Set
+                        {
+                          mode =
+                            (match op with
+                            | "add" -> `Add
+                            | "replace" -> `Replace
+                            | _ -> `Set);
+                          key;
+                          flags;
+                          declared_len;
+                          data_off = addr + data_off;
+                          data_len = max 0 (len - data_off - 2);
+                          rid;
+                        }
+                | _ -> Proto.Bad "bad set arguments")
+            | _ -> Proto.Bad "unknown command"))
+
+  let keyed_verbs = [ "get"; "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
+  let mutation_verbs = [ "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
+
+  (* (verb, key, rid, trace) *)
+  let parse_request msg =
+    let line, has_cr =
+      match String.index_opt msg '\r' with
+      | Some i -> (String.sub msg 0 i, true)
+      | None -> (
+          match String.index_opt msg '\n' with
+          | Some i -> (String.sub msg 0 i, false)
+          | None -> (msg, false))
+    in
+    let ws = split_words line in
+    let verb = match ws with v :: _ -> v | [] -> "" in
+    ( verb,
+      (match ws with
+      | v :: k :: _ when List.mem v keyed_verbs -> Some k
+      | _ -> None),
+      (if List.mem verb mutation_verbs then
+         snd (strip_rid (fst (strip_trace ws)))
+       else None),
+      if has_cr then trace_of_words ws else 0L )
+
+  let value_header ~key ~flags ~len =
+    Printf.sprintf "VALUE %s %d %d\r\n" key flags len
+
+  let be32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xFF))
+
+  (* The binary GET reply frame: header, 4 extras bytes of flags, value. *)
+  let res_value ~flags ~value =
+    "\x81\x00\x00\x00\x04\x00\x00\x00"
+    ^ be32 (4 + String.length value)
+    ^ String.make 12 '\000' ^ be32 flags ^ value
+
+  let rid_suffix = function None -> "" | Some r -> " id=" ^ r
+
+  let trace_suffix = function
+    | None -> ""
+    | Some tr -> if tr = 0L then "" else Printf.sprintf " trace=%016Lx" tr
+
+  let fmt_get ?trace key = Printf.sprintf "get %s%s\r\n" key (trace_suffix trace)
+
+  let fmt_storage op ?rid ?trace ~key ~flags ~value () =
+    Printf.sprintf "%s %s %d 0 %d%s%s\r\n%s\r\n" op key flags
+      (String.length value) (rid_suffix rid) (trace_suffix trace) value
+
+  let fmt_set_lying ~key ~flags ~declared ~value =
+    Printf.sprintf "set %s %d 0 %d\r\n%s\r\n" key flags declared value
+
+  let fmt_set_lying_traced ~trace ~key ~flags ~declared ~value =
+    Printf.sprintf "set %s %d 0 %d%s\r\n%s\r\n" key flags declared
+      (trace_suffix (Some trace))
+      value
+
+  let fmt_delete ?rid ?trace key =
+    Printf.sprintf "delete %s%s%s\r\n" key (rid_suffix rid) (trace_suffix trace)
+
+  let fmt_incr ?rid ?trace key d =
+    Printf.sprintf "incr %s %d%s%s\r\n" key d (rid_suffix rid)
+      (trace_suffix trace)
+
+  let fmt_decr ?rid ?trace key d =
+    Printf.sprintf "decr %s %d%s%s\r\n" key d (rid_suffix rid)
+      (trace_suffix trace)
+
+  let key_of i = Printf.sprintf "user%08d" i
+
+  let value_for ~base ~value_size i =
+    let stamp = Printf.sprintf "<%08d>" i in
+    if value_size <= String.length stamp then String.sub stamp 0 value_size
+    else stamp ^ String.sub base 0 (value_size - String.length stamp)
+
+  let http_request ~path =
+    Printf.sprintf
+      "GET %s HTTP/1.1\r\nHost: bench.local\r\nUser-Agent: simbench/1.0\r\n\r\n"
+      path
+end
+
 (* {1 Slab} *)
 
 let test_slab_classes () =
@@ -194,7 +370,7 @@ let test_proto_parse () =
 let test_proto_reply_roundtrip () =
   check bool "stored" true (Proto.parse_reply Proto.stored = Proto.Stored);
   check bool "miss" true (Proto.parse_reply Proto.end_ = Proto.Miss);
-  let resp = Proto.value_header ~key:"k" ~flags:0 ~len:5 ^ "hello" ^ "\r\n" ^ Proto.end_ in
+  let resp = "VALUE k 0 5\r\nhello\r\nEND\r\n" in
   check bool "value" true (Proto.parse_reply resp = Proto.Value "hello")
 
 (* Client-side reply classification, one row per reply shape. Number
@@ -235,15 +411,29 @@ let test_proto_parse_reply_table () =
        Failed "CLIENT_ERROR bad data chunk\r\n");
     ]
 
-(* The one-copy GET reply is the old concatenation, byte for byte. *)
+(* [value] stored in simulated memory, [off] bytes into a page, so a long
+   one straddles pages: [f space addr len]. *)
+let with_value ?(off = 0) value f =
+  let space = mk_space () in
+  let page = Space.mmap space ~len:(String.length value + off + 4096)
+      ~prot:Prot.rw ~pkey:0 in
+  Space.store_string space (page + off) value;
+  f space (page + off) (String.length value)
+
+(* The one-copy GET replies, read from simulated memory, are the old
+   concatenations byte for byte, for both wire formats. *)
 let test_proto_value_reply_bytes () =
   List.iter
     (fun (key, flags, value) ->
-      check string
-        (Printf.sprintf "value_reply %s %d" key flags)
-        (Proto.value_header ~key ~flags ~len:(String.length value)
-        ^ value ^ "\r\n" ^ Proto.end_)
-        (Proto.value_reply ~key ~flags ~value))
+      with_value ~off:4000 value (fun space addr len ->
+          check string
+            (Printf.sprintf "value_reply %s %d" key flags)
+            (Ref.value_header ~key ~flags ~len ^ value ^ "\r\n" ^ Proto.end_)
+            (Proto.value_reply space ~key ~flags ~addr ~len);
+          check string
+            (Printf.sprintf "res_value %d" flags)
+            (Ref.res_value ~flags ~value)
+            (Kvcache.Binproto.res_value space ~flags ~addr ~len)))
     [
       ("k", 0, "hello");
       ("key", 7, "");
@@ -252,6 +442,7 @@ let test_proto_value_reply_bytes () =
       ("big", max_int, "9");
       ("small", min_int, "END\r\n");
       ("ten", 10, String.make 10 'z');
+      ("wide", 3, String.init 9000 (fun i -> Char.chr (i land 255)));
     ]
 
 (* {1 Server} *)
@@ -460,8 +651,10 @@ let test_binproto_reply_roundtrip () =
   check bool "stored" true (Bin.parse_reply Bin.res_stored = Proto.Stored);
   check bool "deleted" true (Bin.parse_reply Bin.res_deleted = Proto.Deleted);
   check bool "miss" true (Bin.parse_reply Bin.res_not_found = Proto.Miss);
-  check bool "value" true
-    (Bin.parse_reply (Bin.res_value ~flags:7 ~value:"payload") = Proto.Value "payload");
+  with_value "payload" (fun space addr len ->
+      check bool "value" true
+        (Bin.parse_reply (Bin.res_value space ~flags:7 ~addr ~len)
+        = Proto.Value "payload"));
   match Bin.parse_reply (Bin.res_error Bin.status_einval) with
   | Proto.Failed _ -> ()
   | _ -> Alcotest.fail "expected Failed"
@@ -977,6 +1170,305 @@ let test_zipf_skew () =
   let in_range = Array.for_all (fun c -> c >= 0) counts in
   check bool "all samples in range" true in_range
 
+(* {1 Differential: the in-place wire code against the references} *)
+
+let hex16 rng =
+  String.init 16 (fun _ -> "0123456789abcdef".[Random.State.int rng 16])
+
+(* A request line biased to the scanner's edge cases: runs of spaces,
+   leading and trailing spaces, tabs, trace tokens of the wrong length,
+   case or id (0, 2^62 and above, not last), [id=] tokens and keys that
+   begin with [id=], 250- and 251-byte keys, and numbers with signs,
+   hex and underscores. *)
+let edge_message rng =
+  let int n = Random.State.int rng n in
+  let pick a = a.(int (Array.length a)) in
+  let trace () =
+    match int 10 with
+    | 0 -> "trace=" ^ String.sub (hex16 rng) 0 15
+    | 1 -> "trace=" ^ hex16 rng ^ "0"
+    | 2 -> "trace=" ^ String.uppercase_ascii (hex16 rng)
+    | 3 -> "trace=0000000000000000"
+    | 4 -> "trace=4000000000000000"
+    | 5 -> "trace=c000000000000000"
+    | 6 -> "trace=ffffffffffffffff"
+    | 7 -> "trace="
+    | _ -> "trace=" ^ hex16 rng
+  in
+  let key () =
+    match int 9 with
+    | 0 -> String.make 250 'k'
+    | 1 -> String.make 251 'k'
+    | 2 -> "id=" ^ string_of_int (int 100)
+    | 3 -> "id="
+    | 4 -> "k\tt"
+    | 5 -> trace ()
+    | 6 -> "a\nb"
+    | _ -> "user" ^ string_of_int (int 1000)
+  in
+  let num () =
+    pick
+      [| "0"; "5"; "17"; "-3"; "+5"; "0x1f"; "1_0"; "007"; "-0";
+         "99999999999999999999"; "123456789012345678";
+         "1234567890123456789"; "abc"; "5\t"; "2" |]
+  in
+  let rid () = pick [| "id=r1"; "id="; "id=abc-7"; "id=id=x"; "id=\t" |] in
+  let any () =
+    match int 6 with
+    | 0 -> key ()
+    | 1 -> num ()
+    | 2 -> trace ()
+    | 3 -> rid ()
+    | 4 -> "telemetry"
+    | _ -> pick [| "get"; "set"; "delete"; "stats" |]
+  in
+  let verb =
+    pick
+      [| "get"; "get"; "set"; "add"; "replace"; "delete"; "incr"; "decr";
+         "quit"; "stats"; "munge"; "GET"; "" |]
+  in
+  let args =
+    match int 4 with
+    | 0 -> List.init (int 7) (fun _ -> any ())
+    | _ -> (
+        match verb with
+        | "get" -> List.init (1 + int 3) (fun _ -> key ())
+        | "set" | "add" | "replace" -> [ key (); num (); num (); num () ]
+        | "delete" -> [ key () ]
+        | "incr" | "decr" -> [ key (); num () ]
+        | "stats" -> if int 2 = 0 then [] else [ "telemetry" ]
+        | _ -> [])
+  in
+  let words =
+    (verb :: args)
+    @ (if int 3 = 0 then [ rid () ] else [])
+    @ match int 4 with 0 -> [] | 1 -> [ trace (); key () ] | _ -> [ trace () ]
+  in
+  let sep () = pick [| " "; " "; " "; "  "; "   "; "\t"; " \t" |] in
+  let line =
+    (if int 4 = 0 then sep () else "")
+    ^ String.concat "" (List.map (fun w -> w ^ sep ()) words)
+  in
+  let line =
+    if int 3 = 0 then line
+    else String.sub line 0 (String.length line - 1)
+  in
+  if int 20 = 0 then line
+  else
+    line ^ "\r\n"
+    ^ pick [| ""; "hello\r\n"; "he"; String.make (int 30) 'd' ^ "\r\n" |]
+
+(* Parse every message with one implementation in a fresh simulated
+   thread: each result with the clock after it. The same charges in the
+   same order give bit-identical clocks. *)
+let run_lines msgs ~parse ~parse_trace =
+  let out = ref [] in
+  in_thread (fun () ->
+      let space = mk_space () in
+      let buf = Space.mmap space ~len:8192 ~prot:Prot.rw ~pkey:0 in
+      List.iter
+        (fun msg ->
+          Space.store_string space buf msg;
+          let len = String.length msg in
+          let tr = parse_trace space ~addr:buf ~len in
+          let cmd = parse space ~addr:buf ~len in
+          out := (msg, tr, cmd, Sched.now ()) :: !out)
+        msgs);
+  List.rev !out
+
+let test_scanner_differential () =
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let msgs = List.init 2_000 (fun _ -> edge_message rng) in
+      let old = run_lines msgs ~parse:Ref.parse ~parse_trace:Ref.parse_trace in
+      let now = run_lines msgs ~parse:Proto.parse ~parse_trace:Proto.parse_trace in
+      List.iter2
+        (fun (msg, tr0, cmd0, t0) (_, tr1, cmd1, t1) ->
+          let what = Printf.sprintf "seed %d, %S" seed msg in
+          check bool (what ^ ": parse") true (cmd0 = cmd1);
+          check bool (what ^ ": parse_trace") true (Int64.equal tr0 tr1);
+          check bool (what ^ ": clock") true (Float.equal t0 t1);
+          check bool (what ^ ": trace_of_string") true
+            (Int64.equal (Ref.trace_of_string msg) (Proto.trace_of_string msg));
+          let verb, key, rid, trace = Ref.parse_request msg in
+          let r = Cluster.Fleet.parse_request msg in
+          check bool (what ^ ": router") true
+            (verb = r.verb && key = r.key && rid = r.rid
+            && Int64.equal trace r.trace))
+        old now)
+    [ 1; 2; 3; 4; 5 ]
+
+let test_formatters_differential () =
+  let rng = Random.State.make [| 7 |] in
+  let int n = Random.State.int rng n in
+  let pick a = a.(int (Array.length a)) in
+  let base = String.init 2048 (fun i -> Char.chr (i land 255)) in
+  for _ = 1 to 2_000 do
+    let key = pick [| ""; "k"; "user00000042"; "a b"; String.make 250 'z' |] in
+    let flags = pick [| 0; 1; -1; 7; 12345; max_int; min_int; int 100_000 |] in
+    let value =
+      pick [| ""; "x"; "hello\r\nEND\r\n"; String.make (int 2000) 'v' |]
+    in
+    let rid = pick [| None; Some "r1"; Some ""; Some "id=x" |] in
+    let trace =
+      pick
+        [| None; Some 0L; Some 1L; Some (-1L); Some Int64.min_int;
+           Some (Random.State.int64 rng Int64.max_int) |]
+    in
+    let d = pick [| 0; 5; -3; max_int; min_int |] in
+    let same name a b = check string name a b in
+    same "fmt_get" (Ref.fmt_get ?trace key) (Proto.fmt_get ?trace key);
+    List.iter
+      (fun op ->
+        same ("fmt_storage " ^ op)
+          (Ref.fmt_storage op ?rid ?trace ~key ~flags ~value ())
+          (Proto.fmt_storage op ?rid ?trace ~key ~flags ~value ()))
+      [ "set"; "add"; "replace" ];
+    same "fmt_set_lying"
+      (Ref.fmt_set_lying ~key ~flags ~declared:d ~value)
+      (Proto.fmt_set_lying ~key ~flags ~declared:d ~value);
+    (match trace with
+    | Some trace ->
+        same "fmt_set_lying_traced"
+          (Ref.fmt_set_lying_traced ~trace ~key ~flags ~declared:d ~value)
+          (Proto.fmt_set_lying_traced ~trace ~key ~flags ~declared:d ~value)
+    | None -> ());
+    same "fmt_delete" (Ref.fmt_delete ?rid ?trace key) (Proto.fmt_delete ?rid ?trace key);
+    same "fmt_incr" (Ref.fmt_incr ?rid ?trace key d) (Proto.fmt_incr ?rid ?trace key d);
+    same "fmt_decr" (Ref.fmt_decr ?rid ?trace key d) (Proto.fmt_decr ?rid ?trace key d);
+    let i =
+      pick [| 0; 1; int 2000; 99_999_999; 100_000_000; 123_456_789_012; -1;
+              -5; -1234567; min_int; max_int |]
+    in
+    same "key_of" (Ref.key_of i) (Workload.Ycsb.key_of i);
+    let value_size = pick [| 0; 1; 9; 10; 11; 12; 1024; int 2048 |] in
+    same "value_for"
+      (Ref.value_for ~base ~value_size i)
+      (Workload.Ycsb.value_for ~base ~value_size i);
+    let path = pick [| "/"; "/index.html"; "/a b"; String.make 300 'p' |] in
+    same "request" (Ref.http_request ~path) (Workload.Http_load.request ~path)
+  done
+
+(* The multi-get reply, written hit by hit from simulated memory, is the
+   old concatenation. *)
+let test_values_reply_bytes () =
+  let hits =
+    [ ("a", 1, "alpha"); ("bb", -7, ""); ("c", max_int, String.make 5000 'c') ]
+  in
+  let space = mk_space () in
+  let hits =
+    List.map
+      (fun (key, flags, v) ->
+        let a = Space.mmap space ~len:(String.length v + 4096) ~prot:Prot.rw ~pkey:0 in
+        Space.store_string space (a + 4090) v;
+        (key, flags, v, a + 4090))
+      hits
+  in
+  let order = ref [] in
+  let reply =
+    Proto.values_reply
+      (List.map (fun (key, flags, v, a) -> (key, flags, String.length v, (key, a))) hits)
+      ~write:(fun (key, a) b off len ->
+        Space.read_into space a b off len;
+        order := key :: !order)
+  in
+  check string "bytes"
+    (String.concat ""
+       (List.map
+          (fun (key, flags, v, _) ->
+            Ref.value_header ~key ~flags ~len:(String.length v) ^ v ^ "\r\n")
+          hits)
+    ^ Proto.end_)
+    reply;
+  check (Alcotest.list string) "hits written in order" [ "a"; "bb"; "c" ]
+    (List.rev !order);
+  check string "no hits" Proto.end_ (Proto.values_reply [] ~write:(fun _ _ _ _ -> ()))
+
+(* {1 Host allocation of the wire path}
+
+   Measured as INTERNALS §17 describes: [Gc.minor_words] deltas around
+   work running in simulated threads, after a warm-up, on a fixed seed
+   (the counts repeat exactly). The budgets are the measured figures
+   plus under 10%. *)
+
+(* One 1 KiB text GET round trip to a 1-worker SDRaD kvcache, the client
+   sending a prebuilt request: client send and receive, the server's
+   copy-in, both parses, the domain switch, the value read and the
+   reply. 550.0 words measured; 737.0 when each hop copied the value
+   through a string and parsed the line into word lists. *)
+let get_round_trip_budget = 600.0
+
+let test_get_round_trip_alloc () =
+  let space = Space.create ~size_mib:32 () in
+  let sd = Api.create space in
+  let sched = Sched.create () in
+  let net = Netsim.create (Space.cost space) in
+  let cfg = { Server.default_config with variant = Server.Sdrad; workers = 1 } in
+  let words = ref Float.nan in
+  ignore
+    (Sched.spawn sched ~name:"client" (fun () ->
+         let srv = Server.start sched space ~sdrad:sd net cfg in
+         let c = Netsim.connect net ~port:cfg.port in
+         let value = String.make 1024 'v' in
+         Netsim.send c (Proto.fmt_set ~key:"user00000001" ~flags:0 ~value);
+         ignore (Netsim.recv c);
+         let req = Proto.fmt_get "user00000001" in
+         let expect = "VALUE user00000001 0 1024\r\n" ^ value ^ "\r\nEND\r\n" in
+         let round () =
+           Netsim.send c req;
+           match Netsim.recv c with
+           | Some r when String.equal r expect -> ()
+           | _ -> Alcotest.fail "bad GET reply"
+         in
+         for _ = 1 to 200 do round () done;
+         let n = 2_000 in
+         let w0 = Gc.minor_words () in
+         for _ = 1 to n do round () done;
+         words := (Gc.minor_words () -. w0) /. float_of_int n;
+         Netsim.close c;
+         Server.stop srv));
+  Sched.run sched;
+  check bool
+    (Printf.sprintf "%.1f minor words per GET, budget %.0f" !words
+       get_round_trip_budget)
+    true
+    (!words <= get_round_trip_budget)
+
+(* A 16-client YCSB-B run of 8,000 ops on 500 records against a SDRaD
+   kvcache: the words of the run less those of the same set-up with no
+   run phase, per op. 592.2 measured; 1,058.3 with the copying and
+   [Printf] wire code. *)
+let ycsb_words_per_op_budget = 645.0
+
+let ycsb_words ~ops =
+  let w0 = Gc.minor_words () in
+  let space = Space.create ~size_mib:32 () in
+  let sd = Api.create space in
+  let sched = Sched.create () in
+  let net = Netsim.create (Space.cost space) in
+  let cfg = { Server.default_config with variant = Server.Sdrad } in
+  let ycfg =
+    { Workload.Ycsb.workload_b with records = 500; operations = ops; clients = 16 }
+  in
+  let get = ref (fun () -> failwith "not started") in
+  ignore
+    (Sched.spawn sched ~name:"harness" (fun () ->
+         let s = Server.start sched space ~sdrad:sd net cfg in
+         get := Workload.Ycsb.launch sched net ycfg ~on_done:(fun () -> Server.stop s) ()));
+  Sched.run sched;
+  check int "no failures" 0 (!get ()).Workload.Ycsb.failures;
+  Gc.minor_words () -. w0
+
+let test_ycsb_alloc () =
+  let ops = 8_000 in
+  let per_op = (ycsb_words ~ops -. ycsb_words ~ops:0) /. float_of_int ops in
+  check bool
+    (Printf.sprintf "%.1f minor words per op, budget %.0f" per_op
+       ycsb_words_per_op_budget)
+    true
+    (per_op <= ycsb_words_per_op_budget)
+
 let () =
   Alcotest.run "kvcache"
     [
@@ -1004,6 +1496,19 @@ let () =
           Alcotest.test_case "value reply bytes" `Quick
             test_proto_value_reply_bytes;
           Alcotest.test_case "trace token" `Quick test_proto_trace_token;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "request lines match the split-list parser, 5 seeds"
+            `Quick test_scanner_differential;
+          Alcotest.test_case "formatters match Printf" `Quick
+            test_formatters_differential;
+          Alcotest.test_case "multi-get reply bytes" `Quick
+            test_values_reply_bytes;
+          Alcotest.test_case "1 KiB GET round trip host allocation" `Quick
+            test_get_round_trip_alloc;
+          Alcotest.test_case "YCSB-B host allocation per op" `Quick
+            test_ycsb_alloc;
         ] );
       ( "binproto",
         [

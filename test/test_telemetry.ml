@@ -198,6 +198,41 @@ let test_context_hex_roundtrip () =
   | None -> Alcotest.fail "hex did not parse");
   check bool "garbage rejected" true (Ctx.of_trace_hex "not-hex-at-all" = None)
 
+(* [of_trace_hex] as [Int64.of_string_opt] decoded it, the reference for
+   the in-place [trace_id_at]: 16-char tokens over an alphabet biased to
+   hex, uppercase and a stray 'g', with ids 0 and at or above 2^62. *)
+let test_context_trace_id_at () =
+  let ref_of_hex s =
+    if
+      String.length s = 16
+      && String.for_all (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false) s
+    then
+      Option.bind (Int64.of_string_opt ("0x" ^ s)) (fun id -> Ctx.of_trace id)
+    else None
+  in
+  let rng = Random.State.make [| 18 |] in
+  let alphabet = "0123456789abcdefABCDEFg" in
+  let token () =
+    match Random.State.int rng 8 with
+    | 0 -> String.make 16 '0'
+    | 1 -> "4" ^ String.make 15 '0'
+    | 2 -> "c" ^ String.init 15 (fun _ -> alphabet.[Random.State.int rng 16])
+    | 3 -> String.init 16 (fun _ -> alphabet.[Random.State.int rng 23])
+    | _ -> String.init 16 (fun _ -> alphabet.[Random.State.int rng 16])
+  in
+  for _ = 1 to 2_000 do
+    let t = token () in
+    let want = ref_of_hex t in
+    check bool ("of_trace_hex " ^ t) true (Ctx.of_trace_hex t = want);
+    let pad = String.make (Random.State.int rng 4) ' ' in
+    let at = Ctx.trace_id_at (pad ^ t ^ pad) (String.length pad) in
+    let want_id = match want with Some c -> Int64.to_int (Ctx.trace c) | None -> 0 in
+    check int ("trace_id_at " ^ t) want_id at
+  done;
+  check int "15 digits" 0 (Ctx.trace_id_at "123456789abcdef" 0);
+  check int "past the end" 0 (Ctx.trace_id_at "0123456789abcdef" 1);
+  check bool "17 digits" true (Ctx.of_trace_hex "0123456789abcdef0" = None)
+
 let test_context_traceparent_roundtrip () =
   let c = Ctx.child (Ctx.root "web-7") 3 in
   let tp = Ctx.to_traceparent c in
@@ -582,6 +617,8 @@ let () =
           Alcotest.test_case "deterministic ids" `Quick
             test_context_ids_deterministic;
           Alcotest.test_case "hex roundtrip" `Quick test_context_hex_roundtrip;
+          Alcotest.test_case "trace_id_at matches the Int64 decoder" `Quick
+            test_context_trace_id_at;
           Alcotest.test_case "traceparent roundtrip" `Quick
             test_context_traceparent_roundtrip;
         ] );

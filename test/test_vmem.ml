@@ -569,7 +569,14 @@ let test_sparse_space () =
    sees in unmapped pages, and, every 64 operations, the whole address
    space. Addresses favour the last seven bytes of a page and bulk
    lengths favour two- and three-page spans. Mappings are read-write
-   with key 0, so the faults are the MAPERRs of holes and guard pages. *)
+   with key 0, so the faults are the MAPERRs of holes and guard pages.
+
+   Each seed runs twice in a simulated thread: once reading with
+   [read_string], once with [read_into] into a buffer at an offset, with
+   the same random draws. [read_into] must read the same bytes, leave
+   the rest of its buffer alone (all of it when the range faults), and
+   advance the clock exactly as [read_string] does: the two runs' clocks
+   must agree bit for bit after every operation. *)
 
 type 'a outcome = Done of 'a | Segv of int * Space.access
 
@@ -631,7 +638,8 @@ let space_store s addr n v () =
 
 let alphabet = "ab\r\n\000xyz"
 
-let run_differential seed =
+let run_differential ~read_into seed =
+  let clocks = Array.make 3_001 0.0 in
   let rng = Random.State.make [| seed |] in
   let int n = Random.State.int rng n in
   let s = Space.create ~size_mib:1 () in
@@ -717,8 +725,25 @@ let run_differential seed =
         what := Printf.sprintf "read_string 0x%x+%d" a n;
         let flat () = Bytes.sub_string m.mem a n in
         if int 2 = 0 then
-          same "read" (flat_read m a n Space.Read flat)
-            (outcome (fun () -> Space.read_string s a n))
+          if read_into then begin
+            let off = a land 15 in
+            let b = Bytes.make (n + 32) '#' in
+            let got =
+              outcome (fun () ->
+                  Space.read_into s a b off n;
+                  Bytes.sub_string b off n)
+            in
+            same "read_into" (flat_read m a n Space.Read flat) got;
+            let copied = match got with Done _ -> true | Segv _ -> false in
+            Bytes.iteri
+              (fun i c ->
+                if not (copied && i >= off && i < off + n) then
+                  same "byte outside the copy" '#' c)
+              b
+          end
+          else
+            same "read" (flat_read m a n Space.Read flat)
+              (outcome (fun () -> Space.read_string s a n))
         else
           same "read" (flat_read m a n Space.Read flat)
             (outcome (fun () -> Bytes.to_string (Space.load_bytes s a n)))
@@ -822,12 +847,29 @@ let run_differential seed =
             max_restores := max !max_restores !restores;
             whole ())
     ;
-    if i mod 64 = 0 then whole ()
+    if i mod 64 = 0 then whole ();
+    clocks.(i) <- Sched.now ()
   done;
   whole ();
-  check bool "an image was restored twice" true (!max_restores >= 2)
+  check bool "an image was restored twice" true (!max_restores >= 2);
+  clocks
 
-let test_flat_differential () = List.iter run_differential [ 1; 2; 3; 4; 5 ]
+let test_flat_differential () =
+  List.iter
+    (fun seed ->
+      let run read_into =
+        let clocks = ref [||] in
+        in_thread (fun () -> clocks := run_differential ~read_into seed);
+        !clocks
+      in
+      let a = run false and b = run true in
+      Array.iteri
+        (fun i t ->
+          if not (Float.equal t b.(i)) then
+            Alcotest.failf "seed %d, op %d: clock %h with read_string, %h with read_into"
+              seed i t b.(i))
+        a)
+    [ 1; 2; 3; 4; 5 ]
 
 let () =
   Alcotest.run "vmem"
