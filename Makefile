@@ -115,11 +115,13 @@ perf-compare:
 	@test -n "$(REV)" || { echo "usage: make perf-compare REV=<commit> [PAIRS=10]"; exit 2; }
 	python3 bench/perf_compare.py "$(REV)" --pairs $(PAIRS)
 
-# The soaks against another commit, e.g. `make same REV=HEAD~1`: builds
-# @chaos, @chaos-soak and @chaos-rewind-soak with --force in REV's tree
-# (the perf-compare checkout) and here, and fails on the first line of
-# output that differs. A refactor that must keep every simulated number
-# passes it.
+# The soaks and bench tables against another commit, e.g. `make same
+# REV=HEAD~1`: builds @chaos, @chaos-soak and @chaos-rewind-soak with
+# --force in REV's tree (the perf-compare checkout) and here, then runs
+# each tree's bench/main.exe over every experiment but micro from a
+# temporary directory (so no committed BENCH JSON is rewritten), and
+# fails on the first line of output that differs, timing lines aside. A
+# refactor that must keep every simulated number passes it.
 same:
 	@test -n "$(REV)" || { echo "usage: make same REV=<commit>"; exit 2; }
 	python3 bench/perf_compare.py "$(REV)" --same

@@ -18,6 +18,18 @@ let ng_requests_per_conn () = if !quick then 4 else 20
 
 (* {1 E1 — Figure 4: Memcached YCSB throughput} *)
 
+(* One YCSB run against the kvcache server on a fresh world. *)
+let ycsb_run ?(base = Workload.Ycsb.default_config) ?(gate_batch_limit = 0)
+    ~variant ~workers ~records ~operations ~clients () : mc_run =
+  let r =
+    Scenario.kvcache
+      (Scenario.world ~size_mib:192 ?monitor:(Scenario.monitor_for variant) ())
+      { Kvcache.Server.default_config with variant; workers; gate_batch_limit }
+      (Ycsb { base with records; operations; clients })
+  in
+  assert (r.result.failures = 0);
+  r
+
 let e1 () =
   section
     "E1 (Fig. 4) Memcached YCSB throughput — 1 KiB values, 95/5 read/update, \
@@ -37,7 +49,7 @@ let e1 () =
           List.map
             (fun (name, variant) ->
               let r =
-                run_memcached ~variant ~workers:w ~records:(mc_records ())
+                ycsb_run ~variant ~workers:w ~records:(mc_records ())
                   ~operations:(mc_operations ()) ~clients:16 ()
               in
               (name, r))
@@ -59,13 +71,12 @@ let e1 () =
   in
   table
     ~header:[ "phase/threads"; "baseline op/s"; "tlsf op/s"; "sdrad op/s" ]
-    (phase_rows (fun r -> r.mc_load_tput) "load"
-    @ phase_rows (fun r -> r.mc_run_tput) "run");
+    (phase_rows load_tput "load" @ phase_rows run_tput "run");
   List.iter
     (fun (w, rs) ->
       Printf.printf "worker utilization @%d thr: baseline %.0f%%, sdrad %.0f%%\n" w
-        (100.0 *. (List.assoc "baseline" rs).mc_utilization)
-        (100.0 *. (List.assoc "sdrad" rs).mc_utilization))
+        (100.0 *. utilization (List.assoc "baseline" rs))
+        (100.0 *. utilization (List.assoc "sdrad" rs)))
     results;
   print_endline
     "paper: tlsf < 1% everywhere; sdrad worst case -7.0/-7.1% (1 thr), \
@@ -81,33 +92,27 @@ let attack_memcached_once net =
   ignore (Netsim.recv evil)
 
 let measure_memcached_rewinds ~attacks =
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:192 ~monitor:Api.create () in
   let cfg =
     { Kvcache.Server.default_config with variant = Kvcache.Server.Sdrad;
       vulnerable = true; workers = 2 }
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Kvcache.Server.start sched space ~sdrad:sd net cfg in
-        srv := Some s;
-        let c = Netsim.connect net ~port:11211 in
-        Netsim.send c (Kvcache.Proto.fmt_set ~key:"canary" ~flags:0 ~value:"alive");
-        ignore (Netsim.recv c);
-        for _ = 1 to attacks do
-          attack_memcached_once net;
-          (* Service must still answer between attacks. *)
-          Netsim.send c (Kvcache.Proto.fmt_get "canary");
-          assert (Netsim.recv c <> None)
-        done;
-        Netsim.close c;
-        Kvcache.Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+           let c = Netsim.connect w.net ~port:11211 in
+           Netsim.send c
+             (Kvcache.Proto.fmt_set ~key:"canary" ~flags:0 ~value:"alive");
+           ignore (Netsim.recv c);
+           for _ = 1 to attacks do
+             attack_memcached_once w.net;
+             (* Service must still answer between attacks. *)
+             Netsim.send c (Kvcache.Proto.fmt_get "canary");
+             assert (Netsim.recv c <> None)
+           done;
+           Netsim.close c))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   assert (not (Kvcache.Server.crashed s));
   assert (Kvcache.Server.rewinds s = attacks);
   (Kvcache.Server.rewind_latencies s, Kvcache.Server.store s)
@@ -143,6 +148,27 @@ let e2 () =
 
 (* {1 E3 — Figure 5: NGINX throughput vs response size} *)
 
+(* One ApacheBench-style run against the httpd server on a fresh world;
+   the file is written from the harness thread. *)
+let ab_run ~variant ~workers ~file_size ~connections ~requests_per_conn =
+  let w =
+    Scenario.world ~size_mib:192 ?monitor:(Scenario.monitor_for variant) ()
+  in
+  let r =
+    Scenario.httpd w
+      ~files:(fun () -> make_fs w.space [ file_size ])
+      { Httpd.Server.default_config with variant; workers }
+      (Http_load
+         {
+           Workload.Http_load.default_config with
+           connections;
+           requests_per_conn;
+           path = Printf.sprintf "/f%d.bin" file_size;
+         })
+  in
+  assert (r.result.failures = 0);
+  r
+
 let e3 () =
   section "E3 (Fig. 5) NGINX throughput, 1 worker, 75 keep-alive connections";
   let sizes = [ 0; 1024; 4096; 16384; 65536; 131072 ] in
@@ -160,10 +186,10 @@ let e3 () =
           List.map
             (fun (name, variant) ->
               let r =
-                run_nginx ~variant ~workers:1 ~file_size:size ~connections:75
+                ab_run ~variant ~workers:1 ~file_size:size ~connections:75
                   ~requests_per_conn:(ng_requests_per_conn ())
               in
-              (name, r.ng_tput))
+              (name, req_tput r))
             variants
         in
         let base = List.assoc "baseline" v in
@@ -184,44 +210,37 @@ let e3 () =
 
 (* {1 E4 — §V-B: NGINX rewind latency vs worker restart} *)
 
+(* The file is written before the run starts. *)
 let nginx_attack_run ~variant ~attacks =
-  let space = Space.create ~size_mib:192 () in
-  let sd =
-    match variant with Httpd.Server.Sdrad -> Some (Api.create space) | _ -> None
+  let w =
+    Scenario.world ~size_mib:192 ?monitor:(Scenario.monitor_for variant) ()
   in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
   let cfg =
     { Httpd.Server.default_config with variant; vulnerable = true; workers = 1 }
   in
-  let fs = make_fs space [ 1024 ] in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Httpd.Server.start sched space ?sdrad:sd net ~fs cfg in
-        srv := Some s;
-        for _ = 1 to attacks do
-          let evil = Netsim.connect net ~port:8080 in
-          Netsim.send evil (Workload.Http_load.request ~path:"/a/../../etc");
-          ignore (Netsim.recv evil);
-          (* Wait for recovery, then verify the service answers. *)
-          let rec probe tries =
-            if tries = 0 then failwith "service did not recover";
-            Sched.sleep 3.0e6;
-            let c = Netsim.connect net ~port:8080 in
-            Netsim.send c (Workload.Http_load.request ~path:"/f1024.bin");
-            let r = Netsim.recv c in
-            Netsim.close c;
-            match r with
-            | Some reply when Workload.Http_load.is_200 reply -> ()
-            | _ -> probe (tries - 1)
-          in
-          probe 10
-        done;
-        Httpd.Server.stop s)
-  in
-  Sched.run sched;
-  Option.get !srv
+  let fs = make_fs w.space [ 1024 ] in
+  (Scenario.httpd w ~files:(Fun.const fs) cfg
+     (Script
+        (fun _ ->
+          for _ = 1 to attacks do
+            let evil = Netsim.connect w.net ~port:8080 in
+            Netsim.send evil (Workload.Http_load.request ~path:"/a/../../etc");
+            ignore (Netsim.recv evil);
+            (* Wait for recovery, then verify the service answers. *)
+            let rec probe tries =
+              if tries = 0 then failwith "service did not recover";
+              Sched.sleep 3.0e6;
+              let c = Netsim.connect w.net ~port:8080 in
+              Netsim.send c (Workload.Http_load.request ~path:"/f1024.bin");
+              let r = Netsim.recv c in
+              Netsim.close c;
+              match r with
+              | Some reply when Workload.Http_load.is_200 reply -> ()
+              | _ -> probe (tries - 1)
+            in
+            probe 10
+          done)))
+    .server
 
 let e4 () =
   section "E4 (§V-B) NGINX recovery latency: rewind vs worker restart";
@@ -257,7 +276,8 @@ let speed_iterations size =
   max 8 (min 400 (budget / max 16 size))
 
 let run_speed () =
-  simulate (fun space _sched ->
+  let space = Space.create ~size_mib:192 () in
+  Sched.main (fun _ ->
       let sd = Api.create space in
       let modes =
         [
@@ -324,22 +344,20 @@ let e5 () =
 
 let e6 () =
   section "E6 (§V-A/§V-B) memory overhead: max RSS, SDRaD vs baseline";
-  let mc_base =
-    run_memcached ~variant:Kvcache.Server.Baseline ~workers:4
-      ~records:(mc_records ()) ~operations:(mc_operations () / 2) ~clients:8 ()
+  let mc variant =
+    max_rss
+      (ycsb_run ~variant ~workers:4 ~records:(mc_records ())
+         ~operations:(mc_operations () / 2) ~clients:8 ())
   in
-  let mc_sdrad =
-    run_memcached ~variant:Kvcache.Server.Sdrad ~workers:4
-      ~records:(mc_records ()) ~operations:(mc_operations () / 2) ~clients:8 ()
+  let mc_base = mc Kvcache.Server.Baseline in
+  let mc_sdrad = mc Kvcache.Server.Sdrad in
+  let ng variant =
+    max_rss
+      (ab_run ~variant ~workers:4 ~file_size:131072 ~connections:32
+         ~requests_per_conn:(ng_requests_per_conn ()))
   in
-  let ng_base =
-    run_nginx ~variant:Httpd.Server.Baseline ~workers:4 ~file_size:131072
-      ~connections:32 ~requests_per_conn:(ng_requests_per_conn ())
-  in
-  let ng_sdrad =
-    run_nginx ~variant:Httpd.Server.Sdrad ~workers:4 ~file_size:131072
-      ~connections:32 ~requests_per_conn:(ng_requests_per_conn ())
-  in
+  let ng_base = ng Httpd.Server.Baseline in
+  let ng_sdrad = ng Httpd.Server.Sdrad in
   let row name base sdrad paper =
     [
       name;
@@ -352,19 +370,16 @@ let e6 () =
   table
     ~header:[ "application"; "baseline RSS"; "sdrad RSS"; "increase"; "paper" ]
     [
-      row "memcached (after YCSB load)" mc_base.mc_max_rss mc_sdrad.mc_max_rss "+0.4%";
-      row "nginx (128 KiB bench)" ng_base.ng_max_rss ng_sdrad.ng_max_rss "+3.06%";
+      row "memcached (after YCSB load)" mc_base mc_sdrad "+0.4%";
+      row "nginx (128 KiB bench)" ng_base ng_sdrad "+3.06%";
     ]
 
 (* {1 E7 — §V-B profiling: domain-switch cost anatomy} *)
 
 let e7 () =
   section "E7 (§V-B) domain switch anatomy: share of the PKRU write";
-  let p =
-    simulate (fun space _ ->
-        let sd = Api.create space in
-        Api.profile_switch sd)
-  in
+  let space = Space.create ~size_mib:192 () in
+  let p = Sched.main (fun _ -> Api.profile_switch (Api.create space)) in
   let frac part = 100.0 *. part /. p.Api.total_cycles in
   table
     ~header:[ "component"; "cycles"; "share" ]
@@ -386,22 +401,14 @@ let e8 () =
   section "E8 (§V) CVE case studies: unprotected vs SDRaD";
   (* memcached / CVE-2011-4971 *)
   let mc_unprotected =
-    let space = Space.create ~size_mib:192 () in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
+    let w = Scenario.world ~size_mib:192 () in
     let cfg =
       { Kvcache.Server.default_config with variant = Kvcache.Server.Baseline;
         vulnerable = true; workers = 2 }
     in
-    let srv = ref None in
-    let _ =
-      Sched.spawn sched ~name:"harness" (fun () ->
-          let s = Kvcache.Server.start sched space net cfg in
-          srv := Some s;
-          attack_memcached_once net)
-    in
-    Sched.run sched;
-    Kvcache.Server.crashed (Option.get !srv)
+    Kvcache.Server.crashed
+      (Scenario.kvcache w cfg (Script (fun _ -> attack_memcached_once w.net)))
+        .server
   in
   let mc_lat, _ = measure_memcached_rewinds ~attacks:3 in
   (* nginx / CVE-2009-2629 *)
@@ -409,35 +416,32 @@ let e8 () =
   let ng_sdrad = nginx_attack_run ~variant:Httpd.Server.Sdrad ~attacks:3 in
   (* openssl / CVE-2022-3786 *)
   let ssl_rewinds =
-    let space = Space.create ~size_mib:192 () in
-    let sd = Api.create space in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
+    let w = Scenario.world ~size_mib:192 ~monitor:Api.create () in
     let cfg =
       { Httpd.Server.default_config with variant = Httpd.Server.Sdrad;
         verify_certs = true; workers = 1 }
     in
-    let srv = ref None in
-    let _ =
-      Sched.spawn sched ~name:"harness" (fun () ->
-          let s = Httpd.Server.start sched space ~sdrad:sd net ~fs:(make_fs space [ 1024 ]) cfg in
-          srv := Some s;
-          let evil = Netsim.connect net ~port:8080 in
-          let cert =
-            Crypto.X509.make_cert ~cn:"evil" ~altname:Crypto.X509.malicious_altname
-          in
-          Netsim.send evil
-            (Workload.Http_load.request_with_headers ~path:"/f1024.bin"
-               [ ("X-Client-Cert", cert) ]);
-          ignore (Netsim.recv evil);
-          let c = Netsim.connect net ~port:8080 in
-          Netsim.send c (Workload.Http_load.request ~path:"/f1024.bin");
-          assert (Netsim.recv c <> None);
-          Netsim.close c;
-          Httpd.Server.stop s)
+    let r =
+      Scenario.httpd w
+        ~files:(fun () -> make_fs w.space [ 1024 ])
+        cfg
+        (Script
+           (fun _ ->
+             let evil = Netsim.connect w.net ~port:8080 in
+             let cert =
+               Crypto.X509.make_cert ~cn:"evil"
+                 ~altname:Crypto.X509.malicious_altname
+             in
+             Netsim.send evil
+               (Workload.Http_load.request_with_headers ~path:"/f1024.bin"
+                  [ ("X-Client-Cert", cert) ]);
+             ignore (Netsim.recv evil);
+             let c = Netsim.connect w.net ~port:8080 in
+             Netsim.send c (Workload.Http_load.request ~path:"/f1024.bin");
+             assert (Netsim.recv c <> None);
+             Netsim.close c))
     in
-    Sched.run sched;
-    Httpd.Server.rewinds (Option.get !srv)
+    Httpd.Server.rewinds r.server
   in
   let mean l = (Stats.summarize (List.map us_of l)).Stats.mean in
   table
@@ -469,8 +473,9 @@ let e8 () =
 
 let e9 () =
   section "E9 (Table I) SDRaD API call costs, virtual time";
+  let space = Space.create ~size_mib:192 () in
   let rows =
-    simulate (fun space _ ->
+    Sched.main (fun _ ->
         let sd = Api.create space in
         let t0 () = Sched.now () in
         let timed f =
@@ -544,17 +549,19 @@ let e1b () =
     List.map
       (fun (name, base) ->
         let run variant =
-          run_memcached ~base_config:base ~variant ~workers:4
-            ~records:(mc_records ()) ~operations:(mc_operations ()) ~clients:16 ()
+          ycsb_run ~base ~variant ~workers:4 ~records:(mc_records ())
+            ~operations:(mc_operations ()) ~clients:16 ()
         in
         let b = run Kvcache.Server.Baseline in
         let s = run Kvcache.Server.Sdrad in
-        let p99 r = (Stats.summarize (List.map us_of r.mc_latencies)).Stats.p99 in
+        let p99 (r : mc_run) =
+          (Stats.summarize (List.map us_of r.result.run_latencies)).Stats.p99
+        in
         [
           name;
-          Stats.Table.fmt_si b.mc_run_tput;
-          Printf.sprintf "%s (%s)" (Stats.Table.fmt_si s.mc_run_tput)
-            (pct b.mc_run_tput s.mc_run_tput);
+          Stats.Table.fmt_si (run_tput b);
+          Printf.sprintf "%s (%s)" (Stats.Table.fmt_si (run_tput s))
+            (pct (run_tput b) (run_tput s));
           Printf.sprintf "%.1f us" (p99 b);
           Printf.sprintf "%.1f us" (p99 s);
         ])
@@ -575,9 +582,9 @@ let e3b () =
     List.map
       (fun workers ->
         let run variant =
-          (run_nginx ~variant ~workers ~file_size:1024 ~connections:75
-             ~requests_per_conn:(ng_requests_per_conn ()))
-            .ng_tput
+          req_tput
+            (ab_run ~variant ~workers ~file_size:1024 ~connections:75
+               ~requests_per_conn:(ng_requests_per_conn ()))
         in
         let b = run Httpd.Server.Baseline in
         let s = run Httpd.Server.Sdrad in
@@ -598,29 +605,23 @@ let e3b () =
 let a4 () =
   section "A4 (ablation, §VI) rewind-limit policy under a repeated attack";
   let run limit =
-    let space = Space.create ~size_mib:192 () in
-    let sd = Api.create space in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
+    let w = Scenario.world ~size_mib:192 ~monitor:Api.create () in
     let cfg =
       { Httpd.Server.default_config with variant = Httpd.Server.Sdrad;
         vulnerable = true; workers = 1; rewind_limit = limit }
     in
-    let srv = ref None in
-    let _ =
-      Sched.spawn sched ~name:"harness" (fun () ->
-          let s = Httpd.Server.start sched space ~sdrad:sd net ~fs:(make_fs space [ 1024 ]) cfg in
-          srv := Some s;
-          for _ = 1 to 12 do
-            let evil = Netsim.connect net ~port:8080 in
-            Netsim.send evil (Workload.Http_load.request ~path:"/a/../../etc");
-            ignore (Netsim.recv evil);
-            Sched.sleep 4.0e6
-          done;
-          Httpd.Server.stop s)
-    in
-    Sched.run sched;
-    Option.get !srv
+    (Scenario.httpd w
+       ~files:(fun () -> make_fs w.space [ 1024 ])
+       cfg
+       (Script
+          (fun _ ->
+            for _ = 1 to 12 do
+              let evil = Netsim.connect w.net ~port:8080 in
+              Netsim.send evil (Workload.Http_load.request ~path:"/a/../../etc");
+              ignore (Netsim.recv evil);
+              Sched.sleep 4.0e6
+            done)))
+      .server
   in
   let rows =
     List.map
@@ -649,37 +650,35 @@ let a5 () =
         operations = mc_operations (); clients = 16; port }
       ~on_done ()
   in
+  (* The replica set is not one of the builder's servers: its world is
+     built here, on the same harness thread. *)
   let run_nvx replicas =
-    let space = Space.create ~size_mib:256 () in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
-    let results = ref (fun () -> failwith "unset") in
-    let nx_ref = ref None in
-    let _ =
-      Sched.spawn sched ~name:"harness" (fun () ->
+    let w = Scenario.world ~size_mib:256 () in
+    let nx, results =
+      Sched.main ~sched:w.sched (fun sched ->
           let nx =
-            Nvx.start sched space net
+            Nvx.start sched w.space w.net
               { Nvx.default_config with replicas; workers_per_replica = 4 }
           in
-          nx_ref := Some nx;
-          results :=
-            ycsb_against ~port:11300 ~on_done:(fun () -> Nvx.stop nx) sched net)
+          ( nx,
+            ycsb_against ~port:11300 ~on_done:(fun () -> Nvx.stop nx) sched
+              w.net ))
     in
-    Sched.run sched;
-    let r = !results () in
+    let r = results () in
     assert (r.Workload.Ycsb.failures = 0);
     let total_ops = r.Workload.Ycsb.load_ops + r.Workload.Ycsb.run_ops in
     ( Stats.ops_per_sec cost ~ops:r.Workload.Ycsb.run_ops
         ~cycles:r.Workload.Ycsb.run_cycles,
-      Nvx.busy_cycles (Option.get !nx_ref) /. float_of_int total_ops )
+      Nvx.busy_cycles nx /. float_of_int total_ops )
   in
   let run_single variant =
     let r =
-      run_memcached ~variant ~workers:4 ~records:(mc_records ())
+      ycsb_run ~variant ~workers:4 ~records:(mc_records ())
         ~operations:(mc_operations ()) ~clients:16 ()
     in
-    ( r.mc_run_tput,
-      r.mc_busy_cycles /. float_of_int (mc_records () + mc_operations ()) )
+    ( run_tput r,
+      Kvcache.Server.worker_busy_cycles r.server
+      /. float_of_int (mc_records () + mc_operations ()) )
   in
   let single, single_cpu = run_single Kvcache.Server.Baseline in
   let sdrad, sdrad_cpu = run_single Kvcache.Server.Sdrad in
@@ -707,45 +706,39 @@ let a6 () =
     "A6 (ablation, §IV-B) key virtualization: cost of exceeding 15 hardware \
      keys";
   let run ndomains =
-    let out = ref (0.0, 0) in
     let space = Space.create ~size_mib:128 () in
-    let sched = Sched.create () in
-    let _ =
-      Sched.spawn sched ~name:"harness" (fun () ->
-          let sd = Api.create ~virtual_keys:true space in
-          let event udi =
-            Api.run sd ~udi
-              ~on_rewind:(fun _ -> ())
-              (fun () ->
-                Api.enter sd udi;
-                ignore (Api.malloc sd ~udi 256);
-                Api.exit_domain sd;
-                Api.deinit sd udi)
-          in
-          (* Warm-up: create every persistent domain once. *)
-          for udi = 1 to ndomains do
-            event udi
-          done;
-          let rounds = 40 in
-          let t0 = Sched.now () in
-          for _ = 1 to rounds do
-            for udi = 1 to ndomains do
-              event udi
-            done
-          done;
-          let per_event = (Sched.now () -. t0) /. float_of_int (rounds * ndomains) in
-          let evictions =
-            match
-              Telemetry.Metrics.sample (Api.metrics sd)
-                "sdrad_key_evictions_total"
-            with
-            | Some v -> int_of_float v
-            | None -> 0
-          in
-          out := (per_event, evictions))
-    in
-    Sched.run sched;
-    !out
+    Sched.main (fun _ ->
+      let sd = Api.create ~virtual_keys:true space in
+      let event udi =
+        Api.run sd ~udi
+          ~on_rewind:(fun _ -> ())
+          (fun () ->
+            Api.enter sd udi;
+            ignore (Api.malloc sd ~udi 256);
+            Api.exit_domain sd;
+            Api.deinit sd udi)
+      in
+      (* Warm-up: create every persistent domain once. *)
+      for udi = 1 to ndomains do
+        event udi
+      done;
+      let rounds = 40 in
+      let t0 = Sched.now () in
+      for _ = 1 to rounds do
+        for udi = 1 to ndomains do
+          event udi
+        done
+      done;
+      let per_event = (Sched.now () -. t0) /. float_of_int (rounds * ndomains) in
+      let evictions =
+        match
+          Telemetry.Metrics.sample (Api.metrics sd)
+            "sdrad_key_evictions_total"
+        with
+        | Some v -> int_of_float v
+        | None -> 0
+      in
+      (per_event, evictions))
   in
   let rows =
     List.map
@@ -797,24 +790,18 @@ let a2 () =
   section "A2 (ablation, §IV-C) stack-area reuse across domain lifecycles";
   let run reuse =
     let space = Space.create ~size_mib:64 () in
-    let sched = Sched.create () in
-    let out = ref (0.0, 0) in
-    let _ =
-      Sched.spawn sched ~name:"harness" (fun () ->
-          let sd = Api.create ~stack_reuse:reuse space in
-          (* Warm-up. *)
-          Api.run sd ~udi:3 ~on_rewind:(fun _ -> ()) (fun () ->
-              Api.destroy sd 3 ~heap:`Discard);
-          let t0 = Sched.now () in
-          for _ = 1 to 100 do
-            Api.run sd ~udi:3
-              ~on_rewind:(fun _ -> ())
-              (fun () -> Api.destroy sd 3 ~heap:`Discard)
-          done;
-          out := ((Sched.now () -. t0) /. 100.0, Space.mapped_bytes space))
-    in
-    Sched.run sched;
-    !out
+    Sched.main (fun _ ->
+      let sd = Api.create ~stack_reuse:reuse space in
+      (* Warm-up. *)
+      Api.run sd ~udi:3 ~on_rewind:(fun _ -> ()) (fun () ->
+          Api.destroy sd 3 ~heap:`Discard);
+      let t0 = Sched.now () in
+      for _ = 1 to 100 do
+        Api.run sd ~udi:3
+          ~on_rewind:(fun _ -> ())
+          (fun () -> Api.destroy sd 3 ~heap:`Discard)
+      done;
+      ((Sched.now () -. t0) /. 100.0, Space.mapped_bytes space))
   in
   let with_reuse, mapped_reuse = run true in
   let without, mapped_no = run false in
@@ -840,7 +827,8 @@ let a3 () =
   let rows =
     List.map
       (fun mib ->
-        simulate ~size_mib:(mib + 32) (fun space _ ->
+        let space = Space.create ~size_mib:(mib + 32) () in
+        Sched.main (fun _ ->
             let region =
               Space.mmap space ~len:(mib * 1024 * 1024) ~prot:Vmem.Prot.rw ~pkey:0
             in
@@ -878,10 +866,6 @@ let a3 () =
    into O(budget): after the budget the attacker's domain is quarantined
    and further probes are answered with a cheap busy reply. *)
 let run_dos_amplifier ~supervised ~attacks =
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create ~virtual_keys:true space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
   let cfg =
     {
       Kvcache.Server.default_config with
@@ -899,49 +883,47 @@ let run_dos_amplifier ~supervised ~attacks =
       cooldown = 2.0e6;
     }
   in
-  let sup =
-    if supervised then Some (Resilience.Supervisor.attach ~policy sd) else None
+  let w =
+    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+      ?supervisor:
+        (if supervised then Some (Resilience.Supervisor.attach ~policy)
+         else None)
+      ()
   in
   let benign_ok = ref 0 in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s =
-          Kvcache.Server.start sched space ~sdrad:sd ?supervisor:sup net cfg
-        in
-        srv := Some s;
-        let good =
-          Sched.spawn sched ~name:"good" (fun () ->
-              let c = Netsim.connect net ~src:1 ~port:11211 in
-              for i = 1 to 40 do
-                Sched.sleep 6_000.0;
-                Netsim.send c
-                  (Kvcache.Proto.fmt_set ~key:(Printf.sprintf "k%d" i)
-                     ~flags:0 ~value:"v");
-                match Netsim.recv c with
-                | Some r when r = Kvcache.Proto.stored -> incr benign_ok
-                | _ -> ()
-              done;
-              Netsim.close c)
-        in
-        let evil =
-          Sched.spawn sched ~name:"evil" (fun () ->
-              for _ = 1 to attacks do
-                Sched.sleep 10_000.0;
-                let c = Netsim.connect net ~src:777 ~port:11211 in
-                Netsim.send c
-                  (Kvcache.Proto.fmt_set_lying ~key:"pwn" ~flags:0
-                     ~declared:(-1) ~value:(String.make 300 'X'));
-                ignore (Netsim.recv c);
-                Netsim.close c
-              done)
-        in
-        Sched.join good;
-        Sched.join evil;
-        Kvcache.Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+           let good =
+             Sched.spawn w.sched ~name:"good" (fun () ->
+                 let c = Netsim.connect w.net ~src:1 ~port:11211 in
+                 for i = 1 to 40 do
+                   Sched.sleep 6_000.0;
+                   Netsim.send c
+                     (Kvcache.Proto.fmt_set ~key:(Printf.sprintf "k%d" i)
+                        ~flags:0 ~value:"v");
+                   match Netsim.recv c with
+                   | Some r when r = Kvcache.Proto.stored -> incr benign_ok
+                   | _ -> ()
+                 done;
+                 Netsim.close c)
+           in
+           let evil =
+             Sched.spawn w.sched ~name:"evil" (fun () ->
+                 for _ = 1 to attacks do
+                   Sched.sleep 10_000.0;
+                   let c = Netsim.connect w.net ~src:777 ~port:11211 in
+                   Netsim.send c
+                     (Kvcache.Proto.fmt_set_lying ~key:"pwn" ~flags:0
+                        ~declared:(-1) ~value:(String.make 300 'X'));
+                   ignore (Netsim.recv c);
+                   Netsim.close c
+                 done)
+           in
+           Sched.join good;
+           Sched.join evil))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   let rewind_cycles =
     List.fold_left ( +. ) 0.0 (Kvcache.Server.rewind_latencies s)
   in
@@ -981,28 +963,24 @@ let r2 () =
   let pairs = if !quick then 64 else 512 in
   let tracer = Telemetry.Trace.create ~capacity:32768 () in
   let space = Space.create ~size_mib:64 () in
-  let sched = Sched.create () in
-  let _ =
-    Sched.spawn sched ~name:"bench" (fun () ->
-        let sd = Api.create ~tracer space in
-        let udi = 0x7FFF_FE00 in
-        Api.run sd ~udi
-          ~on_rewind:(fun _ -> assert false)
-          (fun () ->
-            (* Warm-up pair first — and only then enable the tracer — so
-               first-touch page faults and init spans stay out of the
-               aggregate. *)
-            Api.enter sd udi;
-            Api.exit_domain sd;
-            Telemetry.Trace.set_enabled tracer true;
-            for _ = 1 to pairs do
-              Api.enter sd udi;
-              Api.exit_domain sd
-            done;
-            Telemetry.Trace.set_enabled tracer false;
-            Api.destroy sd udi ~heap:`Discard))
-  in
-  Sched.run sched;
+  Sched.main (fun _ ->
+    let sd = Api.create ~tracer space in
+    let udi = 0x7FFF_FE00 in
+    Api.run sd ~udi
+      ~on_rewind:(fun _ -> assert false)
+      (fun () ->
+        (* Warm-up pair first — and only then enable the tracer — so
+           first-touch page faults and init spans stay out of the
+           aggregate. *)
+        Api.enter sd udi;
+        Api.exit_domain sd;
+        Telemetry.Trace.set_enabled tracer true;
+        for _ = 1 to pairs do
+          Api.enter sd udi;
+          Api.exit_domain sd
+        done;
+        Telemetry.Trace.set_enabled tracer false;
+        Api.destroy sd udi ~heap:`Discard));
   let agg = Telemetry.Trace.aggregate tracer in
   let total_of name =
     match List.assoc_opt name agg with Some (_, c) -> c | None -> 0.0
@@ -1071,23 +1049,21 @@ let r4 () =
   in
   let net_fault_prob = 0.01 and domain_fault_prob = 0.005 in
   let run ~faulty =
-    let space = Space.create ~size_mib:192 () in
-    let sd = Api.create space in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
     (* Lenient supervision, as in the chaos soak: the injected corruption
        is random noise, so backoff verdicts (busy replies the clients
        retry through) are wanted but outright quarantine is not. *)
-    let sup =
-      Resilience.Supervisor.attach
-        ~policy:
-          {
-            Resilience.Supervisor.default_policy with
-            budget_max = 100;
-            backoff_base = 2_000.0;
-            backoff_max = 20_000.0;
-          }
-        sd
+    let w =
+      Scenario.world ~size_mib:192 ~monitor:Api.create
+        ~supervisor:
+          (Resilience.Supervisor.attach
+             ~policy:
+               {
+                 Resilience.Supervisor.default_policy with
+                 budget_max = 100;
+                 backoff_base = 2_000.0;
+                 backoff_max = 20_000.0;
+               })
+        ()
     in
     let faults =
       if faulty then
@@ -1101,7 +1077,7 @@ let r4 () =
     in
     if faulty then begin
       let rng = Simkern.Rng.create 131 in
-      Netsim.set_fault_hook net
+      Netsim.set_fault_hook w.net
         (Some
            (fun ~len:_ ->
              if Simkern.Rng.float rng < net_fault_prob then Netsim.Drop
@@ -1119,22 +1095,8 @@ let r4 () =
         retry = Some retry_policy;
       }
     in
-    let srv = ref None in
-    let results = ref (fun () -> failwith "unset") in
-    let _ =
-      Sched.spawn sched ~name:"harness" (fun () ->
-          let s =
-            Kvcache.Server.start sched space ~sdrad:sd ~supervisor:sup ?faults
-              net cfg
-          in
-          srv := Some s;
-          results :=
-            Workload.Ycsb.launch sched net ycfg
-              ~on_done:(fun () -> Kvcache.Server.stop s)
-              ())
-    in
-    Sched.run sched;
-    (!results (), Option.get !srv)
+    let r = Scenario.kvcache ?faults w cfg (Ycsb ycfg) in
+    (r.result, r.server)
   in
   let r_ok, s_ok = run ~faulty:false in
   let r_ft, s_ft = run ~faulty:true in
@@ -1258,8 +1220,6 @@ let r5 () =
     }
   in
   let run ~shards =
-    let sched = Sched.create () in
-    let net = Netsim.create cost in
     (* Router workers scale with the fleet (12 per shard) so the shard
        tier — 4 kv workers at 12k proc cycles each — is what saturates:
        12 synchronous forwards in flight per shard keep its queue wait
@@ -1290,19 +1250,8 @@ let r5 () =
         distribution = Workload.Ycsb.Uniform;
       }
     in
-    let fleet = ref None in
-    let results = ref (fun () -> failwith "unset") in
-    let _ =
-      Sched.spawn sched ~name:"harness" (fun () ->
-          let t = Cluster.Fleet.start sched net cfg in
-          fleet := Some t;
-          results :=
-            Workload.Ycsb.launch sched net ycfg
-              ~on_done:(fun () -> Cluster.Fleet.stop t)
-              ())
-    in
-    Sched.run sched;
-    (!results (), Option.get !fleet)
+    let r = Scenario.fleet (Scenario.fleet_world ()) cfg (Ycsb ycfg) in
+    (r.result, r.server)
   in
   let outcomes = List.map (fun shards -> (shards, run ~shards)) shard_counts in
   let goodput (r : Workload.Ycsb.results) =
@@ -1405,7 +1354,8 @@ let gate () =
   section "GATE — batched gates: PKRU share and kvcache overhead";
   let pairs = if !quick then 128 else 512 in
   let anatomy ~batched =
-    simulate (fun space _ ->
+    let space = Space.create ~size_mib:192 () in
+    Sched.main (fun _ ->
         let sd = Api.create space in
         let udi = 0x7FFF_FD00 in
         let total = ref 0.0 and writes = ref 0 and elided = ref 0 in
@@ -1468,30 +1418,24 @@ let gate () =
     p_cycles b_cycles (100.0 *. p_share) (100.0 *. b_share);
   let records = mc_records () and operations = mc_operations () in
   let workers = 4 and clients = 16 in
-  let base =
-    run_memcached ~variant:Kvcache.Server.Baseline ~workers ~records
-      ~operations ~clients ()
+  let run ?gate_batch_limit variant =
+    ycsb_run ?gate_batch_limit ~variant ~workers ~records ~operations ~clients ()
   in
-  let plain =
-    run_memcached ~variant:Kvcache.Server.Sdrad ~workers ~records ~operations
-      ~clients ()
-  in
-  let gated =
-    run_memcached ~variant:Kvcache.Server.Sdrad ~gate_batch_limit:8 ~workers
-      ~records ~operations ~clients ()
-  in
-  let ov b v = 100.0 *. (v -. b) /. b in
-  let run_plain = ov base.mc_run_tput plain.mc_run_tput in
-  let load_plain = ov base.mc_load_tput plain.mc_load_tput in
-  let run_gated = ov base.mc_run_tput gated.mc_run_tput in
-  let load_gated = ov base.mc_load_tput gated.mc_load_tput in
+  let base = run Kvcache.Server.Baseline in
+  let plain = run Kvcache.Server.Sdrad in
+  let gated = run ~gate_batch_limit:8 Kvcache.Server.Sdrad in
+  let ov f r = 100.0 *. (f r -. f base) /. f base in
+  let run_plain = ov run_tput plain in
+  let load_plain = ov load_tput plain in
+  let run_gated = ov run_tput gated in
+  let load_gated = ov load_tput gated in
   let mc_row name r =
     [
       name;
-      Stats.Table.fmt_si r.mc_load_tput;
-      Printf.sprintf "%s" (pct base.mc_load_tput r.mc_load_tput);
-      Stats.Table.fmt_si r.mc_run_tput;
-      Printf.sprintf "%s" (pct base.mc_run_tput r.mc_run_tput);
+      Stats.Table.fmt_si (load_tput r);
+      Printf.sprintf "%s" (pct (load_tput base) (load_tput r));
+      Stats.Table.fmt_si (run_tput r);
+      Printf.sprintf "%s" (pct (run_tput base) (run_tput r));
     ]
   in
   table

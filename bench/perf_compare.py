@@ -19,19 +19,25 @@ Exits non-zero if a run fails its checks or a metric is WORSE.
     python3 bench/perf_compare.py REV --same
 
 instead builds the @chaos, @chaos-soak and @chaos-rewind-soak aliases
-with --force in REV's tree and here and compares their output: a change
-that must keep every simulated number prints the same soaks. It prints
-the first differing lines of each alias that differs and exits non-zero
-if any differs or fails.
+with --force in REV's tree and here and compares their output, then runs
+each tree's bench/main.exe over every experiment but micro (the ids
+listed in this tree's bench/main.ml) from a temporary directory, so
+neither tree's committed BENCH JSON is rewritten, and compares the
+tables less their "[... done in ...]" and "All done in" timing lines: a
+change that must keep every simulated number prints the same soaks and
+tables. It prints the first differing lines of each output that differs
+and exits non-zero if any differs or fails.
 """
 
 import argparse
 import difflib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -124,24 +130,65 @@ def alias_output(tree, alias):
     return p.returncode, lines
 
 
+def bench_ids():
+    """Every experiment id registered in this tree's bench/main.ml but
+    micro, whose rows are host timings."""
+    src = open(os.path.join(ROOT, "bench", "main.ml")).read()
+    return [i for i in re.findall(r'\("([a-z0-9]+)",\s*\w+\.', src)
+            if i != "micro"]
+
+
+def bench_output(tree, ids):
+    """Exit code and table lines of [tree]'s bench over [ids], run from a
+    fresh directory (the bench writes BENCH_*.json into its working
+    directory), less the wall-clock timing lines."""
+    p = subprocess.run(["dune", "build", "--root", tree, "bench/main.exe"],
+                       cwd=tree, capture_output=True, text=True)
+    if p.returncode != 0:
+        return p.returncode, (p.stdout + p.stderr).splitlines()
+    exe = os.path.join(tree, "_build", "default", "bench", "main.exe")
+    with tempfile.TemporaryDirectory() as tmp:
+        p = subprocess.run([exe] + ids, cwd=tmp, capture_output=True,
+                           text=True)
+    lines = [l for l in (p.stdout + p.stderr).splitlines()
+             if not re.match(r"\[\S+ done in |All done in ", l)]
+    return p.returncode, lines
+
+
+def compare(name, rev, old_out, new_out, context):
+    """Print whether [name]'s output matches; true if it differs or
+    failed on either side."""
+    (rc_old, old), (rc_new, new) = old_out, new_out
+    failed = False
+    if rc_old or rc_new:
+        print("%s: FAILED (exit %d in %s, %d here)" % (name, rc_old, rev,
+                                                        rc_new))
+        failed = True
+    if old == new:
+        print("%s: same output (%d lines)" % (name, len(old)), flush=True)
+        return failed
+    print("%s: OUTPUT DIFFERS, first differing lines:" % name)
+    diff = difflib.unified_diff(old, new, rev, "working tree", n=1,
+                                lineterm="")
+    for line in list(diff)[:context]:
+        print("  " + line)
+    return True
+
+
 def same(rev, base, context=20):
     failed = False
+    # Build everything first: an alias whose runners are still being
+    # built prints in the order their builds finish.
+    for tree in (base, ROOT):
+        subprocess.run(["dune", "build", "--root", tree], cwd=tree,
+                       capture_output=True)
     for alias in SOAKS:
-        (rc_old, old), (rc_new, new) = (alias_output(base, alias),
-                                        alias_output(ROOT, alias))
-        if rc_old or rc_new:
-            print("%s: FAILED (exit %d in %s, %d here)" % (alias, rc_old, rev,
-                                                            rc_new))
-            failed = True
-        if old == new:
-            print("%s: same output (%d lines)" % (alias, len(old)), flush=True)
-            continue
-        failed = True
-        print("%s: OUTPUT DIFFERS, first differing lines:" % alias)
-        diff = difflib.unified_diff(old, new, rev, "working tree", n=1,
-                                    lineterm="")
-        for line in list(diff)[:context]:
-            print("  " + line)
+        failed |= compare(alias, rev, alias_output(base, alias),
+                          alias_output(ROOT, alias), context)
+    ids = bench_ids()
+    failed |= compare("bench tables (%s)" % " ".join(ids), rev,
+                      bench_output(base, ids), bench_output(ROOT, ids),
+                      context)
     return 1 if failed else 0
 
 

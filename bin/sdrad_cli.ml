@@ -63,42 +63,37 @@ let costs_cmd =
 (* {1 cve} *)
 
 let run_mc_cve protected =
-  let space = Space.create ~size_mib:128 () in
-  let sd = if protected then Some (Api.create space) else None in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
   let variant =
     if protected then Kvcache.Server.Sdrad else Kvcache.Server.Baseline
+  in
+  let w =
+    Scenario.world ~size_mib:128 ?monitor:(Scenario.monitor_for variant) ()
   in
   let cfg =
     { Kvcache.Server.default_config with variant; vulnerable = true; workers = 2 }
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"cli" (fun () ->
-        let s = Kvcache.Server.start sched space ?sdrad:sd net cfg in
-        srv := Some s;
-        let evil = Netsim.connect net ~port:11211 in
-        Netsim.send evil
-          (Kvcache.Proto.fmt_set_lying ~key:"boom" ~flags:0 ~declared:(-1)
-             ~value:(String.make 800 'x'));
-        ignore (Netsim.recv evil);
-        if not (Kvcache.Server.crashed s) then Kvcache.Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+           let evil = Netsim.connect w.net ~port:11211 in
+           Netsim.send evil
+             (Kvcache.Proto.fmt_set_lying ~key:"boom" ~flags:0 ~declared:(-1)
+                ~value:(String.make 800 'x'));
+           ignore (Netsim.recv evil)))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   if Kvcache.Server.crashed s then "process crashed; all clients and cache contents lost"
   else
     Printf.sprintf "rewind in %.1f us; one connection closed, cache intact"
       (Cost.us_of_cycles cost (List.hd (Kvcache.Server.rewind_latencies s)))
 
 let run_ng_cve ~cert protected =
-  let space = Space.create ~size_mib:128 () in
-  let sd =
-    if protected || cert then Some (Api.create space) else None
+  (* The certificate check runs in a domain even on the baseline. *)
+  let w =
+    Scenario.world ~size_mib:128
+      ?monitor:(if protected || cert then Some (fun s -> Api.create s) else None)
+      ()
   in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
   let variant = if protected then Httpd.Server.Sdrad else Httpd.Server.Baseline in
   let cfg =
     {
@@ -109,30 +104,27 @@ let run_ng_cve ~cert protected =
       workers = 1;
     }
   in
-  let fs = Httpd.Fs.create space in
+  let fs = Httpd.Fs.create w.space in
   Httpd.Fs.add fs ~path:"/index.html" ~size:1024;
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"cli" (fun () ->
-        let s = Httpd.Server.start sched space ?sdrad:sd net ~fs cfg in
-        srv := Some s;
-        let evil = Netsim.connect net ~port:8080 in
-        (if cert then
-           let c =
-             Crypto.X509.make_cert ~cn:"evil"
-               ~altname:Crypto.X509.malicious_altname
-           in
-           Netsim.send evil
-             (Workload.Http_load.request_with_headers ~path:"/index.html"
-                [ ("X-Client-Cert", c) ])
-         else
-           Netsim.send evil (Workload.Http_load.request ~path:"/a/../../etc"));
-        ignore (Netsim.recv evil);
-        Sched.sleep 5.0e6;
-        Httpd.Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.httpd w ~files:(Fun.const fs) cfg
+      (Script
+         (fun _ ->
+           let evil = Netsim.connect w.net ~port:8080 in
+           (if cert then
+              let c =
+                Crypto.X509.make_cert ~cn:"evil"
+                  ~altname:Crypto.X509.malicious_altname
+              in
+              Netsim.send evil
+                (Workload.Http_load.request_with_headers ~path:"/index.html"
+                   [ ("X-Client-Cert", c) ])
+            else
+              Netsim.send evil
+                (Workload.Http_load.request ~path:"/a/../../etc"));
+           ignore (Netsim.recv evil);
+           Sched.sleep 5.0e6))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   if Httpd.Server.worker_restarts s > 0 then
     Printf.sprintf "worker crashed; restarted in %.0f us; its connections were lost"
       (Cost.us_of_cycles cost (List.hd (Httpd.Server.restart_latencies s)))
@@ -168,24 +160,20 @@ let switch_cmd =
   let doc = "Print the domain-switch cost anatomy (experiment E7)." in
   let run () =
     let space = Space.create ~size_mib:32 () in
-    let sched = Sched.create () in
-    let _ =
-      Sched.spawn sched ~name:"cli" (fun () ->
-          let sd = Api.create space in
-          let p = Api.profile_switch sd in
-          Printf.printf
-            "enter+exit pair: %.0f cycles (%.2f us)\n\
-            \  wrpkru: %.0f cycles (%.0f%%, %d writes, %d elided)\n\
-            \  stack:  %.0f cycles\n\
-            \  monitor bookkeeping: %.0f cycles\n"
-            p.Api.total_cycles
-            (Cost.us_of_cycles cost p.Api.total_cycles)
-            p.Api.wrpkru_cycles
-            (100.0 *. p.Api.wrpkru_cycles /. p.Api.total_cycles)
-            p.Api.wrpkru_writes p.Api.wrpkru_elided p.Api.stack_cycles
-            p.Api.bookkeeping_cycles)
-    in
-    Sched.run sched
+    Sched.main (fun _ ->
+        let sd = Api.create space in
+        let p = Api.profile_switch sd in
+        Printf.printf
+          "enter+exit pair: %.0f cycles (%.2f us)\n\
+          \  wrpkru: %.0f cycles (%.0f%%, %d writes, %d elided)\n\
+          \  stack:  %.0f cycles\n\
+          \  monitor bookkeeping: %.0f cycles\n"
+          p.Api.total_cycles
+          (Cost.us_of_cycles cost p.Api.total_cycles)
+          p.Api.wrpkru_cycles
+          (100.0 *. p.Api.wrpkru_cycles /. p.Api.total_cycles)
+          p.Api.wrpkru_writes p.Api.wrpkru_elided p.Api.stack_cycles
+          p.Api.bookkeeping_cycles)
   in
   Cmd.v (Cmd.info "switch" ~doc) Term.(const run $ const ())
 
@@ -195,41 +183,37 @@ let render_cmd =
   let doc = "Decode a crafted malicious image with and without isolation." in
   let run () =
     let space = Space.create ~size_mib:64 () in
-    let sched = Sched.create () in
-    let _ =
-      Sched.spawn sched ~name:"cli" (fun () ->
-          (* Unprotected: catch the fault to report it. *)
-          (match
-             Render.decode space
-               ~alloc:(fun n -> Space.mmap space ~len:(max 16 n) ~prot:Vmem.Prot.rw ~pkey:0)
-               ~src:
-                 (let img = Render.encode_malicious () in
-                  let src = Space.mmap space ~len:(String.length img + 64) ~prot:Vmem.Prot.rw ~pkey:0 in
-                  Space.store_string space src img;
-                  src)
-               ~len:(String.length (Render.encode_malicious ()))
-               ~vulnerable:true
-           with
-          | _ -> print_endline "unprotected: decoder survived (?)"
-          | exception Space.Fault _ ->
-              print_endline
-                "unprotected: heap rampage SEGV — the whole renderer process dies");
-          let sd = Api.create space in
-          (match Render.decode_isolated sd ~vulnerable:true (Render.encode_malicious ()) with
-          | Error f ->
-              Printf.printf "with SDRaD:  rewind (%s); service continues\n"
-                (Format.asprintf "%a" Sdrad.Types.pp_cause f.Sdrad.Types.cause)
-          | Ok _ -> print_endline "with SDRaD: not caught (?)");
-          match
-            Render.decode_isolated sd ~vulnerable:true
-              (Render.encode ~width:16 ~height:16 (fun x y -> (x, y, 0)))
-          with
-          | Ok d ->
-              Printf.printf "next request: rendered %dx%d fine\n" d.Render.width
-                d.Render.height
-          | Error _ -> print_endline "next request failed (?)")
-    in
-    Sched.run sched
+    Sched.main (fun _ ->
+      (* Unprotected: catch the fault to report it. *)
+      (match
+         Render.decode space
+           ~alloc:(fun n -> Space.mmap space ~len:(max 16 n) ~prot:Vmem.Prot.rw ~pkey:0)
+           ~src:
+             (let img = Render.encode_malicious () in
+              let src = Space.mmap space ~len:(String.length img + 64) ~prot:Vmem.Prot.rw ~pkey:0 in
+              Space.store_string space src img;
+              src)
+           ~len:(String.length (Render.encode_malicious ()))
+           ~vulnerable:true
+       with
+      | _ -> print_endline "unprotected: decoder survived (?)"
+      | exception Space.Fault _ ->
+          print_endline
+            "unprotected: heap rampage SEGV — the whole renderer process dies");
+      let sd = Api.create space in
+      (match Render.decode_isolated sd ~vulnerable:true (Render.encode_malicious ()) with
+      | Error f ->
+          Printf.printf "with SDRaD:  rewind (%s); service continues\n"
+            (Format.asprintf "%a" Sdrad.Types.pp_cause f.Sdrad.Types.cause)
+      | Ok _ -> print_endline "with SDRaD: not caught (?)");
+      match
+        Render.decode_isolated sd ~vulnerable:true
+          (Render.encode ~width:16 ~height:16 (fun x y -> (x, y, 0)))
+      with
+      | Ok d ->
+          Printf.printf "next request: rendered %dx%d fine\n" d.Render.width
+            d.Render.height
+      | Error _ -> print_endline "next request failed (?)")
   in
   Cmd.v (Cmd.info "render" ~doc) Term.(const run $ const ())
 
@@ -249,33 +233,24 @@ let kvbench_cmd =
   let records = Arg.(value & opt int 1500 & info [ "records" ] ~docv:"N") in
   let ops = Arg.(value & opt int 6000 & info [ "ops" ] ~docv:"N") in
   let run variant workers records ops =
-    let space = Space.create ~size_mib:192 () in
-    let sd =
-      match variant with Kvcache.Server.Sdrad -> Some (Api.create space) | _ -> None
+    let { Scenario.result = r; world = w; _ } =
+      Scenario.kvcache
+        (Scenario.world ~size_mib:192 ?monitor:(Scenario.monitor_for variant) ())
+        { Kvcache.Server.default_config with variant; workers }
+        (Ycsb
+           {
+             Workload.Ycsb.default_config with
+             records;
+             operations = ops;
+             clients = 16;
+           })
     in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
-    let cfg = { Kvcache.Server.default_config with variant; workers } in
-    let ycfg =
-      { Workload.Ycsb.default_config with records; operations = ops; clients = 16 }
-    in
-    let results = ref (fun () -> failwith "unset") in
-    let _ =
-      Sched.spawn sched ~name:"cli" (fun () ->
-          let s = Kvcache.Server.start sched space ?sdrad:sd net cfg in
-          results :=
-            Workload.Ycsb.launch sched net ycfg
-              ~on_done:(fun () -> Kvcache.Server.stop s)
-              ())
-    in
-    Sched.run sched;
-    let r = !results () in
     Printf.printf "load: %.0f ops/s\nrun:  %.0f ops/s\nmax RSS: %.1f MiB\n"
       (Stats.ops_per_sec cost ~ops:r.Workload.Ycsb.load_ops
          ~cycles:r.Workload.Ycsb.load_cycles)
       (Stats.ops_per_sec cost ~ops:r.Workload.Ycsb.run_ops
          ~cycles:r.Workload.Ycsb.run_cycles)
-      (float_of_int (Space.max_rss_bytes space) /. 1048576.0)
+      (float_of_int (Space.max_rss_bytes w.space) /. 1048576.0)
   in
   Cmd.v (Cmd.info "kvbench" ~doc)
     Term.(const run $ variant_arg variants $ workers_arg $ records $ ops)
@@ -289,30 +264,19 @@ let webbench_cmd =
   let size = Arg.(value & opt int 1024 & info [ "size" ] ~docv:"BYTES") in
   let conns = Arg.(value & opt int 75 & info [ "connections" ] ~docv:"N") in
   let run variant workers size conns =
-    let space = Space.create ~size_mib:192 () in
-    let sd =
-      match variant with Httpd.Server.Sdrad -> Some (Api.create space) | _ -> None
+    let w =
+      Scenario.world ~size_mib:192 ?monitor:(Scenario.monitor_for variant) ()
     in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
-    let fs = Httpd.Fs.create space in
+    (* The file is written before the run starts. *)
+    let fs = Httpd.Fs.create w.space in
     let path = Printf.sprintf "/f%d.bin" size in
     Httpd.Fs.add fs ~path ~size;
-    let cfg = { Httpd.Server.default_config with variant; workers } in
-    let lcfg =
-      { Workload.Http_load.default_config with connections = conns; path }
+    let { Scenario.result = r; _ } =
+      Scenario.httpd w ~files:(Fun.const fs)
+        { Httpd.Server.default_config with variant; workers }
+        (Http_load
+           { Workload.Http_load.default_config with connections = conns; path })
     in
-    let results = ref (fun () -> failwith "unset") in
-    let _ =
-      Sched.spawn sched ~name:"cli" (fun () ->
-          let s = Httpd.Server.start sched space ?sdrad:sd net ~fs cfg in
-          results :=
-            Workload.Http_load.launch sched net lcfg
-              ~on_done:(fun () -> Httpd.Server.stop s)
-              ())
-    in
-    Sched.run sched;
-    let r = !results () in
     Printf.printf "throughput: %.0f req/s (%d ok, %d failed)\n"
       (Stats.ops_per_sec cost ~ops:r.Workload.Http_load.ok
          ~cycles:r.Workload.Http_load.cycles)
@@ -322,6 +286,17 @@ let webbench_cmd =
     Term.(const run $ variant_arg variants $ workers_arg $ size $ conns)
 
 (* {1 stats} *)
+
+(* The vulnerable SDRaD cache with one event domain per client, behind
+   [stats], [metrics], [rollback-report] and [incident]. *)
+let attack_config =
+  {
+    Kvcache.Server.default_config with
+    variant = Kvcache.Server.Sdrad;
+    vulnerable = true;
+    workers = 2;
+    per_client_domains = true;
+  }
 
 let stats_cmd =
   let doc =
@@ -334,60 +309,45 @@ let stats_cmd =
   let run verbose seed attacks =
     setup_logging verbose;
     let module Supervisor = Resilience.Supervisor in
-    let space = Space.create ~size_mib:192 () in
-    let sd = Api.create ~virtual_keys:true space in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
-    let sup = Supervisor.attach sd in
-    let cfg =
-      {
-        Kvcache.Server.default_config with
-        variant = Kvcache.Server.Sdrad;
-        vulnerable = true;
-        workers = 2;
-        per_client_domains = true;
-      }
+    let w =
+      Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+        ~supervisor:Supervisor.attach ()
     in
-    let srv = ref None in
-    let _ =
-      Sched.spawn sched ~name:"cli" (fun () ->
-          let s =
-            Kvcache.Server.start sched space ~sdrad:sd ~supervisor:sup net cfg
-          in
-          srv := Some s;
-          (* A benign client and a reconnecting attacker. *)
-          let good =
-            Sched.spawn sched ~name:"good" (fun () ->
-                let rng = Simkern.Rng.create seed in
-                let c = Netsim.connect net ~src:1 ~port:11211 in
-                for i = 1 to 20 do
-                  Sched.sleep (float_of_int (Simkern.Rng.int rng 8_000));
-                  Netsim.send c
-                    (Kvcache.Proto.fmt_set
-                       ~key:(Printf.sprintf "k%d" i)
-                       ~flags:0 ~value:"v");
-                  ignore (Netsim.recv c)
-                done;
-                Netsim.close c)
-          in
-          let evil =
-            Sched.spawn sched ~name:"evil" (fun () ->
-                for _ = 1 to attacks do
-                  Sched.sleep 20_000.0;
-                  let c = Netsim.connect net ~src:777 ~port:11211 in
-                  Netsim.send c
-                    (Kvcache.Proto.fmt_set_lying ~key:"pwn" ~flags:0
-                       ~declared:(-1) ~value:(String.make 300 'X'));
-                  ignore (Netsim.recv c);
-                  Netsim.close c
-                done)
-          in
-          Sched.join good;
-          Sched.join evil;
-          Kvcache.Server.stop s)
+    let sd = Option.get w.sd and sup = Option.get w.sup in
+    let { Scenario.server = s; _ } =
+      Scenario.kvcache w attack_config
+        (Script
+           (fun _ ->
+             (* A benign client and a reconnecting attacker. *)
+             let good =
+               Sched.spawn w.sched ~name:"good" (fun () ->
+                   let rng = Simkern.Rng.create seed in
+                   let c = Netsim.connect w.net ~src:1 ~port:11211 in
+                   for i = 1 to 20 do
+                     Sched.sleep (float_of_int (Simkern.Rng.int rng 8_000));
+                     Netsim.send c
+                       (Kvcache.Proto.fmt_set
+                          ~key:(Printf.sprintf "k%d" i)
+                          ~flags:0 ~value:"v");
+                     ignore (Netsim.recv c)
+                   done;
+                   Netsim.close c)
+             in
+             let evil =
+               Sched.spawn w.sched ~name:"evil" (fun () ->
+                   for _ = 1 to attacks do
+                     Sched.sleep 20_000.0;
+                     let c = Netsim.connect w.net ~src:777 ~port:11211 in
+                     Netsim.send c
+                       (Kvcache.Proto.fmt_set_lying ~key:"pwn" ~flags:0
+                          ~declared:(-1) ~value:(String.make 300 'X'));
+                     ignore (Netsim.recv c);
+                     Netsim.close c
+                   done)
+             in
+             Sched.join good;
+             Sched.join evil))
     in
-    Sched.run sched;
-    let s = Option.get !srv in
     print_endline "== monitor runtime stats ==";
     let sample name =
       match Telemetry.Metrics.sample (Api.metrics sd) name with
@@ -438,16 +398,16 @@ let stats_cmd =
    [seed] only feeds the monitor's canary value, which no metric
    exposes. *)
 let run_metrics_scenario ?(interrupts = 0) ~seed () =
-  let module Supervisor = Resilience.Supervisor in
-  let space = Space.create ~size_mib:192 () in
   (* Span tracing stays on for the whole scenario so the rewound
      requests surface as aborted spans ([trace_aborted_spans_total]). *)
   let tracer = Telemetry.Trace.create ~capacity:65536 () in
   Telemetry.Trace.set_enabled tracer true;
-  let sd = Api.create ~seed ~tracer ~virtual_keys:true space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let sup = Supervisor.attach sd in
+  let w =
+    Scenario.world ~size_mib:192
+      ~monitor:(Api.create ~seed ~tracer ~virtual_keys:true)
+      ~supervisor:Resilience.Supervisor.attach ()
+  in
+  let sd = Option.get w.sd in
   (if interrupts > 0 then
      (* Budgeted Rewind_interrupt plan on the monitor's rewind-path
         probe: [rollback-report --interrupts N] exercises (and reports)
@@ -458,101 +418,89 @@ let run_metrics_scenario ?(interrupts = 0) ~seed () =
          [ Fi.rule ~site:"cli.rewind" ~max_fires:interrupts Fi.Rewind_interrupt ]
      in
      Fi.arm_rewind fi sd ~site:"cli.rewind");
-  let cfg =
-    {
-      Kvcache.Server.default_config with
-      variant = Kvcache.Server.Sdrad;
-      vulnerable = true;
-      workers = 2;
-      per_client_domains = true;
-    }
-  in
-  let _ =
-    Sched.spawn sched ~name:"cli" (fun () ->
-        let s =
-          Kvcache.Server.start sched space ~sdrad:sd ~supervisor:sup net cfg
-        in
-        let good =
-          Sched.spawn sched ~name:"good" (fun () ->
-              let c = Netsim.connect net ~src:1 ~port:11211 in
-              for i = 1 to 20 do
-                Sched.sleep 4_000.0;
-                Netsim.send c
-                  (Kvcache.Proto.fmt_set
-                     ~key:(Printf.sprintf "k%d" i)
-                     ~flags:0 ~value:"v");
-                ignore (Netsim.recv c)
-              done;
-              Netsim.close c)
-        in
-        let evil =
-          Sched.spawn sched ~name:"evil" (fun () ->
-              for i = 1 to 8 do
-                Sched.sleep 20_000.0;
-                let c = Netsim.connect net ~src:777 ~port:11211 in
-                (* Each attack carries its own causal trace id, so the
-                   fault it triggers — flight-recorder events, rewind
-                   audit record — is attributable to this request. *)
-                let ctx =
-                  Telemetry.Context.root (Printf.sprintf "evil-%d" i)
-                in
-                Netsim.send c
-                  (Kvcache.Proto.fmt_set_lying_traced
-                     ~trace:(Telemetry.Context.trace ctx) ~key:"pwn" ~flags:0
-                     ~declared:(-1) ~value:(String.make 300 'X'));
-                ignore (Netsim.recv c);
-                Netsim.close c
-              done)
-        in
-        Sched.join good;
-        Sched.join evil;
-        (* One retried increment whose first reply is dropped by a
-           counting (deterministic, seed-independent) fault hook: the
-           client times out, retries under the same request id and is
-           answered from the replay journal — populating the
-           client_retries_total and kvcache_replay_hits_total series. *)
-        let retry =
-          Sched.spawn sched ~name:"retry" (fun () ->
-              let module Retry = Resilience.Retry in
-              let conn = ref (Netsim.connect net ~src:2 ~port:11211) in
-              Netsim.send !conn
-                (Kvcache.Proto.fmt_set ~key:"ctr" ~flags:0 ~value:"5");
-              ignore (Netsim.recv !conn);
-              let n = ref 0 in
-              Netsim.set_fault_hook net
-                (Some
-                   (fun ~len:_ ->
-                     incr n;
-                     if !n = 2 then Netsim.Drop else Netsim.Deliver));
-              let eng =
-                Retry.create
-                  { Retry.default_policy with attempt_timeout = 60_000.0 }
-                  ~rng:(Simkern.Rng.create 5)
-                  ~metrics:(Api.metrics sd) ~name:"cli"
-              in
-              (match
-                 Retry.execute_ctx eng (fun ~ctx ~rid ~attempt:_ ~deadline ->
-                     (if (not (Netsim.is_open !conn))
-                         || Netsim.peer_closed !conn
-                      then conn := Netsim.connect net ~src:2 ~port:11211);
-                     Netsim.send !conn
-                       (Kvcache.Proto.fmt_incr ~rid
-                          ~trace:(Telemetry.Context.trace ctx) "ctr" 1);
-                     match Netsim.recv_deadline !conn ~deadline with
-                     | Some r -> Ok r
-                     | None ->
-                         Netsim.close !conn;
-                         Error (`Retry "timeout"))
-               with
-              | Ok _ -> ()
-              | Error _ -> failwith "metrics scenario: retry did not land");
-              Netsim.set_fault_hook net None;
-              Netsim.close !conn)
-        in
-        Sched.join retry;
-        Kvcache.Server.stop s)
-  in
-  Sched.run sched;
+  let net = w.net in
+  ignore
+    (Scenario.kvcache w attack_config
+       (Script
+          (fun _ ->
+            let good =
+              Sched.spawn w.sched ~name:"good" (fun () ->
+                  let c = Netsim.connect net ~src:1 ~port:11211 in
+                  for i = 1 to 20 do
+                    Sched.sleep 4_000.0;
+                    Netsim.send c
+                      (Kvcache.Proto.fmt_set
+                         ~key:(Printf.sprintf "k%d" i)
+                         ~flags:0 ~value:"v");
+                    ignore (Netsim.recv c)
+                  done;
+                  Netsim.close c)
+            in
+            let evil =
+              Sched.spawn w.sched ~name:"evil" (fun () ->
+                  for i = 1 to 8 do
+                    Sched.sleep 20_000.0;
+                    let c = Netsim.connect net ~src:777 ~port:11211 in
+                    (* Each attack carries its own causal trace id, so the
+                       fault it triggers — flight-recorder events, rewind
+                       audit record — is attributable to this request. *)
+                    let ctx =
+                      Telemetry.Context.root (Printf.sprintf "evil-%d" i)
+                    in
+                    Netsim.send c
+                      (Kvcache.Proto.fmt_set_lying_traced
+                         ~trace:(Telemetry.Context.trace ctx) ~key:"pwn" ~flags:0
+                         ~declared:(-1) ~value:(String.make 300 'X'));
+                    ignore (Netsim.recv c);
+                    Netsim.close c
+                  done)
+            in
+            Sched.join good;
+            Sched.join evil;
+            (* One retried increment whose first reply is dropped by a
+               counting (deterministic, seed-independent) fault hook: the
+               client times out, retries under the same request id and is
+               answered from the replay journal — populating the
+               client_retries_total and kvcache_replay_hits_total series. *)
+            let retry =
+              Sched.spawn w.sched ~name:"retry" (fun () ->
+                  let module Retry = Resilience.Retry in
+                  let conn = ref (Netsim.connect net ~src:2 ~port:11211) in
+                  Netsim.send !conn
+                    (Kvcache.Proto.fmt_set ~key:"ctr" ~flags:0 ~value:"5");
+                  ignore (Netsim.recv !conn);
+                  let n = ref 0 in
+                  Netsim.set_fault_hook net
+                    (Some
+                       (fun ~len:_ ->
+                         incr n;
+                         if !n = 2 then Netsim.Drop else Netsim.Deliver));
+                  let eng =
+                    Retry.create
+                      { Retry.default_policy with attempt_timeout = 60_000.0 }
+                      ~rng:(Simkern.Rng.create 5)
+                      ~metrics:(Api.metrics sd) ~name:"cli"
+                  in
+                  (match
+                     Retry.execute_ctx eng (fun ~ctx ~rid ~attempt:_ ~deadline ->
+                         (if (not (Netsim.is_open !conn))
+                             || Netsim.peer_closed !conn
+                          then conn := Netsim.connect net ~src:2 ~port:11211);
+                         Netsim.send !conn
+                           (Kvcache.Proto.fmt_incr ~rid
+                              ~trace:(Telemetry.Context.trace ctx) "ctr" 1);
+                         match Netsim.recv_deadline !conn ~deadline with
+                         | Some r -> Ok r
+                         | None ->
+                             Netsim.close !conn;
+                             Error (`Retry "timeout"))
+                   with
+                  | Ok _ -> ()
+                  | Error _ -> failwith "metrics scenario: retry did not land");
+                  Netsim.set_fault_hook net None;
+                  Netsim.close !conn)
+            in
+            Sched.join retry)));
   sd
 
 (* A fixed two-shard fleet scenario for [metrics --aggregate] and
@@ -562,10 +510,9 @@ let run_metrics_scenario ?(interrupts = 0) ~seed () =
    is byte-stable. Each shard runs with the race detector attached —
    detection is host-side, so the run is identical either way, and the
    race_* series show up in the merged exposition. [snapshot] runs
-   inside the simulation after the workload, before the fleet stops. *)
-let run_cluster_metrics_scenario ?(snapshot = fun _ -> ()) () =
-  let sched = Sched.create () in
-  let net = Netsim.create Simkern.Cost.default in
+   inside the simulation after the workload, before the fleet stops; its
+   value is the run's result. *)
+let run_cluster_metrics_scenario snapshot =
   let cfg =
     {
       Cluster.Fleet.default_config with
@@ -575,36 +522,31 @@ let run_cluster_metrics_scenario ?(snapshot = fun _ -> ()) () =
         { Cluster.Fleet.default_config.kv with race_detector = true };
     }
   in
-  let fleet = ref None in
-  let _ =
-    Sched.spawn sched ~name:"cli-cluster" (fun () ->
-        let t = Cluster.Fleet.start sched net cfg in
-        fleet := Some t;
-        let c = Netsim.connect net ~port:cfg.router_port in
-        for i = 1 to 16 do
-          Sched.sleep 4_000.0;
-          Netsim.send c
-            (Kvcache.Proto.fmt_storage "set"
-               ~rid:(Printf.sprintf "agg-%d" i)
-               ~key:(Printf.sprintf "k%d" i)
-               ~flags:0 ~value:"v" ());
-          ignore (Netsim.recv c)
-        done;
-        (* Planned failover: drain shard 0 and re-seed its acked writes
-           onto the survivor, then read everything back through the
-           shrunken ring so the re-routed path shows up in the series. *)
-        Cluster.Fleet.drain_shard t 0;
-        for i = 1 to 16 do
-          Sched.sleep 2_000.0;
-          Netsim.send c (Kvcache.Proto.fmt_get (Printf.sprintf "k%d" i));
-          ignore (Netsim.recv c)
-        done;
-        Netsim.close c;
-        snapshot t;
-        Cluster.Fleet.stop t)
-  in
-  Sched.run sched;
-  Option.get !fleet
+  let w = Scenario.fleet_world () in
+  Scenario.fleet w cfg
+    (Script
+       (fun t ->
+         let c = Netsim.connect w.fleet_net ~port:cfg.router_port in
+         for i = 1 to 16 do
+           Sched.sleep 4_000.0;
+           Netsim.send c
+             (Kvcache.Proto.fmt_storage "set"
+                ~rid:(Printf.sprintf "agg-%d" i)
+                ~key:(Printf.sprintf "k%d" i)
+                ~flags:0 ~value:"v" ());
+           ignore (Netsim.recv c)
+         done;
+         (* Planned failover: drain shard 0 and re-seed its acked writes
+            onto the survivor, then read everything back through the
+            shrunken ring so the re-routed path shows up in the series. *)
+         Cluster.Fleet.drain_shard t 0;
+         for i = 1 to 16 do
+           Sched.sleep 2_000.0;
+           Netsim.send c (Kvcache.Proto.fmt_get (Printf.sprintf "k%d" i));
+           ignore (Netsim.recv c)
+         done;
+         Netsim.close c;
+         snapshot t))
 
 let metrics_cmd =
   let doc =
@@ -628,7 +570,7 @@ let metrics_cmd =
   let run verbose seed aggregate =
     setup_logging verbose;
     if aggregate then
-      let t = run_cluster_metrics_scenario () in
+      let t = (run_cluster_metrics_scenario ignore).server in
       print_string
         (Telemetry.Metrics.expose (Cluster.Fleet.aggregate_metrics t))
     else
@@ -676,8 +618,52 @@ let flight_event_json e =
     (fmt_trace_id e.Fl.e_trace)
     e.Fl.e_arg
 
+(* Audit-record parts shared by [rollback-report] and [incident], one
+   function per form; [indent] prefixes every line. *)
+module Rl = Checkpoint.Rewind_log
+
+let state_to_string = function
+  | `Entered -> "entered"
+  | `Ready -> "ready"
+  | `Dormant -> "dormant"
+
+let print_subtree ~indent subtree =
+  List.iter
+    (fun x ->
+      let sb, sl = x.Rl.x_stack in
+      let heap_bytes =
+        List.fold_left (fun a (_, l) -> a + l) 0 x.Rl.x_regions
+      in
+      Printf.printf "%sudi %-4d %-8s stack 0x%x+%d  %d heap region(s), %d B\n"
+        indent x.Rl.x_udi
+        (state_to_string x.Rl.x_was)
+        sb sl
+        (List.length x.Rl.x_regions)
+        heap_bytes)
+    subtree
+
+let print_events ~indent events =
+  List.iter (fun e -> Printf.printf "%s%s\n" indent (flight_event_line e)) events
+
+(* JSON array elements, each on its own line. *)
+let add_json_items b ~indent to_json items =
+  List.iteri
+    (fun j x ->
+      if j > 0 then Buffer.add_char b ',';
+      Buffer.add_string b ("\n" ^ indent ^ to_json x))
+    items
+
+let subtree_json x =
+  let sb, sl = x.Rl.x_stack in
+  Printf.sprintf
+    "{ \"udi\": %d, \"was\": \"%s\", \"stack\": [%d, %d], \"regions\": [%s] }"
+    x.Rl.x_udi
+    (state_to_string x.Rl.x_was)
+    sb sl
+    (String.concat ", "
+       (List.map (fun (a, l) -> Printf.sprintf "[%d, %d]" a l) x.Rl.x_regions))
+
 let rollback_report_cmd =
-  let module Rl = Checkpoint.Rewind_log in
   let doc =
     "Run the deterministic supervised attack scenario (the same one behind \
      $(b,metrics)) and reconstruct what every rewind undid from the \
@@ -699,11 +685,6 @@ let rollback_report_cmd =
             "Inject $(docv) rewind-interrupt faults mid-rewind (two-phase \
              resume path); absorbed interrupts show up on the incident \
              records.")
-  in
-  let state_to_string = function
-    | `Entered -> "entered"
-    | `Ready -> "ready"
-    | `Dormant -> "dormant"
   in
   let print_json sd recs =
     let b = Buffer.create 4096 in
@@ -729,28 +710,9 @@ let rollback_report_cmd =
              (json_escape r.Rl.r_si) r.Rl.r_fault_addr
              (json_escape r.Rl.r_msg) r.Rl.r_start r.Rl.r_end
              r.Rl.r_interrupts r.Rl.r_replays);
-        List.iteri
-          (fun j x ->
-            if j > 0 then Buffer.add_char b ',';
-            let sb, sl = x.Rl.x_stack in
-            Buffer.add_string b
-              (Printf.sprintf
-                 "\n        { \"udi\": %d, \"was\": \"%s\", \"stack\": [%d, \
-                  %d], \"regions\": [%s] }"
-                 x.Rl.x_udi
-                 (state_to_string x.Rl.x_was)
-                 sb sl
-                 (String.concat ", "
-                    (List.map
-                       (fun (a, l) -> Printf.sprintf "[%d, %d]" a l)
-                       x.Rl.x_regions))))
-          r.Rl.r_subtree;
+        add_json_items b ~indent:"        " subtree_json r.Rl.r_subtree;
         Buffer.add_string b " ],\n      \"events\": [";
-        List.iteri
-          (fun j e ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b ("\n        " ^ flight_event_json e))
-          r.Rl.r_events;
+        add_json_items b ~indent:"        " flight_event_json r.Rl.r_events;
         Buffer.add_string b " ] }")
       recs;
     Buffer.add_string b "\n  ]\n}\n";
@@ -774,25 +736,10 @@ let rollback_report_cmd =
           r.Rl.r_start r.Rl.r_end r.Rl.r_interrupts r.Rl.r_replays;
         Printf.printf "  discarded %d domain(s):\n"
           (List.length r.Rl.r_subtree);
-        List.iter
-          (fun x ->
-            let sb, sl = x.Rl.x_stack in
-            let heap_bytes =
-              List.fold_left (fun a (_, l) -> a + l) 0 x.Rl.x_regions
-            in
-            Printf.printf
-              "    udi %-4d %-8s stack 0x%x+%d  %d heap region(s), %d B\n"
-              x.Rl.x_udi
-              (state_to_string x.Rl.x_was)
-              sb sl
-              (List.length x.Rl.x_regions)
-              heap_bytes)
-          r.Rl.r_subtree;
+        print_subtree ~indent:"    " r.Rl.r_subtree;
         if r.Rl.r_events <> [] then begin
           Printf.printf "  last flight-recorder events (frozen at intent):\n";
-          List.iter
-            (fun e -> Printf.printf "    %s\n" (flight_event_line e))
-            r.Rl.r_events
+          print_events ~indent:"    " r.Rl.r_events
         end)
       recs
   in
@@ -818,78 +765,62 @@ let rollback_report_cmd =
    byte-stable for any seed (the seed only feeds canary values no
    report renders). *)
 let run_incident_scenario ~seed () =
-  let module Supervisor = Resilience.Supervisor in
   let module Fi = Resilience.Fault_inject in
   let module Retry = Resilience.Retry in
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create ~seed ~virtual_keys:true space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let sup = Supervisor.attach sd in
+  let w =
+    Scenario.world ~size_mib:192 ~monitor:(Api.create ~seed ~virtual_keys:true)
+      ~supervisor:Resilience.Supervisor.attach ()
+  in
+  let sd = Option.get w.sd and net = w.net in
   let fi =
     Fi.create ~seed [ Fi.rule ~site:"kv.domain" ~max_fires:1 Fi.Wild_write ]
   in
-  let cfg =
-    {
-      Kvcache.Server.default_config with
-      variant = Kvcache.Server.Sdrad;
-      vulnerable = true;
-      workers = 2;
-      per_client_domains = true;
-    }
-  in
-  let _ =
-    Sched.spawn sched ~name:"cli" (fun () ->
-        let s =
-          Kvcache.Server.start sched space ~sdrad:sd ~supervisor:sup ~faults:fi
-            net cfg
-        in
-        let client =
-          Sched.spawn sched ~name:"client" (fun () ->
-              let conn = ref (Netsim.connect net ~src:3 ~port:11211) in
-              (* Counting (deterministic) wire fault: message 3 is the
-                 server's reply to the second attempt — the first attempt
-                 dies in the domain and never answers. *)
-              let n = ref 0 in
-              Netsim.set_fault_hook net
-                (Some
-                   (fun ~len:_ ->
-                     incr n;
-                     if !n = 3 then Netsim.Drop else Netsim.Deliver));
-              let eng =
-                Retry.create
-                  { Retry.default_policy with attempt_timeout = 60_000.0 }
-                  ~rng:(Simkern.Rng.create 5)
-                  ~metrics:(Api.metrics sd) ~name:"cli"
-              in
-              (match
-                 Retry.execute_ctx eng (fun ~ctx ~rid ~attempt:_ ~deadline ->
-                     (if (not (Netsim.is_open !conn))
-                         || Netsim.peer_closed !conn
-                      then conn := Netsim.connect net ~src:3 ~port:11211);
-                     Netsim.send !conn
-                       (Kvcache.Proto.fmt_storage "set" ~rid
-                          ~trace:(Telemetry.Context.trace ctx) ~key:"order:42"
-                          ~flags:0 ~value:"paid" ());
-                     match Netsim.recv_deadline !conn ~deadline with
-                     | Some r -> Ok r
-                     | None ->
-                         Netsim.close !conn;
-                         Error (`Retry "timeout"))
-               with
-              | Ok _ -> ()
-              | Error _ -> failwith "incident scenario: op did not land");
-              Netsim.set_fault_hook net None;
-              Netsim.close !conn)
-        in
-        Sched.join client;
-        Kvcache.Server.stop s)
-  in
-  Sched.run sched;
+  ignore
+    (Scenario.kvcache ~faults:fi w attack_config
+       (Script
+          (fun _ ->
+            let client =
+              Sched.spawn w.sched ~name:"client" (fun () ->
+                  let conn = ref (Netsim.connect net ~src:3 ~port:11211) in
+                  (* Counting (deterministic) wire fault: message 3 is the
+                     server's reply to the second attempt — the first attempt
+                     dies in the domain and never answers. *)
+                  let n = ref 0 in
+                  Netsim.set_fault_hook net
+                    (Some
+                       (fun ~len:_ ->
+                         incr n;
+                         if !n = 3 then Netsim.Drop else Netsim.Deliver));
+                  let eng =
+                    Retry.create
+                      { Retry.default_policy with attempt_timeout = 60_000.0 }
+                      ~rng:(Simkern.Rng.create 5)
+                      ~metrics:(Api.metrics sd) ~name:"cli"
+                  in
+                  (match
+                     Retry.execute_ctx eng (fun ~ctx ~rid ~attempt:_ ~deadline ->
+                         (if (not (Netsim.is_open !conn))
+                             || Netsim.peer_closed !conn
+                          then conn := Netsim.connect net ~src:3 ~port:11211);
+                         Netsim.send !conn
+                           (Kvcache.Proto.fmt_storage "set" ~rid
+                              ~trace:(Telemetry.Context.trace ctx) ~key:"order:42"
+                              ~flags:0 ~value:"paid" ());
+                         match Netsim.recv_deadline !conn ~deadline with
+                         | Some r -> Ok r
+                         | None ->
+                             Netsim.close !conn;
+                             Error (`Retry "timeout"))
+                   with
+                  | Ok _ -> ()
+                  | Error _ -> failwith "incident scenario: op did not land");
+                  Netsim.set_fault_hook net None;
+                  Netsim.close !conn)
+            in
+            Sched.join client)));
   sd
 
 let incident_cmd =
-  let module Rl = Checkpoint.Rewind_log in
   let module M = Telemetry.Metrics in
   let doc =
     "Reconstruct the full causal timeline of one rewind incident from the \
@@ -955,11 +886,6 @@ let incident_cmd =
       in
       Some (count, q 0.5, q 0.9, q 0.99, exemplars)
   in
-  let state_to_string = function
-    | `Entered -> "entered"
-    | `Ready -> "ready"
-    | `Dormant -> "dormant"
-  in
   let print_table sd r =
     let trace = trace_of_record r in
     Printf.printf "incident %d: %s in udi %d (tid %d)  si=%s addr=0x%x%s\n"
@@ -974,28 +900,12 @@ let incident_cmd =
       r.Rl.r_replays;
     Printf.printf "\ndiscarded subtree (%d domain(s)):\n"
       (List.length r.Rl.r_subtree);
-    List.iter
-      (fun x ->
-        let sb, sl = x.Rl.x_stack in
-        let heap_bytes =
-          List.fold_left (fun a (_, l) -> a + l) 0 x.Rl.x_regions
-        in
-        Printf.printf "  udi %-4d %-8s stack 0x%x+%d  %d heap region(s), %d B\n"
-          x.Rl.x_udi
-          (state_to_string x.Rl.x_was)
-          sb sl
-          (List.length x.Rl.x_regions)
-          heap_bytes)
-      r.Rl.r_subtree;
+    print_subtree ~indent:"  " r.Rl.r_subtree;
     Printf.printf "\nflight snapshot frozen into the audit record:\n";
-    List.iter
-      (fun e -> Printf.printf "  %s\n" (flight_event_line e))
-      r.Rl.r_events;
+    print_events ~indent:"  " r.Rl.r_events;
     Printf.printf "\ncausal timeline for trace %s (live flight rings):\n"
       (fmt_trace_id trace);
-    List.iter
-      (fun e -> Printf.printf "  %s\n" (flight_event_line e))
-      (linked_events sd trace);
+    print_events ~indent:"  " (linked_events sd trace);
     match latency_report sd with
     | None -> ()
     | Some (count, p50, p90, p99, exemplars) ->
@@ -1024,34 +934,11 @@ let incident_cmd =
          (json_escape r.Rl.r_si) r.Rl.r_fault_addr (json_escape r.Rl.r_msg)
          (fmt_trace_id trace) r.Rl.r_start r.Rl.r_end r.Rl.r_interrupts
          r.Rl.r_replays);
-    List.iteri
-      (fun j x ->
-        if j > 0 then Buffer.add_char b ',';
-        let sb, sl = x.Rl.x_stack in
-        Buffer.add_string b
-          (Printf.sprintf
-             "\n    { \"udi\": %d, \"was\": \"%s\", \"stack\": [%d, %d], \
-              \"regions\": [%s] }"
-             x.Rl.x_udi
-             (state_to_string x.Rl.x_was)
-             sb sl
-             (String.concat ", "
-                (List.map
-                   (fun (a, l) -> Printf.sprintf "[%d, %d]" a l)
-                   x.Rl.x_regions))))
-      r.Rl.r_subtree;
+    add_json_items b ~indent:"    " subtree_json r.Rl.r_subtree;
     Buffer.add_string b " ],\n  \"snapshot\": [";
-    List.iteri
-      (fun j e ->
-        if j > 0 then Buffer.add_char b ',';
-        Buffer.add_string b ("\n    " ^ flight_event_json e))
-      r.Rl.r_events;
+    add_json_items b ~indent:"    " flight_event_json r.Rl.r_events;
     Buffer.add_string b " ],\n  \"timeline\": [";
-    List.iteri
-      (fun j e ->
-        if j > 0 then Buffer.add_char b ',';
-        Buffer.add_string b ("\n    " ^ flight_event_json e))
-      (linked_events sd trace);
+    add_json_items b ~indent:"    " flight_event_json (linked_events sd trace);
     Buffer.add_string b " ]";
     (match latency_report sd with
     | None -> ()
@@ -1092,27 +979,23 @@ let trace_cmd =
   let run seed pairs =
     let space = Space.create ~size_mib:64 () in
     let tracer = Telemetry.Trace.create ~capacity:8192 () in
-    let sched = Sched.create () in
-    let _ =
-      Sched.spawn sched ~name:"cli" (fun () ->
-          let sd = Api.create ~seed ~tracer space in
-          Telemetry.Trace.set_enabled tracer true;
-          Api.run sd ~udi:5
-            ~on_rewind:(fun _ -> ())
-            (fun () ->
-              for _ = 1 to pairs do
-                Api.enter sd 5;
-                Api.exit_domain sd
-              done;
-              Api.destroy sd 5 ~heap:`Discard);
-          Api.run sd ~udi:6
-            ~on_rewind:(fun _ -> ())
-            (fun () ->
-              Api.enter sd 6;
-              Api.abort sd "trace demo");
-          Telemetry.Trace.set_enabled tracer false)
-    in
-    Sched.run sched;
+    Sched.main (fun _ ->
+      let sd = Api.create ~seed ~tracer space in
+      Telemetry.Trace.set_enabled tracer true;
+      Api.run sd ~udi:5
+        ~on_rewind:(fun _ -> ())
+        (fun () ->
+          for _ = 1 to pairs do
+            Api.enter sd 5;
+            Api.exit_domain sd
+          done;
+          Api.destroy sd 5 ~heap:`Discard);
+      Api.run sd ~udi:6
+        ~on_rewind:(fun _ -> ())
+        (fun () ->
+          Api.enter sd 6;
+          Api.abort sd "trace demo");
+      Telemetry.Trace.set_enabled tracer false);
     print_endline
       (Telemetry.Trace.to_chrome_json
          ~cycles_per_us:(cost.Cost.clock_ghz *. 1000.0) tracer)
@@ -1172,55 +1055,39 @@ let demo_misconfigured_model () =
    real-world monitor snapshots plus the misconfigured demo model. *)
 let run_static_analyze json =
   let module P = Analysis.Policy in
+  (* Each model is snapshot right after its server started. *)
+  let supervised () =
+    Scenario.world ~size_mib:192 ~monitor:Api.create
+      ~supervisor:Resilience.Supervisor.attach ()
+  in
+  let snapshot w =
+    Scenario.Script (fun _ -> P.of_api (Option.get w.Scenario.sd))
+  in
   let kv_model =
-    let space = Space.create ~size_mib:192 () in
-    let sd = Api.create space in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
-    let sup = Resilience.Supervisor.attach sd in
-    let out = ref None in
-    let _ =
-      Sched.spawn sched ~name:"cli" (fun () ->
-          let s =
-            Kvcache.Server.start sched space ~sdrad:sd ~supervisor:sup net
-              {
-                Kvcache.Server.default_config with
-                variant = Kvcache.Server.Sdrad;
-                workers = 2;
-                per_client_domains = true;
-              }
-          in
-          out := Some (P.of_api sd);
-          Kvcache.Server.stop s)
-    in
-    Sched.run sched;
-    Option.get !out
+    let w = supervised () in
+    (Scenario.kvcache w
+       {
+         Kvcache.Server.default_config with
+         variant = Kvcache.Server.Sdrad;
+         workers = 2;
+         per_client_domains = true;
+       }
+       (snapshot w))
+      .result
   in
   let httpd_model =
-    let space = Space.create ~size_mib:192 () in
-    let sd = Api.create space in
-    let sched = Sched.create () in
-    let net = Netsim.create (Space.cost space) in
-    let sup = Resilience.Supervisor.attach sd in
-    let fs = Httpd.Fs.create space in
+    let w = supervised () in
+    let fs = Httpd.Fs.create w.space in
     Httpd.Fs.add fs ~path:"/index.html" ~size:1024;
-    let out = ref None in
-    let _ =
-      Sched.spawn sched ~name:"cli" (fun () ->
-          let s =
-            Httpd.Server.start sched space ~sdrad:sd ~supervisor:sup net ~fs
-              {
-                Httpd.Server.default_config with
-                variant = Httpd.Server.Sdrad;
-                workers = 2;
-                verify_certs = true;
-              }
-          in
-          out := Some (P.of_api sd);
-          Httpd.Server.stop s)
-    in
-    Sched.run sched;
-    Option.get !out
+    (Scenario.httpd w ~files:(Fun.const fs)
+       {
+         Httpd.Server.default_config with
+         variant = Httpd.Server.Sdrad;
+         workers = 2;
+         verify_certs = true;
+       }
+       (snapshot w))
+      .result
   in
   let reports =
     [
@@ -1255,54 +1122,50 @@ let run_static_analyze json =
 let run_races_scenario () =
   let space = Space.create ~size_mib:64 () in
   let sd = Api.create space in
-  let sched = Sched.create () in
   let det = Analysis.Race.attach sd in
-  let _ =
-    Sched.spawn sched ~name:"cli-races" (fun () ->
-        Api.init_data sd ~udi:7 ();
-        let cell = Api.malloc sd ~udi:7 64 in
-        let l = Sdrad.Dlock.create sd in
-        (* (a) both children inherit this thread's clock but share no
-           edge with each other. *)
-        let w1 =
-          Sched.spawn sched ~name:"racer1" (fun () ->
-              Space.store64 space cell 1)
-        in
-        let w2 =
-          Sched.spawn sched ~name:"racer2" (fun () ->
-              Space.store64 space cell 2)
-        in
-        Sched.join w1;
-        Sched.join w2;
-        (* (b) unlocked shared write inside a nested domain. *)
-        Api.run sd ~udi:1
-          ~on_rewind:(fun _ -> ())
-          (fun () ->
-            Api.enter sd 1;
-            Api.dprotect sd ~udi:1 ~tddi:7 Vmem.Prot.rw;
-            Space.store64 space (cell + 16) 42;
-            Api.exit_domain sd);
-        (* (c) acquire in a domain, release in the root... *)
-        Api.run sd ~udi:2
-          ~on_rewind:(fun _ -> ())
-          (fun () ->
-            Api.enter sd 2;
-            ignore (Sdrad.Dlock.acquire l);
-            Api.exit_domain sd);
-        Sdrad.Dlock.release l;
-        (* ...and clear a crash-poisoned lock without a guarding write. *)
-        Api.run sd ~udi:3
-          ~on_rewind:(fun _ -> ())
-          (fun () ->
-            Api.enter sd 3;
-            ignore (Sdrad.Dlock.acquire l);
-            ignore (Space.load8 space 0));
+  Sched.main (fun sched ->
+    Api.init_data sd ~udi:7 ();
+    let cell = Api.malloc sd ~udi:7 64 in
+    let l = Sdrad.Dlock.create sd in
+    (* (a) both children inherit this thread's clock but share no
+       edge with each other. *)
+    let w1 =
+      Sched.spawn sched ~name:"racer1" (fun () ->
+          Space.store64 space cell 1)
+    in
+    let w2 =
+      Sched.spawn sched ~name:"racer2" (fun () ->
+          Space.store64 space cell 2)
+    in
+    Sched.join w1;
+    Sched.join w2;
+    (* (b) unlocked shared write inside a nested domain. *)
+    Api.run sd ~udi:1
+      ~on_rewind:(fun _ -> ())
+      (fun () ->
+        Api.enter sd 1;
+        Api.dprotect sd ~udi:1 ~tddi:7 Vmem.Prot.rw;
+        Space.store64 space (cell + 16) 42;
+        Api.exit_domain sd);
+    (* (c) acquire in a domain, release in the root... *)
+    Api.run sd ~udi:2
+      ~on_rewind:(fun _ -> ())
+      (fun () ->
+        Api.enter sd 2;
         ignore (Sdrad.Dlock.acquire l);
-        Sdrad.Dlock.clear_poisoned l;
-        Sdrad.Dlock.release l;
-        Analysis.Race.publish det)
-  in
-  Sched.run sched;
+        Api.exit_domain sd);
+    Sdrad.Dlock.release l;
+    (* ...and clear a crash-poisoned lock without a guarding write. *)
+    Api.run sd ~udi:3
+      ~on_rewind:(fun _ -> ())
+      (fun () ->
+        Api.enter sd 3;
+        ignore (Sdrad.Dlock.acquire l);
+        ignore (Space.load8 space 0));
+    ignore (Sdrad.Dlock.acquire l);
+    Sdrad.Dlock.clear_poisoned l;
+    Sdrad.Dlock.release l;
+    Analysis.Race.publish det);
   det
 
 let analyze_cmd =
@@ -1358,19 +1221,15 @@ let analyze_cmd =
       else print_string (Analysis.Race.to_text det)
     end
     else if aggregate then begin
-      let reports = ref [] in
-      let _ =
-        run_cluster_metrics_scenario
-          ~snapshot:(fun t ->
-            for i = 0 to Cluster.Fleet.shard_count t - 1 do
-              reports :=
-                ( Printf.sprintf "shard%d" i,
-                  P.check (P.of_api (Cluster.Fleet.shard_sd t i)) )
-                :: !reports
-            done)
-          ()
+      let reports =
+        (run_cluster_metrics_scenario (fun t ->
+             List.map
+               (fun i ->
+                 ( Printf.sprintf "shard%d" i,
+                   P.check (P.of_api (Cluster.Fleet.shard_sd t i)) ))
+               (List.init (Cluster.Fleet.shard_count t) Fun.id)))
+          .result
       in
-      let reports = List.rev !reports in
       if json then
         Printf.printf "{\"reports\":[%s]}\n"
           (String.concat ","

@@ -60,27 +60,23 @@ let () =
   Api.set_incident_handler sd (fun f ->
       Printf.printf "  [SIEM] incident: domain %d, %s\n" f.Types.failed_udi
         (Format.asprintf "%a" Types.pp_cause f.Types.cause));
-  let sched = Sched.create () in
   let lock = Dlock.create sd in
-  let tid =
-    Sched.spawn sched ~name:"pipeline" (fun () ->
-        List.iteri
-          (fun i job ->
-            Printf.printf "job %d: %s\n" i (process_job sd space lock job);
-            if Dlock.poisoned lock then
-              Printf.printf "  (lock was poisoned by the rewind — next \
-                             holder revalidates shared state)\n")
-          [
-            "first harmless job";
-            "the second job is carrying an exploit payload";
-            "third job, after recovery";
-          ])
-  in
-  Sched.run sched;
-  (match Sched.outcome sched tid with
-  | Some (Sched.Failed e) ->
-      Printf.printf "pipeline failed: %s\n" (Printexc.to_string e)
-  | _ -> ());
+  (match
+     Sched.main (fun _ ->
+       List.iteri
+         (fun i job ->
+           Printf.printf "job %d: %s\n" i (process_job sd space lock job);
+           if Dlock.poisoned lock then
+             Printf.printf "  (lock was poisoned by the rewind — next \
+                            holder revalidates shared state)\n")
+         [
+           "first harmless job";
+           "the second job is carrying an exploit payload";
+           "third job, after recovery";
+         ])
+   with
+  | () -> ()
+  | exception e -> Printf.printf "pipeline failed: %s\n" (Printexc.to_string e));
   Printf.printf "incident log: %d entr%s; pipeline never went down\n"
     (List.length (Api.incidents sd))
     (if List.length (Api.incidents sd) = 1 then "y" else "ies")

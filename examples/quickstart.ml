@@ -29,30 +29,26 @@ let risky_parse sd space ~input =
 let () =
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create space in
-  let sched = Sched.create () in
-  let _ =
-    Sched.spawn sched ~name:"main" (fun () ->
-        List.iter
-          (fun input ->
-            let verdict =
-              Api.run sd ~udi:1
-                ~on_rewind:(fun fault ->
-                  Printf.sprintf "REWOUND (%s)"
-                    (Format.asprintf "%a" Types.pp_cause fault.Types.cause))
-                (fun () ->
-                  let r = risky_parse sd space ~input in
-                  Printf.sprintf "ok: %S" r)
-            in
-            Printf.printf "input %-24S -> %s\n" (String.sub input 0 (min 20 (String.length input))) verdict)
-          [
-            "00000008datadata";
-            (* declared length lies: the copy rampages out of the domain *)
-            "99999999boom";
-            (* and the service still works afterwards *)
-            "00000004fine";
-          ];
-        Printf.printf "rewinds performed: %d\n" (Api.rewind_count sd);
-        Printf.printf "still in the root domain: %b\n"
-          (Api.current sd = Types.root_udi))
-  in
-  Sched.run sched
+  Sched.main (fun _ ->
+      List.iter
+        (fun input ->
+          let verdict =
+            Api.run sd ~udi:1
+              ~on_rewind:(fun fault ->
+                Printf.sprintf "REWOUND (%s)"
+                  (Format.asprintf "%a" Types.pp_cause fault.Types.cause))
+              (fun () ->
+                let r = risky_parse sd space ~input in
+                Printf.sprintf "ok: %S" r)
+          in
+          Printf.printf "input %-24S -> %s\n" (String.sub input 0 (min 20 (String.length input))) verdict)
+        [
+          "00000008datadata";
+          (* declared length lies: the copy rampages out of the domain *)
+          "99999999boom";
+          (* and the service still works afterwards *)
+          "00000004fine";
+        ];
+      Printf.printf "rewinds performed: %d\n" (Api.rewind_count sd);
+      Printf.printf "still in the root domain: %b\n"
+        (Api.current sd = Types.root_udi))

@@ -4,51 +4,46 @@
 
      dune exec examples/resilient_cache.exe *)
 
-module Space = Vmem.Space
-module Sched = Simkern.Sched
-module Api = Sdrad.Api
 module Server = Kvcache.Server
 module Proto = Kvcache.Proto
 
 let scenario ~variant ~label =
   Printf.printf "\n--- %s ---\n" label;
-  let space = Space.create ~size_mib:128 () in
-  let sd = match variant with Server.Sdrad -> Some (Api.create space) | _ -> None in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let cfg = { Server.default_config with variant; vulnerable = true; workers = 2 } in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"demo" (fun () ->
-        let s = Server.start sched space ?sdrad:sd net cfg in
-        srv := Some s;
-        (* A well-behaved client stores some session state. *)
-        let client = Netsim.connect net ~port:11211 in
-        let ask req = Netsim.send client req; Netsim.recv client in
-        ignore (ask (Proto.fmt_set ~key:"session:42" ~flags:0 ~value:"logged-in"));
-        Printf.printf "client stored session state\n";
-        (* The attacker sends a set with a negative length field. *)
-        let evil = Netsim.connect net ~port:11211 in
-        Netsim.send evil
-          (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
-             ~value:(String.make 512 'A'));
-        (match Netsim.recv evil with
-        | None -> Printf.printf "attacker: connection closed by server\n"
-        | Some r -> Printf.printf "attacker got: %s" r);
-        (* Does the well-behaved client still have its session? *)
-        (match ask (Proto.fmt_get "session:42") with
-        | Some r when Proto.parse_reply r = Proto.Value "logged-in" ->
-            Printf.printf "client: session intact, service uninterrupted\n"
-        | Some r -> Printf.printf "client got unexpected reply: %s" r
-        | None ->
-            Printf.printf
-              "client: CONNECTION DEAD — the whole cache went down with all \
-               its contents\n");
-        Netsim.close client;
-        if not (Server.crashed s) then Server.stop s)
+  let w =
+    Scenario.world ~size_mib:128 ?monitor:(Scenario.monitor_for variant) ()
   in
-  Sched.run sched;
-  let s = Option.get !srv in
+  let net = w.net in
+  let cfg = { Server.default_config with variant; vulnerable = true; workers = 2 } in
+  (* The server starts in the harness thread, runs the script below, and
+     is stopped unless it crashed. *)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+           (* A well-behaved client stores some session state. *)
+           let client = Netsim.connect net ~port:11211 in
+           let ask req = Netsim.send client req; Netsim.recv client in
+           ignore (ask (Proto.fmt_set ~key:"session:42" ~flags:0 ~value:"logged-in"));
+           Printf.printf "client stored session state\n";
+           (* The attacker sends a set with a negative length field. *)
+           let evil = Netsim.connect net ~port:11211 in
+           Netsim.send evil
+             (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
+                ~value:(String.make 512 'A'));
+           (match Netsim.recv evil with
+           | None -> Printf.printf "attacker: connection closed by server\n"
+           | Some r -> Printf.printf "attacker got: %s" r);
+           (* Does the well-behaved client still have its session? *)
+           (match ask (Proto.fmt_get "session:42") with
+           | Some r when Proto.parse_reply r = Proto.Value "logged-in" ->
+               Printf.printf "client: session intact, service uninterrupted\n"
+           | Some r -> Printf.printf "client got unexpected reply: %s" r
+           | None ->
+               Printf.printf
+                 "client: CONNECTION DEAD — the whole cache went down with all \
+                  its contents\n");
+           Netsim.close client))
+  in
   Printf.printf "server crashed: %b | rewinds: %d | dropped connections: %d\n"
     (Server.crashed s) (Server.rewinds s)
     (Server.dropped_connections s);

@@ -5,59 +5,53 @@
 
      dune exec examples/resilient_web.exe *)
 
-module Space = Vmem.Space
 module Sched = Simkern.Sched
-module Api = Sdrad.Api
 module Server = Httpd.Server
 module Load = Workload.Http_load
 
 let scenario ~variant ~label =
   Printf.printf "\n--- %s ---\n" label;
-  let space = Space.create ~size_mib:128 () in
-  let sd = match variant with Server.Sdrad -> Some (Api.create space) | _ -> None in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let fs = Httpd.Fs.create space in
+  let w =
+    Scenario.world ~size_mib:128 ?monitor:(Scenario.monitor_for variant) ()
+  in
+  let net = w.net in
+  let fs = Httpd.Fs.create w.space in
   Httpd.Fs.add fs ~path:"/index.html" ~size:2048;
   let cfg = { Server.default_config with variant; vulnerable = true; workers = 1 } in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"demo" (fun () ->
-        let s = Server.start sched space ?sdrad:sd net ~fs cfg in
-        srv := Some s;
-        (* Ten keep-alive clients are browsing. *)
-        let clients = List.init 10 (fun _ -> Netsim.connect net ~port:8080) in
-        List.iter
-          (fun c ->
-            Netsim.send c (Load.request ~path:"/index.html");
-            ignore (Netsim.recv c))
-          clients;
-        Printf.printf "10 clients served over keep-alive connections\n";
-        (* The attack. *)
-        let evil = Netsim.connect net ~port:8080 in
-        Netsim.send evil (Load.request ~path:"/a/../../../etc/passwd");
-        (match Netsim.recv evil with
-        | None -> Printf.printf "attacker: connection closed\n"
-        | Some r -> Printf.printf "attacker got: %s\n" (String.sub r 0 12));
-        (* How many of the browsing clients survived? *)
-        Sched.sleep 5.0e6;
-        let survivors =
-          List.length
-            (List.filter
-               (fun c ->
-                 Netsim.send c (Load.request ~path:"/index.html");
-                 match Netsim.recv c with
-                 | Some r -> Load.is_200 r
-                 | None -> false)
-               clients)
-        in
-        Printf.printf "clients whose connection survived the attack: %d/10\n"
-          survivors;
-        List.iter Netsim.close clients;
-        Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.httpd w ~files:(Fun.const fs) cfg
+      (Script
+         (fun _ ->
+           (* Ten keep-alive clients are browsing. *)
+           let clients = List.init 10 (fun _ -> Netsim.connect net ~port:8080) in
+           List.iter
+             (fun c ->
+               Netsim.send c (Load.request ~path:"/index.html");
+               ignore (Netsim.recv c))
+             clients;
+           Printf.printf "10 clients served over keep-alive connections\n";
+           (* The attack. *)
+           let evil = Netsim.connect net ~port:8080 in
+           Netsim.send evil (Load.request ~path:"/a/../../../etc/passwd");
+           (match Netsim.recv evil with
+           | None -> Printf.printf "attacker: connection closed\n"
+           | Some r -> Printf.printf "attacker got: %s\n" (String.sub r 0 12));
+           (* How many of the browsing clients survived? *)
+           Sched.sleep 5.0e6;
+           let survivors =
+             List.length
+               (List.filter
+                  (fun c ->
+                    Netsim.send c (Load.request ~path:"/index.html");
+                    match Netsim.recv c with
+                    | Some r -> Load.is_200 r
+                    | None -> false)
+                  clients)
+           in
+           Printf.printf "clients whose connection survived the attack: %d/10\n"
+             survivors;
+           List.iter Netsim.close clients))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   Printf.printf "worker restarts: %d | rewinds: %d\n" (Server.worker_restarts s)
     (Server.rewinds s)
 

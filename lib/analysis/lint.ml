@@ -47,7 +47,7 @@ let rules =
 
 let rule_names =
   List.map (fun r -> r.r_name) rules
-  @ [ "missing-mli"; "metric-naming"; "finding-rule-doc" ]
+  @ [ "missing-mli"; "metric-naming"; "finding-rule-doc"; "unused-export" ]
 
 (* Replace comment bodies — and, when [strings], string and char
    literals — with spaces (newlines preserved, so line numbers
@@ -195,11 +195,14 @@ let metric_ctors =
     ("gauge", `Gauge); ("histogram", `Histogram);
   ]
 
-let is_ident_char c =
+let is_word_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')
   || (c >= '0' && c <= '9')
-  || c = '_' || c = '\'' || c = '.'
+  || c = '_' || c = '\''
+
+(* A word or a dotted path ([Foo.bar]). *)
+let is_ident_char c = is_word_char c || c = '.'
 
 let ends_with ~suffix s =
   let ls = String.length s and lx = String.length suffix in
@@ -415,6 +418,75 @@ let rec collect_sources dir =
       else acc)
     [] entries
 
+(* {1 Unused exports}
+
+   A [val] in a [lib/**/*.mli] must be named, as a whole word, in some
+   source outside its own module's [.ml] and [.mli], under any of the
+   trees below (siblings of the scanned one). A word grep, so a mention
+   in a comment counts as a use; it catches exports nothing calls. *)
+
+let reference_trees = [ "lib"; "bin"; "bench"; "test"; "examples"; "perfsuite" ]
+
+(* Every distinct word of a source text. *)
+let words src =
+  let seen = Hashtbl.create 256 and n = String.length src in
+  let i = ref 0 in
+  while !i < n do
+    if is_word_char src.[!i] then begin
+      let j = ref !i in
+      while !j < n && is_word_char src.[!j] do
+        incr j
+      done;
+      Hashtbl.replace seen (String.sub src !i (!j - !i)) ();
+      i := !j
+    end
+    else incr i
+  done;
+  Hashtbl.to_seq_keys seen
+
+(* [(line, name)] of every [val] declared in an interface. *)
+let declared_vals mli_src =
+  List.concat
+    (List.mapi
+       (fun i line ->
+         let line = String.trim line in
+         if String.length line > 4 && String.sub line 0 4 = "val " then
+           let rest = String.trim (String.sub line 4 (String.length line - 4)) in
+           let k = ref 0 in
+           while !k < String.length rest && is_word_char rest.[!k] do
+             incr k
+           done;
+           if !k = 0 then [] else [ (i + 1, String.sub rest 0 !k) ]
+         else [])
+       (split_lines (strip mli_src)))
+
+let unused_exports ~sources ~references =
+  let users = Hashtbl.create 4096 in
+  List.iter
+    (fun file ->
+      Seq.iter (fun w -> Hashtbl.add users w file) (words (read_file file)))
+    references;
+  List.concat_map
+    (fun mli ->
+      let own = [ mli; Filename.remove_extension mli ^ ".ml" ] in
+      List.filter_map
+        (fun (line, name) ->
+          let outside f = not (List.mem f own) in
+          if List.exists outside (Hashtbl.find_all users name) then None
+          else
+            Some
+              {
+                v_file = mli;
+                v_line = line;
+                v_rule = "unused-export";
+                v_text =
+                  Printf.sprintf "val %s: no reference outside its module" name;
+              })
+        (declared_vals (read_file mli)))
+    (List.filter
+       (fun f -> Filename.check_suffix f ".mli" && in_dir f "lib")
+       sources)
+
 let scan_tree ?(allow = fun ~rule:_ ~file:_ -> false) root =
   let sources = collect_sources root in
   let pattern_violations =
@@ -447,7 +519,25 @@ let scan_tree ?(allow = fun ~rule:_ ~file:_ -> false) root =
         else None)
       sources
   in
-  List.sort compare (pattern_violations @ missing_mli)
+  let references =
+    let top = Filename.dirname root in
+    sources
+    @ List.concat_map
+        (fun tree ->
+          let dir =
+            if top = Filename.current_dir_name then tree
+            else Filename.concat top tree
+          in
+          if tree = Filename.basename root || not (Sys.file_exists dir) then []
+          else collect_sources dir)
+        reference_trees
+  in
+  let unused =
+    List.filter
+      (fun v -> not (allow ~rule:v.v_rule ~file:v.v_file))
+      (unused_exports ~sources ~references)
+  in
+  List.sort compare (pattern_violations @ missing_mli @ unused)
 
 (* {1 Allowlist}
 

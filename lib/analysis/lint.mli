@@ -19,11 +19,16 @@
       [rule] record field bound to a string literal) whose rule-name
       literal is not registered in {!Rules.all} — i.e. a finding users
       can hit but [sdrad_cli analyze --help] never documents.
+    - [unused-export]: a [val] in a [lib/**/*.mli] whose name appears, as
+      a whole word, in no [.ml]/[.mli] outside its own module under the
+      [lib], [bin], [bench], [test], [examples] and [perfsuite] trees
+      beside the scanned one — an export nothing calls.
 
     Matching runs on a comment- and string-stripped view of each source,
     so banned names in docstrings or error messages do not trip rules
-    ([metric-naming] and [finding-rule-doc] alone read the raw source —
-    the names they judge {e are} string literals). *)
+    ([metric-naming] and [finding-rule-doc] read the raw source — the
+    names they judge {e are} string literals — and [unused-export] counts
+    a word anywhere in a referencing file, comments included). *)
 
 type violation = {
   v_file : string;
@@ -44,15 +49,13 @@ val metric_prefixes : string list
 val scan_metric_names : file:string -> string -> violation list
 (** The [metric-naming] rule alone over one source text. *)
 
-val scan_finding_rules : file:string -> string -> violation list
-(** The [finding-rule-doc] rule alone over one source text. Only files
-    with an [analysis] path component are judged. *)
-
 val scan_tree :
   ?allow:(rule:string -> file:string -> bool) -> string -> violation list
 (** Recursively scan every [.ml]/[.mli] under a directory, apply all
-    rules including [missing-mli], drop violations the [allow] predicate
-    accepts, and return the rest sorted by (file, line, rule). *)
+    rules including [missing-mli] and [unused-export] (whose reference
+    trees are the directory's siblings that exist), drop violations the
+    [allow] predicate accepts, and return the rest sorted by (file,
+    line, rule). *)
 
 val parse_allowlist : string -> rule:string -> file:string -> bool
 (** Parse allowlist text — one [<rule> <path>] entry per line, [#]

@@ -468,9 +468,6 @@ let class_count t cls =
   | `Lock_discipline -> t.counts.(class_disc)
 
 let total t = t.counts.(class_race) + t.counts.(class_atom) + t.counts.(class_disc)
-let tracked_accesses t = t.accesses
-let sync_edges t = t.edges
-let shadow_cells t = Hashtbl.length t.cells
 
 let register_metrics t =
   let m = Api.metrics t.sd in

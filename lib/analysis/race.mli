@@ -73,15 +73,6 @@ val errors : t -> int
 
 val warnings : t -> int
 
-val tracked_accesses : t -> int
-(** Checked accesses that touched tracked shared memory. *)
-
-val sync_edges : t -> int
-(** Scheduler + monitor events fed into the happens-before model. *)
-
-val shadow_cells : t -> int
-(** Live shadow cells — tracked granules with access history. *)
-
 val to_text : t -> string
 (** Human-readable report, one finding per line plus a summary tail;
     same shape as {!Policy.to_text}. *)

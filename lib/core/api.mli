@@ -282,10 +282,6 @@ val audit_pending : t -> bool
     few events of each victim are frozen into the rewind audit record
     at intent time (see [r_events] of {!Checkpoint.Rewind_log}). *)
 
-val current_trace : t -> int64
-(** Trace id installed for the calling simulated thread ([0L] when
-    none). *)
-
 val set_trace : t -> int64 -> unit
 (** Install (non-zero) or clear ([0L]) the calling thread's trace id —
     servers call this as soon as they decode a request's context. *)

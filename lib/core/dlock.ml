@@ -11,8 +11,6 @@ type t = {
 let create sd =
   { sd; mu = Sched.Mutex.create (); poisoned_flag = false; holder_tid = None; cancel = None }
 
-let lock_id t = Sched.Mutex.id t.mu
-
 (* Every transition is reported to the race observer under the
    underlying scheduler lock id, so the detector's lock-set view (from
    the Sched trace hook) and its Dlock view line up on one namespace. *)

@@ -44,7 +44,3 @@ val clear_poisoned : t -> unit
 val holder : t -> int option
 (** Simulated thread currently holding the lock. *)
 
-val lock_id : t -> int
-(** The underlying scheduler lock id ({!Simkern.Sched.Mutex.id}) — the
-    key under which this lock's transitions appear in race-observer
-    events. *)

@@ -10,13 +10,6 @@
 val ctx_size : int
 val cipher_block_size : int
 
-val aes_cycles_per_byte : float
-(** Virtual cost of AES-GCM per payload byte (AES-NI-class hardware). *)
-
-val update_fixed_cycles : float
-(** Fixed virtual cost per EVP_*Update call (dispatch, parameter checks,
-    context load/store). *)
-
 val encrypt_init : Vmem.Space.t -> ctx:int -> key:string -> iv:string -> unit
 (** Initialize an encryption context at [ctx] (at least {!ctx_size}
     bytes). *)

@@ -15,9 +15,6 @@
     separator unchecked, exactly one byte past the buffer when the decoded
     label fills it. *)
 
-val buffer_size : int
-(** The vulnerable on-stack buffer size (32). *)
-
 val make_cert : cn:string -> altname:string -> string
 (** Serialize a toy certificate. *)
 

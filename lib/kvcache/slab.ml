@@ -43,11 +43,6 @@ let chunk_size _t size = Option.map (fun i -> class_sizes.(i)) (class_of size)
 
 let can_grow t = ((t.pages + 1) * slab_page_size) <= t.max_bytes
 
-let at_capacity t size =
-  match class_of size with
-  | None -> true
-  | Some idx -> t.free_heads.(idx) = 0 && not (can_grow t)
-
 let grow t idx =
   let page = t.alloc_page slab_page_size in
   t.pages <- t.pages + 1;

@@ -15,9 +15,6 @@ val create : ?max_bytes:int -> Vmem.Space.t -> alloc_page:(int -> int) -> t
     under SDRaD. [max_bytes] caps total slab memory (Memcached's [-m]);
     when reached, {!alloc} returns [None] and the store evicts. *)
 
-val at_capacity : t -> int -> bool
-(** Would serving this request require growing past the budget? *)
-
 val chunk_size : t -> int -> int option
 (** Size class that serves a request, [None] if above {!max_chunk_size}. *)
 

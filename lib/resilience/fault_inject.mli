@@ -68,9 +68,6 @@ val smash_canary : Sdrad.Api.t -> unit
 (** Open a protected stack frame and overwrite its canary; raises
     {!Sdrad.Api.Stack_check_failure} on frame exit. *)
 
-val flip_random_bit : t -> Vmem.Space.t -> addr:int -> len:int -> bool
-(** Flip one random bit inside [\[addr, addr+len)]. *)
-
 val fire_in_domain :
   t -> site:string -> sd:Sdrad.Api.t -> buf:int -> len:int -> kind option
 (** Consult [site] from inside a domain body and, if a memory-corruption

@@ -39,7 +39,6 @@ let default =
 
 let cycles_of_ns t ns = ns *. t.clock_ghz
 let cycles_of_us t us = cycles_of_ns t (us *. 1e3)
-let cycles_of_ms t ms = cycles_of_ns t (ms *. 1e6)
 let ns_of_cycles t c = c /. t.clock_ghz
 let us_of_cycles t c = ns_of_cycles t c /. 1e3
 let sec_of_cycles t c = ns_of_cycles t c /. 1e9

@@ -38,9 +38,7 @@ type t = {
 val default : t
 (** 2.10 GHz Xeon-like constants. *)
 
-val cycles_of_ns : t -> float -> float
 val cycles_of_us : t -> float -> float
-val cycles_of_ms : t -> float -> float
 val ns_of_cycles : t -> float -> float
 val us_of_cycles : t -> float -> float
 val sec_of_cycles : t -> float -> float

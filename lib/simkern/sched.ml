@@ -430,6 +430,23 @@ let outcome t tid =
   | Some { status = Done oc; _ } -> Some oc
   | _ -> None
 
+let main ?(sched = create ()) body =
+  let result = ref None in
+  let tid = spawn sched ~name:"main" (fun () -> result := Some (body sched)) in
+  (* A body that fails leaves whatever it would have stopped blocked; its
+     exception, not the deadlock that follows, is the failure. *)
+  let reraise () =
+    match outcome sched tid with Some (Failed e) -> raise e | _ -> ()
+  in
+  (try run sched
+   with Deadlock _ as d ->
+     reraise ();
+     raise d);
+  reraise ();
+  match !result with
+  | Some v -> v
+  | None -> failwith "Sched.main: the body did not finish"
+
 let outcomes t =
   let finished =
     Hashtbl.fold

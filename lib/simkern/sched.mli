@@ -39,6 +39,16 @@ val run : t -> unit
 (** Execute until no thread is runnable. @raise Deadlock if threads remain
     blocked with nothing to wake them. *)
 
+val main : ?sched:t -> (t -> 'a) -> 'a
+(** [main body] runs a whole simulation around one thread: it spawns
+    [body] on [sched] (a fresh scheduler when omitted) as thread
+    ["main"], runs the scheduler until nothing is runnable and returns
+    the body's value. On a scheduler nothing was spawned on, the body
+    gets the tid a first {!spawn} gets. Re-raises the body's exception,
+    also when threads it leaves behind stay blocked;
+    @raise Deadlock as {!run} does when threads remain blocked after a
+    body that returned. *)
+
 val outcome : t -> tid -> outcome option
 (** [None] while the thread has not finished. *)
 

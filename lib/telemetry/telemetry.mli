@@ -81,10 +81,6 @@ module Metrics : sig
 
   (** {1 Histograms — log-bucketed samples} *)
 
-  val default_buckets : float array
-  (** Powers of four from 1 to 4{^13} (≈6.7e7) — covers one memory access
-      up to tens of simulated milliseconds in cycles. *)
-
   val histogram :
     t ->
     ?help:string ->

@@ -101,7 +101,6 @@ let used_blocks t = t.used_blocks
 let total_bytes t = t.total_bytes
 let malloc_calls t = t.malloc_calls
 let free_calls t = t.free_calls
-let region_adds t = t.region_adds
 
 let fls n =
   let rec go n i = if n = 0 then i - 1 else go (n lsr 1) (i + 1) in

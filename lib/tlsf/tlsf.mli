@@ -103,9 +103,6 @@ val malloc_calls : t -> int
 val free_calls : t -> int
 (** Successful frees since creation (monotonic). *)
 
-val region_adds : t -> int
-(** Regions handed to this control via {!add_region} (monotonic). *)
-
 val check : t -> string list
 (** Integrity walk over all regions and free lists; returns human-readable
     descriptions of every inconsistency found (empty = healthy). Used by

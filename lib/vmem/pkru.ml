@@ -4,13 +4,6 @@ let ad key = 1 lsl (2 * key)
 let wd key = 1 lsl ((2 * key) + 1)
 let all_access = 0
 
-let deny_all =
-  let v = ref 0 in
-  for key = 1 to 15 do
-    v := !v lor ad key
-  done;
-  !v
-
 let allow t ~key = t land lnot (ad key lor wd key)
 let allow_read t ~key = t land lnot (ad key) lor wd key
 let deny t ~key = t lor ad key

@@ -11,10 +11,6 @@ val all_access : t
 (** 0 — every key readable and writable (the value a plain process runs
     with when no isolation is configured). *)
 
-val deny_all : t
-(** AD set for keys 1–15; key 0 stays accessible, matching the Linux
-    default of [0x55555554] shifted to our convention. *)
-
 val allow : t -> key:int -> t
 (** Grant read and write for [key]. *)
 

@@ -6,12 +6,6 @@ module Types = Sdrad.Types
 
 type mode = Native | Isolated of Crypto.Evp_sdrad.choice
 
-let mode_name = function
-  | Native -> "native"
-  | Isolated Crypto.Evp_sdrad.Copy_in_out -> "sdrad/copy-in-out"
-  | Isolated Crypto.Evp_sdrad.Read_parent -> "sdrad/read-parent"
-  | Isolated Crypto.Evp_sdrad.Shared_buffers -> "sdrad/shared"
-
 type row = {
   mode : mode;
   size : int;

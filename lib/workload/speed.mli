@@ -7,8 +7,6 @@ type mode =
   | Native
   | Isolated of Crypto.Evp_sdrad.choice
 
-val mode_name : mode -> string
-
 type row = {
   mode : mode;
   size : int;

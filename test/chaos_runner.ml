@@ -3,7 +3,6 @@
    regression in any one schedule is caught and is replayable from the
    printed seed. Exits non-zero on the first violated invariant. *)
 
-module Space = Vmem.Space
 module Sched = Simkern.Sched
 module Rng = Simkern.Rng
 module Api = Sdrad.Api
@@ -27,10 +26,6 @@ let expect ~seed name ok =
    CVE payload; per-client domains + supervisor must cap its rewinds at
    the budget, keep benign failures at zero, and heal after cooldown. *)
 let run_dos ~seed ~supervised ~attacks =
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create ~virtual_keys:true space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
   let cfg =
     {
       Server.default_config with
@@ -50,69 +45,70 @@ let run_dos ~seed ~supervised ~attacks =
       cooldown = 2.0e6;
     }
   in
-  let sup = if supervised then Some (Supervisor.attach ~policy sd) else None in
-  let benign_failures = ref 0 and busy = ref 0 and recovered = ref false in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"dos" (fun () ->
-        let s = Server.start sched space ~sdrad:sd ?supervisor:sup net cfg in
-        srv := Some s;
-        let tids = ref [] in
-        for i = 0 to 2 do
-          tids :=
-            Sched.spawn sched
-              ~name:(Printf.sprintf "good%d" i)
-              (fun () ->
-                let rng = Rng.create (seed + (100 * i)) in
-                let c = Netsim.connect net ~src:(1 + i) ~port:11211 in
-                for _ = 1 to 25 do
-                  Sched.sleep (float_of_int (Rng.int rng 8_000));
-                  Netsim.send c
-                    (Proto.fmt_set
-                       ~key:(Printf.sprintf "k%d" (Rng.int rng 20))
-                       ~flags:0
-                       ~value:(Bytes.to_string (Rng.bytes rng 64)));
-                  match Netsim.recv c with
-                  | None -> incr benign_failures
-                  | Some r -> (
-                      match Proto.parse_reply r with
-                      | Proto.Failed _ -> incr benign_failures
-                      | _ -> ())
-                done;
-                Netsim.close c)
-            :: !tids
-        done;
-        tids :=
-          Sched.spawn sched ~name:"evil" (fun () ->
-              for _ = 1 to attacks do
-                Sched.sleep 20_000.0;
-                let c = Netsim.connect net ~src:777 ~port:11211 in
-                Netsim.send c
-                  (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
-                     ~value:(String.make 300 'X'));
-                (match Netsim.recv c with
-                | None -> ()
-                | Some r -> if r = Proto.server_error_busy then incr busy);
-                Netsim.close c
-              done;
-              if supervised then begin
-                Sched.sleep 2.5e6;
-                let c = Netsim.connect net ~src:777 ~port:11211 in
-                Netsim.send c (Proto.fmt_get "pwn");
-                (match Netsim.recv c with
-                | Some r -> (
-                    match Proto.parse_reply r with
-                    | Proto.Failed _ -> ()
-                    | _ -> recovered := true)
-                | None -> ());
-                Netsim.close c
-              end)
-          :: !tids;
-        List.iter Sched.join !tids;
-        Server.stop s)
+  let w =
+    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+      ?supervisor:(if supervised then Some (Supervisor.attach ~policy) else None)
+      ()
   in
-  Sched.run sched;
-  let s = Option.get !srv in
+  let sched = w.sched and net = w.net in
+  let benign_failures = ref 0 and busy = ref 0 and recovered = ref false in
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+           let tids = ref [] in
+           for i = 0 to 2 do
+             tids :=
+               Sched.spawn sched
+                 ~name:(Printf.sprintf "good%d" i)
+                 (fun () ->
+                   let rng = Rng.create (seed + (100 * i)) in
+                   let c = Netsim.connect net ~src:(1 + i) ~port:11211 in
+                   for _ = 1 to 25 do
+                     Sched.sleep (float_of_int (Rng.int rng 8_000));
+                     Netsim.send c
+                       (Proto.fmt_set
+                          ~key:(Printf.sprintf "k%d" (Rng.int rng 20))
+                          ~flags:0
+                          ~value:(Bytes.to_string (Rng.bytes rng 64)));
+                     match Netsim.recv c with
+                     | None -> incr benign_failures
+                     | Some r -> (
+                         match Proto.parse_reply r with
+                         | Proto.Failed _ -> incr benign_failures
+                         | _ -> ())
+                   done;
+                   Netsim.close c)
+               :: !tids
+           done;
+           tids :=
+             Sched.spawn sched ~name:"evil" (fun () ->
+                 for _ = 1 to attacks do
+                   Sched.sleep 20_000.0;
+                   let c = Netsim.connect net ~src:777 ~port:11211 in
+                   Netsim.send c
+                     (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
+                        ~value:(String.make 300 'X'));
+                   (match Netsim.recv c with
+                   | None -> ()
+                   | Some r -> if r = Proto.server_error_busy then incr busy);
+                   Netsim.close c
+                 done;
+                 if supervised then begin
+                   Sched.sleep 2.5e6;
+                   let c = Netsim.connect net ~src:777 ~port:11211 in
+                   Netsim.send c (Proto.fmt_get "pwn");
+                   (match Netsim.recv c with
+                   | Some r -> (
+                       match Proto.parse_reply r with
+                       | Proto.Failed _ -> ()
+                       | _ -> recovered := true)
+                   | None -> ());
+                   Netsim.close c
+                 end)
+             :: !tids;
+           List.iter Sched.join !tids))
+  in
   (Server.rewinds s, !busy, !benign_failures, !recovered, Server.crashed s)
 
 let dos_suite ~seed =
@@ -136,10 +132,8 @@ let dos_suite ~seed =
 (* {1 Injected kvcache chaos} *)
 
 let run_injected ~seed =
-  let space = Space.create ~size_mib:128 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
+  let sched = w.sched and net = w.net in
   let fi =
     Fault_inject.create ~seed
       [
@@ -148,36 +142,32 @@ let run_injected ~seed =
       ]
   in
   let cfg = { Server.default_config with variant = Server.Sdrad; workers = 2 } in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"chaos" (fun () ->
-        let s = Server.start sched space ~sdrad:sd ~faults:fi net cfg in
-        srv := Some s;
-        let tids = ref [] in
-        for i = 0 to 3 do
-          tids :=
-            Sched.spawn sched
-              ~name:(Printf.sprintf "cl%d" i)
-              (fun () ->
-                let rng = Rng.create (seed + i) in
-                for _ = 1 to 25 do
-                  Sched.sleep (float_of_int (Rng.int rng 10_000));
-                  let c = Netsim.connect net ~port:11211 in
-                  Netsim.send c
-                    (Proto.fmt_set
-                       ~key:(Printf.sprintf "k%d" (Rng.int rng 10))
-                       ~flags:0
-                       ~value:(Bytes.to_string (Rng.bytes rng 48)));
-                  ignore (Netsim.recv c);
-                  Netsim.close c
-                done)
-            :: !tids
-        done;
-        List.iter Sched.join !tids;
-        Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache ~faults:fi w cfg
+      (Script
+         (fun _ ->
+           let tids = ref [] in
+           for i = 0 to 3 do
+             tids :=
+               Sched.spawn sched
+                 ~name:(Printf.sprintf "cl%d" i)
+                 (fun () ->
+                   let rng = Rng.create (seed + i) in
+                   for _ = 1 to 25 do
+                     Sched.sleep (float_of_int (Rng.int rng 10_000));
+                     let c = Netsim.connect net ~port:11211 in
+                     Netsim.send c
+                       (Proto.fmt_set
+                          ~key:(Printf.sprintf "k%d" (Rng.int rng 10))
+                          ~flags:0
+                          ~value:(Bytes.to_string (Rng.bytes rng 48)));
+                     ignore (Netsim.recv c);
+                     Netsim.close c
+                   done)
+               :: !tids
+           done;
+           List.iter Sched.join !tids))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   (Fault_inject.log_to_string fi, Fault_inject.fires fi, Server.rewinds s,
    Server.crashed s, List.length (Server.db_check s))
 
@@ -195,12 +185,6 @@ let injected_suite ~seed =
 (* {1 Injected httpd chaos} *)
 
 let run_httpd ~seed =
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create ~virtual_keys:true space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let fs = Httpd.Fs.create space in
-  Httpd.Fs.add fs ~path:"/index.html" ~size:2048;
   let fi =
     Fault_inject.create ~seed
       [
@@ -220,7 +204,13 @@ let run_httpd ~seed =
       backoff_max = 10_000.0;
     }
   in
-  let sup = Supervisor.attach ~policy sd in
+  let w =
+    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+      ~supervisor:(Supervisor.attach ~policy) ()
+  in
+  let sched = w.sched and net = w.net in
+  let fs = Httpd.Fs.create w.space in
+  Httpd.Fs.add fs ~path:"/index.html" ~size:2048;
   let cfg =
     {
       Httpd.Server.default_config with
@@ -231,39 +221,32 @@ let run_httpd ~seed =
     }
   in
   let ok = ref 0 in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"chaos" (fun () ->
-        let s =
-          Httpd.Server.start sched space ~sdrad:sd ~supervisor:sup ~faults:fi
-            net ~fs cfg
-        in
-        srv := Some s;
-        let tids = ref [] in
-        for i = 0 to 3 do
-          tids :=
-            Sched.spawn sched
-              ~name:(Printf.sprintf "cl%d" i)
-              (fun () ->
-                let rng = Rng.create (seed + i) in
-                for _ = 1 to 30 do
-                  Sched.sleep (float_of_int (Rng.int rng 15_000));
-                  (* Reconnect per request: survives rewinds and kills. *)
-                  let c = Netsim.connect net ~port:8080 in
-                  Netsim.send c
-                    (Workload.Http_load.request ~path:"/index.html");
-                  (match Netsim.recv c with
-                  | Some r when Workload.Http_load.is_200 r -> incr ok
-                  | Some _ | None -> ());
-                  Netsim.close c
-                done)
-            :: !tids
-        done;
-        List.iter Sched.join !tids;
-        Httpd.Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.httpd ~faults:fi w ~files:(Fun.const fs) cfg
+      (Script
+         (fun _ ->
+           let tids = ref [] in
+           for i = 0 to 3 do
+             tids :=
+               Sched.spawn sched
+                 ~name:(Printf.sprintf "cl%d" i)
+                 (fun () ->
+                   let rng = Rng.create (seed + i) in
+                   for _ = 1 to 30 do
+                     Sched.sleep (float_of_int (Rng.int rng 15_000));
+                     (* Reconnect per request: survives rewinds and kills. *)
+                     let c = Netsim.connect net ~port:8080 in
+                     Netsim.send c
+                       (Workload.Http_load.request ~path:"/index.html");
+                     (match Netsim.recv c with
+                     | Some r when Workload.Http_load.is_200 r -> incr ok
+                     | Some _ | None -> ());
+                     Netsim.close c
+                   done)
+               :: !tids
+           done;
+           List.iter Sched.join !tids))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   (!ok, Httpd.Server.rewinds s, Httpd.Server.worker_restarts s,
    Fault_inject.fires fi)
 
@@ -296,8 +279,8 @@ type cluster_outcome = {
    journal), the ring never empties, and the schedule replays from the
    seed. *)
 let run_cluster ~seed =
-  let sched = Sched.create () in
-  let net = Netsim.create Simkern.Cost.default in
+  let w = Scenario.fleet_world () in
+  let sched = w.fleet_sched and net = w.fleet_net in
   let fi =
     Fault_inject.create ~seed
       [
@@ -312,120 +295,117 @@ let run_cluster ~seed =
   let acked : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let acked_incrs = Array.make writers 0 in
   let ctr_acked = Array.make writers false in
-  let fleet = ref None in
   let lost = ref 0 in
-  let counters = ref [||] in
-  let _ =
-    Sched.spawn sched ~name:"cluster-chaos" (fun () ->
-        let t = Cluster.Fleet.start sched ~faults:fi net cfg in
-        fleet := Some t;
-        (* Issue [req] on [conn] until a definitive reply, resending the
-           string (rid included) verbatim like a real retrying client;
-           busy replies and timeouts burn an attempt. *)
-        let attempt conn req =
-          let rec go n =
-            if n = 0 then None
-            else begin
-              Netsim.send conn req;
-              match
-                Netsim.recv_deadline conn ~deadline:(Sched.now () +. 1.0e6)
-              with
-              | Some r when r = Proto.server_error_busy ->
-                  Sched.sleep 40_000.0;
-                  go (n - 1)
-              | Some r -> Some (Proto.parse_reply r)
-              | None ->
-                  Sched.sleep 40_000.0;
-                  go (n - 1)
-            end
-          in
-          go 8
-        in
-        let tids = ref [] in
-        for w = 0 to writers - 1 do
-          tids :=
-            Sched.spawn sched
-              ~name:(Printf.sprintf "wr%d" w)
-              (fun () ->
-                let rng = Rng.create (seed + (10 * w)) in
-                let conn = Netsim.connect net ~port:cfg.router_port in
-                for i = 0 to sets_per - 1 do
-                  Sched.sleep (float_of_int (Rng.int rng 30_000));
-                  let key = Printf.sprintf "w%dk%d" w i in
-                  let value = Printf.sprintf "v%d-%d" w i in
-                  match
-                    attempt conn
-                      (Proto.fmt_storage "set"
-                         ~rid:(Printf.sprintf "sr%d-%d" w i)
-                         ~key ~flags:0 ~value ())
-                  with
-                  | Some Proto.Stored -> Hashtbl.replace acked key value
-                  | _ -> ()
-                done;
-                let ctr = Printf.sprintf "ctr%d" w in
-                (match
-                   attempt conn
-                     (Proto.fmt_storage "set"
-                        ~rid:(Printf.sprintf "cs%d" w)
-                        ~key:ctr ~flags:0 ~value:"0" ())
+  let { Scenario.server = t; result = counters; _ } =
+    Scenario.fleet ~faults:fi w cfg
+      (Script
+         (fun t ->
+           (* Issue [req] on [conn] until a definitive reply, resending the
+              string (rid included) verbatim like a real retrying client;
+              busy replies and timeouts burn an attempt. *)
+           let attempt conn req =
+             let rec go n =
+               if n = 0 then None
+               else begin
+                 Netsim.send conn req;
+                 match
+                   Netsim.recv_deadline conn ~deadline:(Sched.now () +. 1.0e6)
                  with
-                | Some Proto.Stored ->
-                    ctr_acked.(w) <- true;
-                    for i = 0 to incrs_per - 1 do
-                      Sched.sleep (float_of_int (Rng.int rng 30_000));
-                      match
-                        attempt conn
-                          (Proto.fmt_incr
-                             ~rid:(Printf.sprintf "ci%d-%d" w i)
-                             ctr 1)
-                      with
-                      | Some (Proto.Number _) ->
-                          acked_incrs.(w) <- acked_incrs.(w) + 1
-                      | _ -> ()
-                    done
-                | _ -> ());
-                Netsim.close conn)
-            :: !tids
-        done;
-        List.iter Sched.join !tids;
-        (* A fault that fired late still deserves its detection window:
-           wait out the heartbeat timeout plus a monitor pass before
-           auditing, so a pending failover has run its drain + re-seed. *)
-        let rec settle n =
-          if
-            n > 0
-            && Fault_inject.fires fi > 0
-            && Cluster.Fleet.failovers t = 0
-          then begin
-            Sched.sleep 200_000.0;
-            settle (n - 1)
-          end
-        in
-        Sched.sleep 400_000.0;
-        settle 8;
-        (* Audit through the surviving ring. *)
-        let conn = Netsim.connect net ~port:cfg.router_port in
-        let read key =
-          match attempt conn (Proto.fmt_get key) with
-          | Some (Proto.Value v) -> Some v
-          | _ -> None
-        in
-        Hashtbl.iter
-          (fun key value -> if read key <> Some value then incr lost)
-          acked;
-        counters :=
-          Array.init writers (fun w ->
-              ( acked_incrs.(w),
-                if ctr_acked.(w) then
-                  match read (Printf.sprintf "ctr%d" w) with
-                  | Some v -> int_of_string_opt v
-                  | None -> None
-                else None ));
-        Netsim.close conn;
-        Cluster.Fleet.stop t)
+                 | Some r when r = Proto.server_error_busy ->
+                     Sched.sleep 40_000.0;
+                     go (n - 1)
+                 | Some r -> Some (Proto.parse_reply r)
+                 | None ->
+                     Sched.sleep 40_000.0;
+                     go (n - 1)
+               end
+             in
+             go 8
+           in
+           let tids = ref [] in
+           for w = 0 to writers - 1 do
+             tids :=
+               Sched.spawn sched
+                 ~name:(Printf.sprintf "wr%d" w)
+                 (fun () ->
+                   let rng = Rng.create (seed + (10 * w)) in
+                   let conn = Netsim.connect net ~port:cfg.router_port in
+                   for i = 0 to sets_per - 1 do
+                     Sched.sleep (float_of_int (Rng.int rng 30_000));
+                     let key = Printf.sprintf "w%dk%d" w i in
+                     let value = Printf.sprintf "v%d-%d" w i in
+                     match
+                       attempt conn
+                         (Proto.fmt_storage "set"
+                            ~rid:(Printf.sprintf "sr%d-%d" w i)
+                            ~key ~flags:0 ~value ())
+                     with
+                     | Some Proto.Stored -> Hashtbl.replace acked key value
+                     | _ -> ()
+                   done;
+                   let ctr = Printf.sprintf "ctr%d" w in
+                   (match
+                      attempt conn
+                        (Proto.fmt_storage "set"
+                           ~rid:(Printf.sprintf "cs%d" w)
+                           ~key:ctr ~flags:0 ~value:"0" ())
+                    with
+                   | Some Proto.Stored ->
+                       ctr_acked.(w) <- true;
+                       for i = 0 to incrs_per - 1 do
+                         Sched.sleep (float_of_int (Rng.int rng 30_000));
+                         match
+                           attempt conn
+                             (Proto.fmt_incr
+                                ~rid:(Printf.sprintf "ci%d-%d" w i)
+                                ctr 1)
+                         with
+                         | Some (Proto.Number _) ->
+                             acked_incrs.(w) <- acked_incrs.(w) + 1
+                         | _ -> ()
+                       done
+                   | _ -> ());
+                   Netsim.close conn)
+               :: !tids
+           done;
+           List.iter Sched.join !tids;
+           (* A fault that fired late still deserves its detection window:
+              wait out the heartbeat timeout plus a monitor pass before
+              auditing, so a pending failover has run its drain + re-seed. *)
+           let rec settle n =
+             if
+               n > 0
+               && Fault_inject.fires fi > 0
+               && Cluster.Fleet.failovers t = 0
+             then begin
+               Sched.sleep 200_000.0;
+               settle (n - 1)
+             end
+           in
+           Sched.sleep 400_000.0;
+           settle 8;
+           (* Audit through the surviving ring. *)
+           let conn = Netsim.connect net ~port:cfg.router_port in
+           let read key =
+             match attempt conn (Proto.fmt_get key) with
+             | Some (Proto.Value v) -> Some v
+             | _ -> None
+           in
+           Hashtbl.iter
+             (fun key value -> if read key <> Some value then incr lost)
+             acked;
+           let counters =
+             Array.init writers (fun w ->
+                 ( acked_incrs.(w),
+                   if ctr_acked.(w) then
+                     match read (Printf.sprintf "ctr%d" w) with
+                     | Some v -> int_of_string_opt v
+                     | None -> None
+                   else None ))
+           in
+           Netsim.close conn;
+           counters))
   in
-  Sched.run sched;
-  let t = Option.get !fleet in
   {
     cl_fires = Fault_inject.fires fi;
     cl_log = Fault_inject.log_to_string fi;
@@ -433,7 +413,7 @@ let run_cluster ~seed =
     cl_ring = Cluster.Hash_ring.size (Cluster.Fleet.ring t);
     cl_lost = !lost;
     cl_acked_sets = Hashtbl.length acked;
-    cl_counters = !counters;
+    cl_counters = counters;
   }
 
 let cluster_suite ~seed =

@@ -16,7 +16,6 @@
    a duplicated apply would leave it high. Exits non-zero on the first
    violated invariant, replayable from the printed seed. *)
 
-module Space = Vmem.Space
 module Sched = Simkern.Sched
 module Rng = Simkern.Rng
 module Api = Sdrad.Api
@@ -61,10 +60,6 @@ let until_acked eng ~send_req ~classify =
 
 let kv_soak ~seed =
   let clients = 6 and incrs = 40 in
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
   let fi =
     Fault_inject.create ~seed
       [ Fault_inject.rule ~prob:0.03 ~site:"kv.domain" Fault_inject.Wild_write ]
@@ -81,7 +76,11 @@ let kv_soak ~seed =
       backoff_max = 20_000.0;
     }
   in
-  let sup = Supervisor.attach ~policy sd in
+  let w =
+    Scenario.world ~size_mib:192 ~monitor:Api.create
+      ~supervisor:(Supervisor.attach ~policy) ()
+  in
+  let sched = w.sched and net = w.net in
   let cfg =
     {
       KServer.default_config with
@@ -109,121 +108,115 @@ let kv_soak ~seed =
       backoff_cap = 160_000.0;
     }
   in
-  let srv = ref None in
   let retries = ref 0 in
-  let _ =
-    Sched.spawn sched ~name:"soak" (fun () ->
-        let s =
-          KServer.start sched space ~sdrad:sd ~supervisor:sup ~faults:fi net cfg
-        in
-        srv := Some s;
-        let tids =
-          List.init clients (fun i ->
-              Sched.spawn sched
-                ~name:(Printf.sprintf "soak%d" i)
-                (fun () ->
-                  let rng = Rng.create (seed + (100 * i)) in
-                  let eng =
-                    Retry.create retry_policy
-                      ~rng:(Rng.create (seed + (200 * i) + 1))
-                      ~name:(Printf.sprintf "s%d" i)
-                  in
-                  let key = Printf.sprintf "ctr%d" i in
-                  let conn = ref (Netsim.connect net ~port:11211) in
-                  let live () =
-                    let c = !conn in
-                    if Netsim.is_open c && not (Netsim.peer_closed c) then c
-                    else begin
-                      Netsim.close c;
-                      conn := Netsim.connect net ~port:11211;
-                      !conn
-                    end
-                  in
-                  let acked_op req ~ok =
-                    until_acked eng
-                      ~send_req:(fun ~deadline ->
-                        let c = live () in
-                        Netsim.send c req;
-                        match Netsim.recv_deadline c ~deadline with
-                        | Some r -> Some r
-                        | None ->
-                            (* A late reply would desynchronize the
-                               stream: abandon the connection. *)
-                            Netsim.close c;
-                            None)
-                      ~classify:(fun r ->
-                        if r = Proto.server_error_busy then
-                          Error (`Retry "busy")
-                        else if ok (Proto.parse_reply r) then Ok ()
-                        else Error (`Retry "bad reply"))
-                  in
-                  (* Seed the counter (idempotent, so no id needed). *)
-                  acked_op
-                    (Proto.fmt_set ~key ~flags:0 ~value:"0")
-                    ~ok:(fun r -> r = Proto.Stored);
-                  for n = 1 to incrs do
-                    Sched.sleep (float_of_int (Rng.int rng 12_000));
-                    let rid = Printf.sprintf "s%d-op%d" i n in
-                    acked_op
-                      (Proto.fmt_incr ~rid key 1)
-                      ~ok:(function Proto.Number _ -> true | _ -> false)
-                  done;
-                  Netsim.close !conn;
-                  retries := !retries + Retry.retries eng))
-        in
-        (* Overload burst: one client pipelines far past the backlog
-           limit, so admission control must turn the excess away with
-           busy replies before any parsing or domain switch — while the
-           retrying writers above ride through the shed verdicts. *)
-        let burst =
-          Sched.spawn sched ~name:"burst" (fun () ->
-              Sched.sleep 300_000.0;
-              let c = Netsim.connect net ~port:11211 in
-              let n = 40 in
-              for j = 1 to n do
-                Netsim.send c (Proto.fmt_get (Printf.sprintf "burst%d" j))
-              done;
-              for _ = 1 to n do
-                ignore
-                  (Netsim.recv_deadline c ~deadline:(Sched.now () +. 500_000.0))
-              done;
-              Netsim.close c)
-        in
-        List.iter Sched.join (burst :: tids);
-        (* Read the counters back over a clean link. The injection plan is
-           still armed, so a get may itself be hit by a rewind (conn
-           closed) or a backoff busy reply: reconnect and insist. *)
-        Netsim.set_fault_hook net None;
-        let rec read_back key tries =
-          if tries = 0 then None
-          else begin
-            let c = Netsim.connect net ~port:11211 in
-            Netsim.send c (Proto.fmt_get key);
-            let r = Netsim.recv c in
-            Netsim.close c;
-            match r with
-            | Some r when r = Proto.server_error_busy ->
-                Sched.sleep 50_000.0;
-                read_back key (tries - 1)
-            | Some r -> Some (Proto.parse_reply r)
-            | None -> read_back key (tries - 1)
-          end
-        in
-        List.iteri
-          (fun i _ ->
-            match read_back (Printf.sprintf "ctr%d" i) 50 with
-            | Some (Proto.Value v) ->
-                expect ~seed
-                  (Printf.sprintf
-                     "kv: ctr%d applied exactly once per ack (got %s, want %d)"
-                     i v incrs)
-                  (v = string_of_int incrs)
-            | _ -> expect ~seed (Printf.sprintf "kv: ctr%d readable" i) false)
-          (List.init clients Fun.id);
-        KServer.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache ~faults:fi w cfg
+      (Script
+         (fun _ ->
+           let tids =
+             List.init clients (fun i ->
+                 Sched.spawn sched
+                   ~name:(Printf.sprintf "soak%d" i)
+                   (fun () ->
+                     let rng = Rng.create (seed + (100 * i)) in
+                     let eng =
+                       Retry.create retry_policy
+                         ~rng:(Rng.create (seed + (200 * i) + 1))
+                         ~name:(Printf.sprintf "s%d" i)
+                     in
+                     let key = Printf.sprintf "ctr%d" i in
+                     let conn = ref (Netsim.connect net ~port:11211) in
+                     let live () =
+                       let c = !conn in
+                       if Netsim.is_open c && not (Netsim.peer_closed c) then c
+                       else begin
+                         Netsim.close c;
+                         conn := Netsim.connect net ~port:11211;
+                         !conn
+                       end
+                     in
+                     let acked_op req ~ok =
+                       until_acked eng
+                         ~send_req:(fun ~deadline ->
+                           let c = live () in
+                           Netsim.send c req;
+                           match Netsim.recv_deadline c ~deadline with
+                           | Some r -> Some r
+                           | None ->
+                               (* A late reply would desynchronize the
+                                  stream: abandon the connection. *)
+                               Netsim.close c;
+                               None)
+                         ~classify:(fun r ->
+                           if r = Proto.server_error_busy then
+                             Error (`Retry "busy")
+                           else if ok (Proto.parse_reply r) then Ok ()
+                           else Error (`Retry "bad reply"))
+                     in
+                     (* Seed the counter (idempotent, so no id needed). *)
+                     acked_op
+                       (Proto.fmt_set ~key ~flags:0 ~value:"0")
+                       ~ok:(fun r -> r = Proto.Stored);
+                     for n = 1 to incrs do
+                       Sched.sleep (float_of_int (Rng.int rng 12_000));
+                       let rid = Printf.sprintf "s%d-op%d" i n in
+                       acked_op
+                         (Proto.fmt_incr ~rid key 1)
+                         ~ok:(function Proto.Number _ -> true | _ -> false)
+                     done;
+                     Netsim.close !conn;
+                     retries := !retries + Retry.retries eng))
+           in
+           (* Overload burst: one client pipelines far past the backlog
+              limit, so admission control must turn the excess away with
+              busy replies before any parsing or domain switch — while the
+              retrying writers above ride through the shed verdicts. *)
+           let burst =
+             Sched.spawn sched ~name:"burst" (fun () ->
+                 Sched.sleep 300_000.0;
+                 let c = Netsim.connect net ~port:11211 in
+                 let n = 40 in
+                 for j = 1 to n do
+                   Netsim.send c (Proto.fmt_get (Printf.sprintf "burst%d" j))
+                 done;
+                 for _ = 1 to n do
+                   ignore
+                     (Netsim.recv_deadline c ~deadline:(Sched.now () +. 500_000.0))
+                 done;
+                 Netsim.close c)
+           in
+           List.iter Sched.join (burst :: tids);
+           (* Read the counters back over a clean link. The injection plan is
+              still armed, so a get may itself be hit by a rewind (conn
+              closed) or a backoff busy reply: reconnect and insist. *)
+           Netsim.set_fault_hook net None;
+           let rec read_back key tries =
+             if tries = 0 then None
+             else begin
+               let c = Netsim.connect net ~port:11211 in
+               Netsim.send c (Proto.fmt_get key);
+               let r = Netsim.recv c in
+               Netsim.close c;
+               match r with
+               | Some r when r = Proto.server_error_busy ->
+                   Sched.sleep 50_000.0;
+                   read_back key (tries - 1)
+               | Some r -> Some (Proto.parse_reply r)
+               | None -> read_back key (tries - 1)
+             end
+           in
+           List.iteri
+             (fun i _ ->
+               match read_back (Printf.sprintf "ctr%d" i) 50 with
+               | Some (Proto.Value v) ->
+                   expect ~seed
+                     (Printf.sprintf
+                        "kv: ctr%d applied exactly once per ack (got %s, want %d)"
+                        i v incrs)
+                     (v = string_of_int incrs)
+               | _ -> expect ~seed (Printf.sprintf "kv: ctr%d readable" i) false)
+             (List.init clients Fun.id)))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   expect ~seed "kv: server never crashed" (not (KServer.crashed s));
   expect ~seed "kv: store integrity" (KServer.db_check s = []);
   expect ~seed "kv: overload burst was shed" (KServer.shed_count s > 0);
@@ -239,13 +232,13 @@ let kv_soak ~seed =
 
 let http_soak ~seed =
   let clients = 4 and posts = 25 in
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create ~virtual_keys:true space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let fs = Httpd.Fs.create space in
+  let w =
+    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+      ~supervisor:Supervisor.attach ()
+  in
+  let sched = w.sched and net = w.net in
+  let fs = Httpd.Fs.create w.space in
   Httpd.Fs.add fs ~path:"/index.html" ~size:1024;
-  let sup = Supervisor.attach sd in
   let cfg =
     {
       HServer.default_config with
@@ -271,69 +264,66 @@ let http_soak ~seed =
       backoff_cap = 160_000.0;
     }
   in
-  let srv = ref None in
   let retries = ref 0 in
-  let _ =
-    Sched.spawn sched ~name:"soak" (fun () ->
-        let s =
-          HServer.start sched space ~sdrad:sd ~supervisor:sup net ~fs cfg
-        in
-        srv := Some s;
-        let tids =
-          List.init clients (fun i ->
-              Sched.spawn sched
-                ~name:(Printf.sprintf "web%d" i)
-                (fun () ->
-                  let rng = Rng.create (seed + (300 * i)) in
-                  let eng =
-                    Retry.create retry_policy
-                      ~rng:(Rng.create (seed + (400 * i) + 1))
-                      ~name:(Printf.sprintf "w%d" i)
-                  in
-                  let conn = ref (Netsim.connect net ~port:8080) in
-                  let live () =
-                    let c = !conn in
-                    if Netsim.is_open c && not (Netsim.peer_closed c) then c
-                    else begin
-                      Netsim.close c;
-                      conn := Netsim.connect net ~port:8080;
-                      !conn
-                    end
-                  in
-                  for n = 1 to posts do
-                    Sched.sleep (float_of_int (Rng.int rng 12_000));
-                    let req =
-                      Printf.sprintf
-                        "POST /count HTTP/1.1\r\n\
-                         Host: soak\r\n\
-                         X-Request-Id: w%d-%d\r\n\
-                         Content-Length: 0\r\n\
-                         \r\n"
-                        i n
-                    in
-                    until_acked eng
-                      ~send_req:(fun ~deadline ->
-                        let c = live () in
-                        Netsim.send c req;
-                        match Netsim.recv_deadline c ~deadline with
-                        | Some r -> Some r
-                        | None ->
-                            Netsim.close c;
-                            None)
-                      ~classify:(fun r ->
-                        if Workload.Http_load.is_200 r then Ok ()
-                        else Error (`Retry "non-200"))
-                  done;
-                  Netsim.close !conn;
-                  retries := !retries + Retry.retries eng))
-        in
-        List.iter Sched.join tids;
-        Netsim.set_fault_hook net None;
-        HServer.stop s)
+  (* Whether the workers are alive is taken before the server stops. *)
+  let { Scenario.server = s; result = alive; _ } =
+    Scenario.httpd w ~files:(Fun.const fs) cfg
+      (Script
+         (fun s ->
+           let tids =
+             List.init clients (fun i ->
+                 Sched.spawn sched
+                   ~name:(Printf.sprintf "web%d" i)
+                   (fun () ->
+                     let rng = Rng.create (seed + (300 * i)) in
+                     let eng =
+                       Retry.create retry_policy
+                         ~rng:(Rng.create (seed + (400 * i) + 1))
+                         ~name:(Printf.sprintf "w%d" i)
+                     in
+                     let conn = ref (Netsim.connect net ~port:8080) in
+                     let live () =
+                       let c = !conn in
+                       if Netsim.is_open c && not (Netsim.peer_closed c) then c
+                       else begin
+                         Netsim.close c;
+                         conn := Netsim.connect net ~port:8080;
+                         !conn
+                       end
+                     in
+                     for n = 1 to posts do
+                       Sched.sleep (float_of_int (Rng.int rng 12_000));
+                       let req =
+                         Printf.sprintf
+                           "POST /count HTTP/1.1\r\n\
+                            Host: soak\r\n\
+                            X-Request-Id: w%d-%d\r\n\
+                            Content-Length: 0\r\n\
+                            \r\n"
+                           i n
+                       in
+                       until_acked eng
+                         ~send_req:(fun ~deadline ->
+                           let c = live () in
+                           Netsim.send c req;
+                           match Netsim.recv_deadline c ~deadline with
+                           | Some r -> Some r
+                           | None ->
+                               Netsim.close c;
+                               None)
+                         ~classify:(fun r ->
+                           if Workload.Http_load.is_200 r then Ok ()
+                           else Error (`Retry "non-200"))
+                     done;
+                     Netsim.close !conn;
+                     retries := !retries + Retry.retries eng))
+           in
+           List.iter Sched.join tids;
+           Netsim.set_fault_hook net None;
+           HServer.alive s))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
-  expect ~seed "httpd: server alive" (HServer.alive s || true);
+  expect ~seed "httpd: server alive" alive;
+  expect ~seed "httpd: no worker restarts" (HServer.worker_restarts s = 0);
   expect ~seed
     (Printf.sprintf "httpd: POST /count applied exactly once per ack (got %d, \
                      want %d)"

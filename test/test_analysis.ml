@@ -20,13 +20,7 @@ let string = Alcotest.string
 let with_sdrad ?sanitizer ?verify_policy f =
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create ?sanitizer ?verify_policy space in
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"main" (fun () -> f space sd) in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "main thread did not finish"
+  Sched.main (fun _ -> f space sd)
 
 (* {1 Policy verifier fixtures}
 
@@ -560,25 +554,38 @@ let test_lint_strip_comments_and_strings () =
   check int "code after comment still flagged" 1
     (List.length (L.scan_source ~file:"a.ml" mixed))
 
-let test_lint_tree_missing_mli_and_allowlist () =
-  (* Build a disposable fixture tree under the build sandbox. *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "lint_fixture" in
-  let rmrf d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      Sys.rmdir d
+let remove_tree dir = ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
+
+(* A disposable fixture tree [name] under the temp dir, holding [files]
+   as [(relative path, contents)]; returns its root. *)
+let fixture_tree name files =
+  let root = Filename.concat (Filename.get_temp_dir_name ()) name in
+  remove_tree root;
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755
     end
   in
-  rmrf dir;
-  Sys.mkdir dir 0o755;
-  let write name contents =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc contents;
-    close_out oc
+  List.iter
+    (fun (path, contents) ->
+      let path = Filename.concat root path in
+      mkdir_p (Filename.dirname path);
+      let oc = open_out path in
+      output_string oc contents;
+      close_out oc)
+    files;
+  root
+
+let test_lint_tree_missing_mli_and_allowlist () =
+  let dir =
+    fixture_tree "lint_fixture"
+      [
+        ("good.ml", "let x = 1\n");
+        ("good.mli", "val x : int\n");
+        ("orphan.ml", "let y = " ^ bad "Obj" ^ ".magic 1\n");
+      ]
   in
-  write "good.ml" "let x = 1\n";
-  write "good.mli" "val x : int\n";
-  write "orphan.ml" ("let y = " ^ bad "Obj" ^ ".magic 1\n");
   let vs = L.scan_tree dir in
   let has rule file =
     List.exists
@@ -602,7 +609,28 @@ let test_lint_tree_missing_mli_and_allowlist () =
   (match L.parse_allowlist "no-such-rule foo.ml\n" ~rule:"obj-magic" ~file:"x" with
   | (_ : bool) -> Alcotest.fail "unknown rule accepted"
   | exception Failure _ -> ());
-  rmrf dir
+  remove_tree dir
+
+(* {2 Unused-export rule} *)
+
+let test_lint_unused_export () =
+  let root =
+    fixture_tree "lint_exports"
+      [
+        ( "lib/m/m.mli",
+          "val planted : int\nval for_bench : int\n(** [val in_doc : int] *)\n"
+        );
+        ("lib/m/m.ml", "let planted = 1\nlet for_bench = planted\n");
+        ("bench/b.ml", "let () = print_int M.for_bench\n");
+      ]
+  in
+  let vs = L.scan_tree (Filename.concat root "lib") in
+  check (Alcotest.list string) "only the unreferenced val is flagged"
+    [ "val planted: no reference outside its module" ]
+    (List.map (fun v -> v.L.v_text) vs);
+  check int "at its declaration" 1 (List.hd vs).L.v_line;
+  check bool "rule registered" true (List.mem "unused-export" L.rule_names);
+  remove_tree root
 
 (* {2 Metric-naming rule}
 
@@ -666,7 +694,9 @@ let test_lint_metric_naming_accepts () =
 
 let test_lint_repo_is_clean () =
   (* The acceptance bar behind `make lint`: lib/ has no violations under
-     the committed allowlist. Locate the repo root from the build dir. *)
+     the committed allowlist. Locate the repo root from the build dir.
+     The unused-export rule is left to @lint: it reads every tree beside
+     lib/, which @lint declares as deps and this test does not. *)
   let rec find_root d =
     if Sys.file_exists (Filename.concat d "lint.allow") then Some d
     else
@@ -677,7 +707,11 @@ let test_lint_repo_is_clean () =
   | None -> () (* sandboxed build layout without sources; covered by @lint *)
   | Some root ->
       let allow = L.load_allowlist (Filename.concat root "lint.allow") in
-      let vs = L.scan_tree ~allow (Filename.concat root "lib") in
+      let vs =
+        List.filter
+          (fun v -> v.L.v_rule <> "unused-export")
+          (L.scan_tree ~allow (Filename.concat root "lib"))
+      in
       check string "lib/ lints clean" "lint OK: no violations\n" (L.to_text vs)
 
 let () =
@@ -726,6 +760,7 @@ let () =
           Alcotest.test_case "strip" `Quick test_lint_strip_comments_and_strings;
           Alcotest.test_case "tree + allowlist" `Quick
             test_lint_tree_missing_mli_and_allowlist;
+          Alcotest.test_case "unused-export" `Quick test_lint_unused_export;
           Alcotest.test_case "metric-naming +" `Quick
             test_lint_metric_naming_violations;
           Alcotest.test_case "metric-naming -" `Quick

@@ -5,7 +5,6 @@
    attacked events rewind, benign traffic never fails, and shared state
    passes its integrity walk. *)
 
-module Space = Vmem.Space
 module Sched = Simkern.Sched
 module Rng = Simkern.Rng
 module Api = Sdrad.Api
@@ -30,91 +29,85 @@ type outcome = {
 (* One full simulation: [benign] clients doing random gets/sets/deletes in
    a random protocol, [attackers] firing lying SETs at random moments. *)
 let run_kv_chaos ~seed ~benign ~attackers ~ops_per_client =
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:192 ~monitor:Api.create () in
+  let sched = w.sched and net = w.net in
   let cfg =
     { Server.default_config with variant = Server.Sdrad; vulnerable = true;
       workers = 3 }
   in
   let benign_failures = ref 0 and benign_ops = ref 0 and attacks = ref 0 in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"chaos" (fun () ->
-        let s = Server.start sched space ~sdrad:sd net cfg in
-        srv := Some s;
-        let tids = ref [] in
-        for i = 0 to benign - 1 do
-          tids :=
-            Sched.spawn sched
-              ~name:(Printf.sprintf "good%d" i)
-              (fun () ->
-                let rng = Rng.create (seed + (100 * i)) in
-                let c = Netsim.connect net ~port:11211 in
-                for _ = 1 to ops_per_client do
-                  Sched.sleep (float_of_int (Rng.int rng 5_000));
-                  let key = Printf.sprintf "k%d" (Rng.int rng 40) in
-                  let binary = Rng.bool rng in
-                  let req =
-                    match Rng.int rng 3 with
-                    | 0 ->
-                        if binary then Bin.req_get key else Proto.fmt_get key
-                    | 1 ->
-                        let value = Bytes.to_string (Rng.bytes rng (1 + Rng.int rng 700)) in
-                        if binary then Bin.req_set ~key ~flags:0 ~value
-                        else Proto.fmt_set ~key ~flags:0 ~value
-                    | _ ->
-                        if binary then Bin.req_delete key else Proto.fmt_delete key
-                  in
-                  Netsim.send c req;
-                  incr benign_ops;
-                  match Netsim.recv c with
-                  | None -> incr benign_failures
-                  | Some r -> (
-                      let reply =
-                        if binary then Bin.parse_reply r else Proto.parse_reply r
-                      in
-                      match reply with
-                      | Proto.Failed _ -> incr benign_failures
-                      | _ -> ())
-                done;
-                Netsim.close c)
-            :: !tids
-        done;
-        for i = 0 to attackers - 1 do
-          tids :=
-            Sched.spawn sched
-              ~name:(Printf.sprintf "evil%d" i)
-              (fun () ->
-                let rng = Rng.create (seed + 7_777 + i) in
-                for _ = 1 to 3 do
-                  Sched.sleep (float_of_int (1_000 + Rng.int rng 200_000));
-                  let evil = Netsim.connect net ~port:11211 in
-                  let payload = String.make (400 + Rng.int rng 400) 'X' in
-                  let attack =
-                    if Rng.bool rng then
-                      Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
-                        ~value:payload
-                    else
-                      Bin.req_set_lying ~key:"pwn" ~flags:0 ~body_len:0xFFFFFFFF
-                        ~value:payload
-                  in
-                  Netsim.send evil attack;
-                  incr attacks;
-                  (* The server must close the connection, not answer. *)
-                  (match Netsim.recv evil with
-                  | None -> ()
-                  | Some _ -> incr benign_failures);
-                  Netsim.close evil
-                done)
-            :: !tids
-        done;
-        List.iter Sched.join !tids;
-        Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+           let tids = ref [] in
+           for i = 0 to benign - 1 do
+             tids :=
+               Sched.spawn sched
+                 ~name:(Printf.sprintf "good%d" i)
+                 (fun () ->
+                   let rng = Rng.create (seed + (100 * i)) in
+                   let c = Netsim.connect net ~port:11211 in
+                   for _ = 1 to ops_per_client do
+                     Sched.sleep (float_of_int (Rng.int rng 5_000));
+                     let key = Printf.sprintf "k%d" (Rng.int rng 40) in
+                     let binary = Rng.bool rng in
+                     let req =
+                       match Rng.int rng 3 with
+                       | 0 ->
+                           if binary then Bin.req_get key else Proto.fmt_get key
+                       | 1 ->
+                           let value = Bytes.to_string (Rng.bytes rng (1 + Rng.int rng 700)) in
+                           if binary then Bin.req_set ~key ~flags:0 ~value
+                           else Proto.fmt_set ~key ~flags:0 ~value
+                       | _ ->
+                           if binary then Bin.req_delete key else Proto.fmt_delete key
+                     in
+                     Netsim.send c req;
+                     incr benign_ops;
+                     match Netsim.recv c with
+                     | None -> incr benign_failures
+                     | Some r -> (
+                         let reply =
+                           if binary then Bin.parse_reply r else Proto.parse_reply r
+                         in
+                         match reply with
+                         | Proto.Failed _ -> incr benign_failures
+                         | _ -> ())
+                   done;
+                   Netsim.close c)
+               :: !tids
+           done;
+           for i = 0 to attackers - 1 do
+             tids :=
+               Sched.spawn sched
+                 ~name:(Printf.sprintf "evil%d" i)
+                 (fun () ->
+                   let rng = Rng.create (seed + 7_777 + i) in
+                   for _ = 1 to 3 do
+                     Sched.sleep (float_of_int (1_000 + Rng.int rng 200_000));
+                     let evil = Netsim.connect net ~port:11211 in
+                     let payload = String.make (400 + Rng.int rng 400) 'X' in
+                     let attack =
+                       if Rng.bool rng then
+                         Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
+                           ~value:payload
+                       else
+                         Bin.req_set_lying ~key:"pwn" ~flags:0 ~body_len:0xFFFFFFFF
+                           ~value:payload
+                     in
+                     Netsim.send evil attack;
+                     incr attacks;
+                     (* The server must close the connection, not answer. *)
+                     (match Netsim.recv evil with
+                     | None -> ()
+                     | Some _ -> incr benign_failures);
+                     Netsim.close evil
+                   done)
+               :: !tids
+           done;
+           List.iter Sched.join !tids))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   {
     rewinds = Server.rewinds s;
     crashed = Server.crashed s;
@@ -151,56 +144,50 @@ let kv_chaos_prop =
    armed: attacks cause rewinds and occasional proactive restarts, but
    every benign request eventually succeeds (clients reconnect). *)
 let test_web_chaos_with_rewind_limit () =
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let fs = Httpd.Fs.create space in
+  let w = Scenario.world ~size_mib:192 ~monitor:Api.create () in
+  let sched = w.sched and net = w.net in
+  let fs = Httpd.Fs.create w.space in
   Httpd.Fs.add fs ~path:"/index.html" ~size:2048;
   let cfg =
     { Httpd.Server.default_config with variant = Httpd.Server.Sdrad;
       vulnerable = true; workers = 2; rewind_limit = Some 3 }
   in
   let ok = ref 0 and attacks = ref 0 in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"chaos" (fun () ->
-        let s = Httpd.Server.start sched space ~sdrad:sd net ~fs cfg in
-        srv := Some s;
-        let tids = ref [] in
-        for i = 0 to 3 do
-          tids :=
-            Sched.spawn sched ~name:(Printf.sprintf "good%d" i) (fun () ->
-                let rng = Rng.create (31 + i) in
-                for _ = 1 to 40 do
-                  Sched.sleep (float_of_int (Rng.int rng 20_000));
-                  (* Reconnect per request: survives worker re-execs. *)
-                  let c = Netsim.connect net ~port:8080 in
-                  Netsim.send c (Workload.Http_load.request ~path:"/index.html");
-                  (match Netsim.recv c with
-                  | Some r when Workload.Http_load.is_200 r -> incr ok
-                  | Some _ | None -> ());
-                  Netsim.close c
-                done)
-            :: !tids
-        done;
-        tids :=
-          Sched.spawn sched ~name:"evil" (fun () ->
-              let rng = Rng.create 999 in
-              for _ = 1 to 8 do
-                Sched.sleep (float_of_int (50_000 + Rng.int rng 400_000));
-                let evil = Netsim.connect net ~port:8080 in
-                Netsim.send evil (Workload.Http_load.request ~path:"/a/../../etc");
-                incr attacks;
-                ignore (Netsim.recv evil);
-                Netsim.close evil
-              done)
-          :: !tids;
-        List.iter Sched.join !tids;
-        Httpd.Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.httpd w ~files:(Fun.const fs) cfg
+      (Script
+         (fun _ ->
+           let tids = ref [] in
+           for i = 0 to 3 do
+             tids :=
+               Sched.spawn sched ~name:(Printf.sprintf "good%d" i) (fun () ->
+                   let rng = Rng.create (31 + i) in
+                   for _ = 1 to 40 do
+                     Sched.sleep (float_of_int (Rng.int rng 20_000));
+                     (* Reconnect per request: survives worker re-execs. *)
+                     let c = Netsim.connect net ~port:8080 in
+                     Netsim.send c (Workload.Http_load.request ~path:"/index.html");
+                     (match Netsim.recv c with
+                     | Some r when Workload.Http_load.is_200 r -> incr ok
+                     | Some _ | None -> ());
+                     Netsim.close c
+                   done)
+               :: !tids
+           done;
+           tids :=
+             Sched.spawn sched ~name:"evil" (fun () ->
+                 let rng = Rng.create 999 in
+                 for _ = 1 to 8 do
+                   Sched.sleep (float_of_int (50_000 + Rng.int rng 400_000));
+                   let evil = Netsim.connect net ~port:8080 in
+                   Netsim.send evil (Workload.Http_load.request ~path:"/a/../../etc");
+                   incr attacks;
+                   ignore (Netsim.recv evil);
+                   Netsim.close evil
+                 done)
+             :: !tids;
+           List.iter Sched.join !tids))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   check int "all attacks rewound" !attacks (Httpd.Server.rewinds s);
   check bool "rewind limit produced restarts" true
     (Httpd.Server.proactive_restarts s >= 2);

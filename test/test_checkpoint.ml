@@ -9,19 +9,10 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"test" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 (* {1 Checkpoint} *)
 
 let test_snapshot_restores_contents () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let a = Space.mmap s ~len:8192 ~prot:Prot.rw ~pkey:0 in
       Space.store_string s a "before checkpoint";
@@ -32,7 +23,7 @@ let test_snapshot_restores_contents () =
         (Space.read_string s a 17))
 
 let test_snapshot_restores_mappings () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let a = Space.mmap s ~len:4096 ~prot:Prot.rw ~pkey:0 in
       Space.store8 s a 7;
@@ -46,7 +37,7 @@ let test_snapshot_restores_mappings () =
       Space.munmap s a)
 
 let test_snapshot_cost_scales_with_size () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:32 () in
       let small = Space.mmap s ~len:4096 ~prot:Prot.rw ~pkey:0 in
       ignore small;
@@ -61,7 +52,7 @@ let test_snapshot_cost_scales_with_size () =
         (Checkpoint.restore_cycles s snap2 > Checkpoint.restore_cycles s snap1))
 
 let test_restart_dominated_by_reload () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let cold = Checkpoint.restart_cycles s ~reload_bytes:0 in
       let warm = Checkpoint.restart_cycles s ~reload_bytes:(1024 * 1024 * 1024) in
@@ -71,7 +62,7 @@ let test_restart_dominated_by_reload () =
 
 
 let test_incremental_smaller_payload () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let a = Space.mmap s ~len:(64 * 4096) ~prot:Prot.rw ~pkey:0 in
       for p = 0 to 63 do
@@ -92,7 +83,7 @@ let test_incremental_smaller_payload () =
       check int "dirty page value" 0xFF (Space.load8 s (a + 4096)))
 
 let test_incremental_no_changes () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let a = Space.mmap s ~len:8192 ~prot:Prot.rw ~pkey:0 in
       Space.store8 s a 1;
@@ -132,7 +123,7 @@ let run_rewind_scenario ~seed ~hook =
          let i = !consultations in
          incr consultations;
          hook i));
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let rec chain d =
         udis := d :: !udis;
         Api.run sd ~udi:d
@@ -265,7 +256,7 @@ let make_flight ?cap ?max_domains () =
   (s, Fl.create s ~heap ?cap ?max_domains ())
 
 let test_flight_record_order_and_snapshot () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _s, f = make_flight () in
       check int "no rings yet" 0 (List.length (Fl.domains f));
       check int "unknown domain reads empty" 0 (List.length (Fl.events f ~udi:3));
@@ -302,7 +293,7 @@ let test_flight_kind_codes_roundtrip () =
     ]
 
 let test_flight_ring_wrap_counts_drops () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _s, f = make_flight ~cap:4 () in
       for i = 1 to 6 do
         Fl.record f ~udi:7 ~tid:0 ~at:(float_of_int i) ~arg:i Fl.Admit
@@ -313,7 +304,7 @@ let test_flight_ring_wrap_counts_drops () =
       check int "wrap losses counted" 2 (Fl.dropped f))
 
 let test_flight_domain_eviction () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _s, f = make_flight ~max_domains:2 () in
       Fl.record f ~udi:1 ~tid:0 ~at:1.0 Fl.Admit;
       Fl.record f ~udi:1 ~tid:0 ~at:2.0 Fl.Fault;
@@ -325,7 +316,7 @@ let test_flight_domain_eviction () =
         (List.length (Fl.events f ~udi:1)))
 
 let test_flight_store_load_roundtrip () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let a = Space.mmap s ~len:4096 ~prot:Prot.rw ~pkey:0 in
       let e =
@@ -346,7 +337,7 @@ let test_flight_survives_rewind_with_trace () =
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create space in
   let trace = Telemetry.Context.trace (Telemetry.Context.root "op-1") in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       Api.with_trace sd trace (fun () ->
           Api.run sd ~udi:5
             ~on_rewind:(fun _ -> ())

@@ -4,7 +4,6 @@
    doubly applied), and the heartbeat-driven quarantine failover path. *)
 
 module Sched = Simkern.Sched
-module Cost = Simkern.Cost
 module Proto = Kvcache.Proto
 module Supervisor = Resilience.Supervisor
 module Api = Sdrad.Api
@@ -125,8 +124,7 @@ let test_ring_route_n () =
    cluster, with a client connection to the router; returns after the
    simulation has fully drained. *)
 let with_cluster ?faults ?(shards = 2) ?(kv_patch = fun c -> c) body =
-  let sched = Sched.create () in
-  let net = Netsim.create Cost.default in
+  let w = Scenario.fleet_world () in
   let cfg =
     {
       Cluster.Fleet.default_config with
@@ -134,18 +132,16 @@ let with_cluster ?faults ?(shards = 2) ?(kv_patch = fun c -> c) body =
       kv = kv_patch Cluster.Fleet.default_config.kv;
     }
   in
-  let failed = ref None in
-  let _ =
-    Sched.spawn sched ~name:"test" (fun () ->
-        let t = Cluster.Fleet.start sched ?faults net cfg in
-        let conn = Netsim.connect net ~port:cfg.router_port in
-        (try body t conn
-         with e -> failed := Some e);
-        Netsim.close conn;
-        Cluster.Fleet.stop t)
+  let { Scenario.result; _ } =
+    Scenario.fleet ?faults w cfg
+      (Script
+         (fun t ->
+           let conn = Netsim.connect w.fleet_net ~port:cfg.router_port in
+           let r = try Ok (body t conn) with e -> Error e in
+           Netsim.close conn;
+           r))
   in
-  Sched.run sched;
-  match !failed with Some e -> raise e | None -> ()
+  Result.iter_error raise result
 
 let rpc conn req =
   Netsim.send conn req;
@@ -385,9 +381,6 @@ let test_quarantine_failover () =
    fast server. *)
 let test_open_loop_arrivals () =
   let run proc_cycles =
-    let sched = Sched.create () in
-    let net = Netsim.create Cost.default in
-    let space = Vmem.Space.create ~size_mib:64 () in
     let cfg =
       {
         Kvcache.Server.default_config with
@@ -405,19 +398,7 @@ let test_open_loop_arrivals () =
         arrival_interval = 500.0;
       }
     in
-    let read = ref (fun () -> Alcotest.fail "not launched") in
-    let _ =
-      Sched.spawn sched ~name:"openloop" (fun () ->
-          let s = Kvcache.Server.start sched space net cfg in
-          let r =
-            Workload.Ycsb.launch sched net wl
-              ~on_done:(fun () -> Kvcache.Server.stop s)
-              ()
-          in
-          read := r)
-    in
-    Sched.run sched;
-    !read ()
+    (Scenario.kvcache (Scenario.world ()) cfg (Ycsb wl)).result
   in
   let p50 (r : Workload.Ycsb.results) =
     match List.sort compare r.Workload.Ycsb.run_latencies with

@@ -23,15 +23,6 @@ let to_hex s =
     (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
        (List.init (String.length s) (String.get s)))
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"test" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 (* {1 AES} *)
 
 let test_aes_fips197 () =
@@ -127,7 +118,7 @@ let serialize_roundtrip =
 (* {1 EVP over simulated memory} *)
 
 let test_evp_matches_gcm () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let base = Space.mmap s ~len:(64 * 1024) ~prot:Prot.rw ~pkey:0 in
       let ctx = base in
@@ -146,7 +137,7 @@ let test_evp_matches_gcm () =
         (to_hex (Space.read_string s tag 16)))
 
 let test_evp_decrypt_verifies () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let base = Space.mmap s ~len:(64 * 1024) ~prot:Prot.rw ~pkey:0 in
       let ctx = base and inp = base + 4096 and out = base + 8192 and tag = base + 12288 in
@@ -162,7 +153,7 @@ let test_evp_decrypt_verifies () =
       check string "plaintext" "sixteen byte msg" (Space.read_string s plain m))
 
 let test_evp_state_machine () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let base = Space.mmap s ~len:8192 ~prot:Prot.rw ~pkey:0 in
       Crypto.Evp.encrypt_init s ~ctx:base ~key:k15 ~iv:iv15;
@@ -175,7 +166,7 @@ let test_evp_state_machine () =
 (* {1 X.509 / CVE-2022-3786 analogue} *)
 
 let with_sdrad f =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:32 () in
       let sd = Api.create space in
       f space sd)
@@ -192,19 +183,16 @@ let test_x509_garbage_rejected () =
 let test_x509_cve_smashes_canary_in_root () =
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create space in
-  let sched = Sched.create () in
-  let tid =
-    Sched.spawn sched ~name:"victim" (fun () ->
+  (* Unprotected: the canary failure terminates the "process". *)
+  match
+    Sched.main (fun _ ->
         let cert =
           Crypto.X509.make_cert ~cn:"evil" ~altname:Crypto.X509.malicious_altname
         in
         ignore (Crypto.X509.verify sd cert))
-  in
-  Sched.run sched;
-  (* Unprotected: the canary failure terminates the "process". *)
-  match Sched.outcome sched tid with
-  | Some (Sched.Failed Api.Stack_check_failure) -> ()
-  | _ -> Alcotest.fail "expected stack-check failure to kill the thread"
+  with
+  | () -> Alcotest.fail "expected stack-check failure to kill the thread"
+  | exception Api.Stack_check_failure -> ()
 
 let test_x509_cve_rewinds_in_domain () =
   with_sdrad (fun _ sd ->
@@ -332,7 +320,7 @@ let test_evp_sdrad_fault_and_recover () =
 
 
 let test_evp_aad_matches_gcm () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:8 () in
       let base = Space.mmap s ~len:(64 * 1024) ~prot:Prot.rw ~pkey:0 in
       let ctx = base and aad_buf = base + 2048 and inp = base + 4096 in

@@ -15,15 +15,6 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"test" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 let expect_fault ?code f =
   match f () with
   | _ -> Alcotest.fail "expected a fault"
@@ -50,7 +41,7 @@ let test_access_straddles_mapping_end () =
   check int "partial write did not happen" 0 (Space.load32 s (a + 4092))
 
 let test_blit_cross_pkey_fault () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:4 () in
       let k = Option.get (Space.pkey_alloc s) in
       let src = Space.mmap s ~len:4096 ~prot:Prot.rw ~pkey:0 in
@@ -79,7 +70,7 @@ let test_mprotect_misuse () =
     (fun () -> Space.mprotect s ~addr:(a + 8192) ~len:4096 ~prot:Prot.read)
 
 let test_pkey_free_then_default_access () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = Space.create ~size_mib:4 () in
       let k = Option.get (Space.pkey_alloc s) in
       let a = Space.mmap s ~len:4096 ~prot:Prot.rw ~pkey:k in
@@ -156,7 +147,7 @@ let test_horizon_with_blocked_wakeups () =
 (* {1 netsim corners} *)
 
 let test_try_recv_semantics () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let net = Netsim.create Simkern.Cost.default in
       let l = Netsim.listen net ~port:1 in
       let c = Netsim.connect net ~port:1 in
@@ -171,7 +162,7 @@ let test_try_recv_semantics () =
 let test_latency_scales_with_size () =
   let measure size =
     let out = ref 0.0 in
-    in_thread (fun () ->
+    Sched.main (fun _ ->
         let net = Netsim.create Simkern.Cost.default in
         let l = Netsim.listen net ~port:1 in
         let c = Netsim.connect net ~port:1 in
@@ -185,7 +176,7 @@ let test_latency_scales_with_size () =
   check bool "bigger message takes longer" true (measure 100_000 > measure 100)
 
 let test_double_close_harmless () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let net = Netsim.create Simkern.Cost.default in
       let _ = Netsim.listen net ~port:1 in
       let c = Netsim.connect net ~port:1 in
@@ -196,7 +187,7 @@ let test_double_close_harmless () =
 (* {1 SDRaD API misuse} *)
 
 let with_sdrad f =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:32 () in
       f space (Api.create space))
 
@@ -303,7 +294,7 @@ let test_ycsb_presets () =
   check bool "C is read-only" true (Workload.Ycsb.workload_c.Workload.Ycsb.read_fraction = 1.0)
 
 let test_speed_native_reasonable () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:32 () in
       let row =
         Workload.Speed.measure space Workload.Speed.Native ~size:4096 ~iterations:8
@@ -315,7 +306,7 @@ let test_speed_native_reasonable () =
       check int "iterations recorded" 8 row.Workload.Speed.iterations)
 
 let test_speed_isolated_slower () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:32 () in
       let sd = Api.create space in
       let native =

@@ -13,18 +13,9 @@ module Proto = Kvcache.Proto
 module Bin = Kvcache.Binproto
 module Hp = Httpd.Http_parse
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"fuzz" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 let with_buffer data f =
   let result = ref true in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:8 () in
       let buf = Space.mmap space ~len:(max 4096 (String.length data + 64)) ~prot:Prot.rw ~pkey:0 in
       if String.length data > 0 then Space.store_string space buf data;
@@ -312,7 +303,7 @@ let http_vulnerable_in_domain_contained =
   QCheck.Test.make ~name:"vulnerable http parser contained by a domain" ~count:120
     fuzz_input (fun data ->
       let survived = ref false in
-      in_thread (fun () ->
+      Sched.main (fun _ ->
           let space = Space.create ~size_mib:16 () in
           let sd = Api.create space in
           let verdict =
@@ -371,7 +362,7 @@ let render_vulnerable_contained =
   QCheck.Test.make ~name:"vulnerable image decoder contained by a domain" ~count:100
     image_input (fun data ->
       let survived = ref false in
-      in_thread (fun () ->
+      Sched.main (fun _ ->
           let space = Space.create ~size_mib:16 () in
           let sd = Api.create space in
           (match Render.decode_isolated sd ~vulnerable:true data with
@@ -400,7 +391,7 @@ let vfs_paths_total =
     QCheck.(string_of_size (QCheck.Gen.int_range 0 40))
     (fun path ->
       let ok = ref true in
-      in_thread (fun () ->
+      Sched.main (fun _ ->
           let space = Space.create ~size_mib:8 () in
           let fs = Vfs.format space ~blocks:64 () in
           (match Vfs.exists fs path with

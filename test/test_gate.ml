@@ -20,22 +20,13 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let check_float msg = Alcotest.check (Alcotest.float 1e-9) msg
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"test" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 (* {1 Value elision at the Space level} *)
 
 let test_elision_counts () =
   let s = Space.create ~size_mib:8 () in
   let key = Option.get (Space.pkey_alloc s) in
   let v = Pkru.deny Pkru.all_access ~key in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let w0 = Space.wrpkru_writes s and e0 = Space.pkru_elided s in
       Space.wrpkru s v;
       check int "first install is a real write" (w0 + 1) (Space.wrpkru_writes s);
@@ -53,7 +44,7 @@ let mk_api () =
 
 let test_nested_monitor_writes () =
   let space, sd = mk_api () in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       (* establish this thread's state first: a stateless thread's flight
          events are recorded without raising privileges *)
       ignore (Api.current sd);
@@ -78,7 +69,7 @@ let test_reentrant_monitor_during_rewind () =
   let run ~cleanup =
     let space, sd = mk_api () in
     let writes = ref 0 in
-    in_thread (fun () ->
+    Sched.main (fun _ ->
         let w0 = Space.wrpkru_writes space in
         ignore
           (Api.run sd ~udi:5
@@ -105,7 +96,7 @@ let test_reentrant_monitor_during_rewind () =
    and domain transitions still install the compartment policy. *)
 let test_gate_bracket_writes () =
   let space, sd = mk_api () in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       ignore
         (Api.run sd ~udi:7
            ~on_rewind:(fun _ -> ())
@@ -131,7 +122,7 @@ let test_gate_bracket_writes () =
 
 let test_gate_buffer_cache () =
   let _space, sd = mk_api () in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       ignore
         (Api.run sd ~udi:9
            ~on_rewind:(fun _ -> ())
@@ -157,36 +148,30 @@ let test_gate_buffer_cross_thread_invalidation () =
   let sd = Api.create space in
   let sched = Sched.create () in
   let addr_before = ref 0 and addr_after = ref 0 in
-  let victim =
-    Sched.spawn sched ~name:"victim" (fun () ->
-        ignore
-          (Api.run sd ~udi:11
-             ~on_rewind:(fun _ -> ())
-             (fun () ->
-               addr_before := Api.gate_buffer sd ~udi:11 128;
-               (* let the faulty thread rewind its own instance of udi 11 *)
-               Sched.sleep 1.0e6;
-               addr_after := Api.gate_buffer sd ~udi:11 128)))
-  in
-  let faulty =
-    Sched.spawn sched ~name:"faulty" (fun () ->
-        Sched.sleep 1_000.0;
-        ignore
-          (Api.run sd ~udi:11
-             ~on_rewind:(fun _ -> `Rewound)
-             (fun () ->
-               Api.enter sd 11;
-               Space.store8 space 64 1;
-               `Fine)))
-  in
+  ignore
+    (Sched.spawn sched ~name:"victim" (fun () ->
+         ignore
+           (Api.run sd ~udi:11
+              ~on_rewind:(fun _ -> ())
+              (fun () ->
+                addr_before := Api.gate_buffer sd ~udi:11 128;
+                (* let the faulty thread rewind its own instance of udi 11 *)
+                Sched.sleep 1.0e6;
+                addr_after := Api.gate_buffer sd ~udi:11 128))));
+  ignore
+    (Sched.spawn sched ~name:"faulty" (fun () ->
+         Sched.sleep 1_000.0;
+         ignore
+           (Api.run sd ~udi:11
+              ~on_rewind:(fun _ -> `Rewound)
+              (fun () ->
+                Api.enter sd 11;
+                Space.store8 space 64 1;
+                `Fine))));
   Sched.run sched;
   List.iter
-    (fun tid ->
-      match Sched.outcome sched tid with
-      | Some Sched.Completed -> ()
-      | Some (Sched.Failed e) -> raise e
-      | None -> Alcotest.fail "thread did not finish")
-    [ victim; faulty ];
+    (function _, _, Sched.Failed e -> raise e | _ -> ())
+    (Sched.outcomes sched);
   check int "victim's cache survives the other thread's rewind"
     !addr_before !addr_after
 
@@ -230,10 +215,8 @@ let cause_name = function
   | Sdrad.Types.Explicit m -> "explicit " ^ m
 
 let run_kv_scenario ~fast seed =
-  let space = Space.create ~size_mib:128 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
+  let space = w.space and sd = Option.get w.sd and net = w.net in
   let cfg =
     {
       Server.default_config with
@@ -244,64 +227,60 @@ let run_kv_scenario ~fast seed =
     }
   in
   let trace = Buffer.create 8192 in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space ~sdrad:sd net cfg in
-        srv := Some s;
-        let rng = Rng.create seed in
-        let c = ref (Netsim.connect net ~port:11211) in
-        let fresh () =
-          if (not (Netsim.is_open !c)) || Netsim.peer_closed !c then
-            c := Netsim.connect net ~port:11211
-        in
-        let record i r =
-          Printf.bprintf trace "%d %s\n" i
-            (match r with Some x -> x | None -> "<closed>")
-        in
-        for i = 1 to 60 do
-          fresh ();
-          match Rng.int rng 10 with
-          | 0 | 1 | 2 ->
-              let key = Printf.sprintf "k%d" (Rng.int rng 40) in
-              let value = String.make (1 + Rng.int rng 900) 'v' in
-              Netsim.send !c (Proto.fmt_set ~key ~flags:(Rng.int rng 4) ~value);
-              record i (Netsim.recv !c)
-          | 3 | 4 | 5 ->
-              Netsim.send !c (Proto.fmt_get (Printf.sprintf "k%d" (Rng.int rng 40)));
-              record i (Netsim.recv !c)
-          | 6 ->
-              Netsim.send !c (Proto.fmt_delete (Printf.sprintf "k%d" (Rng.int rng 40)));
-              record i (Netsim.recv !c)
-          | 7 | 8 ->
-              (* pipelined burst: multiple requests deliverable at once is
-                 exactly what the batched gate coalesces *)
-              let n = 2 + Rng.int rng 3 in
-              for _j = 1 to n do
-                Netsim.send !c
-                  (Proto.fmt_set
-                     ~key:(Printf.sprintf "p%d" (Rng.int rng 20))
-                     ~flags:0
-                     ~value:(String.make (1 + Rng.int rng 200) 'b'))
-              done;
-              for j = 1 to n do
-                record (i + (j * 1000)) (Netsim.recv !c)
-              done
-          | _ ->
-              (* the CVE-2011-4971 analogue, causally tagged so its flight
-                 events are comparable across runs *)
-              Netsim.send !c
-                (Proto.fmt_set_lying_traced
-                   ~trace:(Int64.of_int ((seed * 1000) + i))
-                   ~key:"pwn" ~flags:0 ~declared:(-1)
-                   ~value:(String.make (100 + Rng.int rng 300) 'X'));
-              record i (Netsim.recv !c)
-        done;
-        Netsim.close !c;
-        Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+           let rng = Rng.create seed in
+           let c = ref (Netsim.connect net ~port:11211) in
+           let fresh () =
+             if (not (Netsim.is_open !c)) || Netsim.peer_closed !c then
+               c := Netsim.connect net ~port:11211
+           in
+           let record i r =
+             Printf.bprintf trace "%d %s\n" i
+               (match r with Some x -> x | None -> "<closed>")
+           in
+           for i = 1 to 60 do
+             fresh ();
+             match Rng.int rng 10 with
+             | 0 | 1 | 2 ->
+                 let key = Printf.sprintf "k%d" (Rng.int rng 40) in
+                 let value = String.make (1 + Rng.int rng 900) 'v' in
+                 Netsim.send !c (Proto.fmt_set ~key ~flags:(Rng.int rng 4) ~value);
+                 record i (Netsim.recv !c)
+             | 3 | 4 | 5 ->
+                 Netsim.send !c (Proto.fmt_get (Printf.sprintf "k%d" (Rng.int rng 40)));
+                 record i (Netsim.recv !c)
+             | 6 ->
+                 Netsim.send !c (Proto.fmt_delete (Printf.sprintf "k%d" (Rng.int rng 40)));
+                 record i (Netsim.recv !c)
+             | 7 | 8 ->
+                 (* pipelined burst: multiple requests deliverable at once is
+                    exactly what the batched gate coalesces *)
+                 let n = 2 + Rng.int rng 3 in
+                 for _j = 1 to n do
+                   Netsim.send !c
+                     (Proto.fmt_set
+                        ~key:(Printf.sprintf "p%d" (Rng.int rng 20))
+                        ~flags:0
+                        ~value:(String.make (1 + Rng.int rng 200) 'b'))
+                 done;
+                 for j = 1 to n do
+                   record (i + (j * 1000)) (Netsim.recv !c)
+                 done
+             | _ ->
+                 (* the CVE-2011-4971 analogue, causally tagged so its flight
+                    events are comparable across runs *)
+                 Netsim.send !c
+                   (Proto.fmt_set_lying_traced
+                      ~trace:(Int64.of_int ((seed * 1000) + i))
+                      ~key:"pwn" ~flags:0 ~declared:(-1)
+                      ~value:(String.make (100 + Rng.int rng 300) 'X'));
+                 record i (Netsim.recv !c)
+           done;
+           Netsim.close !c))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   Printf.bprintf trace "served=%d rewinds=%d faults=%d dbbytes=%d\n"
     (Server.requests_served s) (Server.rewinds s) (Space.fault_count space)
     (Server.db_bytes s);

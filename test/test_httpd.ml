@@ -17,19 +17,10 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"test" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 (* {1 Parser} *)
 
 let with_bufs f =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:16 () in
       let buf = Space.mmap space ~len:8192 ~prot:Prot.rw ~pkey:0 in
       let dst = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
@@ -118,25 +109,19 @@ let mk_fs space =
 
 let run_server_test ?(workers = 1) ?(vulnerable = false) ?(verify_certs = false)
     ~variant f =
-  let space = Space.create ~size_mib:128 () in
-  let sd =
-    match (variant, verify_certs) with
-    | Server.Sdrad, _ | _, true -> Some (Api.create space)
-    | _ -> None
+  let w =
+    Scenario.world ~size_mib:128
+      ?monitor:
+        (if variant = Server.Sdrad || verify_certs then
+           Some (fun space -> Api.create space)
+         else None)
+      ()
   in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let cfg = { Server.default_config with variant; vulnerable; verify_certs; workers } in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space ?sdrad:sd net ~fs:(mk_fs space) cfg in
-        srv := Some s;
-        f sched net s;
-        Server.stop s)
-  in
-  Sched.run sched;
-  Option.get !srv
+  (Scenario.httpd w
+     ~files:(fun () -> mk_fs w.space)
+     { Server.default_config with variant; vulnerable; verify_certs; workers }
+     (Script (f w.sched w.net)))
+    .server
 
 let get net port path =
   let c = Netsim.connect net ~port in
@@ -255,33 +240,27 @@ let test_rewind_limit_forces_restart () =
   (* §VI mitigation: after [limit] rewinds the worker re-execs to restore
      ASLR; the attack stream costs one worker restart instead of an
      unbounded probe sequence. *)
-  let space = Space.create ~size_mib:128 ()
-  and sched = Sched.create () in
-  let sd = Api.create space in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
   let cfg =
     { Server.default_config with variant = Server.Sdrad; vulnerable = true;
       workers = 1; rewind_limit = Some 3 }
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space ~sdrad:sd net ~fs:(mk_fs space) cfg in
-        srv := Some s;
-        for _ = 1 to 3 do
-          let evil = Netsim.connect net ~port:8080 in
-          Netsim.send evil (Load.request ~path:attack_uri);
-          check bool "attacker dropped" true (Netsim.recv evil = None)
-        done;
-        (* The worker hit its limit and restarted; service continues. *)
-        Sched.sleep 5.0e6;
-        (match get net 8080 "/index.html" with
-        | Some r -> check bool "served after proactive restart" true (Load.is_200 r)
-        | None -> Alcotest.fail "service down");
-        Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.httpd w ~files:(fun () -> mk_fs w.space) cfg
+      (Script
+         (fun _ ->
+           for _ = 1 to 3 do
+             let evil = Netsim.connect w.net ~port:8080 in
+             Netsim.send evil (Load.request ~path:attack_uri);
+             check bool "attacker dropped" true (Netsim.recv evil = None)
+           done;
+           (* The worker hit its limit and restarted; service continues. *)
+           Sched.sleep 5.0e6;
+           match get w.net 8080 "/index.html" with
+           | Some r ->
+               check bool "served after proactive restart" true (Load.is_200 r)
+           | None -> Alcotest.fail "service down"))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   check int "three rewinds" 3 (Server.rewinds s);
   check int "one proactive restart" 1 (Server.proactive_restarts s);
   check int "counted as worker restart" 1 (Server.worker_restarts s)
@@ -293,27 +272,23 @@ let test_rewind_limit_forces_restart () =
 let test_connection_churn_rss_flat () =
   List.iter
     (fun variant ->
-      let space = Space.create ~size_mib:128 () in
-      let sd =
-        match variant with Server.Sdrad -> Some (Api.create space) | _ -> None
+      let w =
+        Scenario.world ~size_mib:128 ?monitor:(Scenario.monitor_for variant) ()
       in
-      let sched = Sched.create () in
-      let net = Netsim.create (Space.cost space) in
-      let cfg = { Server.default_config with variant; workers = 1 } in
       let rss = Array.make 2 0 in
-      let _ =
-        Sched.spawn sched ~name:"harness" (fun () ->
-            let s = Server.start sched space ?sdrad:sd net ~fs:(mk_fs space) cfg in
-            for i = 1 to 200 do
-              (match get net 8080 "/index.html" with
-              | Some r -> check bool "200" true (Load.is_200 r)
-              | None -> Alcotest.fail "no reply");
-              if i = 20 then rss.(0) <- Space.rss_bytes space;
-              if i = 200 then rss.(1) <- Space.rss_bytes space
-            done;
-            Server.stop s)
-      in
-      Sched.run sched;
+      ignore
+        (Scenario.httpd w
+           ~files:(fun () -> mk_fs w.space)
+           { Server.default_config with variant; workers = 1 }
+           (Script
+              (fun _ ->
+                for i = 1 to 200 do
+                  (match get w.net 8080 "/index.html" with
+                  | Some r -> check bool "200" true (Load.is_200 r)
+                  | None -> Alcotest.fail "no reply");
+                  if i = 20 then rss.(0) <- Space.rss_bytes w.space;
+                  if i = 200 then rss.(1) <- Space.rss_bytes w.space
+                done)));
       check int "RSS flat from the 20th to the 200th connection" rss.(0)
         rss.(1))
     [ Server.Baseline; Server.Sdrad ]
@@ -375,32 +350,28 @@ let test_http10_keepalive_optin () =
 
 
 let test_directory_autoindex () =
-  let space = Space.create ~size_mib:128 () in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let fs = Fs.create space in
+  let w = Scenario.world ~size_mib:128 () in
+  let fs = Fs.create w.space in
   Fs.add fs ~path:"/docs/a.html" ~size:10;
   Fs.add fs ~path:"/docs/b.html" ~size:10;
   let cfg = { Server.default_config with variant = Server.Baseline; workers = 1 } in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space net ~fs cfg in
-        (match get net 8080 "/docs" with
-        | Some r ->
-            check bool "200" true (Load.is_200 r);
-            let has sub =
-              let rec find i =
-                i + String.length sub <= String.length r
-                && (String.sub r i (String.length sub) = sub || find (i + 1))
-              in
-              find 0
-            in
-            check bool "lists a.html" true (has "a.html");
-            check bool "lists b.html" true (has "b.html")
-        | None -> Alcotest.fail "no reply");
-        Server.stop s)
-  in
-  Sched.run sched
+  ignore
+    (Scenario.httpd w ~files:(Fun.const fs) cfg
+       (Script
+          (fun _ ->
+            match get w.net 8080 "/docs" with
+            | Some r ->
+                check bool "200" true (Load.is_200 r);
+                let has sub =
+                  let rec find i =
+                    i + String.length sub <= String.length r
+                    && (String.sub r i (String.length sub) = sub || find (i + 1))
+                  in
+                  find 0
+                in
+                check bool "lists a.html" true (has "a.html");
+                check bool "lists b.html" true (has "b.html")
+            | None -> Alcotest.fail "no reply")))
 
 (* {1 OpenSSL client-cert case study (CVE-2022-3786 through the server)} *)
 
@@ -539,21 +510,15 @@ let test_head_no_body () =
 (* {1 Load generator} *)
 
 let test_http_load_end_to_end () =
-  let space = Space.create ~size_mib:128 () in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let cfg = { Server.default_config with variant = Server.Baseline; workers = 2 } in
-  let lcfg =
-    { Load.default_config with connections = 10; requests_per_conn = 20 }
+  let w = Scenario.world ~size_mib:128 () in
+  let r =
+    (Scenario.httpd w
+       ~files:(fun () -> mk_fs w.space)
+       { Server.default_config with variant = Server.Baseline; workers = 2 }
+       (Http_load
+          { Load.default_config with connections = 10; requests_per_conn = 20 }))
+      .result
   in
-  let results = ref (fun () -> failwith "unset") in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space net ~fs:(mk_fs space) cfg in
-        results := Load.launch sched net lcfg ~on_done:(fun () -> Server.stop s) ())
-  in
-  Sched.run sched;
-  let r = !results () in
   check int "all ok" 200 r.Load.ok;
   check int "no failures" 0 r.Load.failures;
   check bool "took time" true (r.Load.cycles > 0.0)

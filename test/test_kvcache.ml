@@ -16,15 +16,6 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"test" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 let mk_space () = Space.create ~size_mib:64 ()
 
 let mk_slab space =
@@ -237,7 +228,7 @@ let test_slab_free_reuses () =
 (* {1 Store} *)
 
 let with_store f =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = mk_space () in
       let slab = mk_slab space in
       let alloc_table len = Space.mmap space ~len ~prot:Prot.rw ~pkey:0 in
@@ -340,7 +331,7 @@ let store_random_ops =
 (* {1 Proto} *)
 
 let test_proto_parse () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = mk_space () in
       let buf = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
       let feed s =
@@ -460,23 +451,13 @@ let client_request net port reqs =
   replies
 
 let run_server_test ~variant ~vulnerable f =
-  let space = Space.create ~size_mib:128 () in
-  let sd =
-    match variant with Server.Sdrad -> Some (Api.create space) | _ -> None
+  let w =
+    Scenario.world ~size_mib:128 ?monitor:(Scenario.monitor_for variant) ()
   in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let cfg = { Server.default_config with variant; vulnerable; workers = 2 } in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space ?sdrad:sd net cfg in
-        srv := Some s;
-        f sched net s;
-        if not (Server.crashed s) then Server.stop s)
-  in
-  Sched.run sched;
-  Option.get !srv
+  (Scenario.kvcache w
+     { Server.default_config with variant; vulnerable; workers = 2 }
+     (Script (f w.sched w.net)))
+    .server
 
 let test_server_basic_ops () =
   let srv =
@@ -610,7 +591,7 @@ let test_cve_sdrad_rewinds () =
 module Bin = Kvcache.Binproto
 
 let test_binproto_roundtrip () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = mk_space () in
       let buf = Space.mmap space ~len:8192 ~prot:Prot.rw ~pkey:0 in
       let feed s =
@@ -635,7 +616,7 @@ let test_binproto_roundtrip () =
       | _ -> Alcotest.fail "expected Bad"))
 
 let test_binproto_sign_extension () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = mk_space () in
       let buf = Space.mmap space ~len:8192 ~prot:Prot.rw ~pkey:0 in
       (* body length 0xFFFFFFFF is -1 to the vulnerable signed read:
@@ -662,7 +643,7 @@ let test_binproto_reply_roundtrip () =
 (* {2 Causal-context carriage on both wire formats} *)
 
 let test_proto_trace_token () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = mk_space () in
       let buf = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
       let id = Telemetry.Context.trace (Telemetry.Context.root "cli-9") in
@@ -691,7 +672,7 @@ let test_proto_trace_token () =
         (Proto.trace_of_string lying = id))
 
 let test_binproto_trace_cas_field () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = mk_space () in
       let buf = Space.mmap space ~len:8192 ~prot:Prot.rw ~pkey:0 in
       let id = Telemetry.Context.trace (Telemetry.Context.root "bin-4") in
@@ -779,20 +760,16 @@ let test_cve_binary_sdrad_rewinds () =
 
 (* {1 N-variant execution baseline (§VII)} *)
 
+(* The replica set is not one of the builder's servers. *)
 let run_nvx_scenario ~vulnerable f =
-  let space = Space.create ~size_mib:256 () in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let nx = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let n = Nvx.start sched space net { Nvx.default_config with vulnerable } in
-        nx := Some n;
-        f net n;
-        if not (Nvx.down n) then Nvx.stop n)
-  in
-  Sched.run sched;
-  Option.get !nx
+  let w = Scenario.world ~size_mib:256 () in
+  Sched.main ~sched:w.sched (fun sched ->
+      let n =
+        Nvx.start sched w.space w.net { Nvx.default_config with vulnerable }
+      in
+      f w.net n;
+      if not (Nvx.down n) then Nvx.stop n;
+      n)
 
 let test_nvx_serves_requests () =
   let nx =
@@ -919,7 +896,7 @@ let test_add_replace_semantics () =
 (* {1 LRU eviction} *)
 
 let with_capped_store max_bytes f =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = mk_space () in
       let slab =
         Slab.create ~max_bytes space ~alloc_page:(fun len ->
@@ -969,19 +946,16 @@ let test_lru_order_tracked () =
       check (Alcotest.list string) "healthy" [] (Store.check db))
 
 let test_server_eviction_end_to_end () =
-  let space = Space.create ~size_mib:128 () in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:128 () in
   let cfg =
     { Server.default_config with variant = Server.Baseline; workers = 1;
       max_db_bytes = 2 * Slab.slab_page_size }
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space net cfg in
-        srv := Some s;
-        let c = Netsim.connect net ~port:11211 in
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+        let c = Netsim.connect w.net ~port:11211 in
         for i = 0 to 149 do
           Netsim.send c
             (Proto.fmt_set ~key:(Printf.sprintf "k%03d" i) ~flags:0
@@ -995,43 +969,27 @@ let test_server_eviction_end_to_end () =
         Netsim.send c (Proto.fmt_get "k000");
         check bool "oldest evicted" true
           (Proto.parse_reply (Option.get (Netsim.recv c)) = Proto.Miss);
-        Netsim.close c;
-        Server.stop s)
+        Netsim.close c))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   check bool "server reported evictions" true (Server.evictions s > 0);
   check (Alcotest.list string) "db healthy" [] (Server.db_check s)
 
 (* {1 YCSB driver} *)
 
 let run_ycsb variant =
-  let space = Space.create ~size_mib:128 () in
-  let sd =
-    match variant with Server.Sdrad -> Some (Api.create space) | _ -> None
+  let r =
+    Scenario.kvcache
+      (Scenario.world ~size_mib:128 ?monitor:(Scenario.monitor_for variant) ())
+      { Server.default_config with variant; workers = 2 }
+      (Ycsb
+         {
+           Workload.Ycsb.default_config with
+           records = 200;
+           operations = 600;
+           clients = 4;
+         })
   in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let cfg = { Server.default_config with variant; workers = 2 } in
-  let srv = ref None in
-  let ycfg =
-    {
-      Workload.Ycsb.default_config with
-      records = 200;
-      operations = 600;
-      clients = 4;
-    }
-  in
-  let get_results = ref (fun () -> failwith "not started") in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space ?sdrad:sd net cfg in
-        srv := Some s;
-        get_results :=
-          Workload.Ycsb.launch sched net ycfg ~on_done:(fun () -> Server.stop s) ())
-  in
-  Sched.run sched;
-  (!get_results (), Option.get !srv)
+  (r.result, r.server)
 
 let test_ycsb_baseline () =
   let r, srv = run_ycsb Server.Baseline in
@@ -1093,9 +1051,6 @@ let test_stats_command () =
   ignore srv
 
 let test_workload_d_inserts_grow_keyspace () =
-  let space = Space.create ~size_mib:128 () in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
   let cfg = { Server.default_config with variant = Server.Baseline; workers = 2 } in
   let ycfg =
     {
@@ -1106,29 +1061,16 @@ let test_workload_d_inserts_grow_keyspace () =
       read_fraction = 0.5;
     }
   in
-  let srv = ref None in
-  let results = ref (fun () -> failwith "unset") in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space net cfg in
-        srv := Some s;
-        results :=
-          Workload.Ycsb.launch sched net ycfg
-            ~on_done:(fun () -> Server.stop s)
-            ())
+  let { Scenario.server = s; result = r; _ } =
+    Scenario.kvcache (Scenario.world ~size_mib:128 ()) cfg (Ycsb ycfg)
   in
-  Sched.run sched;
-  let r = !results () in
   check int "no failures" 0 r.Workload.Ycsb.failures;
   (* ~200 inserts on top of the 100 loaded records. *)
-  check bool "keyspace grew" true (Store.count (Server.store (Option.get !srv)) > 150)
+  check bool "keyspace grew" true (Store.count (Server.store s) > 150)
 
 (* Uniform clients never draw a Zipfian key, so a single-record keyspace
    (below the Zipf generator's n >= 2 floor) must still run. *)
 let test_uniform_single_record () =
-  let space = Space.create ~size_mib:32 () in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
   let cfg = { Server.default_config with variant = Server.Baseline; workers = 1 } in
   let ycfg =
     {
@@ -1139,17 +1081,9 @@ let test_uniform_single_record () =
       distribution = Workload.Ycsb.Uniform;
     }
   in
-  let results = ref (fun () -> failwith "unset") in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space net cfg in
-        results :=
-          Workload.Ycsb.launch sched net ycfg
-            ~on_done:(fun () -> Server.stop s)
-            ())
+  let r =
+    (Scenario.kvcache (Scenario.world ~size_mib:32 ()) cfg (Ycsb ycfg)).result
   in
-  Sched.run sched;
-  let r = !results () in
   check int "no failures" 0 r.Workload.Ycsb.failures;
   check int "every op completed" 20 (List.length r.Workload.Ycsb.run_latencies)
 
@@ -1263,7 +1197,7 @@ let edge_message rng =
    same order give bit-identical clocks. *)
 let run_lines msgs ~parse ~parse_trace =
   let out = ref [] in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = mk_space () in
       let buf = Space.mmap space ~len:8192 ~prot:Prot.rw ~pkey:0 in
       List.iter
@@ -1400,16 +1334,13 @@ let test_values_reply_bytes () =
 let get_round_trip_budget = 600.0
 
 let test_get_round_trip_alloc () =
-  let space = Space.create ~size_mib:32 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:32 ~monitor:Api.create () in
   let cfg = { Server.default_config with variant = Server.Sdrad; workers = 1 } in
-  let words = ref Float.nan in
-  ignore
-    (Sched.spawn sched ~name:"client" (fun () ->
-         let srv = Server.start sched space ~sdrad:sd net cfg in
-         let c = Netsim.connect net ~port:cfg.port in
+  let { Scenario.result = words; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+         let c = Netsim.connect w.net ~port:cfg.port in
          let value = String.make 1024 'v' in
          Netsim.send c (Proto.fmt_set ~key:"user00000001" ~flags:0 ~value);
          ignore (Netsim.recv c);
@@ -1425,15 +1356,15 @@ let test_get_round_trip_alloc () =
          let n = 2_000 in
          let w0 = Gc.minor_words () in
          for _ = 1 to n do round () done;
-         words := (Gc.minor_words () -. w0) /. float_of_int n;
+         let words = (Gc.minor_words () -. w0) /. float_of_int n in
          Netsim.close c;
-         Server.stop srv));
-  Sched.run sched;
+         words))
+  in
   check bool
-    (Printf.sprintf "%.1f minor words per GET, budget %.0f" !words
+    (Printf.sprintf "%.1f minor words per GET, budget %.0f" words
        get_round_trip_budget)
     true
-    (!words <= get_round_trip_budget)
+    (words <= get_round_trip_budget)
 
 (* A 16-client YCSB-B run of 8,000 ops on 500 records against a SDRaD
    kvcache: the words of the run less those of the same set-up with no
@@ -1443,21 +1374,19 @@ let ycsb_words_per_op_budget = 645.0
 
 let ycsb_words ~ops =
   let w0 = Gc.minor_words () in
-  let space = Space.create ~size_mib:32 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let cfg = { Server.default_config with variant = Server.Sdrad } in
-  let ycfg =
-    { Workload.Ycsb.workload_b with records = 500; operations = ops; clients = 16 }
+  let r =
+    Scenario.kvcache
+      (Scenario.world ~size_mib:32 ~monitor:Api.create ())
+      { Server.default_config with variant = Server.Sdrad }
+      (Ycsb
+         {
+           Workload.Ycsb.workload_b with
+           records = 500;
+           operations = ops;
+           clients = 16;
+         })
   in
-  let get = ref (fun () -> failwith "not started") in
-  ignore
-    (Sched.spawn sched ~name:"harness" (fun () ->
-         let s = Server.start sched space ~sdrad:sd net cfg in
-         get := Workload.Ycsb.launch sched net ycfg ~on_done:(fun () -> Server.stop s) ()));
-  Sched.run sched;
-  check int "no failures" 0 (!get ()).Workload.Ycsb.failures;
+  check int "no failures" 0 r.result.failures;
   Gc.minor_words () -. w0
 
 let test_ycsb_alloc () =

@@ -9,15 +9,6 @@ module Rng = Simkern.Rng
 module Store = Kvcache.Store
 module Slab = Kvcache.Slab
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"model" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 (* {1 Store + LRU vs. a list model} *)
 
 (* The model: an association list in recency order (head = MRU). *)
@@ -54,7 +45,7 @@ let store_lru_model =
     QCheck.(list (pair (int_range 0 11) (int_range 0 3)))
     (fun ops ->
       let ok = ref true in
-      in_thread (fun () ->
+      Sched.main (fun _ ->
           let space = Space.create ~size_mib:32 () in
           let slab =
             Slab.create space ~alloc_page:(fun len ->
@@ -102,7 +93,7 @@ let eviction_order_model =
     QCheck.(list_of_size (QCheck.Gen.int_range 5 30) (int_range 0 9))
     (fun touches ->
       let ok = ref true in
-      in_thread (fun () ->
+      Sched.main (fun _ ->
           let space = Space.create ~size_mib:32 () in
           let slab =
             Slab.create space ~alloc_page:(fun len ->
@@ -149,7 +140,7 @@ let netsim_fifo_model =
     QCheck.(list (string_of_size (QCheck.Gen.int_range 0 50)))
     (fun msgs ->
       let ok = ref true in
-      in_thread (fun () ->
+      Sched.main (fun _ ->
           let net = Netsim.create Simkern.Cost.default in
           let l = Netsim.listen net ~port:9 in
           let a = Netsim.connect net ~port:9 in

@@ -3,7 +3,6 @@
    journal (at-most-once retried mutations), the admission edges of the
    shared serving core, and overload shedding in both servers. *)
 
-module Space = Vmem.Space
 module Sched = Simkern.Sched
 module Rng = Simkern.Rng
 module Cost = Simkern.Cost
@@ -20,10 +19,8 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
-let run_sim f =
-  let sched = Sched.create () in
-  f sched;
-  Sched.run sched;
+(* Every thread of a finished run completed. *)
+let all_completed sched =
   List.iter
     (fun (_, name, oc) ->
       match oc with
@@ -32,7 +29,11 @@ let run_sim f =
           Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
     (Sched.outcomes sched)
 
-let in_thread f = run_sim (fun sched -> ignore (Sched.spawn sched ~name:"main" f))
+let run_sim f =
+  let sched = Sched.create () in
+  f sched;
+  Sched.run sched;
+  all_completed sched
 
 (* {1 Deadline-aware receives} *)
 
@@ -118,7 +119,7 @@ let quick_policy =
   }
 
 let test_retry_success_after_backoff () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let eng = Retry.create quick_policy ~rng:(Rng.create 1) in
       let attempts = ref 0 in
       let rids = ref [] in
@@ -146,7 +147,7 @@ let test_retry_success_after_backoff () =
         (Sched.now () -. t0 >= 2.0 *. 100.0))
 
 let test_retry_budget_exhaustion () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let bgt = Retry.budget ~cap:10.0 ~deposit:0.0 ~withdraw:10.0 () in
       let eng =
         Retry.create { quick_policy with max_attempts = 10 } ~budget:bgt
@@ -168,7 +169,7 @@ let test_retry_budget_exhaustion () =
       check bool "bucket drained" true (Retry.budget_tokens bgt < 10.0))
 
 let test_retry_attempts_and_deadline () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       (* Attempts exhausted: every attempt fails fast. *)
       let eng = Retry.create quick_policy ~rng:(Rng.create 3) in
       (match
@@ -233,10 +234,8 @@ let test_journal_semantics () =
    domain), then retry the same request id: the journaled response must
    come back and the counter must not move twice. *)
 let test_journal_replay_after_rewind () =
-  let space = Space.create ~size_mib:64 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~monitor:Api.create () in
+  let net = w.net in
   let cfg =
     {
       KServer.default_config with
@@ -245,80 +244,69 @@ let test_journal_replay_after_rewind () =
       vulnerable = true;
     }
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"main" (fun () ->
-        let s = KServer.start sched space ~sdrad:sd net cfg in
-        srv := Some s;
-        let c = Netsim.connect net ~port:11211 in
-        Netsim.send c (Proto.fmt_set ~key:"ctr" ~flags:0 ~value:"5");
-        check bool "seed value stored" true
-          (Proto.parse_reply (Option.get (Netsim.recv c)) = Proto.Stored);
-        check int "plain set is not journaled" 0 (Journal.size (KServer.journal s));
-        (* Drop exactly the server's response to the incr: send #1 after
-           arming is the client's request, send #2 the reply. *)
-        let sends = ref 0 in
-        Netsim.set_fault_hook net
-          (Some
-             (fun ~len:_ ->
-               incr sends;
-               if !sends = 2 then Netsim.Drop else Netsim.Deliver));
-        Netsim.send c (Proto.fmt_incr ~rid:"cl-1" "ctr" 1);
-        (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 200_000.0) with
-        | None -> ()
-        | Some m -> Alcotest.failf "response should have been dropped: %S" m);
-        Netsim.set_fault_hook net None;
-        check int "commit was journaled" 1 (Journal.size (KServer.journal s));
-        (* Force a rewind on the same worker: the event domain is
-           discarded and the offending connection closed. *)
-        Netsim.send c
-          (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
-             ~value:(String.make 300 'X'));
-        check bool "attack connection closed" true (Netsim.recv c = None);
-        Netsim.close c;
-        check int "one rewind happened" 1 (KServer.rewinds s);
-        (* Retry the lost mutation with the same idempotency key. *)
-        let c2 = Netsim.connect net ~port:11211 in
-        Netsim.send c2 (Proto.fmt_incr ~rid:"cl-1" "ctr" 1);
-        (match Proto.parse_reply (Option.get (Netsim.recv c2)) with
-        | Proto.Number n -> check int "journaled result replayed" 6 n
-        | r ->
-            Alcotest.failf "unexpected reply %s"
-              (match r with Proto.Failed e -> e | _ -> "non-number"));
-        check int "replay hit counted" 1 (KServer.replay_hits s);
-        (* The counter moved exactly once: reads see 6, not 7. *)
-        Netsim.send c2 (Proto.fmt_get "ctr");
-        (match Proto.parse_reply (Option.get (Netsim.recv c2)) with
-        | Proto.Value v -> check string "applied exactly once" "6" v
-        | _ -> Alcotest.fail "counter unreadable");
-        (* Reads are never journaled. *)
-        check int "journal still holds one entry" 1
-          (Journal.size (KServer.journal s));
-        (* A mutation without an id is not journaled (legacy client). *)
-        Netsim.send c2 (Proto.fmt_incr "ctr" 1);
-        (match Proto.parse_reply (Option.get (Netsim.recv c2)) with
-        | Proto.Number n -> check int "anonymous incr applies" 7 n
-        | _ -> Alcotest.fail "anonymous incr failed");
-        check int "anonymous mutation not journaled" 1
-          (Journal.size (KServer.journal s));
-        Netsim.close c2;
-        KServer.stop s)
+  let r =
+    Scenario.kvcache w cfg
+      (Script
+         (fun s ->
+           let c = Netsim.connect net ~port:11211 in
+           Netsim.send c (Proto.fmt_set ~key:"ctr" ~flags:0 ~value:"5");
+           check bool "seed value stored" true
+             (Proto.parse_reply (Option.get (Netsim.recv c)) = Proto.Stored);
+           check int "plain set is not journaled" 0 (Journal.size (KServer.journal s));
+           (* Drop exactly the server's response to the incr: send #1 after
+              arming is the client's request, send #2 the reply. *)
+           let sends = ref 0 in
+           Netsim.set_fault_hook net
+             (Some
+                (fun ~len:_ ->
+                  incr sends;
+                  if !sends = 2 then Netsim.Drop else Netsim.Deliver));
+           Netsim.send c (Proto.fmt_incr ~rid:"cl-1" "ctr" 1);
+           (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 200_000.0) with
+           | None -> ()
+           | Some m -> Alcotest.failf "response should have been dropped: %S" m);
+           Netsim.set_fault_hook net None;
+           check int "commit was journaled" 1 (Journal.size (KServer.journal s));
+           (* Force a rewind on the same worker: the event domain is
+              discarded and the offending connection closed. *)
+           Netsim.send c
+             (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
+                ~value:(String.make 300 'X'));
+           check bool "attack connection closed" true (Netsim.recv c = None);
+           Netsim.close c;
+           check int "one rewind happened" 1 (KServer.rewinds s);
+           (* Retry the lost mutation with the same idempotency key. *)
+           let c2 = Netsim.connect net ~port:11211 in
+           Netsim.send c2 (Proto.fmt_incr ~rid:"cl-1" "ctr" 1);
+           (match Proto.parse_reply (Option.get (Netsim.recv c2)) with
+           | Proto.Number n -> check int "journaled result replayed" 6 n
+           | r ->
+               Alcotest.failf "unexpected reply %s"
+                 (match r with Proto.Failed e -> e | _ -> "non-number"));
+           check int "replay hit counted" 1 (KServer.replay_hits s);
+           (* The counter moved exactly once: reads see 6, not 7. *)
+           Netsim.send c2 (Proto.fmt_get "ctr");
+           (match Proto.parse_reply (Option.get (Netsim.recv c2)) with
+           | Proto.Value v -> check string "applied exactly once" "6" v
+           | _ -> Alcotest.fail "counter unreadable");
+           (* Reads are never journaled. *)
+           check int "journal still holds one entry" 1
+             (Journal.size (KServer.journal s));
+           (* A mutation without an id is not journaled (legacy client). *)
+           Netsim.send c2 (Proto.fmt_incr "ctr" 1);
+           (match Proto.parse_reply (Option.get (Netsim.recv c2)) with
+           | Proto.Number n -> check int "anonymous incr applies" 7 n
+           | _ -> Alcotest.fail "anonymous incr failed");
+           check int "anonymous mutation not journaled" 1
+             (Journal.size (KServer.journal s));
+           Netsim.close c2))
   in
-  Sched.run sched;
-  List.iter
-    (fun (_, name, oc) ->
-      match oc with
-      | Sched.Completed -> ()
-      | Sched.Failed e ->
-          Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
-    (Sched.outcomes sched);
-  check bool "server never crashed" false (KServer.crashed (Option.get !srv))
+  all_completed w.sched;
+  check bool "server never crashed" false (KServer.crashed r.server)
 
 let test_journal_eviction_in_server () =
-  let space = Space.create ~size_mib:64 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~monitor:Api.create () in
+  let net = w.net in
   let cfg =
     {
       KServer.default_config with
@@ -327,37 +315,27 @@ let test_journal_eviction_in_server () =
       journal_cap = 2;
     }
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"main" (fun () ->
-        let s = KServer.start sched space ~sdrad:sd net cfg in
-        srv := Some s;
-        let c = Netsim.connect net ~port:11211 in
-        for i = 1 to 3 do
-          Netsim.send c
-            (Proto.fmt_set_rid
-               ~rid:(Printf.sprintf "r%d" i)
-               ~key:(Printf.sprintf "k%d" i)
-               ~flags:0 ~value:"v");
-          ignore (Netsim.recv c)
-        done;
-        let j = KServer.journal s in
-        check int "journal wrapped at capacity" 2 (Journal.size j);
-        check int "one eviction" 1 (Journal.evictions j);
-        check bool "oldest id fell out of the window" false (Journal.mem j "r1");
-        check bool "newest ids retained" true
-          (Journal.mem j "r2" && Journal.mem j "r3");
-        Netsim.close c;
-        KServer.stop s)
-  in
-  Sched.run sched;
-  List.iter
-    (fun (_, name, oc) ->
-      match oc with
-      | Sched.Completed -> ()
-      | Sched.Failed e ->
-          Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
-    (Sched.outcomes sched)
+  ignore
+    (Scenario.kvcache w cfg
+       (Script
+          (fun s ->
+            let c = Netsim.connect net ~port:11211 in
+            for i = 1 to 3 do
+              Netsim.send c
+                (Proto.fmt_set_rid
+                   ~rid:(Printf.sprintf "r%d" i)
+                   ~key:(Printf.sprintf "k%d" i)
+                   ~flags:0 ~value:"v");
+              ignore (Netsim.recv c)
+            done;
+            let j = KServer.journal s in
+            check int "journal wrapped at capacity" 2 (Journal.size j);
+            check int "one eviction" 1 (Journal.evictions j);
+            check bool "oldest id fell out of the window" false (Journal.mem j "r1");
+            check bool "newest ids retained" true
+              (Journal.mem j "r2" && Journal.mem j "r3");
+            Netsim.close c)));
+  all_completed w.sched
 
 let mk_fs space =
   let fs = Fs.create space in
@@ -405,9 +383,7 @@ let check_shed_boundary ~limit ~n ~shed traces sd s_shed_count =
 let test_kvcache_shed_boundary () =
   List.iter
     (fun limit ->
-      let space = Space.create ~size_mib:64 () in
-      let sd = Api.create space in
-      let net = Netsim.create (Space.cost space) in
+      let w = Scenario.world ~monitor:Api.create () in
       let cfg =
         {
           KServer.default_config with
@@ -418,23 +394,25 @@ let test_kvcache_shed_boundary () =
       in
       let n = 6 in
       let traces = List.map Telemetry.Context.trace (burst n) in
-      run_sim (fun sched ->
-          ignore
-            (Sched.spawn sched ~name:"main" (fun () ->
-                 let s = KServer.start sched space ~sdrad:sd net cfg in
-                 let c = Netsim.connect net ~port:11211 in
-                 List.iter
-                   (fun tr -> Netsim.send c (Proto.fmt_get ~trace:tr "k"))
-                   traces;
-                 let shed =
-                   List.map
-                     (fun _ -> Netsim.recv c = Some Proto.server_error_busy)
-                     traces
-                 in
-                 Netsim.close c;
-                 KServer.stop s;
-                 check_shed_boundary ~limit ~n ~shed traces sd
-                   (KServer.shed_count s)))))
+      let { Scenario.server = s; result = shed; _ } =
+        Scenario.kvcache w cfg
+          (Script
+             (fun _ ->
+               let c = Netsim.connect w.net ~port:11211 in
+               List.iter
+                 (fun tr -> Netsim.send c (Proto.fmt_get ~trace:tr "k"))
+                 traces;
+               let shed =
+                 List.map
+                   (fun _ -> Netsim.recv c = Some Proto.server_error_busy)
+                   traces
+               in
+               Netsim.close c;
+               shed))
+      in
+      all_completed w.sched;
+      check_shed_boundary ~limit ~n ~shed traces (Option.get w.sd)
+        (KServer.shed_count s))
     [ 0; 2 ]
 
 let traced_get tr =
@@ -444,9 +422,7 @@ let traced_get tr =
 let test_httpd_shed_boundary () =
   List.iter
     (fun limit ->
-      let space = Space.create ~size_mib:64 () in
-      let sd = Api.create space in
-      let net = Netsim.create (Space.cost space) in
+      let w = Scenario.world ~monitor:Api.create () in
       let cfg =
         {
           HServer.default_config with
@@ -457,36 +433,35 @@ let test_httpd_shed_boundary () =
       in
       let n = 6 in
       let ctxs = burst n in
-      run_sim (fun sched ->
-          ignore
-            (Sched.spawn sched ~name:"main" (fun () ->
-                 let s =
-                   HServer.start sched space ~sdrad:sd net
-                     ~fs:(mk_fs space) cfg
-                 in
-                 let c = Netsim.connect net ~port:8080 in
-                 List.iter (fun tr -> Netsim.send c (traced_get tr)) ctxs;
-                 let shed =
-                   List.map
-                     (fun _ ->
-                       let r = Option.get (Netsim.recv c) in
-                       String.sub r 9 3 = "503")
-                     ctxs
-                 in
-                 Netsim.close c;
-                 HServer.stop s;
-                 check_shed_boundary ~limit ~n ~shed
-                   (List.map Telemetry.Context.trace ctxs)
-                   sd (HServer.shed_count s)))))
+      let { Scenario.server = s; result = shed; _ } =
+        Scenario.httpd w
+          ~files:(fun () -> mk_fs w.space)
+          cfg
+          (Script
+             (fun _ ->
+               let c = Netsim.connect w.net ~port:8080 in
+               List.iter (fun tr -> Netsim.send c (traced_get tr)) ctxs;
+               let shed =
+                 List.map
+                   (fun _ ->
+                     let r = Option.get (Netsim.recv c) in
+                     String.sub r 9 3 = "503")
+                   ctxs
+               in
+               Netsim.close c;
+               shed))
+      in
+      all_completed w.sched;
+      check_shed_boundary ~limit ~n ~shed
+        (List.map Telemetry.Context.trace ctxs)
+        (Option.get w.sd) (HServer.shed_count s))
     [ 0; 2 ]
 
 (* A retried POST whose first attempt committed is answered from the
    journal without running again, and the hit is one [Replay] flight
    event under the retry's trace id. *)
 let test_httpd_replay_under_retry_trace () =
-  let space = Space.create ~size_mib:64 () in
-  let sd = Api.create space in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~monitor:Api.create () in
   let cfg =
     { HServer.default_config with variant = HServer.Sdrad; workers = 1 }
   in
@@ -501,31 +476,29 @@ let test_httpd_replay_under_retry_trace () =
          (Telemetry.Context.to_traceparent tr));
     Option.get (Netsim.recv c)
   in
-  run_sim (fun sched ->
-      ignore
-        (Sched.spawn sched ~name:"main" (fun () ->
-             let s =
-               HServer.start sched space ~sdrad:sd net ~fs:(mk_fs space) cfg
-             in
-             let c = Netsim.connect net ~port:8080 in
-             let r1 = post c first in
-             let r2 = post c retry in
-             check string "retry answered with the first reply" r1 r2;
-             check int "POST ran once" 1 (HServer.post_count s);
-             check int "one replay hit" 1 (HServer.replay_hits s);
-             Netsim.close c;
-             HServer.stop s)));
+  ignore
+    (Scenario.httpd w
+       ~files:(fun () -> mk_fs w.space)
+       cfg
+       (Script
+          (fun s ->
+            let c = Netsim.connect w.net ~port:8080 in
+            let r1 = post c first in
+            let r2 = post c retry in
+            check string "retry answered with the first reply" r1 r2;
+            check int "POST ran once" 1 (HServer.post_count s);
+            check int "one replay hit" 1 (HServer.replay_hits s);
+            Netsim.close c)));
+  all_completed w.sched;
   check (Alcotest.list Alcotest.int64) "one Replay event, under the retry's trace"
     [ Telemetry.Context.trace retry ]
-    (flight_traces sd Checkpoint.Flight.Replay)
+    (flight_traces (Option.get w.sd) Checkpoint.Flight.Replay)
 
 (* {1 Overload shedding} *)
 
 let test_kvcache_sheds_under_burst () =
-  let space = Space.create ~size_mib:64 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~monitor:Api.create () in
+  let net = w.net in
   let cfg =
     {
       KServer.default_config with
@@ -534,53 +507,42 @@ let test_kvcache_sheds_under_burst () =
       shed_queue_limit = 2;
     }
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"main" (fun () ->
-        let s = KServer.start sched space ~sdrad:sd net cfg in
-        srv := Some s;
-        let c = Netsim.connect net ~port:11211 in
-        let n = 20 in
-        (* Pipeline a burst: the worker's backlog exceeds the limit and
-           most of the burst is turned away before parsing. *)
-        for i = 1 to n do
-          Netsim.send c
-            (Proto.fmt_set ~key:(Printf.sprintf "b%d" i) ~flags:0 ~value:"v")
-        done;
-        let busy = ref 0 and stored = ref 0 in
-        for _ = 1 to n do
-          match Netsim.recv c with
-          | Some r when r = Proto.server_error_busy -> incr busy
-          | Some r when Proto.parse_reply r = Proto.Stored -> incr stored
-          | Some r -> Alcotest.failf "unexpected reply %S" r
-          | None -> Alcotest.fail "connection dropped under burst"
-        done;
-        check int "every request got exactly one reply" n (!busy + !stored);
-        check bool "burst tripped the shed path" true (!busy > 0);
-        check bool "head of the burst was served" true (!stored > 0);
-        check int "shed counter matches busy replies" !busy (KServer.shed_count s);
-        (* After the burst drains, normal service resumes. *)
-        Netsim.send c (Proto.fmt_set ~key:"after" ~flags:0 ~value:"ok");
-        check bool "service resumed after burst" true
-          (Proto.parse_reply (Option.get (Netsim.recv c)) = Proto.Stored);
-        Netsim.close c;
-        KServer.stop s)
+  let r =
+    Scenario.kvcache w cfg
+      (Script
+         (fun s ->
+           let c = Netsim.connect net ~port:11211 in
+           let n = 20 in
+           (* Pipeline a burst: the worker's backlog exceeds the limit and
+              most of the burst is turned away before parsing. *)
+           for i = 1 to n do
+             Netsim.send c
+               (Proto.fmt_set ~key:(Printf.sprintf "b%d" i) ~flags:0 ~value:"v")
+           done;
+           let busy = ref 0 and stored = ref 0 in
+           for _ = 1 to n do
+             match Netsim.recv c with
+             | Some r when r = Proto.server_error_busy -> incr busy
+             | Some r when Proto.parse_reply r = Proto.Stored -> incr stored
+             | Some r -> Alcotest.failf "unexpected reply %S" r
+             | None -> Alcotest.fail "connection dropped under burst"
+           done;
+           check int "every request got exactly one reply" n (!busy + !stored);
+           check bool "burst tripped the shed path" true (!busy > 0);
+           check bool "head of the burst was served" true (!stored > 0);
+           check int "shed counter matches busy replies" !busy (KServer.shed_count s);
+           (* After the burst drains, normal service resumes. *)
+           Netsim.send c (Proto.fmt_set ~key:"after" ~flags:0 ~value:"ok");
+           check bool "service resumed after burst" true
+             (Proto.parse_reply (Option.get (Netsim.recv c)) = Proto.Stored);
+           Netsim.close c))
   in
-  Sched.run sched;
-  List.iter
-    (fun (_, name, oc) ->
-      match oc with
-      | Sched.Completed -> ()
-      | Sched.Failed e ->
-          Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
-    (Sched.outcomes sched);
-  check bool "server survived the burst" false (KServer.crashed (Option.get !srv))
+  all_completed w.sched;
+  check bool "server survived the burst" false (KServer.crashed r.server)
 
 let test_httpd_sheds_and_replays () =
-  let space = Space.create ~size_mib:64 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~monitor:Api.create () in
+  let net = w.net in
   let cfg =
     {
       HServer.default_config with
@@ -610,151 +572,120 @@ let test_httpd_sheds_and_replays () =
     let off = find 0 in
     String.sub reply off (String.length reply - off)
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"main" (fun () ->
-        let s = HServer.start sched space ~sdrad:sd net ~fs:(mk_fs space) cfg in
-        srv := Some s;
-        (* Replay journal: same X-Request-Id twice = one application. *)
-        let c = Netsim.connect net ~port:8080 in
-        let r1 = post ~rid:"req-1" c in
-        let r2 = post ~rid:"req-1" c in
-        check bool "both replies are 200" true
-          (Workload.Http_load.is_200 r1 && Workload.Http_load.is_200 r2);
-        check string "retry answered from the journal" (body r1) (body r2);
-        check int "POST applied exactly once" 1 (HServer.post_count s);
-        check int "one replay hit" 1 (HServer.replay_hits s);
-        (* Without an id, each POST applies. *)
-        ignore (post c);
-        ignore (post c);
-        check int "anonymous POSTs apply each time" 3 (HServer.post_count s);
-        (* Shedding: a pipelined burst gets 503s past the backlog limit. *)
-        let n = 16 in
-        for _ = 1 to n do
-          Netsim.send c (Workload.Http_load.request ~path:"/index.html")
-        done;
-        let ok = ref 0 and shed = ref 0 in
-        for _ = 1 to n do
-          match Netsim.recv c with
-          | Some r when Workload.Http_load.is_200 r -> incr ok
-          | Some r when String.length r >= 12 && String.sub r 9 3 = "503" ->
-              incr shed
-          | Some r -> Alcotest.failf "unexpected reply %S" r
-          | None -> Alcotest.fail "connection dropped under burst"
-        done;
-        check int "one reply per request" n (!ok + !shed);
-        check bool "burst tripped the shed path" true (!shed > 0);
-        check bool "head of the burst was served" true (!ok > 0);
-        check int "shed counter matches 503s" !shed (HServer.shed_count s);
-        Netsim.close c;
-        HServer.stop s)
-  in
-  Sched.run sched;
-  List.iter
-    (fun (_, name, oc) ->
-      match oc with
-      | Sched.Completed -> ()
-      | Sched.Failed e ->
-          Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
-    (Sched.outcomes sched)
+  ignore
+    (Scenario.httpd w
+       ~files:(fun () -> mk_fs w.space)
+       cfg
+       (Script
+          (fun s ->
+            (* Replay journal: same X-Request-Id twice = one application. *)
+            let c = Netsim.connect net ~port:8080 in
+            let r1 = post ~rid:"req-1" c in
+            let r2 = post ~rid:"req-1" c in
+            check bool "both replies are 200" true
+              (Workload.Http_load.is_200 r1 && Workload.Http_load.is_200 r2);
+            check string "retry answered from the journal" (body r1) (body r2);
+            check int "POST applied exactly once" 1 (HServer.post_count s);
+            check int "one replay hit" 1 (HServer.replay_hits s);
+            (* Without an id, each POST applies. *)
+            ignore (post c);
+            ignore (post c);
+            check int "anonymous POSTs apply each time" 3 (HServer.post_count s);
+            (* Shedding: a pipelined burst gets 503s past the backlog limit. *)
+            let n = 16 in
+            for _ = 1 to n do
+              Netsim.send c (Workload.Http_load.request ~path:"/index.html")
+            done;
+            let ok = ref 0 and shed = ref 0 in
+            for _ = 1 to n do
+              match Netsim.recv c with
+              | Some r when Workload.Http_load.is_200 r -> incr ok
+              | Some r when String.length r >= 12 && String.sub r 9 3 = "503" ->
+                  incr shed
+              | Some r -> Alcotest.failf "unexpected reply %S" r
+              | None -> Alcotest.fail "connection dropped under burst"
+            done;
+            check int "one reply per request" n (!ok + !shed);
+            check bool "burst tripped the shed path" true (!shed > 0);
+            check bool "head of the burst was served" true (!ok > 0);
+            check int "shed counter matches 503s" !shed (HServer.shed_count s);
+            Netsim.close c)));
+  all_completed w.sched
 
 (* {1 Truncated frames are protocol errors, not crashes} *)
 
 let test_truncated_frames_rejected () =
-  let space = Space.create ~size_mib:64 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~monitor:Api.create () in
+  let net = w.net in
   let cfg =
     { KServer.default_config with variant = KServer.Sdrad; workers = 1 }
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"main" (fun () ->
-        let s = KServer.start sched space ~sdrad:sd net cfg in
-        srv := Some s;
-        let text = Proto.fmt_set ~key:"k" ~flags:0 ~value:"hello" in
-        let bin = Kvcache.Binproto.req_set ~key:"k" ~flags:0 ~value:"hello" in
-        let probe frame =
-          (* Reconnect per probe: an error reply may close the conn. *)
-          let c = Netsim.connect net ~port:11211 in
-          Netsim.send c frame;
-          (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
-          | Some _ | None -> ());
-          Netsim.close c;
-          check bool "server survived truncated frame" false (KServer.crashed s)
-        in
-        for len = 1 to String.length text - 1 do
-          probe (String.sub text 0 len)
-        done;
-        for len = 1 to String.length bin - 1 do
-          probe (String.sub bin 0 len)
-        done;
-        (* And the server still works afterwards. *)
-        let c = Netsim.connect net ~port:11211 in
-        Netsim.send c (Proto.fmt_set ~key:"k" ~flags:0 ~value:"hello");
-        check bool "valid traffic still served" true
-          (Proto.parse_reply (Option.get (Netsim.recv c)) = Proto.Stored);
-        Netsim.close c;
-        KServer.stop s)
-  in
-  Sched.run sched;
-  List.iter
-    (fun (_, name, oc) ->
-      match oc with
-      | Sched.Completed -> ()
-      | Sched.Failed e ->
-          Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
-    (Sched.outcomes sched)
+  ignore
+    (Scenario.kvcache w cfg
+       (Script
+          (fun s ->
+            let text = Proto.fmt_set ~key:"k" ~flags:0 ~value:"hello" in
+            let bin = Kvcache.Binproto.req_set ~key:"k" ~flags:0 ~value:"hello" in
+            let probe frame =
+              (* Reconnect per probe: an error reply may close the conn. *)
+              let c = Netsim.connect net ~port:11211 in
+              Netsim.send c frame;
+              (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
+              | Some _ | None -> ());
+              Netsim.close c;
+              check bool "server survived truncated frame" false (KServer.crashed s)
+            in
+            for len = 1 to String.length text - 1 do
+              probe (String.sub text 0 len)
+            done;
+            for len = 1 to String.length bin - 1 do
+              probe (String.sub bin 0 len)
+            done;
+            (* And the server still works afterwards. *)
+            let c = Netsim.connect net ~port:11211 in
+            Netsim.send c (Proto.fmt_set ~key:"k" ~flags:0 ~value:"hello");
+            check bool "valid traffic still served" true
+              (Proto.parse_reply (Option.get (Netsim.recv c)) = Proto.Stored);
+            Netsim.close c)));
+  all_completed w.sched
 
 let test_httpd_truncated_request_400 () =
-  let space = Space.create ~size_mib:64 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~monitor:Api.create () in
+  let net = w.net in
   let cfg =
     { HServer.default_config with variant = HServer.Sdrad; workers = 1 }
   in
-  let _ =
-    Sched.spawn sched ~name:"main" (fun () ->
-        let s = HServer.start sched space ~sdrad:sd net ~fs:(mk_fs space) cfg in
-        let full = Workload.Http_load.request ~path:"/index.html" in
-        for len = 1 to String.length full - 1 do
-          let c = Netsim.connect net ~port:8080 in
-          Netsim.send c (String.sub full 0 len);
-          (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
-          | Some r ->
-              check bool "truncated request answered with an error status"
-                false
-                (Workload.Http_load.is_200 r)
-          | None -> ());
-          Netsim.close c
-        done;
-        let c = Netsim.connect net ~port:8080 in
-        Netsim.send c full;
-        check bool "valid request still served" true
-          (Workload.Http_load.is_200 (Option.get (Netsim.recv c)));
-        Netsim.close c;
-        check int "no worker restarts from truncation" 0
-          (HServer.worker_restarts s);
-        HServer.stop s)
-  in
-  Sched.run sched;
-  List.iter
-    (fun (_, name, oc) ->
-      match oc with
-      | Sched.Completed -> ()
-      | Sched.Failed e ->
-          Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
-    (Sched.outcomes sched)
+  ignore
+    (Scenario.httpd w
+       ~files:(fun () -> mk_fs w.space)
+       cfg
+       (Script
+          (fun s ->
+            let full = Workload.Http_load.request ~path:"/index.html" in
+            for len = 1 to String.length full - 1 do
+              let c = Netsim.connect net ~port:8080 in
+              Netsim.send c (String.sub full 0 len);
+              (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
+              | Some r ->
+                  check bool "truncated request answered with an error status"
+                    false
+                    (Workload.Http_load.is_200 r)
+              | None -> ());
+              Netsim.close c
+            done;
+            let c = Netsim.connect net ~port:8080 in
+            Netsim.send c full;
+            check bool "valid request still served" true
+              (Workload.Http_load.is_200 (Option.get (Netsim.recv c)));
+            Netsim.close c;
+            check int "no worker restarts from truncation" 0
+              (HServer.worker_restarts s))));
+  all_completed w.sched
 
 (* {1 Retry-aware load generators} *)
 
 let test_ycsb_retries_through_faults () =
-  let space = Space.create ~size_mib:128 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
   let cfg =
     { KServer.default_config with variant = KServer.Sdrad; workers = 2 }
   in
@@ -775,33 +706,15 @@ let test_ycsb_retries_through_faults () =
           };
     }
   in
-  let srv = ref None in
-  let results = ref (fun () -> Alcotest.fail "not launched") in
-  let _ =
-    Sched.spawn sched ~name:"main" (fun () ->
-        let s = KServer.start sched space ~sdrad:sd net cfg in
-        srv := Some s;
-        (* Drop ~4% of messages once the run phase is underway. *)
-        let rng = Rng.create 99 in
-        let armed = ref false in
-        Netsim.set_fault_hook net
-          (Some
-             (fun ~len:_ ->
-               if !armed && Rng.float rng < 0.04 then Netsim.Drop
-               else Netsim.Deliver));
-        armed := true;
-        let get =
-          Workload.Ycsb.launch sched net wl
-            ~on_done:(fun () ->
-              Netsim.set_fault_hook net None;
-              KServer.stop s)
-            ()
-        in
-        results := get)
+  (* Drop ~4% of messages. *)
+  let rng = Rng.create 99 in
+  Netsim.set_fault_hook w.net
+    (Some
+       (fun ~len:_ ->
+         if Rng.float rng < 0.04 then Netsim.Drop else Netsim.Deliver));
+  let { Scenario.server = s; result = r; _ } =
+    Scenario.kvcache w cfg (Ycsb wl)
   in
-  Sched.run sched;
-  let r = !results () in
-  let s = Option.get !srv in
   check bool "server survived" false (KServer.crashed s);
   check bool "faults actually forced retries" true
     (r.Workload.Ycsb.retries > 0);

@@ -12,15 +12,6 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"test" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 let gradient x y = (x * 37 mod 256, y * 11 mod 256, (x + y) mod 256)
 
 let plain_decode space image ~vulnerable =
@@ -31,7 +22,7 @@ let plain_decode space image ~vulnerable =
     ~src ~len:(String.length image) ~vulnerable
 
 let test_roundtrip () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:16 () in
       let image = Render.encode ~width:17 ~height:9 gradient in
       let d = plain_decode space image ~vulnerable:false in
@@ -51,7 +42,7 @@ let test_rle_compresses_flat_images () =
   check bool "flat image compresses well" true (String.length flat < 200)
 
 let test_malformed_rejected () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:16 () in
       let reject image =
         match plain_decode space image ~vulnerable:false with
@@ -68,7 +59,7 @@ let test_malformed_rejected () =
       reject ("SIMG" ^ "\001\000\000\000\001\000\000\000" ^ "\000abc"))
 
 let test_patched_rejects_overflow_dimensions () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:16 () in
       match plain_decode space (Render.encode_malicious ()) ~vulnerable:false with
       | _ -> Alcotest.fail "overflow dimensions accepted"
@@ -76,18 +67,15 @@ let test_patched_rejects_overflow_dimensions () =
 
 let test_cve_unprotected_faults () =
   let space = Space.create ~size_mib:16 () in
-  let sched = Sched.create () in
-  let tid =
-    Sched.spawn sched ~name:"victim" (fun () ->
+  match
+    Sched.main (fun _ ->
         ignore (plain_decode space (Render.encode_malicious ()) ~vulnerable:true))
-  in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some (Sched.Failed (Space.Fault _)) -> ()
-  | _ -> Alcotest.fail "heap rampage should crash the unprotected process"
+  with
+  | () -> Alcotest.fail "heap rampage should crash the unprotected process"
+  | exception Space.Fault _ -> ()
 
 let test_cve_isolated_rewinds () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:32 () in
       let sd = Api.create space in
       (match Render.decode_isolated sd ~vulnerable:true (Render.encode_malicious ()) with
@@ -105,7 +93,7 @@ let test_cve_isolated_rewinds () =
       | Error _ -> Alcotest.fail "benign decode rewound")
 
 let test_isolated_framebuffer_freeable () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:32 () in
       let sd = Api.create space in
       match Render.decode_isolated sd ~vulnerable:false (Render.encode ~width:4 ~height:4 gradient) with
@@ -128,7 +116,7 @@ let roundtrip_prop =
       in
       let image = Render.encode ~width:w ~height:h (fun x y -> pixels.(y).(x)) in
       let result = ref true in
-      in_thread (fun () ->
+      Sched.main (fun _ ->
           let space = Space.create ~size_mib:16 () in
           let d = plain_decode space image ~vulnerable:false in
           for y = 0 to h - 1 do

@@ -24,13 +24,7 @@ let string = Alcotest.string
 let with_sdrad f =
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create space in
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"main" (fun () -> f space sd) in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "main thread did not finish"
+  Sched.main (fun _ -> f space sd)
 
 (* A policy with short horizons so state transitions happen within a few
    simulated milliseconds. *)
@@ -358,10 +352,6 @@ type dos_outcome = {
    traffic from their own addresses. [supervised] decides whether a
    Supervisor gates the per-client domains. *)
 let run_dos ~seed ~supervised ~attacks =
-  let space = Space.create ~size_mib:192 () in
-  let sd = Api.create ~virtual_keys:true space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
   let cfg =
     {
       Server.default_config with
@@ -381,80 +371,81 @@ let run_dos ~seed ~supervised ~attacks =
       cooldown = 2.0e6;
     }
   in
-  let sup = if supervised then Some (Supervisor.attach ~policy sd) else None in
+  let w =
+    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+      ?supervisor:(if supervised then Some (Supervisor.attach ~policy) else None)
+      ()
+  in
+  let sched = w.sched and net = w.net in
   let attacker_src = 777 in
   let benign = 3 and ops_per_client = 25 in
   let benign_failures = ref 0 and benign_ok = ref 0 in
   let busy_replies = ref 0 and recovered = ref false in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"dos" (fun () ->
-        let s = Server.start sched space ~sdrad:sd ?supervisor:sup net cfg in
-        srv := Some s;
-        let tids = ref [] in
-        for i = 0 to benign - 1 do
-          tids :=
-            Sched.spawn sched
-              ~name:(Printf.sprintf "good%d" i)
-              (fun () ->
-                let rng = Rng.create (seed + (100 * i)) in
-                let c = Netsim.connect net ~src:(1 + i) ~port:11211 in
-                for _ = 1 to ops_per_client do
-                  Sched.sleep (float_of_int (Rng.int rng 8_000));
-                  let key = Printf.sprintf "k%d" (Rng.int rng 20) in
-                  let req =
-                    if Rng.bool rng then Proto.fmt_get key
-                    else
-                      Proto.fmt_set ~key ~flags:0
-                        ~value:(Bytes.to_string (Rng.bytes rng 64))
-                  in
-                  Netsim.send c req;
-                  match Netsim.recv c with
-                  | None -> incr benign_failures
-                  | Some r -> (
-                      match Proto.parse_reply r with
-                      | Proto.Failed _ -> incr benign_failures
-                      | _ -> incr benign_ok)
-                done;
-                Netsim.close c)
-            :: !tids
-        done;
-        tids :=
-          Sched.spawn sched ~name:"evil" (fun () ->
-              for _ = 1 to attacks do
-                Sched.sleep 20_000.0;
-                (* Reconnect from the same address: with per-client
-                   domains the rewind budget follows the attacker. *)
-                let c = Netsim.connect net ~src:attacker_src ~port:11211 in
-                Netsim.send c
-                  (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
-                     ~value:(String.make 300 'X'));
-                (match Netsim.recv c with
-                | None -> () (* rewound; server closed the connection *)
-                | Some r ->
-                    if r = Proto.server_error_busy then incr busy_replies);
-                Netsim.close c
-              done;
-              (* After the cooldown the attacker behaves: the half-open
-                 probe must readmit and heal the domain. *)
-              if supervised then begin
-                Sched.sleep 2.5e6;
-                let c = Netsim.connect net ~src:attacker_src ~port:11211 in
-                Netsim.send c (Proto.fmt_get "pwn");
-                (match Netsim.recv c with
-                | Some r -> (
-                    match Proto.parse_reply r with
-                    | Proto.Failed _ -> ()
-                    | _ -> recovered := true)
-                | None -> ());
-                Netsim.close c
-              end)
-          :: !tids;
-        List.iter Sched.join !tids;
-        Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+           let tids = ref [] in
+           for i = 0 to benign - 1 do
+             tids :=
+               Sched.spawn sched
+                 ~name:(Printf.sprintf "good%d" i)
+                 (fun () ->
+                   let rng = Rng.create (seed + (100 * i)) in
+                   let c = Netsim.connect net ~src:(1 + i) ~port:11211 in
+                   for _ = 1 to ops_per_client do
+                     Sched.sleep (float_of_int (Rng.int rng 8_000));
+                     let key = Printf.sprintf "k%d" (Rng.int rng 20) in
+                     let req =
+                       if Rng.bool rng then Proto.fmt_get key
+                       else
+                         Proto.fmt_set ~key ~flags:0
+                           ~value:(Bytes.to_string (Rng.bytes rng 64))
+                     in
+                     Netsim.send c req;
+                     match Netsim.recv c with
+                     | None -> incr benign_failures
+                     | Some r -> (
+                         match Proto.parse_reply r with
+                         | Proto.Failed _ -> incr benign_failures
+                         | _ -> incr benign_ok)
+                   done;
+                   Netsim.close c)
+               :: !tids
+           done;
+           tids :=
+             Sched.spawn sched ~name:"evil" (fun () ->
+                 for _ = 1 to attacks do
+                   Sched.sleep 20_000.0;
+                   (* Reconnect from the same address: with per-client
+                      domains the rewind budget follows the attacker. *)
+                   let c = Netsim.connect net ~src:attacker_src ~port:11211 in
+                   Netsim.send c
+                     (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
+                        ~value:(String.make 300 'X'));
+                   (match Netsim.recv c with
+                   | None -> () (* rewound; server closed the connection *)
+                   | Some r ->
+                       if r = Proto.server_error_busy then incr busy_replies);
+                   Netsim.close c
+                 done;
+                 (* After the cooldown the attacker behaves: the half-open
+                    probe must readmit and heal the domain. *)
+                 if supervised then begin
+                   Sched.sleep 2.5e6;
+                   let c = Netsim.connect net ~src:attacker_src ~port:11211 in
+                   Netsim.send c (Proto.fmt_get "pwn");
+                   (match Netsim.recv c with
+                   | Some r -> (
+                       match Proto.parse_reply r with
+                       | Proto.Failed _ -> ()
+                       | _ -> recovered := true)
+                   | None -> ());
+                   Netsim.close c
+                 end)
+             :: !tids;
+           List.iter Sched.join !tids))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   {
     rewinds = Server.rewinds s;
     busy_replies = !busy_replies;
@@ -489,10 +480,8 @@ let test_dos_amplifier_fixed () =
    injection log and incident log. Both must be byte-identical across runs
    with the same (seed, plan). *)
 let run_injected ~seed =
-  let space = Space.create ~size_mib:128 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
+  let sched = w.sched and net = w.net in
   let fi =
     Fault_inject.create ~seed
       [
@@ -503,38 +492,34 @@ let run_injected ~seed =
   let cfg =
     { Server.default_config with variant = Server.Sdrad; workers = 2 }
   in
-  let srv = ref None in
-  let _ =
-    Sched.spawn sched ~name:"chaos" (fun () ->
-        let s = Server.start sched space ~sdrad:sd ~faults:fi net cfg in
-        srv := Some s;
-        let tids = ref [] in
-        for i = 0 to 3 do
-          tids :=
-            Sched.spawn sched
-              ~name:(Printf.sprintf "cl%d" i)
-              (fun () ->
-                let rng = Rng.create (seed + i) in
-                (* Reconnect per request: a rewind may close the conn. *)
-                for _ = 1 to 25 do
-                  Sched.sleep (float_of_int (Rng.int rng 10_000));
-                  let c = Netsim.connect net ~port:11211 in
-                  let key = Printf.sprintf "k%d" (Rng.int rng 10) in
-                  Netsim.send c
-                    (Proto.fmt_set ~key ~flags:0
-                       ~value:(Bytes.to_string (Rng.bytes rng 48)));
-                  ignore (Netsim.recv c);
-                  Netsim.close c
-                done)
-            :: !tids
-        done;
-        List.iter Sched.join !tids;
-        Server.stop s)
+  let { Scenario.server = s; _ } =
+    Scenario.kvcache ~faults:fi w cfg
+      (Script
+         (fun _ ->
+           let tids = ref [] in
+           for i = 0 to 3 do
+             tids :=
+               Sched.spawn sched
+                 ~name:(Printf.sprintf "cl%d" i)
+                 (fun () ->
+                   let rng = Rng.create (seed + i) in
+                   (* Reconnect per request: a rewind may close the conn. *)
+                   for _ = 1 to 25 do
+                     Sched.sleep (float_of_int (Rng.int rng 10_000));
+                     let c = Netsim.connect net ~port:11211 in
+                     let key = Printf.sprintf "k%d" (Rng.int rng 10) in
+                     Netsim.send c
+                       (Proto.fmt_set ~key ~flags:0
+                          ~value:(Bytes.to_string (Rng.bytes rng 48)));
+                     ignore (Netsim.recv c);
+                     Netsim.close c
+                   done)
+               :: !tids
+           done;
+           List.iter Sched.join !tids))
   in
-  Sched.run sched;
-  let s = Option.get !srv in
   let incident_log =
-    Api.incidents sd
+    Api.incidents (Option.get w.sd)
     |> List.map (fun f -> Format.asprintf "%a" Types.pp_fault f)
     |> String.concat "\n"
   in

@@ -18,13 +18,7 @@ let string = Alcotest.string
 let with_sdrad ?(size_mib = 32) ?stack_reuse f =
   let space = Space.create ~size_mib () in
   let sd = Api.create ?stack_reuse space in
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"main" (fun () -> f space sd) in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "main thread did not finish"
+  Sched.main (fun _ -> f space sd)
 
 let d1 = 1
 let d2 = 2
@@ -323,17 +317,14 @@ let test_stack_exhaustion_rewinds () =
 let test_fault_in_root_kills_thread () =
   let space = Space.create ~size_mib:16 () in
   let sd = Api.create space in
-  let sched = Sched.create () in
-  let tid =
-    Sched.spawn sched ~name:"victim" (fun () ->
+  match
+    Sched.main (fun _ ->
         ignore (Api.current sd);
         (* Fault outside any nested domain: unrecoverable. *)
         ignore (Space.load8 space 0))
-  in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some (Sched.Failed (Space.Fault _)) -> ()
-  | _ -> Alcotest.fail "root fault should terminate the thread"
+  with
+  | () -> Alcotest.fail "root fault should terminate the thread"
+  | exception Space.Fault _ -> ()
 
 let test_grandparent_rewind () =
   with_sdrad (fun space sd ->

@@ -15,13 +15,7 @@ let bool = Alcotest.bool
 let with_sdrad ?stack_reuse f =
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create ?stack_reuse space in
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"main" (fun () -> f space sd) in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "main thread did not finish"
+  Sched.main (fun _ -> f space sd)
 
 let fault_in_domain sd space udi =
   Api.run sd ~udi
@@ -589,43 +583,35 @@ let persist_event sd space udi payload =
 let test_virtual_keys_scale_past_fifteen () =
   let space = Space.create ~size_mib:64 () in
   let sd = Api.create ~virtual_keys:true space in
-  let sched = Sched.create () in
-  let tid =
-    Sched.spawn sched ~name:"main" (fun () ->
-        (* 30 persistent domains with 13 usable keys. *)
-        let addrs = Array.make 30 0 in
-        for udi = 1 to 30 do
-          match persist_event sd space udi (Some (Printf.sprintf "state-%02d" udi)) with
-          | Some p -> addrs.(udi - 1) <- p
-          | None -> Alcotest.fail "no allocation"
-        done;
-        let sample name =
-          Option.value ~default:0.0
-            (Telemetry.Metrics.sample (Api.metrics sd) name)
-        in
-        check bool "evictions happened" true
-          (sample "sdrad_key_evictions_total" > 0.0);
-        check int "all thirty live" 30
-          (int_of_float (sample "sdrad_execution_domains"));
-        (* Re-initialize each (unparking it) and verify its state. *)
-        for udi = 1 to 30 do
-          Api.run sd ~udi
-            ~on_rewind:(fun _ -> Alcotest.fail "unexpected rewind")
-            (fun () ->
-              Api.enter sd udi;
-              check Alcotest.string
-                (Printf.sprintf "domain %d state" udi)
-                (Printf.sprintf "state-%02d" udi)
-                (Space.read_string space addrs.(udi - 1) 8);
-              Api.exit_domain sd;
-              Api.destroy sd udi ~heap:`Discard)
-        done)
-  in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "did not finish"
+  Sched.main (fun _ ->
+      (* 30 persistent domains with 13 usable keys. *)
+      let addrs = Array.make 30 0 in
+      for udi = 1 to 30 do
+        match persist_event sd space udi (Some (Printf.sprintf "state-%02d" udi)) with
+        | Some p -> addrs.(udi - 1) <- p
+        | None -> Alcotest.fail "no allocation"
+      done;
+      let sample name =
+        Option.value ~default:0.0
+          (Telemetry.Metrics.sample (Api.metrics sd) name)
+      in
+      check bool "evictions happened" true
+        (sample "sdrad_key_evictions_total" > 0.0);
+      check int "all thirty live" 30
+        (int_of_float (sample "sdrad_execution_domains"));
+      (* Re-initialize each (unparking it) and verify its state. *)
+      for udi = 1 to 30 do
+        Api.run sd ~udi
+          ~on_rewind:(fun _ -> Alcotest.fail "unexpected rewind")
+          (fun () ->
+            Api.enter sd udi;
+            check Alcotest.string
+              (Printf.sprintf "domain %d state" udi)
+              (Printf.sprintf "state-%02d" udi)
+              (Space.read_string space addrs.(udi - 1) 8);
+            Api.exit_domain sd;
+            Api.destroy sd udi ~heap:`Discard)
+      done)
 
 let test_without_virtual_keys_exhausts () =
   with_sdrad (fun space sd ->
@@ -640,28 +626,20 @@ let test_without_virtual_keys_exhausts () =
 let test_parked_memory_inaccessible () =
   let space = Space.create ~size_mib:64 () in
   let sd = Api.create ~virtual_keys:true space in
-  let sched = Sched.create () in
-  let tid =
-    Sched.spawn sched ~name:"main" (fun () ->
-        let secret = Option.get (persist_event sd space 1 (Some "parked secret")) in
-        (* Apply key pressure until domain 1 is parked. *)
-        for udi = 2 to 20 do
-          ignore (persist_event sd space udi None)
-        done;
-        check bool "evictions happened" true
-          (Telemetry.Metrics.sample (Api.metrics sd) "sdrad_key_evictions_total"
-          > Some 0.0);
-        (* The parked pages are PROT_NONE: not even the root can read. *)
-        match Space.load8 space secret with
-        | _ -> Alcotest.fail "parked memory readable"
-        | exception Space.Fault { code; _ } ->
-            check bool "accerr" true (code = Space.ACCERR))
-  in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "did not finish"
+  Sched.main (fun _ ->
+      let secret = Option.get (persist_event sd space 1 (Some "parked secret")) in
+      (* Apply key pressure until domain 1 is parked. *)
+      for udi = 2 to 20 do
+        ignore (persist_event sd space udi None)
+      done;
+      check bool "evictions happened" true
+        (Telemetry.Metrics.sample (Api.metrics sd) "sdrad_key_evictions_total"
+        > Some 0.0);
+      (* The parked pages are PROT_NONE: not even the root can read. *)
+      match Space.load8 space secret with
+      | _ -> Alcotest.fail "parked memory readable"
+      | exception Space.Fault { code; _ } ->
+          check bool "accerr" true (code = Space.ACCERR))
 
 
 (* {1 Random domain-lifecycle invariants} *)

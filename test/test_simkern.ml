@@ -135,6 +135,34 @@ let test_sched_deadlock_detected () =
     (Sched.Deadlock "t1")
     (fun () -> Sched.run t)
 
+(* The harness every simulation runs in: one body thread, a drained run,
+   the body's value back. *)
+let test_sched_main () =
+  let first_tid = Sched.spawn (Sched.create ()) ignore in
+  let at, tid =
+    Sched.main (fun t ->
+        let child = Sched.spawn t (fun () -> Sched.charge 500.0) in
+        Sched.join child;
+        (Sched.now (), Sched.self ()))
+  in
+  check (Alcotest.float 0.0) "body's value, after its child ran" 500.0 at;
+  check int "body gets the first tid" first_tid tid;
+  check int "on a caller's scheduler too" first_tid
+    (Sched.main ~sched:(Sched.create ()) (fun _ -> Sched.self ()));
+  Alcotest.check_raises "re-raises the body's exception" (Failure "boom")
+    (fun () -> Sched.main (fun _ -> failwith "boom"));
+  Alcotest.check_raises "blocked body" (Sched.Deadlock "main") (fun () ->
+      Sched.main (fun _ -> Sched.suspend ignore));
+  Alcotest.check_raises "blocked child of a finished body"
+    (Sched.Deadlock "stuck") (fun () ->
+      Sched.main (fun t ->
+          ignore (Sched.spawn t ~name:"stuck" (fun () -> Sched.suspend ignore))));
+  Alcotest.check_raises "a failed body's exception, not the deadlock it leaves"
+    (Failure "boom") (fun () ->
+      Sched.main (fun t ->
+          ignore (Sched.spawn t ~name:"stuck" (fun () -> Sched.suspend ignore));
+          failwith "boom"))
+
 let test_mutex_mutual_exclusion () =
   let t = Sched.create () in
   let m = Sched.Mutex.create () in
@@ -581,6 +609,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_sched_determinism;
           Alcotest.test_case "timers ≡ timer fibers, 5 seeds" `Quick
             test_timers_match_fibers;
+          Alcotest.test_case "main" `Quick test_sched_main;
         ] );
       ( "sync",
         [

@@ -20,15 +20,6 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"test" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 let raises_invalid f =
   match f () with
   | _ -> false
@@ -272,7 +263,7 @@ let test_trace_ring_bounds () =
   check int "cleared" 0 (Trace.recorded tr)
 
 let test_trace_nesting_and_durations () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let tr = Trace.create () in
       Trace.set_enabled tr true;
       Trace.with_span tr "outer" (fun () ->
@@ -295,7 +286,7 @@ let test_trace_nesting_and_durations () =
       | _ -> Alcotest.fail "unexpected aggregate")
 
 let test_chrome_json_shape () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let tr = Trace.create () in
       Trace.set_enabled tr true;
       Trace.with_span tr "s" ~args:[ ("udi", "5") ] (fun () -> Sched.charge 2.0);
@@ -314,7 +305,7 @@ let test_chrome_json_shape () =
       check bool "wrapper" true (contains "{\"traceEvents\":["))
 
 let test_aborted_span_flag () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let tr = Trace.create () in
       Trace.set_enabled tr true;
       Trace.with_span tr "clean" (fun () -> Sched.charge 1.0);
@@ -347,7 +338,7 @@ let test_aborted_span_flag () =
 let with_sdrad ?tracer ?incident_log_cap f =
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create ?tracer ?incident_log_cap space in
-  in_thread (fun () -> f space sd)
+  Sched.main (fun _ -> f space sd)
 
 let abort_once sd ~udi =
   Api.run sd ~udi
@@ -403,7 +394,7 @@ let test_anatomy_in_band () =
   let tracer = Trace.create ~capacity:8192 () in
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create ~tracer space in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       Api.run sd ~udi:5
         ~on_rewind:(fun _ -> ())
         (fun () ->
@@ -495,7 +486,7 @@ let test_exposition_seed_stable () =
     let space = Space.create ~size_mib:32 () in
     let sd = Api.create ~seed space in
     let out = ref "" in
-    in_thread (fun () ->
+    Sched.main (fun _ ->
         let sup = Supervisor.attach ~policy:test_policy sd in
         ignore (attempt sup sd space ~udi:5 ~crash:false);
         ignore (attempt sup sd space ~udi:5 ~crash:true);
@@ -516,27 +507,24 @@ let test_exposition_seed_stable () =
 let test_kvcache_stats_telemetry () =
   let module Server = Kvcache.Server in
   let module Proto = Kvcache.Proto in
-  let space = Space.create ~size_mib:128 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
+  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
   let cfg =
     { Server.default_config with variant = Server.Sdrad; workers = 2 }
   in
-  let got = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space ~sdrad:sd net cfg in
-        let c = Netsim.connect net ~port:11211 in
-        Netsim.send c (Proto.fmt_set ~key:"a" ~flags:0 ~value:"one");
-        ignore (Netsim.recv c);
-        Netsim.send c Proto.fmt_stats_telemetry;
-        got := Netsim.recv c;
-        Netsim.close c;
-        Server.stop s)
+  let got =
+    (Scenario.kvcache w cfg
+       (Script
+          (fun _ ->
+            let c = Netsim.connect w.net ~port:11211 in
+            Netsim.send c (Proto.fmt_set ~key:"a" ~flags:0 ~value:"one");
+            ignore (Netsim.recv c);
+            Netsim.send c Proto.fmt_stats_telemetry;
+            let got = Netsim.recv c in
+            Netsim.close c;
+            got)))
+      .result
   in
-  Sched.run sched;
-  match !got with
+  match got with
   | None -> Alcotest.fail "no telemetry reply"
   | Some text ->
       let contains needle =
@@ -554,31 +542,28 @@ let test_kvcache_stats_telemetry () =
 
 let test_httpd_metrics_endpoint () =
   let module Server = Httpd.Server in
-  let space = Space.create ~size_mib:128 () in
-  let sd = Api.create space in
-  let sched = Sched.create () in
-  let net = Netsim.create (Space.cost space) in
-  let fs = Httpd.Fs.create space in
+  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
+  let fs = Httpd.Fs.create w.space in
   Httpd.Fs.add fs ~path:"/index.html" ~size:256;
   let cfg =
     { Server.default_config with variant = Server.Sdrad; workers = 1 }
   in
-  let got = ref None in
-  let _ =
-    Sched.spawn sched ~name:"harness" (fun () ->
-        let s = Server.start sched space ~sdrad:sd net ~fs cfg in
-        let c = Netsim.connect net ~port:8080 in
-        Netsim.send c (Workload.Http_load.request ~path:"/index.html");
-        ignore (Netsim.recv c);
-        Netsim.close c;
-        let c = Netsim.connect net ~port:8080 in
-        Netsim.send c (Workload.Http_load.request ~path:"/metrics");
-        got := Netsim.recv c;
-        Netsim.close c;
-        Server.stop s)
+  let got =
+    (Scenario.httpd w ~files:(Fun.const fs) cfg
+       (Script
+          (fun _ ->
+            let c = Netsim.connect w.net ~port:8080 in
+            Netsim.send c (Workload.Http_load.request ~path:"/index.html");
+            ignore (Netsim.recv c);
+            Netsim.close c;
+            let c = Netsim.connect w.net ~port:8080 in
+            Netsim.send c (Workload.Http_load.request ~path:"/metrics");
+            let got = Netsim.recv c in
+            Netsim.close c;
+            got)))
+      .result
   in
-  Sched.run sched;
-  match !got with
+  match got with
   | None -> Alcotest.fail "no /metrics reply"
   | Some text ->
       let contains needle =

@@ -11,15 +11,6 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
-let in_thread f =
-  let sched = Sched.create () in
-  let tid = Sched.spawn sched ~name:"test" f in
-  Sched.run sched;
-  match Sched.outcome sched tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 let mkfs ?(blocks = 512) () =
   let space = Space.create ~size_mib:32 () in
   (space, Vfs.format space ~blocks ())
@@ -30,7 +21,7 @@ let assert_healthy fs =
   | errs -> Alcotest.fail (String.concat "; " errs)
 
 let test_format_geometry () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs () in
       check int "total" 512 (Vfs.total_blocks fs);
       check bool "metadata reserved" true (Vfs.free_blocks fs < 512);
@@ -40,7 +31,7 @@ let test_format_geometry () =
       assert_healthy fs)
 
 let test_create_read_roundtrip () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs () in
       Vfs.create fs ~path:"/hello.txt" ~data:"hello, filesystem";
       check bool "exists" true (Vfs.exists fs "/hello.txt");
@@ -50,7 +41,7 @@ let test_create_read_roundtrip () =
       assert_healthy fs)
 
 let test_multiblock_file () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs () in
       (* Spans several direct blocks with a distinctive pattern. *)
       let data = String.init 20_000 (fun i -> Char.chr (i * 7 mod 256)) in
@@ -61,7 +52,7 @@ let test_multiblock_file () =
       assert_healthy fs)
 
 let test_indirect_file () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs ~blocks:300 () in
       (* > 10 blocks forces the single-indirect path. *)
       let data = String.init (64 * 1024) (fun i -> Char.chr (i mod 251)) in
@@ -78,7 +69,7 @@ let test_indirect_file () =
       assert_healthy fs)
 
 let test_file_too_large_rejected () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space = Space.create ~size_mib:32 () in
       let fs = Vfs.format space ~blocks:1024 () in
       match Vfs.create fs ~path:"/huge" ~data:(String.make (Vfs.max_file_size + 1) 'x') with
@@ -86,7 +77,7 @@ let test_file_too_large_rejected () =
       | exception Vfs.Fs_error _ -> ())
 
 let test_directories () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs () in
       Vfs.mkdir fs "/www";
       Vfs.mkdir fs "/www/static";
@@ -100,7 +91,7 @@ let test_directories () =
       assert_healthy fs)
 
 let test_overwrite_replaces () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs () in
       Vfs.create fs ~path:"/f" ~data:(String.make 10_000 'a');
       let free_mid = Vfs.free_blocks fs in
@@ -111,7 +102,7 @@ let test_overwrite_replaces () =
       assert_healthy fs)
 
 let test_unlink_and_recycle () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs ~blocks:64 () in
       (* Fill-delete cycles must not leak blocks. *)
       for i = 1 to 20 do
@@ -123,7 +114,7 @@ let test_unlink_and_recycle () =
       check int "only root remains" 1 (Vfs.inode_count fs))
 
 let test_error_cases () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs () in
       Vfs.mkdir fs "/d";
       Vfs.create fs ~path:"/d/f" ~data:"x";
@@ -143,7 +134,7 @@ let test_error_cases () =
       assert_healthy fs)
 
 let test_disk_full () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs ~blocks:16 () in
       match
         for i = 0 to 63 do
@@ -154,7 +145,7 @@ let test_disk_full () =
       | exception Vfs.Fs_error _ -> ())
 
 let test_read_into_simulated_buffer () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let space, fs = mkfs () in
       Vfs.create fs ~path:"/payload" ~data:"sendfile me please";
       let dst = Space.mmap space ~len:4096 ~prot:Vmem.Prot.rw ~pkey:0 in
@@ -164,7 +155,7 @@ let test_read_into_simulated_buffer () =
 
 
 let test_rename () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs () in
       Vfs.mkdir fs "/a";
       Vfs.mkdir fs "/b";
@@ -188,7 +179,7 @@ let test_rename () =
       assert_healthy fs)
 
 let test_rename_errors () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let _, fs = mkfs () in
       Vfs.mkdir fs "/d";
       Vfs.create fs ~path:"/f" ~data:"x";
@@ -207,7 +198,7 @@ let random_fs_prop =
     QCheck.(list (pair (int_range 0 6) (int_range 0 9000)))
     (fun ops ->
       let ok = ref true in
-      in_thread (fun () ->
+      Sched.main (fun _ ->
           let _, fs = mkfs ~blocks:2048 () in
           let model : (string, string) Hashtbl.t = Hashtbl.create 8 in
           List.iter

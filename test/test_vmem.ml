@@ -21,16 +21,6 @@ let check_float msg = Alcotest.check (Alcotest.float 1e-9) msg
 let mk () = Space.create ~size_mib:8 ()
 let ps = 4096
 
-(* Run a function inside a single simulated thread and propagate failure. *)
-let in_thread f =
-  let t = Sched.create () in
-  let tid = Sched.spawn t ~name:"test" f in
-  Sched.run t;
-  match Sched.outcome t tid with
-  | Some Sched.Completed -> ()
-  | Some (Sched.Failed e) -> raise e
-  | None -> Alcotest.fail "thread did not finish"
-
 let expect_fault ?code ?access f =
   match f () with
   | _ -> Alcotest.fail "expected a memory fault"
@@ -179,7 +169,7 @@ let test_pkey_alloc_limit () =
   check (Alcotest.option int) "freed key reusable" (Some 3) (Space.pkey_alloc s)
 
 let test_pkey_enforcement () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = mk () in
       let key = Option.get (Space.pkey_alloc s) in
       let a = Space.mmap s ~len:4096 ~prot:Prot.rw ~pkey:key in
@@ -227,7 +217,7 @@ let test_pkru_is_per_thread () =
   check bool "unrestricted thread wrote" true !t2_ok
 
 let test_pkey_mprotect_rekeys () =
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let s = mk () in
       let k1 = Option.get (Space.pkey_alloc s) in
       let k2 = Option.get (Space.pkey_alloc s) in
@@ -260,7 +250,7 @@ let test_pkru_roundtrip () =
   let s = mk () in
   let key = Option.get (Space.pkey_alloc s) in
   let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:key in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       ignore (Space.load8 s a);
       Space.wrpkru s (Pkru.deny Pkru.all_access ~key);
       expect_fault ~code:Space.PKUERR (fun () -> ignore (Space.load8 s a));
@@ -270,7 +260,7 @@ let test_pkru_roundtrip () =
 let test_mprotect_revokes_write () =
   let s = mk () in
   let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       Space.store8 s a 1;
       Space.mprotect s ~addr:a ~len:(2 * ps) ~prot:Prot.read;
       expect_fault ~code:Space.ACCERR ~access:Space.Write (fun () ->
@@ -281,7 +271,7 @@ let test_pkey_mprotect_revokes () =
   let s = mk () in
   let key = Option.get (Space.pkey_alloc s) in
   let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       Space.wrpkru s (Pkru.deny Pkru.all_access ~key);
       ignore (Space.load8 s a);
       Space.pkey_mprotect s ~addr:a ~len:ps ~prot:Prot.rw ~pkey:key;
@@ -290,7 +280,7 @@ let test_pkey_mprotect_revokes () =
 let test_munmap_revokes () =
   let s = mk () in
   let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       ignore (Space.load8 s a);
       Space.munmap s a;
       expect_fault ~code:Space.MAPERR (fun () -> ignore (Space.load8 s a));
@@ -302,30 +292,23 @@ let test_rights_per_thread () =
   let key = Option.get (Space.pkey_alloc s) in
   let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:key in
   let sched = Sched.create () in
-  let t1 =
-    Sched.spawn sched ~name:"t1" (fun () -> ignore (Space.load8 s a))
-  in
-  let t2 =
-    Sched.spawn sched ~name:"t2" (fun () ->
-        Space.wrpkru s (Pkru.deny Pkru.all_access ~key);
-        match Space.load8 s a with
-        | _ -> Alcotest.fail "t2 must not inherit t1's rights"
-        | exception Space.Fault { code = Space.PKUERR; _ } -> ())
-  in
+  ignore (Sched.spawn sched ~name:"t1" (fun () -> ignore (Space.load8 s a)));
+  ignore
+    (Sched.spawn sched ~name:"t2" (fun () ->
+         Space.wrpkru s (Pkru.deny Pkru.all_access ~key);
+         match Space.load8 s a with
+         | _ -> Alcotest.fail "t2 must not inherit t1's rights"
+         | exception Space.Fault { code = Space.PKUERR; _ } -> ()));
   Sched.run sched;
   List.iter
-    (fun tid ->
-      match Sched.outcome sched tid with
-      | Some Sched.Completed -> ()
-      | Some (Sched.Failed e) -> raise e
-      | None -> Alcotest.fail "thread did not finish")
-    [ t1; t2 ]
+    (function _, _, Sched.Failed e -> raise e | _ -> ())
+    (Sched.outcomes sched)
 
 let test_restore_image_flags () =
   let s = mk () in
   let a = Space.mmap s ~len:ps ~prot:Prot.read ~pkey:0 in
   let im = Space.checkpoint s in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       Space.mprotect s ~addr:a ~len:ps ~prot:Prot.rw;
       Space.store8 s a 7;
       (* the image carries the read-only flags *)
@@ -370,7 +353,7 @@ let test_mprotect_no_partial_mutation () =
 let test_memchr_window_bounded () =
   let s = mk () in
   let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       Space.store8 s (a + 100) (Char.code 'Z');
       check
         (Alcotest.option int)
@@ -389,7 +372,7 @@ let test_memchr_charges_examined_bytes () =
   let s = mk () in
   let c = Space.cost s in
   let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       Space.store8 s (a + 2) (Char.code 'X');
       let t0 = Sched.now () in
       let r = Space.memchr s ~addr:a ~len:64 'X' in
@@ -412,7 +395,7 @@ let test_memchr_charges_examined_bytes () =
 let test_negative_len_never_charges () =
   let s = mk () in
   let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       ignore (Space.load8 s a);
       let t0 = Sched.now () in
       let inv f =
@@ -431,7 +414,7 @@ let test_negative_len_never_charges () =
 let test_zero_len_ops_are_free () =
   let s = mk () in
   let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       ignore (Space.load8 s a);
       let t0 = Sched.now () in
       check int "load_bytes 0" 0 (Bytes.length (Space.load_bytes s a 0));
@@ -500,7 +483,7 @@ let check_access_alloc_free ~sanitize () =
   let s = mk () in
   if sanitize then Space.set_sanitizer s true;
   let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       access_loop s a 64 ();
       let t0 = Sched.now () in
       let base = minor_words_of (fun () -> ()) in
@@ -519,7 +502,7 @@ let straddle_loop s a n () =
 let test_straddle_alloc_free () =
   let s = mk () in
   let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       straddle_loop s a 64 ();
       let base = minor_words_of (fun () -> ()) in
       let words = minor_words_of (straddle_loop s a 5_000) -. base in
@@ -534,7 +517,7 @@ let test_fresh_frame_alloc_free () =
       Space.store64 s (a + (i * ps)) i
     done
   in
-  in_thread (fun () ->
+  Sched.main (fun _ ->
       let b0 = Gc.allocated_bytes () in
       let base = minor_words_of (fun () -> ()) in
       let words = minor_words_of first_writes -. base in
@@ -859,7 +842,7 @@ let test_flat_differential () =
     (fun seed ->
       let run read_into =
         let clocks = ref [||] in
-        in_thread (fun () -> clocks := run_differential ~read_into seed);
+        Sched.main (fun _ -> clocks := run_differential ~read_into seed);
         !clocks
       in
       let a = run false and b = run true in
