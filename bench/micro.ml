@@ -53,6 +53,23 @@ let kv =
      done;
      db)
 
+(* One warm persistent-domain request through the monitor's gates: init
+   (the rewind point), the cached marshalling buffer, enter, exit,
+   deinit. [Api] works outside a simulated thread, where no clock is
+   charged. *)
+let request_gates =
+  lazy
+    (let sd = Sdrad.Api.create (Space.create ~size_mib:8 ()) in
+     let udi = 1 in
+     let on_rewind _ = () in
+     let body () =
+       ignore (Sdrad.Api.gate_buffer sd ~udi 256);
+       Sdrad.Api.enter sd udi;
+       Sdrad.Api.exit_domain sd;
+       Sdrad.Api.deinit sd udi
+     in
+     fun () -> Sdrad.Api.run sd ~udi ~on_rewind body)
+
 let tests =
   Test.make_grouped ~name:"simulator" ~fmt:"%s %s"
     [
@@ -83,6 +100,8 @@ let tests =
       Test.make ~name:"store.get-1KiB-item"
         (Staged.stage (fun () ->
              ignore (Kvcache.Store.get (Lazy.force kv) "bench42")));
+      Test.make ~name:"sdrad.request-gates"
+        (Staged.stage (fun () -> (Lazy.force request_gates) ()));
     ]
 
 let run () =

@@ -167,16 +167,17 @@ let alloc_ring t udi =
 (* Event (de)serialization against a raw space address — shared with
    {!Rewind_log}, which embeds event excerpts in its audit blocks. *)
 let store_words space addr ~at ~kind ~tid ~trace ~arg ~udi =
-  Space.store64 space addr (int_of_float at);
+  Space.store64 space addr at;
   Space.store64 space (addr + 8) (kind_code kind);
   Space.store64 space (addr + 16) (tid + 1);
-  Space.store64 space (addr + 24) (Int64.to_int trace);
+  Space.store64 space (addr + 24) trace;
   Space.store64 space (addr + 32) arg;
   Space.store64 space (addr + 40) udi
 
 let store space addr ev =
-  store_words space addr ~at:ev.e_at ~kind:ev.e_kind ~tid:ev.e_tid
-    ~trace:ev.e_trace ~arg:ev.e_arg ~udi:ev.e_udi
+  store_words space addr ~at:(int_of_float ev.e_at) ~kind:ev.e_kind
+    ~tid:ev.e_tid ~trace:(Int64.to_int ev.e_trace) ~arg:ev.e_arg
+    ~udi:ev.e_udi
 
 let load space addr =
   {
@@ -192,8 +193,9 @@ let load_event t = load t.space
 
 (* Runs on every domain switch: the six words go straight to the ring,
    with no [event] record and no option in between (address 0 is never a
-   ring — page 0 is unmapped). *)
-let record t ~udi ~tid ~at ?(trace = 0L) ?(arg = 0) kind =
+   ring — page 0 is unmapped). Every argument is an int, the words it
+   stores, so a call from another module boxes nothing. *)
+let record t ~udi ~tid ~at ~trace ~arg kind =
   let addr =
     match Hashtbl.find t.rings udi with
     | a -> a

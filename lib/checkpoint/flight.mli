@@ -56,10 +56,12 @@ val create :
     @raise Invalid_argument when either is non-positive. *)
 
 val record :
-  t -> udi:int -> tid:int -> at:float -> ?trace:int64 -> ?arg:int -> kind ->
-  unit
+  t -> udi:int -> tid:int -> at:int -> trace:int -> arg:int -> kind -> unit
 (** Append one event to [udi]'s ring, allocating the ring on first use.
-    Under allocation failure the event is dropped (and counted). *)
+    Under allocation failure the event is dropped (and counted). [at] is
+    the virtual time in whole cycles and [trace] the 62-bit trace id as
+    an int (0 = no causal context): the words the ring stores, passed
+    unboxed. *)
 
 val events : t -> udi:int -> event list
 (** Retained events for one domain, oldest first; [[]] for domains that

@@ -228,9 +228,8 @@ let rec reseed t sick =
         | Some r when acked r ->
             Metrics.inc t.c_reseeded;
             oplog_push t tgt e;
-            Api.with_trace tgt.s_sd e.o_trace (fun () ->
-                Api.flight_event tgt.s_sd ~udi:router_flight_udi
-                  ~arg:sick.s_idx Flight.Failover)
+            Api.flight_event tgt.s_sd ~udi:router_flight_udi ~trace:e.o_trace
+              ~arg:sick.s_idx Flight.Failover
         | Some _ -> ()
         | None ->
             Metrics.inc t.c_timeouts;
@@ -295,9 +294,8 @@ let handle_request t backends c msg req =
       let trace = req.trace in
       (* The hop lands in the shard's flight recorder under the
          client's trace id: sdrad_cli incident sees router → shard. *)
-      Api.with_trace s.s_sd trace (fun () ->
-          Api.flight_event s.s_sd ~udi:router_flight_udi ~arg:s.s_idx
-            Flight.Route);
+      Api.flight_event s.s_sd ~udi:router_flight_udi ~trace ~arg:s.s_idx
+        Flight.Route;
       Metrics.inc t.c_routed;
       Metrics.inc s.s_routed;
       s.s_inflight <- s.s_inflight + 1;

@@ -34,6 +34,9 @@ type exec_inst = {
   mutable last_used : int;  (* LRU tick for key virtualization *)
   mutable cleanups : (unit -> unit) list;
       (* run (innermost first) when this domain exits abnormally *)
+  mutable entry : exec_inst list;
+      (* the entered-stack cell of this domain's last entry (see
+         [push_entered]) *)
 }
 
 type data_inst = {
@@ -45,12 +48,93 @@ type data_inst = {
   d_meta_addr : int;
 }
 
+(* {1 Udi-ordered tables}
+
+   A thread's execution-domain instances and the monitor's data domains
+   live in arrays sorted by udi. A lookup is a binary search and a walk
+   is a loop, so a gate builds no key, option or closure for either, and
+   walks visit domains in udi order. *)
+module By_udi = struct
+  type 'a t = {
+    udi_of : 'a -> udi;
+    mutable items : 'a array;  (* the first [len] are live *)
+    mutable len : int;
+  }
+
+  let create udi_of = { udi_of; items = [||]; len = 0 }
+
+  (* The index of [udi], or [-(i + 1)] when it is absent and belongs at
+     [i]. *)
+  let rec search tb udi lo hi =
+    if lo >= hi then -(lo + 1)
+    else
+      let mid = (lo + hi) lsr 1 in
+      let u = tb.udi_of tb.items.(mid) in
+      if u = udi then mid
+      else if u < udi then search tb udi (mid + 1) hi
+      else search tb udi lo mid
+
+  let index tb udi = search tb udi 0 tb.len
+  let mem tb udi = index tb udi >= 0
+
+  let find tb udi =
+    let i = index tb udi in
+    if i < 0 then raise Not_found else tb.items.(i)
+
+  let add tb x =
+    let i = -(index tb (tb.udi_of x) + 1) in
+    if i < 0 then invalid_arg "By_udi.add: udi present";
+    if tb.len = Array.length tb.items then begin
+      let grown = Array.make (max 8 (2 * tb.len)) x in
+      Array.blit tb.items 0 grown 0 tb.len;
+      tb.items <- grown
+    end;
+    Array.blit tb.items i tb.items (i + 1) (tb.len - i);
+    tb.items.(i) <- x;
+    tb.len <- tb.len + 1
+
+  let remove tb udi =
+    let i = index tb udi in
+    if i >= 0 then begin
+      Array.blit tb.items (i + 1) tb.items i (tb.len - i - 1);
+      tb.len <- tb.len - 1;
+      (* The vacated slot aliases a live entry, so the array keeps no
+         removed domain reachable. *)
+      if tb.len = 0 then tb.items <- [||]
+      else tb.items.(tb.len) <- tb.items.(0)
+    end
+
+  let iter f tb =
+    for i = 0 to tb.len - 1 do
+      f tb.items.(i)
+    done
+end
+
+(* A cached argument-marshalling buffer (see [gate_buffer]). *)
+type gate_buf = {
+  gb_caller : udi;
+  gb_callee : udi;
+  gb_slot : int;
+  mutable gb_addr : int;
+  mutable gb_cap : int;
+}
+
 type thread_state = {
   t_tid : int;
+  mutable constructed : bool;
+      (* the thread constructor has run: root stack mapped, policy
+         installed. A record without it only carries a trace id set
+         before the thread's first domain call. *)
+  insts : exec_inst By_udi.t;  (* this thread's execution domains *)
+  mutable gate_bufs : gate_buf list;
+      (* cached argument-marshalling buffers in callee heaps, surviving
+         deinit (persistent-domain pattern) until the callee or the
+         caller is discarded or destroyed *)
+  mutable trace : int;  (* active causal trace id, 0 = none *)
   mutable entered : exec_inst list;  (* innermost first; [] = in root *)
   mutable root_sp : int;
-  root_stack_base : int;
-  root_stack_len : int;
+  mutable root_stack_base : int;
+  mutable root_stack_len : int;
   mutable cur_pkru : int;
   mutable monitor_depth : int;  (* nested [with_monitor] brackets *)
   mutable gate_depth : int;  (* open batched-gate sections *)
@@ -66,9 +150,11 @@ type t = {
   mutable root_heap_regions : int list;
   canary_value : int;
   mutable frame_counter : int;
-  exec_insts : (int * udi, exec_inst) Hashtbl.t;  (* (tid, udi) *)
-  data_insts : (udi, data_inst) Hashtbl.t;
+  datas : data_inst By_udi.t;
   threads : (int, thread_state) Hashtbl.t;
+  mutable exec_keys : Pkru.t;
+      (* the deny (AD) bit of every key an execution-domain instance
+         holds, on any thread *)
   mutable stack_pool : (int * int) list;
   stack_reuse : bool;
   virtual_keys : bool;
@@ -84,12 +170,6 @@ type t = {
   audit : Rewind_log.t;  (* durable rewind intent + incident audit log *)
   flight : Flight.t;  (* per-domain event rings in monitor memory *)
   flight_snap : int;  (* events snapshotted per victim at rewind intent *)
-  trace_ctx : (int, int64) Hashtbl.t;  (* tid -> active causal trace id *)
-  gate_bufs : (int * udi * udi * int, int * int) Hashtbl.t;
-      (* (tid, caller, callee, slot) -> (addr, size): cached
-         argument-marshalling buffers in the callee's heap, surviving
-         deinit (persistent-domain pattern) until the domain is
-         discarded or destroyed *)
   mutable rewind_fault_hook : (unit -> bool) option;
       (* chaos probe consulted before each discard step of a rewind;
          [true] simulates a second fault arriving mid-rewind *)
@@ -214,9 +294,9 @@ let create ?(seed = 1) ?(monitor_size = 256 * 1024)
     root_heap_regions = [ root_region ];
     canary_value = Int64.to_int (Simkern.Rng.int64 rng) land max_int;
     frame_counter = 0;
-    exec_insts = Hashtbl.create 32;
-    data_insts = Hashtbl.create 8;
+    datas = By_udi.create (fun dd -> dd.d_udi);
     threads = Hashtbl.create 8;
+    exec_keys = Pkru.all_access;
     stack_pool = [];
     stack_reuse;
     virtual_keys;
@@ -232,8 +312,6 @@ let create ?(seed = 1) ?(monitor_size = 256 * 1024)
     audit;
     flight;
     flight_snap = max 0 flight_snap;
-    trace_ctx = Hashtbl.create 8;
-    gate_bufs = Hashtbl.create 16;
     rewind_fault_hook = None;
     race_observer = None;
     journal_probes = [];
@@ -287,16 +365,21 @@ let create ?(seed = 1) ?(monitor_size = 256 * 1024)
      time, so vmem/tlsf stay free of any telemetry dependency. *)
   M.gauge_fn metrics "sdrad_execution_domains"
     ~help:"Live execution-domain instances" (fun () ->
-      float_of_int (Hashtbl.length t.exec_insts));
+      float_of_int
+        (Hashtbl.fold (fun _ ts n -> n + ts.insts.len) t.threads 0));
   M.gauge_fn metrics "sdrad_data_domains" ~help:"Live data domains" (fun () ->
-      float_of_int (Hashtbl.length t.data_insts));
+      float_of_int t.datas.len);
   M.gauge_fn metrics "sdrad_pkeys_in_use" ~help:"Allocated protection keys"
     (fun () -> float_of_int (Space.pkeys_in_use t.space));
   M.gauge_fn metrics "sdrad_pooled_stacks"
     ~help:"Stack areas held for reuse" (fun () ->
       float_of_int (List.length t.stack_pool));
   M.gauge_fn metrics "sdrad_threads" ~help:"Registered simulated threads"
-    (fun () -> float_of_int (Hashtbl.length t.threads));
+    (fun () ->
+      float_of_int
+        (Hashtbl.fold
+           (fun _ ts n -> if ts.constructed then n + 1 else n)
+           t.threads 0));
   M.gauge_fn metrics "sdrad_monitor_bytes"
     ~help:"Monitor control data currently allocated" (fun () ->
       float_of_int (Tlsf.used_bytes t.monitor_heap));
@@ -364,87 +447,104 @@ let current_inst ts = match ts.entered with [] -> None | i :: _ -> Some i
 let current_udi_of ts =
   match ts.entered with [] -> root_udi | i :: _ -> i.udi
 
-(* Runs on every switch: the policy is folded straight into the result
-   (no ref cell, no option for the current domain). *)
+(* The rights [viewer] holds on data domain [dd]. *)
+let data_perm dd viewer =
+  match Hashtbl.find dd.d_perms viewer with
+  | p -> p
+  | exception Not_found -> 0
+
+(* Runs on every switch, as two loops. Every rule that grants access
+   needs the instance to belong to the calling thread, so the policy is
+   the deny bits of every instance key ([t.exec_keys]), the grants among
+   the thread's own instances, and the data domains' permissions. Keys
+   are distinct, so each key is set once and the order does not
+   matter. *)
 let compute_pkru t ts =
   let cur_udi = current_udi_of ts in
-  let v = Pkru.deny Pkru.all_access ~key:t.monitor_pkey in
+  let v = ref (Pkru.deny Pkru.all_access ~key:t.monitor_pkey) in
   (* The root domain is read-only from nested domains (global data). *)
-  let v =
-    match ts.entered with
-    | [] -> v
-    | _ :: _ -> Pkru.allow_read v ~key:t.root_pkey
-  in
-  let v =
-    Hashtbl.fold
-      (fun _ inst v ->
-        if inst.pkey < 0 then v
-        else
-          let rights =
-            match ts.entered with
-            | c :: _ when c == inst -> `Rw
-            | cur ->
-                if
-                  inst.tid = ts.t_tid && inst.parent = cur_udi
-                  && inst.opts.access = Accessible
-                  && inst.state <> Entered
-                then `Rw
-                else
-                  (* Direct parent, when the current domain opted in. *)
-                  let parent_readable =
-                    match cur with
-                    | c :: _ ->
-                        c.opts.parent_readable && c.parent = inst.udi
-                        && inst.tid = ts.t_tid
-                    | [] -> false
-                  in
-                  if parent_readable then `Ro else `No
-          in
-          match rights with
-          | `Rw -> Pkru.allow v ~key:inst.pkey
-          | `Ro -> Pkru.allow_read v ~key:inst.pkey
-          | `No -> Pkru.deny v ~key:inst.pkey)
-      t.exec_insts v
-  in
-  Hashtbl.fold
-    (fun _ dd v ->
-      let p =
-        match Hashtbl.find dd.d_perms cur_udi with
-        | p -> p
-        | exception Not_found -> 0
-      in
-      if Prot.has p Prot.write then Pkru.allow v ~key:dd.d_pkey
-      else if Prot.has p Prot.read then Pkru.allow_read v ~key:dd.d_pkey
-      else Pkru.deny v ~key:dd.d_pkey)
-    t.data_insts v
+  (match ts.entered with
+  | [] -> ()
+  | _ :: _ -> v := Pkru.allow_read !v ~key:t.root_pkey);
+  (* A [Pkru.deny] sets the key's AD bit: the mask denies them all. *)
+  v := !v lor t.exec_keys;
+  let insts = ts.insts in
+  for i = 0 to insts.len - 1 do
+    let inst = insts.items.(i) in
+    if inst.pkey >= 0 then
+      match ts.entered with
+      | c :: _ when c == inst -> v := Pkru.allow !v ~key:inst.pkey
+      | cur ->
+          if
+            inst.parent = cur_udi
+            && inst.opts.access = Accessible
+            && inst.state <> Entered
+          then v := Pkru.allow !v ~key:inst.pkey
+          else begin
+            (* Direct parent, when the current domain opted in. *)
+            match cur with
+            | c :: _ when c.opts.parent_readable && c.parent = inst.udi ->
+                v := Pkru.allow_read !v ~key:inst.pkey
+            | _ -> ()
+          end
+  done;
+  let datas = t.datas in
+  for i = 0 to datas.len - 1 do
+    let dd = datas.items.(i) in
+    let p = data_perm dd cur_udi in
+    v :=
+      if Prot.has p Prot.write then Pkru.allow !v ~key:dd.d_pkey
+      else if Prot.has p Prot.read then Pkru.allow_read !v ~key:dd.d_pkey
+      else Pkru.deny !v ~key:dd.d_pkey
+  done;
+  !v
+
+let hold_key t key = t.exec_keys <- Pkru.deny t.exec_keys ~key
+let release_key t key = t.exec_keys <- Pkru.allow t.exec_keys ~key
 
 (* {1 Thread registration} *)
 
-let thread_state t =
-  let tid = cur_tid () in
+(* The thread's record, made bare on first sight: a trace id may be set
+   before the thread's first domain call, and setting one must not run
+   the constructor (its root stack and WRPKRU are simulated work). *)
+let thread_record t tid =
   match Hashtbl.find t.threads tid with
   | ts -> ts
   | exception Not_found ->
-      (* Thread constructor (§IV-B): set up a per-thread root stack and the
-         initial access policy. *)
-      let len = t.default_stack_size in
-      let base = Space.mmap t.space ~len ~prot:Prot.rw ~pkey:t.root_pkey in
       let ts =
         {
           t_tid = tid;
+          constructed = false;
+          insts = By_udi.create (fun inst -> inst.udi);
+          gate_bufs = [];
+          trace = 0;
           entered = [];
-          root_sp = base + len;
-          root_stack_base = base;
-          root_stack_len = len;
+          root_sp = 0;
+          root_stack_base = 0;
+          root_stack_len = 0;
           cur_pkru = Pkru.all_access;
           monitor_depth = 0;
           gate_depth = 0;
         }
       in
       Hashtbl.replace t.threads tid ts;
-      ts.cur_pkru <- compute_pkru t ts;
-      Space.wrpkru t.space ts.cur_pkru;
       ts
+
+let thread_state t =
+  let ts = thread_record t (cur_tid ()) in
+  if not ts.constructed then begin
+    (* Thread constructor (§IV-B): set up a per-thread root stack and the
+       initial access policy. *)
+    let len = t.default_stack_size in
+    let base = Space.mmap t.space ~len ~prot:Prot.rw ~pkey:t.root_pkey in
+    ts.root_sp <- base + len;
+    ts.root_stack_base <- base;
+    ts.root_stack_len <- len;
+    ts.constructed <- true;
+    ts.cur_pkru <- compute_pkru t ts;
+    Space.wrpkru t.space ts.cur_pkru
+  end;
+  ts
 
 (* Reference-monitor call gate: raise privileges to reach the monitor data
    domain, run [f], then install whatever policy [ts.cur_pkru] holds on
@@ -499,6 +599,8 @@ let enter_monitor t ts =
   t.in_monitor <- true;
   was
 
+(* For cold paths; the per-request calls open-code the bracket with
+   [enter_monitor]/[leave_monitor] so that they build no closure. *)
 let with_monitor t ts f =
   let was = enter_monitor t ts in
   match f () with
@@ -516,56 +618,57 @@ let with_monitor t ts f =
    recorder event and rewind audit record written on that thread in
    between carries the id, which is what links a client op to its
    server-side consequences. Plain OCaml state: the id is metadata about
-   the monitor's execution, not compartment-reachable memory. *)
-
-let current_trace t =
-  match Hashtbl.find t.trace_ctx (cur_tid ()) with
-  | id -> id
-  | exception Not_found -> 0L
+   the monitor's execution, not compartment-reachable memory. It is kept
+   as the int the flight recorder stores. *)
 
 let set_trace t id =
   let tid = cur_tid () in
-  if id = 0L then Hashtbl.remove t.trace_ctx tid
-  else Hashtbl.replace t.trace_ctx tid id
+  match Hashtbl.find t.threads tid with
+  | ts -> ts.trace <- Int64.to_int id
+  | exception Not_found ->
+      if id <> 0L then (thread_record t tid).trace <- Int64.to_int id
 
 let with_trace t id f =
-  let tid = cur_tid () in
-  let prev = Hashtbl.find_opt t.trace_ctx tid in
-  set_trace t id;
-  let restore () =
-    match prev with
-    | Some p -> Hashtbl.replace t.trace_ctx tid p
-    | None -> Hashtbl.remove t.trace_ctx tid
-  in
+  let ts = thread_record t (cur_tid ()) in
+  let prev = ts.trace in
+  ts.trace <- Int64.to_int id;
   match f () with
   | v ->
-      restore ();
+      ts.trace <- prev;
       v
   | exception e ->
-      restore ();
+      ts.trace <- prev;
       raise e
 
+let record_event t ~udi ~tid ~trace ~arg kind =
+  Flight.record t.flight ~udi ~tid ~at:(int_of_float (now ())) ~trace ~arg
+    kind
+
+let trace_or id ~default =
+  match id with Some id -> Int64.to_int id | None -> default
+
 (* Record one flight-recorder event for [udi] (default: the thread's
-   current domain), stamped with the active trace context. Raises
-   privileges when called from compartment context — the ring lives in
-   monitor memory. *)
-let flight_event t ?udi ?(arg = 0) kind =
+   current domain), stamped with [trace] (default: the thread's trace
+   id). Raises privileges when called from a constructed thread — the
+   ring lives in monitor memory. *)
+let flight_event t ?udi ?trace ?(arg = 0) kind =
   let tid = cur_tid () in
-  let udi =
-    match udi with
-    | Some u -> u
-    | None -> (
-        match Hashtbl.find_opt t.threads tid with
-        | Some ts -> current_udi_of ts
-        | None -> root_udi)
-  in
-  let write () =
-    Flight.record t.flight ~udi ~tid ~at:(now ()) ~trace:(current_trace t)
-      ~arg kind
-  in
-  match Hashtbl.find_opt t.threads tid with
-  | Some ts -> with_monitor t ts write
-  | None -> write ()
+  match Hashtbl.find t.threads tid with
+  | exception Not_found ->
+      let udi = match udi with Some u -> u | None -> root_udi in
+      record_event t ~udi ~tid ~trace:(trace_or trace ~default:0) ~arg kind
+  | ts ->
+      let udi = match udi with Some u -> u | None -> current_udi_of ts in
+      let trace = trace_or trace ~default:ts.trace in
+      if not ts.constructed then record_event t ~udi ~tid ~trace ~arg kind
+      else begin
+        let was = enter_monitor t ts in
+        match record_event t ~udi ~tid ~trace ~arg kind with
+        | () -> leave_monitor t ts was
+        | exception e ->
+            leave_monitor t ts was;
+            raise e
+      end
 
 (* {1 Monitor bookkeeping blocks}
 
@@ -634,6 +737,27 @@ let release_stack t ~base ~len =
   end
   else Space.munmap t.space base
 
+(* {1 Instance lookup helpers} *)
+
+let find_inst ts udi = By_udi.find ts.insts udi
+let mem_inst ts udi = By_udi.mem ts.insts udi
+
+(* [inst] is still the thread's instance of its udi. A frame whose
+   domain was destroyed and initialized again under the same udi must
+   leave the new instance alone. *)
+let is_live ts inst =
+  match find_inst ts inst.udi with
+  | i -> i == inst
+  | exception Not_found -> false
+
+let get_exec t ts udi =
+  match find_inst ts udi with
+  | inst -> inst
+  | exception Not_found ->
+      err (if By_udi.mem t.datas udi then Wrong_kind else Unknown_domain)
+
+let iter_insts t f = Hashtbl.iter (fun _ ts -> By_udi.iter f ts.insts) t.threads
+
 (* {1 Protection-key virtualization (libmpk-style, §IV-B)}
 
    With [virtual_keys] enabled, running out of the 15 hardware keys parks
@@ -652,8 +776,21 @@ let park_instance t inst =
   Space.mprotect t.space ~addr:inst.stack_base ~len:inst.stack_len
     ~prot:Prot.none;
   Space.pkey_free t.space inst.pkey;
+  release_key t inst.pkey;
   inst.pkey <- -1;
   Telemetry.Metrics.inc t.c_key_evictions
+
+(* Every instance is stamped when it is created and again at each entry
+   and re-initialization, so no two share a [last_used] and the victim
+   does not depend on the order of the walk. *)
+let lru_dormant t =
+  let victim = ref None in
+  iter_insts t (fun inst ->
+      if inst.state = Dormant && inst.pkey >= 0 then
+        match !victim with
+        | Some b when b.last_used <= inst.last_used -> ()
+        | _ -> victim := Some inst);
+  !victim
 
 let acquire_pkey t =
   match Space.pkey_alloc t.space with
@@ -662,17 +799,7 @@ let acquire_pkey t =
       if not t.virtual_keys then err Out_of_pkeys
       else begin
         (* Evict the least recently used dormant instance. *)
-        let victim =
-          Hashtbl.fold
-            (fun _ inst best ->
-              if inst.state = Dormant && inst.pkey >= 0 then
-                match best with
-                | Some b when b.last_used <= inst.last_used -> best
-                | _ -> Some inst
-              else best)
-            t.exec_insts None
-        in
-        match victim with
+        match lru_dormant t with
         | None -> err Out_of_pkeys
         | Some v ->
             Log.debug (fun m ->
@@ -687,6 +814,7 @@ let unpark_instance t inst =
   if inst.pkey < 0 then begin
     let k = acquire_pkey t in
     inst.pkey <- k;
+    hold_key t k;
     List.iter
       (fun r ->
         match Space.alloc_len t.space r with
@@ -717,25 +845,15 @@ let inst_heap t inst =
       inst.heap <- Some h;
       h
 
-let heap_malloc t ~heap ~pkey ~pool_size ~grow size =
-  match Tlsf.malloc_opt heap size with
-  | Some p -> p
-  | None ->
-      let len = max pool_size (size + (2 * Tlsf.block_overhead) + 64) in
-      let region = Space.mmap t.space ~len ~prot:Prot.rw ~pkey in
-      grow region;
-      Tlsf.add_region heap ~addr:region ~len;
-      Tlsf.malloc heap size
+(* The current domain's heap, made on first use, and the bookkeeping of
+   a region joining it. *)
+let current_heap t ts =
+  match ts.entered with [] -> t.root_heap | inst :: _ -> inst_heap t inst
 
-(* {1 Instance lookup helpers} *)
-
-let find_exec t ts udi = Hashtbl.find_opt t.exec_insts (ts.t_tid, udi)
-
-let get_exec t ts udi =
-  match Hashtbl.find t.exec_insts (ts.t_tid, udi) with
-  | inst -> inst
-  | exception Not_found ->
-      err (if Hashtbl.mem t.data_insts udi then Wrong_kind else Unknown_domain)
+let track_current_region t ts r =
+  match ts.entered with
+  | [] -> t.root_heap_regions <- r :: t.root_heap_regions
+  | inst :: _ -> inst.heap_regions <- r :: inst.heap_regions
 
 (* {1 Core life cycle} *)
 
@@ -745,9 +863,10 @@ let fresh_frame t =
 
 (* Cheap monitor-init-time policy assertion behind [verify_policy]: every
    live domain holds a key of its own, distinct from the monitor's and the
-   root's. The full static verifier (stack/heap visibility, gate buffers,
-   hooks, reachability) lives in [lib/analysis] and runs offline or at
-   server setup. *)
+   root's, and the deny mask [compute_pkru] starts from covers exactly
+   the keys execution domains hold. The full static verifier (stack/heap
+   visibility, gate buffers, hooks, reachability) lives in [lib/analysis]
+   and runs offline or at server setup. *)
 let assert_policy t =
   if t.verify_policy then begin
     let seen = Hashtbl.create 16 in
@@ -766,87 +885,125 @@ let assert_policy t =
         | None -> Hashtbl.replace seen pkey who
       end
     in
-    Hashtbl.iter (fun _ i -> claim "domain" i.udi i.pkey) t.exec_insts;
-    Hashtbl.iter (fun _ d -> claim "data domain" d.d_udi d.d_pkey) t.data_insts
+    let held = ref Pkru.all_access in
+    iter_insts t (fun i ->
+        claim "domain" i.udi i.pkey;
+        if i.pkey >= 0 then held := Pkru.deny !held ~key:i.pkey);
+    By_udi.iter (fun d -> claim "data domain" d.d_udi d.d_pkey) t.datas;
+    if !held <> t.exec_keys then
+      failwith
+        (Printf.sprintf
+           "sdrad: policy violation: deny mask %x, execution domains hold %x"
+           t.exec_keys !held)
   end
 
+(* The entered stack, pushed without consing. Entering requires the
+   parent to be current, so the chain below an instance is the same at
+   each of its entries and the cell made at the first one is reused. *)
+let push_entered ts inst =
+  (match inst.entry with
+  | _ :: below when below == ts.entered -> ()
+  | _ -> inst.entry <- inst :: ts.entered);
+  ts.entered <- inst.entry
+
+(* The monitor section of an initialization: the domain record (for a
+   new instance), the saved context, and the new policy. *)
+let establish t ts inst ~fresh =
+  let was = enter_monitor t ts in
+  match
+    if fresh then begin
+      inst.meta_addr <- Tlsf.malloc t.monitor_heap meta_block_size;
+      write_meta t inst
+    end;
+    save_context t ts inst;
+    ts.cur_pkru <- compute_pkru t ts
+  with
+  | () -> leave_monitor t ts was
+  | exception e ->
+      leave_monitor t ts was;
+      raise e
+
+let reinit t ts inst opts =
+  if inst.parent <> current_udi_of ts then err Not_a_child;
+  unpark_instance t inst;
+  touch_key t inst;
+  if opts.stack_size = inst.opts.stack_size then inst.opts <- opts
+  else inst.opts <- { opts with stack_size = inst.opts.stack_size };
+  inst.state <- Ready;
+  inst.frame <- fresh_frame t;
+  establish t ts inst ~fresh:false
+
+let create_instance t ts udi opts =
+  let pkey = acquire_pkey t in
+  let stack_base, stack_len = take_stack t ~len:opts.stack_size ~pkey in
+  let inst =
+    {
+      udi;
+      tid = ts.t_tid;
+      opts;
+      parent = current_udi_of ts;
+      pkey;
+      state = Ready;
+      stack_base;
+      stack_len;
+      sp = stack_base + stack_len;
+      heap = None;
+      heap_regions = [];
+      frame = fresh_frame t;
+      ctx_addr = 0;
+      meta_addr = 0;
+      last_used = 0;
+      cleanups = [];
+      entry = [];
+    }
+  in
+  hold_key t pkey;
+  (* The LRU stamp of a new instance (see [lru_dormant]). *)
+  touch_key t inst;
+  By_udi.add ts.insts inst;
+  establish t ts inst ~fresh:true;
+  inst
+
+(* Sanctioned (the monitor's own mmap and pkey calls), with the
+   [sanctioned] bracket open-coded: a warm re-init builds no closure. *)
 let init_exec t ts udi opts =
-  sanctioned t @@ fun () ->
-  if udi = root_udi then err Root_operation;
-  if Hashtbl.mem t.data_insts udi then err Wrong_kind;
-  let cur = current_udi_of ts in
-  match find_exec t ts udi with
-  | Some inst -> (
-      match inst.state with
-      | Dormant ->
-          if inst.parent <> cur then err Not_a_child;
-          unpark_instance t inst;
-          touch_key t inst;
-          inst.opts <- { opts with stack_size = inst.opts.stack_size };
-          inst.state <- Ready;
-          inst.frame <- fresh_frame t;
-          with_monitor t ts (fun () ->
-              save_context t ts inst;
-              ts.cur_pkru <- compute_pkru t ts);
-          Telemetry.Metrics.inc t.c_inits;
-          assert_policy t;
-          inst
-      | Ready | Entered -> err Already_initialized)
-  | None ->
-      let pkey = acquire_pkey t in
-      let stack_base, stack_len = take_stack t ~len:opts.stack_size ~pkey in
-      let inst =
-        {
-          udi;
-          tid = ts.t_tid;
-          opts;
-          parent = cur;
-          pkey;
-          state = Ready;
-          stack_base;
-          stack_len;
-          sp = stack_base + stack_len;
-          heap = None;
-          heap_regions = [];
-          frame = fresh_frame t;
-          ctx_addr = 0;
-          meta_addr = 0;
-          last_used = 0;
-          cleanups = [];
-        }
-      in
-      Hashtbl.replace t.exec_insts (ts.t_tid, udi) inst;
-      with_monitor t ts (fun () ->
-          inst.meta_addr <- Tlsf.malloc t.monitor_heap meta_block_size;
-          write_meta t inst;
-          save_context t ts inst;
-          ts.cur_pkru <- compute_pkru t ts);
+  let was = t.in_monitor in
+  t.in_monitor <- true;
+  match
+    if udi = root_udi then err Root_operation;
+    if By_udi.mem t.datas udi then err Wrong_kind;
+    match find_inst ts udi with
+    | exception Not_found -> create_instance t ts udi opts
+    | inst -> (
+        match inst.state with
+        | Dormant ->
+            reinit t ts inst opts;
+            inst
+        | Ready | Entered -> err Already_initialized)
+  with
+  | inst ->
+      t.in_monitor <- was;
       Telemetry.Metrics.inc t.c_inits;
       assert_policy t;
       inst
+  | exception e ->
+      t.in_monitor <- was;
+      raise e
+
+(* Drop cached marshalling buffers referencing a domain about to lose its
+   heap (callee side) or to stop calling (caller side). The allocations
+   themselves go away with the callee's regions; no free needed. Exec
+   instances are per-thread, so their discard forgets only [ts]'s
+   entries and leaves the other threads' caches (whose instances — and
+   heaps — survive) alone; a data-domain destroy is global and purges
+   every thread's entries. *)
+let forget_gate_buffers ts udi =
+  ts.gate_bufs <-
+    List.filter (fun b -> b.gb_caller <> udi && b.gb_callee <> udi) ts.gate_bufs
 
 (* Fully remove an instance's memory and identity (used by destroy with
    [`Discard] and by abnormal exits: "subheaps are never merged back after
    abnormal exits, as the data must be considered corrupted"). *)
-(* Drop cached marshalling buffers referencing a domain about to lose its
-   heap (callee side) or to stop calling (caller side). The allocations
-   themselves go away with the callee's regions; no free needed. Exec
-   instances are per-thread, so their discard passes [tid] and leaves the
-   other threads' caches (whose instances — and heaps — survive) alone;
-   a data-domain destroy is global and purges every thread's entries. *)
-let forget_gate_buffers ?tid t udi =
-  let stale =
-    Hashtbl.fold
-      (fun ((btid, caller, callee, _) as k) _ acc ->
-        if
-          (match tid with Some w -> btid = w | None -> true)
-          && (caller = udi || callee = udi)
-        then k :: acc
-        else acc)
-      t.gate_bufs []
-  in
-  List.iter (Hashtbl.remove t.gate_bufs) stale
-
 let discard_instance t ts inst =
   let bypass f =
     if Space.sanitizer_enabled t.space then Space.sanitizer_bypass t.space f
@@ -885,9 +1042,12 @@ let discard_instance t ts inst =
     Tlsf.free t.monitor_heap inst.meta_addr;
     inst.meta_addr <- 0
   end;
-  if inst.pkey >= 0 then Space.pkey_free t.space inst.pkey;
-  forget_gate_buffers ~tid:ts.t_tid t inst.udi;
-  Hashtbl.remove t.exec_insts (ts.t_tid, inst.udi)
+  if inst.pkey >= 0 then begin
+    Space.pkey_free t.space inst.pkey;
+    release_key t inst.pkey
+  end;
+  forget_gate_buffers ts inst.udi;
+  By_udi.remove ts.insts inst.udi
 
 (* {1 Subtrees}
 
@@ -902,15 +1062,14 @@ let run_cleanups inst =
   inst.cleanups <- [];
   List.iter (fun f -> f ()) fs
 
-let descendants_post t ts udi ~except =
+let descendants_post ts udi ~except =
   let children u =
-    Hashtbl.fold
-      (fun (tid, _) i acc ->
-        if tid = ts.t_tid && i.parent = u && not (List.memq i except) then
-          i :: acc
-        else acc)
-      t.exec_insts []
-    |> List.sort (fun a b -> compare a.udi b.udi)
+    let acc = ref [] in
+    for i = ts.insts.len - 1 downto 0 do
+      let inst = ts.insts.items.(i) in
+      if inst.parent = u && not (List.memq inst except) then acc := inst :: !acc
+    done;
+    !acc
   in
   let rec go u = List.concat_map (fun k -> go k.udi @ [ k ]) (children u) in
   go udi
@@ -969,10 +1128,9 @@ let switch_in t ts inst udi =
   (match
      inst.state <- Entered;
      inst.sp <- inst.stack_base + inst.stack_len;
-     ts.entered <- inst :: ts.entered;
+     push_entered ts inst;
      switch_steps t ts;
-     Flight.record t.flight ~udi ~tid:ts.t_tid ~at:(now ())
-       ~trace:(current_trace t) Flight.Switch_in
+     record_event t ~udi ~tid:ts.t_tid ~trace:ts.trace ~arg:0 Flight.Switch_in
    with
   | () -> leave_monitor t ts was
   | exception e ->
@@ -989,8 +1147,8 @@ let switch_out t ts inst rest =
     ts.entered <- rest;
     inst.state <- Ready;
     switch_steps t ts;
-    Flight.record t.flight ~udi:inst.udi ~tid:ts.t_tid ~at:(now ())
-      ~trace:(current_trace t) Flight.Switch_out
+    record_event t ~udi:inst.udi ~tid:ts.t_tid ~trace:ts.trace ~arg:0
+      Flight.Switch_out
   with
   | () -> leave_monitor t ts was
   | exception e ->
@@ -1049,51 +1207,48 @@ let deinit t udi =
   | Entered -> err Domain_entered
   | Dormant -> err Not_initialized
   | Ready -> ());
-  with_monitor t ts (fun () ->
-      drop_context t inst;
-      inst.frame <- 0;
-      inst.state <- Dormant)
+  let was = enter_monitor t ts in
+  match
+    drop_context t inst;
+    inst.frame <- 0;
+    inst.state <- Dormant
+  with
+  | () -> leave_monitor t ts was
+  | exception e ->
+      leave_monitor t ts was;
+      raise e
 
-(* The heap (and its region bookkeeping) of the current domain. *)
-let current_heap t ts =
-  match current_inst ts with
-  | None ->
-      ( t.root_heap,
-        t.root_pkey,
-        (fun r -> t.root_heap_regions <- r :: t.root_heap_regions),
-        t.default_heap_size )
-  | Some inst ->
-      ( inst_heap t inst,
-        inst.pkey,
-        (fun r -> inst.heap_regions <- r :: inst.heap_regions),
-        inst.opts.heap_size )
+(* Hand [regions] and the blocks of [from] to the current domain:
+   re-key the regions to it, record them with it, and merge [from] into
+   its heap. *)
+let merge_into_current t ts regions ~from =
+  let target = current_heap t ts in
+  let pkey = match ts.entered with [] -> t.root_pkey | inst :: _ -> inst.pkey in
+  List.iter
+    (fun r ->
+      (match Space.alloc_len t.space r with
+      | Some len -> Space.pkey_mprotect t.space ~addr:r ~len ~prot:Prot.rw ~pkey
+      | None -> ());
+      track_current_region t ts r)
+    regions;
+  Tlsf.merge target ~from
 
 let destroy t udi ~heap =
   let ts = thread_state t in
-  match Hashtbl.find_opt t.data_insts udi with
-  | Some dd ->
+  match By_udi.find t.datas udi with
+  | dd ->
       with_monitor t ts (fun () ->
           (match heap with
           | `Discard -> List.iter (fun r -> Space.munmap t.space r) dd.d_regions
-          | `Merge ->
-              let target, pkey, track, _ = current_heap t ts in
-              List.iter
-                (fun r ->
-                  (match Space.alloc_len t.space r with
-                  | Some len ->
-                      Space.pkey_mprotect t.space ~addr:r ~len ~prot:Prot.rw ~pkey
-                  | None -> ());
-                  track r)
-                dd.d_regions;
-              Tlsf.merge target ~from:dd.d_heap);
+          | `Merge -> merge_into_current t ts dd.d_regions ~from:dd.d_heap);
           Tlsf.free t.monitor_heap dd.d_meta_addr;
           Space.pkey_free t.space dd.d_pkey;
-          forget_gate_buffers t udi;
-          Hashtbl.remove t.data_insts udi;
+          Hashtbl.iter (fun _ ts -> forget_gate_buffers ts udi) t.threads;
+          By_udi.remove t.datas udi;
           ts.cur_pkru <- compute_pkru t ts);
       race_emit t (Types.Rv_unshared { udi; pkey = dd.d_pkey });
       Telemetry.Metrics.inc t.c_destroys
-  | None ->
+  | exception Not_found ->
       let inst = get_exec t ts udi in
       if inst.state = Entered then err Domain_entered;
       if inst.parent <> current_udi_of ts then err Not_a_child;
@@ -1108,7 +1263,7 @@ let destroy t udi ~heap =
             (fun d ->
               run_cleanups d;
               discard_instance t ts d)
-            (descendants_post t ts udi ~except:[]);
+            (descendants_post ts udi ~except:[]);
           (match heap with
           | `Discard -> ()
           | `Merge -> (
@@ -1126,17 +1281,7 @@ let destroy t udi ~heap =
                     merge_refused := true
                   end
                   else begin
-                    let target, pkey, track, _ = current_heap t ts in
-                    List.iter
-                      (fun r ->
-                        (match Space.alloc_len t.space r with
-                        | Some len ->
-                            Space.pkey_mprotect t.space ~addr:r ~len
-                              ~prot:Prot.rw ~pkey
-                        | None -> ());
-                        track r)
-                      inst.heap_regions;
-                    Tlsf.merge target ~from:child_heap;
+                    merge_into_current t ts inst.heap_regions ~from:child_heap;
                     inst.heap_regions <- [];
                     inst.heap <- None
                   end));
@@ -1158,8 +1303,8 @@ let init_data t ~udi ?heap_size () =
   sanctioned t @@ fun () ->
   if udi = root_udi then err Root_operation;
   let ts = thread_state t in
-  if Hashtbl.mem t.data_insts udi then err Already_initialized;
-  if find_exec t ts udi <> None then err Wrong_kind;
+  if By_udi.mem t.datas udi then err Already_initialized;
+  if mem_inst ts udi then err Wrong_kind;
   let heap_size = Option.value heap_size ~default:t.default_heap_size in
   let pkey =
     match Space.pkey_alloc t.space with Some k -> k | None -> err Out_of_pkeys
@@ -1177,7 +1322,7 @@ let init_data t ~udi ?heap_size () =
       let meta = Tlsf.malloc t.monitor_heap meta_block_size in
       Space.store64 t.space meta udi;
       Space.store64 t.space (meta + 8) pkey;
-      Hashtbl.replace t.data_insts udi
+      By_udi.add t.datas
         {
           d_udi = udi;
           d_pkey = pkey;
@@ -1192,11 +1337,10 @@ let init_data t ~udi ?heap_size () =
 
 let dprotect t ~udi ~tddi prot =
   let ts = thread_state t in
-  match Hashtbl.find_opt t.data_insts tddi with
-  | None ->
-      err (if Hashtbl.mem t.exec_insts (ts.t_tid, tddi) then Wrong_kind
-           else Unknown_domain)
-  | Some dd ->
+  match By_udi.find t.datas tddi with
+  | exception Not_found ->
+      err (if mem_inst ts tddi then Wrong_kind else Unknown_domain)
+  | dd ->
       with_monitor t ts (fun () ->
           if prot = 0 then Hashtbl.remove dd.d_perms udi
           else Hashtbl.replace dd.d_perms udi prot;
@@ -1204,53 +1348,87 @@ let dprotect t ~udi ~tddi prot =
 
 (* {1 Memory management} *)
 
-type heap_target =
-  | In_current
-  | In_child of exec_inst
-  | In_data of data_inst
+(* The three calls below name a heap by udi: the current domain's, an
+   accessible child's, or a data domain's the current domain may write.
+   [check_heap] raises the access error before any monitor bracket
+   opens; inside it, [target_heap] finds the heap again, making a
+   domain's on first use. Neither builds a value to carry the target
+   from one to the other. *)
 
-let resolve_heap t ts udi =
+let check_heap t ts udi =
   let cur = current_udi_of ts in
-  if udi = cur then In_current
-  else
-    match Hashtbl.find_opt t.data_insts udi with
-    | Some dd ->
-        let p =
-          match Hashtbl.find_opt dd.d_perms cur with Some p -> p | None -> 0
-        in
-        if Prot.has p Prot.write then In_data dd else err Not_accessible
-    | None -> (
-        match find_exec t ts udi with
-        | None -> err Unknown_domain
-        | Some inst ->
+  if udi <> cur then
+    match By_udi.find t.datas udi with
+    | dd -> if not (Prot.has (data_perm dd cur) Prot.write) then err Not_accessible
+    | exception Not_found -> (
+        match find_inst ts udi with
+        | exception Not_found -> err Unknown_domain
+        | inst ->
             if inst.parent <> cur then err Not_a_child;
-            if inst.opts.access <> Accessible then err Not_accessible;
-            In_child inst)
+            if inst.opts.access <> Accessible then err Not_accessible)
+
+let target_heap t ts udi =
+  if udi = current_udi_of ts then current_heap t ts
+  else
+    match By_udi.find t.datas udi with
+    | dd -> dd.d_heap
+    | exception Not_found -> inst_heap t (find_inst ts udi)
+
+(* [heap], [udi]'s, has no block for [size]: map a region of the
+   owner's pool size (at least [size] plus headers) under the owner's
+   key and record it with the owner. *)
+let grow_heap t ts udi heap size =
+  let add ~pkey ~pool =
+    let len = max pool (size + (2 * Tlsf.block_overhead) + 64) in
+    let region = Space.mmap t.space ~len ~prot:Prot.rw ~pkey in
+    Tlsf.add_region heap ~addr:region ~len;
+    region
+  in
+  if udi = current_udi_of ts then
+    match ts.entered with
+    | [] ->
+        let r = add ~pkey:t.root_pkey ~pool:t.default_heap_size in
+        t.root_heap_regions <- r :: t.root_heap_regions
+    | inst :: _ ->
+        let r = add ~pkey:inst.pkey ~pool:inst.opts.heap_size in
+        inst.heap_regions <- r :: inst.heap_regions
+  else
+    match By_udi.find t.datas udi with
+    | dd ->
+        let r = add ~pkey:dd.d_pkey ~pool:t.default_heap_size in
+        dd.d_regions <- r :: dd.d_regions
+    | exception Not_found ->
+        let inst = find_inst ts udi in
+        let r = add ~pkey:inst.pkey ~pool:inst.opts.heap_size in
+        inst.heap_regions <- r :: inst.heap_regions
+
+let malloc_in t ts udi size =
+  let heap = target_heap t ts udi in
+  match Tlsf.malloc heap size with
+  | p -> p
+  | exception Tlsf.Out_of_memory ->
+      grow_heap t ts udi heap size;
+      Tlsf.malloc heap size
 
 let malloc t ~udi size =
   let ts = thread_state t in
-  let target = resolve_heap t ts udi in
+  check_heap t ts udi;
+  let was = enter_monitor t ts in
   let addr =
-    with_monitor t ts (fun () ->
-        (* Under the sanitizer every allocation (un)poisons redzones — a
-           forensically interesting act, so it lands in the flight ring. *)
-        if t.sanitizer then
-          Flight.record t.flight ~udi ~tid:ts.t_tid ~at:(now ())
-            ~trace:(current_trace t) ~arg:size Flight.Alloc_poison;
-        match target with
-        | In_current ->
-            let heap, pkey, track, pool = current_heap t ts in
-            heap_malloc t ~heap ~pkey ~pool_size:pool ~grow:track size
-        | In_child inst ->
-            let heap = inst_heap t inst in
-            heap_malloc t ~heap ~pkey:inst.pkey ~pool_size:inst.opts.heap_size
-              ~grow:(fun r -> inst.heap_regions <- r :: inst.heap_regions)
-              size
-        | In_data dd ->
-            heap_malloc t ~heap:dd.d_heap ~pkey:dd.d_pkey
-              ~pool_size:t.default_heap_size
-              ~grow:(fun r -> dd.d_regions <- r :: dd.d_regions)
-              size)
+    match
+      (* Under the sanitizer every allocation (un)poisons redzones — a
+         forensically interesting act, so it lands in the flight ring. *)
+      if t.sanitizer then
+        record_event t ~udi ~tid:ts.t_tid ~trace:ts.trace ~arg:size
+          Flight.Alloc_poison;
+      malloc_in t ts udi size
+    with
+    | addr ->
+        leave_monitor t ts was;
+        addr
+    | exception e ->
+        leave_monitor t ts was;
+        raise e
   in
   (* Reuse boundary for shadow-cell observers: the block's previous
      occupant's access history must not leak onto the new one. *)
@@ -1261,26 +1439,21 @@ let malloc t ~udi size =
 
 let free t ~udi addr =
   let ts = thread_state t in
-  let target = resolve_heap t ts udi in
-  with_monitor t ts (fun () ->
-      match target with
-      | In_current ->
-          let heap, _, _, _ = current_heap t ts in
-          Tlsf.free heap addr
-      | In_child inst -> Tlsf.free (inst_heap t inst) addr
-      | In_data dd -> Tlsf.free dd.d_heap addr);
+  check_heap t ts udi;
+  let was = enter_monitor t ts in
+  (match Tlsf.free (target_heap t ts udi) addr with
+  | () -> leave_monitor t ts was
+  | exception e ->
+      leave_monitor t ts was;
+      raise e);
   match t.race_observer with
   | Some f -> f (Types.Rv_free { udi; addr })
   | None -> ()
 
 let usable_size t ~udi addr =
   let ts = thread_state t in
-  match resolve_heap t ts udi with
-  | In_current ->
-      let heap, _, _, _ = current_heap t ts in
-      Tlsf.usable_size heap addr
-  | In_child inst -> Tlsf.usable_size (inst_heap t inst) addr
-  | In_data dd -> Tlsf.usable_size dd.d_heap addr
+  check_heap t ts udi;
+  Tlsf.usable_size (target_heap t ts udi) addr
 
 (* {1 Batched gates}
 
@@ -1322,18 +1495,32 @@ let gate_open t = (thread_state t).gate_depth > 0
    callee's heap. Persistent-domain pattern (Figure 3): the callee's heap
    survives [deinit], so the buffer is reused across requests instead of
    a malloc/free pair per call; it is forgotten when the callee is
-   discarded or destroyed. *)
+   discarded or destroyed. The cache is the calling thread's, searched
+   field by field. *)
+let rec find_gate_buf bufs ~caller ~callee ~slot =
+  match bufs with
+  | [] -> raise Not_found
+  | b :: rest ->
+      if b.gb_caller = caller && b.gb_callee = callee && b.gb_slot = slot then b
+      else find_gate_buf rest ~caller ~callee ~slot
+
 let gate_buffer t ?(slot = 0) ~udi size =
   let ts = thread_state t in
-  let key = (ts.t_tid, current_udi_of ts, udi, slot) in
-  match Hashtbl.find_opt t.gate_bufs key with
-  | Some (addr, cap) when cap >= size -> addr
-  | prev ->
-      (match prev with
-      | Some (addr, _) -> free t ~udi addr
-      | None -> ());
+  let caller = current_udi_of ts in
+  match find_gate_buf ts.gate_bufs ~caller ~callee:udi ~slot with
+  | b when b.gb_cap >= size -> b.gb_addr
+  | b ->
+      free t ~udi b.gb_addr;
       let addr = malloc t ~udi size in
-      Hashtbl.replace t.gate_bufs key (addr, size);
+      b.gb_addr <- addr;
+      b.gb_cap <- size;
+      addr
+  | exception Not_found ->
+      let addr = malloc t ~udi size in
+      ts.gate_bufs <-
+        { gb_caller = caller; gb_callee = udi; gb_slot = slot; gb_addr = addr;
+          gb_cap = size }
+        :: ts.gate_bufs;
       addr
 
 (* {1 Stack frames} *)
@@ -1400,7 +1587,7 @@ exception Rewind_interrupted
    for each domain of the entered chain up to [inst] (innermost first),
    its non-entered descendants, then the domain itself. Also truncates
    [ts.entered] to the surviving suffix. *)
-let rewind_victims t ts inst =
+let rewind_victims ts inst =
   let chain, remainder =
     if List.memq inst ts.entered then
       let rec split acc = function
@@ -1413,7 +1600,7 @@ let rewind_victims t ts inst =
   in
   ts.entered <- remainder;
   List.concat_map
-    (fun e -> descendants_post t ts e.udi ~except:chain @ [ e ])
+    (fun e -> descendants_post ts e.udi ~except:chain @ [ e ])
     chain
 
 (* Phase 2: the discard driver. Every iteration re-reads the durable
@@ -1474,7 +1661,7 @@ let abnormal_exit ?(record = true) t ts inst fault =
       Telemetry.Trace.with_span t.tracer "rewind.context_restore" (fun () ->
           charge t.cost.context_restore);
       with_monitor t ts (fun () ->
-          let victims = rewind_victims t ts inst in
+          let victims = rewind_victims ts inst in
           (match t.race_observer with
           | Some f ->
               f
@@ -1499,7 +1686,8 @@ let abnormal_exit ?(record = true) t ts inst fault =
              audit record — ends on the event that triggered it. *)
           if record then
             Flight.record t.flight ~udi:fault.failed_udi ~tid:ts.t_tid
-              ~at:t0 ~trace:(current_trace t) ~arg:fault_addr Flight.Fault;
+              ~at:(int_of_float t0) ~trace:ts.trace ~arg:fault_addr
+              Flight.Fault;
           let events =
             List.concat_map
               (fun v -> Flight.snapshot t.flight ~udi:v.udi ~n:t.flight_snap)
@@ -1540,11 +1728,10 @@ let abnormal_exit ?(record = true) t ts inst fault =
    grandparent rewind is passing through, the discarded subtree is
    chained onto its in-flight audit record. *)
 let teardown_passthrough t ts inst frame_id =
-  if inst.frame = frame_id && Hashtbl.mem t.exec_insts (ts.t_tid, inst.udi)
-  then
+  if inst.frame = frame_id && is_live ts inst then
     with_monitor t ts (fun () ->
         ts.entered <- List.filter (fun i -> not (i == inst)) ts.entered;
-        let victims = descendants_post t ts inst.udi ~except:[] @ [ inst ] in
+        let victims = descendants_post ts inst.udi ~except:[] @ [ inst ] in
         (match t.race_observer with
         | Some f ->
             f
@@ -1581,33 +1768,33 @@ let cause_of_exn = function
   | Attack_detected msg -> Some (Explicit msg)
   | _ -> None
 
+(* The whole protected execution is one span: a fault unwinding
+   through it leaves an [aborted:true] trace event (and bumps
+   [trace_aborted_spans_total]), so rewound requests are
+   distinguishable from clean returns in Chrome exports. *)
+let traced_body t ts udi body =
+  let tr = ts.trace in
+  Telemetry.Trace.with_span t.tracer "domain.body"
+    ~args:
+      (("udi", string_of_int udi)
+      ::
+      (if tr = 0 then []
+       else [ ("trace", Printf.sprintf "%016Lx" (Int64.of_int tr)) ]))
+    body
+
 let run t ~udi ?(opts = default_options) ~on_rewind body =
   let ts = thread_state t in
   let inst = init_exec t ts udi opts in
   let frame_id = inst.frame in
-  (* The whole protected execution is one span: a fault unwinding
-     through it leaves an [aborted:true] trace event (and bumps
-     [trace_aborted_spans_total]), so rewound requests are
-     distinguishable from clean returns in Chrome exports. *)
-  let body () =
-    if not (Telemetry.Trace.enabled t.tracer) then body ()
-    else
-      let tr = current_trace t in
-      Telemetry.Trace.with_span t.tracer "domain.body"
-        ~args:
-          (("udi", string_of_int udi)
-          :: (if tr = 0L then [] else [ ("trace", Printf.sprintf "%016Lx" tr) ]))
-        body
-  in
-  match body () with
+  match
+    if Telemetry.Trace.enabled t.tracer then traced_body t ts udi body
+    else body ()
+  with
   | v ->
       (* Convention: the domain must be destroyed or deinitialized before
          the initializing function returns; deinitialize if the user did
          not, so the saved context never dangles. *)
-      if
-        inst.frame = frame_id
-        && Hashtbl.mem t.exec_insts (ts.t_tid, inst.udi)
-        && inst.state <> Dormant
+      if inst.frame = frame_id && is_live ts inst && inst.state <> Dormant
       then begin
         while inst.state = Entered do
           exit_domain t
@@ -1646,12 +1833,11 @@ let run t ~udi ?(opts = default_options) ~on_rewind body =
 
 let is_initialized t udi =
   let ts = thread_state t in
-  match Hashtbl.find_opt t.data_insts udi with
-  | Some _ -> true
-  | None -> (
-      match find_exec t ts udi with
-      | Some inst -> inst.state <> Dormant
-      | None -> false)
+  By_udi.mem t.datas udi
+  ||
+  match find_inst ts udi with
+  | inst -> inst.state <> Dormant
+  | exception Not_found -> false
 
 let rewind_count t = Telemetry.Metrics.counter_value t.c_rewinds
 let incidents t = List.of_seq (Queue.to_seq t.incident_q)
@@ -1663,9 +1849,9 @@ let dropped_incidents t = Telemetry.Metrics.counter_value t.c_dropped_incidents
    privileges when called from a registered simulated thread; outside the
    scheduler the default all-access policy applies. *)
 let with_audit_read t f =
-  match Hashtbl.find_opt t.threads (cur_tid ()) with
-  | Some ts -> with_monitor t ts f
-  | None -> f ()
+  match Hashtbl.find t.threads (cur_tid ()) with
+  | ts when ts.constructed -> with_monitor t ts f
+  | _ | (exception Not_found) -> f ()
 
 let audit_records t = with_audit_read t (fun () -> Rewind_log.records t.audit)
 
@@ -1708,13 +1894,13 @@ let on_abnormal_cleanup t f =
       fun () -> token := false
 
 let domain_pkey t udi =
-  match Hashtbl.find_opt t.data_insts udi with
-  | Some dd -> Some dd.d_pkey
-  | None -> (
+  match By_udi.find t.datas udi with
+  | dd -> Some dd.d_pkey
+  | exception Not_found -> (
       let ts = thread_state t in
-      match find_exec t ts udi with
-      | Some inst -> Some inst.pkey
-      | None -> None)
+      match find_inst ts udi with
+      | inst -> Some inst.pkey
+      | exception Not_found -> None)
 
 let monitor_bytes t = Tlsf.used_bytes t.monitor_heap
 let monitor_pkey t = t.monitor_pkey
@@ -1744,9 +1930,9 @@ let domains_info t =
   let region_len r =
     match Space.alloc_len t.space r with Some l -> l | None -> 0
   in
-  let execs =
-    Hashtbl.fold
-      (fun _ inst acc ->
+  let execs = ref [] in
+  iter_insts t (fun inst ->
+      execs :=
         {
           di_udi = inst.udi;
           di_kind = `Exec;
@@ -1765,12 +1951,11 @@ let domains_info t =
           di_has_cleanup = inst.cleanups <> [];
           di_perms = [];
         }
-        :: acc)
-      t.exec_insts []
-  in
-  let datas =
-    Hashtbl.fold
-      (fun _ dd acc ->
+        :: !execs);
+  let datas = ref [] in
+  By_udi.iter
+    (fun dd ->
+      datas :=
         {
           di_udi = dd.d_udi;
           di_kind = `Data;
@@ -1787,12 +1972,11 @@ let domains_info t =
             List.sort compare
               (Hashtbl.fold (fun u p acc -> (u, p) :: acc) dd.d_perms []);
         }
-        :: acc)
-      t.data_insts []
-  in
+        :: !datas)
+    t.datas;
   List.sort
     (fun a b -> compare (a.di_udi, a.di_tid) (b.di_udi, b.di_tid))
-    (execs @ datas)
+    (!execs @ !datas)
 
 (* {1 Convenience wrappers} *)
 

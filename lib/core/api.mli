@@ -290,13 +290,17 @@ val with_trace : t -> int64 -> (unit -> 'a) -> 'a
 (** Bracket: install the id, run the body, restore the previous id even
     on exceptions. *)
 
-val flight_event : t -> ?udi:udi -> ?arg:int -> Checkpoint.Flight.kind -> unit
+val flight_event :
+  t -> ?udi:udi -> ?trace:int64 -> ?arg:int -> Checkpoint.Flight.kind -> unit
 (** Record an application-level event (admit, shed, replay, lock
     acquisition…) in the flight recorder, tagged with the calling
-    thread, current virtual time and installed trace id. [udi] defaults
-    to the domain the thread is executing in. Events the monitor
-    records itself (switches, faults, poisoned allocations) need no
-    call — they are emitted inside the existing monitor gates. *)
+    thread, current virtual time and trace id. [udi] defaults to the
+    domain the thread is executing in, [trace] to the thread's installed
+    trace id: a caller recording an event for another request's trace
+    (a shed, a router hop) passes it here instead of installing it with
+    {!with_trace}. Events the monitor records itself (switches, faults,
+    poisoned allocations) need no call — they are emitted inside the
+    existing monitor gates. *)
 
 val flight_events : t -> udi:udi -> Checkpoint.Flight.event list
 (** Retained flight-recorder events of one domain, oldest first. Safe

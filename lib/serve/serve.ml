@@ -256,9 +256,7 @@ let should_shed t ws =
 let shed t c ~trace ~udi reply =
   M.inc t.c.shed;
   (match t.sd with
-  | Some sd ->
-      Api.with_trace sd trace (fun () ->
-          Api.flight_event sd ~udi Checkpoint.Flight.Shed)
+  | Some sd -> Api.flight_event sd ~udi ~trace Checkpoint.Flight.Shed
   | None -> ());
   Netsim.send c reply
 

@@ -199,16 +199,18 @@ let find_suitable t fl sl =
       let fl' = ffs fl_map in
       (fl' lsl sl_log2) lor ffs t.sl_bitmap.(fl')
 
-let malloc_opt_raw t request =
+(* The allocator core: the payload address, or 0 when no block fits.
+   A payload sits [header] bytes past its block, so 0 is never one. *)
+let malloc_raw t request =
   let injected =
     match t.inject_failure with Some f -> f request | None -> false
   in
   let adjust = max min_payload (round_up (max request 1)) in
   let c = mapping_search adjust in
-  if injected || class_fl c >= fl_count then None
+  if injected || class_fl c >= fl_count then 0
   else
     match find_suitable t (class_fl c) (class_sl c) with
-    | -1 -> None
+    | -1 -> 0
     | c ->
         let b = t.heads.(class_fl c).(class_sl c) in
         let word = hdr t b in
@@ -242,26 +244,40 @@ let malloc_opt_raw t request =
         end;
         t.used_blocks <- t.used_blocks + 1;
         t.malloc_calls <- t.malloc_calls + 1;
-        Some (b + header)
+        b + header
 
 (* Sanitized allocation: the physical block is the request plus a
    trailing redzone; only [payload, payload + size - redzone) is
    unpoisoned, so an overflow past the usable size lands on poisoned
    bytes before it can reach the next block's header. *)
+let malloc_sanitized t request =
+  match malloc_raw t (max request 1 + redzone) with
+  | 0 -> 0
+  | p ->
+      let s = size_of (hdr t (p - header)) in
+      Vmem.Space.unpoison t.space ~addr:p ~len:(s - redzone);
+      Vmem.Space.poison t.space ~addr:(p + s - redzone) ~len:redzone;
+      p
+
+(* [malloc], [free] and [usable_size] run on every request: they open
+   the bypass bracket by hand, so they build no closure. *)
+let try_malloc t request =
+  let was = Vmem.Space.begin_bypass t.space in
+  match
+    if t.sanitize then malloc_sanitized t request else malloc_raw t request
+  with
+  | p ->
+      Vmem.Space.end_bypass t.space was;
+      p
+  | exception e ->
+      Vmem.Space.end_bypass t.space was;
+      raise e
+
 let malloc_opt t request =
-  if not t.sanitize then with_bypass t (fun () -> malloc_opt_raw t request)
-  else
-    Vmem.Space.sanitizer_bypass t.space (fun () ->
-        match malloc_opt_raw t (max request 1 + redzone) with
-        | None -> None
-        | Some p ->
-            let s = size_of (hdr t (p - header)) in
-            Vmem.Space.unpoison t.space ~addr:p ~len:(s - redzone);
-            Vmem.Space.poison t.space ~addr:(p + s - redzone) ~len:redzone;
-            Some p)
+  match try_malloc t request with 0 -> None | p -> Some p
 
 let malloc t request =
-  match malloc_opt t request with Some p -> p | None -> raise Out_of_memory
+  match try_malloc t request with 0 -> raise Out_of_memory | p -> p
 
 let free_raw t ptr =
   let b = ptr - header in
@@ -314,22 +330,33 @@ let free_raw t ptr =
    BEFORE [free_raw] so coalescing's free-list links (written into the
    first 16 payload bytes) survive; double frees are detected first so
    the fill cannot clobber a live free block's links. *)
+let free_sanitized t ptr =
+  let word = hdr t (ptr - header) in
+  if is_free word then free_raw t ptr (* raises the double-free error *)
+  else begin
+    let size = size_of word in
+    Vmem.Space.fill t.space ~addr:ptr ~len:size '\xfd';
+    free_raw t ptr;
+    Vmem.Space.poison t.space ~addr:ptr ~len:size
+  end
+
 let free t ptr =
-  if not t.sanitize then with_bypass t (fun () -> free_raw t ptr)
-  else
-    Vmem.Space.sanitizer_bypass t.space (fun () ->
-        let word = hdr t (ptr - header) in
-        if is_free word then free_raw t ptr (* raises the double-free error *)
-        else begin
-          let size = size_of word in
-          Vmem.Space.fill t.space ~addr:ptr ~len:size '\xfd';
-          free_raw t ptr;
-          Vmem.Space.poison t.space ~addr:ptr ~len:size
-        end)
+  let was = Vmem.Space.begin_bypass t.space in
+  match if t.sanitize then free_sanitized t ptr else free_raw t ptr with
+  | () -> Vmem.Space.end_bypass t.space was
+  | exception e ->
+      Vmem.Space.end_bypass t.space was;
+      raise e
 
 let usable_size t ptr =
-  let s = with_bypass t (fun () -> size_of (hdr t (ptr - header))) in
-  if t.sanitize then s - redzone else s
+  let was = Vmem.Space.begin_bypass t.space in
+  match size_of (hdr t (ptr - header)) with
+  | s ->
+      Vmem.Space.end_bypass t.space was;
+      if t.sanitize then s - redzone else s
+  | exception e ->
+      Vmem.Space.end_bypass t.space was;
+      raise e
 
 let realloc_raw t ptr request =
   if ptr = 0 then malloc t request

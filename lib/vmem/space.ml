@@ -265,15 +265,21 @@ let set_sanitizer t on =
 
 let sanitizer_enabled t = t.san_enabled
 
-let sanitizer_bypass t f =
+let begin_bypass t =
   let was = t.san_bypass in
   t.san_bypass <- true;
+  was
+
+let end_bypass t was = t.san_bypass <- was
+
+let sanitizer_bypass t f =
+  let was = begin_bypass t in
   match f () with
   | v ->
-      t.san_bypass <- was;
+      end_bypass t was;
       v
   | exception e ->
-      t.san_bypass <- was;
+      end_bypass t was;
       raise e
 
 let san_range_arg op t addr len =

@@ -177,6 +177,14 @@ val sanitizer_bypass : t -> (unit -> 'a) -> 'a
 (** Run the body with poison scanning suspended on this space (protection
     checks still apply). Nests; restored on exception. *)
 
+val begin_bypass : t -> bool
+(** The two halves of {!sanitizer_bypass}, for brackets that must not
+    build a closure: raise the bypass flag and return its previous
+    value, which the caller hands back to {!end_bypass} on every exit,
+    exceptional ones included. *)
+
+val end_bypass : t -> bool -> unit
+
 val poison_faults : t -> int
 (** Accesses refused with {!POISON} since creation. *)
 

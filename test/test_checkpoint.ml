@@ -260,9 +260,9 @@ let test_flight_record_order_and_snapshot () =
       let _s, f = make_flight () in
       check int "no rings yet" 0 (List.length (Fl.domains f));
       check int "unknown domain reads empty" 0 (List.length (Fl.events f ~udi:3));
-      Fl.record f ~udi:3 ~tid:1 ~at:10.0 ~trace:42L ~arg:1 Fl.Admit;
-      Fl.record f ~udi:3 ~tid:1 ~at:11.0 ~trace:42L ~arg:2 Fl.Switch_in;
-      Fl.record f ~udi:3 ~tid:2 ~at:12.0 ~arg:3 Fl.Fault;
+      Fl.record f ~udi:3 ~tid:1 ~at:10 ~trace:42 ~arg:1 Fl.Admit;
+      Fl.record f ~udi:3 ~tid:1 ~at:11 ~trace:42 ~arg:2 Fl.Switch_in;
+      Fl.record f ~udi:3 ~tid:2 ~at:12 ~trace:0 ~arg:3 Fl.Fault;
       (match Fl.events f ~udi:3 with
       | [ a; b; c ] ->
           check bool "oldest first" true (a.Fl.e_kind = Fl.Admit);
@@ -296,7 +296,7 @@ let test_flight_ring_wrap_counts_drops () =
   Sched.main (fun _ ->
       let _s, f = make_flight ~cap:4 () in
       for i = 1 to 6 do
-        Fl.record f ~udi:7 ~tid:0 ~at:(float_of_int i) ~arg:i Fl.Admit
+        Fl.record f ~udi:7 ~tid:0 ~at:i ~trace:0 ~arg:i Fl.Admit
       done;
       check (Alcotest.list int) "most recent four, oldest first" [ 3; 4; 5; 6 ]
         (List.map (fun e -> e.Fl.e_arg) (Fl.events f ~udi:7));
@@ -306,10 +306,10 @@ let test_flight_ring_wrap_counts_drops () =
 let test_flight_domain_eviction () =
   Sched.main (fun _ ->
       let _s, f = make_flight ~max_domains:2 () in
-      Fl.record f ~udi:1 ~tid:0 ~at:1.0 Fl.Admit;
-      Fl.record f ~udi:1 ~tid:0 ~at:2.0 Fl.Fault;
-      Fl.record f ~udi:2 ~tid:0 ~at:3.0 Fl.Admit;
-      Fl.record f ~udi:3 ~tid:0 ~at:4.0 Fl.Admit;
+      Fl.record f ~udi:1 ~tid:0 ~at:1 ~trace:0 ~arg:0 Fl.Admit;
+      Fl.record f ~udi:1 ~tid:0 ~at:2 ~trace:0 ~arg:0 Fl.Fault;
+      Fl.record f ~udi:2 ~tid:0 ~at:3 ~trace:0 ~arg:0 Fl.Admit;
+      Fl.record f ~udi:3 ~tid:0 ~at:4 ~trace:0 ~arg:0 Fl.Admit;
       check (Alcotest.list int) "oldest ring evicted" [ 2; 3 ] (Fl.domains f);
       check int "evicted events counted dropped" 2 (Fl.dropped f);
       check int "evicted domain reads empty" 0

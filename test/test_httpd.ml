@@ -552,11 +552,12 @@ let test_200_reply_bytes () =
          Netsim.close c))
 
 (* One 1 KiB GET round trip to a 1-worker SDRaD httpd over a keep-alive
-   connection, the client sending a prebuilt request, measured as
-   INTERNALS §17 describes. 953.0 words measured; the budget is that plus
-   under 10%. The [Printf] header and the file read through a [Buffer]
-   and a string per block took 1,616.0. *)
-let http_get_budget = 1_040.0
+   connection, the client sending a prebuilt request, measured with
+   [Alloc_probe]. 688.0 words measured; the budget is that plus under
+   10%. It was 953.0 while the monitor's gates and TLSF allocated, and
+   1,616.0 with the [Printf] header and the file read through a [Buffer]
+   and a string per block. *)
+let http_get_budget = 756.0
 
 let test_get_round_trip_alloc () =
   let words = ref Float.nan in
@@ -570,11 +571,7 @@ let test_get_round_trip_alloc () =
            | Some r when Load.is_200 r -> ()
            | _ -> Alcotest.fail "bad GET reply"
          in
-         for _ = 1 to 200 do round () done;
-         let n = 2_000 in
-         let w0 = Gc.minor_words () in
-         for _ = 1 to n do round () done;
-         words := (Gc.minor_words () -. w0) /. float_of_int n;
+         words := Alloc_probe.words_per_call ~warmup:200 ~n:2_000 round;
          Netsim.close c));
   check bool
     (Printf.sprintf "%.1f minor words per GET, budget %.0f" !words

@@ -1321,17 +1321,17 @@ let test_values_reply_bytes () =
 
 (* {1 Host allocation of the wire path}
 
-   Measured as INTERNALS §17 describes: [Gc.minor_words] deltas around
-   work running in simulated threads, after a warm-up, on a fixed seed
-   (the counts repeat exactly). The budgets are the measured figures
-   plus under 10%. *)
+   Measured with [Alloc_probe] around work running in simulated threads,
+   on a fixed seed (the counts repeat exactly). The budgets are the
+   measured figures plus under 10%. *)
 
 (* One 1 KiB text GET round trip to a 1-worker SDRaD kvcache, the client
    sending a prebuilt request: client send and receive, the server's
    copy-in, both parses, the domain switch, the value read and the
-   reply. 550.0 words measured; 737.0 when each hop copied the value
+   reply. 359.0 words measured; 550.0 while the monitor's gates and TLSF
+   allocated, and 737.0 before that, when each hop copied the value
    through a string and parsed the line into word lists. *)
-let get_round_trip_budget = 600.0
+let get_round_trip_budget = 394.0
 
 let test_get_round_trip_alloc () =
   let w = Scenario.world ~size_mib:32 ~monitor:Api.create () in
@@ -1352,11 +1352,7 @@ let test_get_round_trip_alloc () =
            | Some r when String.equal r expect -> ()
            | _ -> Alcotest.fail "bad GET reply"
          in
-         for _ = 1 to 200 do round () done;
-         let n = 2_000 in
-         let w0 = Gc.minor_words () in
-         for _ = 1 to n do round () done;
-         let words = (Gc.minor_words () -. w0) /. float_of_int n in
+         let words = Alloc_probe.words_per_call ~warmup:200 ~n:2_000 round in
          Netsim.close c;
          words))
   in
@@ -1368,26 +1364,26 @@ let test_get_round_trip_alloc () =
 
 (* A 16-client YCSB-B run of 8,000 ops on 500 records against a SDRaD
    kvcache: the words of the run less those of the same set-up with no
-   run phase, per op. 592.2 measured; 1,058.3 with the copying and
-   [Printf] wire code. *)
-let ycsb_words_per_op_budget = 645.0
+   run phase, per op. 401.1 measured; 592.2 while the monitor's gates and
+   TLSF allocated, and 1,058.3 with the copying and [Printf] wire
+   code. *)
+let ycsb_words_per_op_budget = 441.0
 
 let ycsb_words ~ops =
-  let w0 = Gc.minor_words () in
-  let r =
-    Scenario.kvcache
-      (Scenario.world ~size_mib:32 ~monitor:Api.create ())
-      { Server.default_config with variant = Server.Sdrad }
-      (Ycsb
-         {
-           Workload.Ycsb.workload_b with
-           records = 500;
-           operations = ops;
-           clients = 16;
-         })
-  in
-  check int "no failures" 0 r.result.failures;
-  Gc.minor_words () -. w0
+  Alloc_probe.words_per_call ~warmup:0 ~n:1 (fun () ->
+      let r =
+        Scenario.kvcache
+          (Scenario.world ~size_mib:32 ~monitor:Api.create ())
+          { Server.default_config with variant = Server.Sdrad }
+          (Ycsb
+             {
+               Workload.Ycsb.workload_b with
+               records = 500;
+               operations = ops;
+               clients = 16;
+             })
+      in
+      check int "no failures" 0 r.result.failures)
 
 let test_ycsb_alloc () =
   let ops = 8_000 in

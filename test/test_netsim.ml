@@ -342,14 +342,9 @@ let words_per_exchange roundtrip =
   let words = ref 0.0 in
   ignore
     (exchange ~server:echo_server ~client:(fun c ->
-         for _ = 1 to exchanges do
-           roundtrip c
-         done;
-         let w0 = Gc.minor_words () in
-         for _ = 1 to exchanges do
-           roundtrip c
-         done;
-         words := (Gc.minor_words () -. w0) /. float_of_int exchanges));
+         words :=
+           Alloc_probe.words_per_call ~warmup:exchanges ~n:exchanges (fun () ->
+               roundtrip c)));
   !words
 
 let test_timed_recv_allocation () =

@@ -641,6 +641,29 @@ let test_parked_memory_inaccessible () =
       | exception Space.Fault { code; _ } ->
           check bool "accerr" true (code = Space.ACCERR))
 
+(* The victim is the least recently used dormant domain even among
+   domains that were initialized but never entered: each instance is
+   stamped when it is created. 13 keys are usable (16 less key 0, the
+   monitor's and the root's), so the 14th initialization parks udi 1,
+   the oldest. *)
+let test_lru_parks_oldest_never_entered () =
+  let space = Space.create ~size_mib:64 () in
+  let sd = Api.create ~virtual_keys:true space in
+  Sched.main (fun _ ->
+      let mem =
+        Array.init 15 (fun udi ->
+            if udi = 0 then 0
+            else Option.get (persist_event sd space udi (Some "state")))
+      in
+      check (Alcotest.option (Alcotest.float 0.0)) "one eviction" (Some 1.0)
+        (Telemetry.Metrics.sample (Api.metrics sd) "sdrad_key_evictions_total");
+      (match Space.load8 space mem.(1) with
+      | _ -> Alcotest.fail "udi 1 not parked"
+      | exception Space.Fault { code; _ } ->
+          check bool "udi 1 parked (accerr)" true (code = Space.ACCERR));
+      check int "udi 2 still readable" (Char.code 's')
+        (Space.load8 space mem.(2)))
+
 
 (* {1 Random domain-lifecycle invariants} *)
 
@@ -726,6 +749,258 @@ let lifecycle_invariants =
           then ok := false);
       !ok)
 
+(* A frame whose domain was destroyed and then initialized again under
+   the same udi must not tear down the new instance when an exception
+   unwinds through it: the new instance and its key survive. *)
+let test_stale_frame_spares_new_instance () =
+  with_sdrad (fun _ sd ->
+      (try
+         Api.run sd ~udi:1
+           ~on_rewind:(fun _ -> ())
+           (fun () ->
+             Api.destroy sd 1 ~heap:`Discard;
+             Api.run sd ~udi:1 ~on_rewind:(fun _ -> ()) (fun () -> ());
+             failwith "unwind")
+       with Failure _ -> ());
+      check bool "the new instance survives" true
+        (List.exists
+           (fun d -> d.Api.di_udi = 1 && d.di_state = `Dormant)
+           (Api.domains_info sd));
+      check (Alcotest.option (Alcotest.float 0.0)) "monitor, root and its key"
+        (Some 3.0)
+        (Telemetry.Metrics.sample (Api.metrics sd) "sdrad_pkeys_in_use"))
+
+(* {1 PKRU policy, differential}
+
+   The monitor computes a thread's PKRU from its own instances, a deny
+   mask over every instance key and the data domains. [reference_pkru]
+   recomputes it from public state only, with the rules written out one
+   by one: deny the monitor key; root read-only when nested; the current
+   domain and its accessible, not-entered children read-write; the
+   parent of a [parent_readable] current domain read-only; every other
+   instance denied, on any thread; each data domain as its [dprotect]
+   table says for the current domain. *)
+
+module Pkru = Vmem.Pkru
+module Prot = Vmem.Prot
+
+let reference_pkru sd ~tid =
+  let cur = Api.current sd in
+  let infos = Api.domains_info sd in
+  let own (d : Api.domain_info) = d.di_kind = `Exec && d.di_tid = tid in
+  let cur_info = List.find_opt (fun d -> own d && d.Api.di_udi = cur) infos in
+  let v = Pkru.deny Pkru.all_access ~key:(Api.monitor_pkey sd) in
+  let v =
+    if cur = Types.root_udi then v
+    else Pkru.allow_read v ~key:(Api.root_pkey sd)
+  in
+  List.fold_left
+    (fun v (d : Api.domain_info) ->
+      let key = d.di_pkey in
+      match d.di_kind with
+      | _ when key < 0 -> v
+      | `Exec ->
+          if
+            own d
+            && (d.di_udi = cur
+               || (d.di_parent = cur && d.di_accessible
+                  && d.di_state <> `Entered))
+          then Pkru.allow v ~key
+          else if
+            own d
+            &&
+            match cur_info with
+            | Some c -> c.di_parent_readable && c.di_parent = d.di_udi
+            | None -> false
+          then Pkru.allow_read v ~key
+          else Pkru.deny v ~key
+      | `Data ->
+          let p = Option.value (List.assoc_opt cur d.di_perms) ~default:0 in
+          if Prot.has p Prot.write then Pkru.allow v ~key
+          else if Prot.has p Prot.read then Pkru.allow_read v ~key
+          else Pkru.deny v ~key)
+    v infos
+
+(* Ops over a thread's own domains name a child of the current domain
+   by index among the candidates, so most of them apply. *)
+type pk_op =
+  | Run of int * bool * bool  (* udi, accessible, parent_readable *)
+  | Return  (* end the innermost [Run] body *)
+  | Persist of int  (* init and deinit: leaves a dormant domain *)
+  | Enter of int  (* the n-th ready child *)
+  | Exit
+  | Deinit of int  (* the n-th ready child *)
+  | Destroy of int * bool  (* the n-th child; merge *)
+  | Fault  (* a wild read in the current domain: rewinds it *)
+  | Data_init of int
+  | Dprotect of int * int * int  (* viewer, data domain, 0/1/2 = none/r/rw *)
+  | Data_destroy of int
+  | Malloc of int
+
+let pk_op_gen =
+  let open QCheck.Gen in
+  let exec = int_range 1 24 and data = int_range 101 103 in
+  let pick = int_range 0 7 in
+  frequency
+    [
+      ( 5,
+        map3
+          (fun u a p -> Run (u, a, p))
+          exec
+          (frequencyl [ (4, true); (1, false) ])
+          (frequencyl [ (3, false); (1, true) ]) );
+      (3, return Return);
+      (4, map (fun u -> Persist u) exec);
+      (6, map (fun k -> Enter k) pick);
+      (4, return Exit);
+      (1, map (fun k -> Deinit k) pick);
+      (2, map2 (fun k m -> Destroy (k, m)) pick bool);
+      (1, return Fault);
+      (1, map (fun u -> Data_init u) data);
+      (2, map3 (fun v d p -> Dprotect (v, d, p)) (int_range 0 24) data (int_range 0 2));
+      (1, map (fun u -> Data_destroy u) data);
+      (2, map (fun u -> Malloc u) (oneof [ exec; data ]));
+    ]
+
+(* Runs one thread's ops, nesting a [Run]'s body until its [Return].
+   The installed PKRU changes only at a gate that installs a policy, and
+   another thread's changes reach this thread's policy only at its next
+   such gate (a new key of theirs stays open to it until then). So the
+   check follows every call that installs one: an init, an enter, an
+   exit, a destroy, a data-domain call, a rewind. A call that raised, an
+   allocation, a deinit or a body that ended outside its domain installs
+   none, and is followed by no check. A fault raised in the root domain
+   (a merge reading a parked child's heap) has no rewind point to reach
+   and would end the thread; it only ends the op. Every thread must
+   finish: one that raises fails the test. *)
+let pk_run sd space ops =
+  let ops = ref ops in
+  let mismatch = ref None in
+  let check_policy () =
+    let tid = Sched.self () in
+    let want = reference_pkru sd ~tid in
+    let got = Space.rdpkru space in
+    if want <> got && !mismatch = None then
+      mismatch :=
+        Some
+          (Format.asprintf "tid %d in udi %d: reference %a, installed %a" tid
+             (Api.current sd) Pkru.pp want Pkru.pp got)
+  in
+  let rec interp () =
+    match !ops with
+    | [] -> ()
+    | Return :: rest -> ops := rest
+    | op :: rest ->
+        ops := rest;
+        (match step op with
+        | true -> check_policy ()
+        | false -> ()
+        | exception Types.Error _ -> ()
+        | exception Space.Fault _ when Api.current sd = Types.root_udi -> ());
+        Sched.yield ();
+        interp ()
+  and child ~ready k =
+    (* The n-th own child of the current domain, [None] when it has
+       none. *)
+    let tid = Sched.self () and cur = Api.current sd in
+    let kids =
+      List.filter
+        (fun (d : Api.domain_info) ->
+          d.di_kind = `Exec && d.di_tid = tid && d.di_parent = cur
+          && ((not ready) || d.di_state = `Ready))
+        (Api.domains_info sd)
+    in
+    match kids with
+    | [] -> None
+    | _ -> Some (List.nth kids (k mod List.length kids)).Api.di_udi
+  and step = function
+    | Run (udi, accessible, parent_readable) ->
+        let opts =
+          {
+            Types.default_options with
+            access = (if accessible then Types.Accessible else Types.Inaccessible);
+            parent_readable;
+          }
+        in
+        Api.run sd ~udi ~opts ~on_rewind:(fun _ -> true) (fun () ->
+            interp ();
+            false)
+    | Return -> false
+    | Persist udi ->
+        Api.run sd ~udi ~on_rewind:(fun _ -> true) (fun () ->
+            Api.deinit sd udi;
+            true)
+    | Enter k -> (
+        match child ~ready:true k with
+        | Some u ->
+            Api.enter sd u;
+            true
+        | None -> false)
+    | Exit ->
+        Api.exit_domain sd;
+        true
+    | Deinit k ->
+        Option.iter (Api.deinit sd) (child ~ready:true k);
+        false
+    | Destroy (k, merge) -> (
+        match child ~ready:false k with
+        | Some u ->
+            Api.destroy sd u ~heap:(if merge then `Merge else `Discard);
+            true
+        | None -> false)
+    | Fault ->
+        if Api.current sd <> Types.root_udi then ignore (Space.load8 space 0);
+        false
+    | Data_init u ->
+        Api.init_data sd ~udi:u ~heap_size:8192 ();
+        true
+    | Dprotect (v, d, p) ->
+        Api.dprotect sd ~udi:v ~tddi:d [| 0; Prot.read; Prot.rw |].(p);
+        true
+    | Data_destroy d ->
+        Api.destroy sd d ~heap:`Discard;
+        true
+    | Malloc u ->
+        (* A parked domain's heap is unusable until its next init. *)
+        if Api.domain_pkey sd u <> Some (-1) then ignore (Api.malloc sd ~udi:u 64);
+        false
+  in
+  ignore (Api.current sd);
+  check_policy ();
+  interp ();
+  !mismatch
+
+let pkru_policy_differential =
+  QCheck.Test.make ~name:"installed PKRU matches the reference policy" ~count:100
+    QCheck.(
+      make
+        ~print:(fun l -> string_of_int (List.length l) ^ " ops")
+        Gen.(list_size (int_range 40 150) (pair (int_range 0 2) pk_op_gen)))
+    (fun ops ->
+      let space = Space.create ~size_mib:64 () in
+      let sd = Api.create ~virtual_keys:true ~default_heap_size:8192 space in
+      let mismatches =
+        Sched.main (fun sched ->
+            let results = Array.make 3 None in
+            let tids =
+              List.init 3 (fun i ->
+                  let mine =
+                    List.filter_map
+                      (fun (th, op) -> if th = i then Some op else None)
+                      ops
+                  in
+                  Sched.spawn sched (fun () ->
+                      results.(i) <-
+                        (try pk_run sd space mine
+                         with e -> Some ("raised " ^ Printexc.to_string e))))
+            in
+            List.iter Sched.join tids;
+            Array.to_list results)
+      in
+      match List.find_map Fun.id mismatches with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 let () =
   Alcotest.run "sdrad-ext"
     [
@@ -772,12 +1047,20 @@ let () =
           Alcotest.test_case "with_domain + stats" `Quick test_with_domain_and_metrics;
           Alcotest.test_case "with_domain fault" `Quick test_with_domain_fault_propagates_entered;
         ] );
-      ("lifecycle", [ QCheck_alcotest.to_alcotest lifecycle_invariants ]);
+      ( "lifecycle",
+        [
+          QCheck_alcotest.to_alcotest lifecycle_invariants;
+          QCheck_alcotest.to_alcotest pkru_policy_differential;
+          Alcotest.test_case "stale frame spares a re-created domain" `Quick
+            test_stale_frame_spares_new_instance;
+        ] );
       ( "virtual-keys",
         [
           Alcotest.test_case "scale past 15" `Quick test_virtual_keys_scale_past_fifteen;
           Alcotest.test_case "without: exhausts" `Quick test_without_virtual_keys_exhausts;
           Alcotest.test_case "parked inaccessible" `Quick test_parked_memory_inaccessible;
+          Alcotest.test_case "LRU among never-entered" `Quick
+            test_lru_parks_oldest_never_entered;
         ] );
       ( "scrub",
         [

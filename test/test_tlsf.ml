@@ -244,6 +244,22 @@ let random_ops_prop =
         !live;
       !ok && Tlsf.check t = [] && Tlsf.used_blocks t = 0)
 
+(* {1 Host allocation}
+
+   [malloc] and [free] run on every request: each opens the allocator's
+   bypass bracket by hand and the core reports "no block" as 0, so a
+   pair allocates no host memory (the [with_bypass] closures and the
+   core's [Some] cost 12 words). Measured inside a simulated thread,
+   where each checked header access charges the clock. *)
+let test_malloc_free_alloc_free () =
+  let _, t = mk () in
+  let words =
+    Simkern.Sched.main (fun _ ->
+        Alloc_probe.words_per_call ~n:1_000 (fun () ->
+            Tlsf.free t (Tlsf.malloc t 256)))
+  in
+  Alcotest.(check (float 0.0)) "malloc + free allocate nothing" 0.0 words
+
 let () =
   Alcotest.run "tlsf"
     [
@@ -261,6 +277,8 @@ let () =
           Alcotest.test_case "realloc shrink" `Quick test_realloc_shrink_returns_tail;
           QCheck_alcotest.to_alcotest realloc_prop;
           Alcotest.test_case "good fit reuse" `Quick test_good_fit_prefers_close_class;
+          Alcotest.test_case "malloc + free host allocation" `Quick
+            test_malloc_free_alloc_free;
         ] );
       ( "regions",
         [

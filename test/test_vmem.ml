@@ -464,13 +464,8 @@ let test_fault_count () =
 
    The checked access path runs on every simulated load and store, so it
    must not allocate on the host: no boxed float per charge, no closure
-   per check. Measured with [Gc.minor_words] inside a simulated thread
-   (so time is really charged), net of the measurement's own cost. *)
-
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
+   per check. Measured with [Alloc_probe] inside a simulated thread (so
+   time is really charged). *)
 
 let access_loop s a n () =
   for i = 0 to n - 1 do
@@ -486,8 +481,9 @@ let check_access_alloc_free ~sanitize () =
   Sched.main (fun _ ->
       access_loop s a 64 ();
       let t0 = Sched.now () in
-      let base = minor_words_of (fun () -> ()) in
-      let words = minor_words_of (access_loop s a 5_000) -. base in
+      let words =
+        Alloc_probe.words_per_call ~warmup:0 ~n:1 (access_loop s a 5_000)
+      in
       check_float "10,000 accesses charged" 10_000.0 (Sched.now () -. t0);
       check_float "10,000 load64/store64 allocate nothing" 0.0 words)
 
@@ -504,8 +500,9 @@ let test_straddle_alloc_free () =
   let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
   Sched.main (fun _ ->
       straddle_loop s a 64 ();
-      let base = minor_words_of (fun () -> ()) in
-      let words = minor_words_of (straddle_loop s a 5_000) -. base in
+      let words =
+        Alloc_probe.words_per_call ~warmup:0 ~n:1 (straddle_loop s a 5_000)
+      in
       check_float "straddling load64/store64 allocate nothing" 0.0 words)
 
 let test_fresh_frame_alloc_free () =
@@ -519,8 +516,7 @@ let test_fresh_frame_alloc_free () =
   in
   Sched.main (fun _ ->
       let b0 = Gc.allocated_bytes () in
-      let base = minor_words_of (fun () -> ()) in
-      let words = minor_words_of first_writes -. base in
+      let words = Alloc_probe.words_per_call ~warmup:0 ~n:1 first_writes in
       check bool "each first write made a frame" true
         (Gc.allocated_bytes () -. b0 >= float_of_int (n * ps));
       check_float "a store that makes a frame allocates no minor words" 0.0
