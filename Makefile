@@ -104,16 +104,17 @@ perf-smoke:
 	python3 perfsuite/smoke.py
 
 # Interleaved benchmark pairs against another commit, e.g.
-# `make perf-compare REV=HEAD~1 [PAIRS=10]`: every workload on seed 1,
-# alternating which side runs first. Prints each end-to-end metric's
-# medians and quartiles, pair wins and a verdict, then every per-layer
-# metric that differs by more than 1% in one traced run per side, and
-# fails if a metric is worse than its BENCHMARK.json bound (see
-# bench/perf_compare.py).
+# `make perf-compare REV=HEAD~1 [PAIRS=10] [SEED=1] [WORKLOAD=kv-read]`:
+# every workload (or only WORKLOAD) on seed SEED, alternating which side
+# runs first. Prints each end-to-end metric's medians and quartiles,
+# pair wins and a verdict, then every per-layer metric that differs by
+# more than 1% in one traced run per side, and fails if a metric is
+# worse than its BENCHMARK.json bound (see bench/perf_compare.py).
 PAIRS ?= 10
+SEED ?= 1
 perf-compare:
-	@test -n "$(REV)" || { echo "usage: make perf-compare REV=<commit> [PAIRS=10]"; exit 2; }
-	python3 bench/perf_compare.py "$(REV)" --pairs $(PAIRS)
+	@test -n "$(REV)" || { echo "usage: make perf-compare REV=<commit> [PAIRS=10] [SEED=1] [WORKLOAD=<name>]"; exit 2; }
+	python3 bench/perf_compare.py "$(REV)" --pairs $(PAIRS) --seed $(SEED) $(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # The soaks and bench tables against another commit, e.g. `make same
 # REV=HEAD~1`: builds @chaos, @chaos-soak and @chaos-rewind-soak with

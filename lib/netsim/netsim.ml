@@ -8,15 +8,22 @@ type send_action = Deliver | Drop | Truncate of int | Delay of float
 
 type hooks = { mutable on_send : (len:int -> send_action) option }
 
+(* The inbox is a ring of [queued] messages from slot [head]: delivery
+   times unboxed in [arrivals], payloads in the same slots of
+   [payloads], capacity a power of two. Queueing a message allocates
+   nothing once the ring has grown to the connection's depth. *)
 type endpoint = {
   eid : int;
   src : int;  (* source address of the connecting side, for peer identity *)
   cost : Cost.t;
   hooks : hooks;
-  inbox : (float * string) Queue.t;  (* (delivery time, payload) *)
-  mutable peer : endpoint;  (* physical equality with self until paired *)
+  mutable arrivals : Float.Array.t;
+  mutable payloads : string array;
+  mutable head : int;
+  mutable queued : int;
+  mutable peer : endpoint;  (* [unpaired] until [connect] pairs it *)
   mutable closed : bool;
-  mutable waiter : Sched.wake option;
+  mutable waiter : Sched.handle;  (* [Sched.no_handle] when none *)
   mutable ws : waitset option;
 }
 
@@ -24,7 +31,7 @@ and waitset = {
   mutable watched : endpoint array;  (* [0, count) in insertion order *)
   mutable count : int;
   mutable cursor : int;
-  mutable ws_waiter : Sched.wake option;
+  mutable ws_waiter : Sched.handle;
   mutable ws_closed : bool;
 }
 
@@ -37,7 +44,7 @@ type conn = endpoint
 type listener = {
   l_cost : Cost.t;
   backlog : endpoint Queue.t;
-  l_waiters : Sched.wake Queue.t;
+  l_waiters : Sched.handle Queue.t;
   mutable l_closed : bool;
 }
 
@@ -70,37 +77,85 @@ let listen t ~port =
   Hashtbl.replace t.ports port l;
   l
 
-let fresh_endpoint t ~src =
-  let eid = t.next_eid in
-  t.next_eid <- eid + 1;
+(* A fresh endpoint's defaults, and its peer until [connect] pairs it:
+   copying it makes an endpoint without a recursive value, which would
+   be allocated twice. *)
+let unpaired =
   let rec e =
     {
-      eid;
-      src;
-      cost = t.n_cost;
-      hooks = t.n_hooks;
-      inbox = Queue.create ();
+      eid = -1;
+      src = -1;
+      cost = Cost.default;
+      hooks = { on_send = None };
+      arrivals = Float.Array.create 0;
+      payloads = [||];
+      head = 0;
+      queued = 0;
       peer = e;
       closed = false;
-      waiter = None;
+      waiter = Sched.no_handle;
       ws = None;
     }
   in
   e
 
-let wake_endpoint e ~at =
-  (match e.waiter with
-  | Some w ->
-      e.waiter <- None;
-      w ~at
-  | None -> ());
+let fresh_endpoint t ~src =
+  let eid = t.next_eid in
+  t.next_eid <- eid + 1;
+  { unpaired with eid; src; cost = t.n_cost; hooks = t.n_hooks }
+
+let[@inline] enqueue e arrival msg =
+  let cap = Array.length e.payloads in
+  if e.queued = cap then begin
+    let cap' = max 4 (2 * cap) in
+    let arrivals = Float.Array.create cap' and payloads = Array.make cap' "" in
+    for i = 0 to e.queued - 1 do
+      let j = (e.head + i) land (cap - 1) in
+      Float.Array.set arrivals i (Float.Array.get e.arrivals j);
+      payloads.(i) <- e.payloads.(j)
+    done;
+    e.arrivals <- arrivals;
+    e.payloads <- payloads;
+    e.head <- 0
+  end;
+  let j = (e.head + e.queued) land (Array.length e.payloads - 1) in
+  Float.Array.set e.arrivals j arrival;
+  e.payloads.(j) <- msg;
+  e.queued <- e.queued + 1
+
+(* Delivery time of the head-of-line message; callers check [queued]
+   first. Inlined wherever it is compared, so the float is never boxed:
+   a non-inlined function returning a [Float.Array] element boxes it. *)
+let[@inline] head_arrival e = Float.Array.get e.arrivals e.head
+
+let dequeue e =
+  let msg = e.payloads.(e.head) in
+  e.payloads.(e.head) <- "";
+  e.head <- (e.head + 1) land (Array.length e.payloads - 1);
+  e.queued <- e.queued - 1;
+  msg
+
+(* Advance the caller's clock to the head-of-line message's delivery
+   time when it lies ahead ([Sched.wait_until], called only then: its
+   argument is boxed across the library boundary). *)
+let catch_up e =
+  let arrival = head_arrival e in
+  if arrival > (Sched.clock_cell ()).clock then Sched.wait_until arrival
+
+(* A handle wakes at most once, so a slot is cleared as it is used. *)
+let[@inline] wake_endpoint e at =
+  let w = e.waiter in
+  if w != Sched.no_handle then begin
+    e.waiter <- Sched.no_handle;
+    ignore (Sched.wake w ~at)
+  end;
   match e.ws with
-  | Some ws -> (
-      match ws.ws_waiter with
-      | Some w ->
-          ws.ws_waiter <- None;
-          w ~at
-      | None -> ())
+  | Some ws ->
+      let w = ws.ws_waiter in
+      if w != Sched.no_handle then begin
+        ws.ws_waiter <- Sched.no_handle;
+        ignore (Sched.wake w ~at)
+      end
   | None -> ()
 
 (* [src] is the client's source address (think IP): connections made with
@@ -117,9 +172,7 @@ let connect ?src t ~port =
       server.peer <- client;
       Sched.charge t.n_cost.Cost.net_msg;
       Queue.add server l.backlog;
-      (match Queue.take_opt l.l_waiters with
-      | Some w -> w ~at:(Sched.now ())
-      | None -> ());
+      ignore (Sched.wake_first l.l_waiters);
       client
 
 let rec accept l =
@@ -130,18 +183,20 @@ let rec accept l =
   | None ->
       if l.l_closed then None
       else begin
-        Sched.suspend (fun wake -> Queue.add wake l.l_waiters);
+        Queue.add (Sched.handle ()) l.l_waiters;
+        Sched.block ();
         accept l
       end
 
 let close_listener l =
   l.l_closed <- true;
-  Queue.iter (fun w -> w ~at:(Sched.now ())) l.l_waiters;
-  Queue.clear l.l_waiters
+  ignore (Sched.wake_all l.l_waiters)
 
-let latency cost len =
+let[@inline] latency cost len =
   cost.Cost.net_msg +. (cost.Cost.net_byte *. float_of_int len)
 
+(* Charges and clock reads go through the sender's clock cell, the same
+   float additions [Sched.charge] and [Sched.now] make, without boxing. *)
 let send c msg =
   if not (c.closed || c.peer.closed) then begin
     let action =
@@ -152,7 +207,8 @@ let send c msg =
     (* The sender always pays the transmission cost for what it put on the
        wire; the fault decides what the receiver sees. *)
     let lat = latency c.cost (String.length msg) in
-    Sched.charge lat;
+    let k = Sched.clock_cell () in
+    k.clock <- k.clock +. lat;
     match action with
     | Drop -> ()
     | Deliver | Truncate _ | Delay _ ->
@@ -162,82 +218,74 @@ let send c msg =
           | _ -> msg
         in
         let extra = match action with Delay d -> Float.max 0.0 d | _ -> 0.0 in
-        let arrival = Sched.now () +. lat +. extra in
-        Queue.add (arrival, msg) c.peer.inbox;
-        wake_endpoint c.peer ~at:arrival
+        let arrival = k.clock +. lat +. extra in
+        enqueue c.peer arrival msg;
+        wake_endpoint c.peer arrival
   end
 
-let deliverable c =
-  match Queue.peek_opt c.inbox with
-  | Some (arrival, _) -> Some arrival
-  | None -> None
-
 let try_recv c =
-  match Queue.peek_opt c.inbox with
-  | Some (arrival, _) when arrival <= Sched.now () ->
-      let _, msg = Queue.pop c.inbox in
-      Some msg
-  | Some _ | None -> None
+  if c.queued > 0 && head_arrival c <= (Sched.clock_cell ()).clock then
+    Some (dequeue c)
+  else None
 
 let rec recv c =
-  match Queue.peek_opt c.inbox with
-  | Some (arrival, _) ->
-      Sched.wait_until arrival;
-      let _, msg = Queue.pop c.inbox in
-      Some msg
-  | None ->
-      if c.peer.closed || c.closed then None
-      else begin
-        Sched.suspend (fun wake -> c.waiter <- Some wake);
-        recv c
-      end
+  if c.queued > 0 then begin
+    catch_up c;
+    Some (dequeue c)
+  end
+  else if c.peer.closed || c.closed then None
+  else begin
+    c.waiter <- Sched.handle ();
+    Sched.block ();
+    recv c
+  end
 
 let rec recv_with_arrival c =
-  match Queue.peek_opt c.inbox with
-  | Some (arrival, _) ->
-      Sched.wait_until arrival;
-      let _, msg = Queue.pop c.inbox in
-      Some (msg, arrival)
-  | None ->
-      if c.peer.closed || c.closed then None
-      else begin
-        Sched.suspend (fun wake -> c.waiter <- Some wake);
-        recv_with_arrival c
-      end
+  if c.queued > 0 then begin
+    let arrival = head_arrival c in
+    catch_up c;
+    Some (dequeue c, arrival)
+  end
+  else if c.peer.closed || c.closed then None
+  else begin
+    c.waiter <- Sched.handle ();
+    Sched.block ();
+    recv_with_arrival c
+  end
 
 (* Timed [recv]: when nothing is queued, the receiver blocks with a
-   scheduler timer armed for [deadline] ([Sched.suspend_until]). Wake
-   callbacks are idempotent, so whichever of the two wake paths (message
-   arrival, timer) loses the race is a no-op; a stale waiter left behind
-   by a timeout is likewise harmless — the next wake clears it without
-   effect. *)
-let recv_deadline c ~deadline =
-  let rec loop () =
-    match Queue.peek_opt c.inbox with
-    | Some (arrival, _) when arrival <= deadline ->
-        Sched.wait_until arrival;
-        let _, msg = Queue.pop c.inbox in
-        Some msg
-    | Some _ ->
-        (* Head-of-line message arrives after the deadline: in-order
-           delivery means nothing else can overtake it. *)
-        Sched.wait_until deadline;
-        None
-    | None ->
-        if c.peer.closed || c.closed then None
-        else if Sched.now () >= deadline then None
-        else begin
-          Sched.suspend_until ~deadline (fun wake -> c.waiter <- Some wake);
-          loop ()
-        end
-  in
-  loop ()
+   scheduler timer armed for [deadline] ([Sched.block_until]). A handle
+   wakes at most once, so whichever of the two wake paths (message
+   arrival, timer) loses the race is a no-op; the stale handle a timeout
+   leaves in [waiter] is likewise harmless — the next wake clears it
+   without effect, even when the thread has blocked elsewhere since. *)
+let rec recv_deadline c ~deadline =
+  if c.queued > 0 then begin
+    if head_arrival c <= deadline then begin
+      catch_up c;
+      Some (dequeue c)
+    end
+    else begin
+      (* Head-of-line message arrives after the deadline: in-order
+         delivery means nothing else can overtake it. *)
+      Sched.wait_until deadline;
+      None
+    end
+  end
+  else if c.peer.closed || c.closed then None
+  else if (Sched.clock_cell ()).clock >= deadline then None
+  else begin
+    c.waiter <- Sched.handle ();
+    Sched.block_until deadline;
+    recv_deadline c ~deadline
+  end
 
 let close c =
   if not c.closed then begin
     c.closed <- true;
-    wake_endpoint c.peer ~at:(Sched.now ());
-    wake_endpoint c ~at:(Sched.now ())
+    let at = (Sched.clock_cell ()).clock in
+    wake_endpoint c.peer at;
+    wake_endpoint c at
   end
 
 let is_open c = not c.closed
@@ -251,17 +299,23 @@ module Waitset = struct
   (* A connection is reportable when a message is queued (even with a
      future delivery time: recv will advance the clock) or the peer closed
      (recv will report None so the server can clean up). *)
-  let ready c = (not (Queue.is_empty c.inbox)) || c.peer.closed || c.closed
+  let ready c = c.queued > 0 || c.peer.closed || c.closed
 
   let create () =
-    { watched = [||]; count = 0; cursor = 0; ws_waiter = None; ws_closed = false }
+    {
+      watched = [||];
+      count = 0;
+      cursor = 0;
+      ws_waiter = Sched.no_handle;
+      ws_closed = false;
+    }
 
   let wake_ws ws =
-    match ws.ws_waiter with
-    | Some w ->
-        ws.ws_waiter <- None;
-        w ~at:(Sched.now ())
-    | None -> ()
+    let w = ws.ws_waiter in
+    if w != Sched.no_handle then begin
+      ws.ws_waiter <- Sched.no_handle;
+      ignore (Sched.wake w ~at:(Sched.now ()))
+    end
 
   let add ws c =
     c.ws <- Some ws;
@@ -296,8 +350,7 @@ module Waitset = struct
 
   (* Delivery time of the head-of-line message; a closed peer with
      nothing queued is reportable now. *)
-  let head_arrival c =
-    if Queue.is_empty c.inbox then neg_infinity else fst (Queue.peek c.inbox)
+  let[@inline] ready_at c = if c.queued = 0 then neg_infinity else head_arrival c
 
   (* Among ready connections, serve the one whose head-of-line message
      has the earliest delivery time (a closed peer reports immediately).
@@ -319,7 +372,7 @@ module Waitset = struct
       let c = ws.watched.(idx) in
       if
         ready c
-        && (!best < 0 || head_arrival c < head_arrival ws.watched.(!best))
+        && (!best < 0 || ready_at c < ready_at ws.watched.(!best))
       then best := idx
     done;
     if !best >= 0 then ws.cursor <- (!best + 1) mod n;
@@ -333,18 +386,17 @@ module Waitset = struct
           let c = ws.watched.(idx) in
           (* If the message arrives in the future, wait for it so the
              caller's recv does not under-account time. *)
-          (match deliverable c with
-          | Some arrival -> Sched.wait_until arrival
-          | None -> ());
+          if c.queued > 0 then catch_up c;
           Some c
       | _ ->
-          Sched.suspend (fun wake -> ws.ws_waiter <- Some wake);
+          ws.ws_waiter <- Sched.handle ();
+          Sched.block ();
           wait ws
 
   let backlog ws =
     let n = ref 0 in
     for i = 0 to ws.count - 1 do
-      n := !n + Queue.length ws.watched.(i).inbox
+      n := !n + ws.watched.(i).queued
     done;
     !n
 
@@ -356,21 +408,22 @@ module Waitset = struct
     if ws.ws_closed then None
     else
       match pick_earliest ws with
-      | idx when idx >= 0 -> (
+      | idx when idx >= 0 ->
           let c = ws.watched.(idx) in
-          match deliverable c with
-          | Some arrival when arrival <= deadline ->
-              Sched.wait_until arrival;
-              Some c
-          | Some _ ->
-              Sched.wait_until deadline;
-              None
-          | None -> Some c (* closed peer: reportable immediately *))
-      | _ ->
-          if Sched.now () >= deadline then None
+          if c.queued = 0 then Some c (* closed peer: reportable immediately *)
+          else if head_arrival c <= deadline then begin
+            catch_up c;
+            Some c
+          end
           else begin
-            Sched.suspend_until ~deadline (fun wake ->
-                ws.ws_waiter <- Some wake);
+            Sched.wait_until deadline;
+            None
+          end
+      | _ ->
+          if (Sched.clock_cell ()).clock >= deadline then None
+          else begin
+            ws.ws_waiter <- Sched.handle ();
+            Sched.block_until deadline;
             wait_deadline ws ~deadline
           end
 end

@@ -35,12 +35,18 @@ val close_listener : listener -> unit
 
 val send : conn -> string -> unit
 (** Never blocks (infinite socket buffer). Sending on a closed connection
-    is a silent no-op, like writing to a socket with SO_NOSIGPIPE. *)
+    is a silent no-op, like writing to a socket with SO_NOSIGPIPE. The
+    receiving end's inbox is a ring of unboxed delivery times and
+    payloads, so queueing a message allocates nothing once the ring has
+    grown to the connection's depth; waking a receiver blocked on it
+    boxes the delivery time passed to {!Simkern.Sched.wake} (2 words). *)
 
 val recv : conn -> string option
 (** Block until a message is deliverable or the peer has closed ([None]).
     If the next message's delivery time is in the future, the caller's
-    clock advances to it. *)
+    clock advances to it. A blocked receiver leaves its
+    {!Simkern.Sched.handle} in the connection for the next {!send} or
+    {!close} to wake. *)
 
 val try_recv : conn -> string option
 (** Non-blocking: [None] when nothing is deliverable right now. *)
@@ -52,9 +58,11 @@ val recv_deadline : conn -> deadline:float -> string option
     client time out instead of blocking forever on a message the fault
     hook dropped. Timeout and peer-close both map to [None]; check
     {!peer_closed} to tell them apart. A blocked receive arms a
-    {!Simkern.Sched.suspend_until} timer, not a thread: once it returns,
+    {!Simkern.Sched.block_until} timer, not a thread: once it returns,
     nothing of it is left in the scheduler but the timer's pending heap
-    entry. *)
+    entry, and in the connection but a stale handle, which a later
+    message's wake finds stale and ignores even when the thread has
+    blocked elsewhere since. *)
 
 val recv_with_arrival : conn -> (string * float) option
 (** {!recv}, also reporting the message's delivery timestamp — the gap

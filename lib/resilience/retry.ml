@@ -104,10 +104,25 @@ let create ?metrics ?budget:bgt ?(name = "client") policy ~rng =
         metrics;
   }
 
+(* "<prefix>-<n>", written into one buffer. *)
 let fresh_rid t =
   let n = t.next_rid in
   t.next_rid <- n + 1;
-  Printf.sprintf "%s-%d" t.rid_prefix n
+  let p = String.length t.rid_prefix in
+  let digits = ref 1 and rest = ref (n / 10) in
+  while !rest > 0 do
+    incr digits;
+    rest := !rest / 10
+  done;
+  let b = Bytes.create (p + 1 + !digits) in
+  Bytes.blit_string t.rid_prefix 0 b 0 p;
+  Bytes.set b p '-';
+  let v = ref n in
+  for i = Bytes.length b - 1 downto p + 1 do
+    Bytes.set b i (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
+    v := !v / 10
+  done;
+  Bytes.unsafe_to_string b
 
 (* One deposit per logical call, capped. *)
 let deposit t =
@@ -125,8 +140,17 @@ let try_withdraw t =
       end
       else false
 
+(* [Float.min] and [Float.max] for the clocks and delays here, which are
+   never NaN; the stdlib functions take boxed arguments. *)
+let[@inline] fmin (x : float) y = if y < x then y else x
+let[@inline] fmax (x : float) y = if y > x then y else x
+
+(* One loop over the attempts, reading the clock through the caller's
+   clock cell: no closure, and the deadlines, delays and clock reads
+   stay unboxed. *)
 let execute_ctx t f =
-  let start = Sched.now () in
+  let k = Sched.clock_cell () in
+  let start = k.clock in
   let hard = start +. t.policy.overall_timeout in
   let rid = fresh_rid t in
   (* The whole logical call shares one trace id, minted deterministically
@@ -136,27 +160,25 @@ let execute_ctx t f =
   let ctx = Telemetry.Context.root rid in
   t.n_calls <- t.n_calls + 1;
   deposit t;
-  let finish r =
-    (match t.h_latency with
-    | Some h ->
-        M.observe_exemplar h
-          (Sched.now () -. start)
-          ~exemplar:(Telemetry.Context.trace_hex ctx)
-    | None -> ());
-    r
-  in
-  let rec attempt n prev_delay =
-    let deadline = Float.min hard (Sched.now () +. t.policy.attempt_timeout) in
-    match f ~ctx:(Telemetry.Context.child ctx n) ~rid ~attempt:n ~deadline with
-    | Ok v -> Ok v
+  let n = ref 0 and prev_delay = ref t.policy.backoff_base in
+  let result = ref (Error Deadline_exceeded) and go = ref true in
+  while !go do
+    let deadline = fmin hard (k.clock +. t.policy.attempt_timeout) in
+    match f ~ctx:(Telemetry.Context.child ctx !n) ~rid ~attempt:!n ~deadline with
+    | Ok v ->
+        result := Ok v;
+        go := false
     | Error (`Retry reason) ->
-        if n + 1 >= t.policy.max_attempts then
-          Error (Attempts_exhausted reason)
-        else if Sched.now () >= hard then Error Deadline_exceeded
+        if !n + 1 >= t.policy.max_attempts then begin
+          result := Error (Attempts_exhausted reason);
+          go := false
+        end
+        else if k.clock >= hard then go := false (* [Deadline_exceeded] *)
         else if not (try_withdraw t) then begin
           t.n_budget_exhausted <- t.n_budget_exhausted + 1;
           Option.iter M.inc t.c_budget_exhausted;
-          Error Budget_exhausted
+          result := Error Budget_exhausted;
+          go := false
         end
         else begin
           t.n_retries <- t.n_retries + 1;
@@ -164,19 +186,25 @@ let execute_ctx t f =
           (* Decorrelated jitter, clipped so the backoff sleep cannot
              itself blow the overall deadline. *)
           let hi =
-            Float.min t.policy.backoff_cap
-              (Float.max t.policy.backoff_base (prev_delay *. 3.0))
+            fmin t.policy.backoff_cap
+              (fmax t.policy.backoff_base (!prev_delay *. 3.0))
           in
           let d =
             t.policy.backoff_base
-            +. (Rng.float t.rng *. Float.max 0.0 (hi -. t.policy.backoff_base))
+            +. (Rng.float t.rng *. fmax 0.0 (hi -. t.policy.backoff_base))
           in
-          let d = Float.min d (hard -. Sched.now ()) in
-          if d > 0.0 then Sched.wait_until (Sched.now () +. d);
-          attempt (n + 1) d
+          let d = fmin d (hard -. k.clock) in
+          if d > 0.0 then Sched.wait_until (k.clock +. d);
+          prev_delay := d;
+          incr n
         end
-  in
-  finish (attempt 0 t.policy.backoff_base)
+  done;
+  (match t.h_latency with
+  | Some h ->
+      M.observe_exemplar h (k.clock -. start)
+        ~exemplar:(Telemetry.Context.trace_hex ctx)
+  | None -> ());
+  !result
 
 let execute t f =
   execute_ctx t (fun ~ctx:_ ~rid ~attempt ~deadline ->

@@ -1,35 +1,45 @@
-type t = { mutable state : int64 }
+(* splitmix64. The 64-bit state lives in an 8-byte buffer, not an
+   [int64] record field: such a field holds a boxed value, which each
+   draw would allocate anew. Read and written through the [Bytes] 64-bit
+   accessors, the state stays an unboxed machine word through the step
+   and the mix. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
 
 (* splitmix64 output function: mix the incremented state. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
-let split t =
-  let seed = int64 t in
-  { state = seed }
+let int64 t = next t
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Drop two bits so the result fits OCaml's 62-bit positive int range;
      the residual modulo bias for realistic bounds is < 2^-40. *)
-  let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
 let float t =
-  let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v *. 0x1.0p-53
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let char t = Char.chr (Char.code 'a' + int t 26)
 

@@ -3,7 +3,6 @@ open Effect.Deep
 
 type tid = int
 type outcome = Completed | Failed of exn
-type wake = at:float -> unit
 
 exception Deadlock of string
 
@@ -21,37 +20,55 @@ type status = Ready | Running | Blocked | Done of outcome
    argument of a [charge] call (see [clock_cell] in the interface). *)
 type cell = { mutable clock : float; mutable waited : float }
 
+(* A wake handle (see the interface): the thread's slot in the
+   scheduler's thread vector in the low [slot_bits] bits, its suspension
+   serial above them. *)
+type handle = int
+
+let slot_bits = 30
+let slot_mask = (1 lsl slot_bits) - 1
+let no_handle = -1
+
 type thread = {
   tid : int;
-  name : string;
+  slot : int;  (* index in the scheduler's [threads] *)
+  name : string option;  (* "t<tid>" when [None] *)
   cell : cell;  (* [waited]: virtual time spent blocked or waiting *)
   mutable status : status;
-  mutable entry : (unit -> unit) option;
-  mutable cont : (unit, unit) continuation option;
-  mutable susp_serial : int;
-  mutable joiners : wake list;
+  mutable entry : unit -> unit;  (* [no_entry] once started *)
+  mutable cont : (unit, unit) continuation;  (* [no_cont] unless parked *)
+  mutable serial : int;
+  mutable joiners : handle list;
   mutable killed : bool;
 }
 
-(* The wake stored in a thread's heap entry: only timer entries carry a
-   real one (see [suspend_until]). A closed function, so it is allocated
-   statically and storing it is no allocation. *)
-let no_wake : wake = fun ~at:_ -> ()
+(* Masked to stay non-negative: a thread's own heap entry is tagged with
+   a negative value (see [Heap]). Serials therefore compare modulo 2^32. *)
+let handle_of th = ((th.serial lsl slot_bits) lor th.slot) land max_int
+
+(* Serials come from one process-wide counter, not one per thread, so a
+   handle kept past its scheduler's run cannot match the thread a later
+   scheduler puts in the same slot. *)
+let serials = ref 0
+
+let fresh_serial () =
+  incr serials;
+  !serials
 
 (* Binary min-heap of (clock, id) with lazy deletion. A thread's entry is
    valid only if the thread is still Ready at exactly that clock. A
-   timer's entry carries its own wake and deadline and is always valid.
-   Entries live in four parallel arrays (keys and deadlines unboxed), and
-   [push] reads the key from the thread's clock cell, so no float is
-   boxed on the way in or out: pushing or popping a thread allocates
-   nothing. Sifts move a hole rather than swap: each displaced entry is
-   written once and the sifted one once at the end, half the writes of a
-   swap per level across the four arrays. *)
+   timer's entry carries the handle it wakes and its deadline and is
+   always valid. Entries live in four parallel arrays (keys and
+   deadlines unboxed), and [push] reads the key from a clock cell, so no
+   float is boxed on the way in or out: pushing or popping an entry
+   allocates nothing. Sifts move a hole rather than swap: each displaced
+   entry is written once and the sifted one once at the end, half the
+   writes of a swap per level across the four arrays. *)
 module Heap = struct
   type t = {
     mutable keys : Float.Array.t;
     mutable ids : int array;
-    mutable wakes : wake array;  (* [no_wake] in a thread's entry *)
+    mutable wakes : int array;  (* a timer's handle; [lnot slot] for a thread *)
     mutable deadlines : Float.Array.t;  (* a timer's; unused by threads *)
     mutable n : int;
   }
@@ -60,7 +77,7 @@ module Heap = struct
     {
       keys = Float.Array.make 64 0.0;
       ids = Array.make 64 (-1);
-      wakes = Array.make 64 no_wake;
+      wakes = Array.make 64 0;
       deadlines = Float.Array.make 64 0.0;
       n = 0;
     }
@@ -70,7 +87,7 @@ module Heap = struct
     Float.Array.blit h.keys 0 keys' 0 h.n;
     let ids' = Array.make (2 * h.n) (-1) in
     Array.blit h.ids 0 ids' 0 h.n;
-    let wakes' = Array.make (2 * h.n) no_wake in
+    let wakes' = Array.make (2 * h.n) 0 in
     Array.blit h.wakes 0 wakes' 0 h.n;
     let deadlines' = Float.Array.make (2 * h.n) 0.0 in
     Float.Array.blit h.deadlines 0 deadlines' 0 h.n;
@@ -83,8 +100,7 @@ module Heap = struct
   let move h src dst =
     Float.Array.set h.keys dst (Float.Array.get h.keys src);
     h.ids.(dst) <- h.ids.(src);
-    let w = h.wakes.(src) in
-    if h.wakes.(dst) != w then h.wakes.(dst) <- w;
+    h.wakes.(dst) <- h.wakes.(src);
     Float.Array.set h.deadlines dst (Float.Array.get h.deadlines src)
 
   (* The entry in slot [i] moves up to its place: parents that sort
@@ -106,7 +122,7 @@ module Heap = struct
     done;
     Float.Array.set h.keys !i key;
     h.ids.(!i) <- id;
-    if h.wakes.(!i) != wake then h.wakes.(!i) <- wake;
+    h.wakes.(!i) <- wake;
     Float.Array.set h.deadlines !i deadline
 
   (* The entry in slot [src] moves into the hole at slot 0 and down to
@@ -139,28 +155,26 @@ module Heap = struct
     done;
     Float.Array.set h.keys !i key;
     h.ids.(!i) <- id;
-    if h.wakes.(!i) != wake then h.wakes.(!i) <- wake;
+    h.wakes.(!i) <- wake;
     Float.Array.set h.deadlines !i deadline
 
-  (* A thread's entry at its current clock. Slots at [n] and beyond hold
-     [no_wake], so only the key and id need writing. *)
-  let push h (c : cell) id =
+  (* An entry keyed at [c]'s current clock. *)
+  let push h (c : cell) id wake =
     if h.n = Array.length h.ids then grow h;
     Float.Array.set h.keys h.n c.clock;
     h.ids.(h.n) <- id;
+    h.wakes.(h.n) <- wake;
     h.n <- h.n + 1;
     sift_up h (h.n - 1)
 
   (* A timer's entry, keyed at the arming thread's clock. *)
   let push_timer h (c : cell) id wake deadline =
     if h.n = Array.length h.ids then grow h;
-    h.wakes.(h.n) <- wake;
     Float.Array.set h.deadlines h.n deadline;
-    push h c id
+    push h c id wake
 
   let is_empty h = h.n = 0
   let top_key h = Float.Array.get h.keys 0
-  let top_id h = h.ids.(0)
   let top_wake h = h.wakes.(0)
   let top_deadline h = Float.Array.get h.deadlines 0
 
@@ -171,19 +185,48 @@ module Heap = struct
 
   let remove_top h =
     h.n <- h.n - 1;
-    if h.n > 0 then sift_down h h.n;
-    (* The vacated slot must not keep a fired timer's wake alive. *)
-    if h.wakes.(h.n) != no_wake then h.wakes.(h.n) <- no_wake
+    if h.n > 0 then sift_down h h.n
 end
+
+(* The largest clock reached by a finished thread or an armed timer, in
+   a float-only record so raising it boxes nothing. *)
+type span = { mutable horizon : float }
 
 type t = {
   mutable next_tid : int;
-  threads : (int, thread) Hashtbl.t;
+  mutable threads : thread array;  (* [0, n_threads), in tid order *)
+  mutable n_threads : int;
   ready : Heap.t;
   mutable current : thread;  (* [no_thread] between resumptions *)
   mutable running : bool;
-  mutable horizon : float;
+  span : span;
+  handler : (unit, unit) handler;
 }
+
+type _ Effect.t += Yield : unit Effect.t | Block : unit Effect.t
+
+(* The "no continuation" mark of a thread record, compared by physical
+   equality ([Some k] would allocate per suspension): a continuation
+   captured once, at start-up, and never resumed. *)
+let no_cont : (unit, unit) continuation =
+  let mark : (unit, unit) continuation option ref = ref None in
+  match_with
+    (fun () -> perform Yield)
+    ()
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Yield -> Some (fun (k : (a, unit) continuation) -> mark := Some k)
+          | _ -> None);
+    };
+  Option.get !mark
+
+(* A started thread's entry; a closed function, so storing it is no
+   allocation. *)
+let no_entry () = ()
 
 (* The scheduler's "no thread running" marker, compared by physical
    equality (an option would allocate a [Some] per resumption). Never
@@ -191,20 +234,19 @@ type t = {
 let no_thread =
   {
     tid = -1;
-    name = "";
+    slot = -1;
+    name = None;
     cell = { clock = 0.0; waited = 0.0 };
     status = Done Completed;
-    entry = None;
-    cont = None;
-    susp_serial = 0;
+    entry = no_entry;
+    cont = no_cont;
+    serial = 0;
     joiners = [];
     killed = false;
   }
 
-type _ Effect.t +=
-  | Yield_eff : unit Effect.t
-  | Suspend_eff : (wake -> unit) -> unit Effect.t
-  | Suspend_until_eff : float * (wake -> unit) -> unit Effect.t
+let name_of th =
+  match th.name with Some n -> n | None -> "t" ^ Int.to_string th.tid
 
 let active : t option ref = ref None
 
@@ -213,7 +255,8 @@ let active : t option ref = ref None
    edges and lock transfers — to an external observer (the race detector
    in lib/analysis installs one). Emission is host-side only: it charges
    no virtual time and takes no scheduling decision, so an installed hook
-   cannot perturb a deterministic run. *)
+   cannot perturb a deterministic run. Every emitting site matches on the
+   hook first, so no event is built while none is installed. *)
 type trace_event =
   | Spawned of { parent : tid; child : tid }
   | Joined of { waiter : tid; joined : tid }
@@ -224,7 +267,6 @@ type trace_event =
 
 let trace_hook : (trace_event -> unit) option ref = ref None
 let set_trace_hook h = trace_hook := h
-let trace ev = match !trace_hook with Some f -> f ev | None -> ()
 
 (* Mutexes and rwlocks share one id namespace so lock-set observers can
    treat them uniformly. *)
@@ -235,15 +277,87 @@ let fresh_lock_id () =
   next_lock_id := id + 1;
   id
 
+let make_ready t th =
+  th.status <- Ready;
+  Heap.push t.ready th.cell th.tid (lnot th.slot)
+
+(* Wake the suspension [h] names at virtual time [at]: its thread's
+   clock becomes [max clock at], the jump counted as waiting. [false]
+   when that suspension already ended. Inlined, so [at] stays unboxed. *)
+let[@inline] wake_at t h at =
+  let slot = h land slot_mask in
+  if h < 0 || slot >= t.n_threads then false
+  else begin
+    let th = t.threads.(slot) in
+    if th.status == Blocked && handle_of th = h then begin
+      th.serial <- fresh_serial ();
+      let k = th.cell in
+      if at > k.clock then begin
+        k.waited <- k.waited +. (at -. k.clock);
+        k.clock <- at
+      end;
+      make_ready t th;
+      true
+    end
+    else false
+  end
+
+(* Wake every handle of a list at [k]'s clock; the time is read from the
+   cell because a recursive function re-boxes a float argument per call. *)
+let rec wake_list t (k : cell) = function
+  | [] -> ()
+  | h :: rest ->
+      ignore (wake_at t h k.clock);
+      wake_list t k rest
+
+let finish t th status =
+  th.status <- status;
+  th.cont <- no_cont;
+  let k = th.cell in
+  if k.clock > t.span.horizon then t.span.horizon <- k.clock;
+  let joiners = th.joiners in
+  th.joiners <- [];
+  wake_list t k joiners
+
+let completed = Done Completed
+
+let park t k =
+  let th = t.current in
+  th.cont <- k;
+  th
+
+(* Each scheduler has one effect handler, and its responses are built
+   with it: they act on [t.current], the thread being resumed, so
+   neither a spawn nor an effect builds a closure. [Yield] re-queues the
+   thread; [Block] parks it until a wake (or a kill) makes it ready. *)
 let create () =
-  {
-    next_tid = 0;
-    threads = Hashtbl.create 64;
-    ready = Heap.create ();
-    current = no_thread;
-    running = false;
-    horizon = 0.0;
-  }
+  let rec t =
+    {
+      next_tid = 0;
+      threads = Array.make 64 no_thread;
+      n_threads = 0;
+      ready = Heap.create ();
+      current = no_thread;
+      running = false;
+      span = { horizon = 0.0 };
+      handler =
+        {
+          retc = (fun () -> finish t t.current completed);
+          exnc = (fun e -> finish t t.current (Done (Failed e)));
+          effc =
+            (fun (type a) (eff : a Effect.t) ->
+              match eff with
+              | Yield -> (on_yield : ((a, unit) continuation -> unit) option)
+              | Block -> on_block
+              | _ -> None);
+        };
+    }
+  and on_yield : ((unit, unit) continuation -> unit) option =
+    Some (fun k -> make_ready t (park t k))
+  and on_block : ((unit, unit) continuation -> unit) option =
+    Some (fun k -> (park t k).status <- Blocked)
+  in
+  t
 
 let current_thread () =
   match !active with
@@ -268,114 +382,85 @@ let charge c =
   let k = (current_thread ()).cell in
   k.clock <- k.clock +. c
 
-let make_ready t th =
-  th.status <- Ready;
-  Heap.push t.ready th.cell th.tid
+(* The thread with id [tid], or [no_thread]: a binary search, as the
+   vector is in tid order. *)
+let find t tid =
+  let lo = ref 0 and hi = ref t.n_threads in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.threads.(mid).tid < tid then lo := mid + 1 else hi := mid
+  done;
+  if !lo < t.n_threads && t.threads.(!lo).tid = tid then t.threads.(!lo)
+  else no_thread
 
 let spawn t ?name f =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
-  let name = match name with Some n -> n | None -> Printf.sprintf "t%d" tid in
+  let slot = t.n_threads in
+  if slot = slot_mask then failwith "Sched.spawn: too many threads";
   let clock =
     if t.current == no_thread then 0.0 else t.current.cell.clock
   in
   let th =
     {
       tid;
+      slot;
       name;
       cell = { clock; waited = 0.0 };
       status = Ready;
-      entry = Some f;
-      cont = None;
-      susp_serial = 0;
+      entry = f;
+      cont = no_cont;
+      serial = fresh_serial ();
       joiners = [];
       killed = false;
     }
   in
-  Hashtbl.replace t.threads tid th;
-  Heap.push t.ready th.cell tid;
+  if slot = Array.length t.threads then begin
+    let grown = Array.make (2 * slot) no_thread in
+    Array.blit t.threads 0 grown 0 slot;
+    t.threads <- grown
+  end;
+  t.threads.(slot) <- th;
+  t.n_threads <- slot + 1;
+  Heap.push t.ready th.cell tid (lnot slot);
   (* [no_thread.tid] is -1: spawned from outside the simulation. *)
-  trace (Spawned { parent = t.current.tid; child = tid });
+  (match !trace_hook with
+  | Some hook -> hook (Spawned { parent = t.current.tid; child = tid })
+  | None -> ());
   tid
-
-let wake_fn t th serial : wake =
- fun ~at ->
-  if th.susp_serial = serial && th.status = Blocked then begin
-    let k = th.cell in
-    if at > k.clock then k.waited <- k.waited +. (at -. k.clock);
-    k.clock <- Float.max k.clock at;
-    make_ready t th
-  end
-
-let finish t th oc =
-  th.status <- Done oc;
-  th.cont <- None;
-  if th.cell.clock > t.horizon then t.horizon <- th.cell.clock;
-  let joiners = th.joiners in
-  th.joiners <- [];
-  List.iter (fun w -> w ~at:th.cell.clock) joiners
-
-let block t th k =
-  th.cont <- Some k;
-  th.status <- Blocked;
-  th.susp_serial <- th.susp_serial + 1;
-  wake_fn t th th.susp_serial
-
-let handler t th =
-  {
-    retc = (fun () -> finish t th Completed);
-    exnc = (fun e -> finish t th (Failed e));
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield_eff ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                th.cont <- Some k;
-                make_ready t th)
-        | Suspend_eff register ->
-            Some (fun (k : (a, unit) continuation) -> register (block t th k))
-        | Suspend_until_eff (deadline, register) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                (* The id is drawn where a timer thread spawned here would
-                   have drawn its tid (see [suspend_until]). *)
-                let id = t.next_tid in
-                t.next_tid <- id + 1;
-                let wake = block t th k in
-                register wake;
-                Heap.push_timer t.ready th.cell id wake deadline)
-        | _ -> None);
-  }
 
 let resume t th =
   th.status <- Running;
   t.current <- th;
   (if th.killed then begin
-     th.entry <- None;
-     match th.cont with
-     | Some k ->
-         th.cont <- None;
-         discontinue k Killed
-     | None -> finish t th (Failed Killed)
+     th.entry <- no_entry;
+     let k = th.cont in
+     if k != no_cont then begin
+       th.cont <- no_cont;
+       discontinue k Killed
+     end
+     else finish t th (Done (Failed Killed))
    end
-   else
-     match th.entry with
-     | Some f ->
-         th.entry <- None;
-         match_with f () (handler t th)
-     | None -> (
-         match th.cont with
-         | Some k ->
-             th.cont <- None;
-             continue k ()
-         | None -> failwith "Sched: resuming thread without continuation"));
+   else if th.entry != no_entry then begin
+     let f = th.entry in
+     th.entry <- no_entry;
+     match_with f () t.handler
+   end
+   else begin
+     let k = th.cont in
+     if k == no_cont then failwith "Sched: resuming thread without continuation";
+     th.cont <- no_cont;
+     continue k ()
+   end);
   t.current <- no_thread
 
-let blocked_threads t =
-  Hashtbl.fold
-    (fun _ th acc -> if th.status = Blocked then th :: acc else acc)
-    t.threads []
+let blocked_names t =
+  let names = ref [] in
+  for i = t.n_threads - 1 downto 0 do
+    let th = t.threads.(i) in
+    if th.status == Blocked then names := name_of th :: !names
+  done;
+  !names
 
 let run t =
   if t.running then failwith "Sched.run: already running";
@@ -387,48 +472,42 @@ let run t =
     active := saved
   in
   (try
-     let rec loop () =
-       if not (Heap.is_empty t.ready) then begin
-         let h = t.ready in
-         let key = Heap.top_key h and id = Heap.top_id h in
-         let wake = Heap.top_wake h in
-         if wake == no_wake then begin
-           Heap.remove_top h;
-           match Hashtbl.find t.threads id with
-           | th when th.status = Ready && th.cell.clock = key -> resume t th
-           | _ | (exception Not_found) -> () (* stale heap entry *)
+     let h = t.ready in
+     while not (Heap.is_empty h) do
+       let key = Heap.top_key h and w = Heap.top_wake h in
+       if w < 0 then begin
+         Heap.remove_top h;
+         let th = t.threads.(lnot w) in
+         (* A stale entry: the thread was re-queued or resumed since. *)
+         if th.status == Ready && th.cell.clock = key then resume t th
+       end
+       else begin
+         let deadline = Heap.top_deadline h in
+         if deadline > key then begin
+           (* The arming point: a timer thread's first step would move
+              its clock to the deadline here. *)
+           if deadline > t.span.horizon then t.span.horizon <- deadline;
+           Heap.rekey_top h
          end
          else begin
-           let deadline = Heap.top_deadline h in
-           if deadline > key then begin
-             (* The arming point: a timer thread's first step would move
-                its clock to the deadline here. *)
-             if deadline > t.horizon then t.horizon <- deadline;
-             Heap.rekey_top h
-           end
-           else begin
-             Heap.remove_top h;
-             wake ~at:deadline
-           end
-         end;
-         loop ()
+           Heap.remove_top h;
+           ignore (wake_at t w deadline)
+         end
        end
-     in
-     loop ()
+     done
    with e ->
      restore ();
      raise e);
   restore ();
-  match blocked_threads t with
+  match blocked_names t with
   | [] -> ()
-  | blocked ->
-      let names = String.concat ", " (List.map (fun th -> th.name) blocked) in
-      raise (Deadlock names)
+  | names -> raise (Deadlock (String.concat ", " names))
 
 let outcome t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some { status = Done oc; _ } -> Some oc
-  | _ -> None
+  let th = find t tid in
+  match th.status with
+  | Done oc when th != no_thread -> Some oc
+  | Done _ | Ready | Running | Blocked -> None
 
 let main ?(sched = create ()) body =
   let result = ref None in
@@ -448,18 +527,22 @@ let main ?(sched = create ()) body =
   | None -> failwith "Sched.main: the body did not finish"
 
 let outcomes t =
-  let finished =
-    Hashtbl.fold
-      (fun tid th acc ->
-        match th.status with
-        | Done oc -> (tid, th.name, oc) :: acc
-        | Ready | Running | Blocked -> acc)
-      t.threads []
-  in
-  List.sort (fun (a, _, _) (b, _, _) -> compare a b) finished
+  let finished = ref [] in
+  for i = t.n_threads - 1 downto 0 do
+    let th = t.threads.(i) in
+    match th.status with
+    | Done oc -> finished := (th.tid, name_of th, oc) :: !finished
+    | Ready | Running | Blocked -> ()
+  done;
+  !finished
 
 let horizon t =
-  Hashtbl.fold (fun _ th acc -> Float.max acc th.cell.clock) t.threads t.horizon
+  let h = ref t.span.horizon in
+  for i = 0 to t.n_threads - 1 do
+    let c = t.threads.(i).cell.clock in
+    if c > !h then h := c
+  done;
+  !h
 
 (* Advancing virtual time is a scheduling point: the thread re-queues at
    the target clock so every runnable thread at an earlier virtual time
@@ -474,25 +557,28 @@ let wait_until at =
   if at > k.clock then begin
     k.waited <- k.waited +. (at -. k.clock);
     k.clock <- at;
-    perform Yield_eff
+    perform Yield
   end
 
 let thread_clock t tid =
-  Option.map (fun th -> th.cell.clock) (Hashtbl.find_opt t.threads tid)
+  let th = find t tid in
+  if th == no_thread then None else Some th.cell.clock
 
 let thread_waited t tid =
-  Option.map (fun th -> th.cell.waited) (Hashtbl.find_opt t.threads tid)
+  let th = find t tid in
+  if th == no_thread then None else Some th.cell.waited
 
 let busy_fraction t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | None -> None
-  | Some th ->
-      let span = horizon t in
-      if span <= 0.0 then None
-      else Some ((th.cell.clock -. th.cell.waited) /. span)
+  let th = find t tid in
+  if th == no_thread then None
+  else
+    let span = horizon t in
+    if span <= 0.0 then None
+    else Some ((th.cell.clock -. th.cell.waited) /. span)
 
-let yield () = perform Yield_eff
-let suspend register = perform (Suspend_eff register)
+let yield () = perform Yield
+let handle () = handle_of (current_thread ())
+let block () = perform Block
 
 (* A timed wait needs no timer thread. A thread spawned at the call that
    ran [wait_until deadline] and then the wake would have two heap
@@ -504,24 +590,59 @@ let suspend register = perform (Suspend_eff register)
    fires the wake at the second. A deadline already passed fires at the
    first entry. Same keys, ids and horizon as that thread, so a run goes
    the same way step for step, but no thread record, stack or outcome is
-   left behind. *)
-let suspend_until ~deadline register =
-  perform (Suspend_until_eff (deadline, register))
+   left behind. The entry is pushed before the thread parks; nothing runs
+   in between. *)
+let block_until deadline =
+  let th = current_thread () in
+  let t = current () in
+  let id = t.next_tid in
+  t.next_tid <- id + 1;
+  Heap.push_timer t.ready th.cell id (handle_of th) deadline;
+  perform Block
+
+let wake h ~at = wake_at (current ()) h at
+
+(* A waiter killed while queued left a stale handle; a handoff passes
+   over it to the next, so the lock, signal or connection is not lost. *)
+let wake_first q =
+  (not (Queue.is_empty q))
+  && begin
+       let t = current () in
+       let k = (current_thread ()).cell in
+       let woke = ref false in
+       while (not !woke) && not (Queue.is_empty q) do
+         woke := wake_at t (Queue.take q) k.clock
+       done;
+       !woke
+     end
+
+let wake_all q =
+  (not (Queue.is_empty q))
+  && begin
+       let t = current () in
+       let k = (current_thread ()).cell in
+       let woke = ref false in
+       while not (Queue.is_empty q) do
+         if wake_at t (Queue.take q) k.clock then woke := true
+       done;
+       !woke
+     end
 
 let sleep c =
   charge c;
   yield ()
 
 (* Kill a thread: it unwinds with [Killed] at its next resumption. A
-   blocked victim is made runnable immediately (its pending wake-ups are
-   invalidated); a ready one dies when the scheduler picks it. Killing a
-   finished thread is a no-op. The victim's clock is advanced to the
-   killer's so the death is causally ordered. *)
+   blocked victim is made runnable immediately (a fresh serial makes
+   every handle to its suspension stale); a ready one dies when the
+   scheduler picks it. Killing a finished thread is a no-op. The
+   victim's clock is advanced to the killer's so the death is causally
+   ordered. *)
 let kill t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | None -> ()
-  | Some ({ status = Done _; _ }) -> ()
-  | Some th ->
+  let th = find t tid in
+  match th.status with
+  | Done _ -> ()
+  | Ready | Running | Blocked ->
       th.killed <- true;
       let k = th.cell in
       let at =
@@ -531,34 +652,36 @@ let kill t tid =
         k.waited <- k.waited +. (at -. k.clock);
         k.clock <- at
       end;
-      if th.status = Blocked then begin
-        th.susp_serial <- th.susp_serial + 1;
+      if th.status == Blocked then begin
+        th.serial <- fresh_serial ();
         make_ready t th
       end
-      else if th.status = Ready then
+      else if th.status == Ready then
         (* Re-queue at the (possibly advanced) clock; the stale heap entry
            is skipped by the clock check in [run]. *)
-        Heap.push t.ready k th.tid
+        Heap.push t.ready k th.tid (lnot th.slot)
 
 let join tid =
   let t = current () in
-  match Hashtbl.find_opt t.threads tid with
-  | None -> invalid_arg "Sched.join: unknown thread"
-  | Some th ->
-      (match th.status with
-      | Done _ -> ()
-      | Ready | Running | Blocked ->
-          suspend (fun wake -> th.joiners <- wake :: th.joiners));
-      (* The edge exists even when the target already finished: the
-         joiner now happens-after everything the joined thread did. *)
-      trace (Joined { waiter = self (); joined = tid })
+  let th = find t tid in
+  if th == no_thread then invalid_arg "Sched.join: unknown thread";
+  (match th.status with
+  | Done _ -> ()
+  | Ready | Running | Blocked ->
+      th.joiners <- handle () :: th.joiners;
+      block ());
+  (* The edge exists even when the target already finished: the joiner
+     now happens-after everything the joined thread did. *)
+  match !trace_hook with
+  | Some hook -> hook (Joined { waiter = self (); joined = tid })
+  | None -> ()
 
 module Mutex = struct
   type mutex = {
     id : int;
     mutable locked : bool;
     mutable owner : tid;
-    waiters : wake Queue.t;
+    waiters : handle Queue.t;
     mutable contentions : int;
     mutable wait_cycles : float;
   }
@@ -575,26 +698,28 @@ module Mutex = struct
     end
     else begin
       m.contentions <- m.contentions + 1;
-      let t0 = now () in
-      suspend (fun wake -> Queue.add wake m.waiters);
+      let k = clock_cell () in
+      let t0 = k.clock in
+      Queue.add (handle ()) m.waiters;
+      block ();
       (* The lock was handed to us by [unlock]; it is still marked locked. *)
       m.owner <- self ();
-      m.wait_cycles <- m.wait_cycles +. (now () -. t0)
+      m.wait_cycles <- m.wait_cycles +. (k.clock -. t0)
     end;
-    trace (Locked { lock = m.id; tid = m.owner })
+    match !trace_hook with
+    | Some hook -> hook (Locked { lock = m.id; tid = m.owner })
+    | None -> ()
 
   let unlock m =
     if not m.locked then invalid_arg "Mutex.unlock: not locked";
     (match !trace_hook with
     | Some f -> f (Unlocked { lock = m.id; tid = self () })
     | None -> ());
-    match Queue.take_opt m.waiters with
-    | None ->
-        m.locked <- false;
-        m.owner <- -1
-    | Some wake ->
-        (* Direct handoff: ownership transfers when the waiter resumes. *)
-        wake ~at:(now ())
+    (* Direct handoff: ownership transfers when the waiter resumes. *)
+    if not (wake_first m.waiters) then begin
+      m.locked <- false;
+      m.owner <- -1
+    end
 
   let with_lock m f =
     lock m;
@@ -616,8 +741,8 @@ module Rwlock = struct
     mutable active_readers : int;
     mutable writer : bool;
     mutable waiting_writers : int;
-    reader_q : wake Queue.t;
-    writer_q : wake Queue.t;
+    reader_q : handle Queue.t;
+    writer_q : handle Queue.t;
   }
 
   let create () =
@@ -636,24 +761,16 @@ module Rwlock = struct
      again; wake-ups are therefore conservative (broadcasts). *)
   let rec rd_lock rw =
     if rw.writer || rw.waiting_writers > 0 then begin
-      suspend (fun wake -> Queue.add wake rw.reader_q);
+      Queue.add (handle ()) rw.reader_q;
+      block ();
       rd_lock rw
     end
     else begin
       rw.active_readers <- rw.active_readers + 1;
-      trace (Rd_locked { lock = rw.id; tid = self () })
-    end
-
-  let drain q =
-    let t = now () in
-    let rec go () =
-      match Queue.take_opt q with
-      | Some wake ->
-          wake ~at:t;
-          go ()
+      match !trace_hook with
+      | Some hook -> hook (Rd_locked { lock = rw.id; tid = self () })
       | None -> ()
-    in
-    go ()
+    end
 
   let rd_unlock rw =
     if rw.active_readers <= 0 then invalid_arg "Rwlock.rd_unlock: not read-locked";
@@ -661,19 +778,29 @@ module Rwlock = struct
     | Some f -> f (Rd_unlocked { lock = rw.id; tid = self () })
     | None -> ());
     rw.active_readers <- rw.active_readers - 1;
-    if rw.active_readers = 0 then drain rw.writer_q
+    if rw.active_readers = 0 then ignore (wake_all rw.writer_q)
 
   let rec wr_lock rw =
     if rw.writer || rw.active_readers > 0 then begin
       rw.waiting_writers <- rw.waiting_writers + 1;
-      suspend (fun wake -> Queue.add wake rw.writer_q);
-      rw.waiting_writers <- rw.waiting_writers - 1;
+      Queue.add (handle ()) rw.writer_q;
+      (match block () with
+      | () -> rw.waiting_writers <- rw.waiting_writers - 1
+      | exception e ->
+          (* Killed while queued: the count drops on this exit too, and
+             readers held back only by this writer go ahead. *)
+          rw.waiting_writers <- rw.waiting_writers - 1;
+          if rw.waiting_writers = 0 && not rw.writer then
+            ignore (wake_all rw.reader_q);
+          raise e);
       wr_lock rw
     end
     else begin
       rw.writer <- true;
       (* The write side is an exclusive lock: same event as a mutex. *)
-      trace (Locked { lock = rw.id; tid = self () })
+      match !trace_hook with
+      | Some hook -> hook (Locked { lock = rw.id; tid = self () })
+      | None -> ()
     end
 
   let wr_unlock rw =
@@ -682,7 +809,8 @@ module Rwlock = struct
     | Some f -> f (Unlocked { lock = rw.id; tid = self () })
     | None -> ());
     rw.writer <- false;
-    if Queue.is_empty rw.writer_q then drain rw.reader_q else drain rw.writer_q
+    (* Readers go when no queued writer is left to take the lock. *)
+    if not (wake_all rw.writer_q) then ignore (wake_all rw.reader_q)
 
   let with_rd rw f =
     rd_lock rw;
@@ -708,31 +836,19 @@ module Rwlock = struct
 end
 
 module Cond = struct
-  type cond = { waiters : wake Queue.t }
+  type cond = { waiters : handle Queue.t }
 
   let create () = { waiters = Queue.create () }
 
   let wait c m =
-    (* Enqueue before releasing the mutex so a signal between unlock and
-       suspend cannot be lost; suspension registration happens atomically
-       with respect to other threads because fibers are cooperative. *)
+    (* Queue the handle after releasing the mutex and before parking, so
+       a signal between unlock and park cannot be lost: fibers are
+       cooperative, so nothing runs in between. *)
     Mutex.unlock m;
-    suspend (fun wake -> Queue.add wake c.waiters);
+    Queue.add (handle ()) c.waiters;
+    block ();
     Mutex.lock m
 
-  let signal c =
-    match Queue.take_opt c.waiters with
-    | Some wake -> wake ~at:(now ())
-    | None -> ()
-
-  let broadcast c =
-    let t = now () in
-    let rec drain () =
-      match Queue.take_opt c.waiters with
-      | Some wake ->
-          wake ~at:t;
-          drain ()
-      | None -> ()
-    in
-    drain ()
+  let signal c = ignore (wake_first c.waiters)
+  let broadcast c = ignore (wake_all c.waiters)
 end

@@ -8,7 +8,7 @@
     run is reproducible.
 
     A thread advances its own clock with {!charge}; it never pre-empts.
-    Blocking primitives ({!suspend}, {!suspend_until}, {!Mutex}, {!Cond},
+    Blocking primitives ({!block}, {!block_until}, {!Mutex}, {!Cond},
     {!join}) hand control back to the scheduler; when woken at virtual
     time [at], the thread's clock becomes [max clock at], which is how
     waiting time manifests. *)
@@ -24,7 +24,8 @@ type outcome =
           signal. *)
 
 exception Deadlock of string
-(** Raised by {!run} when every remaining thread is blocked. *)
+(** Raised by {!run} when every remaining thread is blocked; carries
+    their names, comma-separated, in tid order. *)
 
 exception Killed
 (** Delivered into a thread terminated with {!kill}. *)
@@ -32,8 +33,11 @@ exception Killed
 val create : unit -> t
 
 val spawn : t -> ?name:string -> (unit -> unit) -> tid
-(** Create a thread. When called from inside a running thread the child's
-    clock starts at the parent's current time; otherwise at 0. *)
+(** Create a thread, named ["t<tid>"] unless [name] is given. When called
+    from inside a running thread the child's clock starts at the parent's
+    current time; otherwise at 0. A scheduler keeps every thread it
+    spawned, finished ones included, in tid order: {!outcomes} and
+    {!horizon} walk them, and lookups by tid are binary searches. *)
 
 val run : t -> unit
 (** Execute until no thread is runnable. @raise Deadlock if threads remain
@@ -57,7 +61,7 @@ val outcomes : t -> (tid * string * outcome) list
 
 val horizon : t -> float
 (** Largest clock reached by any thread or armed timer (see
-    {!suspend_until}) — the makespan of the simulation, used for
+    {!block_until}) — the makespan of the simulation, used for
     throughput computations. *)
 
 (** The functions below may only be called from inside a running thread. *)
@@ -101,26 +105,38 @@ val busy_fraction : t -> tid -> float option
 (** Fraction of the simulation span the thread spent computing rather
     than waiting — CPU utilization for saturation analysis. *)
 
-type wake = at:float -> unit
-(** Wake callback handed to a suspension. Calling it more than once, or
-    after the thread was woken through another path, is a no-op. *)
+type handle [@@immediate]
+(** Names one suspension of one thread: the thread and its suspension
+    serial, packed in an int, so storing one allocates nothing. The
+    thread takes a fresh serial, from one process-wide counter, when the
+    suspension ends — woken, timed out or killed — so a handle wakes at
+    most once, and never a later, unrelated suspension, of the same
+    thread or of a thread of another scheduler. *)
 
-val suspend : (wake -> unit) -> unit
-(** Block the current thread. The registration function receives the wake
-    callback and must arrange for it to be invoked later (e.g. stash it in
-    a wait queue). *)
+val no_handle : handle
+(** Names no suspension; {!wake} of it is [false]. *)
 
-val suspend_until : deadline:float -> (wake -> unit) -> unit
-(** [suspend_until ~deadline register] blocks like {!suspend} and also
-    arms a timer that calls the same wake [~at:deadline]. Whichever wake
-    comes first resumes the thread; the other is a no-op, so a timer is
-    never cancelled. A deadline at or before the current clock fires at
-    the current clock.
+val handle : unit -> handle
+(** The handle of the current thread's next {!block} or {!block_until}.
+    A caller publishes it where a waker will find it (a wait queue, a
+    connection), then blocks: fibers are cooperative, so nothing runs
+    between the two steps. *)
 
-    A timer is an entry in the ready heap, not a thread: it has no
-    thread record, stack, {!outcomes} row or [Spawned] trace event. It
-    runs exactly as a thread spawned at the call that did
-    [wait_until deadline] and then the wake would:
+val block : unit -> unit
+(** Park the current thread until {!wake} of its {!handle} (or a
+    {!kill}). *)
+
+val block_until : float -> unit
+(** [block_until deadline] parks like {!block} and also arms a timer
+    that wakes the same handle [~at:deadline]. Whichever wake comes
+    first resumes the thread; the other finds the handle stale and is a
+    no-op, so a timer is never cancelled. A deadline at or before the
+    current clock fires at the current clock.
+
+    A timer is an entry in the ready heap holding the handle and the
+    deadline, not a thread: it has no thread record, stack, {!outcomes}
+    row or [Spawned] trace event. It runs exactly as a thread spawned at
+    the call that did [wait_until deadline] and then the wake would:
     - its id comes from the thread-id counter, so a timer firing at the
       same clock as a thread runs before it if it was armed before the
       thread was spawned, after it otherwise;
@@ -129,6 +145,24 @@ val suspend_until : deadline:float -> (wake -> unit) -> unit
       caller's clock at arming (in id order, where that thread would
       have taken its first step), and keeps it there even when the
       thread was woken first, as that thread's clock would have. *)
+
+val wake : handle -> at:float -> bool
+(** Make the suspension [handle] names runnable at virtual time [at]:
+    its thread's clock becomes [max clock at], the jump counted as
+    waiting. [false], and nothing happens, when the handle is stale —
+    that suspension already ended — or is {!no_handle}. Call it from
+    inside a running thread. *)
+
+val wake_first : handle Queue.t -> bool
+(** Hand something to one waiter: take handles from the queue, oldest
+    first, and wake each at the caller's clock until one wakes a thread;
+    [false] when none did, and the queue is then empty. A waiter killed
+    while queued leaves a stale handle, which is passed over, so the
+    handoff is not lost to it. *)
+
+val wake_all : handle Queue.t -> bool
+(** Empty the queue, waking every handle at the caller's clock; [true]
+    when any woke a thread. *)
 
 val join : tid -> unit
 (** Block until the given thread finishes. Does not re-raise its

@@ -355,17 +355,21 @@ module Context = struct
 
   (* FNV-1a, 64-bit. Deterministic and stable across runs — trace ids
      derived from (client name, op sequence) strings are a golden-test
-     surface. *)
+     surface. Computed in a native int: a xor's bits and a product's low
+     bits depend only on their operands' low bits, so the low 63 bits
+     come out as in [Int64] arithmetic, and the id keeps only the low
+     62. An [Int64] loop boxes a value per character. *)
+  let fnv_offset = Int64.to_int 0xcbf29ce484222325L (* its low 63 bits *)
+  let fnv_prime = 0x100000001b3
+
   let hash64 s =
-    let prime = 0x100000001b3L in
-    let h = ref 0xcbf29ce484222325L in
-    String.iter
-      (fun c ->
-        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-      s;
-    let h = mask62 !h in
+    let h = ref fnv_offset in
+    for i = 0 to String.length s - 1 do
+      h := (!h lxor Char.code s.[i]) * fnv_prime
+    done;
+    let h = !h land 0x3FFF_FFFF_FFFF_FFFF in
     (* 0 is the wire encoding for "no context" (binproto zero field). *)
-    if h = 0L then 1L else h
+    if h = 0 then 1L else Int64.of_int h
 
   let root op = { trace = hash64 op; span = 0 }
   let child t n = { t with span = n }

@@ -1328,10 +1328,11 @@ let test_values_reply_bytes () =
 (* One 1 KiB text GET round trip to a 1-worker SDRaD kvcache, the client
    sending a prebuilt request: client send and receive, the server's
    copy-in, both parses, the domain switch, the value read and the
-   reply. 359.0 words measured; 550.0 while the monitor's gates and TLSF
-   allocated, and 737.0 before that, when each hop copied the value
-   through a string and parsed the line into word lists. *)
-let get_round_trip_budget = 394.0
+   reply. 272.0 words measured; 359.0 while each suspension built
+   closures and each message a queue cell, 550.0 while the monitor's
+   gates and TLSF allocated, and 737.0 before that, when each hop copied
+   the value through a string and parsed the line into word lists. *)
+let get_round_trip_budget = 299.0
 
 let test_get_round_trip_alloc () =
   let w = Scenario.world ~size_mib:32 ~monitor:Api.create () in
@@ -1364,10 +1365,11 @@ let test_get_round_trip_alloc () =
 
 (* A 16-client YCSB-B run of 8,000 ops on 500 records against a SDRaD
    kvcache: the words of the run less those of the same set-up with no
-   run phase, per op. 401.1 measured; 592.2 while the monitor's gates and
-   TLSF allocated, and 1,058.3 with the copying and [Printf] wire
-   code. *)
-let ycsb_words_per_op_budget = 441.0
+   run phase, per op. 318.1 measured; 401.1 while each suspension built
+   closures and each message a queue cell, 592.2 while the monitor's
+   gates and TLSF allocated, and 1,058.3 with the copying and [Printf]
+   wire code. *)
+let ycsb_words_per_op_budget = 349.0
 
 let ycsb_words ~ops =
   Alloc_probe.words_per_call ~warmup:0 ~n:1 (fun () ->

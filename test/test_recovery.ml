@@ -168,6 +168,39 @@ let test_retry_budget_exhaustion () =
       check int "exhaustion counted once" 1 (Retry.budget_exhaustions eng);
       check bool "bucket drained" true (Retry.budget_tokens bgt < 10.0))
 
+(* Request ids are "<name>-<n>", one per logical call, as [Printf]
+   formats them. *)
+let test_retry_rids () =
+  Sched.main (fun _ ->
+      List.iter
+        (fun name ->
+          let eng = Retry.create quick_policy ~rng:(Rng.create 5) ~name in
+          for n = 0 to 12_345 do
+            match
+              Retry.execute eng (fun ~rid ~attempt:_ ~deadline:_ -> Ok rid)
+            with
+            | Ok rid -> check string "rid" (Printf.sprintf "%s-%d" name n) rid
+            | Error e -> Alcotest.fail (Retry.error_to_string e)
+          done)
+        [ "client"; "yl7"; "" ])
+
+(* A logical call that succeeds at once, with an attempt function that
+   allocates nothing, pinned at its measured words plus under 10 %: the
+   request id, the trace context and its attempt's child, the deadline
+   passed to the attempt and the [Ok] around its value. *)
+let test_retry_allocation () =
+  let ok = Ok () in
+  let attempt ~ctx:_ ~rid:_ ~attempt:_ ~deadline:_ = ok in
+  let words =
+    Sched.main (fun _ ->
+        let eng = Retry.create quick_policy ~rng:(Rng.create 6) in
+        Alloc_probe.words_per_call ~n:10_000 (fun () ->
+            ignore (Retry.execute_ctx eng attempt)))
+  in
+  if words > 17.0 then
+    Alcotest.failf "a retried call allocates %.1f minor words; the budget is 17"
+      words
+
 let test_retry_attempts_and_deadline () =
   Sched.main (fun _ ->
       (* Attempts exhausted: every attempt fails fast. *)
@@ -738,6 +771,8 @@ let () =
             test_retry_budget_exhaustion;
           Alcotest.test_case "attempts and deadline" `Quick
             test_retry_attempts_and_deadline;
+          Alcotest.test_case "rids" `Quick test_retry_rids;
+          Alcotest.test_case "host allocation" `Quick test_retry_allocation;
         ] );
       ( "journal",
         [

@@ -47,6 +47,45 @@ let test_rng_shuffle_permutes () =
   check bool "still a permutation" true (sorted = Array.init 50 Fun.id);
   check bool "actually moved" true (a <> Array.init 50 Fun.id)
 
+(* splitmix64 over a plain [int64] state: the reference every [Rng]
+   stream must keep matching. *)
+module Ref_splitmix = struct
+  type t = { mutable state : int64 }
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let int64 t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    mix t.state
+
+  let int t bound = Int64.to_int (Int64.shift_right_logical (int64 t) 2) mod bound
+  let float t = Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. 0x1.0p-53
+  let split t = { state = int64 t }
+end
+
+let test_rng_matches_reference () =
+  let same what seed draw reference =
+    let r = Rng.create seed and m = { Ref_splitmix.state = Int64.of_int seed } in
+    for i = 1 to 100_000 do
+      if not (draw r = reference m) then
+        Alcotest.failf "seed %d: %s output %d differs" seed what i
+    done
+  in
+  List.iter
+    (fun seed ->
+      same "int64" seed Rng.int64 Ref_splitmix.int64;
+      same "int" seed (fun r -> Rng.int r 1_000_003) (fun m ->
+          Ref_splitmix.int m 1_000_003);
+      same "float" seed Rng.float Ref_splitmix.float;
+      (* A split child draws the reference child's stream. *)
+      same "split" seed
+        (fun r -> Rng.int64 (Rng.split r))
+        (fun m -> Ref_splitmix.int64 (Ref_splitmix.split m)))
+    [ 0; 1; 42; -7; max_int ]
+
 let rng_int_bounds =
   QCheck.Test.make ~name:"rng int stays in bounds" ~count:500
     QCheck.(pair small_int (int_range 1 10_000))
@@ -152,15 +191,15 @@ let test_sched_main () =
   Alcotest.check_raises "re-raises the body's exception" (Failure "boom")
     (fun () -> Sched.main (fun _ -> failwith "boom"));
   Alcotest.check_raises "blocked body" (Sched.Deadlock "main") (fun () ->
-      Sched.main (fun _ -> Sched.suspend ignore));
+      Sched.main (fun _ -> Sched.block ()));
   Alcotest.check_raises "blocked child of a finished body"
     (Sched.Deadlock "stuck") (fun () ->
       Sched.main (fun t ->
-          ignore (Sched.spawn t ~name:"stuck" (fun () -> Sched.suspend ignore))));
+          ignore (Sched.spawn t ~name:"stuck" (fun () -> Sched.block ()))));
   Alcotest.check_raises "a failed body's exception, not the deadlock it leaves"
     (Failure "boom") (fun () ->
       Sched.main (fun t ->
-          ignore (Sched.spawn t ~name:"stuck" (fun () -> Sched.suspend ignore));
+          ignore (Sched.spawn t ~name:"stuck" (fun () -> Sched.block ()));
           failwith "boom"))
 
 let test_mutex_mutual_exclusion () =
@@ -363,27 +402,25 @@ let test_rwlock_misuse_detected () =
 
 (* {1 Timers ≡ timer fibers}
 
-   [Sched.suspend_until] must run every script exactly as a timed wait
+   [Sched.block_until] must run every script exactly as a timed wait
    built from a timer thread does: a fiber spawned at the call that moves
-   its clock to the deadline, then calls the wake. That fiber is the
-   reference below. Each seed runs the same random scripts against both
-   and compares every observable: the (tid, clock) at every step, each
-   real thread's final clock and waited time, the horizon read mid-run
-   and at the end, and the outcomes once the reference's timer threads
-   are filtered out. Clocks move on a 100-cycle grid, so timers, wakes
+   its clock to the deadline, then wakes the waiter's handle. That fiber
+   is the reference below. Each seed runs the same random scripts
+   against both and compares every observable: the (tid, clock) at
+   every step, each real thread's final clock and waited time, the
+   horizon read mid-run and at the end, and the outcomes once the
+   reference's timer threads are filtered out. Clocks move on a 100-cycle grid, so timers, wakes
    and other threads' steps often share a clock and the tie-break is
    exercised. *)
 
-let fiber_suspend_until ~deadline register =
-  let wake_ref = ref None in
+let fiber_block_until deadline =
+  let h = Sched.handle () in
   let _timer =
     Sched.spawn (Sched.current ()) ~name:"timer" (fun () ->
         Sched.wait_until deadline;
-        match !wake_ref with Some w -> w ~at:deadline | None -> ())
+        ignore (Sched.wake h ~at:deadline))
   in
-  Sched.suspend (fun wake ->
-      wake_ref := Some wake;
-      register wake)
+  Sched.block ()
 
 (* Deadlines relative to the caller's clock, or to another thread's. *)
 type deadline = Past of int | Now | Ahead of int | Clock_of of int * int
@@ -474,8 +511,8 @@ let run_scripts timed scripts tally =
               Option.get (Sched.thread_clock sched tids.(j)) +. float_of_int k
         in
         if deadline <= now then tally.past <- tally.past + 1;
-        timed ~deadline (fun wake ->
-            if i >= 0 then pending.(i) <- Some (wake, deadline));
+        if i >= 0 then pending.(i) <- Some (Sched.handle (), deadline);
+        timed deadline;
         (if i < 0 || Option.is_some pending.(i) then begin
            tally.timeouts <- tally.timeouts + 1;
            if i >= 0 then pending.(i) <- None
@@ -485,14 +522,15 @@ let run_scripts timed scripts tally =
         note "timed_wait"
     | Send (j, w) ->
         (match pending.(j) with
-        | Some (wake, deadline) ->
+        | Some (h, deadline) ->
             pending.(j) <- None;
-            wake
-              ~at:
-                (match w with
-                | Immediately -> Sched.now ()
-                | At_deadline -> deadline
-                | Later k -> Sched.now () +. float_of_int k)
+            ignore
+              (Sched.wake h
+                 ~at:
+                   (match w with
+                   | Immediately -> Sched.now ()
+                   | At_deadline -> deadline
+                   | Later k -> Sched.now () +. float_of_int k))
         | None -> ());
         note "send %d" j
     | Kill j ->
@@ -555,10 +593,10 @@ let test_timers_match_fibers () =
             gen_script rng ~threads ~len:(10 + Random.State.int rng 15))
       in
       let log', finals', horizon', outcomes' =
-        run_scripts fiber_suspend_until scripts total
+        run_scripts fiber_block_until scripts total
       in
       let log, finals, horizon, outcomes =
-        run_scripts Sched.suspend_until scripts
+        run_scripts Sched.block_until scripts
           { timeouts = 0; early = 0; exact = 0; past = 0; kills = 0 }
       in
       let name what = Printf.sprintf "seed %d: %s" seed what in
@@ -576,6 +614,126 @@ let test_timers_match_fibers () =
       ("wakes at the deadline", total.exact); ("past deadlines", total.past);
       ("kills of blocked threads", total.kills);
     ]
+
+(* A handle names one suspension of one scheduler's thread. Kept past
+   the run it came from, it must not wake the thread a later scheduler
+   puts in the same slot, even at the same point in its life: here
+   [main] of both runs, blocked in its first suspension. *)
+let test_handle_from_another_run () =
+  let stale = ref Sched.no_handle in
+  Alcotest.check_raises "first run" (Sched.Deadlock "main") (fun () ->
+      Sched.main (fun _ ->
+          stale := Sched.handle ();
+          Sched.block ()));
+  let stale_woke = ref true in
+  Sched.main (fun t ->
+      let own = Sched.handle () in
+      let _ =
+        Sched.spawn t (fun () ->
+            stale_woke := Sched.wake !stale ~at:(Sched.now ());
+            ignore (Sched.wake own ~at:(Sched.now ())))
+      in
+      Sched.block ());
+  check bool "the stale handle woke nothing" false !stale_woke
+
+(* {1 Waiters killed while blocked}
+
+   A killed waiter leaves its handle in the queue it waited on, stale:
+   the kill ended that suspension. A handoff that wakes one waiter must
+   pass over it to the next, or the lock or signal is lost. *)
+
+let test_killed_mutex_waiter () =
+  let got = ref false in
+  Sched.main (fun t ->
+      let m = Sched.Mutex.create () in
+      Sched.Mutex.lock m;
+      let b = Sched.spawn t ~name:"B" (fun () -> Sched.Mutex.lock m) in
+      Sched.sleep 10.0;
+      Sched.kill t b;
+      Sched.Mutex.unlock m;
+      Sched.join
+        (Sched.spawn t ~name:"C" (fun () ->
+             Sched.Mutex.lock m;
+             got := true;
+             Sched.Mutex.unlock m));
+      check bool "B died" true (Sched.outcome t b = Some (Sched.Failed Sched.Killed)));
+  check bool "C took the mutex" true !got
+
+let test_killed_cond_waiter () =
+  let woken = ref false in
+  Sched.main (fun t ->
+      let m = Sched.Mutex.create () and c = Sched.Cond.create () in
+      let waiter flag () =
+        Sched.Mutex.lock m;
+        Sched.Cond.wait c m;
+        flag := true;
+        Sched.Mutex.unlock m
+      in
+      let w1 = Sched.spawn t ~name:"W1" (waiter (ref false)) in
+      let w2 = Sched.spawn t ~name:"W2" (waiter woken) in
+      Sched.sleep 10.0;
+      Sched.kill t w1;
+      Sched.Mutex.with_lock m (fun () -> Sched.Cond.signal c);
+      Sched.join w2);
+  check bool "the signal reached W2" true !woken
+
+let test_killed_rwlock_writer () =
+  let read = ref [] in
+  Sched.main (fun t ->
+      let rw = Sched.Rwlock.create () in
+      let reader name () =
+        Sched.Rwlock.with_rd rw (fun () -> read := name :: !read)
+      in
+      Sched.Rwlock.rd_lock rw;
+      let w = Sched.spawn t ~name:"W" (fun () -> Sched.Rwlock.wr_lock rw) in
+      Sched.sleep 10.0;
+      (* Queued behind the waiting writer. *)
+      let r2 = Sched.spawn t ~name:"R2" (reader "R2") in
+      Sched.sleep 10.0;
+      Sched.kill t w;
+      Sched.Rwlock.rd_unlock rw;
+      Sched.join r2;
+      (* Arrives after the writer died. *)
+      Sched.join (Sched.spawn t ~name:"R3" (reader "R3")));
+  check (Alcotest.list Alcotest.string) "both readers got in" [ "R2"; "R3" ]
+    (List.rev !read)
+
+(* {1 Host allocation}
+
+   What a scheduling event costs in OCaml minor words, pinned at the
+   measured figure plus 10 %. A blocked thread is named by an int handle
+   and the scheduler's effect handler is built once, so a yield costs
+   only its continuation. *)
+
+let words_in_thread f =
+  Sched.main (fun _ -> Alloc_probe.words_per_call ~n:10_000 f)
+
+let test_yield_allocation () =
+  let words = words_in_thread Sched.yield in
+  if words > 2.0 then
+    Alcotest.failf "a yield allocates %.1f minor words; the budget is 2" words
+
+let test_spawn_join_allocation () =
+  let words =
+    Sched.main (fun t ->
+        Alloc_probe.words_per_call ~n:10_000 (fun () ->
+            Sched.join (Sched.spawn t ignore)))
+  in
+  if words > 26.0 then
+    Alcotest.failf "a spawn + join allocates %.1f minor words; the budget is 26"
+      words
+
+let test_mutex_allocation () =
+  let m = Sched.Mutex.create () in
+  let words =
+    words_in_thread (fun () ->
+        Sched.Mutex.lock m;
+        Sched.Mutex.unlock m)
+  in
+  if words > 0.0 then
+    Alcotest.failf
+      "an uncontended lock + unlock allocates %.1f minor words; the budget is 0"
+      words
 
 (* {1 Cost} *)
 
@@ -596,6 +754,8 @@ let () =
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
           QCheck_alcotest.to_alcotest rng_int_bounds;
+          Alcotest.test_case "matches a reference splitmix64" `Quick
+            test_rng_matches_reference;
         ] );
       ( "sched",
         [
@@ -610,6 +770,11 @@ let () =
           Alcotest.test_case "timers ≡ timer fibers, 5 seeds" `Quick
             test_timers_match_fibers;
           Alcotest.test_case "main" `Quick test_sched_main;
+          Alcotest.test_case "yield host allocation" `Quick test_yield_allocation;
+          Alcotest.test_case "spawn + join host allocation" `Quick
+            test_spawn_join_allocation;
+          Alcotest.test_case "handle from another run" `Quick
+            test_handle_from_another_run;
         ] );
       ( "sync",
         [
@@ -621,6 +786,10 @@ let () =
           Alcotest.test_case "rwlock writer exclusive" `Quick test_rwlock_writer_exclusive;
           Alcotest.test_case "rwlock writer waits" `Quick test_rwlock_writer_waits_for_readers;
           Alcotest.test_case "rwlock misuse" `Quick test_rwlock_misuse_detected;
+          Alcotest.test_case "killed mutex waiter" `Quick test_killed_mutex_waiter;
+          Alcotest.test_case "killed cond waiter" `Quick test_killed_cond_waiter;
+          Alcotest.test_case "killed rwlock writer" `Quick test_killed_rwlock_writer;
+          Alcotest.test_case "mutex host allocation" `Quick test_mutex_allocation;
         ] );
       ("cost", [ Alcotest.test_case "conversions" `Quick test_cost_conversions ]);
     ]

@@ -224,6 +224,32 @@ let test_context_trace_id_at () =
   check int "past the end" 0 (Ctx.trace_id_at "0123456789abcdef" 1);
   check bool "17 digits" true (Ctx.of_trace_hex "0123456789abcdef0" = None)
 
+(* Trace ids are FNV-1a over the op string, masked to 62 bits with 0
+   mapped to 1, as the [Int64] loop below computes it; the ids are a
+   golden surface, so the native-int hash must match it bit for bit. *)
+let test_context_hash_matches_int64 () =
+  let reference s =
+    let h = ref 0xcbf29ce484222325L in
+    String.iter
+      (fun c ->
+        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      s;
+    let h = Int64.logand !h 0x3FFF_FFFF_FFFF_FFFFL in
+    if h = 0L then 1L else h
+  in
+  let rng = Random.State.make [| 21 |] in
+  let strings =
+    "" :: "client-0" :: "yl17-4242"
+    :: List.init 5_000 (fun _ ->
+           String.init (Random.State.int rng 40) (fun _ ->
+               Char.chr (Random.State.int rng 256)))
+  in
+  List.iter
+    (fun s ->
+      check bool (Printf.sprintf "hash of %S" s) true
+        (Ctx.trace (Ctx.root s) = reference s))
+    strings
+
 let test_context_traceparent_roundtrip () =
   let c = Ctx.child (Ctx.root "web-7") 3 in
   let tp = Ctx.to_traceparent c in
@@ -606,6 +632,8 @@ let () =
             test_context_trace_id_at;
           Alcotest.test_case "traceparent roundtrip" `Quick
             test_context_traceparent_roundtrip;
+          Alcotest.test_case "hash matches the Int64 FNV-1a" `Quick
+            test_context_hash_matches_int64;
         ] );
       ( "trace",
         [
