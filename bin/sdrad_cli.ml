@@ -368,9 +368,19 @@ let stats_cmd =
     Printf.printf "busy rejections: %d\n\n"
       (Kvcache.Server.busy_rejections s);
     print_endline "== incident log ==";
+    (* Each record in the text [Sdrad.Types.pp_fault] gives its trigger. *)
+    let module Rl = Checkpoint.Rewind_log in
     List.iter
-      (fun f -> Printf.printf "  %s\n" (Format.asprintf "%a" Sdrad.Types.pp_fault f))
-      (Api.incidents sd);
+      (fun r ->
+        Printf.printf "  domain %d failed on tid %d: %s\n" r.Rl.r_target
+          r.Rl.r_tid
+          (match r.Rl.r_kind with
+          | `Segv ->
+              Printf.sprintf "SEGV at 0x%x (%s, %s)" r.Rl.r_fault_addr
+                r.Rl.r_si r.Rl.r_msg
+          | `Stack_smash -> "stack smashing detected"
+          | `Explicit -> "attack reported: " ^ r.Rl.r_msg))
+      (Api.audit_records sd);
     print_endline "\n== supervisor breaker states ==";
     print_endline
       (Stats.Table.render ~header:[ "udi"; "state"; "rewinds"; "rejections" ]

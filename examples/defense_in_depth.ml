@@ -4,8 +4,8 @@
    domain nest (Figure 2): a transient outer domain owning the recovery
    point, and an inner domain configured to rewind to the *grandparent*.
    A fault in the inner domain therefore discards both levels, releases
-   the rewind-aware lock (poisoned), fires the incident handler (the
-   paper's SIEM hook), and the service carries on.
+   the rewind-aware lock (poisoned), notifies the incident subscriber
+   (the paper's SIEM hook), and the service carries on.
 
      dune exec examples/defense_in_depth.exe *)
 
@@ -57,7 +57,7 @@ let process_job sd space lock job =
 let () =
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create space in
-  Api.set_incident_handler sd (fun f ->
+  Api.on_incident sd (fun f ->
       Printf.printf "  [SIEM] incident: domain %d, %s\n" f.Types.failed_udi
         (Format.asprintf "%a" Types.pp_cause f.Types.cause));
   let lock = Dlock.create sd in
@@ -77,6 +77,6 @@ let () =
    with
   | () -> ()
   | exception e -> Printf.printf "pipeline failed: %s\n" (Printexc.to_string e));
-  Printf.printf "incident log: %d entr%s; pipeline never went down\n"
-    (List.length (Api.incidents sd))
-    (if List.length (Api.incidents sd) = 1 then "y" else "ies")
+  let n = List.length (Api.audit_records sd) in
+  Printf.printf "incident log: %d entr%s; pipeline never went down\n" n
+    (if n = 1 then "y" else "ies")

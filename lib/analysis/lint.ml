@@ -47,7 +47,10 @@ let rules =
 
 let rule_names =
   List.map (fun r -> r.r_name) rules
-  @ [ "missing-mli"; "metric-naming"; "finding-rule-doc"; "unused-export" ]
+  @ [
+      "missing-mli"; "metric-naming"; "finding-rule-doc"; "unused-export";
+      "unused-option";
+    ]
 
 (* Replace comment bodies — and, when [strings], string and char
    literals — with spaces (newlines preserved, so line numbers
@@ -418,47 +421,67 @@ let rec collect_sources dir =
       else acc)
     [] entries
 
-(* {1 Unused exports}
+(* {1 Unused exports and options}
 
    A [val] in a [lib/**/*.mli] must be named, as a whole word, in some
    source outside its own module's [.ml] and [.mli], under any of the
-   trees below (siblings of the scanned one). A word grep, so a mention
-   in a comment counts as a use; it catches exports nothing calls. *)
+   trees below (siblings of the scanned one), and each of its optional
+   parameters [?l:] must be passed there as [~l] or [?l]. A word grep,
+   so a mention in a comment counts as a use; it catches exports nothing
+   calls and knobs nothing sets. *)
 
 let reference_trees = [ "lib"; "bin"; "bench"; "test"; "examples"; "perfsuite" ]
 
-(* Every distinct word of a source text. *)
+(* The word of [s] that starts at [k], or [""]. *)
+let word_at s k =
+  let j = ref k in
+  while !j < String.length s && is_word_char s.[!j] do
+    incr j
+  done;
+  String.sub s k (!j - k)
+
+(* Every distinct word of a source text, plus ["~l"] for each label it
+   writes as [~l] or [?l]. *)
 let words src =
-  let seen = Hashtbl.create 256 and n = String.length src in
+  let seen = Hashtbl.create 256 in
   let i = ref 0 in
-  while !i < n do
+  while !i < String.length src do
     if is_word_char src.[!i] then begin
-      let j = ref !i in
-      while !j < n && is_word_char src.[!j] do
-        incr j
-      done;
-      Hashtbl.replace seen (String.sub src !i (!j - !i)) ();
-      i := !j
+      let w = word_at src !i in
+      Hashtbl.replace seen w ();
+      if !i > 0 && (src.[!i - 1] = '~' || src.[!i - 1] = '?') then
+        Hashtbl.replace seen ("~" ^ w) ();
+      i := !i + String.length w
     end
     else incr i
   done;
   Hashtbl.to_seq_keys seen
 
-(* [(line, name)] of every [val] declared in an interface. *)
+(* [(line, name)] of every [val] declared in an interface, and [(line,
+   name, label)] of each optional parameter [?label:] in their types. A
+   declaration runs to the next signature item. *)
 let declared_vals mli_src =
-  List.concat
-    (List.mapi
-       (fun i line ->
-         let line = String.trim line in
-         if String.length line > 4 && String.sub line 0 4 = "val " then
-           let rest = String.trim (String.sub line 4 (String.length line - 4)) in
-           let k = ref 0 in
-           while !k < String.length rest && is_word_char rest.[!k] do
-             incr k
-           done;
-           if !k = 0 then [] else [ (i + 1, String.sub rest 0 !k) ]
-         else [])
-       (split_lines (strip mli_src)))
+  let vals = ref [] and opts = ref [] and cur = ref "" in
+  let items = [ "type"; "module"; "exception"; "external"; "end"; "include" ] in
+  List.iteri
+    (fun i line ->
+      let line = String.trim line in
+      let first = word_at line 0 in
+      if first = "val" then begin
+        let rest = String.sub line 3 (String.length line - 3) in
+        cur := word_at (String.trim rest) 0;
+        if !cur <> "" then vals := (i + 1, !cur) :: !vals
+      end
+      else if List.mem first items then cur := "";
+      String.iteri
+        (fun k c ->
+          let l = if c = '?' && !cur <> "" then word_at line (k + 1) else "" in
+          let stop = k + 1 + String.length l in
+          if l <> "" && stop < String.length line && line.[stop] = ':' then
+            opts := (i + 1, !cur, l) :: !opts)
+        line)
+    (split_lines (strip mli_src));
+  (List.rev !vals, List.rev !opts)
 
 let unused_exports ~sources ~references =
   let users = Hashtbl.create 4096 in
@@ -469,20 +492,29 @@ let unused_exports ~sources ~references =
   List.concat_map
     (fun mli ->
       let own = [ mli; Filename.remove_extension mli ^ ".ml" ] in
+      let used w =
+        List.exists (fun f -> not (List.mem f own)) (Hashtbl.find_all users w)
+      in
+      let flag v_line v_rule v_text = { v_file = mli; v_line; v_rule; v_text } in
+      let vals, opts = declared_vals (read_file mli) in
       List.filter_map
         (fun (line, name) ->
-          let outside f = not (List.mem f own) in
-          if List.exists outside (Hashtbl.find_all users name) then None
+          if used name then None
           else
             Some
-              {
-                v_file = mli;
-                v_line = line;
-                v_rule = "unused-export";
-                v_text =
-                  Printf.sprintf "val %s: no reference outside its module" name;
-              })
-        (declared_vals (read_file mli)))
+              (flag line "unused-export"
+                 (Printf.sprintf "val %s: no reference outside its module" name)))
+        vals
+      @ List.filter_map
+          (fun (line, name, l) ->
+            (* An unused val is flagged once, as an unused export. *)
+            if used ("~" ^ l) || not (used name) then None
+            else
+              Some
+                (flag line "unused-option"
+                   (Printf.sprintf
+                      "val %s: no caller outside its module passes ?%s" name l)))
+          opts)
     (List.filter
        (fun f -> Filename.check_suffix f ".mli" && in_dir f "lib")
        sources)

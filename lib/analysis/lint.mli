@@ -23,12 +23,17 @@
       a whole word, in no [.ml]/[.mli] outside its own module under the
       [lib], [bin], [bench], [test], [examples] and [perfsuite] trees
       beside the scanned one — an export nothing calls.
+    - [unused-option]: an optional parameter [?l:] of a [val] in a
+      [lib/**/*.mli] that no source outside its own module under the
+      same trees passes as [~l] or [?l] — a knob nothing sets, so its
+      default is the only behaviour in use.
 
     Matching runs on a comment- and string-stripped view of each source,
     so banned names in docstrings or error messages do not trip rules
     ([metric-naming] and [finding-rule-doc] read the raw source — the
-    names they judge {e are} string literals — and [unused-export] counts
-    a word anywhere in a referencing file, comments included). *)
+    names they judge {e are} string literals — and [unused-export] and
+    [unused-option] count a word anywhere in a referencing file, comments
+    included). *)
 
 type violation = {
   v_file : string;
@@ -52,10 +57,10 @@ val scan_metric_names : file:string -> string -> violation list
 val scan_tree :
   ?allow:(rule:string -> file:string -> bool) -> string -> violation list
 (** Recursively scan every [.ml]/[.mli] under a directory, apply all
-    rules including [missing-mli] and [unused-export] (whose reference
-    trees are the directory's siblings that exist), drop violations the
-    [allow] predicate accepts, and return the rest sorted by (file,
-    line, rule). *)
+    rules including [missing-mli], [unused-export] and [unused-option]
+    (whose reference trees are the directory's siblings that exist),
+    drop violations the [allow] predicate accepts, and return the rest
+    sorted by (file, line, rule). *)
 
 val parse_allowlist : string -> rule:string -> file:string -> bool
 (** Parse allowlist text — one [<rule> <path>] entry per line, [#]

@@ -44,8 +44,7 @@ type model = {
 }
 
 let exec_domain ?(tid = 0) ?(parent = 0) ?(state = Ready) ?stack ?(heap = [])
-    ?(accessible = true) ?(parent_readable = false) ?(has_cleanup = false) ~udi
-    ~pkey () =
+    ?(accessible = true) ?(has_cleanup = false) ~udi ~pkey () =
   {
     udi;
     kind = Exec;
@@ -56,7 +55,7 @@ let exec_domain ?(tid = 0) ?(parent = 0) ?(state = Ready) ?stack ?(heap = [])
     stack;
     heap;
     accessible;
-    parent_readable;
+    parent_readable = false;
     has_cleanup;
     perms = [];
   }

@@ -68,14 +68,14 @@ val exec_domain :
   ?stack:region ->
   ?heap:region list ->
   ?accessible:bool ->
-  ?parent_readable:bool ->
   ?has_cleanup:bool ->
   udi:int ->
   pkey:int ->
   unit ->
   domain
 (** Fixture helper: an execution domain with library defaults
-    (tid 0, parent root, [Ready], accessible, no hooks). *)
+    (tid 0, parent root, [Ready], accessible, parent not readable, no
+    hooks). *)
 
 val data_domain :
   ?heap:region list -> ?perms:(int * int) list -> udi:int -> pkey:int -> unit -> domain

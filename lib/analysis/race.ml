@@ -94,7 +94,6 @@ type t = {
   sd : Api.t;
   space : Space.t;
   granule_shift : int;
-  max_findings : int;
   mutable tracked : int;  (* bitmask of shared pkeys *)
   pkey_udi : int array;  (* pkey -> owning data-domain udi; -1 = root *)
   cells : (int, cell) Hashtbl.t;  (* granule index -> cell *)
@@ -141,11 +140,13 @@ let remove_id id l = List.filter (fun x -> x <> id) l
 
 let inter a b = List.filter (fun x -> List.mem x b) a
 
+let max_findings = 64  (* findings stored; the counters go on counting *)
+
 let add_finding t key cls f =
   if not (Hashtbl.mem t.seen key) then begin
     Hashtbl.add t.seen key ();
     t.counts.(cls) <- t.counts.(cls) + 1;
-    if t.stored < t.max_findings then begin
+    if t.stored < max_findings then begin
       t.findings_rev <- f :: t.findings_rev;
       t.stored <- t.stored + 1
     end
@@ -492,7 +493,7 @@ let register_metrics t =
     ~help:"Live shadow cells (tracked granules with access history)"
     (fun () -> float_of_int (Hashtbl.length t.cells))
 
-let attach ?(granule = 8) ?(track_root = false) ?(max_findings = 64) sd =
+let attach ?(granule = 8) ?(track_root = false) sd =
   let shift =
     match granule with
     | 1 -> 0
@@ -507,7 +508,6 @@ let attach ?(granule = 8) ?(track_root = false) ?(max_findings = 64) sd =
       sd;
       space = Api.space sd;
       granule_shift = shift;
-      max_findings;
       tracked = 0;
       pkey_udi = Array.make 16 (-1);
       cells = Hashtbl.create 4096;

@@ -40,15 +40,14 @@ type finding = {
   message : string;
 }
 
-val attach :
-  ?granule:int -> ?track_root:bool -> ?max_findings:int -> Sdrad.Api.t -> t
+val attach : ?granule:int -> ?track_root:bool -> Sdrad.Api.t -> t
 (** Attach a detector to a running instance. Tracks every data domain's
     pages (current and future); [track_root] additionally tracks the
     root heap (defaults to [false] — root memory is single-domain by
     construction and tracking it mostly measures the allocator).
     [granule] is the shadow-cell width in bytes (1, 2, 4, 8 or 16;
-    default 8). At most [max_findings] findings are stored (default 64);
-    counters keep counting past the cap.
+    default 8). At most 64 findings are stored; counters keep counting
+    past the cap.
 
     Installs the space access hook, the API race observer and (shared
     with other live detectors) the scheduler trace hook, and registers

@@ -161,15 +161,11 @@ type t = {
   sanitizer : bool;
   verify_policy : bool;
   mutable key_clock : int;  (* LRU tick for key virtualization *)
-  default_stack_size : int;
   default_heap_size : int;
-  incident_cap : int;
-  incident_q : Types.fault Queue.t;  (* bounded ring, oldest at front *)
-  mutable incident_handler : (Types.fault -> unit) option;
+  mutable subscribers : (Types.fault -> unit) list;  (* newest first *)
   mutable in_monitor : bool;
   audit : Rewind_log.t;  (* durable rewind intent + incident audit log *)
   flight : Flight.t;  (* per-domain event rings in monitor memory *)
-  flight_snap : int;  (* events snapshotted per victim at rewind intent *)
   mutable rewind_fault_hook : (unit -> bool) option;
       (* chaos probe consulted before each discard step of a rewind;
          [true] simulates a second fault arriving mid-rewind *)
@@ -186,8 +182,6 @@ type t = {
   c_incidents_resumed : Telemetry.Metrics.counter;
   c_rewind_interrupts : Telemetry.Metrics.counter;
   c_key_evictions : Telemetry.Metrics.counter;
-  c_incidents : Telemetry.Metrics.counter;
-  c_dropped_incidents : Telemetry.Metrics.counter;
   c_enters : Telemetry.Metrics.counter;
   c_exits : Telemetry.Metrics.counter;
   c_gate_batched : Telemetry.Metrics.counter;
@@ -222,18 +216,22 @@ let set_race_observer t o = t.race_observer <- o
 let race_emit t ev =
   match t.race_observer with Some f -> f ev | None -> ()
 
-let record_incident t fault =
-  Queue.push fault t.incident_q;
-  if Queue.length t.incident_q > t.incident_cap then begin
-    ignore (Queue.pop t.incident_q);
-    Telemetry.Metrics.inc t.c_dropped_incidents
-  end;
-  Telemetry.Metrics.inc t.c_incidents;
+(* The rewind paths' event: built only when an observer is installed. *)
+let race_rewind t ts victims =
+  match t.race_observer with
+  | Some f ->
+      let victims = List.map (fun v -> v.udi) victims in
+      f (Rv_rewind { tid = ts.t_tid; victims })
+  | None -> ()
+
+(* Hand an incident to the subscribers (e.g. a SIEM, §VI
+   "Applicability"); its history is the audit log. *)
+let report_incident t fault =
   Telemetry.Trace.instant t.tracer "incident"
     ~args:[ ("udi", string_of_int fault.failed_udi) ];
   Log.info (fun m ->
       m "incident: %a" (fun ppf f -> Types.pp_fault ppf f) fault);
-  match t.incident_handler with Some h -> h fault | None -> ()
+  List.iter (fun f -> f fault) t.subscribers
 
 (* §VI syscall oracle: a nested domain reaching the kernel interface
    directly is treated as an attack unless the domain opted in; calls made
@@ -250,12 +248,17 @@ let install_syscall_oracle t =
                  (Attack_detected (Printf.sprintf "unsanctioned syscall %s" op))
            | _ -> ()))
 
-let create ?(seed = 1) ?(monitor_size = 256 * 1024)
-    ?(root_heap_size = 4 * 1024 * 1024) ?(default_stack_size = 64 * 1024)
-    ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
+(* The monitor's fixed geometry. *)
+let monitor_size = 256 * 1024
+let root_heap_size = 4 * 1024 * 1024
+let root_stack_size = 64 * 1024  (* each thread's root-domain stack *)
+let audit_log_cap = 256  (* committed incident records retained *)
+let flight_log_cap = 32  (* events per domain's flight ring *)
+let flight_snap = 8  (* events per victim frozen into an audit record *)
+
+let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
     ?(virtual_keys = false) ?(sanitizer = false) ?(verify_policy = false)
-    ?metrics ?tracer ?(incident_log_cap = 1024) ?(audit_log_cap = 256)
-    ?(flight_log_cap = 32) ?(flight_snap = 8) space =
+    ?metrics ?tracer space =
   let alloc_key () =
     match Space.pkey_alloc space with Some k -> k | None -> err Out_of_pkeys
   in
@@ -303,15 +306,11 @@ let create ?(seed = 1) ?(monitor_size = 256 * 1024)
     sanitizer;
     verify_policy;
     key_clock = 0;
-    default_stack_size;
     default_heap_size;
-    incident_cap = max 1 incident_log_cap;
-    incident_q = Queue.create ();
-    incident_handler = None;
+    subscribers = [];
     in_monitor = false;
     audit;
     flight;
-    flight_snap = max 0 flight_snap;
     rewind_fault_hook = None;
     race_observer = None;
     journal_probes = [];
@@ -332,12 +331,6 @@ let create ?(seed = 1) ?(monitor_size = 256 * 1024)
     c_key_evictions =
       M.counter metrics "sdrad_key_evictions_total"
         ~help:"Dormant domains parked to recycle a protection key";
-    c_incidents =
-      M.counter metrics "sdrad_incidents_total"
-        ~help:"Faults reported to the incident log";
-    c_dropped_incidents =
-      M.counter metrics "sdrad_dropped_incidents_total"
-        ~help:"Incidents evicted from the bounded incident log";
     c_enters =
       M.counter metrics "sdrad_domain_enters_total"
         ~help:"Switches into a nested domain";
@@ -535,7 +528,7 @@ let thread_state t =
   if not ts.constructed then begin
     (* Thread constructor (§IV-B): set up a per-thread root stack and the
        initial access policy. *)
-    let len = t.default_stack_size in
+    let len = root_stack_size in
     let base = Space.mmap t.space ~len ~prot:Prot.rw ~pkey:t.root_pkey in
     ts.root_sp <- base + len;
     ts.root_stack_base <- base;
@@ -1104,6 +1097,31 @@ let trigger_of_cause = function
 let journal_replays t =
   List.fold_left (fun acc probe -> acc + probe ()) 0 t.journal_probes
 
+(* Phase 3: the incident joins the audit log. *)
+let commit_audit t ~at =
+  Rewind_log.commit t.audit ~at ~journal_replays:(journal_replays t)
+
+(* Phase 1 — intent, shared by a rewind, the collateral teardown under a
+   grandparent rewind (~continue:true) and a refused merge. A fresh
+   incident first commits a stale in-flight one (a grandparent rewind
+   whose outer frame never ran), so the log cannot wedge, and records its
+   trigger so the flight excerpt frozen below ends on it. *)
+let begin_audit t ts ~continue ~target ~kind ~si ~fault_addr ~msg ~at victims
+    =
+  if not continue then begin
+    if Rewind_log.pending t.audit then commit_audit t ~at;
+    Flight.record t.flight ~udi:target ~tid:ts.t_tid ~at:(int_of_float at)
+      ~trace:ts.trace ~arg:fault_addr Flight.Fault
+  end;
+  Rewind_log.begin_incident t.audit ~continue ~target ~tid:ts.t_tid ~kind ~si
+    ~fault_addr ~msg ~at
+    ~events:
+      (List.concat_map
+         (fun v -> Flight.snapshot t.flight ~udi:v.udi ~n:flight_snap)
+         victims)
+    ~subtree:(List.map (extent_of t) victims)
+    ()
+
 (* The two accounted steps of every switch, in and out. The spans — and
    their closures — exist only while the tracer is on; the charges are
    the same either way. *)
@@ -1233,6 +1251,8 @@ let merge_into_current t ts regions ~from =
     regions;
   Tlsf.merge target ~from
 
+let merge_refusal = "corrupted sub-heap discarded instead of merged"
+
 let destroy t udi ~heap =
   let ts = thread_state t in
   match By_udi.find t.datas udi with
@@ -1285,14 +1305,22 @@ let destroy t udi ~heap =
                     inst.heap_regions <- [];
                     inst.heap <- None
                   end));
+          (* A refused merge discards the domain because its heap is
+             corrupt: an incident, audited like a rewind. *)
+          let audited =
+            !merge_refused
+            && begin_audit t ts ~continue:false ~target:udi ~kind:`Explicit
+                 ~si:"-" ~fault_addr:0 ~msg:merge_refusal ~at:(now ()) [ inst ]
+          in
           discard_instance t ts inst;
+          if audited then commit_audit t ~at:(now ());
           ts.cur_pkru <- compute_pkru t ts);
       Telemetry.Metrics.inc t.c_destroys;
       if !merge_refused then
-        record_incident t
+        report_incident t
           {
             failed_udi = udi;
-            cause = Explicit "corrupted sub-heap discarded instead of merged";
+            cause = Explicit merge_refusal;
             tid = ts.t_tid;
             at = now ();
           }
@@ -1662,43 +1690,15 @@ let abnormal_exit ?(record = true) t ts inst fault =
           charge t.cost.context_restore);
       with_monitor t ts (fun () ->
           let victims = rewind_victims ts inst in
-          (match t.race_observer with
-          | Some f ->
-              f
-                (Types.Rv_rewind
-                   {
-                     tid = ts.t_tid;
-                     victims = List.map (fun v -> v.udi) victims;
-                   })
-          | None -> ());
-          (* Phase 1 — intent. A fresh incident first finalizes any stale
-             in-flight record (a grandparent rewind whose outer frame
-             never ran), so the log cannot wedge. A [~record:false] exit
-             is the collateral parent level of a grandparent rewind: its
-             subtree chains onto the in-flight incident instead of
-             opening a second one. *)
-          if record && Rewind_log.pending t.audit then
-            Rewind_log.commit t.audit ~at:t0
-              ~journal_replays:(journal_replays t);
+          race_rewind t ts victims;
+          (* Phase 1 — intent. A [~record:false] exit is the collateral
+             parent level of a grandparent rewind: its subtree chains
+             onto the in-flight incident instead of opening a second
+             one. *)
           let kind, si, fault_addr, msg = trigger_of_cause fault.cause in
-          (* The fault lands in the target's flight ring first, so the
-             snapshot below — the black-box excerpt frozen into the
-             audit record — ends on the event that triggered it. *)
-          if record then
-            Flight.record t.flight ~udi:fault.failed_udi ~tid:ts.t_tid
-              ~at:(int_of_float t0) ~trace:ts.trace ~arg:fault_addr
-              Flight.Fault;
-          let events =
-            List.concat_map
-              (fun v -> Flight.snapshot t.flight ~udi:v.udi ~n:t.flight_snap)
-              victims
-          in
           let audited =
-            Rewind_log.begin_incident t.audit ~continue:(not record)
-              ~target:fault.failed_udi ~tid:ts.t_tid ~kind ~si ~fault_addr
-              ~msg ~at:t0 ~events
-              ~subtree:(List.map (extent_of t) victims)
-              ()
+            begin_audit t ts ~continue:(not record) ~target:fault.failed_udi
+              ~kind ~si ~fault_addr ~msg ~at:t0 victims
           in
           Telemetry.Trace.with_span t.tracer "rewind.heap_discard" (fun () ->
               drive_discards t ts ~audited victims);
@@ -1706,8 +1706,7 @@ let abnormal_exit ?(record = true) t ts inst fault =
              the incident in flight: the collateral exit at the parent
              level (or, failing that, the next incident) completes it. *)
           if (not record) || inst.opts.rewind = Parent then begin
-            Rewind_log.commit t.audit ~at:(now ())
-              ~journal_replays:(journal_replays t);
+            commit_audit t ~at:(now ());
             if t.pending_interrupted then begin
               Telemetry.Metrics.inc t.c_incidents_resumed;
               t.pending_interrupted <- false
@@ -1716,9 +1715,9 @@ let abnormal_exit ?(record = true) t ts inst fault =
           Telemetry.Trace.with_span t.tracer "rewind.policy_update" (fun () ->
               ts.cur_pkru <- compute_pkru t ts)));
   Telemetry.Metrics.observe t.h_rewind_cycles (now () -. t0);
-  (* Report the incident (e.g. to a SIEM, §VI "Applicability") outside the
-     monitor bracket, in the parent's context. *)
-  if record then record_incident t fault
+  (* Report the incident outside the monitor bracket, in the parent's
+     context. *)
+  if record then report_incident t fault
 
 (* Clean up our instance when a foreign exception unwinds through the
    init frame: force-exit if entered, then discard everything, subtree
@@ -1732,27 +1731,12 @@ let teardown_passthrough t ts inst frame_id =
     with_monitor t ts (fun () ->
         ts.entered <- List.filter (fun i -> not (i == inst)) ts.entered;
         let victims = descendants_post ts inst.udi ~except:[] @ [ inst ] in
-        (match t.race_observer with
-        | Some f ->
-            f
-              (Types.Rv_rewind
-                 {
-                   tid = ts.t_tid;
-                   victims = List.map (fun v -> v.udi) victims;
-                 })
-        | None -> ());
+        race_rewind t ts victims;
         let audited =
           Rewind_log.pending t.audit
-          && Rewind_log.begin_incident t.audit ~continue:true
-               ~target:inst.udi ~tid:ts.t_tid ~kind:`Explicit ~si:"-"
-               ~fault_addr:0 ~msg:"collateral teardown" ~at:(now ())
-               ~events:
-                 (List.concat_map
-                    (fun v ->
-                      Flight.snapshot t.flight ~udi:v.udi ~n:t.flight_snap)
-                    victims)
-               ~subtree:(List.map (extent_of t) victims)
-               ()
+          && begin_audit t ts ~continue:true ~target:inst.udi ~kind:`Explicit
+               ~si:"-" ~fault_addr:0 ~msg:"collateral teardown" ~at:(now ())
+               victims
         in
         List.iteri
           (fun idx d ->
@@ -1840,8 +1824,6 @@ let is_initialized t udi =
   | exception Not_found -> false
 
 let rewind_count t = Telemetry.Metrics.counter_value t.c_rewinds
-let incidents t = List.of_seq (Queue.to_seq t.incident_q)
-let dropped_incidents t = Telemetry.Metrics.counter_value t.c_dropped_incidents
 
 (* {2 Rewind audit log}
 
@@ -1871,18 +1853,7 @@ let set_rewind_fault_hook t hook = t.rewind_fault_hook <- hook
 let add_journal_probe t probe = t.journal_probes <- probe :: t.journal_probes
 let metrics t = t.metrics
 let tracer t = t.tracer
-let set_incident_handler t h = t.incident_handler <- Some h
-
-(* Compose instead of clobber: the new handler runs first, then whatever
-   was installed before it. Lets a supervisor subscribe without stealing
-   the slot from application reporting (and vice versa). *)
-let add_incident_handler t h =
-  let prev = t.incident_handler in
-  t.incident_handler <-
-    Some
-      (fun f ->
-        h f;
-        match prev with Some p -> p f | None -> ())
+let on_incident t f = t.subscribers <- f :: t.subscribers
 
 let on_abnormal_cleanup t f =
   let ts = thread_state t in
@@ -1905,7 +1876,7 @@ let domain_pkey t udi =
 let monitor_bytes t = Tlsf.used_bytes t.monitor_heap
 let monitor_pkey t = t.monitor_pkey
 let root_pkey t = t.root_pkey
-let has_incident_handler t = t.incident_handler <> None
+let has_incident_handler t = t.subscribers <> []
 let sanitizer_enabled t = t.sanitizer
 
 (* Structured snapshot of the monitor's declared state, the input to the

@@ -41,9 +41,6 @@ exception Attack_detected of string
 
 val create :
   ?seed:int ->
-  ?monitor_size:int ->
-  ?root_heap_size:int ->
-  ?default_stack_size:int ->
   ?default_heap_size:int ->
   ?stack_reuse:bool ->
   ?virtual_keys:bool ->
@@ -51,15 +48,14 @@ val create :
   ?verify_policy:bool ->
   ?metrics:Telemetry.Metrics.t ->
   ?tracer:Telemetry.Trace.t ->
-  ?incident_log_cap:int ->
-  ?audit_log_cap:int ->
-  ?flight_log_cap:int ->
-  ?flight_snap:int ->
   Vmem.Space.t ->
   t
 (** Link SDRaD into a simulated process: allocates the monitor data domain
-    and the root domain's protection key, sets up the root heap, and
-    installs the fault-conversion machinery. [stack_reuse] enables the
+    (256 KiB) and the root domain's protection key, sets up the root heap
+    (4 MiB), and installs the fault-conversion machinery. [seed] seeds
+    the stack canary; [default_heap_size] (default 256 KiB) sizes a data
+    domain's heap when {!init_data} names none, and each region the root
+    heap or a data domain's heap grows by. [stack_reuse] enables the
     §IV-C optimization of recycling stack areas of destroyed domains
     (default [true]; ablation A2 turns it off). [virtual_keys] enables
     libmpk-style key virtualization (§IV-B): when the 15 hardware keys
@@ -79,14 +75,9 @@ val create :
 
     [metrics] and [tracer] supply a shared {!Telemetry} registry and span
     tracer; fresh (private) ones are created when omitted. The tracer
-    starts disabled. [incident_log_cap] bounds the retained incident log
-    (default 1024, minimum 1); older incidents are evicted and counted in
-    {!dropped_incidents}. [audit_log_cap] (default 256, minimum 1)
-    likewise bounds the durable rewind audit log in monitor memory (see
-    {!audit_records}). [flight_log_cap] (default 32, minimum 1) bounds
-    each domain's flight-recorder ring ({!flight_events});
-    [flight_snap] (default 8) is how many trailing events per victim
-    domain are frozen into the audit record at rewind-intent time. *)
+    starts disabled. Each domain's flight-recorder ring
+    ({!flight_events}) holds its last 32 events; an audit record freezes
+    the last 8 of each domain it discards. *)
 
 val space : t -> Vmem.Space.t
 
@@ -135,7 +126,9 @@ val destroy : t -> udi -> heap:[ `Discard | `Merge ] -> unit
 (** Delete a (non-entered) child domain. [`Merge] coalesces the child's
     sub-heap into the current domain's heap — live allocations survive and
     become owned by the current domain ([NO_HEAP_MERGE] in the paper is
-    [`Discard]). The stack area is recycled when stack reuse is enabled.
+    [`Discard]). A child heap that fails its integrity walk is discarded
+    instead: an incident, audited and reported to {!on_incident}
+    subscribers. The stack area is recycled when stack reuse is enabled.
     Also deletes data domains (with [`Discard]). *)
 
 val deinit : t -> udi -> unit
@@ -226,16 +219,6 @@ val current : t -> udi
 val is_initialized : t -> udi -> bool
 val rewind_count : t -> int
 
-val incidents : t -> fault list
-(** Retained abnormal domain exits, oldest first — the raw material for
-    the paper's §VI suggestion of reporting rewinds to a Security
-    Information and Event Management system. The log is a bounded ring
-    (see [incident_log_cap] of {!create}): once full, recording a new
-    incident evicts the oldest one. *)
-
-val dropped_incidents : t -> int
-(** Incidents evicted from the bounded log so far. *)
-
 (** {1 Rewind audit log}
 
     Every multi-domain rewind is a two-phase transaction against a
@@ -245,18 +228,23 @@ val dropped_incidents : t -> int
     and a commit that turns the intent into an append-only incident
     record. A fault arriving mid-rewind resumes the in-flight discard
     from the intent instead of leaving a half-discarded tree. See
-    INTERNALS §12 and {!Checkpoint.Rewind_log}. *)
+    INTERNALS §12 and {!Checkpoint.Rewind_log}. The log is the monitor's
+    only incident store: one record per rewind, and one per [`Merge]
+    {!destroy} refused because the child's sub-heap is corrupt. *)
 
 val audit_records : t -> Checkpoint.Rewind_log.record list
-(** Committed incident records, oldest first. Safe to call from inside or
-    outside simulated threads (monitor privileges are raised around the
-    protected-memory reads). *)
+(** The last 256 incident records, oldest first — the history §VI
+    suggests reporting to a SIEM. Safe from inside or outside simulated
+    threads; inside one, monitor privileges are raised around the
+    protected-memory reads, which costs simulated cycles. *)
 
 val audit_appended : t -> int
-(** Incidents ever committed to the audit log. *)
+(** Incidents ever committed to the audit log; reading it costs no
+    simulated cycles. A rewind whose record could not be stored is not
+    counted. *)
 
 val audit_dropped : t -> int
-(** Audit records evicted from the bounded ring ([audit_log_cap]). *)
+(** Audit records evicted from the bounded ring. *)
 
 val audit_retained : t -> int
 (** Audit records currently held. *)
@@ -358,16 +346,12 @@ val tracer : t -> Telemetry.Trace.t
     {!Telemetry.Trace.set_enabled} (disabled by default — spans then cost
     one branch). *)
 
-val set_incident_handler : t -> (fault -> unit) -> unit
-(** Invoke a callback after every abnormal exit (once the parent's
-    privileges are restored); use for alerting, rate-limiting rewinds, or
-    firewalling repeat offenders. Replaces any existing handler. *)
-
-val add_incident_handler : t -> (fault -> unit) -> unit
-(** Like {!set_incident_handler} but composes: the new handler runs
-    first, then the previously installed one(s). This is how a
-    {e supervisor} subscribes without stealing the slot from application
-    reporting. *)
+val on_incident : t -> (fault -> unit) -> unit
+(** Subscribe [f] to incidents: it runs after every rewind and refused
+    merge, back in the parent with its privileges restored — for
+    alerting, rate-limiting rewinds or firewalling repeat offenders, as
+    a supervisor does. Subscribers run newest first; none is ever
+    removed or replaced. *)
 
 (** [on_abnormal_cleanup t f] registers [f] to run if the {e current}
     (entered) domain exits abnormally — the building block for
@@ -386,8 +370,8 @@ val monitor_pkey : t -> int
 val root_pkey : t -> int
 
 val has_incident_handler : t -> bool
-(** Whether any incident handler is installed (a supervisor counts) — the
-    policy verifier's evidence that rewinds are observed somewhere. *)
+(** Whether any incident subscriber is installed (a supervisor counts) —
+    the policy verifier's evidence that rewinds are observed somewhere. *)
 
 val sanitizer_enabled : t -> bool
 (** Whether this monitor was created with [~sanitizer:true]. *)

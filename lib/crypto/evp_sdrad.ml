@@ -9,7 +9,6 @@ type t = {
   sd : Api.t;
   space : Space.t;
   udi : int;
-  data_udi : int;
   ch : choice;
   mutable ctx : int;  (* context address inside the OpenSSL domain *)
   mutable healthy : bool;
@@ -39,7 +38,10 @@ let create_domain sd ~udi ~key ~iv =
       Api.deinit sd udi;
       ctx)
 
-let setup sd ?(udi = 14) ?(data_udi = 15) ~choice ~key ~iv () =
+(* The shared data domain staging buffers cross through. *)
+let data_udi = 15
+
+let setup sd ?(udi = 14) ~choice ~key ~iv () =
   Api.init_data sd ~udi:data_udi ~heap_size:(256 * 1024) ();
   Api.dprotect sd ~udi ~tddi:data_udi Prot.rw;
   let ctx = create_domain sd ~udi ~key ~iv in
@@ -47,7 +49,6 @@ let setup sd ?(udi = 14) ?(data_udi = 15) ~choice ~key ~iv () =
     sd;
     space = Api.space sd;
     udi;
-    data_udi;
     ch = choice;
     ctx;
     healthy = true;
@@ -60,8 +61,8 @@ let recover t ~key ~iv =
   t.ctx <- create_domain t.sd ~udi:t.udi ~key ~iv;
   t.healthy <- true
 
-let data_malloc t n = Api.malloc t.sd ~udi:t.data_udi n
-let data_free t p = Api.free t.sd ~udi:t.data_udi p
+let data_malloc t n = Api.malloc t.sd ~udi:data_udi n
+let data_free t p = Api.free t.sd ~udi:data_udi p
 let inject_fault_next_call t = t.fault_next <- true
 
 let check_healthy t =
@@ -89,7 +90,7 @@ let encrypt_update t ~out ~in_ ~inl =
       let args_in, owned_in =
         match t.ch with
         | Copy_in_out ->
-            let p = Api.malloc t.sd ~udi:t.data_udi inl in
+            let p = Api.malloc t.sd ~udi:data_udi inl in
             Space.blit t.space ~src:in_ ~dst:p ~len:inl;
             (p, true)
         | Read_parent | Shared_buffers -> (in_, false)
@@ -97,7 +98,7 @@ let encrypt_update t ~out ~in_ ~inl =
       let args_out, owned_out =
         match t.ch with
         | Copy_in_out | Read_parent ->
-            (Api.malloc t.sd ~udi:t.data_udi (inl + Evp.cipher_block_size), true)
+            (Api.malloc t.sd ~udi:data_udi (inl + Evp.cipher_block_size), true)
         | Shared_buffers -> (out, false)
       in
       Api.enter t.sd t.udi;
@@ -108,9 +109,9 @@ let encrypt_update t ~out ~in_ ~inl =
       Api.exit_domain t.sd;
       if owned_out then begin
         Space.blit t.space ~src:args_out ~dst:out ~len:outl;
-        Api.free t.sd ~udi:t.data_udi args_out
+        Api.free t.sd ~udi:data_udi args_out
       end;
-      if owned_in then Api.free t.sd ~udi:t.data_udi args_in;
+      if owned_in then Api.free t.sd ~udi:data_udi args_in;
       Api.deinit t.sd t.udi;
       Result.Ok outl)
 
@@ -121,14 +122,14 @@ let encrypt_final t ~tag_out =
       t.healthy <- false;
       Result.Error fault)
     (fun () ->
-      let staged = Api.malloc t.sd ~udi:t.data_udi 16 in
+      let staged = Api.malloc t.sd ~udi:data_udi 16 in
       Api.enter t.sd t.udi;
       if t.fault_next then sabotage t;
       Evp.encrypt_final t.space ~ctx:t.ctx ~tag_out:staged;
       Api.exit_domain t.sd;
       let tag = Space.read_string t.space staged 16 in
       if tag_out <> 0 then Space.blit t.space ~src:staged ~dst:tag_out ~len:16;
-      Api.free t.sd ~udi:t.data_udi staged;
+      Api.free t.sd ~udi:data_udi staged;
       Api.deinit t.sd t.udi;
       Result.Ok tag)
 
@@ -140,5 +141,5 @@ let destroy t =
       ~on_rewind:(fun _ -> ())
       (fun () -> Api.destroy t.sd t.udi ~heap:`Discard)
   end;
-  Api.destroy t.sd t.data_udi ~heap:`Discard;
+  Api.destroy t.sd data_udi ~heap:`Discard;
   t.healthy <- false

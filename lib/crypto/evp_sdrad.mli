@@ -29,14 +29,13 @@ type t
 val setup :
   Sdrad.Api.t ->
   ?udi:int ->
-  ?data_udi:int ->
   choice:choice ->
   key:string ->
   iv:string ->
   unit ->
   t
 (** Create the persistent OpenSSL domain (default udi 14), the shared data
-    domain (default udi 15), and an encryption context inside the former.
+    domain (udi 15), and an encryption context inside the former.
     Must be called from the root domain. *)
 
 val choice : t -> choice

@@ -1,7 +1,6 @@
 type t = { fs : Vfs.t }
 
-let create ?(fs_blocks = 2048) space =
-  { fs = Vfs.format space ~blocks:fs_blocks () }
+let create space = { fs = Vfs.format space ~blocks:2048 () }
 
 let gen_body size =
   String.init size (fun i -> Char.chr (Char.code 'a' + (i mod 23)))

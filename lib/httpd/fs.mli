@@ -5,8 +5,8 @@
 
 type t
 
-val create : ?fs_blocks:int -> Vmem.Space.t -> t
-(** Format a fresh filesystem (default 2048 blocks = 8 MiB). *)
+val create : Vmem.Space.t -> t
+(** Format a fresh filesystem of 2048 blocks (8 MiB). *)
 
 val add : t -> path:string -> size:int -> unit
 (** Publish a document of the given size with deterministic contents.

@@ -182,11 +182,11 @@ let stats_reply t =
        string_of_int (Telemetry.Metrics.counter_value t.c_dropped));
       ("busy_rejections", string_of_int (Serve.busy_rejections t.core));
       ("slab_pages", string_of_int (Slab.pages_allocated t.slab));
-      (* Operator truth about the bounded incident log: how many rewind
-         reports the monitor had to evict (0 for the Baseline variant). *)
+      (* Operator truth about the bounded audit log: how many incident
+         records the monitor had to evict (0 for the Baseline variant). *)
       ("dropped_incidents",
        match t.sd with
-       | Some sd -> string_of_int (Api.dropped_incidents sd)
+       | Some sd -> string_of_int (Api.audit_dropped sd)
        | None -> "0");
     ]
 

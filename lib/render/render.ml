@@ -1,6 +1,7 @@
 module Space = Vmem.Space
 module Api = Sdrad.Api
 module Types = Sdrad.Types
+module Rewind_log = Checkpoint.Rewind_log
 
 exception Bad_image of string
 
@@ -127,10 +128,13 @@ let decode_isolated sd ?(udi = 8) ~vulnerable image =
          the framebuffer lives on; the domain itself is gone. If the
          sub-heap fails its pre-merge integrity walk (the decoder
          corrupted it without faulting), the memory is discarded and the
-         incident surfaces as an error. *)
-      let incidents_before = List.length (Api.incidents sd) in
+         incident surfaces as an error. Only then is the audit log read:
+         a clean decode pays for no monitor-memory reads. *)
+      let appended = Api.audit_appended sd in
       Api.destroy sd udi ~heap:`Merge;
-      match List.nth_opt (List.rev (Api.incidents sd)) 0 with
-      | Some fault when List.length (Api.incidents sd) > incidents_before ->
-          Result.Error fault
-      | _ -> Result.Ok d)
+      if Api.audit_appended sd = appended then Result.Ok d
+      else
+        let r = List.hd (List.rev (Api.audit_records sd)) in
+        let cause = Types.Explicit r.Rewind_log.r_msg in
+        Result.Error
+          { failed_udi = r.r_target; cause; tid = r.r_tid; at = r.r_end })

@@ -216,7 +216,7 @@ let attach ?(policy = default_policy) sd =
   M.gauge_fn metrics "supervisor_supervised_domains"
     ~help:"Domains with supervision state" (fun () ->
       float_of_int (Hashtbl.length t.domains));
-  Api.add_incident_handler sd (on_incident t);
+  Api.on_incident sd (on_incident t);
   t
 
 let admit t ~udi =

@@ -37,9 +37,9 @@ val default_policy : policy
 type t
 
 val attach : ?policy:policy -> Sdrad.Api.t -> t
-(** Install the supervisor on a monitor instance. Composes with any
-    incident handler already present ({!Sdrad.Api.add_incident_handler}),
-    so application-level handlers keep firing. *)
+(** Install the supervisor on a monitor instance as one more incident
+    subscriber ({!Sdrad.Api.on_incident}), so application-level
+    subscribers keep firing whether they subscribed before or after. *)
 
 type verdict =
   | Admitted

@@ -375,9 +375,9 @@ module Context = struct
   let child t n = { t with span = n }
   let trace t = t.trace
   let span t = t.span
-  let of_trace ?(span = 0) trace =
+  let of_trace trace =
     let trace = mask62 trace in
-    if trace = 0L then None else Some { trace; span }
+    if trace = 0L then None else Some { trace; span = 0 }
   let trace_hex t = Printf.sprintf "%016Lx" t.trace
 
   let is_hex s =
@@ -420,7 +420,8 @@ module Context = struct
         match
           (Int64.of_string_opt ("0x" ^ tr), int_of_string_opt ("0x" ^ sp))
         with
-        | Some id, Some span -> of_trace ~span id
+        | Some id, Some span -> (
+            match of_trace id with Some t -> Some (child t span) | None -> None)
         | _ -> None)
     | _ -> None
 end

@@ -172,9 +172,9 @@ module Context : sig
   val trace : t -> int64
   val span : t -> int
 
-  val of_trace : ?span:int -> int64 -> t option
-  (** Rebuild a context from a wire-decoded 64-bit id; [None] for the
-      zero "no context" id. *)
+  val of_trace : int64 -> t option
+  (** Rebuild a context, at span 0, from a wire-decoded 64-bit id;
+      [None] for the zero "no context" id. *)
 
   val trace_hex : t -> string
   (** 16 lowercase hex chars — the canonical rendering everywhere

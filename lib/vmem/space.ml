@@ -68,7 +68,7 @@ type t = {
   mutable access_hook : (int -> int -> access -> unit) option;
 }
 
-let create ?(size_mib = 64) ?(cost = Cost.default) () =
+let create ?(size_mib = 64) () =
   let size = size_mib * 1024 * 1024 in
   let pages = size / ps in
   {
@@ -84,7 +84,7 @@ let create ?(size_mib = 64) ?(cost = Cost.default) () =
     pkru_tbl = Hashtbl.create 16;
     cached_tid = min_int;
     cached_pkru = Pkru.all_access;
-    cost;
+    cost = Cost.default;
     (* page 0 reserved: null pointers always fault *)
     free_list = [ (1, pages - 1) ];
     allocs = Hashtbl.create 64;
@@ -169,6 +169,8 @@ let pkey_alloc t =
 let pkey_free t key =
   syscall_gate t "pkey_free";
   if key < 1 || key > 15 then invalid_arg "pkey_free: bad key";
+  if t.pkeys_allocated land (1 lsl key) = 0 then
+    invalid_arg "pkey_free: key not allocated";
   t.pkeys_allocated <- t.pkeys_allocated land lnot (1 lsl key);
   charge t t.cost.syscall
 

@@ -39,11 +39,11 @@ exception
 val pp_access : Format.formatter -> access -> unit
 val pp_si_code : Format.formatter -> si_code -> unit
 
-val create : ?size_mib:int -> ?cost:Simkern.Cost.t -> unit -> t
-(** [create ()] makes a 64 MiB address space by default. [size_mib] sets
-    the address range only: the host cost is the page tables (a few bytes
-    per page) plus one 4 KiB frame per page written, so an unused range
-    costs next to nothing. *)
+val create : ?size_mib:int -> unit -> t
+(** [create ()] makes a 64 MiB address space by default, charging
+    {!Simkern.Cost.default}. [size_mib] sets the address range only: the
+    host cost is the page tables (a few bytes per page) plus one 4 KiB
+    frame per page written, so an unused range costs next to nothing. *)
 
 val cost : t -> Simkern.Cost.t
 val page_size : t -> int
@@ -55,6 +55,9 @@ val pkey_alloc : t -> int option
 (** Allocate one of the 15 non-default keys, or [None] when exhausted. *)
 
 val pkey_free : t -> int -> unit
+(** @raise Invalid_argument for a key that is not allocated, as Linux
+    returns [EINVAL]: a double free shows. *)
+
 val pkeys_in_use : t -> int
 
 val rdpkru : t -> int

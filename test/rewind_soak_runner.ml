@@ -54,7 +54,7 @@ let monitor_leg ~seed =
   in
   Fault_inject.arm_rewind fi sd ~site:"soak.rewind";
   let incidents = ref 0 in
-  Api.set_incident_handler sd (fun _ -> incr incidents);
+  Api.on_incident sd (fun _ -> incr incidents);
   let rng = Rng.create ((seed * 31) + 7) in
   Sched.main (fun _ ->
     let baseline = ref None in

@@ -305,9 +305,9 @@ let test_report_formats () =
 
 let test_of_api_clean () =
   with_sdrad (fun space sd ->
-      (* Servers attach a supervisor (a monitor-wide incident handler);
-         mirror that so rewinds are observed. *)
-      Api.set_incident_handler sd (fun _ -> ());
+      (* Servers attach a supervisor (a monitor-wide incident
+         subscriber); mirror that so rewinds are observed. *)
+      Api.on_incident sd (fun _ -> ());
       Api.run sd ~udi:1
         ~on_rewind:(fun _ -> Alcotest.fail "no rewind expected")
         (fun () ->
@@ -632,6 +632,29 @@ let test_lint_unused_export () =
   check bool "rule registered" true (List.mem "unused-export" L.rule_names);
   remove_tree root
 
+let test_lint_unused_option () =
+  let root =
+    fixture_tree "lint_options"
+      [
+        ( "lib/m/m.mli",
+          "val make :\n  ?size:int ->\n  ?planted:bool ->\n  unit -> int\n\
+           type u = ?ignored:int -> unit\n" );
+        ( "lib/m/m.ml",
+          "type u = ?ignored:int -> unit\n\
+           let make ?(size = 1) ?(planted = false) () =\n\
+          \  if planted then 0 else size\n\
+           let again = make ~planted:true ()\n" );
+        ("bench/b.ml", "let () = print_int (M.make ~size:2 ())\n");
+      ]
+  in
+  let vs = L.scan_tree (Filename.concat root "lib") in
+  check (Alcotest.list string) "only the option no other module passes"
+    [ "val make: no caller outside its module passes ?planted" ]
+    (List.map (fun v -> v.L.v_text) vs);
+  check int "at the parameter" 3 (List.hd vs).L.v_line;
+  check bool "rule registered" true (List.mem "unused-option" L.rule_names);
+  remove_tree root
+
 (* {2 Metric-naming rule}
 
    Runs on raw source (the names it judges are string literals), so the
@@ -695,8 +718,9 @@ let test_lint_metric_naming_accepts () =
 let test_lint_repo_is_clean () =
   (* The acceptance bar behind `make lint`: lib/ has no violations under
      the committed allowlist. Locate the repo root from the build dir.
-     The unused-export rule is left to @lint: it reads every tree beside
-     lib/, which @lint declares as deps and this test does not. *)
+     The unused-export and unused-option rules are left to @lint: they
+     read every tree beside lib/, which @lint declares as deps and this
+     test does not. *)
   let rec find_root d =
     if Sys.file_exists (Filename.concat d "lint.allow") then Some d
     else
@@ -709,7 +733,8 @@ let test_lint_repo_is_clean () =
       let allow = L.load_allowlist (Filename.concat root "lint.allow") in
       let vs =
         List.filter
-          (fun v -> v.L.v_rule <> "unused-export")
+          (fun v ->
+            v.L.v_rule <> "unused-export" && v.L.v_rule <> "unused-option")
           (L.scan_tree ~allow (Filename.concat root "lib"))
       in
       check string "lib/ lints clean" "lint OK: no violations\n" (L.to_text vs)
@@ -766,5 +791,6 @@ let () =
           Alcotest.test_case "metric-naming -" `Quick
             test_lint_metric_naming_accepts;
           Alcotest.test_case "repo clean" `Quick test_lint_repo_is_clean;
+          Alcotest.test_case "unused-option" `Quick test_lint_unused_option;
         ] );
     ]

@@ -12,6 +12,7 @@ module Sched = Simkern.Sched
 module Rng = Simkern.Rng
 module Api = Sdrad.Api
 module Flight = Checkpoint.Flight
+module Rewind_log = Checkpoint.Rewind_log
 module Server = Kvcache.Server
 module Proto = Kvcache.Proto
 
@@ -199,21 +200,6 @@ let kind_name = function
   | Flight.Failover -> "failover"
   | Flight.Race -> "race"
 
-let cause_name = function
-  | Sdrad.Types.Segv { addr; code; access } ->
-      Printf.sprintf "segv 0x%x %s %s" addr
-        (match code with
-        | Space.MAPERR -> "maperr"
-        | Space.ACCERR -> "accerr"
-        | Space.PKUERR -> "pkuerr"
-        | Space.POISON -> "poison")
-        (match access with
-        | Space.Read -> "read"
-        | Space.Write -> "write"
-        | Space.Exec -> "exec")
-  | Sdrad.Types.Stack_smash -> "stack-smash"
-  | Sdrad.Types.Explicit m -> "explicit " ^ m
-
 let run_kv_scenario ~fast seed =
   let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
   let space = w.space and sd = Option.get w.sd and net = w.net in
@@ -286,11 +272,12 @@ let run_kv_scenario ~fast seed =
     (Server.db_bytes s);
   List.iter (Printf.bprintf trace "db: %s\n") (Server.db_check s);
   List.iter
-    (fun f ->
-      Printf.bprintf trace "incident udi=%d tid=%d %s\n" f.Sdrad.Types.failed_udi
-        f.Sdrad.Types.tid
-        (cause_name f.Sdrad.Types.cause))
-    (Api.incidents sd);
+    (fun (r : Rewind_log.record) ->
+      Printf.bprintf trace "incident udi=%d tid=%d %s %s 0x%x %s\n"
+        r.r_target r.r_tid
+        (Rewind_log.kind_to_string r.r_kind)
+        r.r_si r.r_fault_addr r.r_msg)
+    (Api.audit_records sd);
   List.iter
     (fun udi ->
       List.iter

@@ -156,13 +156,15 @@ let test_protect_call_rejection () =
 
 let test_composes_with_existing_handler () =
   with_sdrad (fun space sd ->
-      (* An application incident handler installed before the supervisor
-         must keep firing after the supervisor attaches. *)
-      let app_saw = ref 0 in
-      Api.set_incident_handler sd (fun _ -> incr app_saw);
+      (* Application subscribers added before and after the supervisor
+         attaches all keep firing, and the supervisor keeps counting. *)
+      let before = ref 0 and after = ref 0 in
+      Api.on_incident sd (fun _ -> incr before);
       let sup = Supervisor.attach ~policy:test_policy sd in
+      Api.on_incident sd (fun _ -> incr after);
       ignore (attempt sup sd space ~udi:5 ~crash:true);
-      check int "application handler still fired" 1 !app_saw;
+      check int "earlier subscriber still fired" 1 !before;
+      check int "later subscriber fired" 1 !after;
       check int "supervisor saw it too" 1
         (List.assoc "rewinds_seen" (Supervisor.stats sup)))
 
@@ -519,8 +521,11 @@ let run_injected ~seed =
            List.iter Sched.join !tids))
   in
   let incident_log =
-    Api.incidents (Option.get w.sd)
-    |> List.map (fun f -> Format.asprintf "%a" Types.pp_fault f)
+    Api.audit_records (Option.get w.sd)
+    |> List.map (fun (r : Checkpoint.Rewind_log.record) ->
+           Printf.sprintf "domain %d tid %d %s %s 0x%x %s" r.r_target r.r_tid
+             (Checkpoint.Rewind_log.kind_to_string r.r_kind)
+             r.r_si r.r_fault_addr r.r_msg)
     |> String.concat "\n"
   in
   (Fault_inject.log_to_string fi, incident_log, Server.rewinds s)

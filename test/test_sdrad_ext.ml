@@ -7,6 +7,7 @@ module Sched = Simkern.Sched
 module Api = Sdrad.Api
 module Types = Sdrad.Types
 module Dlock = Sdrad.Dlock
+module Rewind_log = Checkpoint.Rewind_log
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -30,15 +31,15 @@ let test_incident_log () =
   with_sdrad (fun space sd ->
       fault_in_domain sd space 1;
       fault_in_domain sd space 2;
-      let log = Api.incidents sd in
+      let log = Api.audit_records sd in
       check int "two incidents" 2 (List.length log);
       check (Alcotest.list int) "ordered oldest first" [ 1; 2 ]
-        (List.map (fun f -> f.Types.failed_udi) log))
+        (List.map (fun r -> r.Rewind_log.r_target) log))
 
 let test_incident_handler_called () =
   with_sdrad (fun space sd ->
       let seen = ref [] in
-      Api.set_incident_handler sd (fun f ->
+      Api.on_incident sd (fun f ->
           (* Handler runs back in the parent: the failing domain is gone. *)
           check bool "domain already discarded" false
             (Api.is_initialized sd f.Types.failed_udi);
@@ -50,7 +51,7 @@ let test_incident_handler_can_count_and_react () =
   with_sdrad (fun space sd ->
       (* The §VI mitigation sketch: force action after N rewinds. *)
       let strikes = ref 0 in
-      Api.set_incident_handler sd (fun _ -> incr strikes);
+      Api.on_incident sd (fun _ -> incr strikes);
       for _ = 1 to 5 do
         fault_in_domain sd space 1
       done;
@@ -63,7 +64,7 @@ let test_incident_handler_after_cleanups () =
          fires afterwards, back in the parent — so a handler that inspects
          shared state sees the post-cleanup view. *)
       let order = ref [] in
-      Api.set_incident_handler sd (fun _ -> order := `Handler :: !order);
+      Api.on_incident sd (fun _ -> order := `Handler :: !order);
       Api.run sd ~udi:1
         ~on_rewind:(fun _ -> order := `On_rewind :: !order)
         (fun () ->
@@ -99,7 +100,7 @@ let test_incidents_ordered_across_nested_grandparent () =
       grandparent_fault ~outer:1 ~inner:2;
       check (Alcotest.list int) "one incident per fault, oldest first"
         [ 2; 4; 2 ]
-        (List.map (fun f -> f.Types.failed_udi) (Api.incidents sd)))
+        (List.map (fun r -> r.Rewind_log.r_target) (Api.audit_records sd)))
 
 (* {1 Cleanups} *)
 
@@ -434,9 +435,35 @@ let test_incidents_carry_timestamps () =
   with_sdrad (fun space sd ->
       Sched.charge 12_345.0;
       fault_in_domain sd space 1;
-      match Api.incidents sd with
-      | [ f ] -> check bool "timestamped after the charge" true (f.Types.at >= 12_345.0)
+      match Api.audit_records sd with
+      | [ r ] ->
+          check bool "timestamped after the charge" true
+            (r.Rewind_log.r_start >= 12_345.0)
       | _ -> Alcotest.fail "expected one incident")
+
+let test_refused_merge_is_one_incident () =
+  with_sdrad (fun space sd ->
+      let seen = ref [] in
+      Api.on_incident sd (fun f -> seen := f.Types.failed_udi :: !seen);
+      Api.run sd ~udi:7
+        ~on_rewind:(fun _ -> Alcotest.fail "the overflow must not fault")
+        (fun () ->
+          Api.enter sd 7;
+          (* 64 bytes into a 32-byte block with a neighbour: the overflow
+             stays inside the sub-heap and corrupts it silently. *)
+          let p = Api.malloc sd ~udi:7 32 in
+          let (_ : int) = Api.malloc sd ~udi:7 32 in
+          Space.store_string space p (String.make 64 'A');
+          Api.exit_domain sd;
+          Api.destroy sd 7 ~heap:`Merge);
+      (match Api.audit_records sd with
+      | [ r ] ->
+          check int "target" 7 r.Rewind_log.r_target;
+          check Alcotest.string "refusal message"
+            "corrupted sub-heap discarded instead of merged" r.Rewind_log.r_msg
+      | rs ->
+          Alcotest.failf "expected one audit record, got %d" (List.length rs));
+      check (Alcotest.list int) "one subscriber call" [ 7 ] !seen)
 
 let test_waitset_round_robin_fairness () =
   let sched = Sched.create () in
@@ -1037,6 +1064,8 @@ let () =
           Alcotest.test_case "pkey pool shared" `Quick test_pkeys_shared_across_exec_and_data;
           Alcotest.test_case "incident timestamps" `Quick test_incidents_carry_timestamps;
           Alcotest.test_case "waitset fairness" `Quick test_waitset_round_robin_fairness;
+          Alcotest.test_case "refused merge is one incident" `Quick
+            test_refused_merge_is_one_incident;
         ] );
       ( "syscall-oracle",
         [

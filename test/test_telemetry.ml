@@ -361,9 +361,9 @@ let test_aborted_span_flag () =
 
 (* {1 Monitor wiring} *)
 
-let with_sdrad ?tracer ?incident_log_cap f =
+let with_sdrad ?tracer f =
   let space = Space.create ~size_mib:32 () in
-  let sd = Api.create ?tracer ?incident_log_cap space in
+  let sd = Api.create ?tracer space in
   Sched.main (fun _ -> f space sd)
 
 let abort_once sd ~udi =
@@ -374,19 +374,23 @@ let abort_once sd ~udi =
       Api.abort sd "drill")
 
 let test_incident_ring_caps () =
-  with_sdrad ~incident_log_cap:2 (fun _space sd ->
-      for _ = 1 to 3 do
+  with_sdrad (fun _space sd ->
+      for _ = 1 to 258 do
         abort_once sd ~udi:5
       done;
-      check int "ring holds the cap" 2 (List.length (Api.incidents sd));
-      check int "one dropped" 1 (Api.dropped_incidents sd);
-      check int "rewind count unaffected" 3 (Api.rewind_count sd);
+      let records = Api.audit_records sd in
+      check int "ring holds the cap" 256 (List.length records);
+      check (Alcotest.pair int int) "oldest two evicted" (3, 258)
+        ( (List.hd records).Checkpoint.Rewind_log.r_id,
+          (List.nth records 255).Checkpoint.Rewind_log.r_id );
+      check int "two dropped" 2 (Api.audit_dropped sd);
+      check int "rewind count unaffected" 258 (Api.rewind_count sd);
       (* The metrics report totals, not ring occupancy. *)
       let m = Api.metrics sd in
-      check int "incidents total" 3
-        (M.counter_value (M.counter m "sdrad_incidents_total"));
-      check int "dropped total" 1
-        (M.counter_value (M.counter m "sdrad_dropped_incidents_total")))
+      check (Alcotest.option (Alcotest.float 0.)) "appended total"
+        (Some 258.) (M.sample m "sdrad_audit_appended_total");
+      check (Alcotest.option (Alcotest.float 0.)) "dropped total" (Some 2.)
+        (M.sample m "sdrad_audit_dropped_total"))
 
 let test_switch_metrics_and_spans () =
   let tracer = Trace.create () in

@@ -168,6 +168,14 @@ let test_pkey_alloc_limit () =
   Space.pkey_free s 3;
   check (Alcotest.option int) "freed key reusable" (Some 3) (Space.pkey_alloc s)
 
+let test_pkey_double_free () =
+  let s = mk () in
+  let key = Option.get (Space.pkey_alloc s) in
+  Space.pkey_free s key;
+  Alcotest.check_raises "second free is EINVAL"
+    (Invalid_argument "pkey_free: key not allocated") (fun () ->
+      Space.pkey_free s key)
+
 let test_pkey_enforcement () =
   Sched.main (fun _ ->
       let s = mk () in
@@ -886,6 +894,7 @@ let () =
           Alcotest.test_case "pkru per thread" `Quick test_pkru_is_per_thread;
           Alcotest.test_case "pkey_mprotect" `Quick test_pkey_mprotect_rekeys;
           Alcotest.test_case "fault tid" `Quick test_fault_reports_tid;
+          Alcotest.test_case "double free raises" `Quick test_pkey_double_free;
         ] );
       ( "rights",
         [
