@@ -57,10 +57,11 @@ chaos-rewind-soak:
 bench:
 	dune exec bench/main.exe -- quick
 
-# Switch-cost anatomy from span traces; fails if the PKRU-write share
-# of an enter+exit pair leaves the paper's 30-50% band.
+# Switch-cost anatomy (experiment E7): per-pair rows read from the
+# monitor's switch.* spans over 512 warm enter/exit pairs, summing to the
+# pair; fails if the PKRU-write share leaves the paper's 30-50% band.
 telemetry-report:
-	dune exec bench/main.exe -- r2
+	dune exec bench/main.exe -- e7
 
 # End-to-end recovery benchmark: goodput and p99 latency with retrying
 # clients under a ~1% fault rate; emits BENCH_r4.json and fails if any
@@ -76,9 +77,11 @@ bench-r5:
 	dune exec bench/main.exe -- r5
 
 # Batched-gate switch benchmark: request-loop anatomy plain and inside
-# a batched gate, and the kvcache YCSB overhead with batched gates; emits
-# BENCH_gate.json and fails if the batched PKRU share is not below the
-# 30% floor or the overhead does not improve on -3.7%/-6.6% run/load.
+# a batched gate (PKRU cycles summed from switch.pkru_write spans), and
+# the kvcache YCSB overhead with batched gates; emits BENCH_gate.json and
+# fails if the batched PKRU share is not below the 30% floor or the gated
+# run or load overhead is worse than plain sdrad's, measured in the same
+# run.
 bench-gate:
 	dune exec bench/main.exe -- gate
 

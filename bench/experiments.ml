@@ -378,22 +378,24 @@ let e6 () =
 
 let e7 () =
   section "E7 (§V-B) domain switch anatomy: share of the PKRU write";
-  let space = Space.create ~size_mib:192 () in
-  let p = Sched.main (fun _ -> Api.profile_switch (Api.create space)) in
-  let frac part = 100.0 *. part /. p.Api.total_cycles in
+  let a = Scenario.switch_anatomy () in
+  let share c = Printf.sprintf "%.1f%%" (100.0 *. c /. a.pair) in
   table
-    ~header:[ "component"; "cycles"; "share" ]
-    [
-      [ Printf.sprintf "WRPKRU writes (%dx)" p.Api.wrpkru_writes;
-        Printf.sprintf "%.0f" p.Api.wrpkru_cycles;
-        Printf.sprintf "%.0f%%" (frac p.Api.wrpkru_cycles) ];
-      [ "stack switching"; Printf.sprintf "%.0f" p.Api.stack_cycles;
-        Printf.sprintf "%.0f%%" (frac p.Api.stack_cycles) ];
-      [ "monitor bookkeeping"; Printf.sprintf "%.0f" p.Api.bookkeeping_cycles;
-        Printf.sprintf "%.0f%%" (frac p.Api.bookkeeping_cycles) ];
-      [ "total enter+exit pair"; Printf.sprintf "%.0f" p.Api.total_cycles; "100%" ];
-    ];
-  print_endline "paper: 30-50% of domain switching cost is the PKRU write"
+    ~header:[ "span"; "cycles/pair"; "share" ]
+    (List.map (fun (name, c) -> [ name; Printf.sprintf "%.0f" c; share c ])
+       a.rows
+    @ [ [ "enter+exit pair"; Printf.sprintf "%.0f" a.pair; share a.pair ] ]);
+  let pkru = List.assoc "switch.pkru_write" a.rows /. a.pair in
+  Printf.printf
+    "%.0f WRPKRU writes and %.0f elided per pair; paper: 30-50%% of domain \
+     switching cost is the PKRU write\n"
+    a.writes a.elided;
+  if pkru < 0.30 || pkru > 0.50 then begin
+    Printf.eprintf
+      "E7 FAIL: PKRU-write share %.1f%% is outside the paper's 30-50%% band\n"
+      (100.0 *. pkru);
+    exit 1
+  end
 
 (* {1 E8 — the three CVE case studies} *)
 
@@ -954,73 +956,6 @@ let r1 () =
      budget (3) and answers the rest with SERVER_ERROR busy, with no benign \
      losses"
 
-(* {1 R2 — telemetry: switch-cost anatomy from span traces} *)
-
-let r2 () =
-  section
-    "R2 (telemetry) switch-cost anatomy — PKRU-write share of an enter+exit \
-     pair, measured from span traces";
-  let pairs = if !quick then 64 else 512 in
-  let tracer = Telemetry.Trace.create ~capacity:32768 () in
-  let space = Space.create ~size_mib:64 () in
-  Sched.main (fun _ ->
-    let sd = Api.create ~tracer space in
-    let udi = 0x7FFF_FE00 in
-    Api.run sd ~udi
-      ~on_rewind:(fun _ -> assert false)
-      (fun () ->
-        (* Warm-up pair first — and only then enable the tracer — so
-           first-touch page faults and init spans stay out of the
-           aggregate. *)
-        Api.enter sd udi;
-        Api.exit_domain sd;
-        Telemetry.Trace.set_enabled tracer true;
-        for _ = 1 to pairs do
-          Api.enter sd udi;
-          Api.exit_domain sd
-        done;
-        Telemetry.Trace.set_enabled tracer false;
-        Api.destroy sd udi ~heap:`Discard));
-  let agg = Telemetry.Trace.aggregate tracer in
-  let total_of name =
-    match List.assoc_opt name agg with Some (_, c) -> c | None -> 0.0
-  in
-  let count_of name =
-    match List.assoc_opt name agg with Some (n, _) -> n | None -> 0
-  in
-  let pair_total = total_of "switch.enter" +. total_of "switch.exit" in
-  let pkru = total_of "switch.pkru_write" in
-  let share = pkru /. pair_total in
-  table
-    ~header:[ "span"; "count"; "total cycles"; "per pair"; "share of pair" ]
-    (List.map
-       (fun name ->
-         let n = count_of name and c = total_of name in
-         [
-           name;
-           string_of_int n;
-           Printf.sprintf "%.0f" c;
-           Printf.sprintf "%.1f" (c /. float_of_int pairs);
-           Printf.sprintf "%.1f%%" (100.0 *. c /. pair_total);
-         ])
-       [
-         "switch.pkru_write"; "switch.stack_swap"; "switch.bookkeeping";
-         "switch.enter"; "switch.exit";
-       ]);
-  Printf.printf
-    "%d enter+exit pairs: %.0f cycles each (%.2f us); PKRU writes account for \
-     %.1f%% of the pair — paper reports 30-50%%\n"
-    pairs
-    (pair_total /. float_of_int pairs)
-    (us_of (pair_total /. float_of_int pairs))
-    (100.0 *. share);
-  if share < 0.30 || share > 0.50 then begin
-    Printf.eprintf
-      "R2 FAIL: PKRU-write share %.1f%% is outside the paper's 30-50%% band\n"
-      (100.0 *. share);
-    exit 1
-  end
-
 (* {1 R4 — end-to-end recovery: goodput and tail latency under faults} *)
 
 (* Retrying YCSB clients carrying idempotency keys run against the sdrad
@@ -1342,21 +1277,22 @@ let r5 () =
 
    Two halves. (1) Anatomy: a server-shaped request loop — flight-recorder
    admit, enter, exit — measured plain and inside a batched gate; PKRU
-   cycles are derived from the actual write count, never a hardcoded
-   multiplier. A plain request repeats no PKRU value, so value elision
-   removes no write there (which is why the R2 band still holds), while
-   the batched gate drops the share below the 30% floor the paper's
-   anatomy bottoms out at. (2) The kvcache YCSB overhead vs. baseline with
-   batched gates on, which must improve on the recorded -3.7%/-6.6%
-   run/load sdrad overhead. Emits BENCH_gate.json and fails when either
-   gate is missed. *)
+   cycles are the sum of the monitor's [switch.pkru_write] spans. A plain
+   request repeats no PKRU value, so value elision removes no write there
+   (which is why E7's band still holds), while the batched gate drops the
+   share below the 30% floor the paper's anatomy bottoms out at. (2) The
+   kvcache YCSB overhead vs. baseline with batched gates on, which must
+   improve on the plain sdrad overhead measured in the same
+   configuration. Emits BENCH_gate.json and fails when either gate is
+   missed. *)
 let gate () =
   section "GATE — batched gates: PKRU share and kvcache overhead";
   let pairs = if !quick then 128 else 512 in
   let anatomy ~batched =
+    let tracer = Telemetry.Trace.create ~capacity:(16 * pairs) () in
     let space = Space.create ~size_mib:192 () in
     Sched.main (fun _ ->
-        let sd = Api.create space in
+        let sd = Api.create ~tracer space in
         let udi = 0x7FFF_FD00 in
         let total = ref 0.0 and writes = ref 0 and elided = ref 0 in
         Api.run sd ~udi
@@ -1374,6 +1310,7 @@ let gate () =
             let w0 = Space.wrpkru_writes space
             and e0 = Space.pkru_elided space
             and t0 = Sched.now () in
+            Telemetry.Trace.set_enabled tracer true;
             (if batched then
                Api.with_gate sd (fun () ->
                    for _ = 1 to pairs do
@@ -1383,12 +1320,20 @@ let gate () =
                for _ = 1 to pairs do
                  request ()
                done);
+            Telemetry.Trace.set_enabled tracer false;
             total := Sched.now () -. t0;
             writes := Space.wrpkru_writes space - w0;
             elided := Space.pkru_elided space - e0;
             Api.destroy sd udi ~heap:`Discard);
+        assert (Telemetry.Trace.dropped tracer = 0);
         let n = float_of_int pairs in
-        let pkru = float_of_int !writes *. cost.Simkern.Cost.wrpkru in
+        let pkru =
+          match
+            List.assoc_opt "switch.pkru_write" (Telemetry.Trace.aggregate tracer)
+          with
+          | Some (_, c) -> c
+          | None -> 0.0
+        in
         ( !total /. n,
           pkru /. !total,
           float_of_int !writes /. n,
@@ -1446,8 +1391,7 @@ let gate () =
       mc_row "sdrad+gate" gated;
     ];
   Printf.printf
-    "kvcache sdrad overhead: run %.1f%% -> %.1f%%, load %.1f%% -> %.1f%% \
-     (recorded baseline -3.7%%/-6.6%%)\n"
+    "kvcache sdrad overhead: run %.1f%% -> %.1f%%, load %.1f%% -> %.1f%%\n"
     run_plain run_gated load_plain load_gated;
   let oc = open_out "BENCH_gate.json" in
   Printf.fprintf oc
@@ -1465,9 +1409,7 @@ let gate () =
     \  \"kv_run_overhead_pct_plain\": %.2f,\n\
     \  \"kv_load_overhead_pct_plain\": %.2f,\n\
     \  \"kv_run_overhead_pct_gated\": %.2f,\n\
-    \  \"kv_load_overhead_pct_gated\": %.2f,\n\
-    \  \"baseline_run_overhead_pct\": -3.7,\n\
-    \  \"baseline_load_overhead_pct\": -6.6\n\
+    \  \"kv_load_overhead_pct_gated\": %.2f\n\
      }\n"
     pairs p_cycles b_cycles p_share b_share p_writes b_writes
     workers clients records operations run_plain load_plain run_gated
@@ -1480,10 +1422,10 @@ let gate () =
       (100.0 *. b_share);
     exit 1
   end;
-  if run_gated < -3.7 || load_gated < -6.6 then begin
+  if run_gated < run_plain || load_gated < load_plain then begin
     Printf.eprintf
       "GATE FAIL: gated kvcache overhead run %.1f%% / load %.1f%% does not \
-       improve on the -3.7%%/-6.6%% baseline\n"
-      run_gated load_gated;
+       improve on plain sdrad's %.1f%% / %.1f%%\n"
+      run_gated load_gated run_plain load_plain;
     exit 1
   end

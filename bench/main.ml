@@ -25,7 +25,6 @@ let all : (string * (unit -> unit)) list =
     ("a2", Experiments.a2);
     ("a3", Experiments.a3);
     ("r1", Experiments.r1);
-    ("r2", Experiments.r2);
     ("r4", Experiments.r4);
     ("r5", Experiments.r5);
     ("gate", Experiments.gate);

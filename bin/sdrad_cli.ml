@@ -159,21 +159,16 @@ let cve_cmd =
 let switch_cmd =
   let doc = "Print the domain-switch cost anatomy (experiment E7)." in
   let run () =
-    let space = Space.create ~size_mib:32 () in
-    Sched.main (fun _ ->
-        let sd = Api.create space in
-        let p = Api.profile_switch sd in
-        Printf.printf
-          "enter+exit pair: %.0f cycles (%.2f us)\n\
-          \  wrpkru: %.0f cycles (%.0f%%, %d writes, %d elided)\n\
-          \  stack:  %.0f cycles\n\
-          \  monitor bookkeeping: %.0f cycles\n"
-          p.Api.total_cycles
-          (Cost.us_of_cycles cost p.Api.total_cycles)
-          p.Api.wrpkru_cycles
-          (100.0 *. p.Api.wrpkru_cycles /. p.Api.total_cycles)
-          p.Api.wrpkru_writes p.Api.wrpkru_elided p.Api.stack_cycles
-          p.Api.bookkeeping_cycles)
+    let a = Scenario.switch_anatomy () in
+    Printf.printf
+      "enter+exit pair: %.0f cycles (%.2f us), %.0f WRPKRU writes, %.0f \
+       elided\n"
+      a.pair (Cost.us_of_cycles cost a.pair) a.writes a.elided;
+    List.iter
+      (fun (name, c) ->
+        Printf.printf "  %-23s %4.0f cycles (%.1f%%)\n" (name ^ ":") c
+          (100.0 *. c /. a.pair))
+      a.rows
   in
   Cmd.v (Cmd.info "switch" ~doc) Term.(const run $ const ())
 

@@ -63,8 +63,7 @@ let vc_join dst src =
 
 type tstate = {
   tvc : vc;
-  mutable held : int list;  (* exclusive locks held, innermost first *)
-  mutable rheld : int list;  (* read-side rwlocks held *)
+  mutable held : int list;  (* mutexes held, innermost first *)
   mutable dheld : int list;  (* held Dlocks (by scheduler lock id) *)
   mutable dstack : int list;  (* entered nested domains, innermost first *)
 }
@@ -121,7 +120,7 @@ let tstate t tid =
   | Some ts -> ts
   | None ->
       let ts =
-        { tvc = vc_create (); held = []; rheld = []; dheld = []; dstack = [] }
+        { tvc = vc_create (); held = []; dheld = []; dstack = [] }
       in
       vc_set ts.tvc tid 1;
       Hashtbl.replace t.tstates tid ts;
@@ -220,11 +219,10 @@ let process t ts tid g ~owner ~is_w =
   let c = cell_of t g in
   let myclk = vc_get ts.tvc tid in
   (* Eraser refinement: intersect the lockset the accessor holds into the
-     cell's candidate set. Read-held rwlocks count for reads only. *)
-  let lsnow = if is_w then ts.held else ts.held @ ts.rheld in
+     cell's candidate set. *)
   (match c.ls with
-  | None -> c.ls <- Some lsnow
-  | Some prev -> c.ls <- Some (inter prev lsnow));
+  | None -> c.ls <- Some ts.held
+  | Some prev -> c.ls <- Some (inter prev ts.held));
   if is_w then begin
     if c.w_tid >= 0 && c.w_tid <> tid && c.w_clk > vc_get ts.tvc c.w_tid then
       report_race t c g ~owner ~prev_kind:"write" ~prev_tid:c.w_tid ~tid ~is_w;
@@ -336,17 +334,6 @@ let on_sched t ev =
       vc_join (lstate t lock).lvc ts.tvc;
       tick ts tid;
       ts.held <- remove_id lock ts.held
-  | Sched.Rd_locked { lock; tid } ->
-      let ts = tstate t tid in
-      vc_join ts.tvc (lstate t lock).lvc;
-      ts.rheld <- lock :: ts.rheld
-  | Sched.Rd_unlocked { lock; tid } ->
-      let ts = tstate t tid in
-      (* Conservative: the reader's clock joins the lock, giving the next
-         writer an edge over every reader that already unlocked. *)
-      vc_join (lstate t lock).lvc ts.tvc;
-      tick ts tid;
-      ts.rheld <- remove_id lock ts.rheld
 
 (* {1 Monitor events (gates, rewinds, Dlocks, allocation reuse)} *)
 

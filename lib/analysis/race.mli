@@ -17,11 +17,11 @@
     - [lock-discipline] — a Dlock acquired in one domain and released in
       another, or a poisoned Dlock cleared without any guarding write.
 
-    Happens-before edges: spawn/join, mutex release→acquire, rwlock
-    writer/reader edges, gate edges (every domain enter/exit ticks the
-    fiber's clock) and rewind edges (an abnormal exit ticks the victim
-    fiber; poison-release orders the discarded critical section before
-    the next acquirer through the lock's clock).
+    Happens-before edges: spawn/join, mutex release→acquire, gate edges
+    (every domain enter/exit ticks the fiber's clock) and rewind edges
+    (an abnormal exit ticks the victim fiber; poison-release orders the
+    discarded critical section before the next acquirer through the
+    lock's clock).
 
     The detector is {e host-side only}: it allocates no simulated
     memory, performs no checked accesses and charges no virtual time, so

@@ -4,7 +4,7 @@ module Sched = Simkern.Sched
 module Cost = Simkern.Cost
 module Space = Vmem.Space
 
-type snap = { image : Space.image; pages : int; dirty : int }
+type snap = { image : Space.image; pages : int }
 
 let page_size = 4096
 
@@ -35,26 +35,13 @@ let take space =
   let image = Space.checkpoint space in
   let pages = Space.image_bytes image / page_size in
   Sched.charge (dump_cost (Space.cost space) pages);
-  { image; pages; dirty = pages }
-
-let take_incremental space ~base =
-  let image = Space.checkpoint space in
-  let pages = Space.image_bytes image / page_size in
-  let dirty = Space.image_diff_pages base.image image in
-  let cost = Space.cost space in
-  (* Scan everything (page-table walk), persist only the delta. *)
-  Sched.charge
-    (cost.Cost.syscall
-    +. (float_of_int pages *. cost.Cost.mmap_per_page)
-    +. (float_of_int dirty *. float_of_int page_size *. cost.Cost.mem_byte));
-  { image; pages; dirty }
+  { image; pages }
 
 let restore space snap =
   Space.restore_image space snap.image;
   Sched.charge (restore_cost (Space.cost space) snap.pages)
 
-let bytes snap = snap.dirty * page_size
-let dirty_pages snap = snap.dirty
+let bytes snap = snap.pages * page_size
 let take_cycles space snap = dump_cost (Space.cost space) snap.pages
 let restore_cycles space snap = restore_cost (Space.cost space) snap.pages
 

@@ -21,16 +21,6 @@ val take : Vmem.Space.t -> snap
 (** Dump all mapped pages. Charges page-walk plus per-byte copy costs to
     the calling thread. *)
 
-val take_incremental : Vmem.Space.t -> base:snap -> snap
-(** Dump relative to a previous snapshot: all resident pages are still
-    scanned (dirty tracking via soft-dirty bits is kernel work we charge
-    for), but only changed pages are persisted, so the payload — and the
-    dominant write cost — shrinks to the working set. Restoring the
-    result rebuilds the full state (the base's pages are folded in). *)
-
-val dirty_pages : snap -> int
-(** Pages this snapshot actually persisted ([= all] for a full dump). *)
-
 val restore : Vmem.Space.t -> snap -> unit
 (** Restore mappings and contents from a snapshot. Charges per-byte copy
     costs plus a page-fault cost per restored page. *)

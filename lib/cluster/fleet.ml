@@ -24,43 +24,57 @@ module Flight = Checkpoint.Flight
 
 type config = {
   shards : int;
-  vnodes : int;
-  base_port : int;
   router_port : int;
-  hb_port : int;
   router_workers : int;
-  hb_interval : float;
-  hb_timeout : float;
-  forward_timeout : float;
-  shed_wait : float;
-  drain_poll : float;
-  oplog_cap : int;
   space_mib : int;
   kv : Kvcache.Server.config;
-  supervisor_policy : Supervisor.policy;
 }
 
-(* forward_timeout must sit well under the client retry policy's
-   attempt_timeout (400k cycles) so a router busy reply, not a client
-   timeout, is what triggers the retry. *)
 let default_config =
   {
     shards = 4;
-    vnodes = 64;
-    base_port = 12000;
     router_port = 11211;
-    hb_port = 12999;
     router_workers = 4;
-    hb_interval = 50_000.0;
-    hb_timeout = 250_000.0;
-    forward_timeout = 200_000.0;
-    shed_wait = 350_000.0;
-    drain_poll = 5_000.0;
-    oplog_cap = 65536;
     space_mib = 64;
     kv = { Kvcache.Server.default_config with variant = Kvcache.Server.Sdrad };
-    supervisor_policy = Supervisor.default_policy;
   }
+
+(* Ring points per shard. *)
+let vnodes = 64
+
+(* Shard [i] listens on [base_port + i]; the router's heartbeat
+   listener is on [hb_port]. *)
+let base_port = 12000
+let hb_port = 12999
+
+(* Heartbeat period, and the silence after which a shard is down
+   (cycles). *)
+let hb_interval = 50_000.0
+let hb_timeout = 250_000.0
+
+(* Per-forward reply deadline; on expiry the router answers
+   [SERVER_ERROR busy] and abandons the backend connection. It sits well
+   under the clients' per-attempt timeout (400k cycles), so a router
+   busy reply, not a client timeout, is what triggers the retry. *)
+let forward_timeout = 200_000.0
+
+(* Deadline-aware admission: a request that already waited this long in
+   the router queue (or whose client hung up) is answered [SERVER_ERROR
+   busy] at wire speed instead of being forwarded, since under overload
+   that dead work would starve fresh arrivals and collapse goodput;
+   counted in [cluster_router_shed_total]. 350k cycles sits under the
+   400k per-attempt timeout of R5's and perfsuite's retrying clients;
+   but a request forwarded at an age of 350k may still take
+   [forward_timeout] more, 550k in all, past its client's deadline. *)
+let shed_wait = 350_000.0
+
+(* Poll period of the drain and park loops (cycles). *)
+let drain_poll = 5_000.0
+
+(* Acked keyed writes the router retains per shard for re-seeding;
+   evictions are counted in [cluster_oplog_evicted_total], never
+   silent. *)
+let oplog_cap = 65536
 
 let router_flight_udi = 9
 
@@ -172,7 +186,7 @@ let crash_shard s =
 (* {2 Oplog} *)
 
 let oplog_push t s e =
-  if Queue.length s.s_oplog >= t.cfg.oplog_cap then begin
+  if Queue.length s.s_oplog >= oplog_cap then begin
     ignore (Queue.pop s.s_oplog);
     Metrics.inc t.c_evicted
   end;
@@ -208,7 +222,7 @@ let rec reseed t sick =
       if (not tgt.s_crashed) && not (link_up tgt) then begin
         (* Known-finite link outage: wait for the heal, then retry. *)
         Sched.sleep
-          (Float.max t.cfg.drain_poll
+          (Float.max drain_poll
              (tgt.s_partitioned_until -. Sched.now ()));
         replay e tries
       end
@@ -223,7 +237,7 @@ let rec reseed t sick =
         Netsim.send c e.o_req;
         match
           Netsim.recv_deadline c
-            ~deadline:(Sched.now () +. t.cfg.forward_timeout)
+            ~deadline:(Sched.now () +. forward_timeout)
         with
         | Some r when acked r ->
             Metrics.inc t.c_reseeded;
@@ -249,7 +263,7 @@ and failover_locked t s =
   Metrics.inc t.c_failovers;
   (* Drain: admitted requests finish (reply or forward deadline). *)
   while s.s_inflight > 0 do
-    Sched.sleep t.cfg.drain_poll
+    Sched.sleep drain_poll
   done;
   Hash_ring.remove t.ring s.s_idx;
   reseed t s;
@@ -271,7 +285,7 @@ let handle_request t backends c msg req =
   let rec pick () =
     if not t.running then None
     else if t.freeze then begin
-      Sched.sleep t.cfg.drain_poll;
+      Sched.sleep drain_poll;
       pick ()
     end
     else if Hash_ring.size t.ring = 0 then None
@@ -283,7 +297,7 @@ let handle_request t backends c msg req =
       in
       let s = t.shards.(idx) in
       if s.s_state <> Serving then begin
-        Sched.sleep t.cfg.drain_poll;
+        Sched.sleep drain_poll;
         pick ()
       end
       else Some s
@@ -303,7 +317,7 @@ let handle_request t backends c msg req =
         if not (link_up s) then begin
           (* Partitioned/crashed link: the forward vanishes; model the
              client-visible outcome — a full deadline wait. *)
-          Sched.sleep t.cfg.forward_timeout;
+          Sched.sleep forward_timeout;
           None
         end
         else begin
@@ -325,7 +339,7 @@ let handle_request t backends c msg req =
           Netsim.send bc msg;
           match
             Netsim.recv_deadline bc
-              ~deadline:(Sched.now () +. t.cfg.forward_timeout)
+              ~deadline:(Sched.now () +. forward_timeout)
           with
           | Some r -> Some r
           | None ->
@@ -363,7 +377,7 @@ let worker t widx () =
               Netsim.close c
             end
             else if
-              Sched.now () -. arrival > t.cfg.shed_wait
+              Sched.now () -. arrival > shed_wait
               || Netsim.peer_closed c
             then begin
               (* Staleness shed: a request that aged past [shed_wait] in
@@ -414,7 +428,7 @@ let dispatcher t next () =
 let reporter t s conn () =
   let rec loop () =
     if t.running && not s.s_crashed then begin
-      Sched.sleep t.cfg.hb_interval;
+      Sched.sleep hb_interval;
       (match t.faults with
       | Some fi -> (
           (match Fi.decide fi ~site:"cluster.shard" with
@@ -478,12 +492,12 @@ let hb_reader t () =
 let monitor t () =
   let rec loop () =
     if t.running then begin
-      Sched.sleep t.cfg.hb_interval;
+      Sched.sleep hb_interval;
       let now = Sched.now () in
       Array.iter
         (fun s ->
           s.s_health <-
-            (if now -. s.s_hb_last > t.cfg.hb_timeout then "down"
+            (if now -. s.s_hb_last > hb_timeout then "down"
              else Supervisor.breaker_to_string s.s_hb_breaker))
         t.shards;
       Array.iter
@@ -506,8 +520,8 @@ let make_shard t_cfg sched ?faults net m i =
   let space = Space.create ~size_mib:t_cfg.space_mib () in
   let registry = Metrics.create () in
   let sd = Api.create ~metrics:registry ~virtual_keys:true space in
-  let sup = Supervisor.attach ~policy:t_cfg.supervisor_policy sd in
-  let kv_cfg = { t_cfg.kv with Kvcache.Server.port = t_cfg.base_port + i } in
+  let sup = Supervisor.attach sd in
+  let kv_cfg = { t_cfg.kv with Kvcache.Server.port = base_port + i } in
   let sdrad =
     if kv_cfg.Kvcache.Server.variant = Kvcache.Server.Sdrad then Some sd
     else None
@@ -517,7 +531,7 @@ let make_shard t_cfg sched ?faults net m i =
   in
   {
     s_idx = i;
-    s_port = t_cfg.base_port + i;
+    s_port = base_port + i;
     s_sd = sd;
     s_sup = sup;
     s_server = server;
@@ -545,7 +559,7 @@ let start sched ?faults ?metrics net (cfg : config) =
   let shards =
     Array.init cfg.shards (fun i -> make_shard cfg sched ?faults net m i)
   in
-  let ring = Hash_ring.create ~vnodes:cfg.vnodes () in
+  let ring = Hash_ring.create ~vnodes () in
   Array.iter (fun s -> Hash_ring.add ring s.s_idx) shards;
   let t =
     {
@@ -556,7 +570,7 @@ let start sched ?faults ?metrics net (cfg : config) =
       shards;
       ring;
       listener = Netsim.listen net ~port:cfg.router_port;
-      hb_listener = Netsim.listen net ~port:cfg.hb_port;
+      hb_listener = Netsim.listen net ~port:hb_port;
       worker_sets =
         Array.init cfg.router_workers (fun _ -> Netsim.Waitset.create ());
       hb_set = Netsim.Waitset.create ();
@@ -630,7 +644,7 @@ let start sched ?faults ?metrics net (cfg : config) =
   ignore (Sched.spawn sched ~name:"cluster.monitor" (monitor t));
   Array.iter
     (fun s ->
-      let conn = Netsim.connect t.net ~port:cfg.hb_port in
+      let conn = Netsim.connect t.net ~port:hb_port in
       ignore
         (Sched.spawn sched
            ~name:(Printf.sprintf "cluster.hb-%d" s.s_idx)

@@ -42,33 +42,11 @@
 
 type config = {
   shards : int;
-  vnodes : int;  (** ring points per shard *)
-  base_port : int;  (** shard [i] listens on [base_port + i] *)
   router_port : int;  (** client-facing port (kvcache text protocol) *)
-  hb_port : int;  (** router's heartbeat listener *)
   router_workers : int;
-  hb_interval : float;  (** heartbeat period, cycles *)
-  hb_timeout : float;
-      (** declare a shard down after this long without a beat *)
-  forward_timeout : float;
-      (** per-forward reply deadline; on expiry the router answers
-          [SERVER_ERROR busy] and abandons the backend connection *)
-  shed_wait : float;
-      (** deadline-aware admission control: a request that already waited
-          this long in the router queue (or whose client hung up) is
-          answered [SERVER_ERROR busy] at wire speed instead of being
-          forwarded — under overload that dead work would starve fresh
-          arrivals and collapse goodput. Set it just under the clients'
-          per-attempt deadline; counted in [cluster_router_shed_total] *)
-  drain_poll : float;  (** poll period of the drain/park loops *)
-  oplog_cap : int;
-      (** acked keyed writes the router retains per shard for re-seeding;
-          evictions are counted in [cluster_oplog_evicted_total], never
-          silent *)
   space_mib : int;  (** simulated memory per shard *)
   kv : Kvcache.Server.config;
       (** per-shard server template; [port] is overridden per shard *)
-  supervisor_policy : Resilience.Supervisor.policy;
 }
 
 val default_config : config

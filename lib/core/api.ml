@@ -187,7 +187,6 @@ type t = {
   c_gate_batched : Telemetry.Metrics.counter;
   c_inits : Telemetry.Metrics.counter;
   c_destroys : Telemetry.Metrics.counter;
-  h_switch_cycles : Telemetry.Metrics.histogram;
   h_rewind_cycles : Telemetry.Metrics.histogram;
 }
 
@@ -346,9 +345,6 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
     c_destroys =
       M.counter metrics "sdrad_domain_destroys_total"
         ~help:"Explicit domain destroys (execution and data domains)";
-    h_switch_cycles =
-      M.histogram metrics "sdrad_switch_cycles"
-        ~help:"Virtual cycles per domain switch (one enter or one exit)";
     h_rewind_cycles =
       M.histogram metrics "sdrad_rewind_cycles"
         ~help:"Virtual cycles per abnormal exit (context restore + discard)";
@@ -1183,7 +1179,6 @@ let enter t udi =
   if inst.parent <> current_udi_of ts then err Not_a_child;
   if inst.frame = 0 then err Not_initialized;
   touch_key t inst;
-  let t0 = now () in
   if Telemetry.Trace.enabled t.tracer then
     Telemetry.Trace.with_span t.tracer "switch.enter"
       ~args:[ ("udi", string_of_int udi) ]
@@ -1193,15 +1188,13 @@ let enter t udi =
   | Some f -> f (Types.Rv_domain { tid = ts.t_tid; udi; enter = true })
   | None -> ());
   Telemetry.Metrics.inc t.c_enters;
-  if ts.gate_depth > 0 then Telemetry.Metrics.inc t.c_gate_batched;
-  Telemetry.Metrics.observe t.h_switch_cycles (now () -. t0)
+  if ts.gate_depth > 0 then Telemetry.Metrics.inc t.c_gate_batched
 
 let exit_domain t =
   let ts = thread_state t in
   match ts.entered with
   | [] -> err Not_entered
   | inst :: rest ->
-      let t0 = now () in
       if Telemetry.Trace.enabled t.tracer then
         Telemetry.Trace.with_span t.tracer "switch.exit"
           ~args:[ ("udi", string_of_int inst.udi) ]
@@ -1211,8 +1204,7 @@ let exit_domain t =
       | Some f ->
           f (Types.Rv_domain { tid = ts.t_tid; udi = inst.udi; enter = false })
       | None -> ());
-      Telemetry.Metrics.inc t.c_exits;
-      Telemetry.Metrics.observe t.h_switch_cycles (now () -. t0)
+      Telemetry.Metrics.inc t.c_exits
 
 let current t =
   let ts = thread_state t in
@@ -1978,45 +1970,3 @@ let protect_call t ~udi ?opts ~arg f =
       if len > 0 then free t ~udi adr;
       destroy t udi ~heap:`Discard;
       Result.Ok r)
-
-type switch_profile = {
-  total_cycles : float;
-  wrpkru_cycles : float;
-  stack_cycles : float;
-  bookkeeping_cycles : float;
-  wrpkru_writes : int;
-  wrpkru_elided : int;
-}
-
-let profile_switch t =
-  let probe_udi = 0x7FFF_FF00 in
-  run t ~udi:probe_udi
-    ~on_rewind:(fun _ -> assert false)
-    (fun () ->
-      (* Warm-up pair: exclude first-touch page faults from the profile. *)
-      enter t probe_udi;
-      exit_domain t;
-      (* The WRPKRU share is derived from the writes the measured window
-         actually executed — not a hardcoded 4x — so the profile stays
-         honest when elision or an open gate thins the gate path. *)
-      let w0 = Space.wrpkru_writes t.space in
-      let e0 = Space.pkru_elided t.space in
-      let t0 = Sched.now () in
-      enter t probe_udi;
-      exit_domain t;
-      let total = Sched.now () -. t0 in
-      let writes = Space.wrpkru_writes t.space - w0 in
-      let elided = Space.pkru_elided t.space - e0 in
-      destroy t probe_udi ~heap:`Discard;
-      let wrpkru = float_of_int writes *. t.cost.wrpkru in
-      let stack =
-        (2.0 *. t.cost.stack_switch) +. t.cost.mem_access
-      in
-      {
-        total_cycles = total;
-        wrpkru_cycles = wrpkru;
-        stack_cycles = stack;
-        bookkeeping_cycles = total -. wrpkru -. stack;
-        wrpkru_writes = writes;
-        wrpkru_elided = elided;
-      })

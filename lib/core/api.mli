@@ -421,22 +421,3 @@ val protect_call :
     copy [arg] into its sub-heap, enter, run [f addr len], exit, destroy
     the domain, and return the result — or [Error fault] if the domain
     exited abnormally. *)
-
-(** {1 Switch-cost anatomy (experiment E7)} *)
-
-type switch_profile = {
-  total_cycles : float;
-  wrpkru_cycles : float;
-  stack_cycles : float;
-  bookkeeping_cycles : float;
-  wrpkru_writes : int;  (** WRPKRU writes the measured pair executed *)
-  wrpkru_elided : int;  (** redundant installs skipped in the window *)
-}
-
-val profile_switch : t -> switch_profile
-(** Cost breakdown of one [enter]+[exit] pair under the current cost
-    model, used to reproduce the paper's observation that 30–50 % of a
-    domain switch is the PKRU write. The WRPKRU share is derived from
-    the writes counted in the measured window (not an assumed four), so
-    the anatomy stays accurate when elision or batched gates thin the
-    gate path. *)

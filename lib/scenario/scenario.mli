@@ -83,3 +83,27 @@ val fleet :
   Cluster.Fleet.config ->
   (Cluster.Fleet.t, 'r) driver ->
   (fleet_world, Cluster.Fleet.t, 'r) run
+
+(** {1 Switch anatomy}
+
+    The one breakdown of a domain switch: the monitor's own [switch.*]
+    spans (paper §V-B, experiment E7). *)
+
+type switch_anatomy = {
+  rows : (string * float) list;
+      (** cycles per pair, from {!Telemetry.Trace.aggregate}: the
+          [switch.pkru_write], [switch.stack_swap] and
+          [switch.bookkeeping] spans, then the self time of
+          [switch.enter] and [switch.exit] (their duration less their
+          children's: one flight-recorder event per gate and the
+          return-address push) *)
+  pair : float;  (** cycles per enter+exit pair, by the clock *)
+  writes : float;  (** WRPKRU writes per pair *)
+  elided : float;  (** WRPKRU installs elided per pair *)
+}
+
+val switch_anatomy : unit -> switch_anatomy
+(** Run 512 warm enter/exit pairs on a fresh space and monitor with its
+    own tracer, enabled only around them. The rows sum to [pair] when
+    nothing outside the gate spans charges a cycle.
+    @raise Failure if the tracer dropped spans. *)

@@ -262,14 +262,11 @@ type trace_event =
   | Joined of { waiter : tid; joined : tid }
   | Locked of { lock : int; tid : tid }
   | Unlocked of { lock : int; tid : tid }
-  | Rd_locked of { lock : int; tid : tid }
-  | Rd_unlocked of { lock : int; tid : tid }
 
 let trace_hook : (trace_event -> unit) option ref = ref None
 let set_trace_hook h = trace_hook := h
 
-(* Mutexes and rwlocks share one id namespace so lock-set observers can
-   treat them uniformly. *)
+(* Process-wide mutex ids, the names lock-set observers key on. *)
 let next_lock_id = ref 0
 
 let fresh_lock_id () =
@@ -733,106 +730,6 @@ module Mutex = struct
 
   let contentions m = m.contentions
   let wait_cycles m = m.wait_cycles
-end
-
-module Rwlock = struct
-  type rw = {
-    id : int;
-    mutable active_readers : int;
-    mutable writer : bool;
-    mutable waiting_writers : int;
-    reader_q : handle Queue.t;
-    writer_q : handle Queue.t;
-  }
-
-  let create () =
-    {
-      id = fresh_lock_id ();
-      active_readers = 0;
-      writer = false;
-      waiting_writers = 0;
-      reader_q = Queue.create ();
-      writer_q = Queue.create ();
-    }
-
-  let id rw = rw.id
-
-  (* Mesa-style: a woken waiter re-checks its condition and may sleep
-     again; wake-ups are therefore conservative (broadcasts). *)
-  let rec rd_lock rw =
-    if rw.writer || rw.waiting_writers > 0 then begin
-      Queue.add (handle ()) rw.reader_q;
-      block ();
-      rd_lock rw
-    end
-    else begin
-      rw.active_readers <- rw.active_readers + 1;
-      match !trace_hook with
-      | Some hook -> hook (Rd_locked { lock = rw.id; tid = self () })
-      | None -> ()
-    end
-
-  let rd_unlock rw =
-    if rw.active_readers <= 0 then invalid_arg "Rwlock.rd_unlock: not read-locked";
-    (match !trace_hook with
-    | Some f -> f (Rd_unlocked { lock = rw.id; tid = self () })
-    | None -> ());
-    rw.active_readers <- rw.active_readers - 1;
-    if rw.active_readers = 0 then ignore (wake_all rw.writer_q)
-
-  let rec wr_lock rw =
-    if rw.writer || rw.active_readers > 0 then begin
-      rw.waiting_writers <- rw.waiting_writers + 1;
-      Queue.add (handle ()) rw.writer_q;
-      (match block () with
-      | () -> rw.waiting_writers <- rw.waiting_writers - 1
-      | exception e ->
-          (* Killed while queued: the count drops on this exit too, and
-             readers held back only by this writer go ahead. *)
-          rw.waiting_writers <- rw.waiting_writers - 1;
-          if rw.waiting_writers = 0 && not rw.writer then
-            ignore (wake_all rw.reader_q);
-          raise e);
-      wr_lock rw
-    end
-    else begin
-      rw.writer <- true;
-      (* The write side is an exclusive lock: same event as a mutex. *)
-      match !trace_hook with
-      | Some hook -> hook (Locked { lock = rw.id; tid = self () })
-      | None -> ()
-    end
-
-  let wr_unlock rw =
-    if not rw.writer then invalid_arg "Rwlock.wr_unlock: not write-locked";
-    (match !trace_hook with
-    | Some f -> f (Unlocked { lock = rw.id; tid = self () })
-    | None -> ());
-    rw.writer <- false;
-    (* Readers go when no queued writer is left to take the lock. *)
-    if not (wake_all rw.writer_q) then ignore (wake_all rw.reader_q)
-
-  let with_rd rw f =
-    rd_lock rw;
-    match f () with
-    | v ->
-        rd_unlock rw;
-        v
-    | exception e ->
-        rd_unlock rw;
-        raise e
-
-  let with_wr rw f =
-    wr_lock rw;
-    match f () with
-    | v ->
-        wr_unlock rw;
-        v
-    | exception e ->
-        wr_unlock rw;
-        raise e
-
-  let readers rw = rw.active_readers
 end
 
 module Cond = struct

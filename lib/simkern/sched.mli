@@ -185,25 +185,22 @@ val in_thread : unit -> bool
 (** {1 Synchronization trace hook}
 
     The happens-before skeleton of a run, reported to an external
-    observer: spawn and join edges, and exclusive/shared lock transfers
-    ({!Mutex} and the two sides of {!Rwlock}; {!Cond} needs no events of
-    its own because its synchronization is carried by the mutex it is
-    used with). The race detector ({!Analysis.Race}) installs the hook.
+    observer: spawn and join edges, and {!Mutex} lock transfers ({!Cond}
+    needs no events of its own because its synchronization is carried by
+    the mutex it is used with). The race detector ({!Analysis.Race}) installs the hook.
 
     Emission is purely host-side — no virtual time is charged and no
     scheduling decision changes — so installing a hook cannot perturb a
-    deterministic run. Lock events carry a process-wide lock id shared
-    between mutexes and rwlocks ({!Mutex.id} / {!Rwlock.id}). *)
+    deterministic run. Lock events carry a process-wide lock id
+    ({!Mutex.id}). *)
 
 type trace_event =
   | Spawned of { parent : tid; child : tid }
       (** [parent = -1] when spawned from outside the simulation. *)
   | Joined of { waiter : tid; joined : tid }
   | Locked of { lock : int; tid : tid }
-      (** Exclusive acquisition (mutex lock or rwlock write lock). *)
+      (** Mutex acquisition. *)
   | Unlocked of { lock : int; tid : tid }
-  | Rd_locked of { lock : int; tid : tid }
-  | Rd_unlocked of { lock : int; tid : tid }
 
 val set_trace_hook : (trace_event -> unit) option -> unit
 (** Install (or clear, with [None]) the single trace-hook slot. *)
@@ -219,33 +216,13 @@ module Mutex : sig
   val with_lock : mutex -> (unit -> 'a) -> 'a
 
   val id : mutex -> int
-  (** Stable id in the shared mutex/rwlock namespace (trace events). *)
+  (** Stable process-wide id (trace events). *)
 
   val contentions : mutex -> int
   (** Number of lock acquisitions that had to wait. *)
 
   val wait_cycles : mutex -> float
   (** Total virtual time spent waiting on this mutex. *)
-end
-
-(** Reader-writer lock (writer-preferring, as glibc's
-    pthread_rwlock with the writer-nonrecursive policy). *)
-module Rwlock : sig
-  type rw
-
-  val create : unit -> rw
-  val rd_lock : rw -> unit
-  val rd_unlock : rw -> unit
-  val wr_lock : rw -> unit
-  val wr_unlock : rw -> unit
-  val with_rd : rw -> (unit -> 'a) -> 'a
-  val with_wr : rw -> (unit -> 'a) -> 'a
-
-  val id : rw -> int
-  (** Stable id in the shared mutex/rwlock namespace (trace events). *)
-
-  val readers : rw -> int
-  (** Current read-side holders (test hook). *)
 end
 
 (** Condition variables (Mesa semantics). *)

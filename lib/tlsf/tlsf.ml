@@ -358,101 +358,6 @@ let usable_size t ptr =
       Vmem.Space.end_bypass t.space was;
       raise e
 
-let realloc_raw t ptr request =
-  if ptr = 0 then malloc t request
-  else begin
-    let old_size = usable_size t ptr in
-    let adjust = max min_payload (round_up (max request 1)) in
-    if adjust <= old_size then begin
-      (* Shrink in place when the tail is worth returning. *)
-      if old_size - adjust >= min_block then begin
-        let b = ptr - header in
-        let word = hdr t b in
-        let last = is_last word in
-        let rem = next_phys b adjust in
-        let rem_size = old_size - adjust - header in
-        set_hdr t b (adjust lor (word land fl_prev_free));
-        set_prev_phys t rem b;
-        set_hdr t rem (rem_size lor (if last then fl_last else 0));
-        t.used_bytes <- t.used_bytes - old_size + adjust;
-        (* Free the remainder through the normal path so it coalesces
-           with a free successor. *)
-        t.used_bytes <- t.used_bytes + rem_size;
-        t.used_blocks <- t.used_blocks + 1;
-        free t (rem + header)
-      end;
-      ptr
-    end
-    else begin
-      (* Try to grow in place by absorbing a free successor block. *)
-      let b = ptr - header in
-      let word = hdr t b in
-      let grown =
-        if is_last word then false
-        else begin
-          let np = next_phys b old_size in
-          let nw = hdr t np in
-          let combined = old_size + header + size_of nw in
-          if is_free nw && combined >= adjust then begin
-            remove_free t np (size_of nw);
-            let last = is_last nw in
-            if combined >= adjust + min_block then begin
-              (* Split the absorbed space; the remainder stays free. *)
-              let rem = next_phys b adjust in
-              let rem_size = combined - adjust - header in
-              set_prev_phys t rem b;
-              set_hdr t rem (rem_size lor fl_free lor (if last then fl_last else 0));
-              set_hdr t b (adjust lor (word land fl_prev_free));
-              if not last then begin
-                let nnp = next_phys rem rem_size in
-                set_prev_phys t nnp rem;
-                set_hdr t nnp (hdr t nnp lor fl_prev_free)
-              end;
-              insert_free t rem rem_size;
-              t.used_bytes <- t.used_bytes + adjust - old_size
-            end
-            else begin
-              set_hdr t b
-                (combined lor (word land fl_prev_free)
-                lor (if last then fl_last else 0));
-              if not last then begin
-                let nnp = next_phys b combined in
-                set_hdr t nnp (hdr t nnp land lnot fl_prev_free);
-                set_prev_phys t nnp b
-              end;
-              t.used_bytes <- t.used_bytes + combined - old_size
-            end;
-            true
-          end
-          else false
-        end
-      in
-      if grown then ptr
-      else begin
-        let fresh = malloc t request in
-        Vmem.Space.blit t.space ~src:ptr ~dst:fresh ~len:old_size;
-        free t ptr;
-        fresh
-      end
-    end
-  end
-
-(* Sanitized realloc never moves blocks in place: in-place splitting and
-   absorption would have to re-derive redzone windows for partial blocks.
-   A fresh allocation + copy of the live payload keeps the invariant
-   (everything but live payloads poisoned) trivially true. *)
-let realloc t ptr request =
-  if not t.sanitize then with_bypass t (fun () -> realloc_raw t ptr request)
-  else if ptr = 0 then malloc t request
-  else begin
-    let old_logical = usable_size t ptr in
-    let fresh = malloc t request in
-    let n = min old_logical (usable_size t fresh) in
-    if n > 0 then Vmem.Space.blit t.space ~src:ptr ~dst:fresh ~len:n;
-    free t ptr;
-    fresh
-  end
-
 let iter_blocks t f =
   with_bypass t (fun () ->
       List.iter

@@ -73,7 +73,6 @@ val free : t -> int -> unit
 (** Release a payload address, coalescing with free physical neighbours.
     @raise Heap_corrupted on double free or foreign pointer. *)
 
-val realloc : t -> int -> int -> int
 val usable_size : t -> int -> int
 (** Physical payload size of a live allocation; on a sanitized heap the
     redzone is excluded, i.e. the bytes the caller may touch. *)

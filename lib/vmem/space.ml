@@ -794,16 +794,6 @@ let restore_image t im =
 
 let image_bytes im = List.length im.im_pages * ps
 
-let image_diff_pages base im =
-  let known = Hashtbl.create 64 in
-  List.iter (fun (p, contents) -> Hashtbl.replace known p contents) base.im_pages;
-  List.fold_left
-    (fun acc (p, contents) ->
-      match Hashtbl.find_opt known p with
-      | Some old when Bytes.equal old contents -> acc
-      | Some _ | None -> acc + 1)
-    0 im.im_pages
-
 (* {1 Accounting} *)
 
 let mapped_bytes t =

@@ -220,10 +220,6 @@ val restore_image : t -> image -> unit
 val image_bytes : image -> int
 (** Payload size of the image (bytes of mapped pages). *)
 
-val image_diff_pages : image -> image -> int
-(** Pages of the second image that are absent from, or differ from, the
-    first — the payload an incremental checkpoint has to persist. *)
-
 (** {1 Accounting} *)
 
 val mapped_bytes : t -> int

@@ -60,37 +60,6 @@ let test_restart_dominated_by_reload () =
          the bare restart — the paper's Memcached cold-start problem. *)
       check bool "reload dominates" true (warm > 1000.0 *. cold))
 
-
-let test_incremental_smaller_payload () =
-  Sched.main (fun _ ->
-      let s = Space.create ~size_mib:8 () in
-      let a = Space.mmap s ~len:(64 * 4096) ~prot:Prot.rw ~pkey:0 in
-      for p = 0 to 63 do
-        Space.store8 s (a + (p * 4096)) p
-      done;
-      let base = Checkpoint.take s in
-      (* Dirty just two pages. *)
-      Space.store8 s (a + 4096) 0xFF;
-      Space.store8 s (a + (10 * 4096)) 0xFF;
-      let inc = Checkpoint.take_incremental s ~base in
-      check int "two dirty pages" 2 (Checkpoint.dirty_pages inc);
-      check bool "payload much smaller" true
-        (Checkpoint.bytes inc < Checkpoint.bytes base / 4);
-      (* An incremental snapshot still restores full state. *)
-      Space.store8 s a 0xAA;
-      Checkpoint.restore s inc;
-      check int "untouched page restored" 0 (Space.load8 s a);
-      check int "dirty page value" 0xFF (Space.load8 s (a + 4096)))
-
-let test_incremental_no_changes () =
-  Sched.main (fun _ ->
-      let s = Space.create ~size_mib:8 () in
-      let a = Space.mmap s ~len:8192 ~prot:Prot.rw ~pkey:0 in
-      Space.store8 s a 1;
-      let base = Checkpoint.take s in
-      let inc = Checkpoint.take_incremental s ~base in
-      check int "nothing dirty" 0 (Checkpoint.dirty_pages inc))
-
 (* {1 Transactional rewind} *)
 
 (* Differential property: interrupting a multi-domain rewind at any step
@@ -434,8 +403,6 @@ let () =
           Alcotest.test_case "restores mappings" `Quick test_snapshot_restores_mappings;
           Alcotest.test_case "cost scales" `Quick test_snapshot_cost_scales_with_size;
           Alcotest.test_case "restart reload cost" `Quick test_restart_dominated_by_reload;
-          Alcotest.test_case "incremental payload" `Quick test_incremental_smaller_payload;
-          Alcotest.test_case "incremental no changes" `Quick test_incremental_no_changes;
         ] );
       ( "transactional-rewind",
         [

@@ -656,14 +656,27 @@ let test_monitor_bytes_track_domains () =
           Api.destroy sd d1 ~heap:`Discard);
       check int "monitor back to baseline" base (Api.monitor_bytes sd))
 
-let test_switch_profile_shape () =
+(* The switch profile is the span anatomy of E7; the pair it profiles is
+   what one warm enter/exit pair charges an untraced monitor. *)
+let test_switch_cost_profile () =
+  let a = Scenario.switch_anatomy () in
+  check bool "total positive" true (a.Scenario.pair > 0.0);
+  let frac = List.assoc "switch.pkru_write" a.Scenario.rows /. a.Scenario.pair in
+  (* The paper attributes 30-50% of switch cost to the PKRU write. *)
+  check bool "wrpkru fraction in [0.25, 0.65]" true
+    (frac > 0.25 && frac < 0.65);
   with_sdrad (fun _ sd ->
-      let p = Api.profile_switch sd in
-      check bool "total positive" true (p.Api.total_cycles > 0.0);
-      let frac = p.Api.wrpkru_cycles /. p.Api.total_cycles in
-      (* The paper attributes 30-50% of switch cost to the PKRU write. *)
-      check bool "wrpkru fraction in [0.25, 0.65]" true
-        (frac > 0.25 && frac < 0.65))
+      Api.run sd ~udi:d1
+        ~on_rewind:(fun _ -> Alcotest.fail "unexpected rewind")
+        (fun () ->
+          Api.enter sd d1;
+          Api.exit_domain sd;
+          let t0 = Sched.now () in
+          Api.enter sd d1;
+          Api.exit_domain sd;
+          check (Alcotest.float 1e-6) "untraced pair costs the profiled pair"
+            a.Scenario.pair (Sched.now () -. t0);
+          Api.destroy sd d1 ~heap:`Discard))
 
 (* Property: a random mix of successful and faulting events never breaks
    the service; after each batch the domain table is clean. *)
@@ -695,16 +708,11 @@ let random_events_prop =
    monitor's gate sequence. Tracing off, as in every benchmark run; every
    closure and optional argument is built outside the measured loop.
 
-   An enter/exit pair allocated 60 words when its flight events took a
-   boxed timestamp and an optional trace id and an entry consed onto
-   the entered stack; it now allocates 4. Those are the two
-   [sdrad_switch_cycles] observations: [Telemetry.Metrics.observe] takes
-   a float, and a float passed to another library's function is boxed
-   (libraries build [-opaque]), so passing them unboxed would need a
-   second Telemetry entry point. A change that brings any other word
-   back fails here. *)
+   Neither allocates: a change that brings back a word, such as a boxed
+   timestamp, a float handed to another library's function (libraries
+   build [-opaque], so it is boxed) or a tuple key, fails here. *)
 
-let enter_exit_words_budget = 4.0
+let enter_exit_words_budget = 0.0
 
 let test_enter_exit_alloc_budget () =
   with_sdrad (fun _ sd ->
@@ -725,8 +733,7 @@ let test_enter_exit_alloc_budget () =
 (* One warm persistent-domain request through the monitor, the way the
    servers make it: trace installed, admit event, init, marshalling
    buffer and copy-in, enter, an allocation and a free inside the
-   domain, exit, deinit, trace cleared. It allocates nothing beyond the
-   enter/exit pair's two histogram floats. *)
+   domain, exit, deinit, trace cleared. It allocates nothing. *)
 let test_request_gates_alloc_budget () =
   with_sdrad (fun space sd ->
       let udi = Some d1 in
@@ -816,7 +823,7 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "monitor bytes" `Quick test_monitor_bytes_track_domains;
-          Alcotest.test_case "switch profile" `Quick test_switch_profile_shape;
+          Alcotest.test_case "switch profile" `Quick test_switch_cost_profile;
           Alcotest.test_case "enter/exit host allocation" `Quick
             test_enter_exit_alloc_budget;
           QCheck_alcotest.to_alcotest random_events_prop;

@@ -326,80 +326,6 @@ let test_sched_determinism () =
   in
   check Alcotest.string "identical traces" (run_once ()) (run_once ())
 
-
-let test_rwlock_readers_share () =
-  let t = Sched.create () in
-  let rw = Sched.Rwlock.create () in
-  let max_concurrent = ref 0 in
-  for _ = 1 to 4 do
-    ignore
-      (Sched.spawn t (fun () ->
-           Sched.Rwlock.with_rd rw (fun () ->
-               if Sched.Rwlock.readers rw > !max_concurrent then
-                 max_concurrent := Sched.Rwlock.readers rw;
-               Sched.sleep 100.0)))
-  done;
-  Sched.run t;
-  check bool "readers overlapped" true (!max_concurrent > 1)
-
-let test_rwlock_writer_exclusive () =
-  let t = Sched.create () in
-  let rw = Sched.Rwlock.create () in
-  let in_write = ref false and violations = ref 0 in
-  for _ = 1 to 3 do
-    ignore
-      (Sched.spawn t (fun () ->
-           for _ = 1 to 4 do
-             Sched.Rwlock.with_wr rw (fun () ->
-                 if !in_write then incr violations;
-                 in_write := true;
-                 Sched.sleep 10.0;
-                 in_write := false)
-           done));
-    ignore
-      (Sched.spawn t (fun () ->
-           for _ = 1 to 4 do
-             Sched.Rwlock.with_rd rw (fun () ->
-                 if !in_write then incr violations;
-                 Sched.sleep 5.0)
-           done))
-  done;
-  Sched.run t;
-  check int "no read/write overlap" 0 !violations
-
-let test_rwlock_writer_waits_for_readers () =
-  let t = Sched.create () in
-  let rw = Sched.Rwlock.create () in
-  let order = ref [] in
-  let _ =
-    Sched.spawn t ~name:"reader" (fun () ->
-        Sched.Rwlock.rd_lock rw;
-        Sched.sleep 1000.0;
-        order := `Reader_done :: !order;
-        Sched.Rwlock.rd_unlock rw)
-  in
-  let _ =
-    Sched.spawn t ~name:"writer" (fun () ->
-        Sched.charge 10.0;
-        Sched.Rwlock.wr_lock rw;
-        order := `Writer_in :: !order;
-        Sched.Rwlock.wr_unlock rw)
-  in
-  Sched.run t;
-  check bool "writer entered after reader finished" true
-    (List.rev !order = [ `Reader_done; `Writer_in ])
-
-let test_rwlock_misuse_detected () =
-  let t = Sched.create () in
-  let rw = Sched.Rwlock.create () in
-  let tid =
-    Sched.spawn t (fun () -> Sched.Rwlock.rd_unlock rw)
-  in
-  Sched.run t;
-  match Sched.outcome t tid with
-  | Some (Sched.Failed (Invalid_argument _)) -> ()
-  | _ -> Alcotest.fail "unbalanced rd_unlock not caught"
-
 (* {1 Timers ≡ timer fibers}
 
    [Sched.block_until] must run every script exactly as a timed wait
@@ -677,27 +603,6 @@ let test_killed_cond_waiter () =
       Sched.join w2);
   check bool "the signal reached W2" true !woken
 
-let test_killed_rwlock_writer () =
-  let read = ref [] in
-  Sched.main (fun t ->
-      let rw = Sched.Rwlock.create () in
-      let reader name () =
-        Sched.Rwlock.with_rd rw (fun () -> read := name :: !read)
-      in
-      Sched.Rwlock.rd_lock rw;
-      let w = Sched.spawn t ~name:"W" (fun () -> Sched.Rwlock.wr_lock rw) in
-      Sched.sleep 10.0;
-      (* Queued behind the waiting writer. *)
-      let r2 = Sched.spawn t ~name:"R2" (reader "R2") in
-      Sched.sleep 10.0;
-      Sched.kill t w;
-      Sched.Rwlock.rd_unlock rw;
-      Sched.join r2;
-      (* Arrives after the writer died. *)
-      Sched.join (Sched.spawn t ~name:"R3" (reader "R3")));
-  check (Alcotest.list Alcotest.string) "both readers got in" [ "R2"; "R3" ]
-    (List.rev !read)
-
 (* {1 Host allocation}
 
    What a scheduling event costs in OCaml minor words, pinned at the
@@ -782,13 +687,8 @@ let () =
           Alcotest.test_case "contention accounting" `Quick test_mutex_contention_accounting;
           Alcotest.test_case "cond signal" `Quick test_cond_signal_wakes;
           Alcotest.test_case "cond broadcast" `Quick test_cond_broadcast_wakes_all;
-          Alcotest.test_case "rwlock readers share" `Quick test_rwlock_readers_share;
-          Alcotest.test_case "rwlock writer exclusive" `Quick test_rwlock_writer_exclusive;
-          Alcotest.test_case "rwlock writer waits" `Quick test_rwlock_writer_waits_for_readers;
-          Alcotest.test_case "rwlock misuse" `Quick test_rwlock_misuse_detected;
           Alcotest.test_case "killed mutex waiter" `Quick test_killed_mutex_waiter;
           Alcotest.test_case "killed cond waiter" `Quick test_killed_cond_waiter;
-          Alcotest.test_case "killed rwlock writer" `Quick test_killed_rwlock_writer;
           Alcotest.test_case "mutex host allocation" `Quick test_mutex_allocation;
         ] );
       ("cost", [ Alcotest.test_case "conversions" `Quick test_cost_conversions ]);

@@ -1,9 +1,9 @@
 (* Tests for the telemetry subsystem: metrics-registry semantics,
    Prometheus exposition, the span-tracer ring, the monitor's bounded
    incident log, breaker-transition counters (exactly one increment per
-   edge taken), the switch-cost anatomy band, seed-stability of the
-   exposition, and the server scrape surfaces (kvcache [stats telemetry],
-   httpd [GET /metrics]). *)
+   edge taken), the switch-cost anatomy band, tracing's zero simulated
+   cost, seed-stability of the exposition, and the server scrape
+   surfaces (kvcache [stats telemetry], httpd [GET /metrics]). *)
 
 module Space = Vmem.Space
 module Sched = Simkern.Sched
@@ -420,32 +420,95 @@ let test_switch_metrics_and_spans () =
       check int "four pkru writes" 4 (count "switch.pkru_write");
       check int "two stack swaps" 2 (count "switch.stack_swap"))
 
+(* The one switch anatomy (E7, [sdrad_cli switch]): its span rows
+   account for every cycle of a pair, and the PKRU write keeps the share
+   the paper measures. *)
 let test_anatomy_in_band () =
-  let tracer = Trace.create ~capacity:8192 () in
-  let space = Space.create ~size_mib:32 () in
-  let sd = Api.create ~tracer space in
-  Sched.main (fun _ ->
-      Api.run sd ~udi:5
-        ~on_rewind:(fun _ -> ())
-        (fun () ->
-          Api.enter sd 5;
-          Api.exit_domain sd;
-          Trace.set_enabled tracer true;
-          for _ = 1 to 16 do
-            Api.enter sd 5;
-            Api.exit_domain sd
-          done;
-          Trace.set_enabled tracer false));
-  let agg = Trace.aggregate tracer in
-  let total n =
-    match List.assoc_opt n agg with Some (_, c) -> c | None -> 0.0
-  in
-  let pair = total "switch.enter" +. total "switch.exit" in
-  let share = total "switch.pkru_write" /. pair in
+  let a = Scenario.switch_anatomy () in
+  let sum = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 a.rows in
+  check (Alcotest.float 0.0) "rows sum to the pair" a.pair sum;
+  let share = List.assoc "switch.pkru_write" a.rows /. a.pair in
   check bool
     (Printf.sprintf "pkru share %.3f within the paper's 30-50%% band" share)
     true
-    (share >= 0.30 && share <= 0.50)
+    (share >= 0.30 && share <= 0.50);
+  check (Alcotest.float 0.0) "four writes per pair" 4.0 a.writes;
+  check (Alcotest.float 0.0) "no elision per pair" 0.0 a.elided
+
+(* {1 Tracing costs no simulated time}
+
+   E7 and the gate experiment read the switch anatomy from spans, which
+   is sound only if the spans observe a run without moving it. One
+   monitor script runs twice, tracer on and off: plain requests with
+   admit events, requests under a batched gate, a rewind through two
+   nested domains, and an explicit abort. *)
+
+let monitor_script ~traced =
+  let tracer = Trace.create () in
+  Trace.set_enabled tracer traced;
+  let space = Space.create ~size_mib:32 () in
+  let sd = Api.create ~tracer space in
+  let clock =
+    Sched.main (fun _ ->
+        let request udi =
+          Api.flight_event sd ~udi Checkpoint.Flight.Admit;
+          Api.run sd ~udi
+            ~on_rewind:(fun _ -> Alcotest.fail "unexpected rewind")
+            (fun () ->
+              Api.enter sd udi;
+              Api.free sd ~udi (Api.malloc sd ~udi 64);
+              Api.exit_domain sd)
+        in
+        for _ = 1 to 4 do
+          request 1
+        done;
+        Api.with_gate sd (fun () ->
+            for _ = 1 to 4 do
+              request 2
+            done);
+        Api.run sd ~udi:3
+          ~on_rewind:(fun _ -> ())
+          (fun () ->
+            Api.enter sd 3;
+            Api.run sd ~udi:4
+              ~opts:{ Types.default_options with rewind = Types.Grandparent }
+              ~on_rewind:(fun _ -> Alcotest.fail "rewound to the wrong domain")
+              (fun () ->
+                Api.enter sd 4;
+                ignore (Space.load8 space 0)));
+        Api.run sd ~udi:5
+          ~on_rewind:(fun _ -> ())
+          (fun () ->
+            Api.enter sd 5;
+            Api.abort sd "planted");
+        Sched.now ())
+  in
+  ( Trace.recorded tracer,
+    clock,
+    Space.wrpkru_writes space,
+    Space.pkru_elided space,
+    Api.flight_recorded sd,
+    List.map
+      (fun r -> (r.Checkpoint.Rewind_log.r_start, r.r_end))
+      (Api.audit_records sd) )
+
+let test_tracing_costs_no_time () =
+  let spans, clock, writes, elided, events, audit =
+    monitor_script ~traced:true
+  in
+  let none, clock', writes', elided', events', audit' =
+    monitor_script ~traced:false
+  in
+  check bool "the traced run recorded spans" true (spans > 0);
+  check int "the untraced run recorded none" 0 none;
+  check (Alcotest.float 0.0) "same clock" clock' clock;
+  check int "same WRPKRU writes" writes' writes;
+  check int "same elisions" elided' elided;
+  check int "same flight events" events' events;
+  check int "two rewinds audited" 2 (List.length audit);
+  check
+    (Alcotest.list (Alcotest.pair (Alcotest.float 0.0) (Alcotest.float 0.0)))
+    "same audit windows" audit' audit
 
 (* {1 Breaker transition counters} *)
 
@@ -656,6 +719,8 @@ let () =
           Alcotest.test_case "switch metrics and spans" `Quick
             test_switch_metrics_and_spans;
           Alcotest.test_case "anatomy in band" `Quick test_anatomy_in_band;
+          Alcotest.test_case "tracing costs no simulated time" `Quick
+            test_tracing_costs_no_time;
         ] );
       ( "supervisor",
         [

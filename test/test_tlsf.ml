@@ -79,15 +79,6 @@ let test_double_free_detected () =
   | () -> Alcotest.fail "double free not detected"
   | exception Tlsf.Heap_corrupted _ -> ()
 
-let test_realloc_preserves_data () =
-  let s, t = mk () in
-  let p = Tlsf.malloc t 16 in
-  Space.store_string s p "0123456789abcdef";
-  let q = Tlsf.realloc t p 4096 in
-  check Alcotest.string "grown block keeps data" "0123456789abcdef"
-    (Space.read_string s q 16);
-  assert_healthy t
-
 let test_multiple_regions () =
   let s = Space.create ~size_mib:16 () in
   let t = Tlsf.create s ~name:"multi" in
@@ -147,62 +138,6 @@ let test_iter_blocks_covers_region () =
   check int "blocks tile the region" 8192 !total;
   check bool "at least two blocks (split)" true (!count >= 2);
   Tlsf.free t p
-
-
-let test_realloc_in_place_growth () =
-  let s, t = mk ~region:8192 () in
-  let p = Tlsf.malloc t 64 in
-  Space.store_string s p "growing block...";
-  (* The rest of the region is one free block directly after [p], so the
-     growth must happen in place. *)
-  let q = Tlsf.realloc t p 4096 in
-  check int "same address" p q;
-  check bool "grown" true (Tlsf.usable_size t q >= 4096);
-  check Alcotest.string "contents kept" "growing block..." (Space.read_string s q 16);
-  assert_healthy t
-
-let test_realloc_moves_when_blocked () =
-  let s, t = mk () in
-  let p = Tlsf.malloc t 64 in
-  let blocker = Tlsf.malloc t 64 in
-  Space.store_string s p "must be copied!!";
-  let q = Tlsf.realloc t p 4096 in
-  check bool "moved" true (q <> p);
-  check Alcotest.string "contents copied" "must be copied!!" (Space.read_string s q 16);
-  Tlsf.free t blocker;
-  Tlsf.free t q;
-  assert_healthy t
-
-let test_realloc_shrink_returns_tail () =
-  let _, t = mk ~region:8192 () in
-  let p = Tlsf.malloc t 4000 in
-  let blocker = Tlsf.malloc t 64 in
-  check int "shrink keeps the address" p (Tlsf.realloc t p 100);
-  check bool "tail returned to the heap" true (Tlsf.usable_size t p < 4000);
-  (* The reclaimed tail is allocatable again. *)
-  let q = Tlsf.malloc t 3000 in
-  check bool "fits in the reclaimed space" true (q > p && q < blocker);
-  assert_healthy t
-
-let realloc_prop =
-  QCheck.Test.make ~name:"realloc preserves prefix and heap health" ~count:60
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 12) (int_range 1 3000))
-    (fun sizes ->
-      let s, t = mk ~region:(256 * 1024) () in
-      let p = ref (Tlsf.malloc t 16) in
-      Space.store_string s !p "0123456789abcdef";
-      let ok = ref true in
-      List.iter
-        (fun size ->
-          (* Interleave a disturbance allocation to vary adjacency. *)
-          let d = Tlsf.malloc t (size mod 97 + 16) in
-          p := Tlsf.realloc t !p size;
-          if size >= 16 && Space.read_string s !p 16 <> "0123456789abcdef" then
-            ok := false;
-          Tlsf.free t d;
-          if Tlsf.check t <> [] then ok := false)
-        (List.filter (fun n -> n >= 16) sizes);
-      !ok)
 
 (* Property: any sequence of mallocs and frees keeps the heap healthy,
    all payloads stay disjoint, and contents written to a block survive
@@ -271,11 +206,6 @@ let () =
           Alcotest.test_case "coalescing" `Quick test_free_coalesces;
           Alcotest.test_case "out of memory" `Quick test_out_of_memory;
           Alcotest.test_case "double free" `Quick test_double_free_detected;
-          Alcotest.test_case "realloc" `Quick test_realloc_preserves_data;
-          Alcotest.test_case "realloc in place" `Quick test_realloc_in_place_growth;
-          Alcotest.test_case "realloc moves" `Quick test_realloc_moves_when_blocked;
-          Alcotest.test_case "realloc shrink" `Quick test_realloc_shrink_returns_tail;
-          QCheck_alcotest.to_alcotest realloc_prop;
           Alcotest.test_case "good fit reuse" `Quick test_good_fit_prefers_close_class;
           Alcotest.test_case "malloc + free host allocation" `Quick
             test_malloc_free_alloc_free;
