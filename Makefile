@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json perf perf-smoke perf-compare same telemetry-report forensics-report clean
+.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json perf perf-smoke perf-compare host-ratio same telemetry-report forensics-report clean
 
 all: check
 
@@ -118,6 +118,14 @@ SEED ?= 1
 perf-compare:
 	@test -n "$(REV)" || { echo "usage: make perf-compare REV=<commit> [PAIRS=10] [SEED=1] [WORKLOAD=<name>]"; exit 2; }
 	python3 bench/perf_compare.py "$(REV)" --pairs $(PAIRS) --seed $(SEED) $(if $(WORKLOAD),--workload $(WORKLOAD))
+
+# Host CPU of the SDRaD kvcache against baseline: 5 interleaved runs per
+# variant of `sdrad_cli kvbench --records 1500 --ops 600000 --workers 4`,
+# user+sys time from getrusage, medians and their SDRaD/baseline ratio
+# (bench/host_ratio.py; host time is printed, never committed). With
+# REV=<commit>, REV's tree is measured too, interleaved with this one.
+host-ratio:
+	python3 bench/host_ratio.py $(REV)
 
 # The soaks and bench tables against another commit, e.g. `make same
 # REV=HEAD~1`: builds @chaos, @chaos-soak and @chaos-rewind-soak with

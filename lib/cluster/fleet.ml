@@ -143,14 +143,12 @@ type request = {
   trace : int64;
 }
 
-let parse_request msg =
+let parse_request msg len =
   let stop =
-    match String.index_opt msg '\r' with
-    | Some i -> i
-    | None -> (
-        match String.index_opt msg '\n' with
-        | Some i -> i
-        | None -> String.length msg)
+    match Serve.index_from msg 0 len '\r' with
+    | -1 -> (
+        match Serve.index_from msg 0 len '\n' with -1 -> len | i -> i)
+    | i -> i
   in
   let v0 = Proto.word_start msg 0 stop in
   let v1 = Proto.word_stop msg v0 stop in
@@ -165,13 +163,14 @@ let parse_request msg =
     rid =
       (if List.mem verb mutation_verbs then Proto.line_rid msg stop else None);
     (* Only a CR-terminated line carries one. *)
-    trace = Proto.trace_of_string msg;
+    trace = Proto.trace_of_string msg len;
   }
 
 (* A reply the client will treat as a definitive outcome (so the write
    must survive failover). Busy/error replies are retried or surfaced;
    they carry no durability promise. *)
-let acked = Proto.reply_ok
+let acked r = Proto.reply_ok r (String.length r)
+let acked_buf b = Proto.reply_ok (Netsim.Buf.view b) (Netsim.Buf.length b)
 
 (* {2 Shard-side helpers} *)
 
@@ -278,7 +277,9 @@ let do_failover t s =
 
 (* {2 Router data path} *)
 
-let handle_request t backends c msg req =
+(* Forward the request in [msg] to its shard and relay the reply, which
+   is received into [reply]. *)
+let handle_request t backends c msg reply req =
   Metrics.inc t.c_requests;
   (* Admission: park while a failover is in progress or the owning shard
      is mid-drain; give up only when the ring is empty. *)
@@ -313,12 +314,12 @@ let handle_request t backends c msg req =
       Metrics.inc t.c_routed;
       Metrics.inc s.s_routed;
       s.s_inflight <- s.s_inflight + 1;
-      let reply =
+      let replied =
         if not (link_up s) then begin
           (* Partitioned/crashed link: the forward vanishes; model the
              client-visible outcome — a full deadline wait. *)
           Sched.sleep forward_timeout;
-          None
+          false
         end
         else begin
           let bc =
@@ -336,66 +337,73 @@ let handle_request t backends c msg req =
                 Hashtbl.replace backends s.s_idx bc;
                 bc
           in
-          Netsim.send bc msg;
-          match
-            Netsim.recv_deadline bc
+          Netsim.send_buf bc msg;
+          if
+            Netsim.recv_buf_deadline bc reply
               ~deadline:(Sched.now () +. forward_timeout)
-          with
-          | Some r -> Some r
-          | None ->
-              (* Reply may still arrive later; abandon the connection so
-                 it cannot be mis-paired with the next forward. *)
-              Netsim.close bc;
-              Hashtbl.remove backends s.s_idx;
-              None
+          then true
+          else begin
+            (* Reply may still arrive later; abandon the connection so
+               it cannot be mis-paired with the next forward. *)
+            Netsim.close bc;
+            Hashtbl.remove backends s.s_idx;
+            false
+          end
         end
       in
       s.s_inflight <- s.s_inflight - 1;
-      (match reply with
-      | Some r ->
-          (match (req.rid, req.key) with
-          | Some _, Some key when acked r ->
-              oplog_push t s { o_key = key; o_trace = trace; o_req = msg }
-          | _ -> ());
-          Netsim.send c r
-      | None ->
-          Metrics.inc t.c_timeouts;
-          Netsim.send c Proto.server_error_busy)
+      if replied then begin
+        (match (req.rid, req.key) with
+        | Some _, Some key when acked_buf reply ->
+            (* The oplog keeps its own copy of the request. *)
+            oplog_push t s
+              { o_key = key; o_trace = trace; o_req = Netsim.Buf.contents msg }
+        | _ -> ());
+        Netsim.send_buf c reply
+      end
+      else begin
+        Metrics.inc t.c_timeouts;
+        Netsim.send c Proto.server_error_busy
+      end
 
+(* Each router worker receives requests into one buffer and shard
+   replies into another. *)
 let worker t widx () =
   let ws = t.worker_sets.(widx) in
   let backends : (int, Netsim.conn) Hashtbl.t = Hashtbl.create 8 in
+  let msg = Netsim.Buf.create () and reply = Netsim.Buf.create () in
   let rec loop () =
     match Netsim.Waitset.wait ws with
     | None -> ()
     | Some c ->
-        (match Netsim.recv_with_arrival c with
-        | Some (msg, arrival) ->
-            let req = parse_request msg in
-            if req.verb = "quit" then begin
-              Netsim.Waitset.remove ws c;
-              Netsim.close c
-            end
-            else if
-              Sched.now () -. arrival > shed_wait
-              || Netsim.peer_closed c
-            then begin
-              (* Staleness shed: a request that aged past [shed_wait] in
-                 the router queue (or whose client already hung up)
-                 belongs to an attempt whose deadline a forward can no
-                 longer meet — forwarding it is dead work that starves
-                 fresh arrivals and collapses goodput under overload.
-                 Answer busy at wire speed instead; the retry rides in
-                 on a fresh attempt the shard can still meet. *)
-              Metrics.inc t.c_shed;
-              Netsim.send c Proto.server_error_busy
-            end
-            else handle_request t backends c msg req
-        | None ->
-            if Netsim.peer_closed c then begin
-              Netsim.Waitset.remove ws c;
-              Netsim.close c
-            end);
+        (if Netsim.recv_buf c msg then begin
+           let req =
+             parse_request (Netsim.Buf.view msg) (Netsim.Buf.length msg)
+           in
+           if req.verb = "quit" then begin
+             Netsim.Waitset.remove ws c;
+             Netsim.close c
+           end
+           else if
+             Sched.now () -. Netsim.Buf.arrival msg > shed_wait
+             || Netsim.peer_closed c
+           then begin
+             (* Staleness shed: a request that aged past [shed_wait] in
+                the router queue (or whose client already hung up)
+                belongs to an attempt whose deadline a forward can no
+                longer meet — forwarding it is dead work that starves
+                fresh arrivals and collapses goodput under overload.
+                Answer busy at wire speed instead; the retry rides in
+                on a fresh attempt the shard can still meet. *)
+             Metrics.inc t.c_shed;
+             Netsim.send c Proto.server_error_busy
+           end
+           else handle_request t backends c msg reply req
+         end
+         else if Netsim.peer_closed c then begin
+           Netsim.Waitset.remove ws c;
+           Netsim.close c
+         end);
         loop ()
   in
   loop ();

@@ -96,10 +96,11 @@ type request = {
   trace : int64;  (** [trace=] context of a CR-terminated line; 0 = none *)
 }
 
-val parse_request : string -> request
-(** Scan a request's line — up to its first CR, else its first LF — in
-    place with {!Kvcache.Proto}'s word rule, copying out only the verb,
-    the key and the rid. *)
+val parse_request : string -> int -> request
+(** [parse_request s len]: scan the line of the request [s.[0, len)] —
+    up to its first CR, else its first LF — in place with
+    {!Kvcache.Proto}'s word rule, copying out only the verb, the key and
+    the rid. *)
 
 (** {1 Introspection} *)
 

@@ -14,19 +14,23 @@ let fnv_prime = 0x100000001b3L
    short ["<m>#<v>"] vnode strings (their points cluster and whole
    members end up owning almost nothing), so the raw hash gets a full
    bit-mixing pass before use. *)
-let mix h =
+let[@inline] mix h =
   let h = Int64.logxor h (Int64.shift_right_logical h 30) in
   let h = Int64.mul h 0xbf58476d1ce4e5b9L in
   let h = Int64.logxor h (Int64.shift_right_logical h 27) in
   let h = Int64.mul h 0x94d049bb133111ebL in
   Int64.logxor h (Int64.shift_right_logical h 31)
 
+(* A loop over a local ref: the compiler keeps [h] in a register,
+   unboxed, so hashing a key allocates nothing. *)
 let hash s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   (* Fold to 62 bits so the point fits a non-negative OCaml int. *)
   Int64.to_int (Int64.logand (mix !h) 0x3FFF_FFFF_FFFF_FFFFL)
 

@@ -48,6 +48,7 @@ let worker_restart_cost = 2.1e6 (* ~1 ms: fork + exec + init *)
 
 type worker_slot = {
   idx : int;
+  reply : Netsim.Buf.t;  (* the worker's 200 replies are written here *)
   mutable ws : Netsim.Waitset.ws;
   mutable live_conns : Netsim.conn list;
   mutable tid : Sched.tid;
@@ -83,30 +84,36 @@ let conn_token keep_alive = if keep_alive then "keep-alive" else "close"
 let status_200 = "HTTP/1.1 200 OK\r\nServer: simginx\r\nContent-Length: "
 let connection_field = "\r\nConnection: "
 
-(* A 200 reply announcing [len] body bytes, in one buffer with room for
-   [body] of them after the header: [fill b off] writes the body at
-   [off]. *)
-let reply_200 ~keep_alive ~len ~body fill =
+(* Make [out] a 200 reply announcing [len] body bytes, with room for
+   [body] of them after the header; the body's offset is returned, for
+   the caller to write it there. *)
+let reply_200 out ~keep_alive ~len ~body =
   let conn = conn_token keep_alive in
   let s = String.length status_200 and c = String.length connection_field in
   let lw = Serve.dec_width len in
   let h = s + lw + c + String.length conn + 4 in
-  let b = Bytes.create (h + body) in
+  let b = Netsim.Buf.reset out (h + body) in
   Bytes.blit_string status_200 0 b 0 s;
   Serve.put_dec b ~stop:(s + lw) len;
   Bytes.blit_string connection_field 0 b (s + lw) c;
   Bytes.blit_string conn 0 b (s + lw + c) (String.length conn);
   Bytes.blit_string "\r\n\r\n" 0 b (h - 4) 4;
-  fill b h;
-  Bytes.unsafe_to_string b
+  h
 
-let http_200 ~keep_alive body =
+let put_200 out ~keep_alive body =
   let n = String.length body in
-  reply_200 ~keep_alive ~len:n ~body:n (fun b off ->
-      Bytes.blit_string body 0 b off n)
+  let off = reply_200 out ~keep_alive ~len:n ~body:n in
+  Bytes.blit_string body 0 (Netsim.Buf.bytes out) off n
 
-let http_200_head ~keep_alive size =
-  reply_200 ~keep_alive ~len:size ~body:0 (fun _ _ -> ())
+(* A 200 reply as a string, for the replay journal to keep. *)
+let http_200 ~keep_alive body =
+  let out = Netsim.Buf.create () in
+  put_200 out ~keep_alive body;
+  Netsim.Buf.contents out
+
+let send_200 slot c ~keep_alive body =
+  put_200 slot.reply ~keep_alive body;
+  Netsim.send_buf c slot.reply
 
 let http_404 = "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
 
@@ -128,9 +135,9 @@ let rec lower_prefix s off lit i =
    client's causal trace id. The authoritative parse is the header
    phase's. Lines are trimmed as [String.trim] would and scanned in
    place; only a traceparent value is copied out. *)
-let trace_of_msg msg =
+let trace_of_msg msg len =
   let rec scan off =
-    let nl = Serve.index_from msg off '\n' in
+    let nl = Serve.index_from msg off len '\n' in
     if nl < 0 then 0L
     else
       let a = Serve.skip_blanks msg off nl in
@@ -193,16 +200,19 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
       (match meth with
       | "GET" when path = "/metrics" ->
           (* Prometheus scrape endpoint: the registry's text exposition. *)
-          Netsim.send c
-            (http_200 ~keep_alive (Telemetry.Metrics.expose (Serve.metrics t.core)))
+          send_200 slot c ~keep_alive
+            (Telemetry.Metrics.expose (Serve.metrics t.core))
       | "GET" -> (
           match Fs.lookup t.fs path with
           | Some size ->
-              (* Header and file in one buffer; the file is read from
-                 simulated memory straight into it. *)
-              Netsim.send c
-                (reply_200 ~keep_alive ~len:size ~body:size (fun b off ->
-                     ignore (Fs.read_body_into t.fs path b off)))
+              (* Header and file in the reply buffer; the file is read
+                 from simulated memory straight into it. *)
+              let off =
+                reply_200 slot.reply ~keep_alive ~len:size ~body:size
+              in
+              ignore
+                (Fs.read_body_into t.fs path (Netsim.Buf.bytes slot.reply) off);
+              Netsim.send_buf c slot.reply
           | None ->
               (* Autoindex for directories, as nginx with autoindex on. *)
               if Vfs.is_dir (Fs.vfs t.fs) path then begin
@@ -213,12 +223,14 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
                     (String.concat ""
                        (List.map (fun e -> Printf.sprintf "<li>%s</li>" e) entries))
                 in
-                Netsim.send c (http_200 ~keep_alive body)
+                send_200 slot c ~keep_alive body
               end
               else Netsim.send c http_404)
       | "HEAD" -> (
           match Fs.lookup t.fs path with
-          | Some size -> Netsim.send c (http_200_head ~keep_alive size)
+          | Some size ->
+              ignore (reply_200 slot.reply ~keep_alive ~len:size ~body:0);
+              Netsim.send_buf c slot.reply
           | None -> Netsim.send c http_404)
       | "POST" ->
           (* POSTs are the server's mutations: an [X-Request-Id] header
@@ -316,7 +328,7 @@ let slot_udi t slot =
 (* SDRaD parsing (§V-B): request bytes are copied into the persistent
    parser domain, each parse phase is its own domain transition, and the
    normalized URI is copied back out on success. *)
-let handle_sdrad t slot sd c msg ~cbuf ~len =
+let handle_sdrad t slot sd c req ~cbuf ~len =
   let udi = slot_udi t slot in
   let on_rewind f =
     Serve.rewound t.core f;
@@ -354,7 +366,8 @@ let handle_sdrad t slot sd c msg ~cbuf ~len =
   in
   (* The request's trace covers its whole handling, [respond] included:
      parse-phase switches, faults, replays and audit records inherit it. *)
-  match Serve.run t.core sd ~trace:(trace_of_msg msg) ~udi ~on_rewind body with
+  let trace = trace_of_msg (Netsim.Buf.view req) (Netsim.Buf.length req) in
+  match Serve.run t.core sd ~trace ~udi ~on_rewind body with
   | `Busy ->
       (* Quarantined parser domain: degrade instead of serving — the
          client gets a retryable 503 and keeps its connection. *)
@@ -434,6 +447,7 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
         Array.init cfg.workers (fun idx ->
             {
               idx;
+              reply = Netsim.Buf.create ();
               ws = Netsim.Waitset.create ();
               live_conns = [];
               tid = -1;
@@ -511,15 +525,16 @@ and worker t slot =
   in
   (* Overload: answer the retryable 503 before any parsing or domain
      switch is spent on this request. *)
-  let shed c msg =
-    Serve.shed t.core c ~trace:(trace_of_msg msg) ~udi:(slot_udi t slot)
-      http_503
+  let shed c req =
+    Serve.shed t.core c
+      ~trace:(trace_of_msg (Netsim.Buf.view req) (Netsim.Buf.length req))
+      ~udi:(slot_udi t slot) http_503
   in
-  let handle c msg =
-    let { Serve.addr = cbuf; len } = Serve.copy_in t.core c msg in
+  let handle c req =
+    let { Serve.addr = cbuf; len } = Serve.copy_in t.core c req in
     let verdict =
       match (t.cfg.variant, t.sd) with
-      | Sdrad, Some sd -> handle_sdrad t slot sd c msg ~cbuf ~len
+      | Sdrad, Some sd -> handle_sdrad t slot sd c req ~cbuf ~len
       | _ -> handle_plain t slot c ~cbuf ~len
     in
     Serve.clear_trace t.core;

@@ -86,41 +86,35 @@ let put_be32 b off v =
   put_be16 b off ((v lsr 16) land 0xFFFF);
   put_be16 b (off + 2) (v land 0xFFFF)
 
-(* A zeroed frame with its header set and room for a body of
-   [extlen + keylen + vlen] bytes; the caller writes the body. *)
-let frame_bytes ~magic ~opcode ~status ~extlen ~keylen ~vlen =
-  let body = extlen + keylen + vlen in
-  let b = Bytes.make (header_size + body) '\000' in
-  Bytes.set b 0 (Char.chr magic);
-  Bytes.set b 1 (Char.chr opcode);
-  put_be16 b 2 keylen;
-  Bytes.set b 4 (Char.chr extlen);
-  put_be16 b 6 status;
-  put_be32 b 8 body;
-  b
+(* The header of a frame with a body of [extlen + keylen + vlen] bytes,
+   at [b.[off]]: the caller writes the body. *)
+let put_header b off ~magic ~opcode ~status ~extlen ~keylen ~vlen =
+  Bytes.fill b off header_size '\000';
+  Bytes.set b off (Char.chr magic);
+  Bytes.set b (off + 1) (Char.chr opcode);
+  put_be16 b (off + 2) keylen;
+  Bytes.set b (off + 4) (Char.chr extlen);
+  put_be16 b (off + 6) status;
+  put_be32 b (off + 8) (extlen + keylen + vlen)
 
 let frame ~magic ~opcode ~status ~extras ~key ~value =
   let extlen = String.length extras and keylen = String.length key in
-  let b =
-    frame_bytes ~magic ~opcode ~status ~extlen ~keylen
-      ~vlen:(String.length value)
-  in
+  let vlen = String.length value in
+  let b = Bytes.create (header_size + extlen + keylen + vlen) in
+  put_header b 0 ~magic ~opcode ~status ~extlen ~keylen ~vlen;
   Bytes.blit_string extras 0 b header_size extlen;
   Bytes.blit_string key 0 b (header_size + extlen) keylen;
-  Bytes.blit_string value 0 b (header_size + extlen + keylen)
-    (String.length value);
+  Bytes.blit_string value 0 b (header_size + extlen + keylen) vlen;
   Bytes.unsafe_to_string b
 
 (* The GET reply: 4 extras bytes of flags, then the value, read from
    simulated memory straight into the frame. *)
-let res_value space ~flags ~addr ~len =
-  let b =
-    frame_bytes ~magic:magic_response ~opcode:op_get ~status:status_ok
-      ~extlen:4 ~keylen:0 ~vlen:len
-  in
+let res_value space out ~flags ~addr ~len =
+  let b = Netsim.Buf.reset out (header_size + 4 + len) in
+  put_header b 0 ~magic:magic_response ~opcode:op_get ~status:status_ok
+    ~extlen:4 ~keylen:0 ~vlen:len;
   put_be32 b header_size flags;
-  Space.read_into space addr b (header_size + 4) len;
-  Bytes.unsafe_to_string b
+  Space.read_into space addr b (header_size + 4) len
 
 let be32_string v =
   String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xFF))
@@ -154,8 +148,8 @@ let parse_trace space ~addr ~len =
   else load_be64 space (addr + 16)
 
 (* Same extraction from raw wire bytes (pre-admission decisions). *)
-let trace_of_string s =
-  if String.length s < header_size || Char.code s.[0] <> magic_request then 0L
+let trace_of_string s len =
+  if len < header_size || Char.code s.[0] <> magic_request then 0L
   else
     let be32 off =
       Int64.of_int

@@ -40,8 +40,9 @@ val parse_trace : Vmem.Space.t -> addr:int -> len:int -> int64
 (** The causal trace id carried in the request's CAS field (bytes
     16-23, unused by our command subset); [0L] = no context. *)
 
-val trace_of_string : string -> int64
-(** {!parse_trace} over raw wire bytes (pre-admission decisions). *)
+val trace_of_string : string -> int -> int64
+(** [trace_of_string s len]: {!parse_trace} over the raw wire bytes
+    [s.[0, len)] (pre-admission decisions). *)
 
 val with_trace : string -> int64 -> string
 (** Patch a trace id into an already-built request frame's CAS field
@@ -50,11 +51,12 @@ val with_trace : string -> int64 -> string
 
 (** {1 Response building (server side)} *)
 
-val res_value : Vmem.Space.t -> flags:int -> addr:int -> len:int -> string
-(** The GET reply: [flags] in 4 extras bytes, then the [len]-byte value
-    at [addr], read from simulated memory with {!Vmem.Space.read_into}
-    straight into the frame — one copy, charged as
-    [Space.read_string addr len] is. *)
+val res_value :
+  Vmem.Space.t -> Netsim.Buf.t -> flags:int -> addr:int -> len:int -> unit
+(** [res_value space out ...] makes [out] the GET reply: [flags] in 4
+    extras bytes, then the [len]-byte value at [addr], read from
+    simulated memory with {!Vmem.Space.read_into} straight into the
+    buffer — one copy, charged as [Space.read_string addr len] is. *)
 
 val res_stored : string
 val res_deleted : string

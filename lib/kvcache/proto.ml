@@ -54,14 +54,33 @@ let rec has_at_from s off lit i =
   || (String.unsafe_get s (off + i) = String.unsafe_get lit i
      && has_at_from s off lit (i + 1))
 
-let has_at s off lit =
-  off >= 0 && String.length s - off >= String.length lit
-  && has_at_from s off lit 0
+(* [lit] occurs in [s.[0, n)] at [off]. *)
+let has_at s n off lit =
+  off >= 0 && n - off >= String.length lit && has_at_from s off lit 0
 
 let word_is s a b lit = b - a = String.length lit && has_at_from s a lit 0
 let sub s a b = String.sub s a (b - a)
 
 let word_int s a b = int_of_string_opt (sub s a b)
+
+(* The value of the digits [s.[i, b)] after [v], or -1 at a byte that
+   is not a digit. *)
+let rec digits s i b v =
+  if i = b then v
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c -> digits s (i + 1) b ((v * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* [word_int] when it is a non-negative value, else -1, with no option:
+   up to 18 plain digits, which cannot overflow, are read in place, and
+   any other word (a sign, a base prefix, an underscore, a long one) is
+   copied out and parsed. *)
+let word_nat s a b =
+  let v = if b > a && b - a <= 18 then digits s a b 0 else -1 in
+  if v >= 0 then v
+  else
+    match word_int s a b with Some v when v >= 0 -> v | _ -> -1
 
 (* The id carried by a [trace=<16 hex>] word at [a, b), as
    [Telemetry.Context.trace_id_at] decodes it; 0 when the word is no such
@@ -115,10 +134,10 @@ let parse_trace space ~addr ~len =
 
 (* Same extraction from raw wire bytes — for decisions taken before the
    request is admitted into simulated memory (load shedding). *)
-let trace_of_string msg =
-  match String.index_opt msg '\r' with
-  | None -> 0L
-  | Some cr -> to_trace (line_trace msg cr)
+let trace_of_string msg len =
+  match Serve.index_from msg 0 len '\r' with
+  | -1 -> 0L
+  | cr -> to_trace (line_trace msg cr)
 
 let unknown = Bad "unknown command"
 
@@ -256,14 +275,14 @@ let put_header b p ~key ~flags ~len =
   let p = put_int b (p + 1) len in
   put_string b p "\r\n"
 
-let value_reply space ~key ~flags ~addr ~len =
+let value_reply space out ~key ~flags ~addr ~len =
   let b =
-    Bytes.create (header_width ~key ~flags ~len + len + 2 + String.length end_)
+    Netsim.Buf.reset out
+      (header_width ~key ~flags ~len + len + 2 + String.length end_)
   in
   let p = put_header b 0 ~key ~flags ~len in
   Space.read_into space addr b p len;
-  ignore (put_string b (put_string b (p + len) "\r\n") end_);
-  Bytes.unsafe_to_string b
+  ignore (put_string b (put_string b (p + len) "\r\n") end_)
 
 let values_reply hits ~write =
   let n =
@@ -288,7 +307,7 @@ let values_reply hits ~write =
 
 (* Trace rides last on the line ([... id=<rid> trace=<hex>]): it is the
    first token dropped on the server. Zero = no context = no token. *)
-let trace_width = function Some tr when tr <> 0L -> 23 | _ -> 0
+let trace_width tr = if Int64.equal tr 0L then 0 else 23
 let rid_width = function None -> 0 | Some r -> 4 + String.length r
 let hex = "0123456789abcdef"
 
@@ -296,18 +315,22 @@ let put_suffixes b p ~rid ~trace =
   let p =
     match rid with None -> p | Some r -> put_string b (put_string b p " id=") r
   in
-  match trace with
-  | Some tr when tr <> 0L ->
-      let p = put_string b p " trace=" in
-      for i = 0 to 15 do
-        let d = Int64.to_int (Int64.shift_right_logical tr (60 - (4 * i))) in
-        Bytes.unsafe_set b (p + i) hex.[d land 15]
-      done;
-      p + 16
-  | _ -> p
+  if Int64.equal trace 0L then p
+  else begin
+    let p = put_string b p " trace=" in
+    for i = 0 to 15 do
+      let d = Int64.to_int (Int64.shift_right_logical trace (60 - (4 * i))) in
+      Bytes.unsafe_set b (p + i) hex.[d land 15]
+    done;
+    p + 16
+  end
+
+let add_tokens out ~rid ~trace =
+  let p = Netsim.Buf.reserve out (rid_width rid + trace_width trace) in
+  ignore (put_suffixes (Netsim.Buf.bytes out) p ~rid ~trace)
 
 (* [<verb> <key>[ <num>][ id=<rid>][ trace=<hex>]\r\n] *)
-let keyed_line verb ?num ?rid ?trace key =
+let keyed_line verb ?num ?rid ?(trace = 0L) key =
   let nw = match num with None -> 0 | Some d -> 1 + Serve.dec_width d in
   let b =
     Bytes.create
@@ -328,7 +351,7 @@ let keyed_line verb ?num ?rid ?trace key =
   Bytes.unsafe_to_string b
 
 (* [<op> <key> <flags> 0 <declared>[ id=<rid>][ trace=<hex>]\r\n<value>\r\n] *)
-let storage_line op ?rid ?trace ~key ~flags ~declared value =
+let storage_line op ?rid ?(trace = 0L) ~key ~flags ~declared value =
   let b =
     Bytes.create
       (String.length op + 1 + String.length key + 1 + Serve.dec_width flags + 3
@@ -396,7 +419,7 @@ let parse_stats s =
   let rec lines i acc =
     if i > n then List.rev acc
     else
-      let nl = match Serve.index_from s i '\n' with -1 -> n | nl -> nl in
+      let nl = match Serve.index_from s i n '\n' with -1 -> n | nl -> nl in
       let a = Serve.skip_blanks s i nl in
       let stop = Serve.trim_blanks s a nl in
       let w = word_stop s a stop in
@@ -416,9 +439,9 @@ let parse_stats s =
 (* Whether [s] can be a number reply: after the whitespace [String.trim]
    drops, [int_of_string] needs a sign or a digit first. Checked before
    anything is copied — a value reply carries a whole stored value. *)
-let number_prefix s =
-  let i = Serve.skip_blanks s 0 (String.length s) in
-  i < String.length s
+let number_prefix s n =
+  let i = Serve.skip_blanks s 0 n in
+  i < n
   &&
   match String.unsafe_get s i with
   | '0' .. '9' | '-' | '+' -> true
@@ -426,15 +449,14 @@ let number_prefix s =
 
 exception Malformed
 
-(* The [VALUE <key> <flags> <len>\r\n<data>\r\n] blocks of [s] from [off],
-   up to END or the end of [s], walked in place:
+(* The [VALUE <key> <flags> <len>\r\n<data>\r\n] blocks of [s.[0, n)]
+   from [off], up to END or [n], walked in place:
    [f s acc key_start key_stop data_off data_len] folds over them.
    @raise Malformed at a block that is not one. *)
-let rec fold_blocks s off f acc =
-  let n = String.length s in
-  if off >= n || has_at s off end_ then acc
+let rec fold_blocks s n off f acc =
+  if off >= n || has_at s n off end_ then acc
   else
-    let cr = Serve.index_from s off '\r' in
+    let cr = Serve.index_from s off n '\r' in
     if cr < 0 then raise_notrace Malformed
     else
       let a0 = word_start s off cr in
@@ -447,10 +469,10 @@ let rec fold_blocks s off f acc =
       if not (word_is s a0 b0 "VALUE" && a3 < cr && word_start s b3 cr = cr)
       then raise_notrace Malformed
       else
-        match word_int s a3 b3 with
-        | Some len when len >= 0 && len <= n - cr - 4 ->
-            fold_blocks s (cr + 4 + len) f (f s acc a1 b1 (cr + 2) len)
-        | _ -> raise_notrace Malformed
+        let len = word_nat s a3 b3 in
+        if len >= 0 && len <= n - cr - 4 then
+          fold_blocks s n (cr + 4 + len) f (f s acc a1 b1 (cr + 2) len)
+        else raise_notrace Malformed
 
 type shape =
   | Plain of reply  (* a reply that carries nothing of [s] *)
@@ -461,40 +483,44 @@ type shape =
   | Malformed_values
   | Other
 
-(* What [s] is, found without copying a value out of it. *)
-let shape s =
-  if s = not_stored then Plain NotFound
+(* [s.[0, n)] is exactly [lit]. *)
+let is s n lit = n = String.length lit && has_at_from s 0 lit 0
+
+(* What [s.[0, n)] is, found without copying a value out of it. *)
+let shape s n =
+  if is s n not_stored then Plain NotFound
   else if
-    String.length s >= 3 && number_prefix s
-    && Option.is_some (int_of_string_opt (String.trim s))
+    n >= 3 && number_prefix s n
+    && Option.is_some (int_of_string_opt (String.trim (String.sub s 0 n)))
   then Number_text
-  else if has_at s 0 "STAT " then Stat_lines
-  else if s = stored then Plain Stored
-  else if s = deleted then Plain Deleted
-  else if s = not_found then Plain NotFound
-  else if s = end_ then Plain Miss
-  else if String.length s > 6 && has_at s 0 "VALUE " then
-    match fold_blocks s 0 (fun _ n _ _ _ _ -> n + 1) 0 with
+  else if has_at s n 0 "STAT " then Stat_lines
+  else if is s n stored then Plain Stored
+  else if is s n deleted then Plain Deleted
+  else if is s n not_found then Plain NotFound
+  else if is s n end_ then Plain Miss
+  else if n > 6 && has_at s n 0 "VALUE " then
+    match fold_blocks s n 0 (fun _ n _ _ _ _ -> n + 1) 0 with
     | 1 -> One_value
     | _ -> Many_values
     | exception Malformed -> Malformed_values
   else Other
 
 let parse_reply s =
-  match shape s with
+  let n = String.length s in
+  match shape s n with
   | Plain r -> r
   | Number_text -> Number (int_of_string (String.trim s))
   | Stat_lines -> StatsReply (parse_stats s)
   | One_value ->
-      Value (fold_blocks s 0 (fun s _ _ _ d len -> String.sub s d len) "")
+      Value (fold_blocks s n 0 (fun s _ _ _ d len -> String.sub s d len) "")
   | Many_values ->
       Values
         (List.rev
-           (fold_blocks s 0
+           (fold_blocks s n 0
               (fun s acc a b d len -> (sub s a b, String.sub s d len) :: acc)
               []))
   | Malformed_values -> Failed "malformed VALUE block"
   | Other -> Failed s
 
-let reply_ok s =
-  match shape s with Malformed_values | Other -> false | _ -> true
+let reply_ok s n =
+  match shape s n with Malformed_values | Other -> false | _ -> true

@@ -8,8 +8,9 @@
     hop. {!parse} and {!parse_trace} each read the request line out once
     (each read is charged) and scan it in place; {!value_reply} and
     {!values_reply}'s server-side writer read stored values straight
-    into the reply. Every builder here computes its length first and
-    writes one buffer. *)
+    into the reply buffer. Every builder here computes its length first
+    and writes one buffer. Scanners of raw wire bytes read a message
+    [s.[0, len)], so they scan a {!Netsim.Buf.t} in place. *)
 
 type cmd =
   | Get of string
@@ -59,9 +60,10 @@ val parse_trace : Vmem.Space.t -> addr:int -> len:int -> int64
     arrival, before {!parse}, to install the context for the request's
     whole handling; it reads the line out of simulated memory itself. *)
 
-val trace_of_string : string -> int64
-(** {!parse_trace} over raw wire bytes — for decisions taken before the
-    request reaches simulated memory (load shedding, the router). *)
+val trace_of_string : string -> int -> int64
+(** [trace_of_string s len]: {!parse_trace} over the raw wire bytes
+    [s.[0, len)] — for decisions taken before the request reaches
+    simulated memory (load shedding, the router). *)
 
 (** {2 The scanner, for a router that reads a raw line} *)
 
@@ -95,12 +97,18 @@ val end_ : string
 val error : string
 
 val value_reply :
-  Vmem.Space.t -> key:string -> flags:int -> addr:int -> len:int -> string
-(** The complete single-hit GET reply,
-    [VALUE <key> <flags> <len>\r\n<value>\r\nEND\r\n], in one buffer. The
-    value is read from simulated memory at [addr] with
-    {!Vmem.Space.read_into} straight into that buffer: the one copy it
-    makes, charged exactly as [Space.read_string addr len] is. *)
+  Vmem.Space.t ->
+  Netsim.Buf.t ->
+  key:string ->
+  flags:int ->
+  addr:int ->
+  len:int ->
+  unit
+(** [value_reply space out ...] makes [out] the complete single-hit GET
+    reply, [VALUE <key> <flags> <len>\r\n<value>\r\nEND\r\n]. The value
+    is read from simulated memory at [addr] with {!Vmem.Space.read_into}
+    straight into the buffer: the one copy it makes, charged exactly as
+    [Space.read_string addr len] is. *)
 
 val values_reply :
   (string * int * int * 'a) list ->
@@ -113,6 +121,11 @@ val values_reply :
     ({!Vmem.Space.read_into}) keeps its per-hit order of accesses. *)
 
 (** {1 Request formatting (client side)} *)
+
+val add_tokens : Netsim.Buf.t -> rid:string option -> trace:int64 -> unit
+(** Append the trailing [ id=<rid>] and [ trace=<16 hex>] tokens as the
+    formatters below write them ([0L] writes no trace token): for a
+    client that writes its request lines into a buffer. *)
 
 val fmt_get : ?trace:int64 -> string -> string
 (** [?trace] (here and below) appends the causal-context token
@@ -179,6 +192,7 @@ val parse_reply : string -> reply
     a single hit's value, or each hit's key and value. A block whose
     length is negative or runs past the reply is [Failed]. *)
 
-val reply_ok : string -> bool
-(** [parse_reply s] is not [Failed], decided with the same walk and
-    without copying anything out of [s]. *)
+val reply_ok : string -> int -> bool
+(** [reply_ok s len]: [parse_reply] of [s.[0, len)] is not [Failed],
+    decided with the same walk and without copying anything out of
+    [s]. *)

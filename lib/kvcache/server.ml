@@ -92,21 +92,31 @@ let storage_mode_blocked t mode key =
   | `Add -> Store.peek t.db key <> None
   | `Replace -> Store.peek t.db key = None
 
-let global_lock t f =
+let lock t =
   Sched.Mutex.lock t.glock;
   (* The lock word itself lives in (protected) memory: a real CAS. *)
-  Space.store64 t.space t.lock_word 1;
-  let finish () =
-    Space.store64 t.space t.lock_word 0;
-    Sched.Mutex.unlock t.glock
-  in
+  Space.store64 t.space t.lock_word 1
+
+let unlock t =
+  Space.store64 t.space t.lock_word 0;
+  Sched.Mutex.unlock t.glock
+
+let global_lock t f =
+  lock t;
   match f () with
-  | v -> finish (); v
-  | exception e -> finish (); raise e
+  | v -> unlock t; v
+  | exception e -> unlock t; raise e
+
+(* The deferred LRU bump of a GET, under the lock without a closure. *)
+let touch_locked t key =
+  lock t;
+  match Store.touch t.db key with
+  | () -> unlock t
+  | exception e -> unlock t; raise e
 
 (* Response formatting differs between the text and binary protocols;
    request handling is shared. A value reply reads the value out of
-   simulated memory straight into the reply. *)
+   simulated memory straight into the worker's reply buffer. *)
 type wire = {
   w_stored : string;
   w_oom : string;
@@ -115,7 +125,9 @@ type wire = {
   w_not_found : string;
   w_miss : string;
   w_error : string;
-  w_value : Space.t -> key:string -> flags:int -> addr:int -> len:int -> string;
+  w_value :
+    Space.t -> Netsim.Buf.t -> key:string -> flags:int -> addr:int -> len:int ->
+    unit;
   w_values : string -> string;  (* the multi-get reply, from the text one *)
 }
 
@@ -142,8 +154,8 @@ let binary_wire =
     w_miss = Binproto.res_not_found;
     w_error = Binproto.res_error Binproto.status_einval;
     w_value =
-      (fun space ~key:_ ~flags ~addr ~len ->
-        Binproto.res_value space ~flags ~addr ~len);
+      (fun space out ~key:_ ~flags ~addr ~len ->
+        Binproto.res_value space out ~flags ~addr ~len);
     (* The binary protocol has no multi-get frame in our subset. A
        binary request only reaches a multi-get when a fault rewrote its
        domain copy into text; its hits are still read and released. *)
@@ -331,38 +343,39 @@ and dispatcher t =
   in
   try loop () with e -> crash_cleanup t; raise e
 
+(* Each worker writes its value replies into one buffer of its own. *)
 and worker t i =
   let ws = t.waitsets.(i) in
+  let reply = Netsim.Buf.create () in
   let handle =
     match t.cfg.variant with
-    | Baseline | Tlsf_alloc -> handle_plain t ws
-    | Sdrad -> handle_sdrad t ws
+    | Baseline | Tlsf_alloc -> handle_plain t ws reply
+    | Sdrad -> handle_sdrad t ws reply
   in
   try Serve.worker t.core ws ~drop:(Serve.drop t.core ws) ~shed:(shed t) ~handle
   with e -> crash_cleanup t; raise e
 
-and shed t c msg =
-  let binary =
-    String.length msg > 0 && Char.code msg.[0] = Binproto.magic_request
-  in
+and shed t c req =
+  let msg = Netsim.Buf.view req and n = Netsim.Buf.length req in
+  let binary = n > 0 && Char.code msg.[0] = Binproto.magic_request in
   Serve.shed t.core c
     ~trace:
-      (if binary then Binproto.trace_of_string msg
-       else Proto.trace_of_string msg)
+      (if binary then Binproto.trace_of_string msg n
+       else Proto.trace_of_string msg n)
     ~udi:(udi_for_conn t c)
     (if binary then binary_wire.w_busy else text_wire.w_busy)
 
-and handle_plain t ws c msg =
+and handle_plain t ws reply c req =
   let space = t.space in
-  let { Serve.addr = cbuf; len } = Serve.copy_in t.core c msg in
+  let { Serve.addr = cbuf; len } = Serve.copy_in t.core c req in
   let w, cmd = parse_any space ~addr:cbuf ~len in
   match cmd with
   | Get key -> (
       match Store.get t.db key with
       | Some (vaddr, vlen, flags) ->
-          Netsim.send c
-            (staged t ~vaddr ~vlen (fun addr ->
-                 w.w_value space ~key ~flags ~addr ~len:vlen))
+          staged t ~vaddr ~vlen (fun addr ->
+              w.w_value space reply ~key ~flags ~addr ~len:vlen);
+          Netsim.send_buf c reply
       | None -> Netsim.send c w.w_miss)
   | Set { mode; key; flags; declared_len; data_off; data_len; rid } ->
       if t.cfg.vulnerable && declared_len < 0 then begin
@@ -480,11 +493,11 @@ and udi_for_conn t c =
         | None -> ());
         udi
 
-and handle_sdrad t ws c msg =
+and handle_sdrad t ws reply c req =
   let sd = Option.get t.sd in
   let space = t.space in
   let udi = udi_for_conn t c in
-  let { Serve.addr = cbuf; len } = Serve.copy_in t.core c msg in
+  let { Serve.addr = cbuf; len } = Serve.copy_in t.core c req in
   let binary = Binproto.is_binary space ~addr:cbuf ~len in
   let w = if binary then binary_wire else text_wire in
   let trace =
@@ -515,15 +528,17 @@ and handle_sdrad t ws c msg =
     let outcome = drive_machine_in_domain t sd ~udi ~dbuf ~len in
     Api.exit_domain sd;
     (* Apply the deferred update atomically in the parent (step 9),
-       then format the response from the (accessible) domain data. *)
-    let reply =
+       then format the response from the (accessible) domain data: a
+       value into the reply buffer ([`Value]), anything else as a
+       string. *)
+    let outcome =
       match outcome with
       | `Value (addr, vlen, flags, key) ->
-          let reply = w.w_value space ~key ~flags ~addr ~len:vlen in
+          w.w_value space reply ~key ~flags ~addr ~len:vlen;
           Api.free sd ~udi addr;
           (* Deferred LRU bump, applied with parent privileges. *)
-          global_lock t (fun () -> Store.touch t.db key);
-          Some reply
+          touch_locked t key;
+          `Value
       | `Multi_value hits ->
           (* Per hit: read into the reply, free, bump. *)
           let reply =
@@ -532,27 +547,28 @@ and handle_sdrad t ws c msg =
                 Api.free sd ~udi addr;
                 global_lock t (fun () -> Store.touch t.db key))
           in
-          Some (w.w_values reply)
-      | `Miss -> Some w.w_miss
-      | `Bad_cmd -> Some w.w_error
-      | `Stats_cmd -> Some (stats_reply t)
-      | `Telemetry_cmd -> Some (telemetry_reply t)
-      | `Quit_cmd -> None
-      | `Deferred (rid, d, staged) ->
+          `Reply (w.w_values reply)
+      | `Miss -> `Reply w.w_miss
+      | `Bad_cmd -> `Reply w.w_error
+      | `Stats_cmd -> `Reply (stats_reply t)
+      | `Telemetry_cmd -> `Reply (telemetry_reply t)
+      | `Quit_cmd -> `Drop
+      | `Deferred (rid, d, staged) -> (
           let r = apply_deferred t w rid d in
           Option.iter (fun p -> Api.free sd ~udi p) staged;
-          r
+          match r with Some r -> `Reply r | None -> `Drop)
     in
     (* The marshalling buffer is cache-owned and reused by the next
        event; only the saved context is dropped here. *)
     Api.deinit sd udi;
-    `Reply reply
+    outcome
   in
   (match Serve.run t.core sd ~trace ~udi ~on_rewind body with
   | `Busy -> Serve.busy t.core c w.w_busy
   | `Rewound -> ()
-  | `Reply (Some reply) -> Netsim.send c reply
-  | `Reply None -> Serve.drop t.core ws c);
+  | `Value -> Netsim.send_buf c reply
+  | `Reply r -> Netsim.send c r
+  | `Drop -> Serve.drop t.core ws c);
   Serve.clear_trace t.core
 
 (* drive_machine (Figure 3 step 6), executing inside the nested domain:
@@ -564,15 +580,19 @@ and drive_machine_in_domain t sd ~udi ~dbuf ~len =
   match cmd with
   | Get key -> (
       (* The domain may only read the database: the LRU recency update is
-         a write, so it is deferred to the parent like every mutation. *)
-      match Store.peek t.db key with
-      | Some (vaddr, vlen, flags) ->
+         a write, so it is deferred to the parent like every mutation.
+         The item's fields are read in [Store.peek]'s order. *)
+      match Store.find t.db key with
+      | 0 -> `Miss
+      | item ->
+          let flags = Store.item_flags t.db item in
+          let vlen = Store.value_len t.db item in
+          let vaddr = Store.value_addr t.db item in
           (* Copy the value into the domain: the response is assembled by
              the parent from this staged copy. *)
           let out = Api.malloc sd ~udi (max 8 vlen) in
           Space.blit space ~src:vaddr ~dst:out ~len:vlen;
-          `Value (out, vlen, flags, key)
-      | None -> `Miss)
+          `Value (out, vlen, flags, key))
   | Set { mode; key; flags; declared_len; data_off; data_len; rid } ->
       if t.cfg.vulnerable && declared_len < 0 then begin
         (* Wrapped slabs_alloc: the copy item lives in the nested domain,

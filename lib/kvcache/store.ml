@@ -13,6 +13,8 @@ type t = {
   mutable lru_head : int;  (* most recently used, 0 = empty *)
   mutable lru_tail : int;  (* least recently used *)
   mutable evictions : int;
+  scratch : Bytes.t;  (* a stored key, read out by [find_prev] *)
+  mutable prev : int;  (* the link slot of [find_prev]'s last find *)
 }
 
 let round_pow2 n =
@@ -32,20 +34,26 @@ let create space ~buckets ~slab ~alloc_table =
     lru_head = 0;
     lru_tail = 0;
     evictions = 0;
+    scratch = Bytes.create 256;
+    prev = 0;
   }
 
 let hash key =
   (* FNV-1a 64, truncated to OCaml's 63-bit int. *)
   let h = ref 0xbf29ce484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3 land max_int)
-    key;
+  for i = 0 to String.length key - 1 do
+    h := (!h lxor Char.code (String.unsafe_get key i)) * 0x100000001b3
+         land max_int
+  done;
   !h
 
+(* [Sched.charge]'s addition, made in the clock cell so the float is not
+   boxed. *)
 let charge_hash key =
-  if Sched.in_thread () then Sched.charge (float_of_int (String.length key))
+  if Sched.in_thread () then begin
+    let k = Sched.clock_cell () in
+    k.clock <- k.clock +. float_of_int (String.length key)
+  end
 
 let bucket_slot t key = t.table + ((hash key land t.mask) * 8)
 
@@ -57,9 +65,28 @@ let set_lru_next t i v = Space.store64 t.space (i + 8) v
 let lru_prev t i = Space.load64 t.space (i + 16)
 let set_lru_prev t i v = Space.store64 t.space (i + 16) v
 let key_len t i = Space.load32 t.space (i + 24)
-let val_len t i = Space.load32 t.space (i + 28)
+let value_len t i = Space.load32 t.space (i + 28)
 let item_flags t i = Space.load32 t.space (i + 32)
 let item_key t i = Space.read_string t.space (i + header_size) (key_len t i)
+let value_addr t i = i + header_size + key_len t i
+
+(* [b.[0, n)] is [key]. *)
+let rec same_key b key n i =
+  i = n
+  || Bytes.unsafe_get b i = String.unsafe_get key i
+     && same_key b key n (i + 1)
+
+(* The stored key of [item] is [key]: it is read into the scratch buffer
+   with [read_into], which checks and charges as [item_key]'s
+   [read_string] does, and compared in place. Only a corrupted header
+   has a key longer than the buffer; that one is read as a string. *)
+let key_is t item key =
+  let klen = key_len t item in
+  if klen <= Bytes.length t.scratch then begin
+    Space.read_into t.space (item + header_size) t.scratch 0 klen;
+    klen = String.length key && same_key t.scratch key klen 0
+  end
+  else String.equal (Space.read_string t.space (item + header_size) klen) key
 
 (* {1 LRU list (links live in simulated memory)} *)
 
@@ -83,16 +110,17 @@ let lru_bump t item =
 
 (* {1 Hash chains} *)
 
-(* Find an item and its predecessor link slot (for unlinking). *)
+(* The item stored under [key], or 0; [t.prev] is left at the link
+   slot that points to it (for unlinking). *)
 let find_prev t key =
-  let slot = bucket_slot t key in
-  let rec walk link =
-    let item = Space.load64 t.space link in
-    if item = 0 then None
-    else if String.equal (item_key t item) key then Some (link, item)
-    else walk item (* h_next is at offset 0 *)
-  in
-  walk slot
+  let link = ref (bucket_slot t key) in
+  let item = ref (Space.load64 t.space !link) in
+  while !item <> 0 && not (key_is t !item key) do
+    link := !item (* h_next is at offset 0 *);
+    item := Space.load64 t.space !link
+  done;
+  t.prev <- !link;
+  !item
 
 (* Fill a raw chunk with an item image (no linking). *)
 let write_item t ~item ~key ~flags ~value_src ~value_len =
@@ -112,7 +140,7 @@ let unlink t link item =
   let next = Space.load64 t.space item in
   Space.store64 t.space link next;
   lru_unlink t item;
-  let klen = key_len t item and vlen = val_len t item in
+  let klen = key_len t item and vlen = value_len t item in
   Slab.free t.slab ~addr:item ~size:(header_size + klen + vlen);
   t.count <- t.count - 1;
   t.value_bytes <- t.value_bytes - vlen
@@ -124,11 +152,10 @@ let evict_one t =
   if victim = 0 then false
   else begin
     let key = item_key t victim in
-    (match find_prev t key with
-    | Some (link, item) when item = victim -> unlink t link item
-    | Some _ | None ->
-        (* The tail is not reachable through its bucket: corruption. *)
-        failwith "Store.evict_one: LRU/hash inconsistency");
+    if find_prev t key = victim then unlink t t.prev victim
+    else
+      (* The tail is not reachable through its bucket: corruption. *)
+      failwith "Store.evict_one: LRU/hash inconsistency";
     t.evictions <- t.evictions + 1;
     true
   end
@@ -146,15 +173,14 @@ let prepare t ~key ~flags ~value_src ~value_len =
 
 let commit t ~key item =
   charge_hash key;
-  (match find_prev t key with
-  | Some (link, old) -> unlink t link old
-  | None -> ());
+  let old = find_prev t key in
+  if old <> 0 then unlink t t.prev old;
   let slot = bucket_slot t key in
   Space.store64 t.space item (Space.load64 t.space slot);
   Space.store64 t.space slot item;
   lru_push_head t item;
   t.count <- t.count + 1;
-  t.value_bytes <- t.value_bytes + val_len t item
+  t.value_bytes <- t.value_bytes + value_len t item
 
 let set t ~key ~flags ~value_src ~value_len =
   match prepare t ~key ~flags ~value_src ~value_len with
@@ -163,32 +189,32 @@ let set t ~key ~flags ~value_src ~value_len =
       commit t ~key item;
       true
 
-let peek t key =
+let find t key =
   charge_hash key;
-  match find_prev t key with
-  | None -> None
-  | Some (_, item) ->
-      Some (item + header_size + key_len t item, val_len t item, item_flags t item)
+  find_prev t key
+
+let peek t key =
+  match find t key with
+  | 0 -> None
+  | item -> Some (value_addr t item, value_len t item, item_flags t item)
 
 let get t key =
-  charge_hash key;
-  match find_prev t key with
-  | None -> None
-  | Some (_, item) ->
+  match find t key with
+  | 0 -> None
+  | item ->
       lru_bump t item;
-      Some (item + header_size + key_len t item, val_len t item, item_flags t item)
+      Some (value_addr t item, value_len t item, item_flags t item)
 
 let touch t key =
-  match find_prev t key with
-  | None -> ()
-  | Some (_, item) -> lru_bump t item
+  let item = find_prev t key in
+  if item <> 0 then lru_bump t item
 
 let delete t key =
   charge_hash key;
   match find_prev t key with
-  | None -> false
-  | Some (link, item) ->
-      unlink t link item;
+  | 0 -> false
+  | item ->
+      unlink t t.prev item;
       true
 
 let mem t key = get t key <> None
@@ -216,7 +242,7 @@ let check t =
         else begin
           Hashtbl.replace seen item ();
           let klen = key_len t item in
-          let vlen = val_len t item in
+          let vlen = value_len t item in
           if klen <= 0 || klen > 250 then
             err "item 0x%x: bad key length %d" item klen
           else if vlen < 0 || header_size + klen + vlen > Slab.max_chunk_size

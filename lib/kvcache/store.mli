@@ -49,6 +49,22 @@ val peek : t -> string -> (int * int * int) option
 val touch : t -> string -> unit
 (** Refresh a key's LRU position (no-op on a miss). *)
 
+(** {2 Lookup by item}
+
+    {!peek} without its option and tuple: the item's address, then its
+    fields. Keys are compared in place, so a lookup allocates nothing. *)
+
+val find : t -> string -> int
+(** The item stored under the key, or 0: {!peek}'s hash charge and chain
+    walk, without reading the item's fields. *)
+
+val item_flags : t -> int -> int
+val value_len : t -> int -> int
+
+val value_addr : t -> int -> int
+(** Where the item's value starts; reads its key length. {!peek} reads
+    [item_flags], [value_len] and [value_addr], in that order. *)
+
 val delete : t -> string -> bool
 val mem : t -> string -> bool
 val count : t -> int

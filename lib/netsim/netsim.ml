@@ -6,19 +6,138 @@ module Cost = Simkern.Cost
    chaos engine can be armed after connections exist. *)
 type send_action = Deliver | Drop | Truncate of int | Delay of float
 
-type hooks = { mutable on_send : (len:int -> send_action) option }
+(* A thread-owned message buffer: [len] bytes of [data], whose length is
+   a power of two, and the delivery time of the message last received
+   into it, kept in a float-only record so that writing it boxes
+   nothing. *)
+module Buf = struct
+  type stamp = { mutable at : float }
+  type t = { mutable data : Bytes.t; mutable len : int; stamp : stamp }
+
+  let min_capacity = 64
+
+  let rec fit cap n = if cap >= n then cap else fit (2 * cap) n
+  let create () =
+    { data = Bytes.create min_capacity; len = 0; stamp = { at = 0.0 } }
+
+  let length b = b.len
+  let bytes b = b.data
+  let view b = Bytes.unsafe_to_string b.data
+  let arrival b = b.stamp.at
+  let contents b = Bytes.sub_string b.data 0 b.len
+  let clear b = b.len <- 0
+
+  let equal_string b s =
+    b.len = String.length s
+    &&
+    let rec from i =
+      i = b.len
+      || (Bytes.unsafe_get b.data i = String.unsafe_get s i && from (i + 1))
+    in
+    from 0
+
+  (* Room for [n] bytes, keeping the first [keep]. *)
+  let ensure b n ~keep =
+    if n > Bytes.length b.data then begin
+      let data = Bytes.create (fit (Bytes.length b.data) n) in
+      Bytes.blit b.data 0 data 0 keep;
+      b.data <- data
+    end
+
+  let reserve b n =
+    let off = b.len in
+    ensure b (off + n) ~keep:off;
+    b.len <- off + n;
+    off
+
+  let reset b n =
+    ensure b n ~keep:0;
+    b.len <- n;
+    b.data
+
+  let add_string b s =
+    let off = reserve b (String.length s) in
+    Bytes.blit_string s 0 b.data off (String.length s)
+
+  (* The bytes [frame.[0, n)] as the buffer's contents. *)
+  let load b frame n = Bytes.blit frame 0 (reset b n) 0 n
+end
+
+(* The network's frame pool: free frames by size class, class [c]
+   holding [Bytes] of [1 lsl (c + min_shift)] bytes in a stack
+   [free.(c).(0 .. count.(c) - 1)]. A [send_buf] takes the smallest
+   class that fits the message and the receive that consumes it gives
+   the frame back, so the pool never holds more frames than were once in
+   flight together.
+
+   Only messages of up to [max_pooled] bytes are pooled: the minor heap
+   takes blocks of up to 256 words, 2 KiB, so a fresh copy of a message
+   up to that size is the minor allocation the pool saves. A larger
+   message gets a frame of its own, allocated on the major heap as a
+   string that size always is: pooling it would save no minor words
+   and would keep its class's peak in flight alive for the rest of the
+   run. *)
+type pool = { free : Bytes.t array array; count : int array }
+
+let min_shift = 6
+let max_pooled = 2048
+let classes = 6 (* 64 B to [max_pooled] *)
+
+let rec class_of c n =
+  if 1 lsl (c + min_shift) >= n then c else class_of (c + 1) n
+
+let take_frame p n =
+  let c = class_of 0 n in
+  let k = p.count.(c) in
+  if k = 0 then Bytes.create (1 lsl (c + min_shift))
+  else begin
+    p.count.(c) <- k - 1;
+    let f = p.free.(c).(k - 1) in
+    p.free.(c).(k - 1) <- Bytes.empty;
+    f
+  end
+
+let release_frame p f =
+  let c = class_of 0 (Bytes.length f) in
+  let k = p.count.(c) in
+  if k = Array.length p.free.(c) then begin
+    let grown = Array.make (max 4 (2 * k)) Bytes.empty in
+    Array.blit p.free.(c) 0 grown 0 k;
+    p.free.(c) <- grown
+  end;
+  p.free.(c).(k) <- f;
+  p.count.(c) <- k + 1
+
+(* What every endpoint of a network shares: the fault hook and the frame
+   pool. *)
+type shared = {
+  mutable on_send : (len:int -> send_action) option;
+  pool : pool;
+}
+
+let fresh_shared () =
+  {
+    on_send = None;
+    pool = { free = Array.make classes [||]; count = Array.make classes 0 };
+  }
 
 (* The inbox is a ring of [queued] messages from slot [head]: delivery
-   times unboxed in [arrivals], payloads in the same slots of
-   [payloads], capacity a power of two. Queueing a message allocates
+   times unboxed in [arrivals], frames in the same slots of [frames] and
+   their lengths in [lens], capacity a power of two. A [send_buf]'s
+   frame comes from the pool and goes back to it when received; a
+   [send]'s frame is the sent string itself, held by reference and never
+   written or pooled, and so is a [send_buf] frame too large to pool.
+   [lens] tells them apart: a message of [n] bytes has [2 n + 1] for a
+   pooled frame and [2 n] for a string. Queueing a message allocates
    nothing once the ring has grown to the connection's depth. *)
 type endpoint = {
   eid : int;
   src : int;  (* source address of the connecting side, for peer identity *)
   cost : Cost.t;
-  hooks : hooks;
+  shared : shared;
   mutable arrivals : Float.Array.t;
-  mutable payloads : string array;
+  mutable frames : Bytes.t array;
+  mutable lens : int array;
   mutable head : int;
   mutable queued : int;
   mutable peer : endpoint;  (* [unpaired] until [connect] pairs it *)
@@ -52,7 +171,7 @@ type t = {
   n_cost : Cost.t;
   ports : (int, listener) Hashtbl.t;
   mutable next_eid : int;
-  n_hooks : hooks;
+  n_shared : shared;
 }
 
 let create cost =
@@ -60,10 +179,11 @@ let create cost =
     n_cost = cost;
     ports = Hashtbl.create 8;
     next_eid = 0;
-    n_hooks = { on_send = None };
+    n_shared = fresh_shared ();
   }
 
-let set_fault_hook t h = t.n_hooks.on_send <- h
+let set_fault_hook t h = t.n_shared.on_send <- h
+let pooled_frames t = Array.fold_left ( + ) 0 t.n_shared.pool.count
 
 let listen t ~port =
   let l =
@@ -86,9 +206,10 @@ let unpaired =
       eid = -1;
       src = -1;
       cost = Cost.default;
-      hooks = { on_send = None };
+      shared = fresh_shared ();
       arrivals = Float.Array.create 0;
-      payloads = [||];
+      frames = [||];
+      lens = [||];
       head = 0;
       queued = 0;
       peer = e;
@@ -102,25 +223,30 @@ let unpaired =
 let fresh_endpoint t ~src =
   let eid = t.next_eid in
   t.next_eid <- eid + 1;
-  { unpaired with eid; src; cost = t.n_cost; hooks = t.n_hooks }
+  { unpaired with eid; src; cost = t.n_cost; shared = t.n_shared }
 
-let[@inline] enqueue e arrival msg =
-  let cap = Array.length e.payloads in
+let[@inline] enqueue e arrival frame len =
+  let cap = Array.length e.frames in
   if e.queued = cap then begin
     let cap' = max 4 (2 * cap) in
-    let arrivals = Float.Array.create cap' and payloads = Array.make cap' "" in
+    let arrivals = Float.Array.create cap'
+    and frames = Array.make cap' Bytes.empty
+    and lens = Array.make cap' 0 in
     for i = 0 to e.queued - 1 do
       let j = (e.head + i) land (cap - 1) in
       Float.Array.set arrivals i (Float.Array.get e.arrivals j);
-      payloads.(i) <- e.payloads.(j)
+      frames.(i) <- e.frames.(j);
+      lens.(i) <- e.lens.(j)
     done;
     e.arrivals <- arrivals;
-    e.payloads <- payloads;
+    e.frames <- frames;
+    e.lens <- lens;
     e.head <- 0
   end;
-  let j = (e.head + e.queued) land (Array.length e.payloads - 1) in
+  let j = (e.head + e.queued) land (Array.length e.frames - 1) in
   Float.Array.set e.arrivals j arrival;
-  e.payloads.(j) <- msg;
+  e.frames.(j) <- frame;
+  e.lens.(j) <- len;
   e.queued <- e.queued + 1
 
 (* Delivery time of the head-of-line message; callers check [queued]
@@ -128,12 +254,35 @@ let[@inline] enqueue e arrival msg =
    a non-inlined function returning a [Float.Array] element boxes it. *)
 let[@inline] head_arrival e = Float.Array.get e.arrivals e.head
 
+(* Drop the head-of-line message from the ring (its frame is the
+   caller's now). *)
+let advance e =
+  e.frames.(e.head) <- Bytes.empty;
+  e.head <- (e.head + 1) land (Array.length e.frames - 1);
+  e.queued <- e.queued - 1
+
+(* The head-of-line message as a string: a sent string is handed back
+   as it is, and a pooled frame is copied out and returned to the
+   pool. *)
 let dequeue e =
-  let msg = e.payloads.(e.head) in
-  e.payloads.(e.head) <- "";
-  e.head <- (e.head + 1) land (Array.length e.payloads - 1);
-  e.queued <- e.queued - 1;
-  msg
+  let frame = e.frames.(e.head) and l = e.lens.(e.head) in
+  advance e;
+  let n = l lsr 1 in
+  if l land 1 = 1 then begin
+    let msg = Bytes.sub_string frame 0 n in
+    release_frame e.shared.pool frame;
+    msg
+  end
+  else if n = Bytes.length frame then Bytes.unsafe_to_string frame
+  else Bytes.sub_string frame 0 n
+
+(* The head-of-line message into [b], with its delivery time. *)
+let dequeue_into e b =
+  let frame = e.frames.(e.head) and l = e.lens.(e.head) in
+  b.Buf.stamp.at <- head_arrival e;
+  advance e;
+  Buf.load b frame (l lsr 1);
+  if l land 1 = 1 then release_frame e.shared.pool frame
 
 (* Advance the caller's clock to the head-of-line message's delivery
    time when it lies ahead ([Sched.wait_until], called only then: its
@@ -196,89 +345,108 @@ let[@inline] latency cost len =
   cost.Cost.net_msg +. (cost.Cost.net_byte *. float_of_int len)
 
 (* Charges and clock reads go through the sender's clock cell, the same
-   float additions [Sched.charge] and [Sched.now] make, without boxing. *)
-let send c msg =
+   float additions [Sched.charge] and [Sched.now] make, without boxing.
+   [copy] says whether the message's [len] bytes of [src] go into a
+   pooled frame or are queued as they are. *)
+let[@inline] transmit c src len ~copy =
   if not (c.closed || c.peer.closed) then begin
     let action =
-      match c.hooks.on_send with
-      | Some h -> h ~len:(String.length msg)
-      | None -> Deliver
+      match c.shared.on_send with Some h -> h ~len | None -> Deliver
     in
     (* The sender always pays the transmission cost for what it put on the
        wire; the fault decides what the receiver sees. *)
-    let lat = latency c.cost (String.length msg) in
+    let lat = latency c.cost len in
     let k = Sched.clock_cell () in
     k.clock <- k.clock +. lat;
     match action with
     | Drop -> ()
     | Deliver | Truncate _ | Delay _ ->
-        let msg =
-          match action with
-          | Truncate n -> String.sub msg 0 (max 0 (min n (String.length msg)))
-          | _ -> msg
-        in
+        let n = match action with Truncate n -> max 0 (min n len) | _ -> len in
         let extra = match action with Delay d -> Float.max 0.0 d | _ -> 0.0 in
         let arrival = k.clock +. lat +. extra in
-        enqueue c.peer arrival msg;
+        if copy && n <= max_pooled then begin
+          let frame = take_frame c.shared.pool n in
+          Bytes.blit src 0 frame 0 n;
+          enqueue c.peer arrival frame ((2 * n) + 1)
+        end
+        else if copy then
+          (* A frame of its own, never written again: a receive treats it
+             as a sent string. *)
+          enqueue c.peer arrival (Bytes.sub src 0 n) (2 * n)
+        else enqueue c.peer arrival src (2 * n);
         wake_endpoint c.peer arrival
   end
+
+let send c msg =
+  transmit c (Bytes.unsafe_of_string msg) (String.length msg) ~copy:false
+
+let send_buf c b = transmit c b.Buf.data b.Buf.len ~copy:true
 
 let try_recv c =
   if c.queued > 0 && head_arrival c <= (Sched.clock_cell ()).clock then
     Some (dequeue c)
   else None
 
-let rec recv c =
+(* Block until a message is deliverable, then bring the caller's clock
+   to it: [true], and the caller dequeues it; [false] once the peer has
+   closed with nothing queued. *)
+let rec await c =
   if c.queued > 0 then begin
     catch_up c;
-    Some (dequeue c)
+    true
   end
-  else if c.peer.closed || c.closed then None
+  else if c.peer.closed || c.closed then false
   else begin
     c.waiter <- Sched.handle ();
     Sched.block ();
-    recv c
+    await c
   end
 
-let rec recv_with_arrival c =
-  if c.queued > 0 then begin
-    let arrival = head_arrival c in
-    catch_up c;
-    Some (dequeue c, arrival)
-  end
-  else if c.peer.closed || c.closed then None
-  else begin
-    c.waiter <- Sched.handle ();
-    Sched.block ();
-    recv_with_arrival c
-  end
+let recv c = if await c then Some (dequeue c) else None
 
-(* Timed [recv]: when nothing is queued, the receiver blocks with a
+let recv_buf c b =
+  await c
+  && begin
+       dequeue_into c b;
+       true
+     end
+
+(* Timed [await]: when nothing is queued, the receiver blocks with a
    scheduler timer armed for [deadline] ([Sched.block_until]). A handle
    wakes at most once, so whichever of the two wake paths (message
    arrival, timer) loses the race is a no-op; the stale handle a timeout
    leaves in [waiter] is likewise harmless — the next wake clears it
    without effect, even when the thread has blocked elsewhere since. *)
-let rec recv_deadline c ~deadline =
+let rec await_until c ~deadline =
   if c.queued > 0 then begin
     if head_arrival c <= deadline then begin
       catch_up c;
-      Some (dequeue c)
+      true
     end
     else begin
       (* Head-of-line message arrives after the deadline: in-order
          delivery means nothing else can overtake it. *)
       Sched.wait_until deadline;
-      None
+      false
     end
   end
-  else if c.peer.closed || c.closed then None
-  else if (Sched.clock_cell ()).clock >= deadline then None
+  else if c.peer.closed || c.closed then false
+  else if (Sched.clock_cell ()).clock >= deadline then false
   else begin
     c.waiter <- Sched.handle ();
     Sched.block_until deadline;
-    recv_deadline c ~deadline
+    await_until c ~deadline
   end
+
+let recv_deadline c ~deadline =
+  if await_until c ~deadline then Some (dequeue c) else None
+
+let recv_buf_deadline c b ~deadline =
+  await_until c ~deadline
+  && begin
+       dequeue_into c b;
+       true
+     end
 
 let close c =
   if not c.closed then begin

@@ -5,8 +5,18 @@
     plus a per-byte cost), so round-trip latency exists in virtual time
     and closed-loop load generators saturate realistically — which is what
     produces the paper's thread-scaling behaviour in the Memcached
-    benchmark. Framing is message-oriented (one [send] = one [recv]); the
-    application protocols layer their own text formats on top. *)
+    benchmark. Framing is message-oriented (one send = one receive); the
+    application protocols layer their own text formats on top.
+
+    A message travels in one of two ways, and either end may use either.
+    {!send} queues the string itself, by reference; {!recv} hands a sent
+    string back as it is. {!send_buf} copies a {!Buf.t}'s bytes into a
+    frame from the network's pool, and {!recv_buf} copies the head
+    message into the caller's buffer and gives its frame back to the
+    pool, so a warm exchange between two buffers allocates nothing up to
+    2 KiB. A pooled frame received with {!recv} is copied out to a fresh
+    string. Both ways charge the same virtual time for the same message
+    length. *)
 
 type t
 (** A network (a bag of listeners). *)
@@ -15,6 +25,52 @@ type conn
 (** One endpoint of an established connection. *)
 
 type listener
+
+(** A growable message buffer owned by one thread: the bytes of a
+    message, its length and, after a receive, its delivery time.
+
+    Ownership: the contents are valid until the next write to the buffer
+    or receive into it. {!bytes} and {!view} return the storage itself,
+    not a copy, so a scan through them must finish, and anything it
+    keeps must be copied out, before then; growing the buffer may
+    replace the storage. *)
+module Buf : sig
+  type t
+
+  val create : unit -> t
+  (** An empty buffer with room for 64 bytes; it grows by doubling. *)
+
+  val length : t -> int
+  val bytes : t -> bytes
+  (** The storage: the message is its first {!length} bytes. *)
+
+  val view : t -> string
+  (** {!bytes} as a string, without a copy, for scanners that read
+      strings; only its first {!length} bytes are the message. *)
+
+  val arrival : t -> float
+  (** Delivery time of the message last received into the buffer. *)
+
+  val contents : t -> string
+  (** A copy of the message. *)
+
+  val equal_string : t -> string -> bool
+  (** The message is exactly [s], compared in place. *)
+
+  val clear : t -> unit
+
+  val reset : t -> int -> bytes
+  (** [reset b n] makes the message [n] bytes long, its contents
+      unspecified, and returns the storage to write them in from offset
+      0: for a writer that computes a message's length first. *)
+
+  val reserve : t -> int -> int
+  (** [reserve b n] appends [n] bytes of room, growing the storage if
+      needed, and returns the offset where they start; the caller writes
+      them through {!bytes}, read after the call. *)
+
+  val add_string : t -> string -> unit
+end
 
 val create : Simkern.Cost.t -> t
 val listen : t -> port:int -> listener
@@ -36,17 +92,36 @@ val close_listener : listener -> unit
 val send : conn -> string -> unit
 (** Never blocks (infinite socket buffer). Sending on a closed connection
     is a silent no-op, like writing to a socket with SO_NOSIGPIPE. The
+    string is queued by reference, never written and never pooled. The
     receiving end's inbox is a ring of unboxed delivery times and
-    payloads, so queueing a message allocates nothing once the ring has
+    frames, so queueing a message allocates nothing once the ring has
     grown to the connection's depth; waking a receiver blocked on it
     boxes the delivery time passed to {!Simkern.Sched.wake} (2 words). *)
+
+val send_buf : conn -> Buf.t -> unit
+(** {!send} of the buffer's message. Its bytes (after a [Truncate], the
+    bytes delivered) are copied into a frame of the smallest
+    power-of-two size class that holds them, 64 bytes to 2 KiB, taken
+    from the network's pool. A message over 2 KiB is copied into a frame
+    of its own instead, which a {!recv} hands over as the string, with
+    no second copy: a fresh block that size is a major-heap allocation
+    anyway, and pooling it would keep its peak in flight alive. The
+    buffer is free for reuse on return. *)
 
 val recv : conn -> string option
 (** Block until a message is deliverable or the peer has closed ([None]).
     If the next message's delivery time is in the future, the caller's
     clock advances to it. A blocked receiver leaves its
-    {!Simkern.Sched.handle} in the connection for the next {!send} or
-    {!close} to wake. *)
+    {!Simkern.Sched.handle} in the connection for the next send or
+    {!close} to wake. A {!send_buf} message is copied out to a fresh
+    string and its frame returned to the pool. *)
+
+val recv_buf : conn -> Buf.t -> bool
+(** {!recv} into [b]: the message replaces the buffer's contents, its
+    delivery time is {!Buf.arrival}, and its frame, when pooled, goes
+    back to the pool; [false] when the peer has closed. A message from a
+    {!send_buf} or a {!send} is received the same way, and nothing is
+    allocated unless the buffer must grow. *)
 
 val try_recv : conn -> string option
 (** Non-blocking: [None] when nothing is deliverable right now. *)
@@ -64,10 +139,17 @@ val recv_deadline : conn -> deadline:float -> string option
     message's wake finds stale and ignores even when the thread has
     blocked elsewhere since. *)
 
-val recv_with_arrival : conn -> (string * float) option
-(** {!recv}, also reporting the message's delivery timestamp — the gap
-    [Sched.now () -. arrival] is how long the message sat queued behind a
-    busy receiver, the signal deadline-based load shedding keys on. *)
+val recv_buf_deadline : conn -> Buf.t -> deadline:float -> bool
+(** {!recv_deadline} into a buffer, as {!recv_buf}: [false] on timeout
+    or peer close, leaving the buffer as it was. *)
+
+val pooled_frames : t -> int
+(** Frames the network's pool holds for reuse. The pool makes a frame
+    only when its size class has none free, and a frame returns when
+    its message is received, so this never exceeds the most messages
+    of one size class that were in flight at once; a frame whose
+    message is never received (its connection closed first) is left to
+    the garbage collector. *)
 
 val close : conn -> unit
 (** Close both directions; pending messages to the peer remain readable

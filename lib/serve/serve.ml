@@ -187,12 +187,10 @@ let accept t c =
   Hashtbl.replace t.conns (Netsim.id c)
     { addr = t.buf_alloc conn_buf_size; len = 0 }
 
-let copy_in t c msg =
+let copy_in t c req =
   let b = Hashtbl.find t.conns (Netsim.id c) in
-  let n = String.length msg in
-  b.len <- min n (conn_buf_size - 2);
-  Space.store_string t.space b.addr
-    (if b.len = n then msg else String.sub msg 0 b.len);
+  b.len <- min (Netsim.Buf.length req) (conn_buf_size - 2);
+  Space.store_from t.space b.addr (Netsim.Buf.bytes req) 0 b.len;
   b
 
 let forget t c =
@@ -211,10 +209,10 @@ let drop t ws c =
 
 let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-let rec index_from s i c =
-  if i >= String.length s then -1
+let rec index_from s i stop c =
+  if i >= stop then -1
   else if String.unsafe_get s i = c then i
-  else index_from s (i + 1) c
+  else index_from s (i + 1) stop c
 
 let rec skip_blanks s i stop =
   if i < stop && is_blank (String.unsafe_get s i) then
@@ -232,12 +230,14 @@ let dec_width n =
   let rec go m w = if m > -10 then w else go (m / 10) (w + 1) in
   if n < 0 then go n 2 else go (-n) 1
 
+(* A top-level loop rather than a local one, which would capture [b] in
+   a closure on every call. *)
+let rec put_digits b i m =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
+  if m <= -10 then put_digits b (i - 1) (m / 10)
+
 let put_dec b ~stop n =
-  let rec go i m =
-    Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
-    if m <= -10 then go (i - 1) (m / 10)
-  in
-  go (stop - 1) (if n < 0 then n else -n);
+  put_digits b (stop - 1) (if n < 0 then n else -n);
   if n < 0 then Bytes.unsafe_set b (stop - dec_width n) '-'
 
 (* {1 Admission} *)
@@ -320,14 +320,17 @@ let replay_or t rid compute =
 let worker t ?(after = ignore) ws ~drop ~shed ~handle =
   let batching = t.gate_batch_limit > 0 && t.variant = Sdrad in
   let syscall = (Space.cost t.space).Simkern.Cost.syscall in
-  let serve c msg =
+  (* Every request of this worker is received into one buffer; a
+     request is handled before the next is received. *)
+  let req = Netsim.Buf.create () in
+  let serve c =
     (* epoll_wait + read(2) *)
     Sched.charge syscall;
-    if should_shed t ws then shed c msg
+    if should_shed t ws then shed c req
     else begin
       Sched.charge t.proc_cycles;
       M.inc t.c.served;
-      handle c msg
+      handle c req
     end
   in
   (* Pull whatever else is already deliverable into the same open gate
@@ -337,27 +340,26 @@ let worker t ?(after = ignore) ws ~drop ~shed ~handle =
     if n < t.gate_batch_limit then
       match Netsim.Waitset.wait_deadline ws ~deadline:(Sched.now ()) with
       | None -> ()
-      | Some c -> (
-          match Netsim.recv c with
-          | None ->
-              drop c;
-              drain n
-          | Some msg ->
-              serve c msg;
-              drain (n + 1))
+      | Some c ->
+          if Netsim.recv_buf c req then begin
+            serve c;
+            drain (n + 1)
+          end
+          else begin
+            drop c;
+            drain n
+          end
   in
   let rec loop () =
     match Netsim.Waitset.wait ws with
     | None -> ()
     | Some c ->
-        (match Netsim.recv c with
-        | None -> drop c
-        | Some msg ->
-            if batching then
-              Api.with_gate (Option.get t.sd) (fun () ->
-                  serve c msg;
-                  drain 1)
-            else serve c msg);
+        (if not (Netsim.recv_buf c req) then drop c
+         else if batching then
+           Api.with_gate (Option.get t.sd) (fun () ->
+               serve c;
+               drain 1)
+         else serve c);
         after ();
         loop ()
   in

@@ -70,9 +70,10 @@ val free : t -> int -> unit
 val accept : t -> Netsim.conn -> unit
 (** Allocate the connection's buffer. *)
 
-val copy_in : t -> Netsim.conn -> string -> buf
-(** Copy a request into its connection's buffer, truncated to
-    [conn_buf_size - 2] bytes. *)
+val copy_in : t -> Netsim.conn -> Netsim.Buf.t -> buf
+(** Copy a received request into its connection's buffer, truncated to
+    [conn_buf_size - 2] bytes, with {!Vmem.Space.store_from}: charged as
+    storing the request string was. *)
 
 val forget : t -> Netsim.conn -> unit
 (** Free the connection's buffer; no-op when already forgotten. *)
@@ -87,9 +88,9 @@ val drop : t -> Netsim.Waitset.ws -> Netsim.conn -> unit
     no [Printf] and no intermediate string. Positions are ints, so a
     scan allocates nothing. *)
 
-val index_from : string -> int -> char -> int
-(** [index_from s i c]: the first position of [c] at or after [i], or
-    -1. *)
+val index_from : string -> int -> int -> char -> int
+(** [index_from s i stop c]: the first position of [c] in [i, stop), or
+    -1. A message in a {!Netsim.Buf.t} is scanned up to its length. *)
 
 val skip_blanks : string -> int -> int -> int
 (** [skip_blanks s i stop]: the first position in [i, stop) that is not
@@ -145,10 +146,12 @@ val worker :
   ?after:(unit -> unit) ->
   Netsim.Waitset.ws ->
   drop:(Netsim.conn -> unit) ->
-  shed:(Netsim.conn -> string -> unit) ->
-  handle:(Netsim.conn -> string -> unit) ->
+  shed:(Netsim.conn -> Netsim.Buf.t -> unit) ->
+  handle:(Netsim.conn -> Netsim.Buf.t -> unit) ->
   unit
-(** Serve the waitset until it closes. Each request charges a syscall,
+(** Serve the waitset until it closes. Requests are received with
+    {!Netsim.recv_buf} into one buffer per worker, which [shed] and
+    [handle] read and must not keep. Each request charges a syscall,
     then is [shed] when the waitset backlog exceeds [shed_queue_limit]
     (never when it is 0), or else is charged [proc_cycles], counted and
     [handle]d; a peer close calls [drop]. Under {!Sdrad} with a gate

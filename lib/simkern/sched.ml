@@ -506,6 +506,19 @@ let outcome t tid =
   | Done oc when th != no_thread -> Some oc
   | Done _ | Ready | Running | Blocked -> None
 
+(* The exception of the first thread, by tid, that died of one other
+   than [Killed]. *)
+let first_failure t =
+  let rec from i =
+    if i = t.n_threads then None
+    else
+      match t.threads.(i).status with
+      | Done (Failed Killed) | Done Completed | Ready | Running | Blocked ->
+          from (i + 1)
+      | Done (Failed e) -> Some e
+  in
+  from 0
+
 let main ?(sched = create ()) body =
   let result = ref None in
   let tid = spawn sched ~name:"main" (fun () -> result := Some (body sched)) in
@@ -515,9 +528,12 @@ let main ?(sched = create ()) body =
     match outcome sched tid with Some (Failed e) -> raise e | _ -> ()
   in
   (try run sched
-   with Deadlock _ as d ->
+   with Deadlock _ as d -> (
      reraise ();
-     raise d);
+     (* So does any thread that died: a server thread's exception leaves
+        its clients blocked, and names the cause their deadlock does
+        not. *)
+     match first_failure sched with Some e -> raise e | None -> raise d));
   reraise ();
   match !result with
   | Some v -> v

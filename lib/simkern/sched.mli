@@ -49,9 +49,12 @@ val main : ?sched:t -> (t -> 'a) -> 'a
     ["main"], runs the scheduler until nothing is runnable and returns
     the body's value. On a scheduler nothing was spawned on, the body
     gets the tid a first {!spawn} gets. Re-raises the body's exception,
-    also when threads it leaves behind stay blocked;
-    @raise Deadlock as {!run} does when threads remain blocked after a
-    body that returned. *)
+    also when threads it leaves behind stay blocked. When the run ends
+    with threads blocked after a body that returned or blocked, and some
+    thread died of an exception other than {!Killed}, raises the first
+    such thread's exception, by tid: a failed server leaves its clients
+    blocked, and the deadlock would name only them.
+    @raise Deadlock as {!run} does otherwise. *)
 
 val outcome : t -> tid -> outcome option
 (** [None] while the thread has not finished. *)

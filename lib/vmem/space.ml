@@ -593,11 +593,11 @@ let copy_out t addr len =
   copy_to t addr b 0 len;
   b
 
-let copy_in t addr s =
-  let a = ref addr and stop = addr + String.length s in
+let copy_in t addr s off len =
+  let a = ref addr and stop = addr + len in
   while !a < stop do
     let n = chunk !a stop in
-    Bytes.blit_string s (!a - addr) (wframe t !a) (!a land page_mask) n;
+    Bytes.blit_string s (off + !a - addr) (wframe t !a) (!a land page_mask) n;
     a := !a + n
   done
 
@@ -615,7 +615,7 @@ let store_bytes t addr b =
   if len > 0 then begin
     bulk_charge t len;
     check t addr len Write;
-    copy_in t addr (Bytes.unsafe_to_string b)
+    copy_in t addr (Bytes.unsafe_to_string b) 0 len
   end
 
 let store_string t addr s =
@@ -623,7 +623,17 @@ let store_string t addr s =
   if len > 0 then begin
     bulk_charge t len;
     check t addr len Write;
-    copy_in t addr s
+    copy_in t addr s 0 len
+  end
+
+let store_from t addr b off len =
+  check_len "store_from" len;
+  if off < 0 || off > Bytes.length b - len then
+    invalid_arg "Space.store_from: range outside the buffer";
+  if len > 0 then begin
+    bulk_charge t len;
+    check t addr len Write;
+    copy_in t addr (Bytes.unsafe_to_string b) off len
   end
 
 (* The buffer is made only after the range passed its check, so a

@@ -133,6 +133,13 @@ val read_into : t -> int -> bytes -> int -> int -> unit
     from simulated memory, with no intermediate string.
     @raise Invalid_argument if [off, off + len) is not inside [b]. *)
 
+val store_from : t -> int -> bytes -> int -> int -> unit
+(** [store_from t addr b off len] stores [b.[off, off + len)] at [addr],
+    the mirror of {!read_into}: checked and charged as {!store_string}
+    of those bytes is, so a zero [len] is free.
+    @raise Invalid_argument for a negative [len] or a range outside
+    [b]. *)
+
 val blit : t -> src:int -> dst:int -> len:int -> unit
 val fill : t -> addr:int -> len:int -> char -> unit
 

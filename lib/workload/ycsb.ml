@@ -66,31 +66,79 @@ let put_08d b off i =
   end;
   w
 
-(* [user%08d], written in place. *)
+let key_width i = 4 + Int.max 8 (Serve.dec_width i)
+
+(* [user%08d] at [off] of [b]. *)
+let put_key b off i =
+  Bytes.blit_string "user" 0 b off 4;
+  ignore (put_08d b (off + 4) i)
+
 let key_of i =
-  let b = Bytes.create (4 + Int.max 8 (Serve.dec_width i)) in
-  Bytes.blit_string "user" 0 b 0 4;
-  ignore (put_08d b 4 i);
+  let b = Bytes.create (key_width i) in
+  put_key b 0 i;
   Bytes.unsafe_to_string b
+
+let stamp_width i = 2 + Int.max 8 (Serve.dec_width i)
 
 (* One deterministic value body per config; per-key uniqueness comes from
    a stamped prefix ([<%08d>]), so we avoid generating megabytes of
-   random data. The value is written in one buffer. *)
+   random data. [put_value] writes the stamp at [off] of [b], then the
+   head of [base] up to [off + value_size]; [b] has room for the whole
+   stamp. *)
+let put_value b off ~base ~value_size i =
+  let w = stamp_width i in
+  Bytes.set b off '<';
+  ignore (put_08d b (off + 1) i);
+  Bytes.set b (off + w - 1) '>';
+  if value_size > w then Bytes.blit_string base 0 b (off + w) (value_size - w)
+
 let value_for ~base ~value_size i =
-  let w = 2 + Int.max 8 (Serve.dec_width i) in
-  let b = Bytes.create (Int.max w value_size) in
-  Bytes.set b 0 '<';
-  ignore (put_08d b 1 i);
-  Bytes.set b (w - 1) '>';
-  if value_size <= w then Bytes.sub_string b 0 value_size
+  let b = Bytes.create (Int.max (stamp_width i) value_size) in
+  put_value b 0 ~base ~value_size i;
+  if value_size < Bytes.length b then Bytes.sub_string b 0 value_size
+  else Bytes.unsafe_to_string b
+
+(* {1 Request lines in the client's buffer}
+
+   The bytes [Kvcache.Proto.fmt_get] and [fmt_storage "set"] would
+   make, key and value included, written straight into the buffer. *)
+
+let add_key buf i =
+  let off = Netsim.Buf.reserve buf (key_width i) in
+  put_key (Netsim.Buf.bytes buf) off i
+
+(* A value shorter than its stamp is a truncated stamp. *)
+let add_value buf ~base ~value_size i =
+  if value_size < stamp_width i then
+    Netsim.Buf.add_string buf (value_for ~base ~value_size i)
   else begin
-    Bytes.blit_string base 0 b w (value_size - w);
-    Bytes.unsafe_to_string b
+    let off = Netsim.Buf.reserve buf value_size in
+    put_value (Netsim.Buf.bytes buf) off ~base ~value_size i
   end
 
-let request c req =
-  Netsim.send c req;
-  Netsim.recv c
+(* A [get] of record [k], or a [set] of its value — a load's carries no
+   rid, an update's carries the attempt's. *)
+let write_request b ~op ~base ~value_size k ~rid ~trace =
+  Netsim.Buf.clear b;
+  match op with
+  | `Get ->
+      Netsim.Buf.add_string b "get ";
+      add_key b k;
+      Kvcache.Proto.add_tokens b ~rid:None ~trace;
+      Netsim.Buf.add_string b "\r\n"
+  | (`Load | `Update) as op ->
+      Netsim.Buf.add_string b "set ";
+      add_key b k;
+      Netsim.Buf.add_string b " 0 0 ";
+      let w = Serve.dec_width value_size in
+      let off = Netsim.Buf.reserve b w in
+      Serve.put_dec (Netsim.Buf.bytes b) ~stop:(off + w) value_size;
+      Kvcache.Proto.add_tokens b
+        ~rid:(match op with `Load -> None | `Update -> rid)
+        ~trace;
+      Netsim.Buf.add_string b "\r\n";
+      add_value b ~base ~value_size k;
+      Netsim.Buf.add_string b "\r\n"
 
 let launch sched net cfg ~on_done () =
   let results = ref None in
@@ -102,12 +150,12 @@ let launch sched net cfg ~on_done () =
   let base_rng = Rng.create cfg.seed in
   let base_value = Bytes.to_string (Rng.bytes base_rng (max 16 cfg.value_size)) in
   let retry_total = ref 0 in
-  (* Per-client I/O helpers: a reconnecting connection and, when a retry
-     policy is configured, a request path with per-attempt deadlines —
-     without one, a reply the fault hook dropped would block the client
-     forever. [mk_req] builds the wire request from the attempt's
-     idempotency key so every retry of one logical op reuses the same
-     rid. *)
+  (* Per-client I/O helpers: a reconnecting connection, the buffer every
+     request is written into and its reply received into, and, when a
+     retry policy is configured, a request path with per-attempt
+     deadlines — without one, a reply the fault hook dropped would block
+     the client forever. Every retry of one logical op reuses its
+     idempotency key. *)
   let client_io ~name ~salt i =
     (* The connection is made lazily, on first use: a fleet of 10⁴
        clients connecting the instant the run phase opens would herd
@@ -115,6 +163,7 @@ let launch sched net cfg ~on_done () =
        that burst age out before any server worker sees the connection.
        Deferring to first issue spreads setup across the arrival grid. *)
     let conn = ref None in
+    let buf = Netsim.Buf.create () in
     let eng =
       Option.map
         (fun policy ->
@@ -132,31 +181,40 @@ let launch sched net cfg ~on_done () =
           conn := Some c;
           c
     in
-    let issue mk_req =
+    let write ~op k ~rid ~trace =
+      write_request buf ~op ~base:base_value ~value_size:cfg.value_size k ~rid
+        ~trace
+    in
+    (* Whether op [op] on record [k] got a reply; the reply is in [buf]. *)
+    let issue ~op k =
       match eng with
-      | None -> request (live ()) (mk_req ~rid:None ~trace:0L)
+      | None ->
+          write ~op k ~rid:None ~trace:0L;
+          let c = live () in
+          Netsim.send_buf c buf;
+          Netsim.recv_buf c buf
       | Some eng -> (
           match
             Retry.execute_ctx eng (fun ~ctx ~rid ~attempt:_ ~deadline ->
                 let c = live () in
-                Netsim.send c
-                  (mk_req ~rid:(Some rid)
-                     ~trace:(Telemetry.Context.trace ctx));
-                match Netsim.recv_deadline c ~deadline with
-                | Some r when r = Kvcache.Proto.server_error_busy ->
-                    Error (`Retry "busy")
-                | Some r -> Ok r
-                | None ->
-                    (* Timed out: the reply may still be in flight, and a
-                       request/response stream cannot resynchronize once a
-                       response is unaccounted for — abandon the
-                       connection so a stale reply can never be taken for
-                       a later operation's answer. *)
-                    Netsim.close c;
-                    Error (`Retry "timeout"))
+                write ~op k ~rid:(Some rid) ~trace:(Telemetry.Context.trace ctx);
+                Netsim.send_buf c buf;
+                if not (Netsim.recv_buf_deadline c buf ~deadline) then begin
+                  (* Timed out: the reply may still be in flight, and a
+                     request/response stream cannot resynchronize once a
+                     response is unaccounted for — abandon the
+                     connection so a stale reply can never be taken for
+                     a later operation's answer. *)
+                  Netsim.close c;
+                  Error (`Retry "timeout")
+                end
+                else if
+                  Netsim.Buf.equal_string buf Kvcache.Proto.server_error_busy
+                then Error (`Retry "busy")
+                else Ok ())
           with
-          | Ok r -> Some r
-          | Error _ -> None)
+          | Ok () -> true
+          | Error _ -> false)
     in
     let finish () =
       (match eng with
@@ -166,28 +224,24 @@ let launch sched net cfg ~on_done () =
       | None -> ());
       Option.iter Netsim.close !conn
     in
-    (issue, finish, eng <> None)
+    (buf, issue, finish, eng <> None)
   in
   let load_client i () =
     let per = cfg.records / cfg.clients in
     let lo = i * per in
     let hi = if i = cfg.clients - 1 then cfg.records else lo + per in
-    let issue, finish, retrying = client_io ~name:"yl" ~salt:9000 i in
+    let buf, issue, finish, retrying = client_io ~name:"yl" ~salt:9000 i in
     let rec go k =
       if k < hi then begin
         Sched.charge cfg.client_cycles;
-        let value = value_for ~base:base_value ~value_size:cfg.value_size k in
         (* Loads are idempotent (same key, same value), so no rid; the
            trace token still links retried loads to their op. *)
-        let req ~rid:_ ~trace =
-          Kvcache.Proto.fmt_storage "set" ~trace ~key:(key_of k) ~flags:0
-            ~value ()
-        in
-        match issue req with
-        | Some r when r = Kvcache.Proto.stored -> go (k + 1)
-        | Some _ | None ->
-            bump_failures ();
-            if retrying then go (k + 1)
+        if issue ~op:`Load k && Netsim.Buf.equal_string buf Kvcache.Proto.stored
+        then go (k + 1)
+        else begin
+          bump_failures ();
+          if retrying then go (k + 1)
+        end
       end
     in
     go lo;
@@ -226,7 +280,7 @@ let launch sched net cfg ~on_done () =
           k)
     in
     let per = cfg.operations / cfg.clients in
-    let issue, finish, retrying = client_io ~name:"y" ~salt:5000 i in
+    let buf, issue, finish, retrying = client_io ~name:"y" ~salt:5000 i in
     let samples = latencies.(i) in
     let rec go k =
       if k < per then begin
@@ -244,28 +298,24 @@ let launch sched net cfg ~on_done () =
           else Sched.now ()
         in
         Sched.charge cfg.client_cycles;
-        let reply =
-          if Rng.float rng < cfg.read_fraction then
-            let key = key_of (pick ()) in
-            issue (fun ~rid:_ ~trace -> Kvcache.Proto.fmt_get ~trace key)
+        let replied =
+          if Rng.float rng < cfg.read_fraction then issue ~op:`Get (pick ())
           else
-            let target = if cfg.insert_new then fresh_key () else pick () in
-            let key = key_of target in
-            let value =
-              value_for ~base:base_value ~value_size:cfg.value_size target
-            in
-            issue (fun ~rid ~trace ->
-                Kvcache.Proto.fmt_storage "set" ?rid ~trace ~key ~flags:0
-                  ~value ())
+            issue ~op:`Update (if cfg.insert_new then fresh_key () else pick ())
         in
         samples := (Sched.now () -. t0) :: !samples;
-        match reply with
-        | Some r ->
-            if not (Kvcache.Proto.reply_ok r) then bump_failures ();
-            go (k + 1)
-        | None ->
-            bump_failures ();
-            if retrying then go (k + 1)
+        if replied then begin
+          if
+            not
+              (Kvcache.Proto.reply_ok (Netsim.Buf.view buf)
+                 (Netsim.Buf.length buf))
+          then bump_failures ();
+          go (k + 1)
+        end
+        else begin
+          bump_failures ();
+          if retrying then go (k + 1)
+        end
       end
     in
     go 0;

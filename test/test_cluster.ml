@@ -118,6 +118,47 @@ let test_ring_route_n () =
        false
      with Failure _ -> true)
 
+(* Reference for the ring's hash: the same FNV-1a and finalizer, folded
+   by [String.iter] over a boxed [Int64] ref. *)
+let reference_hash s =
+  let mix h =
+    let h = Int64.logxor h (Int64.shift_right_logical h 30) in
+    let h = Int64.mul h 0xbf58476d1ce4e5b9L in
+    let h = Int64.logxor h (Int64.shift_right_logical h 27) in
+    let h = Int64.mul h 0x94d049bb133111ebL in
+    Int64.logxor h (Int64.shift_right_logical h 31)
+  in
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  Int64.to_int (Int64.logand (mix !h) 0x3FFF_FFFF_FFFF_FFFFL)
+
+let test_ring_hash_reference () =
+  let keys = List.init 10_000 (Printf.sprintf "user%08d") in
+  let labels =
+    List.concat_map
+      (fun m -> List.init 64 (fun v -> Printf.sprintf "%d#%d" m v))
+      [ 0; 1; 2; 3; 17 ]
+  in
+  List.iter
+    (fun s ->
+      if Ring.hash s <> reference_hash s then
+        Alcotest.failf "hash %S differs from the reference" s)
+    ("" :: keys @ labels)
+
+(* A route is a hash and a binary search: no allocation. *)
+let test_ring_route_allocation () =
+  let ring = Ring.create () in
+  List.iter (Ring.add ring) [ 0; 1; 2; 3 ];
+  let key = "user00001234" in
+  let words =
+    Alloc_probe.words_per_call ~n:10_000 (fun () -> ignore (Ring.route ring key))
+  in
+  if words > 0.0 then
+    Alcotest.failf "a route allocates %.1f minor words; the budget is 0" words
+
 (* {1 Cluster harness} *)
 
 (* Run [body cluster conn] inside a simulation against a started
@@ -433,6 +474,10 @@ let () =
           Alcotest.test_case "vnodes balance load" `Quick test_ring_balance;
           Alcotest.test_case "route_n preference order" `Quick
             test_ring_route_n;
+          Alcotest.test_case "hash matches the boxed reference" `Quick
+            test_ring_hash_reference;
+          Alcotest.test_case "route host allocation" `Quick
+            test_ring_route_allocation;
         ] );
       ( "router",
         [

@@ -202,6 +202,39 @@ let test_sched_main () =
           ignore (Sched.spawn t ~name:"stuck" (fun () -> Sched.block ()));
           failwith "boom"))
 
+(* A server thread dies while a client waits for its answer: the run
+   ends with the client blocked, and what [main] raises is the server's
+   exception, the cause, not the [Deadlock] naming the client. A thread
+   that was killed is not a cause: with only that, the deadlock stands. *)
+let test_failed_thread_before_deadlock () =
+  Alcotest.check_raises "the server's exception" (Failure "server died")
+    (fun () ->
+      Sched.main (fun t ->
+          (* The client waits for a wake the server dies before sending. *)
+          ignore (Sched.spawn t ~name:"client" (fun () -> Sched.block ()));
+          ignore
+            (Sched.spawn t ~name:"server" (fun () ->
+                 Sched.charge 100.0;
+                 failwith "server died"))));
+  Alcotest.check_raises "the first failed thread by tid, not by time"
+    (Failure "lower tid") (fun () ->
+      Sched.main (fun t ->
+          ignore (Sched.spawn t ~name:"stuck" (fun () -> Sched.block ()));
+          ignore
+            (Sched.spawn t (fun () ->
+                 Sched.charge 9.0;
+                 failwith "lower tid"));
+          ignore
+            (Sched.spawn t (fun () ->
+                 Sched.charge 5.0;
+                 failwith "higher tid"))));
+  Alcotest.check_raises "a killed thread is no cause" (Sched.Deadlock "stuck")
+    (fun () ->
+      Sched.main (fun t ->
+          let victim = Sched.spawn t (fun () -> Sched.sleep 1_000.0) in
+          ignore (Sched.spawn t ~name:"stuck" (fun () -> Sched.block ()));
+          Sched.kill t victim))
+
 let test_mutex_mutual_exclusion () =
   let t = Sched.create () in
   let m = Sched.Mutex.create () in
@@ -680,6 +713,8 @@ let () =
             test_spawn_join_allocation;
           Alcotest.test_case "handle from another run" `Quick
             test_handle_from_another_run;
+          Alcotest.test_case "failed thread before deadlock" `Quick
+            test_failed_thread_before_deadlock;
         ] );
       ( "sync",
         [
