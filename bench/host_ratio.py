@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Host CPU of the SDRaD kvcache variant against baseline's.
 
-    python3 bench/host_ratio.py [REV] [--runs 5]
+    python3 bench/host_ratio.py [REV]
 
 Runs `sdrad_cli kvbench --records 1500 --ops 600000 --workers 4`, load
 phase included, on --variant baseline and --variant sdrad, alternating
-the two, RUNS times each. A run's host CPU is the user+sys time the child
+the two, RUNS = 5 times each. A run's host CPU is the user+sys time the child
 process used, from resource.getrusage(RUSAGE_CHILDREN). Prints each
 variant's median and quartiles and the SDRaD/baseline ratio of the
 medians. With REV, REV's committed tree (extracted as perf_compare.py
@@ -27,6 +27,7 @@ ROOT = perf_compare.ROOT
 KVBENCH = ["kvbench", "--records", "1500", "--ops", "600000", "--workers",
            "4"]
 VARIANTS = ["baseline", "sdrad"]
+RUNS = 5
 
 
 def build(tree):
@@ -48,14 +49,13 @@ def cpu_seconds(exe, variant):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev", nargs="?")
-    ap.add_argument("--runs", type=int, default=5)
     args = ap.parse_args()
     trees = [("working tree", ROOT)]
     if args.rev:
         trees.insert(0, (args.rev, perf_compare.checkout(args.rev)))
     exes = [(name, build(tree)) for name, tree in trees]
     times = {(name, v): [] for name, _ in exes for v in VARIANTS}
-    for i in range(args.runs):
+    for i in range(RUNS):
         # Alternate which variant, and which tree, goes first.
         order = [(n, e, v) for n, e in exes for v in VARIANTS]
         if i % 2:

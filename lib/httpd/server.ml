@@ -48,7 +48,7 @@ let worker_restart_cost = 2.1e6 (* ~1 ms: fork + exec + init *)
 
 type worker_slot = {
   idx : int;
-  reply : Netsim.Buf.t;  (* the worker's 200 replies are written here *)
+  reply : Netsim.Buf.t;  (* 200 replies of up to [Netsim.max_pooled] bytes *)
   mutable ws : Netsim.Waitset.ws;
   mutable live_conns : Netsim.conn list;
   mutable tid : Sched.tid;
@@ -84,36 +84,56 @@ let conn_token keep_alive = if keep_alive then "keep-alive" else "close"
 let status_200 = "HTTP/1.1 200 OK\r\nServer: simginx\r\nContent-Length: "
 let connection_field = "\r\nConnection: "
 
-(* Make [out] a 200 reply announcing [len] body bytes, with room for
-   [body] of them after the header; the body's offset is returned, for
-   the caller to write it there. *)
-let reply_200 out ~keep_alive ~len ~body =
-  let conn = conn_token keep_alive in
-  let s = String.length status_200 and c = String.length connection_field in
-  let lw = Serve.dec_width len in
-  let h = s + lw + c + String.length conn + 4 in
-  let b = Netsim.Buf.reset out (h + body) in
-  Bytes.blit_string status_200 0 b 0 s;
-  Serve.put_dec b ~stop:(s + lw) len;
-  Bytes.blit_string connection_field 0 b (s + lw) c;
-  Bytes.blit_string conn 0 b (s + lw + c) (String.length conn);
-  Bytes.blit_string "\r\n\r\n" 0 b (h - 4) 4;
-  h
+(* Length of the header of a 200 reply announcing [len] body bytes. *)
+let header_200 ~keep_alive len =
+  String.length status_200 + Serve.dec_width len
+  + String.length connection_field
+  + String.length (conn_token keep_alive)
+  + 4
 
-let put_200 out ~keep_alive body =
-  let n = String.length body in
-  let off = reply_200 out ~keep_alive ~len:n ~body:n in
-  Bytes.blit_string body 0 (Netsim.Buf.bytes out) off n
+(* Write that header, [h] bytes, at the start of [b]. *)
+let put_header_200 b ~keep_alive ~len h =
+  let conn = conn_token keep_alive in
+  let c = String.length connection_field in
+  let k = h - 4 - String.length conn in  (* the connection token's offset *)
+  Bytes.blit_string status_200 0 b 0 (String.length status_200);
+  Serve.put_dec b ~stop:(k - c) len;
+  Bytes.blit_string connection_field 0 b (k - c) c;
+  Bytes.blit_string conn 0 b k (String.length conn);
+  Bytes.blit_string "\r\n\r\n" 0 b (h - 4) 4
+
+(* Write a 200 reply carrying [body] into [b], its header [h] bytes. *)
+let put_200 b ~keep_alive h body =
+  let len = String.length body in
+  put_header_200 b ~keep_alive ~len h;
+  Bytes.blit_string body 0 b h len
 
 (* A 200 reply as a string, for the replay journal to keep. *)
 let http_200 ~keep_alive body =
-  let out = Netsim.Buf.create () in
-  put_200 out ~keep_alive body;
-  Netsim.Buf.contents out
+  let h = header_200 ~keep_alive (String.length body) in
+  let b = Bytes.create (h + String.length body) in
+  put_200 b ~keep_alive h body;
+  Bytes.unsafe_to_string b
+
+(* Room for an [n]-byte reply: the worker's reply buffer when a pooled
+   frame holds it, or else bytes of its own, which [send_reply] queues by
+   reference, written once, where [send_buf] would copy them into a
+   fresh frame. *)
+let reply_bytes slot n =
+  if n <= Netsim.max_pooled then Netsim.Buf.reset slot.reply n
+  else Bytes.create n
+
+(* Send the [n]-byte reply [b] from [reply_bytes slot n]. *)
+let send_reply slot c b n =
+  if n <= Netsim.max_pooled then Netsim.send_buf c slot.reply
+  else Netsim.send c (Bytes.unsafe_to_string b)
 
 let send_200 slot c ~keep_alive body =
-  put_200 slot.reply ~keep_alive body;
-  Netsim.send_buf c slot.reply
+  let h = header_200 ~keep_alive (String.length body) in
+  let n = h + String.length body in
+  let b = reply_bytes slot n in
+  put_200 b ~keep_alive h body;
+  send_reply slot c b n
 
 let http_404 = "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
 
@@ -205,14 +225,13 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
       | "GET" -> (
           match Fs.lookup t.fs path with
           | Some size ->
-              (* Header and file in the reply buffer; the file is read
-                 from simulated memory straight into it. *)
-              let off =
-                reply_200 slot.reply ~keep_alive ~len:size ~body:size
-              in
-              ignore
-                (Fs.read_body_into t.fs path (Netsim.Buf.bytes slot.reply) off);
-              Netsim.send_buf c slot.reply
+              (* Header and file in one reply; the file is read from
+                 simulated memory straight into it. *)
+              let h = header_200 ~keep_alive size in
+              let b = reply_bytes slot (h + size) in
+              put_header_200 b ~keep_alive ~len:size h;
+              ignore (Fs.read_body_into t.fs path b h);
+              send_reply slot c b (h + size)
           | None ->
               (* Autoindex for directories, as nginx with autoindex on. *)
               if Vfs.is_dir (Fs.vfs t.fs) path then begin
@@ -229,7 +248,9 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
       | "HEAD" -> (
           match Fs.lookup t.fs path with
           | Some size ->
-              ignore (reply_200 slot.reply ~keep_alive ~len:size ~body:0);
+              let h = header_200 ~keep_alive size in
+              put_header_200 (Netsim.Buf.reset slot.reply h) ~keep_alive
+                ~len:size h;
               Netsim.send_buf c slot.reply
           | None -> Netsim.send c http_404)
       | "POST" ->

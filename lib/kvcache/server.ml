@@ -392,7 +392,7 @@ and handle_plain t ws reply c req =
         Netsim.send c w.w_stored
       end
       else
-        let reply =
+        let r =
           Serve.replay_or t.core rid (fun () ->
               if declared_len <> data_len then w.w_error
               else if storage_mode_blocked t mode key then Proto.not_stored
@@ -407,7 +407,7 @@ and handle_plain t ws reply c req =
                     global_lock t (fun () -> Store.commit t.db ~key item);
                     w.w_stored)
         in
-        Netsim.send c reply
+        Netsim.send c r
   | Delete { key; rid } ->
       Option.iter (Netsim.send c) (apply_deferred t w rid (`Delete key))
   | Multi_get keys ->
@@ -541,13 +541,13 @@ and handle_sdrad t ws reply c req =
           `Value
       | `Multi_value hits ->
           (* Per hit: read into the reply, free, bump. *)
-          let reply =
+          let text =
             Proto.values_reply hits ~write:(fun (key, addr) b off len ->
                 Space.read_into space addr b off len;
                 Api.free sd ~udi addr;
-                global_lock t (fun () -> Store.touch t.db key))
+                touch_locked t key)
           in
-          `Reply (w.w_values reply)
+          `Reply (w.w_values text)
       | `Miss -> `Reply w.w_miss
       | `Bad_cmd -> `Reply w.w_error
       | `Stats_cmd -> `Reply (stats_reply t)

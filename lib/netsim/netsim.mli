@@ -102,11 +102,16 @@ val send_buf : conn -> Buf.t -> unit
 (** {!send} of the buffer's message. Its bytes (after a [Truncate], the
     bytes delivered) are copied into a frame of the smallest
     power-of-two size class that holds them, 64 bytes to 2 KiB, taken
-    from the network's pool. A message over 2 KiB is copied into a frame
-    of its own instead, which a {!recv} hands over as the string, with
-    no second copy: a fresh block that size is a major-heap allocation
-    anyway, and pooling it would keep its peak in flight alive. The
-    buffer is free for reuse on return. *)
+    from the network's pool. A message over {!max_pooled} bytes is
+    copied into a frame of its own instead, which a {!recv} hands over
+    as the string, with no second copy: a fresh block that size is a
+    major-heap allocation anyway, and pooling it would keep its peak in
+    flight alive. The buffer is free for reuse on return. *)
+
+val max_pooled : int
+(** 2048: the longest message {!send_buf} copies into a pooled frame. A
+    sender that writes a longer message once into bytes of its own and
+    {!send}s them saves the copy {!send_buf} would make. *)
 
 val recv : conn -> string option
 (** Block until a message is deliverable or the peer has closed ([None]).
