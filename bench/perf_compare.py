@@ -13,7 +13,10 @@ workload and BENCHMARK.json end-to-end metric it prints both medians
 (REV's IQR is wider than the bound and the tree does not beat every REV
 run) or same. After a workload's pairs it runs each side once more with
 `--trace 1` and lists every per-layer metric whose value differs by more
-than 1% from REV's, so a claimed gain shows the layer it came from.
+than 1% from REV's, so a claimed gain shows the layer it came from. Host
+timings (simkern.host_cpu_ns_per_op, every *_host_ns and
+telemetry.trace_cpu_overhead) are left out of that list: one run per side
+cannot tell their change from their run-to-run noise.
 Exits non-zero if a run fails its checks or a metric is WORSE.
 
     python3 bench/perf_compare.py REV --same
@@ -98,11 +101,23 @@ def verdict(old, new, better, bound):
     return won, lost, len(old) - won - lost, v
 
 
+def host_timing(name):
+    """Whether [name] is timed on the host clock: from one traced run
+    per side, such a metric moves by more than 1% between runs of the
+    same tree."""
+    return (name == "simkern.host_cpu_ns_per_op"
+            or name.endswith("_host_ns")
+            or name == "telemetry.trace_cpu_overhead")
+
+
 def layer_deltas(old, new, rel=0.01):
-    """Per-layer metrics whose tree value differs from REV's by more than
-    [rel] of REV's value (a metric on one side only always differs)."""
+    """Per-layer metrics, host timings aside, whose tree value differs
+    from REV's by more than [rel] of REV's value (a metric on one side
+    only always differs)."""
     rows = []
     for name in list(old) + [n for n in new if n not in old]:
+        if host_timing(name):
+            continue
         a, b = old.get(name), new.get(name)
         if a is None or b is None or abs(b - a) > rel * abs(a):
             rows.append((name, a, b))
@@ -239,6 +254,9 @@ def main():
             " (A RUN FAILED ITS CHECKS)" if bad else "",
             "%d differ by more than 1%%" % len(rows) if rows
             else "none differs by more than 1%"))
+        print("    single-run host timings are not compared "
+              "(simkern.host_cpu_ns_per_op, *_host_ns, "
+              "telemetry.trace_cpu_overhead)")
         if rows:
             print("    %-40s %-16s %s" % ("metric", args.rev, "tree"))
         for name, a, b in rows:

@@ -1,44 +1,149 @@
 module Space = Vmem.Space
 
-type request_line = {
-  meth : string;
-  raw_uri_off : int;
-  raw_uri_len : int;
-  version : string;
-}
-
 exception Bad_request of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
 
+type connection = No_field | Close | Persist
+
+type t = {
+  mutable line : Bytes.t;  (* the line being scanned *)
+  mutable meth : string;
+  mutable raw_uri_off : int;
+  mutable raw_uri_len : int;
+  mutable version : string;
+  mutable connection : connection;  (* the first Connection field *)
+  mutable content_length : int;  (* [cl_absent], [cl_bad] or the length *)
+  mutable request_id : string option;
+  mutable client_cert : string option;
+}
+
+let cl_absent = -1
+let cl_bad = -2
+
+let create () =
+  {
+    line = Bytes.create 256;
+    meth = "";
+    raw_uri_off = 0;
+    raw_uri_len = 0;
+    version = "";
+    connection = No_field;
+    content_length = cl_absent;
+    request_id = None;
+    client_cert = None;
+  }
+
+let get = "GET"
+let head = "HEAD"
+let post = "POST"
+let http10 = "HTTP/1.0"
+let http11 = "HTTP/1.1"
+
+(* The CR of the first CRLF in [addr, addr + len), or -1. *)
 let find_crlf space ~addr ~len =
-  match Space.memchr space ~addr ~len '\r' with
-  | Some cr when cr + 1 < addr + len && Space.load8 space (cr + 1) = 10 -> Some cr
-  | Some _ | None -> None
+  let cr = Space.memchr space ~addr ~len '\r' in
+  if cr >= 0 && cr + 1 < addr + len && Space.load8 space (cr + 1) = 10 then cr
+  else -1
+
+(* Read the [n] bytes at [addr] into [p.line], checked and charged as
+   [Space.read_string] would. *)
+let read_line p space addr n =
+  if Bytes.length p.line < n then
+    p.line <- Bytes.create (Int.max n (2 * Bytes.length p.line));
+  Space.read_into space addr p.line 0 n
+
+(* {1 Scanning a line in place}
+
+   The line buffer is lent to [Serve]'s string scanners as [Netsim.Buf]
+   lends a message: the view is read only until the next [read_line]. *)
+
+let view p = Bytes.unsafe_to_string p.line
+
+(* [s]'s bytes from [a] on, lowercased when [fold], start with [lit]
+   from [k] on. *)
+let rec sub_is ~fold s a lit k =
+  k = String.length lit
+  || (let c = s.[a + k] in
+      (if fold then Char.lowercase_ascii c else c) = String.unsafe_get lit k)
+     && sub_is ~fold s a lit (k + 1)
+
+(* [s]'s bytes [a, a + len) are [lit]. *)
+let is s a len lit = len = String.length lit && sub_is ~fold:false s a lit 0
+
+(* The same, ASCII case folded; [lit] is lowercase. *)
+let is_ci s a len lit = len = String.length lit && sub_is ~fold:true s a lit 0
+
+(* {1 Request line} *)
+
+let request_line p space ~addr ~len =
+  let cr = find_crlf space ~addr ~len in
+  if cr < 0 then bad "request line: no CRLF";
+  let n = cr - addr in
+  read_line p space addr n;
+  let s = view p in
+  (* Exactly two spaces: method, URI and version. *)
+  let s1 = Serve.index_from s 0 n ' ' in
+  let s2 = if s1 < 0 then -1 else Serve.index_from s (s1 + 1) n ' ' in
+  if s2 < 0 || Serve.index_from s (s2 + 1) n ' ' >= 0 then
+    bad "malformed request line";
+  if s2 = s1 + 1 || s.[s1 + 1] <> '/' then bad "uri must be absolute";
+  p.meth <-
+    (if is s 0 s1 get then get
+     else if is s 0 s1 head then head
+     else if is s 0 s1 post then post
+     else bad "unsupported method %s" (String.sub s 0 s1));
+  p.version <-
+    (if is s (s2 + 1) (n - s2 - 1) http10 then http10
+     else if is s (s2 + 1) (n - s2 - 1) http11 then http11
+     else bad "unsupported version %s" (String.sub s (s2 + 1) (n - s2 - 1)));
+  p.raw_uri_off <- addr + s1 + 1;
+  p.raw_uri_len <- s2 - s1 - 1;
+  cr + 2
 
 let parse_request_line space ~addr ~len =
-  match find_crlf space ~addr ~len with
-  | None -> bad "request line: no CRLF"
-  | Some cr ->
-      let line = Space.read_string space addr (cr - addr) in
-      (match String.split_on_char ' ' line with
-      | [ meth; uri; version ] ->
-          if uri = "" || uri.[0] <> '/' then bad "uri must be absolute";
-          if meth <> "GET" && meth <> "HEAD" && meth <> "POST" then
-            bad "unsupported method %s" meth;
-          if version <> "HTTP/1.0" && version <> "HTTP/1.1" then
-            bad "unsupported version %s" version;
-          let uri_off = addr + String.length meth + 1 in
-          ({ meth; raw_uri_off = uri_off; raw_uri_len = String.length uri; version },
-           cr + 2)
-      | _ -> bad "malformed request line")
+  let p = create () in
+  let off = request_line p space ~addr ~len in
+  (p, off)
+
+(* {1 Complex URI} *)
+
+let slash = Char.code '/'
+let dot = Char.code '.'
 
 let hex_digit c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> bad "bad percent escape"
+  if c >= Char.code '0' && c <= Char.code '9' then c - Char.code '0'
+  else if c >= Char.code 'a' && c <= Char.code 'f' then c - Char.code 'a' + 10
+  else if c >= Char.code 'A' && c <= Char.code 'F' then c - Char.code 'A' + 10
+  else bad "bad percent escape"
+
+(* Write byte [c] at [u]; returns the next write position. *)
+let put space ~dst ~dst_cap u c =
+  if u >= dst + dst_cap then bad "uri too long";
+  Space.store8 space u c;
+  u + 1
+
+(* Byte [k] of the source, or -1 past its end. *)
+let peek space ~src ~n k = if k < n then Space.load8 space (src + k) else -1
+
+(* Back up from [u] to just past the previous '/', not below [floor]. *)
+let rec back_to_slash space ~floor u =
+  if u > floor && Space.load8 space (u - 1) <> slash then
+    back_to_slash space ~floor (u - 1)
+  else u
+
+(* Drop the trailing "/segment/" ending at [u]: back up over the slash,
+   then scan for the previous one. The vulnerable build has no lower
+   bound: it reads below [dst] until a '/' appears in foreign memory or
+   the hardware objects. *)
+let pop_segment space ~dst ~vulnerable u =
+  let u = u - 1 in
+  if vulnerable then back_to_slash space ~floor:min_int u - 1
+  else begin
+    if u <= dst then bad "uri escapes root";
+    let u = back_to_slash space ~floor:dst u in
+    if u = dst then bad "uri escapes root" else u - 1
+  end
 
 (* NGINX's ngx_http_parse_complex_uri, reduced to the behaviour that
    matters: percent-decoding, duplicate-slash merging, "." and ".."
@@ -46,93 +151,123 @@ let hex_digit c =
    Popping a segment scans backwards for the previous '/'; the vulnerable
    build omits the lower-bound check (CVE-2009-2629's underflow). *)
 let parse_complex_uri space ~src ~len ~dst ~dst_cap ~vulnerable =
-  let u = ref dst in
-  let put c =
-    if !u >= dst + dst_cap then bad "uri too long";
-    Space.store8 space !u (Char.code c);
-    incr u
-  and get i = Char.chr (Space.load8 space (src + i)) in
-  let pop_segment () =
-    (* Drop the trailing "/segment/": back up over the slash, then scan
-       for the previous one. *)
-    u := !u - 1;
-    if vulnerable then begin
-      (* No lower bound: reads below [dst] until a '/' appears in foreign
-         memory or the hardware objects. *)
-      while Space.load8 space (!u - 1) <> Char.code '/' do
-        u := !u - 1
-      done;
-      u := !u - 1
-    end
-    else begin
-      if !u <= dst then bad "uri escapes root";
-      while !u > dst && Space.load8 space (!u - 1) <> Char.code '/' do
-        u := !u - 1
-      done;
-      if !u = dst then bad "uri escapes root" else u := !u - 1
-    end
-  in
   let n = len in
-  let i = ref 0 in
-  put '/';
-  if n = 0 || get 0 <> '/' then bad "uri must start with /";
-  incr i;
+  let u = ref (put space ~dst ~dst_cap dst slash) in
+  if n = 0 || Space.load8 space src <> slash then bad "uri must start with /";
+  let i = ref 1 in
   while !i < n do
-    (match get !i with
-    | '/' ->
-        (* merge duplicate slashes *)
-        if Space.load8 space (!u - 1) <> Char.code '/' then put '/'
-    | '.' when Space.load8 space (!u - 1) = Char.code '/' ->
-        let next k = if !i + k < n then Some (get (!i + k)) else None in
-        (match (next 1, next 2) with
-        | Some '.', (Some '/' | None) ->
-            (* "/../": pop the previous segment *)
-            pop_segment ();
-            put '/';
-            i := !i + (match next 2 with Some '/' -> 2 | _ -> 1)
-        | (Some '/' | None), _ ->
-            (* "/./": skip *)
-            i := !i + (match next 1 with Some '/' -> 1 | _ -> 0)
-        | _ -> put '.')
-    | '%' ->
-        if !i + 2 >= n then bad "truncated escape";
-        let v = (16 * hex_digit (get (!i + 1))) + hex_digit (get (!i + 2)) in
-        put (Char.chr v);
-        i := !i + 2
-    | c -> put c);
+    let c = Space.load8 space (src + !i) in
+    (if c = slash then begin
+       (* merge duplicate slashes *)
+       if Space.load8 space (!u - 1) <> slash then
+         u := put space ~dst ~dst_cap !u slash
+     end
+     else if c = dot && Space.load8 space (!u - 1) = slash then begin
+       (* The step past a dot segment reads its next byte again: every
+          read is a charged access. *)
+       let c2 = peek space ~src ~n (!i + 2) in
+       let c1 = peek space ~src ~n (!i + 1) in
+       if c1 = dot && (c2 = slash || c2 < 0) then begin
+         (* "/../": pop the previous segment *)
+         u := pop_segment space ~dst ~vulnerable !u;
+         u := put space ~dst ~dst_cap !u slash;
+         i := !i + if peek space ~src ~n (!i + 2) = slash then 2 else 1
+       end
+       else if c1 = slash || c1 < 0 then
+         (* "/./": skip *)
+         i := !i + if peek space ~src ~n (!i + 1) = slash then 1 else 0
+       else u := put space ~dst ~dst_cap !u dot
+     end
+     else if c = Char.code '%' then begin
+       if !i + 2 >= n then bad "truncated escape";
+       let lo = hex_digit (Space.load8 space (src + !i + 2)) in
+       let hi = hex_digit (Space.load8 space (src + !i + 1)) in
+       u := put space ~dst ~dst_cap !u ((16 * hi) + lo);
+       i := !i + 2
+     end
+     else u := put space ~dst ~dst_cap !u c);
     incr i
   done;
   !u - dst
 
+(* {1 Headers} *)
+
+(* [s]'s bytes [a, z) as 1*DIGIT (RFC 7230 §3.3.2), or [cl_bad]: no
+   sign, base prefix or separator, and no overflow. *)
+let rec digits s i z n =
+  if i = z then n
+  else
+    match s.[i] with
+    | '0' .. '9' as c ->
+        let d = Char.code c - Char.code '0' in
+        if n > (max_int - d) / 10 then cl_bad
+        else digits s (i + 1) z ((n * 10) + d)
+    | _ -> cl_bad
+
+(* A further Content-Length field [v] after [prev]: any malformed field,
+   or two that differ, make the framing bad (§3.3.3). *)
+let merge_length prev v =
+  if prev = cl_absent then v else if v = prev then prev else cl_bad
+
+(* The header line in [p.line]'s first [n] bytes: only the fields the
+   server reads are kept, the first of each, and every Content-Length. *)
+let field p n =
+  let s = view p in
+  let colon = Serve.index_from s 0 n ':' in
+  if colon < 0 then bad "header without colon";
+  (* The value, trimmed as [String.trim] trims. *)
+  let a = Serve.skip_blanks s (colon + 1) n in
+  let z = Serve.trim_blanks s a n in
+  if is_ci s 0 colon "connection" then begin
+    if p.connection = No_field then
+      p.connection <- (if is_ci s a (z - a) "close" then Close else Persist)
+  end
+  else if is_ci s 0 colon "content-length" then
+    p.content_length <-
+      merge_length p.content_length (if a = z then cl_bad else digits s a z 0)
+  else if is_ci s 0 colon "x-request-id" then begin
+    if Option.is_none p.request_id then
+      p.request_id <- Some (String.sub s a (z - a))
+  end
+  else if is_ci s 0 colon "x-client-cert" then
+    if Option.is_none p.client_cert then
+      p.client_cert <- Some (String.sub s a (z - a))
+
+let rec fields p space ~addr ~len off =
+  if off >= len then bad "headers: missing terminator";
+  let cr = find_crlf space ~addr:(addr + off) ~len:(len - off) in
+  if cr < 0 then bad "headers: no CRLF";
+  let n = cr - (addr + off) in
+  if n = 0 then off + 2
+  else begin
+    read_line p space (addr + off) n;
+    field p n;
+    fields p space ~addr ~len (off + n + 2)
+  end
+
+let headers p space ~addr ~len =
+  p.connection <- No_field;
+  p.content_length <- cl_absent;
+  p.request_id <- None;
+  p.client_cert <- None;
+  fields p space ~addr ~len 0
+
 let parse_headers space ~addr ~len =
-  let rec go off acc =
-    if off >= len then bad "headers: missing terminator";
-    match find_crlf space ~addr:(addr + off) ~len:(len - off) with
-    | None -> bad "headers: no CRLF"
-    | Some cr ->
-        let line_len = cr - (addr + off) in
-        if line_len = 0 then (List.rev acc, off + 2)
-        else begin
-          let line = Space.read_string space (addr + off) line_len in
-          match String.index_opt line ':' with
-          | None -> bad "header without colon"
-          | Some colon ->
-              let name = String.lowercase_ascii (String.sub line 0 colon) in
-              let value = String.trim (String.sub line (colon + 1) (String.length line - colon - 1)) in
-              go (off + line_len + 2) ((name, value) :: acc)
-        end
-  in
-  go 0 []
+  let p = create () in
+  let off = headers p space ~addr ~len in
+  (p, off)
 
-let find_header headers name =
-  List.assoc_opt (String.lowercase_ascii name) headers
+let body_length p ~avail =
+  let n = p.content_length in
+  if n = cl_absent then 0
+  else if n = cl_bad then bad "bad content-length"
+  else if n <> avail then bad "content-length %d != body bytes %d" n avail
+  else n
 
-let validate_body headers ~avail =
-  match find_header headers "content-length" with
-  | None -> 0
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n >= 0 ->
-          if n <> avail then bad "content-length %d != body bytes %d" n avail
-          else n
-      | Some _ | None -> bad "bad content-length %S" v)
+(* RFC 7230 §6.3: HTTP/1.1 persists unless "Connection: close"; HTTP/1.0
+   closes unless "Connection: keep-alive". *)
+let keep_alive p =
+  match p.connection with
+  | No_field -> not (String.equal p.version http10)
+  | Close -> false
+  | Persist -> true

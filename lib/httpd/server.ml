@@ -49,6 +49,12 @@ let worker_restart_cost = 2.1e6 (* ~1 ms: fork + exec + init *)
 type worker_slot = {
   idx : int;
   reply : Netsim.Buf.t;  (* 200 replies of up to [Netsim.max_pooled] bytes *)
+  req : Http_parse.t;  (* the request being handled, parsed in place *)
+  mutable cbuf : int;  (* its bytes in the connection buffer *)
+  mutable len : int;
+  mutable path : string;  (* its normalized URI *)
+  mutable body_rel : int;  (* its body, relative to the buffer parsed *)
+  mutable body_len : int;
   mutable ws : Netsim.Waitset.ws;
   mutable live_conns : Netsim.conn list;
   mutable tid : Sched.tid;
@@ -63,6 +69,7 @@ type t = {
   cfg : config;
   core : Serve.t;
   sd : Api.t option;
+  parser_sd : Api.t option;  (* [sd] under SDRaD: parse phases enter a domain *)
   faults : Fault_inject.t option;
   fs : Fs.t;
   listener : Netsim.listener;
@@ -155,38 +162,33 @@ let rec lower_prefix s off lit i =
    client's causal trace id. The authoritative parse is the header
    phase's. Lines are trimmed as [String.trim] would and scanned in
    place; only a traceparent value is copied out. *)
-let trace_of_msg msg len =
-  let rec scan off =
-    let nl = Serve.index_from msg off len '\n' in
-    if nl < 0 then 0L
-    else
-      let a = Serve.skip_blanks msg off nl in
-      let b = Serve.trim_blanks msg a nl in
-      if a = b then 0L (* end of headers: no traceparent *)
-      else if b - a > 12 && lower_prefix msg a "traceparent:" 0 then
-        let v = Serve.skip_blanks msg (a + 12) b in
-        match Telemetry.Context.of_traceparent (String.sub msg v (b - v)) with
-        | Some ctx -> Telemetry.Context.trace ctx
-        | None -> 0L
-      else scan (nl + 1)
-  in
-  scan 0
+let rec trace_of_msg msg len off =
+  let nl = Serve.index_from msg off len '\n' in
+  if nl < 0 then 0L
+  else
+    let a = Serve.skip_blanks msg off nl in
+    let b = Serve.trim_blanks msg a nl in
+    if a = b then 0L (* end of headers: no traceparent *)
+    else if b - a > 12 && lower_prefix msg a "traceparent:" 0 then
+      let v = Serve.skip_blanks msg (a + 12) b in
+      match Telemetry.Context.of_traceparent (String.sub msg v (b - v)) with
+      | Some ctx -> Telemetry.Context.trace ctx
+      | None -> 0L
+    else trace_of_msg msg len (nl + 1)
 
-(* Serve the (already parsed) request: certificate check, file lookup,
-   response. Runs in the worker's root context for every variant. *)
-(* RFC 7230 §6.3: HTTP/1.1 persists unless "Connection: close"; HTTP/1.0
-   closes unless "Connection: keep-alive". *)
-let wants_keep_alive ~version ~headers =
-  match Http_parse.find_header headers "connection" with
-  | Some v -> String.lowercase_ascii v <> "close"
-  | None -> version <> "HTTP/1.0"
+let trace_of_req req =
+  trace_of_msg (Netsim.Buf.view req) (Netsim.Buf.length req) 0
 
-let respond t slot c ~meth ~version ~path ~headers ~body =
-  let keep_alive = wants_keep_alive ~version ~headers in
+(* Serve the (already parsed) request in [slot]: certificate check, file
+   lookup, response. Runs in the worker's root context for every
+   variant. *)
+let respond t slot c =
+  let req = slot.req and path = slot.path in
+  let keep_alive = Http_parse.keep_alive req in
   let cert_ok =
     if not t.cfg.verify_certs then `Ok
     else
-      match Http_parse.find_header headers "x-client-cert" with
+      match req.Http_parse.client_cert with
       | None -> `Ok
       | Some cert -> (
           match (t.cfg.variant, t.sd) with
@@ -217,7 +219,7 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
       Netsim.send c http_403;
       `Keep
   | `Ok ->
-      (match meth with
+      (match req.Http_parse.meth with
       | "GET" when path = "/metrics" ->
           (* Prometheus scrape endpoint: the registry's text exposition. *)
           send_200 slot c ~keep_alive
@@ -263,8 +265,10 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
             if path = "/echo" then begin
               (* The request body still sits in the connection buffer;
                  only its *parsing* was sandboxed. *)
-              let addr, len = body in
-              let payload = Space.read_string t.space addr len in
+              let payload =
+                Space.read_string t.space (slot.cbuf + slot.body_rel)
+                  slot.body_len
+              in
               http_200 ~keep_alive payload
             end
             else if path = "/count" then begin
@@ -276,68 +280,9 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
             else http_405
           in
           Netsim.send c
-            (Serve.replay_or t.core
-               (Http_parse.find_header headers "x-request-id")
-               compute)
+            (Serve.replay_or t.core req.Http_parse.request_id compute)
       | _ -> Netsim.send c http_405);
       if keep_alive then `Keep else `Close_graceful
-
-(* The parser's three phases — request line, complex URI, headers — over
-   a request in [buf], with the normalized URI written to [dst] and the
-   body returned relative to [buf]. [enter]/[exit] bracket every phase:
-   no-ops for the plain variants, one domain transition each under
-   SDRaD. A memory fault inside a phase must reach the rewind machinery
-   with the domain still entered (a signal, not a return), so only a
-   normal return or a parse error exits it.
-   @raise Http_parse.Bad_request *)
-let parse t ~enter ~exit ~buf ~len ~dst =
-  let phase f =
-    enter ();
-    match f () with
-    | v ->
-        exit ();
-        v
-    | exception (Http_parse.Bad_request _ as e) ->
-        exit ();
-        raise e
-  in
-  let rl, hdr_off =
-    phase (fun () -> Http_parse.parse_request_line t.space ~addr:buf ~len)
-  in
-  let norm =
-    phase (fun () ->
-        Http_parse.parse_complex_uri t.space ~src:rl.Http_parse.raw_uri_off
-          ~len:rl.Http_parse.raw_uri_len ~dst ~dst_cap:uri_dst_cap
-          ~vulnerable:t.cfg.vulnerable)
-  in
-  let headers, body_rel, body_len =
-    phase (fun () ->
-        let headers, hdr_len =
-          Http_parse.parse_headers t.space ~addr:hdr_off
-            ~len:(len - (hdr_off - buf))
-        in
-        let body_off = hdr_off + hdr_len in
-        ( headers,
-          body_off - buf,
-          Http_parse.validate_body headers ~avail:(buf + len - body_off) ))
-  in
-  ( rl.Http_parse.meth,
-    rl.Http_parse.version,
-    Space.read_string t.space dst norm,
-    headers,
-    (body_rel, body_len) )
-
-(* Baseline parsing: directly in the connection buffer; the normalized
-   URI goes to the head of the worker's request pool (so the CVE's
-   backward scan falls off the pool's guard page). *)
-let handle_plain t slot c ~cbuf ~len =
-  match parse t ~enter:ignore ~exit:ignore ~buf:cbuf ~len ~dst:slot.pool with
-  | meth, version, path, headers, (body_rel, body_len) ->
-      respond t slot c ~meth ~version ~path ~headers
-        ~body:(cbuf + body_rel, body_len)
-  | exception Http_parse.Bad_request _ ->
-      Netsim.send c http_400;
-      `Keep
 
 (* With per-worker domains each slot parses in its own udi, so the
    supervisor can quarantine one worker's parser without fencing the
@@ -346,49 +291,103 @@ let slot_udi t slot =
   if t.cfg.per_worker_domains then t.cfg.parser_udi + slot.idx
   else t.cfg.parser_udi
 
-(* SDRaD parsing (§V-B): request bytes are copied into the persistent
-   parser domain, each parse phase is its own domain transition, and the
-   normalized URI is copied back out on success. *)
-let handle_sdrad t slot sd c req ~cbuf ~len =
+(* Under SDRaD each parse phase is its own entry into the parser domain,
+   through the fault-injection site; the plain variants parse in place. *)
+let enter_phase t slot ~buf ~len =
+  match t.parser_sd with
+  | None -> ()
+  | Some sd -> (
+      Api.enter sd (slot_udi t slot);
+      match t.faults with
+      | Some fi ->
+          ignore
+            (Fault_inject.fire_in_domain fi ~site:"httpd.parse" ~sd ~buf ~len)
+      | None -> ())
+
+let exit_phase t =
+  match t.parser_sd with Some sd -> Api.exit_domain sd | None -> ()
+
+let bad_exit t e =
+  exit_phase t;
+  raise e
+
+(* The parser's three phases — request line, complex URI, headers — over
+   a request in [buf], into [slot]: the normalized URI is written to
+   [dst] and read back as [slot.path], and the body is kept relative to
+   [buf]. A memory fault inside a phase must reach the rewind machinery
+   with the domain still entered (a signal, not a return), so only a
+   normal return or a parse error exits it.
+   @raise Http_parse.Bad_request *)
+let parse t slot ~buf ~len ~dst =
+  let p = slot.req in
+  enter_phase t slot ~buf ~len;
+  let hdr_off =
+    try Http_parse.request_line p t.space ~addr:buf ~len
+    with Http_parse.Bad_request _ as e -> bad_exit t e
+  in
+  exit_phase t;
+  enter_phase t slot ~buf ~len;
+  let norm =
+    try
+      Http_parse.parse_complex_uri t.space ~src:p.Http_parse.raw_uri_off
+        ~len:p.Http_parse.raw_uri_len ~dst ~dst_cap:uri_dst_cap
+        ~vulnerable:t.cfg.vulnerable
+    with Http_parse.Bad_request _ as e -> bad_exit t e
+  in
+  exit_phase t;
+  enter_phase t slot ~buf ~len;
+  (try
+     let body_off =
+       hdr_off
+       + Http_parse.headers p t.space ~addr:hdr_off ~len:(len - (hdr_off - buf))
+     in
+     slot.body_rel <- body_off - buf;
+     slot.body_len <- Http_parse.body_length p ~avail:(buf + len - body_off)
+   with Http_parse.Bad_request _ as e -> bad_exit t e);
+  exit_phase t;
+  slot.path <- Space.read_string t.space dst norm
+
+(* Baseline parsing: directly in the connection buffer; the normalized
+   URI goes to the head of the worker's request pool (so the CVE's
+   backward scan falls off the pool's guard page). *)
+let handle_plain t slot c =
+  match parse t slot ~buf:slot.cbuf ~len:slot.len ~dst:slot.pool with
+  | () -> respond t slot c
+  | exception Http_parse.Bad_request _ ->
+      Netsim.send c http_400;
+      `Keep
+
+(* SDRaD parsing (§V-B), the body of the request's domain run: request
+   bytes are copied into the persistent parser domain, each parse phase
+   is its own domain transition, and the normalized URI is copied back
+   out on success. *)
+let parse_in_domain t slot sd =
   let udi = slot_udi t slot in
-  let on_rewind f =
-    Serve.rewound t.core f;
-    slot.slot_rewinds <- slot.slot_rewinds + 1;
-    `Close_faulted
+  (* [dst] first (slot 0) so it sits at the bottom of the domain
+     sub-heap: the underflow exits the domain instead of finding stale
+     '/' bytes. Both are cached marshalling buffers — the persistent
+     parser domain keeps them across requests, so steady state pays no
+     malloc/free pair per request. *)
+  let dst = Api.gate_buffer sd ~slot:0 ~udi uri_dst_cap in
+  let copy = Api.gate_buffer sd ~slot:1 ~udi (Serve.conn_buf_size + 8) in
+  Space.blit t.space ~src:slot.cbuf ~dst:copy ~len:slot.len;
+  let parsed =
+    match parse t slot ~buf:copy ~len:slot.len ~dst with
+    | () -> `Parsed
+    | exception Http_parse.Bad_request _ -> `Bad_request
   in
-  let body () =
-      (* [dst] first (slot 0) so it sits at the bottom of the domain
-         sub-heap: the underflow exits the domain instead of finding
-         stale '/' bytes. Both are cached marshalling buffers — the
-         persistent parser domain keeps them across requests, so steady
-         state pays no malloc/free pair per request. *)
-      let dst = Api.gate_buffer sd ~slot:0 ~udi uri_dst_cap in
-      let copy = Api.gate_buffer sd ~slot:1 ~udi (Serve.conn_buf_size + 8) in
-      Space.blit t.space ~src:cbuf ~dst:copy ~len;
-      let enter () =
-        Api.enter sd udi;
-        match t.faults with
-        | Some fi ->
-            ignore
-              (Fault_inject.fire_in_domain fi ~site:"httpd.parse" ~sd ~buf:copy
-                 ~len)
-        | None -> ()
-      in
-      let parsed =
-        match
-          parse t ~enter ~exit:(fun () -> Api.exit_domain sd) ~buf:copy ~len
-            ~dst
-        with
-        | request -> `Parsed request
-        | exception Http_parse.Bad_request _ -> `Bad_request
-      in
-      Api.deinit sd udi;
-      parsed
-  in
+  Api.deinit sd udi;
+  parsed
+
+(* [on_rewind] and [body] are the worker's, built once: [Serve.run]
+   runs [body] in the parser domain. *)
+let handle_sdrad t slot sd c req ~on_rewind ~body =
   (* The request's trace covers its whole handling, [respond] included:
      parse-phase switches, faults, replays and audit records inherit it. *)
-  let trace = trace_of_msg (Netsim.Buf.view req) (Netsim.Buf.length req) in
-  match Serve.run t.core sd ~trace ~udi ~on_rewind body with
+  match
+    Serve.run t.core sd ~trace:(trace_of_req req) ~udi:(slot_udi t slot)
+      ~on_rewind body
+  with
   | `Busy ->
       (* Quarantined parser domain: degrade instead of serving — the
          client gets a retryable 503 and keeps its connection. *)
@@ -398,11 +397,9 @@ let handle_sdrad t slot sd c req ~cbuf ~len =
   | `Bad_request ->
       Netsim.send c http_400;
       `Keep
-  | `Parsed (meth, version, path, headers, (body_rel, body_len)) ->
+  | `Parsed ->
       (* Body bytes are served from the original connection buffer. *)
-      respond t slot c ~meth ~version ~path ~headers
-        ~body:(cbuf + body_rel, body_len)
-
+      respond t slot c
 
 let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
   let sd = sdrad in
@@ -461,6 +458,8 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
       cfg;
       core;
       sd;
+      parser_sd =
+        (match cfg.variant with Sdrad -> sd | Baseline | Tlsf_alloc -> None);
       faults;
       fs;
       listener = Netsim.listen net ~port:cfg.port;
@@ -469,6 +468,12 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
             {
               idx;
               reply = Netsim.Buf.create ();
+              req = Http_parse.create ();
+              cbuf = 0;
+              len = 0;
+              path = "";
+              body_rel = 0;
+              body_len = 0;
               ws = Netsim.Waitset.create ();
               live_conns = [];
               tid = -1;
@@ -547,17 +552,26 @@ and worker t slot =
   (* Overload: answer the retryable 503 before any parsing or domain
      switch is spent on this request. *)
   let shed c req =
-    Serve.shed t.core c
-      ~trace:(trace_of_msg (Netsim.Buf.view req) (Netsim.Buf.length req))
-      ~udi:(slot_udi t slot) http_503
+    Serve.shed t.core c ~trace:(trace_of_req req) ~udi:(slot_udi t slot)
+      http_503
+  in
+  let serve_request =
+    match t.parser_sd with
+    | Some sd ->
+        let on_rewind f =
+          Serve.rewound t.core f;
+          slot.slot_rewinds <- slot.slot_rewinds + 1;
+          `Close_faulted
+        in
+        let body () = parse_in_domain t slot sd in
+        fun c req -> handle_sdrad t slot sd c req ~on_rewind ~body
+    | None -> fun c _ -> handle_plain t slot c
   in
   let handle c req =
-    let { Serve.addr = cbuf; len } = Serve.copy_in t.core c req in
-    let verdict =
-      match (t.cfg.variant, t.sd) with
-      | Sdrad, Some sd -> handle_sdrad t slot sd c req ~cbuf ~len
-      | _ -> handle_plain t slot c ~cbuf ~len
-    in
+    let b = Serve.copy_in t.core c req in
+    slot.cbuf <- b.Serve.addr;
+    slot.len <- b.Serve.len;
+    let verdict = serve_request c req in
     Serve.clear_trace t.core;
     (match verdict with
     | `Keep -> ()

@@ -127,8 +127,8 @@ let to_trace id = if id = 0 then 0L else Int64.of_int id
    call this once on arrival to install the context, then [parse]. *)
 let parse_trace space ~addr ~len =
   match Space.memchr space ~addr ~len '\r' with
-  | None -> 0L
-  | Some cr ->
+  | -1 -> 0L
+  | cr ->
       let line = Space.read_string space addr (cr - addr) in
       to_trace (line_trace line (String.length line))
 
@@ -234,8 +234,8 @@ let command s ~addr ~len ~data_off =
 
 let parse space ~addr ~len =
   match Space.memchr space ~addr ~len '\r' with
-  | None -> Bad "no CRLF"
-  | Some cr ->
+  | -1 -> Bad "no CRLF"
+  | cr ->
       let line = Space.read_string space addr (cr - addr) in
       command line ~addr ~len ~data_off:(cr - addr + 2)
 

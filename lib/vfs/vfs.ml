@@ -28,6 +28,8 @@ type t = {
   ninodes : int;
   data_start : int;
   mutable alloc_hint : int;
+  ptrs : int array;  (* an inode's block pointers, loaded by [load_ptrs] *)
+  mutable dir : Bytes.t;  (* a directory's entries, read by [read_dir] *)
 }
 
 let block_addr t b = t.base + (b * block_size)
@@ -95,18 +97,25 @@ let alloc_inode t kind =
   in
   scan 0
 
-(* Ordered data-block list of an inode. *)
-let inode_blocks t i =
+(* Load the pointers of inode [i]'s data blocks into [t.ptrs], in file
+   order, and return their count. The next [load_ptrs] overwrites them;
+   no walk that reads them yields in between. *)
+let load_ptrs t i =
   let size = inode_file_size t i in
   let n = (size + block_size - 1) / block_size in
-  List.init n (fun j ->
-      if j < direct_ptrs then Space.load32 t.space (direct_slot t i j)
-      else
-        let ind = Space.load32 t.space (indirect_slot t i) in
-        Space.load32 t.space (block_addr t ind + (4 * (j - direct_ptrs))))
+  for j = 0 to n - 1 do
+    t.ptrs.(j) <-
+      (if j < direct_ptrs then Space.load32 t.space (direct_slot t i j)
+       else
+         let ind = Space.load32 t.space (indirect_slot t i) in
+         Space.load32 t.space (block_addr t ind + (4 * (j - direct_ptrs))))
+  done;
+  n
 
 let free_inode_data t i =
-  List.iter (free_block t) (inode_blocks t i);
+  for j = 0 to load_ptrs t i - 1 do
+    free_block t t.ptrs.(j)
+  done;
   let size = inode_file_size t i in
   if size > direct_ptrs * block_size then
     free_block t (Space.load32 t.space (indirect_slot t i));
@@ -145,14 +154,14 @@ let clamp_len t i ~off ~len = max 0 (min len (inode_file_size t i - off))
 (* Copy [off, off + len) of inode [i], already clamped and non-empty,
    into [b] at [pos]: each block's part straight from simulated memory. *)
 let copy_blocks t i ~off ~len b pos =
-  let blocks = Array.of_list (inode_blocks t i) in
+  ignore (load_ptrs t i);
   let p = ref off in
   while !p < off + len do
     let j = !p / block_size in
     let in_block = !p mod block_size in
     let chunk = min (block_size - in_block) (off + len - !p) in
     Space.read_into t.space
-      (block_addr t blocks.(j) + in_block)
+      (block_addr t t.ptrs.(j) + in_block)
       b (pos + !p - off) chunk;
     p := !p + chunk
   done
@@ -179,20 +188,30 @@ let read_inode_into t i ~off ~len b pos =
 
 type dirent = { d_ino : int; d_kind : int; d_name : string }
 
+(* Read directory [i] whole into [t.dir], with {!read}'s accesses, and
+   return its entry count. *)
+let read_dir t i =
+  let len = clamp_len t i ~off:0 ~len:(inode_file_size t i) in
+  if len > 0 then begin
+    if Bytes.length t.dir < len then t.dir <- Bytes.create len;
+    copy_blocks t i ~off:0 ~len t.dir 0
+  end;
+  len / dirent_size
+
+let dirent_ino t at =
+  Bytes.get_uint16_le t.dir at lor (Bytes.get_uint16_le t.dir (at + 2) lsl 16)
+
+let dirent_name_len t at = Char.code (Bytes.get t.dir (at + 5))
+
 let read_dirents t i =
-  let raw = read_inode_range t i ~off:0 ~len:(inode_file_size t i) in
-  let n = String.length raw / dirent_size in
+  let n = read_dir t i in
   List.init n (fun j ->
       let at = j * dirent_size in
-      let d_ino =
-        Char.code raw.[at]
-        lor (Char.code raw.[at + 1] lsl 8)
-        lor (Char.code raw.[at + 2] lsl 16)
-        lor (Char.code raw.[at + 3] lsl 24)
-      in
-      let d_kind = Char.code raw.[at + 4] in
-      let name_len = Char.code raw.[at + 5] in
-      { d_ino; d_kind; d_name = String.sub raw (at + 8) name_len })
+      {
+        d_ino = dirent_ino t at;
+        d_kind = Char.code (Bytes.get t.dir (at + 4));
+        d_name = Bytes.sub_string t.dir (at + 8) (dirent_name_len t at);
+      })
 
 let write_dirents t i entries =
   let buf = Buffer.create (List.length entries * dirent_size) in
@@ -218,19 +237,49 @@ let validate_name name =
   if name = "" || String.length name > max_name_len then err "bad name %S" name;
   if String.contains name '/' then err "name contains '/'"
 
-(* Resolve a path to an inode; the root directory is inode 0. *)
+(* [t.dir]'s name at entry offset [at] is [path]'s bytes [a, a + len). *)
+let rec name_is t at path a len k =
+  k = len
+  || Bytes.get t.dir (at + 8 + k) = String.unsafe_get path (a + k)
+     && name_is t at path a len (k + 1)
+
+(* Inode of the first of directory [i]'s [n] entries, read by [read_dir],
+   from entry [j] on, named [path]'s bytes [a, a + len); or -1. *)
+let rec find_entry t n j path a len =
+  if j = n then -1
+  else
+    let at = j * dirent_size in
+    if dirent_name_len t at = len && name_is t at path a len 0 then
+      dirent_ino t at
+    else find_entry t n (j + 1) path a len
+
+let rec skip_slashes path i =
+  if i < String.length path && String.unsafe_get path i = '/' then
+    skip_slashes path (i + 1)
+  else i
+
+let rec component_end path i =
+  if i < String.length path && String.unsafe_get path i <> '/' then
+    component_end path (i + 1)
+  else i
+
+(* Walk [path]'s components from byte [i] on, starting in inode [ino]:
+   empty components (doubled or trailing slashes) are skipped, and each
+   directory on the way is read whole into [t.dir] and scanned there. *)
+let rec walk t path i ino =
+  let a = skip_slashes path i in
+  if a = String.length path then ino
+  else if inode_kind t ino <> k_dir then -1
+  else
+    let b = component_end path a in
+    match find_entry t (read_dir t ino) 0 path a (b - a) with
+    | -1 -> -1
+    | child -> walk t path b child
+
+(* Resolve a path to an inode, or -1; the root directory is inode 0. *)
 let lookup t path =
-  let rec walk ino = function
-    | [] -> Some ino
-    | comp :: rest ->
-        if inode_kind t ino <> k_dir then None
-        else
-          let entries = read_dirents t ino in
-          (match List.find_opt (fun e -> e.d_name = comp) entries with
-          | Some e -> walk e.d_ino rest
-          | None -> None)
-  in
-  walk 0 (split_path path)
+  if path = "" || path.[0] <> '/' then err "path must be absolute: %S" path;
+  walk t path 0 0
 
 let lookup_parent t path =
   match List.rev (split_path path) with
@@ -239,9 +288,9 @@ let lookup_parent t path =
       validate_name name;
       let dir_path = "/" ^ String.concat "/" (List.rev rev_dir) in
       match lookup t dir_path with
-      | Some ino when inode_kind t ino = k_dir -> (ino, name)
-      | Some _ -> err "%s: not a directory" dir_path
-      | None -> err "%s: no such directory" dir_path)
+      | -1 -> err "%s: no such directory" dir_path
+      | ino when inode_kind t ino = k_dir -> (ino, name)
+      | _ -> err "%s: not a directory" dir_path)
 
 (* {1 Public operations} *)
 
@@ -263,6 +312,8 @@ let format space ?(pkey = 0) ~blocks () =
       ninodes;
       data_start;
       alloc_hint = data_start;
+      ptrs = Array.make (direct_ptrs + indirect_ptrs) 0;
+      dir = Bytes.create block_size;
     }
   in
   (* Superblock. *)
@@ -349,23 +400,22 @@ let rename t ~old_path ~new_path =
         write_dirents t old_parent
           (List.filter (fun e -> e.d_name <> old_name) entries)
 
-let exists t path = match lookup t path with Some _ -> true | None -> false
+let exists t path = lookup t path >= 0
 
 let is_dir t path =
-  match lookup t path with
-  | Some ino -> inode_kind t ino = k_dir
-  | None -> false
+  let ino = lookup t path in
+  ino >= 0 && inode_kind t ino = k_dir
 
 let file_size t path =
-  match lookup t path with
-  | Some ino when inode_kind t ino = k_file -> Some (inode_file_size t ino)
-  | Some _ | None -> None
+  let ino = lookup t path in
+  if ino >= 0 && inode_kind t ino = k_file then Some (inode_file_size t ino)
+  else None
 
 let file_inode t path =
   match lookup t path with
-  | Some ino when inode_kind t ino = k_file -> ino
-  | Some _ -> err "%s: not a regular file" path
-  | None -> err "%s: no such file" path
+  | -1 -> err "%s: no such file" path
+  | ino when inode_kind t ino = k_file -> ino
+  | _ -> err "%s: not a regular file" path
 
 let read t ~path ~off ~len = read_inode_range t (file_inode t path) ~off ~len
 
@@ -381,10 +431,10 @@ let read_into t ~path ~off ~len ~dst =
 
 let list_dir t path =
   match lookup t path with
-  | Some ino when inode_kind t ino = k_dir ->
+  | -1 -> err "%s: no such directory" path
+  | ino when inode_kind t ino = k_dir ->
       List.map (fun e -> e.d_name) (read_dirents t ino)
-  | Some _ -> err "%s: not a directory" path
-  | None -> err "%s: no such directory" path
+  | _ -> err "%s: not a directory" path
 
 let total_blocks t = t.blocks
 let free_blocks t = sb_free_blocks t
@@ -411,7 +461,9 @@ let check t =
     if Hashtbl.mem seen_inodes ino then errf "%s: inode %d reached twice" who ino
     else begin
       Hashtbl.replace seen_inodes ino ();
-      List.iter (fun b -> reference b who) (inode_blocks t ino);
+      for j = 0 to load_ptrs t ino - 1 do
+        reference t.ptrs.(j) who
+      done;
       if inode_file_size t ino > direct_ptrs * block_size then
         reference (Space.load32 t.space (indirect_slot t ino)) (who ^ "(ind)");
       if inode_kind t ino = k_dir then

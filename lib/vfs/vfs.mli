@@ -15,7 +15,10 @@
     plus one single-indirect block — files up to [10*4096 + 512*4096]
     bytes (~2 MiB). Directories are files of fixed 64-byte entries
     ([inode:u32 kind:u8 name_len:u8 name:58]). Paths are absolute,
-    ['/']-separated. *)
+    ['/']-separated; empty components (doubled or trailing slashes) are
+    skipped. A lookup scans the path in place and reads each directory
+    on the way into a buffer the filesystem keeps: the walk allocates
+    nothing, and neither does {!read_into_bytes}. *)
 
 type t
 

@@ -707,7 +707,7 @@ let fill t ~addr ~len c =
 
 let memchr t ~addr ~len c =
   check_len "memchr" len;
-  if len = 0 then None
+  if len = 0 then -1
   else begin
     check t addr len Read;
     (* Bound the scan to the checked window and charge only for the
@@ -725,7 +725,7 @@ let memchr t ~addr ~len c =
     done;
     let examined = if !found >= 0 then !found - addr + 1 else len in
     charge t (t.cost.mem_access +. (t.cost.mem_byte *. float_of_int examined));
-    if !found >= 0 then Some !found else None
+    !found
   end
 
 let memcmp t a b len =

@@ -150,10 +150,11 @@ val flip_bit : t -> addr:int -> bit:int -> bool
     time is charged. Returns [false] when the address is unmapped (the
     flip lands in a hole). For deterministic fault injection. *)
 
-val memchr : t -> addr:int -> len:int -> char -> int option
-(** First address of the given byte in [\[addr, addr+len)]. The scan
-    never reads past [addr + len], and the cost charged covers only the
-    bytes actually examined (plus the access base). *)
+val memchr : t -> addr:int -> len:int -> char -> int
+(** First address of the given byte in [\[addr, addr+len)], or -1 when
+    it does not occur there. The scan never reads past [addr + len], and
+    the cost charged covers only the bytes actually examined (plus the
+    access base). *)
 
 val memcmp : t -> int -> int -> int -> int
 

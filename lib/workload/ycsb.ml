@@ -247,7 +247,11 @@ let launch sched net cfg ~on_done () =
     go lo;
     finish ()
   in
-  let latencies : float list ref array = Array.init cfg.clients (fun _ -> ref []) in
+  (* Run-phase latencies, unboxed: client [i]'s [counts.(i)] samples,
+     oldest first, from slot [first i] on. *)
+  let first i = i * (cfg.operations / cfg.clients) in
+  let samples = Float.Array.make cfg.operations 0.0 in
+  let counts = Array.make cfg.clients 0 in
   (* Highest key inserted so far, shared between clients (workload D). *)
   let key_count = ref cfg.records in
   let key_lock = Sched.Mutex.create () in
@@ -281,7 +285,10 @@ let launch sched net cfg ~on_done () =
     in
     let per = cfg.operations / cfg.clients in
     let buf, issue, finish, retrying = client_io ~name:"y" ~salt:5000 i in
-    let samples = latencies.(i) in
+    (* The clock is read from the thread's cell: [Sched.now] would box
+       it, twice per operation. *)
+    let clock = Sched.clock_cell () in
+    let base = first i in
     let rec go k =
       if k < per then begin
         let t0 =
@@ -291,11 +298,11 @@ let launch sched net cfg ~on_done () =
               +. (cfg.arrival_interval
                  *. float_of_int ((k * cfg.clients) + i))
             in
-            let now = Sched.now () in
+            let now = clock.Sched.clock in
             if slot > now then Sched.sleep (slot -. now);
             slot
           end
-          else Sched.now ()
+          else clock.Sched.clock
         in
         Sched.charge cfg.client_cycles;
         let replied =
@@ -303,7 +310,8 @@ let launch sched net cfg ~on_done () =
           else
             issue ~op:`Update (if cfg.insert_new then fresh_key () else pick ())
         in
-        samples := (Sched.now () -. t0) :: !samples;
+        Float.Array.set samples (base + counts.(i)) (clock.Sched.clock -. t0);
+        counts.(i) <- counts.(i) + 1;
         if replied then begin
           if
             not
@@ -320,6 +328,16 @@ let launch sched net cfg ~on_done () =
     in
     go 0;
     finish ()
+  in
+  (* Client [clients - 1]'s samples first, each client's oldest first. *)
+  let run_latencies () =
+    let l = ref [] in
+    for i = 0 to cfg.clients - 1 do
+      for k = counts.(i) - 1 downto 0 do
+        l := Float.Array.get samples (first i + k) :: !l
+      done
+    done;
+    !l
   in
   let orchestrator () =
     let t_start = Sched.now () in
@@ -345,8 +363,7 @@ let launch sched net cfg ~on_done () =
           run_cycles = t_all -. t_load;
           failures = !failures;
           retries = !retry_total;
-          run_latencies =
-            Array.fold_left (fun acc r -> List.rev_append !r acc) [] latencies;
+          run_latencies = run_latencies ();
         }
   in
   let _ = Sched.spawn sched ~name:"ycsb-orchestrator" orchestrator in

@@ -57,8 +57,8 @@ module Ref = struct
 
   let parse_trace space ~addr ~len =
     match Space.memchr space ~addr ~len '\r' with
-    | None -> 0L
-    | Some cr ->
+    | -1 -> 0L
+    | cr ->
         let line = Space.read_string space addr (cr - addr) in
         snd (strip_trace (split_words line))
 
@@ -71,8 +71,8 @@ module Ref = struct
 
   let parse space ~addr ~len =
     match Space.memchr space ~addr ~len '\r' with
-    | None -> Proto.Bad "no CRLF"
-    | Some cr -> (
+    | -1 -> Proto.Bad "no CRLF"
+    | cr -> (
         let line = Space.read_string space addr (cr - addr) in
         let data_off = cr - addr + 2 in
         let words, _trace = strip_trace (split_words line) in

@@ -225,6 +225,181 @@ let random_fs_prop =
           if names <> expected then ok := false);
       !ok)
 
+(* {1 Nested trees} *)
+
+(* A random tree of directories and files under short names that are
+   prefixes of one another, with lookups of every path spelled with
+   doubled and trailing slashes, of missing names and through files,
+   checked against a model after every operation. *)
+type op = Mkdir of string list | Create of string list * int | Unlink of string list
+
+let names = [ "a"; "ab"; "abc"; "b" ]
+
+let op_gen =
+  let open QCheck.Gen in
+  let path = list_size (int_range 1 3) (oneofl names) in
+  frequency
+    [
+      (3, map (fun p -> Mkdir p) path);
+      (4, map2 (fun p n -> Create (p, n)) path (int_range 0 9000));
+      (2, map (fun p -> Unlink p) path);
+    ]
+
+let show_op = function
+  | Mkdir p -> "mkdir /" ^ String.concat "/" p
+  | Create (p, n) -> Printf.sprintf "create /%s %d" (String.concat "/" p) n
+  | Unlink p -> "unlink /" ^ String.concat "/" p
+
+let rec all_paths depth =
+  if depth = 0 then [ [] ]
+  else
+    []
+    :: List.concat_map
+         (fun n -> List.map (fun p -> n :: p) (all_paths (depth - 1)))
+         names
+
+let nested_tree_prop =
+  QCheck.Test.make ~name:"nested mkdir/create/unlink and lookups match model"
+    ~count:25
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) op_gen))
+    (fun ops ->
+      Sched.main (fun _ ->
+          let _, fs = mkfs ~blocks:2048 () in
+          (* path components -> [Some data] for a file, [None] for a
+             directory *)
+          let model : (string list, string option) Hashtbl.t = Hashtbl.create 16 in
+          Hashtbl.replace model [] None;
+          let parent p = List.filteri (fun i _ -> i < List.length p - 1) p in
+          let is_model_dir p = Hashtbl.find_opt model p = Some None in
+          let children p =
+            Hashtbl.fold
+              (fun q _ n -> if q <> [] && parent q = p then n + 1 else n)
+              model 0
+          in
+          let path p = "/" ^ String.concat "/" p in
+          let fails f =
+            match f () with () -> false | exception Vfs.Fs_error _ -> true
+          in
+          let apply = function
+            | Mkdir p ->
+                let ok = is_model_dir (parent p) && not (Hashtbl.mem model p) in
+                let failed = fails (fun () -> Vfs.mkdir fs (path p)) in
+                if ok then Hashtbl.replace model p None;
+                ok <> failed
+            | Create (p, n) ->
+                let ok = is_model_dir (parent p) && not (is_model_dir p) in
+                let data = String.init n (fun i -> Char.chr ((i + n) mod 256)) in
+                let failed = fails (fun () -> Vfs.create fs ~path:(path p) ~data) in
+                if ok then Hashtbl.replace model p (Some data);
+                ok <> failed
+            | Unlink p ->
+                let ok =
+                  match Hashtbl.find_opt model p with
+                  | Some (Some _) -> true
+                  | Some None -> children p = 0
+                  | None -> false
+                in
+                let failed = fails (fun () -> Vfs.unlink fs (path p)) in
+                if ok then Hashtbl.remove model p;
+                ok <> failed
+          in
+          (* Every path of up to four components, in three spellings. *)
+          let lookups_agree () =
+            List.for_all
+              (fun p ->
+                let entry = Hashtbl.find_opt model p in
+                List.for_all
+                  (fun spelled ->
+                    Vfs.exists fs spelled = Option.is_some entry
+                    && Vfs.is_dir fs spelled = (entry = Some None)
+                    && Vfs.file_size fs spelled
+                       = Option.map String.length (Option.join entry)
+                    &&
+                    match entry with
+                    | Some (Some data) -> Vfs.read_all fs spelled = data
+                    | Some None | None -> true)
+                  [
+                    path p;
+                    "//" ^ String.concat "//" p;
+                    path p ^ "/";
+                  ])
+              (all_paths 4)
+          in
+          List.for_all
+            (fun op -> apply op && Vfs.check fs = [] && lookups_agree ())
+            ops))
+
+(* Simulated cycles of [Vfs.file_size] and of a whole-file
+   [Vfs.read_into_bytes] (or of its failure) for each path of one tree:
+   the walk's accesses and charges, pinned at the figures the list-based
+   walk (split path, dirent records, block lists) measured. The tree has
+   names that are prefixes of one another, a file under an indirect
+   block and a directory of 70 entries, two blocks. *)
+let lookup_cycles =
+  [
+    ("/", 1.0, 1.0);
+    ("//", 1.0, 1.0);
+    ("/s.bin", 40.0, 171.0);
+    ("/s.bin/", 40.0, 171.0);
+    ("/l.bin", 40.0, 8271.0);
+    ("/www/index.html", 78.0, 209.0);
+    ("/www/index", 78.0, 82.25);
+    ("/www/i", 78.0, 81.125);
+    ("/www/ind", 76.0, 76.0);
+    ("/www/index.htm", 76.0, 76.0);
+    ("/www/index.html/x", 77.0, 77.0);
+    ("/www//static///app.js", 100.0, 115.5);
+    ("/www/static/", 77.0, 77.0);
+    ("/www/static/deep/leaf", 114.0, 744.0);
+    ("/www/static/deep/leaf/more", 113.0, 113.0);
+    ("/missing", 38.0, 38.0);
+    ("/www/missing", 76.0, 76.0);
+    ("/many/f0", 608.0, 611.375);
+    ("/many/f69", 608.0, 611.375);
+    ("/many/f7/x", 607.0, 607.0);
+  ]
+
+let test_lookup_cycles () =
+  Sched.main (fun _ ->
+      let _, fs = mkfs ~blocks:512 () in
+      let file path n = Vfs.create fs ~path ~data:(String.make n 'x') in
+      Vfs.mkdir fs "/www";
+      file "/www/index.html" 1024;
+      file "/www/index" 10;
+      file "/www/i" 1;
+      Vfs.mkdir fs "/www/static";
+      file "/www/static/app.js" 100;
+      Vfs.mkdir fs "/www/static/deep";
+      file "/www/static/deep/leaf" 5000;
+      file "/s.bin" 1024;
+      file "/l.bin" 65536;
+      Vfs.mkdir fs "/many";
+      for i = 0 to 69 do
+        file (Printf.sprintf "/many/f%d" i) 3
+      done;
+      let b = Bytes.create Vfs.max_file_size in
+      let cycles f =
+        let t0 = Sched.now () in
+        (match f () with () -> () | exception Vfs.Fs_error _ -> ());
+        Sched.now () -. t0
+      in
+      let measured =
+        List.map
+          (fun (path, _, _) ->
+            ( path,
+              cycles (fun () -> ignore (Vfs.file_size fs path)),
+              cycles (fun () ->
+                  ignore
+                    (Vfs.read_into_bytes fs ~path ~off:0 ~len:Vfs.max_file_size b 0))
+            ))
+          lookup_cycles
+      in
+      let show (path, a, b) = Printf.sprintf "%s %.17g %.17g" path a b in
+      check (Alcotest.list string) "cycles per lookup"
+        (List.map show lookup_cycles) (List.map show measured))
+
 let () =
   Alcotest.run "vfs"
     [
@@ -247,5 +422,7 @@ let () =
           Alcotest.test_case "rename errors" `Quick test_rename_errors;
           Alcotest.test_case "disk full" `Quick test_disk_full;
           QCheck_alcotest.to_alcotest random_fs_prop;
+          QCheck_alcotest.to_alcotest nested_tree_prop;
+          Alcotest.test_case "lookup cycles" `Quick test_lookup_cycles;
         ] );
     ]

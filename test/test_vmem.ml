@@ -126,9 +126,8 @@ let test_memchr () =
   let s = mk () in
   let a = Space.mmap s ~len:4096 ~prot:Prot.rw ~pkey:0 in
   Space.store_string s a "GET /index.html\r\n";
-  check (Alcotest.option int) "found" (Some (a + 15))
-    (Space.memchr s ~addr:a ~len:17 '\r');
-  check (Alcotest.option int) "absent" None (Space.memchr s ~addr:a ~len:10 'Z')
+  check int "found" (a + 15) (Space.memchr s ~addr:a ~len:17 '\r');
+  check int "absent" (-1) (Space.memchr s ~addr:a ~len:10 'Z')
 
 let roundtrip_prop =
   QCheck.Test.make ~name:"store/load roundtrip at random offsets" ~count:200
@@ -363,14 +362,9 @@ let test_memchr_window_bounded () =
   let a = Space.mmap s ~len:(2 * ps) ~prot:Prot.rw ~pkey:0 in
   Sched.main (fun _ ->
       Space.store8 s (a + 100) (Char.code 'Z');
-      check
-        (Alcotest.option int)
-        "found inside window"
-        (Some (a + 100))
+      check int "found inside window" (a + 100)
         (Space.memchr s ~addr:a ~len:128 'Z');
-      check
-        (Alcotest.option int)
-        "byte past the window is invisible" None
+      check int "byte past the window is invisible" (-1)
         (Space.memchr s ~addr:a ~len:100 'Z');
       (* a window leaking into the guard page still faults *)
       expect_fault ~code:Space.MAPERR (fun () ->
@@ -385,7 +379,7 @@ let test_memchr_charges_examined_bytes () =
       let t0 = Sched.now () in
       let r = Space.memchr s ~addr:a ~len:64 'X' in
       let dt = Sched.now () -. t0 in
-      check (Alcotest.option int) "found" (Some (a + 2)) r;
+      check int "found" (a + 2) r;
       (* the match is the third byte examined: the cost must reflect
          that, with the same access base as the other bulk operations,
          not a flat per-window-byte charge *)
@@ -432,8 +426,7 @@ let test_zero_len_ops_are_free () =
       Space.fill s ~addr:a ~len:0 'x';
       Space.store_bytes s a Bytes.empty;
       Space.store_string s a "";
-      check (Alcotest.option int) "memchr 0" None
-        (Space.memchr s ~addr:a ~len:0 'x');
+      check int "memchr 0" (-1) (Space.memchr s ~addr:a ~len:0 'x');
       check_float "all free" 0.0 (Sched.now () -. t0))
 
 (* {1 Regression: the syscall oracle sees pkey_mprotect by name} *)
@@ -751,8 +744,8 @@ let run_differential ~read_into seed =
         what := Printf.sprintf "memchr 0x%x+%d %C" a n c;
         let flat () =
           let rec scan j =
-            if j >= a + n then None
-            else if Bytes.get m.mem j = c then Some j
+            if j >= a + n then -1
+            else if Bytes.get m.mem j = c then j
             else scan (j + 1)
           in
           scan a
