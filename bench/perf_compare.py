@@ -11,7 +11,12 @@ workload and BENCHMARK.json end-to-end metric it prints both medians
 (won at least 9 in 10 pairs, medians apart by more than REV's IQR), WORSE
 (median worse than REV's by more than the metric's bound), unresolved
 (REV's IQR is wider than the bound and the tree does not beat every REV
-run) or same. After a workload's pairs it runs each side once more with
+run) or same. Under host_alloc_words_per_op it prints, per side, the
+host words per op of perfsuite's set-up-only runs (read from the
+host_spans each run writes with --json into a temporary file): the
+metric counts set-up too, so a change that moves words into or out of
+set-up is told apart from one on the run path. After a workload's pairs
+it runs each side once more with
 `--trace 1` and lists every per-layer metric whose value differs by more
 than 1% from REV's, so a claimed gain shows the layer it came from. Host
 timings (simkern.host_cpu_ns_per_op, every *_host_ns and
@@ -61,16 +66,34 @@ def checkout(rev):
     return dest
 
 
+def setup_words(detail):
+    """Host words per measured op of the set-up-only runs (construction,
+    load phase, teardown; ops = 0) in a perfsuite --json detail: the
+    median over its set-up spans of their minor words, over the measured
+    run's op count. host_alloc_words_per_op counts set-up too, so words
+    moved into or out of set-up show here and not on their own there."""
+    words = [h["minor_words"] for h in detail["host_spans"]
+             if h["name"].startswith("setup.")]
+    ops = detail["simulated"]["attempted"]
+    return statistics.median(words) / ops if words and ops else None
+
+
 def run(tree, workload, seed, trace=0):
-    cmd = [sys.executable, "perfsuite/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", "5", "--trace", str(trace)]
-    p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if p.returncode != 0 or not p.stdout.strip():
-        sys.exit("perf_compare: %s failed in %s:\n%s" % (workload, tree,
-                                                         p.stderr[-2000:]))
-    r = json.loads(p.stdout.strip().splitlines()[-1])
-    return (r["correct"] and r["failed"] == 0,
-            {k: v["value"] for k, v in r["metrics"].items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "detail.json")
+        cmd = [sys.executable, "perfsuite/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", "5", "--trace", str(trace),
+               "--json", path]
+        p = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+        if p.returncode != 0 or not p.stdout.strip():
+            sys.exit("perf_compare: %s failed in %s:\n%s" % (
+                workload, tree, p.stderr[-2000:]))
+        r = json.loads(p.stdout.strip().splitlines()[-1])
+        metrics = {k: v["value"] for k, v in r["metrics"].items()}
+        if not trace:
+            with open(path) as f:
+                metrics[SETUP_WORDS] = setup_words(json.load(f))
+    return r["correct"] and r["failed"] == 0, metrics
 
 
 def quartiles(xs):
@@ -129,6 +152,11 @@ def num(x):
 
 
 SOAKS = ["@chaos", "@chaos-soak", "@chaos-rewind-soak"]
+
+# Not a BENCHMARK.json metric: the set-up runs' host words per op, read
+# from each untraced run's --json detail and printed under
+# host_alloc_words_per_op.
+SETUP_WORDS = "  of which set-up"
 
 
 def alias_output(tree, alias):
@@ -244,6 +272,12 @@ def main():
             print("  %-24s %-40s %-40s %-8s %s" % (
                 m["name"], cell(old), cell(new),
                 "%d/%d/%d" % (won, lost, tied), v), flush=True)
+            if m["name"] == "host_alloc_words_per_op":
+                old = [r[SETUP_WORDS] for r in sides[base]]
+                new = [r[SETUP_WORDS] for r in sides[ROOT]]
+                if None not in old + new:
+                    print("  %-24s %-40s %-40s" % (SETUP_WORDS, cell(old),
+                                                   cell(new)), flush=True)
         traced, bad = {}, False
         for tree in (base, ROOT):
             ok, traced[tree] = run(tree, w, args.seed, trace=1)

@@ -605,7 +605,7 @@ let json_escape s =
    [incident]. *)
 module Fl = Checkpoint.Flight
 
-let fmt_trace_id tr = if tr = 0L then "-" else Printf.sprintf "%016Lx" tr
+let fmt_trace_id tr = if tr = 0 then "-" else Printf.sprintf "%016x" tr
 
 let flight_event_line e =
   Printf.sprintf "%10.0f  udi=%-3d tid=%-3d %-12s trace=%s%s" e.Fl.e_at
@@ -854,17 +854,17 @@ let incident_cmd =
       List.find_opt (fun e -> e.Fl.e_kind = Fl.Fault) r.Rl.r_events
     in
     match fault with
-    | Some e when e.Fl.e_trace <> 0L -> e.Fl.e_trace
+    | Some e when e.Fl.e_trace <> 0 -> e.Fl.e_trace
     | _ ->
         List.fold_left
-          (fun acc e -> if e.Fl.e_trace <> 0L then e.Fl.e_trace else acc)
-          0L r.Rl.r_events
+          (fun acc e -> if e.Fl.e_trace <> 0 then e.Fl.e_trace else acc)
+          0 r.Rl.r_events
   in
   (* Everything the live flight rings still hold about that trace,
      across all domains (the rings live in monitor memory, so they
      survive the rewind), in virtual-time order. *)
   let linked_events sd trace =
-    if trace = 0L then []
+    if trace = 0 then []
     else
       List.sort
         (fun a b ->

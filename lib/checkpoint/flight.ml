@@ -38,7 +38,7 @@ type event = {
   e_tid : int;
   e_kind : kind;
   e_udi : int;
-  e_trace : int64;  (* 0 = no causal context *)
+  e_trace : int;  (* 0 = no causal context *)
   e_arg : int;
 }
 
@@ -176,7 +176,7 @@ let store_words space addr ~at ~kind ~tid ~trace ~arg ~udi =
 
 let store space addr ev =
   store_words space addr ~at:(int_of_float ev.e_at) ~kind:ev.e_kind
-    ~tid:ev.e_tid ~trace:(Int64.to_int ev.e_trace) ~arg:ev.e_arg
+    ~tid:ev.e_tid ~trace:ev.e_trace ~arg:ev.e_arg
     ~udi:ev.e_udi
 
 let load space addr =
@@ -184,7 +184,7 @@ let load space addr =
     e_at = float_of_int (Space.load64 space addr);
     e_kind = code_kind (Space.load64 space (addr + 8));
     e_tid = Space.load64 space (addr + 16) - 1;
-    e_trace = Int64.of_int (Space.load64 space (addr + 24));
+    e_trace = Space.load64 space (addr + 24);
     e_arg = Space.load64 space (addr + 32);
     e_udi = Space.load64 space (addr + 40);
   }

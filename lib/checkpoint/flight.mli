@@ -42,8 +42,8 @@ type event = {
   e_tid : int;
   e_kind : kind;
   e_udi : int;
-  e_trace : int64;  (** 0 = no causal context; ids are 62-bit, see
-                        {!Telemetry.Context} *)
+  e_trace : int;  (** 0 = no causal context; ids are 62-bit, see
+                      {!Telemetry.Context} *)
   e_arg : int;  (** kind-specific: fault address, replay hit count, … *)
 }
 

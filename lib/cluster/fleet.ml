@@ -83,7 +83,7 @@ type route_state = Serving | Draining | Failed_over
 (* One acked keyed write, retained verbatim for re-seeding: replaying
    [o_req] (original [id=] and [trace=] tokens included) against the new
    owner lets its replay journal dedup client retries of the same rid. *)
-type op_entry = { o_key : string; o_trace : int64; o_req : string }
+type op_entry = { o_key : string; o_trace : int; o_req : string }
 
 type shard = {
   s_idx : int;
@@ -95,6 +95,7 @@ type shard = {
   mutable s_health : string;  (* router-derived view, see shard_health *)
   mutable s_hb_last : float;
   mutable s_hb_breaker : Supervisor.breaker;
+  s_beats : string array;  (* the heartbeat line of each breaker state *)
   mutable s_partitioned_until : float;  (* shard-side link state *)
   mutable s_crashed : bool;
   mutable s_inflight : int;
@@ -125,46 +126,29 @@ type t = {
   c_evicted : Metrics.counter;
 }
 
-(* {2 Request grammar (router's view)}
+(* A breaker's heartbeat line in a shard's [s_beats]. *)
+let beat_index = function
+  | Supervisor.Closed -> 0
+  | Backoff -> 1
+  | Quarantined -> 2
+  | Half_open -> 3
 
-   The router reads just enough of the kvcache text protocol to route:
-   the verb and first key of the request line, scanned in place with
-   {!Kvcache.Proto}'s word rule. Its [id=] and [trace=] tokens are read
-   by the server's own rules. The line is read once per request, on
-   arrival; everything the router decides reads the result. *)
+(* {2 The router's view of a request}
 
-let keyed_verbs = [ "get"; "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
-let mutation_verbs = [ "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
+   The router reads a request with {!Kvcache.Proto.scan_wire}, in place
+   in the buffer it was received into: the verb and first key of its
+   line, and its [id=] and [trace=] tokens by the server's own rules.
+   The line is scanned once per request, on arrival; everything the
+   router decides reads the result. *)
 
-type request = {
-  verb : string;
-  key : string option;
-  rid : string option;
-  trace : int64;
-}
-
-let parse_request msg len =
-  let stop =
-    match Serve.index_from msg 0 len '\r' with
-    | -1 -> (
-        match Serve.index_from msg 0 len '\n' with -1 -> len | i -> i)
-    | i -> i
-  in
-  let v0 = Proto.word_start msg 0 stop in
-  let v1 = Proto.word_stop msg v0 stop in
-  let verb = String.sub msg v0 (v1 - v0) in
-  let k0 = Proto.word_start msg v1 stop in
-  {
-    verb;
-    key =
-      (if k0 < stop && List.mem verb keyed_verbs then
-         Some (String.sub msg k0 (Proto.word_stop msg k0 stop - k0))
-       else None);
-    rid =
-      (if List.mem verb mutation_verbs then Proto.line_rid msg stop else None);
-    (* Only a CR-terminated line carries one. *)
-    trace = Proto.trace_of_string msg len;
-  }
+(* A keyed verb with a key: routed by its key; anything else goes to any
+   serving shard. *)
+let keyed (r : Proto.req) =
+  r.key_len > 0
+  &&
+  match r.verb with
+  | Get | Set | Add | Replace | Delete | Incr | Decr -> true
+  | _ -> false
 
 (* A reply the client will treat as a definitive outcome (so the write
    must survive failover). Busy/error replies are retried or surfaced;
@@ -277,39 +261,50 @@ let do_failover t s =
 
 (* {2 Router data path} *)
 
-(* Forward the request in [msg] to its shard and relay the reply, which
-   is received into [reply]. *)
-let handle_request t backends c msg reply req =
-  Metrics.inc t.c_requests;
-  (* Admission: park while a failover is in progress or the owning shard
-     is mid-drain; give up only when the ring is empty. *)
-  let rec pick () =
-    if not t.running then None
-    else if t.freeze then begin
+(* Admission: the index of the shard that serves [r], parking while a
+   failover is in progress or the owning shard is mid-drain; -1 only
+   when the router stops or the ring is empty. *)
+let rec pick t (r : Proto.req) =
+  if not t.running then -1
+  else if t.freeze then begin
+    Sched.sleep drain_poll;
+    pick t r
+  end
+  else if Hash_ring.size t.ring = 0 then -1
+  else
+    let idx =
+      if keyed r then Hash_ring.route_sub t.ring r.src r.key r.key_len
+      else List.hd (Hash_ring.members t.ring)
+    in
+    if t.shards.(idx).s_state <> Serving then begin
       Sched.sleep drain_poll;
-      pick ()
+      pick t r
     end
-    else if Hash_ring.size t.ring = 0 then None
-    else
-      let idx =
-        match req.key with
-        | Some k -> Hash_ring.route t.ring k
-        | None -> List.hd (Hash_ring.members t.ring)
-      in
+    else idx
+
+(* The worker's open connection to shard [s], reconnecting a closed
+   one. *)
+let backend t backends s =
+  match backends.(s.s_idx) with
+  | Some bc when Netsim.is_open bc && not (Netsim.peer_closed bc) -> bc
+  | stale ->
+      Option.iter Netsim.close stale;
+      let bc = Netsim.connect t.net ~port:s.s_port in
+      backends.(s.s_idx) <- Some bc;
+      bc
+
+(* Forward the request in [msg], scanned into [r], to its shard and relay
+   the reply, which is received into [reply]. *)
+let handle_request t backends c msg reply r clock =
+  Metrics.inc t.c_requests;
+  match pick t r with
+  | -1 -> Netsim.send c Proto.server_error_busy
+  | idx ->
       let s = t.shards.(idx) in
-      if s.s_state <> Serving then begin
-        Sched.sleep drain_poll;
-        pick ()
-      end
-      else Some s
-  in
-  match pick () with
-  | None -> Netsim.send c Proto.server_error_busy
-  | Some s ->
-      let trace = req.trace in
+      let trace = r.Proto.trace in
       (* The hop lands in the shard's flight recorder under the
          client's trace id: sdrad_cli incident sees router → shard. *)
-      Api.flight_event s.s_sd ~udi:router_flight_udi ~trace ~arg:s.s_idx
+      Api.record_flight s.s_sd ~udi:router_flight_udi ~trace ~arg:s.s_idx
         Flight.Route;
       Metrics.inc t.c_routed;
       Metrics.inc s.s_routed;
@@ -322,43 +317,31 @@ let handle_request t backends c msg reply req =
           false
         end
         else begin
-          let bc =
-            match Hashtbl.find_opt backends s.s_idx with
-            | Some bc when Netsim.is_open bc && not (Netsim.peer_closed bc)
-              ->
-                bc
-            | other ->
-                (match other with
-                | Some stale ->
-                    Netsim.close stale;
-                    Hashtbl.remove backends s.s_idx
-                | None -> ());
-                let bc = Netsim.connect t.net ~port:s.s_port in
-                Hashtbl.replace backends s.s_idx bc;
-                bc
-          in
+          let bc = backend t backends s in
           Netsim.send_buf bc msg;
           if
             Netsim.recv_buf_deadline bc reply
-              ~deadline:(Sched.now () +. forward_timeout)
+              ~deadline:(clock.Sched.clock +. forward_timeout)
           then true
           else begin
             (* Reply may still arrive later; abandon the connection so
                it cannot be mis-paired with the next forward. *)
             Netsim.close bc;
-            Hashtbl.remove backends s.s_idx;
+            backends.(s.s_idx) <- None;
             false
           end
         end
       in
       s.s_inflight <- s.s_inflight - 1;
       if replied then begin
-        (match (req.rid, req.key) with
-        | Some _, Some key when acked_buf reply ->
-            (* The oplog keeps its own copy of the request. *)
-            oplog_push t s
-              { o_key = key; o_trace = trace; o_req = Netsim.Buf.contents msg }
-        | _ -> ());
+        if r.rid_len > 0 && keyed r && acked_buf reply then
+          (* The oplog keeps its own copy of the request. *)
+          oplog_push t s
+            {
+              o_key = Proto.key_string r;
+              o_trace = trace;
+              o_req = Netsim.Buf.contents msg;
+            };
         Netsim.send_buf c reply
       end
       else begin
@@ -366,27 +349,28 @@ let handle_request t backends c msg reply req =
         Netsim.send c Proto.server_error_busy
       end
 
-(* Each router worker receives requests into one buffer and shard
-   replies into another. *)
+(* Each router worker receives requests into one buffer, scans them into
+   one request record and receives shard replies into another buffer;
+   its backend connections are indexed by shard. *)
 let worker t widx () =
   let ws = t.worker_sets.(widx) in
-  let backends : (int, Netsim.conn) Hashtbl.t = Hashtbl.create 8 in
+  let backends = Array.make (Array.length t.shards) None in
   let msg = Netsim.Buf.create () and reply = Netsim.Buf.create () in
+  let r = Proto.create () in
+  (* The clock is read from the thread's cell: [Sched.now] would box
+     it. *)
+  let clock = Sched.clock_cell () in
   let rec loop () =
     match Netsim.Waitset.wait ws with
     | None -> ()
     | Some c ->
         (if Netsim.recv_buf c msg then begin
-           let req =
-             parse_request (Netsim.Buf.view msg) (Netsim.Buf.length msg)
-           in
-           if req.verb = "quit" then begin
+           Proto.scan_wire r (Netsim.Buf.view msg) (Netsim.Buf.length msg);
+           if r.verb = Quit then begin
              Netsim.Waitset.remove ws c;
              Netsim.close c
            end
-           else if
-             Sched.now () -. Netsim.Buf.arrival msg > shed_wait
-             || Netsim.peer_closed c
+           else if Netsim.Buf.older_than msg shed_wait || Netsim.peer_closed c
            then begin
              (* Staleness shed: a request that aged past [shed_wait] in
                 the router queue (or whose client already hung up)
@@ -398,7 +382,7 @@ let worker t widx () =
              Metrics.inc t.c_shed;
              Netsim.send c Proto.server_error_busy
            end
-           else handle_request t backends c msg reply req
+           else handle_request t backends c msg reply r clock
          end
          else if Netsim.peer_closed c then begin
            Netsim.Waitset.remove ws c;
@@ -407,7 +391,7 @@ let worker t widx () =
         loop ()
   in
   loop ();
-  Hashtbl.iter (fun _ c -> Netsim.close c) backends
+  Array.iter (Option.iter Netsim.close) backends
 
 (* One of a pool of acceptor fibers (one per router worker): a single
    acceptor charging one syscall per accept caps connection setup at
@@ -432,7 +416,8 @@ let dispatcher t next () =
    (if the link is up) beat with the worst supervisor breaker state.
    Both fault kinds act here because the heartbeat loop is the shard's
    liveness surface — a crash also stops the kvcache server, a
-   partition also blacks out the data path via [link_up]. *)
+   partition also blacks out the data path via [link_up]. A beat is one
+   of the shard's four lines, made at bring-up and sent by reference. *)
 let reporter t s conn () =
   let rec loop () =
     if t.running && not s.s_crashed then begin
@@ -450,8 +435,7 @@ let reporter t s conn () =
       | None -> ());
       if t.running && link_up s then
         Netsim.send conn
-          (Printf.sprintf "hb %d %s" s.s_idx
-             (Supervisor.breaker_to_string (Supervisor.worst_breaker s.s_sup)));
+          s.s_beats.(beat_index (Supervisor.worst_breaker s.s_sup));
       loop ()
     end
   in
@@ -468,24 +452,61 @@ let hb_accept t () =
   in
   loop ()
 
+(* [s.[a, a + String.length lit)] is [lit] and ends [s]. *)
+let rec ends_with_at s a lit i =
+  i = String.length lit
+  || String.unsafe_get s (a + i) = String.unsafe_get lit i
+     && ends_with_at s a lit (i + 1)
+
+let is_word s a lit =
+  String.length s - a = String.length lit && ends_with_at s a lit 0
+
+(* The state word of a beat from [a], read in place as
+   [Supervisor.breaker_of_string] reads it. *)
+let breaker_at msg a =
+  let is b = is_word msg a (Supervisor.breaker_to_string b) in
+  if is Backoff then Supervisor.Backoff
+  else if is Quarantined then Supervisor.Quarantined
+  else if is Half_open then Supervisor.Half_open
+  else Supervisor.Closed
+
+(* The shard index written in [msg.[i, stop)] after [v], or -1 when it
+   is not plain digits. *)
+let rec beat_shard msg i stop v =
+  if i = stop then v
+  else
+    match String.unsafe_get msg i with
+    | '0' .. '9' as c ->
+        beat_shard msg (i + 1) stop ((10 * v) + Char.code c - 48)
+    | _ -> -1
+
 let hb_reader t () =
   let rec loop () =
     match Netsim.Waitset.wait t.hb_set with
     | None -> ()
     | Some c ->
         (match Netsim.try_recv c with
-        | Some msg -> (
-            (* Heartbeats are this module's own single-spaced lines. *)
-            match String.split_on_char ' ' msg with
-            | [ "hb"; idx; st ] -> (
-                match int_of_string_opt idx with
-                | Some i when i >= 0 && i < Array.length t.shards ->
-                    let s = t.shards.(i) in
-                    s.s_hb_last <- Sched.now ();
-                    s.s_hb_breaker <- Supervisor.breaker_of_string st;
-                    Metrics.inc t.c_heartbeats
-                | _ -> ())
-            | _ -> ())
+        | Some msg ->
+            (* Heartbeats are this module's own single-spaced lines,
+               [hb <shard> <state>], scanned in place. *)
+            let n = String.length msg in
+            let sp =
+              if n > 3 && ends_with_at msg 0 "hb " 0 then
+                Serve.index_from msg 3 n ' '
+              else -1
+            in
+            (* At most six digits: an index that cannot overflow. *)
+            let i = if sp > 3 && sp <= 9 then beat_shard msg 3 sp 0 else -1 in
+            if
+              i >= 0
+              && i < Array.length t.shards
+              && Serve.index_from msg (sp + 1) n ' ' < 0
+            then begin
+              let s = t.shards.(i) in
+              s.s_hb_last <- Sched.now ();
+              s.s_hb_breaker <- breaker_at msg (sp + 1);
+              Metrics.inc t.c_heartbeats
+            end
         | None ->
             if Netsim.peer_closed c then begin
               Netsim.Waitset.remove t.hb_set c;
@@ -524,6 +545,9 @@ let monitor t () =
 
 let health_states = [ "closed"; "backoff"; "half-open"; "quarantined"; "down" ]
 
+(* A shard's heartbeat lines, in [beat_index] order. *)
+let beat_states = Supervisor.[| Closed; Backoff; Quarantined; Half_open |]
+
 let make_shard t_cfg sched ?faults net m i =
   let space = Space.create ~size_mib:t_cfg.space_mib () in
   let registry = Metrics.create () in
@@ -547,6 +571,11 @@ let make_shard t_cfg sched ?faults net m i =
     s_health = "closed";
     s_hb_last = Sched.now ();
     s_hb_breaker = Supervisor.Closed;
+    s_beats =
+      Array.map
+        (fun b ->
+          Printf.sprintf "hb %d %s" i (Supervisor.breaker_to_string b))
+        beat_states;
     s_partitioned_until = 0.0;
     s_crashed = false;
     s_inflight = 0;

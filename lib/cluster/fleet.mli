@@ -12,6 +12,19 @@
     client → router → shard and the router's {!Checkpoint.Flight.Route}
     events land in the shard's flight recorder under that id.
 
+    {2 The router's data path}
+
+    A router worker receives each request into one buffer of its own and
+    reads it there with {!Kvcache.Proto.scan_wire}, the servers' scanner,
+    into one request record: the line's verb, its first key (a keyed
+    verb's; a keyless request goes to any serving shard), a mutation's
+    [id=] rid and a CR-terminated line's [trace=] id. The key is hashed
+    where it lies ({!Hash_ring.route_sub}), the backend connections are
+    an array indexed by shard, and the clock is read from the worker's
+    clock cell, so a forwarded request copies nothing — except an acked
+    keyed write with a rid, whose request and key the re-seed oplog
+    keeps.
+
     {2 Health and failover}
 
     Shards export health derived from their supervisor's breaker states
@@ -83,24 +96,6 @@ val drain_shard : t -> int -> unit
     simulation — the same drain → ring-removal → journal re-seed path a
     quarantine heartbeat triggers, without waiting for the health
     monitor to notice. No-op unless the shard is [Serving]. *)
-
-(** {1 Request grammar (router's view)} *)
-
-type request = {
-  verb : string;  (** first word of the line; [""] for an empty line *)
-  key : string option;
-      (** first key of a keyed verb; [None] for stats, unknown verbs and
-          a keyed verb with no key, which any serving shard will do *)
-  rid : string option;
-      (** a mutation's [id=] token, by {!Kvcache.Proto.parse}'s rule *)
-  trace : int64;  (** [trace=] context of a CR-terminated line; 0 = none *)
-}
-
-val parse_request : string -> int -> request
-(** [parse_request s len]: scan the line of the request [s.[0, len)] —
-    up to its first CR, else its first LF — in place with
-    {!Kvcache.Proto}'s word rule, copying out only the verb, the key and
-    the rid. *)
 
 (** {1 Introspection} *)
 

@@ -22,10 +22,11 @@ let[@inline] mix h =
   Int64.logxor h (Int64.shift_right_logical h 31)
 
 (* A loop over a local ref: the compiler keeps [h] in a register,
-   unboxed, so hashing a key allocates nothing. *)
-let hash s =
+   unboxed, so hashing a key allocates nothing. [s.[off, off + len)] is
+   hashed where it lies. *)
+let hash_sub s off len =
   let h = ref fnv_offset in
-  for i = 0 to String.length s - 1 do
+  for i = off to off + len - 1 do
     h :=
       Int64.mul
         (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
@@ -33,6 +34,8 @@ let hash s =
   done;
   (* Fold to 62 bits so the point fits a non-negative OCaml int. *)
   Int64.to_int (Int64.logand (mix !h) 0x3FFF_FFFF_FFFF_FFFFL)
+
+let hash s = hash_sub s 0 (String.length s)
 
 type t = {
   vnodes : int;
@@ -80,9 +83,11 @@ let successor t h =
   done;
   if !lo = n then 0 else !lo
 
-let route t key =
+let route_sub t s off len =
   if t.points = [||] then failwith "Hash_ring.route: empty ring";
-  snd t.points.(successor t (hash key))
+  snd t.points.(successor t (hash_sub s off len))
+
+let route t key = route_sub t key 0 (String.length key)
 
 let route_n t key n =
   let len = Array.length t.points in

@@ -39,6 +39,11 @@ val size : t -> int
 val route : t -> string -> int
 (** Owner of a key. @raise Failure on an empty ring. *)
 
+val route_sub : t -> string -> int -> int -> int
+(** [route_sub t s off len]: {!route} of the key [s.[off, off + len)],
+    hashed where it lies — the router's per-request lookup, which copies
+    no key. *)
+
 val route_n : t -> string -> int -> int list
 (** The first [n] {e distinct} members clockwise from the key's point —
     the owner first, then the replica preference order. Shorter than [n]

@@ -138,6 +138,9 @@ type thread_state = {
   mutable cur_pkru : int;
   mutable monitor_depth : int;  (* nested [with_monitor] brackets *)
   mutable gate_depth : int;  (* open batched-gate sections *)
+  mutable rewound : bool;
+      (* the last [run] to return on this thread returned its
+         [on_rewind] handler's value *)
 }
 
 type t = {
@@ -514,6 +517,7 @@ let thread_record t tid =
           cur_pkru = Pkru.all_access;
           monitor_depth = 0;
           gate_depth = 0;
+          rewound = false;
         }
       in
       Hashtbl.replace t.threads tid ts;
@@ -613,14 +617,13 @@ let with_monitor t ts f =
 let set_trace t id =
   let tid = cur_tid () in
   match Hashtbl.find t.threads tid with
-  | ts -> ts.trace <- Int64.to_int id
-  | exception Not_found ->
-      if id <> 0L then (thread_record t tid).trace <- Int64.to_int id
+  | ts -> ts.trace <- id
+  | exception Not_found -> if id <> 0 then (thread_record t tid).trace <- id
 
 let with_trace t id f =
   let ts = thread_record t (cur_tid ()) in
   let prev = ts.trace in
-  ts.trace <- Int64.to_int id;
+  ts.trace <- id;
   match f () with
   | v ->
       ts.trace <- prev;
@@ -633,31 +636,39 @@ let record_event t ~udi ~tid ~trace ~arg kind =
   Flight.record t.flight ~udi ~tid ~at:(int_of_float (now ())) ~trace ~arg
     kind
 
-let trace_or id ~default =
-  match id with Some id -> Int64.to_int id | None -> default
+(* Record one flight-recorder event on the thread [ts]. Raises
+   privileges when called from a constructed thread — the ring lives in
+   monitor memory. *)
+let record_on t ts ~udi ~tid ~trace ~arg kind =
+  if not ts.constructed then record_event t ~udi ~tid ~trace ~arg kind
+  else begin
+    let was = enter_monitor t ts in
+    match record_event t ~udi ~tid ~trace ~arg kind with
+    | () -> leave_monitor t ts was
+    | exception e ->
+        leave_monitor t ts was;
+        raise e
+  end
 
-(* Record one flight-recorder event for [udi] (default: the thread's
-   current domain), stamped with [trace] (default: the thread's trace
-   id). Raises privileges when called from a constructed thread — the
-   ring lives in monitor memory. *)
+let record_flight t ~udi ~trace ~arg kind =
+  let tid = cur_tid () in
+  match Hashtbl.find t.threads tid with
+  | exception Not_found -> record_event t ~udi ~tid ~trace ~arg kind
+  | ts -> record_on t ts ~udi ~tid ~trace ~arg kind
+
+(* [udi] defaults to the thread's current domain, [trace] to the
+   thread's trace id. *)
 let flight_event t ?udi ?trace ?(arg = 0) kind =
   let tid = cur_tid () in
   match Hashtbl.find t.threads tid with
   | exception Not_found ->
       let udi = match udi with Some u -> u | None -> root_udi in
-      record_event t ~udi ~tid ~trace:(trace_or trace ~default:0) ~arg kind
+      let trace = match trace with Some id -> id | None -> 0 in
+      record_event t ~udi ~tid ~trace ~arg kind
   | ts ->
       let udi = match udi with Some u -> u | None -> current_udi_of ts in
-      let trace = trace_or trace ~default:ts.trace in
-      if not ts.constructed then record_event t ~udi ~tid ~trace ~arg kind
-      else begin
-        let was = enter_monitor t ts in
-        match record_event t ~udi ~tid ~trace ~arg kind with
-        | () -> leave_monitor t ts was
-        | exception e ->
-            leave_monitor t ts was;
-            raise e
-      end
+      let trace = match trace with Some id -> id | None -> ts.trace in
+      record_on t ts ~udi ~tid ~trace ~arg kind
 
 (* {1 Monitor bookkeeping blocks}
 
@@ -1755,8 +1766,14 @@ let traced_body t ts udi body =
       (("udi", string_of_int udi)
       ::
       (if tr = 0 then []
-       else [ ("trace", Printf.sprintf "%016Lx" (Int64.of_int tr)) ]))
+       else [ ("trace", Printf.sprintf "%016x" tr) ]))
     body
+
+(* [on_rewind]'s value, marking the run as rewound for {!rewound}. *)
+let rewound_with ts on_rewind fault =
+  let v = on_rewind fault in
+  ts.rewound <- true;
+  v
 
 let run t ~udi ?(opts = default_options) ~on_rewind body =
   let ts = thread_state t in
@@ -1777,6 +1794,7 @@ let run t ~udi ?(opts = default_options) ~on_rewind body =
         done;
         deinit t udi
       end;
+      ts.rewound <- false;
       v
   | exception Rewind_to_grandparent fault ->
       (* A descendant configured with [Grandparent] was discarded; the
@@ -1785,7 +1803,7 @@ let run t ~udi ?(opts = default_options) ~on_rewind body =
         (* The fault was recorded when the failing descendant was
            discarded; this level is collateral, not a second incident. *)
         abnormal_exit ~record:false t ts inst fault;
-        on_rewind fault
+        rewound_with ts on_rewind fault
       end
       else begin
         teardown_passthrough t ts inst frame_id;
@@ -1799,11 +1817,16 @@ let run t ~udi ?(opts = default_options) ~on_rewind body =
           let fault = { failed_udi = udi; cause; tid = ts.t_tid; at = now () } in
           abnormal_exit t ts inst fault;
           (match inst.opts.rewind with
-          | Parent -> on_rewind fault
+          | Parent -> rewound_with ts on_rewind fault
           | Grandparent -> raise (Rewind_to_grandparent fault))
       | _ ->
           teardown_passthrough t ts inst frame_id;
           raise e)
+
+let rewound t =
+  match Hashtbl.find t.threads (cur_tid ()) with
+  | ts -> ts.rewound
+  | exception Not_found -> false
 
 (* {1 Introspection} *)
 

@@ -107,6 +107,12 @@ val run :
     otherwise); if [body] raises a non-rewind exception the domain is
     destroyed and the exception propagates. *)
 
+val rewound : t -> bool
+(** Whether the last {!run} to return on the calling thread returned
+    [on_rewind]'s value rather than [body]'s — how a wrapper that is
+    handed the result tells a rewind from a normal return without
+    building a closure around either. *)
+
 val init_data : t -> udi:udi -> ?heap_size:int -> unit -> unit
 (** Create a data domain: shareable pages that hold data but never execute
     code. Its memory is managed with {!malloc}/{!free} and its visibility
@@ -270,16 +276,17 @@ val audit_pending : t -> bool
     few events of each victim are frozen into the rewind audit record
     at intent time (see [r_events] of {!Checkpoint.Rewind_log}). *)
 
-val set_trace : t -> int64 -> unit
-(** Install (non-zero) or clear ([0L]) the calling thread's trace id —
-    servers call this as soon as they decode a request's context. *)
+val set_trace : t -> int -> unit
+(** Install (non-zero) or clear (0) the calling thread's trace id —
+    servers call this as soon as they decode a request's context. Ids
+    are the 62-bit ints of {!Telemetry.Context.trace}. *)
 
-val with_trace : t -> int64 -> (unit -> 'a) -> 'a
+val with_trace : t -> int -> (unit -> 'a) -> 'a
 (** Bracket: install the id, run the body, restore the previous id even
     on exceptions. *)
 
 val flight_event :
-  t -> ?udi:udi -> ?trace:int64 -> ?arg:int -> Checkpoint.Flight.kind -> unit
+  t -> ?udi:udi -> ?trace:int -> ?arg:int -> Checkpoint.Flight.kind -> unit
 (** Record an application-level event (admit, shed, replay, lock
     acquisition…) in the flight recorder, tagged with the calling
     thread, current virtual time and trace id. [udi] defaults to the
@@ -289,6 +296,12 @@ val flight_event :
     {!with_trace}. Events the monitor records itself (switches, faults,
     poisoned allocations) need no call — they are emitted inside the
     existing monitor gates. *)
+
+val record_flight :
+  t -> udi:udi -> trace:int -> arg:int -> Checkpoint.Flight.kind -> unit
+(** {!flight_event} with every field given: what a per-request path
+    calls, since each optional argument passed costs the caller an
+    allocated [Some]. *)
 
 val flight_events : t -> udi:udi -> Checkpoint.Flight.event list
 (** Retained flight-recorder events of one domain, oldest first. Safe

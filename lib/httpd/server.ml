@@ -164,16 +164,16 @@ let rec lower_prefix s off lit i =
    place; only a traceparent value is copied out. *)
 let rec trace_of_msg msg len off =
   let nl = Serve.index_from msg off len '\n' in
-  if nl < 0 then 0L
+  if nl < 0 then 0
   else
     let a = Serve.skip_blanks msg off nl in
     let b = Serve.trim_blanks msg a nl in
-    if a = b then 0L (* end of headers: no traceparent *)
+    if a = b then 0 (* end of headers: no traceparent *)
     else if b - a > 12 && lower_prefix msg a "traceparent:" 0 then
       let v = Serve.skip_blanks msg (a + 12) b in
       match Telemetry.Context.of_traceparent (String.sub msg v (b - v)) with
       | Some ctx -> Telemetry.Context.trace ctx
-      | None -> 0L
+      | None -> 0
     else trace_of_msg msg len (nl + 1)
 
 let trace_of_req req =

@@ -24,56 +24,69 @@ let load_be16 space a = (Space.load8 space a lsl 8) lor Space.load8 space (a + 1
 let load_be32 space a =
   (load_be16 space a lsl 16) lor load_be16 space (a + 2)
 
-let read_key space ~addr ~len ~extlen ~keylen =
-  let off = header_size + extlen in
-  if off + keylen > len then None
-  else Some (Space.read_string space (addr + off) keylen)
+(* [bin-<opaque>] at [b.[p]]. *)
+let put_rid b p opaque =
+  Bytes.blit_string "bin-" 0 b p 4;
+  let stop = p + 4 + Serve.dec_width opaque in
+  Serve.put_dec b ~stop opaque;
+  stop - p
 
-let parse space ~addr ~len =
-  if len < header_size then Proto.Bad "short binary header"
-  else if Space.load8 space addr <> magic_request then Proto.Bad "bad magic"
+let parse (r : Proto.req) space ~addr ~len =
+  r.trace <- 0;
+  r.verb <- Proto.Bad;
+  r.key_len <- 0;
+  r.rid_len <- 0;
+  if len < header_size then Proto.bad r "short binary header"
+  else if Space.load8 space addr <> magic_request then Proto.bad r "bad magic"
   else begin
     let opcode = Space.load8 space (addr + 1) in
     let keylen = load_be16 space (addr + 2) in
     let extlen = Space.load8 space (addr + 4) in
     (* The CVE: the unsigned on-the-wire field is consumed as signed. *)
     let bodylen = sign_extend_32 (load_be32 space (addr + 8)) in
-    if keylen = 0 || keylen > Proto.max_key_len then Proto.Bad "bad key length"
-    else
-      match read_key space ~addr ~len ~extlen ~keylen with
-      | None -> Proto.Bad "truncated key"
-      | Some key -> (
-          (* The opaque field doubles as the idempotency key: non-zero
-             values key the server's replay journal (zero = "no id", what
-             legacy clients send). Namespaced so text [id=] keys and
-             binary opaques cannot collide. *)
-          let opaque = load_be32 space (addr + 12) in
-          let rid =
-            if opaque <> 0 then Some (Printf.sprintf "bin-%d" opaque) else None
-          in
-          match opcode with
-          | o when o = op_get -> Proto.Get key
-          | o when o = op_delete -> Proto.Delete { key; rid }
-          | o when o = op_set ->
-              if extlen <> 8 then Proto.Bad "set needs 8 extras bytes"
-              else begin
-                let flags = load_be32 space (addr + header_size) in
-                (* vlen = bodylen - keylen - extlen, computed on the signed
-                   quantity exactly as the vulnerable code did. *)
-                let declared_len = bodylen - keylen - extlen in
-                let data_off = addr + header_size + extlen + keylen in
-                Proto.Set
-                  {
-                    mode = `Set;
-                    key;
-                    flags;
-                    declared_len;
-                    data_off;
-                    data_len = max 0 (len - (header_size + extlen + keylen));
-                    rid;
-                  }
-              end
-          | _ -> Proto.Bad "unsupported opcode")
+    if keylen = 0 || keylen > Proto.max_key_len then
+      Proto.bad r "bad key length"
+    else if header_size + extlen + keylen > len then
+      Proto.bad r "truncated key"
+    else begin
+      (* The key is read into the request's line buffer, where the text
+         protocol's keys lie too. *)
+      Proto.read_line r space (addr + header_size + extlen) keylen;
+      r.key <- 0;
+      r.key_len <- keylen;
+      (* The opaque field doubles as the idempotency key: non-zero
+         values key the server's replay journal (zero = "no id", what
+         legacy clients send). Namespaced so text [id=] keys and
+         binary opaques cannot collide: [bin-<opaque>] is written after
+         the key. *)
+      let opaque = load_be32 space (addr + 12) in
+      if opaque <> 0 then begin
+        r.rid <- keylen;
+        r.rid_len <- put_rid r.line keylen opaque
+      end;
+      if opcode = op_get then begin
+        r.verb <- Proto.Get;
+        r.kind <- Proto.Get
+      end
+      else if opcode = op_delete then begin
+        r.verb <- Proto.Delete;
+        r.kind <- Proto.Delete
+      end
+      else if opcode = op_set then begin
+        r.verb <- Proto.Set;
+        if extlen <> 8 then Proto.bad r "set needs 8 extras bytes"
+        else begin
+          r.kind <- Proto.Set;
+          r.flags <- load_be32 space (addr + header_size);
+          (* vlen = bodylen - keylen - extlen, computed on the signed
+             quantity exactly as the vulnerable code did. *)
+          r.declared_len <- bodylen - keylen - extlen;
+          r.data_off <- addr + header_size + extlen + keylen;
+          r.data_len <- max 0 (len - (header_size + extlen + keylen))
+        end
+      end
+      else Proto.bad r "unsupported opcode"
+    end
   end
 
 (* {1 Frame building} *)
@@ -137,36 +150,30 @@ let res_error status =
 (* The causal trace context rides in the 8-byte CAS field (bytes 16-23),
    which our request subset never uses otherwise — [frame] always zeroes
    it, and zero is the "no context" encoding. The id is 62 bits, so the
-   big-endian split into two 32-bit halves below is lossless. *)
-let load_be64 space a =
-  Int64.logor
-    (Int64.shift_left (Int64.of_int (load_be32 space a)) 32)
-    (Int64.of_int (load_be32 space (a + 4)))
-
+   big-endian split into two 32-bit halves below is lossless; of a
+   wider value, an int keeps the low 63 bits. *)
 let parse_trace space ~addr ~len =
-  if len < header_size || Space.load8 space addr <> magic_request then 0L
-  else load_be64 space (addr + 16)
+  if len < header_size || Space.load8 space addr <> magic_request then 0
+  else (load_be32 space (addr + 16) lsl 32) lor load_be32 space (addr + 20)
+
+let be32 s off =
+  (Char.code s.[off] lsl 24)
+  lor (Char.code s.[off + 1] lsl 16)
+  lor (Char.code s.[off + 2] lsl 8)
+  lor Char.code s.[off + 3]
 
 (* Same extraction from raw wire bytes (pre-admission decisions). *)
 let trace_of_string s len =
-  if len < header_size || Char.code s.[0] <> magic_request then 0L
-  else
-    let be32 off =
-      Int64.of_int
-        ((Char.code s.[off] lsl 24)
-        lor (Char.code s.[off + 1] lsl 16)
-        lor (Char.code s.[off + 2] lsl 8)
-        lor Char.code s.[off + 3])
-    in
-    Int64.logor (Int64.shift_left (be32 16) 32) (be32 20)
+  if len < header_size || Char.code s.[0] <> magic_request then 0
+  else (be32 s 16 lsl 32) lor be32 s 20
 
 (* Patch the trace id into a copy of an already-built request frame. *)
 let with_trace s trace =
-  if trace = 0L then s
+  if trace = 0 then s
   else begin
     let b = Bytes.of_string s in
-    put_be32 b 16 (Int64.to_int (Int64.shift_right_logical trace 32));
-    put_be32 b 20 (Int64.to_int (Int64.logand trace 0xFFFFFFFFL));
+    put_be32 b 16 ((trace lsr 32) land 0xFFFFFFFF);
+    put_be32 b 20 (trace land 0xFFFFFFFF);
     Bytes.unsafe_to_string b
   end
 

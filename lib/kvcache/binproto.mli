@@ -31,22 +31,24 @@ val status_busy : int
 val is_binary : Vmem.Space.t -> addr:int -> len:int -> bool
 (** Does the buffer start with the request magic? *)
 
-val parse : Vmem.Space.t -> addr:int -> len:int -> Proto.cmd
-(** Decode a binary request into the shared command type; [Set]'s
-    [declared_len] carries the signed value-length derivation described
-    above. Malformed frames yield [Bad]. *)
+val parse : Proto.req -> Vmem.Space.t -> addr:int -> len:int -> unit
+(** Decode a binary request into the shared request record: its key is
+    read into the record's line buffer with one charged read, and a
+    non-zero opaque field becomes the rid [bin-<opaque>], written after
+    it. A [Set]'s [declared_len] carries the signed value-length
+    derivation described above. Malformed frames are [Bad]. *)
 
-val parse_trace : Vmem.Space.t -> addr:int -> len:int -> int64
+val parse_trace : Vmem.Space.t -> addr:int -> len:int -> int
 (** The causal trace id carried in the request's CAS field (bytes
-    16-23, unused by our command subset); [0L] = no context. *)
+    16-23, unused by our command subset); 0 = no context. *)
 
-val trace_of_string : string -> int -> int64
+val trace_of_string : string -> int -> int
 (** [trace_of_string s len]: {!parse_trace} over the raw wire bytes
     [s.[0, len)] (pre-admission decisions). *)
 
-val with_trace : string -> int64 -> string
+val with_trace : string -> int -> string
 (** Patch a trace id into an already-built request frame's CAS field
-    ([0L] leaves the frame untouched) — the binary-protocol analogue of
+    (0 leaves the frame untouched) — the binary-protocol analogue of
     the text protocol's trailing [trace=] token. *)
 
 (** {1 Response building (server side)} *)

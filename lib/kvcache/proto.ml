@@ -1,32 +1,83 @@
 module Space = Vmem.Space
 
-type cmd =
-  | Get of string
-  | Multi_get of string list
-  | Set of {
-      mode : [ `Set | `Add | `Replace ];
-      key : string;
-      flags : int;
-      declared_len : int;
-      data_off : int;
-      data_len : int;
-      rid : string option;
-    }
-  | Delete of { key : string; rid : string option }
-  | Arith of { key : string; delta : int; negate : bool; rid : string option }
+type kind =
+  | Get
+  | Multi_get
+  | Set
+  | Add
+  | Replace
+  | Delete
+  | Incr
+  | Decr
   | Stats
   | Stats_telemetry
   | Quit
-  | Bad of string
+  | Bad
+
+type req = {
+  mutable line : bytes;
+  mutable src : string;
+  mutable verb : kind;
+  mutable kind : kind;
+  mutable reason : string;
+  mutable key : int;
+  mutable key_len : int;
+  mutable stop : int;
+  mutable flags : int;
+  mutable declared_len : int;
+  mutable data_off : int;
+  mutable data_len : int;
+  mutable delta : int;
+  mutable rid : int;
+  mutable rid_len : int;
+  mutable trace : int;
+}
+
+let create () =
+  {
+    line = Bytes.create 256;
+    src = "";
+    verb = Bad;
+    kind = Bad;
+    reason = "";
+    key = 0;
+    key_len = 0;
+    stop = 0;
+    flags = 0;
+    declared_len = 0;
+    data_off = 0;
+    data_len = 0;
+    delta = 0;
+    rid = 0;
+    rid_len = 0;
+    trace = 0;
+  }
 
 let max_key_len = 250
+
+(* Room the line buffer keeps past the bytes read into it: the binary
+   protocol writes a request's [bin-<opaque>] rid after its key. *)
+let line_room = 16
+
+let read_line r space addr n =
+  if n + line_room > Bytes.length r.line then
+    r.line <- Bytes.create (max (n + line_room) (2 * Bytes.length r.line));
+  Space.read_into space addr r.line 0 n;
+  r.src <- Bytes.unsafe_to_string r.line
+
+let bad r reason =
+  r.kind <- Bad;
+  r.reason <- reason
+
+let key_string r = String.sub r.src r.key r.key_len
+let rid_string r = if r.rid_len = 0 then "" else String.sub r.src r.rid r.rid_len
 
 (* {1 Line scanning}
 
    A request line is scanned where it lies: a word is a maximal run of
    bytes other than ' ' (a tab belongs to its word), and a scan passes
-   positions around as ints, so it allocates nothing. A command copies
-   out only what it keeps — its key and its rid. *)
+   positions around as ints, so it allocates nothing. The request keeps
+   positions, not copies. *)
 
 let rec word_start s i stop =
   if i < stop && String.unsafe_get s i = ' ' then word_start s (i + 1) stop
@@ -61,26 +112,48 @@ let has_at s n off lit =
 let word_is s a b lit = b - a = String.length lit && has_at_from s a lit 0
 let sub s a b = String.sub s a (b - a)
 
-let word_int s a b = int_of_string_opt (sub s a b)
+(* {2 Numbers}
 
-(* The value of the digits [s.[i, b)] after [v], or -1 at a byte that
-   is not a digit. *)
+   Decimal as memcached reads its fields ([safe_strtoul], [safe_strtol],
+   [safe_strtoull]): an optional sign, then at least one digit, with no
+   base prefix, no underscore and no overflow; an unsigned field takes
+   no ['-']. [no_number] stands for a word that is none: a value read
+   has a magnitude of at most [max_int], so it is never [min_int]. *)
+
+let no_number = min_int
+
 let rec digits s i b v =
   if i = b then v
   else
     match String.unsafe_get s i with
-    | '0' .. '9' as c -> digits s (i + 1) b ((v * 10) + Char.code c - 48)
-    | _ -> -1
+    | '0' .. '9' as c ->
+        let d = Char.code c - 48 in
+        if v > (max_int - d) / 10 then no_number
+        else digits s (i + 1) b ((v * 10) + d)
+    | _ -> no_number
 
-(* [word_int] when it is a non-negative value, else -1, with no option:
-   up to 18 plain digits, which cannot overflow, are read in place, and
-   any other word (a sign, a base prefix, an underscore, a long one) is
-   copied out and parsed. *)
-let word_nat s a b =
-  let v = if b > a && b - a <= 18 then digits s a b 0 else -1 in
-  if v >= 0 then v
+let number ~signed s a b =
+  if a >= b then no_number
   else
-    match word_int s a b with Some v when v >= 0 -> v | _ -> -1
+    match String.unsafe_get s a with
+    | '+' -> if b - a > 1 then digits s (a + 1) b 0 else no_number
+    | '-' ->
+        if signed && b - a > 1 then
+          let v = digits s (a + 1) b 0 in
+          if v = no_number then no_number else -v
+        else no_number
+    | _ -> digits s a b 0
+
+(* Plain digits, as a reply's VALUE length: the value, or -1. *)
+let word_nat s a b =
+  let v = if a < b then digits s a b 0 else no_number in
+  if v = no_number then -1 else v
+
+let decimal_value s =
+  let v = number ~signed:false s 0 (String.length s) in
+  if v = no_number then None else Some v
+
+(* {2 Tokens} *)
 
 (* The id carried by a [trace=<16 hex>] word at [a, b), as
    [Telemetry.Context.trace_id_at] decodes it; 0 when the word is no such
@@ -114,49 +187,38 @@ let rid_start s stop =
   let a = last_word s 0 e in
   if e - a > 3 && has_at_from s a "id=" 0 then a else -1
 
-let rid_at s a stop =
-  if a < 0 then None else Some (sub s (a + 3) (trim_stop s a stop))
+(* {2 Commands} *)
 
-let line_rid s stop =
-  let stop = command_stop s stop in
-  rid_at s (rid_start s stop) stop
+let verb_of s a b =
+  match b - a with
+  | 3 ->
+      if word_is s a b "get" then Get
+      else if word_is s a b "set" then Set
+      else if word_is s a b "add" then Add
+      else Bad
+  | 4 ->
+      if word_is s a b "incr" then Incr
+      else if word_is s a b "decr" then Decr
+      else if word_is s a b "quit" then Quit
+      else Bad
+  | 5 -> if word_is s a b "stats" then Stats else Bad
+  | 6 -> if word_is s a b "delete" then Delete else Bad
+  | 7 -> if word_is s a b "replace" then Replace else Bad
+  | _ -> Bad
 
-let to_trace id = if id = 0 then 0L else Int64.of_int id
+let unknown = "unknown command"
 
-(* The trace id of a request, without interpreting the command — servers
-   call this once on arrival to install the context, then [parse]. *)
-let parse_trace space ~addr ~len =
-  match Space.memchr space ~addr ~len '\r' with
-  | -1 -> 0L
-  | cr ->
-      let line = Space.read_string space addr (cr - addr) in
-      to_trace (line_trace line (String.length line))
-
-(* Same extraction from raw wire bytes — for decisions taken before the
-   request is admitted into simulated memory (load shedding). *)
-let trace_of_string msg len =
-  match Serve.index_from msg 0 len '\r' with
-  | -1 -> 0L
-  | cr -> to_trace (line_trace msg cr)
-
-let unknown = Bad "unknown command"
-
-(* [get k1 k2 ...] from [i]: at least two keys, each short enough. *)
-let multi_get s i stop =
-  let rec go i keys =
-    let a = word_start s i stop in
-    if a = stop then Multi_get (List.rev keys)
-    else
-      let b = word_stop s a stop in
-      if b - a > max_key_len then unknown else go b (sub s a b :: keys)
-  in
-  go i []
+(* [get k1 k2 ...]: the words of [i, stop), each short enough. *)
+let rec multi_get r s i stop =
+  let a = word_start s i stop in
+  if a = stop then r.kind <- Multi_get
+  else
+    let b = word_stop s a stop in
+    if b - a > max_key_len then bad r unknown else multi_get r s b stop
 
 (* The commands that may carry a rid, over the command part [0, stop)
    of [s] with its rid token dropped. *)
-let mutation s stop ~rid ~addr ~len ~data_off =
-  let v0 = word_start s 0 stop in
-  let v1 = word_stop s v0 stop in
+let mutation r s verb ~v1 ~stop ~addr ~len ~data_off =
   let a1 = word_start s v1 stop in
   let b1 = word_stop s a1 stop in
   let a2 = word_start s b1 stop in
@@ -166,78 +228,123 @@ let mutation s stop ~rid ~addr ~len ~data_off =
   let a4 = word_start s b3 stop in
   let b4 = word_stop s a4 stop in
   let key_ok = b1 - a1 <= max_key_len in
-  if word_is s v0 v1 "delete" then
-    if a1 < stop && a2 = stop && key_ok then Delete { key = sub s a1 b1; rid }
-    else unknown
-  else if word_is s v0 v1 "incr" || word_is s v0 v1 "decr" then
-    if a2 < stop && a3 = stop && key_ok then
-      match word_int s a2 b2 with
-      | Some d when d >= 0 ->
-          Arith
-            {
-              key = sub s a1 b1;
-              delta = d;
-              negate = word_is s v0 v1 "decr";
-              rid;
-            }
-      | _ -> Bad "bad incr/decr delta"
-    else unknown
-  else if
-    word_is s v0 v1 "set" || word_is s v0 v1 "add"
-    || word_is s v0 v1 "replace"
-  then
-    if a4 < stop && word_start s b4 stop = stop then
-      match (word_int s a2 b2, word_int s a4 b4) with
-      | Some flags, Some declared_len ->
-          if not key_ok then Bad "key too long"
-          else if data_off > len then Bad "missing data block"
-          else
-            Set
-              {
-                mode =
-                  (if word_is s v0 v1 "add" then `Add
-                   else if word_is s v0 v1 "replace" then `Replace
-                   else `Set);
-                key = sub s a1 b1;
-                flags;
-                declared_len;
-                data_off = addr + data_off;
-                data_len = max 0 (len - data_off - 2);
-                rid;
-              }
-      | _ -> Bad "bad set arguments"
-    else unknown
-  else unknown
+  match verb with
+  | Delete ->
+      if a1 < stop && a2 = stop && key_ok then r.kind <- Delete
+      else bad r unknown
+  | Incr | Decr ->
+      if a2 < stop && a3 = stop && key_ok then begin
+        let d = number ~signed:false s a2 b2 in
+        if d = no_number then bad r "bad incr/decr delta"
+        else begin
+          r.kind <- verb;
+          r.delta <- d
+        end
+      end
+      else bad r unknown
+  | Set | Add | Replace ->
+      if a4 < stop && word_start s b4 stop = stop then begin
+        let flags = number ~signed:false s a2 b2 in
+        let exptime = number ~signed:true s a3 b3 in
+        let declared = number ~signed:true s a4 b4 in
+        if flags = no_number || exptime = no_number || declared = no_number
+        then bad r "bad set arguments"
+        else if not key_ok then bad r "key too long"
+        else if data_off > len then bad r "missing data block"
+        else begin
+          r.kind <- verb;
+          r.flags <- flags;
+          r.declared_len <- declared;
+          r.data_off <- addr + data_off;
+          r.data_len <- max 0 (len - data_off - 2)
+        end
+      end
+      else bad r unknown
+  | _ -> bad r unknown
 
-let command s ~addr ~len ~data_off =
-  let stop = command_stop s (String.length s) in
-  let v0 = word_start s 0 stop in
-  let v1 = word_stop s v0 stop in
+(* The line [s.[0, n)] of a request at [addr] whose message is [len]
+   bytes and whose data block starts at [data_off]. The verb and the key
+   are the line's first two words; the command itself is read from the
+   line's command part, which ends before a trailing trace token. The
+   first two words of a valid command are the line's own, so [key] is
+   also the key of every valid command. *)
+let scan r s n ~addr ~len ~data_off =
+  r.src <- s;
+  let v0 = word_start s 0 n in
+  let v1 = word_stop s v0 n in
+  let k0 = word_start s v1 n in
+  let verb = verb_of s v0 v1 in
+  r.verb <- verb;
+  r.key <- k0;
+  r.key_len <- word_stop s k0 n - k0;
+  let stop = command_stop s n in
+  r.stop <- stop;
+  let ra = rid_start s stop in
+  (match verb with
+  | (Set | Add | Replace | Delete | Incr | Decr) when ra >= 0 ->
+      r.rid <- ra + 3;
+      r.rid_len <- trim_stop s ra stop - (ra + 3)
+  | _ ->
+      r.rid <- 0;
+      r.rid_len <- 0);
   let a1 = word_start s v1 stop in
   let b1 = word_stop s a1 stop in
   let a2 = word_start s b1 stop in
-  if word_is s v0 v1 "get" then
-    if a1 = stop then unknown
-    else if a2 < stop then multi_get s a1 stop
-    else if b1 - a1 <= max_key_len then Get (sub s a1 b1)
-    else unknown
-  else if word_is s v0 v1 "quit" && a1 = stop then Quit
-  else if word_is s v0 v1 "stats" && a1 = stop then Stats
-  else if
-    word_is s v0 v1 "stats" && word_is s a1 b1 "telemetry" && a2 = stop
-  then Stats_telemetry
-  else
-    let r = rid_start s stop in
-    mutation s
-      (if r < 0 then stop else r)
-      ~rid:(rid_at s r stop) ~addr ~len ~data_off
+  match verb with
+  | Get ->
+      if a1 = stop then bad r unknown
+      else if a2 < stop then multi_get r s a1 stop
+      else if b1 - a1 <= max_key_len then r.kind <- Get
+      else bad r unknown
+  | Quit when a1 = stop -> r.kind <- Quit
+  | Stats when a1 = stop -> r.kind <- Stats
+  | Stats when word_is s a1 b1 "telemetry" && a2 = stop ->
+      r.kind <- Stats_telemetry
+  | _ ->
+      mutation r s verb ~v1
+        ~stop:(if ra < 0 then stop else ra)
+        ~addr ~len ~data_off
 
-let parse space ~addr ~len =
+(* The trace id of a request, without interpreting the command — servers
+   call this once on arrival to install the context, then [parse]. *)
+let parse_trace r space ~addr ~len =
   match Space.memchr space ~addr ~len '\r' with
-  | -1 -> Bad "no CRLF"
+  | -1 -> 0
   | cr ->
-      let line = Space.read_string space addr (cr - addr) in
-      command line ~addr ~len ~data_off:(cr - addr + 2)
+      read_line r space addr (cr - addr);
+      line_trace r.src (cr - addr)
+
+let parse r space ~addr ~len =
+  r.trace <- 0;
+  match Space.memchr space ~addr ~len '\r' with
+  | -1 ->
+      r.verb <- Bad;
+      r.key_len <- 0;
+      r.rid_len <- 0;
+      bad r "no CRLF"
+  | cr ->
+      let n = cr - addr in
+      read_line r space addr n;
+      r.trace <- line_trace r.src n;
+      scan r r.src n ~addr ~len ~data_off:(n + 2)
+
+(* Same extraction from raw wire bytes — for decisions taken before the
+   request is admitted into simulated memory (load shedding). *)
+let trace_of_string msg len =
+  match Serve.index_from msg 0 len '\r' with
+  | -1 -> 0
+  | cr -> line_trace msg cr
+
+(* A router's line ends at its first CR, else its first LF, else with
+   the message; only a CR-terminated one carries a trace. *)
+let scan_wire r msg len =
+  let cr = Serve.index_from msg 0 len '\r' in
+  let n =
+    if cr >= 0 then cr
+    else match Serve.index_from msg 0 len '\n' with -1 -> len | lf -> lf
+  in
+  r.trace <- (if cr >= 0 then line_trace msg cr else 0);
+  scan r msg n ~addr:0 ~len ~data_off:(n + 2)
 
 let stored = "STORED\r\n"
 let not_stored = "NOT_STORED\r\n"
@@ -261,26 +368,29 @@ let put_int b p n =
 
 (* {1 Value replies} *)
 
-let header_width ~key ~flags ~len =
-  6 + String.length key + 1 + Serve.dec_width flags + 1 + Serve.dec_width len
-  + 2
+(* [VALUE <key> <flags> <len>\r\n] with the key [s.[k, k + kn)]: its
+   width, and the header written at [p], returning the position after
+   it. *)
+let header_width ~key_len ~flags ~len =
+  6 + key_len + 1 + Serve.dec_width flags + 1 + Serve.dec_width len + 2
 
-(* [VALUE <key> <flags> <len>\r\n] at [p]; the position after it. *)
-let put_header b p ~key ~flags ~len =
+let put_header b p s k kn ~flags ~len =
   let p = put_string b p "VALUE " in
-  let p = put_string b p key in
+  Bytes.blit_string s k b p kn;
+  let p = p + kn in
   Bytes.unsafe_set b p ' ';
   let p = put_int b (p + 1) flags in
   Bytes.unsafe_set b p ' ';
   let p = put_int b (p + 1) len in
   put_string b p "\r\n"
 
-let value_reply space out ~key ~flags ~addr ~len =
+let value_reply space out r ~flags ~addr ~len =
   let b =
     Netsim.Buf.reset out
-      (header_width ~key ~flags ~len + len + 2 + String.length end_)
+      (header_width ~key_len:r.key_len ~flags ~len + len + 2
+     + String.length end_)
   in
-  let p = put_header b 0 ~key ~flags ~len in
+  let p = put_header b 0 r.src r.key r.key_len ~flags ~len in
   Space.read_into space addr b p len;
   ignore (put_string b (put_string b (p + len) "\r\n") end_)
 
@@ -288,14 +398,14 @@ let values_reply hits ~write =
   let n =
     List.fold_left
       (fun n (key, flags, len, _) ->
-        n + header_width ~key ~flags ~len + len + 2)
+        n + header_width ~key_len:(String.length key) ~flags ~len + len + 2)
       (String.length end_) hits
   in
   let b = Bytes.create n in
   let p =
     List.fold_left
       (fun p (key, flags, len, src) ->
-        let p = put_header b p ~key ~flags ~len in
+        let p = put_header b p key 0 (String.length key) ~flags ~len in
         write src b p len;
         put_string b (p + len) "\r\n")
       0 hits
@@ -307,7 +417,7 @@ let values_reply hits ~write =
 
 (* Trace rides last on the line ([... id=<rid> trace=<hex>]): it is the
    first token dropped on the server. Zero = no context = no token. *)
-let trace_width tr = if Int64.equal tr 0L then 0 else 23
+let trace_width tr = if tr = 0 then 0 else 23
 let rid_width = function None -> 0 | Some r -> 4 + String.length r
 let hex = "0123456789abcdef"
 
@@ -315,12 +425,11 @@ let put_suffixes b p ~rid ~trace =
   let p =
     match rid with None -> p | Some r -> put_string b (put_string b p " id=") r
   in
-  if Int64.equal trace 0L then p
+  if trace = 0 then p
   else begin
     let p = put_string b p " trace=" in
     for i = 0 to 15 do
-      let d = Int64.to_int (Int64.shift_right_logical trace (60 - (4 * i))) in
-      Bytes.unsafe_set b (p + i) hex.[d land 15]
+      Bytes.unsafe_set b (p + i) hex.[(trace lsr (60 - (4 * i))) land 15]
     done;
     p + 16
   end
@@ -330,7 +439,7 @@ let add_tokens out ~rid ~trace =
   ignore (put_suffixes (Netsim.Buf.bytes out) p ~rid ~trace)
 
 (* [<verb> <key>[ <num>][ id=<rid>][ trace=<hex>]\r\n] *)
-let keyed_line verb ?num ?rid ?(trace = 0L) key =
+let keyed_line verb ?num ?rid ?(trace = 0) key =
   let nw = match num with None -> 0 | Some d -> 1 + Serve.dec_width d in
   let b =
     Bytes.create
@@ -351,7 +460,7 @@ let keyed_line verb ?num ?rid ?(trace = 0L) key =
   Bytes.unsafe_to_string b
 
 (* [<op> <key> <flags> 0 <declared>[ id=<rid>][ trace=<hex>]\r\n<value>\r\n] *)
-let storage_line op ?rid ?(trace = 0L) ~key ~flags ~declared value =
+let storage_line op ?rid ?(trace = 0) ~key ~flags ~declared value =
   let b =
     Bytes.create
       (String.length op + 1 + String.length key + 1 + Serve.dec_width flags + 3

@@ -85,13 +85,6 @@ let vulnerable_copy t ~src ~dst ~declared =
   in
   copy 0
 
-(* [add] requires absence, [replace] requires presence (memcached). *)
-let storage_mode_blocked t mode key =
-  match mode with
-  | `Set -> false
-  | `Add -> Store.peek t.db key <> None
-  | `Replace -> Store.peek t.db key = None
-
 let lock t =
   Sched.Mutex.lock t.glock;
   (* The lock word itself lives in (protected) memory: a real CAS. *)
@@ -101,16 +94,11 @@ let unlock t =
   Space.store64 t.space t.lock_word 0;
   Sched.Mutex.unlock t.glock
 
-let global_lock t f =
+(* The deferred LRU bump of a GET's key [s.[off, off + len)], under the
+   lock without a closure. *)
+let touch_locked t s off len =
   lock t;
-  match f () with
-  | v -> unlock t; v
-  | exception e -> unlock t; raise e
-
-(* The deferred LRU bump of a GET, under the lock without a closure. *)
-let touch_locked t key =
-  lock t;
-  match Store.touch t.db key with
+  match Store.touch t.db s off len with
   | () -> unlock t
   | exception e -> unlock t; raise e
 
@@ -126,7 +114,7 @@ type wire = {
   w_miss : string;
   w_error : string;
   w_value :
-    Space.t -> Netsim.Buf.t -> key:string -> flags:int -> addr:int -> len:int ->
+    Space.t -> Netsim.Buf.t -> Proto.req -> flags:int -> addr:int -> len:int ->
     unit;
   w_values : string -> string;  (* the multi-get reply, from the text one *)
 }
@@ -154,7 +142,7 @@ let binary_wire =
     w_miss = Binproto.res_not_found;
     w_error = Binproto.res_error Binproto.status_einval;
     w_value =
-      (fun space out ~key:_ ~flags ~addr ~len ->
+      (fun space out _ ~flags ~addr ~len ->
         Binproto.res_value space out ~flags ~addr ~len);
     (* The binary protocol has no multi-get frame in our subset. A
        binary request only reaches a multi-get when a fault rewrote its
@@ -162,25 +150,153 @@ let binary_wire =
     w_values = (fun _ -> Binproto.res_error Binproto.status_einval);
   }
 
+(* A worker's request state, made once with the worker: the scanned
+   request, the reply buffer, and what a request's domain body hands
+   back to the parent. Between requests it holds stale values. *)
+type slot = {
+  ws : Netsim.Waitset.ws;
+  reply : Netsim.Buf.t;
+  req : Proto.req;
+  mutable wire : wire;
+  mutable udi : int;
+  mutable cbuf : int;  (* the connection buffer and the request's length *)
+  mutable len : int;
+  mutable vaddr : int;  (* a GET hit's value, staged in the domain *)
+  mutable vlen : int;
+  mutable vflags : int;
+  mutable staged : int;  (* a write's staged copy in the domain; 0 = none *)
+  mutable hits : (string * int * int * (string * int)) list;  (* multi-get *)
+  mutable text : string;  (* a reply sent as a string *)
+  mutable fault : Types.fault;  (* the fault a rewound request hit *)
+}
+
+let no_fault = { Types.failed_udi = 0; cause = Types.Stack_smash; tid = 0; at = 0.0 }
+
+let make_slot ws =
+  {
+    ws;
+    reply = Netsim.Buf.create ();
+    req = Proto.create ();
+    wire = text_wire;
+    udi = 0;
+    cbuf = 0;
+    len = 0;
+    vaddr = 0;
+    vlen = 0;
+    vflags = 0;
+    staged = 0;
+    hits = [];
+    text = "";
+    fault = no_fault;
+  }
+
+(* [Store.peek]'s reads of the request's key, in its order: whether an
+   item is stored under it. *)
+let present t (r : Proto.req) =
+  match Store.find t.db r.src r.key r.key_len with
+  | 0 -> false
+  | item ->
+      ignore (Store.item_flags t.db item);
+      ignore (Store.value_len t.db item);
+      ignore (Store.value_addr t.db item);
+      true
+
+(* [add] requires absence, [replace] requires presence (memcached). *)
+let storage_mode_blocked t (r : Proto.req) =
+  match r.kind with
+  | Add -> present t r
+  | Replace -> not (present t r)
+  | _ -> false
+
 (* incr/decr: parse the stored decimal value, apply the delta (clamping
    decrements at zero, as memcached does), store the new decimal back. *)
-let apply_arith t ~key ~delta ~negate =
-  match Store.peek t.db key with
-  | None -> None
-  | Some (vaddr, vlen, flags) -> (
-      match int_of_string_opt (Space.read_string t.space vaddr vlen) with
-      | None -> Some (Result.Error "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n")
+let apply_arith t w (r : Proto.req) =
+  match Store.find t.db r.src r.key r.key_len with
+  | 0 -> w.w_not_found
+  | item -> (
+      let flags = Store.item_flags t.db item in
+      let vlen = Store.value_len t.db item in
+      let vaddr = Store.value_addr t.db item in
+      match Proto.decimal_value (Space.read_string t.space vaddr vlen) with
+      | None ->
+          "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
       | Some v ->
-          let v' = if negate then max 0 (v - delta) else v + delta in
+          let v' = if r.kind = Decr then max 0 (v - r.delta) else v + r.delta in
           let s = string_of_int v' in
           let buf = Serve.alloc t.core (String.length s) in
           Space.store_string t.space buf s;
-          (match Store.prepare t.db ~key ~flags ~value_src:buf
-                   ~value_len:(String.length s) with
-          | Some item -> Store.commit t.db ~key item
-          | None -> ());
+          (match
+             Store.prepare t.db r.src r.key r.key_len ~flags ~value_src:buf
+               ~value_len:(String.length s)
+           with
+          | 0 -> ()
+          | item -> Store.commit t.db r.src r.key r.key_len item);
           Serve.free t.core buf;
-          Some (Result.Ok v'))
+          Printf.sprintf "%d\r\n" v')
+
+(* A deferred update, computed inside the nested domain and applied in
+   the parent after a normal exit (Figure 3 steps 8-9), under the lock;
+   a write's value is the copy staged in the domain. The plain variants
+   apply their deletes and arithmetic through it directly. *)
+let deferred t slot w =
+  let r = slot.req in
+  lock t;
+  match
+    match r.kind with
+    | Set | Add | Replace ->
+        (* The presence check belongs inside the lock: the deferred
+           commit must be atomic with it. *)
+        if storage_mode_blocked t r then Proto.not_stored
+        else
+          let item =
+            Store.prepare t.db r.src r.key r.key_len ~flags:r.flags
+              ~value_src:slot.staged ~value_len:r.data_len
+          in
+          if item = 0 then w.w_oom
+          else begin
+            Store.commit t.db r.src r.key r.key_len item;
+            w.w_stored
+          end
+    | Delete ->
+        if Store.remove t.db r.src r.key r.key_len then w.w_deleted
+        else w.w_not_found
+    | _ -> apply_arith t w r
+  with
+  | v -> unlock t; v
+  | exception e -> unlock t; raise e
+
+(* A plain variant's store: allocate and fill outside the lock, link
+   under it. *)
+let plain_store t slot w =
+  let r = slot.req in
+  if r.declared_len <> r.data_len then w.w_error
+  else if storage_mode_blocked t r then Proto.not_stored
+  else
+    match
+      Store.prepare t.db r.src r.key r.key_len ~flags:r.flags
+        ~value_src:r.data_off ~value_len:r.data_len
+    with
+    | 0 -> w.w_oom
+    | item ->
+        lock t;
+        (match Store.commit t.db r.src r.key r.key_len item with
+        | () -> unlock t
+        | exception e -> unlock t; raise e);
+        w.w_stored
+
+(* At-most-once: a mutation whose rid is journaled is answered from the
+   journal; otherwise [compute] runs and its reply is journaled. *)
+let replay_or t slot w compute =
+  let r = slot.req in
+  if r.rid_len = 0 then compute t slot w
+  else
+    let rid = Proto.rid_string r in
+    match Serve.replayed t.core rid with
+    | Some reply -> reply
+    | None ->
+        let reply = compute t slot w in
+        Serve.journal_reply t.core rid reply;
+        reply
 
 let stats_reply t =
   Proto.fmt_stats_reply
@@ -207,20 +323,30 @@ let stats_reply t =
    and server series all appear in one scrape. *)
 let telemetry_reply t = Telemetry.Metrics.expose (Serve.metrics t.core)
 
-(* Plain variants stage a value through a per-request buffer (exercising
-   the allocator variant): [read] reads it from there, before the buffer
-   is freed. *)
-let staged t ~vaddr ~vlen read =
-  let out = Serve.alloc t.core (vlen + 64) in
-  Space.blit t.space ~src:vaddr ~dst:out ~len:vlen;
-  let r = read out in
-  Serve.free t.core out;
-  r
+(* Parse the request at [addr] into the slot's record with its own
+   protocol's parser; the protocol's replies. *)
+let parse_any space slot ~addr ~len =
+  if Binproto.is_binary space ~addr ~len then begin
+    Binproto.parse slot.req space ~addr ~len;
+    binary_wire
+  end
+  else begin
+    Proto.parse slot.req space ~addr ~len;
+    text_wire
+  end
 
-let parse_any space ~addr ~len =
-  if Binproto.is_binary space ~addr ~len then
-    (binary_wire, Binproto.parse space ~addr ~len)
-  else (text_wire, Proto.parse space ~addr ~len)
+(* A multi-get's keys, copied out: the words of the request's
+   [src.[key, stop)]. *)
+let multi_keys (r : Proto.req) =
+  let s = r.src in
+  let rec go i acc =
+    let a = Proto.word_start s i r.stop in
+    if a = r.stop then List.rev acc
+    else
+      let b = Proto.word_stop s a r.stop in
+      go b (String.sub s a (b - a) :: acc)
+  in
+  go r.key []
 
 let rec start sched space ?sdrad ?supervisor ?faults net cfg =
   let sd = sdrad in
@@ -343,16 +469,26 @@ and dispatcher t =
   in
   try loop () with e -> crash_cleanup t; raise e
 
-(* Each worker writes its value replies into one buffer of its own. *)
+(* Each worker serves its requests through one slot of its own, and
+   under SDRaD builds its domain closures once. *)
 and worker t i =
-  let ws = t.waitsets.(i) in
-  let reply = Netsim.Buf.create () in
+  let slot = make_slot t.waitsets.(i) in
   let handle =
-    match t.cfg.variant with
-    | Baseline | Tlsf_alloc -> handle_plain t ws reply
-    | Sdrad -> handle_sdrad t ws reply
+    match (t.cfg.variant, t.sd) with
+    | Sdrad, Some sd ->
+        (* Abnormal exit: the event is discarded; [handle_sdrad] closes
+           only this client once [Serve.run] returns. *)
+        let on_rewind f =
+          slot.fault <- f;
+          `Rewound
+        in
+        let body () = domain_body t slot sd in
+        fun c req -> handle_sdrad t slot sd ~on_rewind ~body c req
+    | _ -> fun c req -> handle_plain t slot c req
   in
-  try Serve.worker t.core ws ~drop:(Serve.drop t.core ws) ~shed:(shed t) ~handle
+  try
+    Serve.worker t.core slot.ws ~drop:(Serve.drop t.core slot.ws)
+      ~shed:(shed t) ~handle
   with e -> crash_cleanup t; raise e
 
 and shed t c req =
@@ -365,52 +501,45 @@ and shed t c req =
     ~udi:(udi_for_conn t c)
     (if binary then binary_wire.w_busy else text_wire.w_busy)
 
-and handle_plain t ws reply c req =
+and handle_plain t slot c req =
   let space = t.space in
   let { Serve.addr = cbuf; len } = Serve.copy_in t.core c req in
-  let w, cmd = parse_any space ~addr:cbuf ~len in
-  match cmd with
-  | Get key -> (
-      match Store.get t.db key with
-      | Some (vaddr, vlen, flags) ->
-          staged t ~vaddr ~vlen (fun addr ->
-              w.w_value space reply ~key ~flags ~addr ~len:vlen);
-          Netsim.send_buf c reply
-      | None -> Netsim.send c w.w_miss)
-  | Set { mode; key; flags; declared_len; data_off; data_len; rid } ->
-      if t.cfg.vulnerable && declared_len < 0 then begin
+  let w = parse_any space slot ~addr:cbuf ~len in
+  let r = slot.req in
+  match r.kind with
+  | Get -> (
+      match Store.find t.db r.src r.key r.key_len with
+      | 0 -> Netsim.send c w.w_miss
+      | item ->
+          (* [Store.get]'s reads, in its order. Plain variants stage the
+             value through a per-request buffer (exercising the
+             allocator variant) and read the reply from there. *)
+          Store.bump t.db item;
+          let flags = Store.item_flags t.db item in
+          let vlen = Store.value_len t.db item in
+          let vaddr = Store.value_addr t.db item in
+          let out = Serve.alloc t.core (vlen + 64) in
+          Space.blit space ~src:vaddr ~dst:out ~len:vlen;
+          w.w_value space slot.reply r ~flags ~addr:out ~len:vlen;
+          Serve.free t.core out;
+          Netsim.send_buf c slot.reply)
+  | Set | Add | Replace ->
+      if t.cfg.vulnerable && r.declared_len < 0 then begin
         (* item allocated from the (bogus, truncated) length... *)
         let item =
-          match Slab.alloc t.slab (Store.item_size ~key ~value_len:data_len) with
-          | Some p -> p
-          | None -> failwith "slab exhausted"
+          match Slab.alloc t.slab (Store.header_size + r.key_len + r.data_len) with
+          | 0 -> failwith "slab exhausted"
+          | p -> p
         in
         (* ...then the unchecked copy rampages until it faults. *)
-        vulnerable_copy t ~src:data_off
-          ~dst:(item + Store.header_size + String.length key)
-          ~declared:declared_len;
+        vulnerable_copy t ~src:r.data_off
+          ~dst:(item + Store.header_size + r.key_len)
+          ~declared:r.declared_len;
         Netsim.send c w.w_stored
       end
-      else
-        let r =
-          Serve.replay_or t.core rid (fun () ->
-              if declared_len <> data_len then w.w_error
-              else if storage_mode_blocked t mode key then Proto.not_stored
-              else
-                (* Allocate and fill outside the lock; link under it. *)
-                match
-                  Store.prepare t.db ~key ~flags ~value_src:data_off
-                    ~value_len:data_len
-                with
-                | None -> w.w_oom
-                | Some item ->
-                    global_lock t (fun () -> Store.commit t.db ~key item);
-                    w.w_stored)
-        in
-        Netsim.send c r
-  | Delete { key; rid } ->
-      Option.iter (Netsim.send c) (apply_deferred t w rid (`Delete key))
-  | Multi_get keys ->
+      else Netsim.send c (replay_or t slot w plain_store)
+  | Delete | Incr | Decr -> Netsim.send c (replay_or t slot w deferred)
+  | Multi_get ->
       (* Each hit's staging buffer is freed before the next key is looked
          up, so the values are read out as strings first. *)
       let hits =
@@ -418,60 +547,22 @@ and handle_plain t ws reply c req =
           (fun key ->
             match Store.get t.db key with
             | Some (vaddr, vlen, flags) ->
-                Some
-                  ( key,
-                    flags,
-                    vlen,
-                    staged t ~vaddr ~vlen (fun addr ->
-                        Space.read_string space addr vlen) )
+                let out = Serve.alloc t.core (vlen + 64) in
+                Space.blit space ~src:vaddr ~dst:out ~len:vlen;
+                let v = Space.read_string space out vlen in
+                Serve.free t.core out;
+                Some (key, flags, vlen, v)
             | None -> None)
-          keys
+          (multi_keys r)
       in
       Netsim.send c
         (w.w_values
            (Proto.values_reply hits ~write:(fun v b off len ->
                 Bytes.blit_string v 0 b off len)))
-  | Arith { key; delta; negate; rid } ->
-      Option.iter (Netsim.send c)
-        (apply_deferred t w rid (`Arith (key, delta, negate)))
   | Stats -> Netsim.send c (stats_reply t)
   | Stats_telemetry -> Netsim.send c (telemetry_reply t)
-  | Quit -> Serve.drop t.core ws c
-  | Bad _ -> Netsim.send c w.w_error
-
-(* Deferred update computed inside the nested domain, applied in the
-   parent after a normal exit (Figure 3 steps 8-9). The plain variants
-   apply their deletes and arithmetic through it directly. *)
-and apply_deferred t w rid d =
-  let compute d =
-    match d with
-    | `Set (mode, key, flags, src, len) ->
-        (* The presence check belongs inside the lock: the deferred commit
-           must be atomic with it. *)
-        global_lock t (fun () ->
-            if storage_mode_blocked t mode key then Proto.not_stored
-            else
-              match
-                Store.prepare t.db ~key ~flags ~value_src:src ~value_len:len
-              with
-              | None -> w.w_oom
-              | Some item ->
-                  Store.commit t.db ~key item;
-                  w.w_stored)
-    | `Delete key ->
-        global_lock t (fun () ->
-            if Store.delete t.db key then w.w_deleted else w.w_not_found)
-    | `Arith (key, delta, negate) ->
-        global_lock t (fun () ->
-            match apply_arith t ~key ~delta ~negate with
-            | None -> w.w_not_found
-            | Some (Error msg) -> msg
-            | Some (Ok v) -> Printf.sprintf "%d\r\n" v)
-  in
-  match d with
-  | `None -> None
-  | (`Set _ | `Delete _ | `Arith _) as d ->
-      Some (Serve.replay_or t.core rid (fun () -> compute d))
+  | Quit -> Serve.drop t.core slot.ws c
+  | Bad -> Netsim.send c w.w_error
 
 (* With per-client domains, the udi is keyed by the connection's source
    address, so a client that reconnects (e.g. after its connection was
@@ -493,124 +584,142 @@ and udi_for_conn t c =
         | None -> ());
         udi
 
-and handle_sdrad t ws reply c req =
-  let sd = Option.get t.sd in
+(* [on_rewind] and [body] are the worker's, built once: [Serve.run] runs
+   [body] in the request's event domain. *)
+and handle_sdrad t slot sd ~on_rewind ~body c req =
   let space = t.space in
-  let udi = udi_for_conn t c in
-  let { Serve.addr = cbuf; len } = Serve.copy_in t.core c req in
-  let binary = Binproto.is_binary space ~addr:cbuf ~len in
+  slot.udi <- udi_for_conn t c;
+  let b = Serve.copy_in t.core c req in
+  slot.cbuf <- b.Serve.addr;
+  slot.len <- b.Serve.len;
+  let binary = Binproto.is_binary space ~addr:slot.cbuf ~len:slot.len in
   let w = if binary then binary_wire else text_wire in
+  slot.wire <- w;
   let trace =
-    if binary then Binproto.parse_trace space ~addr:cbuf ~len
-    else Proto.parse_trace space ~addr:cbuf ~len
+    if binary then Binproto.parse_trace space ~addr:slot.cbuf ~len:slot.len
+    else Proto.parse_trace slot.req space ~addr:slot.cbuf ~len:slot.len
   in
-  let on_rewind f =
-    (* Abnormal exit: discard the event, close only this client. *)
-    Log.info (fun m ->
-        m "rewound event on conn %d: %a" (Netsim.id c) Types.pp_fault f);
-    Serve.drop t.core ws c;
-    Telemetry.Metrics.inc t.c_dropped;
-    Serve.rewound t.core f;
-    `Rewound
-  in
-  let body () =
-    (* Deep copy of the connection buffer into the domain (step 4),
-       through the cached per-(caller, callee) marshalling buffer: the
-       persistent sub-heap keeps it across events, so steady state does
-       no malloc/free per request. *)
-    let dbuf = Api.gate_buffer sd ~udi (Serve.conn_buf_size + 8) in
-    Space.blit space ~src:cbuf ~dst:dbuf ~len;
-    Api.enter sd udi;
-    (match t.faults with
-    | Some fi ->
-        ignore (Fault_inject.fire_in_domain fi ~site:"kv.domain" ~sd ~buf:dbuf ~len)
-    | None -> ());
-    let outcome = drive_machine_in_domain t sd ~udi ~dbuf ~len in
-    Api.exit_domain sd;
-    (* Apply the deferred update atomically in the parent (step 9),
-       then format the response from the (accessible) domain data: a
-       value into the reply buffer ([`Value]), anything else as a
-       string. *)
-    let outcome =
-      match outcome with
-      | `Value (addr, vlen, flags, key) ->
-          w.w_value space reply ~key ~flags ~addr ~len:vlen;
-          Api.free sd ~udi addr;
-          (* Deferred LRU bump, applied with parent privileges. *)
-          touch_locked t key;
-          `Value
-      | `Multi_value hits ->
-          (* Per hit: read into the reply, free, bump. *)
-          let text =
-            Proto.values_reply hits ~write:(fun (key, addr) b off len ->
-                Space.read_into space addr b off len;
-                Api.free sd ~udi addr;
-                touch_locked t key)
-          in
-          `Reply (w.w_values text)
-      | `Miss -> `Reply w.w_miss
-      | `Bad_cmd -> `Reply w.w_error
-      | `Stats_cmd -> `Reply (stats_reply t)
-      | `Telemetry_cmd -> `Reply (telemetry_reply t)
-      | `Quit_cmd -> `Drop
-      | `Deferred (rid, d, staged) -> (
-          let r = apply_deferred t w rid d in
-          Option.iter (fun p -> Api.free sd ~udi p) staged;
-          match r with Some r -> `Reply r | None -> `Drop)
-    in
-    (* The marshalling buffer is cache-owned and reused by the next
-       event; only the saved context is dropped here. *)
-    Api.deinit sd udi;
-    outcome
-  in
-  (match Serve.run t.core sd ~trace ~udi ~on_rewind body with
+  (match Serve.run t.core sd ~trace ~udi:slot.udi ~on_rewind body with
   | `Busy -> Serve.busy t.core c w.w_busy
-  | `Rewound -> ()
-  | `Value -> Netsim.send_buf c reply
-  | `Reply r -> Netsim.send c r
-  | `Drop -> Serve.drop t.core ws c);
+  | `Rewound ->
+      (* Abnormal exit: discard the event, close only this client. *)
+      let f = slot.fault in
+      Log.info (fun m ->
+          m "rewound event on conn %d: %a" (Netsim.id c) Types.pp_fault f);
+      Serve.drop t.core slot.ws c;
+      Telemetry.Metrics.inc t.c_dropped;
+      Serve.rewound t.core f
+  | `Value -> Netsim.send_buf c slot.reply
+  | `Reply -> Netsim.send c slot.text
+  | `Drop -> Serve.drop t.core slot.ws c);
   Serve.clear_trace t.core
+
+(* The request's event-domain run (Figure 3): the connection buffer is
+   deep-copied into the domain (step 4) through the cached
+   per-(caller, callee) marshalling buffer — the persistent sub-heap
+   keeps it across events, so steady state does no malloc/free per
+   request — and [drive_machine] runs there. After a normal exit the
+   deferred update is applied atomically in the parent (step 9) and the
+   response formatted from the (accessible) domain data: a value into
+   the reply buffer ([`Value]), anything else as a string ([`Reply]). *)
+and domain_body t slot sd =
+  let space = t.space and udi = slot.udi and w = slot.wire in
+  let dbuf = Api.gate_buffer sd ~udi (Serve.conn_buf_size + 8) in
+  Space.blit space ~src:slot.cbuf ~dst:dbuf ~len:slot.len;
+  Api.enter sd udi;
+  (match t.faults with
+  | Some fi ->
+      ignore
+        (Fault_inject.fire_in_domain fi ~site:"kv.domain" ~sd ~buf:dbuf
+           ~len:slot.len)
+  | None -> ());
+  let outcome = drive_machine_in_domain t sd slot ~dbuf in
+  Api.exit_domain sd;
+  let outcome =
+    match outcome with
+    | `Value ->
+        w.w_value space slot.reply slot.req ~flags:slot.vflags
+          ~addr:slot.vaddr ~len:slot.vlen;
+        Api.free sd ~udi slot.vaddr;
+        (* Deferred LRU bump, applied with parent privileges. *)
+        touch_locked t slot.req.src slot.req.key slot.req.key_len;
+        `Value
+    | `Multi_value ->
+        (* Per hit: read into the reply, free, bump. *)
+        let text =
+          Proto.values_reply slot.hits ~write:(fun (key, addr) b off len ->
+              Space.read_into space addr b off len;
+              Api.free sd ~udi addr;
+              touch_locked t key 0 (String.length key))
+        in
+        slot.text <- w.w_values text;
+        `Reply
+    | `Miss -> slot.text <- w.w_miss; `Reply
+    | `Bad_cmd -> slot.text <- w.w_error; `Reply
+    | `Stats_cmd -> slot.text <- stats_reply t; `Reply
+    | `Telemetry_cmd -> slot.text <- telemetry_reply t; `Reply
+    | `Quit_cmd -> `Drop
+    | `Deferred ->
+        slot.text <- replay_or t slot w deferred;
+        if slot.staged <> 0 then Api.free sd ~udi slot.staged;
+        `Reply
+    | `Discarded ->
+        if slot.staged <> 0 then Api.free sd ~udi slot.staged;
+        `Drop
+  in
+  (* The marshalling buffer is cache-owned and reused by the next
+     event; only the saved context is dropped here. *)
+  Api.deinit sd udi;
+  outcome
 
 (* drive_machine (Figure 3 step 6), executing inside the nested domain:
    reads the DB read-only, allocates only in its own sub-heap, and stages
-   values and mutations for the parent. *)
-and drive_machine_in_domain t sd ~udi ~dbuf ~len =
-  let space = t.space in
-  let _, cmd = parse_any space ~addr:dbuf ~len in
-  match cmd with
-  | Get key -> (
+   values and mutations for the parent in the slot. *)
+and drive_machine_in_domain t sd slot ~dbuf =
+  let space = t.space and udi = slot.udi in
+  ignore (parse_any space slot ~addr:dbuf ~len:slot.len);
+  let r = slot.req in
+  slot.staged <- 0;
+  match r.kind with
+  | Get -> (
       (* The domain may only read the database: the LRU recency update is
          a write, so it is deferred to the parent like every mutation.
          The item's fields are read in [Store.peek]'s order. *)
-      match Store.find t.db key with
+      match Store.find t.db r.src r.key r.key_len with
       | 0 -> `Miss
       | item ->
-          let flags = Store.item_flags t.db item in
+          slot.vflags <- Store.item_flags t.db item;
           let vlen = Store.value_len t.db item in
           let vaddr = Store.value_addr t.db item in
           (* Copy the value into the domain: the response is assembled by
              the parent from this staged copy. *)
           let out = Api.malloc sd ~udi (max 8 vlen) in
           Space.blit space ~src:vaddr ~dst:out ~len:vlen;
-          `Value (out, vlen, flags, key))
-  | Set { mode; key; flags; declared_len; data_off; data_len; rid } ->
-      if t.cfg.vulnerable && declared_len < 0 then begin
+          slot.vaddr <- out;
+          slot.vlen <- vlen;
+          `Value)
+  | Set | Add | Replace ->
+      if t.cfg.vulnerable && r.declared_len < 0 then begin
         (* Wrapped slabs_alloc: the copy item lives in the nested domain,
            so the rampaging copy hits the domain boundary, not the DB. *)
-        let icopy = Api.malloc sd ~udi (Store.item_size ~key ~value_len:data_len) in
-        vulnerable_copy t ~src:data_off
-          ~dst:(icopy + Store.header_size + String.length key)
-          ~declared:declared_len;
-        `Deferred (None, `None, Some icopy)
+        let icopy =
+          Api.malloc sd ~udi (Store.header_size + r.key_len + r.data_len)
+        in
+        vulnerable_copy t ~src:r.data_off
+          ~dst:(icopy + Store.header_size + r.key_len)
+          ~declared:r.declared_len;
+        slot.staged <- icopy;
+        `Discarded
       end
-      else if declared_len <> data_len then `Bad_cmd
+      else if r.declared_len <> r.data_len then `Bad_cmd
       else begin
-        let vcopy = Api.malloc sd ~udi (max 8 data_len) in
-        Space.blit space ~src:data_off ~dst:vcopy ~len:data_len;
-        `Deferred (rid, `Set (mode, key, flags, vcopy, data_len), Some vcopy)
+        let vcopy = Api.malloc sd ~udi (max 8 r.data_len) in
+        Space.blit space ~src:r.data_off ~dst:vcopy ~len:r.data_len;
+        slot.staged <- vcopy;
+        `Deferred
       end
-  | Multi_get keys ->
-      let hits =
+  | Multi_get ->
+      slot.hits <-
         List.filter_map
           (fun key ->
             match Store.peek t.db key with
@@ -619,16 +728,13 @@ and drive_machine_in_domain t sd ~udi ~dbuf ~len =
                 Space.blit space ~src:vaddr ~dst:out ~len:vlen;
                 Some (key, flags, vlen, (key, out))
             | None -> None)
-          keys
-      in
-      `Multi_value hits
-  | Delete { key; rid } -> `Deferred (rid, `Delete key, None)
-  | Arith { key; delta; negate; rid } ->
-      `Deferred (rid, `Arith (key, delta, negate), None)
+          (multi_keys r);
+      `Multi_value
+  | Delete | Incr | Decr -> `Deferred
   | Stats -> `Stats_cmd
   | Stats_telemetry -> `Telemetry_cmd
   | Quit -> `Quit_cmd
-  | Bad _ -> `Bad_cmd
+  | Bad -> `Bad_cmd
 
 let stop t =
   Netsim.close_listener t.listener;

@@ -31,15 +31,15 @@ let create ?(max_bytes = max_int) space ~alloc_page =
     in_use = 0;
   }
 
-let class_of size =
-  let rec find i =
-    if i >= Array.length class_sizes then None
-    else if class_sizes.(i) >= size then Some i
-    else find (i + 1)
-  in
-  find 0
+(* The class of a [size]-byte chunk from class [i] up, or -1 when none
+   fits: a top-level loop, so a lookup builds no closure. *)
+let rec class_from size i =
+  if i >= Array.length class_sizes then -1
+  else if class_sizes.(i) >= size then i
+  else class_from size (i + 1)
 
-let chunk_size _t size = Option.map (fun i -> class_sizes.(i)) (class_of size)
+let chunk_size _t size =
+  match class_from size 0 with -1 -> None | i -> Some class_sizes.(i)
 
 let can_grow t = ((t.pages + 1) * slab_page_size) <= t.max_bytes
 
@@ -57,22 +57,21 @@ let grow t idx =
   done
 
 let alloc t size =
-  match class_of size with
-  | None -> None
-  | Some idx ->
+  match class_from size 0 with
+  | -1 -> 0
+  | idx ->
       if t.free_heads.(idx) = 0 && can_grow t then grow t idx;
       let chunk = t.free_heads.(idx) in
-      if chunk = 0 then None
-      else begin
+      if chunk <> 0 then begin
         t.free_heads.(idx) <- Space.load64 t.space chunk;
-        t.in_use <- t.in_use + 1;
-        Some chunk
-      end
+        t.in_use <- t.in_use + 1
+      end;
+      chunk
 
 let free t ~addr ~size =
-  match class_of size with
-  | None -> invalid_arg "Slab.free: size out of range"
-  | Some idx ->
+  match class_from size 0 with
+  | -1 -> invalid_arg "Slab.free: size out of range"
+  | idx ->
       Space.store64 t.space addr t.free_heads.(idx);
       t.free_heads.(idx) <- addr;
       t.in_use <- t.in_use - 1

@@ -13,14 +13,15 @@ val create : ?max_bytes:int -> Vmem.Space.t -> alloc_page:(int -> int) -> t
 (** [alloc_page len] must return a fresh [len]-byte region — from
     {!Vmem.Space.mmap} for a plain process or from a data-domain sub-heap
     under SDRaD. [max_bytes] caps total slab memory (Memcached's [-m]);
-    when reached, {!alloc} returns [None] and the store evicts. *)
+    when reached, {!alloc} returns 0 and the store evicts. *)
 
 val chunk_size : t -> int -> int option
 (** Size class that serves a request, [None] if above {!max_chunk_size}. *)
 
-val alloc : t -> int -> int option
-(** Allocate a chunk for at least the given size. [None] if the request
-    exceeds {!max_chunk_size} or the page allocator fails. *)
+val alloc : t -> int -> int
+(** Allocate a chunk for at least the given size: its address, or 0 if
+    the request exceeds {!max_chunk_size} or no page is left. Like
+    {!free}, it allocates nothing on the host. *)
 
 val free : t -> addr:int -> size:int -> unit
 (** Return a chunk; [size] identifies its class (as Memcached's

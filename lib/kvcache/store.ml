@@ -38,26 +38,26 @@ let create space ~buckets ~slab ~alloc_table =
     prev = 0;
   }
 
-let hash key =
-  (* FNV-1a 64, truncated to OCaml's 63-bit int. *)
+(* FNV-1a 64, truncated to OCaml's 63-bit int, of [s.[off, off + len)]. *)
+let hash_sub s off len =
   let h = ref 0xbf29ce484222325 in
-  for i = 0 to String.length key - 1 do
-    h := (!h lxor Char.code (String.unsafe_get key i)) * 0x100000001b3
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
          land max_int
   done;
   !h
 
+let hash key = hash_sub key 0 (String.length key)
+
 (* [Sched.charge]'s addition, made in the clock cell so the float is not
    boxed. *)
-let charge_hash key =
+let charge_hash len =
   if Sched.in_thread () then begin
     let k = Sched.clock_cell () in
-    k.clock <- k.clock +. float_of_int (String.length key)
+    k.clock <- k.clock +. float_of_int len
   end
 
-let bucket_slot t key = t.table + ((hash key land t.mask) * 8)
-
-let item_size ~key ~value_len = header_size + String.length key + value_len
+let bucket_slot t s off len = t.table + ((hash_sub s off len land t.mask) * 8)
 
 (* Item field accessors (offsets per the layout in the interface). *)
 let lru_next t i = Space.load64 t.space (i + 8)
@@ -70,23 +70,26 @@ let item_flags t i = Space.load32 t.space (i + 32)
 let item_key t i = Space.read_string t.space (i + header_size) (key_len t i)
 let value_addr t i = i + header_size + key_len t i
 
-(* [b.[0, n)] is [key]. *)
-let rec same_key b key n i =
+(* [b.[0, n)] is [s.[off, off + n)]. *)
+let rec same_key b s off n i =
   i = n
-  || Bytes.unsafe_get b i = String.unsafe_get key i
-     && same_key b key n (i + 1)
+  || Bytes.unsafe_get b i = String.unsafe_get s (off + i)
+     && same_key b s off n (i + 1)
 
-(* The stored key of [item] is [key]: it is read into the scratch buffer
-   with [read_into], which checks and charges as [item_key]'s
-   [read_string] does, and compared in place. Only a corrupted header
-   has a key longer than the buffer; that one is read as a string. *)
-let key_is t item key =
+(* The stored key of [item] is [s.[off, off + len)]: it is read into the
+   scratch buffer with [read_into], which checks and charges as
+   [item_key]'s [read_string] does, and compared in place. Only a
+   corrupted header has a key longer than the buffer; that one is read
+   as a string. *)
+let key_is t item s off len =
   let klen = key_len t item in
   if klen <= Bytes.length t.scratch then begin
     Space.read_into t.space (item + header_size) t.scratch 0 klen;
-    klen = String.length key && same_key t.scratch key klen 0
+    klen = len && same_key t.scratch s off len 0
   end
-  else String.equal (Space.read_string t.space (item + header_size) klen) key
+  else
+    String.equal (Space.read_string t.space (item + header_size) klen)
+      (String.sub s off len)
 
 (* {1 LRU list (links live in simulated memory)} *)
 
@@ -110,12 +113,12 @@ let lru_bump t item =
 
 (* {1 Hash chains} *)
 
-(* The item stored under [key], or 0; [t.prev] is left at the link
-   slot that points to it (for unlinking). *)
-let find_prev t key =
-  let link = ref (bucket_slot t key) in
+(* The item stored under the key [s.[off, off + len)], or 0; [t.prev]
+   is left at the link slot that points to it (for unlinking). *)
+let find_prev t s off len =
+  let link = ref (bucket_slot t s off len) in
   let item = ref (Space.load64 t.space !link) in
-  while !item <> 0 && not (key_is t !item key) do
+  while !item <> 0 && not (key_is t !item s off len) do
     link := !item (* h_next is at offset 0 *);
     item := Space.load64 t.space !link
   done;
@@ -123,17 +126,17 @@ let find_prev t key =
   !item
 
 (* Fill a raw chunk with an item image (no linking). *)
-let write_item t ~item ~key ~flags ~value_src ~value_len =
+let write_item t ~item s off len ~flags ~value_src ~value_len =
   Space.store64 t.space item 0;
   set_lru_next t item 0;
   set_lru_prev t item 0;
-  Space.store32 t.space (item + 24) (String.length key);
+  Space.store32 t.space (item + 24) len;
   Space.store32 t.space (item + 28) value_len;
   Space.store32 t.space (item + 32) flags;
   Space.store32 t.space (item + 36) 0;
-  Space.store_string t.space (item + header_size) key;
-  Space.blit t.space ~src:value_src
-    ~dst:(item + header_size + String.length key)
+  Space.store_from t.space (item + header_size) (Bytes.unsafe_of_string s) off
+    len;
+  Space.blit t.space ~src:value_src ~dst:(item + header_size + len)
     ~len:value_len
 
 let unlink t link item =
@@ -152,7 +155,8 @@ let evict_one t =
   if victim = 0 then false
   else begin
     let key = item_key t victim in
-    if find_prev t key = victim then unlink t t.prev victim
+    if find_prev t key 0 (String.length key) = victim then
+      unlink t t.prev victim
     else
       (* The tail is not reachable through its bucket: corruption. *)
       failwith "Store.evict_one: LRU/hash inconsistency";
@@ -160,22 +164,25 @@ let evict_one t =
     true
   end
 
-let prepare t ~key ~flags ~value_src ~value_len =
-  let size = item_size ~key ~value_len in
-  let rec attempt () =
-    match Slab.alloc t.slab size with
-    | Some item ->
-        write_item t ~item ~key ~flags ~value_src ~value_len;
-        Some item
-    | None -> if evict_one t then attempt () else None
-  in
-  attempt ()
+(* A chunk of [size] bytes, evicting least recently used items until
+   one is free; 0 when nothing is left to evict. *)
+let rec chunk t size =
+  match Slab.alloc t.slab size with
+  | 0 -> if evict_one t then chunk t size else 0
+  | item -> item
 
-let commit t ~key item =
-  charge_hash key;
-  let old = find_prev t key in
+let prepare t s off len ~flags ~value_src ~value_len =
+  match chunk t (header_size + len + value_len) with
+  | 0 -> 0
+  | item ->
+      write_item t ~item s off len ~flags ~value_src ~value_len;
+      item
+
+let commit t s off len item =
+  charge_hash len;
+  let old = find_prev t s off len in
   if old <> 0 then unlink t t.prev old;
-  let slot = bucket_slot t key in
+  let slot = bucket_slot t s off len in
   Space.store64 t.space item (Space.load64 t.space slot);
   Space.store64 t.space slot item;
   lru_push_head t item;
@@ -183,40 +190,44 @@ let commit t ~key item =
   t.value_bytes <- t.value_bytes + value_len t item
 
 let set t ~key ~flags ~value_src ~value_len =
-  match prepare t ~key ~flags ~value_src ~value_len with
-  | None -> false
-  | Some item ->
-      commit t ~key item;
+  let n = String.length key in
+  match prepare t key 0 n ~flags ~value_src ~value_len with
+  | 0 -> false
+  | item ->
+      commit t key 0 n item;
       true
 
-let find t key =
-  charge_hash key;
-  find_prev t key
+let find t s off len =
+  charge_hash len;
+  find_prev t s off len
 
 let peek t key =
-  match find t key with
+  match find t key 0 (String.length key) with
   | 0 -> None
   | item -> Some (value_addr t item, value_len t item, item_flags t item)
 
 let get t key =
-  match find t key with
+  match find t key 0 (String.length key) with
   | 0 -> None
   | item ->
       lru_bump t item;
       Some (value_addr t item, value_len t item, item_flags t item)
 
-let touch t key =
-  let item = find_prev t key in
+let bump = lru_bump
+
+let touch t s off len =
+  let item = find_prev t s off len in
   if item <> 0 then lru_bump t item
 
-let delete t key =
-  charge_hash key;
-  match find_prev t key with
+let remove t s off len =
+  charge_hash len;
+  match find_prev t s off len with
   | 0 -> false
   | item ->
       unlink t t.prev item;
       true
 
+let delete t key = remove t key 0 (String.length key)
 let mem t key = get t key <> None
 let count t = t.count
 let value_bytes t = t.value_bytes

@@ -15,6 +15,9 @@
 type t
 
 val header_size : int
+(** An item is [header_size] bytes, then its key, then its value: the
+    footprint the vulnerable server paths size their undersized
+    allocation by. *)
 
 val create :
   Vmem.Space.t -> buckets:int -> slab:Slab.t -> alloc_table:(int -> int) -> t
@@ -24,18 +27,50 @@ val create :
 val hash : string -> int
 (** FNV-1a, also used by the server for sharding decisions. *)
 
-val set : t -> key:string -> flags:int -> value_src:int -> value_len:int -> bool
-(** Insert or replace ({!prepare} + {!commit}). The value is copied out of
-    simulated memory at [value_src]. [false] when the item exceeds the
-    largest slab class. *)
+(** {2 Keys where they lie}
 
-val prepare : t -> key:string -> flags:int -> value_src:int -> value_len:int -> int option
+    The server's operations take their key as [s off len], the bytes
+    [s.[off, off + len)] — where a scanned request holds it — so a
+    request's store work copies no key out of its line. *)
+
+val find : t -> string -> int -> int -> int
+(** The item stored under the key, or 0: charges the key's hash and
+    walks its chain, comparing each stored key in place, without reading
+    the item's fields. *)
+
+val item_flags : t -> int -> int
+val value_len : t -> int -> int
+
+val value_addr : t -> int -> int
+(** Where the item's value starts; reads its key length. {!peek} reads
+    [item_flags], [value_len] and [value_addr], in that order. *)
+
+val bump : t -> int -> unit
+(** Refresh a found item's LRU position, as {!get} does. *)
+
+val touch : t -> string -> int -> int -> unit
+(** Refresh a key's LRU position (no-op on a miss); charges no hash. *)
+
+val remove : t -> string -> int -> int -> bool
+(** Unlink and free the key's item; [false] on a miss. *)
+
+val prepare :
+  t -> string -> int -> int -> flags:int -> value_src:int -> value_len:int ->
+  int
 (** Allocate and fill an item without linking it — the part of a SET that
-    Memcached performs outside the cache lock. *)
+    Memcached performs outside the cache lock — evicting as needed. The
+    value is copied out of simulated memory at [value_src]. 0 when the
+    item exceeds the largest slab class. *)
 
-val commit : t -> key:string -> int -> unit
-(** Unlink any existing item for [key] and link the prepared one — the
-    short critical section. *)
+val commit : t -> string -> int -> int -> int -> unit
+(** [commit t s off len item]: unlink any existing item for the key and
+    link the prepared one — the short critical section. *)
+
+(** {2 Keys as strings} *)
+
+val set : t -> key:string -> flags:int -> value_src:int -> value_len:int -> bool
+(** Insert or replace ({!prepare} + {!commit}). [false] when the item
+    exceeds the largest slab class. *)
 
 val get : t -> string -> (int * int * int) option
 (** [(value_addr, value_len, flags)] — the address points into the live
@@ -45,25 +80,6 @@ val peek : t -> string -> (int * int * int) option
 (** Like {!get} but without the LRU update — the read-only lookup a nested
     domain can perform against a read-protected database; the recency
     bump is deferred to the parent via {!touch}. *)
-
-val touch : t -> string -> unit
-(** Refresh a key's LRU position (no-op on a miss). *)
-
-(** {2 Lookup by item}
-
-    {!peek} without its option and tuple: the item's address, then its
-    fields. Keys are compared in place, so a lookup allocates nothing. *)
-
-val find : t -> string -> int
-(** The item stored under the key, or 0: {!peek}'s hash charge and chain
-    walk, without reading the item's fields. *)
-
-val item_flags : t -> int -> int
-val value_len : t -> int -> int
-
-val value_addr : t -> int -> int
-(** Where the item's value starts; reads its key length. {!peek} reads
-    [item_flags], [value_len] and [value_addr], in that order. *)
 
 val delete : t -> string -> bool
 val mem : t -> string -> bool
@@ -75,10 +91,6 @@ val evictions : t -> int
 
 val lru_keys : t -> string list
 (** Keys in recency order, most recently used first (test hook). *)
-
-val item_size : key:string -> value_len:int -> int
-(** Total item footprint for a key/value pair (used by the vulnerable
-    code path in the server to size its undersized allocation). *)
 
 val check : t -> string list
 (** Walk every bucket chain and verify item headers are sane (lengths

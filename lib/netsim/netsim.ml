@@ -24,6 +24,7 @@ module Buf = struct
   let bytes b = b.data
   let view b = Bytes.unsafe_to_string b.data
   let arrival b = b.stamp.at
+  let older_than b age = (Sched.clock_cell ()).clock -. b.stamp.at > age
   let contents b = Bytes.sub_string b.data 0 b.len
   let clear b = b.len <- 0
 

@@ -51,6 +51,11 @@ module Buf : sig
   val arrival : t -> float
   (** Delivery time of the message last received into the buffer. *)
 
+  val older_than : t -> float -> bool
+  (** [older_than b age]: by the calling thread's clock, more than [age]
+      cycles have passed since that delivery. Unlike comparing against
+      {!arrival}, it boxes no float. *)
+
   val contents : t -> string
   (** A copy of the message. *)
 

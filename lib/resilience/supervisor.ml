@@ -85,6 +85,7 @@ type t = {
   sd : Api.t;
   policy : policy;
   domains : (Types.udi, dstate) Hashtbl.t;
+  mutable all : dstate list;  (* [domains]' values, newest first *)
   metrics : M.t;
   tracer : Trace.t;
   c_rewinds_seen : M.counter;
@@ -99,10 +100,11 @@ type verdict = Admitted | Probe | Busy of { until : float }
 
 let now () = if Sched.in_thread () then Sched.now () else 0.0
 
+(* [Hashtbl.find], which builds no option on a hit. *)
 let dstate t udi =
-  match Hashtbl.find_opt t.domains udi with
-  | Some d -> d
-  | None ->
+  match Hashtbl.find t.domains udi with
+  | d -> d
+  | exception Not_found ->
       let d =
         {
           d_udi = udi;
@@ -118,6 +120,7 @@ let dstate t udi =
         }
       in
       Hashtbl.replace t.domains udi d;
+      t.all <- d :: t.all;
       d
 
 (* Move the breaker one edge, counting the edge under
@@ -191,6 +194,7 @@ let attach ?(policy = default_policy) sd =
       sd;
       policy;
       domains = Hashtbl.create 16;
+      all = [];
       metrics;
       tracer = Api.tracer sd;
       c_rewinds_seen =
@@ -272,16 +276,17 @@ let succeed t ~udi =
 
 (* Supervised [Api.run]: quarantined udis are rejected with [on_busy]
    before any domain state is touched, so the caller can degrade instead
-   of crash; a normally completing body counts as a success. The rewind
-   path needs no bookkeeping here — the incident handler already saw it. *)
+   of crash; a normally completing body counts as a success, recorded
+   once [Api.run] has returned its value — [Api.rewound] tells it from
+   [on_rewind]'s — so no closure is built around [body]. The rewind path
+   needs no bookkeeping here — the incident handler already saw it. *)
 let run t ~udi ?opts ~on_rewind ~on_busy body =
   match admit t ~udi with
   | Busy { until } -> on_busy ~until
   | Admitted | Probe ->
-      Api.run t.sd ~udi ?opts ~on_rewind (fun () ->
-          let v = body () in
-          succeed t ~udi;
-          v)
+      let v = Api.run t.sd ~udi ?opts ~on_rewind body in
+      if not (Api.rewound t.sd) then succeed t ~udi;
+      v
 
 type 'a outcome =
   | Ok of 'a
@@ -311,16 +316,14 @@ let states t =
   Hashtbl.fold (fun udi d acc -> (udi, d.breaker) :: acc) t.domains []
   |> List.sort compare
 
+let rank = function Closed -> 0 | Half_open -> 1 | Backoff -> 2 | Quarantined -> 3
+
+(* A fold with no list built: [rank] is injective, so the worst breaker
+   does not depend on the order the domains are visited in. *)
 let worst_breaker t =
-  let rank = function
-    | Closed -> 0
-    | Half_open -> 1
-    | Backoff -> 2
-    | Quarantined -> 3
-  in
   List.fold_left
-    (fun acc (_, b) -> if rank b > rank acc then b else acc)
-    Closed (states t)
+    (fun acc d -> if rank d.breaker > rank acc then d.breaker else acc)
+    Closed t.all
 
 let domain_counters t ~udi =
   let d = dstate t udi in

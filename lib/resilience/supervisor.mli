@@ -66,7 +66,10 @@ val run :
   (unit -> 'a) ->
   'a
 (** Supervised {!Sdrad.Api.run}: [admit] first (rejecting with [on_busy]
-    when quarantined), count a normal completion as a success. *)
+    when quarantined), count a normal completion as a success. The
+    success is recorded once {!Sdrad.Api.run} has returned (after any
+    deinitialization it does for the body), so a run builds no closure;
+    passing [?opts] as an option made once builds no [Some] either. *)
 
 type 'a outcome =
   | Ok of 'a

@@ -256,16 +256,20 @@ let should_shed t ws =
 let shed t c ~trace ~udi reply =
   M.inc t.c.shed;
   (match t.sd with
-  | Some sd -> Api.flight_event sd ~udi ~trace Checkpoint.Flight.Shed
+  | Some sd -> Api.record_flight sd ~udi ~trace ~arg:0 Checkpoint.Flight.Shed
   | None -> ());
   Netsim.send c reply
 
 (* The context is per-request: clear it so later work on this worker
    thread (or the next request) is not mis-attributed. *)
 let clear_trace t =
-  match t.sd with Some sd -> Api.set_trace sd 0L | None -> ()
+  match t.sd with Some sd -> Api.set_trace sd 0 | None -> ()
 
 let on_busy ~until:_ = `Busy
+
+(* [?opts] passed as this option, made once: passing [~opts] would
+   allocate a [Some] per request. *)
+let some_domain_opts = Some domain_opts
 
 (* Install the request's causal trace context before anything else: the
    admit decision, every domain switch, fault, replay and audit record
@@ -274,12 +278,12 @@ let on_busy ~until:_ = `Busy
    answers [`Busy] with {!busy}. *)
 let run t sd ~trace ~udi ~on_rewind body =
   Api.set_trace sd trace;
-  Api.flight_event sd ~udi Checkpoint.Flight.Admit;
+  Api.record_flight sd ~udi ~trace ~arg:0 Checkpoint.Flight.Admit;
   match t.sup with
   | Some sup ->
-      Resilience.Supervisor.run sup ~udi ~opts:domain_opts ~on_rewind ~on_busy
-        body
-  | None -> Api.run sd ~udi ~opts:domain_opts ~on_rewind body
+      Resilience.Supervisor.run sup ~udi ?opts:some_domain_opts ~on_rewind
+        ~on_busy body
+  | None -> Api.run sd ~udi ?opts:some_domain_opts ~on_rewind body
 
 let busy t c reply =
   M.inc t.c.busy;
@@ -298,21 +302,28 @@ let rewound t (f : Types.fault) =
    parent (root domain), so this is exactly the window a nested-domain
    rewind cannot touch: no entry = the commit never happened and the
    retry re-executes; entry = the commit happened and the retry replays. *)
+let replayed t rid =
+  match Journal.find t.journal rid with
+  | Some _ as hit ->
+      (* A journal hit is a causal consequence of the original op's
+         earlier attempt: record it under the retry's trace id. *)
+      (match t.sd with
+      | Some sd -> Api.flight_event sd Checkpoint.Flight.Replay
+      | None -> ());
+      hit
+  | None -> None
+
+let journal_reply t rid reply = Journal.record t.journal rid reply
+
 let replay_or t rid compute =
   match rid with
   | None -> compute ()
   | Some r -> (
-      match Journal.find t.journal r with
-      | Some reply ->
-          (* A journal hit is a causal consequence of the original op's
-             earlier attempt: record it under the retry's trace id. *)
-          (match t.sd with
-          | Some sd -> Api.flight_event sd Checkpoint.Flight.Replay
-          | None -> ());
-          reply
+      match replayed t r with
+      | Some reply -> reply
       | None ->
           let reply = compute () in
-          Journal.record t.journal r reply;
+          journal_reply t r reply;
           reply)
 
 (* {1 The worker event loop} *)

@@ -109,14 +109,14 @@ val put_dec : bytes -> stop:int -> int -> unit
 
 (** {1 Admission} *)
 
-val shed : t -> Netsim.conn -> trace:int64 -> udi:int -> string -> unit
+val shed : t -> Netsim.conn -> trace:int -> udi:int -> string -> unit
 (** Count a shed request, record one [Shed] flight event for [udi] under
     [trace], and send the busy reply. *)
 
 val run :
   t ->
   Sdrad.Api.t ->
-  trace:int64 ->
+  trace:int ->
   udi:Sdrad.Types.udi ->
   on_rewind:(Sdrad.Types.fault -> ([> `Busy ] as 'a)) ->
   (unit -> 'a) ->
@@ -124,7 +124,9 @@ val run :
 (** Admit a request: install its trace on this thread, record [Admit],
     and run its domain with {!domain_opts}, through the supervisor when
     there is one (a quarantined udi yields [`Busy]). The trace stays
-    installed until {!clear_trace}. *)
+    installed until {!clear_trace}. It builds no closure and no option:
+    a server that builds [on_rewind] and [body] once per worker runs a
+    request without allocating here. *)
 
 val clear_trace : t -> unit
 
@@ -138,6 +140,14 @@ val replay_or : t -> string option -> (unit -> string) -> string
 (** At-most-once bracket around a mutation keyed by a request id: a
     journaled id is answered from the journal with one [Replay] flight
     event; otherwise [compute] runs and its reply is journaled. *)
+
+val replayed : t -> string -> string option
+(** {!replay_or}'s first half, for a caller that brackets a mutation
+    without a closure: the journaled reply of the id, recorded with one
+    [Replay] flight event, or [None]. *)
+
+val journal_reply : t -> string -> string -> unit
+(** {!replay_or}'s second half: journal a fresh reply under its id. *)
 
 (** {1 The worker event loop} *)
 

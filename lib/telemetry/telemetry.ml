@@ -346,19 +346,16 @@ end
 (* {1 Context} *)
 
 module Context = struct
-  type t = { trace : int64; span : int }
-
-  (* Ids are masked to 62 bits so they fit an OCaml int and round-trip
-     losslessly through the simulation's store64 words (flight-recorder
-     and audit-log slots). *)
-  let mask62 h = Int64.logand h 0x3FFF_FFFF_FFFF_FFFFL
+  type t = { trace : int; span : int }
 
   (* FNV-1a, 64-bit. Deterministic and stable across runs — trace ids
      derived from (client name, op sequence) strings are a golden-test
      surface. Computed in a native int: a xor's bits and a product's low
      bits depend only on their operands' low bits, so the low 63 bits
      come out as in [Int64] arithmetic, and the id keeps only the low
-     62. An [Int64] loop boxes a value per character. *)
+     62, which fit an OCaml int and round-trip losslessly through the
+     simulation's store64 words (flight-recorder and audit-log slots).
+     An [Int64] loop boxes a value per character. *)
   let fnv_offset = Int64.to_int 0xcbf29ce484222325L (* its low 63 bits *)
   let fnv_prime = 0x100000001b3
 
@@ -367,18 +364,21 @@ module Context = struct
     for i = 0 to String.length s - 1 do
       h := (!h lxor Char.code s.[i]) * fnv_prime
     done;
-    let h = !h land 0x3FFF_FFFF_FFFF_FFFF in
+    let h = !h land max_int in
     (* 0 is the wire encoding for "no context" (binproto zero field). *)
-    if h = 0 then 1L else Int64.of_int h
+    if h = 0 then 1 else h
 
   let root op = { trace = hash64 op; span = 0 }
   let child t n = { t with span = n }
   let trace t = t.trace
   let span t = t.span
+
+  (* [max_int] is 2{^62} - 1: the mask keeps an id's low 62 bits. *)
   let of_trace trace =
-    let trace = mask62 trace in
-    if trace = 0L then None else Some { trace; span = 0 }
-  let trace_hex t = Printf.sprintf "%016Lx" t.trace
+    let trace = trace land max_int in
+    if trace = 0 then None else Some { trace; span = 0 }
+
+  let trace_hex t = Printf.sprintf "%016x" t.trace
 
   let is_hex s =
     s <> ""
@@ -404,8 +404,7 @@ module Context = struct
     else hex_id s off (off + 16) 0
 
   let of_trace_hex s =
-    if String.length s = 16 then of_trace (Int64.of_int (trace_id_at s 0))
-    else None
+    if String.length s = 16 then of_trace (trace_id_at s 0) else None
 
   (* W3C-traceparent-shaped: version 00, 16-hex trace id (the spec's low
      half), 8-hex span id, flags 01. *)
@@ -417,11 +416,8 @@ module Context = struct
     | [ "00"; tr; sp; _flags ]
       when String.length tr = 16 && is_hex tr && String.length sp = 8
            && is_hex sp -> (
-        match
-          (Int64.of_string_opt ("0x" ^ tr), int_of_string_opt ("0x" ^ sp))
-        with
-        | Some id, Some span -> (
-            match of_trace id with Some t -> Some (child t span) | None -> None)
+        match (of_trace (trace_id_at tr 0), int_of_string_opt ("0x" ^ sp)) with
+        | Some t, Some span -> Some (child t span)
         | _ -> None)
     | _ -> None
 end

@@ -147,8 +147,8 @@ end
 
 (** Deterministic causal trace context.
 
-    A context is a 64-bit trace id (derived by hashing a stable
-    operation name, e.g. ["cli-3"], with FNV-1a — never from randomness
+    A context is a 62-bit trace id, a native [int] (derived by hashing a
+    stable operation name, e.g. ["cli-3"], with FNV-1a — never from randomness
     or wall clock, so identical runs mint identical ids) plus a small
     span ordinal (the retry attempt number). It is carried on every
     request: httpd as a [traceparent]-style header, kvcache text as a
@@ -169,12 +169,14 @@ module Context : sig
   val child : t -> int -> t
   (** Same trace id, span ordinal [n] — one per retry attempt. *)
 
-  val trace : t -> int64
+  val trace : t -> int
+  (** The id, in [1, 2{^62}); 0 is "no context" on every wire. *)
+
   val span : t -> int
 
-  val of_trace : int64 -> t option
-  (** Rebuild a context, at span 0, from a wire-decoded 64-bit id;
-      [None] for the zero "no context" id. *)
+  val of_trace : int -> t option
+  (** Rebuild a context, at span 0, from a wire-decoded id, masked to 62
+      bits; [None] for the zero "no context" id. *)
 
   val trace_hex : t -> string
   (** 16 lowercase hex chars — the canonical rendering everywhere

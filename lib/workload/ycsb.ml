@@ -189,7 +189,7 @@ let launch sched net cfg ~on_done () =
     let issue ~op k =
       match eng with
       | None ->
-          write ~op k ~rid:None ~trace:0L;
+          write ~op k ~rid:None ~trace:0;
           let c = live () in
           Netsim.send_buf c buf;
           Netsim.recv_buf c buf
@@ -226,26 +226,33 @@ let launch sched net cfg ~on_done () =
     in
     (buf, issue, finish, eng <> None)
   in
+  (* A client with no records to load (or no operations to run) is
+     still spawned, so thread ids do not depend on the key ranges, but
+     it builds no I/O kit: it would never use one. *)
   let load_client i () =
     let per = cfg.records / cfg.clients in
     let lo = i * per in
     let hi = if i = cfg.clients - 1 then cfg.records else lo + per in
-    let buf, issue, finish, retrying = client_io ~name:"yl" ~salt:9000 i in
-    let rec go k =
-      if k < hi then begin
-        Sched.charge cfg.client_cycles;
-        (* Loads are idempotent (same key, same value), so no rid; the
-           trace token still links retried loads to their op. *)
-        if issue ~op:`Load k && Netsim.Buf.equal_string buf Kvcache.Proto.stored
-        then go (k + 1)
-        else begin
-          bump_failures ();
-          if retrying then go (k + 1)
+    if lo < hi then begin
+      let buf, issue, finish, retrying = client_io ~name:"yl" ~salt:9000 i in
+      let rec go k =
+        if k < hi then begin
+          Sched.charge cfg.client_cycles;
+          (* Loads are idempotent (same key, same value), so no rid; the
+             trace token still links retried loads to their op. *)
+          if
+            issue ~op:`Load k
+            && Netsim.Buf.equal_string buf Kvcache.Proto.stored
+          then go (k + 1)
+          else begin
+            bump_failures ();
+            if retrying then go (k + 1)
+          end
         end
-      end
-    in
-    go lo;
-    finish ()
+      in
+      go lo;
+      finish ()
+    end
   in
   (* Run-phase latencies, unboxed: client [i]'s [counts.(i)] samples,
      oldest first, from slot [first i] on. *)
@@ -262,7 +269,7 @@ let launch sched net cfg ~on_done () =
      hides nothing (no coordinated omission), which is what makes p99
      honest when a shard is draining. *)
   let run_start = ref 0.0 in
-  let run_client i () =
+  let run_ops i =
     let rng = Rng.create (cfg.seed + (1000 * i) + 7) in
     (* Built on first use: its set-up is O(records), and uniform clients
        never draw from it. Creation draws no random numbers, so forcing
@@ -329,6 +336,7 @@ let launch sched net cfg ~on_done () =
     go 0;
     finish ()
   in
+  let run_client i () = if cfg.operations / cfg.clients > 0 then run_ops i in
   (* Client [clients - 1]'s samples first, each client's oldest first. *)
   let run_latencies () =
     let l = ref [] in

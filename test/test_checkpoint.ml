@@ -161,7 +161,7 @@ let run_rewind_scenario ~seed ~hook =
          record, so it is part of the equivalence surface too. *)
       List.iter
         (fun e ->
-          Printf.bprintf b " {%s@%.0f u%d t%d a%d x%Lx}"
+          Printf.bprintf b " {%s@%.0f u%d t%d a%d x%x}"
             (Fl.kind_to_string e.Fl.e_kind)
             e.Fl.e_at e.Fl.e_udi e.Fl.e_tid e.Fl.e_arg e.Fl.e_trace)
         r.Rl.r_events;
@@ -238,10 +238,10 @@ let test_flight_record_order_and_snapshot () =
           check (Alcotest.float 0.0) "timestamp kept" 10.0 a.Fl.e_at;
           check int "tid kept" 1 a.Fl.e_tid;
           check int "owner udi kept" 3 a.Fl.e_udi;
-          check bool "trace carried" true (a.Fl.e_trace = 42L);
+          check bool "trace carried" true (a.Fl.e_trace = 42);
           check bool "order" true
             (b.Fl.e_kind = Fl.Switch_in && c.Fl.e_kind = Fl.Fault);
-          check bool "absent trace reads zero" true (c.Fl.e_trace = 0L)
+          check bool "absent trace reads zero" true (c.Fl.e_trace = 0)
       | l -> Alcotest.failf "expected 3 events, got %d" (List.length l));
       check (Alcotest.list int) "snapshot keeps the tail, oldest first" [ 2; 3 ]
         (List.map (fun e -> e.Fl.e_arg) (Fl.snapshot f ~udi:3 ~n:2));
@@ -294,7 +294,7 @@ let test_flight_store_load_roundtrip () =
           e_tid = 3;
           e_kind = Fl.Replay;
           e_udi = 9;
-          e_trace = 0x2fca9509bd23d4L;
+          e_trace = 0x2fca9509bd23d4;
           e_arg = 17;
         }
       in

@@ -82,14 +82,17 @@ let truncation_never_invents_a_rid =
   let corpus_ok (data, orig_rid) =
     with_buffer data (fun space buf ->
         let len = String.length data in
-        let rid_ok = function
-          | Proto.Set { rid; _ } | Proto.Delete { rid; _ }
-          | Proto.Arith { rid; _ } ->
-              rid = None || rid = orig_rid
+        let r = Proto.create () in
+        let rid_ok () =
+          match r.Proto.kind with
+          | Set | Add | Replace | Delete | Incr | Decr ->
+              r.rid_len = 0 || Some (Proto.rid_string r) = orig_rid
           | _ -> true
         in
-        rid_ok (Proto.parse space ~addr:buf ~len)
-        && rid_ok (Bin.parse space ~addr:buf ~len))
+        (Proto.parse r space ~addr:buf ~len;
+         rid_ok ())
+        && (Bin.parse r space ~addr:buf ~len;
+            rid_ok ()))
   in
   QCheck.Test.make
     ~name:"truncated frames never carry a partial rid"
@@ -103,12 +106,16 @@ let truncation_never_stores_short_data =
   let corpus_ok (data, _) =
     with_buffer data (fun space buf ->
         let len = String.length data in
-        let short_detectable = function
-          | Proto.Set { declared_len; data_len; _ } -> declared_len <> data_len
+        let r = Proto.create () in
+        let short_detectable () =
+          match r.Proto.kind with
+          | Set | Add | Replace -> r.declared_len <> r.data_len
           | _ -> true
         in
-        short_detectable (Proto.parse space ~addr:buf ~len)
-        && short_detectable (Bin.parse space ~addr:buf ~len))
+        (Proto.parse r space ~addr:buf ~len;
+         short_detectable ())
+        && (Bin.parse r space ~addr:buf ~len;
+            short_detectable ()))
   in
   QCheck.Test.make
     ~name:"truncated sets are detectably short"
@@ -119,15 +126,17 @@ let text_proto_total =
   QCheck.Test.make ~name:"memcached text parser never throws" ~count:300 fuzz_input
     (fun data ->
       with_buffer data (fun space buf ->
-          match Proto.parse space ~addr:buf ~len:(String.length data) with
-          | _ -> true))
+          Proto.parse (Proto.create ()) space ~addr:buf
+            ~len:(String.length data);
+          true))
 
 let bin_proto_total =
   QCheck.Test.make ~name:"memcached binary parser never throws" ~count:300 fuzz_input
     (fun data ->
       with_buffer data (fun space buf ->
-          match Bin.parse space ~addr:buf ~len:(String.length data) with
-          | _ -> true))
+          Bin.parse (Proto.create ()) space ~addr:buf
+            ~len:(String.length data);
+          true))
 
 (* Replies a client can receive: every strict prefix of a text value
    reply (one hit and two) and of a binary one — what a truncating link
@@ -226,7 +235,13 @@ module Ref_reply = struct
           | Some cr -> (
               match split_words (String.sub s off (cr - off)) with
               | [ "VALUE"; key; _flags; len ] -> (
-                  match int_of_string_opt len with
+                  (* A VALUE length is plain digits, as memcached
+                     writes it: no sign, base prefix or underscore. *)
+                  match
+                    if String.for_all (fun c -> c >= '0' && c <= '9') len
+                    then int_of_string_opt len
+                    else None
+                  with
                   | Some n when cr + 2 + n + 2 <= String.length s ->
                       blocks (cr + 2 + n + 2)
                         ((key, String.sub s (cr + 2) n) :: acc)

@@ -260,7 +260,7 @@ let run_kv_scenario ~fast seed =
                     events are comparable across runs *)
                  Netsim.send !c
                    (Proto.fmt_set_lying_traced
-                      ~trace:(Int64.of_int ((seed * 1000) + i))
+                      ~trace:((seed * 1000) + i)
                       ~key:"pwn" ~flags:0 ~declared:(-1)
                       ~value:(String.make (100 + Rng.int rng 300) 'X'));
                  record i (Netsim.recv !c)
@@ -282,7 +282,7 @@ let run_kv_scenario ~fast seed =
     (fun udi ->
       List.iter
         (fun (e : Flight.event) ->
-          Printf.bprintf trace "flight %d: tid=%d %s trace=%Lx arg=%d\n" udi
+          Printf.bprintf trace "flight %d: tid=%d %s trace=%x arg=%d\n" udi
             e.Flight.e_tid (kind_name e.Flight.e_kind) e.Flight.e_trace
             e.Flight.e_arg)
         (Api.flight_events sd ~udi))

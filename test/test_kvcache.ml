@@ -25,13 +25,53 @@ let mk_slab space =
 (* {1 References}
 
    The protocol code as it was before it scanned and wrote text in place:
-   the split-list request parser, the [Printf] formatters and the
-   concatenated replies. The differential tests below hold the new code
-   to them. The router's line grammar is kept with one deliberate change:
-   it takes the rid by the server's rule (the last word after the trace
-   token) instead of the last [id=] word anywhere on the line. *)
+   the command variant and the split-list request parser, the binary
+   parser that built it, the [Printf] formatters and the concatenated
+   replies. The differential tests below hold the new code to them. The
+   router's line grammar is kept with one deliberate change: it takes
+   the rid by the server's rule (the last word after the trace token)
+   instead of the last [id=] word anywhere on the line. Numbers follow
+   the decimal rule memcached reads its fields with. *)
 module Ref = struct
+  type cmd =
+    | Get of string
+    | Multi_get of string list
+    | Set of {
+        mode : [ `Set | `Add | `Replace ];
+        key : string;
+        flags : int;
+        declared_len : int;
+        data_off : int;
+        data_len : int;
+        rid : string option;
+      }
+    | Delete of { key : string; rid : string option }
+    | Arith of { key : string; delta : int; negate : bool; rid : string option }
+    | Stats
+    | Stats_telemetry
+    | Quit
+    | Bad of string
+
   let max_key_len = 250
+
+  (* An optional sign, then digits: checked byte by byte, the magnitude
+     read by [int_of_string_opt], which fails past [max_int]. *)
+  let decimal ~signed w =
+    let n = String.length w in
+    let sign, digits =
+      if n > 0 && (w.[0] = '+' || w.[0] = '-') then
+        (w.[0], String.sub w 1 (n - 1))
+      else ('+', w)
+    in
+    if
+      digits = ""
+      || (sign = '-' && not signed)
+      || not (String.for_all (fun c -> c >= '0' && c <= '9') digits)
+    then None
+    else
+      Option.map
+        (fun v -> if sign = '-' then -v else v)
+        (int_of_string_opt digits)
 
   let split_words s =
     String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
@@ -52,12 +92,12 @@ module Ref = struct
             (String.sub last 6 (String.length last - 6))
         with
         | Some ctx -> (List.rev rest, Telemetry.Context.trace ctx)
-        | None -> (words, 0L))
-    | _ -> (words, 0L)
+        | None -> (words, 0))
+    | _ -> (words, 0)
 
   let parse_trace space ~addr ~len =
     match Space.memchr space ~addr ~len '\r' with
-    | -1 -> 0L
+    | -1 -> 0
     | cr ->
         let line = Space.read_string space addr (cr - addr) in
         snd (strip_trace (split_words line))
@@ -66,43 +106,46 @@ module Ref = struct
 
   let trace_of_string msg =
     match String.index_opt msg '\r' with
-    | None -> 0L
+    | None -> 0
     | Some cr -> trace_of_words (split_words (String.sub msg 0 cr))
 
   let parse space ~addr ~len =
     match Space.memchr space ~addr ~len '\r' with
-    | -1 -> Proto.Bad "no CRLF"
+    | -1 -> Bad "no CRLF"
     | cr -> (
         let line = Space.read_string space addr (cr - addr) in
         let data_off = cr - addr + 2 in
         let words, _trace = strip_trace (split_words line) in
         match words with
-        | [ "get"; key ] when String.length key <= max_key_len -> Proto.Get key
+        | [ "get"; key ] when String.length key <= max_key_len -> Get key
         | "get" :: (_ :: _ :: _ as keys)
           when List.for_all (fun k -> String.length k <= max_key_len) keys ->
-            Proto.Multi_get keys
-        | [ "quit" ] -> Proto.Quit
-        | [ "stats" ] -> Proto.Stats
-        | [ "stats"; "telemetry" ] -> Proto.Stats_telemetry
+            Multi_get keys
+        | [ "quit" ] -> Quit
+        | [ "stats" ] -> Stats
+        | [ "stats"; "telemetry" ] -> Stats_telemetry
         | _ -> (
             let mwords, rid = strip_rid words in
             match mwords with
             | [ "delete"; key ] when String.length key <= max_key_len ->
-                Proto.Delete { key; rid }
+                Delete { key; rid }
             | [ (("incr" | "decr") as op); key; delta ]
               when String.length key <= max_key_len -> (
-                match int_of_string_opt delta with
-                | Some d when d >= 0 ->
-                    Proto.Arith { key; delta = d; negate = op = "decr"; rid }
-                | _ -> Proto.Bad "bad incr/decr delta")
-            | [ (("set" | "add" | "replace") as op); key; flags; _exptime; bytes ]
+                match decimal ~signed:false delta with
+                | Some d -> Arith { key; delta = d; negate = op = "decr"; rid }
+                | None -> Bad "bad incr/decr delta")
+            | [ (("set" | "add" | "replace") as op); key; flags; exptime; bytes ]
               -> (
-                match (int_of_string_opt flags, int_of_string_opt bytes) with
-                | Some flags, Some declared_len ->
-                    if String.length key > max_key_len then Proto.Bad "key too long"
-                    else if data_off > len then Proto.Bad "missing data block"
+                match
+                  ( decimal ~signed:false flags,
+                    decimal ~signed:true exptime,
+                    decimal ~signed:true bytes )
+                with
+                | Some flags, Some _, Some declared_len ->
+                    if String.length key > max_key_len then Bad "key too long"
+                    else if data_off > len then Bad "missing data block"
                     else
-                      Proto.Set
+                      Set
                         {
                           mode =
                             (match op with
@@ -116,32 +159,112 @@ module Ref = struct
                           data_len = max 0 (len - data_off - 2);
                           rid;
                         }
-                | _ -> Proto.Bad "bad set arguments")
-            | _ -> Proto.Bad "unknown command"))
+                | _ -> Bad "bad set arguments")
+            | _ -> Bad "unknown command"))
+
+  (* The binary parser as it built the command, reading the header byte
+     by byte and the key as a string. *)
+  let be16 space a = (Space.load8 space a lsl 8) lor Space.load8 space (a + 1)
+  let be32 space a = (be16 space a lsl 16) lor be16 space (a + 2)
+
+  let parse_binary space ~addr ~len =
+    let module B = Kvcache.Binproto in
+    if len < B.header_size then Bad "short binary header"
+    else if Space.load8 space addr <> B.magic_request then Bad "bad magic"
+    else begin
+      let opcode = Space.load8 space (addr + 1) in
+      let keylen = be16 space (addr + 2) in
+      let extlen = Space.load8 space (addr + 4) in
+      let bodylen =
+        let v = be32 space (addr + 8) in
+        if v land 0x80000000 <> 0 then v - 0x100000000 else v
+      in
+      if keylen = 0 || keylen > max_key_len then Bad "bad key length"
+      else if B.header_size + extlen + keylen > len then Bad "truncated key"
+      else
+        let key =
+          Space.read_string space (addr + B.header_size + extlen) keylen
+        in
+        let opaque = be32 space (addr + 12) in
+        let rid =
+          if opaque <> 0 then Some (Printf.sprintf "bin-%d" opaque) else None
+        in
+        match opcode with
+        | 0x00 -> Get key
+        | 0x04 -> Delete { key; rid }
+        | 0x01 ->
+            if extlen <> 8 then Bad "set needs 8 extras bytes"
+            else
+              let flags = be32 space (addr + B.header_size) in
+              Set
+                {
+                  mode = `Set;
+                  key;
+                  flags;
+                  declared_len = bodylen - keylen - extlen;
+                  data_off = addr + B.header_size + extlen + keylen;
+                  data_len = max 0 (len - (B.header_size + extlen + keylen));
+                  rid;
+                }
+        | _ -> Bad "unsupported opcode"
+    end
+
+  (* The command a scanned request stands for. *)
+  let of_req (r : Proto.req) =
+    let key = Proto.key_string r in
+    let rid = if r.rid_len = 0 then None else Some (Proto.rid_string r) in
+    match r.kind with
+    | Get -> Get key
+    | Multi_get ->
+        Multi_get (split_words (String.sub r.src r.key (r.stop - r.key)))
+    | (Set | Add | Replace) as k ->
+        Set
+          {
+            mode = (match k with Add -> `Add | Replace -> `Replace | _ -> `Set);
+            key;
+            flags = r.flags;
+            declared_len = r.declared_len;
+            data_off = r.data_off;
+            data_len = r.data_len;
+            rid;
+          }
+    | Delete -> Delete { key; rid }
+    | (Incr | Decr) as k ->
+        Arith { key; delta = r.delta; negate = k = Decr; rid }
+    | Stats -> Stats
+    | Stats_telemetry -> Stats_telemetry
+    | Quit -> Quit
+    | Bad -> Bad r.reason
 
   let keyed_verbs = [ "get"; "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
   let mutation_verbs = [ "set"; "add"; "replace"; "delete"; "incr"; "decr" ]
 
-  (* (verb, key, rid, trace) *)
-  let parse_request msg =
-    let line, has_cr =
+  (* The router's grammar as [Fleet.parse_request] read it before the
+     router ran the servers' scanner: (verb, key, rid, trace) of the line
+     up to its first CR, else its first LF, else the message's end,
+     words scanned by the server's rule. The rid is the server's, and
+     only a mutation verb's; only a CR-terminated line carries a
+     trace. *)
+  let route_request msg =
+    let len = String.length msg in
+    let stop =
       match String.index_opt msg '\r' with
-      | Some i -> (String.sub msg 0 i, true)
+      | Some i -> i
       | None -> (
-          match String.index_opt msg '\n' with
-          | Some i -> (String.sub msg 0 i, false)
-          | None -> (msg, false))
+          match String.index_opt msg '\n' with Some i -> i | None -> len)
     in
-    let ws = split_words line in
-    let verb = match ws with v :: _ -> v | [] -> "" in
+    let v0 = Proto.word_start msg 0 stop in
+    let v1 = Proto.word_stop msg v0 stop in
+    let verb = String.sub msg v0 (v1 - v0) in
+    let k0 = Proto.word_start msg v1 stop in
     ( verb,
-      (match ws with
-      | v :: k :: _ when List.mem v keyed_verbs -> Some k
-      | _ -> None),
-      (if List.mem verb mutation_verbs then
-         snd (strip_rid (fst (strip_trace ws)))
+      (if k0 < stop && List.mem verb keyed_verbs then
+         Some (String.sub msg k0 (Proto.word_stop msg k0 stop - k0))
        else None),
-      if has_cr then trace_of_words ws else 0L )
+      (if List.mem verb mutation_verbs then
+         snd (strip_rid (fst (strip_trace (split_words (String.sub msg 0 stop)))))
+       else None),
+      trace_of_string msg )
 
   let value_header ~key ~flags ~len =
     Printf.sprintf "VALUE %s %d %d\r\n" key flags len
@@ -158,7 +281,7 @@ module Ref = struct
 
   let trace_suffix = function
     | None -> ""
-    | Some tr -> if tr = 0L then "" else Printf.sprintf " trace=%016Lx" tr
+    | Some tr -> if tr = 0 then "" else Printf.sprintf " trace=%016x" tr
 
   let fmt_get ?trace key = Printf.sprintf "get %s%s\r\n" key (trace_suffix trace)
 
@@ -198,6 +321,17 @@ module Ref = struct
       path
 end
 
+(* A request parsed into a fresh record, as the reference's command. *)
+let text_cmd space ~addr ~len =
+  let r = Proto.create () in
+  Proto.parse r space ~addr ~len;
+  Ref.of_req r
+
+let binary_cmd space ~addr ~len =
+  let r = Proto.create () in
+  Kvcache.Binproto.parse r space ~addr ~len;
+  Ref.of_req r
+
 (* {1 Slab} *)
 
 let test_slab_classes () =
@@ -212,16 +346,16 @@ let test_slab_classes () =
 let test_slab_alloc_distinct () =
   let space = mk_space () in
   let slab = mk_slab space in
-  let chunks = List.init 100 (fun _ -> Option.get (Slab.alloc slab 500)) in
+  let chunks = List.init 100 (fun _ -> Slab.alloc slab 500) in
   check int "100 distinct chunks" 100 (List.length (List.sort_uniq compare chunks));
   check int "in use" 100 (Slab.chunks_in_use slab)
 
 let test_slab_free_reuses () =
   let space = mk_space () in
   let slab = mk_slab space in
-  let a = Option.get (Slab.alloc slab 500) in
+  let a = Slab.alloc slab 500 in
   Slab.free slab ~addr:a ~size:500;
-  let b = Option.get (Slab.alloc slab 500) in
+  let b = Slab.alloc slab 500 in
   check int "LIFO reuse" a b;
   check int "pages stay flat" 1 (Slab.pages_allocated slab)
 
@@ -336,27 +470,49 @@ let test_proto_parse () =
       let buf = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
       let feed s =
         Space.store_string space buf s;
-        Proto.parse space ~addr:buf ~len:(String.length s)
+        text_cmd space ~addr:buf ~len:(String.length s)
       in
       (match feed "get somekey\r\n" with
-      | Proto.Get k -> check string "get key" "somekey" k
+      | Ref.Get k -> check string "get key" "somekey" k
       | _ -> Alcotest.fail "expected Get");
       (match feed "set k 3 0 5\r\nhello\r\n" with
-      | Proto.Set { key; flags; declared_len; data_len; _ } ->
+      | Ref.Set { key; flags; declared_len; data_len; _ } ->
           check string "set key" "k" key;
           check int "flags" 3 flags;
           check int "declared" 5 declared_len;
           check int "present" 5 data_len
       | _ -> Alcotest.fail "expected Set");
       (match feed "set k 0 0 -1\r\nxy\r\n" with
-      | Proto.Set { declared_len; _ } -> check int "negative len kept" (-1) declared_len
+      | Ref.Set { declared_len; _ } -> check int "negative len kept" (-1) declared_len
       | _ -> Alcotest.fail "expected Set");
       (match feed "delete k\r\n" with
-      | Proto.Delete { key = k; _ } -> check string "delete key" "k" k
+      | Ref.Delete { key = k; _ } -> check string "delete key" "k" k
       | _ -> Alcotest.fail "expected Delete");
       (match feed "munge k\r\n" with
-      | Proto.Bad _ -> ()
-      | _ -> Alcotest.fail "expected Bad"))
+      | Ref.Bad _ -> ()
+      | _ -> Alcotest.fail "expected Bad");
+      (* Numbers are decimal as memcached reads them: these spellings
+         were read by [int_of_string] once, and each is refused now. *)
+      List.iter
+        (fun line ->
+          match feed line with
+          | Ref.Bad _ -> ()
+          | _ -> Alcotest.failf "expected Bad for %S" line)
+        [
+          "set k 0x1 0 5\r\nhello\r\n";
+          "set k 1_0 abc 0b101\r\nhello\r\n";
+          "set k 1 abc 5\r\nhello\r\n";
+          "set k -1 0 5\r\nhello\r\n";
+          "incr k 0x10\r\n";
+          "incr k 0o17\r\n";
+          "incr k -1\r\n";
+          "set k 0 0 99999999999999999999\r\nhello\r\n";
+        ];
+      (match feed "set k +3 -1 +5\r\nhello\r\n" with
+      | Ref.Set { flags; declared_len; _ } ->
+          check int "signed flags" 3 flags;
+          check int "signed length" 5 declared_len
+      | _ -> Alcotest.fail "expected Set"))
 
 let test_proto_reply_roundtrip () =
   check bool "stored" true (Proto.parse_reply Proto.stored = Proto.Stored);
@@ -427,7 +583,11 @@ let test_proto_value_reply_bytes () =
           check string
             (Printf.sprintf "value_reply %s %d" key flags)
             (Ref.value_header ~key ~flags ~len ^ value ^ "\r\n" ^ Proto.end_)
-            (written (fun b -> Proto.value_reply space b ~key ~flags ~addr ~len));
+            (written (fun b ->
+                 let r = Proto.create () in
+                 let line = "get " ^ key ^ "\r\n" in
+                 Proto.scan_wire r line (String.length line);
+                 Proto.value_reply space b r ~flags ~addr ~len));
           check string
             (Printf.sprintf "res_value %d" flags)
             (Ref.res_value ~flags ~value)
@@ -603,23 +763,23 @@ let test_binproto_roundtrip () =
       let buf = Space.mmap space ~len:8192 ~prot:Prot.rw ~pkey:0 in
       let feed s =
         Space.store_string space buf s;
-        Bin.parse space ~addr:buf ~len:(String.length s)
+        binary_cmd space ~addr:buf ~len:(String.length s)
       in
       (match feed (Bin.req_get "mykey") with
-      | Proto.Get k -> check string "get key" "mykey" k
+      | Ref.Get k -> check string "get key" "mykey" k
       | _ -> Alcotest.fail "expected Get");
       (match feed (Bin.req_set ~key:"k" ~flags:0xdead ~value:"hello") with
-      | Proto.Set { key; flags; declared_len; data_len; _ } ->
+      | Ref.Set { key; flags; declared_len; data_len; _ } ->
           check string "set key" "k" key;
           check int "flags" 0xdead flags;
           check int "declared equals actual" 5 declared_len;
           check int "present" 5 data_len
       | _ -> Alcotest.fail "expected Set");
       (match feed (Bin.req_delete "gone") with
-      | Proto.Delete { key = k; _ } -> check string "delete key" "gone" k
+      | Ref.Delete { key = k; _ } -> check string "delete key" "gone" k
       | _ -> Alcotest.fail "expected Delete");
       (match feed "garbage" with
-      | Proto.Bad _ -> ()
+      | Ref.Bad _ -> ()
       | _ -> Alcotest.fail "expected Bad"))
 
 let test_binproto_sign_extension () =
@@ -630,8 +790,8 @@ let test_binproto_sign_extension () =
          vlen = -1 - keylen - extlen. *)
       let s = Bin.req_set_lying ~key:"k" ~flags:0 ~body_len:0xFFFFFFFF ~value:"xy" in
       Space.store_string space buf s;
-      match Bin.parse space ~addr:buf ~len:(String.length s) with
-      | Proto.Set { declared_len; _ } ->
+      match binary_cmd space ~addr:buf ~len:(String.length s) with
+      | Ref.Set { declared_len; _ } ->
           check int "negative derived length" (-10) declared_len
       | _ -> Alcotest.fail "expected Set")
 
@@ -659,17 +819,17 @@ let test_proto_trace_token () =
       Space.store_string space buf req;
       let len = String.length req in
       check bool "token decoded from memory" true
-        (Proto.parse_trace space ~addr:buf ~len = id);
-      (match Proto.parse space ~addr:buf ~len with
-      | Proto.Get k -> check string "token stripped before dispatch" "k" k
+        (Proto.parse_trace (Proto.create ()) space ~addr:buf ~len = id);
+      (match text_cmd space ~addr:buf ~len with
+      | Ref.Get k -> check string "token stripped before dispatch" "k" k
       | _ -> Alcotest.fail "expected Get");
       check bool "string-side decoder agrees" true
         (Proto.trace_of_string req (String.length req) = id);
       let plain = Proto.fmt_get "k" in
       check bool "absent token reads zero" true
-        (Proto.trace_of_string plain (String.length plain) = 0L);
+        (Proto.trace_of_string plain (String.length plain) = 0);
       check bool "zero id appends nothing" true
-        (Proto.fmt_get ~trace:0L "k" = plain);
+        (Proto.fmt_get ~trace:0 "k" = plain);
       (* The attack vector carries context too, so the fault it triggers
          links back to the request in forensics output. *)
       let lying =
@@ -690,13 +850,13 @@ let test_binproto_trace_cas_field () =
         (String.length traced);
       check bool "cas field round-trips" true (Bin.trace_of_string traced (String.length traced) = id);
       check bool "untraced frame reads zero" true
-        (Bin.trace_of_string req (String.length req) = 0L);
+        (Bin.trace_of_string req (String.length req) = 0);
       check bool "zero id leaves the frame untouched" true
-        (Bin.with_trace req 0L = req);
+        (Bin.with_trace req 0 = req);
       (* Patching the CAS field must not disturb the command itself. *)
       Space.store_string space buf traced;
-      (match Bin.parse space ~addr:buf ~len:(String.length traced) with
-      | Proto.Get k -> check string "still parses" "k" k
+      (match binary_cmd space ~addr:buf ~len:(String.length traced) with
+      | Ref.Get k -> check string "still parses" "k" k
       | _ -> Alcotest.fail "expected Get");
       check bool "memory-side decoder agrees" true
         (Bin.parse_trace space ~addr:buf ~len:(String.length traced) = id))
@@ -1195,15 +1355,58 @@ let edge_message rng =
     if int 3 = 0 then line
     else String.sub line 0 (String.length line - 1)
   in
-  if int 20 = 0 then line
-  else
-    line ^ "\r\n"
-    ^ pick [| ""; "hello\r\n"; "he"; String.make (int 30) 'd' ^ "\r\n" |]
+  match int 20 with
+  | 0 -> line
+  | 1 -> line ^ "\n" ^ pick [| ""; "hello\r\n"; "x\n" |]
+  | _ ->
+      line ^ "\r\n"
+      ^ pick [| ""; "hello\r\n"; "he"; String.make (int 30) 'd' ^ "\r\n" |]
 
-(* Parse every message with one implementation in a fresh simulated
-   thread: each result with the clock after it. The same charges in the
-   same order give bit-identical clocks. *)
-let run_lines msgs ~parse ~parse_trace =
+(* A binary request frame biased to the parser's edges: each opcode and
+   an unsupported one, keys of 0, 250 and 251 bytes, extras of the
+   wrong length, a lying body length, opaques and CAS-field trace ids
+   (0, 62-bit, and with the top bits set), and strict prefixes. *)
+let binary_message rng =
+  let module B = Kvcache.Binproto in
+  let int n = Random.State.int rng n in
+  let pick a = a.(int (Array.length a)) in
+  let key =
+    pick [| "k"; "user00000042"; String.make 250 'k'; String.make 251 'k'; "" |]
+  in
+  let value = String.make (int 40) 'v' in
+  let frame =
+    match int 5 with
+    | 0 -> B.req_get key
+    | 1 -> B.req_set ~key ~flags:(int 70_000) ~value
+    | 2 -> B.req_delete ~opaque:(pick [| 0; 1; 77; 0xFFFFFFFF |]) key
+    | 3 -> B.req_set_opaque ~opaque:(1 + int 1000) ~key ~flags:3 ~value
+    | _ ->
+        B.req_set_lying ~key ~flags:0
+          ~body_len:(pick [| 0xFFFFFFFF; 0x80000000; 3 |])
+          ~value
+  in
+  let frame =
+    B.with_trace frame
+      (pick [| 0; 1; Telemetry.Context.trace (Telemetry.Context.root "b") |])
+  in
+  let b = Bytes.of_string frame in
+  (match int 8 with
+  | 0 when Bytes.length b > 24 -> Bytes.set b 1 '\x07'
+  | 1 when Bytes.length b > 24 -> Bytes.set b 4 (Char.chr (int 12))
+  | 2 when Bytes.length b > 24 ->
+      (* CAS bytes with the top bits set: more than an id's 62. *)
+      Bytes.set b 16 '\xff';
+      Bytes.set b 17 '\x80'
+  | _ -> ());
+  let frame = Bytes.to_string b in
+  if int 6 = 0 then String.sub frame 0 (int (String.length frame + 1))
+  else frame
+
+(* Parse every message as a server does — [is_binary], then the trace,
+   then the request — with one implementation in a fresh simulated
+   thread: each result with the clock after each charged read. The same
+   charges in the same order give bit-identical clocks. *)
+let run_lines msgs ~parse_trace ~parse =
   let out = ref [] in
   Sched.main (fun _ ->
       let space = mk_space () in
@@ -1212,45 +1415,104 @@ let run_lines msgs ~parse ~parse_trace =
         (fun msg ->
           Space.store_string space buf msg;
           let len = String.length msg in
-          let tr = parse_trace space ~addr:buf ~len in
-          let cmd = parse space ~addr:buf ~len in
-          out := (msg, tr, cmd, Sched.now ()) :: !out)
+          let binary = Kvcache.Binproto.is_binary space ~addr:buf ~len in
+          let tr = parse_trace ~binary space ~addr:buf ~len in
+          let t0 = Sched.now () in
+          let cmd = parse ~binary space ~addr:buf ~len in
+          out := (msg, tr, t0, cmd, Sched.now ()) :: !out)
         msgs);
   List.rev !out
+
+(* The binary CAS field as the [Int64] decoder read it, less the top
+   bit an int drops. *)
+let ref_binary_trace space ~addr ~len =
+  if len < 24 || Space.load8 space addr <> 0x80 then 0
+  else
+    let byte i = Int64.of_int (Space.load8 space (addr + i)) in
+    let v = ref 0L in
+    for i = 16 to 23 do
+      v := Int64.logor (Int64.shift_left !v 8) (byte i)
+    done;
+    Int64.to_int !v
 
 (* What a reused buffer may hold after a shorter message: a CR, an LF,
    a trace token and an id token that a scan past the message would
    take for its own. *)
 let stale_tail = " id=stale trace=0123456789abcdef\r\nget k\r\n"
 
+(* The router's decisions for a request line, from the scanned record:
+   whether it quits, the key it routes by, the rid of an oplog entry and
+   the trace of its flight event. *)
+let router_view (r : Proto.req) =
+  let keyed =
+    match r.verb with
+    | Get | Set | Add | Replace | Delete | Incr | Decr -> r.key_len > 0
+    | _ -> false
+  in
+  ( r.verb = Quit,
+    (if keyed then Some (Proto.key_string r) else None),
+    (if r.rid_len > 0 then Some (Proto.rid_string r) else None),
+    r.trace )
+
 let test_scanner_differential () =
+  let ring = Cluster.Hash_ring.create () in
+  List.iter (Cluster.Hash_ring.add ring) [ 0; 1; 2; 3 ];
+  let shard = function
+    | Some k -> Cluster.Hash_ring.route ring k
+    | None -> List.hd (Cluster.Hash_ring.members ring)
+  in
   List.iter
     (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let msgs = List.init 2_000 (fun _ -> edge_message rng) in
-      let old = run_lines msgs ~parse:Ref.parse ~parse_trace:Ref.parse_trace in
-      let now = run_lines msgs ~parse:Proto.parse ~parse_trace:Proto.parse_trace in
+      let msgs =
+        List.init 2_000 (fun i ->
+            if i mod 5 = 0 then binary_message rng else edge_message rng)
+      in
+      let old =
+        run_lines msgs
+          ~parse_trace:(fun ~binary ->
+            if binary then ref_binary_trace else Ref.parse_trace)
+          ~parse:(fun ~binary -> if binary then Ref.parse_binary else Ref.parse)
+      in
+      (* One record for every message, as a server worker keeps it. *)
+      let r = Proto.create () in
+      let now =
+        run_lines msgs
+          ~parse_trace:(fun ~binary space ~addr ~len ->
+            if binary then Kvcache.Binproto.parse_trace space ~addr ~len
+            else Proto.parse_trace r space ~addr ~len)
+          ~parse:(fun ~binary space ~addr ~len ->
+            if binary then Kvcache.Binproto.parse r space ~addr ~len
+            else Proto.parse r space ~addr ~len;
+            Ref.of_req r)
+      in
       List.iter2
-        (fun (msg, tr0, cmd0, t0) (_, tr1, cmd1, t1) ->
+        (fun (msg, tr0, c0, cmd0, t0) (_, tr1, c1, cmd1, t1) ->
           let what = Printf.sprintf "seed %d, %S" seed msg in
           check bool (what ^ ": parse") true (cmd0 = cmd1);
-          check bool (what ^ ": parse_trace") true (Int64.equal tr0 tr1);
-          check bool (what ^ ": clock") true (Float.equal t0 t1);
+          check int (what ^ ": parse_trace") tr0 tr1;
+          check bool (what ^ ": clock after the trace read") true
+            (Float.equal c0 c1);
+          check bool (what ^ ": clock after the parse") true
+            (Float.equal t0 t1);
           (* The wire scanners read only the message's [len] bytes:
              bytes after them, as a reused buffer holds, change
              nothing. *)
-          List.iter
-            (fun wire ->
-              let len = String.length msg in
-              check bool (what ^ ": trace_of_string") true
-                (Int64.equal (Ref.trace_of_string msg)
-                   (Proto.trace_of_string wire len));
-              let verb, key, rid, trace = Ref.parse_request msg in
-              let r = Cluster.Fleet.parse_request wire len in
-              check bool (what ^ ": router") true
-                (verb = r.verb && key = r.key && rid = r.rid
-                && Int64.equal trace r.trace))
-            [ msg; msg ^ stale_tail ])
+          if String.length msg = 0 || msg.[0] <> '\x80' then
+            List.iter
+              (fun wire ->
+                let len = String.length msg in
+                check int (what ^ ": trace_of_string") (Ref.trace_of_string msg)
+                  (Proto.trace_of_string wire len);
+                let verb, key, rid, trace = Ref.route_request msg in
+                Proto.scan_wire r wire len;
+                let quits, key', rid', trace' = router_view r in
+                check bool (what ^ ": router") true
+                  ((quits, key', rid', trace') = (verb = "quit", key, rid, trace));
+                check int (what ^ ": shard") (shard key)
+                  (if key' = None then shard None
+                   else Cluster.Hash_ring.route_sub ring r.src r.key r.key_len))
+              [ msg; msg ^ stale_tail ])
         old now)
     [ 1; 2; 3; 4; 5 ]
 
@@ -1268,8 +1530,9 @@ let test_formatters_differential () =
     let rid = pick [| None; Some "r1"; Some ""; Some "id=x" |] in
     let trace =
       pick
-        [| None; Some 0L; Some 1L; Some (-1L); Some Int64.min_int;
-           Some (Random.State.int64 rng Int64.max_int) |]
+        [| None; Some 0; Some 1; Some max_int;
+           Some (Telemetry.Context.trace (Telemetry.Context.root "f"));
+           Some (Random.State.bits rng lor (Random.State.bits rng lsl 30)) |]
     in
     let d = pick [| 0; 5; -3; max_int; min_int |] in
     let same name a b = check string name a b in
@@ -1351,8 +1614,8 @@ let test_values_reply_bytes () =
    the domain switch, the value read and the reply. [client c ~req
    ~expect] makes the round trip on connection [c], for the request
    string [req] and the reply [expect]. *)
-let get_round_trip_words client =
-  let w = Scenario.world ~size_mib:32 ~monitor:Api.create () in
+let get_round_trip_words ?supervisor client =
+  let w = Scenario.world ~size_mib:32 ~monitor:Api.create ?supervisor () in
   let cfg = { Server.default_config with variant = Server.Sdrad; workers = 1 } in
   let { Scenario.result = words; _ } =
     Scenario.kvcache w cfg
@@ -1373,13 +1636,14 @@ let get_round_trip_words client =
   words
 
 (* The client sends a prebuilt request string and receives the reply as
-   a string, which copies it out of its pooled frame. 197.0 words
-   measured; 272.0 while the server wrote each reply into a fresh
-   string, 359.0 while each suspension built closures and each message a
-   queue cell, 550.0 while the monitor's gates and TLSF allocated, and
-   737.0 before that, when each hop copied the value through a string
-   and parsed the line into word lists. *)
-let get_round_trip_budget = 216.0
+   a string, which copies it out of its pooled frame. 146.0 words
+   measured; 197.0 while the server's handler built its closures and
+   read its request lines as strings, 272.0 while the server wrote each
+   reply into a fresh string, 359.0 while each suspension built closures
+   and each message a queue cell, 550.0 while the monitor's gates and
+   TLSF allocated, and 737.0 before that, when each hop copied the value
+   through a string and parsed the line into word lists. *)
+let get_round_trip_budget = 160.0
 
 let test_get_round_trip_alloc () =
   let words =
@@ -1397,9 +1661,10 @@ let test_get_round_trip_alloc () =
 
 (* The same GET from a client that keeps its request in a buffer and
    receives the reply into another, as the YCSB clients do: what is
-   left is the server's own, and the two wakes' continuations and boxed
-   times. 66.0 words measured. *)
-let get_round_trip_buffer_budget = 72.0
+   left is the two wakes' continuations and boxed times, and the
+   server's own 3 words. 15.0 words measured; 66.0 while the handler
+   built its closures and read its request lines as strings. *)
+let get_round_trip_buffer_budget = 16.0
 
 let test_get_round_trip_buffer_alloc () =
   let words =
@@ -1417,14 +1682,78 @@ let test_get_round_trip_buffer_alloc () =
     true
     (words <= get_round_trip_buffer_budget)
 
+(* The buffered GET with the event domain supervised, as the fleet's
+   shards run it: the request's whole trip through the kvcache worker,
+   [Serve.run], [Supervisor.run] and [Api.run] allocates nothing but the
+   wakes' boxed times and continuations — [handle_sdrad] itself allocates
+   about 3 words, a wake's boxed time. 15.0 words measured, as without
+   the supervisor; 72.0 while the handler built its closures and read
+   its lines as strings and the supervisor wrapped each body in a
+   closure. *)
+let supervised_get_budget = 16.0
+
+let test_supervised_get_alloc () =
+  let words =
+    get_round_trip_words
+      ~supervisor:(fun sd -> Resilience.Supervisor.attach sd)
+      (fun c ~req ~expect ->
+        let out = Netsim.Buf.create () and into = Netsim.Buf.create () in
+        Netsim.Buf.add_string out req;
+        fun () ->
+          Netsim.send_buf c out;
+          if not (Netsim.recv_buf c into && Netsim.Buf.equal_string into expect)
+          then Alcotest.fail "bad GET reply")
+  in
+  check bool
+    (Printf.sprintf "%.1f minor words per supervised GET, budget %.0f" words
+       supervised_get_budget)
+    true
+    (words <= supervised_get_budget)
+
+(* A SET carrying a rid, each with a fresh one, supervised, from
+   prebuilt buffers: what is left is the at-most-once bracket's own —
+   the rid copied out of the line and the journal's entry for it — and
+   the wakes. 24.0 words measured; 165.2 while the bracket, the deferred
+   write and the slab allocator built closures, tuples and options. *)
+let set_rid_budget = 26.0
+
+let test_set_rid_alloc () =
+  let words =
+    get_round_trip_words
+      ~supervisor:(fun sd -> Resilience.Supervisor.attach sd)
+      (fun c ~req:_ ~expect:_ ->
+        let value = String.make 32 's' in
+        let reqs =
+          Array.init 2_200 (fun i ->
+              let b = Netsim.Buf.create () in
+              Netsim.Buf.add_string b
+                (Proto.fmt_set_rid ~rid:(Printf.sprintf "r%d" i)
+                   ~key:"user00000002" ~flags:0 ~value);
+              b)
+        in
+        let into = Netsim.Buf.create () and i = ref 0 in
+        fun () ->
+          Netsim.send_buf c reqs.(!i);
+          incr i;
+          if not (Netsim.recv_buf c into && Netsim.Buf.equal_string into Proto.stored)
+          then Alcotest.fail "bad SET reply")
+  in
+  check bool
+    (Printf.sprintf "%.1f minor words per SET with a rid, budget %.0f" words
+       set_rid_budget)
+    true
+    (words <= set_rid_budget)
+
 (* A 16-client YCSB-B run of 8,000 ops on 500 records against a SDRaD
    kvcache: the words of the run less those of the same set-up with no
-   run phase, per op. 79.0 measured; 318.1 while every message was a
-   fresh string (requests, keys, values and replies) and store lookups
-   allocated, 401.1 while each suspension built closures and each
-   message a queue cell, 592.2 while the monitor's gates and TLSF
-   allocated, and 1,058.3 with the copying and [Printf] wire code. *)
-let ycsb_words_per_op_budget = 86.0
+   run phase, per op. 17.4 measured; 79.0 while the server's handler
+   built its closures, read its request lines as strings and the store
+   allocated per write, 318.1 while every message was a fresh string
+   (requests, keys, values and replies) and store lookups allocated,
+   401.1 while each suspension built closures and each message a queue
+   cell, 592.2 while the monitor's gates and TLSF allocated, and 1,058.3
+   with the copying and [Printf] wire code. *)
+let ycsb_words_per_op_budget = 19.0
 
 let ycsb_words ~ops =
   Alloc_probe.words_per_call ~warmup:0 ~n:1 (fun () ->
@@ -1493,6 +1822,10 @@ let () =
             test_ycsb_alloc;
           Alcotest.test_case "1 KiB GET round trip from buffers host allocation"
             `Quick test_get_round_trip_buffer_alloc;
+          Alcotest.test_case "supervised 1 KiB GET from buffers host allocation"
+            `Quick test_supervised_get_alloc;
+          Alcotest.test_case "SET with a rid host allocation" `Quick
+            test_set_rid_alloc;
         ] );
       ( "binproto",
         [

@@ -409,7 +409,7 @@ let check_shed_boundary ~limit ~n ~shed traces sd s_shed_count =
      eviction. *)
   if limit > 0 then
     check int "flight rings kept every event" 0 (Api.flight_dropped sd);
-  check (Alcotest.list Alcotest.int64) "one Shed event per shed request"
+  check (Alcotest.list Alcotest.int) "one Shed event per shed request"
     (List.filteri (fun i _ -> List.nth expect i) traces)
     (flight_traces sd Checkpoint.Flight.Shed)
 
@@ -523,7 +523,7 @@ let test_httpd_replay_under_retry_trace () =
             check int "one replay hit" 1 (HServer.replay_hits s);
             Netsim.close c)));
   all_completed w.sched;
-  check (Alcotest.list Alcotest.int64) "one Replay event, under the retry's trace"
+  check (Alcotest.list Alcotest.int) "one Replay event, under the retry's trace"
     [ Telemetry.Context.trace retry ]
     (flight_traces (Option.get w.sd) Checkpoint.Flight.Replay)
 

@@ -749,10 +749,10 @@ let test_request_gates_alloc_budget () =
         Api.deinit sd d1
       in
       let request () =
-        Api.set_trace sd 0x2fca9509bd23d4L;
+        Api.set_trace sd 0x2fca9509bd23d4;
         Api.flight_event sd ?udi Checkpoint.Flight.Admit;
         Api.run sd ~udi:d1 ~on_rewind body;
-        Api.set_trace sd 0L
+        Api.set_trace sd 0
       in
       let words = Alloc_probe.words_per_call ~n:200 request in
       check bool
