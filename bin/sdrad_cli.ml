@@ -487,20 +487,23 @@ let run_metrics_scenario ?(interrupts = 0) ~seed () =
                       ~metrics:(Api.metrics sd) ~name:"cli"
                   in
                   (match
-                     Retry.execute_ctx eng (fun ~ctx ~rid ~attempt:_ ~deadline ->
+                     Retry.execute eng (fun eng ->
                          (if (not (Netsim.is_open !conn))
                              || Netsim.peer_closed !conn
                           then conn := Netsim.connect net ~src:2 ~port:11211);
                          Netsim.send !conn
-                           (Kvcache.Proto.fmt_incr ~rid
-                              ~trace:(Telemetry.Context.trace ctx) "ctr" 1);
-                         match Netsim.recv_deadline !conn ~deadline with
-                         | Some r -> Ok r
+                           (Kvcache.Proto.fmt_incr ~rid:(Retry.rid eng)
+                              ~trace:(Retry.trace eng) "ctr" 1);
+                         match
+                           Netsim.recv_deadline !conn
+                             ~deadline:(Retry.deadline eng)
+                         with
+                         | Some _ -> Ok ()
                          | None ->
                              Netsim.close !conn;
                              Error (`Retry "timeout"))
                    with
-                  | Ok _ -> ()
+                  | Ok () -> ()
                   | Error _ -> failwith "metrics scenario: retry did not land");
                   Netsim.set_fault_hook net None;
                   Netsim.close !conn)
@@ -803,21 +806,24 @@ let run_incident_scenario ~seed () =
                       ~metrics:(Api.metrics sd) ~name:"cli"
                   in
                   (match
-                     Retry.execute_ctx eng (fun ~ctx ~rid ~attempt:_ ~deadline ->
+                     Retry.execute eng (fun eng ->
                          (if (not (Netsim.is_open !conn))
                              || Netsim.peer_closed !conn
                           then conn := Netsim.connect net ~src:3 ~port:11211);
                          Netsim.send !conn
-                           (Kvcache.Proto.fmt_storage "set" ~rid
-                              ~trace:(Telemetry.Context.trace ctx) ~key:"order:42"
+                           (Kvcache.Proto.fmt_storage "set" ~rid:(Retry.rid eng)
+                              ~trace:(Retry.trace eng) ~key:"order:42"
                               ~flags:0 ~value:"paid" ());
-                         match Netsim.recv_deadline !conn ~deadline with
-                         | Some r -> Ok r
+                         match
+                           Netsim.recv_deadline !conn
+                             ~deadline:(Retry.deadline eng)
+                         with
+                         | Some _ -> Ok ()
                          | None ->
                              Netsim.close !conn;
                              Error (`Retry "timeout"))
                    with
-                  | Ok _ -> ()
+                  | Ok () -> ()
                   | Error _ -> failwith "incident scenario: op did not land");
                   Netsim.set_fault_hook net None;
                   Netsim.close !conn)

@@ -17,6 +17,9 @@ type rule = {
   r_name : string;
   r_patterns : string list;
   r_exempt_dirs : string list;  (* directory components where allowed *)
+  r_words : bool;
+      (* a pattern matches a whole name only: no word character before
+         it, no identifier character after it *)
   r_help : string;
 }
 
@@ -26,12 +29,14 @@ let rules =
       r_name = "obj-magic";
       r_patterns = [ "Obj" ^ ".magic" ];
       r_exempt_dirs = [];
+      r_words = false;
       r_help = "unsafe casts undermine every invariant the simulation checks";
     };
     {
       r_name = "wall-clock";
       r_patterns = [ "Unix" ^ "."; "Sys" ^ ".time" ];
       r_exempt_dirs = [];
+      r_words = false;
       r_help =
         "wall-clock time breaks determinism; use Simkern.Sched virtual time";
     };
@@ -39,9 +44,26 @@ let rules =
       r_name = "raw-bytes";
       r_patterns = [ "unsafe_load" ^ "_bytes"; "unsafe_store" ^ "_bytes" ];
       r_exempt_dirs = [ "vmem"; "checkpoint" ];
+      r_words = false;
       r_help =
         "simulated memory must go through checked Vmem.Space accesses \
          (kernel-mode access is for vmem/checkpoint only)";
+    };
+    {
+      (* ERIM's rule: WRPKRU, and the key and mapping calls a policy is
+         made of, appear only in the call gates. *)
+      r_name = "pkey-gate";
+      r_patterns =
+        [
+          "Space" ^ ".wrpkru"; "pkey" ^ "_alloc"; "pkey" ^ "_free";
+          "pkey" ^ "_mprotect";
+        ];
+      r_exempt_dirs = [ "core"; "vmem" ];
+      r_words = true;
+      r_help =
+        "protection keys are installed, allocated, freed and attached to \
+         pages only by the monitor's gates (lib/core) and the MPK model \
+         (lib/vmem)";
     };
   ]
 
@@ -137,9 +159,31 @@ let strip_gen ~strings src =
 
 let strip = strip_gen ~strings:true
 
+let is_word_char c =
+  (c >= 'a' && c <= 'z')
+  || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9')
+  || c = '_' || c = '\''
+
+(* A word or a dotted path ([Foo.bar]). *)
+let is_ident_char c = is_word_char c || c = '.'
+
 let contains ~sub s =
   let ls = String.length s and lb = String.length sub in
   let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
+  lb > 0 && go 0
+
+(* [sub] as a whole name: [Space.wrpkru] in [Vmem.Space.wrpkru t p] but
+   not in [Space.wrpkru_writes] or [MySpace.wrpkru]. *)
+let contains_name ~sub s =
+  let ls = String.length s and lb = String.length sub in
+  let rec go i =
+    i + lb <= ls
+    && ((String.sub s i lb = sub
+        && (i = 0 || not (is_word_char s.[i - 1]))
+        && (i + lb = ls || not (is_word_char s.[i + lb])))
+       || go (i + 1))
+  in
   lb > 0 && go 0
 
 (* Does [file]'s path contain [dir] as a component? *)
@@ -158,7 +202,10 @@ let scan_source ~file src =
       if not (List.exists (in_dir file) r.r_exempt_dirs) then
         List.iteri
           (fun idx line ->
-            if List.exists (fun p -> contains ~sub:p line) r.r_patterns then
+            let matches p =
+              if r.r_words then contains_name ~sub:p line else contains ~sub:p line
+            in
+            if List.exists matches r.r_patterns then
               out :=
                 {
                   v_file = file;
@@ -197,15 +244,6 @@ let metric_ctors =
     ("counter_fn", `Counter); ("counter", `Counter); ("gauge_fn", `Gauge);
     ("gauge", `Gauge); ("histogram", `Histogram);
   ]
-
-let is_word_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_' || c = '\''
-
-(* A word or a dotted path ([Foo.bar]). *)
-let is_ident_char c = is_word_char c || c = '.'
 
 let ends_with ~suffix s =
   let ls = String.length s and lx = String.length suffix in

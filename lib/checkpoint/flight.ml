@@ -227,10 +227,42 @@ let events t ~udi =
           let slot = (first + i) mod t.cap in
           load_event t (addr + ring_hdr + (slot * event_size)))
 
-let snapshot t ~udi ~n =
-  let evs = events t ~udi in
-  let len = List.length evs in
-  if len <= n then evs else List.filteri (fun i _ -> i >= len - n) evs
+let event_words = 6
+
+(* The rewind's copy of a ring, into the monitor's int buffer: every
+   retained event is read, oldest first, with the loads [events] makes —
+   the header's head and total, then each event's six words in the order
+   [load] evaluates its record's fields, last declared first — and the
+   last [n] are kept, in the words [store] would write for them. *)
+let excerpt_into t ~udi ~n words pos =
+  match Hashtbl.find t.rings udi with
+  | exception Not_found -> pos
+  | addr ->
+      let head = r t (addr + 24) in
+      let total = r t (addr + 32) in
+      let m = min total t.cap in
+      let first = (head - m + t.cap) mod t.cap in
+      let pos = ref pos in
+      for i = 0 to m - 1 do
+        let a = addr + ring_hdr + (((first + i) mod t.cap) * event_size) in
+        let arg = r t (a + 32) in
+        let trace = r t (a + 24) in
+        let udi = r t (a + 40) in
+        let kind = r t (a + 8) in
+        let tid = r t (a + 16) in
+        let at = r t a in
+        if i >= m - n then begin
+          let p = !pos in
+          words.(p) <- int_of_float (float_of_int at);
+          words.(p + 1) <- kind_code (code_kind kind);
+          words.(p + 2) <- tid;
+          words.(p + 3) <- trace;
+          words.(p + 4) <- arg;
+          words.(p + 5) <- udi;
+          pos := p + event_words
+        end
+      done;
+      !pos
 
 let domains t =
   List.filter (Hashtbl.mem t.rings) (List.of_seq (Queue.to_seq t.order))

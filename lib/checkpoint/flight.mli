@@ -11,9 +11,10 @@
     every lost event — wrap, eviction, or allocation failure under
     memory pressure — is counted in {!dropped}, never silent.
 
-    At rewind intent time {!snapshot} extracts the last few events of
-    each victim domain for embedding into the durable {!Rewind_log}
-    audit record ({!store}/{!load} are the serialization halves). *)
+    At rewind intent time {!excerpt_into} copies the last few events of
+    each victim domain into the monitor's buffer for embedding into the
+    durable {!Rewind_log} audit record ({!store}/{!load} are the
+    serialization halves). *)
 
 type kind =
   | Admit  (** supervisor admitted a request into the domain *)
@@ -67,8 +68,16 @@ val events : t -> udi:int -> event list
 (** Retained events for one domain, oldest first; [[]] for domains that
     never recorded. *)
 
-val snapshot : t -> udi:int -> n:int -> event list
-(** The last [n] retained events, oldest first. *)
+val event_words : int
+(** Words per event in {!excerpt_into}'s buffer: 6. *)
+
+val excerpt_into : t -> udi:int -> n:int -> int array -> int -> int
+(** [excerpt_into t ~udi ~n words pos] copies the last [n] retained
+    events of [udi]'s ring, oldest first, into [words] from [pos] — per
+    event the six words {!store} writes, in its order — and returns the
+    position after them. [words] must have room for [n * event_words].
+    It reads every retained event, as {!events} does, with the same
+    checked loads in the same order, and allocates nothing. *)
 
 val domains : t -> int list
 (** Udis that currently hold a ring, in ring-creation order. *)

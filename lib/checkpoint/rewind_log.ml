@@ -90,7 +90,12 @@ type t = {
   heap : Tlsf.t;
   cap : int;
   header : int;
-  ring : int Queue.t;  (* committed incident head blocks, oldest first *)
+  ring : int array;
+      (* committed incident head blocks, oldest first: [ring_len] of
+         them from [ring_first], circularly; room for one past [cap],
+         which [commit] adds before it evicts *)
+  mutable ring_first : int;
+  mutable ring_len : int;
   mutable head : int;  (* in-flight incident head block, 0 = none *)
   mutable tail : int;  (* active (last) block of the in-flight chain *)
   (* Mirrors of the durable header words, for telemetry closures that are
@@ -112,7 +117,9 @@ let create space ~heap ~cap =
       heap;
       cap;
       header;
-      ring = Queue.create ();
+      ring = Array.make (cap + 1) 0;
+      ring_first = 0;
+      ring_len = 0;
       head = 0;
       tail = 0;
       m_appended = 0;
@@ -130,7 +137,8 @@ let create space ~heap ~cap =
 let pending t = t.head <> 0
 let appended t = t.m_appended
 let dropped t = t.m_dropped
-let retained t = Queue.length t.ring
+let retained t = t.ring_len
+let ring_at t i = t.ring.((t.ring_first + i) mod Array.length t.ring)
 let bytes t = t.m_bytes
 
 let align8 n = (n + 7) land lnot 7
@@ -139,17 +147,80 @@ let trunc s = if String.length s > str_cap then String.sub s 0 str_cap else s
 
 let kind_code = function `Segv -> 0 | `Stack_smash -> 1 | `Explicit -> 2
 let code_kind = function 0 -> `Segv | 1 -> `Stack_smash | _ -> `Explicit
+
+(* {1 The draft of an intent}
+
+   What an intent record says about its victims — the flight excerpt and
+   the subtree's extents — is staged in the monitor's host memory before
+   the block is allocated, as the words the block will hold, in its
+   order: per event the six words of [Flight.store], per domain udi,
+   prior state, stack base, stack length, region count and then (base,
+   length) per region. One draft is reused for every rewind, so staging
+   allocates nothing once its arrays have grown. *)
+
+type draft = {
+  mutable ev : int array;
+  mutable ev_words : int;
+  mutable dom : int array;
+  mutable dom_words : int;
+  mutable domains : int;
+  mutable nreg_at : int;  (* the current domain's region-count word *)
+}
+
+let draft () =
+  {
+    ev = Array.make (8 * Flight.event_words) 0;
+    ev_words = 0;
+    dom = Array.make 64 0;
+    dom_words = 0;
+    domains = 0;
+    nreg_at = 0;
+  }
+
+let draft_clear d =
+  d.ev_words <- 0;
+  d.dom_words <- 0;
+  d.domains <- 0
+
+let grow a need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let draft_events d flight ~udi ~n =
+  d.ev <- grow d.ev (d.ev_words + (n * Flight.event_words));
+  d.ev_words <- Flight.excerpt_into flight ~udi ~n d.ev d.ev_words
+
+let push_dom d v =
+  d.dom <- grow d.dom (d.dom_words + 1);
+  d.dom.(d.dom_words) <- v;
+  d.dom_words <- d.dom_words + 1
+
 let was_code = function `Entered -> 0 | `Ready -> 1 | `Dormant -> 2
 let code_was = function 0 -> `Entered | 1 -> `Ready | _ -> `Dormant
 
-let block_size ~si ~msg ~events ~subtree =
+let draft_domain d ~udi ~was ~stack_base ~stack_len =
+  push_dom d udi;
+  push_dom d (was_code was);
+  push_dom d stack_base;
+  push_dom d stack_len;
+  d.nreg_at <- d.dom_words;
+  push_dom d 0;
+  d.domains <- d.domains + 1
+
+let draft_region d ~addr ~len =
+  push_dom d addr;
+  push_dom d len;
+  d.dom.(d.nreg_at) <- d.dom.(d.nreg_at) + 1
+
+let block_size ~si ~msg d =
   blk_fixed
   + align8 (String.length si)
   + align8 (String.length msg)
-  + (Flight.stored_size * List.length events)
-  + List.fold_left
-      (fun acc x -> acc + (8 * (5 + (2 * List.length x.x_regions))))
-      0 subtree
+  + (8 * d.ev_words) + (8 * d.dom_words)
 
 (* Free one incident (its whole continuation chain). *)
 let free_chain t addr =
@@ -164,28 +235,28 @@ let free_chain t addr =
   go addr
 
 let drop_oldest t =
-  match Queue.take_opt t.ring with
-  | None -> false
-  | Some oldest ->
-      free_chain t oldest;
-      w t (t.header + 24) (r t (t.header + 24) + 1);
-      t.m_dropped <- t.m_dropped + 1;
-      true
+  t.ring_len > 0
+  && begin
+       let oldest = ring_at t 0 in
+       t.ring_first <- (t.ring_first + 1) mod Array.length t.ring;
+       t.ring_len <- t.ring_len - 1;
+       free_chain t oldest;
+       w t (t.header + 24) (r t (t.header + 24) + 1);
+       t.m_dropped <- t.m_dropped + 1;
+       true
+     end
 
 (* Allocate under memory pressure: committed history is worth less than
-   the in-flight intent, so evict oldest records until the block fits. *)
-let alloc_block t size =
-  let rec go () =
-    match Tlsf.malloc_opt t.heap size with
-    | Some a ->
-        t.m_bytes <- t.m_bytes + Tlsf.usable_size t.heap a;
-        Some a
-    | None -> if drop_oldest t then go () else None
-  in
-  go ()
+   the in-flight intent, so evict oldest records until the block fits.
+   0 when even that leaves no room. *)
+let rec alloc_block t size =
+  match Tlsf.try_malloc t.heap size with
+  | 0 -> if drop_oldest t then alloc_block t size else 0
+  | a ->
+      t.m_bytes <- t.m_bytes + Tlsf.usable_size t.heap a;
+      a
 
-let write_block t addr ~id ~target ~tid ~kind ~si ~fault_addr ~msg ~at ~events
-    ~subtree =
+let write_block t addr ~id ~target ~tid ~kind ~si ~fault_addr ~msg ~at d =
   w t addr blk_magic;
   w t (addr + 8) id;
   w t (addr + 16) 0;
@@ -198,54 +269,39 @@ let write_block t addr ~id ~target ~tid ~kind ~si ~fault_addr ~msg ~at ~events
   w t (addr + 72) 0;
   w t (addr + 80) 0;
   w t (addr + 88) 0;
-  w t (addr + 96) (List.length subtree);
+  w t (addr + 96) d.domains;
   w t (addr + 104) 0;
   w t (addr + 112) (String.length si);
   w t (addr + 120) (String.length msg);
-  w t (addr + 128) (List.length events);
+  w t (addr + 128) (d.ev_words / Flight.event_words);
   let p = addr + blk_fixed in
   if si <> "" then Space.store_string t.space p si;
   let p = p + align8 (String.length si) in
   if msg <> "" then Space.store_string t.space p msg;
-  let p = ref (p + align8 (String.length msg)) in
-  List.iter
-    (fun ev ->
-      Flight.store t.space !p ev;
-      p := !p + Flight.stored_size)
-    events;
-  List.iter
-    (fun x ->
-      let base, len = x.x_stack in
-      w t !p x.x_udi;
-      w t (!p + 8) (was_code x.x_was);
-      w t (!p + 16) base;
-      w t (!p + 24) len;
-      w t (!p + 32) (List.length x.x_regions);
-      p := !p + 40;
-      List.iter
-        (fun (a, l) ->
-          w t !p a;
-          w t (!p + 8) l;
-          p := !p + 16)
-        x.x_regions)
-    subtree
+  let p = p + align8 (String.length msg) in
+  for i = 0 to d.ev_words - 1 do
+    w t (p + (8 * i)) d.ev.(i)
+  done;
+  let p = p + (8 * d.ev_words) in
+  for i = 0 to d.dom_words - 1 do
+    w t (p + (8 * i)) d.dom.(i)
+  done
 
 (* Phase 1: durably record what is about to be discarded. [continue]
    chains the subtree onto the in-flight incident (collateral exits of a
    grandparent rewind); a fresh incident takes the next id. Returns
    [false] — the rewind proceeds unaudited — when even eviction cannot
    make room, or when a continuation has no incident to continue. *)
-let begin_incident t ~continue ~target ~tid ~kind ~si ~fault_addr ~msg ~at
-    ?(events = []) ~subtree () =
+let begin_incident t ~continue ~target ~tid ~kind ~si ~fault_addr ~msg ~at d =
   let si = trunc si and msg = trunc msg in
   if continue && t.head = 0 then false
   else
-    match alloc_block t (block_size ~si ~msg ~events ~subtree) with
-    | None -> false
-    | Some addr ->
+    match alloc_block t (block_size ~si ~msg d) with
+    | 0 -> false
+    | addr ->
         if continue then begin
           write_block t addr ~id:(r t (t.head + 8)) ~target ~tid ~kind ~si
-            ~fault_addr ~msg ~at ~events ~subtree;
+            ~fault_addr ~msg ~at d;
           w t (t.tail + 24) addr;
           t.tail <- addr;
           true
@@ -253,8 +309,7 @@ let begin_incident t ~continue ~target ~tid ~kind ~si ~fault_addr ~msg ~at
         else begin
           let id = r t (t.header + 8) in
           w t (t.header + 8) (id + 1);
-          write_block t addr ~id ~target ~tid ~kind ~si ~fault_addr ~msg ~at
-            ~events ~subtree;
+          write_block t addr ~id ~target ~tid ~kind ~si ~fault_addr ~msg ~at d;
           w t (t.header + 32) addr;
           t.head <- addr;
           t.tail <- addr;
@@ -304,13 +359,14 @@ let commit t ~at ~journal_replays =
     w t (t.head + 16) 1;
     w t (t.head + 72) (int_of_float at);
     w t (t.head + 88) journal_replays;
-    Queue.add t.head t.ring;
+    t.ring.((t.ring_first + t.ring_len) mod Array.length t.ring) <- t.head;
+    t.ring_len <- t.ring_len + 1;
     w t (t.header + 16) (r t (t.header + 16) + 1);
     t.m_appended <- t.m_appended + 1;
     w t (t.header + 32) 0;
     t.head <- 0;
     t.tail <- 0;
-    while Queue.length t.ring > t.cap do
+    while t.ring_len > t.cap do
       ignore (drop_oldest t)
     done
   end
@@ -366,8 +422,7 @@ let read_record t addr =
     r_events = List.concat (chain read_events addr);
   }
 
-let records t =
-  Queue.fold (fun acc addr -> read_record t addr :: acc) [] t.ring |> List.rev
+let records t = List.init t.ring_len (fun i -> read_record t (ring_at t i))
 
 let kind_to_string = function
   | `Segv -> "segv"

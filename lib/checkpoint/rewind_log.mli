@@ -44,6 +44,37 @@ val create : Vmem.Space.t -> heap:Tlsf.t -> cap:int -> t
 (** Allocates the log header from [heap]. At most [cap] committed
     incidents are retained; older ones are evicted and counted. *)
 
+(** {1 Drafting an intent}
+
+    The monitor stages what an intent record says about its victims — the
+    subtree's extents and the flight-recorder excerpt — in a {!draft}
+    before {!begin_incident} allocates the block. A draft is host memory
+    the monitor keeps and clears for each rewind, so staging allocates
+    nothing once it has grown to the subtrees it is given. *)
+
+type draft
+
+val draft : unit -> draft
+val draft_clear : draft -> unit
+
+val draft_domain :
+  draft ->
+  udi:int ->
+  was:[ `Entered | `Ready | `Dormant ] ->
+  stack_base:int ->
+  stack_len:int ->
+  unit
+(** Stage the next domain of the subtree, in discard order; its regions
+    follow with {!draft_region}. *)
+
+val draft_region : draft -> addr:int -> len:int -> unit
+(** Stage a sub-heap region of the last staged domain. *)
+
+val draft_events : draft -> Flight.t -> udi:int -> n:int -> unit
+(** Stage the last [n] flight-recorder events of [udi]'s ring after the
+    events already staged ({!Flight.excerpt_into}: every retained event
+    is read, with the loads {!Flight.events} makes). *)
+
 val begin_incident :
   t ->
   continue:bool ->
@@ -54,14 +85,12 @@ val begin_incident :
   fault_addr:int ->
   msg:string ->
   at:float ->
-  ?events:Flight.event list ->
-  subtree:extent list ->
-  unit ->
+  draft ->
   bool
 (** Phase 1: durably record the subtree about to be discarded, together
-    with an optional flight-recorder excerpt ([events], default none) —
-    the victims' last recorded actions, frozen before their memory is
-    thrown away. [~continue:true] chains onto the in-flight incident
+    with the flight-recorder excerpt — the victims' last recorded
+    actions, frozen before their memory is thrown away — both as staged
+    in the draft. [~continue:true] chains onto the in-flight incident
     (collateral exits of a grandparent rewind) instead of opening a new
     one. Returns [false] if the record could not be stored even after
     evicting history — the rewind then proceeds unaudited. *)

@@ -168,7 +168,11 @@ type t = {
   mutable subscribers : (Types.fault -> unit) list;  (* newest first *)
   mutable in_monitor : bool;
   audit : Rewind_log.t;  (* durable rewind intent + incident audit log *)
+  draft : Rewind_log.draft;  (* an intent's victims, staged for [audit] *)
   flight : Flight.t;  (* per-domain event rings in monitor memory *)
+  spare_heaps : (udi, Tlsf.t) Hashtbl.t;
+      (* per udi, the heap a discarded instance left, reset and reused
+         by the udi's next instance; [root_heap] once taken *)
   mutable rewind_fault_hook : (unit -> bool) option;
       (* chaos probe consulted before each discard step of a rewind;
          [true] simulates a second fault arriving mid-rewind *)
@@ -229,8 +233,9 @@ let race_rewind t ts victims =
 (* Hand an incident to the subscribers (e.g. a SIEM, §VI
    "Applicability"); its history is the audit log. *)
 let report_incident t fault =
-  Telemetry.Trace.instant t.tracer "incident"
-    ~args:[ ("udi", string_of_int fault.failed_udi) ];
+  if Telemetry.Trace.enabled t.tracer then
+    Telemetry.Trace.instant t.tracer "incident"
+      ~args:[ ("udi", string_of_int fault.failed_udi) ];
   Log.info (fun m ->
       m "incident: %a" (fun ppf f -> Types.pp_fault ppf f) fault);
   List.iter (fun f -> f fault) t.subscribers
@@ -312,7 +317,9 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
     subscribers = [];
     in_monitor = false;
     audit;
+    draft = Rewind_log.draft ();
     flight;
+    spare_heaps = Hashtbl.create 16;
     rewind_fault_hook = None;
     race_observer = None;
     journal_probes = [];
@@ -769,9 +776,8 @@ let iter_insts t f = Hashtbl.iter (fun _ ts -> By_udi.iter f ts.insts) t.threads
 let park_instance t inst =
   List.iter
     (fun r ->
-      match Space.alloc_len t.space r with
-      | Some len -> Space.mprotect t.space ~addr:r ~len ~prot:Prot.none
-      | None -> ())
+      let len = Space.mapped_len t.space r in
+      if len > 0 then Space.mprotect t.space ~addr:r ~len ~prot:Prot.none)
     inst.heap_regions;
   Space.mprotect t.space ~addr:inst.stack_base ~len:inst.stack_len
     ~prot:Prot.none;
@@ -817,10 +823,9 @@ let unpark_instance t inst =
     hold_key t k;
     List.iter
       (fun r ->
-        match Space.alloc_len t.space r with
-        | Some len ->
-            Space.pkey_mprotect t.space ~addr:r ~len ~prot:Prot.rw ~pkey:k
-        | None -> ())
+        let len = Space.mapped_len t.space r in
+        if len > 0 then
+          Space.pkey_mprotect t.space ~addr:r ~len ~prot:Prot.rw ~pkey:k)
       inst.heap_regions;
     Space.pkey_mprotect t.space ~addr:inst.stack_base ~len:inst.stack_len
       ~prot:Prot.rw ~pkey:k
@@ -832,11 +837,21 @@ let touch_key t inst =
 
 (* {1 Sub-heaps} *)
 
+(* A discarded instance's heap, emptied, or a new one. *)
+let fresh_heap t udi =
+  match Hashtbl.find t.spare_heaps udi with
+  | h when h != t.root_heap ->
+      Hashtbl.replace t.spare_heaps udi t.root_heap;
+      Tlsf.reset h;
+      h
+  | _ | (exception Not_found) ->
+      Tlsf.create t.space ~name:(Printf.sprintf "udi%d" udi)
+
 let inst_heap t inst =
   match inst.heap with
   | Some h -> h
   | None ->
-      let h = Tlsf.create t.space ~name:(Printf.sprintf "udi%d" inst.udi) in
+      let h = fresh_heap t inst.udi in
       if t.sanitizer then Tlsf.set_sanitize h true;
       let len = max inst.opts.heap_size Tlsf.min_region_len in
       let region = Space.mmap t.space ~len ~prot:Prot.rw ~pkey:inst.pkey in
@@ -1015,9 +1030,8 @@ let discard_instance t ts inst =
     bypass (fun () ->
         List.iter
           (fun r ->
-            match Space.alloc_len t.space r with
-            | Some len -> Space.fill t.space ~addr:r ~len '\000'
-            | None -> ())
+            let len = Space.mapped_len t.space r in
+            if len > 0 then Space.fill t.space ~addr:r ~len '\000')
           inst.heap_regions;
         Space.fill t.space ~addr:inst.stack_base ~len:inst.stack_len '\000');
   (* Poison-on-discard: mark everything the domain could address poisoned
@@ -1027,14 +1041,16 @@ let discard_instance t ts inst =
   if t.sanitizer then begin
     List.iter
       (fun r ->
-        match Space.alloc_len t.space r with
-        | Some len -> Space.poison t.space ~addr:r ~len
-        | None -> ())
+        let len = Space.mapped_len t.space r in
+        if len > 0 then Space.poison t.space ~addr:r ~len)
       inst.heap_regions;
     Space.poison t.space ~addr:inst.stack_base ~len:inst.stack_len
   end;
   List.iter (fun r -> Space.munmap t.space r) inst.heap_regions;
   inst.heap_regions <- [];
+  (match inst.heap with
+  | Some h -> Hashtbl.replace t.spare_heaps inst.udi h
+  | None -> ());
   inst.heap <- None;
   release_stack t ~base:inst.stack_base ~len:inst.stack_len;
   drop_context t inst;
@@ -1074,32 +1090,50 @@ let descendants_post ts udi ~except =
   let rec go u = List.concat_map (fun k -> go k.udi @ [ k ]) (children u) in
   go udi
 
-(* The audit-log view of a domain about to be discarded, captured while
-   everything is still mapped. *)
-let extent_of t inst =
-  {
-    Rewind_log.x_udi = inst.udi;
-    x_was =
-      (match inst.state with
-      | Entered -> `Entered
-      | Ready -> `Ready
-      | Dormant -> `Dormant);
-    x_stack = (inst.stack_base, inst.stack_len);
-    x_regions =
-      List.map
-        (fun r ->
-          (r, match Space.alloc_len t.space r with Some l -> l | None -> 0))
-        inst.heap_regions;
-  }
+(* The audit-log view of the domains about to be discarded, staged in
+   the monitor's draft while everything is still mapped. Top-level
+   loops, so staging builds no closure. *)
+let rec draft_regions t = function
+  | [] -> ()
+  | r :: rest ->
+      Rewind_log.draft_region t.draft ~addr:r ~len:(Space.mapped_len t.space r);
+      draft_regions t rest
 
-let trigger_of_cause = function
-  | Segv { addr; code; access } ->
-      ( `Segv,
-        Format.asprintf "%a" Space.pp_si_code code,
-        addr,
-        Format.asprintf "%a" Space.pp_access access )
-  | Stack_smash -> (`Stack_smash, "-", 0, "")
-  | Explicit msg -> (`Explicit, "-", 0, msg)
+let rec draft_extents t = function
+  | [] -> ()
+  | inst :: rest ->
+      Rewind_log.draft_domain t.draft ~udi:inst.udi
+        ~was:
+          (match inst.state with
+          | Entered -> `Entered
+          | Ready -> `Ready
+          | Dormant -> `Dormant)
+        ~stack_base:inst.stack_base ~stack_len:inst.stack_len;
+      draft_regions t inst.heap_regions;
+      draft_extents t rest
+
+let rec draft_flight t = function
+  | [] -> ()
+  | inst :: rest ->
+      Rewind_log.draft_events t.draft t.flight ~udi:inst.udi ~n:flight_snap;
+      draft_flight t rest
+
+(* A trigger's audit fields; the strings are constants. *)
+let audit_kind = function
+  | Segv _ -> `Segv
+  | Stack_smash -> `Stack_smash
+  | Explicit _ -> `Explicit
+
+let audit_si = function
+  | Segv { code; _ } -> Space.si_code_name code
+  | Stack_smash | Explicit _ -> "-"
+
+let audit_addr = function Segv { addr; _ } -> addr | Stack_smash | Explicit _ -> 0
+
+let audit_msg = function
+  | Segv { access; _ } -> Space.access_name access
+  | Stack_smash -> ""
+  | Explicit msg -> msg
 
 let journal_replays t =
   List.fold_left (fun acc probe -> acc + probe ()) 0 t.journal_probes
@@ -1113,21 +1147,19 @@ let commit_audit t ~at =
    incident first commits a stale in-flight one (a grandparent rewind
    whose outer frame never ran), so the log cannot wedge, and records its
    trigger so the flight excerpt frozen below ends on it. *)
-let begin_audit t ts ~continue ~target ~kind ~si ~fault_addr ~msg ~at victims
-    =
+let begin_audit t ts ~continue ~target ~cause ~at victims =
+  let fault_addr = audit_addr cause in
   if not continue then begin
     if Rewind_log.pending t.audit then commit_audit t ~at;
     Flight.record t.flight ~udi:target ~tid:ts.t_tid ~at:(int_of_float at)
       ~trace:ts.trace ~arg:fault_addr Flight.Fault
   end;
-  Rewind_log.begin_incident t.audit ~continue ~target ~tid:ts.t_tid ~kind ~si
-    ~fault_addr ~msg ~at
-    ~events:
-      (List.concat_map
-         (fun v -> Flight.snapshot t.flight ~udi:v.udi ~n:flight_snap)
-         victims)
-    ~subtree:(List.map (extent_of t) victims)
-    ()
+  Rewind_log.draft_clear t.draft;
+  draft_extents t victims;
+  draft_flight t victims;
+  Rewind_log.begin_incident t.audit ~continue ~target ~tid:ts.t_tid
+    ~kind:(audit_kind cause) ~si:(audit_si cause) ~fault_addr
+    ~msg:(audit_msg cause) ~at t.draft
 
 (* The two accounted steps of every switch, in and out. The spans — and
    their closures — exist only while the tracer is on; the charges are
@@ -1247,9 +1279,9 @@ let merge_into_current t ts regions ~from =
   let pkey = match ts.entered with [] -> t.root_pkey | inst :: _ -> inst.pkey in
   List.iter
     (fun r ->
-      (match Space.alloc_len t.space r with
-      | Some len -> Space.pkey_mprotect t.space ~addr:r ~len ~prot:Prot.rw ~pkey
-      | None -> ());
+      (let len = Space.mapped_len t.space r in
+       if len > 0 then
+         Space.pkey_mprotect t.space ~addr:r ~len ~prot:Prot.rw ~pkey);
       track_current_region t ts r)
     regions;
   Tlsf.merge target ~from
@@ -1312,8 +1344,8 @@ let destroy t udi ~heap =
              corrupt: an incident, audited like a rewind. *)
           let audited =
             !merge_refused
-            && begin_audit t ts ~continue:false ~target:udi ~kind:`Explicit
-                 ~si:"-" ~fault_addr:0 ~msg:merge_refusal ~at:(now ()) [ inst ]
+            && begin_audit t ts ~continue:false ~target:udi
+                 ~cause:(Explicit merge_refusal) ~at:(now ()) [ inst ]
           in
           discard_instance t ts inst;
           if audited then commit_audit t ~at:(now ());
@@ -1698,10 +1730,9 @@ let abnormal_exit ?(record = true) t ts inst fault =
              parent level of a grandparent rewind: its subtree chains
              onto the in-flight incident instead of opening a second
              one. *)
-          let kind, si, fault_addr, msg = trigger_of_cause fault.cause in
           let audited =
             begin_audit t ts ~continue:(not record) ~target:fault.failed_udi
-              ~kind ~si ~fault_addr ~msg ~at:t0 victims
+              ~cause:fault.cause ~at:t0 victims
           in
           Telemetry.Trace.with_span t.tracer "rewind.heap_discard" (fun () ->
               drive_discards t ts ~audited victims);
@@ -1737,9 +1768,8 @@ let teardown_passthrough t ts inst frame_id =
         race_rewind t ts victims;
         let audited =
           Rewind_log.pending t.audit
-          && begin_audit t ts ~continue:true ~target:inst.udi ~kind:`Explicit
-               ~si:"-" ~fault_addr:0 ~msg:"collateral teardown" ~at:(now ())
-               victims
+          && begin_audit t ts ~continue:true ~target:inst.udi
+               ~cause:(Explicit "collateral teardown") ~at:(now ()) victims
         in
         List.iteri
           (fun idx d ->
@@ -1913,9 +1943,7 @@ type domain_info = {
 }
 
 let domains_info t =
-  let region_len r =
-    match Space.alloc_len t.space r with Some l -> l | None -> 0
-  in
+  let region_len r = Space.mapped_len t.space r in
   let execs = ref [] in
   iter_insts t (fun inst ->
       execs :=

@@ -434,9 +434,19 @@ let put_suffixes b p ~rid ~trace =
     p + 16
   end
 
-let add_tokens out ~rid ~trace =
-  let p = Netsim.Buf.reserve out (rid_width rid + trace_width trace) in
-  ignore (put_suffixes (Netsim.Buf.bytes out) p ~rid ~trace)
+let add_tokens out ~rid ~rid_len ~trace =
+  let rw = if rid_len = 0 then 0 else 4 + rid_len in
+  let p = Netsim.Buf.reserve out (rw + trace_width trace) in
+  let b = Netsim.Buf.bytes out in
+  let p =
+    if rid_len = 0 then p
+    else begin
+      let p = put_string b p " id=" in
+      Bytes.blit rid 0 b p rid_len;
+      p + rid_len
+    end
+  in
+  ignore (put_suffixes b p ~rid:None ~trace)
 
 (* [<verb> <key>[ <num>][ id=<rid>][ trace=<hex>]\r\n] *)
 let keyed_line verb ?num ?rid ?(trace = 0) key =

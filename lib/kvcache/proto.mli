@@ -176,10 +176,11 @@ val values_reply :
 
 (** {1 Request formatting (client side)} *)
 
-val add_tokens : Netsim.Buf.t -> rid:string option -> trace:int -> unit
+val add_tokens : Netsim.Buf.t -> rid:Bytes.t -> rid_len:int -> trace:int -> unit
 (** Append the trailing [ id=<rid>] and [ trace=<16 hex>] tokens as the
-    formatters below write them (0 writes no trace token): for a client
-    that writes its request lines into a buffer. *)
+    formatters below write them, the rid being the first [rid_len] bytes
+    of [rid] ([rid_len = 0] writes no id token, a 0 [trace] no trace
+    token): for a client that writes its request lines into a buffer. *)
 
 val fmt_get : ?trace:int -> string -> string
 (** [?trace] (here and below) appends the causal-context token

@@ -290,12 +290,11 @@ let replay_or t slot w compute =
   let r = slot.req in
   if r.rid_len = 0 then compute t slot w
   else
-    let rid = Proto.rid_string r in
-    match Serve.replayed t.core rid with
-    | Some reply -> reply
-    | None ->
+    match Serve.replayed t.core r.src r.rid r.rid_len with
+    | reply -> reply
+    | exception Not_found ->
         let reply = compute t slot w in
-        Serve.journal_reply t.core rid reply;
+        Serve.journal_reply t.core r.src r.rid r.rid_len reply;
         reply
 
 let stats_reply t =

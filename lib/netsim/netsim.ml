@@ -226,6 +226,7 @@ let fresh_endpoint t ~src =
   t.next_eid <- eid + 1;
   { unpaired with eid; src; cost = t.n_cost; shared = t.n_shared }
 
+(* Queue a message; the ring slot that holds its delivery time. *)
 let[@inline] enqueue e arrival frame len =
   let cap = Array.length e.frames in
   if e.queued = cap then begin
@@ -248,7 +249,8 @@ let[@inline] enqueue e arrival frame len =
   Float.Array.set e.arrivals j arrival;
   e.frames.(j) <- frame;
   e.lens.(j) <- len;
-  e.queued <- e.queued + 1
+  e.queued <- e.queued + 1;
+  j
 
 (* Delivery time of the head-of-line message; callers check [queued]
    first. Inlined wherever it is compared, so the float is never boxed:
@@ -292,19 +294,24 @@ let catch_up e =
   let arrival = head_arrival e in
   if arrival > (Sched.clock_cell ()).clock then Sched.wait_until arrival
 
-(* A handle wakes at most once, so a slot is cleared as it is used. *)
-let[@inline] wake_endpoint e at =
+(* Wake [e]'s receiver and its waitset's, at the delivery time in slot
+   [j] of [e]'s ring, or at the caller's clock when [j] is -1. A handle
+   wakes at most once, so a slot is cleared as it is used. *)
+let[@inline] wake_handle e j w =
+  ignore (if j < 0 then Sched.wake w else Sched.wake_from w e.arrivals j)
+
+let wake_endpoint e j =
   let w = e.waiter in
   if w != Sched.no_handle then begin
     e.waiter <- Sched.no_handle;
-    ignore (Sched.wake w ~at)
+    wake_handle e j w
   end;
   match e.ws with
   | Some ws ->
       let w = ws.ws_waiter in
       if w != Sched.no_handle then begin
         ws.ws_waiter <- Sched.no_handle;
-        ignore (Sched.wake w ~at)
+        wake_handle e j w
       end
   | None -> ()
 
@@ -365,17 +372,19 @@ let[@inline] transmit c src len ~copy =
         let n = match action with Truncate n -> max 0 (min n len) | _ -> len in
         let extra = match action with Delay d -> Float.max 0.0 d | _ -> 0.0 in
         let arrival = k.clock +. lat +. extra in
-        if copy && n <= max_pooled then begin
-          let frame = take_frame c.shared.pool n in
-          Bytes.blit src 0 frame 0 n;
-          enqueue c.peer arrival frame ((2 * n) + 1)
-        end
-        else if copy then
-          (* A frame of its own, never written again: a receive treats it
-             as a sent string. *)
-          enqueue c.peer arrival (Bytes.sub src 0 n) (2 * n)
-        else enqueue c.peer arrival src (2 * n);
-        wake_endpoint c.peer arrival
+        let j =
+          if copy && n <= max_pooled then begin
+            let frame = take_frame c.shared.pool n in
+            Bytes.blit src 0 frame 0 n;
+            enqueue c.peer arrival frame ((2 * n) + 1)
+          end
+          else if copy then
+            (* A frame of its own, never written again: a receive treats
+               it as a sent string. *)
+            enqueue c.peer arrival (Bytes.sub src 0 n) (2 * n)
+          else enqueue c.peer arrival src (2 * n)
+        in
+        wake_endpoint c.peer j
   end
 
 let send c msg =
@@ -452,9 +461,8 @@ let recv_buf_deadline c b ~deadline =
 let close c =
   if not c.closed then begin
     c.closed <- true;
-    let at = (Sched.clock_cell ()).clock in
-    wake_endpoint c.peer at;
-    wake_endpoint c at
+    wake_endpoint c.peer (-1);
+    wake_endpoint c (-1)
   end
 
 let is_open c = not c.closed
@@ -483,7 +491,7 @@ module Waitset = struct
     let w = ws.ws_waiter in
     if w != Sched.no_handle then begin
       ws.ws_waiter <- Sched.no_handle;
-      ignore (Sched.wake w ~at:(Sched.now ()))
+      ignore (Sched.wake w)
     end
 
   let add ws c =

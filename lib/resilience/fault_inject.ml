@@ -57,7 +57,8 @@ let rule ?(prob = 1.0) ?(max_fires = max_int) ~site kind =
 
 type event = { e_seq : int; e_site : string; e_kind : kind; e_at : float }
 
-type armed = { r : rule; mutable fired : int }
+(* [fires] is [Some r.kind], made once: a firing consult returns it. *)
+type armed = { r : rule; fires : kind option; mutable fired : int }
 
 type t = {
   seed : int;
@@ -71,7 +72,7 @@ let create ~seed plan =
   {
     seed;
     rng = Rng.create seed;
-    plan = List.map (fun r -> { r; fired = 0 }) plan;
+    plan = List.map (fun r -> { r; fires = Some r.kind; fired = 0 }) plan;
     events = [];
     next_seq = 0;
   }
@@ -85,21 +86,21 @@ let record t ~site kind =
   t.next_seq <- t.next_seq + 1
 
 (* One draw per eligible (site-matching, budget-remaining) rule, in plan
-   order; the first rule whose draw lands under its probability fires. *)
-let decide t ~site =
-  let rec visit = function
-    | [] -> None
-    | a :: rest ->
-        if a.r.site = site && a.fired < a.r.max_fires then
-          if Rng.float t.rng < a.r.prob then begin
-            a.fired <- a.fired + 1;
-            record t ~site a.r.kind;
-            Some a.r.kind
-          end
-          else visit rest
-        else visit rest
-  in
-  visit t.plan
+   order; the first rule whose draw lands under its probability fires.
+   A top-level loop with the draw compared inside [Rng]: a consult that
+   fires nothing builds no closure and boxes no float. *)
+let rec decide_from t site = function
+  | [] -> None
+  | a :: rest ->
+      if a.r.site = site && a.fired < a.r.max_fires && Rng.below t.rng a.r.prob
+      then begin
+        a.fired <- a.fired + 1;
+        record t ~site a.r.kind;
+        a.fires
+      end
+      else decide_from t site rest
+
+let decide t ~site = decide_from t site t.plan
 
 (* {1 Firing helpers} *)
 

@@ -66,7 +66,12 @@ type t = {
   policy : policy;
   bgt : budget option;
   rng : Rng.t;
-  rid_prefix : string;
+  rid : Bytes.t;  (* the call's "<prefix>-<n>", in its first [rid_len] bytes *)
+  prefix_len : int;
+  mutable rid_len : int;
+  mutable trace : int;
+  mutable attempt : int;
+  deadline : Float.Array.t;  (* the attempt's deadline, slot 0 *)
   mutable next_rid : int;
   mutable n_calls : int;
   mutable n_retries : int;
@@ -82,11 +87,21 @@ let create ?metrics ?budget:bgt ?(name = "client") policy ~rng =
   let counter metric help =
     Option.map (fun m -> M.counter m metric ~help) metrics
   in
+  let prefix_len = String.length name in
+  (* Room for the prefix, the dash and any int's digits. *)
+  let rid = Bytes.create (prefix_len + 21) in
+  Bytes.blit_string name 0 rid 0 prefix_len;
+  Bytes.set rid prefix_len '-';
   {
     policy;
     bgt;
     rng;
-    rid_prefix = name;
+    rid;
+    prefix_len;
+    rid_len = 0;
+    trace = 0;
+    attempt = 0;
+    deadline = Float.Array.make 1 0.0;
     next_rid = 0;
     n_calls = 0;
     n_retries = 0;
@@ -104,25 +119,35 @@ let create ?metrics ?budget:bgt ?(name = "client") policy ~rng =
         metrics;
   }
 
-(* "<prefix>-<n>", written into one buffer. *)
-let fresh_rid t =
+(* The next call's "<prefix>-<n>", written over the last one's digits,
+   and the trace id [Telemetry.Context.root] would mint from it. *)
+let next_call t =
   let n = t.next_rid in
   t.next_rid <- n + 1;
-  let p = String.length t.rid_prefix in
   let digits = ref 1 and rest = ref (n / 10) in
   while !rest > 0 do
     incr digits;
     rest := !rest / 10
   done;
-  let b = Bytes.create (p + 1 + !digits) in
-  Bytes.blit_string t.rid_prefix 0 b 0 p;
-  Bytes.set b p '-';
+  t.rid_len <- t.prefix_len + 1 + !digits;
   let v = ref n in
-  for i = Bytes.length b - 1 downto p + 1 do
-    Bytes.set b i (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
+  for i = t.rid_len - 1 downto t.prefix_len + 1 do
+    Bytes.set t.rid i (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
     v := !v / 10
   done;
-  Bytes.unsafe_to_string b
+  t.trace <-
+    Telemetry.Context.root_trace (Bytes.unsafe_to_string t.rid) 0 t.rid_len
+
+let rid t = Bytes.sub_string t.rid 0 t.rid_len
+let rid_bytes t = t.rid
+let rid_length t = t.rid_len
+let trace t = t.trace
+let deadline t = Float.Array.get t.deadline 0
+
+let context t =
+  match Telemetry.Context.of_trace t.trace with
+  | Some c -> Telemetry.Context.child c t.attempt
+  | None -> invalid_arg "Retry.context: no call"
 
 (* One deposit per logical call, capped. *)
 let deposit t =
@@ -146,30 +171,33 @@ let[@inline] fmin (x : float) y = if y < x then y else x
 let[@inline] fmax (x : float) y = if y > x then y else x
 
 (* One loop over the attempts, reading the clock through the caller's
-   clock cell: no closure, and the deadlines, delays and clock reads
-   stay unboxed. *)
-let execute_ctx t f =
+   clock cell: the deadlines, delays and clock reads stay unboxed, and
+   what an attempt needs of its call — the rid, the trace id, its
+   ordinal and deadline — it reads from the engine, so a call builds
+   nothing per attempt. *)
+let execute t f =
   let k = Sched.clock_cell () in
   let start = k.clock in
   let hard = start +. t.policy.overall_timeout in
-  let rid = fresh_rid t in
   (* The whole logical call shares one trace id, minted deterministically
      from the idempotency key; each attempt is a distinct span ordinal.
      Every retry, journal replay and server-side consequence of this op
      is linked by the id. *)
-  let ctx = Telemetry.Context.root rid in
+  next_call t;
   t.n_calls <- t.n_calls + 1;
   deposit t;
-  let n = ref 0 and prev_delay = ref t.policy.backoff_base in
+  t.attempt <- 0;
+  let prev_delay = ref t.policy.backoff_base in
   let result = ref (Error Deadline_exceeded) and go = ref true in
   while !go do
-    let deadline = fmin hard (k.clock +. t.policy.attempt_timeout) in
-    match f ~ctx:(Telemetry.Context.child ctx !n) ~rid ~attempt:!n ~deadline with
-    | Ok v ->
-        result := Ok v;
+    Float.Array.set t.deadline 0
+      (fmin hard (k.clock +. t.policy.attempt_timeout));
+    match f t with
+    | Ok () ->
+        result := Ok ();
         go := false
     | Error (`Retry reason) ->
-        if !n + 1 >= t.policy.max_attempts then begin
+        if t.attempt + 1 >= t.policy.max_attempts then begin
           result := Error (Attempts_exhausted reason);
           go := false
         end
@@ -181,8 +209,6 @@ let execute_ctx t f =
           go := false
         end
         else begin
-          t.n_retries <- t.n_retries + 1;
-          Option.iter M.inc t.c_retries;
           (* Decorrelated jitter, clipped so the backoff sleep cannot
              itself blow the overall deadline. *)
           let hi =
@@ -191,24 +217,32 @@ let execute_ctx t f =
           in
           let d =
             t.policy.backoff_base
-            +. (Rng.float t.rng *. fmax 0.0 (hi -. t.policy.backoff_base))
+            +. float_of_int (Rng.bits53 t.rng)
+               *. 0x1.0p-53
+               *. fmax 0.0 (hi -. t.policy.backoff_base)
           in
-          let d = fmin d (hard -. k.clock) in
+          let left = hard -. k.clock in
+          let clipped = d >= left in
+          let d = fmin d left in
           if d > 0.0 then Sched.wait_until (k.clock +. d);
           prev_delay := d;
-          incr n
+          (* A backoff that reaches the overall deadline leaves no time
+             for another attempt. *)
+          if clipped || k.clock >= hard then go := false
+            (* [Deadline_exceeded] *)
+          else begin
+            t.n_retries <- t.n_retries + 1;
+            Option.iter M.inc t.c_retries;
+            t.attempt <- t.attempt + 1
+          end
         end
   done;
   (match t.h_latency with
   | Some h ->
       M.observe_exemplar h (k.clock -. start)
-        ~exemplar:(Telemetry.Context.trace_hex ctx)
+        ~exemplar:(Telemetry.Context.trace_hex (context t))
   | None -> ());
   !result
-
-let execute t f =
-  execute_ctx t (fun ~ctx:_ ~rid ~attempt ~deadline ->
-      f ~rid ~attempt ~deadline)
 
 let calls t = t.n_calls
 let retries t = t.n_retries

@@ -5,9 +5,14 @@
     ([Simkern.Rng] — no wall clock). {!execute} runs one logical request:
     it generates a fresh idempotency key, computes a per-attempt deadline
     (min of [now + attempt_timeout] and the overall call deadline), and
-    hands both to the caller's attempt function. Retryable failures back
-    off with decorrelated jitter (uniform in
-    [[base, min (cap, 3 * previous)]]) before the next attempt. *)
+    runs the caller's attempt function until one succeeds. Retryable
+    failures back off with decorrelated jitter (uniform in
+    [[base, min (cap, 3 * previous)]]) before the next attempt.
+
+    The attempt function reads what it needs of the call from the engine
+    — {!rid}, {!trace}, {!context}, {!deadline} — so a caller builds it
+    once and a call allocates nothing per attempt. An engine runs one
+    call at a time. *)
 
 type policy = {
   max_attempts : int;  (** total attempts, including the first *)
@@ -56,38 +61,48 @@ val create :
     [client_retry_budget_exhausted_total] are registered (get-or-create,
     so engines sharing a registry share the counters). *)
 
-val execute :
-  t ->
-  (rid:string ->
-  attempt:int ->
-  deadline:float ->
-  ('a, [ `Retry of string ]) result) ->
-  ('a, error) result
-(** Run one logical request. The attempt function receives the call's
-    idempotency key [rid] (stable across retries — thread it into the
-    wire request so the server's replay journal can deduplicate), the
-    0-based [attempt] number, and the virtual-time [deadline] this
-    attempt must finish by (pass it to {!Netsim.recv_deadline}).
-    Returning [Error (`Retry reason)] triggers backoff and a retry,
-    subject to attempts, deadline and budget. *)
+val execute : t -> (t -> (unit, [ `Retry of string ]) result) -> (unit, error) result
+(** Run one logical request: call the attempt function with the engine
+    until it returns [Ok ()], or [Error (`Retry reason)] has used up the
+    attempts, the overall deadline or the budget. A backoff that reaches
+    the overall deadline ends the call with [Deadline_exceeded] rather
+    than start an attempt with no time left. The attempt's results stay
+    with the caller (a reply buffer, a ref).
 
-val execute_ctx :
-  t ->
-  (ctx:Telemetry.Context.t ->
-  rid:string ->
-  attempt:int ->
-  deadline:float ->
-  ('a, [ `Retry of string ]) result) ->
-  ('a, error) result
-(** Like {!execute}, and additionally hands each attempt its causal
-    trace context: the trace id is minted deterministically from the
-    call's [rid] (stable across retries), the span ordinal is the
-    attempt number. Thread it into the wire request (kvcache [trace=]
-    token, binary CAS field, httpd [traceparent] header) so server-side
-    flight-recorder events and audit records link back to this call.
     When the engine has a [metrics] registry, the whole-call latency is
     observed in [client_op_latency_cycles] with the trace id attached
     as the bucket's exemplar. *)
+
+(** {1 The call in progress}
+
+    Read by the attempt function. *)
+
+val rid : t -> string
+(** The call's idempotency key, ["<name>-<n>"] for the engine's [n]th
+    call, stable across its retries: thread it into the wire request so
+    the server's replay journal can deduplicate. A copy; see
+    {!rid_bytes}. *)
+
+val rid_bytes : t -> Bytes.t
+(** The buffer whose first {!rid_length} bytes are {!rid}, rewritten by
+    the next call. *)
+
+val rid_length : t -> int
+
+val trace : t -> int
+(** The call's trace id, minted from its rid as
+    [Telemetry.Context.root] would, stable across retries. Thread it into
+    the wire request (kvcache [trace=] token, binary CAS field, httpd
+    [traceparent] header) so server-side flight-recorder events and
+    audit records link back to this call. *)
+
+val context : t -> Telemetry.Context.t
+(** {!trace} at the attempt's span ordinal — its 0-based number — as a
+    context value. *)
+
+val deadline : t -> float
+(** The virtual time this attempt must finish by; pass it to
+    [Netsim.recv_deadline]. *)
 
 val calls : t -> int
 val retries : t -> int

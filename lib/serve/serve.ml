@@ -302,28 +302,27 @@ let rewound t (f : Types.fault) =
    parent (root domain), so this is exactly the window a nested-domain
    rewind cannot touch: no entry = the commit never happened and the
    retry re-executes; entry = the commit happened and the retry replays. *)
-let replayed t rid =
-  match Journal.find t.journal rid with
-  | Some _ as hit ->
-      (* A journal hit is a causal consequence of the original op's
-         earlier attempt: record it under the retry's trace id. *)
-      (match t.sd with
-      | Some sd -> Api.flight_event sd Checkpoint.Flight.Replay
-      | None -> ());
-      hit
-  | None -> None
+let replayed t s off len =
+  let reply = Journal.find t.journal s off len in
+  (* A journal hit is a causal consequence of the original op's earlier
+     attempt: record it under the retry's trace id. *)
+  (match t.sd with
+  | Some sd -> Api.flight_event sd Checkpoint.Flight.Replay
+  | None -> ());
+  reply
 
-let journal_reply t rid reply = Journal.record t.journal rid reply
+let journal_reply t s off len reply = Journal.record t.journal s off len reply
 
 let replay_or t rid compute =
   match rid with
   | None -> compute ()
   | Some r -> (
-      match replayed t r with
-      | Some reply -> reply
-      | None ->
+      let len = String.length r in
+      match replayed t r 0 len with
+      | reply -> reply
+      | exception Not_found ->
           let reply = compute () in
-          journal_reply t r reply;
+          journal_reply t r 0 len reply;
           reply)
 
 (* {1 The worker event loop} *)

@@ -141,13 +141,16 @@ val replay_or : t -> string option -> (unit -> string) -> string
     journaled id is answered from the journal with one [Replay] flight
     event; otherwise [compute] runs and its reply is journaled. *)
 
-val replayed : t -> string -> string option
+val replayed : t -> string -> int -> int -> string
 (** {!replay_or}'s first half, for a caller that brackets a mutation
-    without a closure: the journaled reply of the id, recorded with one
-    [Replay] flight event, or [None]. *)
+    without a closure and holds the id as the [len] bytes of [s] from
+    [off] ({!Resilience.Journal.find}): the journaled reply of the id,
+    recorded with one [Replay] flight event.
+    @raise Not_found when the id is not journaled. *)
 
-val journal_reply : t -> string -> string -> unit
-(** {!replay_or}'s second half: journal a fresh reply under its id. *)
+val journal_reply : t -> string -> int -> int -> string -> unit
+(** {!replay_or}'s second half: journal a fresh reply under the id
+    [s off len], which the journal copies. *)
 
 (** {1 The worker event loop} *)
 

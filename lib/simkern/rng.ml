@@ -35,9 +35,14 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let float t =
-  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
-  v *. 0x1.0p-53
+(* The top 53 bits of a draw, below 2{^53}: an [int] exactly, and a
+   [float] exactly, so [float_of_int (bits53 t) *. 0x1.0p-53] is the
+   value [float] returns for the same draw. A caller in another module
+   gets it unboxed, where [float]'s result is boxed. *)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+
+let float t = float_of_int (bits53 t) *. 0x1.0p-53
+let below t p = float_of_int (bits53 t) *. 0x1.0p-53 < p
 
 let bool t = Int64.logand (next t) 1L = 1L
 

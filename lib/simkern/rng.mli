@@ -26,6 +26,15 @@ val int : t -> int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
+val bits53 : t -> int
+(** The draw {!float} scales, as an int: uniform in [\[0, 2{^53})], and
+    [float_of_int (bits53 t) *. 0x1.0p-53] is bit-for-bit the value
+    {!float} returns for the same draw. A float result crossing a module
+    boundary is boxed (INTERNALS §17); this one is not. *)
+
+val below : t -> float -> bool
+(** [below t p] is [float t < p], drawn and compared without boxing. *)
+
 val bool : t -> bool
 
 val char : t -> char

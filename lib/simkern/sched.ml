@@ -613,7 +613,15 @@ let block_until deadline =
   Heap.push_timer t.ready th.cell id (handle_of th) deadline;
   perform Block
 
-let wake h ~at = wake_at (current ()) h at
+(* The time a wake moves its thread to is read where it lies — the
+   caller's clock cell, or a slot of the waker's [Float.Array] — never
+   passed as a [float], which would be boxed across the module
+   boundary. *)
+let wake h =
+  let t = current () in
+  wake_at t h (current_thread ()).cell.clock
+
+let wake_from h times i = wake_at (current ()) h (Float.Array.get times i)
 
 (* A waiter killed while queued left a stale handle; a handoff passes
    over it to the next, so the lock, signal or connection is not lost. *)

@@ -149,12 +149,17 @@ val block_until : float -> unit
       have taken its first step), and keeps it there even when the
       thread was woken first, as that thread's clock would have. *)
 
-val wake : handle -> at:float -> bool
-(** Make the suspension [handle] names runnable at virtual time [at]:
-    its thread's clock becomes [max clock at], the jump counted as
-    waiting. [false], and nothing happens, when the handle is stale —
-    that suspension already ended — or is {!no_handle}. Call it from
-    inside a running thread. *)
+val wake_from : handle -> Float.Array.t -> int -> bool
+(** [wake_from h times i] makes the suspension [h] names runnable at
+    virtual time [at = Float.Array.get times i]: its thread's clock
+    becomes [max clock at], the jump counted as waiting. [false], and
+    nothing happens, when the handle is stale — that suspension already
+    ended — or is {!no_handle}. Call it from inside a running thread.
+    The time is read from the array, where a message ring keeps its
+    delivery times, because a [float] argument would be boxed. *)
+
+val wake : handle -> bool
+(** {!wake_from} at the caller's clock. *)
 
 val wake_first : handle Queue.t -> bool
 (** Hand something to one waiter: take handles from the queue, oldest

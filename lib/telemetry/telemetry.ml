@@ -359,16 +359,16 @@ module Context = struct
   let fnv_offset = Int64.to_int 0xcbf29ce484222325L (* its low 63 bits *)
   let fnv_prime = 0x100000001b3
 
-  let hash64 s =
+  let root_trace s off len =
     let h = ref fnv_offset in
-    for i = 0 to String.length s - 1 do
+    for i = off to off + len - 1 do
       h := (!h lxor Char.code s.[i]) * fnv_prime
     done;
     let h = !h land max_int in
     (* 0 is the wire encoding for "no context" (binproto zero field). *)
     if h = 0 then 1 else h
 
-  let root op = { trace = hash64 op; span = 0 }
+  let root op = { trace = root_trace op 0 (String.length op); span = 0 }
   let child t n = { t with span = n }
   let trace t = t.trace
   let span t = t.span

@@ -166,6 +166,10 @@ module Context : sig
       words (hash 0 remapped to 1 — the zero id is the binary
       protocol's "no context" encoding). *)
 
+  val root_trace : string -> int -> int -> int
+  (** [root_trace s off len] is [trace (root (String.sub s off len))],
+      computed where the bytes lie. *)
+
   val child : t -> int -> t
   (** Same trace id, span ordinal [n] — one per retry attempt. *)
 

@@ -67,6 +67,23 @@ let create space ~name =
     sanitize = false;
   }
 
+(* Back to [create]'s state, keeping the name and the index arrays: a
+   domain re-created after a rewind takes the discarded one's control
+   structure instead of allocating a new one. *)
+let reset t =
+  t.fl_bitmap <- 0;
+  Array.fill t.sl_bitmap 0 fl_count 0;
+  Array.iter (fun row -> Array.fill row 0 sl_count 0) t.heads;
+  t.regions <- [];
+  t.used_bytes <- 0;
+  t.used_blocks <- 0;
+  t.total_bytes <- 0;
+  t.inject_failure <- None;
+  t.malloc_calls <- 0;
+  t.free_calls <- 0;
+  t.region_adds <- 0;
+  t.sanitize <- false
+
 let set_inject_failure t h = t.inject_failure <- h
 
 (* Sanitize mode must be chosen before the first region arrives: regions

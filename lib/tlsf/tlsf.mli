@@ -24,6 +24,13 @@ exception Heap_corrupted of string
     (e.g. freeing a pointer whose header is not a live block). *)
 
 val create : Vmem.Space.t -> name:string -> t
+
+val reset : t -> unit
+(** Empty the control as {!create} made it — no regions, no blocks,
+    counters at 0, no injection hook, sanitize mode off — keeping its
+    name and its arrays, so a caller can reuse it without allocating.
+    The regions it had are forgotten, not unmapped. *)
+
 val space : t -> Vmem.Space.t
 val name : t -> string
 
@@ -41,6 +48,10 @@ val malloc : t -> int -> int
     satisfy the request. *)
 
 val malloc_opt : t -> int -> int option
+
+val try_malloc : t -> int -> int
+(** {!malloc} that returns 0, never a payload address, where {!malloc}
+    raises [Out_of_memory]. *)
 
 val set_inject_failure : t -> (int -> bool) option -> unit
 (** Fault injection: when the hook answers [true] for a request size, that

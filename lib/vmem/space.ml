@@ -13,16 +13,16 @@ exception
     tid : int;
   }
 
-let pp_access ppf = function
-  | Read -> Format.pp_print_string ppf "read"
-  | Write -> Format.pp_print_string ppf "write"
-  | Exec -> Format.pp_print_string ppf "exec"
+let access_name = function Read -> "read" | Write -> "write" | Exec -> "exec"
 
-let pp_si_code ppf = function
-  | MAPERR -> Format.pp_print_string ppf "SEGV_MAPERR"
-  | ACCERR -> Format.pp_print_string ppf "SEGV_ACCERR"
-  | PKUERR -> Format.pp_print_string ppf "SEGV_PKUERR"
-  | POISON -> Format.pp_print_string ppf "SEGV_POISON"
+let si_code_name = function
+  | MAPERR -> "SEGV_MAPERR"
+  | ACCERR -> "SEGV_ACCERR"
+  | PKUERR -> "SEGV_PKUERR"
+  | POISON -> "SEGV_POISON"
+
+let pp_access ppf a = Format.pp_print_string ppf (access_name a)
+let pp_si_code ppf c = Format.pp_print_string ppf (si_code_name c)
 
 let page_shift = 12
 let ps = 1 lsl page_shift
@@ -442,10 +442,10 @@ let is_mapped t addr =
   addr >= 0 && addr < t.size
   && Char.code (Bytes.get t.flags (addr lsr page_shift)) land fl_mapped <> 0
 
-let alloc_len t addr =
-  match Hashtbl.find_opt t.allocs addr with
-  | Some (_, npages) -> Some (npages lsl page_shift)
-  | None -> None
+let mapped_len t addr =
+  match Hashtbl.find t.allocs addr with
+  | _, npages -> npages lsl page_shift
+  | exception Not_found -> 0
 
 (* {1 Frames}
 

@@ -39,6 +39,13 @@ exception
 val pp_access : Format.formatter -> access -> unit
 val pp_si_code : Format.formatter -> si_code -> unit
 
+val access_name : access -> string
+(** [read], [write] or [exec]: what {!pp_access} prints, as a constant
+    string. *)
+
+val si_code_name : si_code -> string
+(** [SEGV_MAPERR], …: what {!pp_si_code} prints, as a constant string. *)
+
 val create : ?size_mib:int -> unit -> t
 (** [create ()] makes a 64 MiB address space by default, charging
     {!Simkern.Cost.default}. [size_mib] sets the address range only: the
@@ -106,8 +113,9 @@ val pkey_mprotect : t -> addr:int -> len:int -> prot:Prot.t -> pkey:int -> unit
 val pkey_of_addr : t -> int -> int
 val prot_of_addr : t -> int -> Prot.t
 val is_mapped : t -> int -> bool
-val alloc_len : t -> int -> int option
-(** Usable length of the allocation based at the given address. *)
+val mapped_len : t -> int -> int
+(** Usable length of the allocation based at the given address; 0 when
+    no allocation is based there. *)
 
 (** {1 Checked access} *)
 

@@ -80,6 +80,26 @@ let launch sched net cfg ~on_done () =
       end
     in
     let plain_req = request ~path:cfg.path in
+    let reply = ref "" in
+    let attempt eng =
+      let c = live () in
+      Netsim.send c
+        (request_with_headers ~path:cfg.path
+           [
+             ("X-Request-Id", Retry.rid eng);
+             ("Traceparent", Telemetry.Context.to_traceparent (Retry.context eng));
+           ]);
+      match Netsim.recv_deadline c ~deadline:(Retry.deadline eng) with
+      | Some r when status_is r "503" -> Error (`Retry "503")
+      | Some r ->
+          reply := r;
+          Ok ()
+      | None ->
+          (* Timed out: close so a late reply cannot be mistaken for a
+             later request's answer. *)
+          Netsim.close c;
+          Error (`Retry "timeout")
+    in
     let issue () =
       match retry_eng with
       | None -> (
@@ -91,25 +111,8 @@ let launch sched net cfg ~on_done () =
               conn := Netsim.connect net ~port:cfg.port;
               None)
       | Some eng -> (
-          match
-            Retry.execute_ctx eng (fun ~ctx ~rid ~attempt:_ ~deadline ->
-                let c = live () in
-                Netsim.send c
-                  (request_with_headers ~path:cfg.path
-                     [
-                       ("X-Request-Id", rid);
-                       ("Traceparent", Telemetry.Context.to_traceparent ctx);
-                     ]);
-                match Netsim.recv_deadline c ~deadline with
-                | Some reply when status_is reply "503" -> Error (`Retry "503")
-                | Some reply -> Ok reply
-                | None ->
-                    (* Timed out: close so a late reply cannot be
-                       mistaken for a later request's answer. *)
-                    Netsim.close c;
-                    Error (`Retry "timeout"))
-          with
-          | Ok r -> Some r
+          match Retry.execute eng attempt with
+          | Ok () -> Some !reply
           | Error _ -> None)
     in
     for k = 1 to cfg.requests_per_conn do

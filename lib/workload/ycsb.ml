@@ -117,14 +117,15 @@ let add_value buf ~base ~value_size i =
   end
 
 (* A [get] of record [k], or a [set] of its value — a load's carries no
-   rid, an update's carries the attempt's. *)
-let write_request b ~op ~base ~value_size k ~rid ~trace =
+   rid, an update's carries the attempt's: the first [rid_len] bytes of
+   [rid]. *)
+let write_request b ~op ~base ~value_size k ~rid ~rid_len ~trace =
   Netsim.Buf.clear b;
   match op with
   | `Get ->
       Netsim.Buf.add_string b "get ";
       add_key b k;
-      Kvcache.Proto.add_tokens b ~rid:None ~trace;
+      Kvcache.Proto.add_tokens b ~rid ~rid_len:0 ~trace;
       Netsim.Buf.add_string b "\r\n"
   | (`Load | `Update) as op ->
       Netsim.Buf.add_string b "set ";
@@ -133,8 +134,8 @@ let write_request b ~op ~base ~value_size k ~rid ~trace =
       let w = Serve.dec_width value_size in
       let off = Netsim.Buf.reserve b w in
       Serve.put_dec (Netsim.Buf.bytes b) ~stop:(off + w) value_size;
-      Kvcache.Proto.add_tokens b
-        ~rid:(match op with `Load -> None | `Update -> rid)
+      Kvcache.Proto.add_tokens b ~rid
+        ~rid_len:(match op with `Load -> 0 | `Update -> rid_len)
         ~trace;
       Netsim.Buf.add_string b "\r\n";
       add_value b ~base ~value_size k;
@@ -181,40 +182,43 @@ let launch sched net cfg ~on_done () =
           conn := Some c;
           c
     in
-    let write ~op k ~rid ~trace =
+    let write ~op k ~rid ~rid_len ~trace =
       write_request buf ~op ~base:base_value ~value_size:cfg.value_size k ~rid
-        ~trace
+        ~rid_len ~trace
+    in
+    (* The operation in flight, read by [attempt]: one attempt function
+       per client, not one closure per operation. *)
+    let cur_op = ref `Get and cur_key = ref 0 in
+    let attempt eng =
+      let c = live () in
+      write ~op:!cur_op !cur_key ~rid:(Retry.rid_bytes eng)
+        ~rid_len:(Retry.rid_length eng) ~trace:(Retry.trace eng);
+      Netsim.send_buf c buf;
+      if not (Netsim.recv_buf_deadline c buf ~deadline:(Retry.deadline eng))
+      then begin
+        (* Timed out: the reply may still be in flight, and a
+           request/response stream cannot resynchronize once a response
+           is unaccounted for — abandon the connection so a stale reply
+           can never be taken for a later operation's answer. *)
+        Netsim.close c;
+        Error (`Retry "timeout")
+      end
+      else if Netsim.Buf.equal_string buf Kvcache.Proto.server_error_busy then
+        Error (`Retry "busy")
+      else Ok ()
     in
     (* Whether op [op] on record [k] got a reply; the reply is in [buf]. *)
     let issue ~op k =
       match eng with
       | None ->
-          write ~op k ~rid:None ~trace:0;
+          write ~op k ~rid:Bytes.empty ~rid_len:0 ~trace:0;
           let c = live () in
           Netsim.send_buf c buf;
           Netsim.recv_buf c buf
       | Some eng -> (
-          match
-            Retry.execute_ctx eng (fun ~ctx ~rid ~attempt:_ ~deadline ->
-                let c = live () in
-                write ~op k ~rid:(Some rid) ~trace:(Telemetry.Context.trace ctx);
-                Netsim.send_buf c buf;
-                if not (Netsim.recv_buf_deadline c buf ~deadline) then begin
-                  (* Timed out: the reply may still be in flight, and a
-                     request/response stream cannot resynchronize once a
-                     response is unaccounted for — abandon the
-                     connection so a stale reply can never be taken for
-                     a later operation's answer. *)
-                  Netsim.close c;
-                  Error (`Retry "timeout")
-                end
-                else if
-                  Netsim.Buf.equal_string buf Kvcache.Proto.server_error_busy
-                then Error (`Retry "busy")
-                else Ok ())
-          with
-          | Ok () -> true
-          | Error _ -> false)
+          cur_op := op;
+          cur_key := k;
+          match Retry.execute eng attempt with Ok () -> true | Error _ -> false)
     in
     let finish () =
       (match eng with
@@ -313,7 +317,7 @@ let launch sched net cfg ~on_done () =
         in
         Sched.charge cfg.client_cycles;
         let replied =
-          if Rng.float rng < cfg.read_fraction then issue ~op:`Get (pick ())
+          if Rng.below rng cfg.read_fraction then issue ~op:`Get (pick ())
           else
             issue ~op:`Update (if cfg.insert_new then fresh_key () else pick ())
         in

@@ -26,8 +26,10 @@ let create rng ~n ~theta =
   in
   { rng; n; theta; alpha; zetan; eta }
 
+(* [u] is [Rng.float]'s value, scaled here from the int draw so that it
+   is never boxed. *)
 let next t =
-  let u = Simkern.Rng.float t.rng in
+  let u = float_of_int (Simkern.Rng.bits53 t.rng) *. 0x1.0p-53 in
   let uz = u *. t.zetan in
   if uz < 1.0 then 0
   else if uz < 1.0 +. (0.5 ** t.theta) then 1

@@ -197,10 +197,13 @@ let kv_leg ~seed =
                      let acked req ~ok =
                        let rec loop () =
                          match
-                           Retry.execute eng (fun ~rid:_ ~attempt:_ ~deadline ->
+                           Retry.execute eng (fun eng ->
                                let c = live () in
                                Netsim.send c req;
-                               match Netsim.recv_deadline c ~deadline with
+                               match
+                                 Netsim.recv_deadline c
+                                   ~deadline:(Retry.deadline eng)
+                               with
                                | Some r ->
                                    if r = Proto.server_error_busy then
                                      Error (`Retry "busy")

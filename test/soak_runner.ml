@@ -43,12 +43,12 @@ let expect ~seed name ok =
 let until_acked eng ~send_req ~classify =
   let rec loop () =
     match
-      Retry.execute eng (fun ~rid:_ ~attempt:_ ~deadline ->
-          match send_req ~deadline with
+      Retry.execute eng (fun eng ->
+          match send_req ~deadline:(Retry.deadline eng) with
           | Some r -> classify r
           | None -> Error (`Retry "timeout"))
     with
-    | Ok v -> v
+    | Ok () -> ()
     | Error _ ->
         (* Budget dry or attempts exhausted: cool off, then insist. *)
         Sched.sleep 100_000.0;

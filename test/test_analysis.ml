@@ -539,6 +539,40 @@ let test_lint_raw_bytes () =
   check int "exempt inside checkpoint" 0
     (List.length (L.scan_source ~file:"lib/checkpoint/snap.ml" src))
 
+(* ERIM's rule as a source check: only the monitor's gates and the MPK
+   model touch protection keys. A [Space.wrpkru] planted in a kvcache
+   source is reported; the monitor's and the model's own calls, and the
+   reads [lib/scenario] makes ([Space.wrpkru_writes], [pkey_of_addr]),
+   are not. *)
+let test_lint_pkey_gate () =
+  let planted = "let f sd = Space." ^ bad "wrpkru" ^ " (Api.space sd) 0\n" in
+  (match L.scan_source ~file:"lib/kvcache/server.ml" planted with
+  | [ v ] ->
+      check string "rule" "pkey-gate" v.L.v_rule;
+      check int "line" 1 v.L.v_line
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
+  List.iter
+    (fun call ->
+      let src = "let g s = Vmem.Space." ^ call ^ "\n" in
+      check bool (call ^ " flagged in lib/serve") true
+        (List.exists
+           (fun v -> v.L.v_rule = "pkey-gate")
+           (L.scan_source ~file:"lib/serve/serve.ml" src)))
+    [
+      bad "pkey" ^ "_alloc s"; bad "pkey" ^ "_free s 3";
+      bad "pkey" ^ "_mprotect s ~addr ~len ~prot ~pkey";
+    ];
+  check int "the gates may" 0
+    (List.length (L.scan_source ~file:"lib/core/api.ml" planted));
+  check int "the model may" 0
+    (List.length (L.scan_source ~file:"lib/vmem/space.ml" planted));
+  let reads =
+    "let n = Space." ^ bad "wrpkru" ^ "_writes space\n"
+    ^ "let k = Space." ^ bad "pkey" ^ "_of_addr space a\n"
+  in
+  check int "counter and key reads pass" 0
+    (List.length (L.scan_source ~file:"lib/scenario/scenario.ml" reads))
+
 let test_lint_strip_comments_and_strings () =
   (* Banned names inside comments, docstrings and string literals are
      not code. *)
@@ -782,6 +816,7 @@ let () =
           Alcotest.test_case "obj-magic" `Quick test_lint_obj_magic;
           Alcotest.test_case "wall-clock" `Quick test_lint_wall_clock;
           Alcotest.test_case "raw-bytes" `Quick test_lint_raw_bytes;
+          Alcotest.test_case "pkey-gate" `Quick test_lint_pkey_gate;
           Alcotest.test_case "strip" `Quick test_lint_strip_comments_and_strings;
           Alcotest.test_case "tree + allowlist" `Quick
             test_lint_tree_missing_mli_and_allowlist;

@@ -224,6 +224,15 @@ let make_flight ?cap ?max_domains () =
   Tlsf.add_region heap ~addr:r ~len;
   (s, Fl.create s ~heap ?cap ?max_domains ())
 
+(* The stored words of [Fl.excerpt_into]'s events, one list per event. *)
+let excerpt f ~udi ~n =
+  let words = Array.make (n * Fl.event_words) 0 in
+  let stop = Fl.excerpt_into f ~udi ~n words 0 in
+  List.init (stop / Fl.event_words) (fun i ->
+      Array.to_list (Array.sub words (i * Fl.event_words) Fl.event_words))
+
+let excerpt_args f ~udi ~n = List.map (fun ws -> List.nth ws 4) (excerpt f ~udi ~n)
+
 let test_flight_record_order_and_snapshot () =
   Sched.main (fun _ ->
       let _s, f = make_flight () in
@@ -243,14 +252,63 @@ let test_flight_record_order_and_snapshot () =
             (b.Fl.e_kind = Fl.Switch_in && c.Fl.e_kind = Fl.Fault);
           check bool "absent trace reads zero" true (c.Fl.e_trace = 0)
       | l -> Alcotest.failf "expected 3 events, got %d" (List.length l));
-      check (Alcotest.list int) "snapshot keeps the tail, oldest first" [ 2; 3 ]
-        (List.map (fun e -> e.Fl.e_arg) (Fl.snapshot f ~udi:3 ~n:2));
-      check (Alcotest.list int) "oversized snapshot is just the ring" [ 1; 2; 3 ]
-        (List.map (fun e -> e.Fl.e_arg) (Fl.snapshot f ~udi:3 ~n:99));
+      check (Alcotest.list int) "excerpt keeps the tail, oldest first" [ 2; 3 ]
+        (excerpt_args f ~udi:3 ~n:2);
+      check (Alcotest.list int) "oversized excerpt is just the ring" [ 1; 2; 3 ]
+        (excerpt_args f ~udi:3 ~n:99);
       check int "recorded" 3 (Fl.recorded f);
       check int "nothing dropped" 0 (Fl.dropped f);
       check Alcotest.string "kind rendering" "switch-in"
         (Fl.kind_to_string Fl.Switch_in))
+
+(* The excerpt a rewind freezes into its audit record replaced a list of
+   the ring's events cut to its last [n]. The list's reference, here:
+   the same words, read with the same checked loads in the same order,
+   which the space's access hook and the thread's clock see. Rings of
+   random capacity and fill, wrapped or not, excerpts of every size. *)
+let ref_snapshot f ~udi ~n =
+  let evs = Fl.events f ~udi in
+  let len = List.length evs in
+  if len <= n then evs else List.filteri (fun i _ -> i >= len - n) evs
+
+let stored_words e =
+  [
+    int_of_float e.Fl.e_at; Fl.kind_code e.Fl.e_kind; e.Fl.e_tid + 1;
+    e.Fl.e_trace; e.Fl.e_arg; e.Fl.e_udi;
+  ]
+
+let test_flight_excerpt_matches_snapshot () =
+  let rng = Simkern.Rng.create 7 in
+  let kinds = [| Fl.Admit; Fl.Switch_in; Fl.Switch_out; Fl.Fault; Fl.Replay |] in
+  for case = 1 to 200 do
+    Sched.main (fun _ ->
+        let cap = 1 + Simkern.Rng.int rng 9 in
+        let s, f = make_flight ~cap () in
+        let udi = 1 + Simkern.Rng.int rng 3 in
+        for i = 1 to Simkern.Rng.int rng (3 * cap) do
+          Fl.record f ~udi:(1 + Simkern.Rng.int rng 3) ~tid:(Simkern.Rng.int rng 4)
+            ~at:(i * 17) ~trace:(Simkern.Rng.int rng 1000) ~arg:i
+            kinds.(Simkern.Rng.int rng (Array.length kinds))
+        done;
+        let n = Simkern.Rng.int rng (cap + 3) in
+        let watch f =
+          let seen = ref [] in
+          Space.set_access_hook s (Some (fun a len _ -> seen := (a, len) :: !seen));
+          let c0 = Sched.now () in
+          let v = f () in
+          Space.set_access_hook s None;
+          (v, List.rev !seen, Sched.now () -. c0)
+        in
+        let ref_words, ref_loads, ref_cycles =
+          watch (fun () -> List.map stored_words (ref_snapshot f ~udi ~n))
+        in
+        let words, loads, cycles = watch (fun () -> excerpt f ~udi ~n) in
+        let what = Printf.sprintf "case %d (cap %d, n %d)" case cap n in
+        check (Alcotest.list (Alcotest.list int)) (what ^ ": words") ref_words words;
+        check (Alcotest.list (Alcotest.pair int int)) (what ^ ": loads") ref_loads
+          loads;
+        check (Alcotest.float 0.0) (what ^ ": cycles") ref_cycles cycles)
+  done
 
 let test_flight_kind_codes_roundtrip () =
   List.iter
@@ -413,6 +471,8 @@ let () =
         [
           Alcotest.test_case "record order and snapshot" `Quick
             test_flight_record_order_and_snapshot;
+          Alcotest.test_case "excerpt reads as the snapshot did" `Quick
+            test_flight_excerpt_matches_snapshot;
           Alcotest.test_case "kind codes roundtrip" `Quick
             test_flight_kind_codes_roundtrip;
           Alcotest.test_case "ring wrap counts drops" `Quick

@@ -1637,13 +1637,14 @@ let get_round_trip_words ?supervisor client =
 
 (* The client sends a prebuilt request string and receives the reply as
    a string, which copies it out of its pooled frame. 146.0 words
-   measured; 197.0 while the server's handler built its closures and
+   measured; 146.0 while each wake boxed its time, 197.0 while the
+   server's handler built its closures and
    read its request lines as strings, 272.0 while the server wrote each
    reply into a fresh string, 359.0 while each suspension built closures
    and each message a queue cell, 550.0 while the monitor's gates and
    TLSF allocated, and 737.0 before that, when each hop copied the value
    through a string and parsed the line into word lists. *)
-let get_round_trip_budget = 160.0
+let get_round_trip_budget = 156.0
 
 let test_get_round_trip_alloc () =
   let words =
@@ -1661,10 +1662,11 @@ let test_get_round_trip_alloc () =
 
 (* The same GET from a client that keeps its request in a buffer and
    receives the reply into another, as the YCSB clients do: what is
-   left is the two wakes' continuations and boxed times, and the
-   server's own 3 words. 15.0 words measured; 66.0 while the handler
-   built its closures and read its request lines as strings. *)
-let get_round_trip_buffer_budget = 16.0
+   left is the two wakes' continuations and the server's own 3 words.
+   11.0 words measured; 15.0 while each wake boxed its time, 66.0 while
+   the handler built its closures and read its request lines as
+   strings. *)
+let get_round_trip_buffer_budget = 12.0
 
 let test_get_round_trip_buffer_alloc () =
   let words =
@@ -1685,12 +1687,11 @@ let test_get_round_trip_buffer_alloc () =
 (* The buffered GET with the event domain supervised, as the fleet's
    shards run it: the request's whole trip through the kvcache worker,
    [Serve.run], [Supervisor.run] and [Api.run] allocates nothing but the
-   wakes' boxed times and continuations — [handle_sdrad] itself allocates
-   about 3 words, a wake's boxed time. 15.0 words measured, as without
-   the supervisor; 72.0 while the handler built its closures and read
-   its lines as strings and the supervisor wrapped each body in a
-   closure. *)
-let supervised_get_budget = 16.0
+   wakes' continuations. 11.0 words measured, as without the supervisor;
+   15.0 while each wake boxed its time, 72.0 while the handler built its
+   closures and read its lines as strings and the supervisor wrapped
+   each body in a closure. *)
+let supervised_get_budget = 12.0
 
 let test_supervised_get_alloc () =
   let words =
@@ -1711,11 +1712,14 @@ let test_supervised_get_alloc () =
     (words <= supervised_get_budget)
 
 (* A SET carrying a rid, each with a fresh one, supervised, from
-   prebuilt buffers: what is left is the at-most-once bracket's own —
-   the rid copied out of the line and the journal's entry for it — and
-   the wakes. 24.0 words measured; 165.2 while the bracket, the deferred
-   write and the slab allocator built closures, tuples and options. *)
-let set_rid_budget = 26.0
+   prebuilt buffers: the journal copies the rid into a slot it keeps,
+   so what is left is the wakes' continuations and a slot's first key
+   buffer while the journal fills. 11.9 words measured; 24.0 while the
+   rid was copied out of the line into a string, journaled in a
+   [Hashtbl] and a [Queue] and each wake boxed its time, 165.2 while the
+   bracket, the deferred write and the slab allocator built closures,
+   tuples and options. *)
+let set_rid_budget = 13.0
 
 let test_set_rid_alloc () =
   let words =
@@ -1746,14 +1750,16 @@ let test_set_rid_alloc () =
 
 (* A 16-client YCSB-B run of 8,000 ops on 500 records against a SDRaD
    kvcache: the words of the run less those of the same set-up with no
-   run phase, per op. 17.4 measured; 79.0 while the server's handler
+   run phase, per op. 10.8 measured; 17.4 while each wake boxed its time
+   and each draw of the key and the operation a float, 79.0 while the
+   server's handler
    built its closures, read its request lines as strings and the store
    allocated per write, 318.1 while every message was a fresh string
    (requests, keys, values and replies) and store lookups allocated,
    401.1 while each suspension built closures and each message a queue
    cell, 592.2 while the monitor's gates and TLSF allocated, and 1,058.3
    with the copying and [Printf] wire code. *)
-let ycsb_words_per_op_budget = 19.0
+let ycsb_words_per_op_budget = 11.0
 
 let ycsb_words ~ops =
   Alloc_probe.words_per_call ~warmup:0 ~n:1 (fun () ->

@@ -122,26 +122,32 @@ let test_retry_success_after_backoff () =
   Sched.main (fun _ ->
       let eng = Retry.create quick_policy ~rng:(Rng.create 1) in
       let attempts = ref 0 in
-      let rids = ref [] in
+      let rids = ref [] and traces = ref [] in
       let t0 = Sched.now () in
       let r =
-        Retry.execute eng (fun ~rid ~attempt ~deadline ->
+        Retry.execute eng (fun eng ->
             incr attempts;
-            rids := rid :: !rids;
-            check int "attempt numbers count up" (!attempts - 1) attempt;
+            rids := Retry.rid eng :: !rids;
+            traces := Retry.trace eng :: !traces;
+            check int "the context's span counts the attempts up"
+              (!attempts - 1)
+              (Telemetry.Context.span (Retry.context eng));
             check bool "deadline respects attempt timeout" true
-              (deadline <= Sched.now () +. 1_000.0);
-            if !attempts < 3 then Error (`Retry "flaky") else Ok "done")
+              (Retry.deadline eng <= Sched.now () +. 1_000.0);
+            if !attempts < 3 then Error (`Retry "flaky") else Ok ())
       in
       (match r with
-      | Ok v -> check string "eventual success" "done" v
+      | Ok () -> ()
       | Error e -> Alcotest.failf "unexpected error: %s" (Retry.error_to_string e));
       check int "three attempts" 3 !attempts;
       check int "two retries counted" 2 (Retry.retries eng);
       check int "one logical call" 1 (Retry.calls eng);
-      (match !rids with
-      | [ a; b; c ] ->
-          check bool "rid stable across retries" true (a = b && b = c)
+      (match (!rids, !traces) with
+      | [ a; b; c ], [ x; y; z ] ->
+          check bool "rid stable across retries" true (a = b && b = c);
+          check bool "trace minted from the rid" true
+            (x = y && y = z
+            && x = Telemetry.Context.trace (Telemetry.Context.root a))
       | _ -> Alcotest.fail "expected three recorded rids");
       check bool "backoff slept between attempts" true
         (Sched.now () -. t0 >= 2.0 *. 100.0))
@@ -153,68 +159,72 @@ let test_retry_budget_exhaustion () =
         Retry.create { quick_policy with max_attempts = 10 } ~budget:bgt
           ~rng:(Rng.create 2)
       in
-      let r =
-        Retry.execute eng (fun ~rid:_ ~attempt:_ ~deadline:_ ->
-            Error (`Retry "down"))
-      in
+      let r = Retry.execute eng (fun _ -> Error (`Retry "down")) in
       (match r with
       | Error Retry.Budget_exhausted -> ()
       | Error e ->
           Alcotest.failf "wanted Budget_exhausted, got %s"
             (Retry.error_to_string e)
-      | Ok _ -> Alcotest.fail "must not succeed");
+      | Ok () -> Alcotest.fail "must not succeed");
       (* 10 tokens buy exactly one 10-token retry; the second is refused. *)
       check int "one retry went through" 1 (Retry.retries eng);
       check int "exhaustion counted once" 1 (Retry.budget_exhaustions eng);
       check bool "bucket drained" true (Retry.budget_tokens bgt < 10.0))
 
 (* Request ids are "<name>-<n>", one per logical call, as [Printf]
-   formats them. *)
+   formats them; [rid_bytes] holds the same bytes. *)
 let test_retry_rids () =
   Sched.main (fun _ ->
       List.iter
         (fun name ->
           let eng = Retry.create quick_policy ~rng:(Rng.create 5) ~name in
           for n = 0 to 12_345 do
+            let seen = ref "" in
             match
-              Retry.execute eng (fun ~rid ~attempt:_ ~deadline:_ -> Ok rid)
+              Retry.execute eng (fun eng ->
+                  seen := Retry.rid eng;
+                  Ok ())
             with
-            | Ok rid -> check string "rid" (Printf.sprintf "%s-%d" name n) rid
+            | Ok () ->
+                let want = Printf.sprintf "%s-%d" name n in
+                check string "rid" want !seen;
+                check string "rid bytes" want
+                  (Bytes.sub_string (Retry.rid_bytes eng) 0
+                     (Retry.rid_length eng))
             | Error e -> Alcotest.fail (Retry.error_to_string e)
           done)
         [ "client"; "yl7"; "" ])
 
 (* A logical call that succeeds at once, with an attempt function that
-   allocates nothing, pinned at its measured words plus under 10 %: the
-   request id, the trace context and its attempt's child, the deadline
-   passed to the attempt and the [Ok] around its value. *)
+   allocates nothing, pinned at its measured words: nothing. The engine
+   keeps the call's rid, trace id and deadline, so neither the call nor
+   its attempt builds anything (17 words when a call built its rid
+   string, a trace context and its attempt's child, and passed the
+   attempt a boxed deadline and took its value back in an [Ok]). *)
 let test_retry_allocation () =
   let ok = Ok () in
-  let attempt ~ctx:_ ~rid:_ ~attempt:_ ~deadline:_ = ok in
+  let attempt _ = ok in
   let words =
     Sched.main (fun _ ->
         let eng = Retry.create quick_policy ~rng:(Rng.create 6) in
         Alloc_probe.words_per_call ~n:10_000 (fun () ->
-            ignore (Retry.execute_ctx eng attempt)))
+            ignore (Retry.execute eng attempt)))
   in
-  if words > 17.0 then
-    Alcotest.failf "a retried call allocates %.1f minor words; the budget is 17"
+  if words > 0.0 then
+    Alcotest.failf "a retried call allocates %.1f minor words; the budget is 0"
       words
 
 let test_retry_attempts_and_deadline () =
   Sched.main (fun _ ->
       (* Attempts exhausted: every attempt fails fast. *)
       let eng = Retry.create quick_policy ~rng:(Rng.create 3) in
-      (match
-         Retry.execute eng (fun ~rid:_ ~attempt:_ ~deadline:_ ->
-             Error (`Retry "nope"))
-       with
+      (match Retry.execute eng (fun _ -> Error (`Retry "nope")) with
       | Error (Retry.Attempts_exhausted reason) ->
           check string "last reason surfaced" "nope" reason
       | Error e ->
           Alcotest.failf "wanted Attempts_exhausted, got %s"
             (Retry.error_to_string e)
-      | Ok _ -> Alcotest.fail "must not succeed");
+      | Ok () -> Alcotest.fail "must not succeed");
       check int "max_attempts honoured" 4 (Retry.calls eng + 3);
       (* Overall deadline: attempts are slow, the call deadline wins. *)
       let eng2 =
@@ -229,36 +239,169 @@ let test_retry_attempts_and_deadline () =
       in
       let t0 = Sched.now () in
       (match
-         Retry.execute eng2 (fun ~rid:_ ~attempt:_ ~deadline ->
-             Sched.wait_until deadline;
+         Retry.execute eng2 (fun eng ->
+             Sched.wait_until (Retry.deadline eng);
              Error (`Retry "slow"))
        with
       | Error Retry.Deadline_exceeded -> ()
       | Error e ->
           Alcotest.failf "wanted Deadline_exceeded, got %s"
             (Retry.error_to_string e)
-      | Ok _ -> Alcotest.fail "must not succeed");
+      | Ok () -> Alcotest.fail "must not succeed");
       check bool "gave up near the overall deadline" true
         (Sched.now () -. t0 >= 2_500.0 && Sched.now () -. t0 < 10_000.0))
 
+(* A backoff sleep clipped to the overall deadline used to be followed by
+   one more attempt whose deadline was the clock: a request sent after
+   the call had given up on it. Attempts that each wait out their
+   deadline, over 20 jitter seeds: every attempt starts with time left,
+   and the call ends with [Deadline_exceeded] at its deadline. *)
+let test_retry_no_attempt_past_deadline () =
+  Sched.main (fun _ ->
+      for seed = 1 to 20 do
+        let eng =
+          Retry.create
+            {
+              quick_policy with
+              max_attempts = 100;
+              attempt_timeout = 1_000.0;
+              overall_timeout = 2_500.0;
+            }
+            ~rng:(Rng.create seed)
+        in
+        let t0 = Sched.now () in
+        let r =
+          Retry.execute eng (fun eng ->
+              let left = Retry.deadline eng -. Sched.now () in
+              if left <= 0.0 then
+                Alcotest.failf "seed %d: attempt %d launched with %.0f cycles left"
+                  seed
+                  (Telemetry.Context.span (Retry.context eng))
+                  left;
+              Sched.wait_until (Retry.deadline eng);
+              Error (`Retry "slow"))
+        in
+        (match r with
+        | Error Retry.Deadline_exceeded -> ()
+        | Error e ->
+            Alcotest.failf "seed %d: wanted Deadline_exceeded, got %s" seed
+              (Retry.error_to_string e)
+        | Ok () -> Alcotest.fail "must not succeed");
+        check (Alcotest.float 1e-6)
+          (Printf.sprintf "seed %d: ends at the overall deadline" seed)
+          2_500.0 (Sched.now () -. t0)
+      done)
+
 (* {1 Replay journal unit semantics} *)
+
+(* Whole-string keys over the journal's [s off len] interface. *)
+let jfind j k =
+  match Journal.find j k 0 (String.length k) with
+  | r -> Some r
+  | exception Not_found -> None
+
+let jrecord j k r = Journal.record j k 0 (String.length k) r
+let jmem j k = Journal.mem j k 0 (String.length k)
 
 let test_journal_semantics () =
   let j = Journal.create ~capacity:2 () in
-  check bool "empty journal misses" true (Journal.find j "a" = None);
-  Journal.record j "a" "ra";
-  Journal.record j "a" "overwrite-attempt";
-  check bool "first write wins" true (Journal.find j "a" = Some "ra");
+  check bool "empty journal misses" true (jfind j "a" = None);
+  jrecord j "a" "ra";
+  jrecord j "a" "overwrite-attempt";
+  check bool "first write wins" true (jfind j "a" = Some "ra");
   check int "replay hit counted" 1 (Journal.hits j);
-  check bool "mem does not count a hit" true (Journal.mem j "a");
+  check bool "mem does not count a hit" true (jmem j "a");
   check int "mem left hit count alone" 1 (Journal.hits j);
-  Journal.record j "b" "rb";
-  Journal.record j "c" "rc";
+  jrecord j "b" "rb";
+  jrecord j "c" "rc";
   check int "capacity bound held" 2 (Journal.size j);
   check int "oldest entry evicted" 1 (Journal.evictions j);
-  check bool "evicted id forgotten" true (Journal.find j "a" = None);
+  check bool "evicted id forgotten" true (jfind j "a" = None);
   check bool "younger ids survive" true
-    (Journal.find j "b" = Some "rb" && Journal.find j "c" = Some "rc")
+    (jfind j "b" = Some "rb" && jfind j "c" = Some "rc");
+  (* A key is read where it lies and copied: overwriting the caller's
+     buffer afterwards changes nothing. *)
+  let line = Bytes.of_string "set k 0 0 1 id=r-7\r\n" in
+  Journal.record j (Bytes.unsafe_to_string line) 15 3 "STORED";
+  Bytes.blit_string "zzz" 0 line 15 3;
+  check bool "key copied out of the line" true (jfind j "r-7" = Some "STORED")
+
+(* The journal against its reference (test/journal_ref.ml), the
+   [Hashtbl] and [Queue] it replaced. Capacities from 1 to 24 and random
+   streams of finds, presence checks and records over a small pool of
+   rids — so ids repeat, are recorded twice and fall out of the window —
+   some of them 300 bytes long. The journal reads every key where it
+   lies, at a random offset inside a longer string that is overwritten
+   after each call, as a request line is: every reply, hit count,
+   eviction count and size agrees after every step. *)
+let journal_differential_prop =
+  QCheck.Test.make ~name:"journal matches the Hashtbl and Queue journal"
+    ~count:300
+    QCheck.(pair (int_range 1 24) (int_range 0 1_000_000))
+    (fun (capacity, seed) ->
+      let rng = Rng.create seed in
+      let pool =
+        Array.init
+          (1 + Rng.int rng (3 * capacity))
+          (fun i ->
+            if Rng.int rng 8 = 0 then String.make 300 (Char.chr (97 + (i mod 26)))
+            else Printf.sprintf "y%d-%d" (Rng.int rng 4) i)
+      in
+      let j = Journal.create ~capacity () and r = Journal_ref.create ~capacity in
+      let line = Bytes.make 400 '.' in
+      let ok = ref true in
+      for step = 1 to 400 do
+        let key = pool.(Rng.int rng (Array.length pool)) in
+        let off = Rng.int rng (400 - String.length key + 1) in
+        Bytes.blit_string key 0 line off (String.length key);
+        let s = Bytes.unsafe_to_string line and len = String.length key in
+        (match Rng.int rng 3 with
+        | 0 ->
+            let got =
+              match Journal.find j s off len with
+              | reply -> Some reply
+              | exception Not_found -> None
+            in
+            if got <> Journal_ref.find r key then ok := false
+        | 1 -> if Journal.mem j s off len <> Journal_ref.mem r key then ok := false
+        | _ ->
+            let reply = Printf.sprintf "reply %d" step in
+            Journal.record j s off len reply;
+            Journal_ref.record r key reply);
+        Bytes.fill line 0 400 '#';
+        if
+          Journal.hits j <> Journal_ref.hits r
+          || Journal.evictions j <> Journal_ref.evictions r
+          || Journal.size j <> Journal_ref.size r
+        then ok := false
+      done;
+      !ok)
+
+(* A warm, full journal's keyed write: a replay lookup that misses and
+   the record that evicts the oldest entry, then a lookup that hits,
+   keys read from a line as the server reads them. Nothing is
+   allocated: the table keeps the keys in slots it owns. A keyed write
+   cost 4.7 words/op on kv-write-faults with the [Hashtbl] and [Queue]
+   journal and the rid copied out of the line. *)
+let test_journal_allocation () =
+  let keys = String.concat "" (List.init 128 (Printf.sprintf "cli-%04d")) in
+  let j = Journal.create ~capacity:64 () in
+  let i = ref 0 in
+  let words =
+    Alloc_probe.words_per_call ~n:10_000 (fun () ->
+        let k = !i mod 128 * 8 in
+        (match Journal.find j keys k 8 with
+        | _ -> ()
+        | exception Not_found -> Journal.record j keys k 8 "STORED\r\n");
+        ignore (Journal.find j keys k 8);
+        incr i)
+  in
+  check bool
+    (Printf.sprintf "a warm journal's find + record allocates %.1f words (budget 0)"
+       words)
+    true (words <= 0.0);
+  check int "full" 64 (Journal.size j);
+  check bool "evicting" true (Journal.evictions j > 10_000)
 
 (* {1 The acceptance scenario: a retried mutation surviving a rewind} *)
 
@@ -364,9 +507,8 @@ let test_journal_eviction_in_server () =
             let j = KServer.journal s in
             check int "journal wrapped at capacity" 2 (Journal.size j);
             check int "one eviction" 1 (Journal.evictions j);
-            check bool "oldest id fell out of the window" false (Journal.mem j "r1");
-            check bool "newest ids retained" true
-              (Journal.mem j "r2" && Journal.mem j "r3");
+            check bool "oldest id fell out of the window" false (jmem j "r1");
+            check bool "newest ids retained" true (jmem j "r2" && jmem j "r3");
             Netsim.close c)));
   all_completed w.sched
 
@@ -771,12 +913,16 @@ let () =
             test_retry_budget_exhaustion;
           Alcotest.test_case "attempts and deadline" `Quick
             test_retry_attempts_and_deadline;
+          Alcotest.test_case "no attempt past the deadline" `Quick
+            test_retry_no_attempt_past_deadline;
           Alcotest.test_case "rids" `Quick test_retry_rids;
           Alcotest.test_case "host allocation" `Quick test_retry_allocation;
         ] );
       ( "journal",
         [
           Alcotest.test_case "unit semantics" `Quick test_journal_semantics;
+          QCheck_alcotest.to_alcotest journal_differential_prop;
+          Alcotest.test_case "host allocation" `Quick test_journal_allocation;
           Alcotest.test_case "replay after rewind" `Quick
             test_journal_replay_after_rewind;
           Alcotest.test_case "eviction in server" `Quick

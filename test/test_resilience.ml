@@ -241,6 +241,81 @@ let test_zero_probability_never_fires () =
     check bool "never fires" true (Fault_inject.decide fi ~site:"s" = None)
   done
 
+(* The engine against its reference (test/fault_inject_ref.ml), the
+   closure-based decider it replaced. Random plans — sites shared by
+   several rules, probabilities of 0, 1 and in between, budgets of a
+   few fires or none — and random consults, some of a site no rule
+   names, inside a thread whose clock moves between them: every
+   consult fires the same kind or none, the event logs render the same,
+   and the streams stay in step, which 32 more consults of a
+   probability-0.5 "probe" rule at the end of every plan read off as 32
+   bits of the next draws. *)
+let diff_sites = [| "a"; "b"; "c"; "none" |]
+
+let diff_kinds =
+  Fault_inject.
+    [|
+      Alloc_fail; Bit_flip; Wild_write; Net_drop; Net_truncate; Net_delay 700.0;
+      Kill_thread; Rewind_interrupt; Net_partition 3_000.0;
+    |]
+
+let random_plan rng =
+  List.init (Rng.int rng 7) (fun _ ->
+      let prob =
+        match Rng.int rng 4 with 0 -> 0.0 | 1 -> 1.0 | 2 -> 0.5 | _ -> Rng.float rng
+      in
+      let max_fires = if Rng.bool rng then max_int else Rng.int rng 4 in
+      Fault_inject.rule ~prob ~max_fires
+        ~site:diff_sites.(Rng.int rng 3)
+        diff_kinds.(Rng.int rng (Array.length diff_kinds)))
+  @ [ Fault_inject.rule ~prob:0.5 ~site:"probe" Fault_inject.Wild_write ]
+
+let decide_differential_prop =
+  QCheck.Test.make ~name:"decide matches the closure-based decider" ~count:300
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
+    (fun (plan_seed, seed) ->
+      let rng = Rng.create plan_seed in
+      let plan = random_plan rng in
+      let fi = Fault_inject.create ~seed plan in
+      let reference = Fault_inject_ref.create ~seed plan in
+      Sched.main (fun _ ->
+          for _ = 1 to 1 + Rng.int rng 300 do
+            Sched.charge (float_of_int (Rng.int rng 50));
+            let site = diff_sites.(Rng.int rng (Array.length diff_sites)) in
+            if Fault_inject.decide fi ~site <> Fault_inject_ref.decide reference ~site
+            then QCheck.Test.fail_reportf "site %s fired differently" site
+          done);
+      Fault_inject.log_to_string fi = Fault_inject_ref.log_to_string reference
+      && List.for_all
+           (fun _ ->
+             Fault_inject.decide fi ~site:"probe"
+             = Fault_inject_ref.decide reference ~site:"probe")
+           (List.init 32 Fun.id))
+
+(* A consult that fires nothing allocates nothing: the first rule of the
+   site draws and misses, the second has no budget left, and a site no
+   rule names draws nothing. 7.5 words per consult on kv-write-faults
+   while the decider built a closure per consult and boxed each draw. *)
+let test_decide_allocation () =
+  let fi =
+    Fault_inject.create ~seed:5
+      [
+        Fault_inject.rule ~prob:0.0 ~site:"kv.domain" Fault_inject.Wild_write;
+        Fault_inject.rule ~max_fires:0 ~site:"kv.domain" Fault_inject.Bit_flip;
+        Fault_inject.rule ~prob:0.5 ~site:"net" Fault_inject.Net_drop;
+      ]
+  in
+  let words =
+    Sched.main (fun _ ->
+        Alloc_probe.words_per_call ~n:10_000 (fun () ->
+            ignore (Fault_inject.decide fi ~site:"kv.domain");
+            ignore (Fault_inject.decide fi ~site:"httpd.parse")))
+  in
+  check bool
+    (Printf.sprintf "a consult allocates %.1f minor words (budget 0)" words)
+    true (words <= 0.0);
+  check int "nothing fired" 0 (Fault_inject.fires fi)
+
 let test_arm_tlsf_fails_allocations () =
   with_sdrad (fun space _sd ->
       let heap = Tlsf.create space ~name:"fi-test" in
@@ -589,6 +664,9 @@ let () =
           Alcotest.test_case "thread kill" `Quick test_kill_thread;
           Alcotest.test_case "canary smash rewinds" `Quick
             test_smash_canary_causes_rewind;
+          QCheck_alcotest.to_alcotest decide_differential_prop;
+          Alcotest.test_case "decide host allocation" `Quick
+            test_decide_allocation;
         ] );
       ( "acceptance",
         [

@@ -761,6 +761,39 @@ let test_request_gates_alloc_budget () =
         true
         (words <= enter_exit_words_budget))
 
+(* One rewind and the re-created domain's first allocation: each call
+   initializes [d1] afresh (the previous call discarded it), allocates
+   in it — which gives the new instance its heap — and faults on a
+   stray store. The rewind writes its audit record with the victim's
+   flight excerpt, discards the domain and reports the incident. 271.9
+   words measured, the budget that plus under 10 %; 2,263.3 while the
+   rewind formatted its trigger with [Format.asprintf], read the flight
+   ring into a list of records to keep its last 8, and the re-created
+   domain allocated a fresh TLSF control. What is left is the domain's
+   instance record, the fault's exception and record, the victim list
+   and the discard's closures and list cells. *)
+let rewind_words_budget = 295.0
+
+let test_rewind_alloc_budget () =
+  with_sdrad (fun space sd ->
+      let rewound = ref 0 in
+      let on_rewind _ = incr rewound in
+      let body () =
+        Api.enter sd d1;
+        ignore (Api.malloc sd ~udi:d1 64);
+        Space.store64 space 64 0x41414141
+      in
+      let rewind () = Api.run sd ~udi:d1 ~on_rewind body in
+      let words = Alloc_probe.words_per_call ~n:200 rewind in
+      check int "every call rewound" 300 !rewound;
+      check bool
+        (Printf.sprintf
+           "a rewind and the next domain's first malloc allocate %.1f words \
+            (budget %.0f)"
+           words rewind_words_budget)
+        true
+        (words <= rewind_words_budget))
+
 let () =
   Alcotest.run "sdrad"
     [
@@ -829,5 +862,7 @@ let () =
           QCheck_alcotest.to_alcotest random_events_prop;
           Alcotest.test_case "request gates host allocation" `Quick
             test_request_gates_alloc_budget;
+          Alcotest.test_case "rewind host allocation" `Quick
+            test_rewind_alloc_budget;
         ] );
     ]

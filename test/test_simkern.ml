@@ -80,6 +80,14 @@ let test_rng_matches_reference () =
       same "int" seed (fun r -> Rng.int r 1_000_003) (fun m ->
           Ref_splitmix.int m 1_000_003);
       same "float" seed Rng.float Ref_splitmix.float;
+      (* The int draw scales to the reference's [Int64.to_float] value
+         bit for bit, and [below] compares that value. *)
+      same "bits53" seed
+        (fun r -> float_of_int (Rng.bits53 r) *. 0x1.0p-53)
+        Ref_splitmix.float;
+      same "below" seed
+        (fun r -> Rng.below r 0.01)
+        (fun m -> Ref_splitmix.float m < 0.01);
       (* A split child draws the reference child's stream. *)
       same "split" seed
         (fun r -> Rng.int64 (Rng.split r))
@@ -377,7 +385,7 @@ let fiber_block_until deadline =
   let _timer =
     Sched.spawn (Sched.current ()) ~name:"timer" (fun () ->
         Sched.wait_until deadline;
-        ignore (Sched.wake h ~at:deadline))
+        ignore (Sched.wake_from h (Float.Array.make 1 deadline) 0))
   in
   Sched.block ()
 
@@ -483,13 +491,13 @@ let run_scripts timed scripts tally =
         (match pending.(j) with
         | Some (h, deadline) ->
             pending.(j) <- None;
-            ignore
-              (Sched.wake h
-                 ~at:
-                   (match w with
-                   | Immediately -> Sched.now ()
-                   | At_deadline -> deadline
-                   | Later k -> Sched.now () +. float_of_int k))
+            let at =
+              match w with
+              | Immediately -> Sched.now ()
+              | At_deadline -> deadline
+              | Later k -> Sched.now () +. float_of_int k
+            in
+            ignore (Sched.wake_from h (Float.Array.make 1 at) 0)
         | None -> ());
         note "send %d" j
     | Kill j ->
@@ -589,8 +597,8 @@ let test_handle_from_another_run () =
       let own = Sched.handle () in
       let _ =
         Sched.spawn t (fun () ->
-            stale_woke := Sched.wake !stale ~at:(Sched.now ());
-            ignore (Sched.wake own ~at:(Sched.now ())))
+            stale_woke := Sched.wake !stale;
+            ignore (Sched.wake own))
       in
       Sched.block ());
   check bool "the stale handle woke nothing" false !stale_woke

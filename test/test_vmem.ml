@@ -39,7 +39,8 @@ let test_mmap_basic () =
   let s = mk () in
   let a = Space.mmap s ~len:10_000 ~prot:Prot.rw ~pkey:0 in
   check bool "page aligned" true (a land 0xFFF = 0);
-  check (Alcotest.option int) "rounded to pages" (Some 12288) (Space.alloc_len s a);
+  check int "rounded to pages" 12288 (Space.mapped_len s a);
+  check int "no allocation based inside it" 0 (Space.mapped_len s (a + 4096));
   check bool "mapped" true (Space.is_mapped s a);
   Space.munmap s a;
   check bool "unmapped" false (Space.is_mapped s a)
