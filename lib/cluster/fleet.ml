@@ -158,7 +158,10 @@ let acked_buf b = Proto.reply_ok (Netsim.Buf.view b) (Netsim.Buf.length b)
 
 (* {2 Shard-side helpers} *)
 
-let link_up s = (not s.s_crashed) && Sched.now () >= s.s_partitioned_until
+(* The clock is read from the caller's cell: [Sched.now] would box it,
+   once per routed request. *)
+let link_up s =
+  (not s.s_crashed) && (Sched.clock_cell ()).clock >= s.s_partitioned_until
 
 let crash_shard s =
   if not s.s_crashed then begin
@@ -294,8 +297,9 @@ let backend t backends s =
       bc
 
 (* Forward the request in [msg], scanned into [r], to its shard and relay
-   the reply, which is received into [reply]. *)
-let handle_request t backends c msg reply r clock =
+   the reply, which is received into [reply]; the forward's deadline is
+   staged in slot 0 of [deadline], where the timed receive reads it. *)
+let handle_request t backends c msg reply r clock deadline =
   Metrics.inc t.c_requests;
   match pick t r with
   | -1 -> Netsim.send c Proto.server_error_busy
@@ -319,10 +323,8 @@ let handle_request t backends c msg reply r clock =
         else begin
           let bc = backend t backends s in
           Netsim.send_buf bc msg;
-          if
-            Netsim.recv_buf_deadline bc reply
-              ~deadline:(clock.Sched.clock +. forward_timeout)
-          then true
+          Float.Array.set deadline 0 (clock.Sched.clock +. forward_timeout);
+          if Netsim.recv_buf_deadline bc reply deadline 0 then true
           else begin
             (* Reply may still arrive later; abandon the connection so
                it cannot be mis-paired with the next forward. *)
@@ -351,7 +353,8 @@ let handle_request t backends c msg reply r clock =
 
 (* Each router worker receives requests into one buffer, scans them into
    one request record and receives shard replies into another buffer;
-   its backend connections are indexed by shard. *)
+   its backend connections are indexed by shard, and its forwards'
+   deadlines go in one slot of its own. *)
 let worker t widx () =
   let ws = t.worker_sets.(widx) in
   let backends = Array.make (Array.length t.shards) None in
@@ -360,35 +363,36 @@ let worker t widx () =
   (* The clock is read from the thread's cell: [Sched.now] would box
      it. *)
   let clock = Sched.clock_cell () in
+  let deadline = Float.Array.make 1 0.0 in
   let rec loop () =
-    match Netsim.Waitset.wait ws with
-    | None -> ()
-    | Some c ->
-        (if Netsim.recv_buf c msg then begin
-           Proto.scan_wire r (Netsim.Buf.view msg) (Netsim.Buf.length msg);
-           if r.verb = Quit then begin
-             Netsim.Waitset.remove ws c;
-             Netsim.close c
-           end
-           else if Netsim.Buf.older_than msg shed_wait || Netsim.peer_closed c
-           then begin
-             (* Staleness shed: a request that aged past [shed_wait] in
-                the router queue (or whose client already hung up)
-                belongs to an attempt whose deadline a forward can no
-                longer meet — forwarding it is dead work that starves
-                fresh arrivals and collapses goodput under overload.
-                Answer busy at wire speed instead; the retry rides in
-                on a fresh attempt the shard can still meet. *)
-             Metrics.inc t.c_shed;
-             Netsim.send c Proto.server_error_busy
-           end
-           else handle_request t backends c msg reply r clock
-         end
-         else if Netsim.peer_closed c then begin
+    let c = Netsim.Waitset.wait ws in
+    if c != Netsim.no_conn then begin
+      (if Netsim.recv_buf c msg then begin
+         Proto.scan_wire r (Netsim.Buf.view msg) (Netsim.Buf.length msg);
+         if r.verb = Quit then begin
            Netsim.Waitset.remove ws c;
            Netsim.close c
-         end);
-        loop ()
+         end
+         else if Netsim.Buf.older_than msg shed_wait || Netsim.peer_closed c
+         then begin
+           (* Staleness shed: a request that aged past [shed_wait] in
+              the router queue (or whose client already hung up)
+              belongs to an attempt whose deadline a forward can no
+              longer meet — forwarding it is dead work that starves
+              fresh arrivals and collapses goodput under overload.
+              Answer busy at wire speed instead; the retry rides in
+              on a fresh attempt the shard can still meet. *)
+           Metrics.inc t.c_shed;
+           Netsim.send c Proto.server_error_busy
+         end
+         else handle_request t backends c msg reply r clock deadline
+       end
+       else if Netsim.peer_closed c then begin
+         Netsim.Waitset.remove ws c;
+         Netsim.close c
+       end);
+      loop ()
+    end
   in
   loop ();
   Array.iter (Option.iter Netsim.close) backends
@@ -482,37 +486,37 @@ let rec beat_shard msg i stop v =
 
 let hb_reader t () =
   let rec loop () =
-    match Netsim.Waitset.wait t.hb_set with
-    | None -> ()
-    | Some c ->
-        (match Netsim.try_recv c with
-        | Some msg ->
-            (* Heartbeats are this module's own single-spaced lines,
-               [hb <shard> <state>], scanned in place. *)
-            let n = String.length msg in
-            let sp =
-              if n > 3 && ends_with_at msg 0 "hb " 0 then
-                Serve.index_from msg 3 n ' '
-              else -1
-            in
-            (* At most six digits: an index that cannot overflow. *)
-            let i = if sp > 3 && sp <= 9 then beat_shard msg 3 sp 0 else -1 in
-            if
-              i >= 0
-              && i < Array.length t.shards
-              && Serve.index_from msg (sp + 1) n ' ' < 0
-            then begin
-              let s = t.shards.(i) in
-              s.s_hb_last <- Sched.now ();
-              s.s_hb_breaker <- breaker_at msg (sp + 1);
-              Metrics.inc t.c_heartbeats
-            end
-        | None ->
-            if Netsim.peer_closed c then begin
-              Netsim.Waitset.remove t.hb_set c;
-              Netsim.close c
-            end);
-        loop ()
+    let c = Netsim.Waitset.wait t.hb_set in
+    if c != Netsim.no_conn then begin
+      (match Netsim.try_recv c with
+      | Some msg ->
+          (* Heartbeats are this module's own single-spaced lines,
+             [hb <shard> <state>], scanned in place. *)
+          let n = String.length msg in
+          let sp =
+            if n > 3 && ends_with_at msg 0 "hb " 0 then
+              Serve.index_from msg 3 n ' '
+            else -1
+          in
+          (* At most six digits: an index that cannot overflow. *)
+          let i = if sp > 3 && sp <= 9 then beat_shard msg 3 sp 0 else -1 in
+          if
+            i >= 0
+            && i < Array.length t.shards
+            && Serve.index_from msg (sp + 1) n ' ' < 0
+          then begin
+            let s = t.shards.(i) in
+            s.s_hb_last <- Sched.now ();
+            s.s_hb_breaker <- breaker_at msg (sp + 1);
+            Metrics.inc t.c_heartbeats
+          end
+      | None ->
+          if Netsim.peer_closed c then begin
+            Netsim.Waitset.remove t.hb_set c;
+            Netsim.close c
+          end);
+      loop ()
+    end
   in
   loop ()
 

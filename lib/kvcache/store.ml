@@ -240,53 +240,79 @@ let lru_keys t =
   in
   walk t.lru_head []
 
-let check t =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let seen = Hashtbl.create 64 in
-  for b = 0 to t.mask do
-    let slot = t.table + (b * 8) in
-    let rec walk item depth =
-      if item <> 0 then
-        if depth > 1_000_000 then err "bucket %d: chain too long (cycle?)" b
-        else if Hashtbl.mem seen item then err "item 0x%x linked twice" item
-        else begin
-          Hashtbl.replace seen item ();
-          let klen = key_len t item in
-          let vlen = value_len t item in
-          if klen <= 0 || klen > 250 then
-            err "item 0x%x: bad key length %d" item klen
-          else if vlen < 0 || header_size + klen + vlen > Slab.max_chunk_size
-          then err "item 0x%x: bad value length %d" item vlen
-          else begin
-            let key = item_key t item in
-            if hash key land t.mask <> b then
-              err "item 0x%x (%s) in wrong bucket" item key
-          end;
-          walk (Space.load64 t.space item) (depth + 1)
-        end
-    in
-    walk (Space.load64 t.space slot) 0
-  done;
-  if Hashtbl.length seen <> t.count then
-    err "item count mismatch: table has %d, accounting says %d"
-      (Hashtbl.length seen) t.count;
-  (* The LRU list must thread exactly the linked items. *)
-  let lru_count = ref 0 in
-  let rec walk_lru item prev =
-    if item <> 0 then begin
-      if !lru_count > t.count + 1 then err "LRU list longer than item count"
+(* {1 Consistency check}
+
+   [check]'s walks are top-level functions over one [checker], so
+   walking a bucket builds nothing: an empty bucket costs its load and
+   no allocation. [test/store_check_ref.ml] is the walk it must match:
+   the same loads, in the same order, and the same messages. *)
+
+type checker = {
+  st : t;
+  seen : (int, unit) Hashtbl.t;  (* the items the chains reach *)
+  mutable errors : string list;  (* newest first *)
+  mutable lru_count : int;
+}
+
+let err c fmt = Printf.ksprintf (fun s -> c.errors <- s :: c.errors) fmt
+
+(* Bucket [b]'s chain from [item], the [depth]th link. *)
+let rec check_chain c b item depth =
+  if item <> 0 then
+    if depth > 1_000_000 then err c "bucket %d: chain too long (cycle?)" b
+    else if Hashtbl.mem c.seen item then err c "item 0x%x linked twice" item
+    else begin
+      let t = c.st in
+      Hashtbl.replace c.seen item ();
+      let klen = key_len t item in
+      let vlen = value_len t item in
+      if klen <= 0 || klen > 250 then
+        err c "item 0x%x: bad key length %d" item klen
+      else if vlen < 0 || header_size + klen + vlen > Slab.max_chunk_size then
+        err c "item 0x%x: bad value length %d" item vlen
       else begin
-        incr lru_count;
-        if not (Hashtbl.mem seen item) then
-          err "LRU entry 0x%x is not a linked item" item;
-        if lru_prev t item <> prev then err "LRU back-link broken at 0x%x" item;
-        walk_lru (lru_next t item) item
-      end
+        let key = item_key t item in
+        if hash key land t.mask <> b then
+          err c "item 0x%x (%s) in wrong bucket" item key
+      end;
+      check_chain c b (Space.load64 t.space item) (depth + 1)
     end
-    else if t.lru_tail <> prev then err "LRU tail does not match list end"
-  in
-  walk_lru t.lru_head 0;
-  if !lru_count <> t.count then
-    err "LRU count %d != item count %d" !lru_count t.count;
-  List.rev !errors
+
+(* The LRU list from [item], whose predecessor is [prev]: it must thread
+   exactly the linked items. *)
+let rec check_lru c item prev =
+  let t = c.st in
+  if item <> 0 then begin
+    if c.lru_count > t.count + 1 then err c "LRU list longer than item count"
+    else begin
+      c.lru_count <- c.lru_count + 1;
+      if not (Hashtbl.mem c.seen item) then
+        err c "LRU entry 0x%x is not a linked item" item;
+      if lru_prev t item <> prev then err c "LRU back-link broken at 0x%x" item;
+      check_lru c (lru_next t item) item
+    end
+  end
+  else if t.lru_tail <> prev then err c "LRU tail does not match list end"
+
+let check t =
+  let c = { st = t; seen = Hashtbl.create 64; errors = []; lru_count = 0 } in
+  for b = 0 to t.mask do
+    check_chain c b (Space.load64 t.space (t.table + (b * 8))) 0
+  done;
+  if Hashtbl.length c.seen <> t.count then
+    err c "item count mismatch: table has %d, accounting says %d"
+      (Hashtbl.length c.seen) t.count;
+  check_lru c t.lru_head 0;
+  if c.lru_count <> t.count then
+    err c "LRU count %d != item count %d" c.lru_count t.count;
+  List.rev c.errors
+
+type layout = { table : int; buckets : int; lru_head : int; lru_tail : int }
+
+let layout (t : t) =
+  {
+    table = t.table;
+    buckets = t.mask + 1;
+    lru_head = t.lru_head;
+    lru_tail = t.lru_tail;
+  }

@@ -94,5 +94,20 @@ val lru_keys : t -> string list
 
 val check : t -> string list
 (** Walk every bucket chain and verify item headers are sane (lengths
-    within slab bounds, chains acyclic). Returns discrepancies — used to
-    demonstrate silent corruption after an unprotected overflow. *)
+    within slab bounds, chains acyclic, each item in its key's bucket and
+    reached once), then the LRU list against the chains and the item
+    count. Returns discrepancies, in the order found — used to
+    demonstrate silent corruption after an unprotected overflow. Its
+    loads are checked and charged; an empty bucket costs one load and
+    allocates nothing. *)
+
+type layout = {
+  table : int;  (** address of the bucket array, 8 bytes a bucket *)
+  buckets : int;  (** a power of two *)
+  lru_head : int;  (** most recently used item, 0 when empty *)
+  lru_tail : int;  (** least recently used item *)
+}
+
+val layout : t -> layout
+(** Where the store's structure starts in simulated memory (test hook:
+    a walk of its own, such as a reference {!check}, starts there). *)

@@ -122,6 +122,12 @@ let fresh_shared () =
     pool = { free = Array.make classes [||]; count = Array.make classes 0 };
   }
 
+(* Where a wait given its deadline as a [float] stages it for
+   [Sched.block_until_from], which reads it as it arms the timer, before
+   the waiter parks. One slot serves every wait: a waiter that resumes
+   restages its deadline before it blocks again. *)
+let staged = Float.Array.make 1 0.0
+
 (* The inbox is a ring of [queued] messages from slot [head]: delivery
    times unboxed in [arrivals], frames in the same slots of [frames] and
    their lengths in [lens], capacity a power of two. A [send_buf]'s
@@ -225,6 +231,10 @@ let fresh_endpoint t ~src =
   let eid = t.next_eid in
   t.next_eid <- eid + 1;
   { unpaired with eid; src; cost = t.n_cost; shared = t.n_shared }
+
+(* "No connection", compared by physical equality: closed, so it is
+   never open, never ready, and closing it again is a no-op. *)
+let no_conn = { unpaired with closed = true }
 
 (* Queue a message; the ring slot that holds its delivery time. *)
 let[@inline] enqueue e arrival frame len =
@@ -421,38 +431,54 @@ let recv_buf c b =
        true
      end
 
-(* Timed [await]: when nothing is queued, the receiver blocks with a
-   scheduler timer armed for [deadline] ([Sched.block_until]). A handle
-   wakes at most once, so whichever of the two wake paths (message
-   arrival, timer) loses the race is a no-op; the stale handle a timeout
-   leaves in [waiter] is likewise harmless — the next wake clears it
-   without effect, even when the thread has blocked elsewhere since. *)
-let rec await_until c ~deadline =
-  if c.queued > 0 then begin
-    if head_arrival c <= deadline then begin
+(* One step of a timed [await], giving up at [Float.Array.get times i]:
+   1 when a message is deliverable (the caller's clock brought to it), 0
+   on a timeout or a closed connection, -1 after parking until a
+   message, a close or the timer woke it. A parked receiver's timer is
+   armed with [Sched.block_until_from], which reads the deadline in
+   place. A handle wakes at most once, so whichever of the two wake
+   paths (message arrival, timer) loses the race is a no-op; the stale
+   handle a timeout leaves in [waiter] is likewise harmless — the next
+   wake clears it without effect, even when the thread has blocked
+   elsewhere since. The deadline crosses no module boundary as a
+   [float], except to [Sched.wait_until] when the head message arrives
+   past it. *)
+let await_step c times i =
+  if c.queued > 0 then
+    if head_arrival c <= Float.Array.get times i then begin
       catch_up c;
-      true
+      1
     end
     else begin
       (* Head-of-line message arrives after the deadline: in-order
          delivery means nothing else can overtake it. *)
-      Sched.wait_until deadline;
-      false
+      Sched.wait_until (Float.Array.get times i);
+      0
     end
-  end
-  else if c.peer.closed || c.closed then false
-  else if (Sched.clock_cell ()).clock >= deadline then false
+  else if c.peer.closed || c.closed then 0
+  else if (Sched.clock_cell ()).clock >= Float.Array.get times i then 0
   else begin
     c.waiter <- Sched.handle ();
-    Sched.block_until deadline;
-    await_until c ~deadline
+    Sched.block_until_from times i;
+    -1
   end
 
-let recv_deadline c ~deadline =
-  if await_until c ~deadline then Some (dequeue c) else None
+let rec await_until c times i =
+  match await_step c times i with -1 -> await_until c times i | r -> r = 1
 
-let recv_buf_deadline c b ~deadline =
-  await_until c ~deadline
+(* [await_until] of a [float] deadline, staged in [staged] before every
+   step: other waits restage the slot while this one is parked. *)
+let rec await_before c ~deadline =
+  Float.Array.set staged 0 deadline;
+  match await_step c staged 0 with
+  | -1 -> await_before c ~deadline
+  | r -> r = 1
+
+let recv_deadline c ~deadline =
+  if await_before c ~deadline then Some (dequeue c) else None
+
+let recv_buf_deadline c b times i =
+  await_until c times i
   && begin
        dequeue_into c b;
        true
@@ -556,7 +582,7 @@ module Waitset = struct
     !best
 
   let rec wait ws =
-    if ws.ws_closed then None
+    if ws.ws_closed then no_conn
     else
       match pick_earliest ws with
       | idx when idx >= 0 ->
@@ -564,7 +590,7 @@ module Waitset = struct
           (* If the message arrives in the future, wait for it so the
              caller's recv does not under-account time. *)
           if c.queued > 0 then catch_up c;
-          Some c
+          c
       | _ ->
           ws.ws_waiter <- Sched.handle ();
           Sched.block ();
@@ -578,29 +604,31 @@ module Waitset = struct
     !n
 
   (* Timed [wait], built like [recv_deadline]: a scheduler timer provides
-     the deadline wake; readiness picks the same earliest-arrival winner
-     as [wait], but a winner whose head-of-line message arrives after
-     the deadline counts as a timeout. *)
+     the deadline wake, its deadline staged as [recv_deadline] stages
+     it; readiness picks the same earliest-arrival winner as [wait], but
+     a winner whose head-of-line message arrives after the deadline
+     counts as a timeout. *)
   let rec wait_deadline ws ~deadline =
-    if ws.ws_closed then None
+    if ws.ws_closed then no_conn
     else
       match pick_earliest ws with
       | idx when idx >= 0 ->
           let c = ws.watched.(idx) in
-          if c.queued = 0 then Some c (* closed peer: reportable immediately *)
+          if c.queued = 0 then c (* closed peer: reportable immediately *)
           else if head_arrival c <= deadline then begin
             catch_up c;
-            Some c
+            c
           end
           else begin
             Sched.wait_until deadline;
-            None
+            no_conn
           end
       | _ ->
-          if (Sched.clock_cell ()).clock >= deadline then None
+          if (Sched.clock_cell ()).clock >= deadline then no_conn
           else begin
             ws.ws_waiter <- Sched.handle ();
-            Sched.block_until deadline;
+            Float.Array.set staged 0 deadline;
+            Sched.block_until_from staged 0;
             wait_deadline ws ~deadline
           end
 end

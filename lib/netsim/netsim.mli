@@ -101,7 +101,8 @@ val send : conn -> string -> unit
     receiving end's inbox is a ring of unboxed delivery times and
     frames, so queueing a message allocates nothing once the ring has
     grown to the connection's depth; waking a receiver blocked on it
-    boxes the delivery time passed to {!Simkern.Sched.wake} (2 words). *)
+    reads the delivery time from the ring
+    ({!Simkern.Sched.wake_from}) and boxes nothing. *)
 
 val send_buf : conn -> Buf.t -> unit
 (** {!send} of the buffer's message. Its bytes (after a [Truncate], the
@@ -142,16 +143,24 @@ val recv_deadline : conn -> deadline:float -> string option
     became deliverable by then (or the peer closed). This is what lets a
     client time out instead of blocking forever on a message the fault
     hook dropped. Timeout and peer-close both map to [None]; check
-    {!peer_closed} to tell them apart. A blocked receive arms a
-    {!Simkern.Sched.block_until} timer, not a thread: once it returns,
-    nothing of it is left in the scheduler but the timer's pending heap
-    entry, and in the connection but a stale handle, which a later
-    message's wake finds stale and ignores even when the thread has
-    blocked elsewhere since. *)
+    {!peer_closed} to tell them apart. A blocked receive stages the
+    deadline in a slot of this module's and arms a
+    {!Simkern.Sched.block_until_from} timer on it, not a thread: once it
+    returns, nothing of it is left in the scheduler but the timer's
+    pending heap entry, and in the connection but a stale handle, which
+    a later message's wake finds stale and ignores even when the thread
+    has blocked elsewhere since. *)
 
-val recv_buf_deadline : conn -> Buf.t -> deadline:float -> bool
-(** {!recv_deadline} into a buffer, as {!recv_buf}: [false] on timeout
-    or peer close, leaving the buffer as it was. *)
+val recv_buf_deadline : conn -> Buf.t -> Float.Array.t -> int -> bool
+(** [recv_buf_deadline c b times i]: {!recv_deadline} into a buffer, as
+    {!recv_buf}, giving up at the deadline [Float.Array.get times i]:
+    [false] on timeout or peer close, leaving the buffer as it was. The
+    deadline is read where it lies — a retry engine's attempt deadline
+    (slot 0 of {!Resilience.Retry.deadline_slot}), a router worker's own
+    slot — at every step of the wait, so it must not change while the
+    call blocks. A [float] argument would be boxed; a warm timed receive
+    into a buffer allocates nothing but the blocked thread's
+    continuation. *)
 
 val pooled_frames : t -> int
 (** Frames the network's pool holds for reuse. The pool makes a frame
@@ -168,6 +177,12 @@ val close : conn -> unit
 val is_open : conn -> bool
 val peer_closed : conn -> bool
 val id : conn -> int
+
+val no_conn : conn
+(** No connection: what {!Waitset.wait} returns once its set is closed,
+    compared with [==] (an option would allocate per wait). It is closed,
+    so it is never {!is_open}, {!close} of it is a no-op, and a receive
+    on it finds nothing. *)
 
 val remote_addr : conn -> int
 (** The source address the connecting side supplied to {!connect} (same
@@ -196,15 +211,18 @@ module Waitset : sig
   val add : ws -> conn -> unit
   val remove : ws -> conn -> unit
 
-  val wait : ws -> conn option
+  val wait : ws -> conn
   (** Block until some watched connection has input or a closed peer to
-      report. An empty set blocks until a connection is added ({!add} from
-      another thread) or the set is closed. [None] after {!close}. *)
+      report, and return it. An empty set blocks until a connection is
+      added ({!add} from another thread) or the set is closed. {!no_conn}
+      after {!close}: the result is compared with [==], and a wait that
+      finds a connection ready allocates nothing. *)
 
-  val wait_deadline : ws -> deadline:float -> conn option
-  (** {!wait} with a timeout: [None] once [deadline] passes with nothing
-      reportable (and after {!close}). Like {!recv_deadline}, a blocked
-      wait arms a scheduler timer rather than spawning a thread. *)
+  val wait_deadline : ws -> deadline:float -> conn
+  (** {!wait} with a timeout: {!no_conn} once [deadline] passes with
+      nothing reportable (and after {!close}). Like {!recv_deadline}, a
+      blocked wait stages the deadline and arms a scheduler timer rather
+      than spawning a thread. *)
 
   val backlog : ws -> int
   (** Total messages queued across all watched connections — the queue

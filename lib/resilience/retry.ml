@@ -84,14 +84,27 @@ type t = {
 let create ?metrics ?budget:bgt ?(name = "client") policy ~rng =
   if policy.max_attempts < 1 then
     invalid_arg "Retry.create: max_attempts must be >= 1";
-  let counter metric help =
-    Option.map (fun m -> M.counter m metric ~help) metrics
-  in
   let prefix_len = String.length name in
   (* Room for the prefix, the dash and any int's digits. *)
   let rid = Bytes.create (prefix_len + 21) in
   Bytes.blit_string name 0 rid 0 prefix_len;
   Bytes.set rid prefix_len '-';
+  (* An engine without a registry registers nothing and builds no
+     closure. *)
+  let c_retries, c_budget_exhausted, h_latency =
+    match metrics with
+    | None -> (None, None, None)
+    | Some m ->
+        ( Some
+            (M.counter m "client_retries_total"
+               ~help:"Request attempts beyond the first"),
+          Some
+            (M.counter m "client_retry_budget_exhausted_total"
+               ~help:"Calls failed because the retry budget ran dry"),
+          Some
+            (M.histogram m "client_op_latency_cycles"
+               ~help:"Whole-call latency of logical client operations") )
+  in
   {
     policy;
     bgt;
@@ -106,17 +119,9 @@ let create ?metrics ?budget:bgt ?(name = "client") policy ~rng =
     n_calls = 0;
     n_retries = 0;
     n_budget_exhausted = 0;
-    c_retries =
-      counter "client_retries_total" "Request attempts beyond the first";
-    c_budget_exhausted =
-      counter "client_retry_budget_exhausted_total"
-        "Calls failed because the retry budget ran dry";
-    h_latency =
-      Option.map
-        (fun m ->
-          M.histogram m "client_op_latency_cycles"
-            ~help:"Whole-call latency of logical client operations")
-        metrics;
+    c_retries;
+    c_budget_exhausted;
+    h_latency;
   }
 
 (* The next call's "<prefix>-<n>", written over the last one's digits,
@@ -143,6 +148,7 @@ let rid_bytes t = t.rid
 let rid_length t = t.rid_len
 let trace t = t.trace
 let deadline t = Float.Array.get t.deadline 0
+let deadline_slot t = t.deadline
 
 let context t =
   match Telemetry.Context.of_trace t.trace with

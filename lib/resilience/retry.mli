@@ -12,7 +12,8 @@
     The attempt function reads what it needs of the call from the engine
     — {!rid}, {!trace}, {!context}, {!deadline} — so a caller builds it
     once and a call allocates nothing per attempt. An engine runs one
-    call at a time. *)
+    call at a time. Creating one without a metrics registry builds no
+    closure: its record, its rid buffer and its deadline slot. *)
 
 type policy = {
   max_attempts : int;  (** total attempts, including the first *)
@@ -103,6 +104,12 @@ val context : t -> Telemetry.Context.t
 val deadline : t -> float
 (** The virtual time this attempt must finish by; pass it to
     [Netsim.recv_deadline]. *)
+
+val deadline_slot : t -> Float.Array.t
+(** The array whose slot 0 holds {!deadline}, written before each
+    attempt and left alone while it runs: pass it to
+    [Netsim.recv_buf_deadline] with index 0, which reads the deadline in
+    place, where {!deadline}'s result would be boxed. *)
 
 val calls : t -> int
 val retries : t -> int

@@ -348,30 +348,29 @@ let worker t ?(after = ignore) ws ~drop ~shed ~handle =
      gate's privilege raise/drop then amortizes over the batch. *)
   let rec drain n =
     if n < t.gate_batch_limit then
-      match Netsim.Waitset.wait_deadline ws ~deadline:(Sched.now ()) with
-      | None -> ()
-      | Some c ->
-          if Netsim.recv_buf c req then begin
-            serve c;
-            drain (n + 1)
-          end
-          else begin
-            drop c;
-            drain n
-          end
+      let c = Netsim.Waitset.wait_deadline ws ~deadline:(Sched.now ()) in
+      if c != Netsim.no_conn then
+        if Netsim.recv_buf c req then begin
+          serve c;
+          drain (n + 1)
+        end
+        else begin
+          drop c;
+          drain n
+        end
   in
   let rec loop () =
-    match Netsim.Waitset.wait ws with
-    | None -> ()
-    | Some c ->
-        (if not (Netsim.recv_buf c req) then drop c
-         else if batching then
-           Api.with_gate (Option.get t.sd) (fun () ->
-               serve c;
-               drain 1)
-         else serve c);
-        after ();
-        loop ()
+    let c = Netsim.Waitset.wait ws in
+    if c != Netsim.no_conn then begin
+      (if not (Netsim.recv_buf c req) then drop c
+       else if batching then
+         Api.with_gate (Option.get t.sd) (fun () ->
+             serve c;
+             drain 1)
+       else serve c);
+      after ();
+      loop ()
+    end
   in
   loop ()
 

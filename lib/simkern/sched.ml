@@ -32,7 +32,7 @@ let no_handle = -1
 type thread = {
   tid : int;
   slot : int;  (* index in the scheduler's [threads] *)
-  name : string option;  (* "t<tid>" when [None] *)
+  name : string;  (* [unnamed]: "t<tid>" *)
   cell : cell;  (* [waited]: virtual time spent blocked or waiting *)
   mutable status : status;
   mutable entry : unit -> unit;  (* [no_entry] once started *)
@@ -167,10 +167,11 @@ module Heap = struct
     h.n <- h.n + 1;
     sift_up h (h.n - 1)
 
-  (* A timer's entry, keyed at the arming thread's clock. *)
-  let push_timer h (c : cell) id wake deadline =
+  (* A timer's entry, keyed at the arming thread's clock, its deadline
+     read from slot [i] of [times]. *)
+  let push_timer h (c : cell) id wake times i =
     if h.n = Array.length h.ids then grow h;
-    Float.Array.set h.deadlines h.n deadline;
+    Float.Array.set h.deadlines h.n (Float.Array.get times i);
     push h c id wake
 
   let is_empty h = h.n = 0
@@ -231,11 +232,16 @@ let no_entry () = ()
 (* The scheduler's "no thread running" marker, compared by physical
    equality (an option would allocate a [Some] per resumption). Never
    mutated: every mutating path first checks it is not current. *)
+(* The name of a thread spawned without one, compared by physical
+   equality: storing it, rather than an option, keeps the caller's
+   [Some] short-lived. *)
+let unnamed = String.make 1 '?'
+
 let no_thread =
   {
     tid = -1;
     slot = -1;
-    name = None;
+    name = unnamed;
     cell = { clock = 0.0; waited = 0.0 };
     status = Done Completed;
     entry = no_entry;
@@ -246,7 +252,7 @@ let no_thread =
   }
 
 let name_of th =
-  match th.name with Some n -> n | None -> "t" ^ Int.to_string th.tid
+  if th.name == unnamed then "t" ^ Int.to_string th.tid else th.name
 
 let active : t option ref = ref None
 
@@ -398,6 +404,7 @@ let spawn t ?name f =
   let clock =
     if t.current == no_thread then 0.0 else t.current.cell.clock
   in
+  let name = match name with Some n -> n | None -> unnamed in
   let th =
     {
       tid;
@@ -604,13 +611,15 @@ let block () = perform Block
    first entry. Same keys, ids and horizon as that thread, so a run goes
    the same way step for step, but no thread record, stack or outcome is
    left behind. The entry is pushed before the thread parks; nothing runs
-   in between. *)
-let block_until deadline =
+   in between. The deadline is read from its slot inside the push: a
+   [float] argument would be boxed across the module boundary, and so
+   would the slot's value passed on to the push. *)
+let block_until_from times i =
   let th = current_thread () in
   let t = current () in
   let id = t.next_tid in
   t.next_tid <- id + 1;
-  Heap.push_timer t.ready th.cell id (handle_of th) deadline;
+  Heap.push_timer t.ready th.cell id (handle_of th) times i;
   perform Block
 
 (* The time a wake moves its thread to is read where it lies — the

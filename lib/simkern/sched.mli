@@ -8,7 +8,7 @@
     run is reproducible.
 
     A thread advances its own clock with {!charge}; it never pre-empts.
-    Blocking primitives ({!block}, {!block_until}, {!Mutex}, {!Cond},
+    Blocking primitives ({!block}, {!block_until_from}, {!Mutex}, {!Cond},
     {!join}) hand control back to the scheduler; when woken at virtual
     time [at], the thread's clock becomes [max clock at], which is how
     waiting time manifests. *)
@@ -64,7 +64,7 @@ val outcomes : t -> (tid * string * outcome) list
 
 val horizon : t -> float
 (** Largest clock reached by any thread or armed timer (see
-    {!block_until}) — the makespan of the simulation, used for
+    {!block_until_from}) — the makespan of the simulation, used for
     throughput computations. *)
 
 (** The functions below may only be called from inside a running thread. *)
@@ -120,7 +120,8 @@ val no_handle : handle
 (** Names no suspension; {!wake} of it is [false]. *)
 
 val handle : unit -> handle
-(** The handle of the current thread's next {!block} or {!block_until}.
+(** The handle of the current thread's next {!block} or
+    {!block_until_from}.
     A caller publishes it where a waker will find it (a wait queue, a
     connection), then blocks: fibers are cooperative, so nothing runs
     between the two steps. *)
@@ -129,12 +130,17 @@ val block : unit -> unit
 (** Park the current thread until {!wake} of its {!handle} (or a
     {!kill}). *)
 
-val block_until : float -> unit
-(** [block_until deadline] parks like {!block} and also arms a timer
-    that wakes the same handle [~at:deadline]. Whichever wake comes
-    first resumes the thread; the other finds the handle stale and is a
-    no-op, so a timer is never cancelled. A deadline at or before the
-    current clock fires at the current clock.
+val block_until_from : Float.Array.t -> int -> unit
+(** [block_until_from times i] parks like {!block} and also arms a timer
+    that wakes the same handle at the deadline [Float.Array.get times i],
+    read when the timer is armed. Whichever wake comes first resumes the
+    thread; the other finds the handle stale and is a no-op, so a timer
+    is never cancelled. A deadline at or before the current clock fires
+    at the current clock. The deadline is read where it lies, as
+    {!wake_from} reads its time, because a [float] argument would be
+    boxed: a caller keeps it in a slot of its own (a retry engine's
+    attempt deadline, a router worker's forward deadline) and arming the
+    timer allocates nothing.
 
     A timer is an entry in the ready heap holding the handle and the
     deadline, not a thread: it has no thread record, stack, {!outcomes}

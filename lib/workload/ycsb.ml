@@ -141,229 +141,327 @@ let write_request b ~op ~base ~value_size k ~rid ~rid_len ~trace =
       add_value b ~base ~value_size k;
       Netsim.Buf.add_string b "\r\n"
 
+(* {1 Clients}
+
+   A client is one record, built when its thread starts and driven by
+   the top-level functions below: its connection, made on first use;
+   the buffer every request is written into and its reply received
+   into; and, when a retry policy is configured, its retry engine and
+   the one attempt function it runs every call with. A run-phase client
+   also keeps its random stream and its Zipf table there. What the
+   clients of one launch share is one [launch] record. *)
+
+type op = [ `Get | `Load | `Update ]
+
+type launch = {
+  cfg : config;
+  net : Netsim.t;
+  base_value : string;
+  fail_lock : Sched.Mutex.mutex;
+  mutable failures : int;
+  mutable retry_total : int;
+  (* Highest key inserted so far, shared between clients (workload D). *)
+  key_lock : Sched.Mutex.mutex;
+  mutable key_count : int;
+  (* Run-phase latencies, unboxed: client [i]'s [counts.(i)] samples,
+     oldest first, from slot [first l i] on. *)
+  samples : Float.Array.t;
+  counts : int array;
+  mutable run_start : float;
+}
+
+type client = {
+  l : launch;
+  i : int;
+  buf : Netsim.Buf.t;
+  mutable conn : Netsim.conn;  (* [Netsim.no_conn] until first use *)
+  eng : Retry.t option;
+  (* The operation in flight, read by [attempt]. *)
+  mutable op : op;
+  mutable key : int;
+  mutable attempt : Retry.t -> (unit, [ `Retry of string ]) result;
+  rng : Rng.t;  (* the run phase's draws *)
+  mutable zipf : Zipf.t option;  (* made on the first Zipf draw *)
+}
+
+let bump_failures l =
+  Sched.Mutex.lock l.fail_lock;
+  l.failures <- l.failures + 1;
+  Sched.Mutex.unlock l.fail_lock
+
+(* The connection is made lazily, on first use: a fleet of 10⁴ clients
+   connecting the instant the run phase opens would herd every setup
+   into one burst, and the requests already sent behind that burst age
+   out before any server worker sees the connection. Deferring to first
+   issue spreads setup across the arrival grid. *)
+let live cl =
+  let c = cl.conn in
+  if Netsim.is_open c && not (Netsim.peer_closed c) then c
+  else begin
+    Netsim.close c;
+    let c = Netsim.connect cl.l.net ~port:cl.l.cfg.port in
+    cl.conn <- c;
+    c
+  end
+
+let write cl ~op k ~rid ~rid_len ~trace =
+  write_request cl.buf ~op ~base:cl.l.base_value ~value_size:cl.l.cfg.value_size
+    k ~rid ~rid_len ~trace
+
+(* One attempt of the operation in flight. Every retry of one logical op
+   reuses its idempotency key. *)
+let attempt cl eng =
+  let c = live cl in
+  write cl ~op:cl.op cl.key ~rid:(Retry.rid_bytes eng)
+    ~rid_len:(Retry.rid_length eng) ~trace:(Retry.trace eng);
+  Netsim.send_buf c cl.buf;
+  if not (Netsim.recv_buf_deadline c cl.buf (Retry.deadline_slot eng) 0)
+  then begin
+    (* Timed out: the reply may still be in flight, and a
+       request/response stream cannot resynchronize once a response is
+       unaccounted for — abandon the connection so a stale reply can
+       never be taken for a later operation's answer. *)
+    Netsim.close c;
+    Error (`Retry "timeout")
+  end
+  else if Netsim.Buf.equal_string cl.buf Kvcache.Proto.server_error_busy then
+    Error (`Retry "busy")
+  else Ok ()
+
+let no_attempt _ = Ok ()
+
+(* Client [i]'s kit; [salt] and [name] tell its phase's retry engines
+   apart. Without a retry policy, a reply the fault hook dropped would
+   block the client forever; with one, requests carry per-attempt
+   deadlines. *)
+let client l ~name ~salt ~rng i =
+  let cfg = l.cfg in
+  let eng =
+    match cfg.retry with
+    | None -> None
+    | Some policy ->
+        Some
+          (Retry.create policy
+             ~rng:(Rng.create (cfg.seed + (salt * i) + 13))
+             ~name:(name ^ Int.to_string i))
+  in
+  let cl =
+    {
+      l;
+      i;
+      buf = Netsim.Buf.create ();
+      conn = Netsim.no_conn;
+      eng;
+      op = `Get;
+      key = 0;
+      attempt = no_attempt;
+      rng;
+      zipf = None;
+    }
+  in
+  if eng <> None then cl.attempt <- attempt cl;
+  cl
+
+(* Whether op [op] on record [k] got a reply; the reply is in [cl.buf]. *)
+let issue cl ~op k =
+  match cl.eng with
+  | None ->
+      write cl ~op k ~rid:Bytes.empty ~rid_len:0 ~trace:0;
+      let c = live cl in
+      Netsim.send_buf c cl.buf;
+      Netsim.recv_buf c cl.buf
+  | Some eng -> (
+      cl.op <- op;
+      cl.key <- k;
+      match Retry.execute eng cl.attempt with Ok () -> true | Error _ -> false)
+
+let finish cl =
+  (match cl.eng with
+  | Some e ->
+      let l = cl.l in
+      Sched.Mutex.lock l.fail_lock;
+      l.retry_total <- l.retry_total + Retry.retries e;
+      Sched.Mutex.unlock l.fail_lock
+  | None -> ());
+  Netsim.close cl.conn
+
+(* {2 The load phase} *)
+
+let rec load_from cl k hi =
+  if k < hi then begin
+    Sched.charge cl.l.cfg.client_cycles;
+    (* Loads are idempotent (same key, same value), so no rid; the trace
+       token still links retried loads to their op. *)
+    if issue cl ~op:`Load k && Netsim.Buf.equal_string cl.buf Kvcache.Proto.stored
+    then load_from cl (k + 1) hi
+    else begin
+      bump_failures cl.l;
+      if cl.eng <> None then load_from cl (k + 1) hi
+    end
+  end
+
+(* A client with no records to load (or no operations to run) is still
+   spawned, so thread ids do not depend on the key ranges, but it builds
+   no kit: it would never use one. A load client draws no random
+   number, so it is handed the launch's value stream, unused. *)
+let load_client l rng i () =
+  let cfg = l.cfg in
+  let per = cfg.records / cfg.clients in
+  let lo = i * per in
+  let hi = if i = cfg.clients - 1 then cfg.records else lo + per in
+  if lo < hi then begin
+    let cl = client l ~name:"yl" ~salt:9000 ~rng i in
+    load_from cl lo hi;
+    finish cl
+  end
+
+(* {2 The run phase}
+
+   Each client runs [operations / clients] operations and the last one
+   also the remainder, as the last load client loads the remainder of
+   the records: exactly [operations] run. Client [i]'s samples start at
+   slot [first l i]. *)
+
+let first l i = i * (l.cfg.operations / l.cfg.clients)
+
+let ops_of l i =
+  let per = l.cfg.operations / l.cfg.clients in
+  if i = l.cfg.clients - 1 then l.cfg.operations - (per * i) else per
+
+(* Built on first use: its set-up is O(records), and uniform clients
+   never draw from it. Creation draws no random numbers, so making it
+   late leaves the key sequence unchanged. *)
+let zipf cl =
+  match cl.zipf with
+  | Some z -> z
+  | None ->
+      let cfg = cl.l.cfg in
+      let z = Zipf.create cl.rng ~n:cfg.records ~theta:cfg.zipf_theta in
+      cl.zipf <- Some z;
+      z
+
+let pick cl =
+  let l = cl.l in
+  match l.cfg.distribution with
+  | Zipfian -> Zipf.next (zipf cl)
+  | Uniform -> Rng.int cl.rng l.cfg.records
+  | Latest ->
+      (* The most popular record is the most recent one. *)
+      let n = l.key_count in
+      max 0 (n - 1 - Zipf.next (zipf cl))
+
+let fresh_key l =
+  Sched.Mutex.lock l.key_lock;
+  let k = l.key_count in
+  l.key_count <- k + 1;
+  Sched.Mutex.unlock l.key_lock;
+  k
+
+(* Open-loop mode: the run phase's arrivals are pre-scheduled on a
+   fleet-wide grid (client [i]'s op [k] fires at
+   [run_start + interval * (k * clients + i)]), and latency is measured
+   from the {e scheduled} arrival — a late reply delays nothing and
+   hides nothing (no coordinated omission), which is what makes p99
+   honest when a shard is draining. The clock is read from, and the wait
+   for the slot added into, the thread's cell: [Sched.now] and
+   [Sched.sleep] would box the float, on every operation. *)
+let rec run_from cl (clock : Sched.cell) k n base =
+  if k < n then begin
+    let l = cl.l in
+    let cfg = l.cfg in
+    let t0 =
+      if cfg.arrival_interval > 0.0 then begin
+        let slot =
+          l.run_start
+          +. (cfg.arrival_interval *. float_of_int ((k * cfg.clients) + cl.i))
+        in
+        let now = clock.clock in
+        if slot > now then begin
+          (* [Sched.sleep (slot -. now)]: a charge, then a yield. *)
+          clock.clock <- clock.clock +. (slot -. now);
+          Sched.yield ()
+        end;
+        slot
+      end
+      else clock.clock
+    in
+    Sched.charge cfg.client_cycles;
+    let replied =
+      if Rng.below cl.rng cfg.read_fraction then issue cl ~op:`Get (pick cl)
+      else
+        issue cl ~op:`Update (if cfg.insert_new then fresh_key l else pick cl)
+    in
+    let c = l.counts.(cl.i) in
+    Float.Array.set l.samples (base + c) (clock.clock -. t0);
+    l.counts.(cl.i) <- c + 1;
+    if replied then begin
+      if
+        not
+          (Kvcache.Proto.reply_ok (Netsim.Buf.view cl.buf)
+             (Netsim.Buf.length cl.buf))
+      then bump_failures l;
+      run_from cl clock (k + 1) n base
+    end
+    else begin
+      bump_failures l;
+      if cl.eng <> None then run_from cl clock (k + 1) n base
+    end
+  end
+
+let run_client l i () =
+  let n = ops_of l i in
+  if n > 0 then begin
+    let rng = Rng.create (l.cfg.seed + (1000 * i) + 7) in
+    let cl = client l ~name:"y" ~salt:5000 ~rng i in
+    run_from cl (Sched.clock_cell ()) 0 n (first l i);
+    finish cl
+  end
+
+(* Client [clients - 1]'s samples first, each client's oldest first. *)
+let run_latencies l =
+  let acc = ref [] in
+  for i = 0 to l.cfg.clients - 1 do
+    for k = l.counts.(i) - 1 downto 0 do
+      acc := Float.Array.get l.samples (first l i + k) :: !acc
+    done
+  done;
+  !acc
+
 let launch sched net cfg ~on_done () =
   let results = ref None in
-  let failures = ref 0 in
-  let fail_lock = Sched.Mutex.create () in
-  let bump_failures () =
-    Sched.Mutex.with_lock fail_lock (fun () -> incr failures)
-  in
   let base_rng = Rng.create cfg.seed in
   let base_value = Bytes.to_string (Rng.bytes base_rng (max 16 cfg.value_size)) in
-  let retry_total = ref 0 in
-  (* Per-client I/O helpers: a reconnecting connection, the buffer every
-     request is written into and its reply received into, and, when a
-     retry policy is configured, a request path with per-attempt
-     deadlines — without one, a reply the fault hook dropped would block
-     the client forever. Every retry of one logical op reuses its
-     idempotency key. *)
-  let client_io ~name ~salt i =
-    (* The connection is made lazily, on first use: a fleet of 10⁴
-       clients connecting the instant the run phase opens would herd
-       every setup into one burst, and the requests already sent behind
-       that burst age out before any server worker sees the connection.
-       Deferring to first issue spreads setup across the arrival grid. *)
-    let conn = ref None in
-    let buf = Netsim.Buf.create () in
-    let eng =
-      Option.map
-        (fun policy ->
-          Retry.create policy
-            ~rng:(Rng.create (cfg.seed + (salt * i) + 13))
-            ~name:(Printf.sprintf "%s%d" name i))
-        cfg.retry
-    in
-    let live () =
-      match !conn with
-      | Some c when Netsim.is_open c && not (Netsim.peer_closed c) -> c
-      | prev ->
-          Option.iter Netsim.close prev;
-          let c = Netsim.connect net ~port:cfg.port in
-          conn := Some c;
-          c
-    in
-    let write ~op k ~rid ~rid_len ~trace =
-      write_request buf ~op ~base:base_value ~value_size:cfg.value_size k ~rid
-        ~rid_len ~trace
-    in
-    (* The operation in flight, read by [attempt]: one attempt function
-       per client, not one closure per operation. *)
-    let cur_op = ref `Get and cur_key = ref 0 in
-    let attempt eng =
-      let c = live () in
-      write ~op:!cur_op !cur_key ~rid:(Retry.rid_bytes eng)
-        ~rid_len:(Retry.rid_length eng) ~trace:(Retry.trace eng);
-      Netsim.send_buf c buf;
-      if not (Netsim.recv_buf_deadline c buf ~deadline:(Retry.deadline eng))
-      then begin
-        (* Timed out: the reply may still be in flight, and a
-           request/response stream cannot resynchronize once a response
-           is unaccounted for — abandon the connection so a stale reply
-           can never be taken for a later operation's answer. *)
-        Netsim.close c;
-        Error (`Retry "timeout")
-      end
-      else if Netsim.Buf.equal_string buf Kvcache.Proto.server_error_busy then
-        Error (`Retry "busy")
-      else Ok ()
-    in
-    (* Whether op [op] on record [k] got a reply; the reply is in [buf]. *)
-    let issue ~op k =
-      match eng with
-      | None ->
-          write ~op k ~rid:Bytes.empty ~rid_len:0 ~trace:0;
-          let c = live () in
-          Netsim.send_buf c buf;
-          Netsim.recv_buf c buf
-      | Some eng -> (
-          cur_op := op;
-          cur_key := k;
-          match Retry.execute eng attempt with Ok () -> true | Error _ -> false)
-    in
-    let finish () =
-      (match eng with
-      | Some e ->
-          Sched.Mutex.with_lock fail_lock (fun () ->
-              retry_total := !retry_total + Retry.retries e)
-      | None -> ());
-      Option.iter Netsim.close !conn
-    in
-    (buf, issue, finish, eng <> None)
-  in
-  (* A client with no records to load (or no operations to run) is
-     still spawned, so thread ids do not depend on the key ranges, but
-     it builds no I/O kit: it would never use one. *)
-  let load_client i () =
-    let per = cfg.records / cfg.clients in
-    let lo = i * per in
-    let hi = if i = cfg.clients - 1 then cfg.records else lo + per in
-    if lo < hi then begin
-      let buf, issue, finish, retrying = client_io ~name:"yl" ~salt:9000 i in
-      let rec go k =
-        if k < hi then begin
-          Sched.charge cfg.client_cycles;
-          (* Loads are idempotent (same key, same value), so no rid; the
-             trace token still links retried loads to their op. *)
-          if
-            issue ~op:`Load k
-            && Netsim.Buf.equal_string buf Kvcache.Proto.stored
-          then go (k + 1)
-          else begin
-            bump_failures ();
-            if retrying then go (k + 1)
-          end
-        end
-      in
-      go lo;
-      finish ()
-    end
-  in
-  (* Run-phase latencies, unboxed: client [i]'s [counts.(i)] samples,
-     oldest first, from slot [first i] on. *)
-  let first i = i * (cfg.operations / cfg.clients) in
-  let samples = Float.Array.make cfg.operations 0.0 in
-  let counts = Array.make cfg.clients 0 in
-  (* Highest key inserted so far, shared between clients (workload D). *)
-  let key_count = ref cfg.records in
-  let key_lock = Sched.Mutex.create () in
-  (* Open-loop mode: the run phase's arrivals are pre-scheduled on a
-     fleet-wide grid (client [i]'s op [k] fires at
-     [run_start + interval * (k * clients + i)]), and latency is measured
-     from the {e scheduled} arrival — a late reply delays nothing and
-     hides nothing (no coordinated omission), which is what makes p99
-     honest when a shard is draining. *)
-  let run_start = ref 0.0 in
-  let run_ops i =
-    let rng = Rng.create (cfg.seed + (1000 * i) + 7) in
-    (* Built on first use: its set-up is O(records), and uniform clients
-       never draw from it. Creation draws no random numbers, so forcing
-       it late leaves the key sequence unchanged. *)
-    let zipf = lazy (Zipf.create rng ~n:cfg.records ~theta:cfg.zipf_theta) in
-    let pick () =
-      match cfg.distribution with
-      | Zipfian -> Zipf.next (Lazy.force zipf)
-      | Uniform -> Rng.int rng cfg.records
-      | Latest ->
-          (* The most popular record is the most recent one. *)
-          let n = !key_count in
-          max 0 (n - 1 - Zipf.next (Lazy.force zipf))
-    in
-    let fresh_key () =
-      Sched.Mutex.with_lock key_lock (fun () ->
-          let k = !key_count in
-          key_count := k + 1;
-          k)
-    in
-    let per = cfg.operations / cfg.clients in
-    let buf, issue, finish, retrying = client_io ~name:"y" ~salt:5000 i in
-    (* The clock is read from the thread's cell: [Sched.now] would box
-       it, twice per operation. *)
-    let clock = Sched.clock_cell () in
-    let base = first i in
-    let rec go k =
-      if k < per then begin
-        let t0 =
-          if cfg.arrival_interval > 0.0 then begin
-            let slot =
-              !run_start
-              +. (cfg.arrival_interval
-                 *. float_of_int ((k * cfg.clients) + i))
-            in
-            let now = clock.Sched.clock in
-            if slot > now then Sched.sleep (slot -. now);
-            slot
-          end
-          else clock.Sched.clock
-        in
-        Sched.charge cfg.client_cycles;
-        let replied =
-          if Rng.below rng cfg.read_fraction then issue ~op:`Get (pick ())
-          else
-            issue ~op:`Update (if cfg.insert_new then fresh_key () else pick ())
-        in
-        Float.Array.set samples (base + counts.(i)) (clock.Sched.clock -. t0);
-        counts.(i) <- counts.(i) + 1;
-        if replied then begin
-          if
-            not
-              (Kvcache.Proto.reply_ok (Netsim.Buf.view buf)
-                 (Netsim.Buf.length buf))
-          then bump_failures ();
-          go (k + 1)
-        end
-        else begin
-          bump_failures ();
-          if retrying then go (k + 1)
-        end
-      end
-    in
-    go 0;
-    finish ()
-  in
-  let run_client i () = if cfg.operations / cfg.clients > 0 then run_ops i in
-  (* Client [clients - 1]'s samples first, each client's oldest first. *)
-  let run_latencies () =
-    let l = ref [] in
-    for i = 0 to cfg.clients - 1 do
-      for k = counts.(i) - 1 downto 0 do
-        l := Float.Array.get samples (first i + k) :: !l
-      done
-    done;
-    !l
+  let l =
+    {
+      cfg;
+      net;
+      base_value;
+      fail_lock = Sched.Mutex.create ();
+      failures = 0;
+      retry_total = 0;
+      key_lock = Sched.Mutex.create ();
+      key_count = cfg.records;
+      samples = Float.Array.make cfg.operations 0.0;
+      counts = Array.make cfg.clients 0;
+      run_start = 0.0;
+    }
   in
   let orchestrator () =
     let t_start = Sched.now () in
+    (* Both phases' threads of client [i] are named [ycsb<i>]; the names
+       are made once. *)
+    let names = Array.init cfg.clients (fun i -> "ycsb" ^ Int.to_string i) in
     let spawn_phase mk =
       let tids =
-        List.init cfg.clients (fun i ->
-            Sched.spawn sched ~name:(Printf.sprintf "ycsb%d" i) (mk i))
+        Array.init cfg.clients (fun i ->
+            Sched.spawn sched ~name:names.(i) (mk i))
       in
-      List.iter Sched.join tids
+      Array.iter Sched.join tids
     in
-    spawn_phase load_client;
+    spawn_phase (load_client l base_rng);
     let t_load = Sched.now () in
-    run_start := t_load;
-    spawn_phase run_client;
+    l.run_start <- t_load;
+    spawn_phase (run_client l);
     let t_all = Sched.now () in
     on_done ();
     results :=
@@ -373,9 +471,9 @@ let launch sched net cfg ~on_done () =
           load_cycles = t_load -. t_start;
           run_ops = cfg.operations;
           run_cycles = t_all -. t_load;
-          failures = !failures;
-          retries = !retry_total;
-          run_latencies = run_latencies ();
+          failures = l.failures;
+          retries = l.retry_total;
+          run_latencies = run_latencies l;
         }
   in
   let _ = Sched.spawn sched ~name:"ycsb-orchestrator" orchestrator in

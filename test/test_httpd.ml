@@ -772,16 +772,17 @@ let test_200_reply_bytes () =
 
 (* One 1 KiB GET round trip to a 1-worker SDRaD httpd over a keep-alive
    connection, the client sending a prebuilt request and receiving the
-   reply as a string, measured with [Alloc_probe]. 153.0 words measured;
-   the budget is that plus under 10%. Most of it is the reply string,
-   the client's copy out of the pooled frame the server's buffer was
-   sent in. It was 161.0 while each wake boxed its time, 580.0 while the parser read each line out as a string
+   reply as a string, measured with [Alloc_probe]. Pinned at the 151.0
+   words measured. Most of it is the reply string, the client's copy
+   out of the pooled frame the server's buffer was sent in. It was 153.0
+   while the worker's wait returned its connection in an option, 161.0
+   while each wake boxed its time, 580.0 while the parser read each line out as a string
    and split it and the Vfs walk built lists and strings, 604.0 while
    the server built each reply as a fresh string, 688.0 while each
    suspension built closures and each message a queue cell, 953.0 while
    the monitor's gates and TLSF allocated, and 1,616.0 with the [Printf]
    header and the file read through a [Buffer] and a string per block. *)
-let http_get_budget = 168.0
+let http_get_budget = 151.0
 
 let test_get_round_trip_alloc () =
   let words = ref Float.nan in
@@ -806,11 +807,11 @@ let test_get_round_trip_alloc () =
 (* The server's share of that round trip: the client sends a prebuilt
    request with [send_buf] and receives the reply into a buffer with
    [recv_buf], so the words counted are the worker's (receive, three
-   parse phases, two path walks, reply) and the wire's. 11.0 words
-   measured; the budget is that plus under 10%. It was 19.0 while each
-   wake boxed its time and 438.0 with the list-based parser and path
-   walk. *)
-let http_serve_budget = 12.0
+   parse phases, two path walks, reply) and the wire's. Pinned at the
+   9.0 words measured. It was 11.0 while the worker's wait returned its
+   connection in an option, 19.0 while each wake boxed its time and
+   438.0 with the list-based parser and path walk. *)
+let http_serve_budget = 9.0
 
 let test_get_serve_alloc () =
   let words = ref Float.nan in

@@ -476,14 +476,13 @@ let test_waitset_round_robin_fairness () =
         let conns = Array.init 3 (fun _ -> Option.get (Netsim.accept l)) in
         Array.iter (Netsim.Waitset.add ws) conns;
         for _ = 1 to 30 do
-          match Netsim.Waitset.wait ws with
-          | Some c -> (
-              match Netsim.recv c with
-              | Some _ ->
-                  Array.iteri (fun i x -> if x == c then served.(i) <- served.(i) + 1) conns;
-                  Netsim.send c "ok"
-              | None -> ())
-          | None -> ()
+          let c = Netsim.Waitset.wait ws in
+          if c != Netsim.no_conn then
+            match Netsim.recv c with
+            | Some _ ->
+                Array.iteri (fun i x -> if x == c then served.(i) <- served.(i) + 1) conns;
+                Netsim.send c "ok"
+            | None -> ()
         done)
   in
   for i = 0 to 2 do

@@ -369,7 +369,7 @@ let test_sched_determinism () =
 
 (* {1 Timers ≡ timer fibers}
 
-   [Sched.block_until] must run every script exactly as a timed wait
+   [Sched.block_until_from] must run every script exactly as a timed wait
    built from a timer thread does: a fiber spawned at the call that moves
    its clock to the deadline, then wakes the waiter's handle. That fiber
    is the reference below. Each seed runs the same random scripts
@@ -563,7 +563,10 @@ let test_timers_match_fibers () =
         run_scripts fiber_block_until scripts total
       in
       let log, finals, horizon, outcomes =
-        run_scripts Sched.block_until scripts
+        run_scripts
+          (fun deadline ->
+            Sched.block_until_from (Float.Array.make 1 deadline) 0)
+          scripts
           { timeouts = 0; early = 0; exact = 0; past = 0; kills = 0 }
       in
       let name what = Printf.sprintf "seed %d: %s" seed what in
@@ -647,9 +650,9 @@ let test_killed_cond_waiter () =
 (* {1 Host allocation}
 
    What a scheduling event costs in OCaml minor words, pinned at the
-   measured figure plus 10 %. A blocked thread is named by an int handle
-   and the scheduler's effect handler is built once, so a yield costs
-   only its continuation. *)
+   measured figure. A blocked thread is named by an int handle and the
+   scheduler's effect handler is built once, so a yield costs only its
+   continuation. *)
 
 let words_in_thread f =
   Sched.main (fun _ -> Alloc_probe.words_per_call ~n:10_000 f)
@@ -659,14 +662,20 @@ let test_yield_allocation () =
   if words > 2.0 then
     Alcotest.failf "a yield allocates %.1f minor words; the budget is 2" words
 
+(* 24.0 words: the thread record and its clock cell, the joiner's cons
+   cell and continuation, and the handler closure [Effect.Deep.match_with]
+   builds for each thread it starts. The warm-up spawns past 256
+   threads, so the scheduler's thread vector makes its last minor-heap
+   growth before the count (it read 24.03 with that growth inside, under
+   a budget of 26). *)
 let test_spawn_join_allocation () =
   let words =
     Sched.main (fun t ->
-        Alloc_probe.words_per_call ~n:10_000 (fun () ->
+        Alloc_probe.words_per_call ~warmup:300 ~n:10_000 (fun () ->
             Sched.join (Sched.spawn t ignore)))
   in
-  if words > 26.0 then
-    Alcotest.failf "a spawn + join allocates %.1f minor words; the budget is 26"
+  if words > 24.0 then
+    Alcotest.failf "a spawn + join allocates %.1f minor words; the budget is 24"
       words
 
 let test_mutex_allocation () =
