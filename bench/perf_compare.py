@@ -15,7 +15,13 @@ run) or same. Under host_alloc_words_per_op it prints, per side, the
 host words per op of perfsuite's set-up-only runs (read from the
 host_spans each run writes with --json into a temporary file): the
 metric counts set-up too, so a change that moves words into or out of
-set-up is told apart from one on the run path. After a workload's pairs
+set-up is told apart from one on the run path. After the end-to-end
+metrics it prints each side's host CPU per op of the measured run (the
+`run` span's cpu_s over the attempted ops, from the same detail), as
+median [q1, q3] with pair wins: information for a change that reports
+host time, with no verdict, since host time is not a BENCHMARK.json
+metric and spreads by several percent between runs of one binary.
+After a workload's pairs
 it runs each side once more with
 `--trace 1` and lists every per-layer metric whose value differs by more
 than 1% from REV's, so a claimed gain shows the layer it came from. Host
@@ -78,6 +84,15 @@ def setup_words(detail):
     return statistics.median(words) / ops if words and ops else None
 
 
+def run_cpu(detail):
+    """Host CPU nanoseconds per attempted op of the measured run: the
+    cpu_s of perfsuite's `run` span in a --json detail over the run's op
+    count."""
+    cpu = [h["cpu_s"] for h in detail["host_spans"] if h["name"] == "run"]
+    ops = detail["simulated"]["attempted"]
+    return cpu[0] * 1e9 / ops if cpu and ops else None
+
+
 def run(tree, workload, seed, trace=0):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "detail.json")
@@ -92,7 +107,9 @@ def run(tree, workload, seed, trace=0):
         metrics = {k: v["value"] for k, v in r["metrics"].items()}
         if not trace:
             with open(path) as f:
-                metrics[SETUP_WORDS] = setup_words(json.load(f))
+                detail = json.load(f)
+            metrics[SETUP_WORDS] = setup_words(detail)
+            metrics[RUN_CPU] = run_cpu(detail)
     return r["correct"] and r["failed"] == 0, metrics
 
 
@@ -157,6 +174,11 @@ SOAKS = ["@chaos", "@chaos-soak", "@chaos-rewind-soak"]
 # from each untraced run's --json detail and printed under
 # host_alloc_words_per_op.
 SETUP_WORDS = "  of which set-up"
+
+# Not a BENCHMARK.json metric either: the measured run's host CPU per
+# op, printed after the end-to-end metrics with pair wins and no
+# verdict.
+RUN_CPU = "host CPU ns/op (run)"
 
 
 def alias_output(tree, alias):
@@ -278,6 +300,15 @@ def main():
                 if None not in old + new:
                     print("  %-24s %-40s %-40s" % (SETUP_WORDS, cell(old),
                                                    cell(new)), flush=True)
+        old = [r[RUN_CPU] for r in sides[base]]
+        new = [r[RUN_CPU] for r in sides[ROOT]]
+        if None not in old + new:
+            won = sum(b < a for a, b in zip(old, new))
+            lost = sum(b > a for a, b in zip(old, new))
+            print("  %-24s %-40s %-40s %-8s %s" % (
+                RUN_CPU, cell(old), cell(new),
+                "%d/%d/%d" % (won, lost, len(old) - won - lost),
+                "(no verdict)"), flush=True)
         traced, bad = {}, False
         for tree in (base, ROOT):
             ok, traced[tree] = run(tree, w, args.seed, trace=1)

@@ -55,8 +55,7 @@ type worker_slot = {
   mutable path : string;  (* its normalized URI *)
   mutable body_rel : int;  (* its body, relative to the buffer parsed *)
   mutable body_len : int;
-  mutable ws : Netsim.Waitset.ws;
-  mutable live_conns : Netsim.conn list;
+  mutable ws : Netsim.Waitset.ws;  (* its live connections *)
   mutable tid : Sched.tid;
   mutable pool : int;  (* per-worker request pool base (bump-reset) *)
   mutable slot_rewinds : int;  (* since this worker (re)started *)
@@ -475,7 +474,6 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
               body_rel = 0;
               body_len = 0;
               ws = Netsim.Waitset.create ();
-              live_conns = [];
               tid = -1;
               pool = 0;
               slot_rewinds = 0;
@@ -538,17 +536,13 @@ and acceptor t =
             Netsim.close c
         | Some slot ->
             Serve.accept t.core c;
-            slot.live_conns <- c :: slot.live_conns;
             Netsim.Waitset.add slot.ws c);
         loop ()
   in
   loop ()
 
 and worker t slot =
-  let drop c =
-    Serve.drop t.core slot.ws c;
-    slot.live_conns <- List.filter (fun x -> not (x == c)) slot.live_conns
-  in
+  let drop c = Serve.drop t.core slot.ws c in
   (* Overload: answer the retryable 503 before any parsing or domain
      switch is spent on this request. *)
   let shed c req =
@@ -600,15 +594,13 @@ and worker t slot =
   in
   try Serve.worker t.core ~after slot.ws ~drop ~shed ~handle
   with _e ->
-    (* The worker process dies: its connections are torn down by the
-       kernel and the master is notified via SIGCHLD. *)
+    (* The worker process dies: its connections, the ones its waitset
+       still watches, are torn down by the kernel and the master is
+       notified via SIGCHLD. *)
     slot.alive <- false;
     let at = Sched.now () in
-    let conns = slot.live_conns in
+    let conns = Netsim.Waitset.close_all slot.ws in
     Telemetry.Metrics.add t.c_dropped (List.length conns);
-    List.iter Netsim.close conns;
-    slot.live_conns <- [];
-    Netsim.Waitset.close slot.ws;
     Sched.Mutex.with_lock t.death_lock (fun () ->
         Queue.add (slot.idx, at) t.deaths;
         Sched.Cond.signal t.death_cond);

@@ -63,7 +63,6 @@ type t = {
   listener : Netsim.listener;
   waitsets : Netsim.Waitset.ws array;
   mutable tids : Sched.tid list;
-  mutable all_conns : Netsim.conn list;
   glock : Sched.Mutex.mutex;
   lock_word : int;
   c_dropped : Telemetry.Metrics.counter;
@@ -420,7 +419,6 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
       listener = Netsim.listen net ~port:cfg.port;
       waitsets = Array.init cfg.workers (fun _ -> Netsim.Waitset.create ());
       tids = [];
-      all_conns = [];
       glock = Sched.Mutex.create ();
       lock_word;
       c_dropped =
@@ -443,13 +441,14 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
   t.tids <- dispatcher_tid :: worker_tids;
   t
 
-(* The process died: the kernel closes its sockets and listener. *)
+(* The process died: the kernel closes its sockets and listener. Every
+   open connection is watched by a worker's waitset: [Serve.drop] takes
+   a connection out of it as it closes it. *)
 and crash_cleanup t =
   Log.err (fun m -> m "server process crashed; all connections lost");
   t.crashed <- true;
   Netsim.close_listener t.listener;
-  Array.iter Netsim.Waitset.close t.waitsets;
-  List.iter Netsim.close t.all_conns
+  Array.iter (fun ws -> ignore (Netsim.Waitset.close_all ws)) t.waitsets
 
 and dispatcher t =
   let next = ref 0 in
@@ -460,7 +459,6 @@ and dispatcher t =
         if t.crashed then Netsim.close c
         else begin
           Serve.accept t.core c;
-          t.all_conns <- c :: t.all_conns;
           Netsim.Waitset.add t.waitsets.(!next mod t.cfg.workers) c;
           incr next;
           loop ()
@@ -764,6 +762,8 @@ let replay_hits t = Serve.replay_hits t.core
 let journal t = Serve.journal t.core
 let rewind_latencies t = Serve.rewind_latencies t.core
 let dropped_connections t = Telemetry.Metrics.counter_value t.c_dropped
+let live_connections t =
+  Array.fold_left (fun n ws -> n + Netsim.Waitset.size ws) 0 t.waitsets
 let race_detector t = Serve.race_detector t.core
 let db_bytes t = Slab.pages_allocated t.slab * Slab.slab_page_size
 let db_check t = Store.check t.db

@@ -104,6 +104,12 @@ val rewind_latencies : t -> float list
 
 val dropped_connections : t -> int
 
+val live_connections : t -> int
+(** Connections the workers' waitsets watch: accepted and not yet
+    closed by the server. A connection leaves when its worker closes it,
+    whether the client hung up or the server dropped it, so a server
+    whose clients have all gone holds none. *)
+
 val busy_rejections : t -> int
 (** Requests answered with [SERVER_ERROR busy] because the supervisor had
     the target domain quarantined. *)

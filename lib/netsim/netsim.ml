@@ -130,13 +130,15 @@ let staged = Float.Array.make 1 0.0
 
 (* The inbox is a ring of [queued] messages from slot [head]: delivery
    times unboxed in [arrivals], frames in the same slots of [frames] and
-   their lengths in [lens], capacity a power of two. A [send_buf]'s
-   frame comes from the pool and goes back to it when received; a
-   [send]'s frame is the sent string itself, held by reference and never
-   written or pooled, and so is a [send_buf] frame too large to pool.
-   [lens] tells them apart: a message of [n] bytes has [2 n + 1] for a
-   pooled frame and [2 n] for a string. Queueing a message allocates
-   nothing once the ring has grown to the connection's depth. *)
+   their lengths in [lens], capacity a power of two: one slot at the
+   first message, doubled as the connection's depth needs. A
+   [send_buf]'s frame comes from the pool and goes back to it when
+   received; a [send]'s frame is the sent string itself, held by
+   reference and never written or pooled, and so is a [send_buf] frame
+   too large to pool. [lens] tells them apart: a message of [n] bytes
+   has [2 n + 1] for a pooled frame and [2 n] for a string. Queueing a
+   message allocates nothing once the ring has grown to the connection's
+   depth. *)
 type endpoint = {
   eid : int;
   src : int;  (* source address of the connecting side, for peer identity *)
@@ -150,27 +152,70 @@ type endpoint = {
   mutable peer : endpoint;  (* [unpaired] until [connect] pairs it *)
   mutable closed : bool;
   mutable waiter : Sched.handle;  (* [Sched.no_handle] when none *)
-  mutable ws : waitset option;
+  mutable ws : waitset;  (* [no_ws] while no waitset watches it *)
+  mutable wpos : int;  (* its index in [ws.watched] *)
+  mutable rpos : int;  (* its index in [ws.ready]; -1 while not ready *)
 }
 
+(* [watched] holds the set in insertion order, the order that breaks
+   ties between equal arrivals; [ready] holds the watched connections
+   that are ready, in no order, so a wait looks at those alone, as
+   epoll's ready list lets epoll_wait do. *)
 and waitset = {
   mutable watched : endpoint array;  (* [0, count) in insertion order *)
   mutable count : int;
   mutable cursor : int;
+  mutable ready : endpoint array;  (* [0, n_ready) *)
+  mutable n_ready : int;
   mutable ws_waiter : Sched.handle;
   mutable ws_closed : bool;
 }
 
 type conn = endpoint
 
+(* A FIFO of [size] items from slot [first] of [items], whose length is
+   a power of two. Adding allocates nothing once the ring has grown to
+   the queue's depth; a vacated slot holds [filler], so a taken item is
+   not kept reachable. *)
+type 'a ring = {
+  mutable items : 'a array;
+  mutable first : int;
+  mutable size : int;
+  filler : 'a;
+}
+
+let ring filler = { items = [||]; first = 0; size = 0; filler }
+
+let ring_add r x =
+  let cap = Array.length r.items in
+  if r.size = cap then begin
+    let grown = Array.make (max 1 (2 * cap)) r.filler in
+    for i = 0 to r.size - 1 do
+      grown.(i) <- r.items.((r.first + i) land (cap - 1))
+    done;
+    r.items <- grown;
+    r.first <- 0
+  end;
+  r.items.((r.first + r.size) land (Array.length r.items - 1)) <- x;
+  r.size <- r.size + 1
+
+(* The oldest item; callers check [size] first. *)
+let ring_take r =
+  let x = r.items.(r.first) in
+  r.items.(r.first) <- r.filler;
+  r.first <- (r.first + 1) land (Array.length r.items - 1);
+  r.size <- r.size - 1;
+  x
+
 (* Multiple acceptors may block in [accept] on one listener (the
    SO_REUSEPORT / acceptor-thread-pool pattern); each connect wakes one,
    and a woken acceptor that finds the backlog already drained simply
-   parks again. *)
+   parks again. Both queues are rings, so a connect and its accept
+   allocate no queue cell. *)
 type listener = {
   l_cost : Cost.t;
-  backlog : endpoint Queue.t;
-  l_waiters : Sched.handle Queue.t;
+  backlog : endpoint ring;
+  l_waiters : Sched.handle ring;
   mutable l_closed : bool;
 }
 
@@ -192,40 +237,52 @@ let create cost =
 let set_fault_hook t h = t.n_shared.on_send <- h
 let pooled_frames t = Array.fold_left ( + ) 0 t.n_shared.pool.count
 
+(* A fresh endpoint's defaults, and its peer until [connect] pairs it:
+   copying it makes an endpoint without a recursive value, which would
+   be allocated twice. [no_ws] is the waitset of an endpoint no set
+   watches, compared by physical equality ([Some ws] would allocate per
+   {!Waitset.add}); nothing ever joins it. *)
+let rec unpaired =
+  {
+    eid = -1;
+    src = -1;
+    cost = Cost.default;
+    shared = fresh_shared ();
+    arrivals = Float.Array.create 0;
+    frames = [||];
+    lens = [||];
+    head = 0;
+    queued = 0;
+    peer = unpaired;
+    closed = false;
+    waiter = Sched.no_handle;
+    ws = no_ws;
+    wpos = -1;
+    rpos = -1;
+  }
+
+and no_ws =
+  {
+    watched = [||];
+    count = 0;
+    cursor = 0;
+    ready = [||];
+    n_ready = 0;
+    ws_waiter = Sched.no_handle;
+    ws_closed = true;
+  }
+
 let listen t ~port =
   let l =
     {
       l_cost = t.n_cost;
-      backlog = Queue.create ();
-      l_waiters = Queue.create ();
+      backlog = ring unpaired;
+      l_waiters = ring Sched.no_handle;
       l_closed = false;
     }
   in
   Hashtbl.replace t.ports port l;
   l
-
-(* A fresh endpoint's defaults, and its peer until [connect] pairs it:
-   copying it makes an endpoint without a recursive value, which would
-   be allocated twice. *)
-let unpaired =
-  let rec e =
-    {
-      eid = -1;
-      src = -1;
-      cost = Cost.default;
-      shared = fresh_shared ();
-      arrivals = Float.Array.create 0;
-      frames = [||];
-      lens = [||];
-      head = 0;
-      queued = 0;
-      peer = e;
-      closed = false;
-      waiter = Sched.no_handle;
-      ws = None;
-    }
-  in
-  e
 
 let fresh_endpoint t ~src =
   let eid = t.next_eid in
@@ -236,11 +293,49 @@ let fresh_endpoint t ~src =
    never open, never ready, and closing it again is a no-op. *)
 let no_conn = { unpaired with closed = true }
 
+(* {1 The ready list}
+
+   A watched connection is ready when a message is queued (even with a
+   future delivery time: a receive advances the clock to it) or either
+   end has closed (a receive reports the close, so the server can clean
+   up). It is on its waitset's [ready] list exactly while it is ready:
+   it joins when its inbox goes from empty to non-empty or either end
+   closes, and leaves when its inbox drains while both ends are open,
+   or when it is removed. *)
+
+let[@inline] is_ready c = c.queued > 0 || c.peer.closed || c.closed
+
+let join ws c =
+  if c.rpos < 0 then begin
+    let n = ws.n_ready in
+    if n = Array.length ws.ready then begin
+      let grown = Array.make (max 8 (2 * n)) unpaired in
+      Array.blit ws.ready 0 grown 0 n;
+      ws.ready <- grown
+    end;
+    ws.ready.(n) <- c;
+    c.rpos <- n;
+    ws.n_ready <- n + 1
+  end
+
+(* The last entry takes the leaver's slot. *)
+let leave ws c =
+  let r = c.rpos in
+  if r >= 0 then begin
+    let last = ws.n_ready - 1 in
+    let m = ws.ready.(last) in
+    ws.ready.(r) <- m;
+    m.rpos <- r;
+    ws.ready.(last) <- unpaired;
+    ws.n_ready <- last;
+    c.rpos <- -1
+  end
+
 (* Queue a message; the ring slot that holds its delivery time. *)
 let[@inline] enqueue e arrival frame len =
   let cap = Array.length e.frames in
   if e.queued = cap then begin
-    let cap' = max 4 (2 * cap) in
+    let cap' = max 1 (2 * cap) in
     let arrivals = Float.Array.create cap'
     and frames = Array.make cap' Bytes.empty
     and lens = Array.make cap' 0 in
@@ -268,11 +363,13 @@ let[@inline] enqueue e arrival frame len =
 let[@inline] head_arrival e = Float.Array.get e.arrivals e.head
 
 (* Drop the head-of-line message from the ring (its frame is the
-   caller's now). *)
+   caller's now). An inbox that drains while both ends are open leaves
+   the ready list. *)
 let advance e =
   e.frames.(e.head) <- Bytes.empty;
   e.head <- (e.head + 1) land (Array.length e.frames - 1);
-  e.queued <- e.queued - 1
+  e.queued <- e.queued - 1;
+  if e.queued = 0 && not (e.closed || e.peer.closed) then leave e.ws e
 
 (* The head-of-line message as a string: a sent string is handed back
    as it is, and a pooled frame is copied out and returned to the
@@ -304,60 +401,73 @@ let catch_up e =
   let arrival = head_arrival e in
   if arrival > (Sched.clock_cell ()).clock then Sched.wait_until arrival
 
-(* Wake [e]'s receiver and its waitset's, at the delivery time in slot
-   [j] of [e]'s ring, or at the caller's clock when [j] is -1. A handle
-   wakes at most once, so a slot is cleared as it is used. *)
 let[@inline] wake_handle e j w =
   ignore (if j < 0 then Sched.wake w else Sched.wake_from w e.arrivals j)
 
+(* [e] has become ready, a message queued or an end closed: it joins its
+   waitset's ready list, if a set watches it, and its receiver and its
+   waitset's waiter wake, at the delivery time in slot [j] of [e]'s
+   ring, or at the caller's clock when [j] is -1. A handle wakes at most
+   once, so a slot is cleared as it is used. *)
 let wake_endpoint e j =
+  let ws = e.ws in
+  if ws != no_ws then join ws e;
   let w = e.waiter in
   if w != Sched.no_handle then begin
     e.waiter <- Sched.no_handle;
     wake_handle e j w
   end;
-  match e.ws with
-  | Some ws ->
-      let w = ws.ws_waiter in
-      if w != Sched.no_handle then begin
-        ws.ws_waiter <- Sched.no_handle;
-        wake_handle e j w
-      end
-  | None -> ()
+  let w = ws.ws_waiter in
+  if w != Sched.no_handle then begin
+    ws.ws_waiter <- Sched.no_handle;
+    wake_handle e j w
+  end
+
+(* Hand a connection to one acceptor: wake waiters, oldest first, until
+   one wakes. An acceptor killed while queued left a stale handle, which
+   is passed over, so the connection is not lost to it. *)
+let rec wake_first r =
+  if r.size > 0 && not (Sched.wake (ring_take r)) then wake_first r
 
 (* [src] is the client's source address (think IP): connections made with
    the same [src] are recognizably the same remote peer on the server
-   side via [remote_addr]. Defaults to a per-connection unique id. *)
+   side via [remote_addr]. Defaults to a per-connection unique id. The
+   charge goes through the clock cell: [Sched.charge] would box it. *)
 let connect ?src t ~port =
-  match Hashtbl.find_opt t.ports port with
-  | None -> failwith (Printf.sprintf "Netsim.connect: no listener on port %d" port)
-  | Some l ->
+  match Hashtbl.find t.ports port with
+  | exception Not_found ->
+      failwith (Printf.sprintf "Netsim.connect: no listener on port %d" port)
+  | l ->
       let src = match src with Some s -> s | None -> t.next_eid in
       let client = fresh_endpoint t ~src in
       let server = fresh_endpoint t ~src in
       client.peer <- server;
       server.peer <- client;
-      Sched.charge t.n_cost.Cost.net_msg;
-      Queue.add server l.backlog;
-      ignore (Sched.wake_first l.l_waiters);
+      let k = Sched.clock_cell () in
+      k.clock <- k.clock +. t.n_cost.Cost.net_msg;
+      ring_add l.backlog server;
+      wake_first l.l_waiters;
       client
 
 let rec accept l =
-  match Queue.take_opt l.backlog with
-  | Some server ->
-      Sched.charge l.l_cost.Cost.syscall;
-      Some server
-  | None ->
-      if l.l_closed then None
-      else begin
-        Queue.add (Sched.handle ()) l.l_waiters;
-        Sched.block ();
-        accept l
-      end
+  if l.backlog.size > 0 then begin
+    let server = ring_take l.backlog in
+    let k = Sched.clock_cell () in
+    k.clock <- k.clock +. l.l_cost.Cost.syscall;
+    Some server
+  end
+  else if l.l_closed then None
+  else begin
+    ring_add l.l_waiters (Sched.handle ());
+    Sched.block ();
+    accept l
+  end
 
 let close_listener l =
   l.l_closed <- true;
-  ignore (Sched.wake_all l.l_waiters)
+  while l.l_waiters.size > 0 do
+    ignore (Sched.wake (ring_take l.l_waiters))
+  done
 
 let[@inline] latency cost len =
   cost.Cost.net_msg +. (cost.Cost.net_byte *. float_of_int len)
@@ -496,19 +606,19 @@ let peer_closed c = c.peer.closed
 let id c = c.eid
 let remote_addr c = c.src
 
+(* [close], for [Waitset], whose own [close] shadows it. *)
+let close_conn = close
+
 module Waitset = struct
   type ws = waitset
-
-  (* A connection is reportable when a message is queued (even with a
-     future delivery time: recv will advance the clock) or the peer closed
-     (recv will report None so the server can clean up). *)
-  let ready c = c.queued > 0 || c.peer.closed || c.closed
 
   let create () =
     {
       watched = [||];
       count = 0;
       cursor = 0;
+      ready = [||];
+      n_ready = 0;
       ws_waiter = Sched.no_handle;
       ws_closed = false;
     }
@@ -521,7 +631,9 @@ module Waitset = struct
     end
 
   let add ws c =
-    c.ws <- Some ws;
+    if c.ws != no_ws then invalid_arg "Netsim.Waitset.add: already watched";
+    c.ws <- ws;
+    c.wpos <- ws.count;
     if ws.count = Array.length ws.watched then begin
       let grown = Array.make (max 8 (2 * ws.count)) c in
       Array.blit ws.watched 0 grown 0 ws.count;
@@ -529,27 +641,52 @@ module Waitset = struct
     end;
     ws.watched.(ws.count) <- c;
     ws.count <- ws.count + 1;
-    if ready c then wake_ws ws
+    if is_ready c then begin
+      join ws c;
+      wake_ws ws
+    end
 
   let close ws =
     ws.ws_closed <- true;
     wake_ws ws
 
+  (* Order-preserving, since the watched order breaks ties: the
+     connections after [c] move down one slot. The vacated slot keeps no
+     connection reachable. *)
   let remove ws c =
-    c.ws <- None;
-    let kept = ref 0 in
+    if c.ws == ws then begin
+      leave ws c;
+      for i = c.wpos + 1 to ws.count - 1 do
+        let e = ws.watched.(i) in
+        ws.watched.(i - 1) <- e;
+        e.wpos <- i - 1
+      done;
+      ws.count <- ws.count - 1;
+      ws.watched.(ws.count) <- unpaired;
+      c.ws <- no_ws;
+      c.wpos <- -1
+    end
+
+  let size ws = ws.count
+
+  let close_all ws =
+    let conns = ref [] in
     for i = 0 to ws.count - 1 do
-      let e = ws.watched.(i) in
-      if not (e == c) then begin
-        ws.watched.(!kept) <- e;
-        incr kept
-      end
+      conns := ws.watched.(i) :: !conns
     done;
-    (* Vacated slots keep a live entry, not the removed connection. *)
-    for i = !kept to ws.count - 1 do
-      ws.watched.(i) <- ws.watched.(0)
+    List.iter close_conn !conns;
+    close ws;
+    for i = 0 to ws.count - 1 do
+      let c = ws.watched.(i) in
+      c.ws <- no_ws;
+      c.wpos <- -1;
+      c.rpos <- -1;
+      ws.watched.(i) <- unpaired
     done;
-    ws.count <- !kept
+    Array.fill ws.ready 0 ws.n_ready unpaired;
+    ws.count <- 0;
+    ws.n_ready <- 0;
+    !conns
 
   (* Delivery time of the head-of-line message; a closed peer with
      nothing queued is reportable now. *)
@@ -563,43 +700,52 @@ module Waitset = struct
      phantom queueing delay they never actually suffered — an idle
      server would appear to answer old requests late. Arrival order is
      FIFO across the whole set; the cursor breaks ties so same-time
-     events still rotate fairly: scanning from the cursor, a later
-     connection wins only with a strictly earlier arrival. Runs on every
-     wait, over every watched connection, so it allocates nothing: the
-     winner comes back as its slot, or -1 when none is ready. *)
+     events still rotate fairly: among equal arrivals, the first watched
+     index at or after the cursor wins, cyclically. Only the ready list
+     is looked at, so a wait costs the host the ready connections, not
+     the watched ones; it allocates nothing, and [no_conn] stands for
+     none ready. *)
   let pick_earliest ws =
-    let n = ws.count in
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      let idx = (ws.cursor + i) mod n in
-      let c = ws.watched.(idx) in
-      if
-        ready c
-        && (!best < 0 || ready_at c < ready_at ws.watched.(!best))
-      then best := idx
-    done;
-    if !best >= 0 then ws.cursor <- (!best + 1) mod n;
-    !best
+    let nr = ws.n_ready in
+    if nr = 0 then no_conn
+    else begin
+      let n = ws.count in
+      let start = ws.cursor mod n in
+      let best = ref ws.ready.(0) in
+      for r = 1 to nr - 1 do
+        let c = ws.ready.(r) and b = !best in
+        if
+          ready_at c < ready_at b
+          || ready_at c = ready_at b
+             (* Slots from the cursor, cyclically: [c] comes first. *)
+             && (c.wpos - start + n) mod n < (b.wpos - start + n) mod n
+        then best := c
+      done;
+      let b = !best in
+      ws.cursor <- (b.wpos + 1) mod n;
+      b
+    end
 
   let rec wait ws =
     if ws.ws_closed then no_conn
     else
-      match pick_earliest ws with
-      | idx when idx >= 0 ->
-          let c = ws.watched.(idx) in
-          (* If the message arrives in the future, wait for it so the
-             caller's recv does not under-account time. *)
-          if c.queued > 0 then catch_up c;
-          c
-      | _ ->
-          ws.ws_waiter <- Sched.handle ();
-          Sched.block ();
-          wait ws
+      let c = pick_earliest ws in
+      if c != no_conn then begin
+        (* If the message arrives in the future, wait for it so the
+           caller's recv does not under-account time. *)
+        if c.queued > 0 then catch_up c;
+        c
+      end
+      else begin
+        ws.ws_waiter <- Sched.handle ();
+        Sched.block ();
+        wait ws
+      end
 
   let backlog ws =
     let n = ref 0 in
-    for i = 0 to ws.count - 1 do
-      n := !n + ws.watched.(i).queued
+    for r = 0 to ws.n_ready - 1 do
+      n := !n + ws.ready.(r).queued
     done;
     !n
 
@@ -611,24 +757,22 @@ module Waitset = struct
   let rec wait_deadline ws ~deadline =
     if ws.ws_closed then no_conn
     else
-      match pick_earliest ws with
-      | idx when idx >= 0 ->
-          let c = ws.watched.(idx) in
-          if c.queued = 0 then c (* closed peer: reportable immediately *)
-          else if head_arrival c <= deadline then begin
-            catch_up c;
-            c
-          end
-          else begin
-            Sched.wait_until deadline;
-            no_conn
-          end
-      | _ ->
-          if (Sched.clock_cell ()).clock >= deadline then no_conn
-          else begin
-            ws.ws_waiter <- Sched.handle ();
-            Float.Array.set staged 0 deadline;
-            Sched.block_until_from staged 0;
-            wait_deadline ws ~deadline
-          end
+      let c = pick_earliest ws in
+      if c != no_conn then
+        if c.queued = 0 then c (* closed peer: reportable immediately *)
+        else if head_arrival c <= deadline then begin
+          catch_up c;
+          c
+        end
+        else begin
+          Sched.wait_until deadline;
+          no_conn
+        end
+      else if (Sched.clock_cell ()).clock >= deadline then no_conn
+      else begin
+        ws.ws_waiter <- Sched.handle ();
+        Float.Array.set staged 0 deadline;
+        Sched.block_until_from staged 0;
+        wait_deadline ws ~deadline
+      end
 end

@@ -202,14 +202,31 @@ val set_fault_hook : t -> (len:int -> send_action) option -> unit
     truncate, or delay messages deterministically. *)
 
 (** Readiness multiplexing for event-driven servers: a waitset watches a
-    set of connections and yields whichever has deliverable input,
-    round-robin for fairness. *)
+    set of connections and reports one that has input or a closed peer.
+    Of those, it reports the one whose head-of-line message has the
+    earliest delivery time (a closed peer with nothing queued counts as
+    deliverable now); among equal times, the first in the order the
+    connections were added, starting from a cursor one past the previous
+    pick and wrapping at the end of the set.
+
+    Like epoll, a waitset keeps a ready list: a connection joins it when
+    its inbox goes from empty to non-empty or either end closes, and
+    leaves it when its inbox drains or it is removed. A wait looks only
+    at the ready list, so its host cost follows the ready connections,
+    not the watched ones. *)
 module Waitset : sig
   type ws
 
   val create : unit -> ws
+
   val add : ws -> conn -> unit
+  (** Watch a connection; it goes last in the order that breaks ties.
+      Allocates nothing once the set has grown to its size.
+      @raise Invalid_argument if a waitset already watches it. *)
+
   val remove : ws -> conn -> unit
+  (** Stop watching a connection; the others keep their order. A no-op
+      when this set does not watch it. *)
 
   val wait : ws -> conn
   (** Block until some watched connection has input or a closed peer to
@@ -228,6 +245,14 @@ module Waitset : sig
   (** Total messages queued across all watched connections — the queue
       depth an overloaded server sheds on. *)
 
+  val size : ws -> int
+  (** Connections the set watches: those added and not yet removed. *)
+
   val close : ws -> unit
-  (** Make every pending and future {!wait} return [None]. *)
+  (** Make every pending and future {!wait} return {!no_conn}. *)
+
+  val close_all : ws -> conn list
+  (** What a process's death does to its sockets: {!Netsim.close} every
+      watched connection, newest first, then {!close} the set, which
+      then watches nothing. Returns the connections, newest first. *)
 end

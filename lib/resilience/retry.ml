@@ -81,13 +81,28 @@ type t = {
   h_latency : M.histogram option;
 }
 
-let create ?metrics ?budget:bgt ?(name = "client") policy ~rng =
+(* Digits of [n >= 0] in decimal. *)
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* [n >= 0] in decimal into [b], ending just before [stop]. *)
+let rec put_digits b stop n =
+  Bytes.set b (stop - 1) (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then put_digits b (stop - 1) (n / 10)
+
+let create ?metrics ?budget:bgt ?(name = "client") ?id policy ~rng =
   if policy.max_attempts < 1 then
     invalid_arg "Retry.create: max_attempts must be >= 1";
-  let prefix_len = String.length name in
+  let name_len = String.length name in
+  let prefix_len =
+    match id with
+    | None -> name_len
+    | Some i when i >= 0 -> name_len + digits i
+    | Some _ -> invalid_arg "Retry.create: negative id"
+  in
   (* Room for the prefix, the dash and any int's digits. *)
   let rid = Bytes.create (prefix_len + 21) in
-  Bytes.blit_string name 0 rid 0 prefix_len;
+  Bytes.blit_string name 0 rid 0 name_len;
+  (match id with Some i -> put_digits rid prefix_len i | None -> ());
   Bytes.set rid prefix_len '-';
   (* An engine without a registry registers nothing and builds no
      closure. *)
@@ -129,17 +144,8 @@ let create ?metrics ?budget:bgt ?(name = "client") policy ~rng =
 let next_call t =
   let n = t.next_rid in
   t.next_rid <- n + 1;
-  let digits = ref 1 and rest = ref (n / 10) in
-  while !rest > 0 do
-    incr digits;
-    rest := !rest / 10
-  done;
-  t.rid_len <- t.prefix_len + 1 + !digits;
-  let v = ref n in
-  for i = t.rid_len - 1 downto t.prefix_len + 1 do
-    Bytes.set t.rid i (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
-    v := !v / 10
-  done;
+  t.rid_len <- t.prefix_len + 1 + digits n;
+  put_digits t.rid t.rid_len n;
   t.trace <-
     Telemetry.Context.root_trace (Bytes.unsafe_to_string t.rid) 0 t.rid_len
 

@@ -54,10 +54,14 @@ val create :
   ?metrics:Telemetry.Metrics.t ->
   ?budget:budget ->
   ?name:string ->
+  ?id:int ->
   policy ->
   rng:Simkern.Rng.t ->
   t
-(** [name] (default ["client"]) prefixes generated request ids. With
+(** [name] (default ["client"]) prefixes generated request ids, followed
+    by [id] in decimal when given: [~name:"y" ~id:7] makes the ids
+    ["y7-<n>"] that [~name:"y7"] makes, without building that string.
+    @raise Invalid_argument if [id] is negative. With
     [metrics], [client_retries_total] and
     [client_retry_budget_exhausted_total] are registered (get-or-create,
     so engines sharing a registry share the counters). *)

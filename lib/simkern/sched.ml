@@ -633,7 +633,7 @@ let wake h =
 let wake_from h times i = wake_at (current ()) h (Float.Array.get times i)
 
 (* A waiter killed while queued left a stale handle; a handoff passes
-   over it to the next, so the lock, signal or connection is not lost. *)
+   over it to the next, so the lock or signal is not lost. *)
 let wake_first q =
   (not (Queue.is_empty q))
   && begin

@@ -167,17 +167,6 @@ val wake_from : handle -> Float.Array.t -> int -> bool
 val wake : handle -> bool
 (** {!wake_from} at the caller's clock. *)
 
-val wake_first : handle Queue.t -> bool
-(** Hand something to one waiter: take handles from the queue, oldest
-    first, and wake each at the caller's clock until one wakes a thread;
-    [false] when none did, and the queue is then empty. A waiter killed
-    while queued leaves a stale handle, which is passed over, so the
-    handoff is not lost to it. *)
-
-val wake_all : handle Queue.t -> bool
-(** Empty the queue, waking every handle at the caller's clock; [true]
-    when any woke a thread. *)
-
 val join : tid -> unit
 (** Block until the given thread finishes. Does not re-raise its
     failure — inspect {!outcome}. *)

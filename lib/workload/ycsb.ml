@@ -243,7 +243,7 @@ let client l ~name ~salt ~rng i =
         Some
           (Retry.create policy
              ~rng:(Rng.create (cfg.seed + (salt * i) + 13))
-             ~name:(name ^ Int.to_string i))
+             ~name ~id:i)
   in
   let cl =
     {
@@ -300,20 +300,18 @@ let rec load_from cl k hi =
     end
   end
 
-(* A client with no records to load (or no operations to run) is still
-   spawned, so thread ids do not depend on the key ranges, but it builds
-   no kit: it would never use one. A load client draws no random
-   number, so it is handed the launch's value stream, unused. *)
+(* Client [i] loads records [lo_of l i, lo_of l (i + 1)): the last one
+   also loads the remainder, so with more clients than records it loads
+   them all. A load client draws no random number, so it is handed the
+   launch's value stream, unused. *)
+let lo_of l i = i * (l.cfg.records / l.cfg.clients)
+
+let hi_of l i = if i = l.cfg.clients - 1 then l.cfg.records else lo_of l (i + 1)
+
 let load_client l rng i () =
-  let cfg = l.cfg in
-  let per = cfg.records / cfg.clients in
-  let lo = i * per in
-  let hi = if i = cfg.clients - 1 then cfg.records else lo + per in
-  if lo < hi then begin
-    let cl = client l ~name:"yl" ~salt:9000 ~rng i in
-    load_from cl lo hi;
-    finish cl
-  end
+  let cl = client l ~name:"yl" ~salt:9000 ~rng i in
+  load_from cl (lo_of l i) (hi_of l i);
+  finish cl
 
 (* {2 The run phase}
 
@@ -409,13 +407,10 @@ let rec run_from cl (clock : Sched.cell) k n base =
   end
 
 let run_client l i () =
-  let n = ops_of l i in
-  if n > 0 then begin
-    let rng = Rng.create (l.cfg.seed + (1000 * i) + 7) in
-    let cl = client l ~name:"y" ~salt:5000 ~rng i in
-    run_from cl (Sched.clock_cell ()) 0 n (first l i);
-    finish cl
-  end
+  let rng = Rng.create (l.cfg.seed + (1000 * i) + 7) in
+  let cl = client l ~name:"y" ~salt:5000 ~rng i in
+  run_from cl (Sched.clock_cell ()) 0 (ops_of l i) (first l i);
+  finish cl
 
 (* Client [clients - 1]'s samples first, each client's oldest first. *)
 let run_latencies l =
@@ -449,19 +444,25 @@ let launch sched net cfg ~on_done () =
   let orchestrator () =
     let t_start = Sched.now () in
     (* Both phases' threads of client [i] are named [ycsb<i>]; the names
-       are made once. *)
+       are made once. A phase spawns only the clients with records to
+       load or operations to run: an idle one would finish at its first
+       step, having done nothing another thread could see. The busy
+       clients of a phase are the last ones, so their ids are consecutive
+       either way, and leaving the idle ones out shifts every later
+       thread and timer id down by one amount: the scheduler's (clock,
+       id) order, and so every simulated number, stays the same. *)
     let names = Array.init cfg.clients (fun i -> "ycsb" ^ Int.to_string i) in
-    let spawn_phase mk =
-      let tids =
-        Array.init cfg.clients (fun i ->
-            Sched.spawn sched ~name:names.(i) (mk i))
-      in
-      Array.iter Sched.join tids
+    let spawn_phase ~busy mk =
+      let tids = Array.make cfg.clients (-1) in
+      for i = 0 to cfg.clients - 1 do
+        if busy i then tids.(i) <- Sched.spawn sched ~name:names.(i) (mk i)
+      done;
+      Array.iter (fun tid -> if tid >= 0 then Sched.join tid) tids
     in
-    spawn_phase (load_client l base_rng);
+    spawn_phase ~busy:(fun i -> lo_of l i < hi_of l i) (load_client l base_rng);
     let t_load = Sched.now () in
     l.run_start <- t_load;
-    spawn_phase (run_client l);
+    spawn_phase ~busy:(fun i -> ops_of l i > 0) (run_client l);
     let t_all = Sched.now () in
     on_done ();
     results :=

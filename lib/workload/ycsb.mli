@@ -100,7 +100,8 @@ val launch :
   unit ->
   unit -> results
 (** [launch sched net cfg ~on_done ()] spawns the orchestrator (which
-    spawns the client fleet) and returns a thunk to call {e after}
+    spawns, per phase, one thread [ycsb<i>] for each client with records
+    to load or operations to run) and returns a thunk to call {e after}
     [Sched.run] completes. [on_done] runs inside the simulation once all
     clients finish — use it to stop the server so the simulation can
     drain. *)

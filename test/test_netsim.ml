@@ -494,6 +494,72 @@ let test_waitset_wait_allocation () =
        is 0"
       words
 
+(* A message sent into a watched connection and received from it: the
+   connection joins its waitset's ready list as the message arrives and
+   leaves it as the inbox drains, and neither allocates. *)
+let test_watched_exchange_allocation () =
+  let words =
+    Sched.main (fun _ ->
+        let net = Netsim.create instant in
+        let l = Netsim.listen net ~port:80 in
+        let client = Netsim.connect net ~port:80 in
+        let server = Option.get (Netsim.accept l) in
+        let ws = Netsim.Waitset.create () in
+        Netsim.Waitset.add ws server;
+        let out = Netsim.Buf.create () and into = Netsim.Buf.create () in
+        Netsim.Buf.add_string out "get k\r\n";
+        Alloc_probe.words_per_call ~n:10_000 (fun () ->
+            Netsim.send_buf client out;
+            let c = Netsim.Waitset.wait ws in
+            if not (c == server && Netsim.recv_buf c into) then
+              Alcotest.fail "the message was not reported"))
+  in
+  if words > 0.0 then
+    Alcotest.failf
+      "a message through a watched connection allocates %.1f minor words; \
+       the budget is 0"
+      words
+
+(* One connection's whole life on a warm network and waitset: connect,
+   accept, add, a request and its reply, the client's close, the wait
+   that reports it, remove and the server's close. What is left is the
+   two endpoints, their one-slot inboxes and [accept]'s [Some]. Pinned
+   at the 46.0 words measured; 73.0 while a connect looked its listener
+   up with [Hashtbl.find_opt], boxed its charge and queued the server
+   end in a [Queue] cell, an accept dequeued it with [Queue.take_opt]
+   and boxed its charge, an add stored [Some ws], and an inbox started
+   at four slots. *)
+let lifecycle_words_budget = 46.0
+
+let test_lifecycle_allocation () =
+  let words =
+    Sched.main (fun _ ->
+        let net = Netsim.create instant in
+        let l = Netsim.listen net ~port:80 in
+        let ws = Netsim.Waitset.create () in
+        let req = Netsim.Buf.create () and rep = Netsim.Buf.create () in
+        Netsim.Buf.add_string req "get k\r\n";
+        Alloc_probe.words_per_call ~n:1_000 (fun () ->
+            let client = Netsim.connect net ~port:80 in
+            let server = Option.get (Netsim.accept l) in
+            Netsim.Waitset.add ws server;
+            Netsim.send_buf client req;
+            let c = Netsim.Waitset.wait ws in
+            if not (c == server && Netsim.recv_buf c rep) then
+              Alcotest.fail "no request";
+            Netsim.send_buf c rep;
+            if not (Netsim.recv_buf client rep) then Alcotest.fail "no reply";
+            Netsim.close client;
+            if Netsim.Waitset.wait ws != server || Netsim.recv_buf server rep
+            then Alcotest.fail "the close was not reported";
+            Netsim.Waitset.remove ws server;
+            Netsim.close server))
+  in
+  if words > lifecycle_words_budget then
+    Alcotest.failf
+      "a connection's lifecycle allocates %.1f minor words; the budget is %.1f"
+      words lifecycle_words_budget
+
 (* Size class of a [len]-byte frame: 64 bytes, doubled [c] times. *)
 let rec size_class c len = if 64 lsl c >= len then c else size_class (c + 1) len
 
@@ -707,6 +773,220 @@ let string_and_buffer_paths_agree =
          frame out to a string. *)
       && same (deliver ~buf_send:odd ~buf_recv:(fun i -> not (odd i)) msgs))
 
+(* {1 The ready list against the scan it replaced}
+
+   Random traces drive one waitset and [Waitset_ref], the scan every
+   wait made before the ready list, side by side. The reference reads
+   readiness and arrivals from the test's own model of each connection:
+   the delivery times of the messages queued to its watched end and
+   whether either end has closed. Messages arrive the instant they are
+   sent plus a delay set by their length, 0, 1,000 or 2,000 cycles,
+   and the clock moves only when a trace advances it or a wait catches
+   up with a message, so equal arrivals are common and ties go to the
+   cursor. *)
+
+type wop =
+  | Connect  (** a new connection, accepted and added *)
+  | Send of int * int  (** connection, length 1-3 *)
+  | Recv of int  (** a non-blocking receive on the watched end *)
+  | Close_client of int
+  | Close_server of int
+  | Remove of int
+  | Readd of int  (** add back a removed connection, last in order *)
+  | Wait of bool
+      (** a blocking wait (a poll when nothing is ready); [true]: receive
+          from the winner *)
+  | Poll  (** a zero-deadline wait *)
+  | Wait_for of int  (** a wait with a deadline that many cycles ahead *)
+  | Advance of int
+
+let print_wop = function
+  | Connect -> "Connect"
+  | Send (k, n) -> Printf.sprintf "Send (%d, %d)" k n
+  | Recv k -> Printf.sprintf "Recv %d" k
+  | Close_client k -> Printf.sprintf "Close_client %d" k
+  | Close_server k -> Printf.sprintf "Close_server %d" k
+  | Remove k -> Printf.sprintf "Remove %d" k
+  | Readd k -> Printf.sprintf "Readd %d" k
+  | Wait r -> Printf.sprintf "Wait %b" r
+  | Poll -> "Poll"
+  | Wait_for d -> Printf.sprintf "Wait_for %d" d
+  | Advance d -> Printf.sprintf "Advance %d" d
+
+let gen_wops =
+  let open QCheck.Gen in
+  let k = int_bound 7 in
+  let op =
+    frequency
+      [
+        (2, return Connect);
+        (8, map2 (fun k n -> Send (k, n)) k (int_range 1 3));
+        (2, map (fun k -> Recv k) k);
+        (1, map (fun k -> Close_client k) k);
+        (1, map (fun k -> Close_server k) k);
+        (2, map (fun k -> Remove k) k);
+        (1, map (fun k -> Readd k) k);
+        (5, map (fun r -> Wait r) bool);
+        (2, return Poll);
+        (1, map (fun d -> Wait_for d) (int_range 0 3_000));
+        (1, map (fun d -> Advance d) (int_range 0 3_000));
+      ]
+  in
+  map2 (fun first rest -> first @ rest)
+    (list_repeat 3 (return Connect))
+    (list_size (int_bound 60) op)
+
+(* The test's model of one connection. *)
+type mconn = {
+  client : Netsim.conn;
+  server : Netsim.conn;  (* the watched end *)
+  inbox : float Queue.t;  (* delivery times of the messages to [server] *)
+  mutable c_closed : bool;
+  mutable s_closed : bool;
+  mutable watched : bool;
+}
+
+let m_ready m = (not (Queue.is_empty m.inbox)) || m.c_closed || m.s_closed
+let m_ready_at m =
+  if Queue.is_empty m.inbox then neg_infinity else Queue.peek m.inbox
+
+(* Whether the waitset and the reference agree at every step of [ops]. *)
+let ready_list_agrees ops =
+  Sched.main (fun _ ->
+      let net = Netsim.create instant in
+      Netsim.set_fault_hook net
+        (Some (fun ~len -> Netsim.Delay (float_of_int ((len - 1) * 1_000))));
+      let l = Netsim.listen net ~port:80 in
+      let ws = Netsim.Waitset.create () and r = Waitset_ref.create () in
+      let conns = ref [||] in
+      let nth k =
+        let a = !conns in
+        if Array.length a = 0 then None else Some a.(k mod Array.length a)
+      in
+      let agree = ref true in
+      let expect b = if not b then agree := false in
+      (* The model's side of a receive from [m]'s watched end. *)
+      let received m = ignore (Queue.pop m.inbox) in
+      let deliverable m =
+        (not (Queue.is_empty m.inbox)) && Queue.peek m.inbox <= Sched.now ()
+      in
+      (* A wait's result against the reference's pick, given the
+         deadline a message must arrive by ([infinity] for [wait]). *)
+      let check_wait got ~deadline ~recv =
+        match
+          Waitset_ref.pick_earliest r ~ready:m_ready ~ready_at:m_ready_at
+        with
+        | None -> expect (got == Netsim.no_conn)
+        | Some m ->
+            if Queue.is_empty m.inbox || m_ready_at m <= deadline then begin
+              expect (got == m.server);
+              if recv && deliverable m then begin
+                expect (Netsim.try_recv m.server <> None);
+                received m
+              end
+            end
+            else expect (got == Netsim.no_conn)
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Connect ->
+              let client = Netsim.connect net ~port:80 in
+              let server = Option.get (Netsim.accept l) in
+              let m =
+                {
+                  client;
+                  server;
+                  inbox = Queue.create ();
+                  c_closed = false;
+                  s_closed = false;
+                  watched = true;
+                }
+              in
+              conns := Array.append !conns [| m |];
+              Netsim.Waitset.add ws server;
+              Waitset_ref.add r m
+          | Send (k, n) ->
+              Option.iter
+                (fun m ->
+                  Netsim.send m.client (String.make n 'x');
+                  if not (m.c_closed || m.s_closed) then
+                    Queue.add
+                      (Sched.now () +. float_of_int ((n - 1) * 1_000))
+                      m.inbox)
+                (nth k)
+          | Recv k ->
+              Option.iter
+                (fun m ->
+                  let got = Netsim.try_recv m.server in
+                  expect (Option.is_some got = deliverable m);
+                  if Option.is_some got then received m)
+                (nth k)
+          | Close_client k ->
+              Option.iter
+                (fun m ->
+                  Netsim.close m.client;
+                  m.c_closed <- true)
+                (nth k)
+          | Close_server k ->
+              Option.iter
+                (fun m ->
+                  Netsim.close m.server;
+                  m.s_closed <- true)
+                (nth k)
+          | Remove k ->
+              Option.iter
+                (fun m ->
+                  if m.watched then begin
+                    Netsim.Waitset.remove ws m.server;
+                    Waitset_ref.remove r m;
+                    m.watched <- false
+                  end)
+                (nth k)
+          | Readd k ->
+              Option.iter
+                (fun m ->
+                  if not m.watched then begin
+                    Netsim.Waitset.add ws m.server;
+                    Waitset_ref.add r m;
+                    m.watched <- true
+                  end)
+                (nth k)
+          | Wait recv ->
+              let any_ready =
+                Array.exists (fun m -> m.watched && m_ready m) !conns
+              in
+              if any_ready then
+                check_wait (Netsim.Waitset.wait ws) ~deadline:infinity ~recv
+              else
+                let now = Sched.now () in
+                check_wait (Netsim.Waitset.wait_deadline ws ~deadline:now)
+                  ~deadline:now ~recv
+          | Poll ->
+              let now = Sched.now () in
+              check_wait (Netsim.Waitset.wait_deadline ws ~deadline:now)
+                ~deadline:now ~recv:false
+          | Wait_for d ->
+              let deadline = Sched.now () +. float_of_int d in
+              check_wait (Netsim.Waitset.wait_deadline ws ~deadline) ~deadline
+                ~recv:false
+          | Advance d -> Sched.wait_until (Sched.now () +. float_of_int d));
+          let queued = ref 0 in
+          Array.iter
+            (fun m ->
+              if m.watched then queued := !queued + Queue.length m.inbox)
+            !conns;
+          expect (Netsim.Waitset.backlog ws = !queued);
+          expect (Netsim.Waitset.size ws = Waitset_ref.size r))
+        ops;
+      !agree)
+
+let ready_list_matches_scan =
+  QCheck.Test.make ~count:10_000
+    ~name:"ready list picks as the full scan did"
+    (QCheck.make ~print:(QCheck.Print.list print_wop) gen_wops)
+    ready_list_agrees
+
 let () =
   Alcotest.run "netsim"
     [
@@ -729,6 +1009,11 @@ let () =
           Alcotest.test_case "pick order" `Quick test_waitset_pick_order;
           Alcotest.test_case "wait host allocation" `Quick
             test_waitset_wait_allocation;
+          Alcotest.test_case "watched exchange host allocation" `Quick
+            test_watched_exchange_allocation;
+          Alcotest.test_case "connection lifecycle host allocation" `Quick
+            test_lifecycle_allocation;
+          QCheck_alcotest.to_alcotest ready_list_matches_scan;
         ] );
       ( "timed wait",
         [

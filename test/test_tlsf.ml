@@ -179,6 +179,79 @@ let random_ops_prop =
         !live;
       !ok && Tlsf.check t = [] && Tlsf.used_blocks t = 0)
 
+(* {1 Reset}
+
+   A domain re-created after a rewind takes the discarded domain's heap
+   after [Tlsf.reset], so a reset heap must be a fresh one. After a
+   random history of region adds, mallocs, frees, an injection hook and
+   the sanitize mode, every field of the reset heap equals the same
+   field of [Tlsf.create]'s on the same space and name: bitmaps, heads,
+   regions, counters, the hook and the mode. The fields are walked
+   through the record's representation, not named, so a field added
+   later that [reset] misses fails here too. A field holding the same
+   value (the space) or an equal one counts as equal; a function value
+   cannot be compared, so a hook left in place does not. *)
+
+type hop = Region of int | Malloc of int | Free of int | Inject | Sanitize
+
+let print_hop = function
+  | Region kib -> Printf.sprintf "Region %d" kib
+  | Malloc n -> Printf.sprintf "Malloc %d" n
+  | Free k -> Printf.sprintf "Free %d" k
+  | Inject -> "Inject"
+  | Sanitize -> "Sanitize"
+
+let gen_hops =
+  let open QCheck.Gen in
+  list_size (int_bound 40)
+    (frequency
+       [
+         (2, map (fun kib -> Region kib) (int_range 1 64));
+         (6, map (fun n -> Malloc n) (int_range 1 3000));
+         (4, map (fun k -> Free k) nat);
+         (1, return Inject);
+         (1, return Sanitize);
+       ])
+
+let same_fields a b =
+  let a = Obj.repr a and b = Obj.repr b in
+  Obj.size a = Obj.size b
+  && List.for_all
+       (fun i ->
+         let x = Obj.field a i and y = Obj.field b i in
+         x == y || try compare x y = 0 with Invalid_argument _ -> false)
+       (List.init (Obj.size a) Fun.id)
+
+let reset_is_fresh =
+  QCheck.Test.make ~count:200 ~name:"a reset heap equals a fresh one"
+    (QCheck.make ~print:(QCheck.Print.list print_hop) gen_hops)
+    (fun hops ->
+      let s = Space.create ~size_mib:16 () in
+      let t = Tlsf.create s ~name:"heap" in
+      let live = ref [] in
+      List.iter
+        (function
+          | Region kib ->
+              let len = kib * 1024 in
+              let a = Space.mmap s ~len ~prot:Prot.rw ~pkey:0 in
+              Tlsf.add_region t ~addr:a ~len
+          | Malloc n -> (
+              match Tlsf.malloc_opt t n with
+              | Some p -> live := p :: !live
+              | None -> ())
+          | Free k -> (
+              match !live with
+              | [] -> ()
+              | ps ->
+                  let p = List.nth ps (k mod List.length ps) in
+                  Tlsf.free t p;
+                  live := List.filter (fun q -> q <> p) ps)
+          | Inject -> Tlsf.set_inject_failure t (Some (fun n -> n > 2000))
+          | Sanitize -> if Tlsf.regions t = [] then Tlsf.set_sanitize t true)
+        hops;
+      Tlsf.reset t;
+      same_fields t (Tlsf.create s ~name:"heap"))
+
 (* {1 Host allocation}
 
    [malloc] and [free] run on every request: each opens the allocator's
@@ -216,5 +289,9 @@ let () =
           Alcotest.test_case "merge absorbs child" `Quick test_merge_absorbs_child;
           Alcotest.test_case "iter blocks" `Quick test_iter_blocks_covers_region;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest random_ops_prop ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest random_ops_prop;
+          QCheck_alcotest.to_alcotest reset_is_fresh;
+        ] );
     ]
