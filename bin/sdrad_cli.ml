@@ -240,12 +240,16 @@ let kvbench_cmd =
              clients = 16;
            })
     in
-    Printf.printf "load: %.0f ops/s\nrun:  %.0f ops/s\nmax RSS: %.1f MiB\n"
+    let ops = r.Workload.Ycsb.load_ops + r.Workload.Ycsb.run_ops in
+    Printf.printf
+      "load: %.0f ops/s\nrun:  %.0f ops/s\nmax RSS: %.1f MiB\n\
+       checked accesses: %.1f per op\n"
       (Stats.ops_per_sec cost ~ops:r.Workload.Ycsb.load_ops
          ~cycles:r.Workload.Ycsb.load_cycles)
       (Stats.ops_per_sec cost ~ops:r.Workload.Ycsb.run_ops
          ~cycles:r.Workload.Ycsb.run_cycles)
       (float_of_int (Space.max_rss_bytes w.space) /. 1048576.0)
+      (float_of_int (Space.checked_accesses w.space) /. float_of_int ops)
   in
   Cmd.v (Cmd.info "kvbench" ~doc)
     Term.(const run $ variant_arg variants $ workers_arg $ records $ ops)

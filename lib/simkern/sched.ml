@@ -20,6 +20,17 @@ type status = Ready | Running | Blocked | Done of outcome
    argument of a [charge] call (see [clock_cell] in the interface). *)
 type cell = { mutable clock : float; mutable waited : float }
 
+(* The running thread's tid and clock cell; [no_tid] and [no_cell]
+   between resumptions and outside [run]. [resume] sets it for one step
+   and [run] saves and restores it around a run, nested ones included.
+   Other modules read its fields directly (see the interface). Defined
+   before [thread], so an unannotated [.tid] or [.cell] is a thread's. *)
+type running = { mutable tid : int; mutable cell : cell }
+
+let no_tid = -1
+let no_cell = { clock = 0.0; waited = 0.0 }
+let running = { tid = no_tid; cell = no_cell }
+
 (* A wake handle (see the interface): the thread's slot in the
    scheduler's thread vector in the low [slot_bits] bits, its suspension
    serial above them. *)
@@ -362,27 +373,32 @@ let create () =
   in
   t
 
-let current_thread () =
+let not_in_thread () =
   match !active with
-  | Some t ->
-      if t.current == no_thread then failwith "Sched: no current thread"
-      else t.current
+  | Some _ -> failwith "Sched: no current thread"
   | None -> failwith "Sched: not inside a simulation"
 
-let in_thread () =
-  match !active with Some t -> t.current != no_thread | None -> false
+let current_thread () =
+  match !active with
+  | Some t when t.current != no_thread -> t.current
+  | Some _ | None -> not_in_thread ()
 
 let current () =
   match !active with
   | Some t -> t
   | None -> failwith "Sched: not inside a simulation"
 
-let self () = (current_thread ()).tid
-let clock_cell () = (current_thread ()).cell
-let now () = (current_thread ()).cell.clock
+(* The accessors of the running thread read [running] alone. *)
+let in_thread () = running.tid <> no_tid
+let self () = if running.tid = no_tid then not_in_thread () else running.tid
+
+let clock_cell () =
+  if running.tid = no_tid then not_in_thread () else running.cell
+
+let now () = (clock_cell ()).clock
 
 let charge c =
-  let k = (current_thread ()).cell in
+  let k = clock_cell () in
   k.clock <- k.clock +. c
 
 (* The thread with id [tid], or [no_thread]: a binary search, as the
@@ -436,6 +452,8 @@ let spawn t ?name f =
 let resume t th =
   th.status <- Running;
   t.current <- th;
+  running.tid <- th.tid;
+  running.cell <- th.cell;
   (if th.killed then begin
      th.entry <- no_entry;
      let k = th.cont in
@@ -456,7 +474,9 @@ let resume t th =
      th.cont <- no_cont;
      continue k ()
    end);
-  t.current <- no_thread
+  t.current <- no_thread;
+  running.tid <- no_tid;
+  running.cell <- no_cell
 
 let blocked_names t =
   let names = ref [] in
@@ -469,11 +489,16 @@ let blocked_names t =
 let run t =
   if t.running then failwith "Sched.run: already running";
   let saved = !active in
+  let saved_tid = running.tid and saved_cell = running.cell in
   active := Some t;
+  running.tid <- no_tid;
+  running.cell <- no_cell;
   t.running <- true;
   let restore () =
     t.running <- false;
-    active := saved
+    active := saved;
+    running.tid <- saved_tid;
+    running.cell <- saved_cell
   in
   (try
      let h = t.ready in

@@ -90,6 +90,20 @@ val clock_cell : unit -> cell
     [let k = clock_cell () in k.clock <- k.clock +. c], which allocates
     nothing; it is the same float addition {!charge} performs. *)
 
+type running = private { mutable tid : tid; mutable cell : cell }
+(** The running thread's tid and clock cell. *)
+
+val running : running
+(** The one record {!self}, {!clock_cell}, {!now}, {!in_thread} and
+    {!charge} read. Inside a thread it names that thread. Between
+    resumptions and outside {!run} its [tid] is [-1] and its [cell]
+    belongs to no thread. A thread that runs a nested {!run} (or
+    {!main}) sees its own tid and cell again once the nested run returns
+    or raises. Reading a field is a load where a call to {!self} or
+    {!clock_cell} is a call, as libraries are compiled with [-opaque]:
+    the checked access path in [Vmem.Space] reads it on every simulated
+    load and store. Only [Sched] writes it. *)
+
 val yield : unit -> unit
 (** Reschedule; another thread with a smaller clock may run first. *)
 

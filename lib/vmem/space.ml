@@ -28,16 +28,35 @@ let page_shift = 12
 let ps = 1 lsl page_shift
 let page_mask = ps - 1
 
-(* The frame every page shares until its first write (see [wframe]), so
-   the host heap follows the pages a simulated process writes, not the
-   size of its address space. Never written. *)
+(* Shared constant frames: [shared.(c)] is a page of byte [c], made on
+   the first whole-page [fill] with [c] and never written. A page may
+   point at one until its first write (see [wframe]), so the host heap
+   follows the pages a simulated process writes, not the size of its
+   address space or of what it fills. Frames are immutable, so every
+   space shares them. A slot not made yet holds [Bytes.empty], never a
+   page's frame. [zero_page], the frame of byte 0, is the frame of every
+   page not written since it was mapped. *)
 let zero_page = Bytes.make ps '\000'
+
+let shared =
+  let a = Array.make 256 Bytes.empty in
+  a.(0) <- zero_page;
+  a
+
+(* A frame is shared iff it is the shared frame of its own first byte. *)
+let[@inline] is_shared f =
+  f == Array.unsafe_get shared (Char.code (Bytes.unsafe_get f 0))
+
+let shared_frame c =
+  let i = Char.code c in
+  if shared.(i) == Bytes.empty then shared.(i) <- Bytes.make ps c;
+  shared.(i)
 
 (* flags byte per page *)
 let fl_mapped = 8
 
 type t = {
-  frames : Bytes.t array;  (* one per page; [zero_page] until written *)
+  frames : Bytes.t array;  (* one per page; a shared frame until written *)
   size : int;
   pages : int;
   flags : Bytes.t;
@@ -46,13 +65,12 @@ type t = {
   mutable rss_pages : int;
   mutable max_rss_pages : int;
   mutable pkeys_allocated : int;  (* bitmask over keys 1..15 *)
-  pkru_tbl : (int, int) Hashtbl.t;
-  mutable cached_tid : int;
-  mutable cached_pkru : int;
+  mutable pkru : int array;  (* by tid + 1; slot 0 is outside any thread *)
   cost : Cost.t;
   mutable free_list : (int * int) list;  (* (first_page, npages), sorted *)
   allocs : (int, int * int) Hashtbl.t;  (* base addr -> (total_pages, usable_pages) *)
   mutable fault_count : int;
+  mutable accesses : int;  (* [check] calls with a non-empty range *)
   mutable wrpkru_count : int;
   mutable pkru_elided_count : int;
   mutable syscall_hook : (string -> unit) option;
@@ -81,14 +99,13 @@ let create ?(size_mib = 64) () =
     rss_pages = 0;
     max_rss_pages = 0;
     pkeys_allocated = 0;
-    pkru_tbl = Hashtbl.create 16;
-    cached_tid = min_int;
-    cached_pkru = Pkru.all_access;
+    pkru = Array.make 8 Pkru.all_access;
     cost = Cost.default;
     (* page 0 reserved: null pointers always fault *)
     free_list = [ (1, pages - 1) ];
     allocs = Hashtbl.create 64;
     fault_count = 0;
+    accesses = 0;
     wrpkru_count = 0;
     pkru_elided_count = 0;
     syscall_hook = None;
@@ -109,33 +126,26 @@ let syscall_gate t name =
   match t.syscall_hook with Some h -> h name | None -> ()
 let page_size _ = ps
 let size t = t.size
-(* Adds into the thread's clock cell directly: a call to [Sched.charge]
-   would box [c] (libraries are compiled with -opaque), once per checked
-   access. [@inline] keeps [c] unboxed at the call sites in this module. *)
-let[@inline] charge t c =
-  if Sched.in_thread () then begin
-    let k = Sched.clock_cell () in
+
+(* The running thread's record is read by field, not through
+   [Sched.charge] or [Sched.self]: libraries are compiled with -opaque,
+   so those would be calls, and [Sched.charge] would box [c], on every
+   checked access. [@inline] keeps [c] unboxed at the call sites in this
+   module. Outside a thread nothing is charged and the tid is -1. *)
+let running = Sched.running
+
+let[@inline] charge c =
+  if running.tid >= 0 then begin
+    let k = running.cell in
     k.clock <- k.clock +. c
   end
-  else ignore t
-let cur_tid () = if Sched.in_thread () then Sched.self () else -1
 
-let cur_pkru t =
-  let tid = cur_tid () in
-  if tid = t.cached_tid then t.cached_pkru
-  else begin
-    let v =
-      match Hashtbl.find_opt t.pkru_tbl tid with
-      | Some v -> v
-      | None -> Pkru.all_access
-    in
-    t.cached_tid <- tid;
-    t.cached_pkru <- v;
-    v
-  end
+let[@inline] cur_pkru t =
+  let i = running.tid + 1 and a = t.pkru in
+  if i < Array.length a then Array.unsafe_get a i else Pkru.all_access
 
 let rdpkru t =
-  charge t t.cost.rdpkru;
+  charge t.cost.rdpkru;
   cur_pkru t
 
 (* Checked install: writing the value already in the register is a
@@ -145,12 +155,15 @@ let rdpkru t =
 let wrpkru t v =
   if v = cur_pkru t then t.pkru_elided_count <- t.pkru_elided_count + 1
   else begin
-    charge t t.cost.wrpkru;
+    charge t.cost.wrpkru;
     t.wrpkru_count <- t.wrpkru_count + 1;
-    let tid = cur_tid () in
-    Hashtbl.replace t.pkru_tbl tid v;
-    t.cached_tid <- tid;
-    t.cached_pkru <- v
+    let i = running.tid + 1 and n = Array.length t.pkru in
+    if i >= n then begin
+      let a = Array.make (Int.max (i + 1) (2 * n)) Pkru.all_access in
+      Array.blit t.pkru 0 a 0 n;
+      t.pkru <- a
+    end;
+    Array.unsafe_set t.pkru i v
   end
 
 let pkey_alloc t =
@@ -159,7 +172,7 @@ let pkey_alloc t =
     if key > 15 then None
     else if t.pkeys_allocated land (1 lsl key) = 0 then begin
       t.pkeys_allocated <- t.pkeys_allocated lor (1 lsl key);
-      charge t t.cost.syscall;
+      charge t.cost.syscall;
       Some key
     end
     else find (key + 1)
@@ -172,7 +185,7 @@ let pkey_free t key =
   if t.pkeys_allocated land (1 lsl key) = 0 then
     invalid_arg "pkey_free: key not allocated";
   t.pkeys_allocated <- t.pkeys_allocated land lnot (1 lsl key);
-  charge t t.cost.syscall
+  charge t.cost.syscall
 
 let pkeys_in_use t =
   let rec count key acc =
@@ -183,33 +196,16 @@ let pkeys_in_use t =
 
 let fault t addr access code pkey =
   t.fault_count <- t.fault_count + 1;
-  charge t t.cost.signal_delivery;
-  raise (Fault { addr; access; code; pkey; tid = cur_tid () })
+  charge t.cost.signal_delivery;
+  raise (Fault { addr; access; code; pkey; tid = running.tid })
 
-let touch t p =
-  if Bytes.unsafe_get t.touched p = '\000' then begin
-    Bytes.unsafe_set t.touched p '\001';
-    t.rss_pages <- t.rss_pages + 1;
-    if t.rss_pages > t.max_rss_pages then t.max_rss_pages <- t.rss_pages;
-    charge t t.cost.page_touch
-  end
-
-let check_page t addr p access =
-  let f = Char.code (Bytes.unsafe_get t.flags p) in
-  if f land fl_mapped = 0 then fault t addr access MAPERR (-1);
-  let needed =
-    match access with Read -> Prot.read | Write -> Prot.write | Exec -> Prot.exec
-  in
-  if f land needed = 0 then
-    fault t addr access ACCERR (Char.code (Bytes.unsafe_get t.pkey_of p));
-  let key = Char.code (Bytes.unsafe_get t.pkey_of p) in
-  let pkru = cur_pkru t in
-  (match access with
-  | Read | Exec ->
-      if not (Pkru.can_read pkru ~key) then fault t addr access PKUERR key
-  | Write ->
-      if not (Pkru.can_write pkru ~key) then fault t addr access PKUERR key);
-  touch t p
+(* The [Prot] bit an access needs, and the PKRU bits that refuse it on
+   key 0: access-disable for reads and fetches, access- and
+   write-disable for writes. A page's key [k] shifts them by [2 * k], the
+   layout [Pkru] encodes. Written out here because a call into [Prot] or
+   [Pkru] is not inlined across the -opaque boundary. *)
+let[@inline] prot_needed = function Read -> 1 | Write -> 2 | Exec -> 4
+let[@inline] pkru_refusing = function Read | Exec -> 1 | Write -> 3
 
 (* {1 Heap-poison sanitizer}
 
@@ -285,7 +281,7 @@ let sanitizer_bypass t f =
       raise e
 
 let san_range_arg op t addr len =
-  if addr < 0 || len < 0 || addr + len > t.size then
+  if addr < 0 || len < 0 || len > t.size - addr then
     invalid_arg ("Space." ^ op ^ ": range out of bounds")
 
 let poison t ~addr ~len =
@@ -306,13 +302,50 @@ let poison_faults t = t.san_fault_count
 let poisoned_ranges t = t.san_poisoned_count
 let unpoisoned_ranges t = t.san_unpoisoned_count
 
+(* The fault for page [p] of a range at [addr] that [check] refused:
+   unmapped, then a protection that forbids the access, then the key.
+   The address is [addr] on the range's first page and the page's base
+   on a later one. *)
+let refuse t addr p access =
+  let a = if p = addr lsr page_shift then addr else p lsl page_shift in
+  let f = Char.code (Bytes.unsafe_get t.flags p) in
+  let key = Char.code (Bytes.unsafe_get t.pkey_of p) in
+  if f land fl_mapped = 0 then fault t a access MAPERR (-1)
+  else if f land prot_needed access = 0 then fault t a access ACCERR key
+  else fault t a access PKUERR key
+
+(* The one access path. Each page of the range, in order, must be
+   mapped, allow the access and carry a key the thread's PKRU allows;
+   its first access makes it resident. The loop stops at the first page
+   that fails, which [refuse] then reports: the loop itself makes no
+   call, so nothing in it is spilled around one. The bound is written as
+   [len > size - addr] because [addr + len] wraps for an address near
+   [max_int]. *)
 let check t addr len access =
   if len > 0 then begin
-    if addr < 0 || addr + len > t.size then fault t addr access MAPERR (-1);
-    let p1 = addr lsr page_shift and p2 = (addr + len - 1) lsr page_shift in
-    for p = p1 to p2 do
-      check_page t (if p = p1 then addr else p lsl page_shift) p access
+    t.accesses <- t.accesses + 1;
+    if addr < 0 || len > t.size - addr then fault t addr access MAPERR (-1);
+    let needed = fl_mapped lor prot_needed access
+    and refusing = pkru_refusing access in
+    let pkru = cur_pkru t in
+    let p2 = (addr + len - 1) lsr page_shift in
+    let p = ref (addr lsr page_shift) in
+    while
+      !p <= p2
+      && Char.code (Bytes.unsafe_get t.flags !p) land needed = needed
+      && pkru
+         land (refusing lsl (2 * Char.code (Bytes.unsafe_get t.pkey_of !p)))
+         = 0
+    do
+      if Bytes.unsafe_get t.touched !p = '\000' then begin
+        Bytes.unsafe_set t.touched !p '\001';
+        t.rss_pages <- t.rss_pages + 1;
+        if t.rss_pages > t.max_rss_pages then t.max_rss_pages <- t.rss_pages;
+        charge t.cost.page_touch
+      end;
+      incr p
     done;
+    if !p <= p2 then refuse t addr !p access;
     (if t.san_enabled && not t.san_bypass then
        match san_find t.san_map addr len with
        | Some a ->
@@ -371,7 +404,7 @@ let mmap t ~len ~prot ~pkey =
   (* A fresh mapping carries no poison, whatever lived there before. *)
   if Bytes.length t.san_map > 0 then
     san_set_range t.san_map addr (npages lsl page_shift) false;
-  charge t (t.cost.syscall +. (t.cost.mmap_per_page *. float_of_int total));
+  charge (t.cost.syscall +. (t.cost.mmap_per_page *. float_of_int total));
   addr
 
 let munmap t addr =
@@ -392,7 +425,7 @@ let munmap t addr =
          their residue until a mapping is made over them. *)
       Hashtbl.remove t.allocs addr;
       t.free_list <- insert_region t.free_list (base_page - 1, total);
-      charge t t.cost.syscall
+      charge t.cost.syscall
 
 let page_range addr len =
   (addr lsr page_shift, (addr + len - 1) lsr page_shift)
@@ -420,7 +453,7 @@ let mprotect t ~addr ~len ~prot =
   for p = p1 to p2 do
     Bytes.unsafe_set t.flags p fbyte
   done;
-  charge t t.cost.syscall
+  charge t.cost.syscall
 
 let pkey_mprotect t ~addr ~len ~prot ~pkey =
   syscall_gate t "pkey_mprotect";
@@ -431,7 +464,7 @@ let pkey_mprotect t ~addr ~len ~prot ~pkey =
     Bytes.unsafe_set t.flags p fbyte;
     Bytes.unsafe_set t.pkey_of p kbyte
   done;
-  charge t t.cost.syscall
+  charge t.cost.syscall
 
 let pkey_of_addr t addr = Char.code (Bytes.get t.pkey_of (addr lsr page_shift))
 
@@ -450,21 +483,21 @@ let mapped_len t addr =
 (* {1 Frames}
 
    Reads index [frames] directly; every write goes through [wframe],
-   which first gives a page still on [zero_page] a frame of its own, so
-   the shared page is never written. Callers run [check] before either:
-   an access that faults reads nothing and materialises no frame. A
-   frame is larger than the largest minor-heap block, so it is allocated
-   on the major heap and a materialising store allocates no minor
-   words. *)
+   which first gives a page still on a shared frame a copy of its own,
+   so a shared frame is never written. Callers run [check] before
+   either: an access that faults reads nothing and materialises no
+   frame. A frame is larger than the largest minor-heap block, so it is
+   allocated on the major heap and a materialising store allocates no
+   minor words. *)
 
 let[@inline] frame t addr = Array.unsafe_get t.frames (addr lsr page_shift)
 
 let[@inline] wframe t addr =
   let p = addr lsr page_shift in
   let f = Array.unsafe_get t.frames p in
-  if f != zero_page then f
+  if not (is_shared f) then f
   else begin
-    let f = Bytes.make ps '\000' in
+    let f = Bytes.make ps (Bytes.unsafe_get f 0) in
     Array.unsafe_set t.frames p f;
     f
   end
@@ -502,19 +535,19 @@ let store_straddle t addr n v =
 (* {1 Checked access} *)
 
 let load8 t addr =
-  charge t t.cost.mem_access;
+  charge t.cost.mem_access;
   check t addr 1 Read;
   get_byte t addr
 
 let load16 t addr =
-  charge t t.cost.mem_access;
+  charge t.cost.mem_access;
   check t addr 2 Read;
   let off = addr land page_mask in
   if off <= ps - 2 then Bytes.get_uint16_le (frame t addr) off
   else load_straddle t addr 2
 
 let load32 t addr =
-  charge t t.cost.mem_access;
+  charge t.cost.mem_access;
   check t addr 4 Read;
   let off = addr land page_mask in
   if off <= ps - 4 then
@@ -522,33 +555,33 @@ let load32 t addr =
   else load_straddle t addr 4
 
 let load64 t addr =
-  charge t t.cost.mem_access;
+  charge t.cost.mem_access;
   check t addr 8 Read;
   let off = addr land page_mask in
   if off <= ps - 8 then Int64.to_int (Bytes.get_int64_le (frame t addr) off)
   else load_straddle t addr 8
 
 let store8 t addr v =
-  charge t t.cost.mem_access;
+  charge t.cost.mem_access;
   check t addr 1 Write;
   set_byte t addr (v land 0xFF)
 
 let store16 t addr v =
-  charge t t.cost.mem_access;
+  charge t.cost.mem_access;
   check t addr 2 Write;
   let off = addr land page_mask in
   if off <= ps - 2 then Bytes.set_uint16_le (wframe t addr) off (v land 0xFFFF)
   else store_straddle t addr 2 v
 
 let store32 t addr v =
-  charge t t.cost.mem_access;
+  charge t.cost.mem_access;
   check t addr 4 Write;
   let off = addr land page_mask in
   if off <= ps - 4 then Bytes.set_int32_le (wframe t addr) off (Int32.of_int v)
   else store_straddle t addr 4 v
 
 let store64 t addr v =
-  charge t t.cost.mem_access;
+  charge t.cost.mem_access;
   check t addr 8 Write;
   let off = addr land page_mask in
   if off <= ps - 8 then Bytes.set_int64_le (wframe t addr) off (Int64.of_int v)
@@ -570,7 +603,7 @@ let flip_bit t ~addr ~bit =
   else false
 
 let bulk_charge t len =
-  charge t (t.cost.mem_access +. (t.cost.mem_byte *. float_of_int len))
+  charge (t.cost.mem_access +. (t.cost.mem_byte *. float_of_int len))
 
 (* Every bulk entry point validates its length before [bulk_charge]: a
    negative length must raise, not charge negative virtual time to the
@@ -697,10 +730,14 @@ let fill t ~addr ~len c =
   if len > 0 then begin
     bulk_charge t len;
     check t addr len Write;
+    (* A whole page points at the shared frame of [c]: its old frame is
+       released, and a later write copies the shared one first. *)
     let a = ref addr and stop = addr + len in
     while !a < stop do
       let n = chunk !a stop in
-      Bytes.fill (wframe t !a) (!a land page_mask) n c;
+      if n = ps then
+        Array.unsafe_set t.frames (!a lsr page_shift) (shared_frame c)
+      else Bytes.fill (wframe t !a) (!a land page_mask) n c;
       a := !a + n
     done
   end
@@ -724,7 +761,7 @@ let memchr t ~addr ~len c =
       if !i < lim then found := !a + (!i - off) else a := !a + (lim - off)
     done;
     let examined = if !found >= 0 then !found - addr + 1 else len in
-    charge t (t.cost.mem_access +. (t.cost.mem_byte *. float_of_int examined));
+    charge (t.cost.mem_access +. (t.cost.mem_byte *. float_of_int examined));
     !found
   end
 
@@ -741,7 +778,7 @@ let memcmp t a b len =
 (* {1 Kernel-mode access} *)
 
 let unsafe_load_bytes t addr len =
-  if addr < 0 || len < 0 || addr + len > t.size then
+  if addr < 0 || len < 0 || len > t.size - addr then
     invalid_arg "Space.unsafe_load_bytes: range out of bounds";
   if len = 0 then Bytes.empty else copy_out t addr len
 
@@ -766,9 +803,9 @@ let checkpoint t =
   let pages = ref [] in
   for p = t.pages - 1 downto 0 do
     if Char.code (Bytes.unsafe_get t.flags p) land fl_mapped <> 0 then begin
-      (* a never-written page is stored as [zero_page] itself *)
+      (* a page on a shared frame is stored as that frame itself *)
       let f = t.frames.(p) in
-      pages := (p, if f == zero_page then f else Bytes.copy f) :: !pages
+      pages := (p, if is_shared f then f else Bytes.copy f) :: !pages
     end
   done;
   {
@@ -792,10 +829,11 @@ let restore_image t im =
   t.free_list <- im.im_free_list;
   Hashtbl.reset t.allocs;
   List.iter (fun (k, v) -> Hashtbl.replace t.allocs k v) im.im_allocs;
-  (* Frames are copied back, so an image never aliases live memory. *)
+  (* Shared frames are shared again; the image's own frames are copied
+     back, so an image never aliases a frame live memory may write. *)
   List.iter
     (fun (p, contents) ->
-      if contents == zero_page then t.frames.(p) <- zero_page
+      if is_shared contents then t.frames.(p) <- contents
       else Bytes.blit contents 0 (wframe t (p lsl page_shift)) 0 ps)
     im.im_pages;
   (* images predate the poison state: a restored process starts clean *)
@@ -812,5 +850,6 @@ let mapped_bytes t =
 let rss_bytes t = t.rss_pages lsl page_shift
 let max_rss_bytes t = t.max_rss_pages lsl page_shift
 let fault_count t = t.fault_count
+let checked_accesses t = t.accesses
 let wrpkru_writes t = t.wrpkru_count
 let pkru_elided t = t.pkru_elided_count

@@ -4,8 +4,10 @@
     from OCaml: all domain-resident application state lives in simulated
     memory divided into 4 KiB pages, each carrying protection bits and a
     4-bit protection key. Each page is backed by a 4 KiB frame of its own
-    from its first write on; until then it reads as zero from one shared
-    zero page. Every load, store and bulk copy is checked
+    from its first write on. Until then it reads from a shared, read-only
+    frame: the zero page after {!mmap}, or the frame of one byte value
+    after a {!fill} that covers the whole page. Every load, store and
+    bulk copy is checked
     against the current thread's {!Pkru} value, and violations raise
     {!Fault} — the simulator's SEGV, complete with an [si_code]
     ([MAPERR]/[ACCERR]/[PKUERR]) as delivered by Linux to a signal handler.
@@ -149,7 +151,11 @@ val store_from : t -> int -> bytes -> int -> int -> unit
     [b]. *)
 
 val blit : t -> src:int -> dst:int -> len:int -> unit
+
 val fill : t -> addr:int -> len:int -> char -> unit
+(** Checked and charged as a store of [len] bytes. A page the range
+    covers whole shares one read-only frame per byte value, so filling
+    it costs the host no frame; its first later write copies it. *)
 
 val flip_bit : t -> addr:int -> bit:int -> bool
 (** Single-event upset: XOR one bit ([bit land 7]) of a mapped byte,
@@ -244,6 +250,11 @@ val rss_bytes : t -> int
 
 val max_rss_bytes : t -> int
 val fault_count : t -> int
+
+val checked_accesses : t -> int
+(** Checked accesses since creation: every load, store and bulk range
+    the access path checked, faulting ones included. A [blit] or
+    [memcmp] checks two ranges and counts two. *)
 
 val wrpkru_writes : t -> int
 (** Total WRPKRU instructions actually executed across all threads —

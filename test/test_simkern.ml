@@ -182,6 +182,109 @@ let test_sched_deadlock_detected () =
     (Sched.Deadlock "t1")
     (fun () -> Sched.run t)
 
+(* {1 The running-thread record} *)
+
+(* Outside a run the record names no thread, and the accessors that
+   read it fail. *)
+let names_no_thread what =
+  check int (what ^ ": no tid") (-1) Sched.running.tid;
+  check bool (what ^ ": not in a thread") false (Sched.in_thread ());
+  let fails f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected a failure" what
+    | exception Failure m ->
+        check Alcotest.string (what ^ ": failure") "Sched: not inside a simulation"
+          m
+  in
+  fails (fun () -> ignore (Sched.self ()));
+  fails (fun () -> ignore (Sched.clock_cell ()));
+  fails (fun () -> ignore (Sched.now ()));
+  fails (fun () -> Sched.charge 1.0)
+
+(* Inside thread [tid] of [t], the record names [tid] and its cell: a
+   cycle added to the record's cell shows in the thread's clock. *)
+let names_thread t tid what =
+  check int (what ^ ": tid") tid Sched.running.tid;
+  check int (what ^ ": self") tid (Sched.self ());
+  let before = Option.get (Sched.thread_clock t tid) in
+  let k = Sched.running.cell in
+  k.clock <- k.clock +. 1.0;
+  check (Alcotest.float 0.0) (what ^ ": the thread's own cell") (before +. 1.0)
+    (Option.get (Sched.thread_clock t tid));
+  check bool (what ^ ": clock_cell") true (Sched.clock_cell () == k)
+
+let test_running_record () =
+  names_no_thread "before a run";
+  let t = Sched.create () in
+  let deadlines = Float.Array.make 1 300.0 in
+  let probe name body =
+    let me = ref (-1) in
+    me := Sched.spawn t ~name (fun () -> body !me);
+    !me
+  in
+  let a =
+    probe "a" (fun me ->
+        names_thread t me "a, first step";
+        Sched.yield ();
+        names_thread t me "a, after a yield";
+        Sched.charge 50.0;
+        Sched.yield ();
+        names_thread t me "a, after a charged yield";
+        Sched.block_until_from deadlines 0;
+        names_thread t me "a, after a timed wait")
+  in
+  let b =
+    probe "b" (fun me ->
+        names_thread t me "b, first step";
+        Sched.sleep 20.0;
+        names_thread t me "b, after a sleep";
+        Sched.wait_until 400.0;
+        names_thread t me "b, after a wait")
+  in
+  check bool "distinct threads" true (a <> b);
+  names_no_thread "spawned, not run";
+  Sched.run t;
+  (* A failed check inside a thread ends the thread, not the test. *)
+  let completed t tid =
+    match Sched.outcome t tid with
+    | Some Sched.Completed -> ()
+    | Some (Sched.Failed e) -> raise e
+    | None -> Alcotest.fail "a probe thread did not finish"
+  in
+  completed t a;
+  completed t b;
+  names_no_thread "after a run";
+  (* A thread that runs a simulation of its own sees itself again once
+     the nested run returns, raises or deadlocks. *)
+  let outer = Sched.create () in
+  for _ = 1 to 3 do
+    ignore (Sched.spawn outer ignore)
+  done;
+  let me = ref (-1) in
+  me :=
+    Sched.spawn outer (fun () ->
+        let mine = Sched.running.cell in
+        names_thread outer !me "outer, before";
+        let inner_tid, inner_cell =
+          Sched.main (fun _ -> (Sched.running.tid, Sched.running.cell))
+        in
+        check int "the nested body's tid" 0 inner_tid;
+        check bool "the nested body's own cell" true (inner_cell != mine);
+        names_thread outer !me "outer, after a nested run returned";
+        (match Sched.main (fun _ -> failwith "nested") with
+        | () -> Alcotest.fail "the nested body raised"
+        | exception Failure _ -> ());
+        names_thread outer !me "outer, after a nested run raised";
+        (match Sched.main (fun _ -> Sched.block ()) with
+        | () -> Alcotest.fail "the nested body blocked"
+        | exception Sched.Deadlock _ -> ());
+        names_thread outer !me "outer, after a nested run deadlocked";
+        check bool "the same cell throughout" true (Sched.running.cell == mine));
+  check bool "not the nested body's tid" true (!me <> 0);
+  Sched.run outer;
+  completed outer !me;
+  names_no_thread "after the outer run"
+
 (* The harness every simulation runs in: one body thread, a drained run,
    the body's value back. *)
 let test_sched_main () =
@@ -725,6 +828,7 @@ let () =
           Alcotest.test_case "timers ≡ timer fibers, 5 seeds" `Quick
             test_timers_match_fibers;
           Alcotest.test_case "main" `Quick test_sched_main;
+          Alcotest.test_case "running-thread record" `Quick test_running_record;
           Alcotest.test_case "yield host allocation" `Quick test_yield_allocation;
           Alcotest.test_case "spawn + join host allocation" `Quick
             test_spawn_join_allocation;

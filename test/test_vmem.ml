@@ -3,9 +3,11 @@
    against per-thread PKRU values, rights changes taking effect on the
    next access, RSS accounting, and regression tests for the mprotect
    range validation, the bounded memchr, the negative/zero-length
-   handling of the bulk entry points, and the pkey_mprotect syscall-gate
-   name; a differential run of the page-frame store against a flat byte
-   model; and the host cost of the access path and of a sparse space. *)
+   handling of the bulk entry points, the pkey_mprotect syscall-gate
+   name and accesses near max_int; a differential run of the page-frame
+   store, shared frames included, against a flat byte model; and the
+   host cost of the access path, of a sparse space and of filled
+   pages. *)
 
 module Space = Vmem.Space
 module Prot = Vmem.Prot
@@ -430,6 +432,45 @@ let test_zero_len_ops_are_free () =
       check int "memchr 0" (-1) (Space.memchr s ~addr:a ~len:0 'x');
       check_float "all free" 0.0 (Sched.now () -. t0))
 
+(* {1 Regression: accesses near max_int} *)
+
+(* An address within [len] bytes of [max_int] once made [addr + len]
+   wrap negative, so the bound test passed and the page loop read page
+   flags far outside the table: the host process died of SIGSEGV. Every
+   such access is the simulator's MAPERR. *)
+let test_near_max_int () =
+  let s = mk () in
+  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+  Space.set_sanitizer s true;
+  let inv f =
+    match f () with
+    | _ -> Alcotest.fail "expected Invalid_argument"
+    | exception Invalid_argument _ -> ()
+  in
+  Sched.main (fun _ ->
+      List.iter
+        (fun addr ->
+          let maperr f = expect_fault ~code:Space.MAPERR f in
+          maperr (fun () -> Space.load8 s addr);
+          maperr (fun () -> Space.load16 s addr);
+          maperr (fun () -> Space.load32 s addr);
+          maperr (fun () -> Space.load64 s addr);
+          maperr (fun () -> Space.store8 s addr 1);
+          maperr (fun () -> Space.store16 s addr 1);
+          maperr (fun () -> Space.store32 s addr 1);
+          maperr (fun () -> Space.store64 s addr 1);
+          maperr (fun () -> Space.read_string s addr 16);
+          inv (fun () -> Space.unsafe_load_bytes s addr 16);
+          inv (fun () -> Space.poison s ~addr ~len:16))
+        (List.init 8 (fun i -> max_int - 7 + i));
+      expect_fault ~code:Space.MAPERR ~access:Space.Write (fun () ->
+          Space.fill s ~addr:a ~len:max_int 'x');
+      expect_fault ~code:Space.MAPERR ~access:Space.Read (fun () ->
+          Space.blit s ~src:a ~dst:a ~len:max_int);
+      inv (fun () -> Space.unsafe_load_bytes s a max_int);
+      inv (fun () -> Space.poison s ~addr:a ~len:max_int));
+  check int "the mapped page is intact" 0 (Space.load8 s a)
+
 (* {1 Regression: the syscall oracle sees pkey_mprotect by name} *)
 
 let test_hook_sees_pkey_mprotect () =
@@ -541,6 +582,54 @@ let test_sparse_space () =
     true
     (used < float_of_int (4 * mib))
 
+(* Filling whole pages costs no frame: each points at the one shared,
+   read-only frame of its byte. That frame is made by the first
+   whole-page fill with the byte, here of a page outside the measure. *)
+let test_fill_shares_frames () =
+  let mib = 1024 * 1024 in
+  let s = Space.create ~size_mib:16 () in
+  let w = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+  Space.fill s ~addr:w ~len:ps '\x90';
+  let b0 = Gc.allocated_bytes () in
+  let a = Space.mmap s ~len:(4 * mib) ~prot:Prot.rw ~pkey:0 in
+  Space.fill s ~addr:a ~len:(4 * mib) '\x90';
+  let used = Gc.allocated_bytes () -. b0 in
+  check bool
+    (Printf.sprintf "%.0f host bytes allocated, under one frame" used)
+    true
+    (used < float_of_int ps);
+  check int "every page resident" ((4 * mib) + ps) (Space.rss_bytes s);
+  check bool "the fill reads back" true
+    (Space.read_string s a (4 * mib) = String.make (4 * mib) '\x90')
+
+let test_first_store_makes_one_frame () =
+  let s = mk () in
+  let a = Space.mmap s ~len:(4 * ps) ~prot:Prot.rw ~pkey:0 in
+  Space.fill s ~addr:a ~len:(4 * ps) 'f';
+  let b0 = Gc.allocated_bytes () in
+  Space.store64 s (a + ps + 8) 0x4142;
+  let made = Gc.allocated_bytes () -. b0 in
+  check bool
+    (Printf.sprintf "%.0f host bytes allocated: one frame" made)
+    true
+    (made >= float_of_int ps && made < float_of_int (2 * ps));
+  let b1 = Gc.allocated_bytes () in
+  Space.store64 s (a + ps + 16) 0x4344;
+  check bool "a second store to the page makes none" true
+    (Gc.allocated_bytes () -. b1 < float_of_int ps);
+  let page = String.make ps 'f' in
+  let written = Bytes.of_string page in
+  Bytes.set_int64_le written 8 0x4142L;
+  Bytes.set_int64_le written 16 0x4344L;
+  check Alcotest.string "the written page copied its fill"
+    (Bytes.to_string written)
+    (Space.read_string s (a + ps) ps);
+  List.iter
+    (fun i ->
+      check Alcotest.string "a page still on the shared frame" page
+        (Space.read_string s (a + (i * ps)) ps))
+    [ 0; 2; 3 ]
+
 (* {1 Differential: page frames against a flat byte model}
 
    The store was once one flat [Bytes] of the whole address space. The
@@ -549,8 +638,11 @@ let test_sparse_space () =
    every fault (address and access kind), the bytes a kernel-mode reader
    sees in unmapped pages, and, every 64 operations, the whole address
    space. Addresses favour the last seven bytes of a page and bulk
-   lengths favour two- and three-page spans. Mappings are read-write
-   with key 0, so the faults are the MAPERRs of holes and guard pages.
+   lengths favour two- and three-page spans. Fills of several byte
+   values, whole pages among them, leave pages on shared frames, which
+   single-event upsets, stores, copies, checkpoints, restores and
+   remaps then meet. Mappings are read-write with key 0, so the faults
+   are the MAPERRs of holes and guard pages.
 
    Each seed runs twice in a simulated thread: once reading with
    [read_string], once with [read_into] into a buffer at an offset, with
@@ -618,6 +710,21 @@ let space_store s addr n v () =
   | _ -> Space.store64 s addr v
 
 let alphabet = "ab\r\n\000xyz"
+let fill_bytes = "\000a\x90\xfd\xff"
+
+(* Every shared frame still holds its byte: pages filled whole with each
+   byte value point at its frame, so a frame written in place reads
+   back wrong here. *)
+let check_shared_frames seed =
+  let s = Space.create ~size_mib:4 () in
+  let a = Space.mmap s ~len:(256 * ps) ~prot:Prot.rw ~pkey:0 in
+  for c = 0 to 255 do
+    Space.fill s ~addr:(a + (c * ps)) ~len:ps (Char.chr c)
+  done;
+  for c = 0 to 255 do
+    if Space.unsafe_load_bytes s (a + (c * ps)) ps <> Bytes.make ps (Char.chr c)
+    then Alcotest.failf "seed %d: the shared frame of byte %d was written" seed c
+  done
 
 let run_differential ~read_into seed =
   let clocks = Array.make 3_001 0.0 in
@@ -662,6 +769,7 @@ let run_differential ~read_into seed =
     lxor (Random.State.bits rng lsl 60)
   in
   let char () = alphabet.[int (String.length alphabet)] in
+  let fill_byte () = fill_bytes.[int (String.length fill_bytes)] in
   let str n = String.init n (fun _ -> char ()) in
   let write a n access ~space ~flat =
     match flat_fault m a n access with
@@ -680,7 +788,7 @@ let run_differential ~read_into seed =
   in
   for i = 1 to 3_000 do
     step := i;
-    match int 15 with
+    match int 18 with
     | 0 | 1 ->
         let a = addr () and n = [| 1; 2; 4; 8 |].(int 4) in
         what := Printf.sprintf "load%d 0x%x" (8 * n) a;
@@ -730,11 +838,29 @@ let run_differential ~read_into seed =
             (outcome (fun () -> Bytes.to_string (Space.load_bytes s a n)))
     | 6 ->
         let a = addr () and n = len () in
-        let c = if int 3 = 0 then '\000' else char () in
+        let c = if int 3 = 0 then fill_byte () else char () in
         what := Printf.sprintf "fill 0x%x+%d %C" a n c;
         write a n Space.Write
           ~space:(fun () -> Space.fill s ~addr:a ~len:n c)
           ~flat:(fun () -> Bytes.fill m.mem a n c)
+    | 15 | 16 ->
+        (* whole pages, half the time with a partial page at either end *)
+        let ragged () = if int 2 = 0 then 0 else 1 + int 100 in
+        let head = ragged () in
+        let a = (page () * ps) - head in
+        let n = head + ((1 + int 3) * ps) + ragged () and c = fill_byte () in
+        what := Printf.sprintf "page fill 0x%x+%d %C" a n c;
+        write a n Space.Write
+          ~space:(fun () -> Space.fill s ~addr:a ~len:n c)
+          ~flat:(fun () -> Bytes.fill m.mem a n c)
+    | 17 ->
+        let a = addr () and bit = int 8 in
+        what := Printf.sprintf "flip_bit 0x%x %d" a bit;
+        let landed = a < size && m.mapped.(a / ps) in
+        same "flip landed" landed (Space.flip_bit s ~addr:a ~bit);
+        if landed then
+          Bytes.set m.mem a
+            (Char.chr (Char.code (Bytes.get m.mem a) lxor (1 lsl bit)))
     | 7 ->
         let a = addr () and n = len () in
         (* half the time, the byte that starts the next page *)
@@ -844,6 +970,7 @@ let test_flat_differential () =
         !clocks
       in
       let a = run false and b = run true in
+      check_shared_frames seed;
       Array.iteri
         (fun i t ->
           if not (Float.equal t b.(i)) then
@@ -918,6 +1045,8 @@ let () =
             test_zero_len_ops_are_free;
           Alcotest.test_case "hook sees pkey_mprotect" `Quick
             test_hook_sees_pkey_mprotect;
+          Alcotest.test_case "accesses near max_int fault" `Quick
+            test_near_max_int;
         ] );
       ( "accounting",
         [
@@ -936,5 +1065,9 @@ let () =
             `Quick test_fresh_frame_alloc_free;
           Alcotest.test_case "sparse space costs its written pages" `Quick
             test_sparse_space;
+          Alcotest.test_case "filling 4 MiB shares one frame" `Quick
+            test_fill_shares_frames;
+          Alcotest.test_case "first store to a filled page makes one frame"
+            `Quick test_first_store_makes_one_frame;
         ] );
     ]
