@@ -1,7 +1,9 @@
 (* Bechamel wall-clock micro-benchmarks of the simulator's hot paths —
    these measure the OCaml implementation itself (how fast the simulated
    hardware runs on the host), complementing the virtual-time experiment
-   tables. *)
+   tables. The suite runs inside one simulated thread, so every
+   operation pays the clock charges and reads the PKRU slot it does in a
+   run. *)
 
 open Bechamel
 open Toolkit
@@ -55,8 +57,7 @@ let kv =
 
 (* One warm persistent-domain request through the monitor's gates: init
    (the rewind point), the cached marshalling buffer, enter, exit,
-   deinit. [Api] works outside a simulated thread, where no clock is
-   charged. *)
+   deinit. *)
 let request_gates =
   lazy
     (let sd = Sdrad.Api.create (Space.create ~size_mib:8 ()) in
@@ -67,6 +68,23 @@ let request_gates =
        Sdrad.Api.enter sd udi;
        Sdrad.Api.exit_domain sd;
        Sdrad.Api.deinit sd udi
+     in
+     fun () -> Sdrad.Api.run sd ~udi ~on_rewind body)
+
+(* A rewind and the next domain's first allocation, in the shape of
+   [test_sdrad]'s "rewind host allocation" pin: each run initializes the
+   domain afresh, enters it, allocates (which gives the new instance its
+   heap) and faults on a stray store into page 0. *)
+let rewind_cycle =
+  lazy
+    (let space = Space.create ~size_mib:8 () in
+     let sd = Sdrad.Api.create space in
+     let udi = 1 in
+     let on_rewind _ = () in
+     let body () =
+       Sdrad.Api.enter sd udi;
+       ignore (Sdrad.Api.malloc sd ~udi 64);
+       Space.store64 space 64 0x41414141
      in
      fun () -> Sdrad.Api.run sd ~udi ~on_rewind body)
 
@@ -102,6 +120,8 @@ let tests =
              ignore (Kvcache.Store.get (Lazy.force kv) "bench42")));
       Test.make ~name:"sdrad.request-gates"
         (Staged.stage (fun () -> (Lazy.force request_gates) ()));
+      Test.make ~name:"sdrad.rewind-cycle"
+        (Staged.stage (fun () -> (Lazy.force rewind_cycle) ()));
     ]
 
 let run () =
@@ -113,7 +133,9 @@ let run () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
   in
-  let raw = Benchmark.all cfg instances tests in
+  let raw =
+    Simkern.Sched.main (fun _ -> Benchmark.all cfg instances tests)
+  in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = ref [] in
   Hashtbl.iter

@@ -223,16 +223,13 @@ let block_size ~si ~msg d =
   + (8 * d.ev_words) + (8 * d.dom_words)
 
 (* Free one incident (its whole continuation chain). *)
-let free_chain t addr =
-  let rec go a =
-    if a <> 0 then begin
-      let next = r t (a + 24) in
-      t.m_bytes <- t.m_bytes - Tlsf.usable_size t.heap a;
-      Tlsf.free t.heap a;
-      go next
-    end
-  in
-  go addr
+let rec free_chain t a =
+  if a <> 0 then begin
+    let next = r t (a + 24) in
+    t.m_bytes <- t.m_bytes - Tlsf.usable_size t.heap a;
+    Tlsf.free t.heap a;
+    free_chain t next
+  end
 
 let drop_oldest t =
   t.ring_len > 0
@@ -265,7 +262,7 @@ let write_block t addr ~id ~target ~tid ~kind ~si ~fault_addr ~msg ~at d =
   w t (addr + 40) tid;
   w t (addr + 48) (kind_code kind);
   w t (addr + 56) fault_addr;
-  w t (addr + 64) (int_of_float at);
+  w t (addr + 64) at;
   w t (addr + 72) 0;
   w t (addr + 80) 0;
   w t (addr + 88) 0;
@@ -331,16 +328,16 @@ let subtree_off t addr =
   + (Flight.stored_size * r t (addr + 128))
 
 let domain_at t idx =
-  if t.tail = 0 then None
+  if t.tail = 0 then -1
   else begin
     let n = r t (t.tail + 96) in
-    if idx < 0 || idx >= n then None
+    if idx < 0 || idx >= n then -1
     else begin
       let p = ref (subtree_off t t.tail) in
       for _ = 1 to idx do
         p := !p + 40 + (16 * r t (!p + 32))
       done;
-      Some (r t !p)
+      r t !p
     end
   end
 
@@ -357,7 +354,7 @@ let interrupts t = if t.head = 0 then 0 else r t (t.head + 80)
 let commit t ~at ~journal_replays =
   if t.head <> 0 then begin
     w t (t.head + 16) 1;
-    w t (t.head + 72) (int_of_float at);
+    w t (t.head + 72) at;
     w t (t.head + 88) journal_replays;
     t.ring.((t.ring_first + t.ring_len) mod Array.length t.ring) <- t.head;
     t.ring_len <- t.ring_len + 1;

@@ -84,7 +84,7 @@ val begin_incident :
   si:string ->
   fault_addr:int ->
   msg:string ->
-  at:float ->
+  at:int ->
   draft ->
   bool
 (** Phase 1: durably record the subtree about to be discarded, together
@@ -101,9 +101,10 @@ val pending : t -> bool
 val progress : t -> int
 (** Number of domains of the active intent already discarded. *)
 
-val domain_at : t -> int -> int option
+val domain_at : t -> int -> int
 (** [domain_at t i] is the udi the active intent expects at discard step
-    [i] — used to cross-check the live tree when resuming. *)
+    [i] — used to cross-check the live tree when resuming — or -1 when
+    no intent is in flight or it has no step [i]. *)
 
 val mark_discarded : t -> int -> unit
 (** Durably advance the active intent's progress counter. *)
@@ -114,7 +115,7 @@ val note_interrupt : t -> unit
 val interrupts : t -> int
 (** Interrupts recorded on the in-flight incident (0 if none). *)
 
-val commit : t -> at:float -> journal_replays:int -> unit
+val commit : t -> at:int -> journal_replays:int -> unit
 (** Phase 3: stamp the end time, link the incident into the audit ring
     and clear the intent pointer. No-op when nothing is in flight. *)
 

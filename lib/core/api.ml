@@ -57,11 +57,12 @@ type data_inst = {
 module By_udi = struct
   type 'a t = {
     udi_of : 'a -> udi;
+    filler : 'a;  (* a vacated slot's value *)
     mutable items : 'a array;  (* the first [len] are live *)
     mutable len : int;
   }
 
-  let create udi_of = { udi_of; items = [||]; len = 0 }
+  let create udi_of filler = { udi_of; filler; items = [||]; len = 0 }
 
   (* The index of [udi], or [-(i + 1)] when it is absent and belongs at
      [i]. *)
@@ -93,15 +94,15 @@ module By_udi = struct
     tb.items.(i) <- x;
     tb.len <- tb.len + 1
 
+  (* The vacated slot holds [filler], so the array keeps no removed
+     domain reachable, and a table emptied and filled again, as a
+     rewound lone domain's is, keeps its array. *)
   let remove tb udi =
     let i = index tb udi in
     if i >= 0 then begin
       Array.blit tb.items (i + 1) tb.items i (tb.len - i - 1);
       tb.len <- tb.len - 1;
-      (* The vacated slot aliases a live entry, so the array keeps no
-         removed domain reachable. *)
-      if tb.len = 0 then tb.items <- [||]
-      else tb.items.(tb.len) <- tb.items.(0)
+      tb.items.(tb.len) <- tb.filler
     end
 
   let iter f tb =
@@ -109,6 +110,29 @@ module By_udi = struct
       f tb.items.(i)
     done
 end
+
+(* The filler of vacated instance slots, and the domain no chain
+   holds (see [stage_descendants]). *)
+let no_inst =
+  {
+    udi = root_udi;
+    tid = -1;
+    opts = default_options;
+    parent = root_udi;
+    pkey = -1;
+    state = Dormant;
+    stack_base = 0;
+    stack_len = 0;
+    sp = 0;
+    heap = None;
+    heap_regions = [];
+    frame = 0;
+    ctx_addr = 0;
+    meta_addr = 0;
+    last_used = 0;
+    cleanups = [];
+    entry = [];
+  }
 
 (* A cached argument-marshalling buffer (see [gate_buffer]). *)
 type gate_buf = {
@@ -158,7 +182,10 @@ type t = {
   mutable exec_keys : Pkru.t;
       (* the deny (AD) bit of every key an execution-domain instance
          holds, on any thread *)
-  mutable stack_pool : (int * int) list;
+  mutable stack_pool : int array;
+      (* pooled stack areas, (base, len) pairs, the last released on
+         top *)
+  mutable pooled : int;  (* areas in [stack_pool] *)
   stack_reuse : bool;
   virtual_keys : bool;
   sanitizer : bool;
@@ -169,6 +196,10 @@ type t = {
   mutable in_monitor : bool;
   audit : Rewind_log.t;  (* durable rewind intent + incident audit log *)
   draft : Rewind_log.draft;  (* an intent's victims, staged for [audit] *)
+  mutable victims : exec_inst array;
+      (* the domains a discard takes, bottom-up, staged from a base a
+         nested discard stages above (see [unstage_victims]) *)
+  mutable n_victims : int;
   flight : Flight.t;  (* per-domain event rings in monitor memory *)
   spare_heaps : (udi, Tlsf.t) Hashtbl.t;
       (* per udi, the heap a discarded instance left, reset and reused
@@ -222,13 +253,19 @@ let set_race_observer t o = t.race_observer <- o
 let race_emit t ev =
   match t.race_observer with Some f -> f ev | None -> ()
 
-(* The rewind paths' event: built only when an observer is installed. *)
-let race_rewind t ts victims =
-  match t.race_observer with
-  | Some f ->
-      let victims = List.map (fun v -> v.udi) victims in
-      f (Rv_rewind { tid = ts.t_tid; victims })
-  | None -> ()
+(* [Log.info]'s message closure is built whatever the level, so a
+   caller on the rewind path builds it only when the source reports at
+   [Info]. *)
+let info_enabled () =
+  match Logs.Src.level log_src with
+  | Some (Logs.Info | Logs.Debug) -> true
+  | Some (Logs.App | Logs.Error | Logs.Warning) | None -> false
+
+let rec notify fault = function
+  | [] -> ()
+  | f :: rest ->
+      f fault;
+      notify fault rest
 
 (* Hand an incident to the subscribers (e.g. a SIEM, §VI
    "Applicability"); its history is the audit log. *)
@@ -236,9 +273,10 @@ let report_incident t fault =
   if Telemetry.Trace.enabled t.tracer then
     Telemetry.Trace.instant t.tracer "incident"
       ~args:[ ("udi", string_of_int fault.failed_udi) ];
-  Log.info (fun m ->
-      m "incident: %a" (fun ppf f -> Types.pp_fault ppf f) fault);
-  List.iter (fun f -> f fault) t.subscribers
+  if info_enabled () then
+    Log.info (fun m ->
+        m "incident: %a" (fun ppf f -> Types.pp_fault ppf f) fault);
+  notify fault t.subscribers
 
 (* §VI syscall oracle: a nested domain reaching the kernel interface
    directly is treated as an attack unless the domain opted in; calls made
@@ -304,10 +342,21 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
     root_heap_regions = [ root_region ];
     canary_value = Int64.to_int (Simkern.Rng.int64 rng) land max_int;
     frame_counter = 0;
-    datas = By_udi.create (fun dd -> dd.d_udi);
+    datas =
+      By_udi.create
+        (fun dd -> dd.d_udi)
+        {
+          d_udi = root_udi;
+          d_pkey = -1;
+          d_heap = root_heap;
+          d_regions = [];
+          d_perms = Hashtbl.create 1;
+          d_meta_addr = 0;
+        };
     threads = Hashtbl.create 8;
     exec_keys = Pkru.all_access;
-    stack_pool = [];
+    stack_pool = [||];
+    pooled = 0;
     stack_reuse;
     virtual_keys;
     sanitizer;
@@ -318,6 +367,8 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
     in_monitor = false;
     audit;
     draft = Rewind_log.draft ();
+    victims = [||];
+    n_victims = 0;
     flight;
     spare_heaps = Hashtbl.create 16;
     rewind_fault_hook = None;
@@ -372,7 +423,7 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
     (fun () -> float_of_int (Space.pkeys_in_use t.space));
   M.gauge_fn metrics "sdrad_pooled_stacks"
     ~help:"Stack areas held for reuse" (fun () ->
-      float_of_int (List.length t.stack_pool));
+      float_of_int t.pooled);
   M.gauge_fn metrics "sdrad_threads" ~help:"Registered simulated threads"
     (fun () ->
       float_of_int
@@ -514,7 +565,7 @@ let thread_record t tid =
         {
           t_tid = tid;
           constructed = false;
-          insts = By_udi.create (fun inst -> inst.udi);
+          insts = By_udi.create (fun inst -> inst.udi) no_inst;
           gate_bufs = [];
           trace = 0;
           entered = [];
@@ -711,23 +762,29 @@ let drop_context t inst =
 
 (* {1 Stacks} *)
 
-let take_stack t ~len ~pkey =
-  let rec pick acc = function
-    | [] -> None
-    | (base, l) :: rest when l >= len ->
-        t.stack_pool <- List.rev_append acc rest;
-        Some (base, l)
-    | s :: rest -> pick (s :: acc) rest
-  in
-  match if t.stack_reuse then pick [] t.stack_pool else None with
-  | Some (base, l) ->
-      Space.pkey_mprotect t.space ~addr:base ~len:l ~prot:Prot.rw ~pkey;
-      if Space.sanitizer_enabled t.space then
-        Space.unpoison t.space ~addr:base ~len:l;
-      (base, l)
-  | None ->
-      let base = Space.mmap t.space ~len ~prot:Prot.rw ~pkey in
-      (base, len)
+(* Give [inst] a stack of at least [len] bytes under [pkey]: the most
+   recently pooled area that fits, else a new mapping. *)
+let take_stack t inst ~len ~pkey =
+  let pool = t.stack_pool in
+  let i = ref (if t.stack_reuse then t.pooled - 1 else -1) in
+  while !i >= 0 && pool.((2 * !i) + 1) < len do
+    decr i
+  done;
+  if !i >= 0 then begin
+    let base = pool.(2 * !i) and l = pool.((2 * !i) + 1) in
+    Array.blit pool (2 * (!i + 1)) pool (2 * !i) (2 * (t.pooled - !i - 1));
+    t.pooled <- t.pooled - 1;
+    Space.pkey_mprotect t.space ~addr:base ~len:l ~prot:Prot.rw ~pkey;
+    if Space.sanitizer_enabled t.space then
+      Space.unpoison t.space ~addr:base ~len:l;
+    inst.stack_base <- base;
+    inst.stack_len <- l
+  end
+  else begin
+    inst.stack_base <- Space.mmap t.space ~len ~prot:Prot.rw ~pkey;
+    inst.stack_len <- len
+  end;
+  inst.sp <- inst.stack_base + inst.stack_len
 
 let release_stack t ~base ~len =
   if t.stack_reuse then begin
@@ -740,7 +797,14 @@ let release_stack t ~base ~len =
        the area is reissued ({!take_stack} unpoisons). *)
     if Space.sanitizer_enabled t.space then
       Space.poison t.space ~addr:base ~len;
-    t.stack_pool <- (base, len) :: t.stack_pool
+    if 2 * (t.pooled + 1) > Array.length t.stack_pool then begin
+      let g = Array.make (Int.max 16 (2 * Array.length t.stack_pool)) 0 in
+      Array.blit t.stack_pool 0 g 0 (2 * t.pooled);
+      t.stack_pool <- g
+    end;
+    t.stack_pool.(2 * t.pooled) <- base;
+    t.stack_pool.((2 * t.pooled) + 1) <- len;
+    t.pooled <- t.pooled + 1
   end
   else Space.munmap t.space base
 
@@ -950,7 +1014,6 @@ let reinit t ts inst opts =
 
 let create_instance t ts udi opts =
   let pkey = acquire_pkey t in
-  let stack_base, stack_len = take_stack t ~len:opts.stack_size ~pkey in
   let inst =
     {
       udi;
@@ -959,12 +1022,12 @@ let create_instance t ts udi opts =
       parent = current_udi_of ts;
       pkey;
       state = Ready;
-      stack_base;
-      stack_len;
-      sp = stack_base + stack_len;
+      stack_base = 0;
+      stack_len = 0;
+      sp = 0;
       heap = None;
       heap_regions = [];
-      frame = fresh_frame t;
+      frame = 0;
       ctx_addr = 0;
       meta_addr = 0;
       last_used = 0;
@@ -972,6 +1035,8 @@ let create_instance t ts udi opts =
       entry = [];
     }
   in
+  take_stack t inst ~len:opts.stack_size ~pkey;
+  inst.frame <- fresh_frame t;
   hold_key t pkey;
   (* The LRU stamp of a new instance (see [lru_dormant]). *)
   touch_key t inst;
@@ -1005,48 +1070,81 @@ let init_exec t ts udi opts =
       t.in_monitor <- was;
       raise e
 
+let mentions udi b = b.gb_caller = udi || b.gb_callee = udi
+
+let rec any_mention udi = function
+  | [] -> false
+  | b :: rest -> mentions udi b || any_mention udi rest
+
+let rec without udi = function
+  | [] -> []
+  | b :: rest ->
+      if mentions udi b then without udi rest else b :: without udi rest
+
 (* Drop cached marshalling buffers referencing a domain about to lose its
    heap (callee side) or to stop calling (caller side). The allocations
    themselves go away with the callee's regions; no free needed. Exec
    instances are per-thread, so their discard forgets only [ts]'s
    entries and leaves the other threads' caches (whose instances — and
    heaps — survive) alone; a data-domain destroy is global and purges
-   every thread's entries. *)
+   every thread's entries. The list is rebuilt only when it names
+   [udi], so a discard that forgets nothing allocates nothing. *)
 let forget_gate_buffers ts udi =
-  ts.gate_bufs <-
-    List.filter (fun b -> b.gb_caller <> udi && b.gb_callee <> udi) ts.gate_bufs
+  if any_mention udi ts.gate_bufs then ts.gate_bufs <- without udi ts.gate_bufs
+
+(* The discard's walks over a domain's heap regions, as top-level loops
+   so that a discard builds no closure. *)
+let rec scrub_regions t = function
+  | [] -> ()
+  | r :: rest ->
+      let len = Space.mapped_len t.space r in
+      if len > 0 then Space.fill t.space ~addr:r ~len '\000';
+      scrub_regions t rest
+
+let rec poison_regions t = function
+  | [] -> ()
+  | r :: rest ->
+      let len = Space.mapped_len t.space r in
+      if len > 0 then Space.poison t.space ~addr:r ~len;
+      poison_regions t rest
+
+let rec unmap_regions t = function
+  | [] -> ()
+  | r :: rest ->
+      Space.munmap t.space r;
+      unmap_regions t rest
+
+let scrub_pages t inst =
+  scrub_regions t inst.heap_regions;
+  Space.fill t.space ~addr:inst.stack_base ~len:inst.stack_len '\000'
+
+(* The scrub sweeps whole regions, redzones and freed blocks included;
+   it must not trip the poison scan it co-exists with. *)
+let scrub t inst =
+  if not (Space.sanitizer_enabled t.space) then scrub_pages t inst
+  else begin
+    let was = Space.begin_bypass t.space in
+    match scrub_pages t inst with
+    | () -> Space.end_bypass t.space was
+    | exception e ->
+        Space.end_bypass t.space was;
+        raise e
+  end
 
 (* Fully remove an instance's memory and identity (used by destroy with
    [`Discard] and by abnormal exits: "subheaps are never merged back after
    abnormal exits, as the data must be considered corrupted"). *)
 let discard_instance t ts inst =
-  let bypass f =
-    if Space.sanitizer_enabled t.space then Space.sanitizer_bypass t.space f
-    else f ()
-  in
-  if inst.opts.scrub_on_discard then
-    (* The scrub sweeps whole regions, redzones and freed blocks included;
-       it must not trip the poison scan it co-exists with. *)
-    bypass (fun () ->
-        List.iter
-          (fun r ->
-            let len = Space.mapped_len t.space r in
-            if len > 0 then Space.fill t.space ~addr:r ~len '\000')
-          inst.heap_regions;
-        Space.fill t.space ~addr:inst.stack_base ~len:inst.stack_len '\000');
+  if inst.opts.scrub_on_discard then scrub t inst;
   (* Poison-on-discard: mark everything the domain could address poisoned
      before the mappings go away, so any access racing the teardown — and
      pooled-stack ghosts until reissue — is a detected POISON fault, not a
      silent read. A later mmap over the same range clears the marks. *)
   if t.sanitizer then begin
-    List.iter
-      (fun r ->
-        let len = Space.mapped_len t.space r in
-        if len > 0 then Space.poison t.space ~addr:r ~len)
-      inst.heap_regions;
+    poison_regions t inst.heap_regions;
     Space.poison t.space ~addr:inst.stack_base ~len:inst.stack_len
   end;
-  List.iter (fun r -> Space.munmap t.space r) inst.heap_regions;
+  unmap_regions t inst.heap_regions;
   inst.heap_regions <- [];
   (match inst.heap with
   | Some h -> Hashtbl.replace t.spare_heaps inst.udi h
@@ -1078,17 +1176,71 @@ let run_cleanups inst =
   inst.cleanups <- [];
   List.iter (fun f -> f ()) fs
 
-let descendants_post ts udi ~except =
-  let children u =
-    let acc = ref [] in
-    for i = ts.insts.len - 1 downto 0 do
-      let inst = ts.insts.items.(i) in
-      if inst.parent = u && not (List.memq inst except) then acc := inst :: !acc
-    done;
-    !acc
-  in
-  let rec go u = List.concat_map (fun k -> go k.udi @ [ k ]) (children u) in
-  go udi
+(* {2 Victims}
+
+   A discard stages its victims in [t.victims] from a base, the
+   [n_victims] it found, and unstages them back to that base on every
+   exit. A discard nested in a cleanup stages above the one it
+   interrupts and unstages back to it, so neither sees the other's
+   victims. The array is read afresh at each step, since a nested
+   discard may grow it. *)
+
+(* The vacated slots hold [no_inst]: the array keeps no discarded
+   domain reachable. *)
+let unstage_victims t base =
+  for i = base to t.n_victims - 1 do
+    Array.unsafe_set t.victims i no_inst
+  done;
+  t.n_victims <- base
+
+let victim t i = Array.unsafe_get t.victims i
+
+let push_victim t inst =
+  let n = t.n_victims in
+  if n = Array.length t.victims then begin
+    let g = Array.make (Int.max 8 (2 * n)) no_inst in
+    Array.blit t.victims 0 g 0 n;
+    t.victims <- g
+  end;
+  Array.unsafe_set t.victims n inst;
+  t.n_victims <- n + 1
+
+(* [x] is [inst], or a domain of the entered stack from [chain] up to
+   [stop]: a domain of a rewind's chain, which it stages itself. *)
+let rec in_chain x inst chain stop =
+  x == inst
+  || chain != stop
+     &&
+     match chain with
+     | e :: rest -> e == x || in_chain x inst rest stop
+     | [] -> false
+
+(* Stage every initialized descendant of [u] outside the chain,
+   post-order: children in udi order, each after its own subtree. *)
+let rec stage_descendants t ts u inst chain stop =
+  let insts = ts.insts in
+  for i = 0 to insts.len - 1 do
+    let d = insts.items.(i) in
+    if d.parent = u && not (in_chain d inst chain stop) then begin
+      stage_descendants t ts d.udi inst chain stop;
+      push_victim t d
+    end
+  done
+
+(* Stage [inst]'s subtree, [inst] last. *)
+let stage_subtree t ts inst =
+  stage_descendants t ts inst.udi no_inst [] [];
+  push_victim t inst
+
+(* The rewind paths' event: built only when an observer is installed. *)
+let race_rewind t ts base =
+  match t.race_observer with
+  | Some f ->
+      let victims =
+        List.init (t.n_victims - base) (fun i -> (victim t (base + i)).udi)
+      in
+      f (Rv_rewind { tid = ts.t_tid; victims })
+  | None -> ()
 
 (* The audit-log view of the domains about to be discarded, staged in
    the monitor's draft while everything is still mapped. Top-level
@@ -1099,24 +1251,24 @@ let rec draft_regions t = function
       Rewind_log.draft_region t.draft ~addr:r ~len:(Space.mapped_len t.space r);
       draft_regions t rest
 
-let rec draft_extents t = function
-  | [] -> ()
-  | inst :: rest ->
-      Rewind_log.draft_domain t.draft ~udi:inst.udi
-        ~was:
-          (match inst.state with
-          | Entered -> `Entered
-          | Ready -> `Ready
-          | Dormant -> `Dormant)
-        ~stack_base:inst.stack_base ~stack_len:inst.stack_len;
-      draft_regions t inst.heap_regions;
-      draft_extents t rest
+let draft_extents t base =
+  for i = base to t.n_victims - 1 do
+    let inst = victim t i in
+    Rewind_log.draft_domain t.draft ~udi:inst.udi
+      ~was:
+        (match inst.state with
+        | Entered -> `Entered
+        | Ready -> `Ready
+        | Dormant -> `Dormant)
+      ~stack_base:inst.stack_base ~stack_len:inst.stack_len;
+    draft_regions t inst.heap_regions
+  done
 
-let rec draft_flight t = function
-  | [] -> ()
-  | inst :: rest ->
-      Rewind_log.draft_events t.draft t.flight ~udi:inst.udi ~n:flight_snap;
-      draft_flight t rest
+let draft_flight t base =
+  for i = base to t.n_victims - 1 do
+    Rewind_log.draft_events t.draft t.flight ~udi:(victim t i).udi
+      ~n:flight_snap
+  done
 
 (* A trigger's audit fields; the strings are constants. *)
 let audit_kind = function
@@ -1146,17 +1298,18 @@ let commit_audit t ~at =
    grandparent rewind (~continue:true) and a refused merge. A fresh
    incident first commits a stale in-flight one (a grandparent rewind
    whose outer frame never ran), so the log cannot wedge, and records its
-   trigger so the flight excerpt frozen below ends on it. *)
-let begin_audit t ts ~continue ~target ~cause ~at victims =
+   trigger so the flight excerpt frozen below ends on it. The victims
+   are those staged from [base]; [at] is in whole cycles. *)
+let begin_audit t ts ~continue ~target ~cause ~at base =
   let fault_addr = audit_addr cause in
   if not continue then begin
     if Rewind_log.pending t.audit then commit_audit t ~at;
-    Flight.record t.flight ~udi:target ~tid:ts.t_tid ~at:(int_of_float at)
-      ~trace:ts.trace ~arg:fault_addr Flight.Fault
+    Flight.record t.flight ~udi:target ~tid:ts.t_tid ~at ~trace:ts.trace
+      ~arg:fault_addr Flight.Fault
   end;
   Rewind_log.draft_clear t.draft;
-  draft_extents t victims;
-  draft_flight t victims;
+  draft_extents t base;
+  draft_flight t base;
   Rewind_log.begin_incident t.audit ~continue ~target ~tid:ts.t_tid
     ~kind:(audit_kind cause) ~si:(audit_si cause) ~fault_addr
     ~msg:(audit_msg cause) ~at t.draft
@@ -1314,11 +1467,19 @@ let destroy t udi ~heap =
              involuntary, and rewind-aware resources such as Dlock must be
              poison-released, not leaked); [inst]'s own cleanups do not —
              an explicit destroy is a normal exit. *)
-          List.iter
-            (fun d ->
-              run_cleanups d;
-              discard_instance t ts d)
-            (descendants_post ts udi ~except:[]);
+          let base = t.n_victims in
+          (match
+             stage_descendants t ts udi no_inst [] [];
+             for i = base to t.n_victims - 1 do
+               let d = victim t i in
+               run_cleanups d;
+               discard_instance t ts d
+             done
+           with
+          | () -> unstage_victims t base
+          | exception e ->
+              unstage_victims t base;
+              raise e);
           (match heap with
           | `Discard -> ()
           | `Merge -> (
@@ -1344,11 +1505,22 @@ let destroy t udi ~heap =
              corrupt: an incident, audited like a rewind. *)
           let audited =
             !merge_refused
-            && begin_audit t ts ~continue:false ~target:udi
-                 ~cause:(Explicit merge_refusal) ~at:(now ()) [ inst ]
+            &&
+            let base = t.n_victims in
+            push_victim t inst;
+            match
+              begin_audit t ts ~continue:false ~target:udi
+                ~cause:(Explicit merge_refusal) ~at:(int_of_float (now ())) base
+            with
+            | audited ->
+                unstage_victims t base;
+                audited
+            | exception e ->
+                unstage_victims t base;
+                raise e
           in
           discard_instance t ts inst;
-          if audited then commit_audit t ~at:(now ());
+          if audited then commit_audit t ~at:(int_of_float (now ()));
           ts.cur_pkru <- compute_pkru t ts);
       Telemetry.Metrics.inc t.c_destroys;
       if !merge_refused then
@@ -1650,108 +1822,153 @@ exception Rewind_interrupted
    for each domain of the entered chain up to [inst] (innermost first),
    its non-entered descendants, then the domain itself. Also truncates
    [ts.entered] to the surviving suffix. *)
-let rewind_victims ts inst =
-  let chain, remainder =
-    if List.memq inst ts.entered then
-      let rec split acc = function
-        | top :: rest when top == inst -> (List.rev (top :: acc), rest)
-        | top :: rest -> split (top :: acc) rest
-        | [] -> assert false
-      in
-      split [] ts.entered
-    else ([ inst ], ts.entered)
-  in
-  ts.entered <- remainder;
-  List.concat_map
-    (fun e -> descendants_post ts e.udi ~except:chain @ [ e ])
-    chain
+let rec tail_after inst = function
+  | [] -> []
+  | e :: rest -> if e == inst then rest else tail_after inst rest
 
-(* Phase 2: the discard driver. Every iteration re-reads the durable
-   progress counter, so after an interrupt the loop resumes exactly where
-   the intent record says the last completed step was — on hardware this
-   is the trap handler re-entering the monitor and finding the in-flight
-   intent. *)
-let drive_discards t ts ~audited victims =
-  let arr = Array.of_list victims in
-  let total = Array.length arr in
-  let local_p = ref 0 in
-  let progress () =
-    if audited then Rewind_log.progress t.audit else !local_p
-  in
-  (* Bound the faults honored per rewind so an always-firing chaos rule
-     cannot keep the monitor in the discard loop forever. *)
-  let interrupt_budget = ref (total + 8) in
-  let check_interrupt () =
-    match t.rewind_fault_hook with
-    | Some hook when !interrupt_budget > 0 && hook () ->
-        decr interrupt_budget;
-        Telemetry.Metrics.inc t.c_rewind_interrupts;
-        raise Rewind_interrupted
-    | _ -> ()
-  in
-  let rec drive () =
-    let p = progress () in
-    if p < total then begin
-      (try
-         check_interrupt ();
-         (if audited then
-            (* Resume cross-check: the live tree must agree with the
-               durable intent at every step. *)
-            match Rewind_log.domain_at t.audit p with
-            | Some u -> assert (u = arr.(p).udi)
-            | None -> ());
-         run_cleanups arr.(p);
-         discard_instance t ts arr.(p);
-         if audited then Rewind_log.mark_discarded t.audit (p + 1)
-         else incr local_p
-       with Rewind_interrupted ->
-         t.pending_interrupted <- true;
-         if audited then Rewind_log.note_interrupt t.audit);
-      drive ()
+let rec stage_chain t ts inst chain stop l =
+  if l != stop then
+    match l with
+    | e :: rest ->
+        stage_descendants t ts e.udi inst chain stop;
+        push_victim t e;
+        stage_chain t ts inst chain stop rest
+    | [] -> ()
+
+let stage_rewind_victims t ts inst =
+  let chain = ts.entered in
+  if List.memq inst chain then begin
+    let stop = tail_after inst chain in
+    ts.entered <- stop;
+    stage_chain t ts inst chain stop chain
+  end
+  else begin
+    stage_descendants t ts inst.udi inst chain chain;
+    push_victim t inst
+  end
+
+(* A second fault arriving mid-rewind, while the rewind has [budget]
+   left to honour. *)
+let interrupt_fires t budget =
+  match t.rewind_fault_hook with
+  | Some hook -> budget > 0 && hook ()
+  | None -> false
+
+(* Phase 2: the discard driver over the victims staged from [base].
+   Every iteration re-reads the durable progress counter, so after an
+   interrupt the loop resumes exactly where the intent record says the
+   last completed step was — on hardware this is the trap handler
+   re-entering the monitor and finding the in-flight intent. The faults
+   honoured per rewind are bounded, so an always-firing chaos rule
+   cannot keep the monitor in the discard loop forever. *)
+let drive_discards t ts ~audited base =
+  let total = t.n_victims - base in
+  let local_p = ref 0 and budget = ref (total + 8) in
+  let p = ref (if audited then Rewind_log.progress t.audit else 0) in
+  while !p < total do
+    (try
+       if interrupt_fires t !budget then begin
+         decr budget;
+         Telemetry.Metrics.inc t.c_rewind_interrupts;
+         raise Rewind_interrupted
+       end;
+       let v = victim t (base + !p) in
+       (if audited then
+          (* Resume cross-check: the live tree must agree with the
+             durable intent at every step. *)
+          let u = Rewind_log.domain_at t.audit !p in
+          assert (u < 0 || u = v.udi));
+       run_cleanups v;
+       discard_instance t ts v;
+       if audited then Rewind_log.mark_discarded t.audit (!p + 1)
+       else incr local_p
+     with Rewind_interrupted ->
+       t.pending_interrupted <- true;
+       if audited then Rewind_log.note_interrupt t.audit);
+    p := if audited then Rewind_log.progress t.audit else !local_p
+  done
+
+(* Phase 1 — intent, then phase 2. A [~record:false] exit is the
+   collateral parent level of a grandparent rewind: its subtree chains
+   onto the in-flight incident instead of opening a second one. *)
+let rewind_discard t ts inst fault ~record ~at =
+  let base = t.n_victims in
+  match
+    stage_rewind_victims t ts inst;
+    race_rewind t ts base;
+    let audited =
+      begin_audit t ts ~continue:(not record) ~target:fault.failed_udi
+        ~cause:fault.cause ~at base
+    in
+    if Telemetry.Trace.enabled t.tracer then
+      Telemetry.Trace.with_span t.tracer "rewind.heap_discard" (fun () ->
+          drive_discards t ts ~audited base)
+    else drive_discards t ts ~audited base
+  with
+  | () -> unstage_victims t base
+  | exception e ->
+      unstage_victims t base;
+      raise e
+
+(* Phase 3 — commit. A [Grandparent] domain's own exit leaves the
+   incident in flight: the collateral exit at the parent level (or,
+   failing that, the next incident) completes it. *)
+let rewind_commit t inst ~record =
+  if (not record) || inst.opts.rewind = Parent then begin
+    commit_audit t ~at:(int_of_float (now ()));
+    if t.pending_interrupted then begin
+      Telemetry.Metrics.inc t.c_incidents_resumed;
+      t.pending_interrupted <- false
     end
-  in
-  drive ()
+  end
 
-let abnormal_exit ?(record = true) t ts inst fault =
-  if record then Telemetry.Metrics.inc t.c_rewinds;
-  let t0 = now () in
+(* The monitor section of a rewind, with the bracket open-coded: an
+   untraced rewind builds no closure. *)
+let rewind_in_monitor t ts inst fault ~record ~at =
+  let was = enter_monitor t ts in
+  match
+    rewind_discard t ts inst fault ~record ~at;
+    rewind_commit t inst ~record;
+    ts.cur_pkru <- compute_pkru t ts
+  with
+  | () -> leave_monitor t ts was
+  | exception e ->
+      leave_monitor t ts was;
+      raise e
+
+(* The same steps inside the rewind's spans. *)
+let traced_rewind t ts inst fault ~record ~at =
   Telemetry.Trace.with_span t.tracer "rewind"
-    ?args:
-      (if Telemetry.Trace.enabled t.tracer then
-         Some [ ("udi", string_of_int inst.udi) ]
-       else None)
+    ~args:[ ("udi", string_of_int inst.udi) ]
     (fun () ->
       Telemetry.Trace.with_span t.tracer "rewind.context_restore" (fun () ->
           charge t.cost.context_restore);
       with_monitor t ts (fun () ->
-          let victims = rewind_victims ts inst in
-          race_rewind t ts victims;
-          (* Phase 1 — intent. A [~record:false] exit is the collateral
-             parent level of a grandparent rewind: its subtree chains
-             onto the in-flight incident instead of opening a second
-             one. *)
-          let audited =
-            begin_audit t ts ~continue:(not record) ~target:fault.failed_udi
-              ~cause:fault.cause ~at:t0 victims
-          in
-          Telemetry.Trace.with_span t.tracer "rewind.heap_discard" (fun () ->
-              drive_discards t ts ~audited victims);
-          (* Phase 3 — commit. A [Grandparent] domain's own exit leaves
-             the incident in flight: the collateral exit at the parent
-             level (or, failing that, the next incident) completes it. *)
-          if (not record) || inst.opts.rewind = Parent then begin
-            commit_audit t ~at:(now ());
-            if t.pending_interrupted then begin
-              Telemetry.Metrics.inc t.c_incidents_resumed;
-              t.pending_interrupted <- false
-            end
-          end;
+          rewind_discard t ts inst fault ~record ~at;
+          rewind_commit t inst ~record;
           Telemetry.Trace.with_span t.tracer "rewind.policy_update" (fun () ->
-              ts.cur_pkru <- compute_pkru t ts)));
+              ts.cur_pkru <- compute_pkru t ts)))
+
+(* [at] is the rewind's start in whole cycles, the audit record's
+   stamp; [t0] stays a local float. *)
+let abnormal_exit ?(record = true) t ts inst fault =
+  if record then Telemetry.Metrics.inc t.c_rewinds;
+  let t0 = now () in
+  let at = int_of_float t0 in
+  if Telemetry.Trace.enabled t.tracer then
+    traced_rewind t ts inst fault ~record ~at
+  else begin
+    charge t.cost.context_restore;
+    rewind_in_monitor t ts inst fault ~record ~at
+  end;
   Telemetry.Metrics.observe t.h_rewind_cycles (now () -. t0);
   (* Report the incident outside the monitor bracket, in the parent's
      context. *)
   if record then report_incident t fault
+
+let rec remove_entered inst = function
+  | [] -> []
+  | e :: rest -> if e == inst then rest else e :: remove_entered inst rest
 
 (* Clean up our instance when a foreign exception unwinds through the
    init frame: force-exit if entered, then discard everything, subtree
@@ -1763,27 +1980,41 @@ let abnormal_exit ?(record = true) t ts inst fault =
 let teardown_passthrough t ts inst frame_id =
   if inst.frame = frame_id && is_live ts inst then
     with_monitor t ts (fun () ->
-        ts.entered <- List.filter (fun i -> not (i == inst)) ts.entered;
-        let victims = descendants_post ts inst.udi ~except:[] @ [ inst ] in
-        race_rewind t ts victims;
-        let audited =
-          Rewind_log.pending t.audit
-          && begin_audit t ts ~continue:true ~target:inst.udi
-               ~cause:(Explicit "collateral teardown") ~at:(now ()) victims
-        in
-        List.iteri
-          (fun idx d ->
+        if List.memq inst ts.entered then
+          ts.entered <- remove_entered inst ts.entered;
+        let base = t.n_victims in
+        match
+          stage_subtree t ts inst;
+          race_rewind t ts base;
+          let audited =
+            Rewind_log.pending t.audit
+            && begin_audit t ts ~continue:true ~target:inst.udi
+                 ~cause:(Explicit "collateral teardown")
+                 ~at:(int_of_float (now ())) base
+          in
+          for i = base to t.n_victims - 1 do
+            let d = victim t i in
             if not (d == inst) then run_cleanups d;
             discard_instance t ts d;
-            if audited then Rewind_log.mark_discarded t.audit (idx + 1))
-          victims;
-        ts.cur_pkru <- compute_pkru t ts)
+            if audited then Rewind_log.mark_discarded t.audit (i - base + 1)
+          done;
+          ts.cur_pkru <- compute_pkru t ts
+        with
+        | () -> unstage_victims t base
+        | exception e ->
+            unstage_victims t base;
+            raise e)
 
-let cause_of_exn = function
-  | Space.Fault { addr; code; access; _ } -> Some (Segv { addr; code; access })
-  | Stack_check_failure -> Some Stack_smash
-  | Attack_detected msg -> Some (Explicit msg)
-  | _ -> None
+let is_domain_fault = function
+  | Space.Fault _ | Stack_check_failure | Attack_detected _ -> true
+  | _ -> false
+
+(* The cause of an exception [is_domain_fault] accepts. *)
+let cause_of = function
+  | Space.Fault { addr; code; access; _ } -> Segv { addr; code; access }
+  | Stack_check_failure -> Stack_smash
+  | Attack_detected msg -> Explicit msg
+  | e -> raise e
 
 (* The whole protected execution is one span: a fault unwinding
    through it leaves an [aborted:true] trace event (and bumps
@@ -1839,19 +2070,23 @@ let run t ~udi ?(opts = default_options) ~on_rewind body =
         teardown_passthrough t ts inst frame_id;
         raise (Rewind_to_grandparent fault)
       end
-  | exception e -> (
-      match cause_of_exn e with
-      | Some cause when current_udi_of ts = udi && inst.frame = frame_id ->
-          (* The failure happened while executing in our domain: this is
-             the abnormal domain exit for this rewind point. *)
-          let fault = { failed_udi = udi; cause; tid = ts.t_tid; at = now () } in
-          abnormal_exit t ts inst fault;
-          (match inst.opts.rewind with
-          | Parent -> rewound_with ts on_rewind fault
-          | Grandparent -> raise (Rewind_to_grandparent fault))
-      | _ ->
-          teardown_passthrough t ts inst frame_id;
-          raise e)
+  | exception e ->
+      if is_domain_fault e && current_udi_of ts = udi && inst.frame = frame_id
+      then begin
+        (* The failure happened while executing in our domain: this is
+           the abnormal domain exit for this rewind point. *)
+        let fault =
+          { failed_udi = udi; cause = cause_of e; tid = ts.t_tid; at = now () }
+        in
+        abnormal_exit t ts inst fault;
+        match inst.opts.rewind with
+        | Parent -> rewound_with ts on_rewind fault
+        | Grandparent -> raise (Rewind_to_grandparent fault)
+      end
+      else begin
+        teardown_passthrough t ts inst frame_id;
+        raise e
+      end
 
 let rewound t =
   match Hashtbl.find t.threads (cur_tid ()) with
@@ -2003,9 +2238,7 @@ let with_domain t udi f =
   | exception e ->
       (* A memory fault is a signal: the rewind machinery must see the
          domain still entered. Ordinary exceptions exit cleanly. *)
-      (match cause_of_exn e with
-      | Some _ -> ()
-      | None -> exit_domain t);
+      if not (is_domain_fault e) then exit_domain t;
       raise e
 
 let protect_call t ~udi ?opts ~arg f =

@@ -562,9 +562,8 @@ and worker t slot =
     | None -> fun c _ -> handle_plain t slot c
   in
   let handle c req =
-    let b = Serve.copy_in t.core c req in
-    slot.cbuf <- b.Serve.addr;
-    slot.len <- b.Serve.len;
+    slot.len <- Serve.copy_in t.core c req;
+    slot.cbuf <- Serve.buffer c;
     let verdict = serve_request c req in
     Serve.clear_trace t.core;
     (match verdict with

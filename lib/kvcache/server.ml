@@ -500,7 +500,8 @@ and shed t c req =
 
 and handle_plain t slot c req =
   let space = t.space in
-  let { Serve.addr = cbuf; len } = Serve.copy_in t.core c req in
+  let len = Serve.copy_in t.core c req in
+  let cbuf = Serve.buffer c in
   let w = parse_any space slot ~addr:cbuf ~len in
   let r = slot.req in
   match r.kind with
@@ -586,9 +587,8 @@ and udi_for_conn t c =
 and handle_sdrad t slot sd ~on_rewind ~body c req =
   let space = t.space in
   slot.udi <- udi_for_conn t c;
-  let b = Serve.copy_in t.core c req in
-  slot.cbuf <- b.Serve.addr;
-  slot.len <- b.Serve.len;
+  slot.len <- Serve.copy_in t.core c req;
+  slot.cbuf <- Serve.buffer c;
   let binary = Binproto.is_binary space ~addr:slot.cbuf ~len:slot.len in
   let w = if binary then binary_wire else text_wire in
   slot.wire <- w;

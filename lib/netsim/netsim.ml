@@ -109,15 +109,17 @@ let release_frame p f =
   p.free.(c).(k) <- f;
   p.count.(c) <- k + 1
 
-(* What every endpoint of a network shares: the fault hook and the frame
-   pool. *)
+(* What every endpoint of a network shares: its cost model, the fault
+   hook and the frame pool. *)
 type shared = {
+  s_cost : Cost.t;
   mutable on_send : (len:int -> send_action) option;
   pool : pool;
 }
 
-let fresh_shared () =
+let fresh_shared cost =
   {
+    s_cost = cost;
     on_send = None;
     pool = { free = Array.make classes [||]; count = Array.make classes 0 };
   }
@@ -142,7 +144,6 @@ let staged = Float.Array.make 1 0.0
 type endpoint = {
   eid : int;
   src : int;  (* source address of the connecting side, for peer identity *)
-  cost : Cost.t;
   shared : shared;
   mutable arrivals : Float.Array.t;
   mutable frames : Bytes.t array;
@@ -155,6 +156,7 @@ type endpoint = {
   mutable ws : waitset;  (* [no_ws] while no waitset watches it *)
   mutable wpos : int;  (* its index in [ws.watched] *)
   mutable rpos : int;  (* its index in [ws.ready]; -1 while not ready *)
+  mutable data : int;  (* its owner's word (see [set_data]); 0 at first *)
 }
 
 (* [watched] holds the set in insertion order, the order that breaks
@@ -231,7 +233,7 @@ let create cost =
     n_cost = cost;
     ports = Hashtbl.create 8;
     next_eid = 0;
-    n_shared = fresh_shared ();
+    n_shared = fresh_shared cost;
   }
 
 let set_fault_hook t h = t.n_shared.on_send <- h
@@ -246,8 +248,7 @@ let rec unpaired =
   {
     eid = -1;
     src = -1;
-    cost = Cost.default;
-    shared = fresh_shared ();
+    shared = fresh_shared Cost.default;
     arrivals = Float.Array.create 0;
     frames = [||];
     lens = [||];
@@ -259,6 +260,7 @@ let rec unpaired =
     ws = no_ws;
     wpos = -1;
     rpos = -1;
+    data = 0;
   }
 
 and no_ws =
@@ -287,7 +289,7 @@ let listen t ~port =
 let fresh_endpoint t ~src =
   let eid = t.next_eid in
   t.next_eid <- eid + 1;
-  { unpaired with eid; src; cost = t.n_cost; shared = t.n_shared }
+  { unpaired with eid; src; shared = t.n_shared }
 
 (* "No connection", compared by physical equality: closed, so it is
    never open, never ready, and closing it again is a no-op. *)
@@ -483,7 +485,7 @@ let[@inline] transmit c src len ~copy =
     in
     (* The sender always pays the transmission cost for what it put on the
        wire; the fault decides what the receiver sees. *)
-    let lat = latency c.cost len in
+    let lat = latency c.shared.s_cost len in
     let k = Sched.clock_cell () in
     k.clock <- k.clock +. lat;
     match action with
@@ -604,6 +606,8 @@ let close c =
 let is_open c = not c.closed
 let peer_closed c = c.peer.closed
 let id c = c.eid
+let data c = c.data
+let set_data c v = c.data <- v
 let remote_addr c = c.src
 
 (* [close], for [Waitset], whose own [close] shadows it. *)

@@ -178,6 +178,15 @@ val is_open : conn -> bool
 val peer_closed : conn -> bool
 val id : conn -> int
 
+val data : conn -> int
+(** The word the endpoint's owner last stored with {!set_data}; 0 until
+    then. *)
+
+val set_data : conn -> int -> unit
+(** Store one word with this endpoint, as [epoll_event.data] does: a
+    server keeps what it needs per connection there and finds it with no
+    lookup. Each endpoint has its own; nothing in {!Netsim} reads it. *)
+
 val no_conn : conn
 (** No connection: what {!Waitset.wait} returns once its set is closed,
     compared with [==] (an option would allocate per wait). It is closed,

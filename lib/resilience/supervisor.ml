@@ -65,13 +65,21 @@ let default_policy =
     cooldown = 2.0e6;
   }
 
+(* A float-only record is laid out flat, so setting a field boxes
+   nothing. *)
+type times = {
+  mutable retry_at : float;  (* Backoff: earliest next admission *)
+  mutable quarantined_at : float;
+}
+
 type dstate = {
   d_udi : Types.udi;
   mutable breaker : breaker;
-  mutable recent : float list;  (* rewind timestamps, newest first *)
+  mutable recent : Float.Array.t;
+      (* the rewind times within the window, [0, n_recent), unordered *)
+  mutable n_recent : int;
   mutable strikes : int;  (* consecutive faults since last success *)
-  mutable retry_at : float;  (* Backoff: earliest next admission *)
-  mutable quarantined_at : float;
+  tm : times;
   mutable d_rewinds : int;
   mutable d_quarantines : int;
   mutable d_probes : int;
@@ -88,6 +96,9 @@ type t = {
   mutable all : dstate list;  (* [domains]' values, newest first *)
   metrics : M.t;
   tracer : Trace.t;
+  edges : M.counter option array;
+      (* [supervisor_transitions_total{from,to}] by edge, made on the
+         edge's first use *)
   c_rewinds_seen : M.counter;
   c_quarantines : M.counter;
   c_rejections : M.counter;
@@ -98,7 +109,16 @@ type t = {
 
 type verdict = Admitted | Probe | Busy of { until : float }
 
-let now () = if Sched.in_thread () then Sched.now () else 0.0
+(* Read from the clock cell: [Sched.now ()] returns a boxed float. *)
+let[@inline] now () =
+  if Sched.in_thread () then (Sched.clock_cell ()).clock else 0.0
+
+(* [Log.info]'s message closure is built whatever the level: build it
+   only when the source reports at [Info]. *)
+let info_enabled () =
+  match Logs.Src.level log_src with
+  | Some (Logs.Info | Logs.Debug) -> true
+  | Some (Logs.App | Logs.Error | Logs.Warning) | None -> false
 
 (* [Hashtbl.find], which builds no option on a hit. *)
 let dstate t udi =
@@ -109,10 +129,10 @@ let dstate t udi =
         {
           d_udi = udi;
           breaker = Closed;
-          recent = [];
+          recent = Float.Array.make 4 0.0;
+          n_recent = 0;
           strikes = 0;
-          retry_at = 0.0;
-          quarantined_at = 0.0;
+          tm = { retry_at = 0.0; quarantined_at = 0.0 };
           d_rewinds = 0;
           d_quarantines = 0;
           d_probes = 0;
@@ -123,53 +143,91 @@ let dstate t udi =
       t.all <- d :: t.all;
       d
 
+let index = function
+  | Closed -> 0
+  | Backoff -> 1
+  | Quarantined -> 2
+  | Half_open -> 3
+
+(* The counter of the edge [from] -> [target], registered on the edge's
+   first use and kept. *)
+let edge_counter t from target =
+  let i = (4 * index from) + index target in
+  match t.edges.(i) with
+  | Some c -> c
+  | None ->
+      let c =
+        M.counter t.metrics "supervisor_transitions_total"
+          ~help:"Breaker edges taken, by (from, to) state"
+          ~labels:
+            [
+              ("from", breaker_to_string from);
+              ("to", breaker_to_string target);
+            ]
+      in
+      t.edges.(i) <- Some c;
+      c
+
 (* Move the breaker one edge, counting the edge under
    [supervisor_transitions_total{from,to}] and dropping a trace marker —
    the observable contract the breaker tests assert on. *)
 let transition t d target =
   let from = d.breaker in
   if from <> target then begin
-    M.inc
-      (M.counter t.metrics "supervisor_transitions_total"
-         ~help:"Breaker edges taken, by (from, to) state"
-         ~labels:
-           [
-             ("from", breaker_to_string from);
-             ("to", breaker_to_string target);
-           ]);
-    Trace.instant t.tracer "supervisor.transition"
-      ~args:
-        [
-          ("udi", string_of_int d.d_udi);
-          ("from", breaker_to_string from);
-          ("to", breaker_to_string target);
-        ];
+    M.inc (edge_counter t from target);
+    if Trace.enabled t.tracer then
+      Trace.instant t.tracer "supervisor.transition"
+        ~args:
+          [
+            ("udi", string_of_int d.d_udi);
+            ("from", breaker_to_string from);
+            ("to", breaker_to_string target);
+          ];
     d.breaker <- target
   end
 
 let quarantine t d ~at =
   transition t d Quarantined;
-  d.quarantined_at <- at;
+  d.tm.quarantined_at <- at;
   d.d_quarantines <- d.d_quarantines + 1;
   M.inc t.c_quarantines;
   Log.warn (fun m ->
       m "domain %d quarantined until %.0f (%d rewinds in window)" d.d_udi
-        (at +. t.policy.cooldown) (List.length d.recent))
+        (at +. t.policy.cooldown) d.n_recent)
+
+(* Keep the rewind times within [window] of [at], in place, and add
+   [at]. *)
+let note_rewind d at window =
+  let r = d.recent in
+  let kept = ref 0 in
+  for i = 0 to d.n_recent - 1 do
+    let ts = Float.Array.unsafe_get r i in
+    if at -. ts <= window then begin
+      Float.Array.unsafe_set r !kept ts;
+      incr kept
+    end
+  done;
+  if !kept = Float.Array.length r then begin
+    let g = Float.Array.make (2 * !kept) 0.0 in
+    Float.Array.blit r 0 g 0 !kept;
+    d.recent <- g
+  end;
+  Float.Array.unsafe_set d.recent !kept at;
+  d.n_recent <- !kept + 1
 
 let on_incident t (f : Types.fault) =
   let d = dstate t f.failed_udi in
   let at = f.at in
   M.inc t.c_rewinds_seen;
   d.d_rewinds <- d.d_rewinds + 1;
-  d.recent <-
-    at :: List.filter (fun ts -> at -. ts <= t.policy.budget_window) d.recent;
+  note_rewind d at t.policy.budget_window;
   d.strikes <- d.strikes + 1;
   match d.breaker with
   | Half_open ->
       (* The probe itself faulted: straight back to quarantine. *)
       quarantine t d ~at
   | Closed | Backoff ->
-      if List.length d.recent >= t.policy.budget_max then quarantine t d ~at
+      if d.n_recent >= t.policy.budget_max then quarantine t d ~at
       else begin
         transition t d Backoff;
         let delay =
@@ -177,15 +235,16 @@ let on_incident t (f : Types.fault) =
             (t.policy.backoff_base
             *. (t.policy.backoff_factor ** float_of_int (d.strikes - 1)))
         in
-        d.retry_at <- at +. delay;
-        Log.info (fun m ->
-            m "domain %d backing off %.0f cycles (strike %d)" d.d_udi delay
-              d.strikes)
+        d.tm.retry_at <- at +. delay;
+        if info_enabled () then
+          Log.info (fun m ->
+              m "domain %d backing off %.0f cycles (strike %d)" d.d_udi delay
+                d.strikes)
       end
   | Quarantined ->
       (* A rewind while quarantined means the caller bypassed [admit];
          restart the cooldown so repeat offenders stay fenced. *)
-      d.quarantined_at <- at
+      d.tm.quarantined_at <- at
 
 let attach ?(policy = default_policy) sd =
   let metrics = Api.metrics sd in
@@ -197,6 +256,7 @@ let attach ?(policy = default_policy) sd =
       all = [];
       metrics;
       tracer = Api.tracer sd;
+      edges = Array.make 16 None;
       c_rewinds_seen =
         M.counter metrics "supervisor_rewinds_seen_total"
           ~help:"Incidents consumed from the monitor's stream";
@@ -230,28 +290,34 @@ let admit t ~udi =
   | Backoff ->
       (* The exponential re-init delay is real virtual time: the caller
          sleeps until the retry point, exactly like a supervisor pausing
-         before restarting a crashing child. *)
-      if Sched.in_thread () && Sched.now () < d.retry_at then begin
+         before restarting a crashing child. The test reads the clock
+         cell; only a wait boxes the retry time. *)
+      if Sched.in_thread () && (Sched.clock_cell ()).clock < d.tm.retry_at
+      then begin
         M.inc t.c_backoff_waits;
-        Trace.with_span t.tracer "supervisor.backoff_wait"
-          ~args:[ ("udi", string_of_int d.d_udi) ]
-          (fun () -> Sched.wait_until d.retry_at)
+        if Trace.enabled t.tracer then
+          Trace.with_span t.tracer "supervisor.backoff_wait"
+            ~args:[ ("udi", string_of_int d.d_udi) ]
+            (fun () -> Sched.wait_until d.tm.retry_at)
+        else Sched.wait_until d.tm.retry_at
       end;
       Admitted
   | Half_open ->
       (* One probe in flight at a time. *)
       d.d_rejections <- d.d_rejections + 1;
       M.inc t.c_rejections;
-      Busy { until = d.quarantined_at +. t.policy.cooldown }
+      Busy { until = d.tm.quarantined_at +. t.policy.cooldown }
   | Quarantined ->
-      let release = d.quarantined_at +. t.policy.cooldown in
+      let release = d.tm.quarantined_at +. t.policy.cooldown in
       if now () >= release then begin
         transition t d Half_open;
         d.d_probes <- d.d_probes + 1;
         M.inc t.c_probes;
-        Trace.instant t.tracer "supervisor.probe"
-          ~args:[ ("udi", string_of_int d.d_udi) ];
-        Log.info (fun m -> m "domain %d: half-open probe admitted" d.d_udi);
+        if Trace.enabled t.tracer then
+          Trace.instant t.tracer "supervisor.probe"
+            ~args:[ ("udi", string_of_int d.d_udi) ];
+        if info_enabled () then
+          Log.info (fun m -> m "domain %d: half-open probe admitted" d.d_udi);
         Probe
       end
       else begin
@@ -266,9 +332,11 @@ let succeed t ~udi =
   match d.breaker with
   | Half_open ->
       transition t d Closed;
-      d.recent <- [];
+      d.n_recent <- 0;
       M.inc t.c_probe_successes;
-      Log.info (fun m -> m "domain %d: probe succeeded, breaker closed" d.d_udi)
+      if info_enabled () then
+        Log.info (fun m ->
+            m "domain %d: probe succeeded, breaker closed" d.d_udi)
   | Backoff -> transition t d Closed
   | Closed | Quarantined -> ()
 

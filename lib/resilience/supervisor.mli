@@ -41,6 +41,11 @@ val attach : ?policy:policy -> Sdrad.Api.t -> t
     subscriber ({!Sdrad.Api.on_incident}), so application-level
     subscribers keep firing whether they subscribed before or after. *)
 
+val on_incident : t -> Sdrad.Types.fault -> unit
+(** Consume one incident of the monitor's stream: what the subscriber
+    {!attach} installs runs. With tracing off it allocates nothing once
+    the udi and the edges it takes have been seen. *)
+
 type verdict =
   | Admitted
   | Probe  (** admitted as the single half-open probe after cooldown *)

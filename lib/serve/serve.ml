@@ -73,11 +73,11 @@ let tlsf_allocator space ~name ~malloc_region =
     Tlsf.add_region heap ~addr:region ~len
   in
   let alloc n =
-    match Tlsf.malloc_opt heap n with
-    | Some p -> p
-    | None ->
+    match Tlsf.try_malloc heap n with
+    | 0 ->
         grow (n + 64);
         Tlsf.malloc heap n
+    | p -> p
   in
   (alloc, (fun p -> Tlsf.free heap p), heap)
 
@@ -89,8 +89,6 @@ type counters = {
   rewind_cycles : M.histogram;
 }
 
-type buf = { addr : int; mutable len : int }
-
 type t = {
   space : Space.t;
   variant : variant;
@@ -101,7 +99,6 @@ type t = {
   c : counters;
   buf_alloc : int -> int;
   buf_free : int -> unit;
-  conns : (int, buf) Hashtbl.t;  (* conn id -> connection buffer *)
   proc_cycles : float;
   shed_queue_limit : int;
   gate_batch_limit : int;
@@ -170,7 +167,6 @@ let create space variant ?sdrad ?supervisor ?faults ~name ~alloc_site
     c;
     buf_alloc;
     buf_free;
-    conns = Hashtbl.create 64;
     proc_cycles;
     shed_queue_limit;
     gate_batch_limit;
@@ -178,27 +174,28 @@ let create space variant ?sdrad ?supervisor ?faults ~name ~alloc_site
     rewind_lat = [];
   }
 
-(* {1 Connection buffers} *)
+(* {1 Connection buffers}
+
+   A connection's buffer address is its endpoint's data word
+   ({!Netsim.set_data}); 0, which no allocator returns, while it has
+   none. *)
 
 let alloc t n = t.buf_alloc n
 let free t p = t.buf_free p
-
-let accept t c =
-  Hashtbl.replace t.conns (Netsim.id c)
-    { addr = t.buf_alloc conn_buf_size; len = 0 }
+let buffer c = Netsim.data c
+let accept t c = Netsim.set_data c (t.buf_alloc conn_buf_size)
 
 let copy_in t c req =
-  let b = Hashtbl.find t.conns (Netsim.id c) in
-  b.len <- min (Netsim.Buf.length req) (conn_buf_size - 2);
-  Space.store_from t.space b.addr (Netsim.Buf.bytes req) 0 b.len;
-  b
+  let len = min (Netsim.Buf.length req) (conn_buf_size - 2) in
+  Space.store_from t.space (Netsim.data c) (Netsim.Buf.bytes req) 0 len;
+  len
 
 let forget t c =
-  match Hashtbl.find_opt t.conns (Netsim.id c) with
-  | Some b ->
-      t.buf_free b.addr;
-      Hashtbl.remove t.conns (Netsim.id c)
-  | None -> ()
+  let addr = Netsim.data c in
+  if addr <> 0 then begin
+    Netsim.set_data c 0;
+    t.buf_free addr
+  end
 
 let drop t ws c =
   Netsim.Waitset.remove ws c;

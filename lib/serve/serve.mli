@@ -26,9 +26,6 @@ type counters = {
   rewind_cycles : Telemetry.Metrics.histogram;
 }
 
-type buf = { addr : int; mutable len : int }
-(** A connection's buffer and the length of the last request copied in. *)
-
 type t
 
 val boot :
@@ -68,12 +65,18 @@ val alloc : t -> int -> int
 val free : t -> int -> unit
 
 val accept : t -> Netsim.conn -> unit
-(** Allocate the connection's buffer. *)
+(** Allocate the connection's buffer and keep its address in the
+    connection's data word ({!Netsim.set_data}), so that neither
+    {!accept}, {!copy_in} nor {!forget} allocates or looks anything
+    up. *)
 
-val copy_in : t -> Netsim.conn -> Netsim.Buf.t -> buf
+val buffer : Netsim.conn -> int
+(** The address of the connection's buffer; 0 when it has none. *)
+
+val copy_in : t -> Netsim.conn -> Netsim.Buf.t -> int
 (** Copy a received request into its connection's buffer, truncated to
     [conn_buf_size - 2] bytes, with {!Vmem.Space.store_from}: charged as
-    storing the request string was. *)
+    storing the request string was. Returns the bytes copied. *)
 
 val forget : t -> Netsim.conn -> unit
 (** Free the connection's buffer; no-op when already forgotten. *)

@@ -191,14 +191,22 @@ let add_region t ~addr ~len =
   let full_len = len in
   let len = len land lnot (align - 1) in
   if len < min_region_len then invalid_arg "Tlsf.add_region: region too small";
-  with_bypass t (fun () ->
-      let size = len - header in
-      set_prev_phys t addr 0;
-      set_hdr t addr (size lor fl_free lor fl_last);
-      insert_free t addr size;
-      t.regions <- (addr, len) :: t.regions;
-      t.total_bytes <- t.total_bytes + len;
-      t.region_adds <- t.region_adds + 1);
+  (* The bypass bracket, open-coded: adding a region builds no
+     closure. *)
+  let was = Vmem.Space.begin_bypass t.space in
+  (match
+     let size = len - header in
+     set_prev_phys t addr 0;
+     set_hdr t addr (size lor fl_free lor fl_last);
+     insert_free t addr size;
+     t.regions <- (addr, len) :: t.regions;
+     t.total_bytes <- t.total_bytes + len;
+     t.region_adds <- t.region_adds + 1
+   with
+  | () -> Vmem.Space.end_bypass t.space was
+  | exception e ->
+      Vmem.Space.end_bypass t.space was;
+      raise e);
   (* Sanitized heaps start fully poisoned; [malloc] carves live payload
      windows out, [free] re-poisons them. The unaligned tail (never handed
      out) is poisoned too. *)

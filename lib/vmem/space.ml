@@ -55,8 +55,64 @@ let shared_frame c =
 (* flags byte per page *)
 let fl_mapped = 8
 
+(* {1 Runs}
+
+   Rows of three ints kept sorted by the first, in one flat array: the
+   free list (first page, pages, unused) and the mappings (base address,
+   usable pages, pages with the guard). A lookup is a binary search and
+   a walk goes by address; adding or removing a row moves the rows after
+   it, and allocates nothing once the array has grown. *)
+type runs = { mutable rows : int array; mutable n : int }
+
+let runs () = { rows = Array.make 48 0; n = 0 }
+let[@inline] run_key r i = Array.unsafe_get r.rows (3 * i)
+let[@inline] run_a r i = Array.unsafe_get r.rows ((3 * i) + 1)
+let[@inline] run_b r i = Array.unsafe_get r.rows ((3 * i) + 2)
+
+(* The first row whose key is at least [k]. *)
+let runs_search r k =
+  let lo = ref 0 and hi = ref r.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if run_key r mid < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let runs_set r i k a b =
+  Array.unsafe_set r.rows (3 * i) k;
+  Array.unsafe_set r.rows ((3 * i) + 1) a;
+  Array.unsafe_set r.rows ((3 * i) + 2) b
+
+let runs_insert r i k a b =
+  if 3 * (r.n + 1) > Array.length r.rows then begin
+    let g = Array.make (2 * Array.length r.rows) 0 in
+    Array.blit r.rows 0 g 0 (3 * r.n);
+    r.rows <- g
+  end;
+  Array.blit r.rows (3 * i) r.rows (3 * (i + 1)) (3 * (r.n - i));
+  r.n <- r.n + 1;
+  runs_set r i k a b
+
+let runs_remove r i =
+  Array.blit r.rows (3 * (i + 1)) r.rows (3 * i) (3 * (r.n - i - 1));
+  r.n <- r.n - 1
+
+(* The row keyed [k], or -1. *)
+let runs_find r k =
+  let i = runs_search r k in
+  if i < r.n && run_key r i = k then i else -1
+
+let runs_to_list r =
+  List.init r.n (fun i -> (run_key r i, run_a r i, run_b r i))
+
+let runs_of_list r l =
+  r.n <- 0;
+  List.iter (fun (k, a, b) -> runs_insert r r.n k a b) l
+
 type t = {
   frames : Bytes.t array;  (* one per page; a shared frame until written *)
+  mutable spare : Bytes.t array;  (* released private frames, [0, n_spare) *)
+  mutable n_spare : int;
   size : int;
   pages : int;
   flags : Bytes.t;
@@ -67,8 +123,8 @@ type t = {
   mutable pkeys_allocated : int;  (* bitmask over keys 1..15 *)
   mutable pkru : int array;  (* by tid + 1; slot 0 is outside any thread *)
   cost : Cost.t;
-  mutable free_list : (int * int) list;  (* (first_page, npages), sorted *)
-  allocs : (int, int * int) Hashtbl.t;  (* base addr -> (total_pages, usable_pages) *)
+  free_list : runs;  (* first page, pages: the unmapped runs *)
+  allocs : runs;  (* base address, usable pages, pages with the guard *)
   mutable fault_count : int;
   mutable accesses : int;  (* [check] calls with a non-empty range *)
   mutable wrpkru_count : int;
@@ -89,8 +145,13 @@ type t = {
 let create ?(size_mib = 64) () =
   let size = size_mib * 1024 * 1024 in
   let pages = size / ps in
+  let free_list = runs () in
+  (* page 0 reserved: null pointers always fault *)
+  runs_insert free_list 0 1 (pages - 1) 0;
   {
     frames = Array.make pages zero_page;
+    spare = [||];
+    n_spare = 0;
     size;
     pages;
     flags = Bytes.make pages '\000';
@@ -101,9 +162,8 @@ let create ?(size_mib = 64) () =
     pkeys_allocated = 0;
     pkru = Array.make 8 Pkru.all_access;
     cost = Cost.default;
-    (* page 0 reserved: null pointers always fault *)
-    free_list = [ (1, pages - 1) ];
-    allocs = Hashtbl.create 64;
+    free_list;
+    allocs = runs ();
     fault_count = 0;
     accesses = 0;
     wrpkru_count = 0;
@@ -166,18 +226,21 @@ let wrpkru t v =
     Array.unsafe_set t.pkru i v
   end
 
+(* [Some k] for each key, made once: an allocation returns one of them. *)
+let some_key = Array.init 16 Option.some
+
 let pkey_alloc t =
   syscall_gate t "pkey_alloc";
-  let rec find key =
-    if key > 15 then None
-    else if t.pkeys_allocated land (1 lsl key) = 0 then begin
-      t.pkeys_allocated <- t.pkeys_allocated lor (1 lsl key);
-      charge t.cost.syscall;
-      Some key
-    end
-    else find (key + 1)
-  in
-  find 1
+  let key = ref 1 in
+  while !key <= 15 && t.pkeys_allocated land (1 lsl !key) <> 0 do
+    incr key
+  done;
+  if !key > 15 then None
+  else begin
+    t.pkeys_allocated <- t.pkeys_allocated lor (1 lsl !key);
+    charge t.cost.syscall;
+    some_key.(!key)
+  end
 
 let pkey_free t key =
   syscall_gate t "pkey_free";
@@ -364,14 +427,59 @@ let check t addr len access =
 
 (* {1 Mappings} *)
 
-let rec insert_region list (p, n) =
-  match list with
-  | [] -> [ (p, n) ]
-  | (q, m) :: rest ->
-      if p + n < q then (p, n) :: list
-      else if p + n = q then (p, n + m) :: rest
-      else if q + m = p then insert_region rest (q, m + n)
-      else (q, m) :: insert_region rest (p, n)
+(* {2 Spare frames}
+
+   A page's private frame is released when the page is pointed back at
+   a shared frame: by [mmap] over it, or by a [fill] that covers it
+   whole. Released frames go on the space's spare stack, and [wframe]
+   takes one from there before it makes a new one. So a range that is
+   mapped, written, unmapped and mapped again (a discarded domain's
+   heap, re-created by the next instance) costs the host its frames
+   once. [munmap] releases nothing: the residue stays in the frames
+   until a mapping covers them. *)
+
+let release t f =
+  if not (is_shared f) then begin
+    let n = t.n_spare in
+    if n = Array.length t.spare then begin
+      let g = Array.make (Int.max 8 (2 * n)) zero_page in
+      Array.blit t.spare 0 g 0 n;
+      t.spare <- g
+    end;
+    Array.unsafe_set t.spare n f;
+    t.n_spare <- n + 1
+  end
+
+(* First page of the first free run of at least [total] pages, taken
+   from the run. *)
+let take_run t total =
+  let fl = t.free_list in
+  let i = ref 0 in
+  while !i < fl.n && run_a fl !i < total do
+    incr i
+  done;
+  if !i = fl.n then failwith "Space.mmap: address space exhausted";
+  let p = run_key fl !i and n = run_a fl !i in
+  if n > total then runs_set fl !i (p + total) (n - total) 0
+  else runs_remove fl !i;
+  p
+
+(* Give the run [p, p + n) back, joined with the free runs it touches. *)
+let give_run t p n =
+  let fl = t.free_list in
+  let i = runs_search fl p in
+  let joins_prev = i > 0 && run_key fl (i - 1) + run_a fl (i - 1) = p
+  and joins_next = i < fl.n && p + n = run_key fl i in
+  if joins_prev then begin
+    let q = run_key fl (i - 1) and m = run_a fl (i - 1) + n in
+    if joins_next then begin
+      runs_set fl (i - 1) q (m + run_a fl i) 0;
+      runs_remove fl i
+    end
+    else runs_set fl (i - 1) q m 0
+  end
+  else if joins_next then runs_set fl i p (n + run_a fl i) 0
+  else runs_insert fl i p n 0
 
 let mmap t ~len ~prot ~pkey =
   syscall_gate t "mmap";
@@ -379,28 +487,24 @@ let mmap t ~len ~prot ~pkey =
   if len <= 0 then invalid_arg "mmap: bad length";
   let npages = (len + ps - 1) / ps in
   let total = npages + 1 (* guard page *) in
-  let rec take acc = function
-    | [] -> failwith "Space.mmap: address space exhausted"
-    | (p, n) :: rest when n >= total ->
-        let remaining = if n > total then [ (p + total, n - total) ] else [] in
-        (p, List.rev_append acc (remaining @ rest))
-    | r :: rest -> take (r :: acc) rest
-  in
-  let guard, free = take [] t.free_list in
-  t.free_list <- free;
+  let guard = take_run t total in
   let base_page = guard + 1 in
   let fbyte = Char.chr (fl_mapped lor prot) in
   let kbyte = Char.chr pkey in
+  (* Fresh pages read as zero: they share [zero_page] again, and the
+     range's old frames go on the spare stack. *)
   for p = base_page to base_page + npages - 1 do
     Bytes.unsafe_set t.flags p fbyte;
     Bytes.unsafe_set t.pkey_of p kbyte;
-    Bytes.unsafe_set t.touched p '\000'
+    Bytes.unsafe_set t.touched p '\000';
+    let f = Array.unsafe_get t.frames p in
+    if f != zero_page then begin
+      release t f;
+      Array.unsafe_set t.frames p zero_page
+    end
   done;
-  (* Fresh pages read as zero: they share [zero_page] again, and the
-     range's old frames are released. *)
-  Array.fill t.frames base_page npages zero_page;
   let addr = base_page lsl page_shift in
-  Hashtbl.replace t.allocs addr (total, npages);
+  runs_insert t.allocs (runs_search t.allocs addr) addr npages total;
   (* A fresh mapping carries no poison, whatever lived there before. *)
   if Bytes.length t.san_map > 0 then
     san_set_range t.san_map addr (npages lsl page_shift) false;
@@ -409,48 +513,48 @@ let mmap t ~len ~prot ~pkey =
 
 let munmap t addr =
   syscall_gate t "munmap";
-  match Hashtbl.find_opt t.allocs addr with
-  | None -> invalid_arg "munmap: not an allocation base"
-  | Some (total, npages) ->
-      let base_page = addr lsr page_shift in
-      for p = base_page to base_page + npages - 1 do
-        Bytes.unsafe_set t.flags p '\000';
-        Bytes.unsafe_set t.pkey_of p '\000';
-        if Bytes.unsafe_get t.touched p = '\001' then begin
-          Bytes.unsafe_set t.touched p '\000';
-          t.rss_pages <- t.rss_pages - 1
-        end
-      done;
-      (* The frames stay: like physical pages after munmap, they keep
-         their residue until a mapping is made over them. *)
-      Hashtbl.remove t.allocs addr;
-      t.free_list <- insert_region t.free_list (base_page - 1, total);
-      charge t.cost.syscall
+  let i = runs_find t.allocs addr in
+  if i < 0 then invalid_arg "munmap: not an allocation base";
+  let npages = run_a t.allocs i and total = run_b t.allocs i in
+  let base_page = addr lsr page_shift in
+  for p = base_page to base_page + npages - 1 do
+    Bytes.unsafe_set t.flags p '\000';
+    Bytes.unsafe_set t.pkey_of p '\000';
+    if Bytes.unsafe_get t.touched p = '\001' then begin
+      Bytes.unsafe_set t.touched p '\000';
+      t.rss_pages <- t.rss_pages - 1
+    end
+  done;
+  (* The frames stay: like physical pages after munmap, they keep
+     their residue until a mapping is made over them. *)
+  runs_remove t.allocs i;
+  give_run t (base_page - 1) total;
+  charge t.cost.syscall
 
-let page_range addr len =
-  (addr lsr page_shift, (addr + len - 1) lsr page_shift)
+let[@inline] first_page addr = addr lsr page_shift
+let[@inline] last_page addr len = (addr + len - 1) lsr page_shift
 
 (* Validate an mprotect-style range fully before mutating anything:
    alignment, a positive length, page indices inside the [flags]/
    [pkey_of] arrays (out-of-range indices would drive [unsafe_set] into
    the OCaml heap), and every page mapped — so a rejected call leaves no
-   half-applied protections behind. *)
+   half-applied protections behind. The pages are
+   [first_page addr, last_page addr len]. *)
 let validate_prot_range t ~op ~addr ~len =
   if addr land (ps - 1) <> 0 then invalid_arg (op ^ ": unaligned");
   if len <= 0 then invalid_arg (op ^ ": bad length");
-  let p1, p2 = page_range addr len in
+  let p2 = last_page addr len in
   if addr < 0 || p2 >= t.pages then invalid_arg (op ^ ": out of range");
-  for p = p1 to p2 do
+  for p = first_page addr to p2 do
     if Char.code (Bytes.unsafe_get t.flags p) land fl_mapped = 0 then
       invalid_arg (op ^ ": unmapped page")
-  done;
-  (p1, p2)
+  done
 
 let mprotect t ~addr ~len ~prot =
   syscall_gate t "mprotect";
-  let p1, p2 = validate_prot_range t ~op:"mprotect" ~addr ~len in
+  validate_prot_range t ~op:"mprotect" ~addr ~len;
   let fbyte = Char.chr (fl_mapped lor prot) in
-  for p = p1 to p2 do
+  for p = first_page addr to last_page addr len do
     Bytes.unsafe_set t.flags p fbyte
   done;
   charge t.cost.syscall
@@ -458,9 +562,9 @@ let mprotect t ~addr ~len ~prot =
 let pkey_mprotect t ~addr ~len ~prot ~pkey =
   syscall_gate t "pkey_mprotect";
   if pkey < 0 || pkey > 15 then invalid_arg "pkey_mprotect: bad pkey";
-  let p1, p2 = validate_prot_range t ~op:"pkey_mprotect" ~addr ~len in
+  validate_prot_range t ~op:"pkey_mprotect" ~addr ~len;
   let fbyte = Char.chr (fl_mapped lor prot) and kbyte = Char.chr pkey in
-  for p = p1 to p2 do
+  for p = first_page addr to last_page addr len do
     Bytes.unsafe_set t.flags p fbyte;
     Bytes.unsafe_set t.pkey_of p kbyte
   done;
@@ -476,9 +580,8 @@ let is_mapped t addr =
   && Char.code (Bytes.get t.flags (addr lsr page_shift)) land fl_mapped <> 0
 
 let mapped_len t addr =
-  match Hashtbl.find t.allocs addr with
-  | _, npages -> npages lsl page_shift
-  | exception Not_found -> 0
+  let i = runs_find t.allocs addr in
+  if i < 0 then 0 else run_a t.allocs i lsl page_shift
 
 (* {1 Frames}
 
@@ -486,21 +589,32 @@ let mapped_len t addr =
    which first gives a page still on a shared frame a copy of its own,
    so a shared frame is never written. Callers run [check] before
    either: an access that faults reads nothing and materialises no
-   frame. A frame is larger than the largest minor-heap block, so it is
-   allocated on the major heap and a materialising store allocates no
-   minor words. *)
+   frame. The copy is a spare frame (above) filled with the shared
+   frame's byte, or a new frame when none is spare. A frame is larger
+   than the largest minor-heap block, so a new one is allocated on the
+   major heap and a materialising store allocates no minor words. *)
 
 let[@inline] frame t addr = Array.unsafe_get t.frames (addr lsr page_shift)
+
+let materialise t p c =
+  let n = t.n_spare in
+  let f =
+    if n = 0 then Bytes.make ps c
+    else begin
+      t.n_spare <- n - 1;
+      let f = Array.unsafe_get t.spare (n - 1) in
+      Array.unsafe_set t.spare (n - 1) zero_page;
+      Bytes.unsafe_fill f 0 ps c;
+      f
+    end
+  in
+  Array.unsafe_set t.frames p f;
+  f
 
 let[@inline] wframe t addr =
   let p = addr lsr page_shift in
   let f = Array.unsafe_get t.frames p in
-  if not (is_shared f) then f
-  else begin
-    let f = Bytes.make ps (Bytes.unsafe_get f 0) in
-    Array.unsafe_set t.frames p f;
-    f
-  end
+  if not (is_shared f) then f else materialise t p (Bytes.unsafe_get f 0)
 
 (* Bytes from [addr] to the end of its page, or to [stop] if sooner. *)
 let[@inline] chunk addr stop =
@@ -610,6 +724,17 @@ let bulk_charge t len =
    scheduler first, and a zero length is a free no-op. *)
 let check_len op len = if len < 0 then invalid_arg (op ^ ": bad length")
 
+(* A range that cannot lie in the space faults before [bulk_charge]:
+   the charge of such a length can move the clock by any amount, and
+   [2 * len] wraps negative from 2^61. [check] raises the [MAPERR]. A
+   range inside the space is charged, then checked. *)
+let[@inline] outside t addr len = addr < 0 || len > t.size - addr
+
+let[@inline] checked_bulk t addr len access =
+  if outside t addr len then check t addr len access;
+  bulk_charge t len;
+  check t addr len access
+
 (* The bulk copies below walk their range one page at a time; a range
    inside one page is a single [Bytes] call. *)
 
@@ -638,24 +763,21 @@ let load_bytes t addr len =
   check_len "load_bytes" len;
   if len = 0 then Bytes.empty
   else begin
-    bulk_charge t len;
-    check t addr len Read;
+    checked_bulk t addr len Read;
     copy_out t addr len
   end
 
 let store_bytes t addr b =
   let len = Bytes.length b in
   if len > 0 then begin
-    bulk_charge t len;
-    check t addr len Write;
+    checked_bulk t addr len Write;
     copy_in t addr (Bytes.unsafe_to_string b) 0 len
   end
 
 let store_string t addr s =
   let len = String.length s in
   if len > 0 then begin
-    bulk_charge t len;
-    check t addr len Write;
+    checked_bulk t addr len Write;
     copy_in t addr s 0 len
   end
 
@@ -664,8 +786,7 @@ let store_from t addr b off len =
   if off < 0 || off > Bytes.length b - len then
     invalid_arg "Space.store_from: range outside the buffer";
   if len > 0 then begin
-    bulk_charge t len;
-    check t addr len Write;
+    checked_bulk t addr len Write;
     copy_in t addr (Bytes.unsafe_to_string b) off len
   end
 
@@ -675,8 +796,7 @@ let read_string t addr len =
   check_len "read_string" len;
   if len = 0 then ""
   else begin
-    bulk_charge t len;
-    check t addr len Read;
+    checked_bulk t addr len Read;
     Bytes.unsafe_to_string (copy_out t addr len)
   end
 
@@ -685,8 +805,7 @@ let read_into t addr b off len =
   if off < 0 || off > Bytes.length b - len then
     invalid_arg "Space.read_into: range outside the buffer";
   if len > 0 then begin
-    bulk_charge t len;
-    check t addr len Read;
+    checked_bulk t addr len Read;
     copy_to t addr b off len
   end
 
@@ -697,6 +816,10 @@ let read_into t addr b off len =
 let blit t ~src ~dst ~len =
   check_len "blit" len;
   if len > 0 then begin
+    if outside t src len || outside t dst len then begin
+      check t src len Read;
+      check t dst len Write
+    end;
     bulk_charge t (2 * len);
     check t src len Read;
     check t dst len Write;
@@ -728,15 +851,18 @@ let blit t ~src ~dst ~len =
 let fill t ~addr ~len c =
   check_len "fill" len;
   if len > 0 then begin
-    bulk_charge t len;
-    check t addr len Write;
-    (* A whole page points at the shared frame of [c]: its old frame is
-       released, and a later write copies the shared one first. *)
+    checked_bulk t addr len Write;
+    (* A whole page points at the shared frame of [c]: its old frame
+       goes on the spare stack, and a later write copies the shared one
+       first. *)
     let a = ref addr and stop = addr + len in
     while !a < stop do
       let n = chunk !a stop in
-      if n = ps then
-        Array.unsafe_set t.frames (!a lsr page_shift) (shared_frame c)
+      if n = ps then begin
+        let p = !a lsr page_shift in
+        release t (Array.unsafe_get t.frames p);
+        Array.unsafe_set t.frames p (shared_frame c)
+      end
       else Bytes.fill (wframe t !a) (!a land page_mask) n c;
       a := !a + n
     done
@@ -769,6 +895,10 @@ let memcmp t a b len =
   check_len "memcmp" len;
   if len = 0 then 0
   else begin
+    if outside t a len || outside t b len then begin
+      check t a len Read;
+      check t b len Read
+    end;
     bulk_charge t (2 * len);
     check t a len Read;
     check t b len Read;
@@ -795,8 +925,8 @@ type image = {
   im_touched : Bytes.t;
   im_rss_pages : int;
   im_pkeys_allocated : int;
-  im_free_list : (int * int) list;
-  im_allocs : (int * (int * int)) list;
+  im_free_list : (int * int * int) list;
+  im_allocs : (int * int * int) list;
 }
 
 let checkpoint t =
@@ -815,8 +945,8 @@ let checkpoint t =
     im_touched = Bytes.copy t.touched;
     im_rss_pages = t.rss_pages;
     im_pkeys_allocated = t.pkeys_allocated;
-    im_free_list = t.free_list;
-    im_allocs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.allocs [];
+    im_free_list = runs_to_list t.free_list;
+    im_allocs = runs_to_list t.allocs;
   }
 
 let restore_image t im =
@@ -826,9 +956,8 @@ let restore_image t im =
   t.rss_pages <- im.im_rss_pages;
   if t.rss_pages > t.max_rss_pages then t.max_rss_pages <- t.rss_pages;
   t.pkeys_allocated <- im.im_pkeys_allocated;
-  t.free_list <- im.im_free_list;
-  Hashtbl.reset t.allocs;
-  List.iter (fun (k, v) -> Hashtbl.replace t.allocs k v) im.im_allocs;
+  runs_of_list t.free_list im.im_free_list;
+  runs_of_list t.allocs im.im_allocs;
   (* Shared frames are shared again; the image's own frames are copied
      back, so an image never aliases a frame live memory may write. *)
   List.iter
@@ -845,7 +974,11 @@ let image_bytes im = List.length im.im_pages * ps
 (* {1 Accounting} *)
 
 let mapped_bytes t =
-  Hashtbl.fold (fun _ (_, npages) acc -> acc + (npages lsl page_shift)) t.allocs 0
+  let sum = ref 0 in
+  for i = 0 to t.allocs.n - 1 do
+    sum := !sum + (run_a t.allocs i lsl page_shift)
+  done;
+  !sum
 
 let rss_bytes t = t.rss_pages lsl page_shift
 let max_rss_bytes t = t.max_rss_pages lsl page_shift

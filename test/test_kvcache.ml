@@ -1974,15 +1974,17 @@ let ycsb_words ~ops =
    clients of one op each less those of a run of one such client, per
    added client. The load phase is the same in both: the last client
    loads every record, and the others, with nothing to load, are not
-   spawned. Pinned at the 214.1 words measured; 280.1 while each of
-   them was spawned as an idle load-phase thread, a connection's set-up
-   allocated options, queue cells and boxed charges and its inboxes
-   four slots each, and the retry-id prefix was built by concatenation;
+   spawned. Pinned at the 205.1 words measured; 214.1 while the serving
+   core kept each connection's buffer in a table by connection id;
+   280.1 while each of them was spawned as an idle load-phase thread, a
+   connection's set-up allocated options, queue cells and boxed charges
+   and its inboxes four slots each, and the retry-id prefix was built
+   by concatenation;
    514.1 while each client built its kit from closures, its thread
    names and retry-id prefix with [Printf], its retry engine's metric
    closures and its open-loop wait's boxed float, and each wait of the
    server's returned an option. *)
-let session_words_budget = 214.2
+let session_words_budget = 205.2
 
 let session_words ~clients =
   Alloc_probe.words_per_call ~warmup:0 ~n:1 (fun () ->
@@ -2013,6 +2015,48 @@ let test_session_alloc () =
        session_words_budget)
     true
     (per_client <= session_words_budget)
+
+(* A connection's buffer lives in its endpoint's data word: accepting a
+   connection into the serving core and forgetting it allocate nothing
+   and look nothing up. 8 words an accept, and a [Hashtbl] lookup per
+   request, while the core kept the buffers in a table by connection
+   id. *)
+let test_accept_forget_alloc () =
+  let space = Space.create ~size_mib:32 () in
+  let counters m =
+    let module M = Telemetry.Metrics in
+    {
+      Serve.served = M.counter m "pin_served_total";
+      rewinds = M.counter m "pin_rewinds_total";
+      busy = M.counter m "pin_busy_total";
+      shed = M.counter m "pin_shed_total";
+      rewind_cycles = M.histogram m "pin_rewind_cycles";
+    }
+  in
+  let core =
+    Serve.create space Serve.Tlsf_alloc ~name:"pin" ~alloc_site:"pin.alloc"
+      ~malloc_region:(fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
+      ~journal_cap:16 ~proc_cycles:0.0 ~shed_queue_limit:0
+      ~gate_batch_limit:0 ~race_detector:false ~counters ()
+  in
+  Sched.main (fun _ ->
+      let net = Netsim.create Simkern.Cost.default in
+      let l = Netsim.listen net ~port:11211 in
+      ignore (Netsim.connect net ~port:11211);
+      let c = Option.get (Netsim.accept l) in
+      let words =
+        Alloc_probe.words_per_call ~n:1_000 (fun () ->
+            Serve.accept core c;
+            Serve.forget core c)
+      in
+      check bool
+        (Printf.sprintf "accept and forget allocate %.1f words (budget 0)"
+           words)
+        true (words <= 0.0);
+      Serve.accept core c;
+      check bool "the buffer is the connection's" true (Serve.buffer c <> 0);
+      Serve.forget core c;
+      check int "forgotten" 0 (Serve.buffer c))
 
 let test_ycsb_alloc () =
   let ops = 8_000 in
@@ -2075,6 +2119,8 @@ let () =
             test_set_rid_alloc;
           Alcotest.test_case "open-loop session host allocation" `Quick
             test_session_alloc;
+          Alcotest.test_case "accept and forget host allocation" `Quick
+            test_accept_forget_alloc;
         ] );
       ( "binproto",
         [

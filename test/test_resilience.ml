@@ -316,6 +316,70 @@ let test_decide_allocation () =
     true (words <= 0.0);
   check int "nothing fired" 0 (Fault_inject.fires fi)
 
+(* An incident then the next success: Closed -> Backoff -> Closed, with
+   tracing off. It allocates nothing: each edge's counter is made on its
+   first use and kept, so no label list is built and no counter looked
+   up by name; trace arguments and log closures are built only when
+   they are reported; the clock is read from its cell, the backoff
+   times are kept unboxed and the window's rewind times in place. The
+   incidents are 10^10 cycles apart, past the window, and the clock
+   passes each retry time before the admission, so none waits. *)
+let test_incident_success_allocation () =
+  with_sdrad (fun _space sd ->
+      let sup = Supervisor.attach ~policy:test_policy sd in
+      let udi = 5 and calls = 300 in
+      let faults =
+        Array.init calls (fun i ->
+            {
+              Types.failed_udi = udi;
+              cause = Types.Explicit "probe";
+              tid = 0;
+              at = float_of_int i *. 1e10;
+            })
+      in
+      let next = ref 0 in
+      let cycle () =
+        Supervisor.on_incident sup faults.(!next);
+        incr next;
+        Sched.charge 1e10;
+        (match Supervisor.admit sup ~udi with
+        | Supervisor.Admitted -> ()
+        | Supervisor.Probe | Supervisor.Busy _ ->
+            Alcotest.fail "a backing-off domain was not admitted");
+        Supervisor.succeed sup ~udi
+      in
+      let words = Alloc_probe.words_per_call ~n:200 cycle in
+      check bool
+        (Printf.sprintf
+           "an incident and the next success allocate %.1f words (budget 0)"
+           words)
+        true (words <= 0.0);
+      check bool "closed again" true
+        (Supervisor.breaker_state sup ~udi = Supervisor.Closed);
+      check int "no quarantine" 0
+        (List.assoc "quarantines" (Supervisor.stats sup));
+      check int "no backoff wait" 0
+        (List.assoc "backoff_waits" (Supervisor.stats sup));
+      List.iter
+        (fun (from, target) ->
+          check int
+            (Printf.sprintf "%s -> %s counted"
+               (Supervisor.breaker_to_string from)
+               (Supervisor.breaker_to_string target))
+            calls
+            (Supervisor.transition_count sup ~from ~target);
+          check bool "in the registry" true
+            (Telemetry.Metrics.sample (Api.metrics sd)
+               ~labels:
+                 [
+                   ("from", Supervisor.breaker_to_string from);
+                   ("to", Supervisor.breaker_to_string target);
+                 ]
+               "supervisor_transitions_total"
+            = Some (float_of_int calls)))
+        [ (Supervisor.Closed, Supervisor.Backoff);
+          (Supervisor.Backoff, Supervisor.Closed) ])
+
 let test_arm_tlsf_fails_allocations () =
   with_sdrad (fun space _sd ->
       let heap = Tlsf.create space ~name:"fi-test" in
@@ -649,6 +713,8 @@ let () =
             test_breaker_wire_roundtrip;
           Alcotest.test_case "composes with app handler" `Quick
             test_composes_with_existing_handler;
+          Alcotest.test_case "incident and success host allocation" `Quick
+            test_incident_success_allocation;
         ] );
       ( "fault-inject",
         [

@@ -765,14 +765,25 @@ let test_request_gates_alloc_budget () =
    initializes [d1] afresh (the previous call discarded it), allocates
    in it — which gives the new instance its heap — and faults on a
    stray store. The rewind writes its audit record with the victim's
-   flight excerpt, discards the domain and reports the incident. 271.9
-   words measured, the budget that plus under 10 %; 2,263.3 while the
-   rewind formatted its trigger with [Format.asprintf], read the flight
-   ring into a list of records to keep its last 8, and the re-created
-   domain allocated a fresh TLSF control. What is left is the domain's
-   instance record, the fault's exception and record, the victim list
-   and the discard's closures and list cells. *)
-let rewind_words_budget = 295.0
+   flight excerpt, discards the domain and reports the incident. What
+   is left is the fault (the exception, its cause and record, the boxed
+   fault time), the instance record with its entered-stack cell, heap
+   option and region cells, and the boxed rewind time the histogram
+   observes: 52.0 words measured, the budget that plus under 10 %.
+   271.9 while the victims were lists, the discard built closures,
+   [mmap] and [munmap] kept their runs in lists and tables, the stack
+   pool consed and the domain table dropped its array when it emptied;
+   2,263.3 while the rewind formatted its trigger with
+   [Format.asprintf], read the flight ring into a list of records to
+   keep its last 8, and the re-created domain allocated a fresh TLSF
+   control.
+
+   The heap's first page needs a frame: the discarded instance's frame,
+   released when the next instance maps the same range, is reused, so a
+   cycle allocates nothing on the major heap (0.0 words measured; 514
+   while every cycle made a fresh 4 KiB frame). *)
+let rewind_words_budget = 57.0
+let rewind_major_words_budget = 40.0
 
 let test_rewind_alloc_budget () =
   with_sdrad (fun space sd ->
@@ -792,7 +803,15 @@ let test_rewind_alloc_budget () =
             (budget %.0f)"
            words rewind_words_budget)
         true
-        (words <= rewind_words_budget))
+        (words <= rewind_words_budget);
+      let major = Alloc_probe.major_words_per_call ~n:200 rewind in
+      check bool
+        (Printf.sprintf
+           "a rewind and the next domain's first malloc allocate %.1f words \
+            on the major heap (budget %.0f)"
+           major rewind_major_words_budget)
+        true
+        (major <= rewind_major_words_budget))
 
 let () =
   Alcotest.run "sdrad"

@@ -468,7 +468,49 @@ let test_near_max_int () =
       expect_fault ~code:Space.MAPERR ~access:Space.Read (fun () ->
           Space.blit s ~src:a ~dst:a ~len:max_int);
       inv (fun () -> Space.unsafe_load_bytes s a max_int);
-      inv (fun () -> Space.poison s ~addr:a ~len:max_int));
+      inv (fun () -> Space.poison s ~addr:a ~len:max_int);
+      (* A bulk range that cannot lie in the space faults before its
+         bulk charge: the clock moves by the fault's signal delivery
+         alone. [2 * len] wraps negative from 2^61, and such a charge
+         once moved the clock back by 5.76e17 cycles. *)
+      let delivery = (Space.cost s).Simkern.Cost.signal_delivery in
+      let no_charge ~access what f =
+        let t0 = Sched.now () in
+        expect_fault ~code:Space.MAPERR ~access f;
+        check_float (what ^ " charges only the fault") delivery
+          (Sched.now () -. t0)
+      in
+      let huge = 1 lsl 61 and near = max_int - 3 in
+      (* the mapped page is resident first: a check of it charges
+         nothing more *)
+      ignore (Space.load8 s a);
+      List.iter
+        (fun len ->
+          no_charge ~access:Space.Write "fill" (fun () ->
+              Space.fill s ~addr:a ~len 'x');
+          no_charge ~access:Space.Read "blit from the page" (fun () ->
+              Space.blit s ~src:a ~dst:a ~len);
+          no_charge ~access:Space.Read "memcmp" (fun () ->
+              Space.memcmp s a a len);
+          no_charge ~access:Space.Read "load_bytes" (fun () ->
+              Space.load_bytes s a len);
+          no_charge ~access:Space.Read "read_string" (fun () ->
+              Space.read_string s a len))
+        [ huge; max_int ];
+      no_charge ~access:Space.Write "blit to max_int" (fun () ->
+          Space.blit s ~src:a ~dst:near ~len:8);
+      no_charge ~access:Space.Read "memcmp with max_int" (fun () ->
+          Space.memcmp s a near 8);
+      no_charge ~access:Space.Write "store_string" (fun () ->
+          Space.store_string s near "abcdefgh");
+      no_charge ~access:Space.Write "store_bytes" (fun () ->
+          Space.store_bytes s near (Bytes.make 8 'b'));
+      no_charge ~access:Space.Write "store_from" (fun () ->
+          Space.store_from s near (Bytes.make 8 'b') 0 8);
+      no_charge ~access:Space.Read "read_into" (fun () ->
+          Space.read_into s near (Bytes.create 8) 0 8);
+      no_charge ~access:Space.Write "fill at max_int" (fun () ->
+          Space.fill s ~addr:near ~len:8 'x'));
   check int "the mapped page is intact" 0 (Space.load8 s a)
 
 (* {1 Regression: the syscall oracle sees pkey_mprotect by name} *)
@@ -630,6 +672,30 @@ let test_first_store_makes_one_frame () =
         (Space.read_string s (a + (i * ps)) ps))
     [ 0; 2; 3 ]
 
+(* A mapping made over a written page releases the page's frame to the
+   space's spare stack, and the next first write takes it back: a page
+   remapped and written again costs the host no new frame, and mapping
+   and unmapping allocate nothing either. 514 major words a cycle while
+   [mmap] left the old frame to the collector. The rewritten page reads
+   as a fresh page with one store. *)
+let test_remap_reuses_frame () =
+  let s = mk () in
+  let cycle () =
+    let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+    Space.store64 s (a + 64) 0x4142;
+    Space.munmap s a
+  in
+  let major = Alloc_probe.major_words_per_call ~n:100 cycle in
+  check_float "a remap and a write allocate no major-heap words" 0.0 major;
+  let minor = Alloc_probe.words_per_call ~n:100 cycle in
+  check_float "a remap and a write allocate no minor words" 0.0 minor;
+  let a = Space.mmap s ~len:ps ~prot:Prot.rw ~pkey:0 in
+  Space.store8 s (a + 7) 1;
+  let fresh = Bytes.make ps '\000' in
+  Bytes.set fresh 7 '\001';
+  check Alcotest.string "the reused frame was cleared" (Bytes.to_string fresh)
+    (Space.read_string s a ps)
+
 (* {1 Differential: page frames against a flat byte model}
 
    The store was once one flat [Bytes] of the whole address space. The
@@ -641,8 +707,11 @@ let test_first_store_makes_one_frame () =
    lengths favour two- and three-page spans. Fills of several byte
    values, whole pages among them, leave pages on shared frames, which
    single-event upsets, stores, copies, checkpoints, restores and
-   remaps then meet. Mappings are read-write with key 0, so the faults
-   are the MAPERRs of holes and guard pages.
+   remaps then meet. Two steps pass frames through the spare stack: a
+   mapping written page by page, unmapped, mapped again and written
+   again, and a private page filled whole before a first write to
+   another page. Mappings are read-write with key 0, so the faults are
+   the MAPERRs of holes and guard pages.
 
    Each seed runs twice in a simulated thread: once reading with
    [read_string], once with [read_into] into a buffer at an offset, with
@@ -786,9 +855,31 @@ let run_differential ~read_into seed =
       (fun p mp -> same "mapped bit" mp (Space.is_mapped s (p * ps)))
       m.mapped
   in
+  let store_byte a =
+    let v = Char.code (char ()) in
+    Space.store8 s a v;
+    Bytes.set m.mem a (Char.chr v)
+  in
+  let map n =
+    let len = (n * ps) - int 100 in
+    let base = Space.mmap s ~len ~prot:Prot.rw ~pkey:0 in
+    for p = base / ps to (base / ps) + n - 1 do
+      m.mapped.(p) <- true
+    done;
+    Bytes.fill m.mem base (n * ps) '\000';
+    m.allocs <- (base, n) :: m.allocs;
+    base
+  in
+  let unmap ((base, n) as al) =
+    Space.munmap s base;
+    for p = base / ps to (base / ps) + n - 1 do
+      m.mapped.(p) <- false
+    done;
+    m.allocs <- List.filter (fun x -> x <> al) m.allocs
+  in
   for i = 1 to 3_000 do
     step := i;
-    match int 18 with
+    match int 20 with
     | 0 | 1 ->
         let a = addr () and n = [| 1; 2; 4; 8 |].(int 4) in
         what := Printf.sprintf "load%d 0x%x" (8 * n) a;
@@ -909,25 +1000,44 @@ let run_differential ~read_into seed =
     | 11 ->
         let live = List.length m.allocs in
         if live >= 12 || (live > 0 && int 2 = 0) then begin
-          let ((base, n) as al) = List.nth m.allocs (int live) in
-          what := Printf.sprintf "munmap 0x%x" base;
-          Space.munmap s base;
-          for p = base / ps to (base / ps) + n - 1 do
-            m.mapped.(p) <- false
-          done;
-          m.allocs <- List.filter (fun x -> x <> al) m.allocs
+          let al = List.nth m.allocs (int live) in
+          what := Printf.sprintf "munmap 0x%x" (fst al);
+          unmap al
         end
         else begin
-          let n = 1 + int 4 in
-          let len = (n * ps) - int 100 in
-          let base = Space.mmap s ~len ~prot:Prot.rw ~pkey:0 in
-          what := Printf.sprintf "mmap 0x%x" base;
-          for p = base / ps to (base / ps) + n - 1 do
-            m.mapped.(p) <- true
-          done;
-          Bytes.fill m.mem base (n * ps) '\000';
-          m.allocs <- (base, n) :: m.allocs
+          what := "mmap";
+          ignore (map (1 + int 4))
         end
+    | 18 -> (
+        (* write a mapping's pages, unmap it and map as many pages
+           again: the old frames go on the spare stack at the mmap, and
+           the new mapping's first writes take them back *)
+        match m.allocs with
+        | [] -> ()
+        | l ->
+            let ((base, n) as al) = List.nth l (int (List.length l)) in
+            what := Printf.sprintf "remap written 0x%x" base;
+            for p = 0 to n - 1 do
+              store_byte (base + (p * ps) + int ps)
+            done;
+            unmap al;
+            let base = map n in
+            for p = 0 to n - 1 do
+              if int 2 = 0 then store_byte (base + (p * ps) + int ps)
+            done)
+    | 19 -> (
+        (* give a page a frame of its own, fill it whole, then make a
+           first write elsewhere: it takes the released frame *)
+        match m.allocs with
+        | [] -> ()
+        | l ->
+            let base, n = List.nth l (int (List.length l)) in
+            let a = base + (int n * ps) and c = fill_byte () in
+            what := Printf.sprintf "fill written page 0x%x %C" a c;
+            store_byte (a + int ps);
+            Space.fill s ~addr:a ~len:ps c;
+            Bytes.fill m.mem a ps c;
+            store_byte (base + (int n * ps) + int ps))
     | 12 ->
         (* kernel-mode read anywhere: unmapped pages show their residue *)
         let a = int (size - (3 * ps)) and n = len () in
@@ -1069,5 +1179,7 @@ let () =
             test_fill_shares_frames;
           Alcotest.test_case "first store to a filled page makes one frame"
             `Quick test_first_store_makes_one_frame;
+          Alcotest.test_case "a remapped page reuses its frame" `Quick
+            test_remap_reuses_frame;
         ] );
     ]
