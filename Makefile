@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json perf perf-smoke perf-compare host-ratio same telemetry-report forensics-report clean
+.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json bench-scale perf perf-smoke perf-compare host-ratio same telemetry-report forensics-report clean
 
 all: check
 
@@ -93,6 +93,14 @@ bench-json:
 	dune exec bench/main.exe -- r4
 	dune exec bench/main.exe -- r5
 	git diff --exit-code BENCH_gate.json BENCH_r4.json BENCH_r5.json
+
+# E1 and E6 at 10^6 records and 10^7 operations in a 2 GiB space
+# (bench/scale.ml): baseline, TLSF and SDRaD with 1 and 4 workers; emits
+# BENCH_scale.json (simulated numbers only), prints each run's host CPU
+# time and fails if a request fails. Kept out of tier-1 and bench-json:
+# it takes about 10 minutes and a run holds about 1.3 GiB of host memory.
+bench-scale:
+	dune exec bench/scale.exe
 
 # The repo's benchmark (perfsuite/, declared in BENCHMARK.json): every
 # workload on seed 1, untraced, one process each; the last output line

@@ -43,8 +43,9 @@ let kv =
            Space.mmap s ~len ~prot:Prot.rw ~pkey:0)
      in
      let db =
-       Kvcache.Store.create s ~buckets:1024 ~slab ~alloc_table:(fun len ->
-           Space.mmap s ~len ~prot:Prot.rw ~pkey:0)
+       Kvcache.Store.create s ~buckets:1024 ~slab
+         ~alloc_table:(fun len -> Space.mmap s ~len ~prot:Prot.rw ~pkey:0)
+         ~free_table:(Space.munmap s)
      in
      let buf = Space.mmap s ~len:4096 ~prot:Prot.rw ~pkey:0 in
      Space.store_string s buf (String.make 1024 'v');

@@ -43,6 +43,7 @@ type data_inst = {
   d_udi : udi;
   d_pkey : int;
   d_heap : Tlsf.t;
+  d_pool : int;  (* the [heap_size] it was made with: its regions' size *)
   mutable d_regions : int list;
   d_perms : (udi, Prot.t) Hashtbl.t;  (* viewer execution domain -> rights *)
   d_meta_addr : int;
@@ -349,6 +350,7 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
           d_udi = root_udi;
           d_pkey = -1;
           d_heap = root_heap;
+          d_pool = 0;
           d_regions = [];
           d_perms = Hashtbl.create 1;
           d_meta_addr = 0;
@@ -1562,6 +1564,7 @@ let init_data t ~udi ?heap_size () =
           d_udi = udi;
           d_pkey = pkey;
           d_heap = h;
+          d_pool = heap_size;
           d_regions = [ region ];
           d_perms = perms;
           d_meta_addr = meta;
@@ -1611,11 +1614,16 @@ let target_heap t ts udi =
 
 (* [heap], [udi]'s, has no block for [size]: map a region of the
    owner's pool size (at least [size] plus headers) under the owner's
-   key and record it with the owner. *)
+   key and record it with the owner. A space with no room for the
+   region is the heap's out of memory. *)
 let grow_heap t ts udi heap size =
   let add ~pkey ~pool =
     let len = max pool (size + (2 * Tlsf.block_overhead) + 64) in
-    let region = Space.mmap t.space ~len ~prot:Prot.rw ~pkey in
+    let region =
+      match Space.mmap t.space ~len ~prot:Prot.rw ~pkey with
+      | r -> r
+      | exception Space.Exhausted -> raise Tlsf.Out_of_memory
+    in
     Tlsf.add_region heap ~addr:region ~len;
     region
   in
@@ -1630,7 +1638,7 @@ let grow_heap t ts udi heap size =
   else
     match By_udi.find t.datas udi with
     | dd ->
-        let r = add ~pkey:dd.d_pkey ~pool:t.default_heap_size in
+        let r = add ~pkey:dd.d_pkey ~pool:dd.d_pool in
         dd.d_regions <- r :: dd.d_regions
     | exception Not_found ->
         let inst = find_inst ts udi in

@@ -53,9 +53,9 @@ val create :
 (** Link SDRaD into a simulated process: allocates the monitor data domain
     (256 KiB) and the root domain's protection key, sets up the root heap
     (4 MiB), and installs the fault-conversion machinery. [seed] seeds
-    the stack canary; [default_heap_size] (default 256 KiB) sizes a data
-    domain's heap when {!init_data} names none, and each region the root
-    heap or a data domain's heap grows by. [stack_reuse] enables the
+    the stack canary; [default_heap_size] (default 256 KiB) is a data
+    domain's pool when {!init_data} names none, and each region the root
+    heap grows by. [stack_reuse] enables the
     §IV-C optimization of recycling stack areas of destroyed domains
     (default [true]; ablation A2 turns it off). [virtual_keys] enables
     libmpk-style key virtualization (§IV-B): when the 15 hardware keys
@@ -116,7 +116,11 @@ val rewound : t -> bool
 val init_data : t -> udi:udi -> ?heap_size:int -> unit -> unit
 (** Create a data domain: shareable pages that hold data but never execute
     code. Its memory is managed with {!malloc}/{!free} and its visibility
-    to execution domains is configured with {!dprotect}. *)
+    to execution domains is configured with {!dprotect}. [heap_size]
+    (default: [create]'s [default_heap_size]) is the domain's pool: its
+    heap starts with one region of that size and grows by regions of
+    that size, or of the one block that needs more, as an execution
+    domain's heap grows by its [heap_size]. *)
 
 val enter : t -> udi -> unit
 (** Switch execution into a nested domain previously initialized by this
@@ -149,7 +153,8 @@ val malloc : t -> udi:udi -> int -> int
 (** Allocate in the given domain's sub-heap. Permitted for the current
     domain itself, an accessible child, or a data domain the current
     domain has write access to. The sub-heap is created on first use and
-    grows on demand. *)
+    grows on demand. @raise Tlsf.Out_of_memory when the heap has no block
+    for the request and the space no room for a region that would. *)
 
 val free : t -> udi:udi -> int -> unit
 val usable_size : t -> udi:udi -> int -> int

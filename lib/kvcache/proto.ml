@@ -349,6 +349,7 @@ let scan_wire r msg len =
 let stored = "STORED\r\n"
 let not_stored = "NOT_STORED\r\n"
 let server_error_oom = "SERVER_ERROR out of memory storing object\r\n"
+let server_error_oom_get = "SERVER_ERROR out of memory writing get response\r\n"
 let server_error_busy = "SERVER_ERROR busy\r\n"
 let deleted = "DELETED\r\n"
 let not_found = "NOT_FOUND\r\n"

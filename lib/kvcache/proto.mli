@@ -146,6 +146,9 @@ val stored : string
 val not_stored : string
 val server_error_oom : string
 
+val server_error_oom_get : string
+(** A get whose reply cannot be staged: the space has no room left. *)
+
 val server_error_busy : string
 (** Sent instead of serving when the target domain is quarantined by the
     supervisor — the client should back off and retry later. *)

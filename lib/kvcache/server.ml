@@ -107,6 +107,7 @@ let touch_locked t s off len =
 type wire = {
   w_stored : string;
   w_oom : string;
+  w_oom_get : string;
   w_busy : string;
   w_deleted : string;
   w_not_found : string;
@@ -122,6 +123,7 @@ let text_wire =
   {
     w_stored = Proto.stored;
     w_oom = Proto.server_error_oom;
+    w_oom_get = Proto.server_error_oom_get;
     w_busy = Proto.server_error_busy;
     w_deleted = Proto.deleted;
     w_not_found = Proto.not_found;
@@ -135,6 +137,7 @@ let binary_wire =
   {
     w_stored = Binproto.res_stored;
     w_oom = Binproto.res_error Binproto.status_oom;
+    w_oom_get = Binproto.res_error Binproto.status_oom;
     w_busy = Binproto.res_error Binproto.status_busy;
     w_deleted = Binproto.res_deleted;
     w_not_found = Binproto.res_not_found;
@@ -351,17 +354,32 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
   Serve.boot ~name:"kvcache" cfg.variant ?sdrad space
     ~image_bytes:cfg.image_bytes;
   (* Database memory: a plain mapping for Baseline/Tlsf, a data domain
-     under SDRaD (readable by nested domains, writable from root). *)
-  let db_page_alloc =
+     under SDRaD (readable by nested domains, writable from root). Its
+     allocator answers 0, as malloc answers NULL, once the space is
+     exhausted: the slab then evicts and the table keeps its size. *)
+  let db_alloc, db_free =
     match (cfg.variant, sd) with
     | Sdrad, Some sd ->
         Api.init_data sd ~udi:cfg.db_udi ~heap_size:(2 * 1024 * 1024) ();
         Api.dprotect sd ~udi:nested_udi ~tddi:cfg.db_udi Prot.read;
-        fun len -> Api.malloc sd ~udi:cfg.db_udi len
-    | _ -> fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0
+        ( (fun len ->
+            match Api.malloc sd ~udi:cfg.db_udi len with
+            | p -> p
+            | exception Tlsf.Out_of_memory -> 0),
+          fun addr -> Api.free sd ~udi:cfg.db_udi addr )
+    | _ ->
+        ( (fun len ->
+            match Space.mmap space ~len ~prot:Prot.rw ~pkey:0 with
+            | p -> p
+            | exception Space.Exhausted -> 0),
+          Space.munmap space )
   in
-  let slab = Slab.create ~max_bytes:cfg.max_db_bytes space ~alloc_page:db_page_alloc in
-  let db = Store.create space ~buckets ~slab ~alloc_table:db_page_alloc in
+  let slab =
+    Slab.create ~max_bytes:cfg.max_db_bytes space ~alloc_page:db_alloc
+  in
+  let db =
+    Store.create space ~buckets ~slab ~alloc_table:db_alloc ~free_table:db_free
+  in
   (* The shared mutex lives in its own data domain under SDRaD (§V-A). *)
   let lock_word =
     match (cfg.variant, sd) with
@@ -458,9 +476,14 @@ and dispatcher t =
     | Some c ->
         if t.crashed then Netsim.close c
         else begin
-          Serve.accept t.core c;
-          Netsim.Waitset.add t.waitsets.(!next mod t.cfg.workers) c;
-          incr next;
+          (match Serve.accept t.core c with
+          | () ->
+              Netsim.Waitset.add t.waitsets.(!next mod t.cfg.workers) c;
+              incr next
+          | exception (Space.Exhausted | Tlsf.Out_of_memory) ->
+              (* No room for its buffer: memcached closes a connection
+                 it cannot allocate. *)
+              Netsim.close c);
           loop ()
         end
   in
@@ -481,7 +504,19 @@ and worker t i =
         in
         let body () = domain_body t slot sd in
         fun c req -> handle_sdrad t slot sd ~on_rewind ~body c req
-    | _ -> fun c req -> handle_plain t slot c req
+    | _ -> (
+        fun c req ->
+          match handle_plain t slot c req with
+          | () -> ()
+          | exception Space.Exhausted ->
+              (* A staging buffer the space has no room for, asked for
+                 before any reply: memcached's out-of-memory reply, and
+                 the worker goes on. *)
+              let w = slot.wire in
+              Netsim.send c
+                (match slot.req.kind with
+                | Get | Multi_get -> w.w_oom_get
+                | _ -> w.w_oom))
   in
   try
     Serve.worker t.core slot.ws ~drop:(Serve.drop t.core slot.ws)
@@ -503,6 +538,7 @@ and handle_plain t slot c req =
   let len = Serve.copy_in t.core c req in
   let cbuf = Serve.buffer c in
   let w = parse_any space slot ~addr:cbuf ~len in
+  slot.wire <- w;
   let r = slot.req in
   match r.kind with
   | Get -> (

@@ -15,7 +15,7 @@ let max_chunk_size = class_sizes.(Array.length class_sizes - 1)
 type t = {
   space : Space.t;
   alloc_page : int -> int;
-  max_bytes : int;  (* max_int = unlimited *)
+  mutable max_bytes : int;  (* max_int = unlimited *)
   free_heads : int array;  (* per class, 0 = empty *)
   mutable pages : int;
   mutable in_use : int;
@@ -43,18 +43,22 @@ let chunk_size _t size =
 
 let can_grow t = ((t.pages + 1) * slab_page_size) <= t.max_bytes
 
+(* A page that cannot be had caps the slab where it stands, as
+   [max_bytes] would have. *)
 let grow t idx =
-  let page = t.alloc_page slab_page_size in
-  t.pages <- t.pages + 1;
-  let csize = class_sizes.(idx) in
-  let nchunks = slab_page_size / csize in
-  (* Thread every chunk onto the class free list (next pointer in the
-     chunk's first word). *)
-  for i = nchunks - 1 downto 0 do
-    let chunk = page + (i * csize) in
-    Space.store64 t.space chunk t.free_heads.(idx);
-    t.free_heads.(idx) <- chunk
-  done
+  match t.alloc_page slab_page_size with
+  | 0 -> t.max_bytes <- t.pages * slab_page_size
+  | page ->
+      t.pages <- t.pages + 1;
+      let csize = class_sizes.(idx) in
+      let nchunks = slab_page_size / csize in
+      (* Thread every chunk onto the class free list (next pointer in the
+         chunk's first word). *)
+      for i = nchunks - 1 downto 0 do
+        let chunk = page + (i * csize) in
+        Space.store64 t.space chunk t.free_heads.(idx);
+        t.free_heads.(idx) <- chunk
+      done
 
 let alloc t size =
   match class_from size 0 with

@@ -12,8 +12,10 @@ val max_chunk_size : int
 val create : ?max_bytes:int -> Vmem.Space.t -> alloc_page:(int -> int) -> t
 (** [alloc_page len] must return a fresh [len]-byte region — from
     {!Vmem.Space.mmap} for a plain process or from a data-domain sub-heap
-    under SDRaD. [max_bytes] caps total slab memory (Memcached's [-m]);
-    when reached, {!alloc} returns 0 and the store evicts. *)
+    under SDRaD — or 0 when no memory is left. [max_bytes] caps total
+    slab memory (Memcached's [-m]); when reached, {!alloc} returns 0 and
+    the store evicts. A page [alloc_page] cannot give caps the slab at
+    the pages it has, as [max_bytes] does. *)
 
 val chunk_size : t -> int -> int option
 (** Size class that serves a request, [None] if above {!max_chunk_size}. *)

@@ -6,8 +6,11 @@ let header_size = 40
 type t = {
   space : Space.t;
   slab : Slab.t;
-  table : int;  (* bucket array base: nbuckets 8-byte slots *)
-  mask : int;
+  alloc_table : int -> int;
+  free_table : int -> unit;
+  mutable table : int;  (* bucket array base: nbuckets 8-byte slots *)
+  mutable mask : int;
+  mutable grow_at : int;  (* the count past which the table doubles *)
   mutable count : int;
   mutable value_bytes : int;
   mutable lru_head : int;  (* most recently used, 0 = empty *)
@@ -21,14 +24,22 @@ let round_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let create space ~buckets ~slab ~alloc_table =
+(* Memcached's [assoc_insert] starts an expansion once the table holds
+   more than 1.5 items a bucket. *)
+let grow_threshold n = n * 3 / 2
+
+let create space ~buckets ~slab ~alloc_table ~free_table =
   let n = round_pow2 (max 16 buckets) in
   let table = alloc_table (n * 8) in
+  if table = 0 then failwith "Store.create: no memory for the table";
   {
     space;
     slab;
+    alloc_table;
+    free_table;
     table;
     mask = n - 1;
+    grow_at = grow_threshold n;
     count = 0;
     value_bytes = 0;
     lru_head = 0;
@@ -178,6 +189,78 @@ let prepare t s off len ~flags ~value_src ~value_len =
       write_item t ~item s off len ~flags ~value_src ~value_len;
       item
 
+(* {1 Table growth}
+
+   [assoc_expand]'s doubling, made at once where Memcached hands it to
+   a background thread. An item of old bucket [b] moves to new bucket
+   [b] or [b + n] by bit [n] of its key's hash, so each old chain
+   splits in two, each in the old chain's order. The old table is read
+   and the new one written in one sweep each: a bulk access, whose
+   charge by the byte is what a load or store a slot costs. Each item
+   costs a read of its header's first 28 bytes (its chain link through
+   its key length), a read of its key and the key's hash; its link is
+   stored only where its new chain does not already reach it from the
+   item before it in the old one. *)
+
+(* The hash of [item]'s [klen]-byte key, read as [key_is] reads it and
+   charged as [find] charges it. *)
+let key_hash t item klen =
+  charge_hash klen;
+  if klen <= Bytes.length t.scratch then begin
+    Space.read_into t.space (item + header_size) t.scratch 0 klen;
+    hash_sub (Bytes.unsafe_to_string t.scratch) 0 klen
+  end
+  else hash (Space.read_string t.space (item + header_size) klen)
+
+(* Append [item], which followed [prev] in its old chain, to the new
+   chain of [bucket] whose tail is [tail]: 0 while that chain is empty,
+   whose head then goes in the host copy [fresh] of the new table. *)
+let append t fresh bucket ~tail ~prev item =
+  if tail = 0 then Bytes.set_int64_le fresh (bucket * 8) (Int64.of_int item)
+  else if tail <> prev then Space.store64 t.space tail item
+
+(* Split old bucket [b]'s chain from [item] on, between new buckets [b]
+   (tail [lo]) and [b + n] (tail [hi]). *)
+let rec split t fresh ~n b ~prev ~lo ~hi item =
+  if item = 0 then begin
+    (* [prev] ended the old chain: its link is already 0. *)
+    if lo <> 0 && lo <> prev then Space.store64 t.space lo 0;
+    if hi <> 0 && hi <> prev then Space.store64 t.space hi 0
+  end
+  else begin
+    Space.read_into t.space item t.scratch 0 28;
+    let next = Int64.to_int (Bytes.get_int64_le t.scratch 0) in
+    let klen = Int32.to_int (Bytes.get_int32_le t.scratch 24) land 0xFFFFFFFF in
+    if key_hash t item klen land n = 0 then begin
+      append t fresh b ~tail:lo ~prev item;
+      split t fresh ~n b ~prev:item ~lo:item ~hi next
+    end
+    else begin
+      append t fresh (b + n) ~tail:hi ~prev item;
+      split t fresh ~n b ~prev:item ~lo ~hi:item next
+    end
+  end
+
+(* Double the table. One that cannot get the memory keeps its size and
+   stops trying. *)
+let grow t =
+  let n = t.mask + 1 in
+  match t.alloc_table (2 * n * 8) with
+  | 0 -> t.grow_at <- max_int
+  | table ->
+      let old = Bytes.create (n * 8)
+      and fresh = Bytes.make (2 * n * 8) '\000' in
+      Space.read_into t.space t.table old 0 (n * 8);
+      for b = 0 to n - 1 do
+        split t fresh ~n b ~prev:0 ~lo:0 ~hi:0
+          (Int64.to_int (Bytes.get_int64_le old (b * 8)))
+      done;
+      Space.store_from t.space table fresh 0 (2 * n * 8);
+      t.free_table t.table;
+      t.table <- table;
+      t.mask <- (2 * n) - 1;
+      t.grow_at <- grow_threshold (2 * n)
+
 let commit t s off len item =
   charge_hash len;
   let old = find_prev t s off len in
@@ -187,7 +270,8 @@ let commit t s off len item =
   Space.store64 t.space slot item;
   lru_push_head t item;
   t.count <- t.count + 1;
-  t.value_bytes <- t.value_bytes + value_len t item
+  t.value_bytes <- t.value_bytes + value_len t item;
+  if t.count > t.grow_at then grow t
 
 let set t ~key ~flags ~value_src ~value_len =
   let n = String.length key in

@@ -20,9 +20,24 @@ val header_size : int
     allocation by. *)
 
 val create :
-  Vmem.Space.t -> buckets:int -> slab:Slab.t -> alloc_table:(int -> int) -> t
+  Vmem.Space.t ->
+  buckets:int ->
+  slab:Slab.t ->
+  alloc_table:(int -> int) ->
+  free_table:(int -> unit) ->
+  t
 (** [buckets] is rounded up to a power of two; the bucket array comes from
-    [alloc_table]. *)
+    [alloc_table], which returns 0 when no memory is left, and goes back
+    through [free_table].
+
+    The table grows as Memcached's [assoc_expand] does: a {!commit} that
+    leaves more than 1.5 items a bucket doubles it. The new array comes
+    from [alloc_table], every item is relinked into it in simulated
+    memory (each key read and hashed again and each link that changes
+    rewritten, all charged) and the old array is freed. A table
+    [alloc_table] cannot double keeps its size from then on.
+    @raise Failure when [alloc_table] has no memory for the first
+    array. *)
 
 val hash : string -> int
 (** FNV-1a, also used by the server for sharding decisions. *)
@@ -60,17 +75,19 @@ val prepare :
 (** Allocate and fill an item without linking it — the part of a SET that
     Memcached performs outside the cache lock — evicting as needed. The
     value is copied out of simulated memory at [value_src]. 0 when the
-    item exceeds the largest slab class. *)
+    item exceeds the largest slab class, or when the slab has no chunk
+    for it and nothing is left to evict. *)
 
 val commit : t -> string -> int -> int -> int -> unit
 (** [commit t s off len item]: unlink any existing item for the key and
-    link the prepared one — the short critical section. *)
+    link the prepared one — the short critical section — then grow the
+    table if it has passed 1.5 items a bucket. *)
 
 (** {2 Keys as strings} *)
 
 val set : t -> key:string -> flags:int -> value_src:int -> value_len:int -> bool
-(** Insert or replace ({!prepare} + {!commit}). [false] when the item
-    exceeds the largest slab class. *)
+(** Insert or replace ({!prepare} + {!commit}). [false] when {!prepare}
+    finds no chunk. *)
 
 val get : t -> string -> (int * int * int) option
 (** [(value_addr, value_len, flags)] — the address points into the live
@@ -102,7 +119,9 @@ val check : t -> string list
     allocates nothing. *)
 
 type layout = {
-  table : int;  (** address of the bucket array, 8 bytes a bucket *)
+  table : int;
+      (** address of the current bucket array, 8 bytes a bucket; it moves
+          when the table grows *)
   buckets : int;  (** a power of two *)
   lru_head : int;  (** most recently used item, 0 when empty *)
   lru_tail : int;  (** least recently used item *)

@@ -120,7 +120,7 @@ let decode_isolated sd ?(udi = 8) ~vulnerable image =
       let alloc n =
         match Api.malloc sd ~udi n with
         | p -> p
-        | exception (Tlsf.Out_of_memory | Failure _) -> 0
+        | exception Tlsf.Out_of_memory -> 0
       in
       let d = decode space ~alloc ~src ~len:(String.length image) ~vulnerable in
       Api.exit_domain sd;

@@ -13,6 +13,8 @@ exception
     tid : int;
   }
 
+exception Exhausted
+
 let access_name = function Read -> "read" | Write -> "write" | Exec -> "exec"
 
 let si_code_name = function
@@ -458,7 +460,7 @@ let take_run t total =
   while !i < fl.n && run_a fl !i < total do
     incr i
   done;
-  if !i = fl.n then failwith "Space.mmap: address space exhausted";
+  if !i = fl.n then raise Exhausted;
   let p = run_key fl !i and n = run_a fl !i in
   if n > total then runs_set fl !i (p + total) (n - total) 0
   else runs_remove fl !i;

@@ -100,10 +100,15 @@ val set_access_hook : t -> (int -> int -> access -> unit) option -> unit
 
 (** {1 Mappings} *)
 
+exception Exhausted
+(** No free run of addresses is long enough for the mapping: the
+    simulator's [ENOMEM]. *)
+
 val mmap : t -> len:int -> prot:Prot.t -> pkey:int -> int
 (** Map [len] bytes (rounded up to pages) with a leading guard page and
-    return the base address. @raise Out_of_memory-like [Failure] when the
-    space is exhausted. *)
+    return the base address. @raise Exhausted when no free run of the
+    space holds the pages and their guard; the space is then unchanged
+    and nothing is charged. *)
 
 val munmap : t -> int -> unit
 (** Unmap a whole previous [mmap] allocation by its base address. Like

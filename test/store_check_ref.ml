@@ -4,7 +4,7 @@
    [test_kvcache] holds the check to — same messages, in the same order,
    and the same simulated clock, so the same checked loads. It reads the
    item layout [store.mli] documents, from where [Store.layout] says the
-   table and the LRU list start. *)
+   current table and the LRU list start. *)
 
 module Space = Vmem.Space
 module Store = Kvcache.Store

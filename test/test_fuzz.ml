@@ -373,7 +373,7 @@ let render_patched_total =
           with
           | _ -> true
           | exception Render.Bad_image _ -> true
-          | exception Failure _ ->
+          | exception Space.Exhausted ->
               (* Allocation failure on a large-but-legal image: the tiny
                  8 MiB fuzz arena, not the decoder, ran out. *)
               true))

@@ -22,6 +22,13 @@ let mk_slab space =
   Slab.create space ~alloc_page:(fun len ->
       Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
 
+(* A store over a fresh [mk_slab] whose tables are mappings of their
+   own. *)
+let mk_store space ~buckets =
+  Store.create space ~buckets ~slab:(mk_slab space)
+    ~alloc_table:(fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
+    ~free_table:(Space.munmap space)
+
 (* {1 References}
 
    The protocol code as it was before it scanned and wrote text in place:
@@ -364,9 +371,7 @@ let test_slab_free_reuses () =
 let with_store f =
   Sched.main (fun _ ->
       let space = mk_space () in
-      let slab = mk_slab space in
-      let alloc_table len = Space.mmap space ~len ~prot:Prot.rw ~pkey:0 in
-      let db = Store.create space ~buckets:64 ~slab ~alloc_table in
+      let db = mk_store space ~buckets:64 in
       (* staging buffer for values *)
       let buf = Space.mmap space ~len:(64 * 1024) ~prot:Prot.rw ~pkey:0 in
       f space db buf)
@@ -466,10 +471,10 @@ let store_random_ops =
 
    [Store.check] walks its chains with top-level functions; the walk it
    replaced, a closure per bucket, is [Store_check_ref.check]. Each case
-   corrupts a fresh 48-item store in 16 buckets one way the check
-   reports, then runs both on it: the same messages, in the same order,
-   the same checked loads in the same order (seen through the space's
-   access hook) and the same simulated clock. *)
+   corrupts a fresh 48-item store, grown from 16 buckets to 32, one way
+   the check reports, then runs both on it: the same messages, in the
+   same order, the same checked loads in the same order (seen through
+   the space's access hook) and the same simulated clock. *)
 
 let store_keys = List.init 48 (fun i -> Printf.sprintf "key%02d" i)
 
@@ -540,11 +545,10 @@ let test_store_check_matches_reference () =
     (fun (what, corrupt) ->
       Sched.main (fun _ ->
           let space = mk_space () in
-          let slab = mk_slab space in
-          let alloc_table len = Space.mmap space ~len ~prot:Prot.rw ~pkey:0 in
-          let db = Store.create space ~buckets:16 ~slab ~alloc_table in
+          let db = mk_store space ~buckets:16 in
           let buf = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
           List.iter (fun k -> ignore (put space db buf k ("v-" ^ k))) store_keys;
+          check int "grown" 32 (Store.layout db).buckets;
           corrupt space db;
           let traced f =
             let loads = ref [] and t0 = Sched.now () in
@@ -577,9 +581,7 @@ let test_store_check_alloc () =
   let words buckets =
     Sched.main (fun _ ->
         let space = mk_space () in
-        let slab = mk_slab space in
-        let alloc_table len = Space.mmap space ~len ~prot:Prot.rw ~pkey:0 in
-        let db = Store.create space ~buckets ~slab ~alloc_table in
+        let db = mk_store space ~buckets in
         Alloc_probe.words_per_call ~warmup:2 ~n:20 (fun () ->
             ignore (Store.check db)))
   in
@@ -589,6 +591,114 @@ let test_store_check_alloc () =
       "Store.check allocates %.2f minor words per empty bucket; the budget \
        is 0"
       per_bucket
+
+(* {1 Table growth} *)
+
+(* A store whose tables come from a region mapped up front, so that
+   growing one charges no mmap: [room] tables can be had, then none. *)
+let arena_store space ~buckets ~room =
+  let arena = Space.mmap space ~len:(1024 * 1024) ~prot:Prot.rw ~pkey:0 in
+  let next = ref arena and left = ref room in
+  let alloc_table len =
+    if !left = 0 then 0
+    else begin
+      decr left;
+      let p = !next in
+      next := p + len;
+      p
+    end
+  in
+  Store.create space ~buckets ~slab:(mk_slab space) ~alloc_table
+    ~free_table:ignore
+
+let nth_key i = Printf.sprintf "key%03d" i
+
+(* A store grown from 16 buckets through six doublings answers, orders
+   and checks as one made at its final 1,024. *)
+let test_store_growth_differential () =
+  Sched.main (fun _ ->
+      let space = mk_space () in
+      let buf = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
+      let grown = arena_store space ~buckets:16 ~room:max_int
+      and sized = arena_store space ~buckets:1024 ~room:1 in
+      let both f = f grown; f sized in
+      let value i = Printf.sprintf "value-%d" i in
+      for i = 0 to 999 do
+        both (fun db -> ignore (put space db buf (nth_key i) (value i)));
+        if i mod 7 = 0 then
+          both (fun db -> ignore (Store.get db (nth_key (i / 2))));
+        if i mod 11 = 0 then
+          both (fun db -> ignore (Store.delete db (nth_key (i / 3))))
+      done;
+      check int "grown to the final size" 1024 (Store.layout grown).buckets;
+      check int "count" (Store.count sized) (Store.count grown);
+      check (Alcotest.list string) "LRU order" (Store.lru_keys sized)
+        (Store.lru_keys grown);
+      for i = 0 to 999 do
+        check
+          (Alcotest.option (Alcotest.pair string int))
+          (nth_key i)
+          (got space sized (nth_key i))
+          (got space grown (nth_key i))
+      done;
+      check (Alcotest.list string) "LRU order after the gets"
+        (Store.lru_keys sized) (Store.lru_keys grown);
+      check (Alcotest.list string) "grown store checks clean" []
+        (Store.check grown);
+      check (Alcotest.list string) "sized store checks clean" []
+        (Store.check sized))
+
+(* 24 items in 16 buckets keep the table; the 25th doubles it, and the
+   clock pays for sweeping both tables and at least a load and a store
+   an item beyond an insert that does not grow its table. *)
+let test_store_growth_charged () =
+  Sched.main (fun _ ->
+      let space = mk_space () in
+      let buf = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
+      let a = arena_store space ~buckets:16 ~room:2
+      and b = arena_store space ~buckets:32 ~room:1 in
+      let table = (Store.layout a).table in
+      for i = 0 to 23 do
+        ignore (put space a buf (nth_key i) "v");
+        ignore (put space b buf (nth_key i) "v")
+      done;
+      check int "1.5 items a bucket: 16 buckets" 16 (Store.layout a).buckets;
+      check int "1.5 items a bucket: the first table" table
+        (Store.layout a).table;
+      let cycles db =
+        let t0 = Sched.now () in
+        ignore (put space db buf (nth_key 24) "v");
+        Sched.now () -. t0
+      in
+      let grew = cycles a and plain = cycles b in
+      check int "the 25th item doubles it" 32 (Store.layout a).buckets;
+      let c = Space.cost space in
+      let sweeps = float_of_int ((16 + 32) * 8) *. c.Simkern.Cost.mem_byte in
+      let floor = sweeps +. (25.0 *. 2.0 *. c.Simkern.Cost.mem_access) in
+      if grew -. plain < floor then
+        Alcotest.failf
+          "growing 16 -> 32 buckets cost %.1f cycles over an insert; at least \
+           %.1f"
+          (grew -. plain) floor;
+      check (Alcotest.list string) "checks clean" [] (Store.check a))
+
+(* A table that cannot get the memory to double keeps its size and goes
+   on serving. *)
+let test_store_growth_without_memory () =
+  Sched.main (fun _ ->
+      let space = mk_space () in
+      let buf = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
+      let db = arena_store space ~buckets:16 ~room:1 in
+      for i = 0 to 99 do
+        ignore (put space db buf (nth_key i) (string_of_int i))
+      done;
+      check int "16 buckets" 16 (Store.layout db).buckets;
+      for i = 0 to 99 do
+        check
+          (Alcotest.option (Alcotest.pair string int))
+          (nth_key i) (Some (string_of_int i, 7)) (got space db (nth_key i))
+      done;
+      check (Alcotest.list string) "checks clean" [] (Store.check db))
 
 (* {1 Proto} *)
 
@@ -1206,7 +1316,10 @@ let with_capped_store max_bytes f =
             Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
       in
       let alloc_table len = Space.mmap space ~len ~prot:Prot.rw ~pkey:0 in
-      let db = Store.create space ~buckets:256 ~slab ~alloc_table in
+      let db =
+        Store.create space ~buckets:256 ~slab ~alloc_table
+          ~free_table:(Space.munmap space)
+      in
       let buf = Space.mmap space ~len:(64 * 1024) ~prot:Prot.rw ~pkey:0 in
       f space db buf)
 
@@ -1275,6 +1388,73 @@ let test_server_eviction_end_to_end () =
         Netsim.close c))
   in
   check bool "server reported evictions" true (Server.evictions s > 0);
+  check (Alcotest.list string) "db healthy" [] (Server.db_check s)
+
+(* A space too small for the keys loaded into it: the slab stops where
+   the space runs out, the store evicts, every key still stored reads
+   back its value, and a connection made afterwards costs no thread. *)
+let test_space_exhaustion_evicts variant () =
+  let w =
+    Scenario.world ~size_mib:16 ?monitor:(Scenario.monitor_for variant) ()
+  in
+  let cfg = { Server.default_config with variant; workers = 1 } in
+  let keys = 12_000 in
+  let value i = Printf.sprintf "%-1000d" i in
+  let { Scenario.server = s; result = hits; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun _ ->
+           let c = Netsim.connect w.net ~port:11211 in
+           let ask req =
+             Netsim.send c req;
+             Proto.parse_reply (Option.get (Netsim.recv c))
+           in
+           for i = 0 to keys - 1 do
+             if ask (Proto.fmt_set ~key:(nth_key i) ~flags:0 ~value:(value i))
+                <> Proto.Stored
+             then Alcotest.failf "%s not stored" (nth_key i)
+           done;
+           let hits = ref 0 in
+           for i = 0 to keys - 1 do
+             match ask (Proto.fmt_get (nth_key i)) with
+             | Proto.Miss -> ()
+             | Proto.Value v when v = value i -> incr hits
+             | _ -> Alcotest.failf "%s read back wrong" (nth_key i)
+           done;
+           (* Connections made now are served, or closed when their
+              buffers find no room: 20 open at once outgrow the plain
+              variants' first 256 KiB buffer arena. *)
+           let late =
+             List.init 20 (fun _ -> Netsim.connect w.net ~port:11211)
+           in
+           List.iter
+             (fun l ->
+               Netsim.send l (Proto.fmt_get (nth_key 0));
+               ignore (Netsim.recv l))
+             late;
+           List.iter Netsim.close late;
+           Netsim.send c Proto.fmt_stats_telemetry;
+           let scrape = Option.get (Netsim.recv c) in
+           Netsim.close c;
+           let evictions =
+             List.find_map
+               (fun l ->
+                 Scanf.sscanf_opt l "kvcache_evictions_total %d" Fun.id)
+               (String.split_on_char '\n' scrape)
+           in
+           check bool "kvcache_evictions_total above 0" true
+             (Option.value evictions ~default:0 > 0);
+           !hits))
+  in
+  List.iter
+    (fun (_, name, o) ->
+      match o with
+      | Sched.Failed e ->
+          Alcotest.failf "%s failed: %s" name (Printexc.to_string e)
+      | Sched.Completed -> ())
+    (Sched.outcomes w.sched);
+  check bool "some keys evicted" true (hits < keys);
+  check int "the rest all stored" (Store.count (Server.store s)) hits;
   check (Alcotest.list string) "db healthy" [] (Server.db_check s)
 
 (* {1 Live connections}
@@ -1357,6 +1537,29 @@ let test_ycsb_deterministic () =
     r2.Workload.Ycsb.load_cycles;
   check (Alcotest.float 0.0) "identical run time" r1.Workload.Ycsb.run_cycles
     r2.Workload.Ycsb.run_cycles
+
+(* SDRaD's resident pages over baseline's after loading N and 4N 1 KiB
+   records stay within a few pages: its database domain grows by its
+   2 MiB pool, whose regions hold whole slab pages. Grown by 256 KiB
+   regions, each held three slab pages and touched a page for its free
+   remainder's header: a page every 165 records. *)
+let test_sdrad_pages_flat () =
+  let pages variant records =
+    let r =
+      Scenario.kvcache
+        (Scenario.world ~size_mib:64 ?monitor:(Scenario.monitor_for variant) ())
+        { Server.default_config with variant }
+        (Ycsb { Workload.Ycsb.default_config with records; operations = 0 })
+    in
+    Space.max_rss_bytes r.world.space / 4096
+  in
+  let over records =
+    pages Server.Sdrad records - pages Server.Baseline records
+  in
+  let n = over 1_500 and n4 = over 6_000 in
+  if abs (n4 - n) > 4 then
+    Alcotest.failf
+      "SDRaD's pages over baseline's: %d at 1,500 records, %d at 6,000" n n4
 
 let test_sdrad_slower_than_baseline () =
   let rb, _ = run_ycsb Server.Baseline in
@@ -2084,6 +2287,12 @@ let () =
           Alcotest.test_case "many keys" `Quick test_store_many_keys;
           Alcotest.test_case "oversized" `Quick test_store_oversized_rejected;
           QCheck_alcotest.to_alcotest store_random_ops;
+          Alcotest.test_case "table grows like one made at its size" `Quick
+            test_store_growth_differential;
+          Alcotest.test_case "table growth is charged" `Quick
+            test_store_growth_charged;
+          Alcotest.test_case "table growth without memory" `Quick
+            test_store_growth_without_memory;
           Alcotest.test_case "check matches its reference" `Quick
             test_store_check_matches_reference;
           Alcotest.test_case "check host allocation" `Quick
@@ -2153,6 +2362,10 @@ let () =
           Alcotest.test_case "get refreshes" `Quick test_lru_get_refreshes;
           Alcotest.test_case "order tracked" `Quick test_lru_order_tracked;
           Alcotest.test_case "server end to end" `Quick test_server_eviction_end_to_end;
+          Alcotest.test_case "space exhaustion evicts, baseline" `Quick
+            (test_space_exhaustion_evicts Server.Baseline);
+          Alcotest.test_case "space exhaustion evicts, sdrad" `Quick
+            (test_space_exhaustion_evicts Server.Sdrad);
         ] );
       ( "ycsb",
         [
@@ -2160,6 +2373,8 @@ let () =
           Alcotest.test_case "sdrad" `Quick test_ycsb_sdrad;
           Alcotest.test_case "deterministic" `Quick test_ycsb_deterministic;
           Alcotest.test_case "overhead bounded" `Quick test_sdrad_slower_than_baseline;
+          Alcotest.test_case "sdrad pages over baseline's stay flat" `Quick
+            test_sdrad_pages_flat;
           Alcotest.test_case "stats command" `Quick test_stats_command;
           Alcotest.test_case "workload d inserts" `Quick test_workload_d_inserts_grow_keyspace;
           Alcotest.test_case "uniform single record" `Quick test_uniform_single_record;

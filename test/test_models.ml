@@ -52,8 +52,10 @@ let store_lru_model =
                 Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
           in
           let db =
-            Store.create space ~buckets:16 ~slab ~alloc_table:(fun len ->
+            Store.create space ~buckets:16 ~slab
+              ~alloc_table:(fun len ->
                 Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
+              ~free_table:(Space.munmap space)
           in
           let buf = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
           let model = Lru_model.create () in
@@ -100,8 +102,10 @@ let eviction_order_model =
                 Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
           in
           let db =
-            Store.create space ~buckets:16 ~slab ~alloc_table:(fun len ->
+            Store.create space ~buckets:16 ~slab
+              ~alloc_table:(fun len ->
                 Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
+              ~free_table:(Space.munmap space)
           in
           let buf = Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0 in
           let model = Lru_model.create () in
@@ -203,7 +207,7 @@ let mmap_disjointness_model =
           else begin
             match Space.mmap s ~len:(pages * 4096) ~prot:Prot.rw ~pkey:0 with
             | a -> live := (a, pages * 4096) :: !live
-            | exception Failure _ -> ()
+            | exception Space.Exhausted -> ()
           end;
           (* Pairwise disjointness, including the guard page below each. *)
           let rec pairs = function

@@ -525,6 +525,25 @@ let test_data_domain_survives_rewind () =
         (Space.read_string space cell 7);
       check bool "data domain still initialized" true (Api.is_initialized sd dd))
 
+(* A data domain grows by the pool it was made with, as an execution
+   domain grows by its [heap_size], not by the monitor's default; and a
+   space with no room for another region is the heap's out of memory. *)
+let test_data_domain_grows_by_its_pool () =
+  with_sdrad (fun _ sd ->
+      let dd = 9 and pool = 1024 * 1024 in
+      Api.init_data sd ~udi:dd ~heap_size:pool ();
+      (* 64 KiB blocks, the cache's slab pages: 15 fit a region. *)
+      for _ = 1 to 40 do
+        ignore (Api.malloc sd ~udi:dd (64 * 1024))
+      done;
+      let info = List.find (fun d -> d.Api.di_udi = dd) (Api.domains_info sd) in
+      check int "regions" 3 (List.length info.di_regions);
+      List.iter
+        (fun (_, len) -> check int "each region is the pool" pool len)
+        info.di_regions;
+      Alcotest.check_raises "no room for a region" Tlsf.Out_of_memory (fun () ->
+          ignore (Api.malloc sd ~udi:dd (64 * 1024 * 1024))))
+
 (* {1 protect_call (Listing 1)} *)
 
 let test_protect_call_normal () =
@@ -859,6 +878,8 @@ let () =
           Alcotest.test_case "rw matrix" `Quick test_data_domain_rw_matrix;
           Alcotest.test_case "write permission" `Quick test_data_domain_write_permission;
           Alcotest.test_case "survives rewind" `Quick test_data_domain_survives_rewind;
+          Alcotest.test_case "grows by its pool" `Quick
+            test_data_domain_grows_by_its_pool;
         ] );
       ( "protect_call",
         [

@@ -74,8 +74,7 @@ let test_oob_after_mapping_faults () =
 
 let test_exhaustion () =
   let s = Space.create ~size_mib:1 () in
-  Alcotest.check_raises "address space exhausted"
-    (Failure "Space.mmap: address space exhausted") (fun () ->
+  Alcotest.check_raises "address space exhausted" Space.Exhausted (fun () ->
       ignore (Space.mmap s ~len:(2 * 1024 * 1024) ~prot:Prot.rw ~pkey:0))
 
 let test_munmap_reuse () =
