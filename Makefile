@@ -135,12 +135,16 @@ perf-compare:
 host-ratio:
 	python3 bench/host_ratio.py $(REV)
 
-# The soaks and bench tables against another commit, e.g. `make same
-# REV=HEAD~1`: builds @chaos, @chaos-soak and @chaos-rewind-soak with
-# --force in REV's tree (the perf-compare checkout) and here, then runs
-# each tree's bench/main.exe over every experiment but micro from a
-# temporary directory (so no committed BENCH JSON is rewritten), and
-# fails on the first line of output that differs, timing lines aside. A
+# The soaks, bench tables and perfsuite's simulated metrics against
+# another commit, e.g. `make same REV=HEAD~1`: builds @chaos,
+# @chaos-soak and @chaos-rewind-soak with --force in REV's tree (the
+# perf-compare checkout) and here, runs each tree's bench/main.exe over
+# every experiment but micro from a temporary directory (so no committed
+# BENCH JSON is rewritten), then runs perfsuite once per tree, workload
+# and seed (1 and 42) with --trace 1. It fails on the first line of
+# output that differs, timing lines aside, and on any perfsuite metric
+# that differs but the host ones (host_alloc_words_per_op, host_heap_mb,
+# setup_s, telemetry.trace_alloc_overhead and the host timings). A
 # refactor that must keep every simulated number passes it.
 same:
 	@test -n "$(REV)" || { echo "usage: make same REV=<commit>"; exit 2; }

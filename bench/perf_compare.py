@@ -37,10 +37,15 @@ with --force in REV's tree and here and compares their output, then runs
 each tree's bench/main.exe over every experiment but micro (the ids
 listed in this tree's bench/main.ml) from a temporary directory, so
 neither tree's committed BENCH JSON is rewritten, and compares the
-tables less their "[... done in ...]" and "All done in" timing lines: a
-change that must keep every simulated number prints the same soaks and
-tables. It prints the first differing lines of each output that differs
-and exits non-zero if any differs or fails.
+tables less their "[... done in ...]" and "All done in" timing lines,
+and last runs perfsuite once per tree, workload and seed (1 and 42)
+with --trace 1 and compares every metric but the host ones
+(host_alloc_words_per_op, host_heap_mb, setup_s,
+telemetry.trace_alloc_overhead and the host timings named above): a
+change that must keep every simulated number prints the same soaks,
+tables and metrics. It prints the first differing lines of each output
+that differs, and each metric that differs with both values, and exits
+non-zero if any differs or fails.
 """
 
 import argparse
@@ -164,6 +169,15 @@ def layer_deltas(old, new, rel=0.01):
     return rows
 
 
+# Host measurements that run.py reports next to the simulated metrics:
+# --same leaves them out, with the host timings.
+HOST_METRICS = {"host_alloc_words_per_op", "host_heap_mb", "setup_s",
+                "telemetry.trace_alloc_overhead"}
+
+# The seeds --same runs perfsuite at.
+SAME_SEEDS = (1, 42)
+
+
 def num(x):
     return "-" if x is None else "%.6g" % x
 
@@ -254,7 +268,37 @@ def same(rev, base, context=20):
     failed |= compare("bench tables (%s)" % " ".join(ids), rev,
                       bench_output(base, ids), bench_output(ROOT, ids),
                       context)
+    bench = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
+    for w in [w["name"] for w in bench["workloads"]]:
+        for seed in SAME_SEEDS:
+            failed |= same_metrics(rev, base, w, seed)
     return 1 if failed else 0
+
+
+def same_metrics(rev, base, workload, seed):
+    """Print whether one traced perfsuite run per tree gives every
+    simulated metric of [workload] at [seed] the same value; true if one
+    differs or a run failed its checks."""
+    sides = []
+    for tree in (base, ROOT):
+        ok, metrics = run(tree, workload, seed, trace=1)
+        sides.append((ok, {k: v for k, v in metrics.items()
+                           if k not in HOST_METRICS and not host_timing(k)}))
+    (ok_old, old), (ok_new, new) = sides
+    name = "perfsuite %s, seed %d" % (workload, seed)
+    if not (ok_old and ok_new):
+        print("%s: A RUN FAILED ITS CHECKS" % name)
+    rows = [(k, old.get(k), new.get(k))
+            for k in list(old) + [k for k in new if k not in old]
+            if old.get(k) != new.get(k)]
+    if not rows:
+        print("%s: same metrics (%d)" % (name, len(old)), flush=True)
+        return not (ok_old and ok_new)
+    print("%s: METRICS DIFFER" % name)
+    print("    %-40s %-16s %s" % ("metric", rev, "tree"))
+    for k, a, b in rows:
+        print("    %-40s %-16s %s" % (k, num(a), num(b)), flush=True)
+    return True
 
 
 def main():
@@ -264,7 +308,8 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workload", action="append")
     ap.add_argument("--same", action="store_true",
-                    help="compare the soak aliases' output instead")
+                    help="compare the soaks, bench tables and perfsuite's "
+                    "simulated metrics instead")
     args = ap.parse_args()
     base = checkout(args.rev)
     if args.same:

@@ -4,10 +4,6 @@ module Prot = Vmem.Prot
 module Api = Sdrad.Api
 module Fault_inject = Resilience.Fault_inject
 
-let log_src = Logs.Src.create "sdrad.httpd" ~doc:"web server"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type variant = Serve.variant = Baseline | Tlsf_alloc | Sdrad
 
 type config = {
@@ -40,14 +36,13 @@ let default_config =
 let cert_udi = 2
 let pool_udi = 13  (* data domain for request pools under SDRaD *)
 let proc_cycles = 11_000.0  (* per-request base processing cost *)
-let max_restarts = 1_000
 let image_bytes = 2 * 1024 * 1024
 let journal_cap = 256
 let uri_dst_cap = 2048
-let worker_restart_cost = 2.1e6 (* ~1 ms: fork + exec + init *)
 
+(* A worker's request state, made with each (re)spawn of the worker. *)
 type worker_slot = {
-  idx : int;
+  w : Serve.worker;
   reply : Netsim.Buf.t;  (* 200 replies of up to [Netsim.max_pooled] bytes *)
   req : Http_parse.t;  (* the request being handled, parsed in place *)
   mutable cbuf : int;  (* its bytes in the connection buffer *)
@@ -55,11 +50,7 @@ type worker_slot = {
   mutable path : string;  (* its normalized URI *)
   mutable body_rel : int;  (* its body, relative to the buffer parsed *)
   mutable body_len : int;
-  mutable ws : Netsim.Waitset.ws;  (* its live connections *)
-  mutable tid : Sched.tid;
-  mutable pool : int;  (* per-worker request pool base (bump-reset) *)
-  mutable slot_rewinds : int;  (* since this worker (re)started *)
-  mutable alive : bool;
+  pool : int;  (* per-worker request pool base (bump-reset) *)
 }
 
 type t = {
@@ -71,18 +62,8 @@ type t = {
   parser_sd : Api.t option;  (* [sd] under SDRaD: parse phases enter a domain *)
   faults : Fault_inject.t option;
   fs : Fs.t;
-  listener : Netsim.listener;
-  slots : worker_slot array;
-  deaths : (int * float) Queue.t;
-  death_lock : Sched.Mutex.mutex;
-  death_cond : Sched.Cond.cond;
-  mutable stopping : bool;
   pool_alloc : int -> int;
   mutable post_count : int;  (* the mutable state behind POST /count *)
-  c_restarts : Telemetry.Metrics.counter;
-  c_dropped : Telemetry.Metrics.counter;
-  c_proactive : Telemetry.Metrics.counter;
-  mutable restart_lat : float list;
 }
 
 let conn_token keep_alive = if keep_alive then "keep-alive" else "close"
@@ -178,6 +159,25 @@ let rec trace_of_msg msg len off =
 let trace_of_req req =
   trace_of_msg (Netsim.Buf.view req) (Netsim.Buf.length req) 0
 
+(* A POST's reply, computed once per request id. *)
+let post t slot =
+  let keep_alive = Http_parse.keep_alive slot.req in
+  if slot.path = "/echo" then begin
+    (* The request body still sits in the connection buffer; only its
+       *parsing* was sandboxed. *)
+    let payload =
+      Space.read_string t.space (slot.cbuf + slot.body_rel) slot.body_len
+    in
+    http_200 ~keep_alive payload
+  end
+  else if slot.path = "/count" then begin
+    (* The non-idempotent endpoint: applying a retry twice would be
+       observable here. *)
+    t.post_count <- t.post_count + 1;
+    http_200 ~keep_alive (string_of_int t.post_count)
+  end
+  else http_405
+
 (* Serve the (already parsed) request in [slot]: certificate check, file
    lookup, response. Runs in the worker's root context for every
    variant. *)
@@ -197,8 +197,7 @@ let respond t slot c =
                  stack canary and triggers a rewind. *)
               Api.run sd ~udi:cert_udi
                 ~on_rewind:(fun f ->
-                  Serve.rewound t.core f;
-                  slot.slot_rewinds <- slot.slot_rewinds + 1;
+                  Serve.rewound t.core slot.w f;
                   `Faulted)
                 (fun () ->
                   Api.enter sd cert_udi;
@@ -260,34 +259,17 @@ let respond t slot c =
              memory — the part of the address space a parser-domain
              discard can never reclaim — so a client retrying after a
              rewind gets the journaled response instead of re-applying. *)
-          let compute () =
-            if path = "/echo" then begin
-              (* The request body still sits in the connection buffer;
-                 only its *parsing* was sandboxed. *)
-              let payload =
-                Space.read_string t.space (slot.cbuf + slot.body_rel)
-                  slot.body_len
-              in
-              http_200 ~keep_alive payload
-            end
-            else if path = "/count" then begin
-              (* The non-idempotent endpoint: applying a retry twice
-                 would be observable here. *)
-              t.post_count <- t.post_count + 1;
-              http_200 ~keep_alive (string_of_int t.post_count)
-            end
-            else http_405
-          in
+          let id = Option.value req.Http_parse.request_id ~default:"" in
           Netsim.send c
-            (Serve.replay_or t.core req.Http_parse.request_id compute)
+            (Serve.replay_or t.core id 0 (String.length id) post t slot)
       | _ -> Netsim.send c http_405);
       if keep_alive then `Keep else `Close_graceful
 
-(* With per-worker domains each slot parses in its own udi, so the
+(* With per-worker domains each worker parses in its own udi, so the
    supervisor can quarantine one worker's parser without fencing the
    others. [parser_udi] must leave [workers] consecutive udis free. *)
-let slot_udi t slot =
-  if t.cfg.per_worker_domains then t.cfg.parser_udi + slot.idx
+let worker_udi t w =
+  if t.cfg.per_worker_domains then t.cfg.parser_udi + Serve.idx w
   else t.cfg.parser_udi
 
 (* Under SDRaD each parse phase is its own entry into the parser domain,
@@ -296,7 +278,7 @@ let enter_phase t slot ~buf ~len =
   match t.parser_sd with
   | None -> ()
   | Some sd -> (
-      Api.enter sd (slot_udi t slot);
+      Api.enter sd (worker_udi t slot.w);
       match t.faults with
       | Some fi ->
           ignore
@@ -361,7 +343,7 @@ let handle_plain t slot c =
    is its own domain transition, and the normalized URI is copied back
    out on success. *)
 let parse_in_domain t slot sd =
-  let udi = slot_udi t slot in
+  let udi = worker_udi t slot.w in
   (* [dst] first (slot 0) so it sits at the bottom of the domain
      sub-heap: the underflow exits the domain instead of finding stale
      '/' bytes. Both are cached marshalling buffers — the persistent
@@ -377,28 +359,6 @@ let parse_in_domain t slot sd =
   in
   Api.deinit sd udi;
   parsed
-
-(* [on_rewind] and [body] are the worker's, built once: [Serve.run]
-   runs [body] in the parser domain. *)
-let handle_sdrad t slot sd c req ~on_rewind ~body =
-  (* The request's trace covers its whole handling, [respond] included:
-     parse-phase switches, faults, replays and audit records inherit it. *)
-  match
-    Serve.run t.core sd ~trace:(trace_of_req req) ~udi:(slot_udi t slot)
-      ~on_rewind body
-  with
-  | `Busy ->
-      (* Quarantined parser domain: degrade instead of serving — the
-         client gets a retryable 503 and keeps its connection. *)
-      Serve.busy t.core c http_503;
-      `Keep
-  | `Close_faulted -> `Close
-  | `Bad_request ->
-      Netsim.send c http_400;
-      `Keep
-  | `Parsed ->
-      (* Body bytes are served from the original connection buffer. *)
-      respond t slot c
 
 let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
   let sd = sdrad in
@@ -425,7 +385,13 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
   in
   let module M = Telemetry.Metrics in
   let core =
-    Serve.create space cfg.variant ?sdrad ?supervisor ?faults ~name:"httpd"
+    Serve.create space cfg.variant ?sdrad ?supervisor ?faults net
+      ~port:cfg.port ~workers:cfg.workers
+      (* nginx's processes: a respawn (fork, exec, init) costs ~1 ms *)
+      (Per_worker
+         { restart_cost = 2.1e6; max_restarts = 1_000;
+           rewind_limit = cfg.rewind_limit })
+      ~name:"httpd"
       ~alloc_site:"httpd.alloc"
       ~malloc_region:(fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
       ~journal_cap ~proc_cycles ~shed_queue_limit:cfg.shed_queue_limit
@@ -443,13 +409,21 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
           shed =
             M.counter m "httpd_shed_total"
               ~help:"Requests shed by overload admission control";
+          dropped =
+            M.counter m "httpd_dropped_connections_total"
+              ~help:"Connections lost to faults or worker deaths";
           rewind_cycles =
             M.histogram m "httpd_rewind_cycles"
               ~help:"Cycles from fault to request discarded";
         })
       ()
   in
-  let metrics = Serve.metrics core in
+  M.counter_fn (Serve.metrics core) "httpd_worker_restarts_total"
+    ~help:"Worker processes respawned by the master" (fun () ->
+      Serve.worker_restarts core);
+  M.counter_fn (Serve.metrics core) "httpd_proactive_restarts_total"
+    ~help:"Voluntary re-execs after the rewind limit" (fun () ->
+      Serve.proactive_restarts core);
   let t =
     {
       sched;
@@ -461,201 +435,89 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
         (match cfg.variant with Sdrad -> sd | Baseline | Tlsf_alloc -> None);
       faults;
       fs;
-      listener = Netsim.listen net ~port:cfg.port;
-      slots =
-        Array.init cfg.workers (fun idx ->
-            {
-              idx;
-              reply = Netsim.Buf.create ();
-              req = Http_parse.create ();
-              cbuf = 0;
-              len = 0;
-              path = "";
-              body_rel = 0;
-              body_len = 0;
-              ws = Netsim.Waitset.create ();
-              tid = -1;
-              pool = 0;
-              slot_rewinds = 0;
-              alive = false;
-            });
-      deaths = Queue.create ();
-      death_lock = Sched.Mutex.create ();
-      death_cond = Sched.Cond.create ();
-      stopping = false;
       pool_alloc;
       post_count = 0;
-      c_restarts =
-        M.counter metrics "httpd_worker_restarts_total"
-          ~help:"Worker processes respawned by the master";
-      c_dropped =
-        M.counter metrics "httpd_dropped_connections_total"
-          ~help:"Connections lost to faults or worker deaths";
-      c_proactive =
-        M.counter metrics "httpd_proactive_restarts_total"
-          ~help:"Voluntary re-execs after the rewind limit";
-      restart_lat = [];
     }
   in
-  Array.iter (fun slot -> spawn_worker t slot) t.slots;
-  ignore (Sched.spawn sched ~name:"nginx-master" (fun () -> master t));
-  ignore (Sched.spawn sched ~name:"nginx-accept" (fun () -> acceptor t));
+  Serve.start core sched ~threads:"nginx" ~shed:(shed t) ~serve:(worker t);
   t
 
-and spawn_worker t slot =
-  slot.slot_rewinds <- 0;
-  slot.alive <- true;
-  slot.pool <- t.pool_alloc uri_dst_cap;
-  slot.tid <-
-    Sched.spawn t.sched
-      ~name:(Printf.sprintf "nginx-worker%d" slot.idx)
-      (fun () -> worker t slot)
+(* Overload: a retryable 503 before any parsing or domain switch. *)
+and shed t w c req =
+  Serve.shed t.core c ~trace:(trace_of_req req) ~udi:(worker_udi t w) http_503
 
-and acceptor t =
-  let next = ref 0 in
-  (* Round-robin over workers that are actually alive: a connection handed
-     to a dead worker's (closed) waitset would never be served. *)
-  let pick_slot () =
-    let rec try_from i remaining =
-      if remaining = 0 then None
-      else
-        let slot = t.slots.(i mod t.cfg.workers) in
-        if slot.alive then Some slot else try_from (i + 1) (remaining - 1)
-    in
-    let r = try_from !next t.cfg.workers in
-    incr next;
-    r
-  in
-  let rec loop () =
-    match Netsim.accept t.listener with
-    | None -> ()
-    | Some c ->
-        (match pick_slot () with
-        | None ->
-            (* No worker alive right now: connection refused. *)
-            Netsim.close c
-        | Some slot ->
-            Serve.accept t.core c;
-            Netsim.Waitset.add slot.ws c);
-        loop ()
-  in
-  loop ()
-
-and worker t slot =
-  let drop c = Serve.drop t.core slot.ws c in
-  (* Overload: answer the retryable 503 before any parsing or domain
-     switch is spent on this request. *)
-  let shed c req =
-    Serve.shed t.core c ~trace:(trace_of_req req) ~udi:(slot_udi t slot)
-      http_503
+(* Each (re)spawn of a worker gets a fresh slot and request pool. *)
+and worker t w =
+  let slot =
+    {
+      w;
+      reply = Netsim.Buf.create ();
+      req = Http_parse.create ();
+      cbuf = 0;
+      len = 0;
+      path = "";
+      body_rel = 0;
+      body_len = 0;
+      pool = t.pool_alloc uri_dst_cap;
+    }
   in
   let serve_request =
     match t.parser_sd with
     | Some sd ->
+        (* [Serve.run] runs [body] in the parser domain. The request's
+           trace covers its whole handling, [respond] included:
+           parse-phase switches, faults, replays and audit records
+           inherit it. *)
         let on_rewind f =
-          Serve.rewound t.core f;
-          slot.slot_rewinds <- slot.slot_rewinds + 1;
-          `Close_faulted
+          Serve.rewound t.core w f;
+          `Rewound
         in
         let body () = parse_in_domain t slot sd in
-        fun c req -> handle_sdrad t slot sd c req ~on_rewind ~body
+        fun c req -> (
+          match
+            Serve.run t.core w sd c ~trace:(trace_of_req req)
+              ~udi:(worker_udi t w) ~busy:http_503 ~on_rewind body
+          with
+          (* A quarantined parser domain degrades instead of serving:
+             the client gets a retryable 503 and keeps its connection.
+             A rewound request's connection is already closed. *)
+          | `Busy | `Rewound -> `Keep
+          | `Bad_request ->
+              Netsim.send c http_400;
+              `Keep
+          | `Parsed ->
+              (* Body bytes are served from the original connection
+                 buffer. *)
+              respond t slot c)
     | None -> fun c _ -> handle_plain t slot c
   in
-  let handle c req =
+  fun c req ->
     slot.len <- Serve.copy_in t.core c req;
     slot.cbuf <- Serve.buffer c;
-    let verdict = serve_request c req in
-    Serve.clear_trace t.core;
-    (match verdict with
+    (match serve_request c req with
     | `Keep -> ()
-    | (`Close | `Close_graceful) as v ->
-        drop c;
-        if v = `Close then Telemetry.Metrics.inc t.c_dropped);
+    | `Close -> Serve.drop t.core w c
+    | `Close_graceful -> Serve.close t.core w c);
     (* Scheduler-level chaos: lose this worker "process" between
        requests; the master observes the death and respawns. *)
     match t.faults with
     | Some fi ->
         ignore
           (Fault_inject.maybe_kill fi ~site:"httpd.worker" ~sched:t.sched
-             ~tid:slot.tid)
+             ~tid:(Sched.self ()))
     | None -> ()
-  in
-  (* §VI mitigation: after too many rewinds, re-exec voluntarily to
-     re-randomize the address space. *)
-  let after () =
-    match t.cfg.rewind_limit with
-    | Some limit when slot.slot_rewinds >= limit ->
-        Log.info (fun m ->
-            m "worker %d reached its rewind limit (%d); re-exec" slot.idx limit);
-        Telemetry.Metrics.inc t.c_proactive;
-        raise Exit
-    | Some _ | None -> ()
-  in
-  try Serve.worker t.core ~after slot.ws ~drop ~shed ~handle
-  with _e ->
-    (* The worker process dies: its connections, the ones its waitset
-       still watches, are torn down by the kernel and the master is
-       notified via SIGCHLD. *)
-    slot.alive <- false;
-    let at = Sched.now () in
-    let conns = Netsim.Waitset.close_all slot.ws in
-    Telemetry.Metrics.add t.c_dropped (List.length conns);
-    Sched.Mutex.with_lock t.death_lock (fun () ->
-        Queue.add (slot.idx, at) t.deaths;
-        Sched.Cond.signal t.death_cond);
-    (* Their buffers go back only after the death notice is queued, so a
-       failing free cannot lose the respawn. *)
-    List.iter (Serve.forget t.core) conns
 
-and master t =
-  let rec loop () =
-    let event =
-      Sched.Mutex.with_lock t.death_lock (fun () ->
-          while Queue.is_empty t.deaths && not t.stopping do
-            Sched.Cond.wait t.death_cond t.death_lock
-          done;
-          Queue.take_opt t.deaths)
-    in
-    match event with
-    | Some (idx, died_at) ->
-        if
-          (not t.stopping)
-          && Telemetry.Metrics.counter_value t.c_restarts < max_restarts
-        then begin
-          Log.warn (fun m -> m "worker %d died; respawning" idx);
-          Telemetry.Metrics.inc t.c_restarts;
-          Sched.charge worker_restart_cost;
-          let slot = t.slots.(idx) in
-          slot.ws <- Netsim.Waitset.create ();
-          spawn_worker t slot;
-          t.restart_lat <- (Sched.now () -. died_at) :: t.restart_lat
-        end;
-        loop ()
-    | None -> if not t.stopping then loop ()
-  in
-  loop ()
-
-let stop t =
-  t.stopping <- true;
-  Netsim.close_listener t.listener;
-  Array.iter (fun slot -> Netsim.Waitset.close slot.ws) t.slots;
-  (* Wake the master so it observes [stopping]. *)
-  Sched.Mutex.with_lock t.death_lock (fun () -> Sched.Cond.signal t.death_cond)
-
+let stop t = Serve.stop t.core
 let requests_served t = Serve.requests_served t.core
 let rewinds t = Serve.rewinds t.core
 let rewind_latencies t = Serve.rewind_latencies t.core
-let worker_restarts t = Telemetry.Metrics.counter_value t.c_restarts
-let proactive_restarts t = Telemetry.Metrics.counter_value t.c_proactive
-let restart_latencies t = t.restart_lat
-let dropped_connections t = Telemetry.Metrics.counter_value t.c_dropped
+let worker_restarts t = Serve.worker_restarts t.core
+let proactive_restarts t = Serve.proactive_restarts t.core
+let restart_latencies t = Serve.restart_latencies t.core
+let dropped_connections t = Serve.dropped_connections t.core
 let shed_count t = Serve.shed_count t.core
 let replay_hits t = Serve.replay_hits t.core
 let post_count t = t.post_count
 let race_detector t = Serve.race_detector t.core
 
-let alive t =
-  Array.exists
-    (fun slot ->
-      match Sched.outcome t.sched slot.tid with None -> true | Some _ -> false)
-    t.slots
+let alive t = Serve.alive t.core

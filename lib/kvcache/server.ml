@@ -5,10 +5,6 @@ module Api = Sdrad.Api
 module Types = Sdrad.Types
 module Fault_inject = Resilience.Fault_inject
 
-let log_src = Logs.Src.create "sdrad.kvcache" ~doc:"key-value cache server"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type variant = Serve.variant = Baseline | Tlsf_alloc | Sdrad
 
 type config = {
@@ -60,13 +56,8 @@ type t = {
   mutable next_client_udi : int;
   slab : Slab.t;
   db : Store.t;
-  listener : Netsim.listener;
-  waitsets : Netsim.Waitset.ws array;
-  mutable tids : Sched.tid list;
   glock : Sched.Mutex.mutex;
   lock_word : int;
-  c_dropped : Telemetry.Metrics.counter;
-  mutable crashed : bool;
 }
 
 (* The unchecked copy of CVE-2011-4971: the length field from the request
@@ -156,7 +147,7 @@ let binary_wire =
    request, the reply buffer, and what a request's domain body hands
    back to the parent. Between requests it holds stale values. *)
 type slot = {
-  ws : Netsim.Waitset.ws;
+  w : Serve.worker;
   reply : Netsim.Buf.t;
   req : Proto.req;
   mutable wire : wire;
@@ -174,9 +165,9 @@ type slot = {
 
 let no_fault = { Types.failed_udi = 0; cause = Types.Stack_smash; tid = 0; at = 0.0 }
 
-let make_slot ws =
+let make_slot w =
   {
-    ws;
+    w;
     reply = Netsim.Buf.create ();
     req = Proto.create ();
     wire = text_wire;
@@ -240,8 +231,8 @@ let apply_arith t w (r : Proto.req) =
    the parent after a normal exit (Figure 3 steps 8-9), under the lock;
    a write's value is the copy staged in the domain. The plain variants
    apply their deletes and arithmetic through it directly. *)
-let deferred t slot w =
-  let r = slot.req in
+let deferred t slot =
+  let r = slot.req and w = slot.wire in
   lock t;
   match
     match r.kind with
@@ -269,8 +260,8 @@ let deferred t slot w =
 
 (* A plain variant's store: allocate and fill outside the lock, link
    under it. *)
-let plain_store t slot w =
-  let r = slot.req in
+let plain_store t slot =
+  let r = slot.req and w = slot.wire in
   if r.declared_len <> r.data_len then w.w_error
   else if storage_mode_blocked t r then Proto.not_stored
   else
@@ -286,19 +277,6 @@ let plain_store t slot w =
         | exception e -> unlock t; raise e);
         w.w_stored
 
-(* At-most-once: a mutation whose rid is journaled is answered from the
-   journal; otherwise [compute] runs and its reply is journaled. *)
-let replay_or t slot w compute =
-  let r = slot.req in
-  if r.rid_len = 0 then compute t slot w
-  else
-    match Serve.replayed t.core r.src r.rid r.rid_len with
-    | reply -> reply
-    | exception Not_found ->
-        let reply = compute t slot w in
-        Serve.journal_reply t.core r.src r.rid r.rid_len reply;
-        reply
-
 let stats_reply t =
   Proto.fmt_stats_reply
     [
@@ -307,8 +285,7 @@ let stats_reply t =
       ("evictions", string_of_int (Store.evictions t.db));
       ("total_requests", string_of_int (Serve.requests_served t.core));
       ("rewinds", string_of_int (Serve.rewinds t.core));
-      ("dropped_connections",
-       string_of_int (Telemetry.Metrics.counter_value t.c_dropped));
+      ("dropped_connections", string_of_int (Serve.dropped_connections t.core));
       ("busy_rejections", string_of_int (Serve.busy_rejections t.core));
       ("slab_pages", string_of_int (Slab.pages_allocated t.slab));
       (* Operator truth about the bounded audit log: how many incident
@@ -390,7 +367,8 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
   in
   let module M = Telemetry.Metrics in
   let core =
-    Serve.create space cfg.variant ?sdrad ?supervisor ?faults ~name:"kvcache"
+    Serve.create space cfg.variant ?sdrad ?supervisor ?faults net
+      ~port:cfg.port ~workers:cfg.workers One_process ~name:"kvcache"
       ~alloc_site:"kv.alloc"
       ~malloc_region:(fun len ->
         match (cfg.variant, sd) with
@@ -415,6 +393,9 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
           shed =
             M.counter m "kvcache_shed_total"
               ~help:"Requests shed by overload admission control";
+          dropped =
+            M.counter m "kvcache_dropped_connections_total"
+              ~help:"Connections lost to faults or the process's crash";
           rewind_cycles =
             M.histogram m "kvcache_rewind_cycles"
               ~help:"Cycles from fault to connection closed";
@@ -434,15 +415,8 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
       next_client_udi = client_udi_base;
       slab;
       db;
-      listener = Netsim.listen net ~port:cfg.port;
-      waitsets = Array.init cfg.workers (fun _ -> Netsim.Waitset.create ());
-      tids = [];
       glock = Sched.Mutex.create ();
       lock_word;
-      c_dropped =
-        M.counter metrics "kvcache_dropped_connections_total"
-          ~help:"Connections closed after a rewind";
-      crashed = false;
     }
   in
   M.gauge_fn metrics "kvcache_items" ~help:"Items currently stored" (fun () ->
@@ -451,79 +425,38 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
     (fun () -> float_of_int (Store.value_bytes t.db));
   M.counter_fn metrics "kvcache_evictions_total" ~help:"LRU evictions"
     (fun () -> Store.evictions t.db);
-  let dispatcher_tid = Sched.spawn sched ~name:"mc-dispatch" (fun () -> dispatcher t) in
-  let worker_tids =
-    List.init cfg.workers (fun i ->
-        Sched.spawn sched ~name:(Printf.sprintf "mc-worker%d" i) (fun () -> worker t i))
-  in
-  t.tids <- dispatcher_tid :: worker_tids;
+  Serve.start core sched ~threads:"mc" ~shed:(shed t) ~serve:(worker t);
   t
-
-(* The process died: the kernel closes its sockets and listener. Every
-   open connection is watched by a worker's waitset: [Serve.drop] takes
-   a connection out of it as it closes it. *)
-and crash_cleanup t =
-  Log.err (fun m -> m "server process crashed; all connections lost");
-  t.crashed <- true;
-  Netsim.close_listener t.listener;
-  Array.iter (fun ws -> ignore (Netsim.Waitset.close_all ws)) t.waitsets
-
-and dispatcher t =
-  let next = ref 0 in
-  let rec loop () =
-    match Netsim.accept t.listener with
-    | None -> ()
-    | Some c ->
-        if t.crashed then Netsim.close c
-        else begin
-          (match Serve.accept t.core c with
-          | () ->
-              Netsim.Waitset.add t.waitsets.(!next mod t.cfg.workers) c;
-              incr next
-          | exception (Space.Exhausted | Tlsf.Out_of_memory) ->
-              (* No room for its buffer: memcached closes a connection
-                 it cannot allocate. *)
-              Netsim.close c);
-          loop ()
-        end
-  in
-  try loop () with e -> crash_cleanup t; raise e
 
 (* Each worker serves its requests through one slot of its own, and
    under SDRaD builds its domain closures once. *)
-and worker t i =
-  let slot = make_slot t.waitsets.(i) in
-  let handle =
-    match (t.cfg.variant, t.sd) with
-    | Sdrad, Some sd ->
-        (* Abnormal exit: the event is discarded; [handle_sdrad] closes
-           only this client once [Serve.run] returns. *)
-        let on_rewind f =
-          slot.fault <- f;
-          `Rewound
-        in
-        let body () = domain_body t slot sd in
-        fun c req -> handle_sdrad t slot sd ~on_rewind ~body c req
-    | _ -> (
-        fun c req ->
-          match handle_plain t slot c req with
-          | () -> ()
-          | exception Space.Exhausted ->
-              (* A staging buffer the space has no room for, asked for
-                 before any reply: memcached's out-of-memory reply, and
-                 the worker goes on. *)
-              let w = slot.wire in
-              Netsim.send c
-                (match slot.req.kind with
-                | Get | Multi_get -> w.w_oom_get
-                | _ -> w.w_oom))
-  in
-  try
-    Serve.worker t.core slot.ws ~drop:(Serve.drop t.core slot.ws)
-      ~shed:(shed t) ~handle
-  with e -> crash_cleanup t; raise e
+and worker t w =
+  let slot = make_slot w in
+  match (t.cfg.variant, t.sd) with
+  | Sdrad, Some sd ->
+      (* Abnormal exit: the event is discarded, and [Serve.run] closes
+         only this client. *)
+      let on_rewind f =
+        slot.fault <- f;
+        `Rewound
+      in
+      let body () = domain_body t slot sd in
+      fun c req -> handle_sdrad t slot sd ~on_rewind ~body c req
+  | _ -> (
+      fun c req ->
+        match handle_plain t slot c req with
+        | () -> ()
+        | exception Space.Exhausted ->
+            (* A staging buffer the space has no room for, asked for
+               before any reply: memcached's out-of-memory reply, and
+               the worker goes on. *)
+            let w = slot.wire in
+            Netsim.send c
+              (match slot.req.kind with
+              | Get | Multi_get -> w.w_oom_get
+              | _ -> w.w_oom))
 
-and shed t c req =
+and shed t _ c req =
   let msg = Netsim.Buf.view req and n = Netsim.Buf.length req in
   let binary = n > 0 && Char.code msg.[0] = Binproto.magic_request in
   Serve.shed t.core c
@@ -571,8 +504,12 @@ and handle_plain t slot c req =
           ~declared:r.declared_len;
         Netsim.send c w.w_stored
       end
-      else Netsim.send c (replay_or t slot w plain_store)
-  | Delete | Incr | Decr -> Netsim.send c (replay_or t slot w deferred)
+      else
+        Netsim.send c
+          (Serve.replay_or t.core r.src r.rid r.rid_len plain_store t slot)
+  | Delete | Incr | Decr ->
+      Netsim.send c
+        (Serve.replay_or t.core r.src r.rid r.rid_len deferred t slot)
   | Multi_get ->
       (* Each hit's staging buffer is freed before the next key is looked
          up, so the values are read out as strings first. *)
@@ -595,7 +532,7 @@ and handle_plain t slot c req =
                 Bytes.blit_string v 0 b off len)))
   | Stats -> Netsim.send c (stats_reply t)
   | Stats_telemetry -> Netsim.send c (telemetry_reply t)
-  | Quit -> Serve.drop t.core slot.ws c
+  | Quit -> Serve.close t.core slot.w c
   | Bad -> Netsim.send c w.w_error
 
 (* With per-client domains, the udi is keyed by the connection's source
@@ -632,20 +569,18 @@ and handle_sdrad t slot sd ~on_rewind ~body c req =
     if binary then Binproto.parse_trace space ~addr:slot.cbuf ~len:slot.len
     else Proto.parse_trace slot.req space ~addr:slot.cbuf ~len:slot.len
   in
-  (match Serve.run t.core sd ~trace ~udi:slot.udi ~on_rewind body with
-  | `Busy -> Serve.busy t.core c w.w_busy
+  match
+    Serve.run t.core slot.w sd c ~trace ~udi:slot.udi ~busy:w.w_busy
+      ~on_rewind body
+  with
+  | `Busy -> ()
   | `Rewound ->
-      (* Abnormal exit: discard the event, close only this client. *)
-      let f = slot.fault in
-      Log.info (fun m ->
-          m "rewound event on conn %d: %a" (Netsim.id c) Types.pp_fault f);
-      Serve.drop t.core slot.ws c;
-      Telemetry.Metrics.inc t.c_dropped;
-      Serve.rewound t.core f
+      (* The event was discarded and only this client closed: the
+         latency ends here. *)
+      Serve.rewound t.core slot.w slot.fault
   | `Value -> Netsim.send_buf c slot.reply
   | `Reply -> Netsim.send c slot.text
-  | `Drop -> Serve.drop t.core slot.ws c);
-  Serve.clear_trace t.core
+  | `Drop -> Serve.close t.core slot.w c
 
 (* The request's event-domain run (Figure 3): the connection buffer is
    deep-copied into the domain (step 4) through the cached
@@ -693,7 +628,8 @@ and domain_body t slot sd =
     | `Telemetry_cmd -> slot.text <- telemetry_reply t; `Reply
     | `Quit_cmd -> `Drop
     | `Deferred ->
-        slot.text <- replay_or t slot w deferred;
+        let r = slot.req in
+        slot.text <- Serve.replay_or t.core r.src r.rid r.rid_len deferred t slot;
         if slot.staged <> 0 then Api.free sd ~udi slot.staged;
         `Reply
     | `Discarded ->
@@ -769,27 +705,23 @@ and drive_machine_in_domain t sd slot ~dbuf =
   | Quit -> `Quit_cmd
   | Bad -> `Bad_cmd
 
-let stop t =
-  Netsim.close_listener t.listener;
-  Array.iter Netsim.Waitset.close t.waitsets
+let stop t = Serve.stop t.core
+let join t = List.iter Sched.join (Serve.threads t.core)
 
-let join t = List.iter Sched.join t.tids
 let worker_busy_cycles t =
   List.fold_left
     (fun acc tid ->
       match (Sched.thread_clock t.sched tid, Sched.thread_waited t.sched tid) with
       | Some c, Some w -> acc +. (c -. w)
       | _ -> acc)
-    0.0 t.tids
+    0.0 (Serve.threads t.core)
 
+(* [Serve.threads] less the dispatcher's. *)
 let worker_utilization t =
-  match t.tids with
-  | [] -> []
-  | _dispatcher :: workers ->
-      List.filter_map (fun tid -> Sched.busy_fraction t.sched tid) workers
+  List.filter_map (Sched.busy_fraction t.sched) (List.tl (Serve.threads t.core))
 
 let store t = t.db
-let crashed t = t.crashed
+let crashed t = not (Serve.alive t.core)
 let requests_served t = Serve.requests_served t.core
 let rewinds t = Serve.rewinds t.core
 let busy_rejections t = Serve.busy_rejections t.core
@@ -797,9 +729,8 @@ let shed_count t = Serve.shed_count t.core
 let replay_hits t = Serve.replay_hits t.core
 let journal t = Serve.journal t.core
 let rewind_latencies t = Serve.rewind_latencies t.core
-let dropped_connections t = Telemetry.Metrics.counter_value t.c_dropped
-let live_connections t =
-  Array.fold_left (fun n ws -> n + Netsim.Waitset.size ws) 0 t.waitsets
+let dropped_connections t = Serve.dropped_connections t.core
+let live_connections t = Serve.live_connections t.core
 let race_detector t = Serve.race_detector t.core
 let db_bytes t = Slab.pages_allocated t.slab * Slab.slab_page_size
 let db_check t = Store.check t.db

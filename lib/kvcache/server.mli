@@ -103,6 +103,7 @@ val rewind_latencies : t -> float list
     being closed — the paper's abnormal-exit latency (§V-A). *)
 
 val dropped_connections : t -> int
+(** Connections lost to a rewind or closed by the process's crash. *)
 
 val live_connections : t -> int
 (** Connections the workers' waitsets watch: accepted and not yet

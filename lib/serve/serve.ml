@@ -13,6 +13,10 @@ module Types = Sdrad.Types
 module Journal = Resilience.Journal
 module M = Telemetry.Metrics
 
+let log_src = Logs.Src.create "sdrad.serve" ~doc:"serving core"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
+
 type variant = Baseline | Tlsf_alloc | Sdrad
 
 let conn_buf_size = 16 * 1024
@@ -86,12 +90,28 @@ type counters = {
   rewinds : M.counter;
   busy : M.counter;
   shed : M.counter;
+  dropped : M.counter;
   rewind_cycles : M.histogram;
+}
+
+type process =
+  | One_process
+  | Per_worker of {
+      restart_cost : float;
+      max_restarts : int;
+      rewind_limit : int option;
+    }
+
+type worker = {
+  idx : int;
+  mutable ws : Netsim.Waitset.ws;
+  mutable tid : Sched.tid;
+  mutable alive : bool;
+  mutable rewinds : int;
 }
 
 type t = {
   space : Space.t;
-  variant : variant;
   sd : Api.t option;
   sup : Resilience.Supervisor.t option;
   metrics : M.t;
@@ -101,9 +121,21 @@ type t = {
   buf_free : int -> unit;
   proc_cycles : float;
   shed_queue_limit : int;
-  gate_batch_limit : int;
+  gate_batch_limit : int;  (* 0 unless [Sdrad]: only its gates batch *)
   race : Analysis.Race.t option;
   mutable rewind_lat : float list;
+  process : process;
+  listener : Netsim.listener;
+  workers : worker array;
+  mutable next : int;  (* the acceptor's round-robin position *)
+  mutable acceptor : Sched.tid;
+  (* [Per_worker]'s master: deaths to reap, its wait and its work *)
+  deaths : (worker * float) Queue.t;
+  mutable idle : Sched.handle;
+  mutable stopping : bool;
+  mutable restarts : int;
+  mutable proactive : int;
+  mutable restart_lat : float list;
 }
 
 (* {1 Start-up} *)
@@ -120,9 +152,9 @@ let boot ~name variant ?sdrad space ~image_bytes =
     Space.fill space ~addr:img ~len:image_bytes '\x90'
   end
 
-let create space variant ?sdrad ?supervisor ?faults ~name ~alloc_site
-    ~malloc_region ~journal_cap ~proc_cycles ~shed_queue_limit
-    ~gate_batch_limit ~race_detector ~counters () =
+let create space variant ?sdrad ?supervisor ?faults net ~port ~workers process
+    ~name ~alloc_site ~malloc_region ~journal_cap ~proc_cycles
+    ~shed_queue_limit ~gate_batch_limit ~race_detector ~counters () =
   let buf_alloc, buf_free =
     match variant with
     | Baseline -> glibc_allocator space
@@ -159,7 +191,6 @@ let create space variant ?sdrad ?supervisor ?faults ~name ~alloc_site
     sdrad;
   {
     space;
-    variant;
     sd = sdrad;
     sup = supervisor;
     metrics;
@@ -169,9 +200,23 @@ let create space variant ?sdrad ?supervisor ?faults ~name ~alloc_site
     buf_free;
     proc_cycles;
     shed_queue_limit;
-    gate_batch_limit;
+    gate_batch_limit = (if variant = Sdrad then gate_batch_limit else 0);
     race;
     rewind_lat = [];
+    process;
+    listener = Netsim.listen net ~port;
+    workers =
+      Array.init workers (fun idx ->
+          { idx; ws = Netsim.Waitset.create (); tid = -1; alive = false;
+            rewinds = 0 });
+    next = 0;
+    acceptor = -1;
+    deaths = Queue.create ();
+    idle = Sched.no_handle;
+    stopping = false;
+    restarts = 0;
+    proactive = 0;
+    restart_lat = [];
   }
 
 (* {1 Connection buffers}
@@ -197,10 +242,14 @@ let forget t c =
     t.buf_free addr
   end
 
-let drop t ws c =
-  Netsim.Waitset.remove ws c;
+let close t w c =
+  Netsim.Waitset.remove w.ws c;
   Netsim.close c;
   forget t c
+
+let drop t w c =
+  close t w c;
+  M.inc t.c.dropped
 
 (* {1 Wire text} *)
 
@@ -257,11 +306,6 @@ let shed t c ~trace ~udi reply =
   | None -> ());
   Netsim.send c reply
 
-(* The context is per-request: clear it so later work on this worker
-   thread (or the next request) is not mis-attributed. *)
-let clear_trace t =
-  match t.sd with Some sd -> Api.set_trace sd 0 | None -> ()
-
 let on_busy ~until:_ = `Busy
 
 (* [?opts] passed as this option, made once: passing [~opts] would
@@ -271,23 +315,31 @@ let some_domain_opts = Some domain_opts
 (* Install the request's causal trace context before anything else: the
    admit decision, every domain switch, fault, replay and audit record
    triggered by this request carries its id. Supervised, a quarantined
-   udi is turned away before any domain state is touched; the caller
-   answers [`Busy] with {!busy}. *)
-let run t sd ~trace ~udi ~on_rewind body =
+   udi is turned away before any domain state is touched. What every
+   server does with two of the results is done here: [`Busy] gets the
+   busy reply, and a rewound request's connection is dropped. *)
+let run t w sd c ~trace ~udi ~busy:reply ~on_rewind body =
   Api.set_trace sd trace;
   Api.record_flight sd ~udi ~trace ~arg:0 Checkpoint.Flight.Admit;
-  match t.sup with
-  | Some sup ->
-      Resilience.Supervisor.run sup ~udi ?opts:some_domain_opts ~on_rewind
-        ~on_busy body
-  | None -> Api.run sd ~udi ?opts:some_domain_opts ~on_rewind body
+  let r =
+    match t.sup with
+    | Some sup ->
+        Resilience.Supervisor.run sup ~udi ?opts:some_domain_opts ~on_rewind
+          ~on_busy body
+    | None -> Api.run sd ~udi ?opts:some_domain_opts ~on_rewind body
+  in
+  (match r with
+  | `Busy ->
+      M.inc t.c.busy;
+      Netsim.send c reply
+  | `Rewound -> drop t w c
+  | _ -> ());
+  r
 
-let busy t c reply =
-  M.inc t.c.busy;
-  Netsim.send c reply
-
-let rewound t (f : Types.fault) =
+let rewound t w (f : Types.fault) =
+  Log.info (fun m -> m "worker %d rewound a request: %a" w.idx Types.pp_fault f);
   M.inc t.c.rewinds;
+  w.rewinds <- w.rewinds + 1;
   let lat = Sched.now () -. f.Types.at in
   t.rewind_lat <- lat :: t.rewind_lat;
   M.observe t.c.rewind_cycles lat
@@ -298,46 +350,63 @@ let rewound t (f : Types.fault) =
    commit, before it can be lost on the wire. Both halves run in the
    parent (root domain), so this is exactly the window a nested-domain
    rewind cannot touch: no entry = the commit never happened and the
-   retry re-executes; entry = the commit happened and the retry replays. *)
-let replayed t s off len =
-  let reply = Journal.find t.journal s off len in
-  (* A journal hit is a causal consequence of the original op's earlier
-     attempt: record it under the retry's trace id. *)
-  (match t.sd with
-  | Some sd -> Api.flight_event sd Checkpoint.Flight.Replay
-  | None -> ());
-  reply
+   retry re-executes; entry = the commit happened and the retry replays.
+   An empty id is no id: the mutation is simply applied. *)
+let replay_or t s off len compute a b =
+  if len = 0 then compute a b
+  else
+    match Journal.find t.journal s off len with
+    | reply ->
+        (* A journal hit is a causal consequence of the original op's
+           earlier attempt: record it under the retry's trace id. *)
+        (match t.sd with
+        | Some sd -> Api.flight_event sd Checkpoint.Flight.Replay
+        | None -> ());
+        reply
+    | exception Not_found ->
+        let reply = compute a b in
+        Journal.record t.journal s off len reply;
+        reply
 
-let journal_reply t s off len reply = Journal.record t.journal s off len reply
+(* {1 The worker process} *)
 
-let replay_or t rid compute =
-  match rid with
-  | None -> compute ()
-  | Some r -> (
-      let len = String.length r in
-      match replayed t r 0 len with
-      | reply -> reply
-      | exception Not_found ->
-          let reply = compute () in
-          journal_reply t r 0 len reply;
-          reply)
+(* A process's death: the kernel closes the connections it watched, all
+   of them under [One_process] (with the listener), and they count as
+   dropped. The buffers go back only after the master is told, so a
+   failing free cannot lose the respawn. *)
+let die t w =
+  let dead =
+    match t.process with
+    | One_process ->
+        Log.err (fun m -> m "server process crashed; all connections lost");
+        Netsim.close_listener t.listener;
+        Array.to_list t.workers
+    | Per_worker _ -> [ w ]
+  in
+  let close_all w = w.alive <- false; Netsim.Waitset.close_all w.ws in
+  let conns = List.concat_map close_all dead in
+  M.add t.c.dropped (List.length conns);
+  Queue.add (w, Sched.now ()) t.deaths;
+  ignore (Sched.wake t.idle);
+  List.iter (forget t) conns
 
-(* {1 The worker event loop} *)
-
-let worker t ?(after = ignore) ws ~drop ~shed ~handle =
-  let batching = t.gate_batch_limit > 0 && t.variant = Sdrad in
+(* Serve the worker's waitset until it closes, receiving every request
+   into one buffer. *)
+let serve_waitset t w ~shed ~handle =
+  let ws = w.ws in
+  let batching = t.gate_batch_limit > 0 in
   let syscall = (Space.cost t.space).Simkern.Cost.syscall in
-  (* Every request of this worker is received into one buffer; a
-     request is handled before the next is received. *)
   let req = Netsim.Buf.create () in
   let serve c =
     (* epoll_wait + read(2) *)
     Sched.charge syscall;
-    if should_shed t ws then shed c req
+    if should_shed t ws then shed w c req
     else begin
       Sched.charge t.proc_cycles;
       M.inc t.c.served;
-      handle c req
+      handle c req;
+      (* The trace was the request's alone. *)
+      match t.sd with Some sd -> Api.set_trace sd 0 | None -> ()
     end
   in
   (* Pull whatever else is already deliverable into the same open gate
@@ -352,24 +421,115 @@ let worker t ?(after = ignore) ws ~drop ~shed ~handle =
           drain (n + 1)
         end
         else begin
-          drop c;
+          close t w c;
           drain n
         end
   in
   let rec loop () =
     let c = Netsim.Waitset.wait ws in
     if c != Netsim.no_conn then begin
-      (if not (Netsim.recv_buf c req) then drop c
+      (if not (Netsim.recv_buf c req) then close t w c
        else if batching then
          Api.with_gate (Option.get t.sd) (fun () ->
              serve c;
              drain 1)
        else serve c);
-      after ();
+      (* §VI: re-exec to re-randomize the address space. *)
+      (match t.process with
+      | Per_worker { rewind_limit = Some limit; _ } when w.rewinds >= limit ->
+          Log.info (fun m ->
+              m "worker %d reached its rewind limit (%d); re-exec" w.idx limit);
+          t.proactive <- t.proactive + 1;
+          raise Exit
+      | _ -> ());
       loop ()
     end
   in
   loop ()
+
+(* An exception out of a worker's loop is its process's death: a crash
+   that fails the thread, or a worker process's for the master to reap. *)
+let spawn_worker t sched ~threads ~shed ~serve w =
+  w.rewinds <- 0;
+  w.alive <- true;
+  let handle = serve w in
+  w.tid <-
+    Sched.spawn sched
+      ~name:(threads ^ "-worker" ^ Int.to_string w.idx)
+      (fun () ->
+        match serve_waitset t w ~shed ~handle with
+        | () -> ()
+        | exception e ->
+            die t w;
+            if t.process = One_process then raise e)
+
+(* The first live worker at or after [i], cyclically; -1 when none is. *)
+let rec live_from t i left =
+  if left = 0 then -1
+  else
+    let w = t.workers.(i mod Array.length t.workers) in
+    if w.alive then w.idx else live_from t (i + 1) (left - 1)
+
+(* Round-robin over the live workers. The round moves on past a
+   connection placed, or refused for want of a live worker (all of a
+   crashed process's backlog), but not past one closed for want of
+   buffer room (memcached closes a connection it cannot allocate). *)
+let rec accept_loop t =
+  match Netsim.accept t.listener with
+  | None -> ()
+  | Some c ->
+      (match live_from t t.next (Array.length t.workers) with
+      | -1 ->
+          Netsim.close c;
+          t.next <- t.next + 1
+      | i -> (
+          match accept t c with
+          | () ->
+              Netsim.Waitset.add t.workers.(i).ws c;
+              t.next <- t.next + 1
+          | exception (Space.Exhausted | Tlsf.Out_of_memory) -> Netsim.close c));
+      accept_loop t
+
+let start t sched ~threads ~shed ~serve =
+  let spawn = spawn_worker t sched ~threads ~shed ~serve in
+  let acceptor name =
+    t.acceptor <-
+      Sched.spawn sched ~name:(threads ^ name) (fun () -> accept_loop t)
+  in
+  match t.process with
+  | Per_worker { restart_cost; max_restarts; _ } ->
+      let rec master () =
+        match Queue.take_opt t.deaths with
+        | None ->
+            if not t.stopping then begin
+              t.idle <- Sched.handle ();
+              Sched.block ();
+              master ()
+            end
+        | Some (w, died_at) ->
+            if (not t.stopping) && t.restarts < max_restarts then begin
+              Log.warn (fun m -> m "worker %d died; respawning" w.idx);
+              t.restarts <- t.restarts + 1;
+              Sched.charge restart_cost;
+              w.ws <- Netsim.Waitset.create ();
+              spawn w;
+              t.restart_lat <- (Sched.now () -. died_at) :: t.restart_lat
+            end;
+            master ()
+      in
+      Array.iter spawn t.workers;
+      ignore (Sched.spawn sched ~name:(threads ^ "-master") master);
+      acceptor "-accept"
+  | One_process ->
+      acceptor "-dispatch";
+      Array.iter spawn t.workers
+
+let stop t =
+  t.stopping <- true;
+  Netsim.close_listener t.listener;
+  Array.iter (fun w -> Netsim.Waitset.close w.ws) t.workers;
+  (* Wake the master so it observes [stopping]. *)
+  ignore (Sched.wake t.idle)
 
 (* {1 Introspection} *)
 
@@ -382,3 +542,14 @@ let rewind_latencies t = t.rewind_lat
 let busy_rejections t = M.counter_value t.c.busy
 let shed_count t = M.counter_value t.c.shed
 let replay_hits t = Journal.hits t.journal
+let dropped_connections t = M.counter_value t.c.dropped
+let alive t = Array.exists (fun w -> w.alive) t.workers
+let idx w = w.idx
+let threads t = t.acceptor :: Array.fold_right (fun w l -> w.tid :: l) t.workers []
+
+let live_connections t =
+  Array.fold_left (fun n w -> n + Netsim.Waitset.size w.ws) 0 t.workers
+
+let worker_restarts t = t.restarts
+let proactive_restarts t = t.proactive
+let restart_latencies t = t.restart_lat

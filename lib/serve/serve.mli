@@ -3,28 +3,47 @@
     Both servers retrofit the paper's request pattern (§V-A, §V-B): admit
     a request, copy it into a nested domain, run it there, and on a fault
     rewind and close only that connection. The core owns the variant
-    allocators, the per-connection buffer table, start-up, admission
-    (shed, trace and [Admit], the supervised domain run, busy), rewind
-    bookkeeping, the journal replay bracket and the worker event loop.
-    Each server keeps its protocol, application state, threads and metric
-    names: it registers its own series, with literal names the
-    [metric-naming] lint can check, and hands them to {!create}. *)
+    allocators, the per-connection buffers, start-up, admission (shed,
+    trace, the supervised domain run and what its result asks of the
+    connection), rewind bookkeeping, the journal bracket, and the worker
+    process: the acceptor, the event loops, death and the master that
+    restarts (§V's rewind-versus-restart comparison). Each server keeps
+    its protocol, application state, replies and metric names, which it
+    registers with literal names the [metric-naming] lint can check. *)
 
 type variant = Baseline | Tlsf_alloc | Sdrad
 
 val conn_buf_size : int
 (** Bytes of each connection's buffer. *)
 
-val domain_opts : Sdrad.Types.options
-(** Options of every request domain: the defaults with a 64 KiB heap. *)
-
 type counters = {
   served : Telemetry.Metrics.counter;  (** requests past the shed test *)
   rewinds : Telemetry.Metrics.counter;
   busy : Telemetry.Metrics.counter;  (** answered busy while quarantined *)
   shed : Telemetry.Metrics.counter;
+  dropped : Telemetry.Metrics.counter;  (** lost to a rewind or a death *)
   rewind_cycles : Telemetry.Metrics.histogram;
 }
+
+(** What a worker's death takes down. *)
+type process =
+  | One_process
+      (** memcached's threads, spawned after [<threads>-dispatch]: a death
+          closes the listener and every connection, for good. *)
+  | Per_worker of {
+      restart_cost : float;
+      max_restarts : int;
+      rewind_limit : int option;  (** §VI: rewinds before a re-exec *)
+    }
+      (** nginx's processes, spawned before [<threads>-master] and
+          [<threads>-accept]: a death closes the worker's connections,
+          and the master respawns it after [restart_cost]. *)
+
+type worker
+(** [<threads>-worker<idx>], with its connections and its rewinds since
+    it started. *)
+
+val idx : worker -> int
 
 type t
 
@@ -41,6 +60,10 @@ val create :
   ?sdrad:Sdrad.Api.t ->
   ?supervisor:Resilience.Supervisor.t ->
   ?faults:Resilience.Fault_inject.t ->
+  Netsim.t ->
+  port:int ->
+  workers:int ->
+  process ->
   name:string ->
   alloc_site:string ->
   malloc_region:(int -> int) ->
@@ -57,7 +80,7 @@ val create :
     [name ^ "-bufs"] growing through [malloc_region], armed at
     [alloc_site]), the registry (the monitor's, else a fresh one), the
     journal [name], the [counters], the race detector and the journal
-    probe. *)
+    probe; the listener on [port] and [workers] unspawned workers. *)
 
 (** {1 Connection buffers} *)
 
@@ -81,8 +104,11 @@ val copy_in : t -> Netsim.conn -> Netsim.Buf.t -> int
 val forget : t -> Netsim.conn -> unit
 (** Free the connection's buffer; no-op when already forgotten. *)
 
-val drop : t -> Netsim.Waitset.ws -> Netsim.conn -> unit
-(** Leave the waitset, close and {!forget}. *)
+val close : t -> worker -> Netsim.conn -> unit
+(** Leave the worker's waitset, close and {!forget}. *)
+
+val drop : t -> worker -> Netsim.conn -> unit
+(** {!close} a connection lost to a fault, counted in [dropped]. *)
 
 (** {1 Wire text}
 
@@ -118,61 +144,56 @@ val shed : t -> Netsim.conn -> trace:int -> udi:int -> string -> unit
 
 val run :
   t ->
+  worker ->
   Sdrad.Api.t ->
+  Netsim.conn ->
   trace:int ->
   udi:Sdrad.Types.udi ->
-  on_rewind:(Sdrad.Types.fault -> ([> `Busy ] as 'a)) ->
+  busy:string ->
+  on_rewind:(Sdrad.Types.fault -> ([> `Busy | `Rewound ] as 'a)) ->
   (unit -> 'a) ->
   'a
-(** Admit a request: install its trace on this thread, record [Admit],
-    and run its domain with {!domain_opts}, through the supervisor when
-    there is one (a quarantined udi yields [`Busy]). The trace stays
-    installed until {!clear_trace}. It builds no closure and no option:
-    a server that builds [on_rewind] and [body] once per worker runs a
-    request without allocating here. *)
+(** Admit a request: install its trace until it is handled, record
+    [Admit], and run its domain (default options, 64 KiB heap),
+    supervised when there is a supervisor. [`Busy] (a quarantined udi)
+    is answered [busy]; [`Rewound], from [on_rewind], {!drop}s the
+    connection. It allocates nothing when [on_rewind] and [body] are
+    built once per worker. *)
 
-val clear_trace : t -> unit
+val rewound : t -> worker -> Sdrad.Types.fault -> unit
+(** Count a rewind, also as the worker's, and record its latency in
+    cycles since the fault: call it where the server's latency ends. *)
 
-val busy : t -> Netsim.conn -> string -> unit
-(** Count a busy rejection and send its reply. *)
+val replay_or :
+  t -> string -> int -> int -> ('a -> 'b -> string) -> 'a -> 'b -> string
+(** [replay_or t s off len compute a b]: the at-most-once bracket around
+    a mutation keyed by the request id [s.[off, off + len)]. A journaled
+    id is answered from the journal with one [Replay] flight event;
+    otherwise [compute a b]'s reply is journaled under a copy of the id.
+    An empty id is none. A top-level [compute] costs no closure. *)
 
-val rewound : t -> Sdrad.Types.fault -> unit
-(** Count a rewind and record its latency, in cycles since the fault. *)
+(** {1 The worker process} *)
 
-val replay_or : t -> string option -> (unit -> string) -> string
-(** At-most-once bracket around a mutation keyed by a request id: a
-    journaled id is answered from the journal with one [Replay] flight
-    event; otherwise [compute] runs and its reply is journaled. *)
-
-val replayed : t -> string -> int -> int -> string
-(** {!replay_or}'s first half, for a caller that brackets a mutation
-    without a closure and holds the id as the [len] bytes of [s] from
-    [off] ({!Resilience.Journal.find}): the journaled reply of the id,
-    recorded with one [Replay] flight event.
-    @raise Not_found when the id is not journaled. *)
-
-val journal_reply : t -> string -> int -> int -> string -> unit
-(** {!replay_or}'s second half: journal a fresh reply under the id
-    [s off len], which the journal copies. *)
-
-(** {1 The worker event loop} *)
-
-val worker :
+val start :
   t ->
-  ?after:(unit -> unit) ->
-  Netsim.Waitset.ws ->
-  drop:(Netsim.conn -> unit) ->
-  shed:(Netsim.conn -> Netsim.Buf.t -> unit) ->
-  handle:(Netsim.conn -> Netsim.Buf.t -> unit) ->
+  Simkern.Sched.t ->
+  threads:string ->
+  shed:(worker -> Netsim.conn -> Netsim.Buf.t -> unit) ->
+  serve:(worker -> Netsim.conn -> Netsim.Buf.t -> unit) ->
   unit
-(** Serve the waitset until it closes. Requests are received with
-    {!Netsim.recv_buf} into one buffer per worker, which [shed] and
-    [handle] read and must not keep. Each request charges a syscall,
-    then is [shed] when the waitset backlog exceeds [shed_queue_limit]
-    (never when it is 0), or else is charged [proc_cycles], counted and
-    [handle]d; a peer close calls [drop]. Under {!Sdrad} with a gate
-    batch limit, ready requests share one batched gate. [after] runs
-    after every wake-up. *)
+(** Spawn the {!process}'s threads. [serve w] makes a worker's request
+    handler on the spawning thread before each (re)spawn of [w]. A
+    worker receives each request into one buffer the handlers must not
+    keep, charges a syscall, then [shed]s it when the backlog exceeds
+    [shed_queue_limit] (if not 0), or else charges [proc_cycles], counts
+    and serves it. Under {!Sdrad} with a gate batch limit, ready requests
+    share one gate. An exception out of a handler is the process's
+    death. The acceptor refuses a connection no live worker can take
+    and closes one whose buffer finds no room. *)
+
+val stop : t -> unit
+(** Close the listener and the waitsets and stop the master: the
+    threads drain and exit. *)
 
 (** {1 Introspection} *)
 
@@ -185,3 +206,16 @@ val rewind_latencies : t -> float list
 val busy_rejections : t -> int
 val shed_count : t -> int
 val replay_hits : t -> int
+val dropped_connections : t -> int
+
+val live_connections : t -> int
+val worker_restarts : t -> int
+val proactive_restarts : t -> int
+val restart_latencies : t -> float list
+
+val alive : t -> bool
+(** Whether a worker is alive: not dead, nor awaiting its respawn. Once
+    [One_process]'s process has crashed, none is. *)
+
+val threads : t -> Simkern.Sched.tid list
+(** The acceptor's thread, then each worker's current one. *)

@@ -482,6 +482,105 @@ let test_connection_churn_rss_flat () =
         rss.(1))
     [ Server.Baseline; Server.Sdrad ]
 
+(* A connection whose buffer finds no room is closed and the acceptor
+   goes on. Connections held open fill a 16 MiB space until one is
+   refused; once they have all closed, a fresh connection is served, and
+   no server thread has failed. *)
+let test_exhaustion_refuses_and_recovers variant () =
+  let w =
+    Scenario.world ~size_mib:16 ?monitor:(Scenario.monitor_for variant) ()
+  in
+  let { Scenario.result = held; _ } =
+    Scenario.httpd w
+      ~files:(fun () -> mk_fs w.space)
+      { Server.default_config with variant; workers = 1 }
+      (Script
+         (fun _ ->
+           let rec fill held =
+             if List.length held = 2_000 then
+               Alcotest.fail "2,000 connections and none refused";
+             let c = Netsim.connect w.net ~port:8080 in
+             Netsim.send c (Load.request ~path:"/index.html");
+             match Netsim.recv c with
+             | Some r ->
+                 check bool "200" true (Load.is_200 r);
+                 fill (c :: held)
+             | None -> held
+           in
+           let held = fill [] in
+           List.iter Netsim.close held;
+           (match get w.net 8080 "/index.html" with
+           | Some r ->
+               check bool "served once the connections closed" true
+                 (Load.is_200 r)
+           | None -> Alcotest.fail "refused after the connections closed");
+           List.length held))
+  in
+  check bool "some connections were served before one was refused" true
+    (held > 0);
+  List.iter
+    (fun (_, name, o) ->
+      match o with
+      | Sched.Failed e ->
+          Alcotest.failf "%s failed: %s" name (Printexc.to_string e)
+      | Sched.Completed -> ())
+    (Sched.outcomes w.sched)
+
+(* The acceptor hands a connection only to a live worker. Worker 0 dies
+   of the attack; a connection on its turn that the acceptor takes
+   before the master respawns it goes to worker 1. The client's own
+   work, charged without yielding, puts that connect after the attack
+   reaches worker 0 and before worker 0 dies, so the acceptor takes it
+   after the death and before the master runs. After the respawn both
+   workers serve again. *)
+let test_acceptor_skips_dead_worker () =
+  let w = Scenario.world ~size_mib:128 () in
+  let ok c =
+    Netsim.send c (Load.request ~path:"/index.html");
+    match Netsim.recv c with Some r -> Load.is_200 r | None -> false
+  in
+  let { Scenario.server = s; _ } =
+    Scenario.httpd w
+      ~files:(fun () -> mk_fs w.space)
+      { Server.default_config with variant = Server.Baseline; vulnerable = true;
+        workers = 2 }
+      (Script
+         (fun _ ->
+           let c0 = Netsim.connect w.net ~port:8080 in
+           let c1 = Netsim.connect w.net ~port:8080 in
+           check bool "worker 0 serves" true (ok c0);
+           check bool "worker 1 serves" true (ok c1);
+           Netsim.send c0 (Load.request ~path:attack_uri);
+           Sched.charge 5_000.0;
+           let c2 = Netsim.connect w.net ~port:8080 in
+           Netsim.send c2 (Load.request ~path:"/index.html");
+           check bool "worker 0 died" true (Netsim.recv c0 = None);
+           (match Netsim.recv_deadline c2 ~deadline:(Sched.now () +. 1.0e6) with
+           | Some r ->
+               check bool "worker 1 served worker 0's turn" true (Load.is_200 r)
+           | None -> Alcotest.fail "not served before worker 0's respawn");
+           (* After the respawn, two requests at once are served side by
+              side: on one worker the second would wait out the first's
+              11,000 cycles of processing. *)
+           Sched.sleep 5.0e6;
+           let c3 = Netsim.connect w.net ~port:8080 in
+           let c4 = Netsim.connect w.net ~port:8080 in
+           List.iter
+             (fun c -> Netsim.send c (Load.request ~path:"/index.html"))
+             [ c3; c4 ];
+           let served c =
+             match Netsim.recv c with
+             | Some r -> check bool "200" true (Load.is_200 r); Sched.now ()
+             | None -> Alcotest.fail "not served after the respawn"
+           in
+           let t3 = served c3 in
+           let t4 = served c4 in
+           check bool "both workers serve after the respawn" true
+             (t4 -. t3 < 11_000.0);
+           List.iter Netsim.close [ c1; c2; c3; c4 ]))
+  in
+  check int "one restart" 1 (Server.worker_restarts s)
+
 let test_connection_close_honored () =
   let _ =
     run_server_test ~variant:Server.Baseline (fun _ net _ ->
@@ -858,6 +957,12 @@ let () =
           Alcotest.test_case "rewind limit restart" `Quick test_rewind_limit_forces_restart;
           Alcotest.test_case "connection churn keeps RSS flat" `Quick
             test_connection_churn_rss_flat;
+          Alcotest.test_case "no buffer room refuses, then serves, baseline"
+            `Quick (test_exhaustion_refuses_and_recovers Server.Baseline);
+          Alcotest.test_case "no buffer room refuses, then serves, sdrad"
+            `Quick (test_exhaustion_refuses_and_recovers Server.Sdrad);
+          Alcotest.test_case "acceptor skips a dead worker" `Quick
+            test_acceptor_skips_dead_worker;
         ] );
       ( "client-certs",
         [

@@ -2233,17 +2233,19 @@ let test_accept_forget_alloc () =
       rewinds = M.counter m "pin_rewinds_total";
       busy = M.counter m "pin_busy_total";
       shed = M.counter m "pin_shed_total";
+      dropped = M.counter m "pin_dropped_total";
       rewind_cycles = M.histogram m "pin_rewind_cycles";
     }
   in
+  let net = Netsim.create Simkern.Cost.default in
   let core =
-    Serve.create space Serve.Tlsf_alloc ~name:"pin" ~alloc_site:"pin.alloc"
+    Serve.create space Serve.Tlsf_alloc net ~port:11212 ~workers:1
+      One_process ~name:"pin" ~alloc_site:"pin.alloc"
       ~malloc_region:(fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
       ~journal_cap:16 ~proc_cycles:0.0 ~shed_queue_limit:0
       ~gate_batch_limit:0 ~race_detector:false ~counters ()
   in
   Sched.main (fun _ ->
-      let net = Netsim.create Simkern.Cost.default in
       let l = Netsim.listen net ~port:11211 in
       ignore (Netsim.connect net ~port:11211);
       let c = Option.get (Netsim.accept l) in
