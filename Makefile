@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json bench-scale perf perf-smoke perf-compare host-ratio same telemetry-report forensics-report clean
+.PHONY: all check test lint analyze chaos chaos-soak chaos-rewind-soak bench bench-r4 bench-r5 bench-gate bench-json bench-scale perf perf-smoke perf-compare host-ratio same surface telemetry-report forensics-report clean
 
 all: check
 
@@ -149,6 +149,11 @@ host-ratio:
 same:
 	@test -n "$(REV)" || { echo "usage: make same REV=<commit>"; exit 2; }
 	python3 bench/perf_compare.py "$(REV)" --same
+
+# Line counts of lib/, test/ and bin/ + bench/, and every lib/ `val`
+# that no .ml outside test/ and its own module names (bench/surface.py).
+surface:
+	python3 bench/surface.py
 
 clean:
 	dune clean

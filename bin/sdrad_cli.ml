@@ -489,7 +489,7 @@ let run_metrics_scenario ?(interrupts = 0) ~seed () =
                       { Retry.default_policy with attempt_timeout = 60_000.0 }
                       ~rng:(Simkern.Rng.create 5)
                       ~metrics:(Api.metrics sd) ~name:"cli"
-                  in
+                  and reply = Netsim.Buf.create () in
                   (match
                      Retry.execute eng (fun eng ->
                          (if (not (Netsim.is_open !conn))
@@ -498,14 +498,14 @@ let run_metrics_scenario ?(interrupts = 0) ~seed () =
                          Netsim.send !conn
                            (Kvcache.Proto.fmt_incr ~rid:(Retry.rid eng)
                               ~trace:(Retry.trace eng) "ctr" 1);
-                         match
-                           Netsim.recv_deadline !conn
-                             ~deadline:(Retry.deadline eng)
-                         with
-                         | Some _ -> Ok ()
-                         | None ->
-                             Netsim.close !conn;
-                             Error (`Retry "timeout"))
+                         if
+                           Netsim.recv_buf_deadline !conn reply
+                             (Retry.deadline_slot eng) 0
+                         then Ok ()
+                         else begin
+                           Netsim.close !conn;
+                           Error (`Retry "timeout")
+                         end)
                    with
                   | Ok () -> ()
                   | Error _ -> failwith "metrics scenario: retry did not land");
@@ -808,7 +808,7 @@ let run_incident_scenario ~seed () =
                       { Retry.default_policy with attempt_timeout = 60_000.0 }
                       ~rng:(Simkern.Rng.create 5)
                       ~metrics:(Api.metrics sd) ~name:"cli"
-                  in
+                  and reply = Netsim.Buf.create () in
                   (match
                      Retry.execute eng (fun eng ->
                          (if (not (Netsim.is_open !conn))
@@ -818,14 +818,14 @@ let run_incident_scenario ~seed () =
                            (Kvcache.Proto.fmt_storage "set" ~rid:(Retry.rid eng)
                               ~trace:(Retry.trace eng) ~key:"order:42"
                               ~flags:0 ~value:"paid" ());
-                         match
-                           Netsim.recv_deadline !conn
-                             ~deadline:(Retry.deadline eng)
-                         with
-                         | Some _ -> Ok ()
-                         | None ->
-                             Netsim.close !conn;
-                             Error (`Retry "timeout"))
+                         if
+                           Netsim.recv_buf_deadline !conn reply
+                             (Retry.deadline_slot eng) 0
+                         then Ok ()
+                         else begin
+                           Netsim.close !conn;
+                           Error (`Retry "timeout")
+                         end)
                    with
                   | Ok () -> ()
                   | Error _ -> failwith "incident scenario: op did not land");

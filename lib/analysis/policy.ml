@@ -341,39 +341,22 @@ let warnings fs = List.length (List.filter (fun f -> f.severity = Warning) fs)
 
 (* {1 Reports} *)
 
+let line f =
+  Printf.sprintf "%-7s %-16s %s %s\n"
+    (String.uppercase_ascii (severity_to_string f.severity))
+    f.rule
+    (match f.udi with Some u -> Printf.sprintf "udi=%d" u | None -> "udi=-")
+    f.message
+
 let to_text fs =
   if fs = [] then "policy OK: no findings\n"
   else begin
     let b = Buffer.create 256 in
-    List.iter
-      (fun f ->
-        Buffer.add_string b
-          (Printf.sprintf "%-7s %-16s %s %s\n"
-             (String.uppercase_ascii (severity_to_string f.severity))
-             f.rule
-             (match f.udi with
-             | Some u -> Printf.sprintf "udi=%d" u
-             | None -> "udi=-")
-             f.message))
-      fs;
+    List.iter (fun f -> Buffer.add_string b (line f)) fs;
     Buffer.add_string b
       (Printf.sprintf "%d error(s), %d warning(s)\n" (errors fs) (warnings fs));
     Buffer.contents b
   end
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let to_json fs =
   let b = Buffer.create 512 in
@@ -384,10 +367,10 @@ let to_json fs =
       Buffer.add_string b
         (Printf.sprintf
            "{\"rule\":\"%s\",\"severity\":\"%s\",\"udi\":%s,\"message\":\"%s\"}"
-           (json_escape f.rule)
+           (Telemetry.json_escape f.rule)
            (severity_to_string f.severity)
            (match f.udi with Some u -> string_of_int u | None -> "null")
-           (json_escape f.message)))
+           (Telemetry.json_escape f.message)))
     fs;
   Buffer.add_string b
     (Printf.sprintf "],\"errors\":%d,\"warnings\":%d}" (errors fs)

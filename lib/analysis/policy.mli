@@ -100,6 +100,10 @@ val check : model -> finding list
 val errors : finding list -> int
 val warnings : finding list -> int
 
+val line : finding -> string
+(** A finding's aligned report line, newline included; {!Race.to_text}
+    prints its findings with it too. *)
+
 val to_text : finding list -> string
 (** One aligned line per finding plus a summary line; ["policy OK"] when
     empty. *)

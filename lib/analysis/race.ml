@@ -535,8 +535,6 @@ let detach t =
     if !live = [] then Sched.set_trace_hook None
   end
 
-let attached t = t.attached
-
 (* {1 Reporting} *)
 
 let errors t =
@@ -553,15 +551,8 @@ let to_text t =
   else begin
     let b = Buffer.create 256 in
     List.iter
-      (fun f ->
-        Buffer.add_string b
-          (Printf.sprintf "%-7s %-16s %s %s\n"
-             (String.uppercase_ascii (Policy.severity_to_string f.severity))
-             f.rule
-             (match f.udi with
-             | Some u -> Printf.sprintf "udi=%d" u
-             | None -> "udi=-")
-             f.message))
+      (fun { rule; severity; udi; message; _ } ->
+        Buffer.add_string b (Policy.line { rule; severity; udi; message }))
       fs;
     Buffer.add_string b
       (Printf.sprintf
@@ -574,20 +565,6 @@ let to_text t =
     Buffer.contents b
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let b = Buffer.create 512 in
   Buffer.add_string b "{\"findings\":[";
@@ -597,11 +574,11 @@ let to_json t =
       Buffer.add_string b
         (Printf.sprintf
            "{\"rule\":\"%s\",\"severity\":\"%s\",\"udi\":%s,\"addr\":%s,\"tid\":%d,\"message\":\"%s\"}"
-           (json_escape f.rule)
+           (Telemetry.json_escape f.rule)
            (Policy.severity_to_string f.severity)
            (match f.udi with Some u -> string_of_int u | None -> "null")
            (match f.addr with Some a -> string_of_int a | None -> "null")
-           f.tid (json_escape f.message)))
+           f.tid (Telemetry.json_escape f.message)))
     (findings t);
   Buffer.add_string b
     (Printf.sprintf

@@ -57,8 +57,6 @@ val detach : t -> unit
 (** Remove the hooks. Metrics series remain registered and freeze at
     their final values. Idempotent. *)
 
-val attached : t -> bool
-
 val findings : t -> finding list
 (** Stored findings in detection order (capped at [max_findings]). *)
 

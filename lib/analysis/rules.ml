@@ -56,7 +56,6 @@ let all =
     };
   ]
 
-let names = List.map (fun r -> r.name) all
 let find name = List.find_opt (fun r -> r.name = name) all
 let known name = List.exists (fun r -> r.name = name) all
 

@@ -12,7 +12,6 @@ val all : rule list
 (** Policy rules first (PR 5), then the race detector's classes, in
     reporting order. *)
 
-val names : string list
 val find : string -> rule option
 val known : string -> bool
 

@@ -346,8 +346,6 @@ let mark_discarded t n = if t.tail <> 0 then w t (t.tail + 104) n
 let note_interrupt t =
   if t.head <> 0 then w t (t.head + 80) (r t (t.head + 80) + 1)
 
-let interrupts t = if t.head = 0 then 0 else r t (t.head + 80)
-
 (* Phase 3: stamp and link the incident into the ring; clears the intent
    pointer so a later fault starts a fresh transaction. No-op when
    nothing is in flight. *)

@@ -112,9 +112,6 @@ val mark_discarded : t -> int -> unit
 val note_interrupt : t -> unit
 (** Count a fault absorbed mid-rewind on the in-flight incident. *)
 
-val interrupts : t -> int
-(** Interrupts recorded on the in-flight incident (0 if none). *)
-
 val commit : t -> at:int -> journal_replays:int -> unit
 (** Phase 3: stamp the end time, link the incident into the audit ring
     and clear the intent pointer. No-op when nothing is in flight. *)

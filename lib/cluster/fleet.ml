@@ -153,7 +153,6 @@ let keyed (r : Proto.req) =
 (* A reply the client will treat as a definitive outcome (so the write
    must survive failover). Busy/error replies are retried or surfaced;
    they carry no durability promise. *)
-let acked r = Proto.reply_ok r (String.length r)
 let acked_buf b = Proto.reply_ok (Netsim.Buf.view b) (Netsim.Buf.length b)
 
 (* {2 Shard-side helpers} *)
@@ -194,6 +193,7 @@ let oplog_push t s e =
    next successor — and the entry retries against the shrunken ring. *)
 let rec reseed t sick =
   let conns = Hashtbl.create 4 in
+  let reply = Netsim.Buf.create () and deadline = Float.Array.make 1 0.0 in
   let conn_to tgt =
     match Hashtbl.find_opt conns tgt.s_idx with
     | Some c when Netsim.is_open c && not (Netsim.peer_closed c) -> c
@@ -221,21 +221,19 @@ let rec reseed t sick =
       else begin
         let c = conn_to tgt in
         Netsim.send c e.o_req;
-        match
-          Netsim.recv_deadline c
-            ~deadline:(Sched.now () +. forward_timeout)
-        with
-        | Some r when acked r ->
-            Metrics.inc t.c_reseeded;
-            oplog_push t tgt e;
-            Api.flight_event tgt.s_sd ~udi:router_flight_udi ~trace:e.o_trace
-              ~arg:sick.s_idx Flight.Failover
-        | Some _ -> ()
-        | None ->
-            Metrics.inc t.c_timeouts;
-            Netsim.close c;
-            Hashtbl.remove conns tgt.s_idx;
-            replay e (tries - 1)
+        Float.Array.set deadline 0 (Sched.now () +. forward_timeout);
+        if not (Netsim.recv_buf_deadline c reply deadline 0) then begin
+          Metrics.inc t.c_timeouts;
+          Netsim.close c;
+          Hashtbl.remove conns tgt.s_idx;
+          replay e (tries - 1)
+        end
+        else if acked_buf reply then begin
+          Metrics.inc t.c_reseeded;
+          oplog_push t tgt e;
+          Api.flight_event tgt.s_sd ~udi:router_flight_udi ~trace:e.o_trace
+            ~arg:sick.s_idx Flight.Failover
+        end
       end
     end
   in
@@ -462,13 +460,12 @@ let rec ends_with_at s a lit i =
   || String.unsafe_get s (a + i) = String.unsafe_get lit i
      && ends_with_at s a lit (i + 1)
 
-let is_word s a lit =
-  String.length s - a = String.length lit && ends_with_at s a lit 0
+let is_word s n a lit = n - a = String.length lit && ends_with_at s a lit 0
 
-(* The state word of a beat from [a], read in place as
+(* The state word of a beat from [a] to [n], read in place as
    [Supervisor.breaker_of_string] reads it. *)
-let breaker_at msg a =
-  let is b = is_word msg a (Supervisor.breaker_to_string b) in
+let breaker_at msg n a =
+  let is b = is_word msg n a (Supervisor.breaker_to_string b) in
   if is Backoff then Supervisor.Backoff
   else if is Quarantined then Supervisor.Quarantined
   else if is Half_open then Supervisor.Half_open
@@ -485,36 +482,37 @@ let rec beat_shard msg i stop v =
     | _ -> -1
 
 let hb_reader t () =
+  let beat = Netsim.Buf.create () in
   let rec loop () =
     let c = Netsim.Waitset.wait t.hb_set in
     if c != Netsim.no_conn then begin
-      (match Netsim.try_recv c with
-      | Some msg ->
-          (* Heartbeats are this module's own single-spaced lines,
-             [hb <shard> <state>], scanned in place. *)
-          let n = String.length msg in
-          let sp =
-            if n > 3 && ends_with_at msg 0 "hb " 0 then
-              Serve.index_from msg 3 n ' '
-            else -1
-          in
-          (* At most six digits: an index that cannot overflow. *)
-          let i = if sp > 3 && sp <= 9 then beat_shard msg 3 sp 0 else -1 in
-          if
-            i >= 0
-            && i < Array.length t.shards
-            && Serve.index_from msg (sp + 1) n ' ' < 0
-          then begin
-            let s = t.shards.(i) in
-            s.s_hb_last <- Sched.now ();
-            s.s_hb_breaker <- breaker_at msg (sp + 1);
-            Metrics.inc t.c_heartbeats
-          end
-      | None ->
-          if Netsim.peer_closed c then begin
-            Netsim.Waitset.remove t.hb_set c;
-            Netsim.close c
-          end);
+      (* [c] is ready, so the receive does not block. *)
+      if Netsim.recv_buf c beat then begin
+        (* Heartbeats are this module's own single-spaced lines,
+           [hb <shard> <state>], scanned in place. *)
+        let msg = Netsim.Buf.view beat and n = Netsim.Buf.length beat in
+        let sp =
+          if n > 3 && ends_with_at msg 0 "hb " 0 then
+            Serve.index_from msg 3 n ' '
+          else -1
+        in
+        (* At most six digits: an index that cannot overflow. *)
+        let i = if sp > 3 && sp <= 9 then beat_shard msg 3 sp 0 else -1 in
+        if
+          i >= 0
+          && i < Array.length t.shards
+          && Serve.index_from msg (sp + 1) n ' ' < 0
+        then begin
+          let s = t.shards.(i) in
+          s.s_hb_last <- Sched.now ();
+          s.s_hb_breaker <- breaker_at msg n (sp + 1);
+          Metrics.inc t.c_heartbeats
+        end
+      end
+      else if Netsim.peer_closed c then begin
+        Netsim.Waitset.remove t.hb_set c;
+        Netsim.close c
+      end;
       loop ()
     end
   in

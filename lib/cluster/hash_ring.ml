@@ -88,18 +88,3 @@ let route_sub t s off len =
   snd t.points.(successor t (hash_sub s off len))
 
 let route t key = route_sub t key 0 (String.length key)
-
-let route_n t key n =
-  let len = Array.length t.points in
-  if len = 0 || n <= 0 then []
-  else begin
-    let start = successor t (hash key) in
-    let seen = ref [] in
-    let i = ref 0 in
-    while List.length !seen < n && !i < len do
-      let m = snd t.points.((start + !i) mod len) in
-      if not (List.mem m !seen) then seen := m :: !seen;
-      incr i
-    done;
-    List.rev !seen
-  end

@@ -44,11 +44,6 @@ val route_sub : t -> string -> int -> int -> int
     hashed where it lies — the router's per-request lookup, which copies
     no key. *)
 
-val route_n : t -> string -> int -> int list
-(** The first [n] {e distinct} members clockwise from the key's point —
-    the owner first, then the replica preference order. Shorter than [n]
-    when the ring has fewer members. *)
-
 val hash : string -> int
 (** The ring's point hash (FNV-1a folded to 62 bits), exposed for
     tests. *)

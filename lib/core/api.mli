@@ -127,7 +127,7 @@ val enter : t -> udi -> unit
     thread under the current domain: switches to the domain's stack and
     updates the PKRU policy (at most two WRPKRU writes — the monitor call
     gate and the target policy; redundant installs are elided, and under
-    an open {!open_gate} the call-gate write disappears entirely). *)
+    a {!with_gate} section the call-gate write disappears entirely). *)
 
 val exit_domain : t -> unit
 (** Leave the current nested domain, returning to its parent. *)
@@ -170,18 +170,12 @@ val usable_size : t -> udi:udi -> int -> int
     own policy — isolation, fault behaviour, flight-recorder events and
     supervisor admission are identical to the unbatched path; only the
     number of WRPKRU writes (and their cycle charges) changes. Gates
-    nest; a batch is typically bracketed with {!with_gate}. *)
-
-val open_gate : t -> unit
-(** Begin a batched-gate section on the calling thread. *)
-
-val close_gate : t -> unit
-(** End the innermost batched-gate section, restoring the thread's
-    compartment policy. @raise Invalid_argument when no gate is open. *)
+    nest. *)
 
 val with_gate : t -> (unit -> 'a) -> 'a
-(** [with_gate t f] brackets [f] with {!open_gate}/{!close_gate}
-    (exception-safe). *)
+(** [with_gate t f] runs [f] in a batched-gate section on the calling
+    thread, and closes it, restoring the thread's compartment policy,
+    however [f] returns. *)
 
 val gate_open : t -> bool
 (** Whether the calling thread has a batched gate open. *)

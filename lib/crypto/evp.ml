@@ -13,8 +13,14 @@ let st_encrypt = 1
 let st_decrypt = 2
 let st_finished = 3
 
-let load_ctx space ctx = Gcm.deserialize (Space.load_bytes space ctx Gcm.serialized_size)
-let store_ctx space ctx g = Space.store_bytes space ctx (Gcm.serialize g)
+let load_ctx space ctx =
+  let b = Bytes.create Gcm.serialized_size in
+  Space.read_into space ctx b 0 Gcm.serialized_size;
+  Gcm.deserialize b
+
+let store_ctx space ctx g =
+  let b = Gcm.serialize g in
+  Space.store_from space ctx b 0 (Bytes.length b)
 
 let init_common space ~ctx ~key ~iv state =
   let g = Gcm.init ~key ~iv in

@@ -513,7 +513,6 @@ let fmt_incr ?rid ?trace key d = keyed_line "incr" ~num:d ?rid ?trace key
 let fmt_decr ?rid ?trace key d = keyed_line "decr" ~num:d ?rid ?trace key
 let fmt_stats = "stats\r\n"
 let fmt_stats_telemetry = "stats telemetry\r\n"
-let quit = "quit\r\n"
 
 let fmt_stats_reply kvs =
   String.concat ""

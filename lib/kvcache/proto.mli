@@ -228,7 +228,6 @@ val fmt_incr : ?rid:string -> ?trace:int -> string -> int -> string
 val fmt_decr : ?rid:string -> ?trace:int -> string -> int -> string
 val fmt_stats : string
 val fmt_stats_telemetry : string
-val quit : string
 
 val fmt_stats_reply : (string * string) list -> string
 

@@ -12,7 +12,6 @@ type config = {
   workers : int;
   port : int;
   vulnerable : bool;
-  db_udi : int;
   proc_cycles : float;
   image_bytes : int;
   max_db_bytes : int;
@@ -29,7 +28,6 @@ let default_config =
     workers = 4;
     port = 11211;
     vulnerable = false;
-    db_udi = 11;
     proc_cycles = 12_000.0;
     image_bytes = 4 * 1024 * 1024;
     max_db_bytes = max_int;
@@ -42,6 +40,7 @@ let default_config =
 
 let buckets = 16384
 let nested_udi = 1  (* the shared event domain *)
+let db_udi = 11  (* data domain holding slabs + hash table *)
 let lock_udi = 12  (* data domain holding the shared lock word *)
 let client_udi_base = 100  (* first per-client udi; clear of db/lock udis *)
 
@@ -337,13 +336,13 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
   let db_alloc, db_free =
     match (cfg.variant, sd) with
     | Sdrad, Some sd ->
-        Api.init_data sd ~udi:cfg.db_udi ~heap_size:(2 * 1024 * 1024) ();
-        Api.dprotect sd ~udi:nested_udi ~tddi:cfg.db_udi Prot.read;
+        Api.init_data sd ~udi:db_udi ~heap_size:(2 * 1024 * 1024) ();
+        Api.dprotect sd ~udi:nested_udi ~tddi:db_udi Prot.read;
         ( (fun len ->
-            match Api.malloc sd ~udi:cfg.db_udi len with
+            match Api.malloc sd ~udi:db_udi len with
             | p -> p
             | exception Tlsf.Out_of_memory -> 0),
-          fun addr -> Api.free sd ~udi:cfg.db_udi addr )
+          fun addr -> Api.free sd ~udi:db_udi addr )
     | _ ->
         ( (fun len ->
             match Space.mmap space ~len ~prot:Prot.rw ~pkey:0 with
@@ -478,9 +477,10 @@ and handle_plain t slot c req =
       match Store.find t.db r.src r.key r.key_len with
       | 0 -> Netsim.send c w.w_miss
       | item ->
-          (* [Store.get]'s reads, in its order. Plain variants stage the
-             value through a per-request buffer (exercising the
-             allocator variant) and read the reply from there. *)
+          (* A hit's reads: bump, then flags, length, address. Plain
+             variants stage the value through a per-request buffer
+             (exercising the allocator variant) and read the reply from
+             there. *)
           Store.bump t.db item;
           let flags = Store.item_flags t.db item in
           let vlen = Store.value_len t.db item in
@@ -516,14 +516,19 @@ and handle_plain t slot c req =
       let hits =
         List.filter_map
           (fun key ->
-            match Store.get t.db key with
-            | Some (vaddr, vlen, flags) ->
+            match Store.find t.db key 0 (String.length key) with
+            | 0 -> None
+            | item ->
+                (* A GET hit's reads, in its order. *)
+                Store.bump t.db item;
+                let flags = Store.item_flags t.db item in
+                let vlen = Store.value_len t.db item in
+                let vaddr = Store.value_addr t.db item in
                 let out = Serve.alloc t.core (vlen + 64) in
                 Space.blit space ~src:vaddr ~dst:out ~len:vlen;
                 let v = Space.read_string space out vlen in
                 Serve.free t.core out;
-                Some (key, flags, vlen, v)
-            | None -> None)
+                Some (key, flags, vlen, v))
           (multi_keys r)
       in
       Netsim.send c
@@ -551,7 +556,7 @@ and udi_for_conn t c =
         t.next_client_udi <- udi + 1;
         Hashtbl.replace t.client_udis src udi;
         (match t.sd with
-        | Some sd -> Api.dprotect sd ~udi ~tddi:t.cfg.db_udi Prot.read
+        | Some sd -> Api.dprotect sd ~udi ~tddi:db_udi Prot.read
         | None -> ());
         udi
 

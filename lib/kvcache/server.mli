@@ -27,7 +27,6 @@ type config = {
   workers : int;
   port : int;
   vulnerable : bool;
-  db_udi : int;  (** data domain holding slabs + hash table *)
   proc_cycles : float;
       (** fixed per-request processing cost standing in for the event
           loop, state machine and libevent work our lean reimplementation
@@ -58,13 +57,17 @@ type config = {
           {!race_detector} and the shared registry. Off by default. *)
   gate_batch_limit : int;
       (** {!Sdrad} variant only: coalesce up to this many consecutive
-          ready requests into one {!Core.Api.open_gate} batched-gate
+          ready requests into one {!Core.Api.with_gate} batched-gate
           section per worker wakeup, eliding the per-request monitor
           call-gate WRPKRU writes (supervision, flight events and fault
           isolation are unchanged). 0 disables batching (the default). *)
 }
 
 val default_config : config
+
+val db_udi : int
+(** 11: the {!Sdrad} variant's data domain holding the slabs and the
+    hash table. *)
 
 type t
 

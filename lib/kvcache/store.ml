@@ -273,14 +273,6 @@ let commit t s off len item =
   t.value_bytes <- t.value_bytes + value_len t item;
   if t.count > t.grow_at then grow t
 
-let set t ~key ~flags ~value_src ~value_len =
-  let n = String.length key in
-  match prepare t key 0 n ~flags ~value_src ~value_len with
-  | 0 -> false
-  | item ->
-      commit t key 0 n item;
-      true
-
 let find t s off len =
   charge_hash len;
   find_prev t s off len
@@ -289,13 +281,6 @@ let peek t key =
   match find t key 0 (String.length key) with
   | 0 -> None
   | item -> Some (value_addr t item, value_len t item, item_flags t item)
-
-let get t key =
-  match find t key 0 (String.length key) with
-  | 0 -> None
-  | item ->
-      lru_bump t item;
-      Some (value_addr t item, value_len t item, item_flags t item)
 
 let bump = lru_bump
 
@@ -311,8 +296,6 @@ let remove t s off len =
       unlink t t.prev item;
       true
 
-let delete t key = remove t key 0 (String.length key)
-let mem t key = get t key <> None
 let count t = t.count
 let value_bytes t = t.value_bytes
 let evictions t = t.evictions

@@ -42,11 +42,14 @@ val create :
 val hash : string -> int
 (** FNV-1a, also used by the server for sharding decisions. *)
 
-(** {2 Keys where they lie}
+(** {2 Operations}
 
-    The server's operations take their key as [s off len], the bytes
-    [s.[off, off + len)] — where a scanned request holds it — so a
-    request's store work copies no key out of its line. *)
+    Every operation takes its key where it lies, as [s off len], the
+    bytes [s.[off, off + len)] — where a scanned request holds it — so a
+    request's store work copies no key out of its line. A GET is
+    {!find}, then on a hit {!bump}, {!item_flags}, {!value_len} and
+    {!value_addr}, in that order; a SET is {!prepare}, then {!commit};
+    a DELETE is {!remove}. *)
 
 val find : t -> string -> int -> int -> int
 (** The item stored under the key, or 0: charges the key's hash and
@@ -61,7 +64,7 @@ val value_addr : t -> int -> int
     [item_flags], [value_len] and [value_addr], in that order. *)
 
 val bump : t -> int -> unit
-(** Refresh a found item's LRU position, as {!get} does. *)
+(** Refresh a found item's LRU position. *)
 
 val touch : t -> string -> int -> int -> unit
 (** Refresh a key's LRU position (no-op on a miss); charges no hash. *)
@@ -83,23 +86,14 @@ val commit : t -> string -> int -> int -> int -> unit
     link the prepared one — the short critical section — then grow the
     table if it has passed 1.5 items a bucket. *)
 
-(** {2 Keys as strings} *)
-
-val set : t -> key:string -> flags:int -> value_src:int -> value_len:int -> bool
-(** Insert or replace ({!prepare} + {!commit}). [false] when {!prepare}
-    finds no chunk. *)
-
-val get : t -> string -> (int * int * int) option
-(** [(value_addr, value_len, flags)] — the address points into the live
-    item; callers copy promptly. Refreshes the item's LRU position. *)
-
 val peek : t -> string -> (int * int * int) option
-(** Like {!get} but without the LRU update — the read-only lookup a nested
-    domain can perform against a read-protected database; the recency
-    bump is deferred to the parent via {!touch}. *)
+(** [(value_addr, value_len, flags)] of the item stored under a whole
+    string key, without the LRU update: {!find}, then the GET's reads
+    but {!bump}. The address points into the live item; callers copy
+    promptly. It is the read-only lookup a nested domain can perform
+    against a read-protected database; the recency bump is deferred to
+    the parent via {!touch}. *)
 
-val delete : t -> string -> bool
-val mem : t -> string -> bool
 val count : t -> int
 val value_bytes : t -> int
 

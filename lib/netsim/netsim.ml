@@ -124,12 +124,6 @@ let fresh_shared cost =
     pool = { free = Array.make classes [||]; count = Array.make classes 0 };
   }
 
-(* Where a wait given its deadline as a [float] stages it for
-   [Sched.block_until_from], which reads it as it arms the timer, before
-   the waiter parks. One slot serves every wait: a waiter that resumes
-   restages its deadline before it blocks again. *)
-let staged = Float.Array.make 1 0.0
-
 (* The inbox is a ring of [queued] messages from slot [head]: delivery
    times unboxed in [arrivals], frames in the same slots of [frames] and
    their lengths in [lens], capacity a power of two: one slot at the
@@ -447,8 +441,13 @@ let connect ?src t ~port =
       server.peer <- client;
       let k = Sched.clock_cell () in
       k.clock <- k.clock +. t.n_cost.Cost.net_msg;
-      ring_add l.backlog server;
-      wake_first l.l_waiters;
+      (* Refused: nothing will accept it, so its server end is closed
+         from the start and a receive reports the close at once. *)
+      if l.l_closed then server.closed <- true
+      else begin
+        ring_add l.backlog server;
+        wake_first l.l_waiters
+      end;
       client
 
 let rec accept l =
@@ -514,11 +513,6 @@ let send c msg =
 
 let send_buf c b = transmit c b.Buf.data b.Buf.len ~copy:true
 
-let try_recv c =
-  if c.queued > 0 && head_arrival c <= (Sched.clock_cell ()).clock then
-    Some (dequeue c)
-  else None
-
 (* Block until a message is deliverable, then bring the caller's clock
    to it: [true], and the caller dequeues it; [false] once the peer has
    closed with nothing queued. *)
@@ -543,58 +537,35 @@ let recv_buf c b =
        true
      end
 
-(* One step of a timed [await], giving up at [Float.Array.get times i]:
-   1 when a message is deliverable (the caller's clock brought to it), 0
-   on a timeout or a closed connection, -1 after parking until a
-   message, a close or the timer woke it. A parked receiver's timer is
-   armed with [Sched.block_until_from], which reads the deadline in
-   place. A handle wakes at most once, so whichever of the two wake
-   paths (message arrival, timer) loses the race is a no-op; the stale
-   handle a timeout leaves in [waiter] is likewise harmless — the next
-   wake clears it without effect, even when the thread has blocked
-   elsewhere since. The deadline crosses no module boundary as a
-   [float], except to [Sched.wait_until] when the head message arrives
-   past it. *)
-let await_step c times i =
+(* A timed [recv_buf], giving up at [Float.Array.get times i]: a
+   parked receiver's timer is armed with [Sched.block_until_from], which
+   reads the deadline in place. A handle wakes at most once, so
+   whichever of the two wake paths (message arrival, timer) loses the
+   race is a no-op; the stale handle a timeout leaves in [waiter] is
+   likewise harmless — the next wake clears it without effect, even
+   when the thread has blocked elsewhere since. The deadline crosses no
+   module boundary as a [float], except to [Sched.wait_until] when the
+   head message arrives past it. *)
+let rec recv_buf_deadline c b times i =
   if c.queued > 0 then
     if head_arrival c <= Float.Array.get times i then begin
       catch_up c;
-      1
+      dequeue_into c b;
+      true
     end
     else begin
       (* Head-of-line message arrives after the deadline: in-order
          delivery means nothing else can overtake it. *)
       Sched.wait_until (Float.Array.get times i);
-      0
+      false
     end
-  else if c.peer.closed || c.closed then 0
-  else if (Sched.clock_cell ()).clock >= Float.Array.get times i then 0
+  else if c.peer.closed || c.closed then false
+  else if (Sched.clock_cell ()).clock >= Float.Array.get times i then false
   else begin
     c.waiter <- Sched.handle ();
     Sched.block_until_from times i;
-    -1
+    recv_buf_deadline c b times i
   end
-
-let rec await_until c times i =
-  match await_step c times i with -1 -> await_until c times i | r -> r = 1
-
-(* [await_until] of a [float] deadline, staged in [staged] before every
-   step: other waits restage the slot while this one is parked. *)
-let rec await_before c ~deadline =
-  Float.Array.set staged 0 deadline;
-  match await_step c staged 0 with
-  | -1 -> await_before c ~deadline
-  | r -> r = 1
-
-let recv_deadline c ~deadline =
-  if await_before c ~deadline then Some (dequeue c) else None
-
-let recv_buf_deadline c b times i =
-  await_until c times i
-  && begin
-       dequeue_into c b;
-       true
-     end
 
 let close c =
   if not c.closed then begin
@@ -753,30 +724,14 @@ module Waitset = struct
     done;
     !n
 
-  (* Timed [wait], built like [recv_deadline]: a scheduler timer provides
-     the deadline wake, its deadline staged as [recv_deadline] stages
-     it; readiness picks the same earliest-arrival winner as [wait], but
-     a winner whose head-of-line message arrives after the deadline
-     counts as a timeout. *)
-  let rec wait_deadline ws ~deadline =
+  (* [wait]'s pick, made once: a winner whose head-of-line message
+     arrives after the caller's clock is not reported, though the pick
+     has moved the cursor past it. *)
+  let poll ws =
     if ws.ws_closed then no_conn
     else
       let c = pick_earliest ws in
-      if c != no_conn then
-        if c.queued = 0 then c (* closed peer: reportable immediately *)
-        else if head_arrival c <= deadline then begin
-          catch_up c;
-          c
-        end
-        else begin
-          Sched.wait_until deadline;
-          no_conn
-        end
-      else if (Sched.clock_cell ()).clock >= deadline then no_conn
-      else begin
-        ws.ws_waiter <- Sched.handle ();
-        Float.Array.set staged 0 deadline;
-        Sched.block_until_from staged 0;
-        wait_deadline ws ~deadline
-      end
+      if c.queued > 0 && head_arrival c > (Sched.clock_cell ()).clock then
+        no_conn
+      else c
 end

@@ -16,7 +16,9 @@
     pool, so a warm exchange between two buffers allocates nothing up to
     2 KiB. A pooled frame received with {!recv} is copied out to a fresh
     string. Both ways charge the same virtual time for the same message
-    length. *)
+    length. A timed receive, {!recv_buf_deadline}, takes a buffer and
+    reads its deadline from a slot; {!Waitset.poll} is a waitset's
+    non-blocking wait. *)
 
 type t
 (** A network (a bag of listeners). *)
@@ -85,14 +87,18 @@ val connect : ?src:int -> t -> port:int -> conn
     the peer endpoint from {!accept}. [src] is the client's source address
     (think IP): connections sharing it are recognizably the same remote
     peer via {!remote_addr}; it defaults to a per-connection unique id.
+    A connect to a listener that {!close_listener} has closed is refused:
+    it costs the same, and returns an endpoint whose peer is already
+    closed, so a receive on it returns at once.
     @raise Failure on unknown port. *)
 
 val accept : listener -> conn option
 (** Block until a client connects; [None] once the listener is closed. *)
 
 val close_listener : listener -> unit
-(** Stop accepting: pending and future {!accept} calls return [None];
-    already-established connections are unaffected. *)
+(** Stop accepting: pending and future {!accept} calls return [None] and
+    later {!connect}s are refused; already-established connections are
+    unaffected. *)
 
 val send : conn -> string -> unit
 (** Never blocks (infinite socket buffer). Sending on a closed connection
@@ -134,33 +140,27 @@ val recv_buf : conn -> Buf.t -> bool
     {!send_buf} or a {!send} is received the same way, and nothing is
     allocated unless the buffer must grow. *)
 
-val try_recv : conn -> string option
-(** Non-blocking: [None] when nothing is deliverable right now. *)
+val recv_buf_deadline : conn -> Buf.t -> Float.Array.t -> int -> bool
+(** [recv_buf_deadline c b times i]: {!recv_buf}, giving up at the
+    deadline [Float.Array.get times i]: the caller's clock advances to
+    the deadline and [false] is returned, the buffer left as it was,
+    when no message became deliverable by then or the peer closed (check
+    {!peer_closed} to tell them apart). This is what lets a client time
+    out instead of blocking forever on a message the fault hook dropped.
+    A deadline at or before the caller's clock makes it a non-blocking
+    receive.
 
-val recv_deadline : conn -> deadline:float -> string option
-(** Like {!recv}, but give up at virtual time [deadline]: the caller's
-    clock advances to the deadline and [None] is returned when no message
-    became deliverable by then (or the peer closed). This is what lets a
-    client time out instead of blocking forever on a message the fault
-    hook dropped. Timeout and peer-close both map to [None]; check
-    {!peer_closed} to tell them apart. A blocked receive stages the
-    deadline in a slot of this module's and arms a
-    {!Simkern.Sched.block_until_from} timer on it, not a thread: once it
+    The deadline is read where it lies — a retry engine's attempt
+    deadline (slot 0 of {!Resilience.Retry.deadline_slot}), a router
+    worker's own slot — at every step of the wait, so it must not change
+    while the call blocks. A [float] argument would be boxed; a warm
+    timed receive into a buffer allocates nothing but the blocked
+    thread's continuation. A blocked receive arms a
+    {!Simkern.Sched.block_until_from} timer, not a thread: once it
     returns, nothing of it is left in the scheduler but the timer's
     pending heap entry, and in the connection but a stale handle, which
     a later message's wake finds stale and ignores even when the thread
     has blocked elsewhere since. *)
-
-val recv_buf_deadline : conn -> Buf.t -> Float.Array.t -> int -> bool
-(** [recv_buf_deadline c b times i]: {!recv_deadline} into a buffer, as
-    {!recv_buf}, giving up at the deadline [Float.Array.get times i]:
-    [false] on timeout or peer close, leaving the buffer as it was. The
-    deadline is read where it lies — a retry engine's attempt deadline
-    (slot 0 of {!Resilience.Retry.deadline_slot}), a router worker's own
-    slot — at every step of the wait, so it must not change while the
-    call blocks. A [float] argument would be boxed; a warm timed receive
-    into a buffer allocates nothing but the blocked thread's
-    continuation. *)
 
 val pooled_frames : t -> int
 (** Frames the network's pool holds for reuse. The pool makes a frame
@@ -244,11 +244,12 @@ module Waitset : sig
       after {!close}: the result is compared with [==], and a wait that
       finds a connection ready allocates nothing. *)
 
-  val wait_deadline : ws -> deadline:float -> conn
-  (** {!wait} with a timeout: {!no_conn} once [deadline] passes with
-      nothing reportable (and after {!close}). Like {!recv_deadline}, a
-      blocked wait stages the deadline and arms a scheduler timer rather
-      than spawning a thread. *)
+  val poll : ws -> conn
+  (** {!wait} without blocking or yielding: the connection {!wait} would
+      pick if it is reportable now, {!no_conn} otherwise (and after
+      {!close}). The pick moves the cursor as {!wait}'s does, also when
+      its head-of-line message lies in the future and {!no_conn} is
+      returned. *)
 
   val backlog : ws -> int
   (** Total messages queued across all watched connections — the queue

@@ -1,7 +1,7 @@
 (* Deadline-driven client retry policies over virtual time.
 
    Everything here runs on the simulated clock: per-attempt deadlines are
-   virtual timestamps handed to [Netsim.recv_deadline]-style calls,
+   virtual timestamps read in place by [Netsim.recv_buf_deadline],
    backoff sleeps go through [Sched.wait_until], and the jitter draws
    from a caller-provided [Simkern.Rng] stream — no wall clock anywhere,
    so a retried run replays bit-for-bit.
@@ -153,7 +153,6 @@ let rid t = Bytes.sub_string t.rid 0 t.rid_len
 let rid_bytes t = t.rid
 let rid_length t = t.rid_len
 let trace t = t.trace
-let deadline t = Float.Array.get t.deadline 0
 let deadline_slot t = t.deadline
 
 let context t =

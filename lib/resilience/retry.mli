@@ -10,7 +10,7 @@
     [[base, min (cap, 3 * previous)]]) before the next attempt.
 
     The attempt function reads what it needs of the call from the engine
-    — {!rid}, {!trace}, {!context}, {!deadline} — so a caller builds it
+    — {!rid}, {!trace}, {!context}, {!deadline_slot} — so a caller builds it
     once and a call allocates nothing per attempt. An engine runs one
     call at a time. Creating one without a metrics registry builds no
     closure: its record, its rid buffer and its deadline slot. *)
@@ -105,15 +105,11 @@ val context : t -> Telemetry.Context.t
 (** {!trace} at the attempt's span ordinal — its 0-based number — as a
     context value. *)
 
-val deadline : t -> float
-(** The virtual time this attempt must finish by; pass it to
-    [Netsim.recv_deadline]. *)
-
 val deadline_slot : t -> Float.Array.t
-(** The array whose slot 0 holds {!deadline}, written before each
-    attempt and left alone while it runs: pass it to
-    [Netsim.recv_buf_deadline] with index 0, which reads the deadline in
-    place, where {!deadline}'s result would be boxed. *)
+(** The array whose slot 0 holds the virtual time this attempt must
+    finish by, written before each attempt and left alone while it runs:
+    pass it to [Netsim.recv_buf_deadline] with index 0, which reads the
+    deadline in place, where a [float] result would be boxed. *)
 
 val calls : t -> int
 val retries : t -> int

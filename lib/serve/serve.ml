@@ -409,12 +409,12 @@ let serve_waitset t w ~shed ~handle =
       match t.sd with Some sd -> Api.set_trace sd 0 | None -> ()
     end
   in
-  (* Pull whatever else is already deliverable into the same open gate
-     (a zero-deadline wait is a poll), up to the batch limit — the
-     gate's privilege raise/drop then amortizes over the batch. *)
+  (* Pull whatever else is already deliverable into the same open gate,
+     up to the batch limit — the gate's privilege raise/drop then
+     amortizes over the batch. *)
   let rec drain n =
     if n < t.gate_batch_limit then
-      let c = Netsim.Waitset.wait_deadline ws ~deadline:(Sched.now ()) in
+      let c = Netsim.Waitset.poll ws in
       if c != Netsim.no_conn then
         if Netsim.recv_buf c req then begin
           serve c;

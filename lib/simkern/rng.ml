@@ -46,12 +46,10 @@ let below t p = float_of_int (bits53 t) *. 0x1.0p-53 < p
 
 let bool t = Int64.logand (next t) 1L = 1L
 
-let char t = Char.chr (Char.code 'a' + int t 26)
-
 let bytes t n =
   let b = Bytes.create n in
   for i = 0 to n - 1 do
-    Bytes.set b i (char t)
+    Bytes.set b i (Char.chr (Char.code 'a' + int t 26))
   done;
   b
 

@@ -37,11 +37,9 @@ val below : t -> float -> bool
 
 val bool : t -> bool
 
-val char : t -> char
-(** Uniform printable ASCII character (for generating payloads). *)
-
 val bytes : t -> int -> bytes
-(** [bytes t n] is [n] uniform printable characters. *)
+(** [bytes t n] is [n] uniform lowercase letters (for generating
+    payloads). *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

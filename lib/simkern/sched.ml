@@ -67,12 +67,15 @@ let fresh_serial () =
   !serials
 
 (* Binary min-heap of (clock, id) with lazy deletion. A thread's entry is
-   valid only if the thread is still Ready at exactly that clock. A
-   timer's entry carries the handle it wakes and its deadline and is
-   always valid. Entries live in four parallel arrays (keys and
-   deadlines unboxed), and [push] reads the key from a clock cell, so no
-   float is boxed on the way in or out: pushing or popping an entry
-   allocates nothing. Sifts move a hole rather than swap: each displaced
+   valid only if the thread is still Ready at exactly that clock; its
+   deadline slot holds the clock the thread suspended from, before the
+   suspension's own advance (a sleep's charge, a wake's jump), which no
+   time it observed lies past. A timer's entry carries the handle it
+   wakes and its deadline and is always valid. Entries live in four
+   parallel arrays (keys and deadlines unboxed), and [push] reads the
+   key from a clock cell and the deadline from a slot, so no float is
+   boxed on the way in or out: pushing or popping an entry allocates
+   nothing. Sifts move a hole rather than swap: each displaced
    entry is written once and the sifted one once at the end, half the
    writes of a swap per level across the four arrays. *)
 module Heap = struct
@@ -169,21 +172,26 @@ module Heap = struct
     h.wakes.(!i) <- wake;
     Float.Array.set h.deadlines !i deadline
 
-  (* An entry keyed at [c]'s current clock. *)
-  let push h (c : cell) id wake =
+  (* An entry keyed at [c]'s current clock, its deadline read from slot
+     [i] of [times]. *)
+  let push h (c : cell) id wake times i =
     if h.n = Array.length h.ids then grow h;
     Float.Array.set h.keys h.n c.clock;
+    Float.Array.set h.deadlines h.n (Float.Array.get times i);
     h.ids.(h.n) <- id;
     h.wakes.(h.n) <- wake;
     h.n <- h.n + 1;
     sift_up h (h.n - 1)
 
-  (* A timer's entry, keyed at the arming thread's clock, its deadline
-     read from slot [i] of [times]. *)
-  let push_timer h (c : cell) id wake times i =
-    if h.n = Array.length h.ids then grow h;
-    Float.Array.set h.deadlines h.n (Float.Array.get times i);
-    push h c id wake
+  (* The deadline slot of the entry [wake] has at [key], or [key] when
+     it has none. *)
+  let deadline_of h wake key =
+    let r = ref key in
+    for i = 0 to h.n - 1 do
+      if h.wakes.(i) = wake && Float.Array.get h.keys i = key then
+        r := Float.Array.get h.deadlines i
+    done;
+    !r
 
   let is_empty h = h.n = 0
   let top_key h = Float.Array.get h.keys 0
@@ -209,6 +217,8 @@ type t = {
   mutable threads : thread array;  (* [0, n_threads), in tid order *)
   mutable n_threads : int;
   ready : Heap.t;
+  from : Float.Array.t;
+      (* slot 0: the clock the thread [make_ready] files suspended from *)
   mutable current : thread;  (* [no_thread] between resumptions *)
   mutable running : bool;
   span : span;
@@ -291,9 +301,10 @@ let fresh_lock_id () =
   next_lock_id := id + 1;
   id
 
+(* The caller has put the clock [th] suspended from in [t.from]. *)
 let make_ready t th =
   th.status <- Ready;
-  Heap.push t.ready th.cell th.tid (lnot th.slot)
+  Heap.push t.ready th.cell th.tid (lnot th.slot) t.from 0
 
 (* Wake the suspension [h] names at virtual time [at]: its thread's
    clock becomes [max clock at], the jump counted as waiting. [false]
@@ -306,6 +317,7 @@ let[@inline] wake_at t h at =
     if th.status == Blocked && handle_of th = h then begin
       th.serial <- fresh_serial ();
       let k = th.cell in
+      Float.Array.set t.from 0 k.clock;
       if at > k.clock then begin
         k.waited <- k.waited +. (at -. k.clock);
         k.clock <- at
@@ -351,6 +363,7 @@ let create () =
       threads = Array.make 64 no_thread;
       n_threads = 0;
       ready = Heap.create ();
+      from = Float.Array.make 1 0.0;
       current = no_thread;
       running = false;
       span = { horizon = 0.0 };
@@ -442,7 +455,8 @@ let spawn t ?name f =
   end;
   t.threads.(slot) <- th;
   t.n_threads <- slot + 1;
-  Heap.push t.ready th.cell tid (lnot slot);
+  Float.Array.set t.from 0 clock;
+  Heap.push t.ready th.cell tid (lnot slot) t.from 0;
   (* [no_thread.tid] is -1: spawned from outside the simulation. *)
   (match !trace_hook with
   | Some hook -> hook (Spawned { parent = t.current.tid; child = tid })
@@ -589,6 +603,14 @@ let horizon t =
   done;
   !h
 
+(* Note the clock the running thread suspends from, for the yield
+   handler's [make_ready]. *)
+let note_from () =
+  match !active with
+  | Some t when t.current != no_thread ->
+      Float.Array.set t.from 0 t.current.cell.clock
+  | Some _ | None -> not_in_thread ()
+
 (* Advancing virtual time is a scheduling point: the thread re-queues at
    the target clock so every runnable thread at an earlier virtual time
    runs first. Without the yield, a thread that waits to a far deadline
@@ -600,6 +622,7 @@ let horizon t =
 let wait_until at =
   let k = (current_thread ()).cell in
   if at > k.clock then begin
+    note_from ();
     k.waited <- k.waited +. (at -. k.clock);
     k.clock <- at;
     perform Yield
@@ -621,7 +644,10 @@ let busy_fraction t tid =
     if span <= 0.0 then None
     else Some ((th.cell.clock -. th.cell.waited) /. span)
 
-let yield () = perform Yield
+let yield () =
+  note_from ();
+  perform Yield
+
 let handle () = handle_of (current_thread ())
 let block () = perform Block
 
@@ -644,7 +670,7 @@ let block_until_from times i =
   let t = current () in
   let id = t.next_tid in
   t.next_tid <- id + 1;
-  Heap.push_timer t.ready th.cell id (handle_of th) times i;
+  Heap.push t.ready th.cell id (handle_of th) times i;
   perform Block
 
 (* The time a wake moves its thread to is read where it lies — the
@@ -658,7 +684,7 @@ let wake h =
 let wake_from h times i = wake_at (current ()) h (Float.Array.get times i)
 
 (* A waiter killed while queued left a stale handle; a handoff passes
-   over it to the next, so the lock or signal is not lost. *)
+   over it to the next, so the lock is not lost. *)
 let wake_first q =
   (not (Queue.is_empty q))
   && begin
@@ -671,28 +697,21 @@ let wake_first q =
        !woke
      end
 
-let wake_all q =
-  (not (Queue.is_empty q))
-  && begin
-       let t = current () in
-       let k = (current_thread ()).cell in
-       let woke = ref false in
-       while not (Queue.is_empty q) do
-         if wake_at t (Queue.take q) k.clock then woke := true
-       done;
-       !woke
-     end
-
 let sleep c =
+  note_from ();
   charge c;
-  yield ()
+  perform Yield
 
 (* Kill a thread: it unwinds with [Killed] at its next resumption. A
    blocked victim is made runnable immediately (a fresh serial makes
    every handle to its suspension stale); a ready one dies when the
-   scheduler picks it. Killing a finished thread is a no-op. The
-   victim's clock is advanced to the killer's so the death is causally
-   ordered. *)
+   scheduler picks it. Killing a finished thread is a no-op. A victim
+   behind the killer is advanced to the killer's clock, so the death is
+   causally ordered. A ready victim ahead of it — a sleeper, or a
+   thread woken at a later time — has not yet lived to its clock, so it
+   dies at the killer's, or at the clock it suspended from (filed with
+   its heap entry) when that is later: its wait is cut short, and its
+   clock never goes back past a time it observed. *)
 let kill t tid =
   let th = find t tid in
   match th.status with
@@ -706,15 +725,24 @@ let kill t tid =
       if at > k.clock then begin
         k.waited <- k.waited +. (at -. k.clock);
         k.clock <- at
+      end
+      else if th.status == Ready then begin
+        let at =
+          Float.max at (Heap.deadline_of t.ready (lnot th.slot) k.clock)
+        in
+        k.clock <- at;
+        (* Its waiting cannot exceed its clock. *)
+        if k.waited > at then k.waited <- at
       end;
+      Float.Array.set t.from 0 k.clock;
       if th.status == Blocked then begin
         th.serial <- fresh_serial ();
         make_ready t th
       end
       else if th.status == Ready then
-        (* Re-queue at the (possibly advanced) clock; the stale heap entry
+        (* Re-queue at the (possibly moved) clock; the stale heap entry
            is skipped by the clock check in [run]. *)
-        Heap.push t.ready k th.tid (lnot th.slot)
+        make_ready t th
 
 let join tid =
   let t = current () in
@@ -788,22 +816,4 @@ module Mutex = struct
 
   let contentions m = m.contentions
   let wait_cycles m = m.wait_cycles
-end
-
-module Cond = struct
-  type cond = { waiters : handle Queue.t }
-
-  let create () = { waiters = Queue.create () }
-
-  let wait c m =
-    (* Queue the handle after releasing the mutex and before parking, so
-       a signal between unlock and park cannot be lost: fibers are
-       cooperative, so nothing runs in between. *)
-    Mutex.unlock m;
-    Queue.add (handle ()) c.waiters;
-    block ();
-    Mutex.lock m
-
-  let signal c = ignore (wake_first c.waiters)
-  let broadcast c = ignore (wake_all c.waiters)
 end

@@ -8,7 +8,7 @@
     run is reproducible.
 
     A thread advances its own clock with {!charge}; it never pre-empts.
-    Blocking primitives ({!block}, {!block_until_from}, {!Mutex}, {!Cond},
+    Blocking primitives ({!block}, {!block_until_from}, {!Mutex},
     {!join}) hand control back to the scheduler; when woken at virtual
     time [at], the thread's clock becomes [max clock at], which is how
     waiting time manifests. *)
@@ -189,9 +189,15 @@ val kill : t -> tid -> unit
 (** Terminate a thread: {!Killed} is raised inside it at its next
     resumption point, so handlers and finalizers unwind as for any fatal
     exception (the victim's outcome is [Failed Killed] unless it catches).
-    A blocked victim is made runnable immediately; killing a finished or
-    unknown thread is a no-op. Fault-injection uses this to model the
-    scheduler-level loss of a thread. *)
+    A blocked victim is made runnable immediately, at the killer's clock
+    when it is behind it. A ready victim whose clock is ahead of the
+    killer's (a {!sleep}er, a thread woken at a later time) unwinds at
+    the killer's clock, or at the clock where it last suspended when
+    that is later, so no thread's clock goes back past a time it
+    observed: a kill takes effect when it happens, and a sleeper holding
+    a lock releases it then, not at the end of its sleep. Killing a finished or unknown thread is a no-op.
+    Fault-injection uses this to model the scheduler-level loss of a
+    thread. *)
 
 val current : unit -> t
 (** The scheduler driving the calling thread. *)
@@ -202,9 +208,8 @@ val in_thread : unit -> bool
 (** {1 Synchronization trace hook}
 
     The happens-before skeleton of a run, reported to an external
-    observer: spawn and join edges, and {!Mutex} lock transfers ({!Cond}
-    needs no events of its own because its synchronization is carried by
-    the mutex it is used with). The race detector ({!Analysis.Race}) installs the hook.
+    observer: spawn and join edges, and {!Mutex} lock transfers. The race
+    detector ({!Analysis.Race}) installs the hook.
 
     Emission is purely host-side — no virtual time is charged and no
     scheduling decision changes — so installing a hook cannot perturb a
@@ -240,14 +245,4 @@ module Mutex : sig
 
   val wait_cycles : mutex -> float
   (** Total virtual time spent waiting on this mutex. *)
-end
-
-(** Condition variables (Mesa semantics). *)
-module Cond : sig
-  type cond
-
-  val create : unit -> cond
-  val wait : cond -> Mutex.mutex -> unit
-  val signal : cond -> unit
-  val broadcast : cond -> unit
 end

@@ -3,6 +3,20 @@ module Sched = Simkern.Sched
 let now () = if Sched.in_thread () then Sched.now () else 0.0
 let cur_tid () = if Sched.in_thread () then Sched.self () else -1
 
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 (* {1 Metrics} *)
 
 module Metrics = struct
@@ -548,20 +562,6 @@ module Trace = struct
       (spans t);
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let json_escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun ch ->
-        match ch with
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '"' -> Buffer.add_string b "\\\""
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
 
   let to_chrome_json ?(cycles_per_us = 1.0) t =
     let b = Buffer.create 4096 in

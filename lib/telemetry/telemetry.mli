@@ -22,6 +22,11 @@
     The [metric-naming] repo-lint rule enforces this scheme at
     registration call sites. *)
 
+val json_escape : string -> string
+(** The string's contents as a JSON string body: quote, backslash and
+    newline escaped, other control characters as [\u00XX]. Every JSON
+    report in the repo escapes with it. *)
+
 (** Typed counters, gauges and log-bucketed histograms.
 
     Instruments are registered in a {!Metrics.t} registry under a name

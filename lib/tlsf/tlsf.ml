@@ -100,8 +100,6 @@ let set_sanitize t on =
     t.sanitize <- on
   end
 
-let sanitized t = t.sanitize
-
 (* The allocator's own metadata — headers, free-list links — lives inside
    poisoned ranges by design; every public entry point runs with the
    bypass flag raised. For a sanitized heap that suspends the poison

@@ -62,7 +62,7 @@ val set_inject_failure : t -> (int -> bool) option -> unit
 
     A sanitized heap keeps the invariant that {e every byte of every
     region is poisoned in the space's shadow map except live allocation
-    payloads}. Each allocation carries a trailing {!redzone} (excluded
+    payloads}. Each allocation carries a trailing 16-byte redzone (excluded
     from {!usable_size}); {!free} fills the dying payload with [0xFD]
     and re-poisons it. A checked access that touches a redzone or a
     freed block raises {!Vmem.Space.Fault} with code
@@ -74,11 +74,6 @@ val set_sanitize : t -> bool -> unit
 (** Enable heap-poison mode. Must be called before the first
     {!add_region} (@raise Invalid_argument otherwise); enables the
     space's sanitizer as a side effect. *)
-
-val sanitized : t -> bool
-
-val redzone : int
-(** Trailing poisoned bytes appended to every sanitized allocation (16). *)
 
 val free : t -> int -> unit
 (** Release a payload address, coalescing with free physical neighbours.

@@ -186,7 +186,6 @@ let set_access_hook t h = t.access_hook <- h
 
 let syscall_gate t name =
   match t.syscall_hook with Some h -> h name | None -> ()
-let page_size _ = ps
 let size t = t.size
 
 (* The running thread's record is read by field, not through
@@ -760,21 +759,6 @@ let copy_in t addr s off len =
     Bytes.blit_string s (off + !a - addr) (wframe t !a) (!a land page_mask) n;
     a := !a + n
   done
-
-let load_bytes t addr len =
-  check_len "load_bytes" len;
-  if len = 0 then Bytes.empty
-  else begin
-    checked_bulk t addr len Read;
-    copy_out t addr len
-  end
-
-let store_bytes t addr b =
-  let len = Bytes.length b in
-  if len > 0 then begin
-    checked_bulk t addr len Write;
-    copy_in t addr (Bytes.unsafe_to_string b) 0 len
-  end
 
 let store_string t addr s =
   let len = String.length s in

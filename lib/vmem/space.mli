@@ -55,7 +55,6 @@ val create : ?size_mib:int -> unit -> t
     frame per page written, so an unused range costs next to nothing. *)
 
 val cost : t -> Simkern.Cost.t
-val page_size : t -> int
 val size : t -> int
 
 (** {1 Protection keys} *)
@@ -134,8 +133,6 @@ val store8 : t -> int -> int -> unit
 val store16 : t -> int -> int -> unit
 val store32 : t -> int -> int -> unit
 val store64 : t -> int -> int -> unit
-val load_bytes : t -> int -> int -> bytes
-val store_bytes : t -> int -> bytes -> unit
 val store_string : t -> int -> string -> unit
 val read_string : t -> int -> int -> string
 

@@ -80,7 +80,10 @@ let launch sched net cfg ~on_done () =
       end
     in
     let plain_req = request ~path:cfg.path in
-    let reply = ref "" in
+    let reply = Netsim.Buf.create () in
+    let replied code =
+      Netsim.Buf.length reply >= 12 && status_is (Netsim.Buf.view reply) code
+    in
     let attempt eng =
       let c = live () in
       Netsim.send c
@@ -89,31 +92,28 @@ let launch sched net cfg ~on_done () =
              ("X-Request-Id", Retry.rid eng);
              ("Traceparent", Telemetry.Context.to_traceparent (Retry.context eng));
            ]);
-      match Netsim.recv_deadline c ~deadline:(Retry.deadline eng) with
-      | Some r when status_is r "503" -> Error (`Retry "503")
-      | Some r ->
-          reply := r;
-          Ok ()
-      | None ->
-          (* Timed out: close so a late reply cannot be mistaken for a
-             later request's answer. *)
-          Netsim.close c;
-          Error (`Retry "timeout")
+      if not (Netsim.recv_buf_deadline c reply (Retry.deadline_slot eng) 0)
+      then begin
+        (* Timed out: close so a late reply cannot be mistaken for a
+           later request's answer. *)
+        Netsim.close c;
+        Error (`Retry "timeout")
+      end
+      else if replied "503" then Error (`Retry "503")
+      else Ok ()
     in
+    (* Whether a reply arrived, in [reply]. *)
     let issue () =
       match retry_eng with
-      | None -> (
+      | None ->
           Netsim.send !conn plain_req;
-          match Netsim.recv !conn with
-          | Some _ as r -> r
-          | None ->
-              (* Dropped (e.g. worker crash): reconnect for next request. *)
-              conn := Netsim.connect net ~port:cfg.port;
-              None)
-      | Some eng -> (
-          match Retry.execute eng attempt with
-          | Ok () -> Some !reply
-          | Error _ -> None)
+          Netsim.recv_buf !conn reply
+          || begin
+               (* Dropped (e.g. worker crash): reconnect for next request. *)
+               conn := Netsim.connect net ~port:cfg.port;
+               false
+             end
+      | Some eng -> Result.is_ok (Retry.execute eng attempt)
     in
     for k = 1 to cfg.requests_per_conn do
       (* Open-loop: requests fire on a fleet-wide pre-scheduled grid
@@ -127,10 +127,9 @@ let launch sched net cfg ~on_done () =
         if slot > now then Sched.sleep (slot -. now)
       end;
       Sched.charge cfg.client_cycles;
-      match issue () with
-      | Some reply when is_200 reply ->
-          Sched.Mutex.with_lock lock (fun () -> incr ok)
-      | Some _ | None -> Sched.Mutex.with_lock lock (fun () -> incr failures)
+      if issue () && replied "200" then
+        Sched.Mutex.with_lock lock (fun () -> incr ok)
+      else Sched.Mutex.with_lock lock (fun () -> incr failures)
     done;
     (match retry_eng with
     | Some eng ->

@@ -309,7 +309,7 @@ let run_cluster ~seed =
                else begin
                  Netsim.send conn req;
                  match
-                   Netsim.recv_deadline conn ~deadline:(Sched.now () +. 1.0e6)
+                   Timed_recv.recv_deadline conn ~deadline:(Sched.now () +. 1.0e6)
                  with
                  | Some r when r = Proto.server_error_busy ->
                      Sched.sleep 40_000.0;

@@ -36,6 +36,26 @@ let expect ~seed name ok =
     Printf.printf "FAIL [seed %d] %s\n%!" seed name
   end
 
+(* One rewind of a server's event domain is counted four times: by the
+   monitor ([sdrad_rewinds_total]), the server ([*_rewinds_total]), the
+   supervisor ([supervisor_rewinds_seen_total]) and the audit log. *)
+let rewind_counts_agree ~seed leg sd ~server =
+  let counter name =
+    Telemetry.Metrics.(counter_value (counter (Api.metrics sd) name))
+  in
+  let counts =
+    [
+      counter "sdrad_rewinds_total";
+      server;
+      counter "supervisor_rewinds_seen_total";
+      Api.audit_appended sd;
+    ]
+  in
+  expect ~seed
+    (Printf.sprintf "%s: the four rewind counts agree (%s)" leg
+       (String.concat ", " (List.map string_of_int counts)))
+    (List.for_all (( = ) server) counts)
+
 (* A retrying client op that must eventually commit exactly once: the
    request id is pinned {e outside} the retry engine, so even a whole
    failed [execute] (attempts exhausted, budget dry) can be relaunched
@@ -44,7 +64,7 @@ let until_acked eng ~send_req ~classify =
   let rec loop () =
     match
       Retry.execute eng (fun eng ->
-          match send_req ~deadline:(Retry.deadline eng) with
+          match send_req ~deadline:(Float.Array.get (Retry.deadline_slot eng) 0) with
           | Some r -> classify r
           | None -> Error (`Retry "timeout"))
     with
@@ -140,7 +160,7 @@ let kv_soak ~seed =
                          ~send_req:(fun ~deadline ->
                            let c = live () in
                            Netsim.send c req;
-                           match Netsim.recv_deadline c ~deadline with
+                           match Timed_recv.recv_deadline c ~deadline with
                            | Some r -> Some r
                            | None ->
                                (* A late reply would desynchronize the
@@ -181,7 +201,7 @@ let kv_soak ~seed =
                  done;
                  for _ = 1 to n do
                    ignore
-                     (Netsim.recv_deadline c ~deadline:(Sched.now () +. 500_000.0))
+                     (Timed_recv.recv_deadline c ~deadline:(Sched.now () +. 500_000.0))
                  done;
                  Netsim.close c)
            in
@@ -220,6 +240,7 @@ let kv_soak ~seed =
   expect ~seed "kv: server never crashed" (not (KServer.crashed s));
   expect ~seed "kv: store integrity" (KServer.db_check s = []);
   expect ~seed "kv: overload burst was shed" (KServer.shed_count s > 0);
+  rewind_counts_agree ~seed "kv" (Option.get w.sd) ~server:(KServer.rewinds s);
   Printf.printf
     "seed %2d  kv: %d acked incrs, %d retries, %d rewinds, %d shed, %d \
      replays, %d evictions\n\
@@ -306,7 +327,7 @@ let http_soak ~seed =
                          ~send_req:(fun ~deadline ->
                            let c = live () in
                            Netsim.send c req;
-                           match Netsim.recv_deadline c ~deadline with
+                           match Timed_recv.recv_deadline c ~deadline with
                            | Some r -> Some r
                            | None ->
                                Netsim.close c;
@@ -329,6 +350,8 @@ let http_soak ~seed =
                      want %d)"
        (HServer.post_count s) (clients * posts))
     (HServer.post_count s = clients * posts);
+  rewind_counts_agree ~seed "httpd" (Option.get w.sd)
+    ~server:(HServer.rewinds s);
   Printf.printf
     "seed %2d  httpd: %d acked posts, %d retries, %d rewinds, %d shed, %d \
      replays\n\

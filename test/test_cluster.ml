@@ -101,17 +101,7 @@ let test_ring_balance () =
         (Printf.sprintf "member %d holds a fair share (%d)" m c)
         true
         (c > k / 10))
-    counts
-
-let test_ring_route_n () =
-  let ring = Ring.create () in
-  List.iter (Ring.add ring) [ 0; 1; 2 ];
-  let prefs = Ring.route_n ring "somekey" 3 in
-  check int "three distinct members" 3
-    (List.length (List.sort_uniq compare prefs));
-  check int "owner first" (Ring.route ring "somekey") (List.hd prefs);
-  check int "n beyond membership is clipped" 3
-    (List.length (Ring.route_n ring "somekey" 9));
+    counts;
   check bool "empty ring refuses" true
     (try
        ignore (Ring.route (Ring.create ()) "x");
@@ -186,7 +176,7 @@ let with_cluster ?faults ?(shards = 2) ?(kv_patch = fun c -> c) body =
 
 let rpc conn req =
   Netsim.send conn req;
-  match Netsim.recv_deadline conn ~deadline:(Sched.now () +. 2.0e6) with
+  match Timed_recv.recv_deadline conn ~deadline:(Sched.now () +. 2.0e6) with
   | Some r -> r
   | None -> Alcotest.fail "router did not answer"
 
@@ -460,7 +450,7 @@ let test_quarantine_failover () =
               (* The rewind closes the router's backend connection, so the
                  reply (if any) is busy/none — either way keep going. *)
               ignore
-                (Netsim.recv_deadline conn ~deadline:(Sched.now () +. 1.0e6));
+                (Timed_recv.recv_deadline conn ~deadline:(Sched.now () +. 1.0e6));
               Sched.sleep 10_000.0;
               attack rest
             end
@@ -540,8 +530,6 @@ let () =
           Alcotest.test_case "add moves only K/(n+1)" `Quick
             test_ring_add_stability;
           Alcotest.test_case "vnodes balance load" `Quick test_ring_balance;
-          Alcotest.test_case "route_n preference order" `Quick
-            test_ring_route_n;
           Alcotest.test_case "hash matches the boxed reference" `Quick
             test_ring_hash_reference;
           Alcotest.test_case "route host allocation" `Quick

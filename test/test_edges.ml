@@ -152,12 +152,12 @@ let test_try_recv_semantics () =
       let l = Netsim.listen net ~port:1 in
       let c = Netsim.connect net ~port:1 in
       let srv = Option.get (Netsim.accept l) in
-      check bool "nothing yet" true (Netsim.try_recv srv = None);
+      check bool "nothing yet" true (Timed_recv.try_recv srv = None);
       Netsim.send c "later";
       (* The message has in-flight latency: not deliverable instantly. *)
-      check bool "still in flight" true (Netsim.try_recv srv = None);
+      check bool "still in flight" true (Timed_recv.try_recv srv = None);
       Sched.charge 1.0e6;
-      check bool "delivered after time passes" true (Netsim.try_recv srv = Some "later"))
+      check bool "delivered after time passes" true (Timed_recv.try_recv srv = Some "later"))
 
 let test_latency_scales_with_size () =
   let measure size =

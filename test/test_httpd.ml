@@ -555,7 +555,7 @@ let test_acceptor_skips_dead_worker () =
            let c2 = Netsim.connect w.net ~port:8080 in
            Netsim.send c2 (Load.request ~path:"/index.html");
            check bool "worker 0 died" true (Netsim.recv c0 = None);
-           (match Netsim.recv_deadline c2 ~deadline:(Sched.now () +. 1.0e6) with
+           (match Timed_recv.recv_deadline c2 ~deadline:(Sched.now () +. 1.0e6) with
            | Some r ->
                check bool "worker 1 served worker 0's turn" true (Load.is_200 r)
            | None -> Alcotest.fail "not served before worker 0's respawn");

@@ -378,12 +378,12 @@ let with_store f =
 
 let put space db buf key value =
   Space.store_string space buf value;
-  Store.set db ~key ~flags:7 ~value_src:buf ~value_len:(String.length value)
+  Store_ops.set db ~key ~flags:7 ~value_src:buf ~value_len:(String.length value)
 
 let got space db key =
   Option.map
     (fun (addr, len, flags) -> (Space.read_string space addr len, flags))
-    (Store.get db key)
+    (Store_ops.get db key)
 
 let test_store_set_get () =
   with_store (fun space db buf ->
@@ -412,8 +412,8 @@ let test_store_replace () =
 let test_store_delete () =
   with_store (fun space db buf ->
       ignore (put space db buf "k" "v");
-      check bool "delete hit" true (Store.delete db "k");
-      check bool "delete miss" false (Store.delete db "k");
+      check bool "delete hit" true (Store_ops.delete db "k");
+      check bool "delete miss" false (Store_ops.delete db "k");
       check (Alcotest.option (Alcotest.pair string int)) "gone" None (got space db "k");
       check int "count" 0 (Store.count db))
 
@@ -436,7 +436,7 @@ let test_store_oversized_rejected () =
       ignore space;
       ignore buf;
       check bool "too large refused" false
-        (Store.set db ~key:"big" ~flags:0 ~value_src:buf
+        (Store_ops.set db ~key:"big" ~flags:0 ~value_src:buf
            ~value_len:(Slab.max_chunk_size + 1)))
 
 let store_random_ops =
@@ -455,7 +455,7 @@ let store_random_ops =
                 Hashtbl.replace model key v
               end
               else begin
-                ignore (Store.delete db key);
+                ignore (Store_ops.delete db key);
                 Hashtbl.remove model key
               end)
             ops;
@@ -626,9 +626,9 @@ let test_store_growth_differential () =
       for i = 0 to 999 do
         both (fun db -> ignore (put space db buf (nth_key i) (value i)));
         if i mod 7 = 0 then
-          both (fun db -> ignore (Store.get db (nth_key (i / 2))));
+          both (fun db -> ignore (Store_ops.get db (nth_key (i / 2))));
         if i mod 11 = 0 then
-          both (fun db -> ignore (Store.delete db (nth_key (i / 3))))
+          both (fun db -> ignore (Store_ops.delete db (nth_key (i / 3))))
       done;
       check int "grown to the final size" 1024 (Store.layout grown).buckets;
       check int "count" (Store.count sized) (Store.count grown);
@@ -1333,8 +1333,8 @@ let test_lru_eviction_under_pressure () =
       check bool "evictions happened" true (Store.evictions db > 0);
       check bool "bounded population" true (Store.count db < 200);
       (* The newest items survive; the oldest were evicted. *)
-      check bool "newest present" true (Store.mem db "k199");
-      check bool "oldest gone" false (Store.mem db "k000");
+      check bool "newest present" true (Store_ops.mem db "k199");
+      check bool "oldest gone" false (Store_ops.mem db "k000");
       check (Alcotest.list string) "healthy with LRU" [] (Store.check db))
 
 let test_lru_get_refreshes () =
@@ -1342,10 +1342,10 @@ let test_lru_get_refreshes () =
       ignore (put space db buf "precious" (String.make 1000 'p'));
       for i = 0 to 199 do
         (* Keep touching the protected key while flooding. *)
-        ignore (Store.get db "precious");
+        ignore (Store_ops.get db "precious");
         ignore (put space db buf (Printf.sprintf "f%03d" i) (String.make 1000 'v'))
       done;
-      check bool "refreshed key survived the flood" true (Store.mem db "precious");
+      check bool "refreshed key survived the flood" true (Store_ops.mem db "precious");
       check bool "evictions happened" true (Store.evictions db > 0))
 
 let test_lru_order_tracked () =
@@ -1355,9 +1355,9 @@ let test_lru_order_tracked () =
       ignore (put space db buf "c" "3");
       check (Alcotest.list string) "insertion recency" [ "c"; "b"; "a" ]
         (Store.lru_keys db);
-      ignore (Store.get db "a");
+      ignore (Store_ops.get db "a");
       check (Alcotest.list string) "get bumps" [ "a"; "c"; "b" ] (Store.lru_keys db);
-      ignore (Store.delete db "c");
+      ignore (Store_ops.delete db "c");
       check (Alcotest.list string) "delete unlinks" [ "a"; "b" ] (Store.lru_keys db);
       check (Alcotest.list string) "healthy" [] (Store.check db))
 

@@ -68,19 +68,19 @@ let store_lru_model =
                   let v = value_of key op in
                   Space.store_string space buf v;
                   ignore
-                    (Store.set db ~key ~flags:0 ~value_src:buf
+                    (Store_ops.set db ~key ~flags:0 ~value_src:buf
                        ~value_len:(String.length v));
                   Lru_model.set model key v
               | 1 ->
                   let real =
                     Option.map
                       (fun (a, l, _) -> Space.read_string space a l)
-                      (Store.get db key)
+                      (Store_ops.get db key)
                   in
                   let expected = Lru_model.touch model key in
                   if real <> expected then ok := false
               | _ ->
-                  if Store.delete db key <> Lru_model.delete model key then
+                  if Store_ops.delete db key <> Lru_model.delete model key then
                     ok := false);
               if Store.lru_keys db <> Lru_model.keys model then ok := false;
               if Store.count db <> List.length (Lru_model.keys model) then
@@ -112,13 +112,13 @@ let eviction_order_model =
           for k = 0 to 9 do
             let key = Printf.sprintf "k%d" k in
             Space.store_string space buf key;
-            ignore (Store.set db ~key ~flags:0 ~value_src:buf ~value_len:2);
+            ignore (Store_ops.set db ~key ~flags:0 ~value_src:buf ~value_len:2);
             Lru_model.set model key key
           done;
           List.iter
             (fun k ->
               let key = Printf.sprintf "k%d" k in
-              ignore (Store.get db key);
+              ignore (Store_ops.get db key);
               ignore (Lru_model.touch model key))
             touches;
           (* Evict everything one by one; orders must agree. *)
@@ -130,7 +130,7 @@ let eviction_order_model =
                 (match tail with
                 | actual :: _ ->
                     if actual <> expected then ok := false
-                    else ignore (Store.delete db actual)
+                    else ignore (Store_ops.delete db actual)
                 | [] -> ok := false);
                 drain ()
           in

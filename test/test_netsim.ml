@@ -251,6 +251,24 @@ let test_send_after_close_is_noop () =
       in
       ())
 
+(* A connect to a closed listener is refused: it costs what a connect
+   costs, and its receive reports the close at once instead of waiting
+   for an accept that never comes. *)
+let test_connect_to_closed_listener () =
+  Sched.main (fun _ ->
+      let net = Netsim.create Cost.default in
+      let l = Netsim.listen net ~port:80 in
+      Netsim.close_listener l;
+      let t0 = Sched.now () in
+      let c = Netsim.connect net ~port:80 in
+      let t1 = Sched.now () in
+      check (Alcotest.float 0.0) "charged as a connect" Cost.default.net_msg
+        (t1 -. t0);
+      check bool "peer closed" true (Netsim.peer_closed c);
+      check bool "receive reports the close" true (Netsim.recv c = None);
+      check (Alcotest.float 0.0) "without waiting" t1 (Sched.now ());
+      check bool "nothing to accept" true (Netsim.accept l = None))
+
 (* {1 Host cost of a timed wait}
 
    A blocked timed wait arms a scheduler timer, not a thread. [Sched]
@@ -275,11 +293,14 @@ let plain_roundtrip c =
   Netsim.send c "ping";
   match Netsim.recv c with Some _ -> () | None -> Alcotest.fail "no reply"
 
-let timed_roundtrip c =
-  Netsim.send c "ping";
-  match Netsim.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
-  | Some _ -> ()
-  | None -> Alcotest.fail "reply missed its deadline"
+(* A receive with a deadline, into one buffer. *)
+let timed_roundtrip =
+  let reply = Netsim.Buf.create () and deadline = Float.Array.make 1 0.0 in
+  fun c ->
+    Netsim.send c "ping";
+    Float.Array.set deadline 0 ((Sched.clock_cell ()).clock +. 1.0e6);
+    if not (Netsim.recv_buf_deadline c reply deadline 0) then
+      Alcotest.fail "reply missed its deadline"
 
 (* Run [server] against a client thread that runs [client] on its
    connection; returns the scheduler once the run is over. *)
@@ -311,29 +332,6 @@ let test_timed_recv_leaves_no_threads () =
     (exchange ~server:echo_server ~client:(fun c ->
          for _ = 1 to exchanges do
            timed_roundtrip c
-         done))
-
-let test_timed_wait_leaves_no_threads () =
-  let waitset_server l () =
-    let ws = Netsim.Waitset.create () in
-    Netsim.Waitset.add ws (Option.get (Netsim.accept l));
-    let rec serve () =
-      let c =
-        Netsim.Waitset.wait_deadline ws ~deadline:(Sched.now () +. 1.0e6)
-      in
-      if c == Netsim.no_conn then Alcotest.fail "request missed its deadline";
-      match Netsim.recv c with
-      | Some m ->
-          Netsim.send c m;
-          serve ()
-      | None -> ()
-    in
-    serve ()
-  in
-  check_only_real_threads
-    (exchange ~server:waitset_server ~client:(fun c ->
-         for _ = 1 to exchanges do
-           plain_roundtrip c
          done))
 
 (* Echo every message on the first connection accepted on [l], through
@@ -421,7 +419,7 @@ let test_stale_wake () =
         Sched.spawn t ~name:"waiter" (fun () ->
             let c = Netsim.connect net ~port:80 in
             let deadline = Sched.now () +. 1_000.0 in
-            check bool "timed out" true (Netsim.recv_deadline c ~deadline = None);
+            check bool "timed out" true (Timed_recv.recv_deadline c ~deadline = None);
             Sched.Mutex.lock m;
             got_lock_at := Sched.now ();
             Sched.Mutex.unlock m)
@@ -796,8 +794,7 @@ type wop =
   | Wait of bool
       (** a blocking wait (a poll when nothing is ready); [true]: receive
           from the winner *)
-  | Poll  (** a zero-deadline wait *)
-  | Wait_for of int  (** a wait with a deadline that many cycles ahead *)
+  | Poll
   | Advance of int
 
 let print_wop = function
@@ -810,7 +807,6 @@ let print_wop = function
   | Readd k -> Printf.sprintf "Readd %d" k
   | Wait r -> Printf.sprintf "Wait %b" r
   | Poll -> "Poll"
-  | Wait_for d -> Printf.sprintf "Wait_for %d" d
   | Advance d -> Printf.sprintf "Advance %d" d
 
 let gen_wops =
@@ -828,7 +824,6 @@ let gen_wops =
         (1, map (fun k -> Readd k) k);
         (5, map (fun r -> Wait r) bool);
         (2, return Poll);
-        (1, map (fun d -> Wait_for d) (int_range 0 3_000));
         (1, map (fun d -> Advance d) (int_range 0 3_000));
       ]
   in
@@ -881,7 +876,7 @@ let ready_list_agrees ops =
             if Queue.is_empty m.inbox || m_ready_at m <= deadline then begin
               expect (got == m.server);
               if recv && deliverable m then begin
-                expect (Netsim.try_recv m.server <> None);
+                expect (Timed_recv.try_recv m.server <> None);
                 received m
               end
             end
@@ -918,7 +913,7 @@ let ready_list_agrees ops =
           | Recv k ->
               Option.iter
                 (fun m ->
-                  let got = Netsim.try_recv m.server in
+                  let got = Timed_recv.try_recv m.server in
                   expect (Option.is_some got = deliverable m);
                   if Option.is_some got then received m)
                 (nth k)
@@ -959,17 +954,12 @@ let ready_list_agrees ops =
               if any_ready then
                 check_wait (Netsim.Waitset.wait ws) ~deadline:infinity ~recv
               else
-                let now = Sched.now () in
-                check_wait (Netsim.Waitset.wait_deadline ws ~deadline:now)
-                  ~deadline:now ~recv
+                check_wait (Netsim.Waitset.poll ws) ~deadline:(Sched.now ())
+                  ~recv
           | Poll ->
               let now = Sched.now () in
-              check_wait (Netsim.Waitset.wait_deadline ws ~deadline:now)
-                ~deadline:now ~recv:false
-          | Wait_for d ->
-              let deadline = Sched.now () +. float_of_int d in
-              check_wait (Netsim.Waitset.wait_deadline ws ~deadline) ~deadline
-                ~recv:false
+              check_wait (Netsim.Waitset.poll ws) ~deadline:now ~recv:false;
+              expect (Sched.now () = now)
           | Advance d -> Sched.wait_until (Sched.now () +. float_of_int d));
           let queued = ref 0 in
           Array.iter
@@ -1002,6 +992,8 @@ let () =
           Alcotest.test_case "close wakes receiver" `Quick test_close_wakes_receiver;
           Alcotest.test_case "pending before close" `Quick test_pending_messages_before_close;
           Alcotest.test_case "send after close" `Quick test_send_after_close_is_noop;
+          Alcotest.test_case "connect to a closed listener" `Quick
+            test_connect_to_closed_listener;
         ] );
       ( "waitset",
         [
@@ -1019,8 +1011,6 @@ let () =
         [
           Alcotest.test_case "recv_deadline leaves no threads" `Quick
             test_timed_recv_leaves_no_threads;
-          Alcotest.test_case "wait_deadline leaves no threads" `Quick
-            test_timed_wait_leaves_no_threads;
           Alcotest.test_case "host allocation" `Quick test_timed_recv_allocation;
           Alcotest.test_case "stale wake after a timeout" `Quick test_stale_wake;
           Alcotest.test_case "slot deadline host allocation" `Quick

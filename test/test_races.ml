@@ -373,10 +373,10 @@ let run_kv_digest ~seed ~race =
                    ~on_rewind:(fun _ -> ())
                    (fun () ->
                      Api.enter sd 55;
-                     Api.dprotect sd ~udi:55 ~tddi:cfg.Server.db_udi Vmem.Prot.rw;
-                     let p = Api.malloc sd ~udi:cfg.Server.db_udi 32 in
+                     Api.dprotect sd ~udi:55 ~tddi:Server.db_udi Vmem.Prot.rw;
+                     let p = Api.malloc sd ~udi:Server.db_udi 32 in
                      Space.store64 w.space p 0xDEAD;
-                     Api.free sd ~udi:cfg.Server.db_udi p;
+                     Api.free sd ~udi:Server.db_udi p;
                      Api.exit_domain sd))
              :: !tids;
            List.iter Sched.join !tids;
@@ -527,6 +527,7 @@ let test_cluster_differential () =
    replaying new owner — sees the poison instead of deadlocking. *)
 let test_failover_dlock_poison () =
   let w = Scenario.fleet_world () in
+  let killed_at = ref nan and taken_at = ref nan in
   let { Scenario.result = saw_poison; _ } =
     Scenario.fleet w { Fleet.default_config with shards = 2 }
       (Script
@@ -542,15 +543,22 @@ let test_failover_dlock_poison () =
            Sched.sleep 10_000.0;
            (* The shard crash takes the fiber mid-section... *)
            Sched.kill w.fleet_sched holder;
+           killed_at := Sched.now ();
            (* ...and the fleet fails the shard's keys over. *)
            Fleet.drain_shard t 0;
            (* The replaying new owner must get the lock — poisoned. *)
            let clean = Dlock.acquire l in
+           taken_at := Sched.now ();
            Dlock.clear_poisoned l;
            Dlock.release l;
            not clean))
   in
-  check bool "new owner saw the poison, no deadlock" true saw_poison
+  check bool "new owner saw the poison, no deadlock" true saw_poison;
+  (* The kill took effect when it happened, not when the holder's sleep
+     would have ended. *)
+  if !taken_at -. !killed_at > 2.1e6 then
+    Alcotest.failf "the new owner took the lock %.0f cycles after the kill"
+      (!taken_at -. !killed_at)
 
 let () =
   Alcotest.run "races"

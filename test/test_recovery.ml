@@ -56,7 +56,7 @@ let test_recv_deadline () =
             Netsim.send c "one";
             let t0 = Sched.now () in
             (* Nothing will arrive: must give up exactly at the deadline. *)
-            (match Netsim.recv_deadline c ~deadline:(t0 +. 5_000.0) with
+            (match Timed_recv.recv_deadline c ~deadline:(t0 +. 5_000.0) with
             | None -> ()
             | Some m -> Alcotest.failf "unexpected message %S" m);
             check (Alcotest.float 0.0) "clock stops at the deadline"
@@ -64,46 +64,9 @@ let test_recv_deadline () =
             check bool "timeout is not peer close" false (Netsim.peer_closed c);
             (* A message arriving before the deadline is delivered. *)
             Netsim.send c "two";
-            (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
+            (match Timed_recv.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
             | Some m -> check string "delivered before deadline" "late-reply" m
             | None -> Alcotest.fail "reply lost");
-            Netsim.close c)
-      in
-      ())
-
-let test_waitset_deadline () =
-  run_sim (fun sched ->
-      let net = Netsim.create Cost.default in
-      let l = Netsim.listen net ~port:80 in
-      let ws = Netsim.Waitset.create () in
-      let _ =
-        Sched.spawn sched ~name:"server" (fun () ->
-            let c = Option.get (Netsim.accept l) in
-            Netsim.Waitset.add ws c;
-            let t0 = Sched.now () in
-            if
-              Netsim.Waitset.wait_deadline ws ~deadline:(t0 +. 3_000.0)
-              != Netsim.no_conn
-            then Alcotest.fail "nothing should be ready yet";
-            check (Alcotest.float 0.0) "waitset timeout stops at the deadline"
-              (t0 +. 3_000.0) (Sched.now ());
-            let c' =
-              Netsim.Waitset.wait_deadline ws ~deadline:(Sched.now () +. 1.0e6)
-            in
-            if c' == Netsim.no_conn then
-              Alcotest.fail "message never became ready";
-            check int "ready conn is the watched one" (Netsim.id c)
-              (Netsim.id c');
-            check string "payload intact" "ping" (Option.get (Netsim.recv c'));
-            Netsim.close c)
-      in
-      let _ =
-        Sched.spawn sched ~name:"client" (fun () ->
-            let c = Netsim.connect net ~port:80 in
-            (* Send only after the server's first wait has timed out. *)
-            Sched.sleep 10_000.0;
-            Netsim.send c "ping";
-            ignore (Netsim.recv c);
             Netsim.close c)
       in
       ())
@@ -134,7 +97,7 @@ let test_retry_success_after_backoff () =
               (!attempts - 1)
               (Telemetry.Context.span (Retry.context eng));
             check bool "deadline respects attempt timeout" true
-              (Retry.deadline eng <= Sched.now () +. 1_000.0);
+              (Float.Array.get (Retry.deadline_slot eng) 0 <= Sched.now () +. 1_000.0);
             if !attempts < 3 then Error (`Retry "flaky") else Ok ())
       in
       (match r with
@@ -241,7 +204,7 @@ let test_retry_attempts_and_deadline () =
       let t0 = Sched.now () in
       (match
          Retry.execute eng2 (fun eng ->
-             Sched.wait_until (Retry.deadline eng);
+             Sched.wait_until (Float.Array.get (Retry.deadline_slot eng) 0);
              Error (`Retry "slow"))
        with
       | Error Retry.Deadline_exceeded -> ()
@@ -273,13 +236,13 @@ let test_retry_no_attempt_past_deadline () =
         let t0 = Sched.now () in
         let r =
           Retry.execute eng (fun eng ->
-              let left = Retry.deadline eng -. Sched.now () in
+              let left = Float.Array.get (Retry.deadline_slot eng) 0 -. Sched.now () in
               if left <= 0.0 then
                 Alcotest.failf "seed %d: attempt %d launched with %.0f cycles left"
                   seed
                   (Telemetry.Context.span (Retry.context eng))
                   left;
-              Sched.wait_until (Retry.deadline eng);
+              Sched.wait_until (Float.Array.get (Retry.deadline_slot eng) 0);
               Error (`Retry "slow"))
         in
         (match r with
@@ -439,7 +402,7 @@ let test_journal_replay_after_rewind () =
                   incr sends;
                   if !sends = 2 then Netsim.Drop else Netsim.Deliver));
            Netsim.send c (Proto.fmt_incr ~rid:"cl-1" "ctr" 1);
-           (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 200_000.0) with
+           (match Timed_recv.recv_deadline c ~deadline:(Sched.now () +. 200_000.0) with
            | None -> ()
            | Some m -> Alcotest.failf "response should have been dropped: %S" m);
            Netsim.set_fault_hook net None;
@@ -806,7 +769,7 @@ let test_truncated_frames_rejected () =
               (* Reconnect per probe: an error reply may close the conn. *)
               let c = Netsim.connect net ~port:11211 in
               Netsim.send c frame;
-              (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
+              (match Timed_recv.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
               | Some _ | None -> ());
               Netsim.close c;
               check bool "server survived truncated frame" false (KServer.crashed s)
@@ -841,7 +804,7 @@ let test_httpd_truncated_request_400 () =
             for len = 1 to String.length full - 1 do
               let c = Netsim.connect net ~port:8080 in
               Netsim.send c (String.sub full 0 len);
-              (match Netsim.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
+              (match Timed_recv.recv_deadline c ~deadline:(Sched.now () +. 1.0e6) with
               | Some r ->
                   check bool "truncated request answered with an error status"
                     false
@@ -904,7 +867,6 @@ let () =
       ( "deadline",
         [
           Alcotest.test_case "recv_deadline" `Quick test_recv_deadline;
-          Alcotest.test_case "waitset deadline" `Quick test_waitset_deadline;
         ] );
       ( "retry",
         [

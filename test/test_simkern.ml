@@ -1,6 +1,6 @@
 (* Tests for the simkern substrate: RNG determinism, virtual-time
-   scheduling order, mutex handoff and contention accounting, condition
-   variables, joins and failure reporting. *)
+   scheduling order, mutex handoff and contention accounting, joins and
+   failure reporting. *)
 
 module Rng = Simkern.Rng
 module Sched = Simkern.Sched
@@ -386,59 +386,6 @@ let test_mutex_contention_accounting () =
   check int "one contention" 1 (Sched.Mutex.contentions m);
   check bool "waited about 499 cycles" true (Sched.Mutex.wait_cycles m >= 400.0)
 
-let test_cond_signal_wakes () =
-  let t = Sched.create () in
-  let m = Sched.Mutex.create () in
-  let c = Sched.Cond.create () in
-  let got = ref None in
-  let q = Queue.create () in
-  let _ =
-    Sched.spawn t ~name:"consumer" (fun () ->
-        Sched.Mutex.lock m;
-        while Queue.is_empty q do
-          Sched.Cond.wait c m
-        done;
-        got := Some (Queue.pop q);
-        Sched.Mutex.unlock m)
-  in
-  let _ =
-    Sched.spawn t ~name:"producer" (fun () ->
-        Sched.charge 100.0;
-        Sched.Mutex.lock m;
-        Queue.push 42 q;
-        Sched.Cond.signal c;
-        Sched.Mutex.unlock m)
-  in
-  Sched.run t;
-  check (Alcotest.option int) "received" (Some 42) !got
-
-let test_cond_broadcast_wakes_all () =
-  let t = Sched.create () in
-  let m = Sched.Mutex.create () in
-  let c = Sched.Cond.create () in
-  let go = ref false in
-  let woken = ref 0 in
-  for _ = 1 to 5 do
-    ignore
-      (Sched.spawn t (fun () ->
-           Sched.Mutex.lock m;
-           while not !go do
-             Sched.Cond.wait c m
-           done;
-           incr woken;
-           Sched.Mutex.unlock m))
-  done;
-  let _ =
-    Sched.spawn t (fun () ->
-        Sched.charge 10.0;
-        Sched.Mutex.lock m;
-        go := true;
-        Sched.Cond.broadcast c;
-        Sched.Mutex.unlock m)
-  in
-  Sched.run t;
-  check int "all woken" 5 !woken
-
 let test_sched_spawn_inherits_clock () =
   let t = Sched.create () in
   let child_start = ref 0.0 in
@@ -715,6 +662,36 @@ let test_handle_from_another_run () =
    the kill ended that suspension. A handoff that wakes one waiter must
    pass over it to the next, or the lock or signal is lost. *)
 
+(* A thread killed mid-sleep unwinds when the kill happens, not when its
+   sleep would have ended, and a Dlock it held is poison-released then:
+   the next acquirer takes it, poisoned, at the kill's time. *)
+let test_kill_mid_sleep () =
+  let killed_at = ref nan and unwound_at = ref nan and taken_at = ref nan in
+  let poisoned = ref false in
+  Sched.main (fun t ->
+      let sd = Sdrad.Api.create (Vmem.Space.create ~size_mib:8 ()) in
+      let l = Sdrad.Dlock.create sd in
+      let sleeper =
+        Sched.spawn t ~name:"sleeper" (fun () ->
+            Sdrad.Dlock.with_lock l (fun ~poisoned:_ ->
+                try Sched.sleep 1.0e12
+                with Sched.Killed as e ->
+                  unwound_at := Sched.now ();
+                  raise e))
+      in
+      Sched.sleep 10_000.0;
+      Sched.kill t sleeper;
+      killed_at := Sched.now ();
+      poisoned := not (Sdrad.Dlock.acquire l);
+      taken_at := Sched.now ();
+      Sdrad.Dlock.clear_poisoned l;
+      Sdrad.Dlock.release l);
+  check (Alcotest.float 0.0) "unwound at the kill" !killed_at !unwound_at;
+  check bool "the lock came back poisoned" true !poisoned;
+  if !taken_at -. !killed_at > 10_000.0 then
+    Alcotest.failf "the lock was taken %.0f cycles after the kill"
+      (!taken_at -. !killed_at)
+
 let test_killed_mutex_waiter () =
   let got = ref false in
   Sched.main (fun t ->
@@ -731,24 +708,6 @@ let test_killed_mutex_waiter () =
              Sched.Mutex.unlock m));
       check bool "B died" true (Sched.outcome t b = Some (Sched.Failed Sched.Killed)));
   check bool "C took the mutex" true !got
-
-let test_killed_cond_waiter () =
-  let woken = ref false in
-  Sched.main (fun t ->
-      let m = Sched.Mutex.create () and c = Sched.Cond.create () in
-      let waiter flag () =
-        Sched.Mutex.lock m;
-        Sched.Cond.wait c m;
-        flag := true;
-        Sched.Mutex.unlock m
-      in
-      let w1 = Sched.spawn t ~name:"W1" (waiter (ref false)) in
-      let w2 = Sched.spawn t ~name:"W2" (waiter woken) in
-      Sched.sleep 10.0;
-      Sched.kill t w1;
-      Sched.Mutex.with_lock m (fun () -> Sched.Cond.signal c);
-      Sched.join w2);
-  check bool "the signal reached W2" true !woken
 
 (* {1 Host allocation}
 
@@ -841,10 +800,8 @@ let () =
         [
           Alcotest.test_case "mutual exclusion" `Quick test_mutex_mutual_exclusion;
           Alcotest.test_case "contention accounting" `Quick test_mutex_contention_accounting;
-          Alcotest.test_case "cond signal" `Quick test_cond_signal_wakes;
-          Alcotest.test_case "cond broadcast" `Quick test_cond_broadcast_wakes_all;
           Alcotest.test_case "killed mutex waiter" `Quick test_killed_mutex_waiter;
-          Alcotest.test_case "killed cond waiter" `Quick test_killed_cond_waiter;
+          Alcotest.test_case "kill mid-sleep" `Quick test_kill_mid_sleep;
           Alcotest.test_case "mutex host allocation" `Quick test_mutex_allocation;
         ] );
       ("cost", [ Alcotest.test_case "conversions" `Quick test_cost_conversions ]);

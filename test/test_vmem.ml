@@ -106,7 +106,7 @@ let test_bytes_roundtrip () =
   let s = mk () in
   let a = Space.mmap s ~len:8192 ~prot:Prot.rw ~pkey:0 in
   let payload = Bytes.of_string "hello, simulated world" in
-  Space.store_bytes s (a + 100) payload;
+  Space.store_from s (a + 100) payload 0 (Bytes.length payload);
   check Alcotest.string "bytes" "hello, simulated world"
     (Space.read_string s (a + 100) (Bytes.length payload))
 
@@ -407,7 +407,6 @@ let test_negative_len_never_charges () =
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ()
       in
-      inv (fun () -> Space.load_bytes s a (-5));
       inv (fun () -> Space.read_string s a (-3));
       inv (fun () -> Space.memcmp s a (a + 64) (-1));
       inv (fun () -> Space.blit s ~src:a ~dst:(a + 64) ~len:(-2));
@@ -421,12 +420,12 @@ let test_zero_len_ops_are_free () =
   Sched.main (fun _ ->
       ignore (Space.load8 s a);
       let t0 = Sched.now () in
-      check int "load_bytes 0" 0 (Bytes.length (Space.load_bytes s a 0));
+      Space.read_into s a Bytes.empty 0 0;
       check Alcotest.string "read_string 0" "" (Space.read_string s a 0);
       check int "memcmp 0" 0 (Space.memcmp s a (a + 1) 0);
       Space.blit s ~src:a ~dst:(a + 64) ~len:0;
       Space.fill s ~addr:a ~len:0 'x';
-      Space.store_bytes s a Bytes.empty;
+      Space.store_from s a Bytes.empty 0 0;
       Space.store_string s a "";
       check int "memchr 0" (-1) (Space.memchr s ~addr:a ~len:0 'x');
       check_float "all free" 0.0 (Sched.now () -. t0))
@@ -491,8 +490,6 @@ let test_near_max_int () =
               Space.blit s ~src:a ~dst:a ~len);
           no_charge ~access:Space.Read "memcmp" (fun () ->
               Space.memcmp s a a len);
-          no_charge ~access:Space.Read "load_bytes" (fun () ->
-              Space.load_bytes s a len);
           no_charge ~access:Space.Read "read_string" (fun () ->
               Space.read_string s a len))
         [ huge; max_int ];
@@ -502,8 +499,6 @@ let test_near_max_int () =
           Space.memcmp s a near 8);
       no_charge ~access:Space.Write "store_string" (fun () ->
           Space.store_string s near "abcdefgh");
-      no_charge ~access:Space.Write "store_bytes" (fun () ->
-          Space.store_bytes s near (Bytes.make 8 'b'));
       no_charge ~access:Space.Write "store_from" (fun () ->
           Space.store_from s near (Bytes.make 8 'b') 0 8);
       no_charge ~access:Space.Read "read_into" (fun () ->
@@ -895,7 +890,7 @@ let run_differential ~read_into seed =
         what := Printf.sprintf "store_string 0x%x+%d" a (String.length x);
         let space () =
           if int 2 = 0 then Space.store_string s a x
-          else Space.store_bytes s a (Bytes.of_string x)
+          else Space.store_from s a (Bytes.of_string x) 0 (String.length x)
         in
         write a (String.length x) Space.Write ~space ~flat:(fun () ->
             Bytes.blit_string x 0 m.mem a (String.length x))
@@ -925,7 +920,10 @@ let run_differential ~read_into seed =
               (outcome (fun () -> Space.read_string s a n))
         else
           same "read" (flat_read m a n Space.Read flat)
-            (outcome (fun () -> Bytes.to_string (Space.load_bytes s a n)))
+            (outcome (fun () ->
+                 let b = Bytes.create n in
+                 Space.read_into s a b 0 n;
+                 Bytes.to_string b))
     | 6 ->
         let a = addr () and n = len () in
         let c = if int 3 = 0 then fill_byte () else char () in
