@@ -593,21 +593,6 @@ let metrics_cmd =
 
 (* {1 rollback-report} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Flight-recorder event rendering shared by [rollback-report] and
    [incident]. *)
 module Fl = Checkpoint.Flight
@@ -719,8 +704,8 @@ let rollback_report_cmd =
               %d, \"replays\": %d,\n      \"subtree\": ["
              r.Rl.r_id r.Rl.r_target r.Rl.r_tid
              (Rl.kind_to_string r.Rl.r_kind)
-             (json_escape r.Rl.r_si) r.Rl.r_fault_addr
-             (json_escape r.Rl.r_msg) r.Rl.r_start r.Rl.r_end
+             (Telemetry.json_escape r.Rl.r_si) r.Rl.r_fault_addr
+             (Telemetry.json_escape r.Rl.r_msg) r.Rl.r_start r.Rl.r_end
              r.Rl.r_interrupts r.Rl.r_replays);
         add_json_items b ~indent:"        " subtree_json r.Rl.r_subtree;
         Buffer.add_string b " ],\n      \"events\": [";
@@ -946,7 +931,8 @@ let incident_cmd =
          \  \"subtree\": ["
          r.Rl.r_id r.Rl.r_target r.Rl.r_tid
          (Rl.kind_to_string r.Rl.r_kind)
-         (json_escape r.Rl.r_si) r.Rl.r_fault_addr (json_escape r.Rl.r_msg)
+         (Telemetry.json_escape r.Rl.r_si) r.Rl.r_fault_addr
+         (Telemetry.json_escape r.Rl.r_msg)
          (fmt_trace_id trace) r.Rl.r_start r.Rl.r_end r.Rl.r_interrupts
          r.Rl.r_replays);
     add_json_items b ~indent:"    " subtree_json r.Rl.r_subtree;
@@ -965,7 +951,7 @@ let incident_cmd =
               \"p99\": %.0f, \"exemplars\": [%s] }"
              count p50 p90 p99
              (String.concat ", "
-                (List.map (fun e -> "\"" ^ json_escape e ^ "\"") exemplars))));
+                (List.map (fun e -> "\"" ^ Telemetry.json_escape e ^ "\"") exemplars))));
     Buffer.add_string b "\n}\n";
     print_string (Buffer.contents b)
   in

@@ -12,7 +12,6 @@ type config = {
   port : int;
   vulnerable : bool;
   verify_certs : bool;
-  parser_udi : int;
   rewind_limit : int option;
   per_worker_domains : bool;
   shed_queue_limit : int;
@@ -26,7 +25,6 @@ let default_config =
     port = 8080;
     vulnerable = false;
     verify_certs = false;
-    parser_udi = 1;
     rewind_limit = None;
     per_worker_domains = false;
     shed_queue_limit = 0;
@@ -35,6 +33,13 @@ let default_config =
 
 let cert_udi = 2
 let pool_udi = 13  (* data domain for request pools under SDRaD *)
+let worker_parser_udi = 20  (* worker 0's with per-worker domains *)
+
+(* Worker [i]'s parser domain: udi 1, shared, or with per-worker domains
+   its own, above every fixed udi here, so the supervisor can quarantine
+   one worker's parser without fencing the others. *)
+let parser_udi cfg i =
+  if cfg.per_worker_domains then worker_parser_udi + i else 1
 let proc_cycles = 11_000.0  (* per-request base processing cost *)
 let image_bytes = 2 * 1024 * 1024
 let journal_cap = 256
@@ -265,12 +270,7 @@ let respond t slot c =
       | _ -> Netsim.send c http_405);
       if keep_alive then `Keep else `Close_graceful
 
-(* With per-worker domains each worker parses in its own udi, so the
-   supervisor can quarantine one worker's parser without fencing the
-   others. [parser_udi] must leave [workers] consecutive udis free. *)
-let worker_udi t w =
-  if t.cfg.per_worker_domains then t.cfg.parser_udi + Serve.idx w
-  else t.cfg.parser_udi
+let worker_udi t w = parser_udi t.cfg (Serve.idx w)
 
 (* Under SDRaD each parse phase is its own entry into the parser domain,
    through the fault-injection site; the plain variants parse in place. *)
@@ -369,14 +369,9 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
         (* Request pools live in a dedicated data domain (§V-B). Every
            parser udi a slot may use needs write access to it. *)
         Api.init_data sd ~udi:pool_udi ~heap_size:(256 * 1024) ();
-        let parser_udis =
-          if cfg.per_worker_domains then
-            List.init cfg.workers (fun i -> cfg.parser_udi + i)
-          else [ cfg.parser_udi ]
-        in
-        List.iter
-          (fun udi -> Api.dprotect sd ~udi ~tddi:pool_udi Prot.rw)
-          parser_udis;
+        for i = 0 to (if cfg.per_worker_domains then cfg.workers - 1 else 0) do
+          Api.dprotect sd ~udi:(parser_udi cfg i) ~tddi:pool_udi Prot.rw
+        done;
         fun len -> Api.malloc sd ~udi:pool_udi len
     | _ ->
         (* One pool region per worker; a fresh mapping, so the guard page

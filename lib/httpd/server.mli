@@ -27,18 +27,17 @@ type config = {
   port : int;
   vulnerable : bool;
   verify_certs : bool;
-  parser_udi : int;
   rewind_limit : int option;
       (** §VI side-channel mitigation: "force an application restart after
           a configurable number of rewindings" — a worker that has rewound
           this many times voluntarily re-execs (restoring address-space
           randomization), at the cost of one worker restart *)
   per_worker_domains : bool;
-      (** {!Sdrad} variant only: worker [i] parses in udi
-          [parser_udi + i] instead of all workers sharing [parser_udi],
-          so the supervisor can quarantine one worker's parser without
-          fencing the others. [parser_udi] must leave [workers]
-          consecutive udis free of other uses. Off by default. *)
+      (** {!Sdrad} variant only: worker [i] parses in udi [20 + i],
+          above the certificate and request-pool domains, instead of
+          all workers sharing udi 1, so the supervisor can quarantine
+          one worker's parser without fencing the others. Off by
+          default. *)
   shed_queue_limit : int;
       (** shed (answer 503) when a worker's waitset backlog exceeds this
           many queued messages; 0 disables shedding *)

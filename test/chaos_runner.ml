@@ -1,7 +1,9 @@
 (* Chaos entry point (`dune build @chaos` / `make chaos`): the long
-   fault-injection and DoS suites, run across a fixed set of seeds so a
+   fault-injection and DoS suites, run across [Invariants.seeds] so a
    regression in any one schedule is caught and is replayable from the
-   printed seed. Exits non-zero on the first violated invariant. *)
+   printed seed. The DoS and injection scenarios and the checks more than
+   one leg makes live in [Invariants]. Exits non-zero if any invariant
+   was violated. *)
 
 module Sched = Simkern.Sched
 module Rng = Simkern.Rng
@@ -11,180 +13,36 @@ module Fault_inject = Resilience.Fault_inject
 module Server = Kvcache.Server
 module Proto = Kvcache.Proto
 
-let seeds = [ 11; 23; 37; 41; 53 ]
-let failures = ref 0
-
-let expect ~seed name ok =
-  if not ok then begin
-    incr failures;
-    Printf.printf "FAIL [seed %d] %s\n%!" seed name
-  end
-
 (* {1 Supervised DoS scenario} *)
 
-(* A looping attacker reconnects from one source address and fires the
-   CVE payload; per-client domains + supervisor must cap its rewinds at
-   the budget, keep benign failures at zero, and heal after cooldown. *)
-let run_dos ~seed ~supervised ~attacks =
-  let cfg =
-    {
-      Server.default_config with
-      variant = Server.Sdrad;
-      vulnerable = true;
-      workers = 2;
-      per_client_domains = true;
-    }
-  in
-  let policy =
-    {
-      Supervisor.default_policy with
-      budget_max = 3;
-      budget_window = 1.0e9;
-      backoff_base = 5_000.0;
-      backoff_max = 50_000.0;
-      cooldown = 2.0e6;
-    }
-  in
-  let w =
-    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
-      ?supervisor:(if supervised then Some (Supervisor.attach ~policy) else None)
-      ()
-  in
-  let sched = w.sched and net = w.net in
-  let benign_failures = ref 0 and busy = ref 0 and recovered = ref false in
-  let { Scenario.server = s; _ } =
-    Scenario.kvcache w cfg
-      (Script
-         (fun _ ->
-           let tids = ref [] in
-           for i = 0 to 2 do
-             tids :=
-               Sched.spawn sched
-                 ~name:(Printf.sprintf "good%d" i)
-                 (fun () ->
-                   let rng = Rng.create (seed + (100 * i)) in
-                   let c = Netsim.connect net ~src:(1 + i) ~port:11211 in
-                   for _ = 1 to 25 do
-                     Sched.sleep (float_of_int (Rng.int rng 8_000));
-                     Netsim.send c
-                       (Proto.fmt_set
-                          ~key:(Printf.sprintf "k%d" (Rng.int rng 20))
-                          ~flags:0
-                          ~value:(Bytes.to_string (Rng.bytes rng 64)));
-                     match Netsim.recv c with
-                     | None -> incr benign_failures
-                     | Some r -> (
-                         match Proto.parse_reply r with
-                         | Proto.Failed _ -> incr benign_failures
-                         | _ -> ())
-                   done;
-                   Netsim.close c)
-               :: !tids
-           done;
-           tids :=
-             Sched.spawn sched ~name:"evil" (fun () ->
-                 for _ = 1 to attacks do
-                   Sched.sleep 20_000.0;
-                   let c = Netsim.connect net ~src:777 ~port:11211 in
-                   Netsim.send c
-                     (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
-                        ~value:(String.make 300 'X'));
-                   (match Netsim.recv c with
-                   | None -> ()
-                   | Some r -> if r = Proto.server_error_busy then incr busy);
-                   Netsim.close c
-                 done;
-                 if supervised then begin
-                   Sched.sleep 2.5e6;
-                   let c = Netsim.connect net ~src:777 ~port:11211 in
-                   Netsim.send c (Proto.fmt_get "pwn");
-                   (match Netsim.recv c with
-                   | Some r -> (
-                       match Proto.parse_reply r with
-                       | Proto.Failed _ -> ()
-                       | _ -> recovered := true)
-                   | None -> ());
-                   Netsim.close c
-                 end)
-             :: !tids;
-           List.iter Sched.join !tids))
-  in
-  (Server.rewinds s, !busy, !benign_failures, !recovered, Server.crashed s)
-
 let dos_suite ~seed =
-  let attacks = 10 in
-  let un_rewinds, _, _, _, un_crashed =
-    run_dos ~seed ~supervised:false ~attacks
-  in
-  let rewinds, busy, benign_failures, recovered, crashed =
-    run_dos ~seed ~supervised:true ~attacks
-  in
-  expect ~seed "dos: servers stay up" (not (un_crashed || crashed));
-  expect ~seed "dos: unsupervised rewinds = attacks" (un_rewinds = attacks);
-  expect ~seed "dos: supervised rewinds capped" (rewinds = 3);
-  expect ~seed "dos: excess attacks turned away" (busy = attacks - 3);
-  expect ~seed "dos: zero benign failures" (benign_failures = 0);
-  expect ~seed "dos: recovery via half-open probe" recovered;
+  let expect = Invariants.expect ~seed and attacks = 10 in
+  let unsupervised = Invariants.run_dos ~seed ~supervised:false ~attacks in
+  let supervised = Invariants.run_dos ~seed ~supervised:true ~attacks in
+  Invariants.dos_holds expect ~attacks ~unsupervised ~supervised;
   Printf.printf
     "seed %2d  dos: unsup=%d rewinds, sup=%d rewinds %d busy, recovered=%b\n%!"
-    seed un_rewinds rewinds busy recovered
+    seed
+    (Server.rewinds unsupervised.dos_server)
+    (Server.rewinds supervised.dos_server)
+    supervised.busy supervised.recovered
 
 (* {1 Injected kvcache chaos} *)
 
-let run_injected ~seed =
-  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
-  let sched = w.sched and net = w.net in
-  let fi =
-    Fault_inject.create ~seed
-      [
-        Fault_inject.rule ~prob:0.15 ~site:"kv.domain" Fault_inject.Wild_write;
-        Fault_inject.rule ~prob:0.05 ~site:"kv.domain" Fault_inject.Stack_smash;
-      ]
-  in
-  let cfg = { Server.default_config with variant = Server.Sdrad; workers = 2 } in
-  let { Scenario.server = s; _ } =
-    Scenario.kvcache ~faults:fi w cfg
-      (Script
-         (fun _ ->
-           let tids = ref [] in
-           for i = 0 to 3 do
-             tids :=
-               Sched.spawn sched
-                 ~name:(Printf.sprintf "cl%d" i)
-                 (fun () ->
-                   let rng = Rng.create (seed + i) in
-                   for _ = 1 to 25 do
-                     Sched.sleep (float_of_int (Rng.int rng 10_000));
-                     let c = Netsim.connect net ~port:11211 in
-                     Netsim.send c
-                       (Proto.fmt_set
-                          ~key:(Printf.sprintf "k%d" (Rng.int rng 10))
-                          ~flags:0
-                          ~value:(Bytes.to_string (Rng.bytes rng 48)));
-                     ignore (Netsim.recv c);
-                     Netsim.close c
-                   done)
-               :: !tids
-           done;
-           List.iter Sched.join !tids))
-  in
-  (Fault_inject.log_to_string fi, Fault_inject.fires fi, Server.rewinds s,
-   Server.crashed s, List.length (Server.db_check s))
-
 let injected_suite ~seed =
-  let log1, fires, rewinds, crashed, db_errors = run_injected ~seed in
-  let log2, _, rewinds2, _, _ = run_injected ~seed in
-  expect ~seed "inject: server stays up" (not crashed);
-  expect ~seed "inject: every fire rewinds" (fires = rewinds);
-  expect ~seed "inject: database integrity" (db_errors = 0);
-  expect ~seed "inject: replayable rewinds" (rewinds = rewinds2);
-  expect ~seed "inject: byte-identical logs" (log1 = log2);
+  let expect = Invariants.expect ~seed in
+  let a = Invariants.run_injected ~seed in
+  let b = Invariants.run_injected ~seed in
+  Invariants.injected_holds expect a;
+  Invariants.injected_replays expect a b;
   Printf.printf "seed %2d  inject: %d fires, %d rewinds, replayable\n%!" seed
-    fires rewinds
+    (Fault_inject.fires a.inj_faults)
+    (Server.rewinds a.inj_server)
 
 (* {1 Injected httpd chaos} *)
 
-let run_httpd ~seed =
+let httpd_suite ~seed =
+  let expect = Invariants.expect ~seed in
   let fi =
     Fault_inject.create ~seed
       [
@@ -216,7 +74,6 @@ let run_httpd ~seed =
       Httpd.Server.default_config with
       variant = Httpd.Server.Sdrad;
       workers = 2;
-      parser_udi = 20;
       per_worker_domains = true;
     }
   in
@@ -247,17 +104,17 @@ let run_httpd ~seed =
            done;
            List.iter Sched.join !tids))
   in
-  (!ok, Httpd.Server.rewinds s, Httpd.Server.worker_restarts s,
-   Fault_inject.fires fi)
-
-let httpd_suite ~seed =
-  let ok, rewinds, restarts, fires = run_httpd ~seed in
-  expect ~seed "httpd: faults were injected" (fires > 0);
-  expect ~seed "httpd: kill produced a worker restart" (restarts >= 1);
-  expect ~seed "httpd: most benign requests served" (ok >= 100);
+  let fires = Fault_inject.fires fi and rewinds = Httpd.Server.rewinds s in
+  let restarts = Httpd.Server.worker_restarts s in
+  expect "httpd: faults were injected" (fires > 0);
+  expect "httpd: kill produced a worker restart" (restarts >= 1);
+  expect "httpd: most benign requests served" (!ok >= 100);
+  Invariants.faults_rewound expect "httpd" ~faults:(Invariants.domain_faults fi)
+    ~rewinds;
+  Invariants.quiescent expect "httpd" w ~rewinds;
   Printf.printf
     "seed %2d  httpd: %d fires, %d rewinds, %d restarts, %d/120 served\n%!"
-    seed fires rewinds restarts ok
+    seed fires rewinds restarts !ok
 
 (* {1 Cluster chaos: shard crash + network partition under failover} *)
 
@@ -278,6 +135,8 @@ type cluster_outcome = {
    no incr doubly applied (verbatim retries are answered from the replay
    journal), the ring never empties, and the schedule replays from the
    seed. *)
+let writers = 3 and sets_per = 8 and incrs_per = 5
+
 let run_cluster ~seed =
   let w = Scenario.fleet_world () in
   let sched = w.fleet_sched and net = w.fleet_net in
@@ -291,7 +150,6 @@ let run_cluster ~seed =
       ]
   in
   let cfg = { Cluster.Fleet.default_config with shards = 3 } in
-  let writers = 3 and sets_per = 8 and incrs_per = 5 in
   let acked : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let acked_incrs = Array.make writers 0 in
   let ctr_acked = Array.make writers false in
@@ -417,10 +275,11 @@ let run_cluster ~seed =
   }
 
 let cluster_suite ~seed =
+  let expect = Invariants.expect ~seed in
   let o = run_cluster ~seed in
-  expect ~seed "cluster: no acked write lost" (o.cl_lost = 0);
-  expect ~seed "cluster: ring keeps a member" (o.cl_ring >= 1);
-  expect ~seed "cluster: detected faults drive failover"
+  expect "cluster: no acked write lost" (o.cl_lost = 0);
+  expect "cluster: ring keeps a member" (o.cl_ring >= 1);
+  expect "cluster: detected faults drive failover"
     (o.cl_fires = 0 || o.cl_failovers >= 1);
   Array.iteri
     (fun w (acked, final) ->
@@ -428,31 +287,24 @@ let cluster_suite ~seed =
       | Some v ->
           (* The journal answers verbatim retries, so the counter lands
              between what the writer saw acked and what it attempted. *)
-          expect ~seed
+          expect
             (Printf.sprintf "cluster: ctr%d within [acked, attempts]" w)
-            (v >= acked && v <= 5)
+            (v >= acked && v <= incrs_per)
       | None ->
-          expect ~seed
+          expect
             (Printf.sprintf "cluster: ctr%d unreadable yet had acked incrs" w)
             (acked = 0))
     o.cl_counters;
   (* Same seed, same schedule: the injection log and the failover count
      are a replayable fingerprint of the whole run. *)
   let o2 = run_cluster ~seed in
-  expect ~seed "cluster: replay yields identical fault log" (o.cl_log = o2.cl_log);
-  expect ~seed "cluster: replay yields identical failovers"
+  expect "cluster: replay yields identical fault log" (o.cl_log = o2.cl_log);
+  expect "cluster: replay yields identical failovers"
     (o.cl_failovers = o2.cl_failovers);
   Printf.printf
     "seed %2d  cluster: %d fires, %d failovers, %d acked sets intact, ring %d\n%!"
     seed o.cl_fires o.cl_failovers o.cl_acked_sets o.cl_ring
 
 let () =
-  List.iter (fun seed -> dos_suite ~seed) seeds;
-  List.iter (fun seed -> injected_suite ~seed) seeds;
-  List.iter (fun seed -> httpd_suite ~seed) seeds;
-  List.iter (fun seed -> cluster_suite ~seed) seeds;
-  if !failures > 0 then begin
-    Printf.printf "%d chaos invariant(s) violated\n%!" !failures;
-    exit 1
-  end;
-  print_endline "all chaos invariants held"
+  Invariants.run ~what:"chaos" ~held:"all chaos invariants held"
+    [ dos_suite; injected_suite; httpd_suite; cluster_suite ]

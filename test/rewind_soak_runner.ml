@@ -15,7 +15,8 @@
    - every rewind — interrupted or not — commits exactly one incident
      record to the durable audit log.
 
-   Exits non-zero on the first violated invariant, replayable from the
+   The kvcache leg's clients, read-back and checks are [Invariants'].
+   Exits non-zero if any invariant was violated, replayable from the
    printed seed. *)
 
 module Space = Vmem.Space
@@ -25,38 +26,8 @@ module Api = Sdrad.Api
 module Dlock = Sdrad.Dlock
 module Supervisor = Resilience.Supervisor
 module Fault_inject = Resilience.Fault_inject
-module Retry = Resilience.Retry
 module KServer = Kvcache.Server
 module Proto = Kvcache.Proto
-
-let seeds = [ 11; 23; 37; 41; 53 ]
-let failures = ref 0
-
-let expect ~seed name ok =
-  if not ok then begin
-    incr failures;
-    Printf.printf "FAIL [seed %d] %s\n%!" seed name
-  end
-
-(* One rewind of a server's event domain is counted four times: by the
-   monitor ([sdrad_rewinds_total]), the server ([*_rewinds_total]), the
-   supervisor ([supervisor_rewinds_seen_total]) and the audit log. *)
-let rewind_counts_agree ~seed leg sd ~server =
-  let counter name =
-    Telemetry.Metrics.(counter_value (counter (Api.metrics sd) name))
-  in
-  let counts =
-    [
-      counter "sdrad_rewinds_total";
-      server;
-      counter "supervisor_rewinds_seen_total";
-      Api.audit_appended sd;
-    ]
-  in
-  expect ~seed
-    (Printf.sprintf "%s: the four rewind counts agree (%s)" leg
-       (String.concat ", " (List.map string_of_int counts)))
-    (List.for_all (( = ) server) counts)
 
 (* {1 Monitor leg}
 
@@ -65,7 +36,7 @@ let rewind_counts_agree ~seed leg sd ~server =
    interrupt plan harasses the discard loop. *)
 
 let monitor_leg ~seed =
-  let rounds = 12 in
+  let expect = Invariants.expect ~seed and rounds = 12 in
   let space = Space.create ~size_mib:64 () in
   let sd = Api.create ~seed space in
   let fi =
@@ -116,16 +87,16 @@ let monitor_leg ~seed =
          the ancestors it unwound through are left Ready — clear them
          so every round starts from a bare tree. *)
       if depth > 1 then Api.destroy sd 1 ~heap:`Discard;
-      expect ~seed "exactly one incident per rewind"
+      expect "monitor: exactly one incident per rewind"
         (Api.audit_appended sd = before + 1);
-      expect ~seed "no intent left pending" (not (Api.audit_pending sd));
-      expect ~seed "lock not leaked by subtree discard"
+      Invariants.no_pending_intent expect "monitor" sd;
+      expect "monitor: lock not leaked by subtree discard"
         (Dlock.holder lock = None);
-      expect ~seed "released lock is poisoned" (Dlock.poisoned lock);
+      expect "monitor: released lock is poisoned" (Dlock.poisoned lock);
       List.iter
         (fun u ->
-          expect ~seed
-            (Printf.sprintf "udi %d fully discarded" u)
+          expect
+            (Printf.sprintf "monitor: udi %d fully discarded" u)
             (not (Api.is_initialized sd u)))
         (List.sort_uniq compare !used);
       let footprint =
@@ -134,9 +105,9 @@ let monitor_leg ~seed =
       match !baseline with
       | None -> baseline := Some footprint
       | Some b ->
-          expect ~seed "monitor footprint back to baseline" (footprint = b)
+          expect "monitor: footprint back to baseline" (footprint = b)
     done);
-  expect ~seed "audit log agrees with the incident handler"
+  expect "monitor: audit log agrees with the incident handler"
     (!incidents = Api.audit_appended sd);
   Printf.printf "seed %2d  monitor: %d rewinds, %d interrupts absorbed\n%!" seed
     !incidents (Fault_inject.fires fi)
@@ -149,20 +120,12 @@ let monitor_leg ~seed =
    mid-rewind. The replay-journal invariants must survive all of it. *)
 
 let kv_leg ~seed =
-  let clients = 3 and incrs = 12 in
-  let policy =
-    {
-      Supervisor.default_policy with
-      budget_max = 100;
-      backoff_base = 2_000.0;
-      backoff_max = 20_000.0;
-    }
-  in
+  let expect = Invariants.expect ~seed and clients = 3 and incrs = 12 in
   let w =
     Scenario.world ~size_mib:192 ~monitor:(Api.create ~seed)
-      ~supervisor:(Supervisor.attach ~policy) ()
+      ~supervisor:(Supervisor.attach ~policy:Invariants.lenient_policy) ()
   in
-  let sd = Option.get w.sd and sched = w.sched and net = w.net in
+  let sd = Option.get w.sd in
   let fi =
     Fault_inject.create ~seed
       [
@@ -179,86 +142,21 @@ let kv_leg ~seed =
       workers = 2;
     }
   in
-  let retry_policy =
-    {
-      Retry.default_policy with
-      attempt_timeout = 120_000.0;
-      overall_timeout = 4.0e6;
-      backoff_base = 5_000.0;
-      backoff_cap = 160_000.0;
-    }
-  in
   let { Scenario.server = s; _ } =
     Scenario.kvcache ~faults:fi w cfg
       (Script
          (fun _ ->
            let tids =
-             List.init clients (fun i ->
-                 Sched.spawn sched
-                   ~name:(Printf.sprintf "rw%d" i)
-                   (fun () ->
-                     let rng = Rng.create (seed + (100 * i)) in
-                     let eng =
-                       Retry.create retry_policy
-                         ~rng:(Rng.create (seed + (200 * i) + 1))
-                         ~name:(Printf.sprintf "rw%d" i)
-                     in
-                     let key = Printf.sprintf "ctr%d" i in
-                     let conn = ref (Netsim.connect net ~port:11211) in
-                     let live () =
-                       let c = !conn in
-                       if Netsim.is_open c && not (Netsim.peer_closed c) then c
-                       else begin
-                         Netsim.close c;
-                         conn := Netsim.connect net ~port:11211;
-                         !conn
-                       end
-                     in
-                     let acked req ~ok =
-                       let rec loop () =
-                         match
-                           Retry.execute eng (fun eng ->
-                               let c = live () in
-                               Netsim.send c req;
-                               match
-                                 Timed_recv.recv_deadline c
-                                   ~deadline:(Float.Array.get (Retry.deadline_slot eng) 0)
-                               with
-                               | Some r ->
-                                   if r = Proto.server_error_busy then
-                                     Error (`Retry "busy")
-                                   else if ok (Proto.parse_reply r) then Ok ()
-                                   else Error (`Retry "bad reply")
-                               | None ->
-                                   Netsim.close c;
-                                   Error (`Retry "timeout"))
-                         with
-                         | Ok () -> ()
-                         | Error _ ->
-                             Sched.sleep 100_000.0;
-                             loop ()
-                       in
-                       loop ()
-                     in
-                     acked
-                       (Proto.fmt_set ~key ~flags:0 ~value:"0")
-                       ~ok:(fun r -> r = Proto.Stored);
-                     for n = 1 to incrs do
-                       Sched.sleep (float_of_int (Rng.int rng 12_000));
-                       let rid = Printf.sprintf "rw%d-op%d" i n in
-                       acked
-                         (Proto.fmt_incr ~rid key 1)
-                         ~ok:(function Proto.Number _ -> true | _ -> false)
-                     done;
-                     Netsim.close !conn))
+             Invariants.spawn_counters w ~seed ~name:"rw" ~clients ~incrs
+               ~retries:(ref 0)
            in
            (* Lying declared lengths: the classic overflow that forces a
               worker-domain rewind — here with the interrupt plan armed. *)
            let evil =
-             Sched.spawn sched ~name:"evil" (fun () ->
+             Sched.spawn w.sched ~name:"evil" (fun () ->
                  for _ = 1 to 6 do
                    Sched.sleep 60_000.0;
-                   let c = Netsim.connect net ~src:777 ~port:11211 in
+                   let c = Netsim.connect w.net ~src:777 ~port:11211 in
                    Netsim.send c
                      (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
                         ~value:(String.make 300 'X'));
@@ -267,38 +165,9 @@ let kv_leg ~seed =
                  done)
            in
            List.iter Sched.join (evil :: tids);
-           (* Read every counter back and check exactness. *)
-           List.iteri
-             (fun i () ->
-               let key = Printf.sprintf "ctr%d" i in
-               let rec read_back tries =
-                 if tries = 0 then None
-                 else begin
-                   let c = Netsim.connect net ~port:11211 in
-                   Netsim.send c (Proto.fmt_get key);
-                   let r = Timed_recv.recv_deadline c ~deadline:(Sched.now () +. 500_000.0) in
-                   Netsim.close c;
-                   match Option.map Proto.parse_reply r with
-                   | Some (Proto.Value v) -> Some (int_of_string v)
-                   | _ ->
-                       Sched.sleep 50_000.0;
-                       read_back (tries - 1)
-                 end
-               in
-               match read_back 10 with
-               | None -> expect ~seed (key ^ " readable after soak") false
-               | Some v ->
-                   expect ~seed
-                     (Printf.sprintf
-                        "%s applied exactly once per ack (got %d, want %d)" key v
-                        incrs)
-                     (v = incrs))
-             (List.init clients (fun _ -> ()))))
+           Invariants.counters_exact expect "kv" w.net ~clients ~incrs))
   in
-  expect ~seed "kv: no crash under interrupted rewinds"
-    (not (KServer.crashed s));
-  expect ~seed "kv: no intent left pending" (not (Api.audit_pending sd));
-  rewind_counts_agree ~seed "kv" sd ~server:(KServer.rewinds s);
+  Invariants.kv_holds expect "kv" w s;
   Printf.printf
     "seed %2d  kvcache: %d rewinds, %d audit records, %d interrupts, %d \
      replays\n\
@@ -307,11 +176,7 @@ let kv_leg ~seed =
     (KServer.replay_hits s)
 
 let () =
-  List.iter (fun seed -> monitor_leg ~seed) seeds;
-  List.iter (fun seed -> kv_leg ~seed) seeds;
-  if !failures > 0 then begin
-    Printf.printf "%d rewind-soak invariant(s) violated\n%!" !failures;
-    exit 1
-  end;
-  print_endline
-    "all rewind-soak invariants held: no partial rollback state observable"
+  Invariants.run ~what:"rewind-soak"
+    ~held:
+      "all rewind-soak invariants held: no partial rollback state observable"
+    [ monitor_leg; kv_leg ]

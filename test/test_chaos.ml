@@ -3,7 +3,8 @@
    payloads. The availability invariants of the paper must hold at every
    scale and interleaving: the SDRaD server never goes down, exactly the
    attacked events rewind, benign traffic never fails, and shared state
-   passes its integrity walk. *)
+   passes its integrity walk. The checks shared with the chaos runners
+   are [Invariants']. *)
 
 module Sched = Simkern.Sched
 module Rng = Simkern.Rng
@@ -15,11 +16,10 @@ module Bin = Kvcache.Binproto
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
+let expect name ok = check bool name true ok
 
 type outcome = {
   rewinds : int;
-  crashed : bool;
-  db_errors : int;
   benign_failures : int;
   benign_ops : int;
   attacks : int;
@@ -27,8 +27,9 @@ type outcome = {
 }
 
 (* One full simulation: [benign] clients doing random gets/sets/deletes in
-   a random protocol, [attackers] firing lying SETs at random moments. *)
-let run_kv_chaos ~seed ~benign ~attackers ~ops_per_client =
+   a random protocol, [attackers] firing lying SETs at random moments.
+   The invariants every run must keep are reported through [expect]. *)
+let run_kv_chaos ~expect ~seed ~benign ~attackers ~ops_per_client =
   let w = Scenario.world ~size_mib:192 ~monitor:Api.create () in
   let sched = w.sched and net = w.net in
   let cfg =
@@ -108,10 +109,12 @@ let run_kv_chaos ~seed ~benign ~attackers ~ops_per_client =
            done;
            List.iter Sched.join !tids))
   in
+  Invariants.kv_holds expect "kv chaos" w s;
+  Invariants.faults_rewound expect "kv chaos" ~faults:!attacks
+    ~rewinds:(Server.rewinds s);
+  expect "kv chaos: benign traffic unharmed" (!benign_failures = 0);
   {
     rewinds = Server.rewinds s;
-    crashed = Server.crashed s;
-    db_errors = List.length (Server.db_check s);
     benign_failures = !benign_failures;
     benign_ops = !benign_ops;
     attacks = !attacks;
@@ -119,26 +122,28 @@ let run_kv_chaos ~seed ~benign ~attackers ~ops_per_client =
   }
 
 let test_kv_chaos_invariants () =
-  let o = run_kv_chaos ~seed:11 ~benign:6 ~attackers:3 ~ops_per_client:60 in
-  check bool "server alive" false o.crashed;
-  check int "every attack rewound, nothing else" o.attacks o.rewinds;
-  check int "benign traffic unharmed" 0 o.benign_failures;
-  check int "database integrity" 0 o.db_errors;
+  let o =
+    run_kv_chaos ~expect ~seed:11 ~benign:6 ~attackers:3 ~ops_per_client:60
+  in
   check int "all benign ops issued" (6 * 60) o.benign_ops;
   check bool "attacks actually ran" true (o.attacks = 9)
 
 let test_kv_chaos_deterministic () =
-  let a = run_kv_chaos ~seed:23 ~benign:4 ~attackers:2 ~ops_per_client:40 in
-  let b = run_kv_chaos ~seed:23 ~benign:4 ~attackers:2 ~ops_per_client:40 in
+  let run () =
+    run_kv_chaos ~expect ~seed:23 ~benign:4 ~attackers:2 ~ops_per_client:40
+  in
+  let a = run () in
+  let b = run () in
   check bool "identical outcomes" true (a = b)
 
 let kv_chaos_prop =
   QCheck.Test.make ~name:"chaos invariants hold across seeds" ~count:6
     QCheck.(int_range 1 10_000)
     (fun seed ->
-      let o = run_kv_chaos ~seed ~benign:4 ~attackers:2 ~ops_per_client:30 in
-      (not o.crashed) && o.rewinds = o.attacks && o.benign_failures = 0
-      && o.db_errors = 0)
+      Invariants.holds (fun expect ->
+          ignore
+            (run_kv_chaos ~expect ~seed ~benign:4 ~attackers:2
+               ~ops_per_client:30)))
 
 (* The web server under the same treatment, with the rewind-limit policy
    armed: attacks cause rewinds and occasional proactive restarts, but
@@ -188,7 +193,9 @@ let test_web_chaos_with_rewind_limit () =
              :: !tids;
            List.iter Sched.join !tids))
   in
-  check int "all attacks rewound" !attacks (Httpd.Server.rewinds s);
+  let rewinds = Httpd.Server.rewinds s in
+  Invariants.faults_rewound expect "web chaos" ~faults:!attacks ~rewinds;
+  Invariants.quiescent expect "web chaos" w ~rewinds;
   check bool "rewind limit produced restarts" true
     (Httpd.Server.proactive_restarts s >= 2);
   (* A benign request can race a proactive restart (its connection dies

@@ -708,6 +708,50 @@ let test_cert_cve_kills_unprotected_worker () =
   check int "one worker restart" 1 (Server.worker_restarts srv)
 
 
+(* With per-worker parser domains, each worker's persistent parser
+   domain sits at a udi no other domain uses: a certificate check on
+   worker 1 runs in the certificate domain and destroys it, and leaves
+   both workers' parser domains in place. *)
+let test_cert_check_keeps_worker_parser_domains () =
+  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
+  let sd = Option.get w.sd in
+  let exec_domains () =
+    List.filter_map
+      (fun (d : Api.domain_info) ->
+        if d.di_kind = `Exec then Some (d.di_udi, d.di_tid) else None)
+      (Api.domains_info sd)
+  in
+  let served c req =
+    Netsim.send c req;
+    match Netsim.recv c with Some r -> Load.is_200 r | None -> false
+  in
+  let get = Load.request ~path:"/index.html" in
+  ignore
+    (Scenario.httpd w
+       ~files:(fun () -> mk_fs w.space)
+       { Server.default_config with variant = Server.Sdrad; verify_certs = true;
+         workers = 2; per_worker_domains = true }
+       (Script
+          (fun _ ->
+            let c0 = Netsim.connect w.net ~port:8080 in
+            let c1 = Netsim.connect w.net ~port:8080 in
+            check bool "worker 0 serves" true (served c0 get);
+            check bool "worker 1 serves" true (served c1 get);
+            let parsers = exec_domains () in
+            check int "one parser domain per worker" 2 (List.length parsers);
+            let cert =
+              Crypto.X509.make_cert ~cn:"good"
+                ~altname:Crypto.X509.benign_altname
+            in
+            check bool "worker 1 accepts a certificate" true
+              (served c1
+                 (Load.request_with_headers ~path:"/index.html"
+                    (cert_header cert)));
+            check bool "both parser domains survive" true
+              (exec_domains () = parsers);
+            check bool "worker 1 still serves" true (served c1 get);
+            List.iter Netsim.close [ c0; c1 ])))
+
 let post net port path body =
   let c = Netsim.connect net ~port in
   Netsim.send c
@@ -971,6 +1015,8 @@ let () =
             test_cert_cve_rewinds_and_service_continues;
           Alcotest.test_case "cve kills unprotected worker" `Quick
             test_cert_cve_kills_unprotected_worker;
+          Alcotest.test_case "per-worker parser domains survive" `Quick
+            test_cert_check_keeps_worker_parser_domains;
         ] );
       ( "methods",
         [

@@ -13,8 +13,6 @@ module Api = Sdrad.Api
 module Types = Sdrad.Types
 module Supervisor = Resilience.Supervisor
 module Fault_inject = Resilience.Fault_inject
-module Server = Kvcache.Server
-module Proto = Kvcache.Proto
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -477,220 +475,44 @@ let test_smash_canary_causes_rewind () =
       check bool "stack smash detected and rewound" true
         (!cause = Some Types.Stack_smash))
 
-(* {1 Acceptance: the DoS amplifier and its fix} *)
+(* {1 Acceptance: the DoS amplifier and its fix}
 
-type dos_outcome = {
-  rewinds : int;
-  busy_replies : int;
-  benign_failures : int;
-  benign_ok : int;
-  recovered : bool;
-  crashed : bool;
-}
+   [Invariants.run_dos]: a looping attacker turns unlimited rewinds into
+   a DoS amplifier against the unsupervised server; the supervised one
+   caps its rewinds at the budget, turns the rest away busy, keeps benign
+   traffic at zero failures and heals through a half-open probe. *)
 
-(* A looping attacker from one source address reconnects after every
-   rewind and fires the CVE payload again; benign clients run normal
-   traffic from their own addresses. [supervised] decides whether a
-   Supervisor gates the per-client domains. *)
-let run_dos ~seed ~supervised ~attacks =
-  let cfg =
-    {
-      Server.default_config with
-      variant = Server.Sdrad;
-      vulnerable = true;
-      workers = 2;
-      per_client_domains = true;
-    }
-  in
-  let policy =
-    {
-      Supervisor.default_policy with
-      budget_max = 3;
-      budget_window = 1.0e9;
-      backoff_base = 5_000.0;
-      backoff_max = 50_000.0;
-      cooldown = 2.0e6;
-    }
-  in
-  let w =
-    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
-      ?supervisor:(if supervised then Some (Supervisor.attach ~policy) else None)
-      ()
-  in
-  let sched = w.sched and net = w.net in
-  let attacker_src = 777 in
-  let benign = 3 and ops_per_client = 25 in
-  let benign_failures = ref 0 and benign_ok = ref 0 in
-  let busy_replies = ref 0 and recovered = ref false in
-  let { Scenario.server = s; _ } =
-    Scenario.kvcache w cfg
-      (Script
-         (fun _ ->
-           let tids = ref [] in
-           for i = 0 to benign - 1 do
-             tids :=
-               Sched.spawn sched
-                 ~name:(Printf.sprintf "good%d" i)
-                 (fun () ->
-                   let rng = Rng.create (seed + (100 * i)) in
-                   let c = Netsim.connect net ~src:(1 + i) ~port:11211 in
-                   for _ = 1 to ops_per_client do
-                     Sched.sleep (float_of_int (Rng.int rng 8_000));
-                     let key = Printf.sprintf "k%d" (Rng.int rng 20) in
-                     let req =
-                       if Rng.bool rng then Proto.fmt_get key
-                       else
-                         Proto.fmt_set ~key ~flags:0
-                           ~value:(Bytes.to_string (Rng.bytes rng 64))
-                     in
-                     Netsim.send c req;
-                     match Netsim.recv c with
-                     | None -> incr benign_failures
-                     | Some r -> (
-                         match Proto.parse_reply r with
-                         | Proto.Failed _ -> incr benign_failures
-                         | _ -> incr benign_ok)
-                   done;
-                   Netsim.close c)
-               :: !tids
-           done;
-           tids :=
-             Sched.spawn sched ~name:"evil" (fun () ->
-                 for _ = 1 to attacks do
-                   Sched.sleep 20_000.0;
-                   (* Reconnect from the same address: with per-client
-                      domains the rewind budget follows the attacker. *)
-                   let c = Netsim.connect net ~src:attacker_src ~port:11211 in
-                   Netsim.send c
-                     (Proto.fmt_set_lying ~key:"pwn" ~flags:0 ~declared:(-1)
-                        ~value:(String.make 300 'X'));
-                   (match Netsim.recv c with
-                   | None -> () (* rewound; server closed the connection *)
-                   | Some r ->
-                       if r = Proto.server_error_busy then incr busy_replies);
-                   Netsim.close c
-                 done;
-                 (* After the cooldown the attacker behaves: the half-open
-                    probe must readmit and heal the domain. *)
-                 if supervised then begin
-                   Sched.sleep 2.5e6;
-                   let c = Netsim.connect net ~src:attacker_src ~port:11211 in
-                   Netsim.send c (Proto.fmt_get "pwn");
-                   (match Netsim.recv c with
-                   | Some r -> (
-                       match Proto.parse_reply r with
-                       | Proto.Failed _ -> ()
-                       | _ -> recovered := true)
-                   | None -> ());
-                   Netsim.close c
-                 end)
-             :: !tids;
-           List.iter Sched.join !tids))
-  in
-  {
-    rewinds = Server.rewinds s;
-    busy_replies = !busy_replies;
-    benign_failures = !benign_failures;
-    benign_ok = !benign_ok;
-    recovered = !recovered;
-    crashed = Server.crashed s;
-  }
+let expect name ok = check bool name true ok
 
 let test_dos_amplifier_fixed () =
   let attacks = 10 in
-  let un = run_dos ~seed:17 ~supervised:false ~attacks in
-  let sup = run_dos ~seed:17 ~supervised:true ~attacks in
-  (* Unsupervised: every attack costs a full rewind, forever. *)
-  check bool "servers stayed up" true (not (un.crashed || sup.crashed));
-  check int "unsupervised rewinds unboundedly" attacks un.rewinds;
-  (* Supervised: the attacker exhausts its budget and is fenced off. *)
-  check int "supervised rewinds capped at the budget" 3 sup.rewinds;
-  check int "remaining attacks turned away busy" (attacks - 3)
-    sup.busy_replies;
-  check int "zero benign failures under attack" 0 sup.benign_failures;
-  check bool "benign traffic actually served" true
-    (sup.benign_ok = un.benign_ok && sup.benign_ok = 3 * 25);
-  (* And the quarantine is not a death sentence. *)
-  check bool "attacker domain recovered via half-open probe" true
-    sup.recovered
+  let unsupervised = Invariants.run_dos ~seed:17 ~supervised:false ~attacks in
+  let supervised = Invariants.run_dos ~seed:17 ~supervised:true ~attacks in
+  Invariants.dos_holds expect ~attacks ~unsupervised ~supervised
 
 (* {1 Acceptance: reproducible chaos} *)
 
-(* One injected chaos run: benign clients only, with the engine corrupting
-   event-domain memory from inside at "kv.domain". Returns the rendered
-   injection log and incident log. Both must be byte-identical across runs
-   with the same (seed, plan). *)
-let run_injected ~seed =
-  let w = Scenario.world ~size_mib:128 ~monitor:Api.create () in
-  let sched = w.sched and net = w.net in
-  let fi =
-    Fault_inject.create ~seed
-      [
-        Fault_inject.rule ~prob:0.15 ~site:"kv.domain" Fault_inject.Wild_write;
-        Fault_inject.rule ~prob:0.05 ~site:"kv.domain" Fault_inject.Stack_smash;
-      ]
-  in
-  let cfg =
-    { Server.default_config with variant = Server.Sdrad; workers = 2 }
-  in
-  let { Scenario.server = s; _ } =
-    Scenario.kvcache ~faults:fi w cfg
-      (Script
-         (fun _ ->
-           let tids = ref [] in
-           for i = 0 to 3 do
-             tids :=
-               Sched.spawn sched
-                 ~name:(Printf.sprintf "cl%d" i)
-                 (fun () ->
-                   let rng = Rng.create (seed + i) in
-                   (* Reconnect per request: a rewind may close the conn. *)
-                   for _ = 1 to 25 do
-                     Sched.sleep (float_of_int (Rng.int rng 10_000));
-                     let c = Netsim.connect net ~port:11211 in
-                     let key = Printf.sprintf "k%d" (Rng.int rng 10) in
-                     Netsim.send c
-                       (Proto.fmt_set ~key ~flags:0
-                          ~value:(Bytes.to_string (Rng.bytes rng 48)));
-                     ignore (Netsim.recv c);
-                     Netsim.close c
-                   done)
-               :: !tids
-           done;
-           List.iter Sched.join !tids))
-  in
-  let incident_log =
-    Api.audit_records (Option.get w.sd)
-    |> List.map (fun (r : Checkpoint.Rewind_log.record) ->
-           Printf.sprintf "domain %d tid %d %s %s 0x%x %s" r.r_target r.r_tid
-             (Checkpoint.Rewind_log.kind_to_string r.r_kind)
-             r.r_si r.r_fault_addr r.r_msg)
-    |> String.concat "\n"
-  in
-  (Fault_inject.log_to_string fi, incident_log, Server.rewinds s)
-
+(* [Invariants.run_injected]: benign clients only, with the engine
+   corrupting event-domain memory from inside at "kv.domain". Its
+   injection and incident logs must be byte-identical across runs with
+   the same (seed, plan). *)
 let test_injection_replayable () =
-  let log1, inc1, rewinds1 = run_injected ~seed:91 in
-  let log2, inc2, rewinds2 = run_injected ~seed:91 in
-  check bool "faults were injected" true (rewinds1 > 0);
-  check int "identical rewind counts" rewinds1 rewinds2;
-  check string "byte-identical injection logs" log1 log2;
-  check string "byte-identical incident logs" inc1 inc2;
-  let log3, _, _ = run_injected ~seed:92 in
-  check bool "different seed, different fault plan" true (log1 <> log3)
+  let a = Invariants.run_injected ~seed:91 in
+  let b = Invariants.run_injected ~seed:91 in
+  Invariants.injected_holds expect a;
+  Invariants.injected_replays expect a b;
+  let c = Invariants.run_injected ~seed:92 in
+  check bool "different seed, different fault plan" true
+    (Fault_inject.log_to_string a.inj_faults
+    <> Fault_inject.log_to_string c.inj_faults)
 
 let injection_prop =
   QCheck.Test.make ~name:"every injected corruption rewinds, never crashes"
     ~count:5
     QCheck.(int_range 1 10_000)
     (fun seed ->
-      let log, _, rewinds = run_injected ~seed in
-      (* Wild_write and Stack_smash always fault inside the domain, so
-         every fired event is one rewind. *)
-      let fired =
-        List.length (String.split_on_char '\n' (String.trim log))
-      in
-      (log = "" && rewinds = 0) || fired = rewinds)
+      Invariants.holds (fun expect ->
+          Invariants.injected_holds expect (Invariants.run_injected ~seed)))
 
 let () =
   Alcotest.run "resilience"
