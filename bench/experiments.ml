@@ -1074,37 +1074,31 @@ let r4 () =
     ratio l_ok.p99 l_ft.p99 r_ft.Workload.Ycsb.retries
     (Kvcache.Server.rewinds s_ft)
     (Kvcache.Server.replay_hits s_ft);
-  let oc = open_out "BENCH_r4.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"r4\",\n\
-    \  \"workload\": { \"server\": \"kvcache\", \"variant\": \"sdrad\", \
-     \"workers\": %d, \"clients\": %d, \"records\": %d, \"operations\": %d \
-     },\n\
-    \  \"net_fault_prob\": %.3f,\n\
-    \  \"domain_fault_prob\": %.3f,\n\
-    \  \"goodput_fault_free\": %.1f,\n\
-    \  \"goodput_faulted\": %.1f,\n\
-    \  \"goodput_ratio\": %.4f,\n\
-    \  \"p50_us_fault_free\": %.2f,\n\
-    \  \"p99_us_fault_free\": %.2f,\n\
-    \  \"p50_us_faulted\": %.2f,\n\
-    \  \"p99_us_faulted\": %.2f,\n\
-    \  \"retries_faulted\": %d,\n\
-    \  \"rewinds_faulted\": %d,\n\
-    \  \"replay_hits_faulted\": %d,\n\
-    \  \"shed_faulted\": %d,\n\
-    \  \"failures_fault_free\": %d,\n\
-    \  \"failures_faulted\": %d\n\
-     }\n"
-    workers clients records operations net_fault_prob domain_fault_prob g_ok
-    g_ft ratio l_ok.p50 l_ok.p99 l_ft.p50 l_ft.p99 r_ft.Workload.Ycsb.retries
-    (Kvcache.Server.rewinds s_ft)
-    (Kvcache.Server.replay_hits s_ft)
-    (Kvcache.Server.shed_count s_ft)
-    r_ok.Workload.Ycsb.failures r_ft.Workload.Ycsb.failures;
-  close_out oc;
-  print_endline "wrote BENCH_r4.json";
+  write_json "BENCH_r4.json" ~experiment:"r4"
+    [
+      ( "workload",
+        Obj
+          [
+            ("server", Str "kvcache"); ("variant", Str "sdrad");
+            ("workers", Int workers); ("clients", Int clients);
+            ("records", Int records); ("operations", Int operations);
+          ] );
+      ("net_fault_prob", Fixed (3, net_fault_prob));
+      ("domain_fault_prob", Fixed (3, domain_fault_prob));
+      ("goodput_fault_free", Fixed (1, g_ok));
+      ("goodput_faulted", Fixed (1, g_ft));
+      ("goodput_ratio", Fixed (4, ratio));
+      ("p50_us_fault_free", Fixed (2, l_ok.p50));
+      ("p99_us_fault_free", Fixed (2, l_ok.p99));
+      ("p50_us_faulted", Fixed (2, l_ft.p50));
+      ("p99_us_faulted", Fixed (2, l_ft.p99));
+      ("retries_faulted", Int r_ft.Workload.Ycsb.retries);
+      ("rewinds_faulted", Int (Kvcache.Server.rewinds s_ft));
+      ("replay_hits_faulted", Int (Kvcache.Server.replay_hits s_ft));
+      ("shed_faulted", Int (Kvcache.Server.shed_count s_ft));
+      ("failures_fault_free", Int r_ok.Workload.Ycsb.failures);
+      ("failures_faulted", Int r_ft.Workload.Ycsb.failures);
+    ];
   if r_ok.Workload.Ycsb.failures > 0 || r_ft.Workload.Ycsb.failures > 0 then begin
     Printf.eprintf
       "R4 FAIL: %d fault-free / %d faulted operations ran out of retries — \
@@ -1226,46 +1220,26 @@ let r5 () =
     "aggregate goodput scales %.2fx from 1 to 4 shards (gate: >= 2.8x); p99 \
      %.1f us -> %.1f us under the same offered load\n"
     scaling (lat r1_).Stats.p99 (lat r4_).Stats.p99;
-  let oc = open_out "BENCH_r5.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"r5\",\n\
-    \  \"workload\": { \"server\": \"kvcache-cluster\", \"variant\": \
-     \"sdrad\", \"clients\": %d, \"records\": %d, \"operations\": %d, \
-     \"arrival_interval_cycles\": %.0f },\n\
-    \  \"shards\": [%s],\n\
-    \  \"goodput_ops_per_sec\": [%s],\n\
-    \  \"p50_us\": [%s],\n\
-    \  \"p99_us\": [%s],\n\
-    \  \"retries\": [%s],\n\
-    \  \"failures\": [%s],\n\
-    \  \"scaling_1_to_4\": %.3f,\n\
-    \  \"scaling_gate\": 2.8\n\
-     }\n"
-    clients records operations arrival_interval
-    (String.concat ", "
-       (List.map (fun (s, _) -> string_of_int s) outcomes))
-    (String.concat ", "
-       (List.map (fun (_, (r, _)) -> Printf.sprintf "%.1f" (goodput r)) outcomes))
-    (String.concat ", "
-       (List.map
-          (fun (_, (r, _)) -> Printf.sprintf "%.2f" (lat r).Stats.p50)
-          outcomes))
-    (String.concat ", "
-       (List.map
-          (fun (_, (r, _)) -> Printf.sprintf "%.2f" (lat r).Stats.p99)
-          outcomes))
-    (String.concat ", "
-       (List.map
-          (fun (_, (r, _)) -> string_of_int r.Workload.Ycsb.retries)
-          outcomes))
-    (String.concat ", "
-       (List.map
-          (fun (_, (r, _)) -> string_of_int r.Workload.Ycsb.failures)
-          outcomes))
-    scaling;
-  close_out oc;
-  print_endline "wrote BENCH_r5.json";
+  let per_shard f = List (List.map (fun (_, (r, _)) -> f r) outcomes) in
+  write_json "BENCH_r5.json" ~experiment:"r5"
+    [
+      ( "workload",
+        Obj
+          [
+            ("server", Str "kvcache-cluster"); ("variant", Str "sdrad");
+            ("clients", Int clients); ("records", Int records);
+            ("operations", Int operations);
+            ("arrival_interval_cycles", Fixed (0, arrival_interval));
+          ] );
+      ("shards", List (List.map (fun (s, _) -> Int s) outcomes));
+      ("goodput_ops_per_sec", per_shard (fun r -> Fixed (1, goodput r)));
+      ("p50_us", per_shard (fun r -> Fixed (2, (lat r).Stats.p50)));
+      ("p99_us", per_shard (fun r -> Fixed (2, (lat r).Stats.p99)));
+      ("retries", per_shard (fun r -> Int r.Workload.Ycsb.retries));
+      ("failures", per_shard (fun r -> Int r.Workload.Ycsb.failures));
+      ("scaling_1_to_4", Fixed (3, scaling));
+      ("scaling_gate", Fixed (1, 2.8));
+    ];
   if scaling < 2.8 then begin
     Printf.eprintf
       "R5 FAIL: 4-shard aggregate goodput is %.2fx of 1-shard (gate 2.8x)\n"
@@ -1393,29 +1367,26 @@ let gate () =
   Printf.printf
     "kvcache sdrad overhead: run %.1f%% -> %.1f%%, load %.1f%% -> %.1f%%\n"
     run_plain run_gated load_plain load_gated;
-  let oc = open_out "BENCH_gate.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"gate\",\n\
-    \  \"anatomy_pairs\": %d,\n\
-    \  \"cycles_per_request_plain\": %.2f,\n\
-    \  \"cycles_per_request_batched\": %.2f,\n\
-    \  \"pkru_share_plain\": %.4f,\n\
-    \  \"pkru_share_batched\": %.4f,\n\
-    \  \"writes_per_request_plain\": %.2f,\n\
-    \  \"writes_per_request_batched\": %.2f,\n\
-    \  \"workload\": { \"workers\": %d, \"clients\": %d, \"records\": %d, \
-     \"operations\": %d },\n\
-    \  \"kv_run_overhead_pct_plain\": %.2f,\n\
-    \  \"kv_load_overhead_pct_plain\": %.2f,\n\
-    \  \"kv_run_overhead_pct_gated\": %.2f,\n\
-    \  \"kv_load_overhead_pct_gated\": %.2f\n\
-     }\n"
-    pairs p_cycles b_cycles p_share b_share p_writes b_writes
-    workers clients records operations run_plain load_plain run_gated
-    load_gated;
-  close_out oc;
-  print_endline "wrote BENCH_gate.json";
+  write_json "BENCH_gate.json" ~experiment:"gate"
+    [
+      ("anatomy_pairs", Int pairs);
+      ("cycles_per_request_plain", Fixed (2, p_cycles));
+      ("cycles_per_request_batched", Fixed (2, b_cycles));
+      ("pkru_share_plain", Fixed (4, p_share));
+      ("pkru_share_batched", Fixed (4, b_share));
+      ("writes_per_request_plain", Fixed (2, p_writes));
+      ("writes_per_request_batched", Fixed (2, b_writes));
+      ( "workload",
+        Obj
+          [
+            ("workers", Int workers); ("clients", Int clients);
+            ("records", Int records); ("operations", Int operations);
+          ] );
+      ("kv_run_overhead_pct_plain", Fixed (2, run_plain));
+      ("kv_load_overhead_pct_plain", Fixed (2, load_plain));
+      ("kv_run_overhead_pct_gated", Fixed (2, run_gated));
+      ("kv_load_overhead_pct_gated", Fixed (2, load_gated));
+    ];
   if b_share >= 0.30 then begin
     Printf.eprintf
       "GATE FAIL: batched PKRU share %.1f%% is not below the 30%% floor\n"

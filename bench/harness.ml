@@ -17,6 +17,36 @@ let pct base v = Stats.Table.fmt_pct ((v -. base) /. base)
 
 let us_of c = Cost.us_of_cycles cost c
 
+(* {1 Committed results}
+
+   The BENCH_*.json files: the experiment id, then one key per line,
+   each value inline. Numbers keep the decimals the file has always
+   printed, so a rerun that keeps every number rewrites the same bytes. *)
+
+type json =
+  | Int of int
+  | Fixed of int * float  (* that many decimals *)
+  | Str of string
+  | List of json list
+  | Obj of (string * json) list
+
+let rec json_value = function
+  | Int i -> string_of_int i
+  | Fixed (decimals, x) -> Printf.sprintf "%.*f" decimals x
+  | Str s -> "\"" ^ Telemetry.json_escape s ^ "\""
+  | List l -> "[" ^ String.concat ", " (List.map json_value l) ^ "]"
+  | Obj fields -> "{ " ^ String.concat ", " (List.map json_field fields) ^ " }"
+
+and json_field (k, v) = Printf.sprintf "\"%s\": %s" k (json_value v)
+
+let write_json file ~experiment fields =
+  let oc = open_out file in
+  Printf.fprintf oc "{\n  %s\n}\n"
+    (String.concat ",\n  "
+       (List.map json_field (("experiment", Str experiment) :: fields)));
+  close_out oc;
+  Printf.printf "wrote %s\n" file
+
 let make_fs space sizes =
   let fs = Httpd.Fs.create space in
   List.iter (fun s -> Httpd.Fs.add fs ~path:(Printf.sprintf "/f%d.bin" s) ~size:s) sizes;

@@ -92,23 +92,23 @@ let () =
   Printf.printf
     "E6 max RSS: baseline %.1f MiB, sdrad %.1f MiB (%+.2f%%; paper +0.4%%)\n"
     (rss "baseline") (rss "sdrad") increase;
-  let oc = open_out "BENCH_scale.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"scale\",\n\
-    \  \"workload\": { \"server\": \"kvcache\", \"clients\": %d, \"records\": \
-     %d, \"operations\": %d, \"space_mib\": %d },\n"
-    clients records operations size_mib;
-  List.iter
-    (fun ((name, workers), (l, r, _)) ->
-      Printf.fprintf oc "  \"load_ops_s_%s_%dw\": %.1f,\n" name workers l;
-      Printf.fprintf oc "  \"run_ops_s_%s_%dw\": %.1f,\n" name workers r)
-    results;
-  Printf.fprintf oc
-    "  \"max_rss_mib_baseline\": %.2f,\n\
-    \  \"max_rss_mib_sdrad\": %.2f,\n\
-    \  \"rss_increase_pct\": %.2f\n\
-     }\n"
-    (rss "baseline") (rss "sdrad") increase;
-  close_out oc;
-  print_endline "wrote BENCH_scale.json"
+  write_json "BENCH_scale.json" ~experiment:"scale"
+    (( "workload",
+       Obj
+         [
+           ("server", Str "kvcache"); ("clients", Int clients);
+           ("records", Int records); ("operations", Int operations);
+           ("space_mib", Int size_mib);
+         ] )
+     :: List.concat_map
+          (fun ((name, workers), (l, r, _)) ->
+            [
+              (Printf.sprintf "load_ops_s_%s_%dw" name workers, Fixed (1, l));
+              (Printf.sprintf "run_ops_s_%s_%dw" name workers, Fixed (1, r));
+            ])
+          results
+    @ [
+        ("max_rss_mib_baseline", Fixed (2, rss "baseline"));
+        ("max_rss_mib_sdrad", Fixed (2, rss "sdrad"));
+        ("rss_increase_pct", Fixed (2, increase));
+      ])

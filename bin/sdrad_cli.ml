@@ -3,12 +3,19 @@
      sdrad_cli costs               print the virtual cost model
      sdrad_cli cve <name>          run one CVE scenario (protected + not)
      sdrad_cli switch              print the domain-switch cost anatomy
+     sdrad_cli render              decode a malicious image, isolated + not
      sdrad_cli kvbench [opts]      one Memcached YCSB configuration
      sdrad_cli webbench [opts]     one NGINX load configuration
-     sdrad_cli stats [opts]        supervised attack demo + monitor stats
-     sdrad_cli metrics [opts]      same scenario, Prometheus text exposition
-     sdrad_cli incident <seq>      causal timeline of one rewind incident
-     sdrad_cli trace [opts]        Chrome trace JSON of a switch/rewind run *)
+     sdrad_cli stats [opts]        the forensic run's monitor and supervisor
+     sdrad_cli metrics [opts]      the same run, Prometheus text exposition
+     sdrad_cli rollback-report     the same run's audit log: what each rewind undid
+     sdrad_cli incident <seq>      the same run: one incident's causal timeline
+     sdrad_cli trace [opts]        Chrome trace JSON of a switch/rewind run
+     sdrad_cli analyze [opts]      compartment-policy and race reports
+
+   [stats], [metrics], [rollback-report] and [incident] are four views
+   of one seeded forensic run ([forensic_run]), so incident 1 is the
+   same rewind in each. *)
 
 open Cmdliner
 module Space = Vmem.Space
@@ -284,10 +291,9 @@ let webbench_cmd =
   Cmd.v (Cmd.info "webbench" ~doc)
     Term.(const run $ variant_arg variants $ workers_arg $ size $ conns)
 
-(* {1 stats} *)
+(* {1 The forensic run} *)
 
-(* The vulnerable SDRaD cache with one event domain per client, behind
-   [stats], [metrics], [rollback-report] and [incident]. *)
+(* The vulnerable SDRaD cache with one event domain per client. *)
 let attack_config =
   {
     Kvcache.Server.default_config with
@@ -297,56 +303,238 @@ let attack_config =
     per_client_domains = true;
   }
 
+(* The one run behind [stats], [metrics], [rollback-report] and
+   [incident]. It opens with ONE logical client operation whose story
+   crosses every recovery layer: its first attempt is killed by an
+   injected wild write in its domain (rewind, audit record, connection
+   dropped), the second lands but its reply is dropped on the wire, and
+   the third is answered from the replay journal. All three reuse one
+   request id, so they share one causal trace id, and the op's rewind is
+   incident 1. Then a benign client and a reconnecting attacker run side
+   by side, each attack under its own trace id, until the supervisor
+   quarantines the attacker's domain. Timing is fixed, so every view is
+   byte-stable for any seed: [seed] only feeds canary values no view
+   renders. Span tracing stays on throughout, so the rewound requests
+   surface as aborted spans ([trace_aborted_spans_total]). *)
+let forensic_run ?(interrupts = 0) ~seed () =
+  let module Fi = Resilience.Fault_inject in
+  let module Retry = Resilience.Retry in
+  let tracer = Telemetry.Trace.create ~capacity:65536 () in
+  Telemetry.Trace.set_enabled tracer true;
+  let w =
+    Scenario.world ~size_mib:192
+      ~monitor:(Api.create ~seed ~tracer ~virtual_keys:true)
+      ~supervisor:Resilience.Supervisor.attach ()
+  in
+  let sd = Option.get w.sd and net = w.net in
+  (* The op's one wild write, and [rollback-report --interrupts N]'s N
+     faults landing mid-rewind, on the resumed two-phase path. *)
+  let fi =
+    Fi.create ~seed
+      [
+        Fi.rule ~site:"kv.domain" ~max_fires:1 Fi.Wild_write;
+        Fi.rule ~site:"cli.rewind" ~max_fires:interrupts Fi.Rewind_interrupt;
+      ]
+  in
+  if interrupts > 0 then Fi.arm_rewind fi sd ~site:"cli.rewind";
+  Scenario.kvcache ~faults:fi w attack_config
+    (Script
+       (fun _ ->
+         let op =
+           Sched.spawn w.sched ~name:"client" (fun () ->
+               let conn = ref (Netsim.connect net ~src:3 ~port:11211) in
+               (* Counting (deterministic) wire fault: message 3 is the
+                  server's reply to the second attempt — the first
+                  attempt dies in its domain and never answers. *)
+               let n = ref 0 in
+               Netsim.set_fault_hook net (Some (fun ~len:_ ->
+                   incr n;
+                   if !n = 3 then Netsim.Drop else Netsim.Deliver));
+               let eng =
+                 Retry.create
+                   { Retry.default_policy with attempt_timeout = 60_000.0 }
+                   ~rng:(Simkern.Rng.create 5)
+                   ~metrics:(Api.metrics sd) ~name:"cli"
+               and reply = Netsim.Buf.create () in
+               (match
+                  Retry.execute eng (fun eng ->
+                      (if (not (Netsim.is_open !conn)) || Netsim.peer_closed !conn
+                       then conn := Netsim.connect net ~src:3 ~port:11211);
+                      Netsim.send !conn
+                        (Kvcache.Proto.fmt_storage "set" ~rid:(Retry.rid eng)
+                           ~trace:(Retry.trace eng) ~key:"order:42" ~flags:0
+                           ~value:"paid" ());
+                      if
+                        Netsim.recv_buf_deadline !conn reply
+                          (Retry.deadline_slot eng) 0
+                      then Ok ()
+                      else begin
+                        Netsim.close !conn;
+                        Error (`Retry "timeout")
+                      end)
+                with
+               | Ok () -> ()
+               | Error _ -> failwith "forensic run: the op did not land");
+               Netsim.set_fault_hook net None;
+               Netsim.close !conn)
+         in
+         Sched.join op;
+         let good =
+           Sched.spawn w.sched ~name:"good" (fun () ->
+               let c = Netsim.connect net ~src:1 ~port:11211 in
+               for i = 1 to 20 do
+                 Sched.sleep 4_000.0;
+                 Netsim.send c
+                   (Kvcache.Proto.fmt_set
+                      ~key:(Printf.sprintf "k%d" i)
+                      ~flags:0 ~value:"v");
+                 ignore (Netsim.recv c)
+               done;
+               Netsim.close c)
+         in
+         let evil =
+           Sched.spawn w.sched ~name:"evil" (fun () ->
+               for i = 1 to 8 do
+                 Sched.sleep 20_000.0;
+                 let c = Netsim.connect net ~src:777 ~port:11211 in
+                 let ctx = Telemetry.Context.root (Printf.sprintf "evil-%d" i) in
+                 Netsim.send c
+                   (Kvcache.Proto.fmt_set_lying_traced
+                      ~trace:(Telemetry.Context.trace ctx) ~key:"pwn" ~flags:0
+                      ~declared:(-1) ~value:(String.make 300 'X'));
+                 ignore (Netsim.recv c);
+                 Netsim.close c
+               done)
+         in
+         Sched.join good;
+         Sched.join evil))
+
+let seed_arg = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED")
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as deterministic JSON.")
+
+(* {1 Audit records}
+
+   One renderer for the monitor's audit records, in text and in JSON:
+   [stats] prints each record's header line, [rollback-report] each
+   record's block, and [incident] one block with what it links to. *)
+
+module Fl = Checkpoint.Flight
+module Rl = Checkpoint.Rewind_log
+
+let fmt_trace_id tr = if tr = 0 then "-" else Printf.sprintf "%016x" tr
+
+let flight_event_line e =
+  Printf.sprintf "%10.0f  udi=%-3d tid=%-3d %-12s trace=%s%s" e.Fl.e_at
+    e.Fl.e_udi e.Fl.e_tid
+    (Fl.kind_to_string e.Fl.e_kind)
+    (fmt_trace_id e.Fl.e_trace)
+    (if e.Fl.e_arg = 0 then "" else Printf.sprintf " arg=0x%x" e.Fl.e_arg)
+
+let flight_event_json e =
+  Printf.sprintf
+    "{ \"at\": %.0f, \"udi\": %d, \"tid\": %d, \"kind\": \"%s\", \"trace\": \
+     \"%s\", \"arg\": %d }"
+    e.Fl.e_at e.Fl.e_udi e.Fl.e_tid
+    (Fl.kind_to_string e.Fl.e_kind)
+    (fmt_trace_id e.Fl.e_trace)
+    e.Fl.e_arg
+
+let print_events ~indent events =
+  List.iter (fun e -> Printf.printf "%s%s\n" indent (flight_event_line e)) events
+
+let state_to_string = function
+  | `Entered -> "entered"
+  | `Ready -> "ready"
+  | `Dormant -> "dormant"
+
+let record_header r =
+  Printf.sprintf "incident %d: %s in udi %d (tid %d)  si=%s addr=0x%x%s"
+    r.Rl.r_id
+    (Rl.kind_to_string r.Rl.r_kind)
+    r.Rl.r_target r.Rl.r_tid r.Rl.r_si r.Rl.r_fault_addr
+    (if r.Rl.r_msg = "" then "" else "  [" ^ r.Rl.r_msg ^ "]")
+
+(* What a rewind undid: the trigger, the window, the discarded subtree
+   with its stack and heap extents, and the flight events frozen into
+   the record. *)
+let print_record r =
+  Printf.printf "%s\n" (record_header r);
+  Printf.printf
+    "  window %.0f -> %.0f cycles, %d interrupt(s) absorbed, %d journal \
+     replay(s) at commit\n"
+    r.Rl.r_start r.Rl.r_end r.Rl.r_interrupts r.Rl.r_replays;
+  Printf.printf "  discarded %d domain(s):\n" (List.length r.Rl.r_subtree);
+  List.iter
+    (fun x ->
+      let sb, sl = x.Rl.x_stack in
+      Printf.printf "    udi %-4d %-8s stack 0x%x+%d  %d heap region(s), %d B\n"
+        x.Rl.x_udi
+        (state_to_string x.Rl.x_was)
+        sb sl
+        (List.length x.Rl.x_regions)
+        (List.fold_left (fun a (_, l) -> a + l) 0 x.Rl.x_regions))
+    r.Rl.r_subtree;
+  if r.Rl.r_events <> [] then begin
+    Printf.printf "  last flight-recorder events (frozen at intent):\n";
+    print_events ~indent:"    " r.Rl.r_events
+  end
+
+(* A JSON array, one element per line under [indent]. *)
+let json_items ~indent to_json items =
+  "["
+  ^ String.concat ","
+      (List.map (fun x -> "\n" ^ indent ^ to_json x) items)
+  ^ " ]"
+
+let subtree_json x =
+  let sb, sl = x.Rl.x_stack in
+  Printf.sprintf
+    "{ \"udi\": %d, \"was\": \"%s\", \"stack\": [%d, %d], \"regions\": [%s] }"
+    x.Rl.x_udi
+    (state_to_string x.Rl.x_was)
+    sb sl
+    (String.concat ", "
+       (List.map (fun (a, l) -> Printf.sprintf "[%d, %d]" a l) x.Rl.x_regions))
+
+(* A record as one JSON object, its first line unindented and the rest
+   under [indent]; [extra] fields, already rendered, close it. *)
+let record_json ~extra ~indent r =
+  let items f = json_items ~indent:(indent ^ "  ") f in
+  Printf.sprintf
+    "{ \"id\": %d, \"target\": %d, \"tid\": %d, \"kind\": \"%s\",\n\
+     %s\"si\": \"%s\", \"fault_addr\": %d, \"msg\": \"%s\",\n\
+     %s\"start\": %.0f, \"end\": %.0f, \"interrupts\": %d, \"replays\": %d,\n\
+     %s\"subtree\": %s,\n\
+     %s\"events\": %s%s }"
+    r.Rl.r_id r.Rl.r_target r.Rl.r_tid
+    (Rl.kind_to_string r.Rl.r_kind)
+    indent
+    (Telemetry.json_escape r.Rl.r_si)
+    r.Rl.r_fault_addr
+    (Telemetry.json_escape r.Rl.r_msg)
+    indent r.Rl.r_start r.Rl.r_end r.Rl.r_interrupts r.Rl.r_replays indent
+    (items subtree_json r.Rl.r_subtree)
+    indent
+    (items flight_event_json r.Rl.r_events)
+    (String.concat ""
+       (List.map (fun (k, v) -> Printf.sprintf ",\n%s\"%s\": %s" indent k v) extra))
+
+(* {1 stats} *)
+
 let stats_cmd =
   let doc =
-    "Run a short supervised attack scenario against the key-value cache and \
-     print the monitor's runtime statistics, the incident log, and the \
-     supervisor's circuit-breaker state."
+    "Replay the forensic run (an exactly-once op rewound and replayed, then \
+     a benign client beside an attacker the supervisor quarantines) and \
+     print the monitor's runtime statistics, the incident log (one line per \
+     audit record) and the supervisor's circuit-breaker states."
   in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED") in
-  let attacks = Arg.(value & opt int 8 & info [ "attacks" ] ~docv:"N") in
-  let run verbose seed attacks =
+  let run verbose seed =
     setup_logging verbose;
     let module Supervisor = Resilience.Supervisor in
-    let w =
-      Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
-        ~supervisor:Supervisor.attach ()
-    in
+    let { Scenario.world = w; server = s; _ } = forensic_run ~seed () in
     let sd = Option.get w.sd and sup = Option.get w.sup in
-    let { Scenario.server = s; _ } =
-      Scenario.kvcache w attack_config
-        (Script
-           (fun _ ->
-             (* A benign client and a reconnecting attacker. *)
-             let good =
-               Sched.spawn w.sched ~name:"good" (fun () ->
-                   let rng = Simkern.Rng.create seed in
-                   let c = Netsim.connect w.net ~src:1 ~port:11211 in
-                   for i = 1 to 20 do
-                     Sched.sleep (float_of_int (Simkern.Rng.int rng 8_000));
-                     Netsim.send c
-                       (Kvcache.Proto.fmt_set
-                          ~key:(Printf.sprintf "k%d" i)
-                          ~flags:0 ~value:"v");
-                     ignore (Netsim.recv c)
-                   done;
-                   Netsim.close c)
-             in
-             let evil =
-               Sched.spawn w.sched ~name:"evil" (fun () ->
-                   for _ = 1 to attacks do
-                     Sched.sleep 20_000.0;
-                     let c = Netsim.connect w.net ~src:777 ~port:11211 in
-                     Netsim.send c
-                       (Kvcache.Proto.fmt_set_lying ~key:"pwn" ~flags:0
-                          ~declared:(-1) ~value:(String.make 300 'X'));
-                     ignore (Netsim.recv c);
-                     Netsim.close c
-                   done)
-             in
-             Sched.join good;
-             Sched.join evil))
-    in
     print_endline "== monitor runtime stats ==";
     let sample name =
       match Telemetry.Metrics.sample (Api.metrics sd) name with
@@ -367,18 +555,8 @@ let stats_cmd =
     Printf.printf "busy rejections: %d\n\n"
       (Kvcache.Server.busy_rejections s);
     print_endline "== incident log ==";
-    (* Each record in the text [Sdrad.Types.pp_fault] gives its trigger. *)
-    let module Rl = Checkpoint.Rewind_log in
     List.iter
-      (fun r ->
-        Printf.printf "  domain %d failed on tid %d: %s\n" r.Rl.r_target
-          r.Rl.r_tid
-          (match r.Rl.r_kind with
-          | `Segv ->
-              Printf.sprintf "SEGV at 0x%x (%s, %s)" r.Rl.r_fault_addr
-                r.Rl.r_si r.Rl.r_msg
-          | `Stack_smash -> "stack smashing detected"
-          | `Explicit -> "attack reported: " ^ r.Rl.r_msg))
+      (fun r -> print_endline ("  " ^ record_header r))
       (Api.audit_records sd);
     print_endline "\n== supervisor breaker states ==";
     print_endline
@@ -398,122 +576,9 @@ let stats_cmd =
             (fun (k, v) -> [ k; string_of_int v ])
             (Supervisor.stats sup)))
   in
-  Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ verbose_arg $ seed $ attacks)
+  Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ verbose_arg $ seed_arg)
 
 (* {1 metrics / trace} *)
-
-(* A fixed supervised attack scenario (no RNG-driven timing, unlike the
-   [stats] demo) so the exposition below is byte-stable for any seed:
-   [seed] only feeds the monitor's canary value, which no metric
-   exposes. *)
-let run_metrics_scenario ?(interrupts = 0) ~seed () =
-  (* Span tracing stays on for the whole scenario so the rewound
-     requests surface as aborted spans ([trace_aborted_spans_total]). *)
-  let tracer = Telemetry.Trace.create ~capacity:65536 () in
-  Telemetry.Trace.set_enabled tracer true;
-  let w =
-    Scenario.world ~size_mib:192
-      ~monitor:(Api.create ~seed ~tracer ~virtual_keys:true)
-      ~supervisor:Resilience.Supervisor.attach ()
-  in
-  let sd = Option.get w.sd in
-  (if interrupts > 0 then
-     (* Budgeted Rewind_interrupt plan on the monitor's rewind-path
-        probe: [rollback-report --interrupts N] exercises (and reports)
-        the resumed two-phase path. *)
-     let module Fi = Resilience.Fault_inject in
-     let fi =
-       Fi.create ~seed
-         [ Fi.rule ~site:"cli.rewind" ~max_fires:interrupts Fi.Rewind_interrupt ]
-     in
-     Fi.arm_rewind fi sd ~site:"cli.rewind");
-  let net = w.net in
-  ignore
-    (Scenario.kvcache w attack_config
-       (Script
-          (fun _ ->
-            let good =
-              Sched.spawn w.sched ~name:"good" (fun () ->
-                  let c = Netsim.connect net ~src:1 ~port:11211 in
-                  for i = 1 to 20 do
-                    Sched.sleep 4_000.0;
-                    Netsim.send c
-                      (Kvcache.Proto.fmt_set
-                         ~key:(Printf.sprintf "k%d" i)
-                         ~flags:0 ~value:"v");
-                    ignore (Netsim.recv c)
-                  done;
-                  Netsim.close c)
-            in
-            let evil =
-              Sched.spawn w.sched ~name:"evil" (fun () ->
-                  for i = 1 to 8 do
-                    Sched.sleep 20_000.0;
-                    let c = Netsim.connect net ~src:777 ~port:11211 in
-                    (* Each attack carries its own causal trace id, so the
-                       fault it triggers — flight-recorder events, rewind
-                       audit record — is attributable to this request. *)
-                    let ctx =
-                      Telemetry.Context.root (Printf.sprintf "evil-%d" i)
-                    in
-                    Netsim.send c
-                      (Kvcache.Proto.fmt_set_lying_traced
-                         ~trace:(Telemetry.Context.trace ctx) ~key:"pwn" ~flags:0
-                         ~declared:(-1) ~value:(String.make 300 'X'));
-                    ignore (Netsim.recv c);
-                    Netsim.close c
-                  done)
-            in
-            Sched.join good;
-            Sched.join evil;
-            (* One retried increment whose first reply is dropped by a
-               counting (deterministic, seed-independent) fault hook: the
-               client times out, retries under the same request id and is
-               answered from the replay journal — populating the
-               client_retries_total and kvcache_replay_hits_total series. *)
-            let retry =
-              Sched.spawn w.sched ~name:"retry" (fun () ->
-                  let module Retry = Resilience.Retry in
-                  let conn = ref (Netsim.connect net ~src:2 ~port:11211) in
-                  Netsim.send !conn
-                    (Kvcache.Proto.fmt_set ~key:"ctr" ~flags:0 ~value:"5");
-                  ignore (Netsim.recv !conn);
-                  let n = ref 0 in
-                  Netsim.set_fault_hook net
-                    (Some
-                       (fun ~len:_ ->
-                         incr n;
-                         if !n = 2 then Netsim.Drop else Netsim.Deliver));
-                  let eng =
-                    Retry.create
-                      { Retry.default_policy with attempt_timeout = 60_000.0 }
-                      ~rng:(Simkern.Rng.create 5)
-                      ~metrics:(Api.metrics sd) ~name:"cli"
-                  and reply = Netsim.Buf.create () in
-                  (match
-                     Retry.execute eng (fun eng ->
-                         (if (not (Netsim.is_open !conn))
-                             || Netsim.peer_closed !conn
-                          then conn := Netsim.connect net ~src:2 ~port:11211);
-                         Netsim.send !conn
-                           (Kvcache.Proto.fmt_incr ~rid:(Retry.rid eng)
-                              ~trace:(Retry.trace eng) "ctr" 1);
-                         if
-                           Netsim.recv_buf_deadline !conn reply
-                             (Retry.deadline_slot eng) 0
-                         then Ok ()
-                         else begin
-                           Netsim.close !conn;
-                           Error (`Retry "timeout")
-                         end)
-                   with
-                  | Ok () -> ()
-                  | Error _ -> failwith "metrics scenario: retry did not land");
-                  Netsim.set_fault_hook net None;
-                  Netsim.close !conn)
-            in
-            Sched.join retry)));
-  sd
 
 (* A fixed two-shard fleet scenario for [metrics --aggregate] and
    [analyze --aggregate]: a batch of rid-carrying sets and reads through
@@ -562,15 +627,14 @@ let run_cluster_metrics_scenario snapshot =
 
 let metrics_cmd =
   let doc =
-    "Run a deterministic supervised attack scenario against the key-value \
-     cache and print every registered metric in Prometheus text exposition \
-     format (monitor, allocator, memory, server and supervisor series share \
-     one registry). With $(b,--aggregate), run a two-shard cluster scenario \
+    "Replay the forensic run (the one behind $(b,stats)) and print every \
+     registered metric in Prometheus text exposition format (monitor, \
+     allocator, memory, server, client and supervisor series share one \
+     registry). With $(b,--aggregate), run a two-shard cluster scenario \
      with a planned failover instead and print the fleet-wide exposition: \
      every shard's registry folded into the router's (counters summed, \
      histograms merged bucket-by-bucket)."
   in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED") in
   let aggregate =
     Arg.(
       value & flag
@@ -581,98 +645,25 @@ let metrics_cmd =
   in
   let run verbose seed aggregate =
     setup_logging verbose;
-    if aggregate then
-      let t = (run_cluster_metrics_scenario ignore).server in
-      print_string
-        (Telemetry.Metrics.expose (Cluster.Fleet.aggregate_metrics t))
-    else
-      let sd = run_metrics_scenario ~seed () in
-      print_string (Telemetry.Metrics.expose (Api.metrics sd))
+    print_string
+      (Telemetry.Metrics.expose
+         (if aggregate then
+            Cluster.Fleet.aggregate_metrics
+              (run_cluster_metrics_scenario ignore).server
+          else Api.metrics (Option.get (forensic_run ~seed ()).world.sd)))
   in
-  Cmd.v (Cmd.info "metrics" ~doc) Term.(const run $ verbose_arg $ seed $ aggregate)
+  Cmd.v (Cmd.info "metrics" ~doc)
+    Term.(const run $ verbose_arg $ seed_arg $ aggregate)
 
 (* {1 rollback-report} *)
 
-(* Flight-recorder event rendering shared by [rollback-report] and
-   [incident]. *)
-module Fl = Checkpoint.Flight
-
-let fmt_trace_id tr = if tr = 0 then "-" else Printf.sprintf "%016x" tr
-
-let flight_event_line e =
-  Printf.sprintf "%10.0f  udi=%-3d tid=%-3d %-12s trace=%s%s" e.Fl.e_at
-    e.Fl.e_udi e.Fl.e_tid
-    (Fl.kind_to_string e.Fl.e_kind)
-    (fmt_trace_id e.Fl.e_trace)
-    (if e.Fl.e_arg = 0 then "" else Printf.sprintf " arg=0x%x" e.Fl.e_arg)
-
-let flight_event_json e =
-  Printf.sprintf
-    "{ \"at\": %.0f, \"udi\": %d, \"tid\": %d, \"kind\": \"%s\", \"trace\": \
-     \"%s\", \"arg\": %d }"
-    e.Fl.e_at e.Fl.e_udi e.Fl.e_tid
-    (Fl.kind_to_string e.Fl.e_kind)
-    (fmt_trace_id e.Fl.e_trace)
-    e.Fl.e_arg
-
-(* Audit-record parts shared by [rollback-report] and [incident], one
-   function per form; [indent] prefixes every line. *)
-module Rl = Checkpoint.Rewind_log
-
-let state_to_string = function
-  | `Entered -> "entered"
-  | `Ready -> "ready"
-  | `Dormant -> "dormant"
-
-let print_subtree ~indent subtree =
-  List.iter
-    (fun x ->
-      let sb, sl = x.Rl.x_stack in
-      let heap_bytes =
-        List.fold_left (fun a (_, l) -> a + l) 0 x.Rl.x_regions
-      in
-      Printf.printf "%sudi %-4d %-8s stack 0x%x+%d  %d heap region(s), %d B\n"
-        indent x.Rl.x_udi
-        (state_to_string x.Rl.x_was)
-        sb sl
-        (List.length x.Rl.x_regions)
-        heap_bytes)
-    subtree
-
-let print_events ~indent events =
-  List.iter (fun e -> Printf.printf "%s%s\n" indent (flight_event_line e)) events
-
-(* JSON array elements, each on its own line. *)
-let add_json_items b ~indent to_json items =
-  List.iteri
-    (fun j x ->
-      if j > 0 then Buffer.add_char b ',';
-      Buffer.add_string b ("\n" ^ indent ^ to_json x))
-    items
-
-let subtree_json x =
-  let sb, sl = x.Rl.x_stack in
-  Printf.sprintf
-    "{ \"udi\": %d, \"was\": \"%s\", \"stack\": [%d, %d], \"regions\": [%s] }"
-    x.Rl.x_udi
-    (state_to_string x.Rl.x_was)
-    sb sl
-    (String.concat ", "
-       (List.map (fun (a, l) -> Printf.sprintf "[%d, %d]" a l) x.Rl.x_regions))
-
 let rollback_report_cmd =
   let doc =
-    "Run the deterministic supervised attack scenario (the same one behind \
-     $(b,metrics)) and reconstruct what every rewind undid from the \
-     monitor's durable audit log: trigger fault, discarded domain subtree \
-     with stack and heap extents, journal replays, virtual-time window and \
-     any mid-rewind interrupts absorbed by the two-phase protocol."
-  in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED") in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the report as deterministic JSON.")
+    "Replay the forensic run (the one behind $(b,stats)) and reconstruct \
+     what every rewind undid from the monitor's durable audit log: trigger \
+     fault, discarded domain subtree with stack and heap extents, journal \
+     replays, virtual-time window and any mid-rewind interrupts absorbed by \
+     the two-phase protocol."
   in
   let interrupts =
     Arg.(
@@ -683,163 +674,53 @@ let rollback_report_cmd =
              resume path); absorbed interrupts show up on the incident \
              records.")
   in
-  let print_json sd recs =
-    let b = Buffer.create 4096 in
-    let resumed =
-      List.length (List.filter (fun r -> r.Rl.r_interrupts > 0) recs)
-    in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\n  \"appended\": %d,\n  \"dropped\": %d,\n  \"retained\": %d,\n\
-         \  \"resumed\": %d,\n  \"incidents\": [" (Api.audit_appended sd)
-         (Api.audit_dropped sd) (Api.audit_retained sd) resumed);
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             "\n    { \"id\": %d, \"target\": %d, \"tid\": %d, \"kind\": \
-              \"%s\",\n      \"si\": \"%s\", \"fault_addr\": %d, \"msg\": \
-              \"%s\",\n      \"start\": %.0f, \"end\": %.0f, \"interrupts\": \
-              %d, \"replays\": %d,\n      \"subtree\": ["
-             r.Rl.r_id r.Rl.r_target r.Rl.r_tid
-             (Rl.kind_to_string r.Rl.r_kind)
-             (Telemetry.json_escape r.Rl.r_si) r.Rl.r_fault_addr
-             (Telemetry.json_escape r.Rl.r_msg) r.Rl.r_start r.Rl.r_end
-             r.Rl.r_interrupts r.Rl.r_replays);
-        add_json_items b ~indent:"        " subtree_json r.Rl.r_subtree;
-        Buffer.add_string b " ],\n      \"events\": [";
-        add_json_items b ~indent:"        " flight_event_json r.Rl.r_events;
-        Buffer.add_string b " ] }")
-      recs;
-    Buffer.add_string b "\n  ]\n}\n";
-    print_string (Buffer.contents b)
-  in
-  let print_table sd recs =
-    Printf.printf
-      "rewind audit: %d committed, %d dropped, %d retained in the ring\n"
-      (Api.audit_appended sd) (Api.audit_dropped sd) (Api.audit_retained sd);
-    List.iter
-      (fun r ->
-        Printf.printf
-          "\nincident %d: %s in udi %d (tid %d)  si=%s addr=0x%x%s\n"
-          r.Rl.r_id
-          (Rl.kind_to_string r.Rl.r_kind)
-          r.Rl.r_target r.Rl.r_tid r.Rl.r_si r.Rl.r_fault_addr
-          (if r.Rl.r_msg = "" then "" else "  [" ^ r.Rl.r_msg ^ "]");
-        Printf.printf
-          "  window %.0f -> %.0f cycles, %d interrupt(s) absorbed, %d \
-           journal replay(s) at commit\n"
-          r.Rl.r_start r.Rl.r_end r.Rl.r_interrupts r.Rl.r_replays;
-        Printf.printf "  discarded %d domain(s):\n"
-          (List.length r.Rl.r_subtree);
-        print_subtree ~indent:"    " r.Rl.r_subtree;
-        if r.Rl.r_events <> [] then begin
-          Printf.printf "  last flight-recorder events (frozen at intent):\n";
-          print_events ~indent:"    " r.Rl.r_events
-        end)
-      recs
-  in
   let run verbose seed json interrupts =
     setup_logging verbose;
-    let sd = run_metrics_scenario ~interrupts ~seed () in
+    let sd = Option.get (forensic_run ~interrupts ~seed ()).world.sd in
     let recs = Api.audit_records sd in
-    if json then print_json sd recs else print_table sd recs
+    if json then
+      Printf.printf
+        "{\n  \"appended\": %d,\n  \"dropped\": %d,\n  \"retained\": %d,\n\
+        \  \"resumed\": %d,\n  \"incidents\": [%s\n  ]\n}\n"
+        (Api.audit_appended sd) (Api.audit_dropped sd) (Api.audit_retained sd)
+        (List.length (List.filter (fun r -> r.Rl.r_interrupts > 0) recs))
+        (String.concat ","
+           (List.map
+              (fun r -> "\n    " ^ record_json ~extra:[] ~indent:"      " r)
+              recs))
+    else begin
+      Printf.printf
+        "rewind audit: %d committed, %d dropped, %d retained in the ring\n"
+        (Api.audit_appended sd) (Api.audit_dropped sd) (Api.audit_retained sd);
+      List.iter
+        (fun r ->
+          print_newline ();
+          print_record r)
+        recs
+    end
   in
   Cmd.v
     (Cmd.info "rollback-report" ~doc)
-    Term.(const run $ verbose_arg $ seed $ json $ interrupts)
+    Term.(const run $ verbose_arg $ seed_arg $ json_arg $ interrupts)
 
 (* {1 incident} *)
-
-(* Forensics scenario: ONE logical client operation whose story crosses
-   every recovery layer. Its first attempt is killed by an injected
-   in-domain memory fault (rewind, audit record, connection dropped);
-   the second attempt succeeds but the reply is dropped on the wire; the
-   third is answered from the replay journal. All three attempts reuse
-   one request id, so they share one causal trace id — the chain the
-   [incident] command reconstructs. Timing is fixed, so the output is
-   byte-stable for any seed (the seed only feeds canary values no
-   report renders). *)
-let run_incident_scenario ~seed () =
-  let module Fi = Resilience.Fault_inject in
-  let module Retry = Resilience.Retry in
-  let w =
-    Scenario.world ~size_mib:192 ~monitor:(Api.create ~seed ~virtual_keys:true)
-      ~supervisor:Resilience.Supervisor.attach ()
-  in
-  let sd = Option.get w.sd and net = w.net in
-  let fi =
-    Fi.create ~seed [ Fi.rule ~site:"kv.domain" ~max_fires:1 Fi.Wild_write ]
-  in
-  ignore
-    (Scenario.kvcache ~faults:fi w attack_config
-       (Script
-          (fun _ ->
-            let client =
-              Sched.spawn w.sched ~name:"client" (fun () ->
-                  let conn = ref (Netsim.connect net ~src:3 ~port:11211) in
-                  (* Counting (deterministic) wire fault: message 3 is the
-                     server's reply to the second attempt — the first attempt
-                     dies in the domain and never answers. *)
-                  let n = ref 0 in
-                  Netsim.set_fault_hook net
-                    (Some
-                       (fun ~len:_ ->
-                         incr n;
-                         if !n = 3 then Netsim.Drop else Netsim.Deliver));
-                  let eng =
-                    Retry.create
-                      { Retry.default_policy with attempt_timeout = 60_000.0 }
-                      ~rng:(Simkern.Rng.create 5)
-                      ~metrics:(Api.metrics sd) ~name:"cli"
-                  and reply = Netsim.Buf.create () in
-                  (match
-                     Retry.execute eng (fun eng ->
-                         (if (not (Netsim.is_open !conn))
-                             || Netsim.peer_closed !conn
-                          then conn := Netsim.connect net ~src:3 ~port:11211);
-                         Netsim.send !conn
-                           (Kvcache.Proto.fmt_storage "set" ~rid:(Retry.rid eng)
-                              ~trace:(Retry.trace eng) ~key:"order:42"
-                              ~flags:0 ~value:"paid" ());
-                         if
-                           Netsim.recv_buf_deadline !conn reply
-                             (Retry.deadline_slot eng) 0
-                         then Ok ()
-                         else begin
-                           Netsim.close !conn;
-                           Error (`Retry "timeout")
-                         end)
-                   with
-                  | Ok () -> ()
-                  | Error _ -> failwith "incident scenario: op did not land");
-                  Netsim.set_fault_hook net None;
-                  Netsim.close !conn)
-            in
-            Sched.join client)));
-  sd
 
 let incident_cmd =
   let module M = Telemetry.Metrics in
   let doc =
-    "Reconstruct the full causal timeline of one rewind incident from the \
-     monitor's forensic surfaces: the durable audit record (with its frozen \
+    "Replay the forensic run (the one behind $(b,stats)) and reconstruct \
+     the full causal timeline of one rewind incident from the monitor's \
+     forensic surfaces: the durable audit record (with its frozen \
      flight-recorder snapshot), every flight-recorder event sharing the \
      incident's trace id — client send, retry attempts, domain switches, \
      the injected fault, the journal-replay outcome — and the latency \
-     histogram of the logical client operation, with its exemplar trace id."
+     histogram of the logical client operation, with its exemplar trace id. \
+     Incident 1 is the run's exactly-once op."
   in
   let seq =
     Arg.(
       value & pos 0 int 1
       & info [] ~docv:"SEQ" ~doc:"Incident sequence number (audit record id).")
-  in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED") in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the report as deterministic JSON.")
   in
   (* The incident's causal trace id comes from the audit record's frozen
      events: the triggering fault's id, or failing that the last
@@ -888,21 +769,7 @@ let incident_cmd =
   in
   let print_table sd r =
     let trace = trace_of_record r in
-    Printf.printf "incident %d: %s in udi %d (tid %d)  si=%s addr=0x%x%s\n"
-      r.Rl.r_id
-      (Rl.kind_to_string r.Rl.r_kind)
-      r.Rl.r_target r.Rl.r_tid r.Rl.r_si r.Rl.r_fault_addr
-      (if r.Rl.r_msg = "" then "" else "  [" ^ r.Rl.r_msg ^ "]");
-    Printf.printf
-      "trace %s  window %.0f -> %.0f cycles, %d interrupt(s) absorbed, %d \
-       journal replay(s) at commit\n"
-      (fmt_trace_id trace) r.Rl.r_start r.Rl.r_end r.Rl.r_interrupts
-      r.Rl.r_replays;
-    Printf.printf "\ndiscarded subtree (%d domain(s)):\n"
-      (List.length r.Rl.r_subtree);
-    print_subtree ~indent:"  " r.Rl.r_subtree;
-    Printf.printf "\nflight snapshot frozen into the audit record:\n";
-    print_events ~indent:"  " r.Rl.r_events;
+    print_record r;
     Printf.printf "\ncausal timeline for trace %s (live flight rings):\n"
       (fmt_trace_id trace);
     print_events ~indent:"  " (linked_events sd trace);
@@ -917,47 +784,40 @@ let incident_cmd =
           Printf.printf "  exemplar trace(s): %s\n"
             (String.concat ", " exemplars)
   in
+  (* The record's own fields, as [rollback-report --json] prints them,
+     then the trace, its timeline and the op's latency. *)
   let print_json sd r =
-    let b = Buffer.create 4096 in
     let trace = trace_of_record r in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\n\
-         \  \"id\": %d, \"target\": %d, \"tid\": %d, \"kind\": \"%s\",\n\
-         \  \"si\": \"%s\", \"fault_addr\": %d, \"msg\": \"%s\",\n\
-         \  \"trace\": \"%s\",\n\
-         \  \"start\": %.0f, \"end\": %.0f, \"interrupts\": %d, \"replays\": \
-          %d,\n\
-         \  \"subtree\": ["
-         r.Rl.r_id r.Rl.r_target r.Rl.r_tid
-         (Rl.kind_to_string r.Rl.r_kind)
-         (Telemetry.json_escape r.Rl.r_si) r.Rl.r_fault_addr
-         (Telemetry.json_escape r.Rl.r_msg)
-         (fmt_trace_id trace) r.Rl.r_start r.Rl.r_end r.Rl.r_interrupts
-         r.Rl.r_replays);
-    add_json_items b ~indent:"    " subtree_json r.Rl.r_subtree;
-    Buffer.add_string b " ],\n  \"snapshot\": [";
-    add_json_items b ~indent:"    " flight_event_json r.Rl.r_events;
-    Buffer.add_string b " ],\n  \"timeline\": [";
-    add_json_items b ~indent:"    " flight_event_json (linked_events sd trace);
-    Buffer.add_string b " ]";
-    (match latency_report sd with
-    | None -> ()
-    | Some (count, p50, p90, p99, exemplars) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             ",\n\
-             \  \"latency\": { \"count\": %d, \"p50\": %.0f, \"p90\": %.0f, \
-              \"p99\": %.0f, \"exemplars\": [%s] }"
-             count p50 p90 p99
-             (String.concat ", "
-                (List.map (fun e -> "\"" ^ Telemetry.json_escape e ^ "\"") exemplars))));
-    Buffer.add_string b "\n}\n";
-    print_string (Buffer.contents b)
+    let latency =
+      match latency_report sd with
+      | None -> []
+      | Some (count, p50, p90, p99, exemplars) ->
+          [
+            ( "latency",
+              Printf.sprintf
+                "{ \"count\": %d, \"p50\": %.0f, \"p90\": %.0f, \"p99\": %.0f, \
+                 \"exemplars\": [%s] }"
+                count p50 p90 p99
+                (String.concat ", "
+                   (List.map
+                      (fun e -> "\"" ^ Telemetry.json_escape e ^ "\"")
+                      exemplars)) );
+          ]
+    in
+    print_endline
+      (record_json ~indent:"  " r
+         ~extra:
+           ([
+              ("trace", "\"" ^ fmt_trace_id trace ^ "\"");
+              ( "timeline",
+                json_items ~indent:"    " flight_event_json
+                  (linked_events sd trace) );
+            ]
+           @ latency))
   in
   let run verbose seq seed json =
     setup_logging verbose;
-    let sd = run_incident_scenario ~seed () in
+    let sd = Option.get (forensic_run ~seed ()).world.sd in
     let recs = Api.audit_records sd in
     match List.find_opt (fun r -> r.Rl.r_id = seq) recs with
     | Some r -> if json then print_json sd r else print_table sd r
@@ -967,7 +827,7 @@ let incident_cmd =
         Stdlib.exit 1
   in
   Cmd.v (Cmd.info "incident" ~doc)
-    Term.(const run $ verbose_arg $ seq $ seed $ json)
+    Term.(const run $ verbose_arg $ seq $ seed_arg $ json_arg)
 
 let trace_cmd =
   let doc =
@@ -975,7 +835,6 @@ let trace_cmd =
      print the spans as Chrome trace-event JSON (load the output in \
      about://tracing or Perfetto to see the switch-cost anatomy)."
   in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED") in
   let pairs = Arg.(value & opt int 4 & info [ "pairs" ] ~docv:"N") in
   let run seed pairs =
     let space = Space.create ~size_mib:64 () in
@@ -1001,7 +860,7 @@ let trace_cmd =
       (Telemetry.Trace.to_chrome_json
          ~cycles_per_us:(cost.Cost.clock_ghz *. 1000.0) tracer)
   in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ seed $ pairs)
+  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ seed_arg $ pairs)
 
 (* {1 analyze} *)
 
@@ -1054,7 +913,7 @@ let demo_misconfigured_model () =
 
 (* The default [analyze] mode: static policy reports over the two
    real-world monitor snapshots plus the misconfigured demo model. *)
-let run_static_analyze json =
+let static_reports () =
   let module P = Analysis.Policy in
   (* Each model is snapshot right after its server started. *)
   let supervised () =
@@ -1090,13 +949,15 @@ let run_static_analyze json =
        (snapshot w))
       .result
   in
-  let reports =
-    [
-      ("kvcache", P.check kv_model);
-      ("httpd", P.check httpd_model);
-      ("demo-misconfigured", P.check (demo_misconfigured_model ()));
-    ]
-  in
+  [
+    ("kvcache", P.check kv_model);
+    ("httpd", P.check httpd_model);
+    ("demo-misconfigured", P.check (demo_misconfigured_model ()));
+  ]
+
+(* Named policy reports, as one JSON document or one text block each. *)
+let print_policy_reports json reports =
+  let module P = Analysis.Policy in
   if json then
     Printf.printf "{\"reports\":[%s]}\n"
       (String.concat ","
@@ -1190,11 +1051,6 @@ let analyze_cmd =
       `Pre (Analysis.Rules.help_text ());
     ]
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the machine-readable JSON report.")
-  in
   let races =
     Arg.(
       value & flag
@@ -1221,34 +1077,17 @@ let analyze_cmd =
       if json then print_endline (Analysis.Race.to_json det)
       else print_string (Analysis.Race.to_text det)
     end
-    else if aggregate then begin
-      let reports =
+    else if aggregate then
+      print_policy_reports json
         (run_cluster_metrics_scenario (fun t ->
-             List.map
-               (fun i ->
+             List.init (Cluster.Fleet.shard_count t) (fun i ->
                  ( Printf.sprintf "shard%d" i,
-                   P.check (P.of_api (Cluster.Fleet.shard_sd t i)) ))
-               (List.init (Cluster.Fleet.shard_count t) Fun.id)))
+                   P.check (P.of_api (Cluster.Fleet.shard_sd t i)) ))))
           .result
-      in
-      if json then
-        Printf.printf "{\"reports\":[%s]}\n"
-          (String.concat ","
-             (List.map
-                (fun (name, fs) ->
-                  Printf.sprintf "{\"name\":\"%s\",\"report\":%s}" name
-                    (P.to_json fs))
-                reports))
-      else
-        List.iter
-          (fun (name, fs) ->
-            Printf.printf "== %s ==\n%s\n" name (P.to_text fs))
-          reports
-    end
-    else run_static_analyze json
+    else print_policy_reports json (static_reports ())
   in
   Cmd.v (Cmd.info "analyze" ~doc ~man)
-    Term.(const run $ verbose_arg $ json $ races $ aggregate)
+    Term.(const run $ verbose_arg $ json_arg $ races $ aggregate)
 
 let () =
   let doc = "Secure Domain Rewind and Discard — simulation toolkit" in

@@ -107,6 +107,7 @@ type worker = {
   mutable ws : Netsim.Waitset.ws;
   mutable tid : Sched.tid;
   mutable alive : bool;
+  mutable started : bool;  (* its thread runs: not awaiting a respawn *)
   mutable rewinds : int;
 }
 
@@ -208,7 +209,7 @@ let create space variant ?sdrad ?supervisor ?faults net ~port ~workers process
     workers =
       Array.init workers (fun idx ->
           { idx; ws = Netsim.Waitset.create (); tid = -1; alive = false;
-            rewinds = 0 });
+            started = false; rewinds = 0 });
     next = 0;
     acceptor = -1;
     deaths = Queue.create ();
@@ -452,23 +453,31 @@ let serve_waitset t w ~shed ~handle =
 let spawn_worker t sched ~threads ~shed ~serve w =
   w.rewinds <- 0;
   w.alive <- true;
+  w.started <- false;
   let handle = serve w in
   w.tid <-
     Sched.spawn sched
       ~name:(threads ^ "-worker" ^ Int.to_string w.idx)
       (fun () ->
+        w.started <- true;
         match serve_waitset t w ~shed ~handle with
         | () -> ()
         | exception e ->
             die t w;
             if t.process = One_process then raise e)
 
-(* The first live worker at or after [i], cyclically; -1 when none is. *)
-let rec live_from t i left =
-  if left = 0 then -1
+(* The first live worker at or after [i], cyclically, whose thread
+   runs; failing that [spare], the first live one awaiting its thread (a
+   respawned worker's starts [restart_cost] after the master marks it
+   live); -1 when none is live. *)
+let rec live_from t i left spare =
+  if left = 0 then spare
   else
     let w = t.workers.(i mod Array.length t.workers) in
-    if w.alive then w.idx else live_from t (i + 1) (left - 1)
+    if w.alive && w.started then w.idx
+    else
+      live_from t (i + 1) (left - 1)
+        (if spare < 0 && w.alive then w.idx else spare)
 
 (* Round-robin over the live workers. The round moves on past a
    connection placed, or refused for want of a live worker (all of a
@@ -478,7 +487,7 @@ let rec accept_loop t =
   match Netsim.accept t.listener with
   | None -> ()
   | Some c ->
-      (match live_from t t.next (Array.length t.workers) with
+      (match live_from t t.next (Array.length t.workers) (-1) with
       | -1 ->
           Netsim.close c;
           t.next <- t.next + 1

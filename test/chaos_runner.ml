@@ -124,17 +124,16 @@ type cluster_outcome = {
   cl_failovers : int;
   cl_ring : int;
   cl_lost : int;  (* acked sets unreadable after the dust settles *)
-  cl_acked_sets : int;
-  cl_counters : (int * int option) array;  (* (acked incrs, final value) *)
+  cl_counters : string option array;  (* each counter read back *)
 }
 
 (* Retrying writers push rid-carrying sets and incrs through the sharded
    router while the chaos plan crashes one shard and partitions another's
-   heartbeat link mid-run. The rewind-aware failover must keep the
-   fleet's durability contract: every acked write readable afterwards,
-   no incr doubly applied (verbatim retries are answered from the replay
-   journal), the ring never empties, and the schedule replays from the
-   seed. *)
+   heartbeat link mid-run; each write is retried verbatim until acked.
+   The rewind-aware failover must keep the fleet's durability contract:
+   every acked write readable afterwards, each incr applied exactly once
+   (verbatim retries are answered from the replay journal), the ring
+   never empties, and the schedule replays from the seed. *)
 let writers = 3 and sets_per = 8 and incrs_per = 5
 
 let run_cluster ~seed =
@@ -150,83 +149,52 @@ let run_cluster ~seed =
       ]
   in
   let cfg = { Cluster.Fleet.default_config with shards = 3 } in
+  let port = cfg.router_port in
   let acked : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let acked_incrs = Array.make writers 0 in
-  let ctr_acked = Array.make writers false in
-  let lost = ref 0 in
-  let { Scenario.server = t; result = counters; _ } =
+  let stored = Invariants.kv_acked (( = ) Proto.Stored) in
+  let { Scenario.server = t; result = lost, counters; _ } =
     Scenario.fleet ~faults:fi w cfg
       (Script
          (fun t ->
-           (* Issue [req] on [conn] until a definitive reply, resending the
-              string (rid included) verbatim like a real retrying client;
-              busy replies and timeouts burn an attempt. *)
-           let attempt conn req =
-             let rec go n =
-               if n = 0 then None
-               else begin
-                 Netsim.send conn req;
-                 match
-                   Timed_recv.recv_deadline conn ~deadline:(Sched.now () +. 1.0e6)
-                 with
-                 | Some r when r = Proto.server_error_busy ->
-                     Sched.sleep 40_000.0;
-                     go (n - 1)
-                 | Some r -> Some (Proto.parse_reply r)
-                 | None ->
-                     Sched.sleep 40_000.0;
-                     go (n - 1)
-               end
-             in
-             go 8
-           in
-           let tids = ref [] in
-           for w = 0 to writers - 1 do
-             tids :=
-               Sched.spawn sched
-                 ~name:(Printf.sprintf "wr%d" w)
-                 (fun () ->
-                   let rng = Rng.create (seed + (10 * w)) in
-                   let conn = Netsim.connect net ~port:cfg.router_port in
-                   for i = 0 to sets_per - 1 do
-                     Sched.sleep (float_of_int (Rng.int rng 30_000));
-                     let key = Printf.sprintf "w%dk%d" w i in
-                     let value = Printf.sprintf "v%d-%d" w i in
-                     match
-                       attempt conn
+           let tids =
+             List.init writers (fun w ->
+                 let name = Printf.sprintf "wr%d" w in
+                 Sched.spawn sched ~name (fun () ->
+                     let rng = Rng.create (seed + (10 * w)) in
+                     let c =
+                       Invariants.client net ~port
+                         ~rng:(Rng.create (seed + (10 * w) + 1))
+                         ~name
+                     in
+                     for i = 0 to sets_per - 1 do
+                       Sched.sleep (float_of_int (Rng.int rng 30_000));
+                       let key = Printf.sprintf "w%dk%d" w i in
+                       let value = Printf.sprintf "v%d-%d" w i in
+                       Invariants.until_acked c
                          (Proto.fmt_storage "set"
                             ~rid:(Printf.sprintf "sr%d-%d" w i)
                             ~key ~flags:0 ~value ())
-                     with
-                     | Some Proto.Stored -> Hashtbl.replace acked key value
-                     | _ -> ()
-                   done;
-                   let ctr = Printf.sprintf "ctr%d" w in
-                   (match
-                      attempt conn
-                        (Proto.fmt_storage "set"
-                           ~rid:(Printf.sprintf "cs%d" w)
-                           ~key:ctr ~flags:0 ~value:"0" ())
-                    with
-                   | Some Proto.Stored ->
-                       ctr_acked.(w) <- true;
-                       for i = 0 to incrs_per - 1 do
-                         Sched.sleep (float_of_int (Rng.int rng 30_000));
-                         match
-                           attempt conn
-                             (Proto.fmt_incr
-                                ~rid:(Printf.sprintf "ci%d-%d" w i)
-                                ctr 1)
-                         with
-                         | Some (Proto.Number _) ->
-                             acked_incrs.(w) <- acked_incrs.(w) + 1
-                         | _ -> ()
-                       done
-                   | _ -> ());
-                   Netsim.close conn)
-               :: !tids
-           done;
-           List.iter Sched.join !tids;
+                         ~acked:stored;
+                       Hashtbl.replace acked key value
+                     done;
+                     let ctr = Printf.sprintf "ctr%d" w in
+                     Invariants.until_acked c
+                       (Proto.fmt_storage "set"
+                          ~rid:(Printf.sprintf "cs%d" w)
+                          ~key:ctr ~flags:0 ~value:"0" ())
+                       ~acked:stored;
+                     for i = 0 to incrs_per - 1 do
+                       Sched.sleep (float_of_int (Rng.int rng 30_000));
+                       Invariants.until_acked c
+                         (Proto.fmt_incr ~rid:(Printf.sprintf "ci%d-%d" w i) ctr 1)
+                         ~acked:
+                           (Invariants.kv_acked (function
+                             | Proto.Number _ -> true
+                             | _ -> false))
+                     done;
+                     ignore (Invariants.finish c)))
+           in
+           List.iter Sched.join tids;
            (* A fault that fired late still deserves its detection window:
               wait out the heartbeat timeout plus a monitor pass before
               auditing, so a pending failover has run its drain + re-seed. *)
@@ -243,34 +211,18 @@ let run_cluster ~seed =
            Sched.sleep 400_000.0;
            settle 8;
            (* Audit through the surviving ring. *)
-           let conn = Netsim.connect net ~port:cfg.router_port in
-           let read key =
-             match attempt conn (Proto.fmt_get key) with
-             | Some (Proto.Value v) -> Some v
-             | _ -> None
-           in
-           Hashtbl.iter
-             (fun key value -> if read key <> Some value then incr lost)
-             acked;
-           let counters =
-             Array.init writers (fun w ->
-                 ( acked_incrs.(w),
-                   if ctr_acked.(w) then
-                     match read (Printf.sprintf "ctr%d" w) with
-                     | Some v -> int_of_string_opt v
-                     | None -> None
-                   else None ))
-           in
-           Netsim.close conn;
-           counters))
+           let read = Invariants.read_back net ~port in
+           ( Hashtbl.fold
+               (fun key value n -> if read key <> Some value then n + 1 else n)
+               acked 0,
+             Array.init writers (fun w -> read (Printf.sprintf "ctr%d" w)) )))
   in
   {
     cl_fires = Fault_inject.fires fi;
     cl_log = Fault_inject.log_to_string fi;
     cl_failovers = Cluster.Fleet.failovers t;
     cl_ring = Cluster.Hash_ring.size (Cluster.Fleet.ring t);
-    cl_lost = !lost;
-    cl_acked_sets = Hashtbl.length acked;
+    cl_lost = lost;
     cl_counters = counters;
   }
 
@@ -282,18 +234,10 @@ let cluster_suite ~seed =
   expect "cluster: detected faults drive failover"
     (o.cl_fires = 0 || o.cl_failovers >= 1);
   Array.iteri
-    (fun w (acked, final) ->
-      match final with
-      | Some v ->
-          (* The journal answers verbatim retries, so the counter lands
-             between what the writer saw acked and what it attempted. *)
-          expect
-            (Printf.sprintf "cluster: ctr%d within [acked, attempts]" w)
-            (v >= acked && v <= incrs_per)
-      | None ->
-          expect
-            (Printf.sprintf "cluster: ctr%d unreadable yet had acked incrs" w)
-            (acked = 0))
+    (fun w got ->
+      Invariants.exactly_once expect "cluster"
+        ~key:(Printf.sprintf "ctr%d" w)
+        ~want:incrs_per got)
     o.cl_counters;
   (* Same seed, same schedule: the injection log and the failover count
      are a replayable fingerprint of the whole run. *)
@@ -303,7 +247,7 @@ let cluster_suite ~seed =
     (o.cl_failovers = o2.cl_failovers);
   Printf.printf
     "seed %2d  cluster: %d fires, %d failovers, %d acked sets intact, ring %d\n%!"
-    seed o.cl_fires o.cl_failovers o.cl_acked_sets o.cl_ring
+    seed o.cl_fires o.cl_failovers (writers * sets_per) o.cl_ring
 
 let () =
   Invariants.run ~what:"chaos" ~held:"all chaos invariants held"

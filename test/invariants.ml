@@ -212,15 +212,15 @@ let spawn_counters (w : Scenario.world) ~seed ~name ~clients ~incrs ~retries =
           done;
           retries := !retries + finish c))
 
-(* Read every counter back over a link with no network faults. The
-   injection plan is still armed, so a get may be rewound (connection
-   closed) or answered busy: reconnect and insist. *)
-let counters_exact expect leg net ~clients ~incrs =
-  Netsim.set_fault_hook net None;
-  let rec read_back key tries =
+(* Read [key] back over a fresh connection. The injection plan may
+   still be armed, so a get may be rewound (connection closed) or
+   answered busy: reconnect and insist, but 50 times at most, so a lost
+   key fails its check instead of hanging the run. *)
+let read_back net ~port key =
+  let rec go tries =
     if tries = 0 then None
     else begin
-      let c = Netsim.connect net ~port:11211 in
+      let c = Netsim.connect net ~port in
       Netsim.send c (Proto.fmt_get key);
       let r = Timed_recv.recv_deadline c ~deadline:(Sched.now () +. 500_000.0) in
       Netsim.close c;
@@ -228,12 +228,17 @@ let counters_exact expect leg net ~clients ~incrs =
       | Some (Proto.Value v) -> Some v
       | _ ->
           Sched.sleep 50_000.0;
-          read_back key (tries - 1)
+          go (tries - 1)
     end
   in
+  go 50
+
+(* Read every counter back over a link with no network faults. *)
+let counters_exact expect leg net ~clients ~incrs =
+  Netsim.set_fault_hook net None;
   for i = 0 to clients - 1 do
     let key = Printf.sprintf "ctr%d" i in
-    exactly_once expect leg ~key ~want:incrs (read_back key 50)
+    exactly_once expect leg ~key ~want:incrs (read_back net ~port:11211 key)
   done
 
 (* {1 The supervised DoS scenario}

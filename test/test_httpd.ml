@@ -581,6 +581,35 @@ let test_acceptor_skips_dead_worker () =
   in
   check int "one restart" 1 (Server.worker_restarts s)
 
+(* The master marks a respawned worker live when it handles the death,
+   but the worker's thread starts [restart_cost] (2.1M cycles) later. A
+   connection on its turn in between goes to a worker that runs: the CVE
+   kills worker 0, and once the master has respawned it, a connection
+   on worker 0's turn is served by worker 1 within 100k cycles instead
+   of waiting out the respawn. *)
+let test_acceptor_skips_respawning_worker () =
+  let w = Scenario.world ~size_mib:128 () in
+  let { Scenario.server = s; _ } =
+    Scenario.httpd w
+      ~files:(fun () -> mk_fs w.space)
+      { Server.default_config with variant = Server.Baseline; vulnerable = true;
+        workers = 2 }
+      (Script
+         (fun _ ->
+           let c0 = Netsim.connect w.net ~port:8080 in
+           let c1 = Netsim.connect w.net ~port:8080 in
+           Netsim.send c0 (Load.request ~path:attack_uri);
+           check bool "worker 0 died" true (Netsim.recv c0 = None);
+           Sched.sleep 10_000.0;
+           let c2 = Netsim.connect w.net ~port:8080 in
+           Netsim.send c2 (Load.request ~path:"/index.html");
+           (match Timed_recv.recv_deadline c2 ~deadline:(Sched.now () +. 100_000.0) with
+           | Some r -> check bool "worker 1 served worker 0's turn" true (Load.is_200 r)
+           | None -> Alcotest.fail "waited for worker 0's respawn");
+           List.iter Netsim.close [ c1; c2 ]))
+  in
+  check int "one restart" 1 (Server.worker_restarts s)
+
 let test_connection_close_honored () =
   let _ =
     run_server_test ~variant:Server.Baseline (fun _ net _ ->
@@ -1007,6 +1036,8 @@ let () =
             `Quick (test_exhaustion_refuses_and_recovers Server.Sdrad);
           Alcotest.test_case "acceptor skips a dead worker" `Quick
             test_acceptor_skips_dead_worker;
+          Alcotest.test_case "acceptor skips a respawning worker" `Quick
+            test_acceptor_skips_respawning_worker;
         ] );
       ( "client-certs",
         [

@@ -846,11 +846,10 @@ let test_ycsb_retries_through_faults () =
     }
   in
   (* Drop ~4% of messages. *)
-  let rng = Rng.create 99 in
-  Netsim.set_fault_hook w.net
-    (Some
-       (fun ~len:_ ->
-         if Rng.float rng < 0.04 then Netsim.Drop else Netsim.Deliver));
+  let module Fi = Resilience.Fault_inject in
+  Fi.arm_netsim
+    (Fi.create ~seed:99 [ Fi.rule ~prob:0.04 ~site:"net" Fi.Net_drop ])
+    w.net ~site:"net";
   let { Scenario.server = s; result = r; _ } =
     Scenario.kvcache w cfg (Ycsb wl)
   in
