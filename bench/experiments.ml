@@ -710,7 +710,7 @@ let a6 () =
   let run ndomains =
     let space = Space.create ~size_mib:128 () in
     Sched.main (fun _ ->
-      let sd = Api.create ~virtual_keys:true space in
+      let sd = Api.create space in
       let event udi =
         Api.run sd ~udi
           ~on_rewind:(fun _ -> ())
@@ -886,7 +886,7 @@ let run_dos_amplifier ~supervised ~attacks =
     }
   in
   let w =
-    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+    Scenario.world ~size_mib:192 ~monitor:(fun space -> Api.create space)
       ?supervisor:
         (if supervised then Some (Resilience.Supervisor.attach ~policy)
          else None)

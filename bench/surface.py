@@ -4,7 +4,9 @@
     python3 bench/surface.py
 
 Prints the .ml + .mli line counts of lib/, of test/ and of bin/ and
-bench/ together, then every `val` of a lib/**/*.mli whose name, written
+bench/ together; the knobs of lib/: the optional parameters of its vals
+(`?label:` in lib/**/*.mli outside comments) and the fields of its
+`config`, `policy` and `options` records; then every `val` of a lib/**/*.mli whose name, written
 `.<name>`, appears in no .ml file outside test/ and outside its own
 module: an export that only its own tests call, or nothing at all.
 
@@ -24,6 +26,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 USE_DIRS = ["lib", "bin", "bench", "examples", "perfsuite"]
 
 VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
+OPTIONAL = re.compile(r"\?[a-z_][A-Za-z0-9_']*\s*:")
+KNOB_RECORD = re.compile(r"\btype\s+(?:config|policy|options)\s*=\s*(?:private\s*)?\{([^}]*)\}")
+FIELD = re.compile(r"(?:^|;)\s*(?:mutable\s+)?[a-z_][A-Za-z0-9_']*\s*:")
+
+
+def uncomment(text):
+    """[text] without its (possibly nested) OCaml comments."""
+    out, depth, i = [], 0, 0
+    while i < len(text):
+        two = text[i : i + 2]
+        if two == "(*":
+            depth += 1
+            i += 2
+        elif two == "*)" and depth > 0:
+            depth -= 1
+            i += 2
+        else:
+            if depth == 0:
+                out.append(text[i])
+            i += 1
+    return "".join(out)
 
 
 def sources(dirs, exts):
@@ -49,6 +72,16 @@ def main():
         ("bin/ + bench/", ["bin", "bench"]),
     ]:
         print("  %-14s %7d" % (label, lines(dirs)))
+
+    optional = fields = 0
+    for mli in sources(["lib"], (".mli",)):
+        text = uncomment(open(mli, encoding="utf-8").read())
+        optional += len(OPTIONAL.findall(text))
+        for body in KNOB_RECORD.findall(text):
+            fields += len(FIELD.findall(body))
+    print("\nlib/ knobs")
+    print("  optional parameters        %4d" % optional)
+    print("  config/policy/options fields %2d" % fields)
 
     uses = {
         p: open(p, encoding="utf-8").read()

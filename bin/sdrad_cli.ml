@@ -323,7 +323,7 @@ let forensic_run ?(interrupts = 0) ~seed () =
   Telemetry.Trace.set_enabled tracer true;
   let w =
     Scenario.world ~size_mib:192
-      ~monitor:(Api.create ~seed ~tracer ~virtual_keys:true)
+      ~monitor:(Api.create ~seed ~tracer)
       ~supervisor:Resilience.Supervisor.attach ()
   in
   let sd = Option.get w.sd and net = w.net in
@@ -463,7 +463,7 @@ let print_record r =
   Printf.printf "%s\n" (record_header r);
   Printf.printf
     "  window %.0f -> %.0f cycles, %d interrupt(s) absorbed, %d journal \
-     replay(s) at commit\n"
+     replay(s) so far\n"
     r.Rl.r_start r.Rl.r_end r.Rl.r_interrupts r.Rl.r_replays;
   Printf.printf "  discarded %d domain(s):\n" (List.length r.Rl.r_subtree);
   List.iter
@@ -505,7 +505,7 @@ let record_json ~extra ~indent r =
   Printf.sprintf
     "{ \"id\": %d, \"target\": %d, \"tid\": %d, \"kind\": \"%s\",\n\
      %s\"si\": \"%s\", \"fault_addr\": %d, \"msg\": \"%s\",\n\
-     %s\"start\": %.0f, \"end\": %.0f, \"interrupts\": %d, \"replays\": %d,\n\
+     %s\"start\": %.0f, \"end\": %.0f, \"interrupts\": %d, \"replays_total\": %d,\n\
      %s\"subtree\": %s,\n\
      %s\"events\": %s%s }"
     r.Rl.r_id r.Rl.r_target r.Rl.r_tid

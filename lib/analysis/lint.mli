@@ -8,8 +8,8 @@
       ([unsafe_load_bytes]/[unsafe_store_bytes]) outside [vmem] and
       [checkpoint].
     - [pkey-gate]: a call of [Space.wrpkru], [pkey_alloc], [pkey_free]
-      or [pkey_mprotect] outside [core] and [vmem] — ERIM's rule that
-      protection keys are written only in call gates. Names match whole:
+      or [pkey_mprotect] outside [core/keys.ml] and [vmem] — ERIM's rule
+      that protection keys are written only in call gates. Names match whole:
       [Space.wrpkru_writes] and [pkey_of_addr] are not calls of them.
     - [missing-mli]: a [.ml] under the scanned tree without a sibling
       [.mli].

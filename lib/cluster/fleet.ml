@@ -553,7 +553,7 @@ let beat_states = Supervisor.[| Closed; Backoff; Quarantined; Half_open |]
 let make_shard t_cfg sched ?faults net m i =
   let space = Space.create ~size_mib:t_cfg.space_mib () in
   let registry = Metrics.create () in
-  let sd = Api.create ~metrics:registry ~virtual_keys:true space in
+  let sd = Api.create ~metrics:registry space in
   let sup = Supervisor.attach sd in
   let kv_cfg = { t_cfg.kv with Kvcache.Server.port = base_port + i } in
   let sdrad =

@@ -14,187 +14,20 @@ exception Attack_detected of string
    grandparent past the failing domain's own init frame (Figure 2). *)
 exception Rewind_to_grandparent of fault
 
-type state = Dormant | Ready | Entered
-
-type exec_inst = {
-  udi : udi;
-  tid : int;
-  mutable opts : options;
-  parent : udi;
-  mutable pkey : int;
-  mutable state : state;
-  mutable stack_base : int;
-  mutable stack_len : int;
-  mutable sp : int;
-  mutable heap : Tlsf.t option;
-  mutable heap_regions : int list;
-  mutable frame : int;  (* active rewind frame id, 0 = none (Dormant) *)
-  mutable ctx_addr : int;  (* saved-context block in monitor memory *)
-  mutable meta_addr : int;  (* domain record in monitor memory *)
-  mutable last_used : int;  (* LRU tick for key virtualization *)
-  mutable cleanups : (unit -> unit) list;
-      (* run (innermost first) when this domain exits abnormally *)
-  mutable entry : exec_inst list;
-      (* the entered-stack cell of this domain's last entry (see
-         [push_entered]) *)
-}
-
-type data_inst = {
-  d_udi : udi;
-  d_pkey : int;
-  d_heap : Tlsf.t;
-  d_pool : int;  (* the [heap_size] it was made with: its regions' size *)
-  mutable d_regions : int list;
-  d_perms : (udi, Prot.t) Hashtbl.t;  (* viewer execution domain -> rights *)
-  d_meta_addr : int;
-}
-
-(* {1 Udi-ordered tables}
-
-   A thread's execution-domain instances and the monitor's data domains
-   live in arrays sorted by udi. A lookup is a binary search and a walk
-   is a loop, so a gate builds no key, option or closure for either, and
-   walks visit domains in udi order. *)
-module By_udi = struct
-  type 'a t = {
-    udi_of : 'a -> udi;
-    filler : 'a;  (* a vacated slot's value *)
-    mutable items : 'a array;  (* the first [len] are live *)
-    mutable len : int;
-  }
-
-  let create udi_of filler = { udi_of; filler; items = [||]; len = 0 }
-
-  (* The index of [udi], or [-(i + 1)] when it is absent and belongs at
-     [i]. *)
-  let rec search tb udi lo hi =
-    if lo >= hi then -(lo + 1)
-    else
-      let mid = (lo + hi) lsr 1 in
-      let u = tb.udi_of tb.items.(mid) in
-      if u = udi then mid
-      else if u < udi then search tb udi (mid + 1) hi
-      else search tb udi lo mid
-
-  let index tb udi = search tb udi 0 tb.len
-  let mem tb udi = index tb udi >= 0
-
-  let find tb udi =
-    let i = index tb udi in
-    if i < 0 then raise Not_found else tb.items.(i)
-
-  let add tb x =
-    let i = -(index tb (tb.udi_of x) + 1) in
-    if i < 0 then invalid_arg "By_udi.add: udi present";
-    if tb.len = Array.length tb.items then begin
-      let grown = Array.make (max 8 (2 * tb.len)) x in
-      Array.blit tb.items 0 grown 0 tb.len;
-      tb.items <- grown
-    end;
-    Array.blit tb.items i tb.items (i + 1) (tb.len - i);
-    tb.items.(i) <- x;
-    tb.len <- tb.len + 1
-
-  (* The vacated slot holds [filler], so the array keeps no removed
-     domain reachable, and a table emptied and filled again, as a
-     rewound lone domain's is, keeps its array. *)
-  let remove tb udi =
-    let i = index tb udi in
-    if i >= 0 then begin
-      Array.blit tb.items (i + 1) tb.items i (tb.len - i - 1);
-      tb.len <- tb.len - 1;
-      tb.items.(tb.len) <- tb.filler
-    end
-
-  let iter f tb =
-    for i = 0 to tb.len - 1 do
-      f tb.items.(i)
-    done
-end
-
-(* The filler of vacated instance slots, and the domain no chain
-   holds (see [stage_descendants]). *)
-let no_inst =
-  {
-    udi = root_udi;
-    tid = -1;
-    opts = default_options;
-    parent = root_udi;
-    pkey = -1;
-    state = Dormant;
-    stack_base = 0;
-    stack_len = 0;
-    sp = 0;
-    heap = None;
-    heap_regions = [];
-    frame = 0;
-    ctx_addr = 0;
-    meta_addr = 0;
-    last_used = 0;
-    cleanups = [];
-    entry = [];
-  }
-
-(* A cached argument-marshalling buffer (see [gate_buffer]). *)
-type gate_buf = {
-  gb_caller : udi;
-  gb_callee : udi;
-  gb_slot : int;
-  mutable gb_addr : int;
-  mutable gb_cap : int;
-}
-
-type thread_state = {
-  t_tid : int;
-  mutable constructed : bool;
-      (* the thread constructor has run: root stack mapped, policy
-         installed. A record without it only carries a trace id set
-         before the thread's first domain call. *)
-  insts : exec_inst By_udi.t;  (* this thread's execution domains *)
-  mutable gate_bufs : gate_buf list;
-      (* cached argument-marshalling buffers in callee heaps, surviving
-         deinit (persistent-domain pattern) until the callee or the
-         caller is discarded or destroyed *)
-  mutable trace : int;  (* active causal trace id, 0 = none *)
-  mutable entered : exec_inst list;  (* innermost first; [] = in root *)
-  mutable root_sp : int;
-  mutable root_stack_base : int;
-  mutable root_stack_len : int;
-  mutable cur_pkru : int;
-  mutable monitor_depth : int;  (* nested [with_monitor] brackets *)
-  mutable gate_depth : int;  (* open batched-gate sections *)
-  mutable rewound : bool;
-      (* the last [run] to return on this thread returned its
-         [on_rewind] handler's value *)
-}
+open Keys
 
 type t = {
   space : Space.t;
   cost : Cost.t;
-  monitor_pkey : int;
-  root_pkey : int;
+  keys : Keys.t;  (* PKRU, protection keys and the domain tables *)
   monitor_heap : Tlsf.t;
   root_heap : Tlsf.t;
   mutable root_heap_regions : int list;
   canary_value : int;
   mutable frame_counter : int;
-  datas : data_inst By_udi.t;
-  threads : (int, thread_state) Hashtbl.t;
-  mutable exec_keys : Pkru.t;
-      (* the deny (AD) bit of every key an execution-domain instance
-         holds, on any thread *)
-  mutable stack_pool : int array;
-      (* pooled stack areas, (base, len) pairs, the last released on
-         top *)
-  mutable pooled : int;  (* areas in [stack_pool] *)
-  stack_reuse : bool;
-  virtual_keys : bool;
   sanitizer : bool;
-  verify_policy : bool;
-  mutable key_clock : int;  (* LRU tick for key virtualization *)
   default_heap_size : int;
   mutable subscribers : (Types.fault -> unit) list;  (* newest first *)
-  mutable in_monitor : bool;
   audit : Rewind_log.t;  (* durable rewind intent + incident audit log *)
   draft : Rewind_log.draft;  (* an intent's victims, staged for [audit] *)
   mutable victims : exec_inst array;
@@ -220,7 +53,6 @@ type t = {
   c_rewinds : Telemetry.Metrics.counter;
   c_incidents_resumed : Telemetry.Metrics.counter;
   c_rewind_interrupts : Telemetry.Metrics.counter;
-  c_key_evictions : Telemetry.Metrics.counter;
   c_enters : Telemetry.Metrics.counter;
   c_exits : Telemetry.Metrics.counter;
   c_gate_batched : Telemetry.Metrics.counter;
@@ -286,9 +118,9 @@ let install_syscall_oracle t =
   Space.set_syscall_hook t.space
     (Some
        (fun op ->
-         if not t.in_monitor then
+         if not t.keys.in_monitor then
            let tid = if Sched.in_thread () then Sched.self () else -1 in
-           match Hashtbl.find_opt t.threads tid with
+           match Hashtbl.find_opt t.keys.threads tid with
            | Some { entered = inst :: _; _ } when not inst.opts.allow_syscalls ->
                raise
                  (Attack_detected (Printf.sprintf "unsanctioned syscall %s" op))
@@ -303,19 +135,26 @@ let flight_log_cap = 32  (* events per domain's flight ring *)
 let flight_snap = 8  (* events per victim frozen into an audit record *)
 
 let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
-    ?(virtual_keys = false) ?(sanitizer = false) ?(verify_policy = false)
-    ?metrics ?tracer space =
-  let alloc_key () =
-    match Space.pkey_alloc space with Some k -> k | None -> err Out_of_pkeys
+    ?(sanitizer = false) ?(verify_policy = false) ?metrics ?tracer space =
+  let metrics =
+    match metrics with Some m -> m | None -> Telemetry.Metrics.create ()
   in
-  let monitor_pkey = alloc_key () in
-  let root_pkey = alloc_key () in
-  let monitor_region = Space.mmap space ~len:monitor_size ~prot:Prot.rw ~pkey:monitor_pkey in
+  let tracer =
+    match tracer with Some tr -> tr | None -> Telemetry.Trace.create ()
+  in
+  let root_heap = Tlsf.create space ~name:"sdrad-root" in
+  let keys =
+    Keys.create ~stack_reuse ~verify_policy ~metrics ~tracer ~root_heap space
+  in
+  let monitor_region =
+    Space.mmap space ~len:monitor_size ~prot:Prot.rw ~pkey:keys.monitor_pkey
+  in
   let monitor_heap = Tlsf.create space ~name:"sdrad-monitor" in
   if sanitizer then Tlsf.set_sanitize monitor_heap true;
   Tlsf.add_region monitor_heap ~addr:monitor_region ~len:monitor_size;
-  let root_region = Space.mmap space ~len:root_heap_size ~prot:Prot.rw ~pkey:root_pkey in
-  let root_heap = Tlsf.create space ~name:"sdrad-root" in
+  let root_region =
+    Space.mmap space ~len:root_heap_size ~prot:Prot.rw ~pkey:keys.root_pkey
+  in
   if sanitizer then Tlsf.set_sanitize root_heap true;
   Tlsf.add_region root_heap ~addr:root_region ~len:root_heap_size;
   (* The rewind transaction log lives in the monitor data domain, next to
@@ -325,48 +164,20 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
      survive the rewinds of the domains they describe. *)
   let flight = Flight.create space ~heap:monitor_heap ~cap:flight_log_cap () in
   let rng = Simkern.Rng.create seed in
-  let metrics =
-    match metrics with Some m -> m | None -> Telemetry.Metrics.create ()
-  in
-  let tracer =
-    match tracer with Some tr -> tr | None -> Telemetry.Trace.create ()
-  in
   let module M = Telemetry.Metrics in
   let t =
   {
     space;
     cost = Space.cost space;
-    monitor_pkey;
-    root_pkey;
+    keys;
     monitor_heap;
     root_heap;
     root_heap_regions = [ root_region ];
     canary_value = Int64.to_int (Simkern.Rng.int64 rng) land max_int;
     frame_counter = 0;
-    datas =
-      By_udi.create
-        (fun dd -> dd.d_udi)
-        {
-          d_udi = root_udi;
-          d_pkey = -1;
-          d_heap = root_heap;
-          d_pool = 0;
-          d_regions = [];
-          d_perms = Hashtbl.create 1;
-          d_meta_addr = 0;
-        };
-    threads = Hashtbl.create 8;
-    exec_keys = Pkru.all_access;
-    stack_pool = [||];
-    pooled = 0;
-    stack_reuse;
-    virtual_keys;
     sanitizer;
-    verify_policy;
-    key_clock = 0;
     default_heap_size;
     subscribers = [];
-    in_monitor = false;
     audit;
     draft = Rewind_log.draft ();
     victims = [||];
@@ -390,9 +201,6 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
     c_rewind_interrupts =
       M.counter metrics "sdrad_rewind_interrupts_total"
         ~help:"Faults arriving while a multi-domain rewind was in flight";
-    c_key_evictions =
-      M.counter metrics "sdrad_key_evictions_total"
-        ~help:"Dormant domains parked to recycle a protection key";
     c_enters =
       M.counter metrics "sdrad_domain_enters_total"
         ~help:"Switches into a nested domain";
@@ -418,20 +226,20 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
   M.gauge_fn metrics "sdrad_execution_domains"
     ~help:"Live execution-domain instances" (fun () ->
       float_of_int
-        (Hashtbl.fold (fun _ ts n -> n + ts.insts.len) t.threads 0));
+        (Hashtbl.fold (fun _ ts n -> n + ts.insts.len) t.keys.threads 0));
   M.gauge_fn metrics "sdrad_data_domains" ~help:"Live data domains" (fun () ->
-      float_of_int t.datas.len);
+      float_of_int t.keys.datas.len);
   M.gauge_fn metrics "sdrad_pkeys_in_use" ~help:"Allocated protection keys"
     (fun () -> float_of_int (Space.pkeys_in_use t.space));
   M.gauge_fn metrics "sdrad_pooled_stacks"
     ~help:"Stack areas held for reuse" (fun () ->
-      float_of_int t.pooled);
+      float_of_int t.keys.pooled);
   M.gauge_fn metrics "sdrad_threads" ~help:"Registered simulated threads"
     (fun () ->
       float_of_int
         (Hashtbl.fold
            (fun _ ts n -> if ts.constructed then n + 1 else n)
-           t.threads 0));
+           t.keys.threads 0));
   M.gauge_fn metrics "sdrad_monitor_bytes"
     ~help:"Monitor control data currently allocated" (fun () ->
       float_of_int (Tlsf.used_bytes t.monitor_heap));
@@ -492,67 +300,7 @@ let create ?(seed = 1) ?(default_heap_size = 256 * 1024) ?(stack_reuse = true)
 let space t = t.space
 let cur_tid () = if Sched.in_thread () then Sched.self () else -1
 
-(* {1 PKRU policy computation} *)
-
 let current_inst ts = match ts.entered with [] -> None | i :: _ -> Some i
-
-let current_udi_of ts =
-  match ts.entered with [] -> root_udi | i :: _ -> i.udi
-
-(* The rights [viewer] holds on data domain [dd]. *)
-let data_perm dd viewer =
-  match Hashtbl.find dd.d_perms viewer with
-  | p -> p
-  | exception Not_found -> 0
-
-(* Runs on every switch, as two loops. Every rule that grants access
-   needs the instance to belong to the calling thread, so the policy is
-   the deny bits of every instance key ([t.exec_keys]), the grants among
-   the thread's own instances, and the data domains' permissions. Keys
-   are distinct, so each key is set once and the order does not
-   matter. *)
-let compute_pkru t ts =
-  let cur_udi = current_udi_of ts in
-  let v = ref (Pkru.deny Pkru.all_access ~key:t.monitor_pkey) in
-  (* The root domain is read-only from nested domains (global data). *)
-  (match ts.entered with
-  | [] -> ()
-  | _ :: _ -> v := Pkru.allow_read !v ~key:t.root_pkey);
-  (* A [Pkru.deny] sets the key's AD bit: the mask denies them all. *)
-  v := !v lor t.exec_keys;
-  let insts = ts.insts in
-  for i = 0 to insts.len - 1 do
-    let inst = insts.items.(i) in
-    if inst.pkey >= 0 then
-      match ts.entered with
-      | c :: _ when c == inst -> v := Pkru.allow !v ~key:inst.pkey
-      | cur ->
-          if
-            inst.parent = cur_udi
-            && inst.opts.access = Accessible
-            && inst.state <> Entered
-          then v := Pkru.allow !v ~key:inst.pkey
-          else begin
-            (* Direct parent, when the current domain opted in. *)
-            match cur with
-            | c :: _ when c.opts.parent_readable && c.parent = inst.udi ->
-                v := Pkru.allow_read !v ~key:inst.pkey
-            | _ -> ()
-          end
-  done;
-  let datas = t.datas in
-  for i = 0 to datas.len - 1 do
-    let dd = datas.items.(i) in
-    let p = data_perm dd cur_udi in
-    v :=
-      if Prot.has p Prot.write then Pkru.allow !v ~key:dd.d_pkey
-      else if Prot.has p Prot.read then Pkru.allow_read !v ~key:dd.d_pkey
-      else Pkru.deny !v ~key:dd.d_pkey
-  done;
-  !v
-
-let hold_key t key = t.exec_keys <- Pkru.deny t.exec_keys ~key
-let release_key t key = t.exec_keys <- Pkru.allow t.exec_keys ~key
 
 (* {1 Thread registration} *)
 
@@ -560,7 +308,7 @@ let release_key t key = t.exec_keys <- Pkru.allow t.exec_keys ~key
    before the thread's first domain call, and setting one must not run
    the constructor (its root stack and WRPKRU are simulated work). *)
 let thread_record t tid =
-  match Hashtbl.find t.threads tid with
+  match Hashtbl.find t.keys.threads tid with
   | ts -> ts
   | exception Not_found ->
       let ts =
@@ -580,7 +328,7 @@ let thread_record t tid =
           rewound = false;
         }
       in
-      Hashtbl.replace t.threads tid ts;
+      Hashtbl.replace t.keys.threads tid ts;
       ts
 
 let thread_state t =
@@ -589,80 +337,14 @@ let thread_state t =
     (* Thread constructor (§IV-B): set up a per-thread root stack and the
        initial access policy. *)
     let len = root_stack_size in
-    let base = Space.mmap t.space ~len ~prot:Prot.rw ~pkey:t.root_pkey in
+    let base = Space.mmap t.space ~len ~prot:Prot.rw ~pkey:t.keys.root_pkey in
     ts.root_sp <- base + len;
     ts.root_stack_base <- base;
     ts.root_stack_len <- len;
     ts.constructed <- true;
-    ts.cur_pkru <- compute_pkru t ts;
-    Space.wrpkru t.space ts.cur_pkru
+    Keys.start_thread t.keys ts
   end;
   ts
-
-(* Reference-monitor call gate: raise privileges to reach the monitor data
-   domain, run [f], then install whatever policy [ts.cur_pkru] holds on
-   exit — at most two WRPKRU writes per API call, as in PKU call gates,
-   and none at all for elided re-entry (see below). *)
-(* Mark [f]'s system calls as issued by the reference monitor (the API
-   implementation), exempting them from the syscall oracle. *)
-let sanctioned t f =
-  let was = t.in_monitor in
-  t.in_monitor <- true;
-  match f () with
-  | v ->
-      t.in_monitor <- was;
-      v
-  | exception e ->
-      t.in_monitor <- was;
-      raise e
-
-let monitor_view t ts = Pkru.allow ts.cur_pkru ~key:t.monitor_pkey
-let in_root ts = match ts.entered with [] -> true | _ -> false
-
-let install_pkru t v =
-  if Telemetry.Trace.enabled t.tracer then
-    Telemetry.Trace.with_span t.tracer "switch.pkru_write" (fun () ->
-        Space.wrpkru t.space v)
-  else Space.wrpkru t.space v
-
-(* Gate elision. A per-thread depth counter makes nested [with_monitor]
-   re-entry free: only the outermost bracket installs the raised view on
-   the way in and the compartment policy on the way out. (The old code
-   wrote on every bracket — and the inner bracket's exit silently
-   dropped monitor privileges while the outer bracket was still
-   active.) When a batched gate is open ([open_gate]) and the thread is
-   in its home root context, the outermost exit re-installs the
-   {e raised} view instead of dropping it, so every monitor section of
-   the batch after the first is write-free; compartment entry/exit
-   still installs the compartment's own policy, keeping isolation
-   byte-for-byte identical to the unbatched path. The bracket restores
-   its state on every exit, exceptional ones included (faults, rewinds,
-   [Sched.Killed]), without building a finalizer closure. *)
-let leave_monitor t ts was =
-  t.in_monitor <- was;
-  ts.monitor_depth <- ts.monitor_depth - 1;
-  if ts.monitor_depth = 0 then
-    if ts.gate_depth > 0 && in_root ts then install_pkru t (monitor_view t ts)
-    else install_pkru t ts.cur_pkru
-
-let enter_monitor t ts =
-  ts.monitor_depth <- ts.monitor_depth + 1;
-  if ts.monitor_depth = 1 then install_pkru t (monitor_view t ts);
-  let was = t.in_monitor in
-  t.in_monitor <- true;
-  was
-
-(* For cold paths; the per-request calls open-code the bracket with
-   [enter_monitor]/[leave_monitor] so that they build no closure. *)
-let with_monitor t ts f =
-  let was = enter_monitor t ts in
-  match f () with
-  | v ->
-      leave_monitor t ts was;
-      v
-  | exception e ->
-      leave_monitor t ts was;
-      raise e
 
 (* {1 Causal trace context}
 
@@ -676,7 +358,7 @@ let with_monitor t ts f =
 
 let set_trace t id =
   let tid = cur_tid () in
-  match Hashtbl.find t.threads tid with
+  match Hashtbl.find t.keys.threads tid with
   | ts -> ts.trace <- id
   | exception Not_found -> if id <> 0 then (thread_record t tid).trace <- id
 
@@ -702,17 +384,17 @@ let record_event t ~udi ~tid ~trace ~arg kind =
 let record_on t ts ~udi ~tid ~trace ~arg kind =
   if not ts.constructed then record_event t ~udi ~tid ~trace ~arg kind
   else begin
-    let was = enter_monitor t ts in
+    let was = Keys.enter_monitor t.keys ts in
     match record_event t ~udi ~tid ~trace ~arg kind with
-    | () -> leave_monitor t ts was
+    | () -> Keys.leave_monitor t.keys ts was
     | exception e ->
-        leave_monitor t ts was;
+        Keys.leave_monitor t.keys ts was;
         raise e
   end
 
 let record_flight t ~udi ~trace ~arg kind =
   let tid = cur_tid () in
-  match Hashtbl.find t.threads tid with
+  match Hashtbl.find t.keys.threads tid with
   | exception Not_found -> record_event t ~udi ~tid ~trace ~arg kind
   | ts -> record_on t ts ~udi ~tid ~trace ~arg kind
 
@@ -720,7 +402,7 @@ let record_flight t ~udi ~trace ~arg kind =
    thread's trace id. *)
 let flight_event t ?udi ?trace ?(arg = 0) kind =
   let tid = cur_tid () in
-  match Hashtbl.find t.threads tid with
+  match Hashtbl.find t.keys.threads tid with
   | exception Not_found ->
       let udi = match udi with Some u -> u | None -> root_udi in
       let trace = match trace with Some id -> id | None -> 0 in
@@ -762,54 +444,6 @@ let drop_context t inst =
     inst.ctx_addr <- 0
   end
 
-(* {1 Stacks} *)
-
-(* Give [inst] a stack of at least [len] bytes under [pkey]: the most
-   recently pooled area that fits, else a new mapping. *)
-let take_stack t inst ~len ~pkey =
-  let pool = t.stack_pool in
-  let i = ref (if t.stack_reuse then t.pooled - 1 else -1) in
-  while !i >= 0 && pool.((2 * !i) + 1) < len do
-    decr i
-  done;
-  if !i >= 0 then begin
-    let base = pool.(2 * !i) and l = pool.((2 * !i) + 1) in
-    Array.blit pool (2 * (!i + 1)) pool (2 * !i) (2 * (t.pooled - !i - 1));
-    t.pooled <- t.pooled - 1;
-    Space.pkey_mprotect t.space ~addr:base ~len:l ~prot:Prot.rw ~pkey;
-    if Space.sanitizer_enabled t.space then
-      Space.unpoison t.space ~addr:base ~len:l;
-    inst.stack_base <- base;
-    inst.stack_len <- l
-  end
-  else begin
-    inst.stack_base <- Space.mmap t.space ~len ~prot:Prot.rw ~pkey;
-    inst.stack_len <- len
-  end;
-  inst.sp <- inst.stack_base + inst.stack_len
-
-let release_stack t ~base ~len =
-  if t.stack_reuse then begin
-    (* Keep the area for reuse but seal it with the monitor's key so stale
-       pointers into a dead domain's stack fault. *)
-    Space.pkey_mprotect t.space ~addr:base ~len ~prot:Prot.rw
-      ~pkey:t.monitor_pkey;
-    (* A pooled stack stays mapped; poison it so even monitor-privileged
-       stale pointers into the dead domain's frames are detected until
-       the area is reissued ({!take_stack} unpoisons). *)
-    if Space.sanitizer_enabled t.space then
-      Space.poison t.space ~addr:base ~len;
-    if 2 * (t.pooled + 1) > Array.length t.stack_pool then begin
-      let g = Array.make (Int.max 16 (2 * Array.length t.stack_pool)) 0 in
-      Array.blit t.stack_pool 0 g 0 (2 * t.pooled);
-      t.stack_pool <- g
-    end;
-    t.stack_pool.(2 * t.pooled) <- base;
-    t.stack_pool.((2 * t.pooled) + 1) <- len;
-    t.pooled <- t.pooled + 1
-  end
-  else Space.munmap t.space base
-
 (* {1 Instance lookup helpers} *)
 
 let find_inst ts udi = By_udi.find ts.insts udi
@@ -827,79 +461,7 @@ let get_exec t ts udi =
   match find_inst ts udi with
   | inst -> inst
   | exception Not_found ->
-      err (if By_udi.mem t.datas udi then Wrong_kind else Unknown_domain)
-
-let iter_insts t f = Hashtbl.iter (fun _ ts -> By_udi.iter f ts.insts) t.threads
-
-(* {1 Protection-key virtualization (libmpk-style, §IV-B)}
-
-   With [virtual_keys] enabled, running out of the 15 hardware keys parks
-   a dormant domain instead of failing: its pages are made PROT_NONE (a
-   real mprotect walk — the "much slower" fallback the paper attributes
-   to libmpk) and its key is recycled. The instance is unparked — given a
-   key again and re-protected — when it is re-initialized. *)
-
-let park_instance t inst =
-  List.iter
-    (fun r ->
-      let len = Space.mapped_len t.space r in
-      if len > 0 then Space.mprotect t.space ~addr:r ~len ~prot:Prot.none)
-    inst.heap_regions;
-  Space.mprotect t.space ~addr:inst.stack_base ~len:inst.stack_len
-    ~prot:Prot.none;
-  Space.pkey_free t.space inst.pkey;
-  release_key t inst.pkey;
-  inst.pkey <- -1;
-  Telemetry.Metrics.inc t.c_key_evictions
-
-(* Every instance is stamped when it is created and again at each entry
-   and re-initialization, so no two share a [last_used] and the victim
-   does not depend on the order of the walk. *)
-let lru_dormant t =
-  let victim = ref None in
-  iter_insts t (fun inst ->
-      if inst.state = Dormant && inst.pkey >= 0 then
-        match !victim with
-        | Some b when b.last_used <= inst.last_used -> ()
-        | _ -> victim := Some inst);
-  !victim
-
-let acquire_pkey t =
-  match Space.pkey_alloc t.space with
-  | Some k -> k
-  | None ->
-      if not t.virtual_keys then err Out_of_pkeys
-      else begin
-        (* Evict the least recently used dormant instance. *)
-        match lru_dormant t with
-        | None -> err Out_of_pkeys
-        | Some v ->
-            Log.debug (fun m ->
-                m "key pressure: parking dormant domain %d (tid %d)" v.udi v.tid);
-            park_instance t v;
-            (match Space.pkey_alloc t.space with
-            | Some k -> k
-            | None -> err Out_of_pkeys)
-      end
-
-let unpark_instance t inst =
-  if inst.pkey < 0 then begin
-    let k = acquire_pkey t in
-    inst.pkey <- k;
-    hold_key t k;
-    List.iter
-      (fun r ->
-        let len = Space.mapped_len t.space r in
-        if len > 0 then
-          Space.pkey_mprotect t.space ~addr:r ~len ~prot:Prot.rw ~pkey:k)
-      inst.heap_regions;
-    Space.pkey_mprotect t.space ~addr:inst.stack_base ~len:inst.stack_len
-      ~prot:Prot.rw ~pkey:k
-  end
-
-let touch_key t inst =
-  t.key_clock <- t.key_clock + 1;
-  inst.last_used <- t.key_clock
+      err (if By_udi.mem t.keys.datas udi then Wrong_kind else Unknown_domain)
 
 (* {1 Sub-heaps} *)
 
@@ -942,42 +504,6 @@ let fresh_frame t =
   t.frame_counter <- t.frame_counter + 1;
   t.frame_counter
 
-(* Cheap monitor-init-time policy assertion behind [verify_policy]: every
-   live domain holds a key of its own, distinct from the monitor's and the
-   root's, and the deny mask [compute_pkru] starts from covers exactly
-   the keys execution domains hold. The full static verifier (stack/heap
-   visibility, gate buffers, hooks, reachability) lives in [lib/analysis]
-   and runs offline or at server setup. *)
-let assert_policy t =
-  if t.verify_policy then begin
-    let seen = Hashtbl.create 16 in
-    let claim what udi pkey =
-      if pkey >= 0 then begin
-        let who = Printf.sprintf "%s %d" what udi in
-        if pkey = t.monitor_pkey || pkey = t.root_pkey then
-          failwith
-            (Printf.sprintf "sdrad: policy violation: %s holds reserved key %d"
-               who pkey);
-        match Hashtbl.find_opt seen pkey with
-        | Some other ->
-            failwith
-              (Printf.sprintf "sdrad: policy violation: %s and %s share key %d"
-                 other who pkey)
-        | None -> Hashtbl.replace seen pkey who
-      end
-    in
-    let held = ref Pkru.all_access in
-    iter_insts t (fun i ->
-        claim "domain" i.udi i.pkey;
-        if i.pkey >= 0 then held := Pkru.deny !held ~key:i.pkey);
-    By_udi.iter (fun d -> claim "data domain" d.d_udi d.d_pkey) t.datas;
-    if !held <> t.exec_keys then
-      failwith
-        (Printf.sprintf
-           "sdrad: policy violation: deny mask %x, execution domains hold %x"
-           t.exec_keys !held)
-  end
-
 (* The entered stack, pushed without consing. Entering requires the
    parent to be current, so the chain below an instance is the same at
    each of its entries and the cell made at the first one is reused. *)
@@ -990,24 +516,24 @@ let push_entered ts inst =
 (* The monitor section of an initialization: the domain record (for a
    new instance), the saved context, and the new policy. *)
 let establish t ts inst ~fresh =
-  let was = enter_monitor t ts in
+  let was = Keys.enter_monitor t.keys ts in
   match
     if fresh then begin
       inst.meta_addr <- Tlsf.malloc t.monitor_heap meta_block_size;
       write_meta t inst
     end;
     save_context t ts inst;
-    ts.cur_pkru <- compute_pkru t ts
+    Keys.update_policy t.keys ts
   with
-  | () -> leave_monitor t ts was
+  | () -> Keys.leave_monitor t.keys ts was
   | exception e ->
-      leave_monitor t ts was;
+      Keys.leave_monitor t.keys ts was;
       raise e
 
 let reinit t ts inst opts =
   if inst.parent <> current_udi_of ts then err Not_a_child;
-  unpark_instance t inst;
-  touch_key t inst;
+  Keys.unpark t.keys inst;
+  Keys.touch t.keys inst;
   if opts.stack_size = inst.opts.stack_size then inst.opts <- opts
   else inst.opts <- { opts with stack_size = inst.opts.stack_size };
   inst.state <- Ready;
@@ -1015,14 +541,13 @@ let reinit t ts inst opts =
   establish t ts inst ~fresh:false
 
 let create_instance t ts udi opts =
-  let pkey = acquire_pkey t in
   let inst =
     {
       udi;
       tid = ts.t_tid;
       opts;
       parent = current_udi_of ts;
-      pkey;
+      pkey = -1;
       state = Ready;
       stack_base = 0;
       stack_len = 0;
@@ -1037,23 +562,16 @@ let create_instance t ts udi opts =
       entry = [];
     }
   in
-  take_stack t inst ~len:opts.stack_size ~pkey;
+  Keys.seat t.keys inst;
   inst.frame <- fresh_frame t;
-  hold_key t pkey;
-  (* The LRU stamp of a new instance (see [lru_dormant]). *)
-  touch_key t inst;
   By_udi.add ts.insts inst;
   establish t ts inst ~fresh:true;
   inst
 
-(* Sanctioned (the monitor's own mmap and pkey calls), with the
-   [sanctioned] bracket open-coded: a warm re-init builds no closure. *)
 let init_exec t ts udi opts =
-  let was = t.in_monitor in
-  t.in_monitor <- true;
-  match
-    if udi = root_udi then err Root_operation;
-    if By_udi.mem t.datas udi then err Wrong_kind;
+  if udi = root_udi then err Root_operation;
+  if By_udi.mem t.keys.datas udi then err Wrong_kind;
+  let inst =
     match find_inst ts udi with
     | exception Not_found -> create_instance t ts udi opts
     | inst -> (
@@ -1062,15 +580,10 @@ let init_exec t ts udi opts =
             reinit t ts inst opts;
             inst
         | Ready | Entered -> err Already_initialized)
-  with
-  | inst ->
-      t.in_monitor <- was;
-      Telemetry.Metrics.inc t.c_inits;
-      assert_policy t;
-      inst
-  | exception e ->
-      t.in_monitor <- was;
-      raise e
+  in
+  Telemetry.Metrics.inc t.c_inits;
+  Keys.assert_policy t.keys;
+  inst
 
 let mentions udi b = b.gb_caller = udi || b.gb_callee = udi
 
@@ -1152,16 +665,13 @@ let discard_instance t ts inst =
   | Some h -> Hashtbl.replace t.spare_heaps inst.udi h
   | None -> ());
   inst.heap <- None;
-  release_stack t ~base:inst.stack_base ~len:inst.stack_len;
+  Keys.release_stack t.keys inst;
   drop_context t inst;
   if inst.meta_addr <> 0 then begin
     Tlsf.free t.monitor_heap inst.meta_addr;
     inst.meta_addr <- 0
   end;
-  if inst.pkey >= 0 then begin
-    Space.pkey_free t.space inst.pkey;
-    release_key t inst.pkey
-  end;
+  Keys.free_key t.keys inst.pkey;
   forget_gate_buffers ts inst.udi;
   By_udi.remove ts.insts inst.udi
 
@@ -1325,18 +835,18 @@ let switch_steps t ts =
         charge t.cost.stack_switch);
     Telemetry.Trace.with_span t.tracer "switch.bookkeeping" (fun () ->
         charge t.cost.switch_work;
-        ts.cur_pkru <- compute_pkru t ts)
+        Keys.update_policy t.keys ts)
   end
   else begin
     charge t.cost.stack_switch;
     charge t.cost.switch_work;
-    ts.cur_pkru <- compute_pkru t ts
+    Keys.update_policy t.keys ts
   end
 
 (* The gates below open-code the [with_monitor] bracket (same restore on
    every exit) so that a switch builds no closure. *)
 let switch_in t ts inst udi =
-  let was = enter_monitor t ts in
+  let was = Keys.enter_monitor t.keys ts in
   (match
      inst.state <- Entered;
      inst.sp <- inst.stack_base + inst.stack_len;
@@ -1344,9 +854,9 @@ let switch_in t ts inst udi =
      switch_steps t ts;
      record_event t ~udi ~tid:ts.t_tid ~trace:ts.trace ~arg:0 Flight.Switch_in
    with
-  | () -> leave_monitor t ts was
+  | () -> Keys.leave_monitor t.keys ts was
   | exception e ->
-      leave_monitor t ts was;
+      Keys.leave_monitor t.keys ts was;
       raise e);
   (* Push the return address of the call gate onto the new stack — done
      after the policy switch, with the domain's own rights. *)
@@ -1354,7 +864,7 @@ let switch_in t ts inst udi =
   Space.store64 t.space inst.sp inst.frame
 
 let switch_out t ts inst rest =
-  let was = enter_monitor t ts in
+  let was = Keys.enter_monitor t.keys ts in
   match
     ts.entered <- rest;
     inst.state <- Ready;
@@ -1362,9 +872,9 @@ let switch_out t ts inst rest =
     record_event t ~udi:inst.udi ~tid:ts.t_tid ~trace:ts.trace ~arg:0
       Flight.Switch_out
   with
-  | () -> leave_monitor t ts was
+  | () -> Keys.leave_monitor t.keys ts was
   | exception e ->
-      leave_monitor t ts was;
+      Keys.leave_monitor t.keys ts was;
       raise e
 
 let enter t udi =
@@ -1376,7 +886,7 @@ let enter t udi =
   | Entered -> err Already_initialized);
   if inst.parent <> current_udi_of ts then err Not_a_child;
   if inst.frame = 0 then err Not_initialized;
-  touch_key t inst;
+  Keys.touch t.keys inst;
   if Telemetry.Trace.enabled t.tracer then
     Telemetry.Trace.with_span t.tracer "switch.enter"
       ~args:[ ("udi", string_of_int udi) ]
@@ -1415,15 +925,15 @@ let deinit t udi =
   | Entered -> err Domain_entered
   | Dormant -> err Not_initialized
   | Ready -> ());
-  let was = enter_monitor t ts in
+  let was = Keys.enter_monitor t.keys ts in
   match
     drop_context t inst;
     inst.frame <- 0;
     inst.state <- Dormant
   with
-  | () -> leave_monitor t ts was
+  | () -> Keys.leave_monitor t.keys ts was
   | exception e ->
-      leave_monitor t ts was;
+      Keys.leave_monitor t.keys ts was;
       raise e
 
 (* Hand [regions] and the blocks of [from] to the current domain:
@@ -1431,31 +941,25 @@ let deinit t udi =
    its heap. *)
 let merge_into_current t ts regions ~from =
   let target = current_heap t ts in
-  let pkey = match ts.entered with [] -> t.root_pkey | inst :: _ -> inst.pkey in
-  List.iter
-    (fun r ->
-      (let len = Space.mapped_len t.space r in
-       if len > 0 then
-         Space.pkey_mprotect t.space ~addr:r ~len ~prot:Prot.rw ~pkey);
-      track_current_region t ts r)
-    regions;
+  Keys.rekey_to_current t.keys ts regions;
+  List.iter (track_current_region t ts) regions;
   Tlsf.merge target ~from
 
 let merge_refusal = "corrupted sub-heap discarded instead of merged"
 
 let destroy t udi ~heap =
   let ts = thread_state t in
-  match By_udi.find t.datas udi with
+  match By_udi.find t.keys.datas udi with
   | dd ->
-      with_monitor t ts (fun () ->
+      Keys.with_monitor t.keys ts (fun () ->
           (match heap with
           | `Discard -> List.iter (fun r -> Space.munmap t.space r) dd.d_regions
           | `Merge -> merge_into_current t ts dd.d_regions ~from:dd.d_heap);
           Tlsf.free t.monitor_heap dd.d_meta_addr;
-          Space.pkey_free t.space dd.d_pkey;
-          Hashtbl.iter (fun _ ts -> forget_gate_buffers ts udi) t.threads;
-          By_udi.remove t.datas udi;
-          ts.cur_pkru <- compute_pkru t ts);
+          Keys.free_key t.keys dd.d_pkey;
+          Hashtbl.iter (fun _ ts -> forget_gate_buffers ts udi) t.keys.threads;
+          By_udi.remove t.keys.datas udi;
+          Keys.update_policy t.keys ts);
       race_emit t (Types.Rv_unshared { udi; pkey = dd.d_pkey });
       Telemetry.Metrics.inc t.c_destroys
   | exception Not_found ->
@@ -1463,7 +967,7 @@ let destroy t udi ~heap =
       if inst.state = Entered then err Domain_entered;
       if inst.parent <> current_udi_of ts then err Not_a_child;
       let merge_refused = ref false in
-      with_monitor t ts (fun () ->
+      Keys.with_monitor t.keys ts (fun () ->
           (* The destroyed domain takes its whole subtree with it. The
              descendants' abnormal cleanups run (their teardown is
              involuntary, and rewind-aware resources such as Dlock must be
@@ -1523,7 +1027,7 @@ let destroy t udi ~heap =
           in
           discard_instance t ts inst;
           if audited then commit_audit t ~at:(int_of_float (now ()));
-          ts.cur_pkru <- compute_pkru t ts);
+          Keys.update_policy t.keys ts);
       Telemetry.Metrics.inc t.c_destroys;
       if !merge_refused then
         report_incident t
@@ -1537,15 +1041,13 @@ let destroy t udi ~heap =
 (* {1 Data domains} *)
 
 let init_data t ~udi ?heap_size () =
-  sanctioned t @@ fun () ->
+  Keys.sanctioned t.keys @@ fun () ->
   if udi = root_udi then err Root_operation;
   let ts = thread_state t in
-  if By_udi.mem t.datas udi then err Already_initialized;
+  if By_udi.mem t.keys.datas udi then err Already_initialized;
   if mem_inst ts udi then err Wrong_kind;
   let heap_size = Option.value heap_size ~default:t.default_heap_size in
-  let pkey =
-    match Space.pkey_alloc t.space with Some k -> k | None -> err Out_of_pkeys
-  in
+  let pkey = Keys.acquire t.keys in
   let len = max heap_size Tlsf.min_region_len in
   let region = Space.mmap t.space ~len ~prot:Prot.rw ~pkey in
   let h = Tlsf.create t.space ~name:(Printf.sprintf "data%d" udi) in
@@ -1555,11 +1057,11 @@ let init_data t ~udi ?heap_size () =
   (* The creating domain gets read-write access by default so it can
      populate the data domain. *)
   Hashtbl.replace perms (current_udi_of ts) Prot.rw;
-  with_monitor t ts (fun () ->
+  Keys.with_monitor t.keys ts (fun () ->
       let meta = Tlsf.malloc t.monitor_heap meta_block_size in
       Space.store64 t.space meta udi;
       Space.store64 t.space (meta + 8) pkey;
-      By_udi.add t.datas
+      By_udi.add t.keys.datas
         {
           d_udi = udi;
           d_pkey = pkey;
@@ -1569,20 +1071,20 @@ let init_data t ~udi ?heap_size () =
           d_perms = perms;
           d_meta_addr = meta;
         };
-      ts.cur_pkru <- compute_pkru t ts);
+      Keys.update_policy t.keys ts);
   race_emit t (Types.Rv_shared { udi; pkey });
-  assert_policy t
+  Keys.assert_policy t.keys
 
 let dprotect t ~udi ~tddi prot =
   let ts = thread_state t in
-  match By_udi.find t.datas tddi with
+  match By_udi.find t.keys.datas tddi with
   | exception Not_found ->
       err (if mem_inst ts tddi then Wrong_kind else Unknown_domain)
   | dd ->
-      with_monitor t ts (fun () ->
+      Keys.with_monitor t.keys ts (fun () ->
           if prot = 0 then Hashtbl.remove dd.d_perms udi
           else Hashtbl.replace dd.d_perms udi prot;
-          ts.cur_pkru <- compute_pkru t ts)
+          Keys.update_policy t.keys ts)
 
 (* {1 Memory management} *)
 
@@ -1596,7 +1098,7 @@ let dprotect t ~udi ~tddi prot =
 let check_heap t ts udi =
   let cur = current_udi_of ts in
   if udi <> cur then
-    match By_udi.find t.datas udi with
+    match By_udi.find t.keys.datas udi with
     | dd -> if not (Prot.has (data_perm dd cur) Prot.write) then err Not_accessible
     | exception Not_found -> (
         match find_inst ts udi with
@@ -1608,7 +1110,7 @@ let check_heap t ts udi =
 let target_heap t ts udi =
   if udi = current_udi_of ts then current_heap t ts
   else
-    match By_udi.find t.datas udi with
+    match By_udi.find t.keys.datas udi with
     | dd -> dd.d_heap
     | exception Not_found -> inst_heap t (find_inst ts udi)
 
@@ -1630,13 +1132,13 @@ let grow_heap t ts udi heap size =
   if udi = current_udi_of ts then
     match ts.entered with
     | [] ->
-        let r = add ~pkey:t.root_pkey ~pool:t.default_heap_size in
+        let r = add ~pkey:t.keys.root_pkey ~pool:t.default_heap_size in
         t.root_heap_regions <- r :: t.root_heap_regions
     | inst :: _ ->
         let r = add ~pkey:inst.pkey ~pool:inst.opts.heap_size in
         inst.heap_regions <- r :: inst.heap_regions
   else
-    match By_udi.find t.datas udi with
+    match By_udi.find t.keys.datas udi with
     | dd ->
         let r = add ~pkey:dd.d_pkey ~pool:dd.d_pool in
         dd.d_regions <- r :: dd.d_regions
@@ -1656,7 +1158,7 @@ let malloc_in t ts udi size =
 let malloc t ~udi size =
   let ts = thread_state t in
   check_heap t ts udi;
-  let was = enter_monitor t ts in
+  let was = Keys.enter_monitor t.keys ts in
   let addr =
     match
       (* Under the sanitizer every allocation (un)poisons redzones — a
@@ -1667,10 +1169,10 @@ let malloc t ~udi size =
       malloc_in t ts udi size
     with
     | addr ->
-        leave_monitor t ts was;
+        Keys.leave_monitor t.keys ts was;
         addr
     | exception e ->
-        leave_monitor t ts was;
+        Keys.leave_monitor t.keys ts was;
         raise e
   in
   (* Reuse boundary for shadow-cell observers: the block's previous
@@ -1683,11 +1185,11 @@ let malloc t ~udi size =
 let free t ~udi addr =
   let ts = thread_state t in
   check_heap t ts udi;
-  let was = enter_monitor t ts in
+  let was = Keys.enter_monitor t.keys ts in
   (match Tlsf.free (target_heap t ts udi) addr with
-  | () -> leave_monitor t ts was
+  | () -> Keys.leave_monitor t.keys ts was
   | exception e ->
-      leave_monitor t ts was;
+      Keys.leave_monitor t.keys ts was;
       raise e);
   match t.race_observer with
   | Some f -> f (Types.Rv_free { udi; addr })
@@ -1709,18 +1211,12 @@ let usable_size t ~udi addr =
    compartment policy, so isolation — and everything the flight recorder
    and supervisor see — is identical to the unbatched path. *)
 
-let open_gate t =
-  let ts = thread_state t in
-  ts.gate_depth <- ts.gate_depth + 1;
-  if ts.gate_depth = 1 && ts.monitor_depth = 0 && in_root ts then
-    install_pkru t (monitor_view t ts)
+let open_gate t = Keys.open_gate t.keys (thread_state t)
 
 let close_gate t =
   let ts = thread_state t in
   if ts.gate_depth = 0 then invalid_arg "Api.close_gate: no gate open";
-  ts.gate_depth <- ts.gate_depth - 1;
-  if ts.gate_depth = 0 && ts.monitor_depth = 0 && in_root ts then
-    install_pkru t ts.cur_pkru
+  Keys.close_gate t.keys ts
 
 let with_gate t f =
   open_gate t;
@@ -1933,15 +1429,15 @@ let rewind_commit t inst ~record =
 (* The monitor section of a rewind, with the bracket open-coded: an
    untraced rewind builds no closure. *)
 let rewind_in_monitor t ts inst fault ~record ~at =
-  let was = enter_monitor t ts in
+  let was = Keys.enter_monitor t.keys ts in
   match
     rewind_discard t ts inst fault ~record ~at;
     rewind_commit t inst ~record;
-    ts.cur_pkru <- compute_pkru t ts
+    Keys.update_policy t.keys ts
   with
-  | () -> leave_monitor t ts was
+  | () -> Keys.leave_monitor t.keys ts was
   | exception e ->
-      leave_monitor t ts was;
+      Keys.leave_monitor t.keys ts was;
       raise e
 
 (* The same steps inside the rewind's spans. *)
@@ -1951,11 +1447,11 @@ let traced_rewind t ts inst fault ~record ~at =
     (fun () ->
       Telemetry.Trace.with_span t.tracer "rewind.context_restore" (fun () ->
           charge t.cost.context_restore);
-      with_monitor t ts (fun () ->
+      Keys.with_monitor t.keys ts (fun () ->
           rewind_discard t ts inst fault ~record ~at;
           rewind_commit t inst ~record;
           Telemetry.Trace.with_span t.tracer "rewind.policy_update" (fun () ->
-              ts.cur_pkru <- compute_pkru t ts)))
+              Keys.update_policy t.keys ts)))
 
 (* [at] is the rewind's start in whole cycles, the audit record's
    stamp; [t0] stays a local float. *)
@@ -1987,7 +1483,7 @@ let rec remove_entered inst = function
    chained onto its in-flight audit record. *)
 let teardown_passthrough t ts inst frame_id =
   if inst.frame = frame_id && is_live ts inst then
-    with_monitor t ts (fun () ->
+    Keys.with_monitor t.keys ts (fun () ->
         if List.memq inst ts.entered then
           ts.entered <- remove_entered inst ts.entered;
         let base = t.n_victims in
@@ -2006,7 +1502,7 @@ let teardown_passthrough t ts inst frame_id =
             discard_instance t ts d;
             if audited then Rewind_log.mark_discarded t.audit (i - base + 1)
           done;
-          ts.cur_pkru <- compute_pkru t ts
+          Keys.update_policy t.keys ts
         with
         | () -> unstage_victims t base
         | exception e ->
@@ -2097,7 +1593,7 @@ let run t ~udi ?(opts = default_options) ~on_rewind body =
       end
 
 let rewound t =
-  match Hashtbl.find t.threads (cur_tid ()) with
+  match Hashtbl.find t.keys.threads (cur_tid ()) with
   | ts -> ts.rewound
   | exception Not_found -> false
 
@@ -2105,7 +1601,7 @@ let rewound t =
 
 let is_initialized t udi =
   let ts = thread_state t in
-  By_udi.mem t.datas udi
+  By_udi.mem t.keys.datas udi
   ||
   match find_inst ts udi with
   | inst -> inst.state <> Dormant
@@ -2119,8 +1615,8 @@ let rewind_count t = Telemetry.Metrics.counter_value t.c_rewinds
    privileges when called from a registered simulated thread; outside the
    scheduler the default all-access policy applies. *)
 let with_audit_read t f =
-  match Hashtbl.find t.threads (cur_tid ()) with
-  | ts when ts.constructed -> with_monitor t ts f
+  match Hashtbl.find t.keys.threads (cur_tid ()) with
+  | ts when ts.constructed -> Keys.with_monitor t.keys ts f
   | _ | (exception Not_found) -> f ()
 
 let audit_records t = with_audit_read t (fun () -> Rewind_log.records t.audit)
@@ -2153,7 +1649,7 @@ let on_abnormal_cleanup t f =
       fun () -> token := false
 
 let domain_pkey t udi =
-  match By_udi.find t.datas udi with
+  match By_udi.find t.keys.datas udi with
   | dd -> Some dd.d_pkey
   | exception Not_found -> (
       let ts = thread_state t in
@@ -2162,8 +1658,8 @@ let domain_pkey t udi =
       | exception Not_found -> None)
 
 let monitor_bytes t = Tlsf.used_bytes t.monitor_heap
-let monitor_pkey t = t.monitor_pkey
-let root_pkey t = t.root_pkey
+let monitor_pkey t = t.keys.monitor_pkey
+let root_pkey t = t.keys.root_pkey
 let has_incident_handler t = t.subscribers <> []
 let sanitizer_enabled t = t.sanitizer
 
@@ -2188,7 +1684,7 @@ type domain_info = {
 let domains_info t =
   let region_len r = Space.mapped_len t.space r in
   let execs = ref [] in
-  iter_insts t (fun inst ->
+  Keys.iter_insts t.keys (fun inst ->
       execs :=
         {
           di_udi = inst.udi;
@@ -2230,7 +1726,7 @@ let domains_info t =
               (Hashtbl.fold (fun u p acc -> (u, p) :: acc) dd.d_perms []);
         }
         :: !datas)
-    t.datas;
+    t.keys.datas;
   List.sort
     (fun a b -> compare (a.di_udi, a.di_tid) (b.di_udi, b.di_tid))
     (!execs @ !datas)

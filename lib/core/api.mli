@@ -43,7 +43,6 @@ val create :
   ?seed:int ->
   ?default_heap_size:int ->
   ?stack_reuse:bool ->
-  ?virtual_keys:bool ->
   ?sanitizer:bool ->
   ?verify_policy:bool ->
   ?metrics:Telemetry.Metrics.t ->
@@ -57,12 +56,14 @@ val create :
     domain's pool when {!init_data} names none, and each region the root
     heap grows by. [stack_reuse] enables the
     §IV-C optimization of recycling stack areas of destroyed domains
-    (default [true]; ablation A2 turns it off). [virtual_keys] enables
-    libmpk-style key virtualization (§IV-B): when the 15 hardware keys
-    run out, the least recently used {e dormant} domain is parked — its
+    (default [true]; ablation A2 turns it off). Keys are virtualized
+    libmpk-style (§IV-B, {!Keys}): when the 15 hardware keys run out, the
+    least recently used {e dormant} execution domain is parked — its
     pages made inaccessible with mprotect, the slow fallback the paper
-    notes — and its key recycled; the instance is transparently unparked
-    on its next initialization.
+    notes — and its key recycled, for a new execution or data domain;
+    the instance is transparently unparked on its next initialization.
+    Only when no domain is dormant does a key request fail with
+    [Out_of_pkeys].
 
     [sanitizer] (default [false]) puts every heap this monitor creates —
     monitor, root, per-domain sub-heaps, data domains — into heap-poison

@@ -33,7 +33,7 @@ val world :
   unit ->
   world
 (** [Space.create ?size_mib ()], then [monitor space] (e.g.
-    [Api.create ~virtual_keys:true]), then [supervisor sd] (e.g.
+    [Api.create ~seed]), then [supervisor sd] (e.g.
     [Supervisor.attach ~policy]), then [Netsim.create (Space.cost
     space)]. @raise Invalid_argument for a supervisor without a
     monitor. *)

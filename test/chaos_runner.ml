@@ -63,7 +63,7 @@ let httpd_suite ~seed =
     }
   in
   let w =
-    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+    Scenario.world ~size_mib:192 ~monitor:(fun space -> Api.create space)
       ~supervisor:(Supervisor.attach ~policy) ()
   in
   let sched = w.sched and net = w.net in

@@ -282,7 +282,7 @@ let run_dos ~seed ~supervised ~attacks =
     }
   in
   let w =
-    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+    Scenario.world ~size_mib:192 ~monitor:(fun space -> Api.create space)
       ?supervisor:(if supervised then Some (Supervisor.attach ~policy) else None)
       ()
   in

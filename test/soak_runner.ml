@@ -113,7 +113,7 @@ let http_soak ~seed =
       ]
   in
   let w =
-    Scenario.world ~size_mib:192 ~monitor:(Api.create ~virtual_keys:true)
+    Scenario.world ~size_mib:192 ~monitor:(fun space -> Api.create space)
       ~supervisor:(Supervisor.attach ~policy:Invariants.lenient_policy) ()
   in
   Fault_inject.arm_netsim fi w.net ~site:"net";

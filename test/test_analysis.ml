@@ -539,11 +539,12 @@ let test_lint_raw_bytes () =
   check int "exempt inside checkpoint" 0
     (List.length (L.scan_source ~file:"lib/checkpoint/snap.ml" src))
 
-(* ERIM's rule as a source check: only the monitor's gates and the MPK
-   model touch protection keys. A [Space.wrpkru] planted in a kvcache
-   source is reported; the monitor's and the model's own calls, and the
-   reads [lib/scenario] makes ([Space.wrpkru_writes], [pkey_of_addr]),
-   are not. *)
+(* ERIM's rule as a source check: only the monitor's key discipline
+   ([lib/core/keys.ml]) and the MPK model touch protection keys. A
+   [Space.wrpkru] planted in a kvcache source is reported, and so are
+   the four calls planted in [lib/core/api.ml]; the same calls in
+   [keys.ml] and [lib/vmem], and the reads [lib/scenario] makes
+   ([Space.wrpkru_writes], [pkey_of_addr]), are not. *)
 let test_lint_pkey_gate () =
   let planted = "let f sd = Space." ^ bad "wrpkru" ^ " (Api.space sd) 0\n" in
   (match L.scan_source ~file:"lib/kvcache/server.ml" planted with
@@ -562,10 +563,20 @@ let test_lint_pkey_gate () =
       bad "pkey" ^ "_alloc s"; bad "pkey" ^ "_free s 3";
       bad "pkey" ^ "_mprotect s ~addr ~len ~prot ~pkey";
     ];
-  check int "the gates may" 0
-    (List.length (L.scan_source ~file:"lib/core/api.ml" planted));
+  let in_api =
+    planted
+    ^ "let g s = Space." ^ bad "pkey" ^ "_alloc s\n"
+    ^ "let h s = Space." ^ bad "pkey" ^ "_free s 3\n"
+    ^ "let i s = Space." ^ bad "pkey" ^ "_mprotect s ~addr ~len ~prot ~pkey\n"
+  in
+  check (Alcotest.list int) "the monitor's other modules may not" [ 1; 2; 3; 4 ]
+    (List.map
+       (fun v -> v.L.v_line)
+       (L.scan_source ~file:"lib/core/api.ml" in_api));
+  check int "the key discipline may" 0
+    (List.length (L.scan_source ~file:"lib/core/keys.ml" in_api));
   check int "the model may" 0
-    (List.length (L.scan_source ~file:"lib/vmem/space.ml" planted));
+    (List.length (L.scan_source ~file:"lib/vmem/space.ml" in_api));
   let reads =
     "let n = Space." ^ bad "wrpkru" ^ "_writes space\n"
     ^ "let k = Space." ^ bad "pkey" ^ "_of_addr space a\n"

@@ -608,7 +608,7 @@ let persist_event sd space udi payload =
 
 let test_virtual_keys_scale_past_fifteen () =
   let space = Space.create ~size_mib:64 () in
-  let sd = Api.create ~virtual_keys:true space in
+  let sd = Api.create space in
   Sched.main (fun _ ->
       (* 30 persistent domains with 13 usable keys. *)
       let addrs = Array.make 30 0 in
@@ -639,19 +639,53 @@ let test_virtual_keys_scale_past_fifteen () =
             Api.destroy sd udi ~heap:`Discard)
       done)
 
-let test_without_virtual_keys_exhausts () =
-  with_sdrad (fun space sd ->
-      match
-        for udi = 1 to 30 do
-          ignore (persist_event sd space udi None)
-        done
-      with
-      | () -> Alcotest.fail "should have exhausted keys"
-      | exception Types.Error Types.Out_of_pkeys -> ())
+(* A data domain takes its key through the same allocator: with every
+   usable key held by a dormant execution domain, [init_data] parks the
+   least recently used one, udi 1, whose next run unparks it with its
+   heap state intact. *)
+let test_data_domain_parks_dormant () =
+  let space = Space.create ~size_mib:64 () in
+  let sd = Api.create space in
+  Sched.main (fun _ ->
+      let addrs =
+        Array.init 14 (fun udi ->
+            if udi = 0 then 0
+            else
+              Option.get
+                (persist_event sd space udi
+                   (Some (Printf.sprintf "state-%02d" udi))))
+      in
+      let evictions () =
+        Telemetry.Metrics.sample (Api.metrics sd) "sdrad_key_evictions_total"
+      in
+      check (Alcotest.option (Alcotest.float 0.0)) "no eviction yet" (Some 0.0)
+        (evictions ());
+      Api.init_data sd ~udi:100 ~heap_size:4096 ();
+      check (Alcotest.option (Alcotest.float 0.0)) "one eviction" (Some 1.0)
+        (evictions ());
+      check (Alcotest.option Alcotest.int) "udi 1 parked" (Some (-1))
+        (Api.domain_pkey sd 1);
+      (match Space.load8 space addrs.(1) with
+      | _ -> Alcotest.fail "udi 1 not parked"
+      | exception Space.Fault { code; _ } ->
+          check bool "udi 1 parked (accerr)" true (code = Space.ACCERR));
+      (* Unparking udi 1 parks the next oldest dormant domain, udi 2. *)
+      Api.run sd ~udi:1
+        ~on_rewind:(fun _ -> Alcotest.fail "unexpected rewind")
+        (fun () ->
+          Api.enter sd 1;
+          check Alcotest.string "udi 1 state" "state-01"
+            (Space.read_string space addrs.(1) 8);
+          Api.exit_domain sd;
+          Api.deinit sd 1);
+      check (Alcotest.option (Alcotest.float 0.0)) "two evictions" (Some 2.0)
+        (evictions ());
+      check (Alcotest.option Alcotest.int) "udi 2 parked" (Some (-1))
+        (Api.domain_pkey sd 2))
 
 let test_parked_memory_inaccessible () =
   let space = Space.create ~size_mib:64 () in
-  let sd = Api.create ~virtual_keys:true space in
+  let sd = Api.create space in
   Sched.main (fun _ ->
       let secret = Option.get (persist_event sd space 1 (Some "parked secret")) in
       (* Apply key pressure until domain 1 is parked. *)
@@ -674,7 +708,7 @@ let test_parked_memory_inaccessible () =
    the oldest. *)
 let test_lru_parks_oldest_never_entered () =
   let space = Space.create ~size_mib:64 () in
-  let sd = Api.create ~virtual_keys:true space in
+  let sd = Api.create space in
   Sched.main (fun _ ->
       let mem =
         Array.init 15 (fun udi ->
@@ -1004,7 +1038,7 @@ let pkru_policy_differential =
         Gen.(list_size (int_range 40 150) (pair (int_range 0 2) pk_op_gen)))
     (fun ops ->
       let space = Space.create ~size_mib:64 () in
-      let sd = Api.create ~virtual_keys:true ~default_heap_size:8192 space in
+      let sd = Api.create ~default_heap_size:8192 space in
       let mismatches =
         Sched.main (fun sched ->
             let results = Array.make 3 None in
@@ -1085,7 +1119,8 @@ let () =
       ( "virtual-keys",
         [
           Alcotest.test_case "scale past 15" `Quick test_virtual_keys_scale_past_fifteen;
-          Alcotest.test_case "without: exhausts" `Quick test_without_virtual_keys_exhausts;
+          Alcotest.test_case "data domain parks a dormant one" `Quick
+            test_data_domain_parks_dormant;
           Alcotest.test_case "parked inaccessible" `Quick test_parked_memory_inaccessible;
           Alcotest.test_case "LRU among never-entered" `Quick
             test_lru_parks_oldest_never_entered;
