@@ -227,7 +227,10 @@ let variant_arg names =
 let workers_arg = Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N")
 
 let kvbench_cmd =
-  let doc = "Run one Memcached YCSB configuration and print throughput." in
+  let doc =
+    "Run one Memcached YCSB configuration and print throughput and failed \
+     requests."
+  in
   let variants =
     [ ("baseline", Kvcache.Server.Baseline); ("tlsf", Kvcache.Server.Tlsf_alloc);
       ("sdrad", Kvcache.Server.Sdrad) ]
@@ -248,13 +251,16 @@ let kvbench_cmd =
            })
     in
     let ops = r.Workload.Ycsb.load_ops + r.Workload.Ycsb.run_ops in
+    (* The op counts include failed requests (no or an error reply), so
+       the throughput lines are read beside [failed]. *)
     Printf.printf
-      "load: %.0f ops/s\nrun:  %.0f ops/s\nmax RSS: %.1f MiB\n\
+      "load: %.0f ops/s\nrun:  %.0f ops/s\nfailed: %d\nmax RSS: %.1f MiB\n\
        checked accesses: %.1f per op\n"
       (Stats.ops_per_sec cost ~ops:r.Workload.Ycsb.load_ops
          ~cycles:r.Workload.Ycsb.load_cycles)
       (Stats.ops_per_sec cost ~ops:r.Workload.Ycsb.run_ops
          ~cycles:r.Workload.Ycsb.run_cycles)
+      r.Workload.Ycsb.failures
       (float_of_int (Space.max_rss_bytes w.space) /. 1048576.0)
       (float_of_int (Space.checked_accesses w.space) /. float_of_int ops)
   in

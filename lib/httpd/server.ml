@@ -50,7 +50,7 @@ type worker_slot = {
   w : Serve.worker;
   reply : Netsim.Buf.t;  (* 200 replies of up to [Netsim.max_pooled] bytes *)
   req : Http_parse.t;  (* the request being handled, parsed in place *)
-  mutable cbuf : int;  (* its bytes in the connection buffer *)
+  cbuf : int;  (* the worker's read buffer, holding the request's bytes *)
   mutable len : int;
   mutable path : string;  (* its normalized URI *)
   mutable body_rel : int;  (* its body, relative to the buffer parsed *)
@@ -168,8 +168,8 @@ let trace_of_req req =
 let post t slot =
   let keep_alive = Http_parse.keep_alive slot.req in
   if slot.path = "/echo" then begin
-    (* The request body still sits in the connection buffer; only its
-       *parsing* was sandboxed. *)
+    (* The request body still sits in the worker's read buffer; only
+       its *parsing* was sandboxed. *)
     let payload =
       Space.read_string t.space (slot.cbuf + slot.body_rel) slot.body_len
     in
@@ -328,7 +328,7 @@ let parse t slot ~buf ~len ~dst =
   exit_phase t;
   slot.path <- Space.read_string t.space dst norm
 
-(* Baseline parsing: directly in the connection buffer; the normalized
+(* Baseline parsing: directly in the worker's read buffer; the normalized
    URI goes to the head of the worker's request pool (so the CVE's
    backward scan falls off the pool's guard page). *)
 let handle_plain t slot c =
@@ -448,7 +448,7 @@ and worker t w =
       w;
       reply = Netsim.Buf.create ();
       req = Http_parse.create ();
-      cbuf = 0;
+      cbuf = Serve.buffer w;
       len = 0;
       path = "";
       body_rel = 0;
@@ -481,18 +481,16 @@ and worker t w =
               Netsim.send c http_400;
               `Keep
           | `Parsed ->
-              (* Body bytes are served from the original connection
-                 buffer. *)
+              (* Body bytes are served from the worker's read buffer. *)
               respond t slot c)
     | None -> fun c _ -> handle_plain t slot c
   in
   fun c req ->
-    slot.len <- Serve.copy_in t.core c req;
-    slot.cbuf <- Serve.buffer c;
+    slot.len <- Serve.copy_in t.core w req;
     (match serve_request c req with
     | `Keep -> ()
     | `Close -> Serve.drop t.core w c
-    | `Close_graceful -> Serve.close t.core w c);
+    | `Close_graceful -> Serve.close w c);
     (* Scheduler-level chaos: lose this worker "process" between
        requests; the master observes the death and respawns. *)
     match t.faults with

@@ -1,6 +1,6 @@
 (** The Memcached text protocol (the subset the evaluation exercises):
     [get], [set], [delete] plus response formatting. Requests are parsed
-    in place from simulated memory — the connection buffer — so a
+    in place from simulated memory — the worker's read buffer — so a
     malicious request is already inside the sandboxable data path when it
     is interpreted.
 

@@ -151,7 +151,7 @@ type slot = {
   req : Proto.req;
   mutable wire : wire;
   mutable udi : int;
-  mutable cbuf : int;  (* the connection buffer and the request's length *)
+  cbuf : int;  (* the worker's read buffer and the request's length *)
   mutable len : int;
   mutable vaddr : int;  (* a GET hit's value, staged in the domain *)
   mutable vlen : int;
@@ -171,7 +171,7 @@ let make_slot w =
     req = Proto.create ();
     wire = text_wire;
     udi = 0;
-    cbuf = 0;
+    cbuf = Serve.buffer w;
     len = 0;
     vaddr = 0;
     vlen = 0;
@@ -467,9 +467,8 @@ and shed t _ c req =
 
 and handle_plain t slot c req =
   let space = t.space in
-  let len = Serve.copy_in t.core c req in
-  let cbuf = Serve.buffer c in
-  let w = parse_any space slot ~addr:cbuf ~len in
+  let len = Serve.copy_in t.core slot.w req in
+  let w = parse_any space slot ~addr:slot.cbuf ~len in
   slot.wire <- w;
   let r = slot.req in
   match r.kind with
@@ -537,7 +536,7 @@ and handle_plain t slot c req =
                 Bytes.blit_string v 0 b off len)))
   | Stats -> Netsim.send c (stats_reply t)
   | Stats_telemetry -> Netsim.send c (telemetry_reply t)
-  | Quit -> Serve.close t.core slot.w c
+  | Quit -> Serve.close slot.w c
   | Bad -> Netsim.send c w.w_error
 
 (* With per-client domains, the udi is keyed by the connection's source
@@ -565,8 +564,7 @@ and udi_for_conn t c =
 and handle_sdrad t slot sd ~on_rewind ~body c req =
   let space = t.space in
   slot.udi <- udi_for_conn t c;
-  slot.len <- Serve.copy_in t.core c req;
-  slot.cbuf <- Serve.buffer c;
+  slot.len <- Serve.copy_in t.core slot.w req;
   let binary = Binproto.is_binary space ~addr:slot.cbuf ~len:slot.len in
   let w = if binary then binary_wire else text_wire in
   slot.wire <- w;
@@ -585,9 +583,9 @@ and handle_sdrad t slot sd ~on_rewind ~body c req =
       Serve.rewound t.core slot.w slot.fault
   | `Value -> Netsim.send_buf c slot.reply
   | `Reply -> Netsim.send c slot.text
-  | `Drop -> Serve.close t.core slot.w c
+  | `Drop -> Serve.close slot.w c
 
-(* The request's event-domain run (Figure 3): the connection buffer is
+(* The request's event-domain run (Figure 3): the read buffer is
    deep-copied into the domain (step 4) through the cached
    per-(caller, callee) marshalling buffer — the persistent sub-heap
    keeps it across events, so steady state does no malloc/free per

@@ -6,13 +6,13 @@
     - {!Baseline}: the plain server. A malicious request that corrupts
       memory crashes the whole process (every connection, the entire
       cache).
-    - {!Tlsf_alloc}: identical, but connection-lifetime allocations go
+    - {!Tlsf_alloc}: identical, but read buffers and staging buffers go
       through the TLSF allocator instead of the glibc cost model —
       isolating the allocator-swap component of SDRaD's overhead.
     - {!Sdrad}: each client event is handled in a nested domain (Figure 3)
-      with a deep-copied connection buffer; the database and hash table
-      live in a dedicated data domain that nested domains may only read;
-      updates are deferred to the normal domain exit and applied
+      with a deep copy of the worker's read buffer; the database and hash
+      table live in a dedicated data domain that nested domains may only
+      read; updates are deferred to the normal domain exit and applied
       atomically under the shared lock. An abnormal exit discards the
       event's domain and closes only the offending connection.
 

@@ -148,19 +148,22 @@ type endpoint = {
   mutable closed : bool;
   mutable waiter : Sched.handle;  (* [Sched.no_handle] when none *)
   mutable ws : waitset;  (* [no_ws] while no waitset watches it *)
-  mutable wpos : int;  (* its index in [ws.watched] *)
+  mutable wpos : int;  (* its slot in [ws.watched] *)
   mutable rpos : int;  (* its index in [ws.ready]; -1 while not ready *)
-  mutable data : int;  (* its owner's word (see [set_data]); 0 at first *)
 }
 
 (* [watched] holds the set in insertion order, the order that breaks
-   ties between equal arrivals; [ready] holds the watched connections
-   that are ready, in no order, so a wait looks at those alone, as
-   epoll's ready list lets epoll_wait do. *)
+   ties between equal arrivals, with a removed connection's slot left
+   vacant; [ranks] gives a live one its index among the live ones.
+   [ready] holds the watched connections that are ready, in no order, so
+   a wait looks at those alone, as epoll's ready list lets epoll_wait
+   do. *)
 and waitset = {
-  mutable watched : endpoint array;  (* [0, count) in insertion order *)
-  mutable count : int;
-  mutable cursor : int;
+  mutable watched : endpoint array;  (* [0, used) in insertion order *)
+  mutable used : int;
+  mutable ranks : int array;  (* a Fenwick tree: 1 per live slot *)
+  mutable count : int;  (* live slots *)
+  mutable cursor : int;  (* a rank *)
   mutable ready : endpoint array;  (* [0, n_ready) *)
   mutable n_ready : int;
   mutable ws_waiter : Sched.handle;
@@ -254,12 +257,13 @@ let rec unpaired =
     ws = no_ws;
     wpos = -1;
     rpos = -1;
-    data = 0;
   }
 
 and no_ws =
   {
     watched = [||];
+    used = 0;
+    ranks = [| 0 |];
     count = 0;
     cursor = 0;
     ready = [||];
@@ -577,8 +581,6 @@ let close c =
 let is_open c = not c.closed
 let peer_closed c = c.peer.closed
 let id c = c.eid
-let data c = c.data
-let set_data c v = c.data <- v
 let remote_addr c = c.src
 
 (* [close], for [Waitset], whose own [close] shadows it. *)
@@ -587,16 +589,8 @@ let close_conn = close
 module Waitset = struct
   type ws = waitset
 
-  let create () =
-    {
-      watched = [||];
-      count = 0;
-      cursor = 0;
-      ready = [||];
-      n_ready = 0;
-      ws_waiter = Sched.no_handle;
-      ws_closed = false;
-    }
+  (* [no_ws]'s arrays are empty or never written, only replaced. *)
+  let create () = { no_ws with ws_closed = false }
 
   let wake_ws ws =
     let w = ws.ws_waiter in
@@ -605,17 +599,56 @@ module Waitset = struct
       ignore (Sched.wake w)
     end
 
+  let rec bump ranks i d =
+    if i < Array.length ranks then begin
+      ranks.(i) <- ranks.(i) + d;
+      bump ranks (i + (i land -i)) d
+    end
+
+  let rec prefix ranks i acc =
+    if i = 0 then acc else prefix ranks (i - (i land -i)) (acc + ranks.(i))
+
+  (* Live connections in the slots before [c]'s. *)
+  let[@inline] rank ws c = prefix ws.ranks c.wpos 0
+
+  (* Move the live connections, in order, to the first of [cap] slots,
+     and rebuild [ranks]: node [i] counts the live slots in
+     (i - lowbit i, i]. *)
+  let compact ws cap =
+    let watched =
+      if cap = Array.length ws.watched then ws.watched
+      else Array.make cap unpaired
+    in
+    let k = ref 0 in
+    for i = 0 to ws.used - 1 do
+      let c = ws.watched.(i) in
+      if c != unpaired then begin
+        watched.(!k) <- c;
+        c.wpos <- !k;
+        incr k
+      end
+    done;
+    Array.fill watched !k (cap - !k) unpaired;
+    ws.watched <- watched;
+    ws.used <- !k;
+    if Array.length ws.ranks <> cap + 1 then ws.ranks <- Array.make (cap + 1) 0;
+    for i = 1 to cap do
+      ws.ranks.(i) <- min i !k - min (i - (i land -i)) !k
+    done
+
   let add ws c =
     if c.ws != no_ws then invalid_arg "Netsim.Waitset.add: already watched";
+    let cap = Array.length ws.watched in
+    (* Squeeze out the vacated slots when they are half the set, else
+       grow: either is paid for by the adds and removes since the last. *)
+    if ws.used = cap then
+      compact ws (if 2 * ws.count <= cap && cap > 0 then cap else max 8 (2 * cap));
     c.ws <- ws;
-    c.wpos <- ws.count;
-    if ws.count = Array.length ws.watched then begin
-      let grown = Array.make (max 8 (2 * ws.count)) c in
-      Array.blit ws.watched 0 grown 0 ws.count;
-      ws.watched <- grown
-    end;
-    ws.watched.(ws.count) <- c;
+    c.wpos <- ws.used;
+    ws.watched.(ws.used) <- c;
+    ws.used <- ws.used + 1;
     ws.count <- ws.count + 1;
+    bump ws.ranks (c.wpos + 1) 1;
     if is_ready c then begin
       join ws c;
       wake_ws ws
@@ -625,19 +658,15 @@ module Waitset = struct
     ws.ws_closed <- true;
     wake_ws ws
 
-  (* Order-preserving, since the watched order breaks ties: the
-     connections after [c] move down one slot. The vacated slot keeps no
-     connection reachable. *)
+  (* Order-preserving without moving anything: the slot is vacated, so
+     every later connection's rank falls by one. The vacated slot keeps
+     no connection reachable. *)
   let remove ws c =
     if c.ws == ws then begin
       leave ws c;
-      for i = c.wpos + 1 to ws.count - 1 do
-        let e = ws.watched.(i) in
-        ws.watched.(i - 1) <- e;
-        e.wpos <- i - 1
-      done;
+      bump ws.ranks (c.wpos + 1) (-1);
+      ws.watched.(c.wpos) <- unpaired;
       ws.count <- ws.count - 1;
-      ws.watched.(ws.count) <- unpaired;
       c.ws <- no_ws;
       c.wpos <- -1
     end
@@ -645,23 +674,15 @@ module Waitset = struct
   let size ws = ws.count
 
   let close_all ws =
-    let conns = ref [] in
-    for i = 0 to ws.count - 1 do
-      conns := ws.watched.(i) :: !conns
+    let n = ws.count in
+    for i = ws.used - 1 downto 0 do
+      if ws.watched.(i) != unpaired then close_conn ws.watched.(i)
     done;
-    List.iter close_conn !conns;
     close ws;
-    for i = 0 to ws.count - 1 do
-      let c = ws.watched.(i) in
-      c.ws <- no_ws;
-      c.wpos <- -1;
-      c.rpos <- -1;
-      ws.watched.(i) <- unpaired
+    for i = 0 to ws.used - 1 do
+      remove ws ws.watched.(i)
     done;
-    Array.fill ws.ready 0 ws.n_ready unpaired;
-    ws.count <- 0;
-    ws.n_ready <- 0;
-    !conns
+    n
 
   (* Delivery time of the head-of-line message; a closed peer with
      nothing queued is reportable now. *)
@@ -675,11 +696,11 @@ module Waitset = struct
      phantom queueing delay they never actually suffered — an idle
      server would appear to answer old requests late. Arrival order is
      FIFO across the whole set; the cursor breaks ties so same-time
-     events still rotate fairly: among equal arrivals, the first watched
-     index at or after the cursor wins, cyclically. Only the ready list
-     is looked at, so a wait costs the host the ready connections, not
-     the watched ones; it allocates nothing, and [no_conn] stands for
-     none ready. *)
+     events still rotate fairly: among equal arrivals, the first rank at
+     or after the cursor wins, cyclically. Only the ready list is looked
+     at, and a rank is computed only for a tie, so a wait costs the host
+     the ready connections, not the watched ones; it allocates nothing,
+     and [no_conn] stands for none ready. *)
   let pick_earliest ws =
     let nr = ws.n_ready in
     if nr = 0 then no_conn
@@ -692,12 +713,12 @@ module Waitset = struct
         if
           ready_at c < ready_at b
           || ready_at c = ready_at b
-             (* Slots from the cursor, cyclically: [c] comes first. *)
-             && (c.wpos - start + n) mod n < (b.wpos - start + n) mod n
+             (* Ranks from the cursor, cyclically: [c] comes first. *)
+             && (rank ws c - start + n) mod n < (rank ws b - start + n) mod n
         then best := c
       done;
       let b = !best in
-      ws.cursor <- (b.wpos + 1) mod n;
+      ws.cursor <- (rank ws b + 1) mod n;
       b
     end
 

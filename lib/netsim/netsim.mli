@@ -18,7 +18,7 @@
     string. Both ways charge the same virtual time for the same message
     length. A timed receive, {!recv_buf_deadline}, takes a buffer and
     reads its deadline from a slot; {!Waitset.poll} is a waitset's
-    non-blocking wait. *)
+    non-blocking wait. An endpoint carries no word for its owner. *)
 
 type t
 (** A network (a bag of listeners). *)
@@ -178,15 +178,6 @@ val is_open : conn -> bool
 val peer_closed : conn -> bool
 val id : conn -> int
 
-val data : conn -> int
-(** The word the endpoint's owner last stored with {!set_data}; 0 until
-    then. *)
-
-val set_data : conn -> int -> unit
-(** Store one word with this endpoint, as [epoll_event.data] does: a
-    server keeps what it needs per connection there and finds it with no
-    lookup. Each endpoint has its own; nothing in {!Netsim} reads it. *)
-
 val no_conn : conn
 (** No connection: what {!Waitset.wait} returns once its set is closed,
     compared with [==] (an option would allocate per wait). It is closed,
@@ -230,12 +221,14 @@ module Waitset : sig
 
   val add : ws -> conn -> unit
   (** Watch a connection; it goes last in the order that breaks ties.
-      Allocates nothing once the set has grown to its size.
+      Allocates nothing once the set has grown to twice its size.
       @raise Invalid_argument if a waitset already watches it. *)
 
   val remove : ws -> conn -> unit
-  (** Stop watching a connection; the others keep their order. A no-op
-      when this set does not watch it. *)
+  (** Stop watching a connection; the others keep their order and the
+      cursor its value. O(log n) in the watched connections: the slot is
+      left vacant for a later {!add} to squeeze out. A no-op when this
+      set does not watch it. *)
 
   val wait : ws -> conn
   (** Block until some watched connection has input or a closed peer to
@@ -261,8 +254,8 @@ module Waitset : sig
   val close : ws -> unit
   (** Make every pending and future {!wait} return {!no_conn}. *)
 
-  val close_all : ws -> conn list
+  val close_all : ws -> int
   (** What a process's death does to its sockets: {!Netsim.close} every
       watched connection, newest first, then {!close} the set, which
-      then watches nothing. Returns the connections, newest first. *)
+      then watches nothing. Returns how many it closed. *)
 end

@@ -1,7 +1,7 @@
 (* Charge order is part of this module's contract: every [Sched.charge]
    and every simulated-memory access sits where both servers had it
    before they shared this code — the syscall before the shed test, the
-   per-request cost after it, and the copy into the connection buffer
+   per-request cost after it, and the copy into the worker's read buffer
    only when the server asks (kvcache picks a per-client udi first, which
    may charge a [dprotect]). *)
 
@@ -109,6 +109,7 @@ type worker = {
   mutable alive : bool;
   mutable started : bool;  (* its thread runs: not awaiting a respawn *)
   mutable rewinds : int;
+  mutable buf : int;  (* its read buffer; 0 while it has none *)
 }
 
 type t = {
@@ -209,7 +210,7 @@ let create space variant ?sdrad ?supervisor ?faults net ~port ~workers process
     workers =
       Array.init workers (fun idx ->
           { idx; ws = Netsim.Waitset.create (); tid = -1; alive = false;
-            started = false; rewinds = 0 });
+            started = false; rewinds = 0; buf = 0 });
     next = 0;
     acceptor = -1;
     deaths = Queue.create ();
@@ -220,36 +221,26 @@ let create space variant ?sdrad ?supervisor ?faults net ~port ~workers process
     restart_lat = [];
   }
 
-(* {1 Connection buffers}
+(* {1 Read buffers}
 
-   A connection's buffer address is its endpoint's data word
-   ({!Netsim.set_data}); 0, which no allocator returns, while it has
-   none. *)
+   A worker handles one request at a time, so it reads every request
+   into one buffer of its own (see serve.mli). *)
 
 let alloc t n = t.buf_alloc n
 let free t p = t.buf_free p
-let buffer c = Netsim.data c
-let accept t c = Netsim.set_data c (t.buf_alloc conn_buf_size)
+let buffer w = w.buf
 
-let copy_in t c req =
+let copy_in t w req =
   let len = min (Netsim.Buf.length req) (conn_buf_size - 2) in
-  Space.store_from t.space (Netsim.data c) (Netsim.Buf.bytes req) 0 len;
+  Space.store_from t.space w.buf (Netsim.Buf.bytes req) 0 len;
   len
 
-let forget t c =
-  let addr = Netsim.data c in
-  if addr <> 0 then begin
-    Netsim.set_data c 0;
-    t.buf_free addr
-  end
-
-let close t w c =
+let close w c =
   Netsim.Waitset.remove w.ws c;
-  Netsim.close c;
-  forget t c
+  Netsim.close c
 
 let drop t w c =
-  close t w c;
+  close w c;
   M.inc t.c.dropped
 
 (* {1 Wire text} *)
@@ -373,23 +364,30 @@ let replay_or t s off len compute a b =
 
 (* A process's death: the kernel closes the connections it watched, all
    of them under [One_process] (with the listener), and they count as
-   dropped. The buffers go back only after the master is told, so a
-   failing free cannot lose the respawn. *)
+   dropped. The read buffers go back only after the master is told, so
+   a failing free cannot lose the respawn. *)
 let die t w =
   let dead =
     match t.process with
     | One_process ->
         Log.err (fun m -> m "server process crashed; all connections lost");
         Netsim.close_listener t.listener;
-        Array.to_list t.workers
-    | Per_worker _ -> [ w ]
+        t.workers
+    | Per_worker _ -> [| w |]
   in
-  let close_all w = w.alive <- false; Netsim.Waitset.close_all w.ws in
-  let conns = List.concat_map close_all dead in
-  M.add t.c.dropped (List.length conns);
+  Array.iter
+    (fun w ->
+      w.alive <- false;
+      M.add t.c.dropped (Netsim.Waitset.close_all w.ws))
+    dead;
   Queue.add (w, Sched.now ()) t.deaths;
   ignore (Sched.wake t.idle);
-  List.iter (forget t) conns
+  Array.iter
+    (fun w ->
+      let p = w.buf in
+      w.buf <- 0;
+      if p <> 0 then t.buf_free p)
+    dead
 
 (* Serve the worker's waitset until it closes, receiving every request
    into one buffer. *)
@@ -422,14 +420,14 @@ let serve_waitset t w ~shed ~handle =
           drain (n + 1)
         end
         else begin
-          close t w c;
+          close w c;
           drain n
         end
   in
   let rec loop () =
     let c = Netsim.Waitset.wait ws in
     if c != Netsim.no_conn then begin
-      (if not (Netsim.recv_buf c req) then close t w c
+      (if not (Netsim.recv_buf c req) then close w c
        else if batching then
          Api.with_gate (Option.get t.sd) (fun () ->
              serve c;
@@ -454,6 +452,7 @@ let spawn_worker t sched ~threads ~shed ~serve w =
   w.rewinds <- 0;
   w.alive <- true;
   w.started <- false;
+  w.buf <- t.buf_alloc conn_buf_size;
   let handle = serve w in
   w.tid <-
     Sched.spawn sched
@@ -479,24 +478,17 @@ let rec live_from t i left spare =
       live_from t (i + 1) (left - 1)
         (if spare < 0 && w.alive then w.idx else spare)
 
-(* Round-robin over the live workers. The round moves on past a
-   connection placed, or refused for want of a live worker (all of a
-   crashed process's backlog), but not past one closed for want of
-   buffer room (memcached closes a connection it cannot allocate). *)
+(* Round-robin over the live workers. The round moves on past every
+   connection, placed or refused for want of a live worker (all of a
+   crashed process's backlog). *)
 let rec accept_loop t =
   match Netsim.accept t.listener with
   | None -> ()
   | Some c ->
       (match live_from t t.next (Array.length t.workers) (-1) with
-      | -1 ->
-          Netsim.close c;
-          t.next <- t.next + 1
-      | i -> (
-          match accept t c with
-          | () ->
-              Netsim.Waitset.add t.workers.(i).ws c;
-              t.next <- t.next + 1
-          | exception (Space.Exhausted | Tlsf.Out_of_memory) -> Netsim.close c));
+      | -1 -> Netsim.close c
+      | i -> Netsim.Waitset.add t.workers.(i).ws c);
+      t.next <- t.next + 1;
       accept_loop t
 
 let start t sched ~threads ~shed ~serve =

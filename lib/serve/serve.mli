@@ -3,18 +3,20 @@
     Both servers retrofit the paper's request pattern (§V-A, §V-B): admit
     a request, copy it into a nested domain, run it there, and on a fault
     rewind and close only that connection. The core owns the variant
-    allocators, the per-connection buffers, start-up, admission (shed,
+    allocators, each worker's read buffer, start-up, admission (shed,
     trace, the supervised domain run and what its result asks of the
     connection), rewind bookkeeping, the journal bracket, and the worker
     process: the acceptor, the event loops, death and the master that
     restarts (§V's rewind-versus-restart comparison). Each server keeps
     its protocol, application state, replies and metric names, which it
-    registers with literal names the [metric-naming] lint can check. *)
+    registers with literal names the [metric-naming] lint can check. A
+    connection holds no buffer: a worker handles one request at a time,
+    so it reads each into its own. *)
 
 type variant = Baseline | Tlsf_alloc | Sdrad
 
 val conn_buf_size : int
-(** Bytes of each connection's buffer. *)
+(** Bytes of each worker's read buffer. *)
 
 type counters = {
   served : Telemetry.Metrics.counter;  (** requests past the shed test *)
@@ -40,8 +42,8 @@ type process =
           and the master respawns it after [restart_cost]. *)
 
 type worker
-(** [<threads>-worker<idx>], with its connections and its rewinds since
-    it started. *)
+(** [<threads>-worker<idx>], with its connections, its read buffer and
+    its rewinds since it started. *)
 
 val idx : worker -> int
 
@@ -82,30 +84,23 @@ val create :
     journal [name], the [counters], the race detector and the journal
     probe; the listener on [port] and [workers] unspawned workers. *)
 
-(** {1 Connection buffers} *)
+(** {1 Read buffers} *)
 
 val alloc : t -> int -> int
 val free : t -> int -> unit
 
-val accept : t -> Netsim.conn -> unit
-(** Allocate the connection's buffer and keep its address in the
-    connection's data word ({!Netsim.set_data}), so that neither
-    {!accept}, {!copy_in} nor {!forget} allocates or looks anything
-    up. *)
+val buffer : worker -> int
+(** The worker's read buffer, [conn_buf_size] bytes from the server's
+    allocator, taken on the spawning thread before [serve] makes the
+    worker's handler (which may keep it) and freed when it dies. *)
 
-val buffer : Netsim.conn -> int
-(** The address of the connection's buffer; 0 when it has none. *)
-
-val copy_in : t -> Netsim.conn -> Netsim.Buf.t -> int
-(** Copy a received request into its connection's buffer, truncated to
+val copy_in : t -> worker -> Netsim.Buf.t -> int
+(** Copy a received request into the worker's read buffer, truncated to
     [conn_buf_size - 2] bytes, with {!Vmem.Space.store_from}: charged as
     storing the request string was. Returns the bytes copied. *)
 
-val forget : t -> Netsim.conn -> unit
-(** Free the connection's buffer; no-op when already forgotten. *)
-
-val close : t -> worker -> Netsim.conn -> unit
-(** Leave the worker's waitset, close and {!forget}. *)
+val close : worker -> Netsim.conn -> unit
+(** Leave the worker's waitset and close. *)
 
 val drop : t -> worker -> Netsim.conn -> unit
 (** {!close} a connection lost to a fault, counted in [dropped]. *)
@@ -183,13 +178,13 @@ val start :
   unit
 (** Spawn the {!process}'s threads. [serve w] makes a worker's request
     handler on the spawning thread before each (re)spawn of [w]. A
-    worker receives each request into one buffer the handlers must not
-    keep, charges a syscall, then [shed]s it when the backlog exceeds
-    [shed_queue_limit] (if not 0), or else charges [proc_cycles], counts
-    and serves it. Under {!Sdrad} with a gate batch limit, ready requests
-    share one gate. An exception out of a handler is the process's
-    death. The acceptor refuses a connection no live worker can take
-    and closes one whose buffer finds no room. *)
+    worker receives each request into one {!Netsim.Buf.t} the handlers
+    must not keep, charges a syscall, then [shed]s it when the backlog
+    exceeds [shed_queue_limit] (if not 0), or else charges
+    [proc_cycles], counts and serves it. Under {!Sdrad} with a gate
+    batch limit, ready requests share one gate. An exception out of a
+    handler is the process's death. The acceptor refuses a connection
+    no live worker can take. *)
 
 val stop : t -> unit
 (** Close the listener and the waitsets and stop the master: the

@@ -1457,6 +1457,55 @@ let test_space_exhaustion_evicts variant () =
   check int "the rest all stored" (Store.count (Server.store s)) hits;
   check (Alcotest.list string) "db healthy" [] (Server.db_check s)
 
+(* Idle connections hold no buffer; the worker holds one. 64 connections
+   are opened on one worker and held open, each served one GET of a key
+   set before them. From the first GET served to the last, RSS grows by
+   at most the worker's buffer pages, and no server thread fails; while
+   the core kept a 16 KiB buffer per connection, each took a page. *)
+let test_held_connections_served variant () =
+  let w =
+    Scenario.world ~size_mib:64 ?monitor:(Scenario.monitor_for variant) ()
+  in
+  let { Scenario.result = grown; _ } =
+    Scenario.kvcache w
+      { Server.default_config with variant; workers = 1 }
+      (Script
+         (fun _ ->
+           ignore
+             (client_request w.net 11211
+                [ Proto.fmt_set ~key:"k" ~flags:0
+                    ~value:(String.make 1024 'v') ]);
+           let serve_one () =
+             let c = Netsim.connect w.net ~port:11211 in
+             Netsim.send c (Proto.fmt_get "k");
+             (match Option.map Proto.parse_reply (Netsim.recv c) with
+             | Some (Proto.Value v) ->
+                 check int "the value" 1024 (String.length v)
+             | _ -> Alcotest.fail "a held connection was not served");
+             c
+           in
+           let held = ref [ serve_one () ] in
+           let rss0 = Space.rss_bytes w.space in
+           for _ = 2 to 64 do
+             held := serve_one () :: !held
+           done;
+           let grown = Space.rss_bytes w.space - rss0 in
+           List.iter Netsim.close !held;
+           grown))
+  in
+  check bool
+    (Printf.sprintf "RSS grew %d bytes, at most the worker's buffer's %d" grown
+       Serve.conn_buf_size)
+    true
+    (grown <= Serve.conn_buf_size);
+  List.iter
+    (fun (_, name, o) ->
+      match o with
+      | Sched.Failed e ->
+          Alcotest.failf "%s failed: %s" name (Printexc.to_string e)
+      | Sched.Completed -> ())
+    (Sched.outcomes w.sched)
+
 (* {1 Live connections}
 
    A connection is the server's while a worker's waitset watches it, and
@@ -2219,12 +2268,47 @@ let test_session_alloc () =
     true
     (per_client <= session_words_budget)
 
-(* A connection's buffer lives in its endpoint's data word: accepting a
-   connection into the serving core and forgetting it allocate nothing
-   and look nothing up. 8 words an accept, and a [Hashtbl] lookup per
-   request, while the core kept the buffers in a table by connection
-   id. *)
-let test_accept_forget_alloc () =
+(* A connection holds no buffer, only its worker does: accepting a
+   connection into the serving core and closing it allocate nothing,
+   in host words or in simulated memory. One run opens and closes
+   connections one at a time against the core's acceptor and one
+   worker, another against a bare acceptor and event loop made of the
+   same Netsim calls. Their host words and their server threads' busy
+   cycles per connection must match: the core's own words would show in
+   the first, and an allocator call in the second, as the glibc model's
+   charges. While the core kept a buffer per connection, a connection
+   cost 130 cycles and 17 host words more than the bare loop's 3,000
+   and 42. *)
+let bare_server sched net ~port =
+  let l = Netsim.listen net ~port and ws = Netsim.Waitset.create () in
+  let req = Netsim.Buf.create () in
+  let rec accept_loop () =
+    match Netsim.accept l with
+    | None -> ()
+    | Some c ->
+        Netsim.Waitset.add ws c;
+        accept_loop ()
+  in
+  let rec serve () =
+    let c = Netsim.Waitset.wait ws in
+    if c != Netsim.no_conn then begin
+      if not (Netsim.recv_buf c req) then begin
+        Netsim.Waitset.remove ws c;
+        Netsim.close c
+      end;
+      serve ()
+    end
+  in
+  let tids =
+    [ Sched.spawn sched ~name:"bare-accept" accept_loop;
+      Sched.spawn sched ~name:"bare-worker" serve ]
+  in
+  ( tids,
+    fun () ->
+      Netsim.close_listener l;
+      Netsim.Waitset.close ws )
+
+let core_server sched net ~port =
   let space = Space.create ~size_mib:32 () in
   let counters m =
     let module M = Telemetry.Metrics in
@@ -2237,31 +2321,62 @@ let test_accept_forget_alloc () =
       rewind_cycles = M.histogram m "pin_rewind_cycles";
     }
   in
-  let net = Netsim.create Simkern.Cost.default in
   let core =
-    Serve.create space Serve.Tlsf_alloc net ~port:11212 ~workers:1
-      One_process ~name:"pin" ~alloc_site:"pin.alloc"
+    Serve.create space Serve.Baseline net ~port ~workers:1 One_process
+      ~name:"pin" ~alloc_site:"pin.alloc"
       ~malloc_region:(fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
       ~journal_cap:16 ~proc_cycles:0.0 ~shed_queue_limit:0
       ~gate_batch_limit:0 ~race_detector:false ~counters ()
   in
-  Sched.main (fun _ ->
-      let l = Netsim.listen net ~port:11211 in
-      ignore (Netsim.connect net ~port:11211);
-      let c = Option.get (Netsim.accept l) in
-      let words =
-        Alloc_probe.words_per_call ~n:1_000 (fun () ->
-            Serve.accept core c;
-            Serve.forget core c)
+  Serve.start core sched ~threads:"pin" ~shed:(fun _ _ _ -> ())
+    ~serve:(fun _ _ _ -> ());
+  (Serve.threads core, fun () -> Serve.stop core)
+
+(* Host words and server busy cycles per connection opened and closed,
+   after a warm-up. *)
+let lifecycle_cost server =
+  let n = 1_000 and port = 11211 in
+  Sched.main (fun sched ->
+      let net = Netsim.create Simkern.Cost.default in
+      let tids, stop = server sched net ~port in
+      let busy () =
+        List.fold_left
+          (fun acc tid ->
+            match
+              (Sched.thread_clock sched tid, Sched.thread_waited sched tid)
+            with
+            | Some c, Some w -> acc +. (c -. w)
+            | _ -> acc)
+          0.0 tids
       in
-      check bool
-        (Printf.sprintf "accept and forget allocate %.1f words (budget 0)"
-           words)
-        true (words <= 0.0);
-      Serve.accept core c;
-      check bool "the buffer is the connection's" true (Serve.buffer c <> 0);
-      Serve.forget core c;
-      check int "forgotten" 0 (Serve.buffer c))
+      let cycle () =
+        let c = Netsim.connect net ~port in
+        Sched.sleep 10_000.0;
+        Netsim.close c;
+        Sched.sleep 10_000.0
+      in
+      for _ = 1 to 100 do
+        cycle ()
+      done;
+      let w0 = Gc.minor_words () and b0 = busy () in
+      for _ = 1 to n do
+        cycle ()
+      done;
+      let w1 = Gc.minor_words () and b1 = busy () in
+      stop ();
+      ((w1 -. w0) /. float_of_int n, (b1 -. b0) /. float_of_int n))
+
+let test_accept_close_alloc () =
+  let core_words, core_busy = lifecycle_cost core_server in
+  let bare_words, bare_busy = lifecycle_cost bare_server in
+  check bool
+    (Printf.sprintf "%.1f host words a connection, the bare loop's %.1f"
+       core_words bare_words)
+    true (core_words <= bare_words);
+  check bool
+    (Printf.sprintf "%.0f busy cycles a connection, the bare loop's %.0f"
+       core_busy bare_busy)
+    true (core_busy = bare_busy)
 
 let test_ycsb_alloc () =
   let ops = 8_000 in
@@ -2330,8 +2445,8 @@ let () =
             test_set_rid_alloc;
           Alcotest.test_case "open-loop session host allocation" `Quick
             test_session_alloc;
-          Alcotest.test_case "accept and forget host allocation" `Quick
-            test_accept_forget_alloc;
+          Alcotest.test_case "accepting and closing a connection allocates nothing"
+            `Quick test_accept_close_alloc;
         ] );
       ( "binproto",
         [
@@ -2352,6 +2467,10 @@ let () =
           Alcotest.test_case "cve baseline crash" `Quick test_cve_baseline_crashes;
           Alcotest.test_case "cve sdrad rewind" `Quick test_cve_sdrad_rewinds;
           Alcotest.test_case "live set drains" `Quick test_live_set_drains;
+          Alcotest.test_case "64 held connections served, baseline" `Quick
+            (test_held_connections_served Server.Baseline);
+          Alcotest.test_case "64 held connections served, sdrad" `Quick
+            (test_held_connections_served Server.Sdrad);
         ] );
       ( "nvx",
         [

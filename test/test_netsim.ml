@@ -977,6 +977,48 @@ let ready_list_matches_scan =
     (QCheck.make ~print:(QCheck.Print.list print_wop) gen_wops)
     ready_list_agrees
 
+(* A removal at every position of sets of 1 to 9 connections, from
+   every cursor position, with every connection ready at the same time,
+   so the cursor alone decides each pick: then the removed connection
+   comes back, and a churn of removals and re-adds from a full set
+   leaves vacated slots behind until an add squeezes them out. *)
+let removal_at_every_position () =
+  let all n f = List.init n f in
+  let sends n = all n (fun k -> Send (k, 1)) in
+  let waits n = List.init n (fun _ -> Wait true) in
+  for n = 1 to 9 do
+    for cursor = 0 to n - 1 do
+      for pos = 0 to n - 1 do
+        let churn =
+          List.concat
+            (List.init 24 (fun j ->
+                 [ Remove (j mod n); Send ((j + 1) mod n, 1); Wait true;
+                   Readd (j mod n) ]))
+        in
+        let ops =
+          List.concat
+            [ all n (fun _ -> Connect); sends n; waits cursor; [ Remove pos ];
+              sends n; waits n; [ Readd pos; Connect; Connect ];
+              sends (n + 2); waits (n + 3); churn; sends (n + 2);
+              waits (n + 3) ]
+        in
+        if not (ready_list_agrees ops) then
+          Alcotest.failf
+            "%d connections, cursor %d, removal at %d: the pick differs" n
+            cursor pos
+      done
+    done
+  done
+
+(* The random traces' test, with the sweep above run first. *)
+let ready_list_test =
+  let name, speed, random = QCheck_alcotest.to_alcotest ready_list_matches_scan in
+  ( name,
+    speed,
+    fun () ->
+      removal_at_every_position ();
+      random () )
+
 let () =
   Alcotest.run "netsim"
     [
@@ -1005,7 +1047,7 @@ let () =
             test_watched_exchange_allocation;
           Alcotest.test_case "connection lifecycle host allocation" `Quick
             test_lifecycle_allocation;
-          QCheck_alcotest.to_alcotest ready_list_matches_scan;
+          ready_list_test;
         ] );
       ( "timed wait",
         [

@@ -519,6 +519,115 @@ let test_cluster_differential () =
         off on)
     [ 3; 7; 11 ]
 
+(* {1 The servers' read buffers}
+
+   A worker reads every request into one buffer of its own, so no other
+   thread touches it. Two runs with [race_detector = true]: the web
+   server's one worker under 75 keep-alive connections, and the cache's
+   four workers under 16 clients. Neither may report a shared-race or a
+   rewind-atomicity finding, and each is byte-identical to the same run
+   with the detector off. The server's detector tracks the data domains;
+   the cache's read buffers live in the root heap, so its run swaps in a
+   detector that tracks that too before the clients start (the workers
+   spawned before it, but each buffer is one worker's alone, so no
+   spawn edge is needed to order its accesses). The web server's buffer
+   is a plain mapping no detector tracks, read by its one worker. *)
+
+(* Every reply byte and the final clock of [clients] closed-loop
+   clients, [ops] requests each, made by [request]. *)
+let closed_loop sched net ~port ~clients ~ops ~request buf =
+  let tids =
+    List.init clients (fun i ->
+        Sched.spawn sched
+          ~name:(Printf.sprintf "client%d" i)
+          (fun () ->
+            let c = Netsim.connect net ~port in
+            for j = 1 to ops do
+              Netsim.send c (request i j);
+              match Netsim.recv c with
+              | Some r -> Buffer.add_string buf r
+              | None -> Buffer.add_string buf "<none>"
+            done;
+            Netsim.close c))
+  in
+  List.iter Sched.join tids;
+  Buffer.add_string buf (Printf.sprintf "|t=%.0f" (Sched.now ()))
+
+let run_web_buffers ~race =
+  let w = Scenario.world ~size_mib:192 ~monitor:Api.create () in
+  let fs = Httpd.Fs.create w.space in
+  Httpd.Fs.add fs ~path:"/index.html" ~size:1024;
+  let cfg =
+    {
+      Httpd.Server.default_config with
+      variant = Httpd.Server.Sdrad;
+      workers = 1;
+      race_detector = race;
+    }
+  in
+  let buf = Buffer.create 65536 in
+  let { Scenario.server = s; _ } =
+    Scenario.httpd w ~files:(Fun.const fs) cfg
+      (Script
+         (fun _ ->
+           closed_loop w.sched w.net ~port:8080 ~clients:75 ~ops:4
+             ~request:(fun _ _ -> "GET /index.html HTTP/1.1\r\nHost: x\r\n\r\n")
+             buf))
+  in
+  let det = Httpd.Server.race_detector s in
+  Option.iter Race.detach det;
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), det)
+
+(* Each client sets and gets keys of its own: a GET that reads in its
+   event domain an item another worker writes under the lock is a
+   shared-race in the database, which the analyzer reports (ROADMAP
+   item 6) and which is not this run's subject. *)
+let run_kv_buffers ~race =
+  let w = Scenario.world ~size_mib:192 ~monitor:Api.create () in
+  let cfg =
+    {
+      Server.default_config with
+      variant = Server.Sdrad;
+      workers = 4;
+      race_detector = race;
+    }
+  in
+  let buf = Buffer.create 65536 in
+  let { Scenario.result = det; _ } =
+    Scenario.kvcache w cfg
+      (Script
+         (fun s ->
+           let det =
+             Option.map
+               (fun d ->
+                 Race.detach d;
+                 Race.attach ~track_root:true (Option.get w.sd))
+               (Server.race_detector s)
+           in
+           closed_loop w.sched w.net ~port:11211 ~clients:16 ~ops:20
+             ~request:(fun i j ->
+               let key = Printf.sprintf "c%d-k%d" i (j / 2) in
+               if j mod 2 = 0 then
+                 Proto.fmt_set ~key ~flags:0 ~value:(String.make (16 * j) 'v')
+               else Proto.fmt_get key)
+             buf;
+           det))
+  in
+  Option.iter Race.detach det;
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), det)
+
+let test_buffers run name () =
+  let off, _ = run ~race:false in
+  let on, det = run ~race:true in
+  check Alcotest.string (name ^ ": detector-on run byte-identical") off on;
+  match det with
+  | None -> Alcotest.fail "no detector attached"
+  | Some det ->
+      check int (name ^ ": no shared-race finding") 0
+        (Race.class_count det `Shared_race);
+      check int (name ^ ": no rewind-atomicity finding") 0
+        (Race.class_count det `Rewind_atomicity)
+
 (* {1 Dlock poisoning under cluster failover} *)
 
 (* A shard-side critical section dies with its shard (the scheduler kills
@@ -608,5 +717,9 @@ let () =
           Alcotest.test_case "kvcache, 5 seeds" `Slow test_kv_differential;
           Alcotest.test_case "httpd, 5 seeds" `Slow test_web_differential;
           Alcotest.test_case "cluster, 3 seeds" `Slow test_cluster_differential;
+          Alcotest.test_case "httpd read buffer, 75 connections" `Quick
+            (test_buffers run_web_buffers "httpd");
+          Alcotest.test_case "kvcache read buffers, 16 clients" `Quick
+            (test_buffers run_kv_buffers "kvcache");
         ] );
     ]
